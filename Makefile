@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt vet lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
+.PHONY: check build fmt vet loc lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
 
 check: vet lint race
 
@@ -22,6 +22,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside benchmark/ and testdata/: the number
+# ROADMAP aim 2 wants trending down. CI prints it for every PR.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 # SPEED-specific invariants: trust boundary, key hygiene, atomic/plain
 # mixing, unbounded network waits, wire kind/codec symmetry, sealed-data

@@ -67,10 +67,7 @@ type ChunkRow struct {
 // bytes (plus 32 per probed or requested tag) that cross it — the
 // simulated wire transfer volume of the deployment.
 type countingClient struct {
-	inner interface {
-		dedup.BatchClient
-		dedup.HasBatcher
-	}
+	inner dedup.StoreClient
 	bytes atomic.Int64
 }
 
@@ -78,23 +75,9 @@ func sealedBytes(s mle.Sealed) int64 {
 	return int64(len(s.Challenge) + len(s.WrappedKey) + len(s.Blob))
 }
 
-func (c *countingClient) Get(tag mle.Tag) (mle.Sealed, bool, error) {
-	c.bytes.Add(int64(len(tag)))
-	sealed, found, err := c.inner.Get(tag)
-	if found {
-		c.bytes.Add(sealedBytes(sealed))
-	}
-	return sealed, found, err
-}
-
-func (c *countingClient) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	c.bytes.Add(int64(len(tag)) + sealedBytes(sealed))
-	return c.inner.Put(tag, sealed, replace)
-}
-
-func (c *countingClient) GetBatch(tags []mle.Tag) ([]wire.GetResult, error) {
+func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
 	c.bytes.Add(int64(len(tags)) * int64(len(mle.Tag{})))
-	results, err := c.inner.GetBatch(tags)
+	results, err := c.inner.Get(tc, tags)
 	for _, r := range results {
 		if r.Found {
 			c.bytes.Add(sealedBytes(r.Sealed))
@@ -103,16 +86,16 @@ func (c *countingClient) GetBatch(tags []mle.Tag) ([]wire.GetResult, error) {
 	return results, err
 }
 
-func (c *countingClient) PutBatch(items []wire.PutItem) ([]wire.PutResult, error) {
+func (c *countingClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	for _, it := range items {
 		c.bytes.Add(int64(len(it.Tag)) + sealedBytes(it.Sealed))
 	}
-	return c.inner.PutBatch(items)
+	return c.inner.Put(tc, items)
 }
 
-func (c *countingClient) HasBatch(tags []mle.Tag) ([]bool, error) {
+func (c *countingClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 	c.bytes.Add(int64(len(tags)) * int64(len(mle.Tag{})))
-	return c.inner.HasBatch(tags)
+	return c.inner.Has(tc, tags)
 }
 
 func (c *countingClient) Ping() error  { return c.inner.Ping() }

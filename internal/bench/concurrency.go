@@ -185,9 +185,6 @@ func Concurrency(workersList, batchList []int, tagsPerWorker, blobBytes int, net
 		return nil, err
 	}
 	defer client.Close()
-	if v := client.ProtocolVersion(); v != wire.ProtocolV2 {
-		return nil, fmt.Errorf("bench: negotiated protocol v%d, want v%d", v, wire.ProtocolV2)
-	}
 
 	// Populate enough distinct tags that workers spread over the store's
 	// shards, then warm every entry once.
@@ -218,7 +215,7 @@ func Concurrency(workersList, batchList []int, tagsPerWorker, blobBytes int, net
 			},
 		}
 	}
-	prs, err := client.PutBatch(items)
+	prs, err := client.Put(wire.TraceContext{}, items)
 	if err != nil {
 		return nil, fmt.Errorf("bench: populate: %w", err)
 	}
@@ -227,7 +224,7 @@ func Concurrency(workersList, batchList []int, tagsPerWorker, blobBytes int, net
 			return nil, fmt.Errorf("bench: populate item %d rejected: %s", i, pr.Err)
 		}
 	}
-	if _, err := client.GetBatch(tagsOf(mkTag, 0, population)); err != nil {
+	if _, err := client.Get(wire.TraceContext{}, tagsOf(mkTag, 0, population)); err != nil {
 		return nil, fmt.Errorf("bench: warmup: %w", err)
 	}
 
@@ -288,24 +285,12 @@ func tagsOf(mk func(int) mle.Tag, start, n int) []mle.Tag {
 // walking the populated tag space from a per-worker offset.
 func runWorker(client *dedup.RemoteClient, mk func(int) mle.Tag, population, worker, rounds, batch int) error {
 	offset := worker * 31
-	if batch == 1 {
-		for r := 0; r < rounds; r++ {
-			_, found, err := client.Get(mk((offset + r) % population))
-			if err != nil {
-				return err
-			}
-			if !found {
-				return fmt.Errorf("bench: populated tag missing")
-			}
-		}
-		return nil
-	}
 	tags := make([]mle.Tag, batch)
 	for r := 0; r < rounds; r++ {
 		for i := range tags {
 			tags[i] = mk((offset + r*batch + i) % population)
 		}
-		res, err := client.GetBatch(tags)
+		res, err := client.Get(wire.TraceContext{}, tags)
 		if err != nil {
 			return err
 		}

@@ -45,87 +45,22 @@ type groupResult struct {
 	idxs []int
 	gets []wire.GetResult
 	puts []wire.PutResult
+	has  []bool
 	err  error
 }
 
-// GetBatch implements dedup.BatchClient: tags are grouped by their
-// preferred member and fetched in parallel per-node round trips, merged
-// back positionally. A member failure re-routes only that member's tags
-// to the next replica in further rounds; results found away from their
-// primary are read-repaired in the background. The call errors only
-// when some tag runs out of reachable members.
-func (c *Client) GetBatch(tags []mle.Tag) ([]wire.GetResult, error) {
-	return c.GetBatchTraced(wire.TraceContext{}, tags)
-}
-
-// GetBatchTraced is GetBatch carrying a trace context: each per-member
-// round trip becomes a route_batch_get leg span of the sampled call.
-func (c *Client) GetBatchTraced(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
-	if c.closed.Load() {
-		return nil, errClientClosed
-	}
-	if len(tags) == 0 {
-		return nil, nil
-	}
-	results := make([]wire.GetResult, len(tags))
-	primaries := make([]int, len(tags))
-	for i, tag := range tags {
-		primaries[i] = c.ring.owners(tag, 1)[0]
-	}
-	excluded := make([]map[int]bool, len(tags))
-	repairs := make(map[int][]wire.PutItem)
-	pending := make([]int, len(tags))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		groups := make(map[int][]int)
-		for _, idx := range pending {
-			ni, ok := c.pickRead(tags[idx], excluded[idx])
-			if !ok {
-				return nil, fmt.Errorf("cluster: batch get: no member reachable for tag %x", tags[idx][:4])
-			}
-			groups[ni] = append(groups[ni], idx)
-		}
-		var next []int
-		for _, gr := range c.runGets(tc, tags, groups) {
-			n := c.nodes[gr.ni]
-			if gr.err != nil {
-				c.noteFailure(n, gr.err)
-				c.noteFailover(n, len(gr.idxs))
-				for _, idx := range gr.idxs {
-					if excluded[idx] == nil {
-						excluded[idx] = make(map[int]bool)
-					}
-					excluded[idx][gr.ni] = true
-				}
-				next = append(next, gr.idxs...)
-				continue
-			}
-			c.noteSuccess(n)
-			n.routedGet.Add(int64(len(gr.idxs)))
-			for k, idx := range gr.idxs {
-				results[idx] = gr.gets[k]
-				if gr.gets[k].Found && gr.ni != primaries[idx] {
-					repairs[primaries[idx]] = append(repairs[primaries[idx]],
-						wire.PutItem{Tag: tags[idx], Sealed: gr.gets[k].Sealed})
-				}
-			}
-		}
-		pending = next
-	}
-	for primary, items := range repairs {
-		c.repairAsync(primary, tc, items)
-	}
-	return results, nil
-}
-
-// runGets issues one BatchGet per group concurrently and collects the
-// answers; merging into shared state is the caller's, serially.
-func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]int) []groupResult {
+// fanOut runs one member round trip per group and collects the answers;
+// merging them into shared state is the caller's, serially. A single
+// group — every batch of one, and any batch one member owns — runs
+// inline, so it spawns no goroutine.
+func fanOut(groups map[int][]int, run func(*groupResult)) []groupResult {
 	out := make([]groupResult, 0, len(groups))
 	for ni, idxs := range groups {
 		out = append(out, groupResult{ni: ni, idxs: idxs})
+	}
+	if len(out) == 1 {
+		run(&out[0])
+		return out
 	}
 	var wg sync.WaitGroup
 	for i := range out {
@@ -133,38 +68,160 @@ func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			chunk := make([]mle.Tag, len(gr.idxs))
-			for k, idx := range gr.idxs {
-				chunk[k] = tags[idx]
-			}
-			start := legClock(tc)
-			fwd, leg := forwardLeg(tc)
-			gr.gets, gr.err = c.nodes[gr.ni].client.GetBatchTraced(fwd, chunk)
-			if gr.err == nil && len(gr.gets) != len(chunk) {
-				gr.err = fmt.Errorf("cluster: member %s answered %d results for %d tags",
-					c.nodes[gr.ni].addr, len(gr.gets), len(chunk))
-			}
-			c.recordLeg(tc, leg, "route_batch_get", c.nodes[gr.ni].addr, start,
-				fmt.Sprintf("%d tags", len(chunk)), gr.err)
+			run(gr)
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// HasBatch implements dedup.HasBatcher: each tag's primary member (the
-// node a routed GET would consult first) is asked whether it holds the
-// tag, in parallel per-member HAS_BATCH round trips. Answers are hints
-// in both directions — a member failure or a member too old to
-// negotiate FeatureChunking reports its tags as absent rather than
-// failing the probe, so callers just transfer bytes they might have
-// skipped. No hit counting or recency happens anywhere on this path.
-func (c *Client) HasBatch(tags []mle.Tag) ([]bool, error) {
+// pick gathers a group's slice of the batch. Groups list their indexes
+// in ascending order without repeats, so a group as long as the batch
+// is the batch itself and needs no copy.
+func pick[T any](all []T, idxs []int) []T {
+	if len(idxs) == len(all) {
+		return all
+	}
+	part := make([]T, len(idxs))
+	for k, idx := range idxs {
+		part[k] = all[idx]
+	}
+	return part
+}
+
+// exclude marks member ni as failed for each of the given batch items.
+func exclude(excluded []map[int]bool, idxs []int, ni int) {
+	for _, idx := range idxs {
+		if excluded[idx] == nil {
+			excluded[idx] = make(map[int]bool)
+		}
+		excluded[idx][ni] = true
+	}
+}
+
+// Get implements dedup.StoreClient: tags are grouped by their preferred
+// member and fetched in parallel per-node round trips, merged back
+// positionally. A member failure re-routes only that member's tags to
+// the next replica in further rounds; results found away from their
+// primary are read-repaired in the background. A miss from a reachable
+// member is authoritative — misses never fail over, so a cold primary
+// costs one recomputation, not a cluster-wide search. The call errors
+// only when some tag runs out of reachable members. Each per-member
+// round trip, failed ones included, becomes a route_get leg span of a
+// sampled call.
+func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	if len(tags) == 0 {
-		return nil, nil
+	results := make([]wire.GetResult, len(tags))
+	excluded := make([]map[int]bool, len(tags))
+	var repairs map[int][]wire.PutItem
+	pending := make([]int, len(tags))
+	for i := range pending {
+		pending[i] = i
+	}
+	var lastErr error
+	for len(pending) > 0 {
+		groups := make(map[int][]int)
+		for _, idx := range pending {
+			ni, ok := c.pickRead(tags[idx], excluded[idx])
+			if !ok {
+				return nil, fmt.Errorf("cluster: get: no member reachable for tag %x: %w", tags[idx][:4], lastErr)
+			}
+			groups[ni] = append(groups[ni], idx)
+		}
+		pending = nil
+		for _, gr := range c.runGets(tc, tags, groups) {
+			n := c.nodes[gr.ni]
+			if gr.err != nil {
+				c.noteFailure(n, gr.err)
+				c.noteFailover(n, len(gr.idxs))
+				exclude(excluded, gr.idxs, gr.ni)
+				pending = append(pending, gr.idxs...)
+				lastErr = gr.err
+				continue
+			}
+			c.noteSuccess(n)
+			n.routedGet.Add(int64(len(gr.idxs)))
+			for k, idx := range gr.idxs {
+				results[idx] = gr.gets[k]
+				if !gr.gets[k].Found {
+					continue
+				}
+				if primary := c.ring.owners(tags[idx], 1)[0]; primary != gr.ni {
+					if repairs == nil {
+						repairs = make(map[int][]wire.PutItem)
+					}
+					repairs[primary] = append(repairs[primary], wire.PutItem{Tag: tags[idx], Sealed: gr.gets[k].Sealed})
+				}
+			}
+		}
+	}
+	for primary, items := range repairs {
+		c.repairAsync(primary, tc, items)
+	}
+	return results, nil
+}
+
+// runGets issues one GET per group and records its leg span: hit or
+// miss for a single tag, the tag count for a batch.
+func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]int) []groupResult {
+	return fanOut(groups, func(gr *groupResult) {
+		n := c.nodes[gr.ni]
+		part := pick(tags, gr.idxs)
+		start := legClock(tc)
+		fwd, leg := forwardLeg(tc)
+		gr.gets, gr.err = n.client.Get(fwd, part)
+		if gr.err == nil && len(gr.gets) != len(part) {
+			gr.err = fmt.Errorf("cluster: member %s answered %d results for %d tags", n.addr, len(gr.gets), len(part))
+		}
+		if !tc.Valid() {
+			return
+		}
+		outcome := fmt.Sprintf("%d tags", len(part))
+		if len(part) == 1 && gr.err == nil {
+			outcome = "miss"
+			if gr.gets[0].Found {
+				outcome = "hit"
+			}
+		}
+		c.recordLeg(tc, leg, "route_get", n.addr, start, outcome, gr.err)
+	})
+}
+
+// runHas issues one existence probe per group. A member failure is
+// noted against its health; a member too old to negotiate
+// FeatureChunking is not a failure. Either way, and on a short answer,
+// gr.has stays nil and the caller treats the group's tags as absent.
+func (c *Client) runHas(tc wire.TraceContext, tags []mle.Tag, groups map[int][]int) []groupResult {
+	out := fanOut(groups, func(gr *groupResult) {
+		gr.has, gr.err = c.nodes[gr.ni].client.Has(tc, pick(tags, gr.idxs))
+	})
+	for i := range out {
+		gr, n := &out[i], c.nodes[out[i].ni]
+		switch {
+		case gr.err == nil:
+			c.noteSuccess(n)
+			if len(gr.has) != len(gr.idxs) {
+				gr.has = nil
+			}
+		case !errors.Is(gr.err, dedup.ErrHasBatchUnsupported):
+			c.noteFailure(n, gr.err)
+		}
+	}
+	return out
+}
+
+// Has implements dedup.StoreClient: each tag's primary member (the node
+// a routed GET would consult first) is asked whether it holds the tag,
+// in parallel per-member HAS_BATCH round trips. Answers are hints in
+// both directions — a member failure or a member too old to negotiate
+// FeatureChunking reports its tags as absent rather than failing the
+// probe, so callers just transfer bytes they might have skipped. No hit
+// counting or recency happens anywhere on this path.
+func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
+	if c.closed.Load() {
+		return nil, errClientClosed
 	}
 	present := make([]bool, len(tags))
 	groups := make(map[int][]int)
@@ -173,53 +230,23 @@ func (c *Client) HasBatch(tags []mle.Tag) ([]bool, error) {
 			groups[ni] = append(groups[ni], i)
 		}
 	}
-	out := make([]groupResult, 0, len(groups))
-	for ni, idxs := range groups {
-		out = append(out, groupResult{ni: ni, idxs: idxs})
-	}
-	answers := make([][]bool, len(out))
-	var wg sync.WaitGroup
-	for i := range out {
-		gr := &out[i]
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			chunk := make([]mle.Tag, len(gr.idxs))
-			for k, idx := range gr.idxs {
-				chunk[k] = tags[idx]
-			}
-			answers[slot], gr.err = c.nodes[gr.ni].client.HasBatch(chunk)
-		}(i)
-	}
-	wg.Wait()
-	for i, gr := range out {
-		n := c.nodes[gr.ni]
-		if gr.err != nil {
-			if !errors.Is(gr.err, dedup.ErrHasBatchUnsupported) {
-				c.noteFailure(n, gr.err)
-			}
-			continue // tags stay reported absent
-		}
-		c.noteSuccess(n)
-		if len(answers[i]) != len(gr.idxs) {
-			continue
-		}
+	for _, gr := range c.runHas(tc, tags, groups) {
 		for k, idx := range gr.idxs {
-			present[idx] = answers[i][k]
+			present[idx] = gr.has != nil && gr.has[k]
 		}
 	}
 	return present, nil
 }
 
 // hasAtWriteTargets reports, for each tag, whether every one of its
-// current write targets (the members PutBatch would replicate to)
-// already holds it. The syncer uses this to skip shipping entries that
-// are fully placed. Like HasBatch it is a hint: a probe failure, an
-// unsupported member, or a short answer reports false, costing one
-// redundant transfer, never correctness.
+// current write targets (the members Put would replicate to) already
+// holds it. The syncer uses this to skip shipping entries that are
+// fully placed. Like Has it is a hint: a probe failure, an unsupported
+// member, or a short answer reports false, costing one redundant
+// transfer, never correctness.
 func (c *Client) hasAtWriteTargets(tags []mle.Tag) []bool {
 	present := make([]bool, len(tags))
-	if c.closed.Load() || len(tags) == 0 {
+	if c.closed.Load() {
 		return present
 	}
 	groups := make(map[int][]int)
@@ -230,40 +257,10 @@ func (c *Client) hasAtWriteTargets(tags []mle.Tag) []bool {
 			targets[i]++
 		}
 	}
-	out := make([]groupResult, 0, len(groups))
-	for ni, idxs := range groups {
-		out = append(out, groupResult{ni: ni, idxs: idxs})
-	}
-	answers := make([][]bool, len(out))
-	var wg sync.WaitGroup
-	for i := range out {
-		gr := &out[i]
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			chunk := make([]mle.Tag, len(gr.idxs))
-			for k, idx := range gr.idxs {
-				chunk[k] = tags[idx]
-			}
-			answers[slot], gr.err = c.nodes[gr.ni].client.HasBatch(chunk)
-		}(i)
-	}
-	wg.Wait()
 	confirmed := make([]int, len(tags))
-	for i, gr := range out {
-		n := c.nodes[gr.ni]
-		if gr.err != nil {
-			if !errors.Is(gr.err, dedup.ErrHasBatchUnsupported) {
-				c.noteFailure(n, gr.err)
-			}
-			continue
-		}
-		c.noteSuccess(n)
-		if len(answers[i]) != len(gr.idxs) {
-			continue
-		}
+	for _, gr := range c.runHas(wire.TraceContext{}, tags, groups) {
 		for k, idx := range gr.idxs {
-			if answers[i][k] {
+			if gr.has != nil && gr.has[k] {
 				confirmed[idx]++
 			}
 		}
@@ -274,28 +271,22 @@ func (c *Client) hasAtWriteTargets(tags []mle.Tag) []bool {
 	return present
 }
 
-// PutBatch implements dedup.BatchClient: every item fans out to its
-// write targets (Replicas live owners) in one parallel pass; an item is
-// OK as soon as any replica accepted it, and items whose every target
-// failed at the transport level are re-routed in failover rounds. The
-// call errors only when some item runs out of reachable members.
-func (c *Client) PutBatch(items []wire.PutItem) ([]wire.PutResult, error) {
-	return c.PutBatchTraced(wire.TraceContext{}, items)
-}
-
-// PutBatchTraced is PutBatch carrying a trace context: each per-member
-// round trip becomes a route_batch_put leg span of the sampled call.
-func (c *Client) PutBatchTraced(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
+// Put implements dedup.StoreClient: every item fans out to its write
+// targets (Replicas live owners) in one parallel pass; an item is OK as
+// soon as any replica accepted it, a store-level rejection (quota,
+// authorization) is its answer only when no replica accepted, and items
+// whose every target failed at the transport level are re-routed in
+// failover rounds. The call errors only when some item runs out of
+// reachable members. Each per-member round trip becomes a route_put leg
+// span of a sampled call.
+func (c *Client) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	if len(items) == 0 {
-		return nil, nil
-	}
-	ok := make([]bool, len(items))
+	results := make([]wire.PutResult, len(items))
 	responded := make([]bool, len(items))
-	rejected := make([]string, len(items))
 	excluded := make([]map[int]bool, len(items))
+	var lastErr error
 
 	merge := func(grs []groupResult) {
 		for _, gr := range grs {
@@ -303,23 +294,18 @@ func (c *Client) PutBatchTraced(tc wire.TraceContext, items []wire.PutItem) ([]w
 			if gr.err != nil {
 				c.noteFailure(n, gr.err)
 				c.noteFailover(n, len(gr.idxs))
-				for _, idx := range gr.idxs {
-					if excluded[idx] == nil {
-						excluded[idx] = make(map[int]bool)
-					}
-					excluded[idx][gr.ni] = true
-				}
+				exclude(excluded, gr.idxs, gr.ni)
+				lastErr = gr.err
 				continue
 			}
 			c.noteSuccess(n)
 			n.routedPut.Add(int64(len(gr.idxs)))
 			for k, idx := range gr.idxs {
-				responded[idx] = true
-				if gr.puts[k].OK {
-					ok[idx] = true
-				} else if rejected[idx] == "" {
-					rejected[idx] = gr.puts[k].Err
+				// The first answer stands unless a later replica accepted.
+				if !responded[idx] || gr.puts[k].OK {
+					results[idx] = gr.puts[k]
 				}
+				responded[idx] = true
 			}
 		}
 	}
@@ -344,7 +330,7 @@ func (c *Client) PutBatchTraced(tc wire.TraceContext, items []wire.PutItem) ([]w
 			}
 			ni, found := c.pickWrite(items[i].Tag, excluded[i])
 			if !found {
-				return nil, fmt.Errorf("cluster: batch put: no member reachable for item %d", i)
+				return nil, fmt.Errorf("cluster: put: no member reachable for item %d: %w", i, lastErr)
 			}
 			groups[ni] = append(groups[ni], i)
 		}
@@ -354,48 +340,33 @@ func (c *Client) PutBatchTraced(tc wire.TraceContext, items []wire.PutItem) ([]w
 		merge(c.runPuts(tc, items, groups))
 	}
 
-	results := make([]wire.PutResult, len(items))
 	for i := range items {
-		switch {
-		case ok[i]:
-			results[i] = wire.PutResult{OK: true}
-		case responded[i]:
-			results[i] = wire.PutResult{OK: false, Err: rejected[i]}
-		default:
-			return nil, fmt.Errorf("cluster: batch put: no replica reachable for item %d", i)
+		if !responded[i] {
+			return nil, fmt.Errorf("cluster: put: no replica reachable for item %d: %w", i, lastErr)
 		}
 	}
 	return results, nil
 }
 
-// runPuts issues one BatchPut per group concurrently and collects the
-// answers.
+// runPuts issues one PUT per group and records its leg span:
+// "replicated" for a single item, the item count for a batch.
 func (c *Client) runPuts(tc wire.TraceContext, items []wire.PutItem, groups map[int][]int) []groupResult {
-	out := make([]groupResult, 0, len(groups))
-	for ni, idxs := range groups {
-		out = append(out, groupResult{ni: ni, idxs: idxs})
-	}
-	var wg sync.WaitGroup
-	for i := range out {
-		gr := &out[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chunk := make([]wire.PutItem, len(gr.idxs))
-			for k, idx := range gr.idxs {
-				chunk[k] = items[idx]
-			}
-			start := legClock(tc)
-			fwd, leg := forwardLeg(tc)
-			gr.puts, gr.err = c.nodes[gr.ni].client.PutBatchTraced(fwd, chunk)
-			if gr.err == nil && len(gr.puts) != len(chunk) {
-				gr.err = fmt.Errorf("cluster: member %s answered %d results for %d items",
-					c.nodes[gr.ni].addr, len(gr.puts), len(chunk))
-			}
-			c.recordLeg(tc, leg, "route_batch_put", c.nodes[gr.ni].addr, start,
-				fmt.Sprintf("%d items", len(chunk)), gr.err)
-		}()
-	}
-	wg.Wait()
-	return out
+	return fanOut(groups, func(gr *groupResult) {
+		n := c.nodes[gr.ni]
+		part := pick(items, gr.idxs)
+		start := legClock(tc)
+		fwd, leg := forwardLeg(tc)
+		gr.puts, gr.err = n.client.Put(fwd, part)
+		if gr.err == nil && len(gr.puts) != len(part) {
+			gr.err = fmt.Errorf("cluster: member %s answered %d results for %d items", n.addr, len(gr.puts), len(part))
+		}
+		if !tc.Valid() {
+			return
+		}
+		outcome := "replicated"
+		if len(part) > 1 {
+			outcome = fmt.Sprintf("%d items", len(part))
+		}
+		c.recordLeg(tc, leg, "route_put", n.addr, start, outcome, gr.err)
+	})
 }

@@ -36,7 +36,7 @@ type Config struct {
 	// code, so one pinned measurement covers the whole ring.
 	StoreMeasurement enclave.Measurement
 	// Remote configures each member's underlying RemoteClient
-	// (deadlines, retry schedule, protocol pin, trust set). Lazy is
+	// (deadlines, retry schedule, trust set). Lazy is
 	// forced on: the cluster client must construct even while some
 	// members are down, and the health prober finds them later.
 	Remote dedup.RemoteConfig
@@ -76,9 +76,9 @@ type node struct {
 	failoversC *telemetry.Counter
 }
 
-// Client routes StoreClient/BatchClient traffic over the ring: every
-// GET goes to the tag's primary (failing over along the replica set on
-// transport errors, with read-repair back to the primary), every PUT is
+// Client routes dedup.StoreClient traffic over the ring: every GET goes
+// to the tag's primary (failing over along the replica set on transport
+// errors, with read-repair back to the primary), every PUT is
 // replicated to the tag's R owners, and batches are split by owner and
 // run as parallel per-node round trips. It drops into
 // dedup.Config.Client unchanged; when every member is unreachable its
@@ -109,11 +109,7 @@ type Client struct {
 	readRepairsC *telemetry.Counter
 }
 
-var (
-	_ dedup.BatchClient  = (*Client)(nil)
-	_ dedup.TracedClient = (*Client)(nil)
-	_ dedup.HasBatcher   = (*Client)(nil)
-)
+var _ dedup.StoreClient = (*Client)(nil)
 
 // New builds the cluster client and dials its members lazily: members
 // that are down at construction are simply marked down by the first
@@ -314,105 +310,6 @@ func legClock(tc wire.TraceContext) time.Time {
 	return time.Now()
 }
 
-// Get implements dedup.StoreClient: the tag's primary answers; on a
-// transport error the read fails over along the replica set, and a
-// result found on a successor is repaired back to the primary in the
-// background. A miss from a reachable member is authoritative — misses
-// never fail over, so a cold primary costs one recomputation, not a
-// cluster-wide search.
-func (c *Client) Get(tag mle.Tag) (mle.Sealed, bool, error) {
-	return c.GetTraced(wire.TraceContext{}, tag)
-}
-
-// GetTraced implements dedup.TracedClient: Get with each routing leg —
-// including the failover legs — recorded as a child span of the
-// caller's trace and the context forwarded to the member that served
-// it.
-func (c *Client) GetTraced(tc wire.TraceContext, tag mle.Tag) (mle.Sealed, bool, error) {
-	if c.closed.Load() {
-		return mle.Sealed{}, false, errClientClosed
-	}
-	primary := c.ring.owners(tag, 1)[0]
-	var lastErr error
-	for _, ni := range c.readOrder(tag) {
-		n := c.nodes[ni]
-		start := legClock(tc)
-		fwd, leg := forwardLeg(tc)
-		sealed, found, err := n.client.GetTraced(fwd, tag)
-		if err != nil {
-			c.recordLeg(tc, leg, "route_get", n.addr, start, "", err)
-			c.noteFailure(n, err)
-			c.noteFailover(n, 1)
-			lastErr = err
-			continue
-		}
-		outcome := "miss"
-		if found {
-			outcome = "hit"
-		}
-		c.recordLeg(tc, leg, "route_get", n.addr, start, outcome, nil)
-		c.noteSuccess(n)
-		n.routedGet.Inc()
-		if found && ni != primary {
-			c.repairAsync(primary, tc, []wire.PutItem{{Tag: tag, Sealed: sealed}})
-		}
-		return sealed, found, nil
-	}
-	return mle.Sealed{}, false, fmt.Errorf("cluster: get: no member reachable: %w", lastErr)
-}
-
-// Put implements dedup.StoreClient, replicating the upload to the
-// tag's write targets in parallel. The put succeeds when any replica
-// accepted it; a store-level rejection (quota, authorization) is only
-// surfaced when no replica accepted.
-func (c *Client) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	return c.PutTraced(wire.TraceContext{}, tag, sealed, replace)
-}
-
-// PutTraced implements dedup.TracedClient: Put with each replica leg
-// recorded as a child span of the caller's trace.
-func (c *Client) PutTraced(tc wire.TraceContext, tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	if c.closed.Load() {
-		return errClientClosed
-	}
-	targets := c.writeTargets(tag)
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, ni := range targets {
-		i, n := i, c.nodes[ni]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start := legClock(tc)
-			fwd, leg := forwardLeg(tc)
-			errs[i] = n.client.PutTraced(fwd, tag, sealed, replace)
-			c.recordLeg(tc, leg, "route_put", n.addr, start, "replicated", errs[i])
-			if errs[i] == nil || errors.Is(errs[i], dedup.ErrPutRejected) {
-				c.noteSuccess(n)
-				n.routedPut.Inc()
-			} else {
-				c.noteFailure(n, errs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	var reject, lastErr error
-	for _, err := range errs {
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, dedup.ErrPutRejected):
-			reject = err
-		default:
-			lastErr = err
-		}
-	}
-	if reject != nil {
-		return reject
-	}
-	return fmt.Errorf("cluster: put: no replica reachable: %w", lastErr)
-}
-
 // Ping implements dedup.StoreClient: the cluster is alive while any
 // member answers a probe. Live members are tried first.
 func (c *Client) Ping() error {
@@ -471,7 +368,7 @@ func (c *Client) repairAsync(primary int, tc wire.TraceContext, items []wire.Put
 		defer c.repairWG.Done()
 		start := legClock(tc)
 		fwd, leg := forwardLeg(tc)
-		_, err := n.client.PutBatchTraced(fwd, items)
+		_, err := n.client.Put(fwd, items)
 		c.recordLeg(tc, leg, "read_repair", n.addr, start, "repaired", err)
 		if err != nil {
 			c.noteFailure(n, err)

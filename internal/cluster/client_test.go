@@ -31,6 +31,28 @@ func csealed(s string) mle.Sealed {
 	}
 }
 
+// getOne and putOne give tests the single-call shape; the client types
+// themselves are batch-only. putOne reports a rejection the way the
+// runtime does, as dedup.ErrPutRejected.
+func getOne(c dedup.StoreClient, tag mle.Tag) (mle.Sealed, bool, error) {
+	res, err := c.Get(wire.TraceContext{}, []mle.Tag{tag})
+	if err != nil {
+		return mle.Sealed{}, false, err
+	}
+	return res[0].Sealed, res[0].Found, nil
+}
+
+func putOne(c dedup.StoreClient, tag mle.Tag, sealed mle.Sealed, replace bool) error {
+	res, err := c.Put(wire.TraceContext{}, []wire.PutItem{{Tag: tag, Sealed: sealed, Replace: replace}})
+	if err != nil {
+		return err
+	}
+	if !res[0].OK {
+		return fmt.Errorf("%w: %s", dedup.ErrPutRejected, res[0].Err)
+	}
+	return nil
+}
+
 // testNode is one ring member: its store plus the server serving it.
 type testNode struct {
 	st   *store.Store
@@ -90,27 +112,28 @@ func (e *testClusterEnv) hasTag(ni int, tag mle.Tag) bool {
 	return found
 }
 
-// newTestCluster starts n real store servers — same store code bytes
+// startTestNodes starts n real store servers — same store code bytes
 // (so one shared measurement, as in a real fleet), distinct enclave
-// names — and a cluster client over them. cfg.Nodes/App/
-// StoreMeasurement are filled in; a zero cfg.Remote gets fast-failure
-// test timeouts.
-func newTestCluster(t *testing.T, n int, cfg Config) *testClusterEnv {
+// names — each over its own store built from storeCfg, and returns them
+// with the application enclave clients connect from.
+func startTestNodes(t *testing.T, n int, storeCfg store.Config) (*enclave.Enclave, enclave.Measurement, []*testNode) {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	app, err := p.Create("app", []byte("app code"))
 	if err != nil {
 		t.Fatalf("create app enclave: %v", err)
 	}
-	env := &testClusterEnv{app: app}
+	var storeMeas enclave.Measurement
+	var nodes []*testNode
 	storeCode := []byte("store code v1")
 	for i := 0; i < n; i++ {
 		enc, err := p.Create(fmt.Sprintf("store-%d", i), storeCode)
 		if err != nil {
 			t.Fatalf("create store enclave %d: %v", i, err)
 		}
-		env.storeMeas = enc.Measurement()
-		st, err := store.New(store.Config{Enclave: enc})
+		storeMeas = enc.Measurement()
+		storeCfg.Enclave = enc
+		st, err := store.New(storeCfg)
 		if err != nil {
 			t.Fatalf("store.New %d: %v", i, err)
 		}
@@ -126,10 +149,32 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testClusterEnv {
 			defer node.wg.Done()
 			_ = srv.Serve()
 		}()
-		env.nodes = append(env.nodes, node)
+		nodes = append(nodes, node)
 	}
+	t.Cleanup(func() {
+		for _, node := range nodes {
+			node.kill(t)
+		}
+	})
+	return app, storeMeas, nodes
+}
 
-	cfg.App = app
+// newTestCluster starts n store servers and a cluster client over
+// them. cfg.Nodes/App/StoreMeasurement are filled in; a zero cfg.Remote
+// gets fast-failure test timeouts.
+func newTestCluster(t *testing.T, n int, cfg Config) *testClusterEnv {
+	t.Helper()
+	return newTestClusterOver(t, n, cfg, store.Config{})
+}
+
+// newTestClusterOver is newTestCluster with each member's store built
+// from storeCfg.
+func newTestClusterOver(t *testing.T, n int, cfg Config, storeCfg store.Config) *testClusterEnv {
+	t.Helper()
+	env := &testClusterEnv{}
+	env.app, env.storeMeas, env.nodes = startTestNodes(t, n, storeCfg)
+
+	cfg.App = env.app
 	cfg.StoreMeasurement = env.storeMeas
 	for _, node := range env.nodes {
 		cfg.Nodes = append(cfg.Nodes, node.addr)
@@ -149,12 +194,8 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testClusterEnv {
 		t.Fatalf("cluster.New: %v", err)
 	}
 	env.client = client
-	t.Cleanup(func() {
-		_ = client.Close()
-		for _, node := range env.nodes {
-			node.kill(t)
-		}
-	})
+	// Runs before startTestNodes' cleanup, so the client goes first.
+	t.Cleanup(func() { _ = client.Close() })
 	return env
 }
 
@@ -162,13 +203,13 @@ func TestClusterGetPutReplicates(t *testing.T) {
 	env := newTestCluster(t, 3, Config{Replicas: 2})
 	tag, sealed := ctag("alpha"), csealed("alpha")
 
-	if _, found, err := env.client.Get(tag); err != nil || found {
+	if _, found, err := getOne(env.client, tag); err != nil || found {
 		t.Fatalf("Get on empty cluster = (found=%v, %v), want miss", found, err)
 	}
-	if err := env.client.Put(tag, sealed, false); err != nil {
+	if err := putOne(env.client, tag, sealed, false); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, found, err := env.client.Get(tag)
+	got, found, err := getOne(env.client, tag)
 	if err != nil || !found {
 		t.Fatalf("Get = (found=%v, %v)", found, err)
 	}
@@ -192,59 +233,6 @@ func TestClusterGetPutReplicates(t *testing.T) {
 	}
 }
 
-func TestClusterBatchPositional(t *testing.T) {
-	env := newTestCluster(t, 3, Config{Replicas: 2})
-	const present = 20
-	items := make([]wire.PutItem, present)
-	for i := range items {
-		items[i] = wire.PutItem{Tag: ctag(fmt.Sprintf("b%d", i)), Sealed: csealed(fmt.Sprintf("b%d", i))}
-	}
-	prs, err := env.client.PutBatch(items)
-	if err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-	if len(prs) != present {
-		t.Fatalf("PutBatch returned %d results, want %d", len(prs), present)
-	}
-	for i, pr := range prs {
-		if !pr.OK {
-			t.Errorf("item %d rejected: %s", i, pr.Err)
-		}
-	}
-
-	// Interleave misses with hits; results must stay positional.
-	var tags []mle.Tag
-	var wantBlob [][]byte // nil = expect a miss
-	next := 0
-	for i := 0; i < present+5; i++ {
-		if i%5 == 4 {
-			tags = append(tags, ctag(fmt.Sprintf("missing%d", i)))
-			wantBlob = append(wantBlob, nil)
-			continue
-		}
-		tags = append(tags, items[next].Tag)
-		wantBlob = append(wantBlob, items[next].Sealed.Blob)
-		next++
-	}
-	grs, err := env.client.GetBatch(tags)
-	if err != nil {
-		t.Fatalf("GetBatch: %v", err)
-	}
-	if len(grs) != len(tags) {
-		t.Fatalf("GetBatch returned %d results, want %d", len(grs), len(tags))
-	}
-	for i, gr := range grs {
-		want := wantBlob[i]
-		if gr.Found != (want != nil) {
-			t.Errorf("result %d: found=%v, want %v", i, gr.Found, want != nil)
-			continue
-		}
-		if want != nil && !bytes.Equal(gr.Sealed.Blob, want) {
-			t.Errorf("result %d: blob %q, want %q", i, gr.Sealed.Blob, want)
-		}
-	}
-}
-
 func TestClusterFailoverGet(t *testing.T) {
 	env := newTestCluster(t, 3, Config{
 		Replicas:      2,
@@ -252,13 +240,13 @@ func TestClusterFailoverGet(t *testing.T) {
 		ProbeInterval: time.Hour, // keep probes out of the way
 	})
 	tag, sealed := ctag("failover"), csealed("failover")
-	if err := env.client.Put(tag, sealed, false); err != nil {
+	if err := putOne(env.client, tag, sealed, false); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	primary := env.client.ring.owners(tag, 1)[0]
 	env.nodes[primary].kill(t)
 
-	got, found, err := env.client.Get(tag)
+	got, found, err := getOne(env.client, tag)
 	if err != nil || !found {
 		t.Fatalf("Get after primary death = (found=%v, %v), want replica hit", found, err)
 	}
@@ -273,7 +261,7 @@ func TestClusterFailoverGet(t *testing.T) {
 	}
 	// With the primary marked down, further reads route straight to the
 	// replica.
-	if _, found, err := env.client.Get(tag); err != nil || !found {
+	if _, found, err := getOne(env.client, tag); err != nil || !found {
 		t.Fatalf("steady-state Get after failover = (found=%v, %v)", found, err)
 	}
 }
@@ -302,7 +290,7 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 	env.nodes[primary].kill(t)
 
-	_, found, err := env.client.Get(tag)
+	_, found, err := getOne(env.client, tag)
 	if err != nil || !found {
 		t.Fatalf("Get = (found=%v, %v), want failover hit", found, err)
 	}
@@ -332,41 +320,31 @@ func TestClusterPing(t *testing.T) {
 	}
 }
 
-func TestClusterV1Protocol(t *testing.T) {
+// TestClusterSinglePutFailsOver: a one-item Put whose every write
+// target is dead — but not yet marked down — chases the next reachable
+// member in failover rounds, exactly as a larger batch does.
+func TestClusterSinglePutFailsOver(t *testing.T) {
 	env := newTestCluster(t, 3, Config{
-		Replicas: 2,
-		Remote: dedup.RemoteConfig{
-			MaxProtocol:    wire.ProtocolV1,
-			DialTimeout:    300 * time.Millisecond,
-			RequestTimeout: time.Second,
-			MaxRetries:     -1,
-		},
+		Replicas:      2,
+		FailThreshold: 1000, // the dead targets stay nominally up
+		ProbeInterval: time.Hour,
 	})
-	tag, sealed := ctag("v1"), csealed("v1")
-	if err := env.client.Put(tag, sealed, false); err != nil {
-		t.Fatalf("Put: %v", err)
+	tag, sealed := ctag("orphan"), csealed("orphan")
+	targets := env.client.writeTargets(tag)
+	for _, ni := range targets {
+		env.nodes[ni].kill(t)
 	}
-	got, found, err := env.client.Get(tag)
-	if err != nil || !found || !bytes.Equal(got.Blob, sealed.Blob) {
-		t.Fatalf("Get = (%q, found=%v, %v)", got.Blob, found, err)
+	survivor := 3 - targets[0] - targets[1]
+
+	before := env.client.Failovers()
+	if err := putOne(env.client, tag, sealed, false); err != nil {
+		t.Fatalf("Put with both write targets dead: %v", err)
 	}
-	if err := env.client.Ping(); err != nil {
-		t.Fatalf("Ping over v1: %v", err)
+	if !env.hasTag(survivor, tag) {
+		t.Error("the put did not land on the surviving member")
 	}
-	items := []wire.PutItem{
-		{Tag: ctag("v1a"), Sealed: csealed("v1a")},
-		{Tag: ctag("v1b"), Sealed: csealed("v1b")},
-	}
-	if _, err := env.client.PutBatch(items); err != nil {
-		t.Fatalf("PutBatch over v1: %v", err)
-	}
-	grs, err := env.client.GetBatch([]mle.Tag{items[0].Tag, ctag("v1-missing"), items[1].Tag})
-	if err != nil {
-		t.Fatalf("GetBatch over v1: %v", err)
-	}
-	if !grs[0].Found || grs[1].Found || !grs[2].Found {
-		t.Errorf("GetBatch found flags = [%v %v %v], want [true false true]",
-			grs[0].Found, grs[1].Found, grs[2].Found)
+	if env.client.Failovers() <= before {
+		t.Error("failover not counted")
 	}
 }
 

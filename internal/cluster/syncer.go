@@ -168,7 +168,7 @@ func (s *Syncer) SyncOnce() (int, error) {
 		return 0, pullErr
 	}
 
-	prs, err := s.c.PutBatch(items)
+	prs, err := s.c.Put(wire.TraceContext{}, items)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: sync place: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"speed/internal/mle"
+	"speed/internal/wire"
 )
 
 // TestSyncerPopularResults: a hot result computed on a member that is
@@ -53,7 +54,7 @@ func TestSyncerPopularResults(t *testing.T) {
 		}
 	}
 	// A routed Get now hits without touching the donor.
-	if _, found, err := env.client.Get(tag); err != nil || !found {
+	if _, found, err := getOne(env.client, tag); err != nil || !found {
 		t.Errorf("routed Get after sync = (found=%v, %v), want hit", found, err)
 	}
 
@@ -113,7 +114,7 @@ func TestClientHasBatch(t *testing.T) {
 	if _, err := env.nodes[primary].st.Put(env.app.Measurement(), have, csealed("v")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	present, err := env.client.HasBatch([]mle.Tag{have, ctag("absent-tag")})
+	present, err := env.client.Has(wire.TraceContext{}, []mle.Tag{have, ctag("absent-tag")})
 	if err != nil {
 		t.Fatalf("HasBatch: %v", err)
 	}

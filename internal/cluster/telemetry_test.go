@@ -23,10 +23,10 @@ func TestClusterTelemetry(t *testing.T) {
 	s := NewSyncer(env.client, SyncConfig{MinHits: 2, Telemetry: reg, Logf: t.Logf})
 
 	tag := ctag("telemetry")
-	if err := env.client.Put(tag, csealed("telemetry"), false); err != nil {
+	if err := putOne(env.client, tag, csealed("telemetry"), false); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if _, _, err := env.client.Get(tag); err != nil {
+	if _, _, err := getOne(env.client, tag); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
 	// Heat an entry on a donor and sync it so sync_copies moves.
@@ -54,7 +54,7 @@ func TestClusterTelemetry(t *testing.T) {
 	// read-repair series move and the node gauge drops.
 	primary := env.client.ring.owners(tag, 1)[0]
 	env.nodes[primary].kill(t)
-	if _, found, err := env.client.Get(tag); err != nil || !found {
+	if _, found, err := getOne(env.client, tag); err != nil || !found {
 		t.Fatalf("failover Get = (found=%v, %v)", found, err)
 	}
 

@@ -163,7 +163,7 @@ func (rt *Runtime) executeBatchInEnclave(id mle.FuncID, inputs [][]byte, tc wire
 		span.begin(phaseStoreGet)
 		gerr := rt.cfg.Enclave.OCall(func() error {
 			var oerr error
-			found, oerr = rt.clientGetBatch(tc, leaderTags)
+			found, oerr = rt.clientGet(tc, leaderTags)
 			return oerr
 		})
 		span.end(phaseStoreGet)
@@ -199,44 +199,20 @@ func (rt *Runtime) executeBatchInEnclave(id mle.FuncID, inputs [][]byte, tc wire
 				needCompute = append(needCompute, i)
 				continue
 			}
-			res, derr := rt.cfg.Scheme.Decrypt(id, inputs[i], r.Sealed)
-			if derr == nil {
+			// The phase is timed around the whole loop, so verifyHit
+			// gets no span of its own.
+			res, ok, verr := rt.verifyHit(id, inputs[i], tags[i], tc, r.Sealed, nil)
+			if verr != nil {
+				results[i].Err = verr
+				resolve(i)
+				continue
+			}
+			if ok {
 				results[i] = BatchResult{Result: res, Outcome: OutcomeReused}
-				rt.mu.Lock()
-				rt.stats.Reused++
-				rt.stats.BytesReused += int64(len(res))
-				rt.mu.Unlock()
 				resolve(i)
 				continue
-			}
-			if !errors.Is(derr, mle.ErrAuthFailed) {
-				results[i].Err = fmt.Errorf("decrypt result: %w", derr)
-				resolve(i)
-				continue
-			}
-			// With chunking enabled the entry may be a sealed manifest;
-			// try reassembling from chunks before condemning it (the
-			// same fallback Execute's hit path takes).
-			if rt.chunker != nil {
-				res, merr := rt.manifestReuse(id, inputs[i], tc, r.Sealed)
-				if merr == nil {
-					results[i] = BatchResult{Result: res, Outcome: OutcomeReused}
-					rt.mu.Lock()
-					rt.stats.Reused++
-					rt.stats.ManifestReuses++
-					rt.stats.BytesReused += int64(len(res))
-					rt.mu.Unlock()
-					resolve(i)
-					continue
-				}
-				if !errors.Is(merr, errNoManifest) {
-					rt.cfg.Logf("speed: chunked reassembly for tag %x... failed: %v; recomputing", tags[i][:4], merr)
-				}
 			}
 			// ⊥: poisoned or corrupted entry; recompute and replace it.
-			rt.mu.Lock()
-			rt.stats.VerifyFailures++
-			rt.mu.Unlock()
 			replace[i] = true
 			needCompute = append(needCompute, i)
 		}
@@ -370,7 +346,7 @@ func (rt *Runtime) executeBatchInEnclave(id mle.FuncID, inputs [][]byte, tc wire
 				var prs []wire.PutResult
 				perr := rt.cfg.Enclave.OCall(func() error {
 					var oerr error
-					prs, oerr = rt.clientPutBatch(tc, items)
+					prs, oerr = rt.clientPut(tc, items)
 					return oerr
 				})
 				span.end(phaseStorePut)
@@ -427,78 +403,4 @@ func (rt *Runtime) executeBatchInEnclave(id mle.FuncID, inputs [][]byte, tc wire
 		}
 		span.end(phaseCoalesceWait)
 	}
-}
-
-// clientGetBatch issues one batched GET through the client — via the
-// traced variant when the batch is sampled and the client supports it —
-// falling back to a per-tag loop when the client predates BatchClient.
-func (rt *Runtime) clientGetBatch(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
-	if tc.Valid() && rt.traced != nil {
-		res, err := rt.traced.GetBatchTraced(tc, tags)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) != len(tags) {
-			return nil, fmt.Errorf("dedup: batch get returned %d results for %d tags", len(res), len(tags))
-		}
-		return res, nil
-	}
-	if bc, ok := rt.cfg.Client.(BatchClient); ok {
-		res, err := bc.GetBatch(tags)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) != len(tags) {
-			return nil, fmt.Errorf("dedup: batch get returned %d results for %d tags", len(res), len(tags))
-		}
-		return res, nil
-	}
-	res := make([]wire.GetResult, len(tags))
-	for i, tag := range tags {
-		sealed, ok, err := rt.cfg.Client.Get(tag)
-		if err != nil {
-			return nil, err
-		}
-		res[i] = wire.GetResult{Found: ok, Sealed: sealed}
-	}
-	return res, nil
-}
-
-// clientPutBatch issues one batched PUT through the client — via the
-// traced variant when the batch is sampled and the client supports it —
-// falling back to a per-item loop when the client predates BatchClient.
-func (rt *Runtime) clientPutBatch(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
-	if tc.Valid() && rt.traced != nil {
-		res, err := rt.traced.PutBatchTraced(tc, items)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) != len(items) {
-			return nil, fmt.Errorf("dedup: batch put returned %d results for %d items", len(res), len(items))
-		}
-		return res, nil
-	}
-	if bc, ok := rt.cfg.Client.(BatchClient); ok {
-		res, err := bc.PutBatch(items)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) != len(items) {
-			return nil, fmt.Errorf("dedup: batch put returned %d results for %d items", len(res), len(items))
-		}
-		return res, nil
-	}
-	res := make([]wire.PutResult, len(items))
-	for i, it := range items {
-		err := rt.cfg.Client.Put(it.Tag, it.Sealed, it.Replace)
-		switch {
-		case errors.Is(err, ErrPutRejected):
-			res[i] = wire.PutResult{OK: false, Err: err.Error()}
-		case err != nil:
-			return nil, err
-		default:
-			res[i] = wire.PutResult{OK: true}
-		}
-	}
-	return res, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"speed/internal/mle"
+	"speed/internal/wire"
 )
 
 func batchInputs(n int) [][]byte {
@@ -237,12 +238,17 @@ func TestExecuteBatchSerialParallelism(t *testing.T) {
 // downClient is a StoreClient whose store is permanently unreachable.
 type downClient struct{}
 
-func (downClient) Get(mle.Tag) (mle.Sealed, bool, error) {
-	return mle.Sealed{}, false, errors.New("store down")
+func (downClient) Get(wire.TraceContext, []mle.Tag) ([]wire.GetResult, error) {
+	return nil, errors.New("store down")
 }
-func (downClient) Put(mle.Tag, mle.Sealed, bool) error { return errors.New("store down") }
-func (downClient) Ping() error                         { return errors.New("store down") }
-func (downClient) Close() error                        { return nil }
+func (downClient) Put(wire.TraceContext, []wire.PutItem) ([]wire.PutResult, error) {
+	return nil, errors.New("store down")
+}
+func (downClient) Has(wire.TraceContext, []mle.Tag) ([]bool, error) {
+	return nil, errors.New("store down")
+}
+func (downClient) Ping() error  { return errors.New("store down") }
+func (downClient) Close() error { return nil }
 
 func TestExecuteBatchDegradesWhenStoreDown(t *testing.T) {
 	env := newTestEnv(t, func(cfg *Config) {
@@ -306,10 +312,10 @@ type gatedPutClient struct {
 	once    sync.Once
 }
 
-func (c *gatedPutClient) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
+func (c *gatedPutClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	c.once.Do(func() { close(c.entered) })
 	<-c.release
-	return c.StoreClient.Put(tag, sealed, replace)
+	return c.StoreClient.Put(tc, items)
 }
 
 func TestExecuteBatchJoinsInflightExecute(t *testing.T) {

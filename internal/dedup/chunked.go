@@ -122,20 +122,18 @@ func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 	}
 }
 
-// clientHasBatch probes the store for the given tags through the
-// client's HasBatcher view, inside an OCALL (callers hold the
-// enclave). A client without the interface — or a store that rejected
-// the capability once — reports ErrHasBatchUnsupported and the caller
-// assumes everything is missing.
-func (rt *Runtime) clientHasBatch(tags []mle.Tag) ([]bool, error) {
-	hb, ok := rt.cfg.Client.(HasBatcher)
-	if !ok || rt.hasUnsupported.Load() {
+// clientHas probes the store for the given tags inside an OCALL
+// (callers hold the enclave). A store that rejected the capability once
+// reports ErrHasBatchUnsupported without being asked again, and the
+// caller assumes everything is missing.
+func (rt *Runtime) clientHas(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
+	if rt.hasUnsupported.Load() {
 		return nil, ErrHasBatchUnsupported
 	}
 	var present []bool
 	err := rt.cfg.Enclave.OCall(func() error {
 		var oerr error
-		present, oerr = hb.HasBatch(tags)
+		present, oerr = rt.cfg.Client.Has(tc, tags)
 		return oerr
 	})
 	if errors.Is(err, ErrHasBatchUnsupported) {
@@ -143,7 +141,7 @@ func (rt *Runtime) clientHasBatch(tags []mle.Tag) ([]bool, error) {
 		return nil, err
 	}
 	if err == nil && len(present) != len(tags) {
-		return nil, fmt.Errorf("dedup: has batch returned %d answers for %d tags", len(present), len(tags))
+		return nil, fmt.Errorf("dedup: has returned %d answers for %d tags", len(present), len(tags))
 	}
 	return present, err
 }
@@ -192,7 +190,7 @@ func (rt *Runtime) chunkedPut(id mle.FuncID, input, result []byte, tag mle.Tag, 
 			unknownIdx = append(unknownIdx, i)
 		}
 		if len(unknownTags) > 0 {
-			if present, perr := rt.clientHasBatch(unknownTags); perr == nil {
+			if present, perr := rt.clientHas(tc, unknownTags); perr == nil {
 				for j, p := range present {
 					if p {
 						need[unknownIdx[j]] = false
@@ -227,7 +225,7 @@ func (rt *Runtime) chunkedPut(id mle.FuncID, input, result []byte, tag mle.Tag, 
 	span.begin(phaseStorePut)
 	err = rt.cfg.Enclave.OCall(func() error {
 		if len(items) > 0 {
-			prs, oerr := rt.clientPutBatch(tc, items)
+			prs, oerr := rt.clientPut(tc, items)
 			if oerr != nil {
 				return oerr
 			}
@@ -240,7 +238,7 @@ func (rt *Runtime) chunkedPut(id mle.FuncID, input, result []byte, tag mle.Tag, 
 				}
 			}
 		}
-		return rt.storePut(tc, tag, manSealed, replace)
+		return rt.clientPutOne(tc, wire.PutItem{Tag: tag, Sealed: manSealed, Replace: replace})
 	})
 	span.end(phaseStorePut)
 	if err != nil {
@@ -297,7 +295,7 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		var got []wire.GetResult
 		gerr := rt.cfg.Enclave.OCall(func() error {
 			var oerr error
-			got, oerr = rt.clientGetBatch(tc, missingTags)
+			got, oerr = rt.clientGet(tc, missingTags)
 			return oerr
 		})
 		if gerr != nil {

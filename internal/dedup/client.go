@@ -19,97 +19,73 @@ import (
 	"speed/internal/wire"
 )
 
-// StoreClient is the runtime's view of the encrypted ResultStore. Both
-// deployments of Section IV-B are supported: a store on the same
-// machine (LocalClient) and a store on a dedicated server reached over
-// the attested secure channel (RemoteClient).
+// StoreClient is the runtime's view of the encrypted ResultStore: the
+// paper's two requests, GET and PUT (Algorithms 1-2), plus the
+// existence probe chunked dedup asks before transferring chunks. Every
+// request is a batch — a single call is a batch of one — and carries a
+// trace context, whose zero value means "unsampled". Every deployment
+// implements it: the two of Section IV-B — a store on the same machine
+// (LocalClient) and a store on a dedicated server reached over the
+// attested secure channel (RemoteClient) — and a ring of such servers
+// (cluster.Client).
 type StoreClient interface {
-	// Get performs a GET_REQUEST for the tag.
-	Get(tag mle.Tag) (mle.Sealed, bool, error)
-	// Put performs a PUT_REQUEST for the tag. With replace true, any
-	// existing entry is overwritten (used after the stored entry
-	// failed verification at this application).
-	Put(tag mle.Tag, sealed mle.Sealed, replace bool) error
+	// Get performs a GET_REQUEST per tag, answering positionally: a nil
+	// error guarantees len(results) == len(tags).
+	Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error)
+	// Put performs a PUT_REQUEST per item, answering positionally. An
+	// item with Replace set overwrites any existing entry (used after
+	// the stored entry failed verification at this application).
+	// Per-item rejections (quota, authorization) land in the results,
+	// not the error.
+	Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error)
+	// Has reports, positionally, which tags are present, without
+	// fetching payloads, counting hits or refreshing recency. Answers
+	// are hints: a probed-present entry can expire before a later GET,
+	// which surfaces as a loud reassembly failure and a recompute,
+	// never a wrong result. ErrHasBatchUnsupported means the store
+	// cannot answer; callers assume every tag is missing.
+	Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)
 	// Ping checks that the store is reachable and serving, without
 	// performing (or fabricating) any dictionary operation: health
 	// probes must not pollute the store's GET/hit statistics. A nil
 	// return means a full request round trip succeeded.
 	Ping() error
-	// Close releases the client's resources.
+	// Close releases the client's resources; every later request
+	// errors.
 	Close() error
 }
 
-// BatchClient is implemented by store clients that can carry many GETs
-// or PUTs per round trip (protocol v2). Callers should type-assert and
-// fall back to per-item StoreClient calls when the interface is absent.
-type BatchClient interface {
-	StoreClient
-	// GetBatch answers one GetResult per tag, positionally. A nil error
-	// guarantees len(results) == len(tags).
-	GetBatch(tags []mle.Tag) ([]wire.GetResult, error)
-	// PutBatch uploads the items, answering one PutResult per item,
-	// positionally. Per-item rejections (quota, authorization) land in
-	// the results, not the error.
-	PutBatch(items []wire.PutItem) ([]wire.PutResult, error)
-}
-
-// ErrHasBatchUnsupported is returned by HasBatch when the store (or
-// the negotiated channel) cannot answer existence probes — a peer that
-// predates FeatureChunking, or a v1 connection. Callers fall back to
-// assuming every probed tag is missing: uploading a chunk the store
-// already holds is harmless (first version wins).
+// ErrHasBatchUnsupported is returned by Has when the store cannot
+// answer existence probes — a peer that predates FeatureChunking.
+// Callers fall back to assuming every probed tag is missing: uploading
+// a chunk the store already holds is harmless (first version wins).
 var ErrHasBatchUnsupported = errors.New("dedup: store does not support existence probes")
 
-// HasBatcher is implemented by store clients that can probe tag
-// existence without fetching payloads, counting hits or refreshing
-// recency — the question chunked dedup asks before transferring sealed
-// chunks. Callers type-assert and treat an absent interface (or
-// ErrHasBatchUnsupported) as "all missing". Answers are hints: a
-// probed-present entry can expire before a later GET, which surfaces
-// as a loud reassembly failure and a recompute, never a wrong result.
-type HasBatcher interface {
-	StoreClient
-	// HasBatch reports, positionally, which tags are present.
-	HasBatch(tags []mle.Tag) ([]bool, error)
-}
-
-// TracedClient is implemented by store clients that can propagate a
-// distributed-trace context with each request, so a sampled Execute's
-// trace ID reaches the store node (or nodes) that served it and their
-// spans assemble into one cross-node trace. Callers type-assert and
-// fall back to the plain StoreClient calls when the interface is
-// absent; implementations must behave identically to their untraced
-// counterparts when tc is not sampled.
-type TracedClient interface {
-	StoreClient
-	// GetTraced is Get carrying a trace context.
-	GetTraced(tc wire.TraceContext, tag mle.Tag) (mle.Sealed, bool, error)
-	// PutTraced is Put carrying a trace context.
-	PutTraced(tc wire.TraceContext, tag mle.Tag, sealed mle.Sealed, replace bool) error
-	// GetBatchTraced is BatchClient.GetBatch carrying a trace context.
-	GetBatchTraced(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error)
-	// PutBatchTraced is BatchClient.PutBatch carrying a trace context.
-	PutBatchTraced(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error)
-}
-
-// ErrPutRejected is returned when the store refuses a PUT, e.g. due to
+// ErrPutRejected wraps the reason a store refused a PUT, e.g. due to
 // the quota mechanism.
 var ErrPutRejected = errors.New("dedup: store rejected put")
+
+// ErrProtocolTooOld is returned when a store negotiates a session
+// protocol below wire.ProtocolV2. It is not transient: re-dialing the
+// same peer negotiates the same version.
+var ErrProtocolTooOld = errors.New("dedup: store speaks a protocol older than v2")
+
+// errClientClosed is returned from requests after Close.
+var errClientClosed = errors.New("dedup: store client closed")
 
 // LocalClient talks to a Store in the same process, modelling the
 // paper's default deployment of the ResultStore "at the same machine of
 // the outsourced applications". Requests still pass through the store
 // enclave's ECALLs, so transition costs are accounted identically to
-// the networked path minus the socket.
+// the networked path minus the socket; there is no wire to amortise, so
+// a batch is a straight loop over the store.
 type LocalClient struct {
-	store *store.Store
-	owner enclave.Measurement
+	store  *store.Store
+	owner  enclave.Measurement
+	closed atomic.Bool
 }
 
-var (
-	_ BatchClient = (*LocalClient)(nil)
-	_ HasBatcher  = (*LocalClient)(nil)
-)
+var _ StoreClient = (*LocalClient)(nil)
 
 // NewLocalClient creates a client operating on behalf of the
 // application with the given measurement.
@@ -117,63 +93,45 @@ func NewLocalClient(st *store.Store, owner enclave.Measurement) *LocalClient {
 	return &LocalClient{store: st, owner: owner}
 }
 
-// Get implements StoreClient. Authorization denials present as misses,
-// matching the over-the-wire behaviour (deny without information).
-func (c *LocalClient) Get(tag mle.Tag) (mle.Sealed, bool, error) {
-	sealed, found, err := c.store.GetAs(c.owner, tag)
-	if errors.Is(err, store.ErrUnauthorized) {
-		return mle.Sealed{}, false, nil
+// Get implements StoreClient with the server's own per-item mapping, so
+// authorization denials present as misses exactly as over the wire.
+func (c *LocalClient) Get(_ wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+	if c.closed.Load() {
+		return nil, errClientClosed
 	}
-	return sealed, found, err
-}
-
-// Put implements StoreClient.
-func (c *LocalClient) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	put := c.store.Put
-	if replace {
-		put = c.store.PutReplace
-	}
-	_, err := put(c.owner, tag, sealed)
-	if errors.Is(err, store.ErrQuota) || errors.Is(err, store.ErrUnauthorized) {
-		return fmt.Errorf("%w: %v", ErrPutRejected, err)
-	}
-	return err
-}
-
-// GetBatch implements BatchClient. There is no wire to amortise
-// in-process, so it is a straight loop over the store.
-func (c *LocalClient) GetBatch(tags []mle.Tag) ([]wire.GetResult, error) {
 	results := make([]wire.GetResult, len(tags))
 	for i, tag := range tags {
-		sealed, found, err := c.Get(tag)
+		r, err := c.store.WireGet(c.owner, tag)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = wire.GetResult{Found: found, Sealed: sealed}
+		results[i] = r
 	}
 	return results, nil
 }
 
-// PutBatch implements BatchClient.
-func (c *LocalClient) PutBatch(items []wire.PutItem) ([]wire.PutResult, error) {
+// Put implements StoreClient with the server's own per-item mapping.
+func (c *LocalClient) Put(_ wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
+	if c.closed.Load() {
+		return nil, errClientClosed
+	}
 	results := make([]wire.PutResult, len(items))
 	for i, it := range items {
-		err := c.Put(it.Tag, it.Sealed, it.Replace)
-		switch {
-		case errors.Is(err, ErrPutRejected):
-			results[i] = wire.PutResult{OK: false, Err: err.Error()}
-		case err != nil:
+		r, err := c.store.WirePut(c.owner, it)
+		if err != nil {
 			return nil, err
-		default:
-			results[i] = wire.PutResult{OK: true}
 		}
+		results[i] = r
 	}
 	return results, nil
 }
 
-// HasBatch implements HasBatcher. The store maps authorization
-// denials to absent itself (deny without information).
-func (c *LocalClient) HasBatch(tags []mle.Tag) ([]bool, error) {
+// Has implements StoreClient. The store maps authorization denials to
+// absent itself (deny without information).
+func (c *LocalClient) Has(_ wire.TraceContext, tags []mle.Tag) ([]bool, error) {
+	if c.closed.Load() {
+		return nil, errClientClosed
+	}
 	present := make([]bool, len(tags))
 	for i, tag := range tags {
 		p, err := c.store.HasAs(c.owner, tag)
@@ -188,15 +146,21 @@ func (c *LocalClient) HasBatch(tags []mle.Tag) ([]bool, error) {
 // Ping implements StoreClient: the in-process store is "reachable"
 // exactly while it is open. No dictionary operation is performed.
 func (c *LocalClient) Ping() error {
+	if c.closed.Load() {
+		return errClientClosed
+	}
 	if c.store.Closed() {
 		return store.ErrClosed
 	}
 	return nil
 }
 
-// Close implements StoreClient; the local client does not own the
-// store, so it is a no-op.
-func (c *LocalClient) Close() error { return nil }
+// Close implements StoreClient. The local client does not own the
+// store, which stays open.
+func (c *LocalClient) Close() error {
+	c.closed.Store(true)
+	return nil
+}
 
 // RemoteConfig tunes the robustness behaviour of a RemoteClient. The
 // zero value selects the defaults noted on each field.
@@ -217,11 +181,6 @@ type RemoteConfig struct {
 	// 50ms / 2s.
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
-	// MaxProtocol pins the highest wire protocol version offered in the
-	// handshake; 0 means wire.MaxProtocol. Pinning to wire.ProtocolV1
-	// forces the serial request path (compatibility testing,
-	// conservative rollouts).
-	MaxProtocol int
 	// Trust optionally accepts a store on a remote machine whose
 	// platform attestation key is listed (remote attestation).
 	Trust *wire.Trust
@@ -253,30 +212,24 @@ func (cfg *RemoteConfig) fillDefaults() {
 	if cfg.RetryMaxBackoff <= 0 {
 		cfg.RetryMaxBackoff = 2 * time.Second
 	}
-	if cfg.MaxProtocol == 0 {
-		cfg.MaxProtocol = wire.MaxProtocol
-	}
 }
 
 // RemoteClient talks to a store server over an attested secure channel.
-// On a protocol-v2 connection the channel is a mux: any number of
-// goroutines may issue requests concurrently and their round trips
-// overlap on the single connection, with responses correlated by
-// request ID. Against a v1 peer (the paper prototype's synchronous
-// protocol, Section IV-B) requests fall back to the serial
-// one-at-a-time discipline. Either way, requests carry per-request
+// The channel is a protocol-v2 mux: any number of goroutines may issue
+// requests concurrently and their round trips overlap on the single
+// connection, with responses correlated by request ID. A peer that
+// negotiates the paper prototype's synchronous v1 protocol (Section
+// IV-B) is rejected with ErrProtocolTooOld. Requests carry per-request
 // deadlines and transient failures are retried with jittered
 // exponential backoff, transparently re-dialing and re-handshaking the
 // attested channel when the previous one broke.
 type RemoteClient struct {
 	cfg RemoteConfig
 
-	// Redial parameters; canRedial is false for clients wrapped around
-	// an externally established channel.
+	// Redial parameters.
 	addr      string
 	app       *enclave.Enclave
 	storeMeas enclave.Measurement
-	canRedial bool
 
 	retries    atomic.Int64
 	reconnects atomic.Int64
@@ -290,22 +243,13 @@ type RemoteClient struct {
 
 	// mu guards the connection state below. It is held only to
 	// install, read or tear down the connection — never across a round
-	// trip — so concurrent callers on a v2 mux proceed in parallel.
+	// trip — so concurrent callers on the mux proceed in parallel.
 	mu     sync.Mutex
-	ch     *wire.Channel // nil while disconnected
-	mux    *chanMux      // non-nil iff ch speaks ProtocolV2
+	mux    *chanMux // the connection; nil while disconnected
 	closed bool
-
-	// serialMu serialises send/recv pairs on a v1 channel, where the
-	// wire protocol itself imposes one request at a time. Unused on v2.
-	serialMu sync.Mutex
 }
 
-var (
-	_ BatchClient  = (*RemoteClient)(nil)
-	_ TracedClient = (*RemoteClient)(nil)
-	_ HasBatcher   = (*RemoteClient)(nil)
-)
+var _ StoreClient = (*RemoteClient)(nil)
 
 // Dial connects to a store server at addr on the same platform,
 // performing the attested handshake from the application enclave app
@@ -330,7 +274,6 @@ func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Meas
 		addr:      addr,
 		app:       app,
 		storeMeas: storeMeasurement,
-		canRedial: true,
 	}
 	if cfg.Telemetry != nil {
 		appLabel := telemetry.L("app", app.Name())
@@ -342,24 +285,13 @@ func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Meas
 			"store requests currently awaiting a reply", appLabel)
 	}
 	if !cfg.Lazy {
-		ch, err := c.dialChannel()
+		mux, err := c.dial()
 		if err != nil {
 			return nil, err
 		}
-		c.installLocked(ch)
+		c.mux = mux
 	}
 	return c, nil
-}
-
-// NewRemoteClient wraps an already-established channel. Reconnection
-// is unavailable (the client does not know how the channel was built),
-// so a broken channel is terminal for the client.
-func NewRemoteClient(ch *wire.Channel) *RemoteClient {
-	cfg := RemoteConfig{}
-	cfg.fillDefaults()
-	c := &RemoteClient{cfg: cfg}
-	c.installLocked(ch)
-	return c
 }
 
 // Retries reports the number of request retries performed.
@@ -377,15 +309,17 @@ func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
 func (c *RemoteClient) ProtocolVersion() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ch == nil {
+	if c.mux == nil {
 		return 0
 	}
-	return c.ch.Version()
+	return c.mux.ch.Version()
 }
 
-// dialChannel establishes one attested channel, bounding connect plus
-// handshake with DialTimeout.
-func (c *RemoteClient) dialChannel() (*wire.Channel, error) {
+// dial establishes one attested channel, bounding connect plus
+// handshake with DialTimeout, and spawns its demultiplexer. A peer that
+// negotiates below ProtocolV2 is hung up on: the client has no serial
+// session to offer it.
+func (c *RemoteClient) dial() (*chanMux, error) {
 	timeout := c.cfg.DialTimeout
 	if timeout < 0 {
 		timeout = 0
@@ -397,73 +331,56 @@ func (c *RemoteClient) dialChannel() (*wire.Channel, error) {
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 	}
-	ch, err := wire.ClientHandshakeVersion(conn, c.app, c.storeMeas, c.cfg.Trust, c.cfg.MaxProtocol)
+	ch, err := wire.ClientHandshakeTrust(conn, c.app, c.storeMeas, c.cfg.Trust)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dedup: handshake: %w", err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	return ch, nil
-}
-
-// installLocked installs a fresh channel as the current connection,
-// spawning the demultiplexer when it negotiated v2. Caller holds c.mu
-// (or owns c exclusively during construction).
-func (c *RemoteClient) installLocked(ch *wire.Channel) {
-	c.ch = ch
-	c.mux = nil
-	if ch != nil && ch.Version() >= wire.ProtocolV2 {
-		c.mux = newChanMux(ch)
+	if v := ch.Version(); v < wire.ProtocolV2 {
+		ch.Close()
+		return nil, fmt.Errorf("%w: %s negotiated v%d", ErrProtocolTooOld, c.addr, v)
 	}
+	_ = conn.SetDeadline(time.Time{})
+	return newChanMux(ch), nil
 }
 
 // connect returns the current connection, dialing one first when
 // disconnected. Concurrent callers racing to reconnect serialise here
 // and share the single fresh channel.
-func (c *RemoteClient) connect() (*wire.Channel, *chanMux, error) {
+func (c *RemoteClient) connect() (*chanMux, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, nil, errClientClosed
+		return nil, errClientClosed
 	}
-	if c.ch == nil {
-		if !c.canRedial {
-			return nil, nil, errors.New("dedup: store channel lost (no redial information)")
-		}
-		ch, err := c.dialChannel()
+	if c.mux == nil {
+		mux, err := c.dial()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		c.installLocked(ch)
+		c.mux = mux
 		c.reconnects.Add(1)
 		c.reconnectsC.Inc()
 	}
-	return c.ch, c.mux, nil
+	return c.mux, nil
 }
 
-// dropConn tears down the given channel if it is still the current
-// connection, so the next attempt re-dials. A channel replaced by a
+// dropConn tears down the given connection if it is still the current
+// one, so the next attempt re-dials. A connection replaced by a
 // concurrent reconnect is left alone.
-func (c *RemoteClient) dropConn(ch *wire.Channel) {
+func (c *RemoteClient) dropConn(mux *chanMux) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ch != ch || ch == nil {
+	if c.mux != mux {
 		return
 	}
-	if c.mux != nil {
-		c.mux.fail(errors.New("dedup: store channel poisoned"))
-	}
-	ch.Close()
-	c.ch, c.mux = nil, nil
+	mux.fail(errors.New("dedup: store channel poisoned"))
+	c.mux = nil
 }
-
-// errClientClosed is returned from requests after Close.
-var errClientClosed = errors.New("dedup: remote client closed")
 
 // roundTrip sends one request and waits for its reply, applying the
 // per-request deadline, retry policy and transparent reconnect. A
-// sampled tc rides in the v2 envelope; the serial v1 protocol has no
-// place for it and drops it.
+// sampled tc rides in the envelope.
 func (c *RemoteClient) roundTrip(req wire.Message, tc wire.TraceContext) (wire.Message, error) {
 	attempts := 1 + c.cfg.MaxRetries
 	if attempts < 1 {
@@ -502,23 +419,12 @@ func (c *RemoteClient) roundTrip(req wire.Message, tc wire.TraceContext) (wire.M
 }
 
 // tryOnce performs a single request attempt on the current connection,
-// (re)connecting first if necessary. On a v2 connection the request
-// travels through the mux and overlaps with other callers'; on v1 the
-// serial discipline is enforced here (batch requests are emulated with
-// a loop of serial round trips). Any transport error poisons the
+// (re)connecting first if necessary. The request travels through the
+// mux and overlaps with other callers'. Any transport error poisons the
 // channel (its cipher counters can no longer match the peer's), so the
 // connection is dropped and the next attempt re-handshakes.
 func (c *RemoteClient) tryOnce(req wire.Message, tc wire.TraceContext) (wire.Message, error) {
-	return c.tryRequest(req, tc, false)
-}
-
-// tryRequest is tryOnce with an escape hatch: with direct true the
-// message is sent verbatim on a v1 channel instead of going through the
-// batch unrolling of serialRequest. Ping depends on this — a zero-item
-// batch GET unrolls into zero round trips, which would "probe" the
-// store without touching the wire at all.
-func (c *RemoteClient) tryRequest(req wire.Message, tc wire.TraceContext, direct bool) (wire.Message, error) {
-	ch, mux, err := c.connect()
+	mux, err := c.connect()
 	if err != nil {
 		return nil, err
 	}
@@ -529,32 +435,13 @@ func (c *RemoteClient) tryRequest(req wire.Message, tc wire.TraceContext, direct
 		c.inflightG.Add(-1)
 	}()
 
-	if mux != nil {
-		msg, err := mux.roundTrip(req, tc, c.cfg.RequestTimeout)
-		if err != nil {
-			c.dropConn(ch)
-			if c.isClosed() {
-				// Close raced with the request; surface the
-				// deterministic terminal error rather than whatever the
-				// dying transport produced.
-				return nil, errClientClosed
-			}
-			return nil, err
-		}
-		return msg, nil
-	}
-
-	c.serialMu.Lock()
-	defer c.serialMu.Unlock()
-	var msg wire.Message
-	if direct {
-		msg, err = c.serialRoundTrip(ch, req)
-	} else {
-		msg, err = c.serialRequest(ch, req)
-	}
+	msg, err := mux.roundTrip(req, tc, c.cfg.RequestTimeout)
 	if err != nil {
-		c.dropConn(ch)
+		c.dropConn(mux)
 		if c.isClosed() {
+			// Close raced with the request; surface the deterministic
+			// terminal error rather than whatever the dying transport
+			// produced.
 			return nil, errClientClosed
 		}
 		return nil, err
@@ -566,65 +453,6 @@ func (c *RemoteClient) isClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.closed
-}
-
-// serialRequest performs one request on a v1 channel under the caller's
-// serialMu. Batch messages are not part of the v1 protocol, so they
-// are unrolled into serial round trips here — callers get batch
-// semantics against old stores, just without the wire amortisation.
-func (c *RemoteClient) serialRequest(ch *wire.Channel, req wire.Message) (wire.Message, error) {
-	switch m := req.(type) {
-	case wire.BatchGetRequest:
-		resp := wire.BatchGetResponse{Results: make([]wire.GetResult, len(m.Tags))}
-		for i, tag := range m.Tags {
-			msg, err := c.serialRoundTrip(ch, wire.GetRequest{Tag: tag})
-			if err != nil {
-				return nil, err
-			}
-			gr, ok := msg.(wire.GetResponse)
-			if !ok {
-				return nil, fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-			}
-			resp.Results[i] = wire.GetResult{Found: gr.Found, Sealed: gr.Sealed}
-		}
-		return resp, nil
-	case wire.BatchPutRequest:
-		resp := wire.BatchPutResponse{Results: make([]wire.PutResult, len(m.Items))}
-		for i, it := range m.Items {
-			msg, err := c.serialRoundTrip(ch, wire.PutRequest{Tag: it.Tag, Sealed: it.Sealed, Replace: it.Replace})
-			if err != nil {
-				return nil, err
-			}
-			pr, ok := msg.(wire.PutResponse)
-			if !ok {
-				return nil, fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-			}
-			resp.Results[i] = wire.PutResult{OK: pr.OK, Err: pr.Err}
-		}
-		return resp, nil
-	default:
-		return c.serialRoundTrip(ch, req)
-	}
-}
-
-// serialRoundTrip is one v1 send/recv pair with the request deadline
-// applied to the channel.
-func (c *RemoteClient) serialRoundTrip(ch *wire.Channel, req wire.Message) (wire.Message, error) {
-	if c.cfg.RequestTimeout > 0 {
-		ch.SetDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	}
-	err := ch.SendMessage(req)
-	var msg wire.Message
-	if err == nil {
-		msg, err = ch.RecvMessage()
-	}
-	if c.cfg.RequestTimeout > 0 {
-		ch.SetDeadline(time.Time{})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return msg, nil
 }
 
 // isTransient reports whether a request error is worth retrying on a
@@ -663,126 +491,125 @@ func sleepJittered(d time.Duration) {
 	time.Sleep(time.Duration(half + rand.Int63n(half+1)))
 }
 
-// Get implements StoreClient.
-func (c *RemoteClient) Get(tag mle.Tag) (mle.Sealed, bool, error) {
-	return c.GetTraced(wire.TraceContext{}, tag)
-}
-
-// GetTraced implements TracedClient.
-func (c *RemoteClient) GetTraced(tc wire.TraceContext, tag mle.Tag) (mle.Sealed, bool, error) {
-	msg, err := c.roundTrip(wire.GetRequest{Tag: tag}, tc)
-	if err != nil {
-		return mle.Sealed{}, false, fmt.Errorf("dedup: get: %w", err)
-	}
-	resp, ok := msg.(wire.GetResponse)
-	if !ok {
-		return mle.Sealed{}, false, fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-	}
-	return resp.Sealed, resp.Found, nil
-}
-
-// Put implements StoreClient.
-func (c *RemoteClient) Put(tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	return c.PutTraced(wire.TraceContext{}, tag, sealed, replace)
-}
-
-// PutTraced implements TracedClient.
-func (c *RemoteClient) PutTraced(tc wire.TraceContext, tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	msg, err := c.roundTrip(wire.PutRequest{Tag: tag, Sealed: sealed, Replace: replace}, tc)
-	if err != nil {
-		return fmt.Errorf("dedup: put: %w", err)
-	}
-	resp, ok := msg.(wire.PutResponse)
-	if !ok {
-		return fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-	}
-	if !resp.OK {
-		return fmt.Errorf("%w: %s", ErrPutRejected, resp.Err)
+// windowed is the one wire.MaxBatchItems slicing loop: it issues one
+// round trip per window of the n items. request builds the message for
+// items [lo, hi); absorb consumes the reply and reports how many items
+// it answered, or false for a reply of the wrong kind.
+func (c *RemoteClient) windowed(op string, tc wire.TraceContext, n int, request func(lo, hi int) wire.Message, absorb func(wire.Message) (int, bool)) error {
+	for lo := 0; lo < n; lo += wire.MaxBatchItems {
+		hi := lo + wire.MaxBatchItems
+		if hi > n {
+			hi = n
+		}
+		msg, err := c.roundTrip(request(lo, hi), tc)
+		if err != nil {
+			return fmt.Errorf("dedup: %s: %w", op, err)
+		}
+		got, ok := absorb(msg)
+		if !ok {
+			return fmt.Errorf("dedup: %s: unexpected reply %v", op, msg.Kind())
+		}
+		if got != hi-lo {
+			return fmt.Errorf("dedup: %s: %d results for %d items", op, got, hi-lo)
+		}
 	}
 	return nil
 }
 
-// GetBatch implements BatchClient: one round trip per
-// wire.MaxBatchItems chunk on a v2 connection, a serial loop against a
-// v1 store.
-func (c *RemoteClient) GetBatch(tags []mle.Tag) ([]wire.GetResult, error) {
-	return c.GetBatchTraced(wire.TraceContext{}, tags)
-}
-
-// GetBatchTraced implements TracedClient.
-func (c *RemoteClient) GetBatchTraced(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
-	if len(tags) == 0 {
-		return nil, nil
-	}
+// Get implements StoreClient: one round trip per wire.MaxBatchItems
+// window. A window of one tag travels as the GetRequest kind and
+// anything else as the batch kind, so single calls keep their wire
+// size, their server histogram and their store_get span name.
+func (c *RemoteClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
 	results := make([]wire.GetResult, 0, len(tags))
-	for start := 0; start < len(tags); start += wire.MaxBatchItems {
-		end := start + wire.MaxBatchItems
-		if end > len(tags) {
-			end = len(tags)
+	err := c.windowed("get", tc, len(tags), func(lo, hi int) wire.Message {
+		if hi-lo == 1 {
+			return wire.GetRequest{Tag: tags[lo]}
 		}
-		chunk := tags[start:end]
-		msg, err := c.roundTrip(wire.BatchGetRequest{Tags: chunk}, tc)
-		if err != nil {
-			return nil, fmt.Errorf("dedup: batch get: %w", err)
+		return wire.BatchGetRequest{Tags: tags[lo:hi]}
+	}, func(msg wire.Message) (int, bool) {
+		switch r := msg.(type) {
+		case wire.GetResponse:
+			results = append(results, wire.GetResult(r))
+			return 1, true
+		case wire.BatchGetResponse:
+			results = append(results, r.Results...)
+			return len(r.Results), true
 		}
-		resp, ok := msg.(wire.BatchGetResponse)
-		if !ok {
-			return nil, fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-		}
-		if len(resp.Results) != len(chunk) {
-			return nil, fmt.Errorf("dedup: batch get: %d results for %d tags", len(resp.Results), len(chunk))
-		}
-		results = append(results, resp.Results...)
+		return 0, false
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// PutBatch implements BatchClient. Unlike Put, rate-limited items are
-// reported in their PutResult rather than retried: retrying a subset
-// of a batch would reorder it against concurrent batches for no
-// benefit, and the runtime already treats rejected puts as advisory.
-func (c *RemoteClient) PutBatch(items []wire.PutItem) ([]wire.PutResult, error) {
-	return c.PutBatchTraced(wire.TraceContext{}, items)
-}
-
-// PutBatchTraced implements TracedClient.
-func (c *RemoteClient) PutBatchTraced(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
-	if len(items) == 0 {
-		return nil, nil
-	}
+// Put implements StoreClient, with the same one-versus-many choice of
+// wire kind as Get. A rate-limited single PUT is retried by roundTrip;
+// rate-limited items of a larger window are reported in their
+// PutResult instead — retrying a subset of a batch would reorder it
+// against concurrent batches for no benefit, and the runtime already
+// treats rejected puts as advisory.
+func (c *RemoteClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	results := make([]wire.PutResult, 0, len(items))
-	for start := 0; start < len(items); start += wire.MaxBatchItems {
-		end := start + wire.MaxBatchItems
-		if end > len(items) {
-			end = len(items)
+	err := c.windowed("put", tc, len(items), func(lo, hi int) wire.Message {
+		if hi-lo == 1 {
+			return wire.PutRequest(items[lo])
 		}
-		chunk := items[start:end]
-		msg, err := c.roundTrip(wire.BatchPutRequest{Items: chunk}, tc)
-		if err != nil {
-			return nil, fmt.Errorf("dedup: batch put: %w", err)
+		return wire.BatchPutRequest{Items: items[lo:hi]}
+	}, func(msg wire.Message) (int, bool) {
+		switch r := msg.(type) {
+		case wire.PutResponse:
+			results = append(results, wire.PutResult(r))
+			return 1, true
+		case wire.BatchPutResponse:
+			results = append(results, r.Results...)
+			return len(r.Results), true
 		}
-		resp, ok := msg.(wire.BatchPutResponse)
-		if !ok {
-			return nil, fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-		}
-		if len(resp.Results) != len(chunk) {
-			return nil, fmt.Errorf("dedup: batch put: %d results for %d items", len(resp.Results), len(chunk))
-		}
-		results = append(results, resp.Results...)
+		return 0, false
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
 
-// Ping implements StoreClient: one liveness round trip that performs no
-// dictionary operation. On a v2 connection it is a zero-item batch GET
-// through the mux; on v1 the same empty frame is sent serially. Either
-// way the full path — (re)dial, attested handshake, framing, store
+// Has implements StoreClient: one HAS_BATCH round trip per
+// wire.MaxBatchItems window. The probe is gated on the negotiated
+// channel capability — a peer that did not offer FeatureChunking gets
+// ErrHasBatchUnsupported without any frame sent, so old stores never
+// see a message kind they cannot parse.
+func (c *RemoteClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
+	mux, err := c.connect()
+	if err != nil {
+		return nil, fmt.Errorf("dedup: has: %w", err)
+	}
+	if mux.ch.Features()&wire.FeatureChunking == 0 {
+		return nil, ErrHasBatchUnsupported
+	}
+	present := make([]bool, 0, len(tags))
+	err = c.windowed("has", tc, len(tags), func(lo, hi int) wire.Message {
+		return wire.HasBatchRequest{Tags: tags[lo:hi]}
+	}, func(msg wire.Message) (int, bool) {
+		r, ok := msg.(wire.HasBatchResponse)
+		present = append(present, r.Present...)
+		return len(r.Present), ok
+	})
+	if err != nil {
+		return nil, err
+	}
+	return present, nil
+}
+
+// Ping implements StoreClient: one liveness round trip — a zero-item
+// batch GET through the mux — that performs no dictionary operation.
+// The full path — (re)dial, attested handshake, framing, store
 // dispatch — is exercised, but the store executes zero GETs, so health
 // probes never fabricate traffic or skew hit-rate statistics. Ping is a
 // single attempt without the retry schedule: a probe should report the
 // store's state now, and probers repeat on their own cadence.
 func (c *RemoteClient) Ping() error {
-	msg, err := c.tryRequest(wire.BatchGetRequest{}, wire.TraceContext{}, true)
+	msg, err := c.tryOnce(wire.BatchGetRequest{}, wire.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("dedup: ping: %w", err)
 	}
@@ -794,45 +621,6 @@ func (c *RemoteClient) Ping() error {
 		return fmt.Errorf("dedup: ping: %d results for an empty probe", len(resp.Results))
 	}
 	return nil
-}
-
-// HasBatch implements HasBatcher: one HAS_BATCH round trip per
-// wire.MaxBatchItems chunk. The probe is gated on the negotiated
-// channel capability — a v1 connection or a peer that did not offer
-// FeatureChunking gets ErrHasBatchUnsupported without any frame sent,
-// so old stores never see a message kind they cannot parse.
-func (c *RemoteClient) HasBatch(tags []mle.Tag) ([]bool, error) {
-	ch, _, err := c.connect()
-	if err != nil {
-		return nil, fmt.Errorf("dedup: has batch: %w", err)
-	}
-	if ch.Version() < wire.ProtocolV2 || ch.Features()&wire.FeatureChunking == 0 {
-		return nil, ErrHasBatchUnsupported
-	}
-	if len(tags) == 0 {
-		return nil, nil
-	}
-	present := make([]bool, 0, len(tags))
-	for start := 0; start < len(tags); start += wire.MaxBatchItems {
-		end := start + wire.MaxBatchItems
-		if end > len(tags) {
-			end = len(tags)
-		}
-		batch := tags[start:end]
-		msg, err := c.roundTrip(wire.HasBatchRequest{Tags: batch}, wire.TraceContext{})
-		if err != nil {
-			return nil, fmt.Errorf("dedup: has batch: %w", err)
-		}
-		resp, ok := msg.(wire.HasBatchResponse)
-		if !ok {
-			return nil, fmt.Errorf("dedup: unexpected reply %v", msg.Kind())
-		}
-		if len(resp.Present) != len(batch) {
-			return nil, fmt.Errorf("dedup: has batch: %d answers for %d tags", len(resp.Present), len(batch))
-		}
-		present = append(present, resp.Present...)
-	}
-	return present, nil
 }
 
 // SyncPull fetches up to max of the store's entries with at least
@@ -858,7 +646,7 @@ func (c *RemoteClient) SyncPull(minHits int64, max int) ([]wire.SyncEntry, error
 }
 
 // Close implements StoreClient. It is idempotent and safe to call
-// concurrently with in-flight requests: waiters on a v2 mux are
+// concurrently with in-flight requests: waiters on the mux are
 // unblocked with errClientClosed, and any request racing the teardown
 // surfaces errClientClosed rather than a transport error.
 func (c *RemoteClient) Close() error {
@@ -868,17 +656,13 @@ func (c *RemoteClient) Close() error {
 		return nil
 	}
 	c.closed = true
-	ch, mux := c.ch, c.mux
-	c.ch, c.mux = nil, nil
+	mux := c.mux
+	c.mux = nil
 	c.mu.Unlock()
 	if mux != nil {
 		// Fails every in-flight waiter with the deterministic terminal
 		// error (and closes the underlying channel).
 		mux.fail(errClientClosed)
-		return nil
-	}
-	if ch != nil {
-		return ch.Close()
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package dedup
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
+	"speed/internal/wire"
 )
 
 // remoteEnv runs a real store server on localhost and a RemoteClient
@@ -69,34 +71,26 @@ func testTag(b byte) mle.Tag {
 	return tag
 }
 
-func TestRemoteClientGetPut(t *testing.T) {
-	env := newRemoteEnv(t)
-	tag := testTag(0x42)
-
-	_, found, err := env.client.Get(tag)
+// getOne and putOne give tests the single-call shape; the client types
+// themselves are batch-only. putOne reports a rejection the way the
+// runtime does, as ErrPutRejected.
+func getOne(c StoreClient, tag mle.Tag) (mle.Sealed, bool, error) {
+	res, err := c.Get(wire.TraceContext{}, []mle.Tag{tag})
 	if err != nil {
-		t.Fatalf("Get: %v", err)
+		return mle.Sealed{}, false, err
 	}
-	if found {
-		t.Fatal("Get on empty store reported found")
-	}
+	return res[0].Sealed, res[0].Found, nil
+}
 
-	sealed := mle.Sealed{
-		Challenge:  []byte("challenge"),
-		WrappedKey: []byte("wrapped"),
-		Blob:       []byte("blob"),
-	}
-	if err := env.client.Put(tag, sealed, false); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-
-	got, found, err := env.client.Get(tag)
+func putOne(c StoreClient, tag mle.Tag, sealed mle.Sealed, replace bool) error {
+	res, err := c.Put(wire.TraceContext{}, []wire.PutItem{{Tag: tag, Sealed: sealed, Replace: replace}})
 	if err != nil {
-		t.Fatalf("Get: %v", err)
+		return err
 	}
-	if !found || !bytes.Equal(got.Blob, sealed.Blob) {
-		t.Errorf("Get = (%+v, %v), want stored sealed", got, found)
+	if !res[0].OK {
+		return fmt.Errorf("%w: %s", ErrPutRejected, res[0].Err)
 	}
+	return nil
 }
 
 func TestRemoteClientPutRejected(t *testing.T) {
@@ -132,7 +126,7 @@ func TestRemoteClientPutRejected(t *testing.T) {
 	}
 	defer client.Close()
 
-	err = client.Put(testTag(1), mle.Sealed{Blob: []byte("too big for quota")}, false)
+	err = putOne(client, testTag(1), mle.Sealed{Blob: []byte("too big for quota")}, false)
 	if !errors.Is(err, ErrPutRejected) {
 		t.Errorf("Put = %v, want ErrPutRejected", err)
 	}
@@ -147,11 +141,11 @@ func TestRemoteClientConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				tag := testTag(byte(i))
-				if err := env.client.Put(tag, mle.Sealed{Blob: []byte{byte(i)}}, false); err != nil {
+				if err := putOne(env.client, tag, mle.Sealed{Blob: []byte{byte(i)}}, false); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				if _, _, err := env.client.Get(tag); err != nil {
+				if _, _, err := getOne(env.client, tag); err != nil {
 					t.Errorf("Get: %v", err)
 					return
 				}

@@ -230,7 +230,7 @@ func TestExecuteDegradesWhenStoreStalls(t *testing.T) {
 					return
 				}
 				for {
-					if _, err := ch.RecvMessage(); err != nil {
+					if _, err := ch.Recv(); err != nil {
 						return
 					}
 				}
@@ -348,13 +348,13 @@ func TestRemoteClientRetriesRateLimitedPut(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = client.Close() })
 
-	if err := client.Put(testTag(1), mle.Sealed{Blob: []byte("a")}, false); err != nil {
+	if err := putOne(client, testTag(1), mle.Sealed{Blob: []byte("a")}, false); err != nil {
 		t.Fatalf("Put 1: %v", err)
 	}
 	// The burst token is spent; this PUT is rejected by the rate
 	// limiter until the bucket refills (~50ms at 20/s) — the retry
 	// schedule covers that comfortably.
-	if err := client.Put(testTag(2), mle.Sealed{Blob: []byte("b")}, false); err != nil {
+	if err := putOne(client, testTag(2), mle.Sealed{Blob: []byte("b")}, false); err != nil {
 		t.Fatalf("Put 2 (rate limited) not retried to success: %v", err)
 	}
 	if client.Retries() == 0 {

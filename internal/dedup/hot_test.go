@@ -26,12 +26,12 @@ func TestMuxRoundTripAllocBound(t *testing.T) {
 		WrappedKey: bytes.Repeat([]byte{0xD2}, mle.KeySize),
 		Blob:       bytes.Repeat([]byte{0xAB}, 4096),
 	}
-	if err := env.client.Put(tag, sealed, false); err != nil {
+	if err := putOne(env.client, tag, sealed, false); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 
 	get := func() {
-		got, found, err := env.client.Get(tag)
+		got, found, err := getOne(env.client, tag)
 		if err != nil || !found {
 			t.Fatalf("Get = (found=%v, err=%v)", found, err)
 		}

@@ -14,15 +14,14 @@ import (
 // callers: requests are enveloped with a fresh request ID and written
 // directly (wire.Channel.Send is internally serialised), while a single
 // reader goroutine correlates responses — which may arrive in any
-// order — back to their waiting callers. This removes the serial
-// one-request-at-a-time discipline of the v1 protocol: N goroutines
-// share one attested channel and their round trips overlap on the wire.
+// order — back to their waiting callers. N goroutines share one
+// attested channel and their round trips overlap on the wire.
 //
-// Error handling mirrors the serial path's channel poisoning: any
-// transport error, malformed envelope or request timeout is terminal
-// for the whole mux (the channel's cipher counters cannot be trusted
-// afterwards). Every in-flight waiter is failed with the same error and
-// the owning RemoteClient re-dials on the next attempt.
+// Errors poison the channel: any transport error, malformed envelope or
+// request timeout is terminal for the whole mux (the channel's cipher
+// counters cannot be trusted afterwards). Every in-flight waiter is
+// failed with the same error and the owning RemoteClient re-dials on
+// the next attempt.
 type chanMux struct {
 	ch     *wire.Channel
 	nextID atomic.Uint64
@@ -103,19 +102,11 @@ func (m *chanMux) fail(err error) {
 	}
 }
 
-// broken returns the terminal error, or nil while the mux is healthy.
-func (m *chanMux) broken() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
 // roundTrip issues one request and waits for its correlated response.
 // tc, when sampled, rides in the envelope header so the store can link
 // its spans to the caller's trace; on channels that did not negotiate
 // FeatureTrace it is silently dropped. timeout > 0 bounds the wait;
-// expiry kills the mux so the owning client re-dials, exactly as a
-// deadline poisons a serial channel.
+// expiry kills the mux so the owning client re-dials.
 func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time.Duration) (wire.Message, error) {
 	id := m.nextID.Add(1)
 	w := make(chan muxResult, 1)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,11 +77,11 @@ func TestMuxConcurrentCallersOneConnection(t *testing.T) {
 					WrappedKey: []byte("wrapped"),
 					Blob:       []byte(fmt.Sprintf("blob-%d-%d", w, i)),
 				}
-				if err := env.client.Put(tag, sealed, false); err != nil {
+				if err := putOne(env.client, tag, sealed, false); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				got, found, err := env.client.Get(tag)
+				got, found, err := getOne(env.client, tag)
 				if err != nil {
 					t.Errorf("Get: %v", err)
 					return
@@ -109,80 +110,113 @@ func tagFromString(s string) mle.Tag {
 	return tag
 }
 
-func testBatchGetPut(t *testing.T, env *remoteEnv, wantVersion int) {
-	t.Helper()
-	if v := env.client.ProtocolVersion(); v != wantVersion {
-		t.Fatalf("ProtocolVersion = %d, want %d", v, wantVersion)
-	}
-	const n = 40
-	items := make([]wire.PutItem, n)
-	for i := range items {
-		items[i] = wire.PutItem{
-			Tag: tagFromString(fmt.Sprintf("batch-%d", i)),
-			Sealed: mle.Sealed{
-				Challenge:  []byte("challenge"),
-				WrappedKey: []byte("wrapped"),
-				Blob:       []byte(fmt.Sprintf("payload-%d", i)),
-			},
-		}
-	}
-	prs, err := env.client.PutBatch(items)
-	if err != nil {
-		t.Fatalf("PutBatch: %v", err)
-	}
-	if len(prs) != n {
-		t.Fatalf("PutBatch returned %d results, want %d", len(prs), n)
-	}
-	for i, pr := range prs {
-		if !pr.OK {
-			t.Errorf("PutBatch item %d rejected: %s", i, pr.Err)
-		}
-	}
-
-	// GET the stored tags plus misses and an intra-batch duplicate,
-	// verifying positional alignment.
-	tags := make([]mle.Tag, 0, n+3)
-	for i := 0; i < n; i++ {
-		tags = append(tags, items[i].Tag)
-	}
-	tags = append(tags, tagFromString("absent-1"), items[7].Tag, tagFromString("absent-2"))
-	grs, err := env.client.GetBatch(tags)
-	if err != nil {
-		t.Fatalf("GetBatch: %v", err)
-	}
-	if len(grs) != len(tags) {
-		t.Fatalf("GetBatch returned %d results, want %d", len(grs), len(tags))
-	}
-	for i := 0; i < n; i++ {
-		if !grs[i].Found || string(grs[i].Sealed.Blob) != fmt.Sprintf("payload-%d", i) {
-			t.Errorf("GetBatch[%d] = (found=%v, %q), want payload-%d", i, grs[i].Found, grs[i].Sealed.Blob, i)
-		}
-	}
-	if grs[n].Found || grs[n+2].Found {
-		t.Error("GetBatch reported absent tags as found")
-	}
-	if !grs[n+1].Found || string(grs[n+1].Sealed.Blob) != "payload-7" {
-		t.Errorf("GetBatch duplicate position = (found=%v, %q), want payload-7", grs[n+1].Found, grs[n+1].Sealed.Blob)
-	}
-}
-
-func TestBatchGetPutOverV2(t *testing.T) {
-	env := newMuxEnv(t, nil, RemoteConfig{})
-	testBatchGetPut(t, env, wire.ProtocolV2)
-}
-
-func TestBatchFallsBackToV1Server(t *testing.T) {
-	// A v2 client against a v1-only server negotiates down and emulates
-	// batch requests as serial loops; callers see identical semantics.
-	env := newMuxEnv(t, []store.ServerOption{store.WithMaxProtocol(wire.ProtocolV1)}, RemoteConfig{})
-	testBatchGetPut(t, env, wire.ProtocolV1)
-}
-
+// TestV1ClientAgainstV2Server: a peer pinned to the serial v1 protocol
+// completes the handshake against a real server and is then hung up on
+// — one log line naming the negotiated version, nothing dispatched.
 func TestV1ClientAgainstV2Server(t *testing.T) {
-	// A client pinned to v1 keeps the serial discipline against a v2
-	// server (the server must not expect envelopes from it).
-	env := newMuxEnv(t, nil, RemoteConfig{MaxProtocol: wire.ProtocolV1})
-	testBatchGetPut(t, env, wire.ProtocolV1)
+	p := enclave.NewPlatform(enclave.Config{})
+	appEnc, _ := p.Create("app", []byte("app code"))
+	storeEnc, _ := p.Create("store", []byte("store code"))
+	st, err := store.New(store.Config{Enclave: storeEnc})
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	var logMu sync.Mutex
+	var logged []string
+	srv := store.NewServer(st, ln, store.WithLogf(func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}))
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		_ = srv.Serve()
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	ch, err := wire.ClientHandshakeVersion(conn, appEnc, storeEnc.Measurement(), nil, wire.ProtocolV1)
+	if err != nil {
+		t.Fatalf("v1 handshake: %v", err)
+	}
+	if v := ch.Version(); v != wire.ProtocolV1 {
+		t.Fatalf("negotiated v%d, want v1", v)
+	}
+	// The request may or may not leave before the server's close lands;
+	// either way no reply ever comes back.
+	_ = ch.SendMessage(wire.GetRequest{Tag: testTag(1)})
+	if msg, err := ch.RecvMessage(); err == nil {
+		t.Fatalf("v1 session was served: got %v", msg.Kind())
+	}
+
+	// Close waits for the handler, so the log is complete afterwards.
+	_ = srv.Close()
+	<-serveDone
+	if len(logged) != 1 || !strings.Contains(logged[0], "negotiated protocol v1") ||
+		!strings.Contains(logged[0], conn.LocalAddr().String()) {
+		t.Errorf("server log = %q, want one line naming the peer and the negotiated version", logged)
+	}
+	if s := st.Stats(); s.Gets != 0 || s.Puts != 0 {
+		t.Errorf("rejected v1 session reached the store: gets=%d puts=%d", s.Gets, s.Puts)
+	}
+}
+
+// TestV1ServerRejected: a store that negotiates v1 is refused with the
+// non-transient sentinel, so the retry schedule never spins on it.
+func TestV1ServerRejected(t *testing.T) {
+	p := enclave.NewPlatform(enclave.Config{})
+	appEnc, _ := p.Create("app", []byte("app code"))
+	storeEnc, _ := p.Create("store", []byte("store code"))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				ch, err := wire.ServerHandshakeVersion(conn, storeEnc, nil, nil, wire.ProtocolV1)
+				if err != nil {
+					return
+				}
+				_, _ = ch.Recv() // hold the session until the client hangs up
+			}()
+		}
+	}()
+
+	cfg := fastRemoteConfig()
+	if _, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), cfg); !errors.Is(err, ErrProtocolTooOld) {
+		t.Fatalf("eager DialConfig = %v, want ErrProtocolTooOld", err)
+	}
+	cfg.Lazy = true
+	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), cfg)
+	if err != nil {
+		t.Fatalf("lazy DialConfig: %v", err)
+	}
+	defer client.Close()
+	if _, _, err := getOne(client, testTag(1)); !errors.Is(err, ErrProtocolTooOld) {
+		t.Fatalf("Get = %v, want ErrProtocolTooOld", err)
+	}
+	if r := client.Retries(); r != 0 {
+		t.Errorf("Retries = %d, want 0: the rejection is not transient", r)
+	}
+	if v := client.ProtocolVersion(); v != 0 {
+		t.Errorf("ProtocolVersion = %d after rejection, want 0 (disconnected)", v)
+	}
 }
 
 // hangServer completes the attested v2 handshake and then reads frames
@@ -235,7 +269,7 @@ func TestCloseUnblocksInflightWaiters(t *testing.T) {
 	errs := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(i byte) {
-			_, _, err := client.Get(testTag(i))
+			_, _, err := getOne(client, testTag(i))
 			errs <- err
 		}(byte(i))
 	}
@@ -259,7 +293,7 @@ func TestCloseUnblocksInflightWaiters(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Errorf("second Close = %v, want nil", err)
 	}
-	if _, _, err := client.Get(testTag(0xFF)); !errors.Is(err, errClientClosed) {
+	if _, _, err := getOne(client, testTag(0xFF)); !errors.Is(err, errClientClosed) {
 		t.Errorf("Get after Close = %v, want errClientClosed", err)
 	}
 }
@@ -289,7 +323,7 @@ func TestRetryAccountingDeterministic(t *testing.T) {
 	}
 	defer client.Close()
 
-	if _, _, err := client.Get(testTag(1)); err == nil {
+	if _, _, err := getOne(client, testTag(1)); err == nil {
 		t.Fatal("Get against dead address succeeded")
 	}
 	if r := client.Retries(); r != 2 {
@@ -411,7 +445,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 	}
 	results := make(chan result, 2)
 	launch := func(tag mle.Tag) {
-		sealed, found, err := client.Get(tag)
+		sealed, found, err := getOne(client, tag)
 		results <- result{tag, sealed, found, err}
 	}
 	go launch(testTag(0x0A))
@@ -428,7 +462,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 		}
 	}
 
-	sealed, found, err := client.Get(testTag(0x0C))
+	sealed, found, err := getOne(client, testTag(0x0C))
 	if err != nil {
 		t.Fatalf("third Get: %v", err)
 	}

@@ -3,79 +3,28 @@ package dedup
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/store"
-	"speed/internal/wire"
 )
 
-// pingEnv is remoteEnv with a protocol-pinned client.
-func newPingEnv(t *testing.T, maxProtocol int) (*store.Store, *RemoteClient) {
-	t.Helper()
-	p := enclave.NewPlatform(enclave.Config{})
-	appEnc, err := p.Create("app", []byte("app code"))
-	if err != nil {
-		t.Fatalf("create app: %v", err)
-	}
-	storeEnc, err := p.Create("store", []byte("store code"))
-	if err != nil {
-		t.Fatalf("create store: %v", err)
-	}
-	st, err := store.New(store.Config{Enclave: storeEnc})
-	if err != nil {
-		t.Fatalf("store.New: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	srv := store.NewServer(st, ln, store.WithLogf(func(string, ...any) {}))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Serve()
-	}()
-	t.Cleanup(func() {
-		_ = srv.Close()
-		wg.Wait()
-	})
-	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(),
-		RemoteConfig{MaxProtocol: maxProtocol})
-	if err != nil {
-		t.Fatalf("DialConfig: %v", err)
-	}
-	t.Cleanup(func() { _ = client.Close() })
-	return st, client
-}
-
 // TestPingDoesNotPolluteStats is the point of Ping over a sentinel GET:
-// a health probe must not fabricate dictionary traffic, on either
-// protocol version.
+// a health probe must not fabricate dictionary traffic.
 func TestPingDoesNotPolluteStats(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		protocol int
-	}{
-		{"v2 mux", wire.ProtocolV2},
-		{"v1 serial", wire.ProtocolV1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st, client := newPingEnv(t, tc.protocol)
-			for i := 0; i < 3; i++ {
-				if err := client.Ping(); err != nil {
-					t.Fatalf("Ping #%d: %v", i, err)
-				}
+	t.Run("v2 mux", func(t *testing.T) {
+		env := newRemoteEnv(t)
+		for i := 0; i < 3; i++ {
+			if err := env.client.Ping(); err != nil {
+				t.Fatalf("Ping #%d: %v", i, err)
 			}
-			s := st.Stats()
-			if s.Gets != 0 || s.Puts != 0 {
-				t.Errorf("pings polluted stats: gets=%d puts=%d, want 0/0", s.Gets, s.Puts)
-			}
-		})
-	}
+		}
+		s := env.store.Stats()
+		if s.Gets != 0 || s.Puts != 0 {
+			t.Errorf("pings polluted stats: gets=%d puts=%d, want 0/0", s.Gets, s.Puts)
+		}
+	})
 }
 
 func TestPingFailsWhenStoreDown(t *testing.T) {

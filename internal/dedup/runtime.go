@@ -221,11 +221,6 @@ type Runtime struct {
 	tel    *rtMetrics
 	traceN atomic.Uint64
 
-	// traced is Config.Client's TracedClient view, or nil when the
-	// client cannot carry a trace context; resolved once here so the
-	// per-call path pays no type assertion.
-	traced TracedClient
-
 	// slowLogLast is the UnixNano of the last slow-request line, the
 	// rate limiter for Config.SlowRequestThreshold.
 	slowLogLast atomic.Int64
@@ -308,7 +303,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.chunkCache = newChunkLRU(cfg.Enclave, cfg.ChunkCacheBytes)
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
-	rt.traced, _ = cfg.Client.(TracedClient)
 	if cfg.AsyncPut {
 		rt.putCh = make(chan putJob, cfg.PutQueueDepth)
 		go rt.putWorker()
@@ -542,14 +536,11 @@ func (rt *Runtime) executeTagged(id mle.FuncID, input []byte, tag mle.Tag, tc wi
 
 	// Line 2: query the store via an OCALL (the runtime's customized
 	// OCALL wrapping request and networking logic).
-	var (
-		sealed mle.Sealed
-		found  bool
-	)
+	var got []wire.GetResult
 	span.begin(phaseStoreGet)
 	err := rt.cfg.Enclave.OCall(func() error {
 		var gerr error
-		sealed, found, gerr = rt.storeGet(tc, tag)
+		got, gerr = rt.clientGet(tc, []mle.Tag{tag})
 		return gerr
 	})
 	span.end(phaseStoreGet)
@@ -567,51 +558,17 @@ func (rt *Runtime) executeTagged(id mle.FuncID, input []byte, tag mle.Tag, tc wi
 	rt.noteStoreSuccess()
 
 	hadPoisonedEntry := false
-	if found {
-		// Algorithm 2 lines 4-6 + Fig. 3 verification.
-		span.begin(phaseVerifyDecrypt)
-		res, derr := rt.cfg.Scheme.Decrypt(id, input, sealed)
-		span.end(phaseVerifyDecrypt)
-		if derr == nil {
+	if got[0].Found {
+		res, ok, verr := rt.verifyHit(id, input, tag, tc, got[0].Sealed, span)
+		if verr != nil {
+			return verr
+		}
+		if ok {
 			*resultOut = res
 			*outcomeOut = OutcomeReused
-			rt.mu.Lock()
-			rt.stats.Reused++
-			rt.stats.BytesReused += int64(len(res))
-			rt.mu.Unlock()
 			return nil
 		}
-		if !errors.Is(derr, mle.ErrAuthFailed) {
-			return fmt.Errorf("decrypt result: %w", derr)
-		}
-		// With chunking enabled the entry may be a sealed manifest
-		// rather than a whole result; try reassembling from chunks
-		// before condemning it.
-		if rt.chunker != nil {
-			res, merr := rt.manifestReuse(id, input, tc, sealed)
-			if merr == nil {
-				*resultOut = res
-				*outcomeOut = OutcomeReused
-				rt.mu.Lock()
-				rt.stats.Reused++
-				rt.stats.ManifestReuses++
-				rt.stats.BytesReused += int64(len(res))
-				rt.mu.Unlock()
-				return nil
-			}
-			if !errors.Is(merr, errNoManifest) {
-				// The manifest was authentic but its chunks were not
-				// servable (missing, tampered, digest mismatch): say so
-				// loudly, then recompute and replace.
-				rt.cfg.Logf("speed: chunked reassembly for tag %x... failed: %v; recomputing", tag[:4], merr)
-			}
-		}
-		// ⊥: the stored entry is poisoned/corrupted or belongs to a
-		// computation we cannot perform. Fall back to computing.
 		hadPoisonedEntry = true
-		rt.mu.Lock()
-		rt.stats.VerifyFailures++
-		rt.mu.Unlock()
 	}
 
 	// Algorithm 1 line 4: compute the result inside the enclave.
@@ -646,6 +603,46 @@ func (rt *Runtime) executeTagged(id mle.FuncID, input []byte, tag mle.Tag, tc wi
 		rt.notePutError(perr)
 	}
 	return nil
+}
+
+// verifyHit is the hit-verification ladder every pipeline takes for a
+// found entry: Algorithm 2 lines 4-6 plus the Fig. 3 verification,
+// then — with chunking enabled, where the entry may be a sealed
+// manifest rather than a whole result — reassembly from chunks before
+// condemning it. ok reports a verified result, counted as reused. Not
+// ok with a nil error is ⊥: the stored entry is poisoned/corrupted or
+// belongs to a computation we cannot perform; it is counted as a
+// verify failure and the caller recomputes and replaces it. span, when
+// non-nil, times the whole-result decrypt.
+func (rt *Runtime) verifyHit(id mle.FuncID, input []byte, tag mle.Tag, tc wire.TraceContext, sealed mle.Sealed, span *execSpan) ([]byte, bool, error) {
+	span.begin(phaseVerifyDecrypt)
+	res, err := rt.cfg.Scheme.Decrypt(id, input, sealed)
+	span.end(phaseVerifyDecrypt)
+	if err != nil && !errors.Is(err, mle.ErrAuthFailed) {
+		return nil, false, fmt.Errorf("decrypt result: %w", err)
+	}
+	var manifests int64
+	if err != nil && rt.chunker != nil {
+		res, err = rt.manifestReuse(id, input, tc, sealed)
+		if err == nil {
+			manifests = 1
+		} else if !errors.Is(err, errNoManifest) {
+			// The manifest was authentic but its chunks were not
+			// servable (missing, tampered, digest mismatch): say so
+			// loudly, then recompute and replace.
+			rt.cfg.Logf("speed: chunked reassembly for tag %x... failed: %v; recomputing", tag[:4], err)
+		}
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if err != nil {
+		rt.stats.VerifyFailures++
+		return nil, false, nil
+	}
+	rt.stats.Reused++
+	rt.stats.ManifestReuses += manifests
+	rt.stats.BytesReused += int64(len(res))
+	return res, true, nil
 }
 
 // computeOnly runs the computation without touching the store, used
@@ -687,28 +684,49 @@ func (rt *Runtime) sealAndPut(id mle.FuncID, input, result []byte, tag mle.Tag, 
 	}
 	span.begin(phaseStorePut)
 	err = rt.cfg.Enclave.OCall(func() error {
-		return rt.storePut(tc, tag, sealed, replace)
+		return rt.clientPutOne(tc, wire.PutItem{Tag: tag, Sealed: sealed, Replace: replace})
 	})
 	span.end(phaseStorePut)
 	return err
 }
 
-// storeGet and storePut route requests through the client's traced
-// variants when the call is sampled and the client supports them, so
-// the store node serving the request records its spans under the
-// caller's trace ID. Unsampled calls take the plain path untouched.
-func (rt *Runtime) storeGet(tc wire.TraceContext, tag mle.Tag) (mle.Sealed, bool, error) {
-	if tc.Valid() && rt.traced != nil {
-		return rt.traced.GetTraced(tc, tag)
+// clientGet and clientPut are the runtime's only GET and PUT calls on
+// the store client; they hold it to its positional contract. A sampled
+// tc reaches every store node that serves the request, which records
+// its spans under the caller's trace ID.
+func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+	res, err := rt.cfg.Client.Get(tc, tags)
+	if err != nil {
+		return nil, err
 	}
-	return rt.cfg.Client.Get(tag)
+	if len(res) != len(tags) {
+		return nil, fmt.Errorf("dedup: get returned %d results for %d tags", len(res), len(tags))
+	}
+	return res, nil
 }
 
-func (rt *Runtime) storePut(tc wire.TraceContext, tag mle.Tag, sealed mle.Sealed, replace bool) error {
-	if tc.Valid() && rt.traced != nil {
-		return rt.traced.PutTraced(tc, tag, sealed, replace)
+func (rt *Runtime) clientPut(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
+	res, err := rt.cfg.Client.Put(tc, items)
+	if err != nil {
+		return nil, err
 	}
-	return rt.cfg.Client.Put(tag, sealed, replace)
+	if len(res) != len(items) {
+		return nil, fmt.Errorf("dedup: put returned %d results for %d items", len(res), len(items))
+	}
+	return res, nil
+}
+
+// clientPutOne uploads a single item, surfacing the store's rejection
+// as ErrPutRejected.
+func (rt *Runtime) clientPutOne(tc wire.TraceContext, item wire.PutItem) error {
+	res, err := rt.clientPut(tc, []wire.PutItem{item})
+	if err != nil {
+		return err
+	}
+	if !res[0].OK {
+		return fmt.Errorf("%w: %s", ErrPutRejected, res[0].Err)
+	}
+	return nil
 }
 
 func (rt *Runtime) enqueuePut(job putJob) {

@@ -520,17 +520,16 @@ func TestChannelCutMidSession(t *testing.T) {
 
 	var tag mle.Tag
 	tag[0] = 9
-	if err := client.Put(tag, mle.Sealed{Blob: []byte("x")}, false); err != nil {
-		t.Fatalf("Put: %v", err)
+	item := wire.PutItem{Tag: tag, Sealed: mle.Sealed{Blob: []byte("x")}}
+	if res, err := client.Put(wire.TraceContext{}, []wire.PutItem{item}); err != nil || !res[0].OK {
+		t.Fatalf("Put = (%v, %v)", res, err)
 	}
 
 	// Cut the server.
 	_ = srv.Close()
 	wg.Wait()
 
-	if _, _, err := client.Get(tag); err == nil {
+	if _, err := client.Get(wire.TraceContext{}, []mle.Tag{tag}); err == nil {
 		t.Error("Get over a cut channel succeeded")
 	}
 }
-
-var _ = wire.MaxFrameSize // keep the wire package exercised/linked here

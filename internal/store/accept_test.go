@@ -73,14 +73,11 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	ch, err := wire.ClientHandshakeVersion(conn, appEnc, storeEnc.Measurement(), nil, wire.ProtocolV1)
+	ch, err := wire.ClientHandshake(conn, appEnc, storeEnc.Measurement())
 	if err != nil {
 		t.Fatalf("handshake after temporary accept errors: %v", err)
 	}
-	if err := ch.SendMessage(wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("v")}); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	msg, err := ch.RecvMessage()
+	msg, err := call(ch, wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("v")})
 	if err != nil {
 		t.Fatalf("put reply: %v", err)
 	}

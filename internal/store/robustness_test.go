@@ -82,14 +82,11 @@ func TestServerShedsGarbageConnections(t *testing.T) {
 		t.Fatalf("honest dial: %v", err)
 	}
 	defer conn.Close()
-	ch, err := wire.ClientHandshakeVersion(conn, appEnc, storeEnc.Measurement(), nil, wire.ProtocolV1)
+	ch, err := wire.ClientHandshake(conn, appEnc, storeEnc.Measurement())
 	if err != nil {
 		t.Fatalf("honest handshake after attacks: %v", err)
 	}
-	if err := ch.SendMessage(wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("ok")}); err != nil {
-		t.Fatalf("honest put: %v", err)
-	}
-	msg, err := ch.RecvMessage()
+	msg, err := call(ch, wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("ok")})
 	if err != nil {
 		t.Fatalf("honest reply: %v", err)
 	}
@@ -109,7 +106,7 @@ func TestServerRejectsPostHandshakeGarbage(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	ch, err := wire.ClientHandshakeVersion(conn, appEnc, storeEnc.Measurement(), nil, wire.ProtocolV1)
+	ch, err := wire.ClientHandshake(conn, appEnc, storeEnc.Measurement())
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
@@ -122,7 +119,7 @@ func TestServerRejectsPostHandshakeGarbage(t *testing.T) {
 	_, _ = conn.Write(bytes.Repeat([]byte{0xAA}, 16))
 
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := ch.RecvMessage(); err == nil {
+	if _, err := ch.Recv(); err == nil {
 		t.Error("server kept talking after garbage ciphertext")
 	}
 }
@@ -146,26 +143,18 @@ func TestServerManyConcurrentClients(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			ch, err := wire.ClientHandshakeVersion(conn, appEnc, storeEnc.Measurement(), nil, wire.ProtocolV1)
+			ch, err := wire.ClientHandshake(conn, appEnc, storeEnc.Measurement())
 			if err != nil {
 				t.Errorf("handshake: %v", err)
 				return
 			}
 			for i := 0; i < 20; i++ {
 				tag := tagOf(string(rune('a'+c)) + string(rune(i)))
-				if err := ch.SendMessage(wire.PutRequest{Tag: tag, Sealed: sealedOf("v")}); err != nil {
-					t.Errorf("put: %v", err)
-					return
-				}
-				if _, err := ch.RecvMessage(); err != nil {
+				if _, err := call(ch, wire.PutRequest{Tag: tag, Sealed: sealedOf("v")}); err != nil {
 					t.Errorf("put reply: %v", err)
 					return
 				}
-				if err := ch.SendMessage(wire.GetRequest{Tag: tag}); err != nil {
-					t.Errorf("get: %v", err)
-					return
-				}
-				msg, err := ch.RecvMessage()
+				msg, err := call(ch, wire.GetRequest{Tag: tag})
 				if err != nil {
 					t.Errorf("get reply: %v", err)
 					return

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"speed/internal/enclave"
+	"speed/internal/mle"
 	"speed/internal/telemetry"
 	"speed/internal/wire"
 )
@@ -33,11 +34,9 @@ type Server struct {
 	idleTimeout      time.Duration
 	writeTimeout     time.Duration
 
-	// maxInflight caps concurrently-executing requests per v2 session
-	// (and sizes that session's worker pool); maxProtocol is the highest
-	// protocol version offered in the handshake.
+	// maxInflight caps concurrently-executing requests per session (and
+	// sizes that session's worker pool).
 	maxInflight int
-	maxProtocol int
 
 	// slowThreshold, when positive, logs one structured line for any
 	// request whose dispatch exceeds it (see WithSlowRequestLog);
@@ -151,11 +150,11 @@ func WithWriteTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.writeTimeout = d }
 }
 
-// WithMaxInflight caps the number of requests a single v2 session may
+// WithMaxInflight caps the number of requests a single session may
 // have executing concurrently (its worker-pool size). A client that
 // pipelines more requests than the cap is simply not read from until a
 // slot frees, providing natural backpressure. Defaults to 32; values
-// below 1 are clamped to 1. v1 sessions are inherently serial.
+// below 1 are clamped to 1.
 func WithMaxInflight(n int) ServerOption {
 	return func(s *Server) {
 		if n < 1 {
@@ -163,13 +162,6 @@ func WithMaxInflight(n int) ServerOption {
 		}
 		s.maxInflight = n
 	}
-}
-
-// WithMaxProtocol pins the highest protocol version the server offers
-// in the attested handshake, used for conservative rollouts and for
-// exercising the v1 fallback in tests. Defaults to wire.MaxProtocol.
-func WithMaxProtocol(v int) ServerOption {
-	return func(s *Server) { s.maxProtocol = v }
 }
 
 // WithTelemetry registers the server's connection, wire-byte,
@@ -202,7 +194,6 @@ func NewServer(st *Store, ln net.Listener, opts ...ServerOption) *Server {
 		idleTimeout:      5 * time.Minute,
 		writeTimeout:     30 * time.Second,
 		maxInflight:      32,
-		maxProtocol:      wire.MaxProtocol,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -292,9 +283,15 @@ func (s *Server) handle(conn net.Conn) {
 	if s.handshakeTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(s.handshakeTimeout))
 	}
-	ch, err := wire.ServerHandshakeVersion(conn, s.store.Enclave(), s.accept, s.trust, s.maxProtocol)
+	ch, err := wire.ServerHandshakeTrust(conn, s.store.Enclave(), s.accept, s.trust)
 	if err != nil {
 		s.logf("store: handshake from %v: %v", conn.RemoteAddr(), err)
+		return
+	}
+	if v := ch.Version(); v < wire.ProtocolV2 {
+		// There is no serial session to serve it: hang up before any
+		// dispatch.
+		s.logf("store: rejecting %v: negotiated protocol v%d, need v%d", conn.RemoteAddr(), v, wire.ProtocolV2)
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -323,69 +320,10 @@ func (s *Server) handle(conn net.Conn) {
 		s.tel.active.Add(1)
 		defer s.tel.active.Add(-1)
 	}
-	if ch.Version() >= wire.ProtocolV2 {
-		s.handleMux(conn, ch, owner, flushBytes)
-		return
-	}
-	s.handleSerial(conn, ch, owner, flushBytes)
+	s.handleMux(conn, ch, owner, flushBytes)
 }
 
-// handleSerial services a v1 session: one request at a time, replies in
-// request order, no envelopes.
-func (s *Server) handleSerial(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, flushBytes func()) {
-	for {
-		if s.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
-		msg, err := ch.RecvMessage()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-				s.logf("store: recv from %v: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		var reqHist *telemetry.Histogram
-		var reqStart time.Time
-		if s.tel != nil {
-			switch msg.(type) {
-			case wire.GetRequest:
-				reqHist = s.tel.getSeconds
-			case wire.PutRequest:
-				reqHist = s.tel.putSeconds
-			}
-		}
-		if s.tel != nil || s.slowThreshold > 0 {
-			reqStart = time.Now()
-		}
-		reply, err := s.Dispatch(owner, msg)
-		if err != nil {
-			s.logf("store: dispatch: %v", err)
-			return
-		}
-		if s.slowThreshold > 0 {
-			// The v1 protocol has no place for a trace context.
-			s.maybeSlowLog(opName(msg), conn.RemoteAddr(), wire.TraceContext{}, time.Since(reqStart))
-		}
-		if s.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		if err := ch.SendMessage(reply); err != nil {
-			s.logf("store: send to %v: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if s.writeTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Time{})
-		}
-		if reqHist != nil {
-			reqHist.Observe(time.Since(reqStart))
-		}
-		if s.tel != nil {
-			flushBytes()
-		}
-	}
-}
-
-// envelopeJob is one decoded v2 request travelling through the session
+// envelopeJob is one decoded request travelling through the session
 // pipeline.
 type envelopeJob struct {
 	id  uint64
@@ -398,7 +336,7 @@ type envelopeJob struct {
 	readAt time.Time
 }
 
-// handleMux services a v2 session as a three-stage pipeline: this
+// handleMux services a session as a three-stage pipeline: this
 // goroutine reads and decodes envelopes, a bounded worker pool executes
 // them against the store (so slow PUTs don't block cheap GETs), and a
 // single writer goroutine serialises replies back onto the channel —
@@ -595,46 +533,28 @@ func (s *Server) maybeSlowLog(op string, peer net.Addr, tc wire.TraceContext, to
 func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Message, error) {
 	switch m := msg.(type) {
 	case wire.GetRequest:
-		sealed, found, err := s.store.GetAs(owner, m.Tag)
-		switch {
-		case errors.Is(err, ErrUnauthorized):
-			// Deny without information: an unauthorized application
-			// learns nothing about which tags exist.
-			return wire.GetResponse{Found: false}, nil
-		case err != nil:
-			return nil, fmt.Errorf("get %v: %w", m.Tag, err)
-		default:
-			return wire.GetResponse{Found: found, Sealed: sealed}, nil
+		r, err := s.store.WireGet(owner, m.Tag)
+		if err != nil {
+			return nil, err
 		}
+		return wire.GetResponse(r), nil
 	case wire.PutRequest:
-		put := s.store.Put
-		if m.Replace {
-			put = s.store.PutReplace
+		r, err := s.store.WirePut(owner, wire.PutItem(m))
+		if err != nil {
+			return nil, err
 		}
-		_, err := put(owner, m.Tag, m.Sealed)
-		switch {
-		case errors.Is(err, ErrQuota), errors.Is(err, ErrUnauthorized):
-			return wire.PutResponse{OK: false, Err: err.Error()}, nil
-		case err != nil:
-			return nil, fmt.Errorf("put %v: %w", m.Tag, err)
-		default:
-			return wire.PutResponse{OK: true}, nil
-		}
+		return wire.PutResponse(r), nil
 	case wire.BatchGetRequest:
 		if s.tel != nil {
 			s.tel.batchSize.Observe(time.Duration(len(m.Tags)))
 		}
 		resp := wire.BatchGetResponse{Results: make([]wire.GetResult, len(m.Tags))}
 		for i, tag := range m.Tags {
-			sealed, found, err := s.store.GetAs(owner, tag)
-			switch {
-			case errors.Is(err, ErrUnauthorized):
-				// Deny without information, as in the single-GET case.
-			case err != nil:
-				return nil, fmt.Errorf("batch get %v: %w", tag, err)
-			default:
-				resp.Results[i] = wire.GetResult{Found: found, Sealed: sealed}
+			r, err := s.store.WireGet(owner, tag)
+			if err != nil {
+				return nil, err
 			}
+			resp.Results[i] = r
 		}
 		return resp, nil
 	case wire.BatchPutRequest:
@@ -643,19 +563,11 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 		}
 		resp := wire.BatchPutResponse{Results: make([]wire.PutResult, len(m.Items))}
 		for i, it := range m.Items {
-			put := s.store.Put
-			if it.Replace {
-				put = s.store.PutReplace
+			r, err := s.store.WirePut(owner, it)
+			if err != nil {
+				return nil, err
 			}
-			_, err := put(owner, it.Tag, it.Sealed)
-			switch {
-			case errors.Is(err, ErrQuota), errors.Is(err, ErrUnauthorized):
-				resp.Results[i] = wire.PutResult{OK: false, Err: err.Error()}
-			case err != nil:
-				return nil, fmt.Errorf("batch put %v: %w", it.Tag, err)
-			default:
-				resp.Results[i] = wire.PutResult{OK: true}
-			}
+			resp.Results[i] = r
 		}
 		return resp, nil
 	case wire.HasBatchRequest:
@@ -690,4 +602,39 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 	default:
 		return nil, fmt.Errorf("store: unexpected message %v", msg.Kind())
 	}
+}
+
+// WireGet is one GET on behalf of owner in wire terms. It and WirePut
+// are the single copy of the store-error → wire-result mapping, shared
+// by every Dispatch arm and the in-process client, so local and remote
+// deployments answer identically. An unauthorized application is
+// denied without information: it sees a miss and learns nothing about
+// which tags exist.
+func (s *Store) WireGet(owner enclave.Measurement, tag mle.Tag) (wire.GetResult, error) {
+	sealed, found, err := s.GetAs(owner, tag)
+	switch {
+	case errors.Is(err, ErrUnauthorized):
+		return wire.GetResult{}, nil
+	case err != nil:
+		return wire.GetResult{}, fmt.Errorf("get %v: %w", tag, err)
+	}
+	return wire.GetResult{Found: found, Sealed: sealed}, nil
+}
+
+// WirePut is one PUT on behalf of owner in wire terms. Quota and
+// authorization rejections are the item's answer, carrying the store's
+// reason; only internal failures are errors.
+func (s *Store) WirePut(owner enclave.Measurement, it wire.PutItem) (wire.PutResult, error) {
+	put := s.Put
+	if it.Replace {
+		put = s.PutReplace
+	}
+	_, err := put(owner, it.Tag, it.Sealed)
+	switch {
+	case errors.Is(err, ErrQuota), errors.Is(err, ErrUnauthorized):
+		return wire.PutResult{Err: err.Error()}, nil
+	case err != nil:
+		return wire.PutResult{}, fmt.Errorf("put %v: %w", it.Tag, err)
+	}
+	return wire.PutResult{OK: true}, nil
 }

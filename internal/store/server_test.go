@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -39,14 +40,34 @@ func dialStore(t *testing.T, addr string, app *enclave.Enclave, storeMeas enclav
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	// These tests speak the raw serial protocol, so pin the offer to v1.
-	ch, err := wire.ClientHandshakeVersion(conn, app, storeMeas, nil, wire.ProtocolV1)
+	ch, err := wire.ClientHandshake(conn, app, storeMeas)
 	if err != nil {
 		conn.Close()
 		t.Fatalf("ClientHandshake: %v", err)
 	}
 	t.Cleanup(func() { ch.Close() })
 	return ch
+}
+
+// call is one request/reply exchange on a raw channel, one at a time:
+// the request rides in an envelope and the reply must echo its ID.
+func call(ch *wire.Channel, req wire.Message) (wire.Message, error) {
+	const id = 7
+	if err := ch.SendEnvelope(id, req); err != nil {
+		return nil, err
+	}
+	payload, err := ch.Recv()
+	if err != nil {
+		return nil, err
+	}
+	gotID, _, msg, err := ch.ParseEnvelope(payload)
+	if err != nil {
+		return nil, err
+	}
+	if gotID != id {
+		return nil, fmt.Errorf("reply carries request ID %d, want %d", gotID, id)
+	}
+	return wire.OwnMessage(msg), nil
 }
 
 func TestServerGetPutOverTCP(t *testing.T) {
@@ -69,12 +90,9 @@ func TestServerGetPutOverTCP(t *testing.T) {
 	tag := tagOf("net-tag")
 
 	// Miss.
-	if err := ch.SendMessage(wire.GetRequest{Tag: tag}); err != nil {
-		t.Fatalf("send get: %v", err)
-	}
-	msg, err := ch.RecvMessage()
+	msg, err := call(ch, wire.GetRequest{Tag: tag})
 	if err != nil {
-		t.Fatalf("recv get: %v", err)
+		t.Fatalf("get: %v", err)
 	}
 	if gr, ok := msg.(wire.GetResponse); !ok || gr.Found {
 		t.Fatalf("reply = %#v, want not-found GetResponse", msg)
@@ -82,24 +100,18 @@ func TestServerGetPutOverTCP(t *testing.T) {
 
 	// Put.
 	sealed := sealedOf("net blob")
-	if err := ch.SendMessage(wire.PutRequest{Tag: tag, Sealed: sealed}); err != nil {
-		t.Fatalf("send put: %v", err)
-	}
-	msg, err = ch.RecvMessage()
+	msg, err = call(ch, wire.PutRequest{Tag: tag, Sealed: sealed})
 	if err != nil {
-		t.Fatalf("recv put: %v", err)
+		t.Fatalf("put: %v", err)
 	}
 	if pr, ok := msg.(wire.PutResponse); !ok || !pr.OK {
 		t.Fatalf("reply = %#v, want OK PutResponse", msg)
 	}
 
 	// Hit.
-	if err := ch.SendMessage(wire.GetRequest{Tag: tag}); err != nil {
-		t.Fatalf("send get: %v", err)
-	}
-	msg, err = ch.RecvMessage()
+	msg, err = call(ch, wire.GetRequest{Tag: tag})
 	if err != nil {
-		t.Fatalf("recv get: %v", err)
+		t.Fatalf("get: %v", err)
 	}
 	gr, ok := msg.(wire.GetResponse)
 	if !ok || !gr.Found || string(gr.Sealed.Blob) != "net blob" {
@@ -118,12 +130,9 @@ func TestServerQuotaRejectionOverTCP(t *testing.T) {
 	srv := startServer(t, s)
 	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
 
-	if err := ch.SendMessage(wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("way-over-quota")}); err != nil {
-		t.Fatalf("send put: %v", err)
-	}
-	msg, err := ch.RecvMessage()
+	msg, err := call(ch, wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("way-over-quota")})
 	if err != nil {
-		t.Fatalf("recv put: %v", err)
+		t.Fatalf("put: %v", err)
 	}
 	pr, ok := msg.(wire.PutResponse)
 	if !ok || pr.OK {
@@ -174,17 +183,11 @@ func TestServerMultipleClients(t *testing.T) {
 	chB := dialStore(t, srv.Addr().String(), appB, storeEnc.Measurement())
 
 	tag := tagOf("shared")
-	if err := chA.SendMessage(wire.PutRequest{Tag: tag, Sealed: sealedOf("shared blob")}); err != nil {
-		t.Fatalf("A put: %v", err)
-	}
-	if _, err := chA.RecvMessage(); err != nil {
+	if _, err := call(chA, wire.PutRequest{Tag: tag, Sealed: sealedOf("shared blob")}); err != nil {
 		t.Fatalf("A put reply: %v", err)
 	}
 
-	if err := chB.SendMessage(wire.GetRequest{Tag: tag}); err != nil {
-		t.Fatalf("B get: %v", err)
-	}
-	msg, err := chB.RecvMessage()
+	msg, err := call(chB, wire.GetRequest{Tag: tag})
 	if err != nil {
 		t.Fatalf("B get reply: %v", err)
 	}
