@@ -75,11 +75,12 @@ func fanOut(groups map[int][]int, run func(*groupResult)) []groupResult {
 	return out
 }
 
-// pick gathers a group's slice of the batch. Groups list their indexes
-// in ascending order without repeats, so a group as long as the batch
-// is the batch itself and needs no copy.
+// pick gathers a group's slice of the batch, in the group's own index
+// order — a failover round lists indexes in the order failures came
+// back, not in batch order. Only a batch of one is passed through
+// uncopied.
 func pick[T any](all []T, idxs []int) []T {
-	if len(idxs) == len(all) {
+	if len(all) == 1 && len(idxs) == 1 {
 		return all
 	}
 	part := make([]T, len(idxs))

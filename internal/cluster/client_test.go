@@ -296,7 +296,7 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 
 	// The repair is queued (the primary is still nominally up) and its
-	// PutBatch retries with backoff; bring the primary back so it lands.
+	// Put retries with backoff; bring the primary back so it lands.
 	env.nodes[primary].restart(t)
 	env.client.repairWG.Wait()
 	if !env.hasTag(primary, tag) {
@@ -345,6 +345,49 @@ func TestClusterSinglePutFailsOver(t *testing.T) {
 	}
 	if env.client.Failovers() <= before {
 		t.Error("failover not counted")
+	}
+}
+
+// TestClusterBatchGetFailoverPositional: a multi-tag Get whose tags all
+// fail over to the same surviving member, from two different dead
+// primaries, still answers positionally. The failover round's group
+// covers the whole batch but lists it in the order the failures came
+// back, not in batch order.
+func TestClusterBatchGetFailoverPositional(t *testing.T) {
+	env := newTestCluster(t, 3, Config{
+		Replicas:      2,
+		FailThreshold: 1000, // the dead primaries stay nominally up
+		ProbeInterval: time.Hour,
+	})
+	const survivor = 2
+	// Alternate the two dead primaries through the batch, every tag with
+	// the survivor as its second replica, so whichever dead member's
+	// failures merge first, the second round's index list is out of order.
+	var tags []mle.Tag
+	for i := 0; len(tags) < 8; i++ {
+		tag := ctag(fmt.Sprintf("swap-%d", i))
+		owners := env.client.ring.owners(tag, 2)
+		if owners[0] == len(tags)%2 && owners[1] == survivor {
+			tags = append(tags, tag)
+		}
+	}
+	for i, tag := range tags {
+		if _, err := env.nodes[survivor].st.Put(env.app.Measurement(), tag, csealed(fmt.Sprintf("swap-%d", i))); err != nil {
+			t.Fatalf("direct put %d: %v", i, err)
+		}
+	}
+	env.nodes[0].kill(t)
+	env.nodes[1].kill(t)
+
+	res, err := env.client.Get(wire.TraceContext{}, tags)
+	if err != nil {
+		t.Fatalf("Get with both primaries dead: %v", err)
+	}
+	for i, r := range res {
+		want := csealed(fmt.Sprintf("swap-%d", i))
+		if !r.Found || !bytes.Equal(r.Sealed.Blob, want.Blob) {
+			t.Errorf("result %d = (found=%v, blob %q), want %q", i, r.Found, r.Sealed.Blob, want.Blob)
+		}
 	}
 }
 

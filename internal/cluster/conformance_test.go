@@ -234,6 +234,16 @@ var conformanceChecks = []struct {
 		if _, err := d.client.Has(wire.TraceContext{}, []mle.Tag{ctag("x")}); err == nil {
 			t.Error("Has succeeded after Close")
 		}
+		// An empty batch makes no round trip, yet must still notice.
+		if _, err := d.client.Get(wire.TraceContext{}, nil); err == nil {
+			t.Error("empty Get succeeded after Close")
+		}
+		if _, err := d.client.Put(wire.TraceContext{}, nil); err == nil {
+			t.Error("empty Put succeeded after Close")
+		}
+		if _, err := d.client.Has(wire.TraceContext{}, nil); err == nil {
+			t.Error("empty Has succeeded after Close")
+		}
 		if err := d.client.Ping(); err == nil {
 			t.Error("Ping succeeded after Close")
 		}

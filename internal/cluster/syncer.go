@@ -144,7 +144,7 @@ func (s *Syncer) SyncOnce() (int, error) {
 	// owners frequently already hold an entry another member reported
 	// hot — skipping it saves the sealed payload on the wire, not just a
 	// duplicate insert at the destination. A candidate is skipped only
-	// when EVERY member PutBatch would replicate to already has it; the
+	// when EVERY member Put would replicate to already has it; the
 	// probe is a hint, so a false negative costs one redundant transfer,
 	// never correctness.
 	items := candidates

@@ -106,7 +106,7 @@ func TestSyncerSkipsPresentEntries(t *testing.T) {
 	}
 }
 
-// TestClientHasBatch routes existence probes to each tag's primary.
+// TestClientHasBatch: Has routes existence probes to each tag's primary.
 func TestClientHasBatch(t *testing.T) {
 	env := newTestCluster(t, 3, Config{Replicas: 1, ProbeInterval: time.Hour})
 	have := ctag("present-tag")
@@ -116,10 +116,10 @@ func TestClientHasBatch(t *testing.T) {
 	}
 	present, err := env.client.Has(wire.TraceContext{}, []mle.Tag{have, ctag("absent-tag")})
 	if err != nil {
-		t.Fatalf("HasBatch: %v", err)
+		t.Fatalf("Has: %v", err)
 	}
 	if len(present) != 2 || !present[0] || present[1] {
-		t.Fatalf("HasBatch = %v, want [true false]", present)
+		t.Fatalf("Has = %v, want [true false]", present)
 	}
 }
 

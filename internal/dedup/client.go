@@ -304,17 +304,6 @@ func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 // Inflight reports the number of requests currently awaiting a reply.
 func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
 
-// ProtocolVersion reports the negotiated wire protocol version of the
-// current connection, or 0 while disconnected.
-func (c *RemoteClient) ProtocolVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.mux == nil {
-		return 0
-	}
-	return c.mux.ch.Version()
-}
-
 // dial establishes one attested channel, bounding connect plus
 // handshake with DialTimeout, and spawns its demultiplexer. A peer that
 // negotiates below ProtocolV2 is hung up on: the client has no serial
@@ -494,8 +483,12 @@ func sleepJittered(d time.Duration) {
 // windowed is the one wire.MaxBatchItems slicing loop: it issues one
 // round trip per window of the n items. request builds the message for
 // items [lo, hi); absorb consumes the reply and reports how many items
-// it answered, or false for a reply of the wrong kind.
+// it answered, or false for a reply of the wrong kind. An empty batch
+// makes no round trip to notice a closed client, so it checks here.
 func (c *RemoteClient) windowed(op string, tc wire.TraceContext, n int, request func(lo, hi int) wire.Message, absorb func(wire.Message) (int, bool)) error {
+	if n == 0 && c.isClosed() {
+		return fmt.Errorf("dedup: %s: %w", op, errClientClosed)
+	}
 	for lo := 0; lo < n; lo += wire.MaxBatchItems {
 		hi := lo + wire.MaxBatchItems
 		if hi > n {

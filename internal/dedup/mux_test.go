@@ -59,10 +59,6 @@ func newMuxEnv(t *testing.T, serverOpts []store.ServerOption, cfg RemoteConfig) 
 
 func TestMuxConcurrentCallersOneConnection(t *testing.T) {
 	env := newMuxEnv(t, nil, RemoteConfig{})
-	if v := env.client.ProtocolVersion(); v != wire.ProtocolV2 {
-		t.Fatalf("ProtocolVersion = %d, want %d", v, wire.ProtocolV2)
-	}
-
 	const workers = 16
 	const perWorker = 15
 	var wg sync.WaitGroup
@@ -213,9 +209,6 @@ func TestV1ServerRejected(t *testing.T) {
 	}
 	if r := client.Retries(); r != 0 {
 		t.Errorf("Retries = %d, want 0: the rejection is not transient", r)
-	}
-	if v := client.ProtocolVersion(); v != 0 {
-		t.Errorf("ProtocolVersion = %d after rejection, want 0 (disconnected)", v)
 	}
 }
 
