@@ -55,7 +55,6 @@ bench:
 	$(GO) run ./cmd/speedbench -quick -exp fig6 -metrics-out BENCH_fig6.json
 	$(GO) run ./cmd/speedbench -quick -exp concurrency -metrics-out BENCH_concurrency.json
 	$(GO) run ./cmd/speedbench -quick -exp cluster -metrics-out BENCH_cluster.json
-	$(GO) run ./cmd/speedbench -quick -exp persist -metrics-out BENCH_persist.json
 	$(GO) run ./cmd/speedbench -quick -exp chunk -metrics-out BENCH_chunk.json
 
 # Instrumentation overhead gate: BenchmarkExecuteHitTelemetry must stay

@@ -5,15 +5,14 @@
 //
 // Usage:
 //
-//	resultstore -listen 127.0.0.1:7800 [-blobdir /var/lib/speed] \
+//	resultstore -listen 127.0.0.1:7800 \
 //	            [-data-dir /var/lib/speed/store -machine-seed SEED] \
 //	            [-max-entries 100000] [-quota-bytes 1073741824] \
 //	            [-metrics 127.0.0.1:9090] [-stats-interval 30s]
 //
 // With -data-dir the dictionary runs on the persistent log-structured
-// engine (sealed WAL + segments) and survives crashes; without it the
-// store is in-memory and -snapshot provides shutdown/interval
-// durability.
+// engine (sealed WAL + segments) and survives crashes and restarts;
+// without it the store is a volatile in-memory cache.
 //
 // On startup it prints the store enclave's measurement, which client
 // applications pin during the attested channel handshake.
@@ -43,9 +42,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("resultstore", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7800", "listen address")
-	blobDir := fs.String("blobdir", "", "directory for ciphertext blobs (default: in-memory)")
-	engine := fs.String("engine", "", "storage engine: memory or log (default: memory, or log when -data-dir is set)")
-	dataDir := fs.String("data-dir", "", "log engine data directory (sealed WAL + segments); implies -engine log")
+	dataDir := fs.String("data-dir", "", "run on the persistent log engine rooted at this directory (sealed WAL + segments); empty = volatile in-memory store")
 	fsync := fs.String("fsync", "", "log engine WAL durability: commit (default), interval or none")
 	memtableBytes := fs.Int64("memtable-bytes", 0, "log engine memtable budget before flushing a segment (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "log engine hot-entry cache budget (0 = default)")
@@ -57,9 +54,7 @@ func run(args []string) error {
 	quotaBytes := fs.Int64("quota-bytes", 0, "per-application ciphertext byte quota (0 = unlimited)")
 	quotaRate := fs.Float64("quota-put-rate", 0, "per-application PUT rate limit per second (0 = unlimited)")
 	noSGX := fs.Bool("no-sgx", false, "disable simulated SGX transition costs")
-	snapshotPath := fs.String("snapshot", "", "sealed snapshot file: restored at startup if present, written on shutdown")
-	snapshotInterval := fs.Duration("snapshot-interval", 0, "also autosave the sealed snapshot at this interval, so a crash costs at most one interval (0 = shutdown-only)")
-	machineSeed := fs.String("machine-seed", "", "deterministic machine identity (required for -snapshot to survive restarts)")
+	machineSeed := fs.String("machine-seed", "", "deterministic machine identity (required with -data-dir: sealed records reopen only under the same seed)")
 	ttl := fs.Duration("ttl", 0, "entry time-to-live (0 = never expire)")
 	handshakeTimeout := fs.Duration("handshake-timeout", 10*time.Second, "attested handshake deadline for new connections (0 = unbounded)")
 	idleTimeout := fs.Duration("idle-timeout", 5*time.Minute, "close connections idle longer than this (0 = unbounded)")
@@ -70,18 +65,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	persistent := *dataDir != "" || *engine == store.EngineLog
-	if *snapshotPath != "" && *machineSeed == "" {
-		return fmt.Errorf("-snapshot requires -machine-seed (sealing is machine-bound)")
-	}
 	if *dataDir != "" && *machineSeed == "" {
 		return fmt.Errorf("-data-dir requires -machine-seed (the WAL and segments are sealed machine-bound; without a deterministic seed a restart cannot unseal them)")
-	}
-	if *snapshotInterval > 0 && *snapshotPath == "" && !persistent {
-		return fmt.Errorf("-snapshot-interval requires -snapshot (or a persistent -data-dir engine, where it becomes a checkpoint interval)")
-	}
-	if *snapshotPath != "" && persistent {
-		return fmt.Errorf("-snapshot and -data-dir are mutually exclusive: the log engine is already durable")
 	}
 
 	platform := enclave.NewPlatform(enclave.Config{
@@ -93,25 +78,16 @@ func run(args []string) error {
 		return fmt.Errorf("create enclave: %w", err)
 	}
 
-	var blobs store.BlobStore
-	if *blobDir != "" {
-		blobs, err = store.NewDiskBlobStore(*blobDir)
-		if err != nil {
-			return err
-		}
-	}
 	reg := telemetry.NewRegistry()
 	platform.RegisterTelemetry(reg)
 	storeEnc.RegisterTelemetry(reg)
 	st, err := store.New(store.Config{
 		Enclave:         storeEnc,
-		Blobs:           blobs,
 		Shards:          *shards,
 		MaxEntries:      *maxEntries,
 		MaxBlobBytes:    *maxBlobBytes,
 		TTL:             *ttl,
 		Telemetry:       reg,
-		Engine:          *engine,
 		DataDir:         *dataDir,
 		MemtableBytes:   *memtableBytes,
 		CacheBytes:      *cacheBytes,
@@ -128,7 +104,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if st.Persistent() {
+	if *dataDir != "" {
 		es := st.EngineStats()
 		fsyncName := *fsync
 		if fsyncName == "" {
@@ -136,18 +112,6 @@ func run(args []string) error {
 		}
 		fmt.Printf("resultstore: log engine on %s (fsync %s): %d entries recovered (%d replayed from WAL, %d segments)\n",
 			*dataDir, fsyncName, st.Stats().Entries, es.Replayed, es.Segments)
-	}
-
-	if *snapshotPath != "" {
-		if data, rerr := os.ReadFile(*snapshotPath); rerr == nil {
-			n, rerr := st.RestoreSnapshot(data)
-			if rerr != nil {
-				return fmt.Errorf("restore snapshot: %w", rerr)
-			}
-			fmt.Printf("resultstore: restored %d entries from %s\n", n, *snapshotPath)
-		} else if !os.IsNotExist(rerr) {
-			return fmt.Errorf("read snapshot: %w", rerr)
-		}
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -214,20 +178,6 @@ func run(args []string) error {
 		}()
 	}
 
-	if *snapshotInterval > 0 {
-		saver := store.NewAutosaver(st, *snapshotPath, *snapshotInterval,
-			func(format string, args ...any) {
-				fmt.Printf("resultstore: "+format+"\n", args...)
-			})
-		saver.Start()
-		defer saver.Stop()
-		if st.Persistent() {
-			fmt.Printf("resultstore: checkpointing (memtable flush + WAL fsync) every %v\n", *snapshotInterval)
-		} else {
-			fmt.Printf("resultstore: autosaving snapshot to %s every %v\n", *snapshotPath, *snapshotInterval)
-		}
-	}
-
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve() }()
 
@@ -238,16 +188,6 @@ func run(args []string) error {
 		fmt.Printf("resultstore: %v, shutting down\n", sig)
 		if err := srv.Close(); err != nil {
 			return err
-		}
-		if *snapshotPath != "" {
-			snap, serr := st.SealSnapshot()
-			if serr != nil {
-				return fmt.Errorf("seal snapshot: %w", serr)
-			}
-			if serr := os.WriteFile(*snapshotPath, snap, 0o600); serr != nil {
-				return fmt.Errorf("write snapshot: %w", serr)
-			}
-			fmt.Printf("resultstore: sealed %d bytes to %s\n", len(snap), *snapshotPath)
 		}
 		summary("final")
 		// Closing the store flushes the log engine's memtable and syncs

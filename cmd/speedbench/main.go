@@ -12,7 +12,6 @@
 //	speedbench -exp resilience     # store-outage fault injection
 //	speedbench -exp concurrency    # mux throughput: workers x batch size
 //	speedbench -exp cluster        # 3-node ring, one member killed mid-run
-//	speedbench -exp persist        # log engine: beyond-RAM load, kill -9, recovery
 //	speedbench -exp chunk          # chunked dedup vs whole-result on near-duplicates
 //	speedbench -quick              # reduced sizes/trials for a fast pass
 //
@@ -45,7 +44,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("speedbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: all, table1, fig5 (=fig5a-d), fig5a, fig5b, fig5c, fig5d, fig6, ablations, effort, resilience, concurrency, cluster, persist, chunk")
+	exp := fs.String("exp", "all", "experiment: all, table1, fig5 (=fig5a-d), fig5a, fig5b, fig5c, fig5d, fig6, ablations, effort, resilience, concurrency, cluster, chunk")
 	quick := fs.Bool("quick", false, "reduced sizes and trials")
 	trials := fs.Int("trials", 0, "override trial count (0 = default)")
 	storeTimeout := fs.Duration("store-timeout", 200*time.Millisecond, "resilience: per-request store deadline")
@@ -94,9 +93,6 @@ func run(args []string) error {
 		"cluster": func() error {
 			return runCluster(*quick)
 		},
-		"persist": func() error {
-			return runPersist(*quick)
-		},
 		"chunk": func() error {
 			return runChunk(*quick)
 		},
@@ -123,7 +119,7 @@ func run(args []string) error {
 
 	var err error
 	if *exp == "all" {
-		err = runNamed("table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "ablations", "effort", "resilience", "concurrency", "cluster", "persist", "chunk")
+		err = runNamed("table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "ablations", "effort", "resilience", "concurrency", "cluster", "chunk")
 	} else if fn, ok := experiments[*exp]; ok {
 		err = fn()
 	} else {
@@ -165,9 +161,6 @@ type metricsReport struct {
 	// Cluster holds the multi-node fault-injection phases when the
 	// cluster experiment ran.
 	Cluster []bench.ClusterPhase `json:"cluster,omitempty"`
-	// Persist holds the log-engine crash-recovery measurements when the
-	// persist experiment ran.
-	Persist *bench.PersistResult `json:"persist,omitempty"`
 	// Chunk holds the chunked-dedup overlap sweep when the chunk
 	// experiment ran.
 	Chunk    []bench.ChunkRow   `json:"chunk,omitempty"`
@@ -178,7 +171,6 @@ type metricsReport struct {
 // experiment into the metrics report.
 var concurrencyRows []bench.ConcurrencyRow
 var clusterPhases []bench.ClusterPhase
-var persistResult *bench.PersistResult
 var chunkRows []bench.ChunkRow
 
 // labelValue extracts one label's value from a rendered metric name
@@ -223,7 +215,6 @@ func writeMetricsReport(path, experiment string, reg *telemetry.Registry) error 
 		Execute:     quantileRows(snap, "speed_execute_seconds", "outcome"),
 		Concurrency: concurrencyRows,
 		Cluster:     clusterPhases,
-		Persist:     persistResult,
 		Chunk:       chunkRows,
 		Snapshot:    snap,
 	}
@@ -420,26 +411,6 @@ func runCluster(quick bool) error {
 	clusterPhases = phases
 	fmt.Print(bench.RenderCluster(cfg.Nodes, cfg.Replicas, phases))
 	return nil
-}
-
-func runPersist(quick bool) error {
-	dir, err := os.MkdirTemp("", "speed-persist-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg := bench.PersistConfig{Dir: dir}
-	if quick {
-		cfg.Records = 256
-		cfg.MemtableBytes = 32 << 10
-		cfg.CacheBytes = 32 << 10
-	}
-	res, err := bench.Persist(cfg)
-	if res != nil {
-		persistResult = res
-		fmt.Print(bench.RenderPersist(res))
-	}
-	return err
 }
 
 // runChunk sweeps near-duplicate workloads at controlled overlap

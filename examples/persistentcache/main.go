@@ -1,6 +1,7 @@
 // Persistentcache: demonstrates the extension features — controlled
-// deduplication (deny-by-default authorization), sealed snapshots that
-// survive a process "restart" on the same machine, and adaptive
+// deduplication (deny-by-default authorization), a store data
+// directory that survives a process "restart" on the same machine, and
+// adaptive
 // deduplication that learns to bypass the store for functions where
 // deduplication does not pay.
 package main
@@ -23,9 +24,13 @@ func main() {
 
 const machineSeed = "rack42-node7" // the machine's identity (fused key analogue)
 
-func newSystem() (*speed.System, error) {
+// newSystem opens a deployment whose ResultStore lives in dataDir (the
+// persistent log engine); the same seed and directory reopen the same
+// store.
+func newSystem(dataDir string) (*speed.System, error) {
 	return speed.NewSystemWithConfig(speed.SystemConfig{
 		PlatformSeed:  []byte(machineSeed),
+		StoreDataDir:  dataDir,
 		DenyByDefault: true, // controlled deduplication
 	})
 }
@@ -66,8 +71,14 @@ func newApp(sys *speed.System) (*speed.App, *speed.Deduplicable[[]byte, []byte],
 }
 
 func run() error {
+	dataDir, err := os.MkdirTemp("", "speed-persistentcache-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dataDir)
+
 	// ---- First "process lifetime" ----
-	sys1, err := newSystem()
+	sys1, err := newSystem(dataDir)
 	if err != nil {
 		return err
 	}
@@ -99,28 +110,19 @@ func run() error {
 			report.Bypassed, report.ComputeMS, report.OverheadMS, report.HitRate*100)
 	}
 
-	// Snapshot before "shutdown".
-	snapshot, err := sys1.SealSnapshot()
-	if err != nil {
-		return err
-	}
 	if err := app1.Close(); err != nil {
 		return err
 	}
 	sys1.Close()
-	fmt.Printf("lifetime 1 ended; sealed snapshot: %d bytes\n\n", len(snapshot))
+	fmt.Printf("lifetime 1 ended; store closed on %s\n\n", dataDir)
 
 	// ---- Second "process lifetime" on the same machine ----
-	sys2, err := newSystem()
+	sys2, err := newSystem(dataDir)
 	if err != nil {
 		return err
 	}
 	defer sys2.Close()
-	restored, err := sys2.RestoreSnapshot(snapshot)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("lifetime 2: restored %d entries from snapshot\n", restored)
+	fmt.Printf("lifetime 2: reopened the store with %d entries\n", sys2.StoreStats().Entries)
 
 	app2, deflate2, _, err := newApp(sys2)
 	if err != nil {

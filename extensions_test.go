@@ -7,7 +7,8 @@ import (
 )
 
 // Tests for the extension features: controlled deduplication,
-// oblivious lookups, sealed snapshots, and adaptive deduplication.
+// oblivious lookups, a store data directory that survives restarts,
+// and adaptive deduplication.
 
 func TestControlledDeduplication(t *testing.T) {
 	sys, err := NewSystemWithConfig(SystemConfig{
@@ -99,99 +100,107 @@ func TestObliviousSystem(t *testing.T) {
 	}
 }
 
-func TestSnapshotAcrossRestart(t *testing.T) {
-	seed := []byte("persistent-machine")
-	mkSys := func() *System {
-		sys, err := NewSystemWithConfig(SystemConfig{
-			DisableSGXCosts: true,
-			PlatformSeed:    seed,
-		})
-		if err != nil {
-			t.Fatalf("NewSystem: %v", err)
-		}
-		t.Cleanup(sys.Close)
-		return sys
-	}
-	mkApp := func(sys *System, name string) *Deduplicable[int, int] {
-		app, err := sys.NewApp(name, []byte("app code"))
-		if err != nil {
-			t.Fatalf("NewApp: %v", err)
-		}
-		t.Cleanup(func() { _ = app.Close() })
-		app.RegisterLibrary("mathlib", "1.0", []byte("mathlib code"))
-		f, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) { return x * x, nil })
-		if err != nil {
-			t.Fatalf("NewDeduplicable: %v", err)
-		}
-		return f
-	}
+// restartSystem opens a deployment on dataDir under seed, as one
+// process lifetime of a machine with that identity would.
+func restartSystem(seed, dataDir string) (*System, error) {
+	return NewSystemWithConfig(SystemConfig{
+		DisableSGXCosts: true,
+		PlatformSeed:    []byte(seed),
+		StoreDataDir:    dataDir,
+	})
+}
 
-	sys1 := mkSys()
-	f1 := mkApp(sys1, "app")
-	for i := 0; i < 5; i++ {
-		if _, err := f1.Call(i); err != nil {
-			t.Fatalf("Call: %v", err)
-		}
-	}
-	snap, err := sys1.SealSnapshot()
+// squareFive runs square(0..4) through a fresh app on sys and returns
+// the outcomes.
+func squareFive(t *testing.T, sys *System) []Outcome {
+	t.Helper()
+	app, err := sys.NewApp("app", []byte("app code"))
 	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
+		t.Fatalf("NewApp: %v", err)
 	}
+	defer app.Close()
+	app.RegisterLibrary("mathlib", "1.0", []byte("mathlib code"))
+	f, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) { return x * x, nil })
+	if err != nil {
+		t.Fatalf("NewDeduplicable: %v", err)
+	}
+	outcomes := make([]Outcome, 5)
+	for i := range outcomes {
+		got, outcome, err := f.CallOutcome(i)
+		if err != nil || got != i*i {
+			t.Fatalf("Call(%d) = (%d, %v)", i, got, err)
+		}
+		outcomes[i] = outcome
+	}
+	return outcomes
+}
 
-	// "Restart": new System with the same platform seed.
-	sys2 := mkSys()
-	n, err := sys2.RestoreSnapshot(snap)
+func TestStoreDataDirAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	sys1, err := restartSystem("persistent-machine", dir)
 	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+		t.Fatalf("NewSystem: %v", err)
 	}
-	if n != 5 {
-		t.Errorf("restored %d entries, want 5", n)
-	}
-	f2 := mkApp(sys2, "app")
-	for i := 0; i < 5; i++ {
-		_, outcome, err := f2.CallOutcome(i)
-		if err != nil {
-			t.Fatalf("restored Call(%d): %v", i, err)
+	for i, o := range squareFive(t, sys1) {
+		if o != OutcomeComputed {
+			t.Fatalf("first lifetime Call(%d) outcome = %v, want computed", i, o)
 		}
-		if outcome != OutcomeReused {
-			t.Errorf("Call(%d) outcome = %v, want reused from snapshot", i, outcome)
+	}
+	sys1.Close()
+
+	// "Restart": same machine seed, same data directory.
+	sys2, err := restartSystem("persistent-machine", dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer sys2.Close()
+	for i, o := range squareFive(t, sys2) {
+		if o != OutcomeReused {
+			t.Errorf("Call(%d) outcome after restart = %v, want reused from the data directory", i, o)
 		}
 	}
 }
 
-func TestSnapshotWrongSeedRejected(t *testing.T) {
-	sys1, err := NewSystemWithConfig(SystemConfig{
-		DisableSGXCosts: true,
-		PlatformSeed:    []byte("machine-A"),
-	})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	defer sys1.Close()
-	app := newTestApp(t, sys1, "a")
-	f, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) { return x, nil })
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-	if _, err := f.Call(1); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	snap, err := sys1.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
+// A data directory is bound to the machine that wrote it: another
+// PlatformSeed must never be served a stored result.
+func TestStoreDataDirWrongSeedRejected(t *testing.T) {
+	t.Run("after a kill", func(t *testing.T) {
+		dir := t.TempDir()
+		sys1, err := restartSystem("machine-A", dir)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		defer sys1.Close()
+		squareFive(t, sys1)
+		sys1.store.Crash() // kill -9: the records are still in the sealed WAL
 
-	sys2, err := NewSystemWithConfig(SystemConfig{
-		DisableSGXCosts: true,
-		PlatformSeed:    []byte("machine-B"),
+		if sys2, err := restartSystem("machine-B", dir); err == nil {
+			sys2.Close()
+			t.Fatal("a different machine opened the data directory without error")
+		}
 	})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	defer sys2.Close()
-	if _, err := sys2.RestoreSnapshot(snap); err == nil {
-		t.Error("snapshot restored on a different machine")
-	}
+	t.Run("after a clean close", func(t *testing.T) {
+		// With an empty WAL nothing is unsealed at open; each sealed
+		// record fails authentication when first looked up instead.
+		dir := t.TempDir()
+		sys1, err := restartSystem("machine-A", dir)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		squareFive(t, sys1)
+		sys1.Close()
+
+		sys2, err := restartSystem("machine-B", dir)
+		if err != nil {
+			return // refusing to open is also acceptable
+		}
+		defer sys2.Close()
+		for i, o := range squareFive(t, sys2) {
+			if o == OutcomeReused {
+				t.Errorf("Call(%d) on a different machine reused a stored result", i)
+			}
+		}
+	})
 }
 
 func TestAdaptiveAppBypassesCheapFunction(t *testing.T) {

@@ -165,10 +165,10 @@ func TestAblationAsyncPut(t *testing.T) {
 	if r.SyncMS <= 0 || r.AsyncMS <= 0 {
 		t.Fatalf("non-positive timings: %+v", r)
 	}
-	// Async must shave caller-visible latency for large results.
-	if r.AsyncMS >= r.SyncMS {
-		t.Errorf("async put not cheaper: sync %.3f, async %.3f", r.SyncMS, r.AsyncMS)
-	}
+	// AsyncMS < SyncMS is not asserted: it is a timing inequality that
+	// flakes on small boxes. That the caller returns before the upload
+	// and Close drains it is pinned by dedup's TestExecuteAsyncPut and
+	// TestCloseDrainsAsyncPuts.
 	if out := RenderAblationAsyncPut(rows); !strings.Contains(out, "sync(ms)") {
 		t.Errorf("render malformed:\n%s", out)
 	}

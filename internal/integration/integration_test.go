@@ -49,13 +49,20 @@ func newStack(t *testing.T, storeCfg store.Config, platCfg enclave.Config) *stac
 
 func (s *stack) newApp(name string) *dedup.Runtime {
 	s.t.Helper()
+	return s.newAppVia(name, func(c dedup.StoreClient) dedup.StoreClient { return c })
+}
+
+// newAppVia is newApp with the store client passed through wrap, so a
+// test can interpose on the runtime's store traffic.
+func (s *stack) newAppVia(name string, wrap func(dedup.StoreClient) dedup.StoreClient) *dedup.Runtime {
+	s.t.Helper()
 	enc, err := s.platform.Create(name, []byte(name+" code"))
 	if err != nil {
 		s.t.Fatalf("create app enclave: %v", err)
 	}
 	rt, err := dedup.NewRuntime(dedup.Config{
 		Enclave: enc,
-		Client:  dedup.NewLocalClient(s.store, enc.Measurement()),
+		Client:  wrap(dedup.NewLocalClient(s.store, enc.Measurement())),
 		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
@@ -176,20 +183,13 @@ func TestAllWorkloadsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRestartRecoveryWithSnapshotAndDiskBlobs models a full store
-// restart: sealed metadata snapshot + disk blob directory survive; a
-// fresh process (same machine seed, same store code) restores and
-// applications keep hitting.
-func TestRestartRecoveryWithSnapshotAndDiskBlobs(t *testing.T) {
+// TestRestartRecoveryFromDataDir models a full store restart: the
+// log engine's data directory survives; a fresh process (same machine
+// seed, same store code) reopens it and applications keep hitting.
+func TestRestartRecoveryFromDataDir(t *testing.T) {
 	dir := t.TempDir()
-	seed := []byte("machine-7")
-
 	mkStack := func() *stack {
-		blobs, err := store.NewDiskBlobStore(dir)
-		if err != nil {
-			t.Fatalf("NewDiskBlobStore: %v", err)
-		}
-		return newStack(t, store.Config{Blobs: blobs}, enclave.Config{PlatformSeed: seed})
+		return newStack(t, store.Config{DataDir: dir}, enclave.Config{PlatformSeed: []byte("machine-7")})
 	}
 
 	s1 := mkStack()
@@ -203,36 +203,29 @@ func TestRestartRecoveryWithSnapshotAndDiskBlobs(t *testing.T) {
 			t.Fatalf("Execute: %v", err)
 		}
 	}
-	snap, err := s1.store.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
 	s1.store.Close()
 
 	// "Restart".
 	s2 := mkStack()
-	n, err := s2.store.RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if n != 10 {
-		t.Fatalf("restored %d entries, want 10", n)
+	defer s2.store.Close()
+	if n := s2.store.Len(); n != 10 {
+		t.Fatalf("reopened store has %d entries, want 10", n)
 	}
 	rt2 := s2.newApp("app")
 	id2 := appFuncID(t, rt2, "expensive")
 	for i := 0; i < 10; i++ {
 		res, outcome, err := rt2.Execute(id2, []byte(fmt.Sprintf("input-%d", i)), func([]byte) ([]byte, error) {
-			t.Error("recomputed after restore")
+			t.Error("recomputed after restart")
 			return nil, nil
 		})
 		if err != nil {
-			t.Fatalf("Execute after restore: %v", err)
+			t.Fatalf("Execute after restart: %v", err)
 		}
 		if outcome != dedup.OutcomeReused {
 			t.Errorf("input %d outcome = %v, want reused", i, outcome)
 		}
 		if want := fmt.Sprintf("result-of-input-%d", i); string(res) != want {
-			t.Errorf("restored result = %q, want %q", res, want)
+			t.Errorf("restart result = %q, want %q", res, want)
 		}
 	}
 }
@@ -318,46 +311,43 @@ func TestReplicationAcrossMachines(t *testing.T) {
 	}
 }
 
-// flakyBlobStore fails every nth operation, injecting untrusted-storage
-// faults.
-type flakyBlobStore struct {
-	inner store.BlobStore
+// flakyClient fails every nth GET or PUT round trip, injecting faults
+// on the path to the untrusted store.
+type flakyClient struct {
+	dedup.StoreClient
 	mu    sync.Mutex
 	n     int
 	count int
 }
 
-func (f *flakyBlobStore) tick() bool {
+func (f *flakyClient) tick() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.count++
 	return f.count%f.n == 0
 }
 
-func (f *flakyBlobStore) Put(data []byte) (store.BlobID, error) {
+func (f *flakyClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
 	if f.tick() {
-		return 0, errors.New("injected blob put failure")
+		return nil, errors.New("injected store get failure")
 	}
-	return f.inner.Put(data)
+	return f.StoreClient.Get(tc, tags)
 }
 
-func (f *flakyBlobStore) Get(id store.BlobID) ([]byte, error) {
+func (f *flakyClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	if f.tick() {
-		return nil, errors.New("injected blob get failure")
+		return nil, errors.New("injected store put failure")
 	}
-	return f.inner.Get(id)
+	return f.StoreClient.Put(tc, items)
 }
 
-func (f *flakyBlobStore) Delete(id store.BlobID) error { return f.inner.Delete(id) }
-func (f *flakyBlobStore) Bytes() int64                 { return f.inner.Bytes() }
-
-// TestFlakyUntrustedStorage: faults in the untrusted blob store must
-// never produce wrong results — only recomputation.
+// TestFlakyUntrustedStorage: faults on the way to the untrusted store
+// must never produce wrong results — only recomputation.
 func TestFlakyUntrustedStorage(t *testing.T) {
-	s := newStack(t, store.Config{
-		Blobs: &flakyBlobStore{inner: store.NewMemBlobStore(), n: 3},
-	}, enclave.Config{})
-	rt := s.newApp("app")
+	s := newStack(t, store.Config{}, enclave.Config{})
+	rt := s.newAppVia("app", func(c dedup.StoreClient) dedup.StoreClient {
+		return &flakyClient{StoreClient: c, n: 3}
+	})
 	id := appFuncID(t, rt, "f")
 
 	compute := func(in []byte) ([]byte, error) {
@@ -375,7 +365,11 @@ func TestFlakyUntrustedStorage(t *testing.T) {
 			}
 		}
 	}
-	if got := rt.Stats().Reused; got == 0 {
+	st := rt.Stats()
+	if st.StoreFailures == 0 {
+		t.Error("no store failure was injected")
+	}
+	if st.Reused == 0 {
 		t.Error("no reuse at all despite mostly-working storage")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
+	"speed/internal/store/logengine/logenginetest"
 )
 
 // End-to-end checks of the security claims in Sections II-C and III-D
@@ -73,35 +74,35 @@ func TestQueryForgingAttackDefeated(t *testing.T) {
 	}
 }
 
-// Cache poisoning (Sections III-D / II-C): a store-controlling
-// adversary substitutes blobs, challenges and wrapped keys; the victim
-// never accepts a wrong result — it either reuses a correct one or
-// recomputes.
+// Cache poisoning (Sections III-D / II-C): a storage-controlling
+// adversary rewrites a stored result on the untrusted disk; the victim
+// never accepts a wrong result — it recomputes, and the recomputation
+// replaces the poisoned entry so later calls reuse again. (An entry the
+// store itself substitutes is TestExecuteRecoversFromPoisonedEntry in
+// internal/dedup.)
 func TestCachePoisoningNeverYieldsWrongResults(t *testing.T) {
-	blobs := store.NewMemBlobStore()
-	s := newStack(t, store.Config{Blobs: blobs}, enclave.Config{})
-	app := s.newApp("app")
-	id := appFuncID(t, app, "f")
-
+	dir := t.TempDir()
+	mkStack := func() *stack {
+		return newStack(t, store.Config{DataDir: dir}, enclave.Config{PlatformSeed: []byte("victim-machine")})
+	}
 	compute := func(in []byte) ([]byte, error) {
 		return append([]byte("good-"), in...), nil
 	}
 	input := []byte("x")
-	if _, _, err := app.Execute(id, input, compute); err != nil {
+
+	s1 := mkStack()
+	app1 := s1.newApp("app")
+	id := appFuncID(t, app1, "f")
+	if _, _, err := app1.Execute(id, input, compute); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
+	s1.store.Close() // flushes the result into a segment
 
-	// Poison the untrusted blob storage: overwrite every blob with
-	// attacker bytes (BlobIDs are small integers).
-	for i := store.BlobID(1); i <= 4; i++ {
-		if _, err := blobs.Get(i); err == nil {
-			_ = blobs.Delete(i)
-			if _, err := blobs.Put([]byte("attacker-controlled bytes")); err != nil {
-				t.Fatalf("poison Put: %v", err)
-			}
-		}
-	}
+	logenginetest.TamperSegmentRecord(t, dir, mle.ComputeTag(id, input))
 
+	s2 := mkStack()
+	defer s2.store.Close()
+	app := s2.newApp("app")
 	res, outcome, err := app.Execute(id, input, compute)
 	if err != nil {
 		t.Fatalf("Execute after poisoning: %v", err)
@@ -109,10 +110,15 @@ func TestCachePoisoningNeverYieldsWrongResults(t *testing.T) {
 	if string(res) != "good-x" {
 		t.Fatalf("poisoned store produced wrong result %q", res)
 	}
-	// Either the blob vanished (treated as miss -> computed) or failed
-	// verification (recomputed); both are safe.
 	if outcome == dedup.OutcomeReused {
 		t.Fatalf("poisoned entry was reused")
+	}
+	res, outcome, err = app.Execute(id, input, func([]byte) ([]byte, error) {
+		t.Error("recomputed again after the replacement upload")
+		return nil, nil
+	})
+	if err != nil || string(res) != "good-x" || outcome != dedup.OutcomeReused {
+		t.Errorf("call after replacement = (%q, %v, %v), want the good result reused", res, outcome, err)
 	}
 }
 

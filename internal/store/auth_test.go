@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"testing"
-
-	"speed/internal/enclave"
 )
 
 func TestACLDefaults(t *testing.T) {
@@ -122,213 +120,5 @@ func TestObliviousModeSkipsLRUUpdate(t *testing.T) {
 	}
 	if _, found, _ := s.Get(tagOf("b")); !found {
 		t.Error("b wrongly evicted")
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("machine-1")})
-	enc1, err := p.Create("store-1", []byte("store code v1"))
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	s1, err := New(Config{Enclave: enc1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	owner := ownerOf("app")
-	for i := 0; i < 5; i++ {
-		if _, err := s1.Put(owner, tagOf(string(rune('a'+i))), sealedOf("blob-"+string(rune('a'+i)))); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	// Accumulate hits on one entry.
-	for i := 0; i < 3; i++ {
-		s1.Get(tagOf("b"))
-	}
-
-	snap, err := s1.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-
-	// "Restart": a fresh platform with the same seed (same machine),
-	// same store code.
-	p2 := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("machine-1")})
-	enc2, err := p2.Create("store-2", []byte("store code v1"))
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	s2, err := New(Config{Enclave: enc2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	n, err := s2.RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if n != 5 {
-		t.Errorf("restored %d entries, want 5", n)
-	}
-	for i := 0; i < 5; i++ {
-		key := string(rune('a' + i))
-		got, found, err := s2.Get(tagOf(key))
-		if err != nil || !found {
-			t.Fatalf("restored Get(%s) = (%v, %v)", key, found, err)
-		}
-		if string(got.Blob) != "blob-"+key {
-			t.Errorf("restored blob = %q, want %q", got.Blob, "blob-"+key)
-		}
-	}
-	// Hit counts survive (replication popularity is preserved).
-	entries, err := s2.Export(3)
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	if len(entries) != 1 || entries[0].Tag != tagOf("b") {
-		t.Errorf("hot entry hits lost: Export(3) = %d entries", len(entries))
-	}
-}
-
-func TestSnapshotRejectsWrongIdentity(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("machine-1")})
-	enc1, _ := p.Create("store-1", []byte("store code v1"))
-	s1, err := New(Config{Enclave: enc1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := s1.Put(ownerOf("app"), tagOf("t"), sealedOf("b")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	snap, err := s1.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-
-	// Different store code on the same machine: must not unseal.
-	encEvil, _ := p.Create("evil", []byte("EVIL store code"))
-	sEvil, err := New(Config{Enclave: encEvil})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := sEvil.RestoreSnapshot(snap); !errors.Is(err, enclave.ErrUnsealFailed) {
-		t.Errorf("evil RestoreSnapshot = %v, want ErrUnsealFailed", err)
-	}
-
-	// Same code on a different machine: must not unseal.
-	p2 := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("machine-2")})
-	enc2, _ := p2.Create("store-1", []byte("store code v1"))
-	s2, err := New(Config{Enclave: enc2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := s2.RestoreSnapshot(snap); !errors.Is(err, enclave.ErrUnsealFailed) {
-		t.Errorf("cross-machine RestoreSnapshot = %v, want ErrUnsealFailed", err)
-	}
-}
-
-func TestSnapshotTamperDetected(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("m")})
-	enc, _ := p.Create("store", []byte("code"))
-	s, err := New(Config{Enclave: enc})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := s.Put(ownerOf("app"), tagOf("t"), sealedOf("b")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	snap, err := s.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-	snap[len(snap)/2] ^= 0x01
-	if _, err := s.RestoreSnapshot(snap); !errors.Is(err, enclave.ErrUnsealFailed) {
-		t.Errorf("tampered RestoreSnapshot = %v, want ErrUnsealFailed", err)
-	}
-}
-
-func TestSnapshotDuplicatesSkipped(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("m")})
-	enc, _ := p.Create("store", []byte("code"))
-	s, err := New(Config{Enclave: enc})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	owner := ownerOf("app")
-	if _, err := s.Put(owner, tagOf("t"), sealedOf("original")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	snap, err := s.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-	// Restoring into the same live store installs nothing new.
-	n, err := s.RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("restored %d duplicates, want 0", n)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-}
-
-// Restore is an operator action: it must succeed into a
-// deny-by-default store even before any application is re-authorized,
-// and despite rate limits.
-func TestSnapshotRestoreBypassesAuthAndRateLimit(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("m")})
-	enc1, _ := p.Create("store-a", []byte("code"))
-	s1, err := New(Config{Enclave: enc1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	owner := ownerOf("app")
-	for i := 0; i < 5; i++ {
-		if _, err := s1.Put(owner, tagOf(string(rune('a'+i))), sealedOf("b")); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	snap, err := s1.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-
-	enc2, _ := p.Create("store-b", []byte("code"))
-	s2, err := New(Config{
-		Enclave: enc2,
-		Auth:    NewACL(0), // deny everything
-		Quota:   QuotaConfig{PutRatePerSec: 0.001, PutBurst: 1},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	n, err := s2.RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if n != 5 {
-		t.Errorf("restored %d entries under ACL+rate limit, want 5", n)
-	}
-}
-
-func TestSnapshotEmptyStore(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("m")})
-	enc, _ := p.Create("store", []byte("code"))
-	s, err := New(Config{Enclave: enc})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	snap, err := s.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-	n, err := s.RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("restored %d from empty snapshot", n)
 	}
 }

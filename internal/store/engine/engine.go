@@ -2,16 +2,16 @@
 // the pluggable backend that holds the dictionary of sealed results.
 //
 // The Store above the seam is engine-neutral policy — authorization,
-// quotas, TTL policy, oblivious-access configuration, telemetry and
-// snapshot orchestration — while an Engine owns the data: where
-// records live (RAM, disk), how they are found, and what survives a
-// crash. Two engines implement the interface:
+// quotas, TTL policy, oblivious-access configuration and telemetry —
+// while an Engine owns the data: where records live (RAM, disk), how
+// they are found, and what survives a crash. Two engines implement the
+// interface:
 //
 //   - the memory engine (store.memEngine): the original lock-striped
-//     sharded map with global LRU, volatile;
+//     sharded map with global LRU, a volatile cache;
 //   - the log engine (internal/store/logengine): an append-only WAL of
 //     sealed records plus immutable sorted segments, durable and
-//     larger than RAM.
+//     larger than RAM — the only way a store survives a restart.
 //
 // Trust model: engines may move bytes onto untrusted media, but only
 // sealed bytes (enclave-authenticated ciphertext) ever leave the trust
@@ -27,6 +27,7 @@ import (
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
+	"speed/internal/telemetry"
 )
 
 // ErrClosed is returned by engine operations after Close. store.Store
@@ -122,10 +123,6 @@ type Engine interface {
 	// Name identifies the engine ("memory", "log") for telemetry
 	// labels and operator output.
 	Name() string
-	// Durable reports whether acknowledged inserts survive a crash.
-	// The Store uses it to decide snapshot-vs-checkpoint semantics
-	// (see store.Autosaver).
-	Durable() bool
 
 	// Get looks the tag up. On StatusHit the returned Record's byte
 	// slices are owned by the caller (engines copy out). Engines
@@ -158,7 +155,7 @@ type Engine interface {
 	// It is a bounded iterator: engines must not materialize the whole
 	// keyspace (memory use is O(one shard) for the memory engine and
 	// O(one record + per-segment cursors) for the log engine), so
-	// hot-export and snapshots work on stores larger than RAM.
+	// hot-export works on stores larger than RAM.
 	// Iteration order is unspecified. fn must not call back into the
 	// engine.
 	Iterate(fn func(tag mle.Tag, rec Record) bool) error
@@ -169,10 +166,20 @@ type Engine interface {
 
 	// Stats snapshots engine occupancy and activity counters.
 	Stats() Stats
+	// RegisterTelemetry adds the engine's own series (per-shard
+	// occupancy, WAL/segment/cache activity) to reg.
+	RegisterTelemetry(reg *telemetry.Registry)
 	// Checkpoint makes every acknowledged insert durable (flush +
 	// fsync); a no-op for volatile engines.
 	Checkpoint() error
+	// Compact merges the engine's on-disk segments into one; a no-op
+	// for volatile engines.
+	Compact() error
 	// Close releases the engine's resources. Operations after Close
 	// return ErrClosed. Durable engines flush before closing.
 	Close() error
+	// Crash abandons the engine without flushing or syncing — the
+	// on-disk state a kill -9 would leave behind, for crash-recovery
+	// tests and benchmarks. Volatile engines just close.
+	Crash()
 }

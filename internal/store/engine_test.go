@@ -1,11 +1,12 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
+	"strings"
 	"testing"
 
 	"speed/internal/enclave"
+	"speed/internal/store/logengine/logenginetest"
 )
 
 // persistEnclave creates a store enclave on a deterministic platform,
@@ -27,18 +28,12 @@ func TestEngineSelection(t *testing.T) {
 		if got := s.EngineName(); got != EngineMemory {
 			t.Errorf("EngineName = %q, want %q", got, EngineMemory)
 		}
-		if s.Persistent() {
-			t.Error("memory engine reported Persistent")
-		}
 	})
 	t.Run("data dir implies log", func(t *testing.T) {
 		s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: t.TempDir()})
 		defer s.Close()
 		if got := s.EngineName(); got != EngineLog {
 			t.Errorf("EngineName = %q, want %q", got, EngineLog)
-		}
-		if !s.Persistent() {
-			t.Error("log engine did not report Persistent")
 		}
 	})
 	t.Run("log requires data dir", func(t *testing.T) {
@@ -96,10 +91,10 @@ func TestLogEnginePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLogEngineExportAndSnapshot pins that the bounded iterator keeps
-// the replication surface working on the log engine: Export, the
-// hot-entry variant, and sealed snapshots.
-func TestLogEngineExportAndSnapshot(t *testing.T) {
+// TestLogEngineExport pins that the bounded iterator keeps the
+// replication surface working on the log engine: Export and the
+// hot-entry variant.
+func TestLogEngineExport(t *testing.T) {
 	dir := t.TempDir()
 	s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir})
 	defer s.Close()
@@ -128,101 +123,80 @@ func TestLogEngineExportAndSnapshot(t *testing.T) {
 	if err != nil || len(hot) != 1 || hot[0].Tag != tagOf("a") {
 		t.Errorf("ExportHotAs = %d entries, %v; want just the hot tag", len(hot), err)
 	}
-
-	snap, err := s.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-	// Restore into a fresh memory-engine store on the same platform
-	// identity: snapshots stay engine-portable.
-	dst := testStore(t, Config{Enclave: persistEnclave(t)})
-	defer dst.Close()
-	n, err := dst.RestoreSnapshot(snap)
-	if err != nil || n != 4 {
-		t.Fatalf("RestoreSnapshot = %d, %v; want 4 entries", n, err)
-	}
-	if got, found, _ := dst.Get(tagOf("c")); !found || string(got.Blob) != "v-c" {
-		t.Errorf("restored Get(c) = %q found=%v", got.Blob, found)
-	}
-}
-
-// TestAutosaverBothModes pins the engine-aware save behavior: volatile
-// engines get a sealed snapshot file, persistent engines get a
-// checkpoint (memtable flush + WAL fsync) and no snapshot file.
-func TestAutosaverBothModes(t *testing.T) {
-	t.Run("memory engine writes a snapshot", func(t *testing.T) {
-		s := testStore(t, Config{Enclave: persistEnclave(t)})
-		defer s.Close()
-		if _, err := s.Put(ownerOf("app"), tagOf("k"), sealedOf("v")); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		path := filepath.Join(t.TempDir(), "snap.sealed")
-		a := NewAutosaver(s, path, 0, nil)
-		if err := a.SaveOnce(); err != nil {
-			t.Fatalf("SaveOnce: %v", err)
-		}
-		if a.Saves() != 1 {
-			t.Errorf("Saves = %d, want 1", a.Saves())
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("snapshot file missing: %v", err)
-		}
-	})
-	t.Run("log engine checkpoints instead", func(t *testing.T) {
-		dir := t.TempDir()
-		s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir, Fsync: "none"})
-		defer s.Close()
-		if _, err := s.Put(ownerOf("app"), tagOf("k"), sealedOf("v")); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if s.EngineStats().Flushes != 0 {
-			t.Fatal("memtable flushed before the checkpoint")
-		}
-		path := filepath.Join(t.TempDir(), "snap.sealed")
-		a := NewAutosaver(s, path, 0, nil)
-		if err := a.SaveOnce(); err != nil {
-			t.Fatalf("SaveOnce: %v", err)
-		}
-		if a.Saves() != 1 {
-			t.Errorf("Saves = %d, want 1", a.Saves())
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("persistent engine wrote a snapshot file (err=%v), want checkpoint only", err)
-		}
-		es := s.EngineStats()
-		if es.Flushes != 1 {
-			t.Errorf("Flushes = %d, want 1 (checkpoint flushes the memtable)", es.Flushes)
-		}
-		if es.WALBytes != 0 {
-			t.Errorf("WALBytes = %d after checkpoint, want 0 (flush resets the WAL)", es.WALBytes)
-		}
-	})
 }
 
 // TestCrashRecoveryThroughStore is the API-level kill -9 test: every
-// acknowledged Put must be served after Crash + reopen.
+// acknowledged Put must be served, byte for byte, after Crash + reopen.
+// The working set is six times the in-memory budget (memtable +
+// cache), so the crash catches records in flushed segments and in the
+// WAL, and the read-back cannot be served from memory alone.
 func TestCrashRecoveryThroughStore(t *testing.T) {
 	dir := t.TempDir()
-	s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir, Fsync: "commit"})
-	const n = 20
+	cfg := Config{DataDir: dir, Fsync: "commit", MemtableBytes: 8 << 10, CacheBytes: 8 << 10}
+	cfg.Enclave = persistEnclave(t)
+	s := testStore(t, cfg)
+	const n = 96
+	blobOf := func(i int) string { return fmt.Sprintf("%04d%s", i, strings.Repeat("x", 1020)) }
 	for i := 0; i < n; i++ {
-		if _, err := s.Put(ownerOf("app"), tagOf(string(rune('a'+i))), sealedOf("v")); err != nil {
+		if _, err := s.Put(ownerOf("app"), tagOf(fmt.Sprintf("k%d", i)), sealedOf(blobOf(i))); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
+	}
+	if es := s.EngineStats(); es.Flushes == 0 || es.WALBytes == 0 {
+		t.Fatalf("crash point has flushes=%d wal=%dB; want records in segments and in the WAL", es.Flushes, es.WALBytes)
 	}
 	s.Crash()
 	if !s.Closed() {
 		t.Error("Crash did not mark the store closed")
 	}
 
-	s2 := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir})
+	cfg.Enclave = persistEnclave(t)
+	s2 := testStore(t, cfg)
 	defer s2.Close()
-	for i := 0; i < n; i++ {
-		if _, found, err := s2.Get(tagOf(string(rune('a' + i)))); err != nil || !found {
-			t.Fatalf("acknowledged put %d lost after crash: found=%v err=%v", i, found, err)
-		}
-	}
 	if s2.EngineStats().Replayed == 0 {
 		t.Error("recovery replayed nothing; the crash path was not exercised")
+	}
+	for i := 0; i < n; i++ {
+		got, found, err := s2.Get(tagOf(fmt.Sprintf("k%d", i)))
+		if err != nil || !found {
+			t.Fatalf("acknowledged put %d lost after crash: found=%v err=%v", i, found, err)
+		}
+		if string(got.Blob) != blobOf(i) {
+			t.Fatalf("put %d came back with the wrong bytes after crash", i)
+		}
+	}
+}
+
+// TestMissingBlobTreatedAsMiss: when the untrusted disk hands back a
+// stored value that fails authentication, the lookup is a miss and
+// the dangling entry is dropped, so the application recomputes and
+// the next Put installs a fresh version.
+func TestMissingBlobTreatedAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir})
+	for _, k := range []string{"good", "bad"} {
+		if _, err := s.Put(ownerOf("a"), tagOf(k), sealedOf("blob-"+k)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	s.Close() // flushes both records into one segment
+	logenginetest.TamperSegmentRecord(t, dir, tagOf("bad"))
+
+	s2 := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir})
+	defer s2.Close()
+	if _, found, err := s2.Get(tagOf("bad")); err != nil || found {
+		t.Fatalf("Get(tampered) = found %v, err %v; want a clean miss", found, err)
+	}
+	if s2.Len() != 1 {
+		t.Errorf("Len = %d, want 1 after dangling entry cleanup", s2.Len())
+	}
+	if got, found, _ := s2.Get(tagOf("good")); !found || string(got.Blob) != "blob-good" {
+		t.Errorf("neighbour of the tampered record = %q found=%v", got.Blob, found)
+	}
+	if installed, err := s2.Put(ownerOf("a"), tagOf("bad"), sealedOf("blob-bad-v2")); err != nil || !installed {
+		t.Fatalf("Put after cleanup = (%v, %v), want a fresh install", installed, err)
+	}
+	if got, found, _ := s2.Get(tagOf("bad")); !found || string(got.Blob) != "blob-bad-v2" {
+		t.Errorf("replacement = %q found=%v", got.Blob, found)
 	}
 }

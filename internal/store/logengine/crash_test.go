@@ -11,6 +11,7 @@ import (
 
 	"speed/internal/enclave"
 	storeengine "speed/internal/store/engine"
+	"speed/internal/store/logengine/logenginetest"
 )
 
 // copyDir clones a data directory so each simulated crash point gets
@@ -151,8 +152,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 		// mention it yet. This is the crash image.
 		copyDir(t, srcDir, crashDir)
 	}
-	if err := e.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	e.Close()
 
@@ -182,8 +183,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 		t.Errorf("recovered dir holds %d segment files, want %d (orphan not deleted)", segs, n)
 	}
 	// And compaction still works after the recovery.
-	if err := eng.CompactNow(); err != nil {
-		t.Fatalf("post-recovery CompactNow: %v", err)
+	if err := eng.Compact(); err != nil {
+		t.Fatalf("post-recovery Compact: %v", err)
 	}
 	if got := eng.Stats().Segments; got != 1 {
 		t.Errorf("post-recovery compaction left %d segments, want 1", got)
@@ -237,6 +238,36 @@ func TestRecoveryRejectsTamperedWAL(t *testing.T) {
 
 func crc32Of(b []byte) uint32 {
 	return crc32.Checksum(b, crcTable)
+}
+
+// TestTamperedSegmentRecordIsDangling is the segment-side counterpart
+// of TestRecoveryRejectsTamperedWAL: a flushed record whose sealed
+// payload the untrusted disk altered (with the file CRC fixed up) is
+// not caught at open — segments are not unsealed then — but a cold
+// lookup must report it dangling, never a hit, while its neighbours in
+// the same segment are still served.
+func TestTamperedSegmentRecordIsDangling(t *testing.T) {
+	p := testPlatform()
+	dir := t.TempDir()
+	e := openTest(t, testConfig(t, p, dir))
+	keys := []string{"a", "b", "c", "d", "e"}
+	for _, k := range keys {
+		mustInsert(t, e, k, "v"+k)
+	}
+	if err := e.Close(); err != nil { // flushes the memtable to one segment
+		t.Fatalf("Close: %v", err)
+	}
+	logenginetest.TamperSegmentRecord(t, dir, tagOf("c"))
+
+	e2 := openTest(t, testConfig(t, p, dir)) // cold cache: lookups go to the segment
+	if _, status, err := e2.Get(tagOf("c")); err != nil || status != storeengine.StatusDangling {
+		t.Fatalf("Get(tampered) = status %v, err %v; want StatusDangling", status, err)
+	}
+	for _, k := range keys {
+		if k != "c" {
+			mustGet(t, e2, k, "v"+k)
+		}
+	}
 }
 
 func mustEnclaveBalanced(t *testing.T, enc *enclave.Enclave) {
@@ -312,8 +343,8 @@ func TestConcurrentLoadThenCrash(t *testing.T) {
 				return
 			default:
 			}
-			if err := e.CompactNow(); err != nil && !errors.Is(err, storeengine.ErrClosed) {
-				t.Errorf("CompactNow: %v", err)
+			if err := e.Compact(); err != nil && !errors.Is(err, storeengine.ErrClosed) {
+				t.Errorf("Compact: %v", err)
 				return
 			}
 		}

@@ -122,7 +122,7 @@ type Config struct {
 	FsyncInterval time.Duration
 	// CompactInterval is how often the background compactor considers
 	// merging segments; 0 means 30s, negative disables the background
-	// loop (CompactNow still works).
+	// loop (Compact still works).
 	CompactInterval time.Duration
 	// Oblivious makes lookups over the in-enclave structures
 	// (memtable, cache) access-pattern uniform and disables recency
@@ -418,7 +418,7 @@ func (e *Engine) startBackground() {
 				case <-e.stopBg:
 					return
 				case <-t.C:
-					if err := e.CompactNow(); err != nil && !errors.Is(err, storeengine.ErrClosed) {
+					if err := e.Compact(); err != nil && !errors.Is(err, storeengine.ErrClosed) {
 						e.cfg.Logf("logengine: compaction: %v", err)
 					}
 				}
@@ -429,9 +429,6 @@ func (e *Engine) startBackground() {
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "log" }
-
-// Durable implements engine.Engine.
-func (e *Engine) Durable() bool { return true }
 
 // Get implements engine.Engine: memtable, then hot cache, then
 // segments newest-first through their sparse indexes.
@@ -1150,11 +1147,11 @@ func (e *Engine) Checkpoint() error {
 	return e.wal.sync()
 }
 
-// CompactNow merges all segments into one, dropping shadowed versions
+// Compact merges all segments into one, dropping shadowed versions
 // and — because the result is the oldest and only segment — all
 // tombstones. The merge runs under the engine lock (v1 trades
 // concurrency for simplicity).
-func (e *Engine) CompactNow() error {
+func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.compactLocked()

@@ -279,8 +279,8 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 	if before.Segments < 2 {
 		t.Fatalf("want several segments before compaction, got %d", before.Segments)
 	}
-	if err := e.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	after := e.Stats()
 	if after.Segments != 1 {

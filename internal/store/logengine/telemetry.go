@@ -7,8 +7,7 @@ import (
 
 // RegisterTelemetry adds the log engine's activity and occupancy
 // series, all labeled engine="log" so dashboards distinguish them from
-// the memory engine's shard gauges. Store.registerTelemetry calls this
-// through the optional-interface hook.
+// the memory engine's shard gauges.
 func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 	lbl := telemetry.L("engine", "log")
 	counter := func(name, help string, field func(storeengine.Stats) int64) {

@@ -101,8 +101,8 @@ func TestHitCountsBakedByCompaction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mustGet(t, e, "a", "v1")
 	}
-	if err := e.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
 	}
 	if n := len(e.touched); n != 0 {
 		t.Fatalf("%d overlay entries survived compaction baking", n)

@@ -17,15 +17,15 @@ import (
 	"speed/internal/telemetry"
 )
 
-// memEngine is the default storage engine: the original lock-striped
-// sharded dictionary with a global LRU, entirely in (enclave) memory
-// and volatile across restarts. Its behavior is the pre-seam Store's,
-// byte for byte: the same ECall pattern (one per GET, two per PUT),
-// the same enclave Alloc/Free charging per entry, the same oblivious
-// all-shard scan, and the same globally-least-recent eviction victim.
+// memEngine is the default storage engine: a lock-striped sharded
+// dictionary with a global LRU, entirely in memory — a pure volatile
+// cache (a store that must survive a restart runs the log engine).
+// Each entry's metadata is charged to the store enclave; its
+// ciphertext is held by reference outside enclave accounting. The
+// ECall pattern is one per GET and two per PUT, oblivious lookups scan
+// every shard, and eviction picks the globally least-recent entry.
 type memEngine struct {
 	enclave   *enclave.Enclave
-	blobs     BlobStore
 	oblivious bool
 	ttl       time.Duration
 	now       func() time.Time
@@ -45,12 +45,14 @@ var _ storeengine.Engine = (*memEngine)(nil)
 
 // entry is the small in-enclave dictionary record: the challenge r, the
 // wrapped key [k], and a pointer to the out-of-enclave ciphertext
-// (Section IV-B: "the dictionary entry is designed to be small").
+// (Section IV-B: "the dictionary entry is designed to be small"). blob
+// is that pointer: the bytes it refers to are AEAD ciphertext in
+// untrusted memory, never charged to the enclave and never mutated
+// after insert.
 type entry struct {
 	challenge  []byte
 	wrappedKey []byte
-	blobID     BlobID
-	blobSize   int64
+	blob       []byte
 	owner      enclave.Measurement
 	hits       int64
 	lastTouch  time.Time
@@ -71,8 +73,8 @@ type shard struct {
 }
 
 // newMemEngine builds the sharded in-memory engine. shards is rounded
-// up to a power of two as before.
-func newMemEngine(enc *enclave.Enclave, blobs BlobStore, shards int, oblivious bool, ttl time.Duration, now func() time.Time) *memEngine {
+// up to a power of two.
+func newMemEngine(enc *enclave.Enclave, shards int, oblivious bool, ttl time.Duration, now func() time.Time) *memEngine {
 	n := shards
 	if n <= 0 {
 		n = defaultShards
@@ -85,7 +87,6 @@ func newMemEngine(enc *enclave.Enclave, blobs BlobStore, shards int, oblivious b
 	}
 	m := &memEngine{
 		enclave:   enc,
-		blobs:     blobs,
 		oblivious: oblivious,
 		ttl:       ttl,
 		now:       now,
@@ -98,17 +99,13 @@ func newMemEngine(enc *enclave.Enclave, blobs BlobStore, shards int, oblivious b
 	return m
 }
 
-func (m *memEngine) Name() string  { return "memory" }
-func (m *memEngine) Durable() bool { return false }
+func (m *memEngine) Name() string { return "memory" }
 
 // shardFor selects a tag's home shard. Tags are outputs of a
 // cryptographic hash, so any fixed window of bits is uniform.
 func (m *memEngine) shardFor(tag mle.Tag) *shard {
 	return m.shards[binary.BigEndian.Uint32(tag[:4])&m.shardMask]
 }
-
-// ShardCount reports the number of dictionary shards.
-func (m *memEngine) ShardCount() int { return len(m.shards) }
 
 // expiredLocked reports whether the entry is past its TTL. Caller
 // holds the entry's shard lock.
@@ -117,14 +114,14 @@ func (m *memEngine) expiredLocked(e *entry) bool {
 }
 
 // Get implements engine.Engine. The dictionary access happens inside
-// the store enclave (one ECALL); the ciphertext is fetched from
-// untrusted storage outside.
+// the store enclave (one ECALL); the ciphertext is copied out of
+// untrusted memory outside it.
 func (m *memEngine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, error) {
 	var (
 		rec     storeengine.Record
 		found   bool
 		expired bool
-		blobID  BlobID
+		blob    []byte
 	)
 	err := m.enclave.ECall(func() error {
 		if m.closed.Load() {
@@ -144,7 +141,7 @@ func (m *memEngine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus,
 						found = true
 						e.hits++
 						rec = m.recordLocked(e)
-						blobID = e.blobID
+						blob = e.blob
 					}
 				}
 				sh.mu.Unlock()
@@ -170,7 +167,7 @@ func (m *memEngine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus,
 		sh.lru.MoveToFront(e.lruElem)
 		e.lastTouch = m.now()
 		rec = m.recordLocked(e)
-		blobID = e.blobID
+		blob = e.blob
 		return nil
 	})
 	if err != nil {
@@ -182,14 +179,7 @@ func (m *memEngine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus,
 	if !found {
 		return storeengine.Record{}, storeengine.StatusMiss, nil
 	}
-	blob, err := m.blobs.Get(blobID)
-	if err != nil {
-		// The untrusted storage lost or corrupted the blob; the caller
-		// drops the dangling entry and treats the lookup as a miss (the
-		// application would reject the result at verification anyway).
-		return storeengine.Record{}, storeengine.StatusDangling, nil
-	}
-	rec.Blob = blob
+	rec.Blob = append([]byte(nil), blob...)
 	return rec, storeengine.StatusHit, nil
 }
 
@@ -231,23 +221,23 @@ func (m *memEngine) Contains(tag mle.Tag) (bool, error) {
 }
 
 // recordLocked copies an entry's metadata out; caller holds the shard
-// lock. The blob is fetched separately, outside the enclave.
+// lock. The blob is copied separately, outside the enclave.
 func (m *memEngine) recordLocked(e *entry) storeengine.Record {
 	return storeengine.Record{
 		Challenge:  append([]byte(nil), e.challenge...),
 		WrappedKey: append([]byte(nil), e.wrappedKey...),
-		BlobSize:   e.blobSize,
+		BlobSize:   int64(len(e.blob)),
 		Owner:      e.owner,
 		Hits:       e.hits,
 		LastTouch:  e.lastTouch,
 	}
 }
 
-// Insert implements engine.Engine, preserving the pre-seam PUT
-// sequence: duplicate-check first under the shard lock (inside the
-// enclave); only store the blob outside if this is a fresh tag; then
-// insert under the lock again, cleaning up if a concurrent identical
-// PUT won the race.
+// Insert implements engine.Engine in two enclave entries:
+// duplicate-check first under the shard lock; only copy the blob
+// (outside) and charge the metadata if this is a fresh tag; then
+// insert under the lock again, releasing the charge if a concurrent
+// identical PUT won the race.
 func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 	sh := m.shardFor(tag)
 	dupe := false
@@ -269,22 +259,15 @@ func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 		return false, nil
 	}
 
-	blobID, err := m.blobs.Put(rec.Blob)
-	if err != nil {
-		return false, fmt.Errorf("store blob: %w", err)
-	}
-
 	e := &entry{
 		challenge:  append([]byte(nil), rec.Challenge...),
 		wrappedKey: append([]byte(nil), rec.WrappedKey...),
-		blobID:     blobID,
-		blobSize:   int64(len(rec.Blob)),
+		blob:       append([]byte(nil), rec.Blob...),
 		owner:      rec.Owner,
 		hits:       rec.Hits,
 		lastTouch:  rec.LastTouch,
 	}
 	if err := m.enclave.Alloc(e.enclaveBytes()); err != nil {
-		_ = m.blobs.Delete(blobID)
 		return false, fmt.Errorf("metadata allocation: %w", err)
 	}
 
@@ -302,11 +285,10 @@ func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 		e.lruElem = sh.lru.PushFront(tag)
 		sh.dict[tag] = e
 		m.entries.Add(1)
-		m.blobTotal.Add(e.blobSize)
+		m.blobTotal.Add(int64(len(e.blob)))
 		return nil
 	})
 	if err != nil || dupe {
-		_ = m.blobs.Delete(blobID)
 		m.enclave.Free(e.enclaveBytes())
 		return false, err
 	}
@@ -314,7 +296,7 @@ func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 }
 
 // Remove implements engine.Engine: it deletes the entry, releasing its
-// enclave memory and blob, and returns the removed record's metadata
+// enclave memory, and returns the removed record's metadata
 // so the caller can settle quota accounting.
 func (m *memEngine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 	sh := m.shardFor(tag)
@@ -324,16 +306,15 @@ func (m *memEngine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		delete(sh.dict, tag)
 		sh.lru.Remove(e.lruElem)
 		m.entries.Add(-1)
-		m.blobTotal.Add(-e.blobSize)
+		m.blobTotal.Add(-int64(len(e.blob)))
 	}
 	sh.mu.Unlock()
 	if !ok {
 		return storeengine.Record{}, false, nil
 	}
 	m.enclave.Free(e.enclaveBytes())
-	_ = m.blobs.Delete(e.blobID)
 	return storeengine.Record{
-		BlobSize:  e.blobSize,
+		BlobSize:  int64(len(e.blob)),
 		Owner:     e.owner,
 		Hits:      e.hits,
 		LastTouch: e.lastTouch,
@@ -343,19 +324,18 @@ func (m *memEngine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 // Len implements engine.Engine.
 func (m *memEngine) Len() int { return int(m.entries.Load()) }
 
-// ValueBytes implements engine.Engine. It reports what the blob store
-// holds, as the pre-seam Stats did.
-func (m *memEngine) ValueBytes() int64 { return m.blobs.Bytes() }
+// ValueBytes implements engine.Engine.
+func (m *memEngine) ValueBytes() int64 { return m.blobTotal.Load() }
 
 // Iterate implements engine.Engine. Memory stays bounded by one
 // shard's metadata plus one blob: each shard's references are copied
-// under its lock, then blobs are fetched and records yielded outside
-// the lock (an entry racing with eviction is skipped).
+// under its lock, then blobs are copied and records yielded outside
+// the lock.
 func (m *memEngine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) error {
 	type ref struct {
-		tag mle.Tag
-		rec storeengine.Record
-		id  BlobID
+		tag  mle.Tag
+		rec  storeengine.Record
+		blob []byte
 	}
 	var refs []ref // reused across shards
 	for _, sh := range m.shards {
@@ -364,7 +344,7 @@ func (m *memEngine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) e
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			for tag, e := range sh.dict {
-				refs = append(refs, ref{tag: tag, rec: m.recordLocked(e), id: e.blobID})
+				refs = append(refs, ref{tag: tag, rec: m.recordLocked(e), blob: e.blob})
 			}
 			return nil
 		})
@@ -372,11 +352,7 @@ func (m *memEngine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) e
 			return err
 		}
 		for _, r := range refs {
-			blob, err := m.blobs.Get(r.id)
-			if err != nil {
-				continue // entry raced with eviction
-			}
-			r.rec.Blob = blob
+			r.rec.Blob = append([]byte(nil), r.blob...)
 			if !fn(r.tag, r.rec) {
 				return nil
 			}
@@ -416,21 +392,26 @@ func (m *memEngine) Stats() storeengine.Stats {
 	}
 }
 
-// Checkpoint implements engine.Engine; the memory engine has nothing
-// to make durable.
+// Checkpoint and Compact implement engine.Engine; the memory engine
+// has nothing to make durable and nothing on disk to merge.
 func (m *memEngine) Checkpoint() error { return nil }
+func (m *memEngine) Compact() error    { return nil }
 
-// Close implements engine.Engine. As before the seam, closing only
-// marks the engine: Get/Insert fail with ErrClosed while Iterate and
-// Oldest keep working, so a final Export or snapshot is still
-// possible via the structures that remain in memory.
+// Close implements engine.Engine. Closing only marks the engine:
+// Get/Insert fail with ErrClosed while Iterate and Oldest keep
+// working, so a final Export is still possible via the structures
+// that remain in memory.
 func (m *memEngine) Close() error {
 	m.closed.Store(true)
 	return nil
 }
 
-// RegisterTelemetry adds the memory engine's per-shard occupancy
-// gauges, preserving the pre-seam speed_store_shard_entries metric.
+// Crash implements engine.Engine: a volatile engine has no on-disk
+// state to abandon, so a crash is a close.
+func (m *memEngine) Crash() { m.closed.Store(true) }
+
+// RegisterTelemetry implements engine.Engine: per-shard occupancy
+// gauges (speed_store_shard_entries).
 func (m *memEngine) RegisterTelemetry(reg *telemetry.Registry) {
 	for i := range m.shards {
 		sh := m.shards[i]

@@ -60,15 +60,13 @@ func (q *quotas) app(id enclave.Measurement) *appQuota {
 
 // allowPut checks and consumes quota for a PUT of n ciphertext bytes by
 // the given application. It reports whether the request is admitted and
-// a reason when it is not. skipRate bypasses the token bucket (used for
-// operator-initiated snapshot restores, which are not request traffic)
-// while still accounting the bytes.
-func (q *quotas) allowPut(id enclave.Measurement, n int64, skipRate bool) (bool, string) {
+// a reason when it is not.
+func (q *quotas) allowPut(id enclave.Measurement, n int64) (bool, string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	a := q.app(id)
 
-	if q.cfg.PutRatePerSec > 0 && !skipRate {
+	if q.cfg.PutRatePerSec > 0 {
 		now := q.now()
 		elapsed := now.Sub(a.last).Seconds()
 		a.last = now

@@ -24,8 +24,8 @@ func TestShardCountRoundsToPowerOfTwo(t *testing.T) {
 	}
 	for _, tt := range tests {
 		s := testStore(t, Config{Shards: tt.shards})
-		if got := s.ShardCount(); got != tt.want {
-			t.Errorf("Shards=%d: ShardCount = %d, want %d", tt.shards, got, tt.want)
+		if got := len(s.memShards()); got != tt.want {
+			t.Errorf("Shards=%d: %d shards, want %d", tt.shards, got, tt.want)
 		}
 		s.Close()
 	}
@@ -274,44 +274,5 @@ func TestObliviousLookupsAcrossShards(t *testing.T) {
 	st := s.Stats()
 	if st.Gets != n+1 || st.Hits != n {
 		t.Errorf("Stats = gets %d hits %d, want %d/%d", st.Gets, st.Hits, n+1, n)
-	}
-}
-
-func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
-	// A snapshot sealed by a store with one shard geometry must restore
-	// into a store with a different geometry: the format is
-	// shard-agnostic.
-	p := testEnclave(t)
-	src := testStore(t, Config{Enclave: p, Shards: 16})
-	owner := ownerOf("app")
-	const n = 40
-	for i := 0; i < n; i++ {
-		if _, err := src.Put(owner, tagOf(fmt.Sprintf("k%d", i)), sealedOf(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	snap, err := src.SealSnapshot()
-	if err != nil {
-		t.Fatalf("SealSnapshot: %v", err)
-	}
-	src.Close()
-
-	dst := testStore(t, Config{Enclave: p, Shards: 2})
-	defer dst.Close()
-	restored, err := dst.RestoreSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if restored != n {
-		t.Fatalf("restored %d entries, want %d", restored, n)
-	}
-	for i := 0; i < n; i++ {
-		sealed, found, err := dst.Get(tagOf(fmt.Sprintf("k%d", i)))
-		if err != nil || !found {
-			t.Fatalf("Get k%d after restore: found=%v err=%v", i, found, err)
-		}
-		if string(sealed.Blob) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get k%d returned wrong blob after restore", i)
-		}
 	}
 }

@@ -1,3 +1,12 @@
+// Package store implements SPEED's encrypted ResultStore (Section
+// IV-B): an enclave-protected metadata dictionary keyed by computation
+// tag, whose entries are deliberately small (challenge, wrapped key and
+// a pointer), with the bulk result ciphertexts kept outside the enclave
+// for EPC efficiency. The package also provides per-application quotas
+// (the paper's DoS rate-limiting strategy), LRU eviction, and a TCP
+// server speaking the wire protocol. The dictionary lives in one of two
+// engines: a volatile in-memory cache, or the log engine
+// (internal/store/logengine) — the one way a store survives a restart.
 package store
 
 import (
@@ -55,9 +64,9 @@ type Config struct {
 	// Enclave hosts the metadata dictionary. Required.
 	Enclave *enclave.Enclave
 	// Engine selects the storage backend behind the store: "" or
-	// "memory" for the in-RAM sharded dictionary (the default, exactly
-	// the pre-engine behavior), or "log" for the persistent
-	// log-structured engine rooted at DataDir.
+	// "memory" for the in-RAM sharded dictionary (the default, a
+	// volatile cache), or "log" for the persistent log-structured
+	// engine rooted at DataDir.
 	Engine string
 	// DataDir is the log engine's on-disk directory. Required when
 	// Engine is "log"; setting it with Engine unset selects "log".
@@ -75,10 +84,6 @@ type Config struct {
 	// CompactInterval is how often the log engine's background
 	// compactor considers merging segments; 0 selects the default.
 	CompactInterval time.Duration
-	// Blobs holds ciphertexts outside the enclave for the memory
-	// engine. Defaults to an in-memory store. The log engine keeps
-	// values in its own segments and ignores it.
-	Blobs BlobStore
 	// Shards is the number of lock-striped dictionary shards of the
 	// memory engine; rounded up to a power of two, defaulting to 8.
 	// Tags are uniformly distributed hashes, so striping spreads
@@ -143,8 +148,8 @@ type Stats struct {
 }
 
 // Store is the encrypted ResultStore: engine-neutral policy
-// (authorization, quotas, TTL, limits, telemetry, snapshots) over a
-// pluggable storage Engine. All methods are safe for concurrent use.
+// (authorization, quotas, TTL, limits, telemetry) over a pluggable
+// storage Engine. All methods are safe for concurrent use.
 type Store struct {
 	cfg Config
 	eng storeengine.Engine
@@ -166,9 +171,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Enclave == nil {
 		return nil, errors.New("store: Config.Enclave is required")
 	}
-	if cfg.Blobs == nil {
-		cfg.Blobs = NewMemBlobStore()
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -186,7 +188,7 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, quota: newQuotas(cfg.Quota, cfg.Now)}
 	switch engineName {
 	case EngineMemory:
-		s.eng = newMemEngine(cfg.Enclave, cfg.Blobs, cfg.Shards, cfg.Oblivious, cfg.TTL, cfg.Now)
+		s.eng = newMemEngine(cfg.Enclave, cfg.Shards, cfg.Oblivious, cfg.TTL, cfg.Now)
 	case EngineLog:
 		if cfg.DataDir == "" {
 			return nil, errors.New("store: Engine \"log\" requires Config.DataDir")
@@ -221,23 +223,9 @@ func New(cfg Config) (*Store, error) {
 // EngineName reports the active storage engine ("memory" or "log").
 func (s *Store) EngineName() string { return s.eng.Name() }
 
-// Persistent reports whether acknowledged PUTs survive a crash (the
-// log engine). Autosaver uses it to switch from snapshot writing to
-// checkpoint triggering.
-func (s *Store) Persistent() bool { return s.eng.Durable() }
-
 // Checkpoint makes every acknowledged PUT durable (log engine: flush
 // the memtable and fsync the WAL). A no-op on the memory engine.
 func (s *Store) Checkpoint() error { return s.eng.Checkpoint() }
-
-// ShardCount reports the number of dictionary shards of the memory
-// engine; 1 for engines without shards.
-func (s *Store) ShardCount() int {
-	if sc, ok := s.eng.(interface{ ShardCount() int }); ok {
-		return sc.ShardCount()
-	}
-	return 1
-}
 
 // memShards exposes the memory engine's stripes to in-package tests.
 func (s *Store) memShards() []*shard {
@@ -281,11 +269,7 @@ func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 		func() float64 { return float64(s.Len()) })
 	reg.NewGaugeFunc("speed_store_blob_bytes", "resident ciphertext bytes outside the enclave",
 		func() float64 { return float64(s.eng.ValueBytes()) })
-	if et, ok := s.eng.(interface {
-		RegisterTelemetry(*telemetry.Registry)
-	}); ok {
-		et.RegisterTelemetry(reg)
-	}
+	s.eng.RegisterTelemetry(reg)
 }
 
 // Enclave returns the enclave hosting the metadata dictionary.
@@ -328,7 +312,7 @@ func (s *Store) HasAs(app enclave.Measurement, tag mle.Tag) (bool, error) {
 // Get looks up the computation tag, returning the (r, [k], [res])
 // triple when found. How the lookup is served depends on the engine:
 // the memory engine does one in-enclave dictionary access plus a blob
-// fetch; the log engine consults its memtable, hot cache and sorted
+// copy; the log engine consults its memtable, hot cache and sorted
 // segments.
 func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 	if s.getSeconds != nil {
@@ -380,7 +364,7 @@ func (s *Store) countGet(hit bool) {
 // be stored", Section IV-B Remark); installed reports whether this call
 // created the entry.
 func (s *Store) Put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed) (installed bool, err error) {
-	return s.put(owner, tag, sealed, putOpts{})
+	return s.put(owner, tag, sealed, false)
 }
 
 // PutReplace stores a sealed result, overwriting any existing entry
@@ -392,28 +376,17 @@ func (s *Store) Put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed) (
 // adversary cannot use it to thrash the cache faster than its PUT rate
 // allows.
 func (s *Store) PutReplace(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed) (installed bool, err error) {
-	return s.put(owner, tag, sealed, putOpts{replace: true})
+	return s.put(owner, tag, sealed, true)
 }
 
-// putOpts selects Put variants.
-type putOpts struct {
-	// restore bypasses authorization and rate limiting for
-	// operator-initiated snapshot restores while keeping byte
-	// accounting consistent.
-	restore bool
-	// replace removes any existing entry for the tag before inserting.
-	replace bool
-	// hits seeds the entry's hit counter (snapshot restore).
-	hits int64
-}
-
-func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, opts putOpts) (installed bool, err error) {
+// put is Put; replace removes any existing entry for the tag before
+// inserting.
+func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, replace bool) (installed bool, err error) {
 	if s.putSeconds != nil {
 		start := time.Now()
 		defer func() { s.putSeconds.Observe(time.Since(start)) }()
 	}
-	restore := opts.restore
-	if s.cfg.Auth != nil && !restore {
+	if s.cfg.Auth != nil {
 		if aerr := s.cfg.Auth.Authorize(owner, tag, PermPut); aerr != nil {
 			s.statsMu.Lock()
 			s.ops.Unauthorized++
@@ -422,14 +395,14 @@ func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, o
 		}
 	}
 	blobLen := int64(len(sealed.Blob))
-	if ok, reason := s.quota.allowPut(owner, blobLen, restore); !ok {
+	if ok, reason := s.quota.allowPut(owner, blobLen); !ok {
 		s.statsMu.Lock()
 		s.ops.PutDenied++
 		s.statsMu.Unlock()
 		return false, fmt.Errorf("%w: %s", ErrQuota, reason)
 	}
 
-	if opts.replace {
+	if replace {
 		// Drop any existing version before inserting. Not atomic with
 		// the insert below: a concurrent Put can win the race, in
 		// which case this call reports a duplicate — acceptable, since
@@ -443,7 +416,6 @@ func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, o
 		Blob:       sealed.Blob,
 		BlobSize:   blobLen,
 		Owner:      owner,
-		Hits:       opts.hits,
 		LastTouch:  s.cfg.Now(),
 	}
 	installed, err = s.eng.Insert(tag, rec)
@@ -580,26 +552,17 @@ func (s *Store) Close() {
 	_ = s.eng.Close()
 }
 
-// Compact triggers a full segment compaction on engines that support
-// it (the log engine); a no-op otherwise.
-func (s *Store) Compact() error {
-	if c, ok := s.eng.(interface{ CompactNow() error }); ok {
-		return c.CompactNow()
-	}
-	return nil
-}
+// Compact triggers a full segment compaction (log engine); a no-op on
+// the memory engine.
+func (s *Store) Compact() error { return s.eng.Compact() }
 
 // Crash abandons the store without flushing or syncing — the on-disk
-// state a kill -9 would leave behind. The persistence benchmark and
-// crash tests use it to measure recovery of acknowledged PUTs; on
-// engines without crash simulation it degrades to Close.
+// state a kill -9 would leave behind. The benchmark and crash tests
+// use it to measure recovery of acknowledged PUTs; on the memory
+// engine it is Close.
 func (s *Store) Crash() {
 	s.closed.Store(true)
-	if c, ok := s.eng.(interface{ Crash() }); ok {
-		c.Crash()
-		return
-	}
-	_ = s.eng.Close()
+	s.eng.Crash()
 }
 
 // Closed reports whether Close has been called.

@@ -179,7 +179,7 @@ func TestExpiryNotCountedAsEviction(t *testing.T) {
 	}
 }
 
-func TestBlobStoredOutsideEnclave(t *testing.T) {
+func TestCiphertextStoredOutsideEnclave(t *testing.T) {
 	e := testEnclave(t)
 	s := testStore(t, Config{Enclave: e})
 	blob := make([]byte, 1<<20)
@@ -190,10 +190,30 @@ func TestBlobStoredOutsideEnclave(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// The 1 MB ciphertext must not live in the enclave heap: only the
-	// small metadata entry does.
-	if used := e.HeapUsed(); used > 4096 {
-		t.Errorf("enclave heap = %d bytes after storing 1MB blob, want small metadata only", used)
+	// The 1 MB ciphertext must not live in the enclave heap: a PUT
+	// charges the metadata entry and nothing else.
+	if used, want := e.HeapUsed(), int64(entryOverhead+len("r")+len("k")); used != want {
+		t.Errorf("enclave heap = %d bytes after storing 1MB blob, want %d (metadata only)", used, want)
+	}
+}
+
+// The memory engine holds each ciphertext by reference: it must own
+// its copy, so neither the caller's buffer after Put nor a buffer
+// returned by Get aliases the stored bytes.
+func TestCiphertextIsolatedFromCallerBuffers(t *testing.T) {
+	s := testStore(t, Config{})
+	sealed := sealedOf("original")
+	if _, err := s.Put(ownerOf("a"), tagOf("t"), sealed); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	sealed.Blob[0] = 'X' // caller reuses its buffer after Put
+	got, found, err := s.Get(tagOf("t"))
+	if err != nil || !found || string(got.Blob) != "original" {
+		t.Fatalf("Put did not copy: Get = %q found=%v err=%v", got.Blob, found, err)
+	}
+	got.Blob[0] = 'Y' // caller mutates the returned buffer
+	if again, _, _ := s.Get(tagOf("t")); string(again.Blob) != "original" {
+		t.Errorf("Get did not copy: got %q", again.Blob)
 	}
 }
 
@@ -290,7 +310,7 @@ func TestEvictionByMaxBlobBytes(t *testing.T) {
 	if _, found, _ := s.Get(tagOf("t0")); found {
 		t.Error("oldest entry survived byte-cap eviction")
 	}
-	if got := s.cfg.Blobs.Bytes(); got > 250 {
+	if got := s.Stats().BlobBytes; got > 250 {
 		t.Errorf("blob bytes = %d, want <= 250", got)
 	}
 }
@@ -308,30 +328,6 @@ func TestEvictionReleasesEnclaveMemory(t *testing.T) {
 	}
 	if got := e.HeapUsed(); got != used {
 		t.Errorf("heap after eviction = %d, want %d (steady state)", got, used)
-	}
-}
-
-func TestMissingBlobTreatedAsMiss(t *testing.T) {
-	blobs := NewMemBlobStore()
-	s := testStore(t, Config{Blobs: blobs})
-	tag := tagOf("t")
-	if _, err := s.Put(ownerOf("a"), tag, sealedOf("blob")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	// Simulate untrusted storage losing the blob.
-	if err := blobs.Delete(BlobID(1)); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	_, found, err := s.Get(tag)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if found {
-		t.Error("Get reported found despite missing blob")
-	}
-	// The dangling dictionary entry must have been dropped.
-	if s.Len() != 0 {
-		t.Errorf("Len = %d, want 0 after dangling entry cleanup", s.Len())
 	}
 }
 

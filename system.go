@@ -41,7 +41,7 @@ const (
 
 // SystemConfig tunes the simulated platform and the ResultStore. The
 // zero value gives the paper's defaults: 128 MB EPC (90 MB usable),
-// SGX transition costs enabled, in-memory blob storage, no quotas.
+// SGX transition costs enabled, a volatile in-memory store, no quotas.
 type SystemConfig struct {
 	// DisableSGXCosts turns off the simulated ECALL/OCALL and paging
 	// costs — the "without SGX" mode of Fig. 6.
@@ -69,15 +69,11 @@ type SystemConfig struct {
 	QuotaMaxBytesPerApp int64
 	QuotaPutRatePerSec  float64
 	QuotaPutBurst       float64
-	// BlobDir stores ciphertext blobs on disk under this directory
-	// instead of in memory.
-	BlobDir string
-	// StoreEngine selects the dictionary storage engine: "memory"
-	// (default, lock-striped sharded map) or "log" (persistent
-	// log-structured engine). Empty with StoreDataDir set selects "log".
-	StoreEngine string
-	// StoreDataDir is the log engine's data directory (WAL + sealed
-	// segments). Required when StoreEngine is "log".
+	// StoreDataDir, when set, runs the ResultStore on the persistent
+	// log-structured engine rooted at this directory (sealed WAL +
+	// segments), so the store survives a restart; it needs a
+	// PlatformSeed, or the next process cannot unseal what this one
+	// wrote. Empty means a volatile in-memory store.
 	StoreDataDir string
 	// StoreMemtableBytes and StoreCacheBytes bound the log engine's
 	// in-memory write buffer and hot-entry read cache; 0 selects the
@@ -102,8 +98,9 @@ type SystemConfig struct {
 	// resistance.
 	ObliviousLookups bool
 	// PlatformSeed makes the simulated machine's key hierarchy
-	// deterministic, like the fused keys of real SGX hardware: sealed
-	// snapshots survive process restarts when the same seed is used.
+	// deterministic, like the fused keys of real SGX hardware: a
+	// StoreDataDir written under one seed reopens only under the same
+	// seed.
 	PlatformSeed []byte
 	// TrustedPlatforms lists platform attestation keys (from
 	// System.AttestationKey on other machines) whose applications may
@@ -142,13 +139,6 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("speed: create store enclave: %w", err)
 	}
-	var blobs store.BlobStore
-	if cfg.BlobDir != "" {
-		blobs, err = store.NewDiskBlobStore(cfg.BlobDir)
-		if err != nil {
-			return nil, fmt.Errorf("speed: blob dir: %w", err)
-		}
-	}
 	var acl *store.ACL
 	var auth store.Authorizer
 	if cfg.DenyByDefault {
@@ -158,7 +148,6 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 	tel := telemetry.NewRegistry()
 	st, err := store.New(store.Config{
 		Enclave:         storeEnc,
-		Blobs:           blobs,
 		Shards:          cfg.StoreShards,
 		MaxEntries:      cfg.StoreMaxEntries,
 		MaxBlobBytes:    cfg.StoreMaxBlobBytes,
@@ -166,7 +155,6 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 		Auth:            auth,
 		Oblivious:       cfg.ObliviousLookups,
 		Telemetry:       tel,
-		Engine:          cfg.StoreEngine,
 		DataDir:         cfg.StoreDataDir,
 		MemtableBytes:   cfg.StoreMemtableBytes,
 		CacheBytes:      cfg.StoreCacheBytes,
@@ -223,20 +211,6 @@ func (s *System) RevokeAuthorization(app Measurement) {
 	if s.acl != nil {
 		s.acl.Revoke(app)
 	}
-}
-
-// SealSnapshot serialises the ResultStore's dictionary and blobs,
-// sealed to the store enclave identity and this machine (see
-// SystemConfig.PlatformSeed for restart survival).
-func (s *System) SealSnapshot() ([]byte, error) {
-	return s.store.SealSnapshot()
-}
-
-// RestoreSnapshot installs entries from a snapshot produced by
-// SealSnapshot on the same store identity and machine, returning the
-// number of entries installed.
-func (s *System) RestoreSnapshot(snapshot []byte) (int, error) {
-	return s.store.RestoreSnapshot(snapshot)
 }
 
 // StoreMeasurement returns the ResultStore enclave's measurement, which
