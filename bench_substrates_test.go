@@ -140,64 +140,56 @@ func BenchmarkSubstrateTFIDF(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoalescing measures concurrent identical calls with
-// and without in-flight coalescing: with it, contention collapses to
-// one computation per distinct input.
+// BenchmarkAblationCoalescing measures concurrent identical calls under
+// in-flight coalescing: contention collapses to one computation per
+// distinct input.
 func BenchmarkAblationCoalescing(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"Coalesce", false}, {"NoCoalesce", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			platform := enclave.NewPlatform(enclave.Config{})
-			appEnc, err := platform.Create("app", []byte("app"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			storeEnc, err := platform.Create("store", []byte("store"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := store.New(store.Config{Enclave: storeEnc})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt, err := dedup.NewRuntime(dedup.Config{
-				Enclave:    appEnc,
-				Client:     dedup.NewLocalClient(st, appEnc.Measurement()),
-				NoCoalesce: mode.noCoalesce,
-				Logf:       func(string, ...any) {},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() {
-				_ = rt.Close()
-				st.Close()
-			})
-			// A moderately expensive computation over a rotating set of
-			// inputs, hammered by parallel callers.
-			compute := func(in []byte) ([]byte, error) {
-				sum := byte(0)
-				for i := 0; i < 1_000_000; i++ {
-					sum += in[i%len(in)]
-				}
-				return []byte{sum}, nil
-			}
-			var id mle.FuncID
-			id[0] = 7
-			var counter int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					n := atomic.AddInt64(&counter, 1)
-					input := []byte(fmt.Sprintf("in-%d", n/64)) // 64 callers share each input
-					if _, _, err := rt.Execute(id, input, compute); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
+	platform := enclave.NewPlatform(enclave.Config{})
+	appEnc, err := platform.Create("app", []byte("app"))
+	if err != nil {
+		b.Fatal(err)
 	}
+	storeEnc, err := platform.Create("store", []byte("store"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.New(store.Config{Enclave: storeEnc})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := dedup.NewRuntime(dedup.Config{
+		Enclave: appEnc,
+		Client:  dedup.NewLocalClient(st, appEnc.Measurement()),
+		Logf:    func(string, ...any) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		_ = rt.Close()
+		st.Close()
+	})
+	// A moderately expensive computation over a rotating set of
+	// inputs, hammered by parallel callers.
+	compute := func(in []byte) ([]byte, error) {
+		sum := byte(0)
+		for i := 0; i < 1_000_000; i++ {
+			sum += in[i%len(in)]
+		}
+		return []byte{sum}, nil
+	}
+	var id mle.FuncID
+	id[0] = 7
+	var counter int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			n := atomic.AddInt64(&counter, 1)
+			input := []byte(fmt.Sprintf("in-%d", n/64)) // 64 callers share each input
+			if _, _, err := rt.Execute(id, input, compute); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationObliviousGet quantifies the oblivious-lookup cost

@@ -432,11 +432,10 @@ func BenchmarkAblationAsyncPut(b *testing.B) {
 				b.Fatal(err)
 			}
 			rt, err := dedup.NewRuntime(dedup.Config{
-				Enclave:       appEnc,
-				Client:        dedup.NewLocalClient(st, appEnc.Measurement()),
-				AsyncPut:      mode.async,
-				PutQueueDepth: 1 << 16,
-				Logf:          func(string, ...any) {},
+				Enclave:  appEnc,
+				Client:   dedup.NewLocalClient(st, appEnc.Measurement()),
+				AsyncPut: mode.async,
+				Logf:     func(string, ...any) {},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -55,9 +55,8 @@ type funcProfile struct {
 	misses      int64
 	samples     int
 
-	bypassed      bool
-	bypassCalls   int
-	bypassedSince time.Time
+	bypassed    bool
+	bypassCalls int
 }
 
 func (p *funcProfile) hitRate() float64 {
@@ -152,7 +151,6 @@ func (a *Advisor) ObserveDedup(id mle.FuncID, hit bool, computeCost, overhead ti
 	if expectedBenefit < a.policy.BenefitThreshold*p.overheadEMA {
 		p.bypassed = true
 		p.bypassCalls = 0
-		p.bypassedSince = time.Now()
 	}
 }
 
@@ -201,53 +199,38 @@ func (a *Advisor) Report(id mle.FuncID) FuncReport {
 
 // ExecuteAdaptive is Execute with the Advisor in the loop: when the
 // Advisor decides deduplication does not pay for this function, the
-// computation runs directly in the enclave with no store interaction.
+// call runs the pipeline storeless — computed in the enclave with no
+// store interaction, but still counted, coalesced, traced and refused
+// on a closed runtime like every other call.
 func (rt *Runtime) ExecuteAdaptive(a *Advisor, id mle.FuncID, input []byte, compute func([]byte) ([]byte, error)) ([]byte, Outcome, error) {
-	if a == nil || a.ShouldDedup(id) {
-		// Time the computation separately from the whole call so the
-		// dedup overhead (tag, store round trip, crypto) is isolated.
-		var computeCost time.Duration
-		wrapped := func(in []byte) ([]byte, error) {
-			cstart := time.Now()
-			out, cerr := compute(in)
-			computeCost = time.Since(cstart)
-			return out, cerr
-		}
-		start := time.Now()
-		result, outcome, err := rt.Execute(id, input, wrapped)
-		if err != nil {
-			return nil, 0, err
-		}
-		if a != nil {
-			total := time.Since(start)
-			if outcome == OutcomeReused {
-				a.ObserveDedup(id, true, 0, total)
-			} else {
-				overhead := total - computeCost
-				if overhead < 0 {
-					overhead = 0
-				}
-				a.ObserveDedup(id, false, computeCost, overhead)
-			}
-		}
-		return result, outcome, err
+	if a == nil {
+		return rt.Execute(id, input, compute)
 	}
-
-	// Bypass: plain in-enclave execution.
-	var result []byte
+	bypass := !a.ShouldDedup(id)
+	// Time the computation separately from the whole call so the dedup
+	// overhead (tag, store round trip, crypto) is isolated.
+	var computeCost time.Duration
+	timed := func(in []byte) ([]byte, error) {
+		cstart := time.Now()
+		out, cerr := compute(in)
+		computeCost = time.Since(cstart)
+		return out, cerr
+	}
 	start := time.Now()
-	err := rt.cfg.Enclave.ECall(func() error {
-		res, cerr := compute(input)
-		result = res
-		return cerr
-	})
+	result, outcome, err := rt.executeOne(id, input, timed, bypass)
 	if err != nil {
 		return nil, 0, err
 	}
-	a.ObserveBypass(id, time.Since(start))
-	rt.mu.Lock()
-	rt.stats.Calls++
-	rt.stats.Computed++
-	rt.mu.Unlock()
-	return result, OutcomeComputed, nil
+	switch {
+	case bypass:
+		// A coalesced bypass ran nothing here and has no cost to report.
+		if outcome == OutcomeComputed {
+			a.ObserveBypass(id, computeCost)
+		}
+	case outcome == OutcomeReused:
+		a.ObserveDedup(id, true, 0, time.Since(start))
+	default:
+		a.ObserveDedup(id, false, computeCost, max(time.Since(start)-computeCost, 0))
+	}
+	return result, outcome, nil
 }

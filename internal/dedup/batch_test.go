@@ -150,27 +150,6 @@ func TestExecuteBatchCoalescesDuplicateInputs(t *testing.T) {
 	}
 }
 
-func TestExecuteBatchDuplicatesSharedEvenWithoutCoalescing(t *testing.T) {
-	// NoCoalesce disables cross-call flight sharing, but duplicates
-	// within one batch are still computed once: they are one request.
-	env := newTestEnv(t, func(cfg *Config) { cfg.NoCoalesce = true })
-	id := env.funcID(t)
-	var computes atomic.Int64
-	inputs := [][]byte{[]byte("x"), []byte("x"), []byte("x")}
-	res, err := env.runtime.ExecuteBatch(id, inputs, echoCompute(&computes))
-	if err != nil {
-		t.Fatalf("ExecuteBatch: %v", err)
-	}
-	if n := computes.Load(); n != 1 {
-		t.Errorf("compute ran %d times, want 1", n)
-	}
-	for i := 1; i < 3; i++ {
-		if res[i].Err != nil || !bytes.Equal(res[i].Result, res[0].Result) {
-			t.Errorf("item %d did not share the leader's result", i)
-		}
-	}
-}
-
 func TestExecuteBatchPerItemComputeError(t *testing.T) {
 	env := newTestEnv(t, nil)
 	id := env.funcID(t)
@@ -203,103 +182,6 @@ func TestExecuteBatchPerItemComputeError(t *testing.T) {
 	}
 	if res[0].Err != nil || res[0].Outcome != OutcomeComputed {
 		t.Errorf("retry = (outcome %v, err %v), want computed", res[0].Outcome, res[0].Err)
-	}
-}
-
-func TestExecuteBatchSerialParallelism(t *testing.T) {
-	env := newTestEnv(t, func(cfg *Config) { cfg.BatchParallelism = 1 })
-	id := env.funcID(t)
-	inputs := batchInputs(6)
-	var inFlight, maxInFlight atomic.Int64
-	res, err := env.runtime.ExecuteBatch(id, inputs, func(in []byte) ([]byte, error) {
-		cur := inFlight.Add(1)
-		for {
-			prev := maxInFlight.Load()
-			if cur <= prev || maxInFlight.CompareAndSwap(prev, cur) {
-				break
-			}
-		}
-		defer inFlight.Add(-1)
-		return in, nil
-	})
-	if err != nil {
-		t.Fatalf("ExecuteBatch: %v", err)
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-	}
-	if m := maxInFlight.Load(); m != 1 {
-		t.Errorf("max concurrent computes = %d, want 1 with BatchParallelism=1", m)
-	}
-}
-
-// downClient is a StoreClient whose store is permanently unreachable.
-type downClient struct{}
-
-func (downClient) Get(wire.TraceContext, []mle.Tag) ([]wire.GetResult, error) {
-	return nil, errors.New("store down")
-}
-func (downClient) Put(wire.TraceContext, []wire.PutItem) ([]wire.PutResult, error) {
-	return nil, errors.New("store down")
-}
-func (downClient) Has(wire.TraceContext, []mle.Tag) ([]bool, error) {
-	return nil, errors.New("store down")
-}
-func (downClient) Ping() error  { return errors.New("store down") }
-func (downClient) Close() error { return nil }
-
-func TestExecuteBatchDegradesWhenStoreDown(t *testing.T) {
-	env := newTestEnv(t, func(cfg *Config) {
-		cfg.Client = downClient{}
-		cfg.DegradeThreshold = 1
-	})
-	id := env.funcID(t)
-	inputs := batchInputs(4)
-	res, err := env.runtime.ExecuteBatch(id, inputs, echoCompute(nil))
-	if err != nil {
-		t.Fatalf("ExecuteBatch: %v", err)
-	}
-	for i, r := range res {
-		if r.Err != nil || r.Outcome != OutcomeComputed {
-			t.Errorf("item %d = (outcome %v, err %v), want computed compute-only", i, r.Outcome, r.Err)
-		}
-	}
-	st := env.runtime.Stats()
-	if st.Degraded == 0 {
-		t.Errorf("Stats.Degraded = 0, want > 0 after store failure")
-	}
-	if !env.runtime.Degraded() {
-		t.Error("breaker did not open after batch GET failure")
-	}
-	// With the breaker open, the next batch skips the store entirely.
-	res, err = env.runtime.ExecuteBatch(id, inputs, echoCompute(nil))
-	if err != nil {
-		t.Fatalf("second ExecuteBatch: %v", err)
-	}
-	for i, r := range res {
-		if r.Err != nil || r.Outcome != OutcomeComputed {
-			t.Errorf("degraded item %d = (outcome %v, err %v), want computed", i, r.Outcome, r.Err)
-		}
-	}
-}
-
-func TestExecuteBatchSurfacesStoreErrorWithoutDegradation(t *testing.T) {
-	env := newTestEnv(t, func(cfg *Config) {
-		cfg.Client = downClient{}
-		cfg.DegradeThreshold = -1
-	})
-	id := env.funcID(t)
-	inputs := batchInputs(3)
-	res, err := env.runtime.ExecuteBatch(id, inputs, echoCompute(nil))
-	if err != nil {
-		t.Fatalf("ExecuteBatch: %v", err)
-	}
-	for i, r := range res {
-		if r.Err == nil {
-			t.Errorf("item %d err = nil, want store failure surfaced", i)
-		}
 	}
 }
 

@@ -36,6 +36,12 @@ import (
 // the caller falls through to the ordinary recompute path silently.
 var errNoManifest = errors.New("dedup: stored entry carries no manifest")
 
+// errFetchChunks marks a transport failure fetching a manifest's
+// chunks. It says nothing about the stored data — the store was
+// unreachable, not wrong — so the pipeline books it like a failed
+// primary GET instead of a poisoned entry.
+var errFetchChunks = errors.New("fetch chunks")
+
 // errTooManyChunks reports that a result split into more chunks than
 // one manifest (and one BatchGet) can carry; the caller falls back to
 // the whole-result path.
@@ -146,6 +152,21 @@ func (rt *Runtime) clientHas(tc wire.TraceContext, tags []mle.Tag) ([]bool, erro
 	return present, err
 }
 
+// clientPutAll uploads items and reports the first one the store
+// rejected as ErrPutRejected.
+func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.PutItem) error {
+	prs, err := rt.clientPut(tc, items)
+	if err != nil {
+		return err
+	}
+	for _, pr := range prs {
+		if !pr.OK {
+			return fmt.Errorf("%w: %s put: %s", ErrPutRejected, what, pr.Err)
+		}
+	}
+	return nil
+}
+
 // chunkedPut uploads a large result chunk-wise: split, probe for what
 // the store already holds, upload only the missing sealed chunks, and
 // seal the manifest at the call's primary tag. Runs inside the
@@ -154,8 +175,9 @@ func (rt *Runtime) clientHas(tc wire.TraceContext, tags []mle.Tag) ([]bool, erro
 // With replace true (the entry at the primary tag failed verification,
 // so a chunk may be tampered too) the probe and cache are bypassed and
 // every chunk is re-uploaded with Replace, healing whatever was bad.
-func (rt *Runtime) chunkedPut(id mle.FuncID, input, result []byte, tag mle.Tag, replace bool, tc wire.TraceContext, span *execSpan) error {
-	chunks := rt.chunker.Split(result)
+func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
+	id, tc, replace := job.id, job.tc, job.replace
+	chunks := rt.chunker.Split(job.result)
 	if len(chunks) > chunk.MaxManifestChunks {
 		return errTooManyChunks
 	}
@@ -216,31 +238,23 @@ func (rt *Runtime) chunkedPut(id mle.FuncID, input, result []byte, tag mle.Tag, 
 		items = append(items, wire.PutItem{Tag: ctags[i], Sealed: sealed, Replace: replace})
 	}
 	mid := chunk.ManifestFuncID(id)
-	manSealed, err := rt.cfg.Scheme.Encrypt(mid, input, man.Encode())
+	manSealed, err := rt.cfg.Scheme.Encrypt(mid, job.input, man.Encode())
 	span.end(phaseEncrypt)
 	if err != nil {
 		return fmt.Errorf("encrypt manifest: %w", err)
 	}
 
-	span.begin(phaseStorePut)
-	err = rt.cfg.Enclave.OCall(func() error {
+	err = rt.putOCall(span, func() error {
+		// A rejected chunk would leave the manifest referencing a hole;
+		// don't install it. The caller already has its result — only
+		// future reuse is lost.
 		if len(items) > 0 {
-			prs, oerr := rt.clientPut(tc, items)
-			if oerr != nil {
-				return oerr
-			}
-			for _, pr := range prs {
-				if !pr.OK {
-					// A rejected chunk would leave the manifest referencing
-					// a hole; don't install it. The caller already has its
-					// result — only future reuse is lost.
-					return fmt.Errorf("%w: chunk put: %s", ErrPutRejected, pr.Err)
-				}
+			if perr := rt.clientPutAll(tc, "chunk", items); perr != nil {
+				return perr
 			}
 		}
-		return rt.clientPutOne(tc, wire.PutItem{Tag: tag, Sealed: manSealed, Replace: replace})
+		return rt.clientPutAll(tc, "manifest", []wire.PutItem{{Tag: job.tag, Sealed: manSealed, Replace: replace}})
 	})
-	span.end(phaseStorePut)
 	if err != nil {
 		return err
 	}
@@ -262,7 +276,7 @@ func (rt *Runtime) chunkedPut(id mle.FuncID, input, result []byte, tag mle.Tag, 
 // the whole-result digest. Any failure past manifest decryption means
 // the stored data is unusable and the caller recomputes loudly;
 // errNoManifest alone means the entry was never a manifest.
-func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceContext, sealed mle.Sealed) ([]byte, error) {
+func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceContext, sealed mle.Sealed, span *execSpan) ([]byte, error) {
 	enc, err := rt.cfg.Scheme.Decrypt(chunk.ManifestFuncID(id), input, sealed)
 	if err != nil {
 		if errors.Is(err, mle.ErrAuthFailed) {
@@ -292,14 +306,13 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 	}
 
 	if len(missingTags) > 0 {
-		var got []wire.GetResult
-		gerr := rt.cfg.Enclave.OCall(func() error {
-			var oerr error
-			got, oerr = rt.clientGet(tc, missingTags)
-			return oerr
-		})
+		// The fetch is store time, not verification time: it accrues to
+		// store_get, and verify_decrypt resumes once it returns.
+		span.end(phaseVerifyDecrypt)
+		got, gerr := rt.clientGet(tc, missingTags, span)
+		span.begin(phaseVerifyDecrypt)
 		if gerr != nil {
-			return nil, fmt.Errorf("fetch chunks: %w", gerr)
+			return nil, fmt.Errorf("%w: %w", errFetchChunks, gerr)
 		}
 		rt.noteStoreSuccess()
 		for j, r := range got {

@@ -636,37 +636,6 @@ func TestExecuteCoalescedErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestExecuteNoCoalesceDisables(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.NoCoalesce = true })
-	id := env.funcID(t)
-	var computes atomic.Int64
-	started := make(chan struct{}, 2)
-	release := make(chan struct{})
-	slow := func([]byte) ([]byte, error) {
-		computes.Add(1)
-		started <- struct{}{}
-		<-release
-		return []byte("r"), nil
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := env.runtime.Execute(id, []byte("in"), slow); err != nil {
-				t.Errorf("Execute: %v", err)
-			}
-		}()
-	}
-	<-started
-	<-started // both entered the computation: no coalescing
-	close(release)
-	wg.Wait()
-	if got := computes.Load(); got != 2 {
-		t.Errorf("computes = %d, want 2 with NoCoalesce", got)
-	}
-}
-
 func TestExecuteUsesECallsAndOCalls(t *testing.T) {
 	env := newTestEnv(t, nil)
 	id := env.funcID(t)

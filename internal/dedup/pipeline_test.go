@@ -1,0 +1,718 @@
+package dedup
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"speed/internal/enclave"
+	"speed/internal/mle"
+	"speed/internal/store"
+	"speed/internal/telemetry"
+	"speed/internal/wire"
+)
+
+// Entry-point conformance: every way into the execute pipeline —
+// Execute, ExecuteBatch of one, ExecuteBatch of three with the scenario
+// item in the middle, ExecuteAdaptive with no advisor — must serve each
+// scenario with the same result bytes, outcome, Stats delta, store
+// request counts and enclave crossings. Single and batch calls are one
+// pipeline; this table is what keeps them one.
+
+// countingClient counts the runtime's store requests and injects
+// faults into them. The hooks see the 1-based index of the request
+// among those of its kind.
+type countingClient struct {
+	StoreClient
+	gets, puts, hass atomic.Int64
+	getErr           func(call int64) error
+	getMutate        func(call int64, res []wire.GetResult)
+	rejectPuts       bool          // every PUT item is refused, as by a quota
+	delay            time.Duration // added to every Get
+	down             atomic.Bool   // Ping fails: the breaker stays open
+}
+
+func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+	n := c.gets.Add(1)
+	time.Sleep(c.delay)
+	if c.getErr != nil {
+		if err := c.getErr(n); err != nil {
+			return nil, err
+		}
+	}
+	res, err := c.StoreClient.Get(tc, tags)
+	if err == nil && c.getMutate != nil {
+		c.getMutate(n, res)
+	}
+	return res, err
+}
+
+func (c *countingClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
+	c.puts.Add(1)
+	if c.rejectPuts {
+		res := make([]wire.PutResult, len(items))
+		for i := range res {
+			res[i].Err = "injected: quota exceeded"
+		}
+		return res, nil
+	}
+	return c.StoreClient.Put(tc, items)
+}
+
+func (c *countingClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
+	c.hass.Add(1)
+	return c.StoreClient.Has(tc, tags)
+}
+
+func (c *countingClient) Ping() error {
+	if c.down.Load() {
+		return errStoreDown
+	}
+	return c.StoreClient.Ping()
+}
+
+var errStoreDown = errors.New("injected: store down")
+
+// logSink collects the runtime's log lines.
+type logSink struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logSink) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+func (l *logSink) contains(sub string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range l.lines {
+		if strings.Contains(line, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// pipeEnv is one scenario instance: a store, a seeder application that
+// arranges the store's state through an uncounted client, and the
+// runtime under test behind a countingClient.
+type pipeEnv struct {
+	t      *testing.T
+	store  *store.Store
+	seeder *Runtime
+	appEnc *enclave.Enclave
+	client *countingClient
+	rt     *Runtime
+	id     mle.FuncID
+	logs   *logSink
+}
+
+func newPipeEnv(t *testing.T, mutate func(*Config)) *pipeEnv {
+	t.Helper()
+	p := enclave.NewPlatform(enclave.Config{})
+	create := func(name string) *enclave.Enclave {
+		e, err := p.Create(name, []byte(name+" code"))
+		if err != nil {
+			t.Fatalf("create %s enclave: %v", name, err)
+		}
+		return e
+	}
+	st, err := store.New(store.Config{Enclave: create("store")})
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	env := &pipeEnv{t: t, store: st, appEnc: create("app"), logs: &logSink{}}
+	build := func(enc *enclave.Enclave, client StoreClient) *Runtime {
+		cfg := Config{Enclave: enc, Client: client, Logf: env.logs.logf}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		if enc != env.appEnc {
+			cfg.AsyncPut = false // seeded state must be in the store on return
+		}
+		rt, err := NewRuntime(cfg)
+		if err != nil {
+			t.Fatalf("NewRuntime: %v", err)
+		}
+		t.Cleanup(func() { _ = rt.Close() })
+		rt.Registry().RegisterLibrary("zlib", "1.2.11", []byte("zlib code"))
+		return rt
+	}
+	seedEnc := create("seeder")
+	env.seeder = build(seedEnc, NewLocalClient(st, seedEnc.Measurement()))
+	env.client = &countingClient{StoreClient: NewLocalClient(st, env.appEnc.Measurement())}
+	env.rt = build(env.appEnc, env.client)
+	if env.id, err = env.rt.Resolve(deflateDesc); err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	return env
+}
+
+// seed stores compute's result for input through the seeder app (a
+// different enclave: cross-application reuse makes it a hit for the
+// runtime under test).
+func (env *pipeEnv) seed(input []byte, compute func([]byte) ([]byte, error)) {
+	env.t.Helper()
+	if _, out, err := env.seeder.Execute(env.id, input, compute); err != nil || out != OutcomeComputed {
+		env.t.Fatalf("seed %q = (%v, %v), want computed", input, out, err)
+	}
+}
+
+// poison installs a validly formatted entry sealed for a different
+// computation under input's tag: the adversary controls the store
+// machine's software stack.
+func (env *pipeEnv) poison(input []byte) {
+	env.t.Helper()
+	var evilID mle.FuncID
+	evilID[0] = 0xEE
+	evil, err := (&mle.RCE{}).Encrypt(evilID, []byte("evil input"), []byte("evil result"))
+	if err != nil {
+		env.t.Fatalf("evil Encrypt: %v", err)
+	}
+	if _, err := env.store.Put(env.appEnc.Measurement(), mle.ComputeTag(env.id, input), evil); err != nil {
+		env.t.Fatalf("poison Put: %v", err)
+	}
+}
+
+// lookup returns what a clean application reuses for input, if the
+// store holds a valid entry for it.
+func (env *pipeEnv) lookup(input []byte) ([]byte, bool) {
+	res, out, err := env.seeder.Execute(env.id, input, func([]byte) ([]byte, error) {
+		return nil, errors.New("not stored")
+	})
+	return res, err == nil && out == OutcomeReused
+}
+
+// tripBreaker fails one call so the breaker (DegradeThreshold 1) opens,
+// then holds it open against the background probe.
+func (env *pipeEnv) tripBreaker() {
+	env.t.Helper()
+	env.client.down.Store(true)
+	env.client.getErr = func(int64) error { return errStoreDown }
+	if _, _, err := env.rt.Execute(env.id, []byte("trip"), pipeCompute); err != nil {
+		env.t.Fatalf("tripping call: %v", err)
+	}
+	if !env.rt.Degraded() {
+		env.t.Fatal("breaker did not open")
+	}
+}
+
+var (
+	pipeInput   = []byte("scenario input")
+	pipeFillers = [][]byte{[]byte("filler one"), []byte("filler two")}
+	errCompute  = errors.New("deterministic compute failure")
+)
+
+func pipeCompute(in []byte) ([]byte, error) { return append([]byte("result of "), in...), nil }
+
+// pipeBig is a result large enough to be chunked at chunkTestThreshold.
+func pipeBig(in []byte) ([]byte, error) {
+	return append(chunkResult(int64(len(in)), 96<<10), in...), nil
+}
+
+// pipeScenario is one row of the table. Expectations are for the
+// scenario item alone; filler says what each of ExecuteBatch-of-three's
+// two extra items adds on top.
+type pipeScenario struct {
+	name string
+	cfg  func(*Config)
+	// arrange prepares the store and the faults for the scenario input.
+	// The fillers are already seeded as plain hits when it runs.
+	arrange func(env *pipeEnv)
+	// compute is the scenario input's function (default pipeCompute);
+	// stored means the call must be served without running it.
+	compute func([]byte) ([]byte, error)
+	stored  bool
+
+	outcome Outcome
+	errIs   error  // the call fails with this...
+	errText string // ...or with an error containing this
+	stats   Stats
+	filler  Stats // per filler; zero means a plain hit
+	// Store requests and enclave OCALLs the whole call makes, however
+	// many items it carries; asyncECalls are the async PUT worker's.
+	gets, puts, hass, ocalls, asyncECalls int64
+	// verify checks the aftermath (store healed, flights released, ...).
+	verify func(env *pipeEnv, want []byte)
+}
+
+func withChunking(cfg *Config)   { cfg.ChunkThreshold = chunkTestThreshold }
+func withoutDegrade(cfg *Config) { cfg.DegradeThreshold = -1 }
+func withBreakerAt1(cfg *Config) { cfg.DegradeThreshold = 1 }
+func degradedFiller() Stats      { return Stats{Computed: 1, Degraded: 1} }
+func failAllGets(env *pipeEnv)   { env.client.getErr = func(int64) error { return errStoreDown } }
+func stored(env *pipeEnv, want []byte) {
+	env.t.Helper()
+	if got, ok := env.lookup(pipeInput); !ok || !bytes.Equal(got, want) {
+		env.t.Error("the store holds no valid entry for the scenario input afterwards")
+	}
+}
+func notStored(env *pipeEnv, _ []byte) {
+	env.t.Helper()
+	if _, ok := env.lookup(pipeInput); ok {
+		env.t.Error("the scenario input was stored; want no upload")
+	}
+}
+
+var pipeScenarios = []pipeScenario{
+	{
+		name:    "miss",
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1},
+		gets:    1, puts: 1, ocalls: 2,
+		verify: stored,
+	},
+	{
+		name:    "hit",
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeCompute) },
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1},
+		gets:    1, ocalls: 1,
+	},
+	{
+		name:    "poisoned_entry_recomputed_and_replaced",
+		arrange: func(env *pipeEnv) { env.poison(pipeInput) },
+		outcome: OutcomeRecomputed,
+		stats:   Stats{Computed: 1, VerifyFailures: 1},
+		gets:    1, puts: 1, ocalls: 2,
+		verify: stored,
+	},
+	{
+		name:    "get_error_degrades",
+		arrange: failAllGets,
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, Degraded: 1, StoreFailures: 1},
+		filler:  degradedFiller(),
+		gets:    1, ocalls: 1,
+		verify: notStored,
+	},
+	{
+		name:    "get_error_surfaces_without_degradation",
+		cfg:     withoutDegrade,
+		arrange: failAllGets,
+		errIs:   errStoreDown,
+		errText: "query store",
+		filler:  Stats{Calls: 1},
+		gets:    1, ocalls: 1,
+	},
+	{
+		name:    "breaker_open",
+		cfg:     withBreakerAt1,
+		arrange: (*pipeEnv).tripBreaker,
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, Degraded: 1},
+		filler:  degradedFiller(),
+	},
+	{
+		name:    "compute_error",
+		compute: func([]byte) ([]byte, error) { return nil, errCompute },
+		errIs:   errCompute,
+		gets:    1, ocalls: 1,
+		verify: func(env *pipeEnv, _ []byte) {
+			if n := env.rt.inflightCount(); n != 0 {
+				env.t.Errorf("%d flights left registered after a failed computation", n)
+			}
+			notStored(env, nil)
+		},
+	},
+	{
+		name:    "put_rejected",
+		arrange: func(env *pipeEnv) { env.client.rejectPuts = true },
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, PutErrors: 1},
+		gets:    1, puts: 1, ocalls: 2,
+		verify: notStored,
+	},
+	{
+		name:    "async_put_drained_by_close",
+		cfg:     func(cfg *Config) { cfg.AsyncPut = true },
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1},
+		gets:    1, puts: 1, ocalls: 2, asyncECalls: 1,
+		verify: func(env *pipeEnv, want []byte) {
+			if err := env.rt.Close(); err != nil {
+				env.t.Fatalf("Close: %v", err)
+			}
+			stored(env, want)
+		},
+	},
+	{
+		name:    "chunked_miss",
+		cfg:     withChunking,
+		compute: pipeBig,
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, ChunkedPuts: 1},
+		// HAS probe, then chunks + manifest in one PUT crossing.
+		gets: 1, hass: 1, puts: 2, ocalls: 3,
+		verify: stored,
+	},
+	{
+		name:    "chunked_hit",
+		cfg:     withChunking,
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig) },
+		compute: pipeBig,
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1, ManifestReuses: 1},
+		// The lookup, then one fetch of the manifest's chunks.
+		gets: 2, ocalls: 2,
+	},
+	{
+		name: "chunk_missing_recomputes_loudly",
+		cfg:  withChunking,
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeBig)
+			env.client.getMutate = func(call int64, res []wire.GetResult) {
+				if call == 2 {
+					res[len(res)/2] = wire.GetResult{}
+				}
+			}
+		},
+		compute: pipeBig,
+		outcome: OutcomeRecomputed,
+		stats:   Stats{Computed: 1, VerifyFailures: 1, ChunkedPuts: 1},
+		// Replace skips the HAS probe and re-uploads every chunk.
+		gets: 2, puts: 2, ocalls: 3,
+		verify: func(env *pipeEnv, want []byte) {
+			if !env.logs.contains("chunked reassembly") {
+				env.t.Error("the reassembly failure was not logged")
+			}
+			stored(env, want)
+		},
+	},
+	{
+		// A store outage in the middle of a reassembly says nothing about
+		// the stored data: it is a failed GET, not a poisoned entry.
+		name: "chunk_fetch_outage_degrades",
+		cfg:  withChunking,
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeBig)
+			env.client.getErr = func(call int64) error {
+				if call == 2 {
+					return errStoreDown
+				}
+				return nil
+			}
+		},
+		compute: pipeBig,
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, Degraded: 1, StoreFailures: 1},
+		gets:    2, ocalls: 2,
+	},
+	{
+		name: "chunk_fetch_outage_surfaces_without_degradation",
+		cfg:  func(cfg *Config) { withChunking(cfg); withoutDegrade(cfg) },
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeBig)
+			env.client.getErr = func(call int64) error {
+				if call == 2 {
+					return errStoreDown
+				}
+				return nil
+			}
+		},
+		compute: pipeBig,
+		errIs:   errStoreDown,
+		errText: "query store",
+		gets:    2, ocalls: 2,
+	},
+}
+
+// pipeEntry is one way into the pipeline. call runs the scenario input
+// (with fillers around it, for the batch of three) and returns the
+// scenario item's result plus the fillers' results.
+type pipeEntry struct {
+	name    string
+	fillers int
+	call    func(rt *Runtime, id mle.FuncID, compute func([]byte) ([]byte, error)) (BatchResult, []BatchResult, error)
+}
+
+func single(res []byte, out Outcome, err error) (BatchResult, []BatchResult, error) {
+	return BatchResult{Result: res, Outcome: out, Err: err}, nil, nil
+}
+
+var pipeEntries = []pipeEntry{
+	{name: "Execute", call: func(rt *Runtime, id mle.FuncID, compute func([]byte) ([]byte, error)) (BatchResult, []BatchResult, error) {
+		return single(rt.Execute(id, pipeInput, compute))
+	}},
+	{name: "ExecuteBatch_1", call: func(rt *Runtime, id mle.FuncID, compute func([]byte) ([]byte, error)) (BatchResult, []BatchResult, error) {
+		res, err := rt.ExecuteBatch(id, [][]byte{pipeInput}, compute)
+		if err != nil {
+			return BatchResult{}, nil, err
+		}
+		return res[0], nil, nil
+	}},
+	{name: "ExecuteBatch_3", fillers: 2, call: func(rt *Runtime, id mle.FuncID, compute func([]byte) ([]byte, error)) (BatchResult, []BatchResult, error) {
+		res, err := rt.ExecuteBatch(id, [][]byte{pipeFillers[0], pipeInput, pipeFillers[1]}, compute)
+		if err != nil {
+			return BatchResult{}, nil, err
+		}
+		return res[1], []BatchResult{res[0], res[2]}, nil
+	}},
+	{name: "ExecuteAdaptive_nil", call: func(rt *Runtime, id mle.FuncID, compute func([]byte) ([]byte, error)) (BatchResult, []BatchResult, error) {
+		return single(rt.ExecuteAdaptive(nil, id, pipeInput, compute))
+	}},
+}
+
+func TestPipelineConformance(t *testing.T) {
+	for _, sc := range pipeScenarios {
+		for _, entry := range pipeEntries {
+			t.Run(sc.name+"/"+entry.name, func(t *testing.T) { runPipeScenario(t, sc, entry) })
+		}
+	}
+}
+
+func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
+	env := newPipeEnv(t, sc.cfg)
+	for _, f := range pipeFillers {
+		env.seed(f, pipeCompute)
+	}
+	if sc.arrange != nil {
+		sc.arrange(env)
+	}
+	scCompute := sc.compute
+	if scCompute == nil {
+		scCompute = pipeCompute
+	}
+	compute := func(in []byte) ([]byte, error) {
+		if !bytes.Equal(in, pipeInput) {
+			return pipeCompute(in)
+		}
+		if sc.stored {
+			t.Error("computed a stored result")
+		}
+		return scCompute(in)
+	}
+	want, _ := scCompute(pipeInput)
+
+	statsBefore, encBefore := env.rt.Stats(), env.appEnc.Metrics()
+	getsBefore, putsBefore, hassBefore := env.client.gets.Load(), env.client.puts.Load(), env.client.hass.Load()
+	got, fillers, err := entry.call(env.rt, env.id, compute)
+	if err != nil {
+		t.Fatalf("top-level error: %v", err)
+	}
+	if sc.verify != nil {
+		sc.verify(env, want) // first: async_put's Close settles the counts
+	}
+
+	// The scenario item.
+	switch {
+	case sc.errIs != nil:
+		if !errors.Is(got.Err, sc.errIs) || !strings.Contains(got.Err.Error(), sc.errText) {
+			t.Errorf("err = %v, want %v containing %q", got.Err, sc.errIs, sc.errText)
+		}
+		if got.Result != nil || got.Outcome != 0 {
+			t.Errorf("failed item carries result %q outcome %v", got.Result, got.Outcome)
+		}
+	case got.Err != nil:
+		t.Errorf("err = %v, want %v", got.Err, sc.outcome)
+	case got.Outcome != sc.outcome || !bytes.Equal(got.Result, want):
+		t.Errorf("= (%d bytes, %v), want (%d bytes, %v)", len(got.Result), got.Outcome, len(want), sc.outcome)
+	}
+
+	// The fillers ride along undisturbed: hits, unless the scenario
+	// takes the store away from the whole call.
+	filler := sc.filler
+	if filler == (Stats{}) {
+		filler = Stats{Reused: 1, BytesReused: int64(len("result of " + string(pipeFillers[0])))}
+	}
+	for i, f := range fillers {
+		wantRes, _ := pipeCompute(pipeFillers[i])
+		switch {
+		case filler.Calls == 1:
+			if f.Err == nil {
+				t.Errorf("filler %d succeeded, want the store error on every item", i)
+			}
+		case f.Err != nil || !bytes.Equal(f.Result, wantRes):
+			t.Errorf("filler %d = (%q, %v), want %q", i, f.Result, f.Err, wantRes)
+		}
+	}
+
+	// Stats: the scenario item's delta plus each filler's.
+	wantStats := sc.stats
+	wantStats.Calls = 1
+	if sc.outcome == OutcomeReused {
+		wantStats.BytesReused = int64(len(want))
+	}
+	n := int64(entry.fillers)
+	filler.Calls = 1
+	wantStats = addStats(wantStats, filler, n)
+	delta := subStats(env.rt.Stats(), statsBefore)
+	if sc.stats.ManifestReuses > 0 {
+		// How many chunks a result splits into is the chunker's
+		// business; pin only that all came from the store, none cached.
+		if delta.ChunksFetched == 0 || delta.ChunkCacheHits != 0 {
+			t.Errorf("ChunksFetched = %d, ChunkCacheHits = %d, want >0 and 0", delta.ChunksFetched, delta.ChunkCacheHits)
+		}
+		delta.ChunksFetched = 0
+	}
+	if delta != wantStats {
+		t.Errorf("Stats delta = %+v\nwant          %+v", delta, wantStats)
+	}
+
+	// Store requests and enclave crossings do not depend on the entry
+	// point or on how many items ride in the call.
+	if g, p, h := env.client.gets.Load()-getsBefore, env.client.puts.Load()-putsBefore, env.client.hass.Load()-hassBefore; g != sc.gets || p != sc.puts || h != sc.hass {
+		t.Errorf("store requests GET/PUT/HAS = %d/%d/%d, want %d/%d/%d", g, p, h, sc.gets, sc.puts, sc.hass)
+	}
+	enc := env.appEnc.Metrics()
+	if e, o := enc.ECalls-encBefore.ECalls, enc.OCalls-encBefore.OCalls; e != 1+sc.asyncECalls || o != sc.ocalls {
+		t.Errorf("ECALLs/OCALLs = %d/%d, want %d/%d", e, o, 1+sc.asyncECalls, sc.ocalls)
+	}
+}
+
+// addStats adds n fillers' worth of b to a; a filler is a hit, a
+// degraded computation or a failed call, so only those fields move.
+func addStats(a, b Stats, n int64) Stats {
+	a.Calls += n * b.Calls
+	a.Reused += n * b.Reused
+	a.Computed += n * b.Computed
+	a.BytesReused += n * b.BytesReused
+	a.Degraded += n * b.Degraded
+	return a
+}
+
+func subStats(a, b Stats) Stats {
+	return Stats{
+		Calls: a.Calls - b.Calls, Reused: a.Reused - b.Reused, Computed: a.Computed - b.Computed,
+		Coalesced: a.Coalesced - b.Coalesced, VerifyFailures: a.VerifyFailures - b.VerifyFailures,
+		PutErrors: a.PutErrors - b.PutErrors, BytesReused: a.BytesReused - b.BytesReused,
+		Degraded: a.Degraded - b.Degraded, StoreFailures: a.StoreFailures - b.StoreFailures,
+		Retries: a.Retries - b.Retries, ChunkedPuts: a.ChunkedPuts - b.ChunkedPuts,
+		ManifestReuses: a.ManifestReuses - b.ManifestReuses, ChunksFetched: a.ChunksFetched - b.ChunksFetched,
+		ChunkCacheHits: a.ChunkCacheHits - b.ChunkCacheHits, ChunksSkipped: a.ChunksSkipped - b.ChunksSkipped,
+	}
+}
+
+// TestAdaptiveBypassIsThePipeline pins what the bypass gained by
+// running the pipeline storeless instead of a hand-rolled ECALL: it is
+// refused on a closed runtime, and it is measured like any other call.
+func TestAdaptiveBypassIsThePipeline(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	env := newTestEnv(t, func(c *Config) { c.Telemetry = reg })
+	id := env.funcID(t)
+	advisor := NewAdvisor(AdaptivePolicy{MinSamples: 1, Probation: 1 << 30})
+	// One all-miss sample of a free function convinces the advisor.
+	advisor.ObserveDedup(id, false, time.Nanosecond, time.Second)
+	if !advisor.Report(id).Bypassed {
+		t.Fatal("advisor did not bypass")
+	}
+
+	computed := func() int64 {
+		for _, h := range reg.Snapshot().HistogramsByFamily("speed_execute_seconds") {
+			if strings.Contains(h.Name, `outcome="computed"`) {
+				return h.Count
+			}
+		}
+		return -1
+	}
+	gets := env.store.Stats().Gets
+	res, out, err := env.runtime.ExecuteAdaptive(advisor, id, []byte("in"), pipeCompute)
+	if err != nil || out != OutcomeComputed || string(res) != "result of in" {
+		t.Fatalf("bypassed call = (%q, %v, %v)", res, out, err)
+	}
+	if got := env.store.Stats().Gets; got != gets {
+		t.Errorf("bypassed call queried the store (%d -> %d GETs)", gets, got)
+	}
+	if st := env.runtime.Stats(); st.Calls != 1 || st.Computed != 1 || st.Degraded != 0 {
+		t.Errorf("Stats = %+v, want 1 call, 1 computed, not degraded", st)
+	}
+	if got := computed(); got != 1 {
+		t.Errorf(`speed_execute_seconds{outcome="computed"} count = %d, want 1`, got)
+	}
+
+	if err := env.runtime.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	_, _, err = env.runtime.ExecuteAdaptive(advisor, id, []byte("in"), func([]byte) ([]byte, error) {
+		t.Error("computed on a closed runtime")
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "dedup: runtime closed") {
+		t.Errorf("bypassed call after Close = %v, want runtime closed", err)
+	}
+	if st := env.runtime.Stats(); st.Calls != 1 {
+		t.Errorf("Calls = %d after a refused call, want 1", st.Calls)
+	}
+}
+
+// TestChunkFetchTimedAsStoreGet: on a chunked hit the chunk fetch is
+// store time. store_get covers the lookup and the fetch, verify_decrypt
+// only decryption and chunk verification — identically for a single
+// call and a batch.
+func TestChunkFetchTimedAsStoreGet(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	for _, entry := range pipeEntries[:2] {
+		t.Run(entry.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			env := newPipeEnv(t, func(cfg *Config) {
+				withChunking(cfg)
+				if cfg.Enclave.Name() == "app" {
+					cfg.Telemetry = reg
+				}
+			})
+			env.seed(pipeInput, pipeBig)
+			env.client.delay = delay
+			got, _, err := entry.call(env.rt, env.id, pipeBig)
+			if err != nil || got.Err != nil || got.Outcome != OutcomeReused {
+				t.Fatalf("chunked hit = (%v, %v, %v)", got.Outcome, got.Err, err)
+			}
+			phase := func(name string) time.Duration {
+				for _, h := range reg.Snapshot().HistogramsByFamily("speed_execute_phase_seconds") {
+					if strings.Contains(h.Name, `phase="`+name+`"`) {
+						if h.Count != 1 {
+							t.Errorf("phase %s observed %d times, want 1", name, h.Count)
+						}
+						return time.Duration(h.SumSeconds * float64(time.Second))
+					}
+				}
+				t.Fatalf("phase %s not recorded", name)
+				return 0
+			}
+			// Two delayed GETs: the lookup and the chunk fetch.
+			if got := phase("store_get"); got < 2*delay {
+				t.Errorf("store_get = %v, want >= %v (lookup + chunk fetch)", got, 2*delay)
+			}
+			if got := phase("verify_decrypt"); got >= delay {
+				t.Errorf("verify_decrypt = %v, want < %v: it must not include the chunk fetch", got, delay)
+			}
+		})
+	}
+}
+
+// TestExecuteHitAllocBound gates the single-call hit path at the
+// allocation count Execute had when it was a hand-written copy of the
+// algorithm (23 allocs/op, BenchmarkExecuteHitRaw -benchmem at commit
+// 1c46c0e), so running it through the shared pipeline cannot quietly
+// put a map, a goroutine or a second per-item slice on the hit path.
+func TestExecuteHitAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate")
+	}
+	rt := benchEnv(t, nil, false)
+	id, err := rt.Resolve(deflateDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []byte("benchmark input")
+	fn := func(in []byte) ([]byte, error) { return append([]byte("r:"), in...), nil }
+	hit := func() {
+		if _, _, err := rt.Execute(id, input, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit() // the miss that stores the result
+	const bound = 23
+	if n := testing.AllocsPerRun(200, hit); n > bound {
+		t.Errorf("Execute hit allocates %v times per call, want <= %d", n, bound)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,18 +71,6 @@ type Config struct {
 	// measured "Init. Comp." which includes "the time for secure
 	// storing result"), the PUT happens on the caller's path.
 	AsyncPut bool
-	// PutQueueDepth bounds the async PUT queue; defaults to 64.
-	PutQueueDepth int
-	// NoCoalesce disables in-flight coalescing. By default, when
-	// multiple goroutines concurrently Execute the same computation
-	// (same FuncID and input), only the first runs it; the others wait
-	// and share its result with OutcomeCoalesced — deduplication
-	// within the process, before the store is even consulted.
-	NoCoalesce bool
-	// BatchParallelism bounds how many missing results one ExecuteBatch
-	// call computes concurrently. Zero selects GOMAXPROCS; 1 computes
-	// serially.
-	BatchParallelism int
 	// ChunkThreshold enables content-defined chunked deduplication:
 	// results of at least this many bytes are split with a FastCDC
 	// chunker, each chunk independently RCE-encrypted and stored under
@@ -239,22 +226,27 @@ type Runtime struct {
 // flight is one in-progress computation that concurrent identical
 // calls can join.
 type flight struct {
-	done    chan struct{}
-	result  []byte
-	outcome Outcome
-	err     error
+	done   chan struct{}
+	result []byte
+	err    error
 }
 
+// putJob is one freshly computed result awaiting the upload stage. It
+// carries its call's function identity and trace context so it can
+// also wait in the async PUT queue, and a sampled call's PUT leg still
+// lands in the same distributed trace.
 type putJob struct {
 	id      mle.FuncID
+	tc      wire.TraceContext
 	input   []byte
 	result  []byte
 	tag     mle.Tag
 	replace bool
-	// tc keeps a sampled caller's trace context attached to its async
-	// upload, so the PUT leg still lands in the same distributed trace.
-	tc wire.TraceContext
 }
+
+// putQueueDepth bounds the async PUT queue; when it is full an upload
+// is dropped (Stats.PutErrors) rather than stalling its caller.
+const putQueueDepth = 64
 
 // NewRuntime constructs a Runtime.
 func NewRuntime(cfg Config) (*Runtime, error) {
@@ -269,12 +261,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry()
-	}
-	if cfg.PutQueueDepth <= 0 {
-		cfg.PutQueueDepth = 64
-	}
-	if cfg.BatchParallelism <= 0 {
-		cfg.BatchParallelism = goruntime.GOMAXPROCS(0)
 	}
 	if cfg.DegradeThreshold == 0 {
 		cfg.DegradeThreshold = 5
@@ -304,7 +290,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
 	if cfg.AsyncPut {
-		rt.putCh = make(chan putJob, cfg.PutQueueDepth)
+		rt.putCh = make(chan putJob, putQueueDepth)
 		go rt.putWorker()
 	} else {
 		close(rt.done)
@@ -424,278 +410,83 @@ func (rt *Runtime) Resolve(desc FuncDesc) (mle.FuncID, error) {
 	return rt.cfg.Registry.Resolve(desc)
 }
 
-// Execute runs the marked computation func(input) with deduplication:
-// Algorithm 1 on a miss, Algorithm 2 plus the Fig. 3 verification on a
-// hit. compute must be the deterministic function the FuncID
-// identifies.
-func (rt *Runtime) Execute(id mle.FuncID, input []byte, compute func([]byte) ([]byte, error)) ([]byte, Outcome, error) {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil, 0, errors.New("dedup: runtime closed")
+// storeGetFailed books a transport failure on the GET side — the
+// lookup, or a chunk fetch mid-reassembly. Nil means the items it hit
+// degrade to a plain computation with no upload, and the failure feeds
+// the circuit breaker; with degradation disabled the returned error
+// surfaces on them instead.
+func (rt *Runtime) storeGetFailed(err error) error {
+	if !rt.degradeEnabled() {
+		return fmt.Errorf("query store: %w", err)
 	}
-	rt.stats.Calls++
-	rt.mu.Unlock()
-
-	var (
-		result  []byte
-		outcome Outcome
-		span    *execSpan
-	)
-	// The sampling decision happens before any work, so a sampled call's
-	// trace context can ride to every store node it touches.
-	tc, rootSpan := rt.startTrace()
-	if rt.tel != nil || rt.cfg.SlowRequestThreshold > 0 {
-		span = &execSpan{start: time.Now()}
-	}
-	err := rt.cfg.Enclave.ECall(func() error {
-		// Algorithm 1/2 line 1: derive the tag inside the enclave.
-		span.begin(phaseTag)
-		tag := mle.ComputeTag(id, input)
-		span.end(phaseTag)
-
-		run := func() error { return rt.executeTagged(id, input, tag, tc, compute, span, &result, &outcome) }
-
-		// In-process coalescing: if the identical computation is
-		// already in flight, wait for it and share its result instead
-		// of racing it to the store.
-		if rt.cfg.NoCoalesce {
-			return run()
-		}
-		rt.flightMu.Lock()
-		if f, ok := rt.inflight[tag]; ok {
-			rt.flightMu.Unlock()
-			span.begin(phaseCoalesceWait)
-			<-f.done
-			span.end(phaseCoalesceWait)
-			if f.err != nil {
-				return f.err
-			}
-			result = append([]byte(nil), f.result...)
-			outcome = OutcomeCoalesced
-			rt.mu.Lock()
-			rt.stats.Coalesced++
-			rt.stats.BytesReused += int64(len(result))
-			rt.mu.Unlock()
-			return nil
-		}
-		f := &flight{done: make(chan struct{})}
-		rt.inflight[tag] = f
-		rt.flightMu.Unlock()
-
-		// The flight must be unregistered and its waiters unblocked no
-		// matter how run() exits. A compute panic in particular must
-		// not leave the entry registered with f.done never closing, or
-		// every later identical call would block forever; the panic
-		// itself still propagates to the owner's caller.
-		completed := false
-		defer func() {
-			if !completed {
-				f.err = fmt.Errorf("dedup: in-flight computation for tag %x... panicked", tag[:4])
-			}
-			rt.flightMu.Lock()
-			delete(rt.inflight, tag)
-			rt.flightMu.Unlock()
-			close(f.done)
-		}()
-		ferr := run()
-		if ferr == nil {
-			// Publish a private copy: the owner's caller owns `result`
-			// and may mutate it as soon as Execute returns, while late
-			// waiters are still copying out of the flight.
-			f.result = append([]byte(nil), result...)
-		}
-		f.outcome, f.err = outcome, ferr
-		completed = true
-		return ferr
-	})
-	if span != nil {
-		total := time.Since(span.start)
-		if rt.tel != nil {
-			total = rt.tel.record(span, outcome, err, tc)
-			rt.recordTrace("execute", id, tc, rootSpan, span, outcome, total, err)
-		}
-		rt.maybeSlowLog("execute", id, tc, total, outcome, err)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return result, outcome, nil
-}
-
-// executeTagged runs the store lookup / verify / compute / upload path
-// for an already-derived tag, writing the result and outcome through
-// the provided pointers. It runs inside the application enclave.
-func (rt *Runtime) executeTagged(id mle.FuncID, input []byte, tag mle.Tag, tc wire.TraceContext, compute func([]byte) ([]byte, error), span *execSpan, resultOut *[]byte, outcomeOut *Outcome) error {
-	// Graceful degradation: with the breaker open the store is known
-	// to be down, so skip GET/PUT entirely and serve compute-only —
-	// deduplication is an accelerator, not a correctness dependency.
-	if rt.degradeEnabled() && rt.Degraded() {
-		return rt.computeOnly(input, compute, span, resultOut, outcomeOut)
-	}
-
-	// Line 2: query the store via an OCALL (the runtime's customized
-	// OCALL wrapping request and networking logic).
-	var got []wire.GetResult
-	span.begin(phaseStoreGet)
-	err := rt.cfg.Enclave.OCall(func() error {
-		var gerr error
-		got, gerr = rt.clientGet(tc, []mle.Tag{tag})
-		return gerr
-	})
-	span.end(phaseStoreGet)
-	if err != nil {
-		if !rt.degradeEnabled() {
-			return fmt.Errorf("query store: %w", err)
-		}
-		// The store is unreachable or stalled: this call degrades to a
-		// plain computation instead of failing, and the failure feeds
-		// the circuit breaker.
-		rt.noteStoreFailure(err)
-		rt.cfg.Logf("speed: store get failed, serving compute-only: %v", err)
-		return rt.computeOnly(input, compute, span, resultOut, outcomeOut)
-	}
-	rt.noteStoreSuccess()
-
-	hadPoisonedEntry := false
-	if got[0].Found {
-		res, ok, verr := rt.verifyHit(id, input, tag, tc, got[0].Sealed, span)
-		if verr != nil {
-			return verr
-		}
-		if ok {
-			*resultOut = res
-			*outcomeOut = OutcomeReused
-			return nil
-		}
-		hadPoisonedEntry = true
-	}
-
-	// Algorithm 1 line 4: compute the result inside the enclave.
-	span.begin(phaseCompute)
-	res, cerr := compute(input)
-	span.end(phaseCompute)
-	if cerr != nil {
-		return cerr
-	}
-	*resultOut = res
-	if hadPoisonedEntry {
-		*outcomeOut = OutcomeRecomputed
-	} else {
-		*outcomeOut = OutcomeComputed
-	}
-	rt.mu.Lock()
-	rt.stats.Computed++
-	rt.mu.Unlock()
-
-	// Algorithm 1 lines 5-10: protect and upload the result. A
-	// recomputation replaces the stored entry that failed
-	// verification, so a poisoned entry cannot permanently disable
-	// reuse for its tag.
-	replace := hadPoisonedEntry
-	if rt.cfg.AsyncPut {
-		rt.enqueuePut(putJob{id: id, input: input, result: res, tag: tag, replace: replace, tc: tc})
-		return nil
-	}
-	if perr := rt.sealAndPut(id, input, res, tag, replace, tc, span); perr != nil {
-		// A failed upload only loses future reuse; the caller still
-		// gets its freshly computed result.
-		rt.notePutError(perr)
-	}
+	rt.noteStoreFailure(err)
+	rt.cfg.Logf("speed: store get failed, serving compute-only: %v", err)
 	return nil
 }
 
-// verifyHit is the hit-verification ladder every pipeline takes for a
-// found entry: Algorithm 2 lines 4-6 plus the Fig. 3 verification,
-// then — with chunking enabled, where the entry may be a sealed
-// manifest rather than a whole result — reassembly from chunks before
-// condemning it. ok reports a verified result, counted as reused. Not
-// ok with a nil error is ⊥: the stored entry is poisoned/corrupted or
-// belongs to a computation we cannot perform; it is counted as a
-// verify failure and the caller recomputes and replaces it. span, when
-// non-nil, times the whole-result decrypt.
-func (rt *Runtime) verifyHit(id mle.FuncID, input []byte, tag mle.Tag, tc wire.TraceContext, sealed mle.Sealed, span *execSpan) ([]byte, bool, error) {
-	span.begin(phaseVerifyDecrypt)
-	res, err := rt.cfg.Scheme.Decrypt(id, input, sealed)
-	span.end(phaseVerifyDecrypt)
-	if err != nil && !errors.Is(err, mle.ErrAuthFailed) {
-		return nil, false, fmt.Errorf("decrypt result: %w", err)
-	}
-	var manifests int64
-	if err != nil && rt.chunker != nil {
-		res, err = rt.manifestReuse(id, input, tc, sealed)
-		if err == nil {
-			manifests = 1
-		} else if !errors.Is(err, errNoManifest) {
-			// The manifest was authentic but its chunks were not
-			// servable (missing, tampered, digest mismatch): say so
-			// loudly, then recompute and replace.
-			rt.cfg.Logf("speed: chunked reassembly for tag %x... failed: %v; recomputing", tag[:4], err)
+// upload is the pipeline's one PUT stage (Algorithm 1 lines 5-10),
+// run inside the enclave by the calling pipeline or the async PUT
+// worker on the jobs of one call. Results at or above the chunk
+// threshold go chunk-wise (one that would overflow a manifest falls
+// back to whole); the rest are sealed whole (RCE: random key,
+// challenge, wrap) and leave in one batched PUT OCALL. A failed upload
+// only loses future reuse — the caller already has its result — so
+// failures are booked, not returned.
+func (rt *Runtime) upload(jobs []putJob, span *execSpan) {
+	items := make([]wire.PutItem, 0, len(jobs))
+	for _, job := range jobs {
+		if rt.chunker != nil && len(job.result) >= rt.cfg.ChunkThreshold {
+			err := rt.chunkedPut(job, span)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, errTooManyChunks) {
+				rt.notePutError(err)
+				continue
+			}
 		}
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err != nil {
-		rt.stats.VerifyFailures++
-		return nil, false, nil
-	}
-	rt.stats.Reused++
-	rt.stats.ManifestReuses += manifests
-	rt.stats.BytesReused += int64(len(res))
-	return res, true, nil
-}
-
-// computeOnly runs the computation without touching the store, used
-// while the store is unreachable or the breaker is open. The result is
-// correct either way; only reuse is lost.
-func (rt *Runtime) computeOnly(input []byte, compute func([]byte) ([]byte, error), span *execSpan, resultOut *[]byte, outcomeOut *Outcome) error {
-	span.begin(phaseCompute)
-	res, cerr := compute(input)
-	span.end(phaseCompute)
-	if cerr != nil {
-		return cerr
-	}
-	*resultOut = res
-	*outcomeOut = OutcomeComputed
-	rt.mu.Lock()
-	rt.stats.Computed++
-	rt.stats.Degraded++
-	rt.mu.Unlock()
-	return nil
-}
-
-// sealAndPut encrypts the result (RCE: random key, challenge, wrap) and
-// uploads (t, r, [k], [res]) via an OCALL. Results at or above the
-// chunk threshold go chunk-wise instead (manifest at the primary tag,
-// content chunks under their own tags); a result that would overflow
-// one manifest falls back to the whole-result path.
-func (rt *Runtime) sealAndPut(id mle.FuncID, input, result []byte, tag mle.Tag, replace bool, tc wire.TraceContext, span *execSpan) error {
-	if rt.chunker != nil && len(result) >= rt.cfg.ChunkThreshold {
-		err := rt.chunkedPut(id, input, result, tag, replace, tc, span)
-		if !errors.Is(err, errTooManyChunks) {
-			return err
+		span.begin(phaseEncrypt)
+		sealed, err := rt.cfg.Scheme.Encrypt(job.id, job.input, job.result)
+		span.end(phaseEncrypt)
+		if err != nil {
+			rt.notePutError(fmt.Errorf("encrypt result: %w", err))
+			continue
 		}
+		items = append(items, wire.PutItem{Tag: job.tag, Sealed: sealed, Replace: job.replace})
 	}
-	span.begin(phaseEncrypt)
-	sealed, err := rt.cfg.Scheme.Encrypt(id, input, result)
-	span.end(phaseEncrypt)
-	if err != nil {
-		return fmt.Errorf("encrypt result: %w", err)
+	if len(items) == 0 {
+		return
 	}
-	span.begin(phaseStorePut)
-	err = rt.cfg.Enclave.OCall(func() error {
-		return rt.clientPutOne(tc, wire.PutItem{Tag: tag, Sealed: sealed, Replace: replace})
+	var prs []wire.PutResult
+	err := rt.putOCall(span, func() (oerr error) {
+		prs, oerr = rt.clientPut(jobs[0].tc, items)
+		return oerr
 	})
-	span.end(phaseStorePut)
-	return err
+	if err != nil {
+		rt.notePutError(err)
+		return
+	}
+	for _, pr := range prs {
+		if !pr.OK {
+			rt.notePutError(fmt.Errorf("%w: %s", ErrPutRejected, pr.Err))
+		}
+	}
 }
 
 // clientGet and clientPut are the runtime's only GET and PUT calls on
 // the store client; they hold it to its positional contract. A sampled
 // tc reaches every store node that serves the request, which records
-// its spans under the caller's trace ID.
-func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
-	res, err := rt.cfg.Client.Get(tc, tags)
+// its spans under the caller's trace ID. clientGet is also the GET
+// crossing — one OCALL timed as store_get — for the pipeline's lookup
+// and a manifest's chunk fetch alike.
+func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, span *execSpan) ([]wire.GetResult, error) {
+	var res []wire.GetResult
+	span.begin(phaseStoreGet)
+	err := rt.cfg.Enclave.OCall(func() (oerr error) {
+		res, oerr = rt.cfg.Client.Get(tc, tags)
+		return oerr
+	})
+	span.end(phaseStoreGet)
 	if err != nil {
 		return nil, err
 	}
@@ -703,6 +494,15 @@ func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetRe
 		return nil, fmt.Errorf("dedup: get returned %d results for %d tags", len(res), len(tags))
 	}
 	return res, nil
+}
+
+// putOCall is the PUT crossing: put runs outside the enclave in one
+// OCALL, timed as store_put. The whole-result upload makes one
+// clientPut in it; a chunked upload makes two (chunks, then manifest).
+func (rt *Runtime) putOCall(span *execSpan, put func() error) error {
+	span.begin(phaseStorePut)
+	defer span.end(phaseStorePut)
+	return rt.cfg.Enclave.OCall(put)
 }
 
 func (rt *Runtime) clientPut(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
@@ -714,19 +514,6 @@ func (rt *Runtime) clientPut(tc wire.TraceContext, items []wire.PutItem) ([]wire
 		return nil, fmt.Errorf("dedup: put returned %d results for %d items", len(res), len(items))
 	}
 	return res, nil
-}
-
-// clientPutOne uploads a single item, surfacing the store's rejection
-// as ErrPutRejected.
-func (rt *Runtime) clientPutOne(tc wire.TraceContext, item wire.PutItem) error {
-	res, err := rt.clientPut(tc, []wire.PutItem{item})
-	if err != nil {
-		return err
-	}
-	if !res[0].OK {
-		return fmt.Errorf("%w: %s", ErrPutRejected, res[0].Err)
-	}
-	return nil
 }
 
 func (rt *Runtime) enqueuePut(job putJob) {
@@ -762,15 +549,16 @@ func (rt *Runtime) runPutJob(job putJob) {
 	// The async PUT pipeline gets its own span so the encrypt and
 	// store_put phases are still measured (they just no longer sit on
 	// the caller's path, which is the point of AsyncPut).
-	var span *execSpan
+	var span execSpan
 	if rt.tel != nil {
-		span = &execSpan{start: time.Now()}
+		span = startSpan()
 	}
 	err := rt.cfg.Enclave.ECall(func() error {
-		return rt.sealAndPut(job.id, job.input, job.result, job.tag, job.replace, job.tc, span)
+		rt.upload([]putJob{job}, &span)
+		return nil
 	})
-	if span != nil {
-		rt.tel.observePhases(span)
+	if span.on {
+		rt.tel.observePhases(&span)
 	}
 	if err != nil {
 		rt.notePutError(err)

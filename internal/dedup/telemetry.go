@@ -9,9 +9,10 @@ import (
 	"speed/internal/wire"
 )
 
-// The phases of one Execute call, in chronological order. Each phase
-// maps to a step of Algorithm 1/2: tag derivation, the store GET
-// OCALL, the Fig. 3 verification + decryption, the computation itself,
+// The phases of one trip through the execute pipeline. Each phase maps
+// to a step of Algorithm 1/2: tag derivation, the store GET OCALLs
+// (the lookup and any manifest chunk fetch), the Fig. 3 verification +
+// decryption (chunk verification included), the computation itself,
 // result encryption and the store PUT OCALL; coalesce_wait is the time
 // a call spent waiting on an identical in-flight computation.
 type execPhase int
@@ -37,24 +38,37 @@ var phaseNames = [numPhases]string{
 const defaultTraceSampleRate = 64
 
 // execSpan accumulates one call's phase timings on the caller's stack.
-// All methods are nil-safe, so the telemetry-disabled path pays one
-// pointer test per phase boundary and nothing else.
+// A phase may be entered more than once (per batch item, or store_get
+// for a manifest's chunk fetch in the middle of verify_decrypt): its
+// duration accumulates, and its start stays the first entry, so
+// start+duration never runs past the call's end. A nil or zero span is
+// off, so the telemetry-disabled path pays one test per phase boundary
+// and nothing else. The pipeline holds its span by value: a span behind
+// a pointer in the call state would be heap-allocated on every call.
 type execSpan struct {
+	on         bool
 	start      time.Time
-	phaseStart [numPhases]time.Duration
+	phaseStart [numPhases]time.Duration // first entry
+	entered    [numPhases]time.Duration // latest entry
 	phaseDur   [numPhases]time.Duration
 	seen       uint16 // bitmask of phases that completed
 }
 
+// startSpan returns a running span.
+func startSpan() execSpan { return execSpan{on: true, start: time.Now()} }
+
 func (s *execSpan) begin(p execPhase) {
-	if s != nil {
-		s.phaseStart[p] = time.Since(s.start)
+	if s != nil && s.on {
+		s.entered[p] = time.Since(s.start)
+		if s.seen&(1<<uint(p)) == 0 {
+			s.phaseStart[p] = s.entered[p]
+		}
 	}
 }
 
 func (s *execSpan) end(p execPhase) {
-	if s != nil {
-		s.phaseDur[p] += time.Since(s.start) - s.phaseStart[p]
+	if s != nil && s.on {
+		s.phaseDur[p] += time.Since(s.start) - s.entered[p]
 		s.seen |= 1 << uint(p)
 	}
 }
@@ -143,12 +157,11 @@ func newRTMetrics(reg *telemetry.Registry, rt *Runtime, sampleRate int) *rtMetri
 	return m
 }
 
-// record folds a finished call's span into the histograms and returns
-// the total latency for the trace sampler. A sampled call's trace ID is
-// attached to its latency bucket as an exemplar, so a spike in the
-// histogram links straight to an assembled trace in /debug/trace?id=.
-func (m *rtMetrics) record(span *execSpan, outcome Outcome, err error, tc wire.TraceContext) time.Duration {
-	total := time.Since(span.start)
+// record folds a finished single call's span into the histograms. A
+// sampled call's trace ID is attached to its latency bucket as an
+// exemplar, so a spike in the histogram links straight to an assembled
+// trace in /debug/trace?id=.
+func (m *rtMetrics) record(span *execSpan, total time.Duration, outcome Outcome, err error, tc wire.TraceContext) {
 	slot := errorSlot
 	if err == nil && outcome >= OutcomeComputed && outcome <= OutcomeCoalesced {
 		slot = int(outcome) - 1
@@ -159,7 +172,6 @@ func (m *rtMetrics) record(span *execSpan, outcome Outcome, err error, tc wire.T
 		m.execSeconds[slot].Observe(total)
 	}
 	m.observePhases(span)
-	return total
 }
 
 // observePhases records every completed phase of the span.

@@ -132,7 +132,7 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 // uses (ECALL/OCALL spin-waits dominate); false strips the simulated
 // SGX costs so the instrumentation itself is visible under the
 // microscope.
-func benchEnv(b *testing.B, reg *telemetry.Registry, simulateCosts bool) *Runtime {
+func benchEnv(b testing.TB, reg *telemetry.Registry, simulateCosts bool) *Runtime {
 	b.Helper()
 	p := enclave.NewPlatform(enclave.Config{SimulateCosts: simulateCosts})
 	appEnc, err := p.Create("bench-app", []byte("bench app code"))
