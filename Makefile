@@ -64,7 +64,9 @@ bench-overhead:
 
 # Hot-path micro-benchmarks: the allocation-free wire/crypto fast path
 # (Channel round trip, marshal, frame read, mle seal/open), the
-# log engine's memtable-hit read, and the FastCDC chunker scan.
+# log engine's memtable-hit read, its filter-answered miss + insert
+# (which must read no segment file) and one streaming merge, and the
+# FastCDC chunker scan.
 # -count 6 gives the regression gate a run-to-run spread for its
 # significance test.
 BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store/logengine ./internal/chunk

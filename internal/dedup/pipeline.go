@@ -209,7 +209,9 @@ func (c *call) partition() {
 	defer rt.flightMu.Unlock()
 	for i := range c.items {
 		it := &c.items[i]
-		if it.joined = rt.inflight[it.tag]; it.joined == nil {
+		if it.joined = rt.inflight[it.tag]; it.joined != nil {
+			it.joined.joiners++
+		} else {
 			it.flight = &flight{done: make(chan struct{})}
 			rt.inflight[it.tag] = it.flight
 		}
@@ -226,13 +228,19 @@ func (c *call) publish(it *item) {
 		return
 	}
 	it.flight = nil
-	// A private copy: the leader's caller owns Result and may mutate it
-	// as soon as the call returns, while late waiters are still copying
-	// out of the flight.
-	f.result, f.err = append([]byte(nil), it.Result...), it.Err
+	// Unregistering and reading the joiner count under one lock settles
+	// who joined: a later caller no longer finds the flight.
 	c.rt.flightMu.Lock()
 	delete(c.rt.inflight, it.tag)
+	joiners := f.joiners
 	c.rt.flightMu.Unlock()
+	f.err = it.Err
+	if joiners > 0 {
+		// A private copy: the leader's caller owns Result and may mutate
+		// it as soon as the call returns, while late waiters are still
+		// copying out of the flight. Nobody joined, nobody reads it.
+		f.result = append([]byte(nil), it.Result...)
+	}
 	close(f.done)
 }
 

@@ -692,8 +692,9 @@ func TestChunkFetchTimedAsStoreGet(t *testing.T) {
 // TestExecuteHitAllocBound gates the single-call hit path at the
 // allocation count Execute had when it was a hand-written copy of the
 // algorithm (23 allocs/op, BenchmarkExecuteHitRaw -benchmem at commit
-// 1c46c0e), so running it through the shared pipeline cannot quietly
-// put a map, a goroutine or a second per-item slice on the hit path.
+// 1c46c0e) less the copy publish no longer makes for a flight nobody
+// joined, so running it through the shared pipeline cannot quietly put
+// a map, a goroutine or a second per-item slice on the hit path.
 func TestExecuteHitAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate")
@@ -711,7 +712,7 @@ func TestExecuteHitAllocBound(t *testing.T) {
 		}
 	}
 	hit() // the miss that stores the result
-	const bound = 23
+	const bound = 22
 	if n := testing.AllocsPerRun(200, hit); n > bound {
 		t.Errorf("Execute hit allocates %v times per call, want <= %d", n, bound)
 	}

@@ -229,6 +229,9 @@ type flight struct {
 	done   chan struct{}
 	result []byte
 	err    error
+	// joiners counts the calls waiting on done; guarded by
+	// Runtime.flightMu while the flight is registered.
+	joiners int
 }
 
 // putJob is one freshly computed result awaiting the upload stage. It

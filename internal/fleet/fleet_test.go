@@ -158,6 +158,9 @@ func TestPollNodeScrapesRegistryEndpoints(t *testing.T) {
 	reg.NewCounter("speed_store_gets_total", "").Add(10)
 	reg.NewCounter("speed_store_hits_total", "").Add(4)
 	reg.NewCounter("speed_wire_auth_failures_total", "").Add(2)
+	reg.NewCounter("speed_store_puts_total", "").Add(6)
+	reg.NewCounter("speed_store_engine_segment_probes_total", "", telemetry.L("engine", "log")).Add(4)
+	reg.NewGaugeFunc("speed_store_engine_compaction_debt_bytes", "", func() float64 { return 3 << 20 }, telemetry.L("engine", "log"))
 	h := reg.NewHistogram("speed_server_request_seconds", "")
 	for i := 0; i < 100; i++ {
 		h.Observe(100 * time.Microsecond)
@@ -175,6 +178,9 @@ func TestPollNodeScrapesRegistryEndpoints(t *testing.T) {
 	}
 	if st.Gets != 10 || st.Hits != 4 || st.AuthFailures != 2 {
 		t.Fatalf("counters = %+v", st)
+	}
+	if got := st.ProbesPerLookup(); got != 0.25 || st.CompactionDebt != 3<<20 {
+		t.Fatalf("probes per lookup = %v, debt = %d; want 0.25 (4 probes / 16 ops), 3 MiB", got, st.CompactionDebt)
 	}
 	if got := st.HitRate(); got != 0.4 {
 		t.Fatalf("hit rate = %v, want 0.4", got)
@@ -194,7 +200,7 @@ func TestRenderSmoke(t *testing.T) {
 	const id = "0123456789abcdef0123456789abcdef"
 	client, store1, store2 := traceEvents(id)
 	sts := []NodeStatus{
-		{Addr: "app:9090", Events: client, Gets: 100, Hits: 80, P99: 3 * time.Millisecond},
+		{Addr: "app:9090", Events: client, Gets: 100, Hits: 80, P99: 3 * time.Millisecond, SegmentProbes: 25, CompactionDebt: 12 << 20},
 		{Addr: "store1:9091", Events: store1},
 		{Addr: "store2:9092", Events: store2, Err: errPoll{}},
 	}
@@ -202,7 +208,7 @@ func TestRenderSmoke(t *testing.T) {
 	RenderStatus(&sb, sts)
 	RenderTraces(&sb, Assemble(sts[:2]), 3)
 	out := sb.String()
-	for _, want := range []string{"app:9090", "DOWN", "80.0%", id, "execute", "store_get", "@store1:9091"} {
+	for _, want := range []string{"app:9090", "DOWN", "80.0%", "PROBE/OP", "0.25", "12.0MiB", id, "execute", "store_get", "@store1:9091"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render output missing %q:\n%s", want, out)
 		}

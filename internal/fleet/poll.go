@@ -30,6 +30,11 @@ type NodeStatus struct {
 	Failovers     int64
 	ReadRepairs   int64
 	P99           time.Duration
+	// SegmentProbes and CompactionDebt are the log engine's read
+	// amplification (segment file lookups) and the segment bytes its
+	// tiering policy would merge now; zero on the memory engine.
+	SegmentProbes  int64
+	CompactionDebt int64
 
 	TraceTotal uint64
 	Events     []telemetry.TraceEvent
@@ -42,6 +47,18 @@ func (n NodeStatus) HitRate() float64 {
 		return 0
 	}
 	return float64(n.Hits) / float64(n.Gets)
+}
+
+// ProbesPerLookup is the node's read amplification: segment files read
+// per store GET or PUT (each makes one engine lookup). With the key
+// filters doing their job it sits near the segment-resident hit share,
+// well under 1; it climbing toward the segment count means they are
+// not.
+func (n NodeStatus) ProbesPerLookup() float64 {
+	if n.Gets+n.Puts == 0 {
+		return 0
+	}
+	return float64(n.SegmentProbes) / float64(n.Gets+n.Puts)
 }
 
 // Poller scrapes a set of telemetry endpoints. The zero value is
@@ -112,6 +129,8 @@ func (p *Poller) PollNode(addr string) NodeStatus {
 	st.Puts = int64(m.Sum("speed_store_puts_total"))
 	st.Entries = int64(m.Sum("speed_store_entries"))
 	st.BlobBytes = int64(m.Sum("speed_store_blob_bytes"))
+	st.SegmentProbes = int64(m.Sum("speed_store_engine_segment_probes_total"))
+	st.CompactionDebt = int64(m.Sum("speed_store_engine_compaction_debt_bytes"))
 	st.ActiveConns = int64(m.Sum("speed_server_active_connections"))
 	st.AuthFailures = int64(m.Sum("speed_wire_auth_failures_total"))
 	st.AuthFailBytes = int64(m.Sum("speed_wire_auth_fail_bytes_total"))

@@ -8,18 +8,21 @@ import (
 )
 
 // RenderStatus writes the per-node fleet table: one row per polled
-// member with its hit rate, p99, traffic and failure counters.
+// member with its hit rate, p99, traffic, the log engine's read
+// amplification (segment files read per GET or PUT) and compaction
+// debt, and failure counters.
 func RenderStatus(w io.Writer, sts []NodeStatus) {
-	fmt.Fprintf(w, "%-28s %8s %9s %9s %8s %9s %9s %9s\n",
-		"NODE", "HIT%", "P99", "GETS", "PUTS", "ENTRIES", "AUTHFAIL", "FAILOVER")
+	fmt.Fprintf(w, "%-28s %8s %9s %9s %8s %9s %9s %9s %9s %9s\n",
+		"NODE", "HIT%", "P99", "GETS", "PUTS", "ENTRIES", "PROBE/OP", "DEBT", "AUTHFAIL", "FAILOVER")
 	for _, st := range sts {
 		if st.Err != nil {
 			fmt.Fprintf(w, "%-28s DOWN (%v)\n", st.Addr, st.Err)
 			continue
 		}
-		fmt.Fprintf(w, "%-28s %7.1f%% %9s %9d %8d %9d %9d %9d\n",
+		fmt.Fprintf(w, "%-28s %7.1f%% %9s %9d %8d %9d %9.2f %9s %9d %9d\n",
 			st.Addr, st.HitRate()*100, fmtDur(st.P99),
-			st.Gets, st.Puts, st.Entries, st.AuthFailures, st.Failovers)
+			st.Gets, st.Puts, st.Entries, st.ProbesPerLookup(), fmtBytes(st.CompactionDebt),
+			st.AuthFailures, st.Failovers)
 	}
 }
 
@@ -66,6 +69,22 @@ func spanLine(s *Span) string {
 		fmt.Fprintf(&b, "  @%s", ev.Node)
 	}
 	return b.String()
+}
+
+// fmtBytes renders a byte count in binary units, "-" when zero.
+func fmtBytes(n int64) string {
+	switch {
+	case n == 0:
+		return "-"
+	case n < 1<<10:
+		return fmt.Sprintf("%dB", n)
+	case n < 1<<20:
+		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
+	case n < 1<<30:
+		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
+	default:
+		return fmt.Sprintf("%.1fGiB", float64(n)/(1<<30))
+	}
 }
 
 // fmtDur renders a duration at ~3 significant figures, "-" when zero.

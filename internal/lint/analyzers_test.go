@@ -140,7 +140,7 @@ func TestSealFlow(t *testing.T) {
 }
 
 func TestFsyncOrder(t *testing.T) {
-	runFixtureTest(t, lint.FsyncOrderAnalyzer, "fsyncorder", []string{"store"})
+	runFixtureTest(t, lint.FsyncOrderAnalyzer, "fsyncorder", []string{"logengine"})
 }
 
 func TestGoroExit(t *testing.T) {

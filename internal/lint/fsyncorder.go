@@ -10,8 +10,8 @@ import (
 // log-structured engine's crash-recovery argument rests on: content
 // must be durable before the commit point that makes it reachable, and
 // the commit point itself must be made durable before success is
-// reported. Four CFG-based rules, scoped to the storage packages
-// (store, logengine):
+// reported. Four CFG-based rules, scoped to the one package that does
+// durable file I/O (store/logengine):
 //
 //   - Rule A — every os.Rename (the commit primitive) must be
 //     dominated by a file fsync: the bytes being committed must be on
@@ -39,8 +39,8 @@ var FsyncOrderAnalyzer = &Analyzer{
 	Run:  runFsyncOrder,
 }
 
-// fsyncScope are the package names the durability rules apply to.
-var fsyncScope = map[string]bool{"store": true, "logengine": true}
+// fsyncScope is the package the durability rules apply to.
+const fsyncScope = "logengine"
 
 // fsEventKind classifies a durability-relevant call site.
 type fsEventKind uint8
@@ -65,7 +65,7 @@ type fsEvent struct {
 
 func runFsyncOrder(pass *Pass) {
 	pkg := pass.Pkg
-	if pkg.Types == nil || !fsyncScope[pkg.Types.Name()] {
+	if pkg.Types == nil || pkg.Types.Name() != fsyncScope {
 		return
 	}
 	g := buildCallGraph(pkg)

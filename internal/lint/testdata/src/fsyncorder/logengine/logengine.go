@@ -1,7 +1,7 @@
-// Package store exercises the fsyncorder analyzer: the
+// Package logengine exercises the fsyncorder analyzer: the
 // write→fsync→rename→dirsync commit discipline, the segment-then-
 // commit ordering, and acknowledged-but-unsynced writes.
-package store
+package logengine
 
 import "os"
 

@@ -97,6 +97,14 @@ type Stats struct {
 	Flushes int64
 	// Compactions counts completed segment merges.
 	Compactions int64
+	// CompactionBytesRead / CompactionBytesWritten total the segment
+	// bytes merges consumed and produced; against the bytes flushes
+	// wrote they give the engine's write amplification.
+	CompactionBytesRead    int64
+	CompactionBytesWritten int64
+	// CompactionDebtBytes is the size of the run of segments a Compact
+	// would merge first (0 at the tiering policy's fixed point).
+	CompactionDebtBytes int64
 	// Segments is the current immutable segment count.
 	Segments int
 	// SegmentBytes is the total on-disk segment size.
@@ -105,6 +113,11 @@ type Stats struct {
 	// tier (memtable or hot cache) vs lookups that had to touch disk.
 	CacheHits   int64
 	CacheMisses int64
+	// SegmentProbes counts per-segment lookups that read the segment
+	// file; FilterSkips counts those its fence or key filter answered
+	// without a read. Probes per lookup is the read amplification.
+	SegmentProbes int64
+	FilterSkips   int64
 	// Replayed is the number of WAL records recovered at open.
 	Replayed int64
 	// TornTails counts truncated WAL tails observed at open (0 or 1
@@ -172,8 +185,8 @@ type Engine interface {
 	// Checkpoint makes every acknowledged insert durable (flush +
 	// fsync); a no-op for volatile engines.
 	Checkpoint() error
-	// Compact merges the engine's on-disk segments into one; a no-op
-	// for volatile engines.
+	// Compact runs the engine's segment-merge policy until it has
+	// nothing left to merge; a no-op for volatile engines.
 	Compact() error
 	// Close releases the engine's resources. Operations after Close
 	// return ErrClosed. Durable engines flush before closing.

@@ -1,107 +1,162 @@
 package logengine
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"speed/internal/mle"
 	storeengine "speed/internal/store/engine"
 )
 
-// Compaction bounds read amplification and reclaims space: point
-// lookups probe segments newest-first, so many small flush segments
-// mean many sparse-index probes per miss, and shadowed versions plus
-// tombstones occupy disk forever. The compactor merges every segment
-// into one, keeping only the newest version of each tag and dropping
-// tombstones entirely (the output is the oldest segment, so there is
-// nothing older left to shadow).
+// Compaction reclaims the space shadowed versions and tombstones hold
+// and keeps the segment count logarithmic in the store size. It is
+// size-tiered: segments fall into size classes a factor tierFactor
+// apart, starting at the memtable size (what a flush produces), and
+// once mergeMinRun segments of one class sit next to each other in the
+// age order they are merged into one segment of (usually) the next
+// class. A record is therefore rewritten once per class it climbs
+// through — O(log store) times over its life — instead of once per
+// compaction. Segment count no longer taxes lookups (the per-segment
+// key filters answer for segments that do not hold a tag), which is
+// what makes not merging everything safe.
+//
+// Only age-adjacent segments merge, and the output takes their place
+// in the age order, so "newest segment holding a tag wins" keeps
+// meaning what it did. Adjacency is also why smaller segments caught
+// between the members of a run ride along with it: a run's length
+// varies, so an output can land in a higher class than an older
+// neighbour, and a policy that insisted on one class exactly would
+// leave that neighbour stranded for good. Tombstones survive a merge
+// unless the run reaches the oldest segment: below a run that stops
+// short there may still be a version the tombstone has to keep
+// shadowing.
 //
 // Crash safety follows the same manifest discipline as a flush: the
 // merged segment is written and fsynced first, the directory synced,
-// then the manifest atomically swaps the old list for the new one,
-// and only after that swap are the old files deleted. A crash before
-// the swap leaves an orphan output (deleted at recovery); a crash
-// after it leaves orphan inputs (deleted at recovery). At no point is
-// the manifest's segment set incomplete.
+// then the manifest atomically swaps the run for its output, and only
+// after that swap are the input files deleted. A crash before the swap
+// leaves an orphan output (deleted at recovery); a crash after it
+// leaves orphan inputs (deleted at recovery). At no point is the
+// manifest's segment set incomplete.
 
-// compactLocked merges all segments into one. Caller holds mu. A
-// no-op with fewer than two segments.
+const (
+	// tierFactor separates adjacent size classes.
+	tierFactor = 4
+	// mergeMinRun is how many segments of one class make a run worth
+	// merging; mergeMaxRun caps a merge's fan-in, and with it its memory
+	// (one read buffer and one record per input).
+	mergeMinRun = 4
+	mergeMaxRun = 16
+)
+
+// sizeClass is the tier a segment of size bytes belongs to when a
+// flush produces about base bytes. Class boundaries sit at
+// base*tierFactor^k/2, halfway (geometrically) between the sizes k
+// rounds of merging produce, so a segment that came out a little under
+// or over its nominal size still lands in its class.
+func sizeClass(size, base int64) int {
+	class := 0
+	for limit := base * tierFactor / 2; size >= limit; limit *= tierFactor {
+		class++
+	}
+	return class
+}
+
+// pickRun returns the run segments[lo:hi] the tiering policy wants
+// merged next: a maximal stretch of age-adjacent segments none of
+// which is above some class and at least mergeMinRun of which are in
+// it, cut to mergeMaxRun from its old end. The highest such class goes
+// first (its run contains the lower classes' runs, so they are written
+// once, not twice) and within it the oldest run. ok is false when no
+// run is eligible — the policy's fixed point.
+func pickRun(segments []*segment, base int64) (lo, hi int, ok bool) {
+	classes := make([]int, len(segments))
+	top := 0
+	for i, s := range segments {
+		classes[i] = sizeClass(s.size, base)
+		top = max(top, classes[i])
+	}
+	for class := top; class >= 0; class-- {
+		for lo = 0; lo < len(classes); lo = hi + 1 {
+			inClass := 0
+			for hi = lo; hi < len(classes) && classes[hi] <= class; hi++ {
+				if classes[hi] == class {
+					inClass++
+				}
+			}
+			if inClass >= mergeMinRun {
+				return lo, min(hi, lo+mergeMaxRun), true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// compactLocked runs the tiering policy to its fixed point: it merges
+// eligible runs until none is left. Each merge shrinks the segment
+// list, so this terminates. Caller holds mu.
 func (e *Engine) compactLocked() error {
 	if e.closed {
 		return storeengine.ErrClosed
 	}
-	if len(e.segments) < 2 {
-		return nil
-	}
-
-	// Merge via cursors, newest wins. Records are re-used sealed as-is
-	// — compaction moves ciphertext and unseals only records with
-	// pending touch-overlay popularity to bake.
-	var merged []segRecord
-	var baked []mle.Tag
-	cursors := make([]*cursor, len(e.segments))
-	for i, s := range e.segments {
-		cursors[i] = s.newCursor()
-	}
 	for {
-		var (
-			best    [32]byte
-			haveAny bool
-		)
-		for _, c := range cursors {
-			if !c.valid {
+		lo, hi, ok := pickRun(e.segments, e.cfg.MemtableBytes)
+		if !ok {
+			return nil
+		}
+		if err := e.mergeRun(lo, hi); err != nil {
+			return err
+		}
+	}
+}
+
+// mergeRun replaces the age-adjacent segments[lo:hi] with one segment
+// holding the newest version of every tag in them. Records stream from
+// buffered cursors straight into the segment writer, so memory is one
+// record and one read buffer per input plus the write buffer, whatever
+// the run's size. Records move as ciphertext; only those with pending
+// touch-overlay popularity are unsealed, to bake it in. Caller holds
+// mu.
+func (e *Engine) mergeRun(lo, hi int) error {
+	start := time.Now()
+	run := e.segments[lo:hi]
+	newer := e.segments[hi:]
+	// Nothing older than segment 0 can hold a version for a tombstone
+	// to shadow, so a run that starts there sheds its tombstones.
+	dropDead := lo == 0
+	var (
+		it    = newMergeIter(run)
+		baked []mle.Tag
+		live  int
+	)
+	next := func() (segRecord, bool, error) {
+		for {
+			c, err := it.next()
+			if c == nil || err != nil {
+				return segRecord{}, false, err
+			}
+			if c.dead && dropDead {
 				continue
 			}
-			if !haveAny || bytes.Compare(c.tag[:], best[:]) < 0 {
-				best, haveAny = c.tag, true
-			}
-		}
-		if !haveAny {
-			break
-		}
-		resolved := false
-		var winner segRecord
-		for i := len(cursors) - 1; i >= 0; i-- { // newest first
-			c := cursors[i]
-			if c.valid && c.tag == best {
-				if !resolved {
-					winner = segRecord{tag: c.tag, dead: c.dead, blob: c.blob, sealed: c.sealed}
-					resolved = true
-				}
-				c.next()
-			}
-		}
-		if winner.dead {
-			continue // tombstone at the bottom level: drop
-		}
-		// Bake touch-overlay popularity into the rewritten record so hit
-		// counts accumulated since the record last hit disk become part
-		// of its durable copy. Only touched tags pay the unseal+reseal;
-		// everything else still moves as ciphertext.
-		if tr, ok := e.touched[winner.tag]; ok {
-			rec, uerr := unsealRecord(e.cfg.Enclave, winner.sealed)
-			if uerr == nil {
-				if tr.hits > rec.Hits {
-					rec.Hits = tr.hits
-				}
-				if tr.last.After(rec.LastTouch) {
-					rec.LastTouch = tr.last
-				}
-				if sealed, serr := sealRecord(e.cfg.Enclave, rec); serr == nil {
-					winner.sealed = sealed
-					baked = append(baked, winner.tag)
+			rec := segRecord{tag: c.tag, dead: c.dead, blob: c.blob, sealed: c.sealed}
+			if !c.dead {
+				live++
+				if sealed, ok := e.bakeTouch(c, newer); ok {
+					rec.sealed = sealed
+					baked = append(baked, c.tag)
 				}
 			}
+			return rec, true, nil
 		}
-		merged = append(merged, winner)
 	}
 
 	id := e.nextSegID
 	name := segmentName(id)
 	path := filepath.Join(e.cfg.Dir, name)
-	if err := writeSegment(path, merged); err != nil {
+	if err := writeSegment(path, next); err != nil {
 		return err
 	}
 	if err := syncDir(e.cfg.Dir); err != nil {
@@ -112,28 +167,31 @@ func (e *Engine) compactLocked() error {
 		e.compactHook()
 	}
 
-	seg, _, err := openSegment(path, id)
+	seg, err := openSegment(path, id, nil)
 	if err != nil {
+		os.Remove(path)
 		return err
 	}
-	old := e.segments
-	if err := writeManifest(e.cfg.Dir, []string{name}); err != nil {
+	merged := slices.Concat(e.segments[:lo], []*segment{seg}, newer)
+	if err := writeManifest(e.cfg.Dir, segmentNames(merged)); err != nil {
 		if cerr := seg.close(); cerr != nil {
 			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
 		}
 		os.Remove(path)
 		return fmt.Errorf("logengine: commit compaction: %w", err)
 	}
-	e.segments = []*segment{seg}
+	e.segments = merged
 	e.nextSegID = id + 1
 	e.st.Compactions++
+	e.st.CompactionBytesWritten += seg.size
 	// The baked popularity is durable in the new segment; the overlay
 	// entries (and any WAL touch frames, which replay idempotently under
 	// the overlay's max semantics) are no longer needed.
 	for _, tag := range baked {
 		e.dropTouch(tag)
 	}
-	for _, s := range old {
+	for _, s := range run {
+		e.st.CompactionBytesRead += s.size
 		if cerr := s.close(); cerr != nil {
 			e.cfg.Logf("logengine: close compacted segment %s: %v", filepath.Base(s.path), cerr)
 		}
@@ -142,6 +200,42 @@ func (e *Engine) compactLocked() error {
 			e.cfg.Logf("logengine: remove compacted segment %s: %v", filepath.Base(s.path), err)
 		}
 	}
-	e.cfg.Logf("logengine: compacted %d segments into %s (%d live records)", len(old), name, len(merged))
+	e.compactSeconds.Observe(time.Since(start))
+	e.cfg.Logf("logengine: merged %d segments into %s (%d live records)", len(run), name, live)
 	return nil
+}
+
+// bakeTouch folds pending touch-overlay popularity into the record
+// under c as a merge rewrites it, so hit counts accumulated since the
+// record last reached disk become part of its durable copy. The
+// overlay describes the newest version of a tag; when a segment newer
+// than the run may hold the tag too, the version under c could be a
+// shadowed one, and the overlay is left for the merge that reaches the
+// newest. ok is false when there is nothing to bake.
+func (e *Engine) bakeTouch(c *cursor, newer []*segment) (sealed []byte, ok bool) {
+	if _, touched := e.touched[c.tag]; !touched {
+		return nil, false
+	}
+	for _, s := range newer {
+		if s.mayContain(c.tag) {
+			return nil, false
+		}
+	}
+	rec, err := unsealRecord(e.cfg.Enclave, c.sealed)
+	if err != nil {
+		return nil, false // moves as it is; Get will report it dangling
+	}
+	e.applyTouch(c.tag, &rec)
+	sealed, err = sealRecord(e.cfg.Enclave, rec)
+	return sealed, err == nil
+}
+
+// segmentNames lists the segments' file names in order, as the
+// manifest records them.
+func segmentNames(segments []*segment) []string {
+	names := make([]string, len(segments))
+	for i, s := range segments {
+		names[i] = filepath.Base(s.path)
+	}
+	return names
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -186,8 +187,12 @@ func TestCrashDuringCompaction(t *testing.T) {
 	if err := eng.Compact(); err != nil {
 		t.Fatalf("post-recovery Compact: %v", err)
 	}
-	if got := eng.Stats().Segments; got != 1 {
-		t.Errorf("post-recovery compaction left %d segments, want 1", got)
+	mustBeAtFixedPoint(t, eng)
+	if st := eng.Stats(); st.Compactions == 0 || st.Segments >= n {
+		t.Errorf("post-recovery compaction merged nothing: %d merges, %d segments", st.Compactions, st.Segments)
+	}
+	for i := 0; i < n; i++ {
+		mustGet(t, eng, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 
 	// Also recover from the post-commit image: the completed
@@ -198,6 +203,205 @@ func TestCrashDuringCompaction(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		mustGet(t, eng2, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+	}
+}
+
+// midListRun builds the directory state mergeRun's middle-of-the-list
+// manifest swap starts from: an oldest class-1 segment (itself a merge
+// output, holding old0..old3), then four class-0 segments — the
+// tombstone of old1, then new0..new2 — which the policy merges as
+// segments[1:5]. It returns the engine and the big record value.
+func midListRun(t *testing.T, cfg Config) (*Engine, string) {
+	t.Helper()
+	e := openTest(t, cfg)
+	// One record per segment, each segment a little smaller than the
+	// memtable budget: class 0, and four of them merged class 1.
+	blob := string(make([]byte, cfg.MemtableBytes*6/10))
+	checkpoint := func() {
+		t.Helper()
+		if err := e.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		mustInsert(t, e, fmt.Sprintf("old%d", i), blob)
+		checkpoint()
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if _, found, err := e.Remove(tagOf("old1")); err != nil || !found {
+		t.Fatalf("Remove: %v %v", found, err)
+	}
+	checkpoint()
+	for i := 0; i < 3; i++ {
+		mustInsert(t, e, fmt.Sprintf("new%d", i), blob)
+		checkpoint()
+	}
+	if lo, hi, ok := pickRun(e.segments, cfg.MemtableBytes); !ok || lo != 1 || hi != 5 {
+		t.Fatalf("setup: eligible run [%d:%d] %v, want [1:5]", lo, hi, ok)
+	}
+	return e, blob
+}
+
+// mustServeMidListRun checks the logical content midListRun wrote:
+// whichever side of the swap recovery landed on, the six live records
+// are served and the removed one stays removed.
+func mustServeMidListRun(t *testing.T, e *Engine, blob string) {
+	t.Helper()
+	if e.Len() != 6 {
+		t.Errorf("Len = %d, want 6", e.Len())
+	}
+	for _, k := range []string{"old0", "old2", "old3", "new0", "new1", "new2"} {
+		mustGet(t, e, k, blob)
+	}
+	if _, status, _ := e.Get(tagOf("old1")); status != storeengine.StatusMiss {
+		t.Errorf("removed record resurrected: %v", status)
+	}
+}
+
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil {
+		t.Fatalf("Glob: %v", err)
+	}
+	for i := range segs {
+		segs[i] = filepath.Base(segs[i])
+	}
+	return segs
+}
+
+// TestCrashAroundMidListManifestSwap crashes a merge of segments[1:5]
+// on both sides of its manifest swap. Before the swap the inputs are
+// intact and the orphan output is deleted; after it the output is live
+// — in the middle of the age order, although its id is the highest —
+// and the inputs are deleted as orphans. Either way the tombstone in
+// the run keeps shadowing the version in the oldest segment.
+func TestCrashAroundMidListManifestSwap(t *testing.T) {
+	p := testPlatform()
+	srcDir := t.TempDir()
+	cfg := tieredConfig(t, p, srcDir)
+	e, blob := midListRun(t, cfg)
+	oldest := filepath.Base(e.segments[0].path)
+
+	before := t.TempDir() // output written and fsynced, old manifest live
+	e.compactHook = func() { copyDir(t, srcDir, before) }
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	mustBeAtFixedPoint(t, e)
+	output := filepath.Base(e.segments[1].path)
+	e.Crash()
+	// The image right after the swap is the one before it with the new
+	// manifest in place: inputs not yet deleted.
+	after := t.TempDir()
+	copyDir(t, before, after)
+	newManifest, err := os.ReadFile(filepath.Join(srcDir, manifestName))
+	if err != nil {
+		t.Fatalf("read manifest: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(after, manifestName), newManifest, 0o600); err != nil {
+		t.Fatalf("write manifest: %v", err)
+	}
+	if got := len(segmentFiles(t, before)); got != 6 {
+		t.Fatalf("crash image holds %d segment files, want 5 inputs + 1 output", got)
+	}
+
+	pre := openTest(t, tieredConfig(t, p, before))
+	if got := pre.Stats().Segments; got != 5 {
+		t.Errorf("before the swap: recovered %d segments, want the 5 inputs", got)
+	}
+	if files := segmentFiles(t, before); len(files) != 5 || slices.Contains(files, output) {
+		t.Errorf("before the swap: orphan output not deleted: %v", files)
+	}
+	mustServeMidListRun(t, pre, blob)
+	if err := pre.Compact(); err != nil { // and the merge can be redone
+		t.Fatalf("before the swap: Compact after recovery: %v", err)
+	}
+	mustServeMidListRun(t, pre, blob)
+
+	for name, dir := range map[string]string{"after the swap": after, "completed": srcDir} {
+		post := openTest(t, tieredConfig(t, p, dir))
+		if got := segmentNames(post.segments); len(got) != 2 || got[0] != oldest || got[1] != output {
+			t.Errorf("%s: recovered segments %v, want [%s %s]", name, got, oldest, output)
+		}
+		if files := segmentFiles(t, dir); len(files) != 2 {
+			t.Errorf("%s: orphan inputs not deleted: %v", name, files)
+		}
+		mustServeMidListRun(t, post, blob)
+	}
+}
+
+// TestMidListMergeTornAtEveryOffset cuts both files a mid-list merge
+// writes — its output segment, an orphan until the swap, and the
+// manifest's temporary file, which the rename commits — at every byte
+// offset. Neither is reachable before the rename, so whatever the cut,
+// recovery serves the pre-merge state and leaves a directory the merge
+// can run in again.
+func TestMidListMergeTornAtEveryOffset(t *testing.T) {
+	p := testPlatform()
+	srcDir := t.TempDir()
+	// Small records keep the files, and with them the number of cuts,
+	// small.
+	smallConfig := func(dir string) Config {
+		cfg := tieredConfig(t, p, dir)
+		cfg.MemtableBytes = 320
+		cfg.Logf = nil
+		return cfg
+	}
+	e, blob := midListRun(t, smallConfig(srcDir))
+	image := t.TempDir()
+	e.compactHook = func() { copyDir(t, srcDir, image) }
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	output := filepath.Base(e.segments[1].path)
+	e.Crash()
+	outputBytes, err := os.ReadFile(filepath.Join(image, output))
+	if err != nil {
+		t.Fatalf("read output: %v", err)
+	}
+	manifestBytes, err := os.ReadFile(filepath.Join(srcDir, manifestName))
+	if err != nil {
+		t.Fatalf("read manifest: %v", err)
+	}
+
+	// Recovery deletes the orphan output and never reads the temporary
+	// manifest, so one working copy of the image serves every cut; only
+	// the occasional redo of the merge gets a copy of its own.
+	work := t.TempDir()
+	copyDir(t, image, work)
+	try := func(file string, content []byte, cut int) {
+		dir := work
+		if redo := cut%97 == 0; redo {
+			dir = t.TempDir()
+			copyDir(t, image, dir)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), content[:cut], 0o600); err != nil {
+			t.Fatalf("truncate copy: %v", err)
+		}
+		eng, err := Open(smallConfig(dir))
+		if err != nil {
+			t.Fatalf("%s cut at %d: Open: %v", file, cut, err)
+		}
+		defer eng.Crash() // Close would grow the shared WAL with touch frames
+		if got := eng.Stats().Segments; got != 5 {
+			t.Fatalf("%s cut at %d: %d segments, want the 5 inputs", file, cut, got)
+		}
+		mustServeMidListRun(t, eng, blob)
+		if dir != work {
+			if err := eng.Compact(); err != nil {
+				t.Fatalf("%s cut at %d: Compact: %v", file, cut, err)
+			}
+			mustServeMidListRun(t, eng, blob)
+		}
+	}
+	for cut := 0; cut <= len(outputBytes); cut++ {
+		try(output, outputBytes, cut)
+	}
+	for cut := 0; cut <= len(manifestBytes); cut++ {
+		try(manifestName+".tmp", manifestBytes, cut)
 	}
 }
 

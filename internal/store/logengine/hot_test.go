@@ -2,6 +2,8 @@ package logengine
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"speed/internal/enclave"
@@ -14,22 +16,7 @@ import (
 // segment file. This is the common case for a freshly warmed store and
 // the path `make bench-regress` pins against bench/baseline.txt.
 func BenchmarkHotLogMemtableGet(b *testing.B) {
-	p := enclave.NewPlatform(enclave.Config{})
-	enc, err := p.Create("bench-store", []byte("store code"))
-	if err != nil {
-		b.Fatalf("Create: %v", err)
-	}
-	e, err := Open(Config{
-		Dir:             b.TempDir(),
-		Enclave:         enc,
-		MemtableBytes:   64 << 20, // everything stays memtable-resident
-		Fsync:           FsyncNone,
-		CompactInterval: -1,
-	})
-	if err != nil {
-		b.Fatalf("Open: %v", err)
-	}
-	defer e.Close()
+	e := benchEngine(b, b.TempDir(), 64<<20) // everything stays memtable-resident
 
 	const n = 512
 	tags := make([]mle.Tag, n)
@@ -48,5 +35,132 @@ func BenchmarkHotLogMemtableGet(b *testing.B) {
 		if err != nil || status != storeengine.StatusHit {
 			b.Fatalf("Get = %v, %v", status, err)
 		}
+	}
+}
+
+// benchEngine opens a log engine for a hot-path benchmark: no fsync, no
+// timer, and an EPC budget no memtable size runs into.
+func benchEngine(b *testing.B, dir string, memtableBytes int64) *Engine {
+	b.Helper()
+	p := enclave.NewPlatform(enclave.Config{EPCBytes: 1 << 40, EPCUsableBytes: 1 << 40})
+	enc, err := p.Create("bench-store", []byte("store code"))
+	if err != nil {
+		b.Fatalf("Create: %v", err)
+	}
+	e, err := Open(Config{
+		Dir:             dir,
+		Enclave:         enc,
+		MemtableBytes:   memtableBytes,
+		Fsync:           FsyncNone,
+		CompactInterval: -1,
+	})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	b.Cleanup(func() { e.Close() })
+	return e
+}
+
+// BenchmarkHotLogSegmentMiss is the paper's initial computation as the
+// log engine sees it: a GET that misses, then a PUT whose
+// first-version-wins check must find nothing, against a store of 16
+// flushed segments. The per-segment key filters answer both lookups;
+// the benchmark fails if a single one reads a segment file.
+func BenchmarkHotLogSegmentMiss(b *testing.B) {
+	e := benchEngine(b, b.TempDir(), 1<<30)
+	const segments, perSegment = 16, 2048
+	for s := 0; s < segments; s++ {
+		for i := 0; i < perSegment; i++ {
+			if ok, err := e.Insert(seededTag(uint64(s), i), recOf("stored")); err != nil || !ok {
+				b.Fatalf("Insert: %v %v", ok, err)
+			}
+		}
+		if err := e.Checkpoint(); err != nil {
+			b.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	if got := e.Stats().Segments; got != segments {
+		b.Fatalf("%d segments, want %d", got, segments)
+	}
+	// The memtable budget is never reached, so the segment list — and
+	// with it the set of tags no filter matches — is fixed for the run.
+	fresh := absentEverywhere(e, 99, b.N)
+	rec := recOf("fresh")
+	before := e.Stats()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, tag := range fresh {
+		if _, status, err := e.Get(tag); err != nil || status != storeengine.StatusMiss {
+			b.Fatalf("Get = %v, %v", status, err)
+		}
+		if ok, err := e.Insert(tag, rec); err != nil || !ok {
+			b.Fatalf("Insert = %v, %v", ok, err)
+		}
+	}
+	b.StopTimer()
+	after := e.Stats()
+	if probes := after.SegmentProbes - before.SegmentProbes; probes != 0 {
+		b.Fatalf("%d segment file reads over %d miss+insert pairs, want 0", probes, b.N)
+	}
+	if skips, want := after.FilterSkips-before.FilterSkips, int64(2*b.N*segments); skips != want {
+		b.Fatalf("FilterSkips rose by %d, want %d", skips, want)
+	}
+}
+
+// BenchmarkHotLogMergeRun times one streaming merge of four 4 MiB
+// segments (4 KiB records), manifest swap and read-back verification
+// included: the unit of work size-tiered compaction repeats.
+func BenchmarkHotLogMergeRun(b *testing.B) {
+	const fanIn, perSegment, blobSize = 4, 1024, 4 << 10
+	// Build the inputs once; every iteration hard-links them into a
+	// fresh engine directory, because a merge deletes what it read.
+	tmpl := b.TempDir()
+	src := benchEngine(b, tmpl, 1<<30)
+	rec := recOf(string(make([]byte, blobSize)))
+	for s := 0; s < fanIn; s++ {
+		for i := 0; i < perSegment; i++ {
+			if ok, err := src.Insert(seededTag(uint64(s), i), rec); err != nil || !ok {
+				b.Fatalf("Insert: %v %v", ok, err)
+			}
+		}
+		if err := src.Checkpoint(); err != nil {
+			b.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	names := segmentNames(src.segments)
+	b.SetBytes(src.Stats().SegmentBytes)
+
+	dir := b.TempDir()
+	e := benchEngine(b, dir, 1<<30)
+	e.cfg.Enclave = src.cfg.Enclave // same sealing identity as the inputs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e.segments = e.segments[:0]
+		for _, name := range names {
+			path := filepath.Join(dir, fmt.Sprintf("in-%d-%s", i, name))
+			if err := os.Link(filepath.Join(tmpl, name), path); err != nil {
+				b.Fatalf("Link: %v", err)
+			}
+			seg, err := openSegment(path, 0, nil)
+			if err != nil {
+				b.Fatalf("openSegment: %v", err)
+			}
+			e.segments = append(e.segments, seg)
+		}
+		b.StartTimer()
+		if err := e.mergeRun(0, fanIn); err != nil {
+			b.Fatalf("mergeRun: %v", err)
+		}
+		b.StopTimer()
+		out := e.segments[0]
+		if out.count != fanIn*perSegment {
+			b.Fatalf("merged %d records, want %d", out.count, fanIn*perSegment)
+		}
+		out.close()
+		os.Remove(out.path)
+		b.StartTimer()
 	}
 }

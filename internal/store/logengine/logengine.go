@@ -1,9 +1,10 @@
 // Package logengine is the persistent, log-structured storage engine
 // behind store.Store: an append-only WAL of sealed records feeding an
 // in-enclave memtable, flushed as immutable sorted segments, with a
-// background compactor, a per-segment sparse index and a bounded
-// hot-entry cache. The working set can exceed RAM: only the memtable,
-// the cache, and the sparse indexes stay resident.
+// size-tiered background compactor, a per-segment key filter and
+// sparse index, and a bounded hot-entry cache. The working set can
+// exceed RAM: only the memtable, the cache, and the per-segment
+// filters and sparse indexes stay resident.
 //
 // Trust model: the directory lives on untrusted media. Every record is
 // sealed (enclave AEAD, bound to platform and measurement) before it
@@ -17,7 +18,8 @@
 // acknowledged only after the WAL frame is fsynced, so acknowledged
 // operations survive kill -9 and power loss. FsyncInterval bounds loss
 // to the sync interval; FsyncNone leaves it to the OS page cache.
-// Recovery loads the manifest's segments (CRC-verified), deletes
+// Recovery loads the manifest's segments (CRC-verified), refuses a
+// directory none of whose segments this enclave can unseal, deletes
 // orphan segment files from interrupted flushes or compactions, then
 // replays the WAL — a torn tail is truncated, never applied.
 //
@@ -46,6 +48,7 @@ import (
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	storeengine "speed/internal/store/engine"
+	"speed/internal/telemetry"
 )
 
 // Fsync is the WAL durability policy.
@@ -120,8 +123,8 @@ type Config struct {
 	// FsyncInterval is the background sync period under FsyncEvery;
 	// 0 means 100ms.
 	FsyncInterval time.Duration
-	// CompactInterval is how often the background compactor considers
-	// merging segments; 0 means 30s, negative disables the background
+	// CompactInterval is how often the background compactor runs the
+	// tiering policy; 0 means 30s, negative disables the background
 	// loop (Compact still works).
 	CompactInterval time.Duration
 	// Oblivious makes lookups over the in-enclave structures
@@ -176,8 +179,8 @@ const touchRecBytes = 96
 // Engine is the log-structured engine. It implements
 // store/engine.Engine. A single mutex serializes mutations and
 // metadata reads; segment file reads happen under it too (v1 keeps the
-// locking simple — the bounded sparse-index scan keeps the hold time
-// short).
+// locking simple — the key filters keep most lookups off the files and
+// the bounded sparse-index scan keeps the rest short).
 type Engine struct {
 	cfg Config
 
@@ -206,10 +209,13 @@ type Engine struct {
 	valueBytes int64
 	st         storeengine.Stats // activity counters (occupancy filled on snapshot)
 
-	// compactHook, when set, runs between writing a compacted segment
-	// and committing the manifest; tests use it to simulate a crash at
-	// the most delicate point.
+	// compactHook, when set, runs between writing a merged segment and
+	// committing the manifest; tests use it to simulate a crash at the
+	// most delicate point.
 	compactHook func()
+	// compactSeconds times each merge; nil (a no-op) until
+	// RegisterTelemetry.
+	compactSeconds *telemetry.Histogram
 
 	stopBg chan struct{}
 	bgDone sync.WaitGroup
@@ -259,6 +265,7 @@ func Open(cfg Config) (*Engine, error) {
 		stopBg:     make(chan struct{}),
 	}
 	if err := e.recover(); err != nil {
+		e.closeFiles()
 		return nil, err
 	}
 	e.startBackground()
@@ -272,19 +279,23 @@ func (e *Engine) recover() error {
 		return err
 	}
 	listed := make(map[string]bool, len(names))
-	var segKeys [][]keyHdr
-	for _, name := range names {
+	segKeys := make([][]keyHdr, len(names))
+	for i, name := range names {
 		listed[name] = true
 		id, _ := parseSegmentName(name)
-		seg, keys, err := openSegment(filepath.Join(e.cfg.Dir, name), id)
+		seg, err := openSegment(filepath.Join(e.cfg.Dir, name), id, func(k keyHdr) {
+			segKeys[i] = append(segKeys[i], k)
+		})
 		if err != nil {
 			return err
 		}
 		e.segments = append(e.segments, seg)
-		segKeys = append(segKeys, keys)
 		if id >= e.nextSegID {
 			e.nextSegID = id + 1
 		}
+	}
+	if err := e.checkSealIdentity(); err != nil {
+		return err
 	}
 	// Remove orphan segment files: a flush or compaction that died
 	// after creating its output but before committing the manifest.
@@ -379,6 +390,47 @@ func (e *Engine) recover() error {
 	if replayed > 0 || len(e.segments) > 0 {
 		e.cfg.Logf("logengine: recovered %d entries (%d segments, %d wal records replayed)",
 			e.entries, len(e.segments), replayed)
+	}
+	return nil
+}
+
+// identityProbes is how many live records checkSealIdentity tries per
+// segment, and how many failures (with no success) it takes as proof
+// of a foreign directory.
+const identityProbes = 4
+
+// checkSealIdentity authenticates a few live records from each segment
+// until one unseals. Seals are bound to the platform seed and the store
+// enclave's measurement, so under the wrong identity every record
+// fails — and without this check the store would open "fine", answer
+// every lookup dangling and empty itself one recompute at a time. One
+// record that unseals proves the identity; failures beside it are
+// per-record damage, which Get reports as it meets them. Fewer than
+// identityProbes failures prove nothing either way (a store holding one
+// record the disk tampered with must still open, so that the record is
+// recomputed), so the directory is refused only on identityProbes or
+// more failures and no success. It runs before recovery deletes or
+// truncates anything.
+func (e *Engine) checkSealIdentity() error {
+	failed := 0
+	for _, s := range e.segments {
+		c := s.newCursor()
+		for n := 0; c.valid && n < identityProbes; c.next() {
+			if c.dead {
+				continue
+			}
+			if _, err := unsealRecord(e.cfg.Enclave, c.sealed); err == nil {
+				return nil
+			}
+			n++
+			failed++
+		}
+		if c.err != nil {
+			return c.err
+		}
+	}
+	if failed >= identityProbes {
+		return fmt.Errorf("logengine: %s: none of the %d segment records tried authenticates: the directory was sealed under a different platform seed or store measurement (nothing was modified)", e.cfg.Dir, failed)
 	}
 	return nil
 }
@@ -490,45 +542,58 @@ func (e *Engine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, er
 	// Miss in the in-enclave tiers: consult the segments (untrusted
 	// disk), newest first. Unsealing happens back inside the enclave.
 	e.st.CacheMisses++
-	for i := len(e.segments) - 1; i >= 0; i-- {
-		sealed, found, dead, err := e.segments[i].find(tag)
+	sealed, found, dead, err := e.findLocked(tag, true)
+	if err != nil || !found || dead {
+		return storeengine.Record{}, storeengine.StatusMiss, err
+	}
+	var srec storeengine.Record
+	uerr := e.cfg.Enclave.ECall(func() error {
+		r, err := unsealRecord(e.cfg.Enclave, sealed)
 		if err != nil {
-			return storeengine.Record{}, storeengine.StatusMiss, err
+			return err
 		}
-		if !found {
+		srec = r
+		return nil
+	})
+	if uerr != nil {
+		// Authenticated storage failed us: surface as dangling so
+		// the policy layer drops the entry and recomputes.
+		e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], uerr)
+		return storeengine.Record{}, storeengine.StatusDangling, nil
+	}
+	e.applyTouch(tag, &srec)
+	if e.expired(srec.LastTouch) {
+		return storeengine.Record{}, storeengine.StatusExpired, nil
+	}
+	if !e.cfg.Oblivious {
+		srec.Hits++
+		srec.LastTouch = e.cfg.Now()
+		e.noteTouch(tag, srec.Hits, srec.LastTouch)
+		e.cacheInsert(tag, srec)
+	}
+	return copyRecord(srec), storeengine.StatusHit, nil
+}
+
+// findLocked looks tag up in the segments, newest first, returning the
+// newest version's state (and its sealed payload when wantSealed is
+// set). A segment whose fence or key filter excludes the tag costs no
+// file read, so a tag no segment holds — every GET that misses, every
+// PUT's first-version-wins check — usually costs none at all. Caller
+// holds mu.
+func (e *Engine) findLocked(tag mle.Tag, wantSealed bool) (sealed []byte, found, dead bool, err error) {
+	for i := len(e.segments) - 1; i >= 0; i-- {
+		s := e.segments[i]
+		if !s.mayContain(tag) {
+			e.st.FilterSkips++
 			continue
 		}
-		if dead {
-			return storeengine.Record{}, storeengine.StatusMiss, nil
+		e.st.SegmentProbes++
+		sealed, found, dead, err = s.find(tag, wantSealed)
+		if err != nil || found {
+			return sealed, found, dead, err
 		}
-		var srec storeengine.Record
-		uerr := e.cfg.Enclave.ECall(func() error {
-			r, err := unsealRecord(e.cfg.Enclave, sealed)
-			if err != nil {
-				return err
-			}
-			srec = r
-			return nil
-		})
-		if uerr != nil {
-			// Authenticated storage failed us: surface as dangling so
-			// the policy layer drops the entry and recomputes.
-			e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], uerr)
-			return storeengine.Record{}, storeengine.StatusDangling, nil
-		}
-		e.applyTouch(tag, &srec)
-		if e.expired(srec.LastTouch) {
-			return storeengine.Record{}, storeengine.StatusExpired, nil
-		}
-		if !e.cfg.Oblivious {
-			srec.Hits++
-			srec.LastTouch = e.cfg.Now()
-			e.noteTouch(tag, srec.Hits, srec.LastTouch)
-			e.cacheInsert(tag, srec)
-		}
-		return copyRecord(srec), storeengine.StatusHit, nil
 	}
-	return storeengine.Record{}, storeengine.StatusMiss, nil
+	return nil, false, false, nil
 }
 
 // lookupMem finds a memtable entry; under Oblivious it scans every
@@ -751,8 +816,8 @@ func (e *Engine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
 	return true, nil
 }
 
-// Contains implements engine.Engine: an existence probe over memtable,
-// hot cache and segment indexes with no hit counting, cache promotion
+// Contains implements engine.Engine: an existence probe over memtable
+// and segment filters and indexes with no hit counting, cache promotion
 // or recency updates. Like existsLocked it ignores TTL — the engine's
 // index has no cheap TTL view — so a stale record reports present;
 // callers treat the answer as a hint and tolerate a later Get missing.
@@ -772,16 +837,8 @@ func (e *Engine) existsLocked(tag mle.Tag) (bool, error) {
 	if mr, ok := e.memtable[tag]; ok {
 		return !mr.dead, nil
 	}
-	for i := len(e.segments) - 1; i >= 0; i-- {
-		_, found, dead, err := e.segments[i].find(tag)
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return !dead, nil
-		}
-	}
-	return false, nil
+	_, found, dead, err := e.findLocked(tag, false)
+	return found && !dead, err
 }
 
 // Remove implements engine.Engine: locate the live record (its owner
@@ -805,36 +862,23 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 			LastTouch: mr.rec.LastTouch,
 		}
 	} else {
-		found := false
-		for i := len(e.segments) - 1; i >= 0 && !found; i-- {
-			sealed, ok, dead, err := e.segments[i].find(tag)
-			if err != nil {
-				return storeengine.Record{}, false, err
-			}
-			if !ok {
-				continue
-			}
-			if dead {
-				return storeengine.Record{}, false, nil
-			}
-			rec, uerr := unsealRecord(e.cfg.Enclave, sealed)
-			if uerr != nil {
-				// Unreadable record: still tombstone it so it stops
-				// shadowing, but report unknown metadata.
-				rec = storeengine.Record{}
-			}
-			meta = storeengine.Record{
-				BlobSize:  rec.BlobSize,
-				Owner:     rec.Owner,
-				Hits:      rec.Hits,
-				LastTouch: rec.LastTouch,
-			}
-			e.applyTouch(tag, &meta)
-			found = true
+		sealed, found, dead, err := e.findLocked(tag, true)
+		if err != nil || !found || dead {
+			return storeengine.Record{}, false, err
 		}
-		if !found {
-			return storeengine.Record{}, false, nil
+		rec, uerr := unsealRecord(e.cfg.Enclave, sealed)
+		if uerr != nil {
+			// Unreadable record: still tombstone it so it stops
+			// shadowing, but report unknown metadata.
+			rec = storeengine.Record{}
 		}
+		meta = storeengine.Record{
+			BlobSize:  rec.BlobSize,
+			Owner:     rec.Owner,
+			Hits:      rec.Hits,
+			LastTouch: rec.LastTouch,
+		}
+		e.applyTouch(tag, &meta)
 	}
 	if err := e.wal.append(e.cfg.Enclave, walOpDelete, tag, storeengine.Record{}); err != nil {
 		return storeengine.Record{}, false, err
@@ -911,22 +955,26 @@ func (e *Engine) flushLocked() error {
 	id := e.nextSegID
 	name := segmentName(id)
 	path := filepath.Join(e.cfg.Dir, name)
-	if err := writeSegment(path, records); err != nil {
+	err = writeSegment(path, func() (segRecord, bool, error) {
+		if len(records) == 0 {
+			return segRecord{}, false, nil
+		}
+		r := records[0]
+		records = records[1:]
+		return r, true, nil
+	})
+	if err != nil {
 		return err
 	}
 	if err := syncDir(e.cfg.Dir); err != nil {
 		return err
 	}
-	seg, _, err := openSegment(path, id)
+	seg, err := openSegment(path, id, nil)
 	if err != nil {
+		os.Remove(path)
 		return err
 	}
-	names := make([]string, 0, len(e.segments)+1)
-	for _, s := range e.segments {
-		names = append(names, filepath.Base(s.path))
-	}
-	names = append(names, name)
-	if err := writeManifest(e.cfg.Dir, names); err != nil {
+	if err := writeManifest(e.cfg.Dir, append(segmentNames(e.segments), name)); err != nil {
 		if cerr := seg.close(); cerr != nil {
 			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
 		}
@@ -1012,81 +1060,48 @@ func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool
 	sort.Slice(memKeys, func(i, j int) bool {
 		return bytes.Compare(memKeys[i][:], memKeys[j][:]) < 0
 	})
-	cursors := make([]*cursor, len(e.segments))
-	for i, s := range e.segments {
-		cursors[i] = s.newCursor()
-	}
-	memIdx := 0
-	for {
-		// Pick the smallest tag across the memtable pointer and all
-		// cursors; on ties, the newest tier wins (memtable beats any
-		// segment; a later segment beats an earlier one).
+	// Two sorted streams: the memtable's keys and the segments' merged
+	// view (newest segment wins a tag). The smaller head goes next; on a
+	// tie the memtable, the newest tier of all, wins and the segments'
+	// version is skipped.
+	it := newMergeIter(e.segments)
+	seg, err := it.next()
+	for err == nil && (len(memKeys) > 0 || seg != nil) {
+		cmp := -1
+		if len(memKeys) == 0 {
+			cmp = 1
+		} else if seg != nil {
+			cmp = bytes.Compare(memKeys[0][:], seg.tag[:])
+		}
 		var (
-			best    mle.Tag
-			haveAny bool
+			tag  mle.Tag
+			rec  storeengine.Record
+			live bool
 		)
-		if memIdx < len(memKeys) {
-			best, haveAny = memKeys[memIdx], true
-		}
-		for _, c := range cursors {
-			if !c.valid {
-				continue
+		if cmp <= 0 {
+			tag, memKeys = memKeys[0], memKeys[1:]
+			if mr := e.memtable[tag]; !mr.dead {
+				rec, live = copyRecord(mr.rec), true
 			}
-			if !haveAny || bytes.Compare(c.tag[:], best[:]) < 0 {
-				best, haveAny = c.tag, true
-			}
-		}
-		if !haveAny {
-			return nil
-		}
-		// Resolve the winner for `best` and advance every tier at it.
-		var (
-			winnerSealed []byte
-			winnerMem    *memRec
-			dead         bool
-			resolved     bool
-		)
-		if memIdx < len(memKeys) && memKeys[memIdx] == best {
-			winnerMem = e.memtable[best]
-			dead = winnerMem.dead
-			resolved = true
-			memIdx++
-		}
-		for i := len(cursors) - 1; i >= 0; i-- { // newest segment first
-			c := cursors[i]
-			if c.valid && c.tag == best {
-				if !resolved {
-					winnerSealed = c.sealed
-					dead = c.dead
-					resolved = true
-				}
-				c.next()
-			}
-		}
-		if dead {
-			continue
-		}
-		var rec storeengine.Record
-		if winnerMem != nil {
-			rec = copyRecord(winnerMem.rec)
-		} else {
-			r, err := unsealRecord(e.cfg.Enclave, winnerSealed)
-			if err != nil {
+		} else if tag = seg.tag; !seg.dead {
+			var uerr error
+			if rec, uerr = unsealRecord(e.cfg.Enclave, seg.sealed); uerr != nil {
 				// Skip unreadable records rather than abort a whole
 				// export; Get on this tag will surface dangling.
-				e.cfg.Logf("logengine: iterate: record %x failed authentication: %v", best[:8], err)
-				continue
+				e.cfg.Logf("logengine: iterate: record %x failed authentication: %v", tag[:8], uerr)
+			} else {
+				e.applyTouch(tag, &rec)
+				live = true
 			}
-			rec = r
-			e.applyTouch(best, &rec)
 		}
-		if e.expired(rec.LastTouch) {
-			continue
+		if cmp >= 0 {
+			seg, err = it.next()
 		}
-		if !fn(best, rec) {
+		if live && !e.expired(rec.LastTouch) && !fn(tag, rec) {
 			return nil
 		}
 	}
+	return err
 }
 
 // Oldest implements engine.Engine by scanning the merged view for the
@@ -1123,6 +1138,13 @@ func (e *Engine) Stats() storeengine.Stats {
 	for _, s := range e.segments {
 		st.SegmentBytes += s.size
 	}
+	if lo, hi, ok := pickRun(e.segments, e.cfg.MemtableBytes); ok {
+		// What Compact would merge first; its output may make more
+		// eligible.
+		for _, s := range e.segments[lo:hi] {
+			st.CompactionDebtBytes += s.size
+		}
+	}
 	return st
 }
 
@@ -1147,10 +1169,13 @@ func (e *Engine) Checkpoint() error {
 	return e.wal.sync()
 }
 
-// Compact merges all segments into one, dropping shadowed versions
-// and — because the result is the oldest and only segment — all
-// tombstones. The merge runs under the engine lock (v1 trades
-// concurrency for simplicity).
+// Compact runs the size-tiered merge policy to its fixed point: while
+// some run of age-adjacent segments of one size class is long enough
+// it is merged into one (see compact.go), dropping shadowed versions
+// and, when the run reaches the oldest segment, tombstones. It does
+// not merge everything: afterwards no eligible run is left, which may
+// well mean several segments. Merges run under the engine lock (v1
+// trades concurrency for simplicity).
 func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1179,17 +1204,25 @@ func (e *Engine) Close() error {
 	e.bgDone.Wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	closeErr := e.closeFiles()
+	e.releaseMemoryLocked()
+	return errors.Join(flushErr, closeErr)
+}
+
+// closeFiles releases the WAL's and the segments' file handles.
+func (e *Engine) closeFiles() error {
 	var closeErr error
-	if err := e.wal.close(); err != nil {
-		closeErr = errors.Join(closeErr, fmt.Errorf("logengine: close wal: %w", err))
+	if e.wal != nil {
+		if err := e.wal.close(); err != nil {
+			closeErr = errors.Join(closeErr, fmt.Errorf("logengine: close wal: %w", err))
+		}
 	}
 	for _, s := range e.segments {
 		if err := s.close(); err != nil {
 			closeErr = errors.Join(closeErr, fmt.Errorf("logengine: close segment %s: %w", filepath.Base(s.path), err))
 		}
 	}
-	e.releaseMemoryLocked()
-	return errors.Join(flushErr, closeErr)
+	return closeErr
 }
 
 // Crash simulates kill -9 for tests and benchmarks: file handles are
@@ -1208,10 +1241,7 @@ func (e *Engine) Crash() {
 	e.bgDone.Wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_ = e.wal.close() // abandoning handles is the point of a crash
-	for _, s := range e.segments {
-		_ = s.close()
-	}
+	_ = e.closeFiles() // abandoning handles is the point of a crash
 	e.releaseMemoryLocked()
 }
 

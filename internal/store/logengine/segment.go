@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,8 +16,8 @@ import (
 )
 
 // Immutable sorted segments are the engine's durable tier. A segment
-// file is written once (by a memtable flush or a compaction), fsynced,
-// then only ever read:
+// file is written once (by a memtable flush or a merge), fsynced, then
+// only ever read:
 //
 //	file   := magic [8]byte ("SPSEG1\r\n") | count uint32 | body | crc uint32
 //	body   := record*                       (sorted ascending by tag)
@@ -29,11 +30,14 @@ import (
 // additionally sealed — the CRC is integrity against accidents, the
 // seal against an adversary.
 //
-// Readers locate a tag through an in-memory sparse index: every
-// indexInterval-th record's (tag, offset) pair. A lookup binary-
-// searches the sparse index, then scans at most indexInterval record
-// headers from the file — O(log n) memory-resident comparisons plus a
-// short bounded disk scan, no per-key in-memory state.
+// Readers locate a tag through three in-memory structures, cheapest
+// first: the min/max fence, a key filter (≈2 bytes per key, no false
+// negatives), and a sparse index holding every indexInterval-th
+// record's (tag, offset) pair. Only a tag that passes fence and filter
+// costs file reads: a binary search of the sparse index, then a scan
+// of at most indexInterval record headers. All three live in untrusted
+// host memory next to the file they describe and are hints about it,
+// never evidence: a hit still ends in unsealRecord.
 
 const (
 	segMagic       = "SPSEG1\r\n"
@@ -44,7 +48,60 @@ const (
 	segFlagDead    = 1
 	manifestName   = "MANIFEST"
 	manifestHeader = "speedlog v1"
+	// segWriteBuffer and segReadBuffer size the sequential writer's and
+	// the sequential readers' (open-time verification, cursors)
+	// buffers. Together with one record per cursor they are all the
+	// memory a flush or a merge needs beyond its input.
+	segWriteBuffer = 1 << 20
+	segReadBuffer  = 64 << 10
 )
+
+// keyFilter is a blocked Bloom filter over a segment's tags: each tag
+// owns one 512-bit block (a cache line) and sets filterProbes bits in
+// it. Tags are SHA-256 outputs, so disjoint windows of the tag serve
+// as the hash functions: bytes 0-3 choose the block, bytes 4-11 the
+// bits. At filterBitsPerKey bits per key the false-positive rate on
+// uniformly distributed tags stays well under 1%; a tag that was added
+// always answers "maybe" whatever its distribution.
+type keyFilter []uint64
+
+const (
+	filterBitsPerKey = 16
+	filterProbes     = 6
+	filterBlockWords = 8 // 8 x 64 bits = one 512-bit block
+)
+
+func newKeyFilter(keys int) keyFilter {
+	blocks := (keys*filterBitsPerKey + 64*filterBlockWords - 1) / (64 * filterBlockWords)
+	return make(keyFilter, max(blocks, 1)*filterBlockWords)
+}
+
+// locate returns the first word of tag's block and its bit-choosing
+// window.
+func (f keyFilter) locate(tag *mle.Tag) (base int, h uint64) {
+	blocks := uint64(len(f) / filterBlockWords)
+	base = int(uint64(binary.BigEndian.Uint32(tag[0:4]))*blocks>>32) * filterBlockWords
+	return base, binary.BigEndian.Uint64(tag[4:12])
+}
+
+func (f keyFilter) add(tag *mle.Tag) {
+	base, h := f.locate(tag)
+	for i := 0; i < filterProbes; i++ {
+		f[base+int(h>>6&7)] |= 1 << (h & 63)
+		h >>= 9
+	}
+}
+
+func (f keyFilter) mayContain(tag *mle.Tag) bool {
+	base, h := f.locate(tag)
+	for i := 0; i < filterProbes; i++ {
+		if f[base+int(h>>6&7)]&(1<<(h&63)) == 0 {
+			return false
+		}
+		h >>= 9
+	}
+	return true
+}
 
 // indexEntry is one sparse-index sample: the tag of the n*16th record
 // and its absolute file offset.
@@ -53,8 +110,8 @@ type indexEntry struct {
 	off int64
 }
 
-// keyHdr is a record header without its payload — what recovery and
-// merge planning need, cheap enough to hold for every key transiently.
+// keyHdr is a record header without its payload — what recovery needs
+// to compute live occupancy across segments.
 type keyHdr struct {
 	tag      mle.Tag
 	dead     bool
@@ -69,6 +126,7 @@ type segment struct {
 	count  int
 	size   int64 // file size
 	sparse []indexEntry
+	filter keyFilter
 	minTag mle.Tag
 	maxTag mle.Tag
 }
@@ -84,7 +142,7 @@ func parseSegmentName(name string) (uint64, bool) {
 	return 0, false
 }
 
-// segRecord is one record staged for writing.
+// segRecord is one record on its way into a segment file.
 type segRecord struct {
 	tag    mle.Tag
 	dead   bool
@@ -92,11 +150,16 @@ type segRecord struct {
 	sealed []byte
 }
 
-// writeSegment writes records (already sorted ascending by tag) to a
-// new segment file and fsyncs it. The caller syncs the directory and
-// commits the manifest; until then the file is an orphan that recovery
-// deletes.
-func writeSegment(path string, records []segRecord) (err error) {
+// writeSegment streams the records next yields (ascending by tag; ok
+// false ends the stream) into a new segment file and fsyncs it. It is
+// the one segment-writing routine: a memtable flush feeds it from a
+// sorted slice, a merge from its cursors, and neither holds more than
+// the record in flight plus the write buffer. A yielded record's
+// sealed bytes are consumed before next is called again. The caller
+// syncs the directory and commits the manifest; until then the file is
+// an orphan that recovery deletes. A failed write removes its partial
+// file, so the segment id stays usable.
+func writeSegment(path string, next func() (rec segRecord, ok bool, err error)) (err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
 	if err != nil {
 		return err
@@ -107,19 +170,29 @@ func writeSegment(path string, records []segRecord) (err error) {
 		if cerr := f.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+		if err != nil {
+			os.Remove(path)
+		}
 	}()
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.WriteString(segMagic); err != nil {
+	w := bufio.NewWriterSize(f, segWriteBuffer)
+	var head [segHeaderLen]byte // count is patched in once it is known
+	copy(head[:], segMagic)
+	if _, err := w.Write(head[:]); err != nil {
 		return err
 	}
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(records)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return err
-	}
-	crc := crc32.New(crcTable)
-	var hdr [segRecHeader]byte
-	for _, r := range records {
+	var (
+		crc   uint32
+		count uint32
+		hdr   [segRecHeader]byte
+	)
+	for {
+		r, ok, err := next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
 		copy(hdr[:32], r.tag[:])
 		hdr[32] = segFlagLive
 		if r.dead {
@@ -127,59 +200,94 @@ func writeSegment(path string, records []segRecord) (err error) {
 		}
 		binary.BigEndian.PutUint32(hdr[33:37], uint32(r.blob))
 		binary.BigEndian.PutUint32(hdr[37:41], uint32(len(r.sealed)))
-		for _, chunk := range [][]byte{hdr[:], r.sealed} {
-			if _, err := w.Write(chunk); err != nil {
-				return err
-			}
-			crc.Write(chunk)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
 		}
+		if _, err := w.Write(r.sealed); err != nil {
+			return err
+		}
+		crc = crc32.Update(crc32.Update(crc, crcTable, hdr[:]), crcTable, r.sealed)
+		count++
 	}
-	binary.BigEndian.PutUint32(u32[:], crc.Sum32())
+	var u32 [4]byte
+	binary.BigEndian.PutUint32(u32[:], crc)
 	if _, err := w.Write(u32[:]); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	binary.BigEndian.PutUint32(u32[:], count)
+	if _, err := f.WriteAt(u32[:], int64(len(segMagic))); err != nil {
+		return err
+	}
 	return f.Sync()
 }
 
-// openSegment reads and verifies a segment file, building its sparse
-// index. It returns the transient full key list so the caller can
-// compute live occupancy across segments; the list is discarded after
-// open.
-func openSegment(path string, id uint64) (*segment, []keyHdr, error) {
-	data, err := os.ReadFile(path)
+// openSegment streams through a segment file once, verifying its
+// framing, ordering and checksum and building the sparse index, the
+// key filter and the fence from the keys it passes — the file is never
+// held in memory. visit, when non-nil, sees every record header in
+// order (recovery computes live occupancy from them).
+func openSegment(path string, id uint64, visit func(keyHdr)) (seg *segment, err error) {
+	base := filepath.Base(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(data) < segHeaderLen+4 || string(data[:len(segMagic)]) != segMagic {
-		return nil, nil, fmt.Errorf("logengine: segment %s: bad header", filepath.Base(path))
+	defer func() {
+		if err != nil {
+			_ = f.Close() // the verification error wins
+		}
+	}()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.BigEndian.Uint32(data[len(segMagic):segHeaderLen]))
-	body := data[segHeaderLen : len(data)-4]
-	wantCRC := binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != wantCRC {
-		return nil, nil, fmt.Errorf("logengine: segment %s: checksum mismatch (untrusted storage corrupted it)", filepath.Base(path))
+	r := bufio.NewReaderSize(f, segReadBuffer)
+	var head [segHeaderLen]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil || st.Size() < int64(segHeaderLen+4) || string(head[:len(segMagic)]) != segMagic {
+		return nil, fmt.Errorf("logengine: segment %s: bad header", base)
 	}
-	seg := &segment{path: path, id: id, count: count, size: int64(len(data))}
-	keys := make([]keyHdr, 0, count)
-	off := 0
-	var prev mle.Tag
+	count := int(binary.BigEndian.Uint32(head[len(segMagic):]))
+	left := st.Size() - int64(segHeaderLen) - 4 // body bytes not yet consumed
+	if int64(count) > left/segRecHeader {
+		return nil, fmt.Errorf("logengine: segment %s: truncated (header claims %d records)", base, count)
+	}
+	seg = &segment{path: path, id: id, f: f, count: count, size: st.Size(), filter: newKeyFilter(count)}
+	var (
+		crc  uint32
+		hdr  [segRecHeader]byte
+		prev mle.Tag
+	)
 	for i := 0; i < count; i++ {
-		if len(body)-off < segRecHeader {
-			return nil, nil, fmt.Errorf("logengine: segment %s: truncated record %d", filepath.Base(path), i)
+		off := st.Size() - 4 - left
+		if left < segRecHeader {
+			return nil, fmt.Errorf("logengine: segment %s: truncated record %d", base, i)
 		}
-		var tag mle.Tag
-		copy(tag[:], body[off:off+32])
-		dead := body[off+32] == segFlagDead
-		blobSize := int64(binary.BigEndian.Uint32(body[off+33 : off+37]))
-		sealedLen := int(binary.BigEndian.Uint32(body[off+37 : off+41]))
-		if len(body)-off-segRecHeader < sealedLen {
-			return nil, nil, fmt.Errorf("logengine: segment %s: truncated record %d payload", filepath.Base(path), i)
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, fmt.Errorf("logengine: read %s: %w", base, err)
 		}
+		crc = crc32.Update(crc, crcTable, hdr[:])
+		left -= segRecHeader
+		tag := mle.Tag(hdr[:32])
+		dead := hdr[32] == segFlagDead
+		sealedLen := int64(binary.BigEndian.Uint32(hdr[37:41]))
+		if left < sealedLen {
+			return nil, fmt.Errorf("logengine: segment %s: truncated record %d payload", base, i)
+		}
+		for n := sealedLen; n > 0; {
+			chunk, err := r.Peek(int(min(n, segReadBuffer)))
+			if err != nil {
+				return nil, fmt.Errorf("logengine: read %s: %w", base, err)
+			}
+			crc = crc32.Update(crc, crcTable, chunk)
+			n -= int64(len(chunk))
+			_, _ = r.Discard(len(chunk)) // cannot fail: just peeked
+		}
+		left -= sealedLen
 		if i > 0 && bytes.Compare(tag[:], prev[:]) <= 0 {
-			return nil, nil, fmt.Errorf("logengine: segment %s: records out of order", filepath.Base(path))
+			return nil, fmt.Errorf("logengine: segment %s: records out of order", base)
 		}
 		prev = tag
 		if i == 0 {
@@ -187,29 +295,41 @@ func openSegment(path string, id uint64) (*segment, []keyHdr, error) {
 		}
 		seg.maxTag = tag
 		if i%indexInterval == 0 {
-			seg.sparse = append(seg.sparse, indexEntry{tag: tag, off: int64(segHeaderLen + off)})
+			seg.sparse = append(seg.sparse, indexEntry{tag: tag, off: off})
 		}
-		keys = append(keys, keyHdr{tag: tag, dead: dead, blobSize: blobSize})
-		off += segRecHeader + sealedLen
+		seg.filter.add(&tag)
+		if visit != nil {
+			visit(keyHdr{tag: tag, dead: dead, blobSize: int64(binary.BigEndian.Uint32(hdr[33:37]))})
+		}
 	}
-	if off != len(body) {
-		return nil, nil, fmt.Errorf("logengine: segment %s: trailing garbage", filepath.Base(path))
+	if left != 0 {
+		return nil, fmt.Errorf("logengine: segment %s: trailing garbage", base)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
+	var want [4]byte
+	if _, err := io.ReadFull(r, want[:]); err != nil {
+		return nil, fmt.Errorf("logengine: read %s: %w", base, err)
 	}
-	seg.f = f
-	return seg, keys, nil
+	if crc != binary.BigEndian.Uint32(want[:]) {
+		return nil, fmt.Errorf("logengine: segment %s: checksum mismatch (untrusted storage corrupted it)", base)
+	}
+	return seg, nil
 }
 
-// find locates tag in the segment, returning (sealed payload, found,
-// dead). It reads at most indexInterval record headers via the sparse
-// index.
-func (s *segment) find(tag mle.Tag) (sealed []byte, found, dead bool, err error) {
+// mayContain is the read-free half of a lookup: false means the
+// segment certainly does not hold tag (fence or filter excluded it),
+// true means find has to look.
+func (s *segment) mayContain(tag mle.Tag) bool {
 	if s.count == 0 || bytes.Compare(tag[:], s.minTag[:]) < 0 || bytes.Compare(tag[:], s.maxTag[:]) > 0 {
-		return nil, false, false, nil
+		return false
 	}
+	return s.filter.mayContain(&tag)
+}
+
+// find locates tag in the segment file, returning (sealed payload,
+// found, dead). It reads at most indexInterval record headers via the
+// sparse index, plus the payload when wantSealed is set. Callers ask
+// mayContain first; find itself always reads.
+func (s *segment) find(tag mle.Tag, wantSealed bool) (sealed []byte, found, dead bool, err error) {
 	// Greatest sparse entry with tag <= target.
 	i := sort.Search(len(s.sparse), func(i int) bool {
 		return bytes.Compare(s.sparse[i].tag[:], tag[:]) > 0
@@ -235,11 +355,14 @@ func (s *segment) find(tag mle.Tag) (sealed []byte, found, dead bool, err error)
 			if hdr[32] == segFlagDead {
 				return nil, true, true, nil
 			}
-			payload := make([]byte, sealedLen)
-			if _, err := s.f.ReadAt(payload, off+segRecHeader); err != nil {
+			if !wantSealed {
+				return nil, true, false, nil
+			}
+			sealed = make([]byte, sealedLen)
+			if _, err := s.f.ReadAt(sealed, off+segRecHeader); err != nil {
 				return nil, false, false, fmt.Errorf("logengine: read %s: %w", filepath.Base(s.path), err)
 			}
-			return payload, true, false, nil
+			return sealed, true, false, nil
 		}
 		off += segRecHeader + sealedLen
 	}
@@ -247,52 +370,102 @@ func (s *segment) find(tag mle.Tag) (sealed []byte, found, dead bool, err error)
 }
 
 // cursor streams a segment's records in tag order for merges and
-// iteration, reading one record at a time.
+// iteration through one buffered sequential reader. sealed is reused:
+// it holds the current record only until the next call to next.
 type cursor struct {
-	seg *segment
-	idx int
-	off int64
+	seg  *segment
+	r    *bufio.Reader
+	left int                // records not yet read
+	hdr  [segRecHeader]byte // read scratch
 
 	tag    mle.Tag
 	dead   bool
 	blob   int64
 	sealed []byte
 	valid  bool
+	err    error // why the cursor stopped early; nil at a clean end
 }
 
 func (s *segment) newCursor() *cursor {
-	c := &cursor{seg: s, off: int64(segHeaderLen)}
+	body := io.NewSectionReader(s.f, int64(segHeaderLen), s.size-int64(segHeaderLen)-4)
+	c := &cursor{seg: s, r: bufio.NewReaderSize(body, segReadBuffer), left: s.count}
 	c.next()
 	return c
 }
 
-// next advances to the following record; valid turns false at the end.
+// next advances to the following record; valid turns false at the end
+// or on a read error (err says which).
 func (c *cursor) next() {
-	if c.idx >= c.seg.count {
-		c.valid = false
+	c.valid = false
+	if c.left == 0 || c.err != nil {
 		return
 	}
-	var hdr [segRecHeader]byte
-	if _, err := c.seg.f.ReadAt(hdr[:], c.off); err != nil {
-		c.valid = false
+	hdr := c.hdr[:]
+	if _, err := io.ReadFull(c.r, hdr); err != nil {
+		c.fail(err)
 		return
 	}
 	copy(c.tag[:], hdr[:32])
 	c.dead = hdr[32] == segFlagDead
 	c.blob = int64(binary.BigEndian.Uint32(hdr[33:37]))
-	sealedLen := int64(binary.BigEndian.Uint32(hdr[37:41]))
-	if sealedLen > 0 {
+	sealedLen := int(binary.BigEndian.Uint32(hdr[37:41]))
+	if cap(c.sealed) < sealedLen {
 		c.sealed = make([]byte, sealedLen)
-		if _, err := c.seg.f.ReadAt(c.sealed, c.off+segRecHeader); err != nil {
-			c.valid = false
-			return
-		}
-	} else {
-		c.sealed = nil
 	}
-	c.off += segRecHeader + sealedLen
-	c.idx++
+	c.sealed = c.sealed[:sealedLen]
+	if _, err := io.ReadFull(c.r, c.sealed); err != nil {
+		c.fail(err)
+		return
+	}
+	c.left--
 	c.valid = true
+}
+
+func (c *cursor) fail(err error) {
+	c.err = fmt.Errorf("logengine: read %s: %w", filepath.Base(c.seg.path), err)
+}
+
+// mergeIter walks the union of several segments in ascending tag
+// order, one distinct tag per step. cursors are ordered oldest first
+// and the newest segment holding a tag wins it; older versions are
+// skipped.
+type mergeIter struct {
+	cursors []*cursor
+	win     *cursor
+}
+
+func newMergeIter(segs []*segment) *mergeIter {
+	m := &mergeIter{cursors: make([]*cursor, len(segs))}
+	for i, s := range segs {
+		m.cursors[i] = s.newCursor()
+	}
+	return m
+}
+
+// next steps past the previous tag and returns the cursor holding the
+// winning version of the next one, nil at the end. A cursor that
+// failed mid-file ends the walk with its error: a merge must never
+// mistake a short read for the end of a segment.
+func (m *mergeIter) next() (*cursor, error) {
+	if m.win != nil {
+		tag := m.win.tag
+		for _, c := range m.cursors {
+			if c.valid && c.tag == tag {
+				c.next()
+			}
+		}
+		m.win = nil
+	}
+	for _, c := range m.cursors {
+		if c.err != nil {
+			return nil, c.err
+		}
+		// <=: on a tie the later (newer) cursor takes the tag.
+		if c.valid && (m.win == nil || bytes.Compare(c.tag[:], m.win.tag[:]) <= 0) {
+			m.win = c
+		}
+	}
+	return m.win, nil
 }
 
 func (s *segment) close() error {

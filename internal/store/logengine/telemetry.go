@@ -10,8 +10,8 @@ import (
 // the memory engine's shard gauges.
 func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 	lbl := telemetry.L("engine", "log")
-	counter := func(name, help string, field func(storeengine.Stats) int64) {
-		reg.NewCounterFunc(name, help, func() int64 { return field(e.Stats()) }, lbl)
+	counter := func(name, help string, field func(storeengine.Stats) int64, extra ...telemetry.Label) {
+		reg.NewCounterFunc(name, help, func() int64 { return field(e.Stats()) }, append([]telemetry.Label{lbl}, extra...)...)
 	}
 	gauge := func(name, help string, field func(storeengine.Stats) float64) {
 		reg.NewGaugeFunc(name, help, func() float64 { return field(e.Stats()) }, lbl)
@@ -22,6 +22,18 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 		func(st storeengine.Stats) int64 { return st.Flushes })
 	counter("speed_store_engine_compactions_total", "completed segment compactions",
 		func(st storeengine.Stats) int64 { return st.Compactions })
+	counter("speed_store_engine_segment_probes_total", "per-segment lookups that read the segment file",
+		func(st storeengine.Stats) int64 { return st.SegmentProbes })
+	counter("speed_store_engine_filter_skips_total", "per-segment lookups a fence or key filter answered without a read",
+		func(st storeengine.Stats) int64 { return st.FilterSkips })
+	counter("speed_store_engine_compaction_bytes_total", "segment bytes merges consumed and produced",
+		func(st storeengine.Stats) int64 { return st.CompactionBytesRead }, telemetry.L("dir", "read"))
+	counter("speed_store_engine_compaction_bytes_total", "segment bytes merges consumed and produced",
+		func(st storeengine.Stats) int64 { return st.CompactionBytesWritten }, telemetry.L("dir", "written"))
+	hist := reg.NewHistogram("speed_store_engine_compaction_seconds", "duration of one segment merge", lbl)
+	e.mu.Lock()
+	e.compactSeconds = hist
+	e.mu.Unlock()
 	counter("speed_store_engine_cache_hits_total", "lookups served by the in-enclave tier",
 		func(st storeengine.Stats) int64 { return st.CacheHits })
 	counter("speed_store_engine_cache_misses_total", "lookups that consulted segment files",
@@ -30,6 +42,8 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 		func(st storeengine.Stats) float64 { return float64(st.WALBytes) })
 	gauge("speed_store_engine_segments", "immutable segment files",
 		func(st storeengine.Stats) float64 { return float64(st.Segments) })
+	gauge("speed_store_engine_compaction_debt_bytes", "segment bytes the tiering policy would merge now",
+		func(st storeengine.Stats) float64 { return float64(st.CompactionDebtBytes) })
 	gauge("speed_store_engine_segment_bytes", "total on-disk segment size",
 		func(st storeengine.Stats) float64 { return float64(st.SegmentBytes) })
 }

@@ -90,19 +90,21 @@ func TestHitCountsBakedByCompaction(t *testing.T) {
 	dir := t.TempDir()
 
 	e := openTest(t, testConfig(t, p, dir))
-	mustInsert(t, e, "a", "v1")
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint 1: %v", err)
-	}
-	mustInsert(t, e, "b", "v2")
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint 2: %v", err)
+	// One segment per record: a run long enough for the tiering policy.
+	for i, k := range []string{"a", "b", "c", "d"} {
+		mustInsert(t, e, k, "v1")
+		if err := e.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint %d: %v", i, err)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		mustGet(t, e, "a", "v1")
 	}
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
+	}
+	if st := e.Stats(); st.Compactions != 1 || st.Segments != 1 {
+		t.Fatalf("compactions=%d segments=%d, want one merge into one segment", st.Compactions, st.Segments)
 	}
 	if n := len(e.touched); n != 0 {
 		t.Fatalf("%d overlay entries survived compaction baking", n)

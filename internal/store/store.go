@@ -552,7 +552,8 @@ func (s *Store) Close() {
 	_ = s.eng.Close()
 }
 
-// Compact triggers a full segment compaction (log engine); a no-op on
+// Compact runs the log engine's size-tiered merge policy to its fixed
+// point (it merges eligible runs, not everything); a no-op on
 // the memory engine.
 func (s *Store) Compact() error { return s.eng.Compact() }
 
