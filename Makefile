@@ -100,7 +100,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzParseHello$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzUnmarshalEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run xxx -fuzz '^FuzzNegotiate$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzRecord$$' -fuzztime $(FUZZTIME) ./internal/store/logengine/
 	$(GO) test -run xxx -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/chunk/
 	$(GO) test -run xxx -fuzz '^FuzzChunker$$' -fuzztime $(FUZZTIME) ./internal/chunk/

@@ -50,7 +50,7 @@ func run(args []string) error {
 	maxEntries := fs.Int("max-entries", 0, "max dictionary entries before LRU eviction (0 = unlimited)")
 	maxBlobBytes := fs.Int64("max-blob-bytes", 0, "max total ciphertext bytes (0 = unlimited)")
 	shards := fs.Int("shards", 0, "dictionary shard count, rounded up to a power of two (0 = default)")
-	maxInflight := fs.Int("max-inflight", 0, "per-connection pipelined request cap for v2 clients (0 = default)")
+	maxInflight := fs.Int("max-inflight", 0, "per-connection pipelined request cap (0 = default)")
 	quotaBytes := fs.Int64("quota-bytes", 0, "per-application ciphertext byte quota (0 = unlimited)")
 	quotaRate := fs.Float64("quota-put-rate", 0, "per-application PUT rate limit per second (0 = unlimited)")
 	noSGX := fs.Bool("no-sgx", false, "disable simulated SGX transition costs")

@@ -14,7 +14,7 @@ import (
 )
 
 // ConcurrencyRow is one cell of the concurrency sweep: aggregate GET
-// throughput for a number of concurrent workers sharing ONE protocol-v2
+// throughput for a number of concurrent workers sharing ONE multiplexed
 // connection, each issuing round trips of a given batch size against a
 // fully populated store (pure hit workload).
 type ConcurrencyRow struct {

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"speed/internal/dedup"
 	"speed/internal/mle"
 	"speed/internal/wire"
 )
@@ -191,23 +189,21 @@ func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]
 }
 
 // runHas issues one existence probe per group. A member failure is
-// noted against its health; a member too old to negotiate
-// FeatureChunking is not a failure. Either way, and on a short answer,
-// gr.has stays nil and the caller treats the group's tags as absent.
+// noted against its health; then, and on a short answer, gr.has is nil
+// and the caller treats the group's tags as absent.
 func (c *Client) runHas(tc wire.TraceContext, tags []mle.Tag, groups map[int][]int) []groupResult {
 	out := fanOut(groups, func(gr *groupResult) {
 		gr.has, gr.err = c.nodes[gr.ni].client.Has(tc, pick(tags, gr.idxs))
 	})
 	for i := range out {
 		gr, n := &out[i], c.nodes[out[i].ni]
-		switch {
-		case gr.err == nil:
-			c.noteSuccess(n)
-			if len(gr.has) != len(gr.idxs) {
-				gr.has = nil
-			}
-		case !errors.Is(gr.err, dedup.ErrHasBatchUnsupported):
+		if gr.err != nil {
 			c.noteFailure(n, gr.err)
+			continue
+		}
+		c.noteSuccess(n)
+		if len(gr.has) != len(gr.idxs) {
+			gr.has = nil
 		}
 	}
 	return out
@@ -215,11 +211,10 @@ func (c *Client) runHas(tc wire.TraceContext, tags []mle.Tag, groups map[int][]i
 
 // Has implements dedup.StoreClient: each tag's primary member (the node
 // a routed GET would consult first) is asked whether it holds the tag,
-// in parallel per-member HAS_BATCH round trips. Answers are hints in
-// both directions — a member failure or a member too old to negotiate
-// FeatureChunking reports its tags as absent rather than failing the
-// probe, so callers just transfer bytes they might have skipped. No hit
-// counting or recency happens anywhere on this path.
+// in parallel per-member HAS round trips. Answers are hints in both
+// directions — a member failure reports its tags as absent rather than
+// failing the probe, so callers just transfer bytes they might have
+// skipped. No hit counting or recency happens anywhere on this path.
 func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
@@ -242,9 +237,9 @@ func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 // hasAtWriteTargets reports, for each tag, whether every one of its
 // current write targets (the members Put would replicate to) already
 // holds it. The syncer uses this to skip shipping entries that are
-// fully placed. Like Has it is a hint: a probe failure, an unsupported
-// member, or a short answer reports false, costing one redundant
-// transfer, never correctness.
+// fully placed. Like Has it is a hint: a probe failure or a short
+// answer reports false, costing one redundant transfer, never
+// correctness.
 func (c *Client) hasAtWriteTargets(tags []mle.Tag) []bool {
 	present := make([]bool, len(tags))
 	if c.closed.Load() {

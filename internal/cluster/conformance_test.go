@@ -267,3 +267,104 @@ func TestClientConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestGetLargerThanOneFrame: nine 8 MiB results are more than
+// wire.MaxFrameSize together, yet one Get — or one Put — of all nine is
+// a legal call. The store answers a prefix per reply and the client
+// asks again for the rest, so every result comes back, in order, over
+// connections that never break — where windows sized by item count
+// alone killed the session and were retried until the caller gave up.
+func TestGetLargerThanOneFrame(t *testing.T) {
+	const results, size = 9, 8 << 20
+	if results*size <= wire.MaxFrameSize {
+		t.Fatalf("%d results of %d bytes fit one frame; the test needs more", results, size)
+	}
+	remoteCfg := dedup.RemoteConfig{DialTimeout: 5 * time.Second, RequestTimeout: time.Minute, MaxRetries: 2}
+
+	// open also says which member a tag's GET goes to, so the test can
+	// aim all nine at one store.
+	type opened struct {
+		client  dedup.StoreClient
+		conns   []*dedup.RemoteClient
+		primary func(mle.Tag) int
+	}
+	for _, dep := range []struct {
+		name string
+		open func(t *testing.T) opened
+	}{
+		{"remote", func(t *testing.T) opened {
+			app, storeMeas, nodes := startTestNodes(t, 1, store.Config{})
+			client, err := dedup.DialConfig(nodes[0].addr, app, storeMeas, remoteCfg)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			t.Cleanup(func() { _ = client.Close() })
+			return opened{client, []*dedup.RemoteClient{client}, func(mle.Tag) int { return 0 }}
+		}},
+		{"cluster3r2", func(t *testing.T) opened {
+			env := newTestClusterOver(t, 3, Config{Replicas: 2, ProbeInterval: time.Hour, Remote: remoteCfg}, store.Config{})
+			var conns []*dedup.RemoteClient
+			for _, n := range env.client.nodes {
+				conns = append(conns, n.client)
+			}
+			return opened{env.client, conns, func(tag mle.Tag) int { return env.client.ring.owners(tag, 1)[0] }}
+		}},
+	} {
+		t.Run(dep.name, func(t *testing.T) {
+			d := dep.open(t)
+			client, conns := d.client, d.conns
+			var tags []mle.Tag
+			for n := 0; len(tags) < results; n++ {
+				tag := ctag(fmt.Sprintf("large-%d", n))
+				if d.primary(tag) != d.primary(ctag("large-0")) {
+					continue
+				}
+				i := len(tags)
+				tags = append(tags, tag)
+				blob := bytes.Repeat([]byte{byte('a' + i)}, size)
+				if err := putOne(client, tag, mle.Sealed{Blob: blob}, false); err != nil {
+					t.Fatalf("Put %d: %v", i, err)
+				}
+			}
+			// Cluster members dial lazily, which counts as a reconnect:
+			// what must not move is the count across the Get.
+			dialed := make([]int64, len(conns))
+			for i, c := range conns {
+				dialed[i] = c.Reconnects()
+			}
+			got, err := client.Get(wire.TraceContext{}, tags)
+			if err != nil || len(got) != results {
+				t.Fatalf("Get = (%d results, %v), want %d", len(got), err, results)
+			}
+			for i, r := range got {
+				if !r.Found || len(r.Sealed.Blob) != size || r.Sealed.Blob[0] != byte('a'+i) || r.Sealed.Blob[size-1] != byte('a'+i) {
+					t.Fatalf("Get[%d] = (found=%v, %d bytes), want result %d whole", i, r.Found, len(r.Sealed.Blob), i)
+				}
+			}
+			// The same nine as one PUT: the client closes each window on
+			// bytes, so no request outgrows a frame either. The windows are
+			// cut by the member connection, so one deployment shows it.
+			if len(conns) == 1 {
+				items := make([]wire.PutItem, results)
+				for i := range items {
+					items[i] = wire.PutItem{Tag: tags[i], Sealed: got[i].Sealed, Replace: true}
+				}
+				put, err := client.Put(wire.TraceContext{}, items)
+				if err != nil || len(put) != results {
+					t.Fatalf("Put = (%d results, %v), want %d", len(put), err, results)
+				}
+				for i, r := range put {
+					if !r.OK {
+						t.Errorf("Put[%d] rejected: %s", i, r.Err)
+					}
+				}
+			}
+			for i, c := range conns {
+				if c.Retries() != 0 || c.Reconnects() != dialed[i] {
+					t.Errorf("connection %d: retries=%d, re-dialed %d times; want a healthy session throughout",
+						i, c.Retries(), c.Reconnects()-dialed[i])
+				}
+			}
+		})
+	}
+}

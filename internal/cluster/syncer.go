@@ -56,7 +56,7 @@ type Syncer struct {
 	skippedC *telemetry.Counter
 }
 
-// tagsOf projects a put batch onto its tags for a HAS_BATCH probe.
+// tagsOf projects a put batch onto its tags for a HAS probe.
 func tagsOf(items []wire.PutItem) []mle.Tag {
 	tags := make([]mle.Tag, len(items))
 	for i, it := range items {

@@ -129,23 +129,14 @@ func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 }
 
 // clientHas probes the store for the given tags inside an OCALL
-// (callers hold the enclave). A store that rejected the capability once
-// reports ErrHasBatchUnsupported without being asked again, and the
-// caller assumes everything is missing.
+// (callers hold the enclave).
 func (rt *Runtime) clientHas(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	if rt.hasUnsupported.Load() {
-		return nil, ErrHasBatchUnsupported
-	}
 	var present []bool
 	err := rt.cfg.Enclave.OCall(func() error {
 		var oerr error
 		present, oerr = rt.cfg.Client.Has(tc, tags)
 		return oerr
 	})
-	if errors.Is(err, ErrHasBatchUnsupported) {
-		rt.hasUnsupported.Store(true)
-		return nil, err
-	}
 	if err == nil && len(present) != len(tags) {
 		return nil, fmt.Errorf("dedup: has returned %d answers for %d tags", len(present), len(tags))
 	}
@@ -192,7 +183,7 @@ func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
 	}
 
 	// Decide which chunks must travel. The local cache records chunks
-	// known store-resident; the HAS_BATCH probe covers the rest. Both
+	// known store-resident; the HAS probe covers the rest. Both
 	// are hints — a wrongly skipped upload surfaces later as a loud
 	// reassembly failure and a recompute, never a wrong result.
 	need := make([]bool, len(chunks))

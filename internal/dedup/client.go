@@ -42,8 +42,7 @@ type StoreClient interface {
 	// fetching payloads, counting hits or refreshing recency. Answers
 	// are hints: a probed-present entry can expire before a later GET,
 	// which surfaces as a loud reassembly failure and a recompute,
-	// never a wrong result. ErrHasBatchUnsupported means the store
-	// cannot answer; callers assume every tag is missing.
+	// never a wrong result.
 	Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)
 	// Ping checks that the store is reachable and serving, without
 	// performing (or fabricating) any dictionary operation: health
@@ -55,20 +54,9 @@ type StoreClient interface {
 	Close() error
 }
 
-// ErrHasBatchUnsupported is returned by Has when the store cannot
-// answer existence probes — a peer that predates FeatureChunking.
-// Callers fall back to assuming every probed tag is missing: uploading
-// a chunk the store already holds is harmless (first version wins).
-var ErrHasBatchUnsupported = errors.New("dedup: store does not support existence probes")
-
 // ErrPutRejected wraps the reason a store refused a PUT, e.g. due to
 // the quota mechanism.
 var ErrPutRejected = errors.New("dedup: store rejected put")
-
-// ErrProtocolTooOld is returned when a store negotiates a session
-// protocol below wire.ProtocolV2. It is not transient: re-dialing the
-// same peer negotiates the same version.
-var ErrProtocolTooOld = errors.New("dedup: store speaks a protocol older than v2")
 
 // errClientClosed is returned from requests after Close.
 var errClientClosed = errors.New("dedup: store client closed")
@@ -215,11 +203,11 @@ func (cfg *RemoteConfig) fillDefaults() {
 }
 
 // RemoteClient talks to a store server over an attested secure channel.
-// The channel is a protocol-v2 mux: any number of goroutines may issue
-// requests concurrently and their round trips overlap on the single
-// connection, with responses correlated by request ID. A peer that
-// negotiates the paper prototype's synchronous v1 protocol (Section
-// IV-B) is rejected with ErrProtocolTooOld. Requests carry per-request
+// The channel is a mux: any number of goroutines may issue requests
+// concurrently and their round trips overlap on the single connection,
+// with responses correlated by request ID. A peer speaking any protocol
+// version but wire.ProtocolVersion is refused in the handshake
+// (wire.ErrPeerRejected, never retried). Requests carry per-request
 // deadlines and transient failures are retried with jittered
 // exponential backoff, transparently re-dialing and re-handshaking the
 // attested channel when the previous one broke.
@@ -305,9 +293,7 @@ func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
 
 // dial establishes one attested channel, bounding connect plus
-// handshake with DialTimeout, and spawns its demultiplexer. A peer that
-// negotiates below ProtocolV2 is hung up on: the client has no serial
-// session to offer it.
+// handshake with DialTimeout, and spawns its demultiplexer.
 func (c *RemoteClient) dial() (*chanMux, error) {
 	timeout := c.cfg.DialTimeout
 	if timeout < 0 {
@@ -324,10 +310,6 @@ func (c *RemoteClient) dial() (*chanMux, error) {
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dedup: handshake: %w", err)
-	}
-	if v := ch.Version(); v < wire.ProtocolV2 {
-		ch.Close()
-		return nil, fmt.Errorf("%w: %s negotiated v%d", ErrProtocolTooOld, c.addr, v)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	return newChanMux(ch), nil
@@ -398,8 +380,8 @@ func (c *RemoteClient) roundTrip(req wire.Message, tc wire.TraceContext) (wire.M
 		// A rate-limited PUT is the store asking us to slow down
 		// (Section III-D quota); honour it by backing off and retrying
 		// unless this was the final attempt.
-		if pr, ok := msg.(wire.PutResponse); ok && !pr.OK && isRateLimited(pr.Err) && attempt < attempts-1 {
-			lastErr = fmt.Errorf("%w: %s", ErrPutRejected, pr.Err)
+		if pr, ok := msg.(wire.PutResponse); ok && len(pr.Results) == 1 && !pr.Results[0].OK && isRateLimited(pr.Results[0].Err) && attempt < attempts-1 {
+			lastErr = fmt.Errorf("%w: %s", ErrPutRejected, pr.Results[0].Err)
 			continue
 		}
 		return msg, nil
@@ -411,7 +393,9 @@ func (c *RemoteClient) roundTrip(req wire.Message, tc wire.TraceContext) (wire.M
 // (re)connecting first if necessary. The request travels through the
 // mux and overlaps with other callers'. Any transport error poisons the
 // channel (its cipher counters can no longer match the peer's), so the
-// connection is dropped and the next attempt re-handshakes.
+// connection is dropped and the next attempt re-handshakes. A request
+// that was refused before a byte of it was written (too large for a
+// frame) fails alone, on a connection that stays up.
 func (c *RemoteClient) tryOnce(req wire.Message, tc wire.TraceContext) (wire.Message, error) {
 	mux, err := c.connect()
 	if err != nil {
@@ -426,7 +410,9 @@ func (c *RemoteClient) tryOnce(req wire.Message, tc wire.TraceContext) (wire.Mes
 
 	msg, err := mux.roundTrip(req, tc, c.cfg.RequestTimeout)
 	if err != nil {
-		c.dropConn(mux)
+		if mux.dead() {
+			c.dropConn(mux)
+		}
 		if c.isClosed() {
 			// Close raced with the request; surface the deterministic
 			// terminal error rather than whatever the dying transport
@@ -480,19 +466,36 @@ func sleepJittered(d time.Duration) {
 	time.Sleep(time.Duration(half + rand.Int63n(half+1)))
 }
 
-// windowed is the one wire.MaxBatchItems slicing loop: it issues one
-// round trip per window of the n items. request builds the message for
-// items [lo, hi); absorb consumes the reply and reports how many items
-// it answered, or false for a reply of the wrong kind. An empty batch
-// makes no round trip to notice a closed client, so it checks here.
-func (c *RemoteClient) windowed(op string, tc wire.TraceContext, n int, request func(lo, hi int) wire.Message, absorb func(wire.Message) (int, bool)) error {
+// windowBytes closes a PUT window: the items of one request carry at
+// most this much sealed payload (a single larger item still travels
+// alone), half a frame so per-item framing can never tip it over
+// wire.MaxFrameSize.
+const windowBytes = wire.MaxFrameSize / 2
+
+// windowed is the one slicing loop: it issues round trips until all n
+// items are answered. A window holds at most wire.MaxBatchItems items
+// and, when size is non-nil, at most windowBytes of them (always at
+// least one). request builds the message for items [lo, hi); absorb
+// consumes the reply and reports how many items it answered, or false
+// for a reply of the wrong kind. A store answers only a prefix of a
+// request whose full reply would overflow a frame, so the loop advances
+// by what was answered; an answer of nothing would never advance and is
+// an error. An empty batch makes no round trip to notice a closed
+// client, so it checks here.
+func (c *RemoteClient) windowed(op string, tc wire.TraceContext, n int, size func(i int) int, request func(lo, hi int) wire.Message, absorb func(wire.Message) (int, bool)) error {
 	if n == 0 && c.isClosed() {
 		return fmt.Errorf("dedup: %s: %w", op, errClientClosed)
 	}
-	for lo := 0; lo < n; lo += wire.MaxBatchItems {
-		hi := lo + wire.MaxBatchItems
-		if hi > n {
-			hi = n
+	for lo := 0; lo < n; {
+		hi := min(lo+wire.MaxBatchItems, n)
+		if size != nil {
+			bytes := 0
+			for i := lo; i < hi; i++ {
+				if bytes += size(i); bytes > windowBytes && i > lo {
+					hi = i
+					break
+				}
+			}
 		}
 		msg, err := c.roundTrip(request(lo, hi), tc)
 		if err != nil {
@@ -502,34 +505,32 @@ func (c *RemoteClient) windowed(op string, tc wire.TraceContext, n int, request 
 		if !ok {
 			return fmt.Errorf("dedup: %s: unexpected reply %v", op, msg.Kind())
 		}
-		if got != hi-lo {
+		if got == 0 || got > hi-lo {
 			return fmt.Errorf("dedup: %s: %d results for %d items", op, got, hi-lo)
 		}
+		lo += got
 	}
 	return nil
 }
 
-// Get implements StoreClient: one round trip per wire.MaxBatchItems
-// window. A window of one tag travels as the GetRequest kind and
-// anything else as the batch kind, so single calls keep their wire
-// size, their server histogram and their store_get span name.
+// join appends one window's answers to the batch's; the first window's
+// slice — the whole answer of most calls — is adopted, not copied.
+func join[T any](all, part []T) []T {
+	if all == nil {
+		return part
+	}
+	return append(all, part...)
+}
+
+// Get implements StoreClient.
 func (c *RemoteClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
-	results := make([]wire.GetResult, 0, len(tags))
-	err := c.windowed("get", tc, len(tags), func(lo, hi int) wire.Message {
-		if hi-lo == 1 {
-			return wire.GetRequest{Tag: tags[lo]}
-		}
-		return wire.BatchGetRequest{Tags: tags[lo:hi]}
+	var results []wire.GetResult
+	err := c.windowed("get", tc, len(tags), nil, func(lo, hi int) wire.Message {
+		return wire.GetRequest{Tags: tags[lo:hi]}
 	}, func(msg wire.Message) (int, bool) {
-		switch r := msg.(type) {
-		case wire.GetResponse:
-			results = append(results, wire.GetResult(r))
-			return 1, true
-		case wire.BatchGetResponse:
-			results = append(results, r.Results...)
-			return len(r.Results), true
-		}
-		return 0, false
+		r, ok := msg.(wire.GetResponse)
+		results = join(results, r.Results)
+		return len(r.Results), ok
 	})
 	if err != nil {
 		return nil, err
@@ -537,29 +538,21 @@ func (c *RemoteClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResu
 	return results, nil
 }
 
-// Put implements StoreClient, with the same one-versus-many choice of
-// wire kind as Get. A rate-limited single PUT is retried by roundTrip;
-// rate-limited items of a larger window are reported in their
-// PutResult instead — retrying a subset of a batch would reorder it
-// against concurrent batches for no benefit, and the runtime already
+// Put implements StoreClient. A rate-limited PUT of one item is retried
+// by roundTrip; rate-limited items of a larger window are reported in
+// their PutResult instead — retrying a subset of a batch would reorder
+// it against concurrent batches for no benefit, and the runtime already
 // treats rejected puts as advisory.
 func (c *RemoteClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
-	results := make([]wire.PutResult, 0, len(items))
-	err := c.windowed("put", tc, len(items), func(lo, hi int) wire.Message {
-		if hi-lo == 1 {
-			return wire.PutRequest(items[lo])
-		}
-		return wire.BatchPutRequest{Items: items[lo:hi]}
+	var results []wire.PutResult
+	err := c.windowed("put", tc, len(items), func(i int) int {
+		return items[i].Sealed.Size()
+	}, func(lo, hi int) wire.Message {
+		return wire.PutRequest{Items: items[lo:hi]}
 	}, func(msg wire.Message) (int, bool) {
-		switch r := msg.(type) {
-		case wire.PutResponse:
-			results = append(results, wire.PutResult(r))
-			return 1, true
-		case wire.BatchPutResponse:
-			results = append(results, r.Results...)
-			return len(r.Results), true
-		}
-		return 0, false
+		r, ok := msg.(wire.PutResponse)
+		results = join(results, r.Results)
+		return len(r.Results), ok
 	})
 	if err != nil {
 		return nil, err
@@ -567,25 +560,14 @@ func (c *RemoteClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.P
 	return results, nil
 }
 
-// Has implements StoreClient: one HAS_BATCH round trip per
-// wire.MaxBatchItems window. The probe is gated on the negotiated
-// channel capability — a peer that did not offer FeatureChunking gets
-// ErrHasBatchUnsupported without any frame sent, so old stores never
-// see a message kind they cannot parse.
+// Has implements StoreClient.
 func (c *RemoteClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	mux, err := c.connect()
-	if err != nil {
-		return nil, fmt.Errorf("dedup: has: %w", err)
-	}
-	if mux.ch.Features()&wire.FeatureChunking == 0 {
-		return nil, ErrHasBatchUnsupported
-	}
-	present := make([]bool, 0, len(tags))
-	err = c.windowed("has", tc, len(tags), func(lo, hi int) wire.Message {
-		return wire.HasBatchRequest{Tags: tags[lo:hi]}
+	var present []bool
+	err := c.windowed("has", tc, len(tags), nil, func(lo, hi int) wire.Message {
+		return wire.HasRequest{Tags: tags[lo:hi]}
 	}, func(msg wire.Message) (int, bool) {
-		r, ok := msg.(wire.HasBatchResponse)
-		present = append(present, r.Present...)
+		r, ok := msg.(wire.HasResponse)
+		present = join(present, r.Present)
 		return len(r.Present), ok
 	})
 	if err != nil {
@@ -594,19 +576,19 @@ func (c *RemoteClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)
 	return present, nil
 }
 
-// Ping implements StoreClient: one liveness round trip — a zero-item
-// batch GET through the mux — that performs no dictionary operation.
-// The full path — (re)dial, attested handshake, framing, store
-// dispatch — is exercised, but the store executes zero GETs, so health
-// probes never fabricate traffic or skew hit-rate statistics. Ping is a
-// single attempt without the retry schedule: a probe should report the
-// store's state now, and probers repeat on their own cadence.
+// Ping implements StoreClient: one liveness round trip — a GET of no
+// tags through the mux — that performs no dictionary operation. The
+// full path — (re)dial, attested handshake, framing, store dispatch —
+// is exercised, but the store executes zero GETs, so health probes
+// never fabricate traffic or skew hit-rate statistics. Ping is a single
+// attempt without the retry schedule: a probe should report the store's
+// state now, and probers repeat on their own cadence.
 func (c *RemoteClient) Ping() error {
-	msg, err := c.tryOnce(wire.BatchGetRequest{}, wire.TraceContext{})
+	msg, err := c.tryOnce(wire.GetRequest{}, wire.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("dedup: ping: %w", err)
 	}
-	resp, ok := msg.(wire.BatchGetResponse)
+	resp, ok := msg.(wire.GetResponse)
 	if !ok {
 		return fmt.Errorf("dedup: ping: unexpected reply %v", msg.Kind())
 	}
@@ -619,9 +601,8 @@ func (c *RemoteClient) Ping() error {
 // SyncPull fetches up to max of the store's entries with at least
 // minHits hits, most frequently hit first (the wire-level half of
 // cluster.Syncer). max values outside (0, wire.MaxBatchItems] are
-// clamped to wire.MaxBatchItems by the store. The store must understand
-// the sync protocol; against an older store the request kills the
-// session and surfaces a transport error.
+// clamped to wire.MaxBatchItems by the store, which also stops at the
+// entry whose bytes would overflow the reply frame.
 func (c *RemoteClient) SyncPull(minHits int64, max int) ([]wire.SyncEntry, error) {
 	req := wire.SyncPullRequest{MinHits: minHits}
 	if max > 0 {

@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -10,9 +11,9 @@ import (
 	"speed/internal/wire"
 )
 
-// chanMux multiplexes one protocol-v2 secure channel among concurrent
-// callers: requests are enveloped with a fresh request ID and written
-// directly (wire.Channel.Send is internally serialised), while a single
+// chanMux multiplexes one secure channel among concurrent callers:
+// requests are enveloped with a fresh request ID and written directly
+// (wire.Channel.Send is internally serialised), while a single
 // reader goroutine correlates responses — which may arrive in any
 // order — back to their waiting callers. N goroutines share one
 // attested channel and their round trips overlap on the wire.
@@ -102,11 +103,20 @@ func (m *chanMux) fail(err error) {
 	}
 }
 
+// dead reports whether the mux has failed; the owning client then drops
+// it and re-dials.
+func (m *chanMux) dead() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err != nil
+}
+
 // roundTrip issues one request and waits for its correlated response.
 // tc, when sampled, rides in the envelope header so the store can link
-// its spans to the caller's trace; on channels that did not negotiate
-// FeatureTrace it is silently dropped. timeout > 0 bounds the wait;
-// expiry kills the mux so the owning client re-dials.
+// its spans to the caller's trace. timeout > 0 bounds the wait; expiry
+// kills the mux so the owning client re-dials. A request too large for
+// a frame is refused before a byte is written or the channel's sequence
+// number moves, so it fails alone and the mux lives on.
 func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time.Duration) (wire.Message, error) {
 	id := m.nextID.Add(1)
 	w := make(chan muxResult, 1)
@@ -120,7 +130,13 @@ func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time
 	m.mu.Unlock()
 
 	if err := m.ch.SendEnvelopeTrace(id, tc, req); err != nil {
-		m.fail(err)
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			m.mu.Lock()
+			delete(m.pending, id)
+			m.mu.Unlock()
+		} else {
+			m.fail(err)
+		}
 		return nil, err
 	}
 

@@ -1,6 +1,10 @@
 package dedup
 
 import (
+	"bytes"
+	"crypto/ecdh"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -106,113 +110,208 @@ func tagFromString(s string) mle.Tag {
 	return tag
 }
 
-// TestV1ClientAgainstV2Server: a peer pinned to the serial v1 protocol
-// completes the handshake against a real server and is then hung up on
-// — one log line naming the negotiated version, nothing dispatched.
-func TestV1ClientAgainstV2Server(t *testing.T) {
+// rawHello hand-rolls the wire handshake's hello frame — attestation
+// report plus quote over (X25519 public key, protocol version byte) —
+// so a test can present versions this build would never send. With
+// flipTo non-zero the hello is attested for version and the byte is
+// then rewritten in the marshalled frame, as a network adversary would.
+func rawHello(t *testing.T, enc *enclave.Enclave, target enclave.Measurement, version, flipTo byte) []byte {
+	t.Helper()
+	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatalf("keygen: %v", err)
+	}
+	pub := priv.PublicKey().Bytes()
+	data := append(bytes.Clone(pub), version)
+	quote, err := enc.Quote(data)
+	if err != nil {
+		t.Fatalf("quote: %v", err)
+	}
+	var frame []byte
+	for _, part := range [][]byte{enc.Report(target, data).Marshal(), quote.Marshal()} {
+		frame = binary.BigEndian.AppendUint32(frame, uint32(len(part)))
+		frame = append(frame, part...)
+	}
+	if flipTo != 0 {
+		flipped := 0
+		for at := 0; ; flipped++ {
+			i := bytes.Index(frame[at:], pub)
+			if i < 0 {
+				break
+			}
+			frame[at+i+len(pub)] = flipTo
+			at += i + len(pub)
+		}
+		if flipped != 2 {
+			t.Fatalf("version byte found %d times in the hello, want 2 (report and quote)", flipped)
+		}
+	}
+	return frame
+}
+
+// TestProtocolVersionRefused is the whole version rule: a peer whose
+// attested hello presents any byte but wire.ProtocolVersion — a peer
+// predating the byte (0), the previous protocol (2), a future one (4) —
+// is refused inside the handshake by the server and by the client,
+// before any dispatch; the client's error is not transient, so the
+// retry schedule never spins on it; and rewriting the byte in flight
+// breaks the attestation it is covered by.
+func TestProtocolVersionRefused(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	appEnc, _ := p.Create("app", []byte("app code"))
 	storeEnc, _ := p.Create("store", []byte("store code"))
-	st, err := store.New(store.Config{Enclave: storeEnc})
-	if err != nil {
-		t.Fatalf("store.New: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	var logMu sync.Mutex
-	var logged []string
-	srv := store.NewServer(st, ln, store.WithLogf(func(format string, args ...any) {
-		logMu.Lock()
-		logged = append(logged, fmt.Sprintf(format, args...))
-		logMu.Unlock()
-	}))
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		_ = srv.Serve()
-	}()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	ch, err := wire.ClientHandshakeVersion(conn, appEnc, storeEnc.Measurement(), nil, wire.ProtocolV1)
-	if err != nil {
-		t.Fatalf("v1 handshake: %v", err)
-	}
-	if v := ch.Version(); v != wire.ProtocolV1 {
-		t.Fatalf("negotiated v%d, want v1", v)
-	}
-	// The request may or may not leave before the server's close lands;
-	// either way no reply ever comes back.
-	_ = ch.SendMessage(wire.GetRequest{Tag: testTag(1)})
-	if msg, err := ch.RecvMessage(); err == nil {
-		t.Fatalf("v1 session was served: got %v", msg.Kind())
-	}
+	for _, row := range []struct {
+		name            string
+		version, flipTo byte
+		wantErr         error
+		wantLog         string
+	}{
+		{"v0", 0, 0, wire.ErrPeerRejected, "protocol version 0"},
+		{"v2", 2, 0, wire.ErrPeerRejected, "protocol version 2"},
+		{"v4", 4, 0, wire.ErrPeerRejected, "protocol version 4"},
+		{"downgraded in flight", wire.ProtocolVersion, 2, enclave.ErrAttestation, "attestation"},
+	} {
+		t.Run(row.name+"/server refuses", func(t *testing.T) {
+			st, err := store.New(store.Config{Enclave: storeEnc})
+			if err != nil {
+				t.Fatalf("store.New: %v", err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			var logMu sync.Mutex
+			var logged []string
+			srv := store.NewServer(st, ln, store.WithLogf(func(format string, args ...any) {
+				logMu.Lock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+			}))
+			serveDone := make(chan struct{})
+			go func() {
+				defer close(serveDone)
+				_ = srv.Serve()
+			}()
 
-	// Close waits for the handler, so the log is complete afterwards.
-	_ = srv.Close()
-	<-serveDone
-	if len(logged) != 1 || !strings.Contains(logged[0], "negotiated protocol v1") ||
-		!strings.Contains(logged[0], conn.LocalAddr().String()) {
-		t.Errorf("server log = %q, want one line naming the peer and the negotiated version", logged)
-	}
-	if s := st.Stats(); s.Gets != 0 || s.Puts != 0 {
-		t.Errorf("rejected v1 session reached the store: gets=%d puts=%d", s.Gets, s.Puts)
+			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := wire.WriteFrame(conn, rawHello(t, appEnc, storeEnc.Measurement(), row.version, row.flipTo)); err != nil {
+				t.Fatalf("send hello: %v", err)
+			}
+			if frame, err := wire.ReadFrame(conn); err == nil {
+				t.Fatalf("server answered the hello with %d bytes; want it to hang up", len(frame))
+			}
+
+			// Close waits for the handler, so the log is complete afterwards.
+			_ = srv.Close()
+			<-serveDone
+			if len(logged) != 1 || !strings.Contains(logged[0], row.wantLog) ||
+				!strings.Contains(logged[0], conn.LocalAddr().String()) {
+				t.Errorf("server log = %q, want one line naming the peer and %q", logged, row.wantLog)
+			}
+			if s := st.Stats(); s.Gets != 0 || s.Puts != 0 {
+				t.Errorf("refused session reached the store: gets=%d puts=%d", s.Gets, s.Puts)
+			}
+		})
+
+		t.Run(row.name+"/client refuses", func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			defer ln.Close()
+			hello := rawHello(t, storeEnc, appEnc.Measurement(), row.version, row.flipTo)
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer conn.Close()
+						_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+						if _, err := wire.ReadFrame(conn); err != nil {
+							return
+						}
+						_ = wire.WriteFrame(conn, hello)
+						_, _ = wire.ReadFrame(conn) // hold the session until the client hangs up
+					}()
+				}
+			}()
+
+			cfg := fastRemoteConfig()
+			if _, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), cfg); !errors.Is(err, row.wantErr) {
+				t.Fatalf("eager DialConfig = %v, want %v", err, row.wantErr)
+			}
+			cfg.Lazy = true
+			client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), cfg)
+			if err != nil {
+				t.Fatalf("lazy DialConfig: %v", err)
+			}
+			defer client.Close()
+			if _, _, err := getOne(client, testTag(1)); !errors.Is(err, row.wantErr) {
+				t.Fatalf("Get = %v, want %v", err, row.wantErr)
+			}
+			if r := client.Retries(); r != 0 {
+				t.Errorf("Retries = %d, want 0: the refusal is not transient", r)
+			}
+		})
 	}
 }
 
-// TestV1ServerRejected: a store that negotiates v1 is refused with the
-// non-transient sentinel, so the retry schedule never spins on it.
-func TestV1ServerRejected(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{})
-	appEnc, _ := p.Create("app", []byte("app code"))
-	storeEnc, _ := p.Create("store", []byte("store code"))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
+// TestOversizedRequestFailsAlone: a PUT whose one item cannot fit a
+// frame is refused before a byte of it is written, so it is that
+// request's error — not retried, not the connection's — and a caller
+// sharing the mux never notices.
+func TestOversizedRequestFailsAlone(t *testing.T) {
+	// A request timeout far beyond the test: marshalling 64 MiB under the
+	// race detector can stall the process long enough for a default
+	// deadline to fire on a reply that is already there.
+	env := newMuxEnv(t, nil, RemoteConfig{RequestTimeout: 5 * time.Minute})
+	if err := putOne(env.client, testTag(1), mle.Sealed{Blob: []byte("small")}, false); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	defer ln.Close()
+
+	stop := make(chan struct{})
+	neighbour := make(chan error, 1)
 	go func() {
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			select {
+			case <-stop:
+				neighbour <- nil
+				return
+			default:
+			}
+			if _, found, err := getOne(env.client, testTag(1)); err != nil || !found {
+				neighbour <- fmt.Errorf("concurrent Get = (found=%v, %v)", found, err)
 				return
 			}
-			go func() {
-				defer conn.Close()
-				ch, err := wire.ServerHandshakeVersion(conn, storeEnc, nil, nil, wire.ProtocolV1)
-				if err != nil {
-					return
-				}
-				_, _ = ch.Recv() // hold the session until the client hangs up
-			}()
 		}
 	}()
 
-	cfg := fastRemoteConfig()
-	if _, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), cfg); !errors.Is(err, ErrProtocolTooOld) {
-		t.Fatalf("eager DialConfig = %v, want ErrProtocolTooOld", err)
+	huge := mle.Sealed{Blob: make([]byte, wire.MaxFrameSize)}
+	err := putOne(env.client, testTag(2), huge, false)
+	close(stop)
+	if !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Errorf("oversized Put = %v, want ErrFrameTooLarge", err)
 	}
-	cfg.Lazy = true
-	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), cfg)
-	if err != nil {
-		t.Fatalf("lazy DialConfig: %v", err)
+	if err := <-neighbour; err != nil {
+		t.Errorf("the oversized request took a neighbour down: %v", err)
 	}
-	defer client.Close()
-	if _, _, err := getOne(client, testTag(1)); !errors.Is(err, ErrProtocolTooOld) {
-		t.Fatalf("Get = %v, want ErrProtocolTooOld", err)
+	if r, rc := env.client.Retries(), env.client.Reconnects(); r != 0 || rc != 0 {
+		t.Errorf("retries=%d reconnects=%d, want 0 and 0: the session was never at fault", r, rc)
 	}
-	if r := client.Retries(); r != 0 {
-		t.Errorf("Retries = %d, want 0: the rejection is not transient", r)
+	if _, found, err := getOne(env.client, testTag(1)); err != nil || !found {
+		t.Errorf("Get after the oversized Put = (found=%v, %v), want a hit on the same session", found, err)
 	}
 }
 
-// hangServer completes the attested v2 handshake and then reads frames
+// hangServer completes the attested handshake and then reads frames
 // without ever replying, simulating a wedged store.
 func hangServer(t *testing.T, storeEnc *enclave.Enclave) net.Listener {
 	t.Helper()
@@ -227,7 +326,7 @@ func hangServer(t *testing.T, storeEnc *enclave.Enclave) net.Listener {
 				return
 			}
 			go func() {
-				ch, err := wire.ServerHandshakeVersion(conn, storeEnc, nil, nil, wire.ProtocolV2)
+				ch, err := wire.ServerHandshake(conn, storeEnc, nil)
 				if err != nil {
 					conn.Close()
 					return
@@ -352,7 +451,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 				return err
 			}
 			defer conn.Close()
-			ch, err := wire.ServerHandshakeVersion(conn, storeEnc, nil, nil, wire.ProtocolV2)
+			ch, err := wire.ServerHandshake(conn, storeEnc, nil)
 			if err != nil {
 				return err
 			}
@@ -371,19 +470,19 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 					return err
 				}
 				gr, ok := msg.(wire.GetRequest)
-				if !ok {
+				if !ok || len(gr.Tags) != 1 {
 					return fmt.Errorf("unexpected %v", msg.Kind())
 				}
-				reqs = append(reqs, req{id, gr.Tag})
+				reqs = append(reqs, req{id, gr.Tags[0]})
 			}
 			// Answer in reverse order; each response's blob names its
 			// request's tag so misrouting is detectable.
 			for i := len(reqs) - 1; i >= 0; i-- {
-				resp := wire.GetResponse{Found: true, Sealed: mle.Sealed{
+				resp := wire.GetResponse{Results: []wire.GetResult{{Found: true, Sealed: mle.Sealed{
 					Challenge:  []byte("challenge"),
 					WrappedKey: []byte("wrapped"),
 					Blob:       []byte{reqs[i].tag[0]},
-				}}
+				}}}}
 				if err := ch.SendEnvelope(reqs[i].id, resp); err != nil {
 					return err
 				}
@@ -400,12 +499,12 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			bogus := wire.GetResponse{Found: false}
-			real := wire.GetResponse{Found: true, Sealed: mle.Sealed{
+			bogus := wire.GetResponse{Results: []wire.GetResult{{Found: false}}}
+			real := wire.GetResponse{Results: []wire.GetResult{{Found: true, Sealed: mle.Sealed{
 				Challenge:  []byte("challenge"),
 				WrappedKey: []byte("wrapped"),
 				Blob:       []byte("third"),
-			}}
+			}}}}
 			if err := ch.SendEnvelope(id^0xDEAD, bogus); err != nil {
 				return err
 			}

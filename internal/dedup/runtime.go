@@ -164,7 +164,7 @@ type Stats struct {
 	// cache without touching the store.
 	ChunkCacheHits int64
 	// ChunksSkipped counts chunk uploads skipped because the chunk was
-	// already store-resident (local-cache knowledge or HAS_BATCH probe).
+	// already store-resident (local-cache knowledge or HAS probe).
 	ChunksSkipped int64
 }
 
@@ -217,10 +217,6 @@ type Runtime struct {
 	// without chunking pays one nil test.
 	chunker    *chunk.Chunker
 	chunkCache *chunkLRU
-	// hasUnsupported latches after the client reports
-	// ErrHasBatchUnsupported once, so an old store is probed at most
-	// one time per runtime.
-	hasUnsupported atomic.Bool
 }
 
 // flight is one in-progress computation that concurrent identical

@@ -36,8 +36,7 @@ var DeadlineAnalyzer = &Analyzer{
 var deadlineIOMethods = map[string]bool{
 	"Read": true, "Write": true,
 	"Recv": true, "Send": true,
-	"RecvMessage": true, "SendMessage": true,
-	"RecvBatch": true, "SendBatch": true,
+	"SendEnvelope": true, "SendEnvelopeTrace": true,
 }
 
 // deadlineTargetNames are the receiver type names treated as network

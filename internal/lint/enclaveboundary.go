@@ -48,7 +48,7 @@ var attestationFuncs = map[string]bool{
 // sendMethods are the wire-send entry points treated as conn sinks by
 // the sealflow analyzer.
 var sendMethods = map[string]bool{
-	"Send": true, "SendMessage": true, "SendBatch": true,
+	"Send": true, "SendEnvelope": true, "SendEnvelopeTrace": true,
 	"Write": true, "WriteFrame": true,
 }
 

@@ -1,5 +1,5 @@
 // Package wire exercises the wiresym analyzer: undispatched kinds,
-// missing decoders, crossed dispatch, unbounded batch decoding and
+// missing decoders, crossed dispatch, unbounded sequence decoding and
 // envelope drift.
 package wire
 
@@ -45,79 +45,88 @@ func Unmarshal(b []byte) (Message, error) {
 		return decodePut(b)
 	case KindGet:
 		return decodePut(b)
-	case KindHasBatchReq:
-		return decodeHasBatchRequest(b)
-	case KindHasBatchResp:
-		return decodeHasBatchResponse(b)
+	case KindHasReq:
+		return decodeHasRequest(b)
+	case KindHasResp:
+		return decodeHasResponse(b)
+	case KindSync:
+		return decodeSync(b)
 	}
 	return nil, nil
 }
 
-// HAS_BATCH-style existence probe: a count-prefixed request/response
-// pair. The request decoder validates through readCount (clean); the
-// response decoder sizes its slice straight from the frame.
+// Count-free sequences: a body is its items back to back and the
+// decoder reads until the frame is exhausted.
 const (
-	KindHasBatchReq  = 5
-	KindHasBatchResp = 6
+	KindHasReq  = 5
+	KindHasResp = 6
+	KindSync    = 7
 )
 
-type HasBatchRequest struct{}
+type HasRequest struct{}
 
-func (HasBatchRequest) Kind() byte                 { return KindHasBatchReq }
-func (r HasBatchRequest) appendTo(b []byte) []byte { return b }
+func (HasRequest) Kind() byte                 { return KindHasReq }
+func (r HasRequest) appendTo(b []byte) []byte { return b }
 
-func decodeHasBatchRequest(b []byte) (Message, error) {
-	n, rest, err := readCount(b)
-	if err != nil {
-		return nil, err
+// decodeHasRequest is clean: the bound lives in the helper it calls.
+func decodeHasRequest(b []byte) (Message, error) {
+	tags := readTags(b)
+	_ = tags
+	return HasRequest{}, nil
+}
+
+func readTags(b []byte) [][]byte {
+	if len(b) > MaxBatchItems {
+		return nil
 	}
-	tags := make([][]byte, 0, n)
-	_, _ = tags, rest
-	return HasBatchRequest{}, nil
+	return make([][]byte, len(b))
 }
 
-type HasBatchResponse struct{}
+type HasResponse struct{}
 
-func (HasBatchResponse) Kind() byte                 { return KindHasBatchResp }
-func (r HasBatchResponse) appendTo(b []byte) []byte { return b }
+func (HasResponse) Kind() byte                 { return KindHasResp }
+func (r HasResponse) appendTo(b []byte) []byte { return b }
 
-func decodeHasBatchResponse(b []byte) (Message, error) { // want `decodeHasBatchResponse decodes a batch without readCount/MaxBatchItems validation`
-	out := make([]bool, int(b[0]))
+// decodeHasResponse appends one item per frame byte with no bound.
+func decodeHasResponse(b []byte) (Message, error) { // want `decodeHasResponse decodes a sequence of items without MaxBatchItems validation`
+	var out []bool
+	for len(b) > 0 {
+		out = append(out, b[0] == 1)
+		b = b[1:]
+	}
 	_ = out
-	return HasBatchResponse{}, nil
+	return HasResponse{}, nil
 }
 
-// decodeBatch expands a count-prefixed frame without consulting
-// readCount or MaxBatchItems.
-func decodeBatch(b []byte) (Message, error) { // want `decodeBatch decodes a batch without readCount/MaxBatchItems validation`
-	out := make([]Message, int(b[0]))
-	_ = out
-	return Put{}, nil
+type Sync struct{}
+
+func (Sync) Kind() byte                 { return KindSync }
+func (r Sync) appendTo(b []byte) []byte { return b }
+
+// decodeSync is clean: it checks the bound before every append.
+func decodeSync(b []byte) (Message, error) {
+	var out []byte
+	for len(b) > 0 {
+		if len(out) == MaxBatchItems {
+			return nil, nil
+		}
+		out = append(out, b[0])
+		b = b[1:]
+	}
+	return Sync{}, nil
 }
 
-// readCount exists but never checks the cap.
-func readCount(b []byte) (int, []byte, error) { // want `readCount does not enforce MaxBatchItems`
-	return int(b[0]), b[1:], nil
-}
+const envelopeHeaderLen = 9
 
-const envelopeHeaderLen = 8
-
-func MarshalEnvelope(id uint64, m Message) []byte {
-	return make([]byte, envelopeHeaderLen)
+func AppendEnvelope(buf []byte, id uint64, m Message) []byte {
+	return append(buf, make([]byte, envelopeHeaderLen)...)
 }
 
 // UnmarshalEnvelope duplicates the header size as a literal instead of
 // sharing envelopeHeaderLen.
-func UnmarshalEnvelope(b []byte) (uint64, Message, error) { // want `MarshalEnvelope and UnmarshalEnvelope do not share a header-size constant`
-	if len(b) < 8 {
+func UnmarshalEnvelope(b []byte) (uint64, Message, error) { // want `AppendEnvelope and UnmarshalEnvelope do not share a layout constant`
+	if len(b) < 9 {
 		return 0, nil, nil
 	}
 	return 0, nil, nil
 }
-
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	// MaxProtocol lags the newest protocol constant.
-	MaxProtocol = ProtocolV1 // want `MaxProtocol is 1 but the highest declared protocol version is 2`
-)

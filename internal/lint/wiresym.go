@@ -2,14 +2,13 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
 // WireSymAnalyzer checks that the wire protocol's marshal and unmarshal
-// sides agree, catching v1/v2 drift before it ships:
+// sides agree, catching codec drift before it ships:
 //
 //   - every Kind* message-kind constant has a dispatch case in
 //     Unmarshal,
@@ -17,12 +16,12 @@ import (
 //     and a matching decode<Type> function,
 //   - Unmarshal dispatches each kind to the decoder of the type that
 //     declares that kind,
-//   - batch decoders consult readCount (which must enforce
-//     MaxBatchItems), so one frame can never expand into unbounded
-//     work,
-//   - MarshalEnvelope and UnmarshalEnvelope share a header-size
-//     constant rather than duplicating a literal,
-//   - MaxProtocol equals the highest ProtocolV* constant.
+//   - a decoder that grows a slice from the frame (message bodies are
+//     items back to back, with no count to validate up front) enforces
+//     MaxBatchItems, itself or in a helper it calls, so one frame can
+//     never expand into unbounded work,
+//   - AppendEnvelope and UnmarshalEnvelope share a layout constant
+//     rather than duplicating a literal.
 //
 // The analyzer applies to packages named "wire".
 var WireSymAnalyzer = &Analyzer{
@@ -43,9 +42,9 @@ func runWireSym(pass *Pass) {
 		kindPos      = map[string]*ast.FuncDecl{}
 		appendToType = map[string]*ast.FuncDecl{} // type name -> appendTo decl
 		decodeFuncs  = map[string]*ast.FuncDecl{} // decode* function decls
+		funcs        = map[string]*ast.FuncDecl{} // every package-level function
 		caseDecode   = map[string]string{}        // Kind* const -> decode func in Unmarshal
 		unmarshal    *ast.FuncDecl
-		readCount    *ast.FuncDecl
 		marshalEnv   *ast.FuncDecl
 		unmarshalEnv *ast.FuncDecl
 	)
@@ -66,6 +65,9 @@ func runWireSym(pass *Pass) {
 					}
 				}
 			case *ast.FuncDecl:
+				if d.Recv == nil {
+					funcs[d.Name.Name] = d
+				}
 				switch {
 				case d.Recv != nil && d.Name.Name == "Kind":
 					if t, k := recvTypeName(d), soleReturnIdent(d); t != "" && strings.HasPrefix(k, "Kind") {
@@ -80,9 +82,7 @@ func runWireSym(pass *Pass) {
 					decodeFuncs[d.Name.Name] = d
 				case d.Recv == nil && d.Name.Name == "Unmarshal":
 					unmarshal = d
-				case d.Recv == nil && d.Name.Name == "readCount":
-					readCount = d
-				case d.Recv == nil && d.Name.Name == "MarshalEnvelope":
+				case d.Recv == nil && d.Name.Name == "AppendEnvelope":
 					marshalEnv = d
 				case d.Recv == nil && d.Name.Name == "UnmarshalEnvelope":
 					unmarshalEnv = d
@@ -154,69 +154,58 @@ func runWireSym(pass *Pass) {
 		}
 	}
 
-	// Batch decoders must go through readCount, and readCount must
-	// enforce MaxBatchItems.
+	// A decoder that grows a slice must bound it by MaxBatchItems.
 	if hasConst(pkg, "MaxBatchItems") {
 		for name, decl := range decodeFuncs {
-			if !strings.Contains(name, "Batch") {
-				continue
+			grows, bounded := false, false
+			for _, d := range reachable(decl, funcs) {
+				grows = grows || callsFunc(d, "make") || callsFunc(d, "append")
+				bounded = bounded || referencesIdent(d, "MaxBatchItems")
 			}
-			if !callsFunc(decl, "readCount") && !referencesIdent(decl, "MaxBatchItems") {
-				pass.Reportf(decl.Pos(), "%s decodes a batch without readCount/MaxBatchItems validation; a hostile frame can expand into unbounded work", name)
+			if grows && !bounded {
+				pass.Reportf(decl.Pos(), "%s decodes a sequence of items without MaxBatchItems validation; a hostile frame can expand into unbounded work", name)
 			}
-		}
-		if readCount != nil && !referencesIdent(readCount, "MaxBatchItems") {
-			pass.Reportf(readCount.Pos(), "readCount does not enforce MaxBatchItems")
 		}
 	}
 
-	// Envelope header symmetry: both sides must share a named size
-	// constant.
+	// Envelope symmetry: both sides (helpers included) must share a
+	// named layout constant.
 	if marshalEnv != nil && unmarshalEnv != nil {
+		var decodeConsts []string
+		for _, d := range reachable(unmarshalEnv, funcs) {
+			decodeConsts = append(decodeConsts, constIdentsUsed(pkg, d)...)
+		}
 		shared := false
-		for _, c := range constIdentsUsed(pkg, marshalEnv) {
-			if containsString(constIdentsUsed(pkg, unmarshalEnv), c) {
-				shared = true
-				break
+		for _, d := range reachable(marshalEnv, funcs) {
+			for _, c := range constIdentsUsed(pkg, d) {
+				shared = shared || containsString(decodeConsts, c)
 			}
 		}
 		if !shared {
-			pass.Reportf(unmarshalEnv.Pos(), "MarshalEnvelope and UnmarshalEnvelope do not share a header-size constant; envelope framing can drift")
+			pass.Reportf(unmarshalEnv.Pos(), "AppendEnvelope and UnmarshalEnvelope do not share a layout constant; envelope framing can drift")
 		}
 	}
-
-	checkMaxProtocol(pass)
 }
 
-// checkMaxProtocol verifies MaxProtocol == max(ProtocolV*), using the
-// type-checker's constant values.
-func checkMaxProtocol(pass *Pass) {
-	scope := pass.Pkg.Types.Scope()
-	maxObj, ok := scope.Lookup("MaxProtocol").(*types.Const)
-	if !ok {
-		return
+// reachable returns decl and every package-level function it calls,
+// transitively.
+func reachable(decl *ast.FuncDecl, funcs map[string]*ast.FuncDecl) []*ast.FuncDecl {
+	seen := map[*ast.FuncDecl]bool{decl: true}
+	out := []*ast.FuncDecl{decl}
+	for i := 0; i < len(out); i++ {
+		ast.Inspect(out[i].Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+					if callee := funcs[id.Name]; callee != nil && !seen[callee] {
+						seen[callee] = true
+						out = append(out, callee)
+					}
+				}
+			}
+			return true
+		})
 	}
-	maxVal, ok := constant.Int64Val(maxObj.Val())
-	if !ok {
-		return
-	}
-	var highest int64
-	for _, name := range scope.Names() {
-		if !strings.HasPrefix(name, "ProtocolV") {
-			continue
-		}
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok {
-			continue
-		}
-		if v, ok := constant.Int64Val(c.Val()); ok && v > highest {
-			highest = v
-		}
-	}
-	if highest != 0 && maxVal != highest {
-		pos := constDeclPos(pass.Pkg, "MaxProtocol")
-		pass.Reportf(pos, "MaxProtocol is %d but the highest declared protocol version is %d; version negotiation will refuse the newest protocol", maxVal, highest)
-	}
+	return out
 }
 
 // recvTypeName returns a method's receiver type name, stripping

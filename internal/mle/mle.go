@@ -116,6 +116,12 @@ type Sealed struct {
 	Blob []byte
 }
 
+// Size returns the number of bytes the triple carries, the measure wire
+// windows and reply budgets are sized by.
+func (s Sealed) Size() int {
+	return len(s.Challenge) + len(s.WrappedKey) + len(s.Blob)
+}
+
 // Clone returns a deep copy of the triple. Wire decoding is zero-copy
 // (a decoded Sealed aliases the receive buffer), so anything that
 // retains a Sealed past the buffer's validity window — the store

@@ -77,12 +77,12 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("handshake after temporary accept errors: %v", err)
 	}
-	msg, err := call(ch, wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("v")})
+	pr, err := putOver(ch, tagOf("t"), sealedOf("v"))
 	if err != nil {
 		t.Fatalf("put reply: %v", err)
 	}
-	if pr, ok := msg.(wire.PutResponse); !ok || !pr.OK {
-		t.Fatalf("put reply = %#v", msg)
+	if !pr.OK {
+		t.Fatalf("put reply = %#v", pr)
 	}
 
 	// Serve must still be running (the temporary errors were retried,

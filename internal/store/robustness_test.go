@@ -86,12 +86,12 @@ func TestServerShedsGarbageConnections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("honest handshake after attacks: %v", err)
 	}
-	msg, err := call(ch, wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("ok")})
+	pr, err := putOver(ch, tagOf("t"), sealedOf("ok"))
 	if err != nil {
 		t.Fatalf("honest reply: %v", err)
 	}
-	if pr, ok := msg.(wire.PutResponse); !ok || !pr.OK {
-		t.Fatalf("honest reply = %#v", msg)
+	if !pr.OK {
+		t.Fatalf("honest reply = %#v", pr)
 	}
 }
 
@@ -150,17 +150,17 @@ func TestServerManyConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				tag := tagOf(string(rune('a'+c)) + string(rune(i)))
-				if _, err := call(ch, wire.PutRequest{Tag: tag, Sealed: sealedOf("v")}); err != nil {
+				if _, err := putOver(ch, tag, sealedOf("v")); err != nil {
 					t.Errorf("put reply: %v", err)
 					return
 				}
-				msg, err := call(ch, wire.GetRequest{Tag: tag})
+				gr, err := getOver(ch, tag)
 				if err != nil {
 					t.Errorf("get reply: %v", err)
 					return
 				}
-				if gr, ok := msg.(wire.GetResponse); !ok || !gr.Found {
-					t.Errorf("get reply = %#v", msg)
+				if !gr.Found {
+					t.Errorf("get reply = %#v", gr)
 					return
 				}
 			}

@@ -70,14 +70,21 @@ type serverMetrics struct {
 	bytesOut      *telemetry.Counter
 	authFails     *telemetry.Counter
 	authFailBytes *telemetry.Counter
-	getSeconds    *telemetry.Histogram
-	putSeconds    *telemetry.Histogram
+	reqSeconds    map[wire.Kind]*telemetry.Histogram
 	batchSize     *telemetry.Histogram
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	if reg == nil {
 		return nil
+	}
+	reqSeconds := make(map[wire.Kind]*telemetry.Histogram)
+	for kind, op := range requestOps {
+		if op.label != "" {
+			reqSeconds[kind] = reg.NewHistogram("speed_server_request_seconds",
+				"request service latency from dispatch to reply written",
+				telemetry.L("op", op.label))
+		}
 	}
 	return &serverMetrics{
 		reg: reg,
@@ -95,14 +102,9 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"received frames that failed AEAD authentication"),
 		authFailBytes: reg.NewCounter("speed_wire_auth_fail_bytes_total",
 			"bytes (payload plus framing) of frames that failed AEAD authentication"),
-		getSeconds: reg.NewHistogram("speed_server_request_seconds",
-			"request service latency from dispatch to reply written",
-			telemetry.L("op", "get")),
-		putSeconds: reg.NewHistogram("speed_server_request_seconds",
-			"request service latency from dispatch to reply written",
-			telemetry.L("op", "put")),
+		reqSeconds: reqSeconds,
 		batchSize: reg.NewHistogram("speed_store_batch_size",
-			"items per batch GET/PUT request (bucket values are item counts, not seconds)"),
+			"items per GET/PUT/HAS request (bucket values are item counts, not seconds)"),
 	}
 }
 
@@ -288,12 +290,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.logf("store: handshake from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if v := ch.Version(); v < wire.ProtocolV2 {
-		// There is no serial session to serve it: hang up before any
-		// dispatch.
-		s.logf("store: rejecting %v: negotiated protocol v%d, need v%d", conn.RemoteAddr(), v, wire.ProtocolV2)
-		return
-	}
 	_ = conn.SetDeadline(time.Time{})
 	owner := ch.Peer()
 
@@ -328,10 +324,9 @@ func (s *Server) handle(conn net.Conn) {
 type envelopeJob struct {
 	id  uint64
 	msg wire.Message
-	// tc is the caller's trace context (zero when unsampled or the
-	// channel did not negotiate tracing); readAt is when the envelope
-	// was decoded, stamped only for sampled requests so the hot path
-	// skips the clock read.
+	// tc is the caller's trace context (zero when unsampled); readAt is
+	// when the envelope was decoded, stamped only for sampled requests so
+	// the hot path skips the clock read.
 	tc     wire.TraceContext
 	readAt time.Time
 }
@@ -385,15 +380,6 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 		go func() {
 			defer wg.Done()
 			for job := range work {
-				var reqHist *telemetry.Histogram
-				if s.tel != nil {
-					switch job.msg.(type) {
-					case wire.GetRequest, wire.BatchGetRequest:
-						reqHist = s.tel.getSeconds
-					case wire.PutRequest, wire.BatchPutRequest:
-						reqHist = s.tel.putSeconds
-					}
-				}
 				start := time.Now()
 				reply, err := s.Dispatch(owner, job.msg)
 				if err != nil {
@@ -408,10 +394,10 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 					continue
 				}
 				took := time.Since(start)
-				if reqHist != nil {
-					reqHist.Observe(took)
+				if s.tel != nil {
+					s.tel.reqSeconds[job.msg.Kind()].Observe(took)
 				}
-				s.recordSpan(job, start)
+				s.recordSpan(job, reply, start)
 				s.maybeSlowLog(opName(job.msg), conn.RemoteAddr(), job.tc, took)
 				replies <- envelopeJob{id: job.id, msg: reply}
 			}
@@ -456,24 +442,43 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 	<-writerDone
 }
 
+// requestOps is the one table of the requests the server serves: the
+// span and slow-request name of each — one per operation, whatever its
+// item count — and, for the timed ones, the op label of its
+// speed_server_request_seconds series.
+var requestOps = map[wire.Kind]struct{ span, label string }{
+	wire.KindGetRequest:      {"store_get", "get"},
+	wire.KindPutRequest:      {"store_put", "put"},
+	wire.KindHasRequest:      {"store_has", "has"},
+	wire.KindSyncPullRequest: {"store_sync_pull", ""},
+}
+
 // opName labels a request message for spans and slow-request lines.
 func opName(m wire.Message) string {
-	switch m.(type) {
-	case wire.GetRequest:
-		return "store_get"
-	case wire.PutRequest:
-		return "store_put"
-	case wire.BatchGetRequest:
-		return "store_batch_get"
-	case wire.BatchPutRequest:
-		return "store_batch_put"
-	case wire.SyncPullRequest:
-		return "store_sync_pull"
-	case wire.HasBatchRequest:
-		return "store_has_batch"
-	default:
-		return "store_request"
+	if op, ok := requestOps[m.Kind()]; ok {
+		return op.span
 	}
+	return "store_request"
+}
+
+// outcome summarises a served request for its span: hit or miss for a
+// GET of one tag, otherwise the item count.
+func outcome(req, reply wire.Message) string {
+	switch m := req.(type) {
+	case wire.GetRequest:
+		if r, ok := reply.(wire.GetResponse); ok && len(m.Tags) == 1 && len(r.Results) == 1 {
+			if r.Results[0].Found {
+				return "hit"
+			}
+			return "miss"
+		}
+		return fmt.Sprintf("%d tags", len(m.Tags))
+	case wire.HasRequest:
+		return fmt.Sprintf("%d tags", len(m.Tags))
+	case wire.PutRequest:
+		return fmt.Sprintf("%d items", len(m.Items))
+	}
+	return ""
 }
 
 // recordSpan records one sampled request's server-side span into the
@@ -481,7 +486,7 @@ func opName(m wire.Message) string {
 // dispatch, handle covers the store operation. The span links to the
 // caller's span through ParentID, so /debug/trace?id= on this node
 // contributes its part of the assembled cross-node trace.
-func (s *Server) recordSpan(job envelopeJob, start time.Time) {
+func (s *Server) recordSpan(job envelopeJob, reply wire.Message, start time.Time) {
 	if s.tel == nil || !job.tc.Valid() {
 		return
 	}
@@ -491,6 +496,7 @@ func (s *Server) recordSpan(job envelopeJob, start time.Time) {
 	s.tel.reg.Trace().Add(telemetry.TraceEvent{
 		Time:     now,
 		Name:     opName(job.msg),
+		Outcome:  outcome(job.msg, reply),
 		TotalNS:  now.Sub(job.readAt).Nanoseconds(),
 		TraceID:  job.tc.TraceIDHex(),
 		SpanID:   wire.SpanIDHex(wire.NewSpanID()),
@@ -526,42 +532,45 @@ func (s *Server) maybeSlowLog(op string, peer net.Addr, tc wire.TraceContext, to
 		op, peer, took, s.slowThreshold, trace)
 }
 
+// replyBudget is the sealed payload one reply may carry: a GET (or sync
+// pull) whose full answer would pass it is answered as a prefix — always
+// at least one item — and the client asks again for the rest. Half a
+// frame, so per-item framing can never tip a reply over
+// wire.MaxFrameSize and a legal request can never kill its session.
+const replyBudget = wire.MaxFrameSize / 2
+
 // Dispatch handles one protocol message on behalf of the attested
 // application owner and produces the reply. It is exported so that the
 // in-process loopback client can reuse the exact request path without a
 // socket.
 func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Message, error) {
+	observe := func(items int) {
+		if s.tel != nil {
+			s.tel.batchSize.Observe(time.Duration(items))
+		}
+	}
 	switch m := msg.(type) {
 	case wire.GetRequest:
-		r, err := s.store.WireGet(owner, m.Tag)
-		if err != nil {
-			return nil, err
-		}
-		return wire.GetResponse(r), nil
-	case wire.PutRequest:
-		r, err := s.store.WirePut(owner, wire.PutItem(m))
-		if err != nil {
-			return nil, err
-		}
-		return wire.PutResponse(r), nil
-	case wire.BatchGetRequest:
-		if s.tel != nil {
-			s.tel.batchSize.Observe(time.Duration(len(m.Tags)))
-		}
-		resp := wire.BatchGetResponse{Results: make([]wire.GetResult, len(m.Tags))}
-		for i, tag := range m.Tags {
+		observe(len(m.Tags))
+		resp := wire.GetResponse{Results: make([]wire.GetResult, 0, len(m.Tags))}
+		budget := replyBudget
+		for _, tag := range m.Tags {
 			r, err := s.store.WireGet(owner, tag)
 			if err != nil {
 				return nil, err
 			}
-			resp.Results[i] = r
+			// The entry that does not fit is left for the client's next
+			// request, which fetches it again (and counts it again: one
+			// extra hit per replyBudget of reply).
+			if budget -= r.Sealed.Size(); budget < 0 && len(resp.Results) > 0 {
+				break
+			}
+			resp.Results = append(resp.Results, r)
 		}
 		return resp, nil
-	case wire.BatchPutRequest:
-		if s.tel != nil {
-			s.tel.batchSize.Observe(time.Duration(len(m.Items)))
-		}
-		resp := wire.BatchPutResponse{Results: make([]wire.PutResult, len(m.Items))}
+	case wire.PutRequest:
+		observe(len(m.Items))
+		resp := wire.PutResponse{Results: make([]wire.PutResult, len(m.Items))}
 		for i, it := range m.Items {
 			r, err := s.store.WirePut(owner, it)
 			if err != nil {
@@ -570,17 +579,15 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 			resp.Results[i] = r
 		}
 		return resp, nil
-	case wire.HasBatchRequest:
-		if s.tel != nil {
-			s.tel.batchSize.Observe(time.Duration(len(m.Tags)))
-		}
-		resp := wire.HasBatchResponse{Present: make([]bool, len(m.Tags))}
+	case wire.HasRequest:
+		observe(len(m.Tags))
+		resp := wire.HasResponse{Present: make([]bool, len(m.Tags))}
 		for i, tag := range m.Tags {
 			// HasAs maps unauthorized to (false, nil) itself, so the
 			// deny-without-information property holds per tag.
 			present, err := s.store.HasAs(owner, tag)
 			if err != nil {
-				return nil, fmt.Errorf("has batch %v: %w", tag, err)
+				return nil, fmt.Errorf("has %v: %w", tag, err)
 			}
 			resp.Present[i] = present
 		}
@@ -594,9 +601,13 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 		if err != nil {
 			return nil, fmt.Errorf("sync pull: %w", err)
 		}
-		resp := wire.SyncPullResponse{Entries: make([]wire.SyncEntry, len(entries))}
-		for i, e := range entries {
-			resp.Entries[i] = wire.SyncEntry{Tag: e.Tag, Hits: e.Hits, Sealed: e.Sealed}
+		resp := wire.SyncPullResponse{Entries: make([]wire.SyncEntry, 0, len(entries))}
+		budget := replyBudget
+		for _, e := range entries {
+			if budget -= e.Sealed.Size(); budget < 0 && len(resp.Entries) > 0 {
+				break
+			}
+			resp.Entries = append(resp.Entries, wire.SyncEntry{Tag: e.Tag, Hits: e.Hits, Sealed: e.Sealed})
 		}
 		return resp, nil
 	default:
@@ -606,10 +617,10 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 
 // WireGet is one GET on behalf of owner in wire terms. It and WirePut
 // are the single copy of the store-error → wire-result mapping, shared
-// by every Dispatch arm and the in-process client, so local and remote
-// deployments answer identically. An unauthorized application is
-// denied without information: it sees a miss and learns nothing about
-// which tags exist.
+// by Dispatch and the in-process client, so local and remote deployments
+// answer identically. An unauthorized application is denied without
+// information: it sees a miss and learns nothing about which tags
+// exist.
 func (s *Store) WireGet(owner enclave.Measurement, tag mle.Tag) (wire.GetResult, error) {
 	sealed, found, err := s.GetAs(owner, tag)
 	switch {

@@ -70,6 +70,32 @@ func call(ch *wire.Channel, req wire.Message) (wire.Message, error) {
 	return wire.OwnMessage(msg), nil
 }
 
+// getOver is a GET of one tag on a raw channel; putOver a PUT of one
+// item.
+func getOver(ch *wire.Channel, tag mle.Tag) (wire.GetResult, error) {
+	msg, err := call(ch, wire.GetRequest{Tags: []mle.Tag{tag}})
+	if err != nil {
+		return wire.GetResult{}, err
+	}
+	gr, ok := msg.(wire.GetResponse)
+	if !ok || len(gr.Results) != 1 {
+		return wire.GetResult{}, fmt.Errorf("reply = %#v, want a GetResponse of one result", msg)
+	}
+	return gr.Results[0], nil
+}
+
+func putOver(ch *wire.Channel, tag mle.Tag, sealed mle.Sealed) (wire.PutResult, error) {
+	msg, err := call(ch, wire.PutRequest{Items: []wire.PutItem{{Tag: tag, Sealed: sealed}}})
+	if err != nil {
+		return wire.PutResult{}, err
+	}
+	pr, ok := msg.(wire.PutResponse)
+	if !ok || len(pr.Results) != 1 {
+		return wire.PutResult{}, fmt.Errorf("reply = %#v, want a PutResponse of one result", msg)
+	}
+	return pr.Results[0], nil
+}
+
 func TestServerGetPutOverTCP(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	storeEnc, err := p.Create("store", []byte("store code"))
@@ -90,32 +116,30 @@ func TestServerGetPutOverTCP(t *testing.T) {
 	tag := tagOf("net-tag")
 
 	// Miss.
-	msg, err := call(ch, wire.GetRequest{Tag: tag})
+	gr, err := getOver(ch, tag)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	if gr, ok := msg.(wire.GetResponse); !ok || gr.Found {
-		t.Fatalf("reply = %#v, want not-found GetResponse", msg)
+	if gr.Found {
+		t.Fatalf("reply = %#v, want not found", gr)
 	}
 
 	// Put.
-	sealed := sealedOf("net blob")
-	msg, err = call(ch, wire.PutRequest{Tag: tag, Sealed: sealed})
+	pr, err := putOver(ch, tag, sealedOf("net blob"))
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if pr, ok := msg.(wire.PutResponse); !ok || !pr.OK {
-		t.Fatalf("reply = %#v, want OK PutResponse", msg)
+	if !pr.OK {
+		t.Fatalf("reply = %#v, want OK", pr)
 	}
 
 	// Hit.
-	msg, err = call(ch, wire.GetRequest{Tag: tag})
+	gr, err = getOver(ch, tag)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	gr, ok := msg.(wire.GetResponse)
-	if !ok || !gr.Found || string(gr.Sealed.Blob) != "net blob" {
-		t.Fatalf("reply = %#v, want found with blob", msg)
+	if !gr.Found || string(gr.Sealed.Blob) != "net blob" {
+		t.Fatalf("reply = %#v, want found with blob", gr)
 	}
 }
 
@@ -130,13 +154,12 @@ func TestServerQuotaRejectionOverTCP(t *testing.T) {
 	srv := startServer(t, s)
 	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
 
-	msg, err := call(ch, wire.PutRequest{Tag: tagOf("t"), Sealed: sealedOf("way-over-quota")})
+	pr, err := putOver(ch, tagOf("t"), sealedOf("way-over-quota"))
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	pr, ok := msg.(wire.PutResponse)
-	if !ok || pr.OK {
-		t.Fatalf("reply = %#v, want rejected PutResponse", msg)
+	if pr.OK {
+		t.Fatalf("reply = %#v, want rejected", pr)
 	}
 	if pr.Err == "" {
 		t.Error("rejected PutResponse carries no reason")
@@ -183,17 +206,16 @@ func TestServerMultipleClients(t *testing.T) {
 	chB := dialStore(t, srv.Addr().String(), appB, storeEnc.Measurement())
 
 	tag := tagOf("shared")
-	if _, err := call(chA, wire.PutRequest{Tag: tag, Sealed: sealedOf("shared blob")}); err != nil {
+	if _, err := putOver(chA, tag, sealedOf("shared blob")); err != nil {
 		t.Fatalf("A put reply: %v", err)
 	}
 
-	msg, err := call(chB, wire.GetRequest{Tag: tag})
+	gr, err := getOver(chB, tag)
 	if err != nil {
 		t.Fatalf("B get reply: %v", err)
 	}
-	gr, ok := msg.(wire.GetResponse)
-	if !ok || !gr.Found || string(gr.Sealed.Blob) != "shared blob" {
-		t.Fatalf("B reply = %#v, want shared blob", msg)
+	if !gr.Found || string(gr.Sealed.Blob) != "shared blob" {
+		t.Fatalf("B reply = %#v, want shared blob", gr)
 	}
 }
 

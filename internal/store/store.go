@@ -291,10 +291,10 @@ func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, e
 
 // HasAs reports whether the tag is present, without fetching the
 // sealed value, counting a hit, or refreshing recency — the existence
-// probe behind HAS_BATCH (chunked dedup's missing-chunk transfer).
+// probe behind HAS (chunked dedup's missing-chunk transfer).
 // Authorization uses PermGet: a caller that may not read the entry
 // learns nothing (the probe reports absent rather than erroring, so
-// HAS_BATCH answers are deny-without-information). The answer is a
+// HAS answers are deny-without-information). The answer is a
 // hint, not a promise; a probed-present entry can still expire or be
 // evicted before a later Get.
 func (s *Store) HasAs(app enclave.Measurement, tag mle.Tag) (bool, error) {

@@ -1,9 +1,8 @@
 package wire
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"net"
 	"reflect"
 	"testing"
 
@@ -18,18 +17,20 @@ func TestBatchMessageRoundTrips(t *testing.T) {
 		Blob:       []byte("ciphertext blob bytes"),
 	}
 	msgs := []Message{
-		BatchGetRequest{},
-		BatchGetRequest{Tags: []mle.Tag{mustTag(0x01), mustTag(0x02), mustTag(0x03)}},
-		BatchGetResponse{},
-		BatchGetResponse{Results: []GetResult{
+		GetRequest{},
+		GetRequest{Tags: []mle.Tag{mustTag(0x01), mustTag(0x02), mustTag(0x03)}},
+		GetResponse{},
+		GetResponse{Results: []GetResult{
 			{Found: false},
 			{Found: true, Sealed: sealed},
 		}},
-		BatchPutRequest{Items: []PutItem{
+		PutRequest{},
+		PutRequest{Items: []PutItem{
 			{Tag: mustTag(0xAA), Sealed: sealed},
 			{Tag: mustTag(0xBB), Sealed: sealed, Replace: true},
 		}},
-		BatchPutResponse{Results: []PutResult{
+		PutResponse{},
+		PutResponse{Results: []PutResult{
 			{OK: true},
 			{OK: false, Err: "quota exceeded"},
 		}},
@@ -40,58 +41,49 @@ func TestBatchMessageRoundTrips(t *testing.T) {
 			t.Errorf("%v: Unmarshal: %v", m.Kind(), err)
 			continue
 		}
-		// Empty slices decode as non-nil empty; normalise for DeepEqual.
-		if !reflect.DeepEqual(got, m) && !batchEquivalent(got, m) {
+		// An empty message decodes to nil item slices, exactly as built.
+		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%v: round trip = %#v, want %#v", m.Kind(), got, m)
 		}
 	}
 }
 
-// batchEquivalent treats nil and empty element slices as equal.
-func batchEquivalent(a, b Message) bool {
-	switch am := a.(type) {
-	case BatchGetRequest:
-		bm, ok := b.(BatchGetRequest)
-		return ok && len(am.Tags) == 0 && len(bm.Tags) == 0
-	case BatchGetResponse:
-		bm, ok := b.(BatchGetResponse)
-		return ok && len(am.Results) == 0 && len(bm.Results) == 0
-	case BatchPutRequest:
-		bm, ok := b.(BatchPutRequest)
-		return ok && len(am.Items) == 0 && len(bm.Items) == 0
-	case BatchPutResponse:
-		bm, ok := b.(BatchPutResponse)
-		return ok && len(am.Results) == 0 && len(bm.Results) == 0
-	}
-	return false
+// repeatItem marshals m — a message of one item — and repeats its body
+// n times: the encoding of the n-item message.
+func repeatItem(m Message, n int) []byte {
+	b := Marshal(m)
+	return append(b[:1:1], bytes.Repeat(b[1:], n)...)
 }
 
 func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
-	overCount := binary.BigEndian.AppendUint32([]byte{byte(KindBatchGetRequest)}, MaxBatchItems+1)
+	blob := mle.Sealed{Blob: []byte("b")}
+	oneItem := []Message{
+		GetRequest{Tags: []mle.Tag{mustTag(1)}},
+		GetResponse{Results: []GetResult{{Found: true, Sealed: blob}}},
+		PutRequest{Items: []PutItem{{Tag: mustTag(2), Sealed: blob}}},
+		PutResponse{Results: []PutResult{{OK: true}}},
+		HasRequest{Tags: []mle.Tag{mustTag(3)}},
+		HasResponse{Present: []bool{true}},
+		SyncPullResponse{Entries: []SyncEntry{{Tag: mustTag(4), Hits: 1, Sealed: blob}}},
+	}
+	for _, m := range oneItem {
+		if _, err := Unmarshal(repeatItem(m, MaxBatchItems)); err != nil {
+			t.Errorf("%v with %d items: Unmarshal = %v, want accepted", m.Kind(), MaxBatchItems, err)
+		}
+		if _, err := Unmarshal(repeatItem(m, MaxBatchItems+1)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%v with item %d: Unmarshal = %v, want ErrMalformed", m.Kind(), MaxBatchItems+1, err)
+		}
+	}
+
 	tests := []struct {
 		name string
 		b    []byte
 	}{
-		{"get request missing count", []byte{byte(KindBatchGetRequest), 0, 0}},
-		{"get request count over limit", overCount},
-		{"get request short tags", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindBatchGetRequest)}, 2),
-			make([]byte, mle.TagSize)...)},
-		{"get request trailing bytes", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindBatchGetRequest)}, 1),
-			make([]byte, mle.TagSize+1)...)},
-		{"get response truncated result", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindBatchGetResponse)}, 1),
-			1)},
-		{"get response bad bool", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindBatchGetResponse)}, 1),
-			7)},
-		{"put request short item", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindBatchPutRequest)}, 1),
-			1, 2, 3)},
-		{"put response truncated", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindBatchPutResponse)}, 2),
-			1, 0, 0, 0, 0)},
+		{"get request partial second tag", append(Marshal(oneItem[0]), make([]byte, mle.TagSize-1)...)},
+		{"get response truncated second result", append(Marshal(oneItem[1]), 1)},
+		{"get response bad bool", append(Marshal(oneItem[1]), 7)},
+		{"put request short second item", append(Marshal(oneItem[2]), 1, 2, 3)},
+		{"put response truncated second result", append(Marshal(oneItem[3]), 1, 0, 0, 0)},
 	}
 	for _, tt := range tests {
 		if _, err := Unmarshal(tt.b); !errors.Is(err, ErrMalformed) {
@@ -100,12 +92,15 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestBatchTrailingBytesRejected: with no count prefix, bytes after the
+// last item can only be the start of another item — and a lone 0xFF
+// starts none.
 func TestBatchTrailingBytesRejected(t *testing.T) {
 	for _, m := range []Message{
-		BatchGetRequest{Tags: []mle.Tag{mustTag(1)}},
-		BatchGetResponse{Results: []GetResult{{Found: true, Sealed: mle.Sealed{Blob: []byte("b")}}}},
-		BatchPutRequest{Items: []PutItem{{Tag: mustTag(2), Sealed: mle.Sealed{Blob: []byte("b")}}}},
-		BatchPutResponse{Results: []PutResult{{OK: true}}},
+		GetRequest{Tags: []mle.Tag{mustTag(1)}},
+		GetResponse{Results: []GetResult{{Found: true, Sealed: mle.Sealed{Blob: []byte("b")}}}},
+		PutRequest{Items: []PutItem{{Tag: mustTag(2), Sealed: mle.Sealed{Blob: []byte("b")}}}},
+		PutResponse{Results: []PutResult{{OK: true}}},
 	} {
 		b := append(Marshal(m), 0xFF)
 		if _, err := Unmarshal(b); !errors.Is(err, ErrMalformed) {
@@ -116,21 +111,24 @@ func TestBatchTrailingBytesRejected(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	msgs := []Message{
-		GetRequest{Tag: mustTag(0x11)},
-		BatchGetRequest{Tags: []mle.Tag{mustTag(0x22)}},
-		PutResponse{OK: true},
+		GetRequest{Tags: []mle.Tag{mustTag(0x11)}},
+		GetRequest{Tags: []mle.Tag{mustTag(0x22), mustTag(0x33)}},
+		PutResponse{Results: []PutResult{{OK: true}}},
 	}
 	for i, m := range msgs {
 		id := uint64(i) * 0x0101010101010101
-		gotID, gotMsg, err := UnmarshalEnvelope(MarshalEnvelope(id, m))
+		gotID, tc, gotMsg, err := UnmarshalEnvelope(AppendEnvelope(nil, id, TraceContext{}, m))
 		if err != nil {
 			t.Fatalf("UnmarshalEnvelope: %v", err)
 		}
 		if gotID != id {
 			t.Errorf("request ID = %d, want %d", gotID, id)
 		}
-		if gotMsg.Kind() != m.Kind() {
-			t.Errorf("kind = %v, want %v", gotMsg.Kind(), m.Kind())
+		if tc.Valid() {
+			t.Errorf("unsampled envelope decoded a trace context: %+v", tc)
+		}
+		if !reflect.DeepEqual(gotMsg, m) {
+			t.Errorf("message = %#v, want %#v", gotMsg, m)
 		}
 	}
 }
@@ -142,81 +140,30 @@ func TestEnvelopeRejectsMalformed(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"short header", []byte{1, 2, 3}},
-		{"header only", make([]byte, 8)},
-		{"bad body", append(make([]byte, 8), 0xEE, 1)},
+		{"no flags byte", make([]byte, 8)},
+		{"header only", make([]byte, 9)},
+		{"bad body", append(make([]byte, 9), 0xEE, 1)},
 	}
 	for _, tt := range tests {
-		if _, _, err := UnmarshalEnvelope(tt.b); !errors.Is(err, ErrMalformed) {
+		if _, _, _, err := UnmarshalEnvelope(tt.b); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: UnmarshalEnvelope = %v, want ErrMalformed", tt.name, err)
 		}
 	}
 }
 
-// versionPair establishes a channel with explicit per-side protocol
-// offers and returns (client, server).
-func versionPair(t *testing.T, clientMax, serverMax int) (*Channel, *Channel) {
-	t.Helper()
+// TestNegotiatedChannelStillCarriesTraffic: a pair that agreed on
+// ProtocolVersion exchanges enveloped messages.
+func TestNegotiatedChannelStillCarriesTraffic(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	app, _ := p.Create("app", []byte("app code"))
 	store, _ := p.Create("store", []byte("store code"))
-	cConn, sConn := net.Pipe()
-	type res struct {
-		ch  *Channel
-		err error
-	}
-	serverDone := make(chan res, 1)
-	go func() {
-		ch, err := ServerHandshakeVersion(sConn, store, nil, nil, serverMax)
-		serverDone <- res{ch, err}
-	}()
-	client, err := ClientHandshakeVersion(cConn, app, store.Measurement(), nil, clientMax)
-	sr := <-serverDone
-	if err != nil {
-		t.Fatalf("ClientHandshakeVersion: %v", err)
-	}
-	if sr.err != nil {
-		t.Fatalf("ServerHandshakeVersion: %v", sr.err)
-	}
-	return client, sr.ch
-}
-
-func TestVersionNegotiation(t *testing.T) {
-	tests := []struct {
-		name                 string
-		clientMax, serverMax int
-		want                 int
-	}{
-		{"v2 client, v2 server", ProtocolV2, ProtocolV2, ProtocolV2},
-		{"v1 client, v2 server", ProtocolV1, ProtocolV2, ProtocolV1},
-		{"v2 client, v1 server", ProtocolV2, ProtocolV1, ProtocolV1},
-		{"v1 client, v1 server", ProtocolV1, ProtocolV1, ProtocolV1},
-		{"zero offers clamp to v1", 0, 0, ProtocolV1},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			client, server := versionPair(t, tt.clientMax, tt.serverMax)
-			defer client.Close()
-			defer server.Close()
-			if client.Version() != tt.want {
-				t.Errorf("client version = %d, want %d", client.Version(), tt.want)
-			}
-			if server.Version() != tt.want {
-				t.Errorf("server version = %d, want %d", server.Version(), tt.want)
-			}
-		})
-	}
-}
-
-func TestNegotiatedChannelStillCarriesTraffic(t *testing.T) {
-	// A mixed-version pair must agree on v1 and exchange messages with
-	// the plain serial discipline.
-	client, server := versionPair(t, ProtocolV2, ProtocolV1)
+	client, server := handshakePair(t, p, app, store, nil)
 	defer client.Close()
 	defer server.Close()
 
 	done := make(chan error, 1)
 	go func() {
-		msg, err := server.RecvMessage()
+		id, msg, err := recvEnvelope(server)
 		if err != nil {
 			done <- err
 			return
@@ -225,13 +172,13 @@ func TestNegotiatedChannelStillCarriesTraffic(t *testing.T) {
 			done <- errors.New("server received wrong message type")
 			return
 		}
-		done <- server.SendMessage(GetResponse{Found: false})
+		done <- server.SendEnvelope(id, GetResponse{Results: []GetResult{{}}})
 	}()
-	if err := client.SendMessage(GetRequest{Tag: mustTag(0x77)}); err != nil {
-		t.Fatalf("SendMessage: %v", err)
+	if err := client.SendEnvelope(1, GetRequest{Tags: []mle.Tag{mustTag(0x77)}}); err != nil {
+		t.Fatalf("SendEnvelope: %v", err)
 	}
-	if _, err := client.RecvMessage(); err != nil {
-		t.Fatalf("RecvMessage: %v", err)
+	if _, _, err := recvEnvelope(client); err != nil {
+		t.Fatalf("recvEnvelope: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)

@@ -32,9 +32,8 @@ import (
 // scratch buffer that frames are sealed into / read into, so the
 // steady-state Send/Recv pair performs zero heap allocations. The
 // payload returned by Recv aliases the receive scratch and is valid
-// only until the next Recv/RecvMessage on the channel; RecvMessage
-// copies the retained byte fields (OwnMessage) so decoded messages are
-// always safe to hold.
+// only until the next Recv on the channel; receivers copy the retained
+// byte fields (OwnMessage) before a decoded message outlives it.
 
 // ErrChannelAuth is returned when a channel frame fails authentication
 // or arrives out of sequence. The error is terminal for the channel:
@@ -43,9 +42,10 @@ import (
 // Close the channel and re-handshake.
 var ErrChannelAuth = errors.New("wire: channel authentication failed")
 
-// ErrPeerRejected is returned by handshakes when the peer's attested
-// measurement is not acceptable.
-var ErrPeerRejected = errors.New("wire: peer enclave measurement rejected")
+// ErrPeerRejected is returned by handshakes when the attested peer is
+// not acceptable: the wrong measurement, or a protocol version other
+// than ProtocolVersion.
+var ErrPeerRejected = errors.New("wire: peer enclave rejected")
 
 // rekeyInterval is the number of frames after which each direction's
 // traffic key is ratcheted forward (key' = KDF(key)), limiting the
@@ -64,24 +64,15 @@ type Channel struct {
 	conn io.ReadWriteCloser
 	peer enclave.Measurement
 
-	// version is the negotiated protocol version (ProtocolV1 when the
-	// peer predates the version byte in the hello).
-	version int
-
-	// features is the negotiated optional-capability set (the
-	// intersection of both peers' offers; zero for peers predating the
-	// feature byte, which keeps the v2 envelope format unchanged).
-	features Feature
-
 	// rekeyEvery is rekeyInterval, overridable in tests.
 	rekeyEvery uint64
 
 	// sendBuf is the frame assembly scratch (4-byte header + sealed
 	// ciphertext, one contiguous write); msgBuf is the marshal scratch
-	// for SendMessage/SendEnvelope; sendNonce is the counter nonce
-	// scratch (a stack array would escape through the cipher.AEAD
-	// interface and cost an allocation per frame). All are guarded by
-	// sendMu and never escape the channel.
+	// for SendEnvelope; sendNonce is the counter nonce scratch (a stack
+	// array would escape through the cipher.AEAD interface and cost an
+	// allocation per frame). All are guarded by sendMu and never escape
+	// the channel.
 	sendMu    sync.Mutex
 	send      cipher.AEAD
 	sendKey   []byte
@@ -112,18 +103,6 @@ type Channel struct {
 
 // Peer returns the attested measurement of the remote enclave.
 func (c *Channel) Peer() enclave.Measurement { return c.peer }
-
-// Version returns the negotiated protocol version: ProtocolV2 when both
-// peers support the multiplexed protocol, ProtocolV1 otherwise.
-func (c *Channel) Version() int { return c.version }
-
-// Features returns the negotiated optional-capability set.
-func (c *Channel) Features() Feature { return c.features }
-
-// TraceEnabled reports whether both peers negotiated the trace-context
-// envelope field. When false, envelopes use the plain v2 layout and
-// trace contexts given to SendEnvelopeTrace are silently dropped.
-func (c *Channel) TraceEnabled() bool { return c.features&FeatureTrace != 0 }
 
 // BytesSent reports the total bytes written to the transport by Send,
 // including framing overhead but excluding the handshake.
@@ -191,53 +170,31 @@ func (c *Channel) Send(payload []byte) error {
 	return c.sendLocked(payload)
 }
 
-// SendMessage marshals and sends a protocol message, reusing the
-// channel's marshal scratch so the steady state allocates nothing.
-func (c *Channel) SendMessage(m Message) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.msgBuf = AppendMarshal(c.msgBuf[:0], m)
-	err := c.sendLocked(c.msgBuf)
-	c.msgBuf = trimScratch(c.msgBuf)
-	return err
-}
-
-// SendEnvelope marshals and sends a protocol-v2 envelope (request ID +
-// message) in one sealed frame, reusing the channel's marshal scratch.
-// It is the allocation-free equivalent of Send(MarshalEnvelope(id, m)).
-// On a trace-enabled channel the envelope carries an empty trace
-// context (one extra flags byte, still allocation-free).
+// SendEnvelope marshals and sends an envelope (request ID + message)
+// in one sealed frame, reusing the channel's marshal scratch so the
+// steady state allocates nothing.
 func (c *Channel) SendEnvelope(id uint64, m Message) error {
 	return c.SendEnvelopeTrace(id, TraceContext{}, m)
 }
 
 // SendEnvelopeTrace is SendEnvelope carrying a distributed-trace
-// context. The context is encoded only when it is Valid and the
-// channel negotiated FeatureTrace; otherwise it is dropped and the
-// envelope is the plain v2 form the peer expects. Unsampled (zero)
-// contexts stay on the allocation-free path.
+// context, encoded only when it is Valid. Unsampled (zero) contexts
+// stay on the allocation-free path. ErrFrameTooLarge means nothing was
+// written and the channel is intact: the failure is the message's, not
+// the session's.
 func (c *Channel) SendEnvelopeTrace(id uint64, tc TraceContext, m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if c.features&FeatureTrace != 0 {
-		c.msgBuf = AppendEnvelopeTrace(c.msgBuf[:0], id, tc, m)
-	} else {
-		c.msgBuf = AppendEnvelope(c.msgBuf[:0], id, m)
-	}
+	c.msgBuf = AppendEnvelope(c.msgBuf[:0], id, tc, m)
 	err := c.sendLocked(c.msgBuf)
 	c.msgBuf = trimScratch(c.msgBuf)
 	return err
 }
 
-// ParseEnvelope decodes an envelope payload received on this channel,
-// using the traced layout iff the channel negotiated FeatureTrace. The
-// returned message aliases the payload exactly like Unmarshal.
+// ParseEnvelope decodes an envelope payload received on this channel.
+// The returned message aliases the payload exactly like Unmarshal.
 func (c *Channel) ParseEnvelope(payload []byte) (uint64, TraceContext, Message, error) {
-	if c.features&FeatureTrace != 0 {
-		return UnmarshalEnvelopeTrace(payload)
-	}
-	id, m, err := UnmarshalEnvelope(payload)
-	return id, TraceContext{}, m, err
+	return UnmarshalEnvelope(payload)
 }
 
 // sendLocked seals payload into the channel's frame scratch — length
@@ -273,10 +230,10 @@ const gcmOverhead = 16
 
 // Recv reads and decrypts one message frame, mirroring the sender's
 // key ratchet. The returned payload aliases the channel's receive
-// scratch: it is valid only until the next Recv/RecvMessage, and
-// callers that retain it (or slices of it) past that window must copy
-// first. The frame is decrypted in place, so the steady state reads,
-// authenticates and decrypts with zero heap allocations.
+// scratch: it is valid only until the next Recv, and callers that
+// retain it (or slices of it) past that window must copy first. The
+// frame is decrypted in place, so the steady state reads, authenticates
+// and decrypts with zero heap allocations.
 func (c *Channel) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
@@ -303,22 +260,6 @@ func (c *Channel) Recv() ([]byte, error) {
 	}
 	c.bytesIn.Add(int64(len(frame)) + frameHeaderLen)
 	return payload, nil
-}
-
-// RecvMessage receives and unmarshals a protocol message. Unlike the
-// raw Recv, the returned message owns all of its memory (retained byte
-// fields are copied out of the receive scratch), so it may be held
-// across subsequent Recv calls.
-func (c *Channel) RecvMessage() (Message, error) {
-	payload, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	m, err := Unmarshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	return OwnMessage(m), nil
 }
 
 // trimScratch retains a grown scratch buffer for reuse, dropping it
@@ -453,26 +394,11 @@ func ClientHandshake(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasuremen
 // ClientHandshakeTrust is ClientHandshake that additionally accepts a
 // remote server on a platform in the trust set (remote attestation).
 func ClientHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasurement enclave.Measurement, trust *Trust) (*Channel, error) {
-	return ClientHandshakeVersion(conn, e, peerMeasurement, trust, MaxProtocol)
-}
-
-// ClientHandshakeVersion is ClientHandshakeTrust with an explicit
-// highest offered protocol version, used to pin a client to ProtocolV1
-// for compatibility testing or conservative rollouts.
-func ClientHandshakeVersion(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasurement enclave.Measurement, trust *Trust, maxVersion int) (*Channel, error) {
-	return ClientHandshakeOptions(conn, e, peerMeasurement, trust, maxVersion, DefaultFeatures)
-}
-
-// ClientHandshakeOptions is ClientHandshakeVersion with an explicit
-// optional-feature offer (zero offers nothing, reproducing a peer that
-// predates the feature byte).
-func ClientHandshakeOptions(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasurement enclave.Measurement, trust *Trust, maxVersion int, features Feature) (*Channel, error) {
-	maxVersion = clampVersion(maxVersion)
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("wire: keygen: %w", err)
 	}
-	clientHello, err := makeHello(e, peerMeasurement, helloData(priv, maxVersion, features))
+	clientHello, err := makeHello(e, peerMeasurement, helloData(priv))
 	if err != nil {
 		return nil, err
 	}
@@ -495,8 +421,10 @@ func ClientHandshakeOptions(conn io.ReadWriteCloser, e *enclave.Enclave, peerMea
 	if peerMeas != peerMeasurement {
 		return nil, ErrPeerRejected
 	}
-	version := negotiate(maxVersion, peerData)
-	return deriveChannel(conn, priv, peerMeas, peerData, true, version, negotiateFeatures(features, peerData, version))
+	if err := checkVersion(peerData); err != nil {
+		return nil, err
+	}
+	return deriveChannel(conn, priv, peerMeas, peerData, true)
 }
 
 // ServerHandshake accepts a channel at the enclave e from a client on
@@ -509,21 +437,6 @@ func ServerHandshake(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(en
 // ServerHandshakeTrust is ServerHandshake that additionally accepts
 // remote clients on platforms in the trust set (remote attestation).
 func ServerHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(enclave.Measurement) bool, trust *Trust) (*Channel, error) {
-	return ServerHandshakeVersion(conn, e, accept, trust, MaxProtocol)
-}
-
-// ServerHandshakeVersion is ServerHandshakeTrust with an explicit
-// highest offered protocol version, used to pin a server to ProtocolV1
-// for compatibility testing or conservative rollouts.
-func ServerHandshakeVersion(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(enclave.Measurement) bool, trust *Trust, maxVersion int) (*Channel, error) {
-	return ServerHandshakeOptions(conn, e, accept, trust, maxVersion, DefaultFeatures)
-}
-
-// ServerHandshakeOptions is ServerHandshakeVersion with an explicit
-// optional-feature offer (zero offers nothing, reproducing a peer that
-// predates the feature byte).
-func ServerHandshakeOptions(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(enclave.Measurement) bool, trust *Trust, maxVersion int, features Feature) (*Channel, error) {
-	maxVersion = clampVersion(maxVersion)
 	frame, err := readHelloFrame(conn)
 	if err != nil {
 		return nil, fmt.Errorf("wire: read client hello: %w", err)
@@ -539,78 +452,50 @@ func ServerHandshakeOptions(conn io.ReadWriteCloser, e *enclave.Enclave, accept 
 	if accept != nil && !accept(clientMeas) {
 		return nil, ErrPeerRejected
 	}
-
-	// Negotiate down to what both sides speak; echo the agreed version
-	// and feature set in the server hello so the client adopts the same
-	// values.
-	version := negotiate(maxVersion, clientData)
-	agreed := negotiateFeatures(features, clientData, version)
+	if err := checkVersion(clientData); err != nil {
+		return nil, err
+	}
 
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("wire: keygen: %w", err)
 	}
-	serverHello, err := makeHello(e, clientMeas, helloData(priv, version, agreed))
+	serverHello, err := makeHello(e, clientMeas, helloData(priv))
 	if err != nil {
 		return nil, err
 	}
 	if err := WriteFrame(conn, serverHello.marshal()); err != nil {
 		return nil, fmt.Errorf("wire: send server hello: %w", err)
 	}
-	return deriveChannel(conn, priv, clientMeas, clientData, false, version, agreed)
+	return deriveChannel(conn, priv, clientMeas, clientData, false)
 }
 
-// clampVersion bounds a caller-requested version offer to what this
-// build implements.
-func clampVersion(v int) int {
-	if v < ProtocolV1 {
-		return ProtocolV1
-	}
-	if v > MaxProtocol {
-		return MaxProtocol
-	}
-	return v
-}
+// helloVersionByte is where the hello's key-exchange data carries the
+// protocol version, directly after the 32-byte X25519 public key.
+const helloVersionByte = 32
 
 // helloData builds the hello's key-exchange data: the X25519 public key
-// in bytes 0-31, the offered protocol version in byte 32 and the
-// offered optional-feature bits in byte 33. All are covered by the
-// attestation report MAC, so neither the version nor the feature set
-// can be stripped by a network adversary.
-func helloData(priv *ecdh.PrivateKey, version int, features Feature) []byte {
-	data := make([]byte, 34)
+// and ProtocolVersion. Both are covered by the attestation report MAC,
+// so a network adversary cannot rewrite the version.
+func helloData(priv *ecdh.PrivateKey) []byte {
+	data := make([]byte, helloVersionByte+1)
 	copy(data, priv.PublicKey().Bytes())
-	data[32] = byte(version)
-	data[33] = byte(features)
+	data[helloVersionByte] = ProtocolVersion
 	return data
 }
 
-// negotiate picks the protocol version for a channel: the lower of our
-// offer and the peer's advertised version, where a zero byte (a peer
-// predating negotiation) reads as ProtocolV1.
-func negotiate(ours int, peerData [64]byte) int {
-	peer := int(peerData[32])
-	if peer < ProtocolV1 {
-		peer = ProtocolV1
+// checkVersion refuses an attested peer that speaks any protocol
+// version but ours (a zero byte is a peer predating the version byte).
+// The refusal is deterministic — re-dialing the same peer meets the
+// same byte — so it wraps ErrPeerRejected, which no caller retries.
+func checkVersion(peerData [64]byte) error {
+	if v := peerData[helloVersionByte]; v != ProtocolVersion {
+		return fmt.Errorf("%w: peer speaks protocol version %d, this build speaks only %d", ErrPeerRejected, v, ProtocolVersion)
 	}
-	if peer < ours {
-		return peer
-	}
-	return ours
+	return nil
 }
 
-// negotiateFeatures intersects our feature offer with the peer's
-// (byte 33 of the key-exchange data; zero for peers predating it).
-// Features only exist on the enveloped v2 protocol, so a v1 channel
-// never carries any.
-func negotiateFeatures(ours Feature, peerData [64]byte, version int) Feature {
-	if version < ProtocolV2 {
-		return 0
-	}
-	return ours & Feature(peerData[33])
-}
-
-func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas enclave.Measurement, peerData [64]byte, isClient bool, version int, features Feature) (*Channel, error) {
+func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas enclave.Measurement, peerData [64]byte, isClient bool) (*Channel, error) {
 	peerPub, err := ecdh.X25519().NewPublicKey(peerData[:32])
 	if err != nil {
 		return nil, fmt.Errorf("wire: peer public key: %w", err)
@@ -634,7 +519,7 @@ func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas encl
 		mle.Zeroize(s2cKey)
 		return nil, err
 	}
-	ch := &Channel{conn: conn, peer: peerMeas, rekeyEvery: rekeyInterval, version: version, features: features}
+	ch := &Channel{conn: conn, peer: peerMeas, rekeyEvery: rekeyInterval}
 	if isClient {
 		ch.send, ch.recv = c2s, s2c
 		ch.sendKey, ch.recvKey = c2sKey, s2cKey

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
 	"testing"
@@ -10,53 +11,77 @@ import (
 )
 
 // FuzzUnmarshal: arbitrary bytes must never panic the message decoder,
-// and decodable messages must re-marshal to an equivalent message.
+// and the count-free format is canonical — every accepted input
+// re-encodes to exactly the bytes it was decoded from, so nothing a
+// decoder accepts (trailing garbage, item MaxBatchItems+1) can hide
+// outside the decoded message.
 func FuzzUnmarshal(f *testing.F) {
+	blob := mle.Sealed{Blob: []byte("b")}
 	f.Add([]byte{})
-	f.Add(Marshal(GetRequest{Tag: mle.Tag{1, 2, 3}}))
-	f.Add(Marshal(GetResponse{Found: true, Sealed: mle.Sealed{
-		Challenge:  []byte("rrrr"),
-		WrappedKey: []byte("kkkk"),
-		Blob:       []byte("blob"),
-	}}))
-	f.Add(Marshal(PutRequest{Tag: mle.Tag{9}, Replace: true, Sealed: mle.Sealed{Blob: []byte("b")}}))
-	f.Add(Marshal(PutResponse{OK: false, Err: "quota"}))
-	f.Add(Marshal(BatchGetRequest{Tags: []mle.Tag{{1}, {2}}}))
-	f.Add(Marshal(BatchGetResponse{Results: []GetResult{
-		{Found: true, Sealed: mle.Sealed{Blob: []byte("b")}},
+	f.Add(Marshal(GetRequest{}))
+	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1, 2, 3}}}))
+	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1}, {2}}}))
+	f.Add(Marshal(GetResponse{Results: []GetResult{
+		{Found: true, Sealed: mle.Sealed{
+			Challenge:  []byte("rrrr"),
+			WrappedKey: []byte("kkkk"),
+			Blob:       []byte("blob"),
+		}},
 		{Found: false},
 	}}))
-	f.Add(Marshal(BatchPutRequest{Items: []PutItem{
-		{Tag: mle.Tag{3}, Sealed: mle.Sealed{Blob: []byte("b")}, Replace: true},
-	}}))
-	f.Add(Marshal(BatchPutResponse{Results: []PutResult{{OK: true}, {OK: false, Err: "quota"}}}))
+	f.Add(Marshal(PutRequest{Items: []PutItem{{Tag: mle.Tag{9}, Replace: true, Sealed: blob}, {Tag: mle.Tag{3}, Sealed: blob}}}))
+	f.Add(Marshal(PutResponse{Results: []PutResult{{OK: true}, {OK: false, Err: "quota"}}}))
+	f.Add(Marshal(HasRequest{Tags: []mle.Tag{{7}}}))
+	f.Add(Marshal(HasResponse{Present: []bool{true, false}}))
+	f.Add(Marshal(SyncPullRequest{MinHits: 2, Max: 10}))
+	f.Add(Marshal(SyncPullResponse{Entries: []SyncEntry{{Tag: mle.Tag{5}, Hits: 3, Sealed: blob}}}))
+	f.Add(append(Marshal(GetResponse{Results: []GetResult{{}}}), 0xFF))
+	f.Add(repeatItem(HasResponse{Present: []bool{true}}, MaxBatchItems+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
-		again, err := Unmarshal(Marshal(msg))
-		if err != nil {
-			t.Fatalf("re-unmarshal of valid message failed: %v", err)
+		if again := Marshal(msg); !bytes.Equal(again, data) {
+			t.Fatalf("accepted input is not canonical:\n in  %x\n out %x", data, again)
 		}
-		if again.Kind() != msg.Kind() {
-			t.Fatalf("kind changed across round trip: %v -> %v", msg.Kind(), again.Kind())
+		if n := itemCount(msg); n > MaxBatchItems {
+			t.Fatalf("%v decoded %d items, limit %d", msg.Kind(), n, MaxBatchItems)
 		}
 	})
+}
+
+// itemCount is the length of a message's item sequence.
+func itemCount(m Message) int {
+	switch v := m.(type) {
+	case GetRequest:
+		return len(v.Tags)
+	case GetResponse:
+		return len(v.Results)
+	case PutRequest:
+		return len(v.Items)
+	case PutResponse:
+		return len(v.Results)
+	case HasRequest:
+		return len(v.Tags)
+	case HasResponse:
+		return len(v.Present)
+	case SyncPullResponse:
+		return len(v.Entries)
+	}
+	return 0
 }
 
 // FuzzParseHello: arbitrary handshake frames must never panic.
 func FuzzParseHello(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
-	// A structurally valid hello advertising an unknown future protocol
-	// version, so mutations explore the negotiation byte.
+	// A structurally valid hello, so mutations explore the report, the
+	// quote and the version byte.
 	p := enclave.NewPlatform(enclave.Config{})
 	if e, err := p.Create("fuzz", []byte("code")); err == nil {
 		if priv, err := ecdh.X25519().GenerateKey(rand.Reader); err == nil {
-			data := helloData(priv, ProtocolV2, DefaultFeatures)
-			data[32] = 9
-			if h, err := makeHello(e, enclave.Measurement{}, data); err == nil {
+			if h, err := makeHello(e, enclave.Measurement{}, helloData(priv)); err == nil {
 				f.Add(h.marshal())
 			}
 		}
@@ -66,61 +91,23 @@ func FuzzParseHello(f *testing.F) {
 	})
 }
 
-// FuzzNegotiate: version negotiation must always land on a version this
-// build speaks, never exceed our own offer, and agree with the echo the
-// server would send back.
-func FuzzNegotiate(f *testing.F) {
-	f.Add(2, byte(2))
-	f.Add(1, byte(0))
-	f.Add(2, byte(9))
-	f.Add(0, byte(1))
-	f.Fuzz(func(t *testing.T, ours int, peer byte) {
-		ours = clampVersion(ours)
-		var peerData [64]byte
-		peerData[32] = peer
-		got := negotiate(ours, peerData)
-		if got < ProtocolV1 || got > MaxProtocol {
-			t.Fatalf("negotiate(%d, peer=%d) = %d, outside [%d, %d]", ours, peer, got, ProtocolV1, MaxProtocol)
-		}
-		if got > ours {
-			t.Fatalf("negotiate(%d, peer=%d) = %d exceeds our offer", ours, peer, got)
-		}
-		// The server echoes the agreed version; re-negotiating against
-		// that echo must be stable on both ends.
-		var echo [64]byte
-		echo[32] = byte(got)
-		if again := negotiate(ours, echo); again != got {
-			t.Fatalf("negotiation unstable: %d then %d", got, again)
-		}
-		if peer >= 1 && int(peer) <= MaxProtocol {
-			if client := negotiate(int(peer), echo); client != got {
-				t.Fatalf("peer offering %d would settle on %d, server on %d", peer, client, got)
-			}
-		}
-	})
-}
-
-// FuzzUnmarshalEnvelope: arbitrary v2 frames must never panic, and
-// decodable envelopes must round trip with the request ID intact.
+// FuzzUnmarshalEnvelope: arbitrary frames must never panic, and the
+// envelope — like the messages inside it — is canonical: an accepted
+// frame re-encodes to the same bytes.
 func FuzzUnmarshalEnvelope(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(MarshalEnvelope(0, GetRequest{Tag: mle.Tag{1}}))
-	f.Add(MarshalEnvelope(^uint64(0), BatchGetRequest{Tags: []mle.Tag{{2}, {3}}}))
-	f.Add(MarshalEnvelope(42, BatchPutResponse{Results: []PutResult{{OK: true}}}))
+	f.Add(AppendEnvelope(nil, 0, TraceContext{}, GetRequest{Tags: []mle.Tag{{1}}}))
+	f.Add(AppendEnvelope(nil, ^uint64(0), TraceContext{}, GetRequest{Tags: []mle.Tag{{2}, {3}}}))
+	f.Add(AppendEnvelope(nil, 42, TraceContext{ID: [16]byte{2}, Parent: 3, Sampled: true},
+		PutResponse{Results: []PutResult{{OK: true}}}))
+	f.Add(append(AppendEnvelope(nil, 1, TraceContext{}, HasResponse{Present: []bool{true}}), 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, msg, err := UnmarshalEnvelope(data)
+		id, tc, msg, err := UnmarshalEnvelope(data)
 		if err != nil {
 			return
 		}
-		id2, msg2, err := UnmarshalEnvelope(MarshalEnvelope(id, msg))
-		if err != nil {
-			t.Fatalf("re-unmarshal of valid envelope failed: %v", err)
-		}
-		if id2 != id {
-			t.Fatalf("request ID changed across round trip: %d -> %d", id, id2)
-		}
-		if msg2.Kind() != msg.Kind() {
-			t.Fatalf("kind changed across round trip: %v -> %v", msg.Kind(), msg2.Kind())
+		if again := AppendEnvelope(nil, id, tc, msg); !bytes.Equal(again, data) {
+			t.Fatalf("accepted envelope is not canonical:\n in  %x\n out %x", data, again)
 		}
 	})
 }

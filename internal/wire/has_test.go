@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -10,8 +9,8 @@ import (
 
 func TestHasBatchMessageRoundTrips(t *testing.T) {
 	msgs := []Message{
-		HasBatchRequest{Tags: []mle.Tag{mustTag(0x01), mustTag(0x02), mustTag(0x03)}},
-		HasBatchResponse{Present: []bool{true, false, true}},
+		HasRequest{Tags: []mle.Tag{mustTag(0x01), mustTag(0x02), mustTag(0x03)}},
+		HasResponse{Present: []bool{true, false, true}},
 	}
 	for _, m := range msgs {
 		got, err := Unmarshal(Marshal(m))
@@ -19,8 +18,8 @@ func TestHasBatchMessageRoundTrips(t *testing.T) {
 			t.Fatalf("%v: Unmarshal: %v", m.Kind(), err)
 		}
 		switch want := m.(type) {
-		case HasBatchRequest:
-			gm := got.(HasBatchRequest)
+		case HasRequest:
+			gm := got.(HasRequest)
 			if len(gm.Tags) != len(want.Tags) {
 				t.Fatalf("tag count = %d, want %d", len(gm.Tags), len(want.Tags))
 			}
@@ -29,8 +28,8 @@ func TestHasBatchMessageRoundTrips(t *testing.T) {
 					t.Fatalf("tag %d differs", i)
 				}
 			}
-		case HasBatchResponse:
-			gm := got.(HasBatchResponse)
+		case HasResponse:
+			gm := got.(HasResponse)
 			if len(gm.Present) != len(want.Present) {
 				t.Fatalf("present count = %d, want %d", len(gm.Present), len(want.Present))
 			}
@@ -43,17 +42,17 @@ func TestHasBatchMessageRoundTrips(t *testing.T) {
 	}
 
 	// Empty messages round-trip to empty.
-	for _, m := range []Message{HasBatchRequest{}, HasBatchResponse{}} {
+	for _, m := range []Message{HasRequest{}, HasResponse{}} {
 		got, err := Unmarshal(Marshal(m))
 		if err != nil {
 			t.Fatalf("%v: Unmarshal: %v", m.Kind(), err)
 		}
 		switch gm := got.(type) {
-		case HasBatchRequest:
+		case HasRequest:
 			if len(gm.Tags) != 0 {
 				t.Fatalf("empty request decoded %d tags", len(gm.Tags))
 			}
-		case HasBatchResponse:
+		case HasResponse:
 			if len(gm.Present) != 0 {
 				t.Fatalf("empty response decoded %d flags", len(gm.Present))
 			}
@@ -62,57 +61,19 @@ func TestHasBatchMessageRoundTrips(t *testing.T) {
 }
 
 func TestHasBatchUnmarshalRejectsMalformed(t *testing.T) {
-	overCount := binary.BigEndian.AppendUint32([]byte{byte(KindHasBatchRequest)}, MaxBatchItems+1)
 	tests := []struct {
 		name string
 		b    []byte
 	}{
-		{"request missing count", []byte{byte(KindHasBatchRequest), 0, 0}},
-		{"request count over limit", overCount},
-		{"request short tags", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindHasBatchRequest)}, 2),
-			make([]byte, mle.TagSize)...)},
-		{"request trailing bytes", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindHasBatchRequest)}, 1),
-			make([]byte, mle.TagSize+1)...)},
-		{"response missing count", []byte{byte(KindHasBatchResponse), 0}},
-		{"response truncated", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindHasBatchResponse)}, 2),
-			1)},
-		{"response bad bool", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindHasBatchResponse)}, 1),
-			7)},
-		{"response trailing bytes", append(
-			binary.BigEndian.AppendUint32([]byte{byte(KindHasBatchResponse)}, 1),
-			1, 0xFF)},
+		{"request partial tag", []byte{byte(KindHasRequest), 0, 0}},
+		{"request partial second tag", append(
+			Marshal(HasRequest{Tags: []mle.Tag{mustTag(1)}}), 0xFF)},
+		{"response bad bool", []byte{byte(KindHasResponse), 7}},
+		{"response trailing garbage", []byte{byte(KindHasResponse), 1, 0xFF}},
 	}
 	for _, tt := range tests {
 		if _, err := Unmarshal(tt.b); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: Unmarshal = %v, want ErrMalformed", tt.name, err)
 		}
-	}
-}
-
-// TestFeatureChunkingNegotiation pins the chunking capability to the
-// same intersection rule as every other feature bit: both sides must
-// offer it, and a v1 channel strips it entirely.
-func TestFeatureChunkingNegotiation(t *testing.T) {
-	mkPeer := func(features byte) [64]byte {
-		var d [64]byte
-		d[32] = byte(ProtocolV2)
-		d[33] = features
-		return d
-	}
-	if got := negotiateFeatures(DefaultFeatures, mkPeer(byte(DefaultFeatures)), ProtocolV2); got&FeatureChunking == 0 {
-		t.Errorf("both offer chunking: got %#x, want FeatureChunking set", got)
-	}
-	if got := negotiateFeatures(DefaultFeatures, mkPeer(byte(FeatureTrace)), ProtocolV2); got&FeatureChunking != 0 {
-		t.Errorf("peer without chunking: got %#x, want FeatureChunking clear", got)
-	}
-	if got := negotiateFeatures(FeatureTrace, mkPeer(byte(DefaultFeatures)), ProtocolV2); got&FeatureChunking != 0 {
-		t.Errorf("we don't offer chunking: got %#x, want FeatureChunking clear", got)
-	}
-	if got := negotiateFeatures(DefaultFeatures, mkPeer(byte(DefaultFeatures)), ProtocolV1); got != 0 {
-		t.Errorf("v1 channel: got %#x, want no features", got)
 	}
 }

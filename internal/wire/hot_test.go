@@ -113,13 +113,13 @@ func TestChannelSendRecvZeroAlloc(t *testing.T) {
 
 func TestChannelMessageSendZeroAlloc(t *testing.T) {
 	client, server := hotChannelPair(t)
-	// Box the messages once: passing a concrete struct to SendMessage in
+	// Box the messages once: passing a concrete struct to SendEnvelope in
 	// the loop would itself allocate the interface value.
-	var req Message = GetRequest{Tag: mle.Tag{1, 2, 3}}
-	var resp Message = GetResponse{Found: true, Sealed: getHitSealed()}
+	var req Message = GetRequest{Tags: []mle.Tag{{1, 2, 3}}}
+	var resp Message = GetResponse{Results: []GetResult{{Found: true, Sealed: getHitSealed()}}}
 
 	roundTrip := func() {
-		if err := client.SendMessage(req); err != nil {
+		if err := client.SendEnvelope(7, req); err != nil {
 			t.Fatalf("send request: %v", err)
 		}
 		if _, err := server.Recv(); err != nil {
@@ -136,21 +136,21 @@ func TestChannelMessageSendZeroAlloc(t *testing.T) {
 		roundTrip()
 	}
 	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
-		t.Errorf("SendMessage/SendEnvelope round trip allocates %v times per op, want 0", n)
+		t.Errorf("SendEnvelope round trip allocates %v times per op, want 0", n)
 	}
 }
 
 func TestAppendMarshalZeroAlloc(t *testing.T) {
-	var msg Message = GetResponse{Found: true, Sealed: getHitSealed()}
+	var msg Message = GetResponse{Results: []GetResult{{Found: true, Sealed: getHitSealed()}}}
 	buf := AppendMarshal(nil, msg) // size the scratch
 	if n := testing.AllocsPerRun(100, func() {
 		buf = AppendMarshal(buf[:0], msg)
 	}); n != 0 {
 		t.Errorf("AppendMarshal into sized scratch allocates %v times per op, want 0", n)
 	}
-	env := AppendEnvelope(nil, 1, msg)
+	env := AppendEnvelope(nil, 1, TraceContext{}, msg)
 	if n := testing.AllocsPerRun(100, func() {
-		env = AppendEnvelope(env[:0], 42, msg)
+		env = AppendEnvelope(env[:0], 42, TraceContext{}, msg)
 	}); n != 0 {
 		t.Errorf("AppendEnvelope into sized scratch allocates %v times per op, want 0", n)
 	}
@@ -204,24 +204,24 @@ func TestRecvPayloadValidUntilNextRecv(t *testing.T) {
 		t.Error("Recv payload survived a subsequent Recv; expected scratch reuse")
 	}
 
-	// RecvMessage, by contrast, returns an owning message.
-	var put Message = PutRequest{Tag: mle.Tag{9}, Sealed: getHitSealed()}
-	if err := client.SendMessage(put); err != nil {
+	// A decoded message detached with OwnMessage, by contrast, survives.
+	put := PutRequest{Items: []PutItem{{Tag: mle.Tag{9}, Sealed: getHitSealed()}}}
+	if err := client.SendEnvelope(1, put); err != nil {
 		t.Fatal(err)
 	}
-	got1, err := server.RecvMessage()
+	_, got1, err := recvEnvelope(server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := append([]byte(nil), got1.(PutRequest).Sealed.Blob...)
-	if err := client.SendMessage(Message(PutRequest{Tag: mle.Tag{8}, Sealed: mle.Sealed{Blob: bytes.Repeat([]byte{0xFF}, 4096+mle.ChallengeSize+mle.KeySize+20)}})); err != nil {
+	blob := bytes.Clone(got1.(PutRequest).Items[0].Sealed.Blob)
+	if err := client.SendEnvelope(2, PutRequest{Items: []PutItem{{Tag: mle.Tag{8}, Sealed: mle.Sealed{Blob: bytes.Repeat([]byte{0xFF}, 4096+mle.ChallengeSize+mle.KeySize+20)}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.RecvMessage(); err != nil {
+	if _, _, err := recvEnvelope(server); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got1.(PutRequest).Sealed.Blob, blob) {
-		t.Error("RecvMessage result mutated by a subsequent receive; OwnMessage failed to detach it")
+	if !bytes.Equal(got1.(PutRequest).Items[0].Sealed.Blob, blob) {
+		t.Error("owned message mutated by a subsequent receive; OwnMessage failed to detach it")
 	}
 }
 
@@ -234,10 +234,8 @@ func TestOwnMessageDetaches(t *testing.T) {
 		Blob:       []byte{3, 3, 3},
 	}
 	msgs := []Message{
-		GetResponse{Found: true, Sealed: sealed},
-		PutRequest{Tag: mle.Tag{4}, Sealed: sealed},
-		BatchGetResponse{Results: []GetResult{{Found: true, Sealed: sealed}}},
-		BatchPutRequest{Items: []PutItem{{Tag: mle.Tag{5}, Sealed: sealed}}},
+		GetResponse{Results: []GetResult{{Found: true, Sealed: sealed}, {Found: true, Sealed: sealed}}},
+		PutRequest{Items: []PutItem{{Tag: mle.Tag{4}, Sealed: sealed}, {Tag: mle.Tag{5}, Sealed: sealed}}},
 		SyncPullResponse{Entries: []SyncEntry{{Tag: mle.Tag{6}, Hits: 7, Sealed: sealed}}},
 	}
 	for _, m := range msgs {
@@ -431,12 +429,12 @@ var benchSink int
 // baseline.
 func BenchmarkChannelRoundTrip(b *testing.B) {
 	client, server := hotChannelPair(b)
-	var req Message = GetRequest{Tag: mle.Tag{1, 2, 3}}
-	var resp Message = GetResponse{Found: true, Sealed: getHitSealed()}
+	var req Message = GetRequest{Tags: []mle.Tag{{1, 2, 3}}}
+	var resp Message = GetResponse{Results: []GetResult{{Found: true, Sealed: getHitSealed()}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.SendMessage(req); err != nil {
+		if err := client.SendEnvelope(uint64(i), req); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := server.Recv(); err != nil {
@@ -475,7 +473,7 @@ func BenchmarkHotSend(b *testing.B) {
 // BenchmarkHotAppendMarshal measures message encoding into reused
 // scratch for a GET-hit-sized response.
 func BenchmarkHotAppendMarshal(b *testing.B) {
-	var msg Message = GetResponse{Found: true, Sealed: getHitSealed()}
+	var msg Message = GetResponse{Results: []GetResult{{Found: true, Sealed: getHitSealed()}}}
 	buf := AppendMarshal(nil, msg)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()

@@ -16,63 +16,50 @@ import (
 // Kind discriminates message types on the wire.
 type Kind uint8
 
-// Message kinds. GET checks for and fetches a stored result by tag;
-// PUT uploads a freshly computed, encrypted result. The batch kinds
-// (protocol v2) carry many GETs or PUTs in one round trip, the sync
-// kinds let a cluster syncer pull a store's popular entries for
-// re-placement on other stores (Section IV-B master synchronization),
-// and the has kinds probe tag existence without fetching (chunked
-// dedup's missing-chunk transfer; only sent on channels that
-// negotiated FeatureChunking).
+// Message kinds. GET checks for and fetches stored results by tag; PUT
+// uploads freshly computed, encrypted results; HAS probes tag existence
+// without fetching (chunked dedup's missing-chunk transfer); SYNC_PULL
+// lets a cluster syncer pull a store's popular entries for re-placement
+// on other stores (Section IV-B master synchronization). Every GET, PUT
+// and HAS carries a sequence of items — the paper's single request is a
+// sequence of one.
 const (
 	KindGetRequest Kind = iota + 1
 	KindGetResponse
 	KindPutRequest
 	KindPutResponse
-	KindBatchGetRequest
-	KindBatchGetResponse
-	KindBatchPutRequest
-	KindBatchPutResponse
+	KindHasRequest
+	KindHasResponse
 	KindSyncPullRequest
 	KindSyncPullResponse
-	KindHasBatchRequest
-	KindHasBatchResponse
 )
+
+var kindNames = [...]string{
+	KindGetRequest:       "GET_REQUEST",
+	KindGetResponse:      "GET_RESPONSE",
+	KindPutRequest:       "PUT_REQUEST",
+	KindPutResponse:      "PUT_RESPONSE",
+	KindHasRequest:       "HAS_REQUEST",
+	KindHasResponse:      "HAS_RESPONSE",
+	KindSyncPullRequest:  "SYNC_PULL_REQUEST",
+	KindSyncPullResponse: "SYNC_PULL_RESPONSE",
+}
 
 // String implements fmt.Stringer for diagnostics.
 func (k Kind) String() string {
-	switch k {
-	case KindGetRequest:
-		return "GET_REQUEST"
-	case KindGetResponse:
-		return "GET_RESPONSE"
-	case KindPutRequest:
-		return "PUT_REQUEST"
-	case KindPutResponse:
-		return "PUT_RESPONSE"
-	case KindBatchGetRequest:
-		return "BATCH_GET_REQUEST"
-	case KindBatchGetResponse:
-		return "BATCH_GET_RESPONSE"
-	case KindBatchPutRequest:
-		return "BATCH_PUT_REQUEST"
-	case KindBatchPutResponse:
-		return "BATCH_PUT_RESPONSE"
-	case KindSyncPullRequest:
-		return "SYNC_PULL_REQUEST"
-	case KindSyncPullResponse:
-		return "SYNC_PULL_RESPONSE"
-	case KindHasBatchRequest:
-		return "HAS_BATCH_REQUEST"
-	case KindHasBatchResponse:
-		return "HAS_BATCH_RESPONSE"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // ErrMalformed is returned when a payload cannot be decoded.
 var ErrMalformed = errors.New("wire: malformed message")
+
+// MaxBatchItems bounds the items of one message, protecting the peer
+// from a single frame that expands into unbounded work. Longer
+// sequences must be split by the caller.
+const MaxBatchItems = 4096
 
 // Message is implemented by all protocol messages.
 type Message interface {
@@ -82,34 +69,73 @@ type Message interface {
 	appendTo(buf []byte) []byte
 }
 
-// GetRequest asks whether the computation with the given tag has been
-// done before (Algorithm 1 line 2 / Algorithm 2 line 2).
+// A message body is its items back to back, with no count prefix: every
+// item is self-delimiting (fixed-size tags; bools and length-prefixed
+// fields), so a decoder reads items until the frame is exhausted and a
+// message of one item is exactly the paper's single request. Responses
+// answer requests by position; a response may answer only a prefix of
+// its request (see DESIGN.md, "The wire protocol"), and the requester
+// asks again for the rest.
+
+// GetRequest asks whether the computations with the given tags have
+// been done before (Algorithm 1 line 2 / Algorithm 2 line 2).
 type GetRequest struct {
-	Tag mle.Tag
+	Tags []mle.Tag
 }
 
-// GetResponse answers a GetRequest. When Found is true it carries the
-// (r, [k], [res]) triple of Algorithm 2 line 3.
-type GetResponse struct {
+// GetResult answers one tag of a GetRequest. When Found is true it
+// carries the (r, [k], [res]) triple of Algorithm 2 line 3.
+type GetResult struct {
 	Found  bool
 	Sealed mle.Sealed
 }
 
-// PutRequest uploads (t, r, [k], [res]) for storage (Algorithm 1
-// line 10). Replace requests that any existing entry for the tag be
-// overwritten, used after a stored entry failed the verification
-// protocol at the application.
-type PutRequest struct {
+// GetResponse answers a GetRequest; Results[i] answers Tags[i].
+type GetResponse struct {
+	Results []GetResult
+}
+
+// PutItem uploads (t, r, [k], [res]) for storage (Algorithm 1 line 10).
+// Replace requests that any existing entry for the tag be overwritten,
+// used after a stored entry failed the verification protocol at the
+// application.
+type PutItem struct {
 	Tag     mle.Tag
 	Sealed  mle.Sealed
 	Replace bool
 }
 
-// PutResponse acknowledges a PutRequest. Err is a human-readable reason
+// PutRequest uploads its items in order.
+type PutRequest struct {
+	Items []PutItem
+}
+
+// PutResult acknowledges one PutItem. Err is a human-readable reason
 // when OK is false (e.g. quota exceeded).
-type PutResponse struct {
+type PutResult struct {
 	OK  bool
 	Err string
+}
+
+// PutResponse answers a PutRequest; Results[i] answers Items[i].
+type PutResponse struct {
+	Results []PutResult
+}
+
+// HasRequest asks which of the given tags the store currently holds,
+// without fetching payloads or counting as hits — the question a
+// chunked PUT and the cluster syncer ask before transferring sealed
+// chunks, so that only missing chunks cross the wire. The answer is a
+// hint, not a promise: an entry can expire or be evicted between the
+// probe and a later GET, and callers must treat a stale "present" as a
+// miss discovered at reassembly time.
+type HasRequest struct {
+	Tags []mle.Tag
+}
+
+// HasResponse answers a HasRequest; Present[i] answers Tags[i].
+type HasResponse struct {
+	Present []bool
 }
 
 // Kind implements Message.
@@ -123,6 +149,12 @@ func (PutRequest) Kind() Kind { return KindPutRequest }
 
 // Kind implements Message.
 func (PutResponse) Kind() Kind { return KindPutResponse }
+
+// Kind implements Message.
+func (HasRequest) Kind() Kind { return KindHasRequest }
+
+// Kind implements Message.
+func (HasResponse) Kind() Kind { return KindHasResponse }
 
 // Marshal serialises a message, prefixing its kind byte.
 func Marshal(m Message) []byte {
@@ -153,113 +185,184 @@ func Unmarshal(b []byte) (Message, error) {
 		return decodePutRequest(body)
 	case KindPutResponse:
 		return decodePutResponse(body)
-	case KindBatchGetRequest:
-		return decodeBatchGetRequest(body)
-	case KindBatchGetResponse:
-		return decodeBatchGetResponse(body)
-	case KindBatchPutRequest:
-		return decodeBatchPutRequest(body)
-	case KindBatchPutResponse:
-		return decodeBatchPutResponse(body)
+	case KindHasRequest:
+		return decodeHasRequest(body)
+	case KindHasResponse:
+		return decodeHasResponse(body)
 	case KindSyncPullRequest:
 		return decodeSyncPullRequest(body)
 	case KindSyncPullResponse:
 		return decodeSyncPullResponse(body)
-	case KindHasBatchRequest:
-		return decodeHasBatchRequest(body)
-	case KindHasBatchResponse:
-		return decodeHasBatchResponse(body)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, kind)
 	}
 }
 
-func (m GetRequest) appendTo(buf []byte) []byte {
-	return append(buf, m.Tag[:]...)
+// tooMany is the error for the item past MaxBatchItems.
+func tooMany(kind Kind) error {
+	return fmt.Errorf("%w: %v carries more than %d items", ErrMalformed, kind, MaxBatchItems)
 }
 
-func decodeGetRequest(b []byte) (GetRequest, error) {
-	var m GetRequest
-	if len(b) != mle.TagSize {
-		return m, fmt.Errorf("%w: GET_REQUEST length %d", ErrMalformed, len(b))
+func appendTags(buf []byte, tags []mle.Tag) []byte {
+	for i := range tags {
+		buf = append(buf, tags[i][:]...)
 	}
-	copy(m.Tag[:], b)
-	return m, nil
+	return buf
+}
+
+// readTags decodes a body that is nothing but tags.
+func readTags(b []byte, kind Kind) ([]mle.Tag, error) {
+	if len(b)%mle.TagSize != 0 {
+		return nil, fmt.Errorf("%w: %v body of %d bytes is not whole tags", ErrMalformed, kind, len(b))
+	}
+	n := len(b) / mle.TagSize
+	if n > MaxBatchItems {
+		return nil, tooMany(kind)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	tags := make([]mle.Tag, n)
+	for i := range tags {
+		copy(tags[i][:], b[i*mle.TagSize:])
+	}
+	return tags, nil
+}
+
+func (m GetRequest) appendTo(buf []byte) []byte { return appendTags(buf, m.Tags) }
+
+func decodeGetRequest(b []byte) (GetRequest, error) {
+	tags, err := readTags(b, KindGetRequest)
+	return GetRequest{Tags: tags}, err
 }
 
 func (m GetResponse) appendTo(buf []byte) []byte {
-	buf = appendBool(buf, m.Found)
-	return appendSealed(buf, m.Sealed)
+	for i := range m.Results {
+		buf = appendBool(buf, m.Results[i].Found)
+		buf = appendSealed(buf, m.Results[i].Sealed)
+	}
+	return buf
 }
 
 func decodeGetResponse(b []byte) (GetResponse, error) {
 	var m GetResponse
-	var err error
-	if m.Found, b, err = readBool(b); err != nil {
-		return m, err
-	}
-	if m.Sealed, b, err = readSealed(b); err != nil {
-		return m, err
-	}
-	if len(b) != 0 {
-		return m, fmt.Errorf("%w: trailing bytes in GET_RESPONSE", ErrMalformed)
+	for len(b) > 0 {
+		if len(m.Results) == MaxBatchItems {
+			return GetResponse{}, tooMany(KindGetResponse)
+		}
+		var r GetResult
+		var err error
+		if r.Found, b, err = readBool(b); err != nil {
+			return GetResponse{}, err
+		}
+		if r.Sealed, b, err = readSealed(b); err != nil {
+			return GetResponse{}, err
+		}
+		m.Results = append(m.Results, r)
 	}
 	return m, nil
 }
 
 func (m PutRequest) appendTo(buf []byte) []byte {
-	buf = append(buf, m.Tag[:]...)
-	buf = appendBool(buf, m.Replace)
-	return appendSealed(buf, m.Sealed)
+	for i := range m.Items {
+		it := &m.Items[i]
+		buf = append(buf, it.Tag[:]...)
+		buf = appendBool(buf, it.Replace)
+		buf = appendSealed(buf, it.Sealed)
+	}
+	return buf
 }
 
 func decodePutRequest(b []byte) (PutRequest, error) {
 	var m PutRequest
-	if len(b) < mle.TagSize {
-		return m, fmt.Errorf("%w: short PUT_REQUEST", ErrMalformed)
-	}
-	copy(m.Tag[:], b[:mle.TagSize])
-	b = b[mle.TagSize:]
-	var err error
-	if m.Replace, b, err = readBool(b); err != nil {
-		return m, err
-	}
-	if m.Sealed, b, err = readSealed(b); err != nil {
-		return m, err
-	}
-	if len(b) != 0 {
-		return m, fmt.Errorf("%w: trailing bytes in PUT_REQUEST", ErrMalformed)
+	for len(b) > 0 {
+		if len(m.Items) == MaxBatchItems {
+			return PutRequest{}, tooMany(KindPutRequest)
+		}
+		if len(b) < mle.TagSize {
+			return PutRequest{}, fmt.Errorf("%w: short PUT_REQUEST item", ErrMalformed)
+		}
+		var it PutItem
+		copy(it.Tag[:], b)
+		b = b[mle.TagSize:]
+		var err error
+		if it.Replace, b, err = readBool(b); err != nil {
+			return PutRequest{}, err
+		}
+		if it.Sealed, b, err = readSealed(b); err != nil {
+			return PutRequest{}, err
+		}
+		m.Items = append(m.Items, it)
 	}
 	return m, nil
 }
 
 func (m PutResponse) appendTo(buf []byte) []byte {
-	buf = appendBool(buf, m.OK)
-	return appendBytes(buf, []byte(m.Err))
+	for i := range m.Results {
+		buf = appendBool(buf, m.Results[i].OK)
+		buf = appendBytes(buf, []byte(m.Results[i].Err))
+	}
+	return buf
 }
 
 func decodePutResponse(b []byte) (PutResponse, error) {
 	var m PutResponse
-	var err error
-	if m.OK, b, err = readBool(b); err != nil {
-		return m, err
+	for len(b) > 0 {
+		if len(m.Results) == MaxBatchItems {
+			return PutResponse{}, tooMany(KindPutResponse)
+		}
+		var r PutResult
+		var msg []byte
+		var err error
+		if r.OK, b, err = readBool(b); err != nil {
+			return PutResponse{}, err
+		}
+		if msg, b, err = readBytes(b); err != nil {
+			return PutResponse{}, err
+		}
+		r.Err = string(msg)
+		m.Results = append(m.Results, r)
 	}
-	var msg []byte
-	if msg, b, err = readBytes(b); err != nil {
-		return m, err
+	return m, nil
+}
+
+func (m HasRequest) appendTo(buf []byte) []byte { return appendTags(buf, m.Tags) }
+
+func decodeHasRequest(b []byte) (HasRequest, error) {
+	tags, err := readTags(b, KindHasRequest)
+	return HasRequest{Tags: tags}, err
+}
+
+func (m HasResponse) appendTo(buf []byte) []byte {
+	for _, p := range m.Present {
+		buf = appendBool(buf, p)
 	}
-	if len(b) != 0 {
-		return m, fmt.Errorf("%w: trailing bytes in PUT_RESPONSE", ErrMalformed)
+	return buf
+}
+
+func decodeHasResponse(b []byte) (HasResponse, error) {
+	if len(b) > MaxBatchItems {
+		return HasResponse{}, tooMany(KindHasResponse)
 	}
-	m.Err = string(msg)
+	var m HasResponse
+	if len(b) > 0 {
+		m.Present = make([]bool, len(b))
+	}
+	for i := range m.Present {
+		var err error
+		if m.Present[i], b, err = readBool(b); err != nil {
+			return HasResponse{}, err
+		}
+	}
 	return m, nil
 }
 
 // OwnMessage makes a decoded message own all of its memory. Unmarshal
-// is zero-copy: decoded byte fields (the Sealed triples of GET/PUT and
-// their batch and sync variants) alias the input buffer, which for
-// Channel.Recv is the channel's receive scratch and only valid until
-// the next Recv. OwnMessage copies those fields so the message can be
+// is zero-copy: decoded byte fields (the Sealed triples of GET
+// responses, PUT requests and sync entries) alias the input buffer,
+// which for Channel.Recv is the channel's receive scratch and only
+// valid until the next Recv. OwnMessage copies those fields, in place
+// in the item slice the decoder allocated, so the message can be
 // retained indefinitely — it must be called before a decoded message
 // is stored or handed to another goroutine. Messages whose decoders
 // already copy everything (requests with fixed-size tags, responses
@@ -267,35 +370,19 @@ func decodePutResponse(b []byte) (PutResponse, error) {
 func OwnMessage(m Message) Message {
 	switch v := m.(type) {
 	case GetResponse:
-		v.Sealed = v.Sealed.Clone()
-		return v
+		for i := range v.Results {
+			v.Results[i].Sealed = v.Results[i].Sealed.Clone()
+		}
 	case PutRequest:
-		v.Sealed = v.Sealed.Clone()
-		return v
-	case BatchGetResponse:
-		results := make([]GetResult, len(v.Results))
-		for i, r := range v.Results {
-			results[i] = GetResult{Found: r.Found, Sealed: r.Sealed.Clone()}
+		for i := range v.Items {
+			v.Items[i].Sealed = v.Items[i].Sealed.Clone()
 		}
-		v.Results = results
-		return v
-	case BatchPutRequest:
-		items := make([]PutItem, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = PutItem{Tag: it.Tag, Replace: it.Replace, Sealed: it.Sealed.Clone()}
-		}
-		v.Items = items
-		return v
 	case SyncPullResponse:
-		entries := make([]SyncEntry, len(v.Entries))
-		for i, e := range v.Entries {
-			entries[i] = SyncEntry{Tag: e.Tag, Hits: e.Hits, Sealed: e.Sealed.Clone()}
+		for i := range v.Entries {
+			v.Entries[i].Sealed = v.Entries[i].Sealed.Clone()
 		}
-		v.Entries = entries
-		return v
-	default:
-		return m
 	}
+	return m
 }
 
 func appendSealed(buf []byte, s mle.Sealed) []byte {

@@ -60,8 +60,8 @@ func decodeSyncPullRequest(b []byte) (SyncPullRequest, error) {
 }
 
 func (m SyncPullResponse) appendTo(buf []byte) []byte {
-	buf = appendCount(buf, len(m.Entries))
-	for _, e := range m.Entries {
+	for i := range m.Entries {
+		e := &m.Entries[i]
 		buf = append(buf, e.Tag[:]...)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(e.Hits))
 		buf = appendSealed(buf, e.Sealed)
@@ -71,25 +71,21 @@ func (m SyncPullResponse) appendTo(buf []byte) []byte {
 
 func decodeSyncPullResponse(b []byte) (SyncPullResponse, error) {
 	var m SyncPullResponse
-	n, b, err := readCount(b, "SYNC_PULL_RESPONSE")
-	if err != nil {
-		return m, err
-	}
-	m.Entries = make([]SyncEntry, n)
-	for i := range m.Entries {
+	for len(b) > 0 {
+		if len(m.Entries) == MaxBatchItems {
+			return SyncPullResponse{}, tooMany(KindSyncPullResponse)
+		}
 		if len(b) < mle.TagSize+8 {
 			return SyncPullResponse{}, fmt.Errorf("%w: short SYNC_PULL_RESPONSE entry", ErrMalformed)
 		}
-		copy(m.Entries[i].Tag[:], b[:mle.TagSize])
-		b = b[mle.TagSize:]
-		m.Entries[i].Hits = int64(binary.BigEndian.Uint64(b))
-		b = b[8:]
-		if m.Entries[i].Sealed, b, err = readSealed(b); err != nil {
+		var e SyncEntry
+		copy(e.Tag[:], b)
+		e.Hits = int64(binary.BigEndian.Uint64(b[mle.TagSize:]))
+		var err error
+		if e.Sealed, b, err = readSealed(b[mle.TagSize+8:]); err != nil {
 			return SyncPullResponse{}, err
 		}
-	}
-	if len(b) != 0 {
-		return SyncPullResponse{}, fmt.Errorf("%w: trailing bytes in SYNC_PULL_RESPONSE", ErrMalformed)
+		m.Entries = append(m.Entries, e)
 	}
 	return m, nil
 }

@@ -4,45 +4,18 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sync/atomic"
 )
 
 // Distributed-trace context propagation. A trace context (16-byte trace
-// ID, 8-byte parent span ID) rides inside protocol-v2 envelopes as an
+// ID, 8-byte parent span ID) rides inside message envelopes as an
 // optional field so a sampled Execute can be followed across the dedup
-// runtime, the cluster router and every store node it touches. The
-// capability is negotiated in the attested hello (feature byte 33 of
-// the key-exchange data, covered by the report MAC like the version
-// byte): v2 peers that predate it leave the byte zero and the envelope
-// format stays exactly PR 3's, so they interoperate unchanged.
+// runtime, the cluster router and every store node it touches.
 //
 // Trust boundary: the context travels outside the MLE-sealed result
 // payload but inside the channel AEAD — the network sees nothing, the
 // peer enclave sees (and must be able to see) the IDs, and the sealed
 // deduplication payload never depends on them.
-
-// Feature is a bitmask of optional channel capabilities negotiated in
-// the attested hello alongside the protocol version. The effective set
-// is the intersection of both peers' offers; peers predating the
-// feature byte offer nothing.
-type Feature uint8
-
-const (
-	// FeatureTrace enables the optional trace-context field in v2
-	// envelopes.
-	FeatureTrace Feature = 1 << 0
-
-	// FeatureChunking advertises chunked-dedup support: the peer
-	// understands the HAS_BATCH existence probe used for missing-chunk
-	// transfer. Manifests and sealed chunks themselves travel in the
-	// ordinary GET/PUT messages and need no capability.
-	FeatureChunking Feature = 1 << 1
-
-	// DefaultFeatures is what handshakes offer unless pinned down for
-	// compatibility testing or conservative rollouts.
-	DefaultFeatures = FeatureTrace | FeatureChunking
-)
 
 // TraceContext is the wire form of one request's position in a
 // distributed trace. The zero value means "not sampled": no context is
@@ -108,83 +81,4 @@ func NewSpanID() uint64 {
 			return id
 		}
 	}
-}
-
-// Traced-envelope layout, used only on channels that negotiated
-// FeatureTrace: the 8-byte request ID, a flags byte, and — when the
-// trace flag is set — the 16-byte trace ID and 8-byte parent span ID,
-// followed by the marshalled message. Unsampled envelopes cost one
-// flags byte over the plain v2 form and encode/decode with zero
-// allocations.
-const (
-	envFlagTrace = 1 << 0
-
-	tracedHeaderLen   = envelopeHeaderLen + 1
-	traceContextLen   = 16 + 8
-	tracedEnvelopeMax = tracedHeaderLen + traceContextLen
-)
-
-// MarshalEnvelopeTrace serialises a traced v2 message frame. The
-// context is carried only when tc.Valid().
-func MarshalEnvelopeTrace(id uint64, tc TraceContext, m Message) []byte {
-	return AppendEnvelopeTrace(make([]byte, 0, tracedEnvelopeMax+64), id, tc, m)
-}
-
-// AppendEnvelopeTrace serialises a traced v2 message frame into buf,
-// returning the extended slice. Channel.SendEnvelopeTrace uses it with
-// the channel's marshal scratch, so unsampled framing allocates
-// nothing in steady state.
-func AppendEnvelopeTrace(buf []byte, id uint64, tc TraceContext, m Message) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	if tc.Valid() {
-		buf = append(buf, envFlagTrace)
-		buf = append(buf, tc.ID[:]...)
-		buf = binary.BigEndian.AppendUint64(buf, tc.Parent)
-	} else {
-		buf = append(buf, 0)
-	}
-	return AppendMarshal(buf, m)
-}
-
-// SplitEnvelopeTrace splits a traced v2 frame into its request ID,
-// trace context and raw message bytes without decoding the message.
-// The returned slice aliases b. Unknown flag bits are rejected:
-// features are pairwise-negotiated, so an unexpected bit is
-// corruption, not a newer peer. The split itself performs no
-// allocations, which is what keeps the unsampled decode path free.
-func SplitEnvelopeTrace(b []byte) (uint64, TraceContext, []byte, error) {
-	if len(b) < tracedHeaderLen {
-		return 0, TraceContext{}, nil, fmt.Errorf("%w: short traced envelope (%d bytes)", ErrMalformed, len(b))
-	}
-	id := binary.BigEndian.Uint64(b)
-	flags := b[envelopeHeaderLen]
-	rest := b[tracedHeaderLen:]
-	var tc TraceContext
-	if flags&^byte(envFlagTrace) != 0 {
-		return 0, TraceContext{}, nil, fmt.Errorf("%w: unknown envelope flags %#x", ErrMalformed, flags)
-	}
-	if flags&envFlagTrace != 0 {
-		if len(rest) < traceContextLen {
-			return 0, TraceContext{}, nil, fmt.Errorf("%w: short trace context (%d bytes)", ErrMalformed, len(rest))
-		}
-		copy(tc.ID[:], rest[:16])
-		tc.Parent = binary.BigEndian.Uint64(rest[16:])
-		tc.Sampled = true
-		rest = rest[traceContextLen:]
-	}
-	return id, tc, rest, nil
-}
-
-// UnmarshalEnvelopeTrace parses a traced v2 message frame produced by
-// MarshalEnvelopeTrace/AppendEnvelopeTrace.
-func UnmarshalEnvelopeTrace(b []byte) (uint64, TraceContext, Message, error) {
-	id, tc, rest, err := SplitEnvelopeTrace(b)
-	if err != nil {
-		return 0, TraceContext{}, nil, err
-	}
-	m, err := Unmarshal(rest)
-	if err != nil {
-		return 0, TraceContext{}, nil, err
-	}
-	return id, tc, m, nil
 }

@@ -1,19 +1,19 @@
 package wire
 
 import (
-	"net"
+	"bytes"
 	"testing"
 
-	"speed/internal/enclave"
 	"speed/internal/mle"
 )
 
 func TestTraceEnvelopeRoundTrip(t *testing.T) {
-	msg := GetRequest{Tag: mle.Tag{1, 2, 3}}
+	msg := GetRequest{Tags: []mle.Tag{{1, 2, 3}}}
 	tc := TraceContext{Parent: 0xfeedface, Sampled: true}
 	copy(tc.ID[:], "0123456789abcdef")
 
-	id, got, m, err := UnmarshalEnvelopeTrace(MarshalEnvelopeTrace(99, tc, msg))
+	sampled := AppendEnvelope(nil, 99, tc, msg)
+	id, got, m, err := UnmarshalEnvelope(sampled)
 	if err != nil {
 		t.Fatalf("sampled round trip: %v", err)
 	}
@@ -24,7 +24,8 @@ func TestTraceEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("message kind %v, want KindGetRequest", m.Kind())
 	}
 
-	id, got, m, err = UnmarshalEnvelopeTrace(MarshalEnvelopeTrace(7, TraceContext{}, msg))
+	unsampled := AppendEnvelope(nil, 7, TraceContext{}, msg)
+	id, got, m, err = UnmarshalEnvelope(unsampled)
 	if err != nil {
 		t.Fatalf("unsampled round trip: %v", err)
 	}
@@ -35,160 +36,49 @@ func TestTraceEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("message kind %v, want KindGetRequest", m.Kind())
 	}
 
-	// An unsampled traced envelope is the plain v2 envelope plus exactly
-	// one flags byte, so the formats cannot silently drift apart.
-	plain := MarshalEnvelope(7, msg)
-	traced := MarshalEnvelopeTrace(7, TraceContext{}, msg)
-	if len(traced) != len(plain)+1 {
-		t.Fatalf("unsampled traced envelope is %d bytes, want plain+1 = %d", len(traced), len(plain)+1)
+	// An unsampled envelope is request ID, one flags byte and the
+	// message; sampling adds exactly the trace context.
+	if want := 8 + 1 + len(Marshal(msg)); len(unsampled) != want {
+		t.Fatalf("unsampled envelope is %d bytes, want %d", len(unsampled), want)
+	}
+	if len(sampled) != len(unsampled)+traceContextLen {
+		t.Fatalf("sampled envelope is %d bytes, want unsampled+%d", len(sampled), traceContextLen)
 	}
 }
 
 func TestTraceEnvelopeMalformed(t *testing.T) {
-	msg := GetRequest{Tag: mle.Tag{9}}
-	valid := MarshalEnvelopeTrace(1, TraceContext{ID: [16]byte{1}, Sampled: true}, msg)
+	msg := GetRequest{Tags: []mle.Tag{{9}}}
+	valid := AppendEnvelope(nil, 1, TraceContext{ID: [16]byte{1}, Sampled: true}, msg)
 	cases := map[string][]byte{
 		"empty":               {},
-		"short header":        valid[:tracedHeaderLen-1],
-		"short trace context": valid[:tracedHeaderLen+3],
+		"short header":        valid[:envelopeHeaderLen-1],
+		"short trace context": valid[:envelopeHeaderLen+3],
 		"unknown flags": func() []byte {
-			b := append([]byte(nil), MarshalEnvelopeTrace(1, TraceContext{}, msg)...)
-			b[envelopeHeaderLen] = 0x80
+			b := AppendEnvelope(nil, 1, TraceContext{}, msg)
+			b[envelopeHeaderLen-1] = 0x80
+			return b
+		}(),
+		"zero trace ID": func() []byte {
+			b := bytes.Clone(valid)
+			clear(b[envelopeHeaderLen : envelopeHeaderLen+16])
 			return b
 		}(),
 	}
 	for name, b := range cases {
-		if _, _, _, err := UnmarshalEnvelopeTrace(b); err == nil {
-			t.Errorf("%s: UnmarshalEnvelopeTrace accepted malformed input", name)
+		if _, _, _, err := UnmarshalEnvelope(b); err == nil {
+			t.Errorf("%s: UnmarshalEnvelope accepted malformed input", name)
 		}
 	}
 }
 
-func TestNegotiateFeatures(t *testing.T) {
-	mkPeer := func(features byte) [64]byte {
-		var d [64]byte
-		d[32] = ProtocolV2
-		d[33] = features
-		return d
-	}
-	if got := negotiateFeatures(FeatureTrace, mkPeer(byte(FeatureTrace)), ProtocolV2); got != FeatureTrace {
-		t.Errorf("both offer trace: got %#x, want FeatureTrace", got)
-	}
-	if got := negotiateFeatures(FeatureTrace, mkPeer(0), ProtocolV2); got != 0 {
-		t.Errorf("peer predates features: got %#x, want 0", got)
-	}
-	if got := negotiateFeatures(0, mkPeer(byte(FeatureTrace)), ProtocolV2); got != 0 {
-		t.Errorf("we offer nothing: got %#x, want 0", got)
-	}
-	if got := negotiateFeatures(FeatureTrace, mkPeer(byte(FeatureTrace)), ProtocolV1); got != 0 {
-		t.Errorf("v1 channel: got %#x, want 0 (features need envelopes)", got)
-	}
-	// Unknown future bits from the peer never turn on anything we did
-	// not offer.
-	if got := negotiateFeatures(FeatureTrace, mkPeer(0xFF), ProtocolV2); got != FeatureTrace {
-		t.Errorf("future peer bits: got %#x, want FeatureTrace only", got)
-	}
-}
-
-// handshakePair runs a real attested handshake with the given feature
-// offers and returns both channels.
-func featureHandshakePair(t *testing.T, clientFeat, serverFeat Feature, version int) (*Channel, *Channel) {
-	t.Helper()
-	p := enclave.NewPlatform(enclave.Config{})
-	client, err := p.Create("client", []byte("client-code"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, err := p.Create("server", []byte("server-code"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, sc := net.Pipe()
-	type result struct {
-		ch  *Channel
-		err error
-	}
-	srv := make(chan result, 1)
-	go func() {
-		ch, err := ServerHandshakeOptions(sc, server, nil, nil, version, serverFeat)
-		srv <- result{ch, err}
-	}()
-	cch, err := ClientHandshakeOptions(cc, client, server.Measurement(), nil, version, clientFeat)
-	if err != nil {
-		t.Fatalf("client handshake: %v", err)
-	}
-	sr := <-srv
-	if sr.err != nil {
-		t.Fatalf("server handshake: %v", sr.err)
-	}
-	t.Cleanup(func() { cch.Close(); sr.ch.Close() })
-	return cch, sr.ch
-}
-
-func TestHandshakeNegotiatesTraceFeature(t *testing.T) {
-	cases := []struct {
-		name                string
-		clientFeat, srvFeat Feature
-		version             int
-		wantTrace           bool
-	}{
-		{"both offer", DefaultFeatures, DefaultFeatures, ProtocolV2, true},
-		{"server predates", DefaultFeatures, 0, ProtocolV2, false},
-		{"client predates", 0, DefaultFeatures, ProtocolV2, false},
-		{"v1 channel", DefaultFeatures, DefaultFeatures, ProtocolV1, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			cch, sch := featureHandshakePair(t, c.clientFeat, c.srvFeat, c.version)
-			if cch.TraceEnabled() != c.wantTrace || sch.TraceEnabled() != c.wantTrace {
-				t.Fatalf("TraceEnabled: client=%v server=%v, want both %v",
-					cch.TraceEnabled(), sch.TraceEnabled(), c.wantTrace)
-			}
-			if c.version < ProtocolV2 {
-				return
-			}
-			// Envelopes must round-trip in the negotiated format either
-			// way.
-			done := make(chan error, 1)
-			go func() {
-				done <- cch.SendEnvelopeTrace(42,
-					TraceContext{ID: [16]byte{0xAA}, Parent: 7, Sampled: true}, GetRequest{Tag: mle.Tag{5}})
-			}()
-			payload, err := sch.Recv()
-			if err != nil {
-				t.Fatalf("recv: %v", err)
-			}
-			id, tc, m, err := sch.ParseEnvelope(payload)
-			if err != nil {
-				t.Fatalf("parse envelope: %v", err)
-			}
-			if err := <-done; err != nil {
-				t.Fatalf("send: %v", err)
-			}
-			if id != 42 || m.Kind() != KindGetRequest {
-				t.Fatalf("id=%d kind=%v, want 42 KindGetRequest", id, m.Kind())
-			}
-			if tc.Valid() != c.wantTrace {
-				t.Fatalf("trace context valid=%v, want %v (context must be dropped when the feature is off)",
-					tc.Valid(), c.wantTrace)
-			}
-			if c.wantTrace && (tc.ID != [16]byte{0xAA} || tc.Parent != 7) {
-				t.Fatalf("trace context %+v did not survive the wire", tc)
-			}
-		})
-	}
-}
-
-// TestTracedEnvelopeUnsampledZeroAlloc pins the hard tentpole
-// constraint: on a trace-enabled channel, requests that were NOT
+// TestTracedEnvelopeUnsampledZeroAlloc pins the hard constraint of
+// carrying trace contexts in every envelope: requests that were NOT
 // sampled (the overwhelming steady state) still encode, send, receive
 // and split with zero heap allocations per round trip.
 func TestTracedEnvelopeUnsampledZeroAlloc(t *testing.T) {
 	client, server := hotChannelPair(t)
-	client.features = FeatureTrace
-	server.features = FeatureTrace
-	var req Message = GetRequest{Tag: mle.Tag{1, 2, 3}}
-	var resp Message = GetResponse{Found: true, Sealed: getHitSealed()}
+	var req Message = GetRequest{Tags: []mle.Tag{{1, 2, 3}}}
+	var resp Message = GetResponse{Results: []GetResult{{Found: true, Sealed: getHitSealed()}}}
 
 	roundTrip := func() {
 		if err := client.SendEnvelope(3, req); err != nil {
@@ -198,7 +88,7 @@ func TestTracedEnvelopeUnsampledZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("server recv: %v", err)
 		}
-		id, tc, _, err := SplitEnvelopeTrace(payload)
+		id, tc, _, err := splitEnvelope(payload)
 		if err != nil {
 			t.Fatalf("split request: %v", err)
 		}
@@ -212,7 +102,7 @@ func TestTracedEnvelopeUnsampledZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("client recv: %v", err)
 		}
-		if _, _, _, err := SplitEnvelopeTrace(payload); err != nil {
+		if _, _, _, err := splitEnvelope(payload); err != nil {
 			t.Fatalf("split response: %v", err)
 		}
 	}
@@ -248,25 +138,27 @@ func TestSpanIDs(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalEnvelopeTrace: arbitrary traced-envelope bytes must
-// never panic, and valid frames must re-split identically.
+// FuzzUnmarshalEnvelopeTrace is the encode-first direction of
+// FuzzUnmarshalEnvelope: any request ID and trace context survive the
+// envelope exactly, and a context is carried iff it is Valid.
 func FuzzUnmarshalEnvelopeTrace(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(MarshalEnvelopeTrace(1, TraceContext{}, GetRequest{Tag: mle.Tag{1}}))
-	f.Add(MarshalEnvelopeTrace(2, TraceContext{ID: [16]byte{2}, Parent: 3, Sampled: true},
-		PutRequest{Tag: mle.Tag{4}, Sealed: mle.Sealed{Blob: []byte{5}}}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		id, tc, m, err := UnmarshalEnvelopeTrace(data)
+	f.Add(uint64(0), []byte{}, uint64(0), false)
+	f.Add(uint64(1), []byte{2}, uint64(3), true)
+	f.Add(^uint64(0), bytes.Repeat([]byte{0xFF}, 16), ^uint64(0), false)
+	f.Fuzz(func(t *testing.T, id uint64, traceID []byte, parent uint64, sampled bool) {
+		tc := TraceContext{Parent: parent, Sampled: sampled}
+		copy(tc.ID[:], traceID)
+		msg := PutRequest{Items: []PutItem{{Tag: mle.Tag{4}, Sealed: mle.Sealed{Blob: []byte{5}}}}}
+		frame := AppendEnvelope(nil, id, tc, msg)
+		id2, tc2, m2, err := UnmarshalEnvelope(frame)
 		if err != nil {
-			return
+			t.Fatalf("UnmarshalEnvelope of an encoded envelope: %v", err)
 		}
-		id2, tc2, m2, err := UnmarshalEnvelopeTrace(MarshalEnvelopeTrace(id, tc, m))
-		if err != nil {
-			t.Fatalf("re-unmarshal of valid traced envelope failed: %v", err)
+		if !tc.Valid() {
+			tc = TraceContext{}
 		}
-		if id2 != id || tc2 != tc || m2.Kind() != m.Kind() {
-			t.Fatalf("traced envelope changed across round trip: (%d,%+v,%v) -> (%d,%+v,%v)",
-				id, tc, m.Kind(), id2, tc2, m2.Kind())
+		if id2 != id || tc2 != tc || !bytes.Equal(Marshal(m2), Marshal(msg)) {
+			t.Fatalf("envelope changed across round trip: (%d,%+v) -> (%d,%+v,%v)", id, tc, id2, tc2, m2)
 		}
 	})
 }

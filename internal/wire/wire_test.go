@@ -28,12 +28,12 @@ func TestMessageRoundTrips(t *testing.T) {
 		Blob:       []byte("ciphertext blob bytes"),
 	}
 	msgs := []Message{
-		GetRequest{Tag: mustTag(0xAB)},
-		GetResponse{Found: false},
-		GetResponse{Found: true, Sealed: sealed},
-		PutRequest{Tag: mustTag(0x01), Sealed: sealed},
-		PutResponse{OK: true},
-		PutResponse{OK: false, Err: "quota exceeded"},
+		GetRequest{Tags: []mle.Tag{mustTag(0xAB)}},
+		GetResponse{Results: []GetResult{{Found: false}}},
+		GetResponse{Results: []GetResult{{Found: true, Sealed: sealed}}},
+		PutRequest{Items: []PutItem{{Tag: mustTag(0x01), Sealed: sealed}}},
+		PutResponse{Results: []PutResult{{OK: true}}},
+		PutResponse{Results: []PutResult{{OK: false, Err: "quota exceeded"}}},
 	}
 	for _, m := range msgs {
 		got, err := Unmarshal(Marshal(m))
@@ -55,7 +55,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		{"empty", nil},
 		{"unknown kind", []byte{0xEE, 1, 2, 3}},
 		{"short get request", []byte{byte(KindGetRequest), 1, 2}},
-		{"get response missing bool", []byte{byte(KindGetResponse)}},
+		{"get response missing sealed", []byte{byte(KindGetResponse), 1}},
 		{"get response bad bool", []byte{byte(KindGetResponse), 7}},
 		{"put request short tag", []byte{byte(KindPutRequest), 1, 2, 3}},
 		{"put response truncated", []byte{byte(KindPutResponse), 1, 0, 0}},
@@ -68,7 +68,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 }
 
 func TestUnmarshalRejectsTrailingBytes(t *testing.T) {
-	b := Marshal(PutResponse{OK: true})
+	b := Marshal(PutResponse{Results: []PutResult{{OK: true}}})
 	b = append(b, 0xFF)
 	if _, err := Unmarshal(b); !errors.Is(err, ErrMalformed) {
 		t.Errorf("Unmarshal with trailing bytes = %v, want ErrMalformed", err)
@@ -86,25 +86,26 @@ func TestUnmarshalRejectsOverlongLength(t *testing.T) {
 
 func TestQuickMessageRoundTrip(t *testing.T) {
 	prop := func(tag [32]byte, challenge, wrapped, blob []byte, found bool) bool {
-		m := GetResponse{
+		m := GetResponse{Results: []GetResult{{
 			Found: found,
 			Sealed: mle.Sealed{
 				Challenge:  challenge,
 				WrappedKey: wrapped,
 				Blob:       blob,
 			},
-		}
+		}}}
 		got, err := Unmarshal(Marshal(m))
 		if err != nil {
 			return false
 		}
 		gr, ok := got.(GetResponse)
-		if !ok || gr.Found != m.Found {
+		if !ok || len(gr.Results) != 1 || gr.Results[0].Found != found {
 			return false
 		}
-		return bytes.Equal(gr.Sealed.Challenge, challenge) &&
-			bytes.Equal(gr.Sealed.WrappedKey, wrapped) &&
-			bytes.Equal(gr.Sealed.Blob, blob)
+		sealed := gr.Results[0].Sealed
+		return bytes.Equal(sealed.Challenge, challenge) &&
+			bytes.Equal(sealed.WrappedKey, wrapped) &&
+			bytes.Equal(sealed.Blob, blob)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 128}); err != nil {
 		t.Error(err)
@@ -179,6 +180,20 @@ func handshakePair(t *testing.T, p *enclave.Platform, app, store *enclave.Enclav
 	return client, sr.ch
 }
 
+// recvEnvelope receives one envelope and returns its request ID and
+// its message, detached from the channel's receive scratch.
+func recvEnvelope(c *Channel) (uint64, Message, error) {
+	payload, err := c.Recv()
+	if err != nil {
+		return 0, nil, err
+	}
+	id, _, msg, err := c.ParseEnvelope(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	return id, OwnMessage(msg), nil
+}
+
 func TestSecureChannelRoundTrip(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	app, _ := p.Create("app", []byte("app code"))
@@ -193,34 +208,34 @@ func TestSecureChannelRoundTrip(t *testing.T) {
 		t.Error("server channel has wrong peer measurement")
 	}
 
-	req := GetRequest{Tag: mustTag(0x55)}
+	req := GetRequest{Tags: []mle.Tag{mustTag(0x55)}}
 	done := make(chan error, 1)
 	go func() {
-		msg, err := server.RecvMessage()
+		id, msg, err := recvEnvelope(server)
 		if err != nil {
 			done <- err
 			return
 		}
 		got, ok := msg.(GetRequest)
-		if !ok || got.Tag != req.Tag {
+		if !ok || !reflect.DeepEqual(got, req) {
 			done <- errors.New("server received wrong message")
 			return
 		}
-		done <- server.SendMessage(GetResponse{Found: true, Sealed: mle.Sealed{Blob: []byte("b")}})
+		done <- server.SendEnvelope(id, GetResponse{Results: []GetResult{{Found: true, Sealed: mle.Sealed{Blob: []byte("b")}}}})
 	}()
-	if err := client.SendMessage(req); err != nil {
-		t.Fatalf("SendMessage: %v", err)
+	if err := client.SendEnvelope(9, req); err != nil {
+		t.Fatalf("SendEnvelope: %v", err)
 	}
-	reply, err := client.RecvMessage()
+	id, reply, err := recvEnvelope(client)
 	if err != nil {
-		t.Fatalf("RecvMessage: %v", err)
+		t.Fatalf("recvEnvelope: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
 	gr, ok := reply.(GetResponse)
-	if !ok || !gr.Found || string(gr.Sealed.Blob) != "b" {
-		t.Errorf("reply = %#v, want found blob", reply)
+	if !ok || id != 9 || len(gr.Results) != 1 || !gr.Results[0].Found || string(gr.Results[0].Sealed.Blob) != "b" {
+		t.Errorf("reply %d = %#v, want found blob under ID 9", id, reply)
 	}
 }
 
