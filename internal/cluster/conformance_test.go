@@ -286,6 +286,7 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 	type opened struct {
 		client  dedup.StoreClient
 		conns   []*dedup.RemoteClient
+		nodes   []*testNode
 		primary func(mle.Tag) int
 	}
 	for _, dep := range []struct {
@@ -299,7 +300,7 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			t.Cleanup(func() { _ = client.Close() })
-			return opened{client, []*dedup.RemoteClient{client}, func(mle.Tag) int { return 0 }}
+			return opened{client, []*dedup.RemoteClient{client}, nodes, func(mle.Tag) int { return 0 }}
 		}},
 		{"cluster3r2", func(t *testing.T) opened {
 			env := newTestClusterOver(t, 3, Config{Replicas: 2, ProbeInterval: time.Hour, Remote: remoteCfg}, store.Config{})
@@ -307,7 +308,7 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 			for _, n := range env.client.nodes {
 				conns = append(conns, n.client)
 			}
-			return opened{env.client, conns, func(tag mle.Tag) int { return env.client.ring.owners(tag, 1)[0] }}
+			return opened{env.client, conns, env.nodes, func(tag mle.Tag) int { return env.client.ring.owners(tag, 1)[0] }}
 		}},
 	} {
 		t.Run(dep.name, func(t *testing.T) {
@@ -340,6 +341,16 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 				if !r.Found || len(r.Sealed.Blob) != size || r.Sealed.Blob[0] != byte('a'+i) || r.Sealed.Blob[size-1] != byte('a'+i) {
 					t.Fatalf("Get[%d] = (found=%v, %d bytes), want result %d whole", i, r.Found, len(r.Sealed.Blob), i)
 				}
+			}
+			// The store cuts each reply before the entry that does not
+			// fit, without counting or touching it: nine results asked for
+			// over several requests are nine hits.
+			var hits int64
+			for _, n := range d.nodes {
+				hits += n.st.Stats().Hits
+			}
+			if hits != results {
+				t.Errorf("stores counted %d hits for %d results fetched once each", hits, results)
 			}
 			// The same nine as one PUT: the client closes each window on
 			// bytes, so no request outgrows a frame either. The windows are

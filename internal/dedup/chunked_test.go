@@ -224,12 +224,12 @@ func TestTamperedChunkRecoversLoudly(t *testing.T) {
 	}
 	cid := chunk.ContentFuncID(id)
 	victim := chunk.Tag(cid, chunk.Hash(chunks[len(chunks)/2]))
-	if _, err := st.PutReplace(a.Enclave().Measurement(), victim, mle.Sealed{
+	if err := putOne(NewLocalClient(st, a.Enclave().Measurement()), victim, mle.Sealed{
 		Challenge:  []byte("rrrrrrrrrrrrrrrr"),
 		WrappedKey: []byte("kkkkkkkkkkkkkkkk"),
 		Blob:       []byte("garbage ciphertext"),
-	}); err != nil {
-		t.Fatalf("tamper PutReplace: %v", err)
+	}, true); err != nil {
+		t.Fatalf("tamper with a replacing PUT: %v", err)
 	}
 
 	// A fresh runtime (empty chunk cache) must detect the tamper,
@@ -338,5 +338,78 @@ func TestChunkedBatchReuse(t *testing.T) {
 	}
 	if s := b.Stats(); s.ManifestReuses != 2 {
 		t.Fatalf("B ManifestReuses = %d, want 2", s.ManifestReuses)
+	}
+}
+
+// TestChunkedCallCrossesPerMessage pins the transition budget of a
+// chunked call over a real store server: the store enters its enclave
+// once per request message, so the crossings of a call do not depend on
+// how many chunks its result has. A miss that uploads chunks is one
+// application ECALL, three OCALLs (GET, HAS, the PUTs) and four store
+// ECALLs (GET, HAS, chunk PUT, manifest PUT); a hit that fetches chunks
+// its cache lacks is one ECALL, two OCALLs (manifest GET, chunk GET)
+// and two store ECALLs.
+func TestChunkedCallCrossesPerMessage(t *testing.T) {
+	env := newRemoteEnv(t)
+	runtime := func(name string) *Runtime {
+		enc, err := env.platform.Create(name, []byte("app code"))
+		if err != nil {
+			t.Fatalf("create %s: %v", name, err)
+		}
+		client, err := Dial(env.client.addr, enc, env.storeEnc.Measurement())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		rt, err := NewRuntime(Config{Enclave: enc, Client: client, ChunkThreshold: chunkTestThreshold, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("NewRuntime(%s): %v", name, err)
+		}
+		t.Cleanup(func() { _ = rt.Close() })
+		rt.Registry().RegisterLibrary("zlib", "1.2.11", []byte("zlib code"))
+		return rt
+	}
+	producer, editor, consumer := runtime("producer"), runtime("editor"), runtime("consumer")
+	id := chunkFuncID(t, producer)
+
+	// Two documents of very different chunk counts; the second shares its
+	// first 100 KiB with the first, so its producer uploads only some of
+	// its chunks and the consumer's cache holds only some of them.
+	small := chunkResult(31, 100<<10)
+	large := append(append([]byte(nil), small...), chunkResult(32, 700<<10)...)
+	type cost struct{ appECalls, appOCalls, storeECalls int64 }
+	for _, c := range []struct {
+		name    string
+		rt      *Runtime
+		input   string
+		result  []byte
+		outcome Outcome
+		want    cost
+	}{
+		{"miss uploading every chunk", producer, "small", small, OutcomeComputed, cost{1, 3, 4}},
+		{"miss uploading some chunks", editor, "large", large, OutcomeComputed, cost{1, 3, 4}},
+		{"hit fetching every chunk", consumer, "small", small, OutcomeReused, cost{1, 2, 2}},
+		{"hit fetching some chunks", consumer, "large", large, OutcomeReused, cost{1, 2, 2}},
+	} {
+		app, st := c.rt.cfg.Enclave.Metrics(), env.storeEnc.Metrics()
+		stats := c.rt.Stats()
+		got, outcome, err := c.rt.Execute(id, []byte(c.input), func([]byte) ([]byte, error) {
+			return append([]byte(nil), c.result...), nil
+		})
+		if err != nil || outcome != c.outcome || !bytes.Equal(got, c.result) {
+			t.Fatalf("%s: outcome %v (want %v), err %v, result equal %v", c.name, outcome, c.outcome, err, bytes.Equal(got, c.result))
+		}
+		app2, st2 := c.rt.cfg.Enclave.Metrics(), env.storeEnc.Metrics()
+		if spent := (cost{app2.ECalls - app.ECalls, app2.OCalls - app.OCalls, st2.ECalls - st.ECalls}); spent != c.want {
+			t.Errorf("%s cost %+v, want %+v", c.name, spent, c.want)
+		}
+		after := c.rt.Stats()
+		t.Logf("%s: %d chunks skipped, %d fetched, %d from the chunk cache", c.name,
+			after.ChunksSkipped-stats.ChunksSkipped, after.ChunksFetched-stats.ChunksFetched, after.ChunkCacheHits-stats.ChunkCacheHits)
+	}
+	if s := editor.Stats(); s.ChunksSkipped == 0 {
+		t.Error("the editor uploaded every chunk; the test wants a partial upload")
+	}
+	if s := consumer.Stats(); s.ChunkCacheHits == 0 || s.ChunksFetched < 10 {
+		t.Errorf("the consumer fetched %d chunks with %d cache hits; the test wants a partial, many-chunk fetch", s.ChunksFetched, s.ChunkCacheHits)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -64,9 +65,10 @@ var errClientClosed = errors.New("dedup: store client closed")
 // LocalClient talks to a Store in the same process, modelling the
 // paper's default deployment of the ResultStore "at the same machine of
 // the outsourced applications". Requests still pass through the store
-// enclave's ECALLs, so transition costs are accounted identically to
-// the networked path minus the socket; there is no wire to amortise, so
-// a batch is a straight loop over the store.
+// enclave's ECALLs — one entry per request, whatever its item count,
+// through the same per-message Store calls the server dispatches to —
+// so transition costs are accounted identically to the networked path
+// minus the socket.
 type LocalClient struct {
 	store  *store.Store
 	owner  enclave.Measurement
@@ -81,37 +83,22 @@ func NewLocalClient(st *store.Store, owner enclave.Measurement) *LocalClient {
 	return &LocalClient{store: st, owner: owner}
 }
 
-// Get implements StoreClient with the server's own per-item mapping, so
-// authorization denials present as misses exactly as over the wire.
+// Get implements StoreClient with the server's own mapping, so
+// authorization denials present as misses exactly as over the wire;
+// with no reply frame to overflow, no budget cuts the answer short.
 func (c *LocalClient) Get(_ wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	results := make([]wire.GetResult, len(tags))
-	for i, tag := range tags {
-		r, err := c.store.WireGet(c.owner, tag)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return results, nil
+	return c.store.WireGet(c.owner, tags, math.MaxInt)
 }
 
-// Put implements StoreClient with the server's own per-item mapping.
+// Put implements StoreClient with the server's own mapping.
 func (c *LocalClient) Put(_ wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	results := make([]wire.PutResult, len(items))
-	for i, it := range items {
-		r, err := c.store.WirePut(c.owner, it)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return results, nil
+	return c.store.WirePut(c.owner, items)
 }
 
 // Has implements StoreClient. The store maps authorization denials to
@@ -120,15 +107,7 @@ func (c *LocalClient) Has(_ wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	present := make([]bool, len(tags))
-	for i, tag := range tags {
-		p, err := c.store.HasAs(c.owner, tag)
-		if err != nil {
-			return nil, err
-		}
-		present[i] = p
-	}
-	return present, nil
+	return c.store.WireHas(c.owner, tags)
 }
 
 // Ping implements StoreClient: the in-process store is "reachable"

@@ -80,6 +80,19 @@ const (
 	StatusDangling
 )
 
+// Lookup is one tag's answer from Engine.Get; Record is set on a hit.
+type Lookup struct {
+	Status GetStatus
+	Record Record
+}
+
+// Item is a tag with its record, as one entry of an Engine.Insert
+// message carries them.
+type Item struct {
+	Tag    mle.Tag
+	Record Record
+}
+
 // Stats is a point-in-time snapshot of engine occupancy and activity.
 // The memory engine fills only Entries/ValueBytes; the log engine
 // fills everything.
@@ -137,24 +150,37 @@ type Engine interface {
 	// labels and operator output.
 	Name() string
 
-	// Get looks the tag up. On StatusHit the returned Record's byte
-	// slices are owned by the caller (engines copy out). Engines
-	// configured oblivious perform access-pattern-uniform lookups over
-	// their in-enclave structures and skip recency maintenance.
-	Get(tag mle.Tag) (Record, GetStatus, error)
-	// Contains reports whether a live record exists for the tag without
-	// returning it. Unlike Get it must not count a hit, refresh recency
-	// or touch LRU state — it answers existence probes (chunked dedup's
+	// Get, Contains and Insert each serve one request message — a
+	// single is a message of one — and do all their in-enclave
+	// dictionary work in one Enclave.ECall, so a crossing is paid per
+	// message, not per item (the log engine enters once more per Get
+	// that has segment-resident records to unseal).
+
+	// Get looks the tags up in order and answers a prefix of them
+	// positionally: it ends before the first hit whose sealed size
+	// (challenge + wrapped key + blob) would take the answers past
+	// budget bytes — that record is neither counted nor touched — but
+	// always holds one answer. On StatusHit the Record's byte slices are
+	// owned by the caller (engines copy out). Engines configured
+	// oblivious perform access-pattern-uniform lookups over their
+	// in-enclave structures, for every tag, and skip recency
+	// maintenance.
+	Get(tags []mle.Tag, budget int) ([]Lookup, error)
+	// Contains reports, positionally, whether a live record exists for
+	// each tag. Unlike Get it must not count a hit, refresh recency or
+	// touch LRU state — it answers existence probes (chunked dedup's
 	// missing-chunk transfer) that should leave popularity signals
-	// untouched. The answer is a hint: engines may report a TTL-stale
+	// untouched. The answers are hints: engines may report a TTL-stale
 	// record as present (the log engine's index ignores TTL) and callers
 	// must tolerate a later Get missing.
-	Contains(tag mle.Tag) (bool, error)
-	// Insert stores rec under tag if no live record exists. It returns
-	// (false, nil) when the tag is already present (first version
-	// wins, Section IV-B Remark). The engine copies what it keeps; the
-	// caller's slices are not retained.
-	Insert(tag mle.Tag, rec Record) (installed bool, err error)
+	Contains(tags []mle.Tag) ([]bool, error)
+	// Insert stores, in order, each item whose tag has no live record —
+	// in the store or earlier in the message (first version wins,
+	// Section IV-B Remark) — and reports positionally which it
+	// installed, also beside an error. The engine copies what it keeps.
+	// A durable engine acknowledges nothing before the whole message is
+	// as durable as its policy promises.
+	Insert(items []Item) (installed []bool, err error)
 	// Remove deletes the tag's record, returning it (Blob may be nil;
 	// BlobSize and Owner are always set) so the caller can settle
 	// quota accounting.

@@ -67,7 +67,7 @@ func TestLogEnginePersistenceRoundTrip(t *testing.T) {
 	}
 	// Replacement must persist too: the reopened store serves the new
 	// version, not the original.
-	if _, err := s.PutReplace(ownerOf("app"), tagOf("beta"), sealedOf("blob-beta-v2")); err != nil {
+	if _, err := putReplace(s, ownerOf("app"), tagOf("beta"), sealedOf("blob-beta-v2")); err != nil {
 		t.Fatalf("PutReplace: %v", err)
 	}
 	s.Close()

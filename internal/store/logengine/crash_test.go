@@ -1,6 +1,7 @@
 package logengine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -38,19 +39,20 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // TestWALTruncatedAtEveryByte is the exhaustive torn-write harness:
-// the WAL is cut at every byte offset — not just frame boundaries —
-// and each truncated state is recovered. The invariant is atomicity
-// per record: recovery yields exactly the records whose frames are
-// fully intact, each bit-identical to what was written, and never a
-// partial or corrupted entry. Monotonicity must hold too: a longer
-// prefix never recovers fewer records.
+// the WAL — two PUT messages of three records each — is cut at every
+// byte offset, not just frame boundaries, and each truncated state is
+// recovered. The invariant is atomicity per record: recovery yields
+// exactly the records whose frames are fully intact, each bit-identical
+// to what was written, and never a partial or corrupted entry — so of a
+// message torn mid-way, a prefix of its records. Monotonicity must hold
+// too: a longer prefix never recovers fewer records.
 func TestWALTruncatedAtEveryByte(t *testing.T) {
 	p := testPlatform()
 	srcDir := t.TempDir()
 	e := openTest(t, testConfig(t, p, srcDir))
 	const n = 6
-	for i := 0; i < n; i++ {
-		mustInsert(t, e, fmt.Sprintf("k%d", i), fmt.Sprintf("value-%d", i))
+	for i := 0; i < n; i += 3 {
+		mustInsertMessage(t, e, i, i+3)
 	}
 	e.Crash() // everything stays in the WAL: no flush happened
 
@@ -79,7 +81,7 @@ func TestWALTruncatedAtEveryByte(t *testing.T) {
 		}
 		recovered := 0
 		for i := 0; i < n; i++ {
-			rec, status, err := eng.Get(tagOf(fmt.Sprintf("k%d", i)))
+			rec, status, err := get1(eng, tagOf(fmt.Sprintf("k%d", i)))
 			if err != nil {
 				t.Fatalf("cut %d: Get(k%d): %v", cut, i, err)
 			}
@@ -104,7 +106,7 @@ func TestWALTruncatedAtEveryByte(t *testing.T) {
 		// Records were appended in key order, so the recovered set must
 		// be a prefix: k0..k(recovered-1) hits, the rest misses.
 		for i := 0; i < recovered; i++ {
-			if _, status, _ := eng.Get(tagOf(fmt.Sprintf("k%d", i))); status != storeengine.StatusHit {
+			if _, status, _ := get1(eng, tagOf(fmt.Sprintf("k%d", i))); status != storeengine.StatusHit {
 				t.Fatalf("cut %d: recovered set has a hole at k%d", cut, i)
 			}
 		}
@@ -117,7 +119,7 @@ func TestWALTruncatedAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: Len = %d, want %d", cut, eng.Len(), recovered)
 		}
 		// The engine must stay writable after recovering a torn log.
-		if ok, err := eng.Insert(tagOf(fmt.Sprintf("post-%d", cut)), recOf("post")); err != nil || !ok {
+		if ok, err := insert1(eng, tagOf(fmt.Sprintf("post-%d", cut)), recOf("post")); err != nil || !ok {
 			t.Fatalf("cut %d: post-recovery Insert: %v %v", cut, ok, err)
 		}
 		eng.Close()
@@ -126,6 +128,105 @@ func TestWALTruncatedAtEveryByte(t *testing.T) {
 	if prevRecovered != n {
 		t.Fatalf("full wal recovered %d records, want %d", prevRecovered, n)
 	}
+}
+
+// mustInsertMessage stores k<lo>..k<hi-1> (values value-<i>) as one PUT
+// message.
+func mustInsertMessage(t *testing.T, e *Engine, lo, hi int) {
+	t.Helper()
+	var msg []storeengine.Item
+	for i := lo; i < hi; i++ {
+		msg = append(msg, storeengine.Item{Tag: tagOf(fmt.Sprintf("k%d", i)), Record: recOf(fmt.Sprintf("value-%d", i))})
+	}
+	installed, err := e.Insert(msg)
+	if err != nil || slices.Contains(installed, false) {
+		t.Fatalf("Insert(k%d..k%d) = %v, %v; want all installed", lo, hi-1, installed, err)
+	}
+}
+
+// TestInsertMessageCommitsOnce pins group commit per message under
+// fsync=commit: the records of a three-item PUT are made durable by one
+// fsync, and nothing is applied — so nothing acknowledged, nothing
+// readable — before it: when the fsync fails, no item is installed.
+func TestInsertMessageCommitsOnce(t *testing.T) {
+	p := testPlatform()
+	e := openTest(t, testConfig(t, p, t.TempDir())) // Fsync zero value: commit
+	before := e.wal.syncs
+	mustInsertMessage(t, e, 0, 3)
+	if got := e.wal.syncs - before; got != 1 {
+		t.Errorf("a 3-item PUT message fsynced the WAL %d times, want 1", got)
+	}
+
+	// Writes to the null device succeed and its fsync does not.
+	null, err := os.OpenFile(os.DevNull, os.O_RDWR, 0)
+	if err != nil {
+		t.Skipf("no null device: %v", err)
+	}
+	if null.Sync() == nil {
+		null.Close()
+		t.Skip("the null device accepts fsync here")
+	}
+	e.mu.Lock()
+	real := e.wal.f
+	e.wal.f = null
+	e.mu.Unlock()
+	var msg []storeengine.Item
+	for i := 3; i < 6; i++ {
+		msg = append(msg, storeengine.Item{Tag: tagOf(fmt.Sprintf("k%d", i)), Record: recOf("lost")})
+	}
+	installed, err := e.Insert(msg)
+	if err == nil || slices.Contains(installed, true) {
+		t.Fatalf("Insert over a failing fsync = %v, %v; want an error and nothing installed", installed, err)
+	}
+	e.mu.Lock()
+	e.wal.f = real
+	e.mu.Unlock()
+	null.Close()
+	for i := 3; i < 6; i++ {
+		if _, status, err := get1(e, tagOf(fmt.Sprintf("k%d", i))); err != nil || status != storeengine.StatusMiss {
+			t.Errorf("k%d after the failed commit: status %v, %v; want a miss", i, status, err)
+		}
+	}
+	if e.Len() != 3 {
+		t.Errorf("Len = %d after the failed commit, want 3", e.Len())
+	}
+}
+
+// TestInsertAllocFailureMidMessage exhausts enclave memory on the third
+// record of a PUT message: the first two are installed, the third is
+// not, and the WAL agrees with the memtable — a compensating delete
+// follows the third record's frame, so a crash and replay recover
+// exactly the two.
+func TestInsertAllocFailureMidMessage(t *testing.T) {
+	seed := []byte("logengine-test-seed")
+	dir := t.TempDir()
+	// Room for two memtable records of this size, not three.
+	blob := string(bytes.Repeat([]byte("x"), 100))
+	perRec := (&memRec{rec: recOf(blob)}).bytes()
+	tight := enclave.NewPlatform(enclave.Config{PlatformSeed: seed, EPCBytes: 2*perRec + perRec/2})
+	e := openTest(t, testConfig(t, tight, dir))
+	var msg []storeengine.Item
+	for i := 0; i < 3; i++ {
+		msg = append(msg, storeengine.Item{Tag: tagOf(fmt.Sprintf("k%d", i)), Record: recOf(blob)})
+	}
+	installed, err := e.Insert(msg)
+	if !errors.Is(err, enclave.ErrOutOfMemory) || !slices.Equal(installed, []bool{true, true, false}) {
+		t.Fatalf("Insert = %v, %v; want [true true false] and ErrOutOfMemory", installed, err)
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		for i, want := range []storeengine.GetStatus{storeengine.StatusHit, storeengine.StatusHit, storeengine.StatusMiss} {
+			if _, status, err := get1(e, tagOf(fmt.Sprintf("k%d", i))); err != nil || status != want {
+				t.Errorf("%s: k%d status %v, %v; want %v", when, i, status, err, want)
+			}
+		}
+		if e.Len() != 2 {
+			t.Errorf("%s: Len = %d, want 2", when, e.Len())
+		}
+	}
+	check(e, "after the failed message")
+	e.Crash()
+	check(openTest(t, testConfig(t, enclave.NewPlatform(enclave.Config{PlatformSeed: seed}), dir)), "after crash and replay")
 }
 
 // TestCrashDuringCompaction snapshots the directory at the most
@@ -255,7 +356,7 @@ func mustServeMidListRun(t *testing.T, e *Engine, blob string) {
 	for _, k := range []string{"old0", "old2", "old3", "new0", "new1", "new2"} {
 		mustGet(t, e, k, blob)
 	}
-	if _, status, _ := e.Get(tagOf("old1")); status != storeengine.StatusMiss {
+	if _, status, _ := get1(e, tagOf("old1")); status != storeengine.StatusMiss {
 		t.Errorf("removed record resurrected: %v", status)
 	}
 }
@@ -464,7 +565,7 @@ func TestTamperedSegmentRecordIsDangling(t *testing.T) {
 	logenginetest.TamperSegmentRecord(t, dir, tagOf("c"))
 
 	e2 := openTest(t, testConfig(t, p, dir)) // cold cache: lookups go to the segment
-	if _, status, err := e2.Get(tagOf("c")); err != nil || status != storeengine.StatusDangling {
+	if _, status, err := get1(e2, tagOf("c")); err != nil || status != storeengine.StatusDangling {
 		t.Fatalf("Get(tampered) = status %v, err %v; want StatusDangling", status, err)
 	}
 	for _, k := range keys {
@@ -559,15 +660,19 @@ func TestConcurrentLoadThenCrash(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				key := fmt.Sprintf("w%d-k%d", w, i)
-				ok, err := e.Insert(tagOf(key), recOf("val-"+key))
+			for i := 0; i < perWriter; i += 3 {
+				var msg []storeengine.Item
+				for _, j := range []int{i, i + 1, i + 2} {
+					key := fmt.Sprintf("w%d-k%d", w, j)
+					msg = append(msg, storeengine.Item{Tag: tagOf(key), Record: recOf("val-" + key)})
+				}
+				installed, err := e.Insert(msg)
 				if err != nil {
-					t.Errorf("Insert(%s): %v", key, err)
+					t.Errorf("Insert(w%d-k%d..): %v", w, i, err)
 					return
 				}
-				if !ok {
-					t.Errorf("Insert(%s) reported duplicate", key)
+				if slices.Contains(installed, false) {
+					t.Errorf("Insert(w%d-k%d..) = %v, want all installed", w, i, installed)
 					return
 				}
 			}

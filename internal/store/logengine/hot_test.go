@@ -23,7 +23,7 @@ func BenchmarkHotLogMemtableGet(b *testing.B) {
 	for i := range tags {
 		tags[i] = tagOf(fmt.Sprintf("bench-%d", i))
 		rec := recOf(fmt.Sprintf("value-%d", i))
-		if ok, err := e.Insert(tags[i], rec); err != nil || !ok {
+		if ok, err := insert1(e, tags[i], rec); err != nil || !ok {
 			b.Fatalf("Insert: %v %v", ok, err)
 		}
 	}
@@ -31,7 +31,7 @@ func BenchmarkHotLogMemtableGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, status, err := e.Get(tags[i%n])
+		_, status, err := get1(e, tags[i%n])
 		if err != nil || status != storeengine.StatusHit {
 			b.Fatalf("Get = %v, %v", status, err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkHotLogSegmentMiss(b *testing.B) {
 	const segments, perSegment = 16, 2048
 	for s := 0; s < segments; s++ {
 		for i := 0; i < perSegment; i++ {
-			if ok, err := e.Insert(seededTag(uint64(s), i), recOf("stored")); err != nil || !ok {
+			if ok, err := insert1(e, seededTag(uint64(s), i), recOf("stored")); err != nil || !ok {
 				b.Fatalf("Insert: %v %v", ok, err)
 			}
 		}
@@ -91,10 +91,10 @@ func BenchmarkHotLogSegmentMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, tag := range fresh {
-		if _, status, err := e.Get(tag); err != nil || status != storeengine.StatusMiss {
+		if _, status, err := get1(e, tag); err != nil || status != storeengine.StatusMiss {
 			b.Fatalf("Get = %v, %v", status, err)
 		}
-		if ok, err := e.Insert(tag, rec); err != nil || !ok {
+		if ok, err := insert1(e, tag, rec); err != nil || !ok {
 			b.Fatalf("Insert = %v, %v", ok, err)
 		}
 	}
@@ -120,7 +120,7 @@ func BenchmarkHotLogMergeRun(b *testing.B) {
 	rec := recOf(string(make([]byte, blobSize)))
 	for s := 0; s < fanIn; s++ {
 		for i := 0; i < perSegment; i++ {
-			if ok, err := src.Insert(seededTag(uint64(s), i), rec); err != nil || !ok {
+			if ok, err := insert1(src, seededTag(uint64(s), i), rec); err != nil || !ok {
 				b.Fatalf("Insert: %v %v", ok, err)
 			}
 		}

@@ -483,95 +483,130 @@ func (e *Engine) startBackground() {
 func (e *Engine) Name() string { return "log" }
 
 // Get implements engine.Engine: memtable, then hot cache, then
-// segments newest-first through their sparse indexes.
-func (e *Engine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, error) {
+// segments newest-first through their sparse indexes. One enclave entry
+// locates the message's tags in the in-enclave tiers and, if those
+// decide them all, answers; otherwise the segment payloads of the rest
+// are read outside and a second entry unseals them and answers.
+func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return storeengine.Record{}, storeengine.StatusMiss, storeengine.ErrClosed
+		return nil, storeengine.ErrClosed
+	}
+	// place is where a tag's newest version lives, if anywhere.
+	type place struct {
+		rec    *storeengine.Record // in the memtable or the hot cache
+		cr     *cacheRec           // its hot-cache entry
+		dead   bool                // a memtable tombstone
+		sealed []byte              // the payload of a segment record
 	}
 	var (
-		rec    storeengine.Record
-		status = storeengine.StatusMiss
+		at               = make([]place, len(tags))
+		out              = make([]storeengine.Lookup, 0, len(tags))
+		resident, absent int
 	)
-	// The in-enclave tiers are consulted inside one ECALL, mirroring
-	// the memory engine's dictionary access.
-	err := e.cfg.Enclave.ECall(func() error {
-		if mr, ok := e.lookupMem(tag); ok {
-			if mr.dead {
-				return nil // deleted: definitive miss, segments are stale
+	// answer walks the tags in order, inside the enclave, counting and
+	// touching each hit before the one that would overflow the budget.
+	// Segment records enter the hot cache once the walk is over, so an
+	// insert cannot evict an entry the walk has yet to reach.
+	answer := func() error {
+		defer func() {
+			for i := range out {
+				if at[i].sealed != nil && out[i].Status == storeengine.StatusHit && !e.cfg.Oblivious {
+					e.cacheInsert(tags[i], out[i].Record)
+				}
 			}
-			if e.expired(mr.rec.LastTouch) {
-				status = storeengine.StatusExpired
-				return nil
+		}()
+		for i, tag := range tags {
+			var l storeengine.Lookup
+			p, rec := &at[i], at[i].rec
+			if p.sealed != nil {
+				srec, err := unsealRecord(e.cfg.Enclave, p.sealed)
+				if err != nil {
+					// Authenticated storage failed us: the policy layer
+					// drops a dangling entry and the caller recomputes.
+					e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], err)
+					out = append(out, storeengine.Lookup{Status: storeengine.StatusDangling})
+					continue
+				}
+				e.applyTouch(tag, &srec)
+				rec = &srec
 			}
-			if !e.cfg.Oblivious {
-				mr.rec.Hits++
-				mr.rec.LastTouch = e.cfg.Now()
+			switch {
+			case rec == nil: // deleted, or in no segment either
+			case e.expired(rec.LastTouch):
+				l.Status = storeengine.StatusExpired
+			default:
+				size := len(rec.Challenge) + len(rec.WrappedKey) + len(rec.Blob)
+				if len(out) > 0 && size > budget {
+					return nil
+				}
+				budget -= size
+				if !e.cfg.Oblivious {
+					rec.Hits++
+					rec.LastTouch = e.cfg.Now()
+					if p.cr != nil {
+						e.cacheLRU.MoveToFront(p.cr.elem)
+					}
+					if p.cr != nil || p.sealed != nil {
+						e.noteTouch(tag, rec.Hits, rec.LastTouch)
+					}
+				}
+				// A segment record's slices alias Unseal's fresh buffer.
+				l = storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec}
+				if p.sealed == nil {
+					l.Record = copyRecord(*rec)
+					e.st.CacheHits++
+				}
 			}
-			rec = copyRecord(mr.rec)
-			status = storeengine.StatusHit
-			e.st.CacheHits++
-			return nil
+			out = append(out, l)
 		}
-		if cr, ok := e.lookupCache(tag); ok {
-			if e.expired(cr.rec.LastTouch) {
-				status = storeengine.StatusExpired
-				return nil
+		return nil
+	}
+	err := e.cfg.Enclave.ECall(func() error {
+		for i, tag := range tags {
+			p := &at[i]
+			if mr, ok := e.lookupMem(tag); ok && mr.dead {
+				p.dead = true
+			} else if ok {
+				p.rec = &mr.rec
+			} else if cr, ok := e.lookupCache(tag); ok {
+				p.rec, p.cr = &cr.rec, cr
 			}
-			if !e.cfg.Oblivious {
-				cr.rec.Hits++
-				cr.rec.LastTouch = e.cfg.Now()
-				e.cacheLRU.MoveToFront(cr.elem)
-				e.noteTouch(tag, cr.rec.Hits, cr.rec.LastTouch)
+			if p.rec != nil {
+				resident++
+			} else if !p.dead {
+				absent++
 			}
-			rec = copyRecord(cr.rec)
-			status = storeengine.StatusHit
-			e.st.CacheHits++
-			return nil
+		}
+		if absent == 0 {
+			return answer()
 		}
 		return nil
 	})
-	if err != nil {
-		return storeengine.Record{}, storeengine.StatusMiss, err
-	}
-	if status != storeengine.StatusMiss || e.memHasTombstone(tag) {
-		return rec, status, nil
+	if err != nil || absent == 0 {
+		return out, err
 	}
 
-	// Miss in the in-enclave tiers: consult the segments (untrusted
-	// disk), newest first. Unsealing happens back inside the enclave.
-	e.st.CacheMisses++
-	sealed, found, dead, err := e.findLocked(tag, true)
-	if err != nil || !found || dead {
-		return storeengine.Record{}, storeengine.StatusMiss, err
-	}
-	var srec storeengine.Record
-	uerr := e.cfg.Enclave.ECall(func() error {
-		r, err := unsealRecord(e.cfg.Enclave, sealed)
-		if err != nil {
-			return err
+	// Consult the segments (untrusted disk), newest first, for every tag
+	// the tiers do not decide. Unsealing happens back inside the enclave.
+	onDisk := false
+	for i := range at {
+		if p := &at[i]; p.rec == nil && !p.dead {
+			e.st.CacheMisses++
+			sealed, found, dead, err := e.findLocked(tags[i], true)
+			if err != nil {
+				return nil, err
+			}
+			if found && !dead {
+				p.sealed, onDisk = sealed, true
+			}
 		}
-		srec = r
-		return nil
-	})
-	if uerr != nil {
-		// Authenticated storage failed us: surface as dangling so
-		// the policy layer drops the entry and recomputes.
-		e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], uerr)
-		return storeengine.Record{}, storeengine.StatusDangling, nil
 	}
-	e.applyTouch(tag, &srec)
-	if e.expired(srec.LastTouch) {
-		return storeengine.Record{}, storeengine.StatusExpired, nil
+	if !onDisk && resident == 0 {
+		return out[:len(tags)], nil // every tag is a miss
 	}
-	if !e.cfg.Oblivious {
-		srec.Hits++
-		srec.LastTouch = e.cfg.Now()
-		e.noteTouch(tag, srec.Hits, srec.LastTouch)
-		e.cacheInsert(tag, srec)
-	}
-	return copyRecord(srec), storeengine.StatusHit, nil
+	return out, e.cfg.Enclave.ECall(answer)
 }
 
 // findLocked looks tag up in the segments, newest first, returning the
@@ -625,13 +660,6 @@ func (e *Engine) lookupCache(tag mle.Tag) (*cacheRec, bool) {
 		}
 	}
 	return found, found != nil
-}
-
-// memHasTombstone reports whether the memtable's newest state for tag
-// is a deletion (so segment lookups must not resurrect it).
-func (e *Engine) memHasTombstone(tag mle.Tag) bool {
-	mr, ok := e.memtable[tag]
-	return ok && mr.dead
 }
 
 func (e *Engine) expired(touch time.Time) bool {
@@ -757,77 +785,118 @@ func (e *Engine) cacheDelete(tag mle.Tag) {
 	}
 }
 
-// Insert implements engine.Engine: WAL append (fsync per policy), then
-// memtable apply, then flush if over budget. First version wins.
-func (e *Engine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
+// Insert implements engine.Engine: every fresh item's WAL record is
+// appended, one fsync (per policy) covers the message, one enclave
+// entry applies it to the memtable, then a flush if over budget. First
+// version wins, within the message too.
+func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return false, storeengine.ErrClosed
+		return nil, storeengine.ErrClosed
 	}
-	exists, err := e.existsLocked(tag)
-	if err != nil {
-		return false, err
+	var (
+		installed = make([]bool, len(items))
+		fresh     = make([]int, 0, len(items)) // the items in the WAL
+		claimed   = make(map[mle.Tag]bool)     // their tags
+		failed    error
+	)
+	for i := range items {
+		tag := items[i].Tag
+		exists, err := e.existsLocked(tag)
+		if err == nil && !exists && !claimed[tag] {
+			if err = e.wal.append(e.cfg.Enclave, walOpPut, tag, items[i].Record); err == nil {
+				e.st.WALRecords++
+				claimed[tag] = true
+				fresh = append(fresh, i)
+			}
+		}
+		if failed = err; failed != nil {
+			break // what the WAL already carries is still applied
+		}
 	}
-	if exists {
-		return false, nil
-	}
-	stored := copyRecord(rec)
-	if err := e.wal.append(e.cfg.Enclave, walOpPut, tag, stored); err != nil {
-		return false, err
-	}
-	if e.cfg.Fsync == FsyncCommit {
+	// Nothing is applied, so nothing acknowledged, before the one sync.
+	if len(fresh) > 0 && e.cfg.Fsync == FsyncCommit {
 		if err := e.wal.sync(); err != nil {
-			return false, fmt.Errorf("logengine: wal fsync: %w", err)
+			return installed, fmt.Errorf("logengine: wal fsync: %w", err)
 		}
 	}
-	e.st.WALRecords++
-	mr := &memRec{rec: stored}
-	aerr := e.cfg.Enclave.ECall(func() error {
-		if prev, had := e.memtable[tag]; had {
-			// Overwriting a tombstone left by an earlier Remove.
-			e.memBytes -= prev.bytes()
-			e.cfg.Enclave.Free(prev.bytes())
+	err := e.cfg.Enclave.ECall(func() error {
+		for _, i := range fresh {
+			tag, mr := items[i].Tag, &memRec{rec: copyRecord(items[i].Record)}
+			if prev, had := e.memtable[tag]; had {
+				// Overwriting a tombstone left by an earlier Remove.
+				e.memBytes -= prev.bytes()
+				e.cfg.Enclave.Free(prev.bytes())
+			}
+			if err := e.cfg.Enclave.Alloc(mr.bytes()); err != nil {
+				return fmt.Errorf("metadata allocation: %w", err)
+			}
+			e.memtable[tag] = mr
+			e.memBytes += mr.bytes()
+			e.entries++
+			e.valueBytes += mr.rec.BlobSize
+			e.dropTouch(tag) // a fresh record starts its popularity over
+			installed[i] = true
 		}
-		if err := e.cfg.Enclave.Alloc(mr.bytes()); err != nil {
-			return fmt.Errorf("metadata allocation: %w", err)
-		}
-		e.memtable[tag] = mr
-		e.memBytes += mr.bytes()
 		return nil
 	})
-	if aerr != nil {
-		// The WAL already carries the record; a replay would resurrect
-		// it. Append a compensating delete so the log and the memory
-		// state agree.
-		if derr := e.wal.append(e.cfg.Enclave, walOpDelete, tag, storeengine.Record{}); derr == nil && e.cfg.Fsync == FsyncCommit {
-			_ = e.wal.sync()
+	if err != nil {
+		// The WAL already carries the unapplied records; a replay would
+		// resurrect them. Append compensating deletes so the log and the
+		// memory state agree.
+		for _, i := range fresh {
+			if !installed[i] && e.wal.append(e.cfg.Enclave, walOpDelete, items[i].Tag, storeengine.Record{}) != nil {
+				break
+			}
 		}
-		return false, aerr
+		if e.cfg.Fsync == FsyncCommit {
+			_ = e.wal.sync() // best effort: the insert already failed
+		}
+		return installed, err
 	}
-	e.entries++
-	e.valueBytes += stored.BlobSize
-	e.dropTouch(tag) // a fresh record starts its popularity over
-	if e.memBytes >= e.cfg.MemtableBytes {
+	if failed == nil && e.memBytes >= e.cfg.MemtableBytes {
 		if err := e.flushLocked(); err != nil {
-			return false, fmt.Errorf("logengine: flush: %w", err)
+			failed = fmt.Errorf("logengine: flush: %w", err)
 		}
 	}
-	return true, nil
+	return installed, failed
 }
 
-// Contains implements engine.Engine: an existence probe over memtable
-// and segment filters and indexes with no hit counting, cache promotion
-// or recency updates. Like existsLocked it ignores TTL — the engine's
-// index has no cheap TTL view — so a stale record reports present;
-// callers treat the answer as a hint and tolerate a later Get missing.
-func (e *Engine) Contains(tag mle.Tag) (bool, error) {
+// Contains implements engine.Engine: existence probes over the memtable
+// (one enclave entry for the message) and the segments' filters and
+// indexes, with no hit counting, cache promotion or recency updates.
+// Like existsLocked it ignores TTL — the engine's index has no cheap
+// TTL view — so a stale record reports present; callers treat the
+// answers as hints and tolerate a later Get missing.
+func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return false, storeengine.ErrClosed
+		return nil, storeengine.ErrClosed
 	}
-	return e.existsLocked(tag)
+	present := make([]bool, len(tags))
+	probe := make([]int, 0, len(tags)) // the tags the memtable does not decide
+	if err := e.cfg.Enclave.ECall(func() error {
+		for i, tag := range tags {
+			if mr, ok := e.lookupMem(tag); ok {
+				present[i] = !mr.dead
+			} else {
+				probe = append(probe, i)
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for _, i := range probe {
+		_, found, dead, err := e.findLocked(tags[i], false)
+		if err != nil {
+			return nil, err
+		}
+		present[i] = found && !dead
+	}
+	return present, nil
 }
 
 // existsLocked reports whether a live record for tag exists anywhere

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -69,9 +70,29 @@ func recOf(s string) storeengine.Record {
 	}
 }
 
+// get1, insert1 and contains1 are a message of one item through the
+// engine's batch-first seam, in the shape most tests want.
+func get1(e *Engine, tag mle.Tag) (storeengine.Record, storeengine.GetStatus, error) {
+	found, err := e.Get([]mle.Tag{tag}, math.MaxInt)
+	if err != nil {
+		return storeengine.Record{}, storeengine.StatusMiss, err
+	}
+	return found[0].Record, found[0].Status, nil
+}
+
+func insert1(e *Engine, tag mle.Tag, rec storeengine.Record) (bool, error) {
+	installed, err := e.Insert([]storeengine.Item{{Tag: tag, Record: rec}})
+	return len(installed) == 1 && installed[0], err
+}
+
+func contains1(e *Engine, tag mle.Tag) (bool, error) {
+	present, err := e.Contains([]mle.Tag{tag})
+	return len(present) == 1 && present[0], err
+}
+
 func mustInsert(t *testing.T, e *Engine, key, val string) {
 	t.Helper()
-	ok, err := e.Insert(tagOf(key), recOf(val))
+	ok, err := insert1(e, tagOf(key), recOf(val))
 	if err != nil {
 		t.Fatalf("Insert(%s): %v", key, err)
 	}
@@ -82,7 +103,7 @@ func mustInsert(t *testing.T, e *Engine, key, val string) {
 
 func mustGet(t *testing.T, e *Engine, key, want string) {
 	t.Helper()
-	rec, status, err := e.Get(tagOf(key))
+	rec, status, err := get1(e, tagOf(key))
 	if err != nil {
 		t.Fatalf("Get(%s): %v", key, err)
 	}
@@ -101,7 +122,7 @@ func TestBasicInsertGetRemove(t *testing.T) {
 	p := testPlatform()
 	e := openTest(t, testConfig(t, p, t.TempDir()))
 
-	if _, status, err := e.Get(tagOf("a")); err != nil || status != storeengine.StatusMiss {
+	if _, status, err := get1(e, tagOf("a")); err != nil || status != storeengine.StatusMiss {
 		t.Fatalf("empty Get = %v, %v; want miss", status, err)
 	}
 	mustInsert(t, e, "a", "va")
@@ -114,7 +135,7 @@ func TestBasicInsertGetRemove(t *testing.T) {
 	}
 
 	// First version wins.
-	ok, err := e.Insert(tagOf("a"), recOf("other"))
+	ok, err := insert1(e, tagOf("a"), recOf("other"))
 	if err != nil || ok {
 		t.Fatalf("duplicate Insert = %v, %v; want false, nil", ok, err)
 	}
@@ -130,7 +151,7 @@ func TestBasicInsertGetRemove(t *testing.T) {
 	if rec.Owner != enclave.Measurement(sha256.Sum256([]byte("owner"))) {
 		t.Errorf("removed Owner mismatch")
 	}
-	if _, status, _ := e.Get(tagOf("a")); status != storeengine.StatusMiss {
+	if _, status, _ := get1(e, tagOf("a")); status != storeengine.StatusMiss {
 		t.Errorf("post-remove Get status = %v, want miss", status)
 	}
 	if e.Len() != 0 || e.ValueBytes() != 0 {
@@ -218,7 +239,7 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("k%d", i)
-		_, status, err := e2.Get(tagOf(key))
+		_, status, err := get1(e2, tagOf(key))
 		if err != nil {
 			t.Fatalf("Get(%s): %v", key, err)
 		}
@@ -249,7 +270,7 @@ func TestTombstoneSurvivesFlushAndReopen(t *testing.T) {
 	e.Crash()
 
 	e2 := openTest(t, testConfig(t, p, dir))
-	if _, status, _ := e2.Get(tagOf("doomed")); status != storeengine.StatusMiss {
+	if _, status, _ := get1(e2, tagOf("doomed")); status != storeengine.StatusMiss {
 		t.Errorf("deleted record resurrected after reopen: status %v", status)
 	}
 	if e2.Len() != 0 {
@@ -301,7 +322,7 @@ func TestCompactionMergesAndDropsTombstones(t *testing.T) {
 		t.Errorf("compaction did not reclaim space: %d -> %d bytes", before.SegmentBytes, after.SegmentBytes)
 	}
 	for i := 0; i < 10; i++ {
-		_, status, err := e.Get(tagOf(fmt.Sprintf("k%d", i)))
+		_, status, err := get1(e, tagOf(fmt.Sprintf("k%d", i)))
 		if err != nil {
 			t.Fatalf("Get: %v", err)
 		}
@@ -335,7 +356,7 @@ func TestWorkingSetBeyondBudgets(t *testing.T) {
 	var totalBytes int64
 	for i := 0; i < n; i++ {
 		rec := recOf(string(blob))
-		ok, err := e.Insert(tagOf(fmt.Sprintf("big%03d", i)), rec)
+		ok, err := insert1(e, tagOf(fmt.Sprintf("big%03d", i)), rec)
 		if err != nil || !ok {
 			t.Fatalf("Insert %d: %v %v", i, ok, err)
 		}
@@ -412,14 +433,14 @@ func TestTTLExpiry(t *testing.T) {
 	e := openTest(t, cfg)
 	rec := recOf("v")
 	rec.LastTouch = now
-	if ok, err := e.Insert(tagOf("x"), rec); err != nil || !ok {
+	if ok, err := insert1(e, tagOf("x"), rec); err != nil || !ok {
 		t.Fatalf("Insert: %v %v", ok, err)
 	}
-	if _, status, _ := e.Get(tagOf("x")); status != storeengine.StatusHit {
+	if _, status, _ := get1(e, tagOf("x")); status != storeengine.StatusHit {
 		t.Fatalf("fresh Get = %v, want hit", status)
 	}
 	now = now.Add(2 * time.Minute)
-	if _, status, _ := e.Get(tagOf("x")); status != storeengine.StatusExpired {
+	if _, status, _ := get1(e, tagOf("x")); status != storeengine.StatusExpired {
 		t.Errorf("stale Get = %v, want expired", status)
 	}
 }
@@ -433,13 +454,32 @@ func TestObliviousGet(t *testing.T) {
 	mustInsert(t, e, "b", "vb")
 	mustGet(t, e, "a", "va")
 	mustGet(t, e, "b", "vb")
-	if _, status, _ := e.Get(tagOf("zzz")); status != storeengine.StatusMiss {
+	if _, status, _ := get1(e, tagOf("zzz")); status != storeengine.StatusMiss {
 		t.Errorf("oblivious miss = %v, want miss", status)
 	}
+	// A multi-tag message scans for every one of its tags: the segment
+	// tier, the memtable and an absent tag all answer right.
+	if err := e.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	mustInsert(t, e, "c", "vc")
+	msg := []mle.Tag{tagOf("a"), tagOf("zzz"), tagOf("c"), tagOf("b")}
+	found, err := e.Get(msg, math.MaxInt)
+	present, cerr := e.Contains(msg)
+	if err != nil || cerr != nil || len(found) != 4 || len(present) != 4 {
+		t.Fatalf("Get = %d answers, %v; Contains = %d answers, %v", len(found), err, len(present), cerr)
+	}
+	for i, want := range []string{"va", "", "vc", "vb"} {
+		if hit := found[i].Status == storeengine.StatusHit; hit != (want != "") || string(found[i].Record.Blob) != want || present[i] != hit {
+			t.Errorf("tag %d: status %v blob %q present %v, want %q", i, found[i].Status, found[i].Record.Blob, present[i], want)
+		}
+	}
 	// Oblivious lookups must not mutate popularity state.
-	rec, status, _ := e.Get(tagOf("a"))
-	if status != storeengine.StatusHit || rec.Hits != 0 {
-		t.Errorf("oblivious Get mutated hits: %d", rec.Hits)
+	for _, key := range []string{"a", "c"} {
+		rec, status, _ := get1(e, tagOf(key))
+		if status != storeengine.StatusHit || rec.Hits != 0 {
+			t.Errorf("oblivious Get mutated hits of %s: %d", key, rec.Hits)
+		}
 	}
 }
 
@@ -450,7 +490,7 @@ func TestOldest(t *testing.T) {
 	for i, key := range []string{"old", "mid", "new"} {
 		rec := recOf("v")
 		rec.LastTouch = time.Unix(int64(1000+i), 0)
-		if ok, err := e.Insert(tagOf(key), rec); err != nil || !ok {
+		if ok, err := insert1(e, tagOf(key), rec); err != nil || !ok {
 			t.Fatalf("Insert: %v %v", ok, err)
 		}
 	}
@@ -467,10 +507,10 @@ func TestClosedErrors(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, _, err := e.Get(tagOf("a")); err != storeengine.ErrClosed {
+	if _, _, err := get1(e, tagOf("a")); err != storeengine.ErrClosed {
 		t.Errorf("Get after Close = %v, want ErrClosed", err)
 	}
-	if _, err := e.Insert(tagOf("b"), recOf("v")); err != storeengine.ErrClosed {
+	if _, err := insert1(e, tagOf("b"), recOf("v")); err != storeengine.ErrClosed {
 		t.Errorf("Insert after Close = %v, want ErrClosed", err)
 	}
 	if _, _, err := e.Remove(tagOf("a")); err != storeengine.ErrClosed {

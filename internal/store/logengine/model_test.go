@@ -51,7 +51,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 	insert := func(step int, key string) {
 		val := newValue(key)
 		_, live := model[key]
-		ok, err := e.Insert(tagOf(key), recOf(val))
+		ok, err := insert1(e, tagOf(key), recOf(val))
 		if err != nil {
 			t.Fatalf("step %d: Insert(%s): %v", step, key, err)
 		}
@@ -75,7 +75,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 	}
 	check := func(step int, key string) {
 		want, live := model[key]
-		rec, status, err := e.Get(tagOf(key))
+		rec, status, err := get1(e, tagOf(key))
 		if err != nil {
 			t.Fatalf("step %d: Get(%s): %v", step, key, err)
 		}
@@ -107,7 +107,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 		case r < 91:
 			key := anyKey()
 			_, live := model[key]
-			if ok, err := e.Contains(tagOf(key)); err != nil || ok != live {
+			if ok, err := contains1(e, tagOf(key)); err != nil || ok != live {
 				t.Fatalf("step %d: Contains(%s) = %v, %v; model live=%v", step, key, ok, err, live)
 			}
 		case r < 95:

@@ -160,17 +160,17 @@ func TestAbsentLookupsReadNoSegment(t *testing.T) {
 	absent := absentEverywhere(e, 7, 2*lookups+inserts)
 	before := e.Stats()
 	for _, tag := range absent[:lookups] {
-		if _, status, err := e.Get(tag); err != nil || status != storeengine.StatusMiss {
+		if _, status, err := get1(e, tag); err != nil || status != storeengine.StatusMiss {
 			t.Fatalf("Get(absent) = %v, %v", status, err)
 		}
 	}
 	for _, tag := range absent[lookups : 2*lookups] {
-		if ok, err := e.Contains(tag); err != nil || ok {
+		if ok, err := contains1(e, tag); err != nil || ok {
 			t.Fatalf("Contains(absent) = %v, %v", ok, err)
 		}
 	}
 	for _, tag := range absent[2*lookups:] {
-		if ok, err := e.Insert(tag, recOf("fresh")); err != nil || !ok {
+		if ok, err := insert1(e, tag, recOf("fresh")); err != nil || !ok {
 			t.Fatalf("Insert(fresh) = %v, %v", ok, err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestMergeKeepsTombstonesAboveOlderSegments(t *testing.T) {
 	if _, found, dead, err := e.segments[1].find(tagOf("old1"), false); err != nil || !found || !dead {
 		t.Fatalf("merged run lost the tombstone: found=%v dead=%v err=%v", found, dead, err)
 	}
-	if _, status, _ := e.Get(tagOf("old1")); status != storeengine.StatusMiss {
+	if _, status, _ := get1(e, tagOf("old1")); status != storeengine.StatusMiss {
 		t.Fatalf("removed tag resurrected after a merge above the oldest segment: %v", status)
 	}
 	if e.Len() != 6 {
@@ -287,7 +287,7 @@ func TestMergeKeepsTombstonesAboveOlderSegments(t *testing.T) {
 	}
 	e.Close()
 	e2 := openTest(t, tieredConfig(t, p, dir))
-	if _, status, _ := e2.Get(tagOf("old1")); status != storeengine.StatusMiss {
+	if _, status, _ := get1(e2, tagOf("old1")); status != storeengine.StatusMiss {
 		t.Fatalf("removed tag resurrected after reopen: %v", status)
 	}
 	for _, k := range []string{"old0", "old2", "old3", "new0", "new1", "new2"} {
@@ -318,7 +318,7 @@ func TestMergeMemoryIndependentOfRunSize(t *testing.T) {
 		for i := 0; i < perSeg; i++ {
 			rec := recOf("")
 			rec.Blob, rec.BlobSize = blob, recSize
-			if ok, err := e.Insert(seededTag(uint64(s), i), rec); err != nil || !ok {
+			if ok, err := insert1(e, seededTag(uint64(s), i), rec); err != nil || !ok {
 				t.Fatalf("Insert: %v %v", ok, err)
 			}
 		}
@@ -344,7 +344,7 @@ func TestMergeMemoryIndependentOfRunSize(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
 		t.Fatalf("merging %d MiB allocated %d MiB, want < 16", st.SegmentBytes>>20, grew>>20)
 	}
-	if got, status, err := e.Get(seededTag(2, 17)); err != nil || status != storeengine.StatusHit || len(got.Blob) != recSize {
+	if got, status, err := get1(e, seededTag(2, 17)); err != nil || status != storeengine.StatusHit || len(got.Blob) != recSize {
 		t.Fatalf("Get after merge = %v, %v", status, err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // getHits reads a key and returns the hit count the engine reports.
 func getHits(t *testing.T, e *Engine, key string) int64 {
 	t.Helper()
-	rec, status, err := e.Get(tagOf(key))
+	rec, status, err := get1(e, tagOf(key))
 	if err != nil || status != storeengine.StatusHit {
 		t.Fatalf("Get(%s): status %v err %v", key, status, err)
 	}

@@ -21,9 +21,10 @@ import (
 // dictionary with a global LRU, entirely in memory — a pure volatile
 // cache (a store that must survive a restart runs the log engine).
 // Each entry's metadata is charged to the store enclave; its
-// ciphertext is held by reference outside enclave accounting. The
-// ECall pattern is one per GET and two per PUT, oblivious lookups scan
-// every shard, and eviction picks the globally least-recent entry.
+// ciphertext is held by reference outside enclave accounting. Each GET,
+// HAS and PUT message enters the enclave exactly once, whatever its
+// item count; oblivious lookups scan every shard for every tag, and
+// eviction picks the globally least-recent entry.
 type memEngine struct {
 	enclave   *enclave.Enclave
 	oblivious bool
@@ -113,119 +114,103 @@ func (m *memEngine) expiredLocked(e *entry) bool {
 	return m.ttl > 0 && m.now().Sub(e.lastTouch) > m.ttl
 }
 
-// Get implements engine.Engine. The dictionary access happens inside
-// the store enclave (one ECALL); the ciphertext is copied out of
-// untrusted memory outside it.
-func (m *memEngine) Get(tag mle.Tag) (storeengine.Record, storeengine.GetStatus, error) {
-	var (
-		rec     storeengine.Record
-		found   bool
-		expired bool
-		blob    []byte
-	)
+// withEntry runs fn, inside the store enclave, on the tag's home shard
+// and entry (nil when absent) under the shard lock. An oblivious engine
+// scans every shard with identical per-entry work, for every tag of a
+// message, so the access pattern reveals neither entry nor shard.
+func (m *memEngine) withEntry(tag mle.Tag, fn func(sh *shard, e *entry)) {
+	home := m.shardFor(tag)
+	if !m.oblivious {
+		home.mu.Lock()
+		fn(home, home.dict[tag])
+		home.mu.Unlock()
+		return
+	}
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		e := obliviousLookupLocked(sh, tag)
+		if sh == home {
+			fn(sh, e)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Get implements engine.Engine. One entry of the store enclave does the
+// message's dictionary accesses, sizes in hand to cut the reply prefix;
+// the ciphertexts are copied out of untrusted memory outside it.
+func (m *memEngine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
+	out := make([]storeengine.Lookup, 0, len(tags))
 	err := m.enclave.ECall(func() error {
 		if m.closed.Load() {
 			return ErrClosed
 		}
-		if m.oblivious {
-			// Scan every shard with identical per-entry work so the
-			// access pattern reveals neither the entry nor the shard.
-			home := m.shardFor(tag)
-			for _, sh := range m.shards {
-				sh.mu.Lock()
-				e := obliviousLookupLocked(sh, tag)
-				if sh == home && e != nil {
-					if m.expiredLocked(e) {
-						expired = true
-					} else {
-						found = true
-						e.hits++
-						rec = m.recordLocked(e)
-						blob = e.blob
+		for _, tag := range tags {
+			var l storeengine.Lookup
+			fits := true
+			m.withEntry(tag, func(sh *shard, e *entry) {
+				switch {
+				case e == nil:
+				case m.expiredLocked(e):
+					// Leave the stale entry for the caller to collect lazily.
+					l.Status = storeengine.StatusExpired
+				default:
+					size := len(e.challenge) + len(e.wrappedKey) + len(e.blob)
+					if fits = len(out) == 0 || size <= budget; !fits {
+						return
 					}
+					budget -= size
+					e.hits++
+					if !m.oblivious {
+						// LRU maintenance and freshness updates reveal
+						// which entry was touched.
+						sh.lru.MoveToFront(e.lruElem)
+						e.lastTouch = m.now()
+					}
+					l = storeengine.Lookup{Status: storeengine.StatusHit, Record: m.recordLocked(e)}
 				}
-				sh.mu.Unlock()
+			})
+			if !fits {
+				return nil
 			}
-			return nil
+			out = append(out, l)
 		}
-		sh := m.shardFor(tag)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		e, ok := sh.dict[tag]
-		if !ok {
-			return nil
-		}
-		if m.expiredLocked(e) {
-			// Leave the stale entry for the caller to collect lazily.
-			expired = true
-			return nil
-		}
-		found = true
-		e.hits++
-		// LRU maintenance and freshness updates reveal which entry was
-		// touched; they only run in the non-oblivious path.
-		sh.lru.MoveToFront(e.lruElem)
-		e.lastTouch = m.now()
-		rec = m.recordLocked(e)
-		blob = e.blob
 		return nil
 	})
-	if err != nil {
-		return storeengine.Record{}, storeengine.StatusMiss, err
+	for i := range out {
+		out[i].Record.Blob = append([]byte(nil), out[i].Record.Blob...)
 	}
-	if expired {
-		return storeengine.Record{}, storeengine.StatusExpired, nil
-	}
-	if !found {
-		return storeengine.Record{}, storeengine.StatusMiss, nil
-	}
-	rec.Blob = append([]byte(nil), blob...)
-	return rec, storeengine.StatusHit, nil
+	return out, err
 }
 
-// Contains implements engine.Engine: a pure existence probe with no
-// hit count, LRU or freshness side effects. It answers inside the
-// enclave like Get's dictionary access; when the engine is oblivious
-// it reuses the all-shard constant-work scan so probes are as
-// access-pattern-uniform as lookups.
-func (m *memEngine) Contains(tag mle.Tag) (bool, error) {
-	var present bool
+// Contains implements engine.Engine: pure existence probes with no hit
+// count, LRU or freshness side effects, answered in one enclave entry
+// like Get's accesses (and as uniformly when the engine is oblivious).
+func (m *memEngine) Contains(tags []mle.Tag) ([]bool, error) {
+	present := make([]bool, len(tags))
 	err := m.enclave.ECall(func() error {
 		if m.closed.Load() {
 			return ErrClosed
 		}
-		if m.oblivious {
-			home := m.shardFor(tag)
-			for _, sh := range m.shards {
-				sh.mu.Lock()
-				e := obliviousLookupLocked(sh, tag)
-				if sh == home && e != nil && !m.expiredLocked(e) {
-					present = true
-				}
-				sh.mu.Unlock()
-			}
-			return nil
-		}
-		sh := m.shardFor(tag)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if e, ok := sh.dict[tag]; ok && !m.expiredLocked(e) {
-			present = true
+		for i, tag := range tags {
+			m.withEntry(tag, func(_ *shard, e *entry) {
+				present[i] = e != nil && !m.expiredLocked(e)
+			})
 		}
 		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	return present, nil
+	return present, err
 }
 
-// recordLocked copies an entry's metadata out; caller holds the shard
-// lock. The blob is copied separately, outside the enclave.
+// recordLocked copies an entry's metadata out, in one allocation;
+// caller holds the shard lock and copies Blob outside the enclave.
 func (m *memEngine) recordLocked(e *entry) storeengine.Record {
+	n := len(e.challenge)
+	meta := append(append(make([]byte, 0, n+len(e.wrappedKey)), e.challenge...), e.wrappedKey...)
 	return storeengine.Record{
-		Challenge:  append([]byte(nil), e.challenge...),
-		WrappedKey: append([]byte(nil), e.wrappedKey...),
+		Challenge:  meta[:n:n],
+		WrappedKey: meta[n:],
+		Blob:       e.blob,
 		BlobSize:   int64(len(e.blob)),
 		Owner:      e.owner,
 		Hits:       e.hits,
@@ -233,66 +218,48 @@ func (m *memEngine) recordLocked(e *entry) storeengine.Record {
 	}
 }
 
-// Insert implements engine.Engine in two enclave entries:
-// duplicate-check first under the shard lock; only copy the blob
-// (outside) and charge the metadata if this is a fresh tag; then
-// insert under the lock again, releasing the charge if a concurrent
-// identical PUT won the race.
-func (m *memEngine) Insert(tag mle.Tag, rec storeengine.Record) (bool, error) {
-	sh := m.shardFor(tag)
-	dupe := false
+// Insert implements engine.Engine. The untrusted side copies every
+// item's ciphertext first (a duplicate's copy is dropped); one enclave
+// entry then checks, charges and installs each item under its shard
+// lock, so of two racing identical PUTs exactly one installs.
+func (m *memEngine) Insert(items []storeengine.Item) ([]bool, error) {
+	entries := make([]*entry, len(items))
+	for i := range items {
+		rec := &items[i].Record
+		entries[i] = &entry{
+			challenge:  append([]byte(nil), rec.Challenge...),
+			wrappedKey: append([]byte(nil), rec.WrappedKey...),
+			blob:       append([]byte(nil), rec.Blob...),
+			owner:      rec.Owner,
+			hits:       rec.Hits,
+			lastTouch:  rec.LastTouch,
+		}
+	}
+	installed := make([]bool, len(items))
 	err := m.enclave.ECall(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
 		if m.closed.Load() {
 			return ErrClosed
 		}
-		if _, ok := sh.dict[tag]; ok {
-			dupe = true
+		for i, e := range entries {
+			tag := items[i].Tag
+			sh := m.shardFor(tag)
+			sh.mu.Lock()
+			if _, dupe := sh.dict[tag]; !dupe {
+				if err := m.enclave.Alloc(e.enclaveBytes()); err != nil {
+					sh.mu.Unlock()
+					return fmt.Errorf("metadata allocation: %w", err)
+				}
+				e.lruElem = sh.lru.PushFront(tag)
+				sh.dict[tag] = e
+				m.entries.Add(1)
+				m.blobTotal.Add(int64(len(e.blob)))
+				installed[i] = true
+			}
+			sh.mu.Unlock()
 		}
 		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	if dupe {
-		return false, nil
-	}
-
-	e := &entry{
-		challenge:  append([]byte(nil), rec.Challenge...),
-		wrappedKey: append([]byte(nil), rec.WrappedKey...),
-		blob:       append([]byte(nil), rec.Blob...),
-		owner:      rec.Owner,
-		hits:       rec.Hits,
-		lastTouch:  rec.LastTouch,
-	}
-	if err := m.enclave.Alloc(e.enclaveBytes()); err != nil {
-		return false, fmt.Errorf("metadata allocation: %w", err)
-	}
-
-	err = m.enclave.ECall(func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if m.closed.Load() {
-			return ErrClosed
-		}
-		if _, ok := sh.dict[tag]; ok {
-			// Lost a race with a concurrent identical PUT.
-			dupe = true
-			return nil
-		}
-		e.lruElem = sh.lru.PushFront(tag)
-		sh.dict[tag] = e
-		m.entries.Add(1)
-		m.blobTotal.Add(int64(len(e.blob)))
-		return nil
-	})
-	if err != nil || dupe {
-		m.enclave.Free(e.enclaveBytes())
-		return false, err
-	}
-	return true, nil
+	return installed, err
 }
 
 // Remove implements engine.Engine: it deletes the entry, releasing its
@@ -332,19 +299,14 @@ func (m *memEngine) ValueBytes() int64 { return m.blobTotal.Load() }
 // under its lock, then blobs are copied and records yielded outside
 // the lock.
 func (m *memEngine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) error {
-	type ref struct {
-		tag  mle.Tag
-		rec  storeengine.Record
-		blob []byte
-	}
-	var refs []ref // reused across shards
+	var refs []storeengine.Item // reused across shards
 	for _, sh := range m.shards {
 		refs = refs[:0]
 		err := m.enclave.ECall(func() error {
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			for tag, e := range sh.dict {
-				refs = append(refs, ref{tag: tag, rec: m.recordLocked(e), blob: e.blob})
+				refs = append(refs, storeengine.Item{Tag: tag, Record: m.recordLocked(e)})
 			}
 			return nil
 		})
@@ -352,8 +314,8 @@ func (m *memEngine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) e
 			return err
 		}
 		for _, r := range refs {
-			r.rec.Blob = append([]byte(nil), r.blob...)
-			if !fn(r.tag, r.rec) {
+			r.Record.Blob = append([]byte(nil), r.Record.Blob...)
+			if !fn(r.Tag, r.Record) {
 				return nil
 			}
 		}

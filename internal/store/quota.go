@@ -87,6 +87,13 @@ func (q *quotas) allowPut(id enclave.Measurement, n int64) (bool, string) {
 	return true, ""
 }
 
+// fits reports whether n more bytes fit the app's space quota right now.
+func (q *quotas) fits(id enclave.Measurement, n int64) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.cfg.MaxBytesPerApp <= 0 || q.app(id).bytes+n <= q.cfg.MaxBytesPerApp
+}
+
 // creditBytes returns n bytes to the application's space quota, used
 // when an entry is evicted or a PUT loses a race with a concurrent
 // duplicate.

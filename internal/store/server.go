@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"speed/internal/enclave"
-	"speed/internal/mle"
 	"speed/internal/telemetry"
 	"speed/internal/wire"
 )
@@ -552,46 +551,16 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 	switch m := msg.(type) {
 	case wire.GetRequest:
 		observe(len(m.Tags))
-		resp := wire.GetResponse{Results: make([]wire.GetResult, 0, len(m.Tags))}
-		budget := replyBudget
-		for _, tag := range m.Tags {
-			r, err := s.store.WireGet(owner, tag)
-			if err != nil {
-				return nil, err
-			}
-			// The entry that does not fit is left for the client's next
-			// request, which fetches it again (and counts it again: one
-			// extra hit per replyBudget of reply).
-			if budget -= r.Sealed.Size(); budget < 0 && len(resp.Results) > 0 {
-				break
-			}
-			resp.Results = append(resp.Results, r)
-		}
-		return resp, nil
+		results, err := s.store.WireGet(owner, m.Tags, replyBudget)
+		return wire.GetResponse{Results: results}, err
 	case wire.PutRequest:
 		observe(len(m.Items))
-		resp := wire.PutResponse{Results: make([]wire.PutResult, len(m.Items))}
-		for i, it := range m.Items {
-			r, err := s.store.WirePut(owner, it)
-			if err != nil {
-				return nil, err
-			}
-			resp.Results[i] = r
-		}
-		return resp, nil
+		results, err := s.store.WirePut(owner, m.Items)
+		return wire.PutResponse{Results: results}, err
 	case wire.HasRequest:
 		observe(len(m.Tags))
-		resp := wire.HasResponse{Present: make([]bool, len(m.Tags))}
-		for i, tag := range m.Tags {
-			// HasAs maps unauthorized to (false, nil) itself, so the
-			// deny-without-information property holds per tag.
-			present, err := s.store.HasAs(owner, tag)
-			if err != nil {
-				return nil, fmt.Errorf("has %v: %w", tag, err)
-			}
-			resp.Present[i] = present
-		}
-		return resp, nil
+		present, err := s.store.WireHas(owner, m.Tags)
+		return wire.HasResponse{Present: present}, err
 	case wire.SyncPullRequest:
 		max := int(m.Max)
 		if max <= 0 || max > wire.MaxBatchItems {
@@ -613,39 +582,4 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 	default:
 		return nil, fmt.Errorf("store: unexpected message %v", msg.Kind())
 	}
-}
-
-// WireGet is one GET on behalf of owner in wire terms. It and WirePut
-// are the single copy of the store-error → wire-result mapping, shared
-// by Dispatch and the in-process client, so local and remote deployments
-// answer identically. An unauthorized application is denied without
-// information: it sees a miss and learns nothing about which tags
-// exist.
-func (s *Store) WireGet(owner enclave.Measurement, tag mle.Tag) (wire.GetResult, error) {
-	sealed, found, err := s.GetAs(owner, tag)
-	switch {
-	case errors.Is(err, ErrUnauthorized):
-		return wire.GetResult{}, nil
-	case err != nil:
-		return wire.GetResult{}, fmt.Errorf("get %v: %w", tag, err)
-	}
-	return wire.GetResult{Found: found, Sealed: sealed}, nil
-}
-
-// WirePut is one PUT on behalf of owner in wire terms. Quota and
-// authorization rejections are the item's answer, carrying the store's
-// reason; only internal failures are errors.
-func (s *Store) WirePut(owner enclave.Measurement, it wire.PutItem) (wire.PutResult, error) {
-	put := s.Put
-	if it.Replace {
-		put = s.PutReplace
-	}
-	_, err := put(owner, it.Tag, it.Sealed)
-	switch {
-	case errors.Is(err, ErrQuota), errors.Is(err, ErrUnauthorized):
-		return wire.PutResult{Err: err.Error()}, nil
-	case err != nil:
-		return wire.PutResult{}, fmt.Errorf("put %v: %w", it.Tag, err)
-	}
-	return wire.PutResult{OK: true}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	storeengine "speed/internal/store/engine"
 	"speed/internal/store/logengine"
 	"speed/internal/telemetry"
+	"speed/internal/wire"
 )
 
 // entryOverhead approximates the in-enclave footprint of one dictionary
@@ -275,87 +277,149 @@ func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 // Enclave returns the enclave hosting the metadata dictionary.
 func (s *Store) Enclave() *enclave.Enclave { return s.cfg.Enclave }
 
+// authorize consults the configured Authorizer, if any.
+func (s *Store) authorize(app enclave.Measurement, tag mle.Tag, perm Permission) error {
+	if s.cfg.Auth == nil {
+		return nil
+	}
+	return s.cfg.Auth.Authorize(app, tag, perm)
+}
+
+// count folds one message's outcomes into the op counters under one
+// lock acquisition, keeping Stats snapshots consistent (Hits <= Gets).
+func (s *Store) count(fold func(ops *Stats)) {
+	s.statsMu.Lock()
+	fold(&s.ops)
+	s.statsMu.Unlock()
+}
+
+// readable returns the tags of a message that app may read and, when an
+// Authorizer is configured, each one's position in the message.
+func (s *Store) readable(app enclave.Measurement, tags []mle.Tag) (allowed []mle.Tag, pos []int) {
+	if s.cfg.Auth == nil {
+		return tags, nil
+	}
+	pos = make([]int, 0, len(tags))
+	for i, tag := range tags {
+		if s.authorize(app, tag, PermGet) == nil {
+			allowed = append(allowed, tag)
+			pos = append(pos, i)
+		}
+	}
+	return allowed, pos
+}
+
+// scatter puts the answers for a message's readable tags back at their
+// positions among its first n tags, the denied ones reading as the zero
+// answer, and counts those denials.
+func scatter[T any](s *Store, answers []T, pos []int, n int) []T {
+	s.count(func(ops *Stats) { ops.Unauthorized += int64(n - len(answers)) })
+	out := make([]T, n)
+	for j, a := range answers {
+		out[pos[j]] = a
+	}
+	return out
+}
+
 // GetAs is Get with the caller's attested identity, consulted by the
 // store's Authorizer when one is configured.
 func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, error) {
-	if s.cfg.Auth != nil {
-		if err := s.cfg.Auth.Authorize(app, tag, PermGet); err != nil {
-			s.statsMu.Lock()
-			s.ops.Unauthorized++
-			s.statsMu.Unlock()
-			return mle.Sealed{}, false, err
-		}
+	if err := s.authorize(app, tag, PermGet); err != nil {
+		s.count(func(ops *Stats) { ops.Unauthorized++ })
+		return mle.Sealed{}, false, err
 	}
 	return s.Get(tag)
 }
 
-// HasAs reports whether the tag is present, without fetching the
-// sealed value, counting a hit, or refreshing recency — the existence
-// probe behind HAS (chunked dedup's missing-chunk transfer).
-// Authorization uses PermGet: a caller that may not read the entry
-// learns nothing (the probe reports absent rather than erroring, so
-// HAS answers are deny-without-information). The answer is a
-// hint, not a promise; a probed-present entry can still expire or be
-// evicted before a later Get.
-func (s *Store) HasAs(app enclave.Measurement, tag mle.Tag) (bool, error) {
-	if s.cfg.Auth != nil {
-		if err := s.cfg.Auth.Authorize(app, tag, PermGet); err != nil {
-			s.statsMu.Lock()
-			s.ops.Unauthorized++
-			s.statsMu.Unlock()
-			return false, nil
-		}
+// Get looks up one computation tag, returning the (r, [k], [res])
+// triple when found.
+func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
+	results, err := s.get([]mle.Tag{tag}, math.MaxInt)
+	if err != nil {
+		return mle.Sealed{}, false, err
 	}
-	return s.eng.Contains(tag)
+	return results[0].Sealed, results[0].Found, nil
 }
 
-// Get looks up the computation tag, returning the (r, [k], [res])
-// triple when found. How the lookup is served depends on the engine:
-// the memory engine does one in-enclave dictionary access plus a blob
-// copy; the log engine consults its memtable, hot cache and sorted
-// segments.
-func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
+// WireGet answers one GET message on behalf of owner in wire terms: a
+// prefix of tags, ending before the first hit that would take the
+// sealed payload past budget bytes (left untouched for the caller's
+// next request) but never empty. It, WirePut and WireHas are the single
+// copy of the store-error → wire-result mapping, called once per
+// message by Dispatch and the in-process client, so local and remote
+// deployments answer identically. An unauthorized application is denied
+// without information: it sees a miss and learns nothing about which
+// tags exist.
+func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, budget int) ([]wire.GetResult, error) {
+	allowed, pos := s.readable(owner, tags)
+	found, err := s.get(allowed, budget)
+	if err != nil || pos == nil {
+		return found, err
+	}
+	n := len(tags)
+	if len(found) < len(allowed) {
+		n = pos[len(found)] // a prefix ends before its first unanswered tag
+	}
+	return scatter(s, found, pos, n), nil
+}
+
+// WireHas answers one HAS message: whether each tag is present, without
+// fetching the sealed value, counting a hit, or refreshing recency —
+// the existence probe behind chunked dedup's missing-chunk transfer.
+// A caller without PermGet on an entry is told it is absent (deny
+// without information). The answers are hints: a probed-present entry
+// can still expire or be evicted before a later Get.
+func (s *Store) WireHas(owner enclave.Measurement, tags []mle.Tag) (present []bool, err error) {
+	allowed, pos := s.readable(owner, tags)
+	if len(allowed) > 0 {
+		if present, err = s.eng.Contains(allowed); err != nil {
+			return nil, err
+		}
+	}
+	if pos == nil {
+		return present, nil
+	}
+	return scatter(s, present, pos, len(tags)), nil
+}
+
+// get looks one message's tags up, answering a prefix (see WireGet),
+// collects the expired entries it met and counts the message.
+func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
+	if len(tags) == 0 {
+		return nil, nil // a ping, or nothing the caller may read
+	}
 	if s.getSeconds != nil {
 		start := time.Now()
 		defer func() { s.getSeconds.Observe(time.Since(start)) }()
 	}
-	rec, status, err := s.eng.Get(tag)
+	found, err := s.eng.Get(tags, budget)
 	if err != nil {
-		return mle.Sealed{}, false, err
+		return nil, err
 	}
-	switch status {
-	case storeengine.StatusExpired:
-		s.remove(tag, reasonExpire)
-		s.countGet(false)
-		return mle.Sealed{}, false, nil
-	case storeengine.StatusDangling:
-		// The entry was found (a hit, for accounting) but its value is
-		// gone; drop it and report a miss so the application recomputes.
-		s.countGet(true)
-		s.remove(tag, reasonDangling)
-		return mle.Sealed{}, false, nil
-	case storeengine.StatusHit:
-		s.countGet(true)
-		return mle.Sealed{
-			Challenge:  rec.Challenge,
-			WrappedKey: rec.WrappedKey,
-			Blob:       rec.Blob,
-		}, true, nil
-	default:
-		s.countGet(false)
-		return mle.Sealed{}, false, nil
+	results := make([]wire.GetResult, len(found))
+	var hits int64
+	for i := range found {
+		switch rec := &found[i].Record; found[i].Status {
+		case storeengine.StatusExpired:
+			s.remove(tags[i], reasonExpire)
+		case storeengine.StatusDangling:
+			// The entry was found (a hit, for accounting) but its value is
+			// gone; drop it and report a miss so the application
+			// recomputes. Asked for twice in a message, it is found once.
+			if s.remove(tags[i], reasonDangling) {
+				hits++
+			}
+		case storeengine.StatusHit:
+			hits++
+			results[i] = wire.GetResult{Found: true, Sealed: mle.Sealed{
+				Challenge: rec.Challenge, WrappedKey: rec.WrappedKey, Blob: rec.Blob}}
+		}
 	}
-}
-
-// countGet folds one lookup into the op counters under a single lock
-// acquisition, keeping Stats snapshots consistent (Hits <= Gets).
-func (s *Store) countGet(hit bool) {
-	s.statsMu.Lock()
-	s.ops.Gets++
-	if hit {
-		s.ops.Hits++
-	}
-	s.statsMu.Unlock()
+	s.count(func(ops *Stats) {
+		ops.Gets += int64(len(found))
+		ops.Hits += hits
+	})
+	return results, nil
 }
 
 // Put stores a freshly computed sealed result for the tag on behalf of
@@ -364,77 +428,112 @@ func (s *Store) countGet(hit bool) {
 // be stored", Section IV-B Remark); installed reports whether this call
 // created the entry.
 func (s *Store) Put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed) (installed bool, err error) {
-	return s.put(owner, tag, sealed, false)
+	created, rejected, err := s.put(owner, []wire.PutItem{{Tag: tag, Sealed: sealed}})
+	if err != nil {
+		return false, err
+	}
+	return created[0], rejected[0]
 }
 
-// PutReplace stores a sealed result, overwriting any existing entry
-// for the tag. It is used when an application recomputed a result
-// after the stored version failed the verification protocol (a
-// poisoned or corrupted entry): without replacement the bad entry
-// would be permanent, costing every future caller a recomputation.
-// Replacement is still subject to authorization and quotas, so an
-// adversary cannot use it to thrash the cache faster than its PUT rate
-// allows.
-func (s *Store) PutReplace(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed) (installed bool, err error) {
-	return s.put(owner, tag, sealed, true)
+// WirePut answers one PUT message on behalf of owner in wire terms.
+// Quota and authorization rejections are an item's answer, carrying the
+// store's reason; only internal failures are errors.
+func (s *Store) WirePut(owner enclave.Measurement, items []wire.PutItem) ([]wire.PutResult, error) {
+	_, rejected, err := s.put(owner, items)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]wire.PutResult, len(rejected))
+	for i, r := range rejected {
+		if results[i].OK = r == nil; r != nil {
+			results[i].Err = r.Error()
+		}
+	}
+	return results, nil
 }
 
-// put is Put; replace removes any existing entry for the tag before
-// inserting.
-func (s *Store) put(owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed, replace bool) (installed bool, err error) {
+// put is the PUT policy of one message: each item is authorized and
+// charged to its owner's quota in order, the admitted items reach the
+// engine together (one enclave entry), and duplicates — the first
+// stored version wins — are credited back. An item with Replace set
+// overwrites any existing entry: an application recomputed the result
+// after the stored version failed verification, and without
+// replacement the bad entry would cost every future caller a
+// recomputation; it is still subject to authorization and quotas, so
+// an adversary cannot thrash the cache faster than its PUT rate allows,
+// and a concurrent Put that wins the race after the removal just makes
+// the item a duplicate of another fresh version. The answers are those
+// the items would get arriving one by one: what precedes an item is
+// applied and settled first when it has Replace set or would not fit
+// the space quota as charged so far. Positionally, installed says which
+// items created their entry and rejected holds the ErrQuota or
+// ErrUnauthorized that kept an item out.
+func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed []bool, rejected []error, err error) {
 	if s.putSeconds != nil {
 		start := time.Now()
 		defer func() { s.putSeconds.Observe(time.Since(start)) }()
 	}
-	if s.cfg.Auth != nil {
-		if aerr := s.cfg.Auth.Authorize(owner, tag, PermPut); aerr != nil {
-			s.statsMu.Lock()
-			s.ops.Unauthorized++
-			s.statsMu.Unlock()
-			return false, aerr
+	var (
+		run   = make([]storeengine.Item, 0, len(items)) // admitted, not yet inserted
+		at    = make([]int, 0, len(items))              // their positions in the message
+		now   = s.cfg.Now()
+		stats Stats
+	)
+	installed, rejected = make([]bool, len(items)), make([]error, len(items))
+	defer s.count(func(ops *Stats) {
+		ops.Puts += stats.Puts
+		ops.PutDupes += stats.PutDupes
+		ops.PutDenied += stats.PutDenied
+		ops.Unauthorized += stats.Unauthorized
+	})
+	// flush inserts the run and settles it: the quota charge of a
+	// duplicate (or, on error, of an item never applied) is returned.
+	flush := func() error {
+		fresh, err := s.eng.Insert(run)
+		for j, it := range run {
+			if j < len(fresh) && fresh[j] {
+				installed[at[j]] = true
+				stats.Puts++
+				continue
+			}
+			s.quota.creditBytes(owner, it.Record.BlobSize)
+			if err == nil {
+				stats.PutDupes++
+			}
 		}
+		run, at = run[:0], at[:0]
+		s.enforceLimits()
+		return err
 	}
-	blobLen := int64(len(sealed.Blob))
-	if ok, reason := s.quota.allowPut(owner, blobLen); !ok {
-		s.statsMu.Lock()
-		s.ops.PutDenied++
-		s.statsMu.Unlock()
-		return false, fmt.Errorf("%w: %s", ErrQuota, reason)
+	for i, it := range items {
+		if err := s.authorize(owner, it.Tag, PermPut); err != nil {
+			stats.Unauthorized++
+			rejected[i] = err
+			continue
+		}
+		blobLen := int64(len(it.Sealed.Blob))
+		if len(run) > 0 && (it.Replace || !s.quota.fits(owner, blobLen)) {
+			if err := flush(); err != nil {
+				return nil, nil, err
+			}
+		}
+		if ok, reason := s.quota.allowPut(owner, blobLen); !ok {
+			stats.PutDenied++
+			rejected[i] = fmt.Errorf("%w: %s", ErrQuota, reason)
+			continue
+		}
+		if it.Replace {
+			s.remove(it.Tag, reasonReplace)
+		}
+		run = append(run, storeengine.Item{Tag: it.Tag, Record: storeengine.Record{
+			Challenge: it.Sealed.Challenge, WrappedKey: it.Sealed.WrappedKey, Blob: it.Sealed.Blob,
+			BlobSize: blobLen, Owner: owner, LastTouch: now}})
+		at = append(at, i)
 	}
-
-	if replace {
-		// Drop any existing version before inserting. Not atomic with
-		// the insert below: a concurrent Put can win the race, in
-		// which case this call reports a duplicate — acceptable, since
-		// any fresh version supersedes the bad one.
-		s.remove(tag, reasonReplace)
+	if len(run) > 0 {
+		err = flush()
 	}
-
-	rec := storeengine.Record{
-		Challenge:  append([]byte(nil), sealed.Challenge...),
-		WrappedKey: append([]byte(nil), sealed.WrappedKey...),
-		Blob:       sealed.Blob,
-		BlobSize:   blobLen,
-		Owner:      owner,
-		LastTouch:  s.cfg.Now(),
-	}
-	installed, err = s.eng.Insert(tag, rec)
-	if err != nil {
-		s.quota.creditBytes(owner, blobLen)
-		return false, err
-	}
-	if !installed {
-		s.statsMu.Lock()
-		s.ops.PutDupes++
-		s.statsMu.Unlock()
-		s.quota.creditBytes(owner, blobLen)
-		return false, nil
-	}
-	s.statsMu.Lock()
-	s.ops.Puts++
-	s.statsMu.Unlock()
-	s.enforceLimits()
-	return true, nil
+	return installed, rejected, err
 }
 
 // enforceLimits evicts least-recently-used entries until the global
@@ -504,13 +603,9 @@ func (s *Store) remove(tag mle.Tag, reason deleteReason) bool {
 	}
 	switch reason {
 	case reasonEvict:
-		s.statsMu.Lock()
-		s.ops.Evictions++
-		s.statsMu.Unlock()
+		s.count(func(ops *Stats) { ops.Evictions++ })
 	case reasonExpire:
-		s.statsMu.Lock()
-		s.ops.Expired++
-		s.statsMu.Unlock()
+		s.count(func(ops *Stats) { ops.Expired++ })
 	}
 	s.quota.creditBytes(rec.Owner, rec.BlobSize)
 	return true
@@ -611,10 +706,8 @@ func (s *Store) ExportHotAs(app enclave.Measurement, minHits int64, max int) ([]
 		if rec.Hits < minHits {
 			return true
 		}
-		if s.cfg.Auth != nil {
-			if aerr := s.cfg.Auth.Authorize(app, tag, PermGet); aerr != nil {
-				return true // deny without information, as for GET
-			}
+		if s.authorize(app, tag, PermGet) != nil {
+			return true // deny without information, as for GET
 		}
 		e := ExportEntry{
 			Tag: tag,

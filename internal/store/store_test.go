@@ -11,6 +11,7 @@ import (
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
+	"speed/internal/wire"
 )
 
 func testEnclave(t *testing.T) *enclave.Enclave {
@@ -122,13 +123,22 @@ func TestPutDuplicateKeepsFirst(t *testing.T) {
 	}
 }
 
+// putReplace is a one-item PUT message with Replace set.
+func putReplace(s *Store, owner enclave.Measurement, tag mle.Tag, sealed mle.Sealed) (bool, error) {
+	installed, rejected, err := s.put(owner, []wire.PutItem{{Tag: tag, Sealed: sealed, Replace: true}})
+	if err != nil {
+		return false, err
+	}
+	return installed[0], rejected[0]
+}
+
 func TestPutReplaceOverwrites(t *testing.T) {
 	s := testStore(t, Config{})
 	tag := tagOf("t")
 	if _, err := s.Put(ownerOf("a"), tag, sealedOf("bad version")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	installed, err := s.PutReplace(ownerOf("b"), tag, sealedOf("good version"))
+	installed, err := putReplace(s, ownerOf("b"), tag, sealedOf("good version"))
 	if err != nil {
 		t.Fatalf("PutReplace: %v", err)
 	}
@@ -157,7 +167,7 @@ func TestPutReplaceOverwrites(t *testing.T) {
 
 func TestPutReplaceOnMissingTagBehavesLikePut(t *testing.T) {
 	s := testStore(t, Config{})
-	installed, err := s.PutReplace(ownerOf("a"), tagOf("fresh"), sealedOf("v"))
+	installed, err := putReplace(s, ownerOf("a"), tagOf("fresh"), sealedOf("v"))
 	if err != nil || !installed {
 		t.Fatalf("PutReplace on missing = (%v, %v)", installed, err)
 	}
