@@ -106,6 +106,9 @@ type Stats struct {
 	WALBytes int64
 	// WALRecords counts records appended to the WAL since open.
 	WALRecords int64
+	// WALSyncs counts fsyncs of appended WAL data since open; under
+	// fsync=commit that is one per PUT message (group commit).
+	WALSyncs int64
 	// Flushes counts memtable-to-segment flushes.
 	Flushes int64
 	// Compactions counts completed segment merges.
@@ -160,11 +163,13 @@ type Engine interface {
 	// positionally: it ends before the first hit whose sealed size
 	// (challenge + wrapped key + blob) would take the answers past
 	// budget bytes — that record is neither counted nor touched — but
-	// always holds one answer. On StatusHit the Record's byte slices are
-	// owned by the caller (engines copy out). Engines configured
-	// oblivious perform access-pattern-uniform lookups over their
-	// in-enclave structures, for every tag, and skip recency
-	// maintenance.
+	// always holds one answer. An engine that reads records from disk
+	// may end the prefix sooner, once what it has read passes budget, so
+	// that a message never reads much more than it can answer. On
+	// StatusHit the Record's byte slices are owned by the caller (engines
+	// copy out). Engines configured oblivious perform access-pattern-
+	// uniform lookups over their in-enclave structures, for every tag,
+	// and skip recency maintenance.
 	Get(tags []mle.Tag, budget int) ([]Lookup, error)
 	// Contains reports, positionally, whether a live record exists for
 	// each tag. Unlike Get it must not count a hit, refresh recency or

@@ -151,9 +151,9 @@ func mustInsertMessage(t *testing.T, e *Engine, lo, hi int) {
 func TestInsertMessageCommitsOnce(t *testing.T) {
 	p := testPlatform()
 	e := openTest(t, testConfig(t, p, t.TempDir())) // Fsync zero value: commit
-	before := e.wal.syncs
+	before := e.Stats().WALSyncs
 	mustInsertMessage(t, e, 0, 3)
-	if got := e.wal.syncs - before; got != 1 {
+	if got := e.Stats().WALSyncs - before; got != 1 {
 		t.Errorf("a 3-item PUT message fsynced the WAL %d times, want 1", got)
 	}
 

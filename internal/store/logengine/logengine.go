@@ -486,7 +486,10 @@ func (e *Engine) Name() string { return "log" }
 // segments newest-first through their sparse indexes. One enclave entry
 // locates the message's tags in the in-enclave tiers and, if those
 // decide them all, answers; otherwise the segment payloads of the rest
-// are read outside and a second entry unseals them and answers.
+// are read outside and a second entry unseals them and answers. The
+// reads stop with the record that takes them past budget (a sealed
+// payload is no smaller than what it answers), so a message costs at
+// most budget plus one record of disk reads and heap.
 func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -517,7 +520,7 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 				}
 			}
 		}()
-		for i, tag := range tags {
+		for i, tag := range tags[:len(at)] {
 			var l storeengine.Lookup
 			p, rec := &at[i], at[i].rec
 			if p.sealed != nil {
@@ -566,11 +569,11 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 	err := e.cfg.Enclave.ECall(func() error {
 		for i, tag := range tags {
 			p := &at[i]
-			if mr, ok := e.lookupMem(tag); ok && mr.dead {
+			if mr, ok := lookup(e, e.memtable, tag); ok && mr.dead {
 				p.dead = true
 			} else if ok {
 				p.rec = &mr.rec
-			} else if cr, ok := e.lookupCache(tag); ok {
+			} else if cr, ok := lookup(e, e.cache, tag); ok {
 				p.rec, p.cr = &cr.rec, cr
 			}
 			if p.rec != nil {
@@ -590,8 +593,12 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 
 	// Consult the segments (untrusted disk), newest first, for every tag
 	// the tiers do not decide. Unsealing happens back inside the enclave.
-	onDisk := false
+	onDisk, read := false, 0
 	for i := range at {
+		if i > 0 && read > budget {
+			at = at[:i] // the answers end here at the latest
+			break
+		}
 		if p := &at[i]; p.rec == nil && !p.dead {
 			e.st.CacheMisses++
 			sealed, found, dead, err := e.findLocked(tags[i], true)
@@ -600,11 +607,12 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 			}
 			if found && !dead {
 				p.sealed, onDisk = sealed, true
+				read += len(sealed)
 			}
 		}
 	}
 	if !onDisk && resident == 0 {
-		return out[:len(tags)], nil // every tag is a miss
+		return out[:len(at)], nil // every tag is a miss
 	}
 	return out, e.cfg.Enclave.ECall(answer)
 }
@@ -631,32 +639,17 @@ func (e *Engine) findLocked(tag mle.Tag, wantSealed bool) (sealed []byte, found,
 	return nil, false, false, nil
 }
 
-// lookupMem finds a memtable entry; under Oblivious it scans every
-// entry with uniform work.
-func (e *Engine) lookupMem(tag mle.Tag) (*memRec, bool) {
+// lookup finds tag in the memtable or the hot cache; under Oblivious it
+// scans every entry with uniform work.
+func lookup[V any](e *Engine, in map[mle.Tag]*V, tag mle.Tag) (*V, bool) {
 	if !e.cfg.Oblivious {
-		mr, ok := e.memtable[tag]
-		return mr, ok
+		v, ok := in[tag]
+		return v, ok
 	}
-	var found *memRec
-	for k, mr := range e.memtable {
+	var found *V
+	for k, v := range in {
 		if constantTimeTagEq(k, tag) {
-			found = mr
-		}
-	}
-	return found, found != nil
-}
-
-// lookupCache finds a hot-cache entry; oblivious scans uniformly.
-func (e *Engine) lookupCache(tag mle.Tag) (*cacheRec, bool) {
-	if !e.cfg.Oblivious {
-		cr, ok := e.cache[tag]
-		return cr, ok
-	}
-	var found *cacheRec
-	for k, cr := range e.cache {
-		if constantTimeTagEq(k, tag) {
-			found = cr
+			found = v
 		}
 	}
 	return found, found != nil
@@ -787,38 +780,51 @@ func (e *Engine) cacheDelete(tag mle.Tag) {
 
 // Insert implements engine.Engine: every fresh item's WAL record is
 // appended, one fsync (per policy) covers the message, one enclave
-// entry applies it to the memtable, then a flush if over budget. First
-// version wins, within the message too.
+// entry applies it to the memtable. First version wins, within the
+// message too. A message is cut after a record that fills the memtable,
+// which so flushes exactly as with the items arriving one by one.
 func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, storeengine.ErrClosed
 	}
+	installed := make([]bool, len(items))
+	var err error
+	for n, done := 0, 0; done < len(items) && err == nil; done += n {
+		n, err = e.insertRunLocked(items[done:], installed[done:])
+	}
+	return installed, err
+}
+
+// insertRunLocked inserts the items up to and including the one that
+// fills the memtable — the flush that follows truncates the WAL, so
+// what it covers is synced and applied first — and reports how many
+// that was. Caller holds mu.
+func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n int, failed error) {
 	var (
-		installed = make([]bool, len(items))
-		fresh     = make([]int, 0, len(items)) // the items in the WAL
-		claimed   = make(map[mle.Tag]bool)     // their tags
-		failed    error
+		fresh   = make([]int, 0, len(items)) // the items in the WAL
+		claimed = make(map[mle.Tag]bool)     // their tags
+		mem     = e.memBytes                 // at most this with them applied
 	)
-	for i := range items {
-		tag := items[i].Tag
+	for n < len(items) && failed == nil && (n == 0 || mem < e.cfg.MemtableBytes) {
+		tag, rec := items[n].Tag, items[n].Record
 		exists, err := e.existsLocked(tag)
 		if err == nil && !exists && !claimed[tag] {
-			if err = e.wal.append(e.cfg.Enclave, walOpPut, tag, items[i].Record); err == nil {
+			if err = e.wal.append(e.cfg.Enclave, walOpPut, tag, rec); err == nil {
 				e.st.WALRecords++
 				claimed[tag] = true
-				fresh = append(fresh, i)
+				fresh = append(fresh, n)
+				mem += (&memRec{rec: rec}).bytes()
 			}
 		}
-		if failed = err; failed != nil {
-			break // what the WAL already carries is still applied
-		}
+		failed = err // what the WAL already carries is still applied
+		n++
 	}
 	// Nothing is applied, so nothing acknowledged, before the one sync.
 	if len(fresh) > 0 && e.cfg.Fsync == FsyncCommit {
 		if err := e.wal.sync(); err != nil {
-			return installed, fmt.Errorf("logengine: wal fsync: %w", err)
+			return n, fmt.Errorf("logengine: wal fsync: %w", err)
 		}
 	}
 	err := e.cfg.Enclave.ECall(func() error {
@@ -853,14 +859,14 @@ func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 		if e.cfg.Fsync == FsyncCommit {
 			_ = e.wal.sync() // best effort: the insert already failed
 		}
-		return installed, err
+		return n, err
 	}
 	if failed == nil && e.memBytes >= e.cfg.MemtableBytes {
 		if err := e.flushLocked(); err != nil {
 			failed = fmt.Errorf("logengine: flush: %w", err)
 		}
 	}
-	return installed, failed
+	return n, failed
 }
 
 // Contains implements engine.Engine: existence probes over the memtable
@@ -879,7 +885,7 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	probe := make([]int, 0, len(tags)) // the tags the memtable does not decide
 	if err := e.cfg.Enclave.ECall(func() error {
 		for i, tag := range tags {
-			if mr, ok := e.lookupMem(tag); ok {
+			if mr, ok := lookup(e, e.memtable, tag); ok {
 				present[i] = !mr.dead
 			} else {
 				probe = append(probe, i)
@@ -924,31 +930,20 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		if mr.dead {
 			return storeengine.Record{}, false, nil
 		}
-		meta = storeengine.Record{
-			BlobSize:  mr.rec.BlobSize,
-			Owner:     mr.rec.Owner,
-			Hits:      mr.rec.Hits,
-			LastTouch: mr.rec.LastTouch,
-		}
+		meta = mr.rec
 	} else {
 		sealed, found, dead, err := e.findLocked(tag, true)
 		if err != nil || !found || dead {
 			return storeengine.Record{}, false, err
 		}
-		rec, uerr := unsealRecord(e.cfg.Enclave, sealed)
-		if uerr != nil {
-			// Unreadable record: still tombstone it so it stops
-			// shadowing, but report unknown metadata.
-			rec = storeengine.Record{}
-		}
-		meta = storeengine.Record{
-			BlobSize:  rec.BlobSize,
-			Owner:     rec.Owner,
-			Hits:      rec.Hits,
-			LastTouch: rec.LastTouch,
+		if meta, err = unsealRecord(e.cfg.Enclave, sealed); err != nil {
+			// Unreadable: still tombstone it so it stops shadowing, but
+			// report unknown metadata.
+			meta = storeengine.Record{}
 		}
 		e.applyTouch(tag, &meta)
 	}
+	meta.Challenge, meta.WrappedKey, meta.Blob = nil, nil, nil
 	if err := e.wal.append(e.cfg.Enclave, walOpDelete, tag, storeengine.Record{}); err != nil {
 		return storeengine.Record{}, false, err
 	}
@@ -964,13 +959,9 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 			e.memBytes -= prev.bytes()
 			e.cfg.Enclave.Free(prev.bytes())
 		}
-		if err := e.cfg.Enclave.Alloc(nr.bytes()); err == nil {
-			e.memtable[tag] = nr
-			e.memBytes += nr.bytes()
-		} else {
-			e.memtable[tag] = nr // record the tombstone regardless
-			e.memBytes += nr.bytes()
-		}
+		_ = e.cfg.Enclave.Alloc(nr.bytes()) // the tombstone is recorded regardless
+		e.memtable[tag] = nr
+		e.memBytes += nr.bytes()
 		return nil
 	})
 	e.cacheDelete(tag)
@@ -1202,6 +1193,7 @@ func (e *Engine) Stats() storeengine.Stats {
 	st.Entries = int(e.entries)
 	st.ValueBytes = e.valueBytes
 	st.WALBytes = e.wal.size
+	st.WALSyncs = e.wal.syncs
 	st.Segments = len(e.segments)
 	st.SegmentBytes = 0
 	for _, s := range e.segments {

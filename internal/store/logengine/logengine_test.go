@@ -195,6 +195,44 @@ func TestFlushServesFromSegments(t *testing.T) {
 	}
 }
 
+// TestInsertMessageFlushesLikeOneByOne pins the memtable budget across a
+// message: a PUT message that fills the memtable several times over
+// flushes at the same records, into the same segments, as its items
+// arriving one by one, so its enclave memory peaks no higher.
+func TestInsertMessageFlushesLikeOneByOne(t *testing.T) {
+	p := testPlatform()
+	var msg []storeengine.Item
+	for i := 0; i < 40; i++ {
+		msg = append(msg, storeengine.Item{Tag: tagOf(fmt.Sprintf("k%02d", i)), Record: recOf(fmt.Sprintf("v%02d", i))})
+	}
+	msg = append(msg, msg[3], msg[17]) // duplicates within the message
+	// run reports the engine's stats and its enclave's heap in use.
+	run := func(messages [][]storeengine.Item) (storeengine.Stats, int64) {
+		cfg := testConfig(t, p, t.TempDir())
+		cfg.MemtableBytes = 2 << 10
+		e := openTest(t, cfg)
+		for _, m := range messages {
+			if _, err := e.Insert(m); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
+		}
+		return e.Stats(), cfg.Enclave.HeapUsed()
+	}
+	var singles [][]storeengine.Item
+	for i := range msg {
+		singles = append(singles, msg[i:i+1])
+	}
+	batched, batchedHeap := run([][]storeengine.Item{msg})
+	single, singleHeap := run(singles)
+	if batched.Flushes < 2 {
+		t.Fatalf("%d flushes; the message does not fill the memtable", batched.Flushes)
+	}
+	if batched.Flushes != single.Flushes || batched.SegmentBytes != single.SegmentBytes ||
+		batched.WALBytes != single.WALBytes || batched.Entries != single.Entries || batchedHeap != singleHeap {
+		t.Errorf("one message: %+v heap %d\none by one:  %+v heap %d", batched, batchedHeap, single, singleHeap)
+	}
+}
+
 func TestCleanCloseReopen(t *testing.T) {
 	p := testPlatform()
 	dir := t.TempDir()
@@ -442,6 +480,51 @@ func TestTTLExpiry(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	if _, status, _ := get1(e, tagOf("x")); status != storeengine.StatusExpired {
 		t.Errorf("stale Get = %v, want expired", status)
+	}
+}
+
+// TestGetReadsSegmentsWithinBudget pins the reply budget as a bound on
+// what one GET message reads: of many segment-resident records it reads
+// the prefix it answers and at most one more, whatever the tag count.
+func TestGetReadsSegmentsWithinBudget(t *testing.T) {
+	p := testPlatform()
+	cfg := testConfig(t, p, t.TempDir())
+	cfg.CacheBytes = 1 // no record fits: every lookup goes to the segment
+	e := openTest(t, cfg)
+	const n = 16
+	blob := string(bytes.Repeat([]byte{'x'}, 1024))
+	tags := make([]mle.Tag, n)
+	for i := range tags {
+		tags[i] = tagOf(fmt.Sprintf("k%02d", i))
+		mustInsert(t, e, fmt.Sprintf("k%02d", i), blob)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	budget := 3*(32+len(blob)) + 200 // three records and a bit
+	requests := 0
+	for rest := tags; len(rest) > 0; requests++ {
+		before := e.Stats()
+		found, err := e.Get(rest, budget)
+		if err != nil || len(found) != min(3, len(rest)) {
+			t.Fatalf("Get(%d tags) = %d answers, %v; want 3", len(rest), len(found), err)
+		}
+		for i, l := range found {
+			if l.Status != storeengine.StatusHit || string(l.Record.Blob) != blob {
+				t.Fatalf("answer %d of request %d: status %v", i, requests, l.Status)
+			}
+		}
+		after := e.Stats()
+		if reads := after.CacheMisses - before.CacheMisses; reads > int64(len(found))+1 {
+			t.Errorf("request %d read %d segment records to answer %d", requests, reads, len(found))
+		}
+		if probes := after.SegmentProbes - before.SegmentProbes; probes > int64(len(found))+1 {
+			t.Errorf("request %d probed segments %d times to answer %d", requests, probes, len(found))
+		}
+		rest = rest[len(found):]
+	}
+	if requests != (n+2)/3 {
+		t.Errorf("%d requests, want %d", requests, (n+2)/3)
 	}
 }
 

@@ -18,6 +18,8 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 	}
 	counter("speed_store_engine_wal_records_total", "records appended to the write-ahead log",
 		func(st storeengine.Stats) int64 { return st.WALRecords })
+	counter("speed_store_engine_wal_syncs_total", "fsyncs of appended write-ahead-log data (one per PUT message under fsync=commit)",
+		func(st storeengine.Stats) int64 { return st.WALSyncs })
 	counter("speed_store_engine_flushes_total", "memtable flushes to sorted segments",
 		func(st storeengine.Stats) int64 { return st.Flushes })
 	counter("speed_store_engine_compactions_total", "completed segment compactions",

@@ -66,7 +66,7 @@ type wal struct {
 	f     *os.File
 	size  int64
 	dirty bool  // appended since last sync
-	syncs int64 // fsyncs of appended data, for the group-commit tests
+	syncs int64 // fsyncs of appended data (Stats.WALSyncs)
 }
 
 func openWAL(path string) (*wal, error) {

@@ -464,8 +464,9 @@ func (s *Store) WirePut(owner enclave.Measurement, items []wire.PutItem) ([]wire
 // and a concurrent Put that wins the race after the removal just makes
 // the item a duplicate of another fresh version. The answers are those
 // the items would get arriving one by one: what precedes an item is
-// applied and settled first when it has Replace set or would not fit
-// the space quota as charged so far. Positionally, installed says which
+// applied and settled first when it has Replace set, would not fit the
+// space quota as charged so far, or could take the store past a global
+// cap (so that eviction sees it alone). Positionally, installed says which
 // items created their entry and rejected holds the ErrQuota or
 // ErrUnauthorized that kept an item out.
 func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed []bool, rejected []error, err error) {
@@ -474,10 +475,11 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 		defer func() { s.putSeconds.Observe(time.Since(start)) }()
 	}
 	var (
-		run   = make([]storeengine.Item, 0, len(items)) // admitted, not yet inserted
-		at    = make([]int, 0, len(items))              // their positions in the message
-		now   = s.cfg.Now()
-		stats Stats
+		run     = make([]storeengine.Item, 0, len(items)) // admitted, not yet inserted
+		at      = make([]int, 0, len(items))              // their positions in the message
+		pending int64                                     // their blob bytes
+		now     = s.cfg.Now()
+		stats   Stats
 	)
 	installed, rejected = make([]bool, len(items)), make([]error, len(items))
 	defer s.count(func(ops *Stats) {
@@ -501,7 +503,7 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 				stats.PutDupes++
 			}
 		}
-		run, at = run[:0], at[:0]
+		run, at, pending = run[:0], at[:0], 0
 		s.enforceLimits()
 		return err
 	}
@@ -512,7 +514,7 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 			continue
 		}
 		blobLen := int64(len(it.Sealed.Blob))
-		if len(run) > 0 && (it.Replace || !s.quota.fits(owner, blobLen)) {
+		if len(run) > 0 && (it.Replace || !s.quota.fits(owner, blobLen) || s.overLimits(len(run)+1, pending+blobLen)) {
 			if err := flush(); err != nil {
 				return nil, nil, err
 			}
@@ -529,11 +531,19 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 			Challenge: it.Sealed.Challenge, WrappedKey: it.Sealed.WrappedKey, Blob: it.Sealed.Blob,
 			BlobSize: blobLen, Owner: owner, LastTouch: now}})
 		at = append(at, i)
+		pending += blobLen
 	}
 	if len(run) > 0 {
 		err = flush()
 	}
 	return installed, rejected, err
+}
+
+// overLimits reports whether n more entries holding size more blob
+// bytes would put the store over its MaxEntries or MaxBlobBytes cap.
+func (s *Store) overLimits(n int, size int64) bool {
+	return s.cfg.MaxEntries > 0 && s.eng.Len()+n > s.cfg.MaxEntries ||
+		s.cfg.MaxBlobBytes > 0 && s.eng.ValueBytes()+size > s.cfg.MaxBlobBytes
 }
 
 // enforceLimits evicts least-recently-used entries until the global
@@ -544,15 +554,8 @@ func (s *Store) enforceLimits() {
 	if s.cfg.MaxEntries <= 0 && s.cfg.MaxBlobBytes <= 0 {
 		return
 	}
-	// Bound the loop: one pass can only need to evict as many entries
-	// as exist.
-	limit := s.eng.Len() + 1
-	for i := 0; i < limit; i++ {
-		overEntries := s.cfg.MaxEntries > 0 && s.eng.Len() > s.cfg.MaxEntries
-		overBytes := s.cfg.MaxBlobBytes > 0 && s.eng.ValueBytes() > s.cfg.MaxBlobBytes
-		if !overEntries && !overBytes {
-			return
-		}
+	// Bounded: a pass can only need to evict as many entries as exist.
+	for limit := s.eng.Len() + 1; limit > 0 && s.overLimits(0, 0); limit-- {
 		victim, ok := s.eng.Oldest()
 		if !ok {
 			return
