@@ -53,9 +53,6 @@ bench-quick:
 bench:
 	$(GO) run ./cmd/speedbench -quick -exp fig5 -metrics-out BENCH_fig5.json
 	$(GO) run ./cmd/speedbench -quick -exp fig6 -metrics-out BENCH_fig6.json
-	$(GO) run ./cmd/speedbench -quick -exp concurrency -metrics-out BENCH_concurrency.json
-	$(GO) run ./cmd/speedbench -quick -exp cluster -metrics-out BENCH_cluster.json
-	$(GO) run ./cmd/speedbench -quick -exp chunk -metrics-out BENCH_chunk.json
 
 # Instrumentation overhead gate: BenchmarkExecuteHitTelemetry must stay
 # within 5% of BenchmarkExecuteHit (deployment-default SGX costs).

@@ -9,11 +9,13 @@
 //	speedbench -exp fig5a|fig5b|fig5c|fig5d
 //	speedbench -exp fig6
 //	speedbench -exp ablations
-//	speedbench -exp resilience     # store-outage fault injection
-//	speedbench -exp concurrency    # mux throughput: workers x batch size
-//	speedbench -exp cluster        # 3-node ring, one member killed mid-run
-//	speedbench -exp chunk          # chunked dedup vs whole-result on near-duplicates
+//	speedbench -exp effort         # Fig. 4 developer effort
+//	speedbench -exp smoke ...      # drive a running resultstore (see -store-addr)
 //	speedbench -quick              # reduced sizes/trials for a fast pass
+//
+// Everything past the paper's evaluation — throughput under load,
+// clusters, chunked dedup, durability — is measured by the repo
+// benchmark (go run ./benchmark) and pinned by go test.
 //
 // With -metrics-out FILE, the run records phase-level telemetry and
 // writes a JSON report (per-phase p50/p95/p99 latencies, outcome
@@ -29,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"speed/internal/bench"
 	"speed/internal/telemetry"
@@ -44,11 +45,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("speedbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: all, table1, fig5 (=fig5a-d), fig5a, fig5b, fig5c, fig5d, fig6, ablations, effort, resilience, concurrency, cluster, chunk")
+	exp := fs.String("exp", "all", "experiment: all, table1, fig5 (=fig5a-d), fig5a, fig5b, fig5c, fig5d, fig6, ablations, effort, smoke")
 	quick := fs.Bool("quick", false, "reduced sizes and trials")
 	trials := fs.Int("trials", 0, "override trial count (0 = default)")
-	storeTimeout := fs.Duration("store-timeout", 200*time.Millisecond, "resilience: per-request store deadline")
-	storeRetries := fs.Int("store-retries", 2, "resilience: max retries per store request (negative disables)")
 	metricsOut := fs.String("metrics-out", "", "write a JSON telemetry report (per-phase p50/p95/p99, counters) to this file after the run")
 	storeAddr := fs.String("store-addr", "", "smoke: wire address of an externally-running resultstore")
 	storeMeas := fs.String("store-measurement", "", "smoke: hex store enclave measurement printed by resultstore at startup")
@@ -84,18 +83,6 @@ func run(args []string) error {
 			return runAblations(*quick, t)
 		},
 		"effort": runEffort,
-		"resilience": func() error {
-			return runResilience(*quick, *storeTimeout, *storeRetries)
-		},
-		"concurrency": func() error {
-			return runConcurrency(*quick)
-		},
-		"cluster": func() error {
-			return runCluster(*quick)
-		},
-		"chunk": func() error {
-			return runChunk(*quick)
-		},
 		// smoke needs an external resultstore, so it is not part of
 		// "all" (see -store-addr).
 		"smoke": func() error {
@@ -119,7 +106,7 @@ func run(args []string) error {
 
 	var err error
 	if *exp == "all" {
-		err = runNamed("table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "ablations", "effort", "resilience", "concurrency", "cluster", "chunk")
+		err = runNamed("table1", "fig5a", "fig5b", "fig5c", "fig5d", "fig6", "ablations", "effort")
 	} else if fn, ok := experiments[*exp]; ok {
 		err = fn()
 	} else {
@@ -148,30 +135,15 @@ type phaseQuantiles struct {
 
 // metricsReport is the -metrics-out JSON document.
 type metricsReport struct {
-	Experiment string           `json:"experiment"`
-	Calls      int64            `json:"calls"`
-	Reused     int64            `json:"reused"`
-	Computed   int64            `json:"computed"`
-	HitRate    float64          `json:"hit_rate"`
-	Phases     []phaseQuantiles `json:"phases"`
-	Execute    []phaseQuantiles `json:"execute_by_outcome"`
-	// Concurrency holds the mux-throughput sweep when the concurrency
-	// experiment ran.
-	Concurrency []bench.ConcurrencyRow `json:"concurrency,omitempty"`
-	// Cluster holds the multi-node fault-injection phases when the
-	// cluster experiment ran.
-	Cluster []bench.ClusterPhase `json:"cluster,omitempty"`
-	// Chunk holds the chunked-dedup overlap sweep when the chunk
-	// experiment ran.
-	Chunk    []bench.ChunkRow   `json:"chunk,omitempty"`
-	Snapshot telemetry.Snapshot `json:"snapshot"`
+	Experiment string             `json:"experiment"`
+	Calls      int64              `json:"calls"`
+	Reused     int64              `json:"reused"`
+	Computed   int64              `json:"computed"`
+	HitRate    float64            `json:"hit_rate"`
+	Phases     []phaseQuantiles   `json:"phases"`
+	Execute    []phaseQuantiles   `json:"execute_by_outcome"`
+	Snapshot   telemetry.Snapshot `json:"snapshot"`
 }
-
-// concurrencyRows / clusterPhases carry the last sweep of their
-// experiment into the metrics report.
-var concurrencyRows []bench.ConcurrencyRow
-var clusterPhases []bench.ClusterPhase
-var chunkRows []bench.ChunkRow
 
 // labelValue extracts one label's value from a rendered metric name
 // like `speed_execute_phase_seconds{app="x",phase="tag"}`.
@@ -207,16 +179,13 @@ func writeMetricsReport(path, experiment string, reg *telemetry.Registry) error 
 	calls := snap.Counter(`speed_runtime_calls_total{app="bench-app"}`)
 	reused := snap.Counter(`speed_runtime_reused_total{app="bench-app"}`)
 	report := metricsReport{
-		Experiment:  experiment,
-		Calls:       calls,
-		Reused:      reused,
-		Computed:    snap.Counter(`speed_runtime_computed_total{app="bench-app"}`),
-		Phases:      quantileRows(snap, "speed_execute_phase_seconds", "phase"),
-		Execute:     quantileRows(snap, "speed_execute_seconds", "outcome"),
-		Concurrency: concurrencyRows,
-		Cluster:     clusterPhases,
-		Chunk:       chunkRows,
-		Snapshot:    snap,
+		Experiment: experiment,
+		Calls:      calls,
+		Reused:     reused,
+		Computed:   snap.Counter(`speed_runtime_computed_total{app="bench-app"}`),
+		Phases:     quantileRows(snap, "speed_execute_phase_seconds", "phase"),
+		Execute:    quantileRows(snap, "speed_execute_seconds", "outcome"),
+		Snapshot:   snap,
 	}
 	if calls > 0 {
 		report.HitRate = float64(reused) / float64(calls)
@@ -365,74 +334,6 @@ func runAblations(quick bool, trials int) error {
 	}
 	fmt.Print(bench.RenderAblationAdaptive(adaptive, calls))
 	return nil
-}
-
-func runResilience(quick bool, timeout time.Duration, retries int) error {
-	calls := 60
-	if quick {
-		calls = 20
-	}
-	phases, err := bench.Resilience(bench.ResilienceConfig{
-		CallsPerPhase:  calls,
-		RequestTimeout: timeout,
-		MaxRetries:     retries,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderResilience(phases))
-	return nil
-}
-
-func runConcurrency(quick bool) error {
-	tagsPerWorker := 2048
-	if quick {
-		tagsPerWorker = 256
-	}
-	rows, err := bench.Concurrency(nil, nil, tagsPerWorker, 1<<10, 0)
-	if err != nil {
-		return err
-	}
-	concurrencyRows = rows
-	fmt.Print(bench.RenderConcurrency(rows))
-	return nil
-}
-
-func runCluster(quick bool) error {
-	cfg := bench.ClusterConfig{Nodes: 3, Replicas: 2, Passes: 5, Inputs: 32}
-	if quick {
-		cfg.Passes = 3
-		cfg.Inputs = 16
-	}
-	phases, err := bench.Cluster(cfg)
-	if err != nil {
-		return err
-	}
-	clusterPhases = phases
-	fmt.Print(bench.RenderCluster(cfg.Nodes, cfg.Replicas, phases))
-	return nil
-}
-
-// runChunk sweeps near-duplicate workloads at controlled overlap
-// ratios, comparing whole-result dedup against FastCDC chunking on
-// stored bytes, transferred bytes, and latency. The run fails unless
-// chunking saves at least 30% on both axes at 50% overlap.
-func runChunk(quick bool) error {
-	cfg := bench.ChunkConfig{}
-	if quick {
-		// Keep full-size documents: the savings margin depends on doc
-		// size relative to the ~8 KiB average chunk (boundary resync
-		// loss is per-document, not per-byte). Cut doc count and the
-		// overlap sweep instead.
-		cfg.Docs = 6
-		cfg.Overlaps = []float64{0, 0.5}
-	}
-	rows, err := bench.Chunked(cfg)
-	if len(rows) > 0 {
-		chunkRows = rows
-		fmt.Print(bench.RenderChunked(rows))
-	}
-	return err
 }
 
 // runSmoke exercises a live resultstore deployment end to end with

@@ -37,11 +37,9 @@ func SetTelemetry(reg *telemetry.Registry) { registry = reg }
 
 // env bundles one application + store deployment for measurements.
 type env struct {
-	platform *enclave.Platform
-	appEnc   *enclave.Enclave
-	storeEnc *enclave.Enclave
-	store    *store.Store
-	runtime  *dedup.Runtime
+	appEnc  *enclave.Enclave
+	store   *store.Store
+	runtime *dedup.Runtime
 }
 
 // newEnv builds a fresh deployment. withSGX toggles simulated
@@ -69,13 +67,7 @@ func newEnv(withSGX bool) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &env{
-		platform: platform,
-		appEnc:   appEnc,
-		storeEnc: storeEnc,
-		store:    st,
-		runtime:  rt,
-	}, nil
+	return &env{appEnc: appEnc, store: st, runtime: rt}, nil
 }
 
 func (e *env) close() {

@@ -108,6 +108,16 @@ func TestFig6SGXGapShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig6 no-sgx: %v", err)
 	}
+	if out := RenderFig6(withSGX, withoutSGX); !strings.Contains(out, "GET sgx") {
+		t.Errorf("RenderFig6 malformed:\n%s", out)
+	}
+	// Race instrumentation slows the native store path but not the
+	// simulated SGX spin waits, so under -race the 1 KiB gap (2.3-3.8x)
+	// sits on the thresholds below; only plain runs assert the ratios.
+	if raceEnabled {
+		t.Log("SGX/native ratios not asserted under -race")
+		return
+	}
 	// At the small size the SGX penalty must be clearly visible (the
 	// transition cost dominates): SGX at least 2x slower.
 	if withSGX[0].Get100MS < 2*withoutSGX[0].Get100MS {
@@ -127,10 +137,6 @@ func TestFig6SGXGapShrinks(t *testing.T) {
 	largeGap := gap(withSGX[1], withoutSGX[1])
 	if largeGap > smallGap/2 {
 		t.Errorf("SGX/native gap did not shrink with size: %v -> %v", smallGap, largeGap)
-	}
-	out := RenderFig6(withSGX, withoutSGX)
-	if !strings.Contains(out, "GET sgx") {
-		t.Errorf("RenderFig6 malformed:\n%s", out)
 	}
 }
 

@@ -44,7 +44,7 @@ func Fig6(sizes []int, withSGX bool, trials int) ([]Fig6Row, error) {
 		// Cap the store at 2x the working set so repeated trials evict
 		// old entries and process memory stays flat (unbounded growth
 		// distorts large-size timings with allocator effects).
-		st, err := store.New(store.Config{Enclave: storeEnc, MaxEntries: 2 * ops})
+		st, err := store.New(store.Config{Enclave: storeEnc, MaxEntries: 2 * ops, Telemetry: registry})
 		if err != nil {
 			return nil, err
 		}

@@ -2,13 +2,16 @@ package dedup
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"speed/internal/chunk"
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
+	"speed/internal/wire"
 )
 
 // chunkTestThreshold keeps the chunked tests fast while still
@@ -411,5 +414,111 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 	}
 	if s := consumer.Stats(); s.ChunkCacheHits == 0 || s.ChunksFetched < 10 {
 		t.Errorf("the consumer fetched %d chunks with %d cache hits; the test wants a partial, many-chunk fetch", s.ChunksFetched, s.ChunkCacheHits)
+	}
+}
+
+// byteCounter counts the tag and sealed-payload bytes that cross a
+// store client: the deployment's transfer volume.
+type byteCounter struct {
+	StoreClient
+	n atomic.Int64
+}
+
+func sealedLen(s mle.Sealed) int64 {
+	return int64(len(s.Challenge) + len(s.WrappedKey) + len(s.Blob))
+}
+
+func (c *byteCounter) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+	c.n.Add(int64(len(tags) * len(mle.Tag{})))
+	res, err := c.StoreClient.Get(tc, tags)
+	for _, r := range res {
+		if r.Found {
+			c.n.Add(sealedLen(r.Sealed))
+		}
+	}
+	return res, err
+}
+
+func (c *byteCounter) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
+	for _, it := range items {
+		c.n.Add(int64(len(it.Tag)) + sealedLen(it.Sealed))
+	}
+	return c.StoreClient.Put(tc, items)
+}
+
+func (c *byteCounter) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
+	c.n.Add(int64(len(tags) * len(mle.Tag{})))
+	return c.StoreClient.Has(tc, tags)
+}
+
+// chunkDeployment runs a producer and then an independent consumer
+// over results on a fresh store and returns the bytes the producer left
+// stored and the bytes both moved over their store clients.
+func chunkDeployment(t *testing.T, threshold int, results [][]byte) (stored, moved int64) {
+	t.Helper()
+	p, st := newChunkStore(t)
+	defer st.Close()
+	for _, consumer := range []bool{false, true} {
+		enc, err := p.Create(fmt.Sprintf("app-%v", consumer), []byte("app code"))
+		if err != nil {
+			t.Fatalf("create enclave: %v", err)
+		}
+		client := &byteCounter{StoreClient: NewLocalClient(st, enc.Measurement())}
+		rt, err := NewRuntime(Config{Enclave: enc, Client: client, ChunkThreshold: threshold, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("NewRuntime: %v", err)
+		}
+		rt.Registry().RegisterLibrary("zlib", "1.2.11", []byte("zlib code"))
+		id := chunkFuncID(t, rt)
+		for i, want := range results {
+			got, outcome, err := rt.Execute(id, []byte(fmt.Sprintf("doc-%d", i)), func([]byte) ([]byte, error) {
+				if consumer {
+					return nil, fmt.Errorf("consumer recomputed doc %d", i)
+				}
+				return append([]byte(nil), want...), nil
+			})
+			if err != nil || !bytes.Equal(got, want) || (consumer && outcome != OutcomeReused) {
+				t.Fatalf("threshold %d, consumer %v, doc %d: outcome %v, err %v", threshold, consumer, i, outcome, err)
+			}
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if !consumer {
+			stored = st.Stats().BlobBytes
+		}
+		moved += client.n.Load()
+	}
+	return stored, moved
+}
+
+// TestChunkedSavingsAtHalfOverlap is the chunking payoff, by count: on
+// 12 results of 256 KiB that share their middle half (unique head ‖
+// shared middle ‖ unique tail, one fixed seed), chunked dedup stores and
+// moves at least 30% fewer bytes than whole-result dedup.
+func TestChunkedSavingsAtHalfOverlap(t *testing.T) {
+	const docs, size = 12, 256 << 10
+	rng := rand.New(rand.NewSource(500_000_007))
+	shared := make([]byte, size/2)
+	rng.Read(shared)
+	results := make([][]byte, docs)
+	for i := range results {
+		head, tail := make([]byte, size/4), make([]byte, size/4)
+		rng.Read(head)
+		rng.Read(tail)
+		results[i] = append(append(head, shared...), tail...)
+	}
+
+	wholeStored, wholeMoved := chunkDeployment(t, 0, results)
+	chunkStored, chunkMoved := chunkDeployment(t, chunkTestThreshold, results)
+	storedSaved := 1 - float64(chunkStored)/float64(wholeStored)
+	movedSaved := 1 - float64(chunkMoved)/float64(wholeMoved)
+	t.Logf("stored %d -> %d bytes (%.1f%% saved), moved %d -> %d bytes (%.1f%% saved)",
+		wholeStored, chunkStored, 100*storedSaved, wholeMoved, chunkMoved, 100*movedSaved)
+	if storedSaved < 0.30 {
+		t.Errorf("chunked dedup saved %.1f%% of stored bytes, want >= 30%%", 100*storedSaved)
+	}
+	if movedSaved < 0.30 {
+		t.Errorf("chunked dedup saved %.1f%% of transferred bytes, want >= 30%%", 100*movedSaved)
 	}
 }
