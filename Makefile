@@ -61,12 +61,12 @@ bench-overhead:
 
 # Hot-path micro-benchmarks: the allocation-free wire/crypto fast path
 # (Channel round trip, marshal, frame read, mle seal/open), the
-# log engine's memtable-hit read, its filter-answered miss + insert
-# (which must read no segment file) and one streaming merge, and the
-# FastCDC chunker scan.
+# storage engine's memtable-hit read, its filter-answered miss + insert
+# (which must read no segment file) and one streaming merge, the store
+# server's one-tag GET hit, and the FastCDC chunker scan.
 # -count 6 gives the regression gate a run-to-run spread for its
 # significance test.
-BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store/logengine ./internal/chunk
+BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store ./internal/store/logengine ./internal/chunk
 BENCH_HOT_PATTERN := 'BenchmarkHot|BenchmarkChannelRoundTrip'
 BENCH_HOT_COUNT ?= 6
 

@@ -10,9 +10,9 @@
 //	            [-max-entries 100000] [-quota-bytes 1073741824] \
 //	            [-metrics 127.0.0.1:9090] [-stats-interval 30s]
 //
-// With -data-dir the dictionary runs on the persistent log-structured
-// engine (sealed WAL + segments) and survives crashes and restarts;
-// without it the store is a volatile in-memory cache.
+// With -data-dir the dictionary is persistent (sealed WAL + segments)
+// and survives crashes and restarts; without it the store is a volatile
+// in-memory cache.
 //
 // On startup it prints the store enclave's measurement, which client
 // applications pin during the attested channel handshake.
@@ -49,7 +49,6 @@ func run(args []string) error {
 	compactInterval := fs.Duration("compact-interval", 0, "log engine background compaction period (0 = default, negative = disabled)")
 	maxEntries := fs.Int("max-entries", 0, "max dictionary entries before LRU eviction (0 = unlimited)")
 	maxBlobBytes := fs.Int64("max-blob-bytes", 0, "max total ciphertext bytes (0 = unlimited)")
-	shards := fs.Int("shards", 0, "dictionary shard count, rounded up to a power of two (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "per-connection pipelined request cap (0 = default)")
 	quotaBytes := fs.Int64("quota-bytes", 0, "per-application ciphertext byte quota (0 = unlimited)")
 	quotaRate := fs.Float64("quota-put-rate", 0, "per-application PUT rate limit per second (0 = unlimited)")
@@ -83,7 +82,6 @@ func run(args []string) error {
 	storeEnc.RegisterTelemetry(reg)
 	st, err := store.New(store.Config{
 		Enclave:         storeEnc,
-		Shards:          *shards,
 		MaxEntries:      *maxEntries,
 		MaxBlobBytes:    *maxBlobBytes,
 		TTL:             *ttl,

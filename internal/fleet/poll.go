@@ -32,7 +32,7 @@ type NodeStatus struct {
 	P99           time.Duration
 	// SegmentProbes and CompactionDebt are the log engine's read
 	// amplification (segment file lookups) and the segment bytes its
-	// tiering policy would merge now; zero on the memory engine.
+	// tiering policy would merge now; zero on a volatile store.
 	SegmentProbes  int64
 	CompactionDebt int64
 

@@ -8,10 +8,10 @@ import (
 	"speed/internal/wire"
 )
 
-// BenchmarkDispatchGetOne is the server's one-tag GET hit on the memory
-// engine — the hit_small hot path — for allocs/op comparisons across
-// changes to the engine seam.
-func BenchmarkDispatchGetOne(b *testing.B) {
+// BenchmarkHotDispatchGetOne is the server's one-tag GET hit on a
+// volatile store — the store side of a hit_small hit — which
+// `make bench-regress` pins against bench/baseline.txt.
+func BenchmarkHotDispatchGetOne(b *testing.B) {
 	p := enclave.NewPlatform(enclave.Config{})
 	enc, err := p.Create("store", []byte("store code"))
 	if err != nil {

@@ -1,0 +1,188 @@
+package engine
+
+import (
+	"bytes"
+	"crypto/subtle"
+	"sort"
+	"time"
+
+	"speed/internal/enclave"
+	"speed/internal/mle"
+)
+
+// Table is the in-enclave dictionary tier of Section IV-B: a map from
+// tag to record whose entries are charged to the store enclave's EPC.
+// It keeps its entries in LRU order, front = most recently touched, and
+// answers read-path lookups either by direct index or, when oblivious,
+// by comparing the tag with every entry in constant time. The log
+// engine's memtable and hot cache are Tables. A Table is not safe for
+// concurrent use: its owner serialises access and enters the enclave
+// around it.
+type Table struct {
+	enc       *enclave.Enclave
+	rate      Rate
+	oblivious bool
+	ttl       time.Duration
+	now       func() time.Time
+
+	entries map[mle.Tag]*Entry
+	lru     Entry // sentinel: lru.next is the most recently touched entry, lru.prev the least
+	bytes   int64 // the entries' enclave charge
+}
+
+// Rate is what a Table charges the enclave for one entry: Overhead
+// bytes of bookkeeping (tag key, map bucket, links, counters) plus the
+// challenge and wrapped key, plus the ciphertext when Blob is set.
+type Rate struct {
+	Overhead int64
+	Blob     bool
+}
+
+// Charge is the enclave bytes an entry holding rec costs at this rate.
+func (r Rate) Charge(rec Record) int64 {
+	n := r.Overhead + int64(len(rec.Challenge)+len(rec.WrappedKey))
+	if r.Blob {
+		n += int64(len(rec.Blob))
+	}
+	return n
+}
+
+// Entry is one tag's slot in a Table: its record or, when Dead, a
+// tombstone shadowing older versions outside the table.
+type Entry struct {
+	Tag  mle.Tag
+	Rec  Record
+	Dead bool
+
+	charge     int64
+	prev, next *Entry
+}
+
+// NewTable returns an empty table charging enc at rate. Its lookups are
+// oblivious when oblivious is set, and Expired applies ttl (0 = never)
+// against now.
+func NewTable(enc *enclave.Enclave, rate Rate, oblivious bool, ttl time.Duration, now func() time.Time) *Table {
+	t := &Table{enc: enc, rate: rate, oblivious: oblivious, ttl: ttl, now: now, entries: make(map[mle.Tag]*Entry)}
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+	return t
+}
+
+// Len reports the number of entries, tombstones included.
+func (t *Table) Len() int { return len(t.entries) }
+
+// Bytes reports what the entries are charged to the enclave.
+func (t *Table) Bytes() int64 { return t.bytes }
+
+// Charge is what an entry holding rec costs this table's enclave.
+func (t *Table) Charge(rec Record) int64 { return t.rate.Charge(rec) }
+
+// Entry returns tag's entry, or nil, by direct index: for the write
+// paths, whose access pattern the oblivious mode does not cover.
+func (t *Table) Entry(tag mle.Tag) *Entry { return t.entries[tag] }
+
+// Lookup returns tag's entry, or nil, for a GET or HAS. An oblivious
+// table compares tag with every entry in constant time and keeps the
+// match, doing the same work wherever (or whether) the tag is.
+func (t *Table) Lookup(tag mle.Tag) *Entry {
+	if !t.oblivious {
+		return t.entries[tag]
+	}
+	var found *Entry
+	for k, e := range t.entries {
+		if subtle.ConstantTimeCompare(k[:], tag[:]) == 1 {
+			found = e
+		}
+	}
+	return found
+}
+
+// Expired reports whether a record last touched at touch is past the
+// table's TTL.
+func (t *Table) Expired(touch time.Time) bool {
+	return t.ttl > 0 && t.now().Sub(touch) > t.ttl
+}
+
+// Set makes a copy of rec (a tombstone when dead) tag's entry at the
+// front of the LRU order, replacing any entry the tag had. A record the
+// enclave cannot be charged for is not installed and the tag keeps its
+// old entry; a tombstone is installed uncharged instead, because it must
+// shadow what it deletes.
+func (t *Table) Set(tag mle.Tag, rec Record, dead bool) (*Entry, error) {
+	e := &Entry{Tag: tag, Rec: CopyRecord(rec), Dead: dead}
+	e.charge = t.rate.Charge(e.Rec)
+	if err := t.enc.Alloc(e.charge); err != nil {
+		if !dead {
+			return nil, err
+		}
+		e.charge = 0
+	}
+	t.Delete(tag)
+	t.entries[tag] = e
+	t.bytes += e.charge
+	t.link(e)
+	return e, nil
+}
+
+// Delete removes tag's entry, if any, and returns its charge.
+func (t *Table) Delete(tag mle.Tag) {
+	e, ok := t.entries[tag]
+	if !ok {
+		return
+	}
+	delete(t.entries, tag)
+	e.prev.next, e.next.prev = e.next, e.prev
+	t.bytes -= e.charge
+	t.enc.Free(e.charge)
+}
+
+// Touch moves e to the front of the LRU order.
+func (t *Table) Touch(e *Entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	t.link(e)
+}
+
+func (t *Table) link(e *Entry) {
+	e.prev, e.next = &t.lru, t.lru.next
+	t.lru.next.prev = e
+	t.lru.next = e
+}
+
+// Oldest returns the least recently touched entry, or nil.
+func (t *Table) Oldest() *Entry {
+	if t.lru.prev == &t.lru {
+		return nil
+	}
+	return t.lru.prev
+}
+
+// Sorted returns every entry in ascending tag order.
+func (t *Table) Sorted() []*Entry {
+	out := make([]*Entry, 0, len(t.entries))
+	for _, e := range t.entries {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Tag[:], out[j].Tag[:]) < 0 })
+	return out
+}
+
+// Clear drops every entry and returns their charge.
+func (t *Table) Clear() {
+	t.enc.Free(t.bytes)
+	t.bytes = 0
+	clear(t.entries)
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+}
+
+// CopyRecord returns rec with its byte fields copied into one
+// allocation, so callers own what they receive and tables own what they
+// keep.
+func CopyRecord(rec Record) Record {
+	nc, nk := len(rec.Challenge), len(rec.WrappedKey)
+	buf := make([]byte, 0, nc+nk+len(rec.Blob))
+	buf = append(append(append(buf, rec.Challenge...), rec.WrappedKey...), rec.Blob...)
+	rec.Challenge = buf[:nc:nc]
+	rec.WrappedKey = buf[nc : nc+nk : nc+nk]
+	rec.Blob = buf[nc+nk:]
+	rec.BlobSize = int64(len(rec.Blob))
+	return rec
+}

@@ -21,36 +21,52 @@ func persistEnclave(t *testing.T) *enclave.Enclave {
 	return e
 }
 
+// TestEngineSelection is the DataDir/Engine validation table: a data
+// directory, with Engine "" or "log", makes the store persistent (a
+// checkpoint writes a segment); none makes it volatile; every other
+// combination is refused.
 func TestEngineSelection(t *testing.T) {
-	t.Run("default is memory", func(t *testing.T) {
-		s := testStore(t, Config{})
-		defer s.Close()
-		if got := s.EngineName(); got != EngineMemory {
-			t.Errorf("EngineName = %q, want %q", got, EngineMemory)
-		}
-	})
-	t.Run("data dir implies log", func(t *testing.T) {
-		s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: t.TempDir()})
-		defer s.Close()
-		if got := s.EngineName(); got != EngineLog {
-			t.Errorf("EngineName = %q, want %q", got, EngineLog)
-		}
-	})
-	t.Run("log requires data dir", func(t *testing.T) {
-		if _, err := New(Config{Enclave: persistEnclave(t), Engine: EngineLog}); err == nil {
-			t.Error("New accepted the log engine without a data dir")
-		}
-	})
-	t.Run("unknown engine rejected", func(t *testing.T) {
-		if _, err := New(Config{Enclave: persistEnclave(t), Engine: "flat-earth"}); err == nil {
-			t.Error("New accepted an unknown engine")
-		}
-	})
-	t.Run("bad fsync policy rejected", func(t *testing.T) {
-		if _, err := New(Config{Enclave: persistEnclave(t), DataDir: t.TempDir(), Fsync: "eventually"}); err == nil {
-			t.Error("New accepted an unknown fsync policy")
-		}
-	})
+	dir := func(t *testing.T) string { return t.TempDir() }
+	none := func(*testing.T) string { return "" }
+	for _, c := range []struct {
+		name    string
+		engine  string
+		dataDir func(t *testing.T) string
+		fsync   string
+		want    int // segments after one Put and a Checkpoint; -1: New refuses
+	}{
+		{"default is memory", "", none, "", 0},
+		{"data dir implies log", "", dir, "", 1},
+		{"log with data dir", EngineLog, dir, "", 1},
+		{"log requires data dir", EngineLog, none, "", -1},
+		{"memory is no engine name", "memory", none, "", -1},
+		{"unknown engine rejected", "flat-earth", dir, "", -1},
+		{"bad fsync policy rejected", "", dir, "eventually", -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Enclave: persistEnclave(t), Engine: c.engine, DataDir: c.dataDir(t), Fsync: c.fsync})
+			if c.want < 0 {
+				if err == nil {
+					s.Close()
+					t.Fatal("New accepted the configuration")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer s.Close()
+			if _, err := s.Put(ownerOf("app"), tagOf("k"), sealedOf("v")); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if got := s.EngineStats().Segments; got != c.want {
+				t.Errorf("%d segments after a checkpoint, want %d", got, c.want)
+			}
+		})
+	}
 }
 
 // TestLogEnginePersistenceRoundTrip drives persistence through the

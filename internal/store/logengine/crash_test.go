@@ -202,7 +202,7 @@ func TestInsertAllocFailureMidMessage(t *testing.T) {
 	dir := t.TempDir()
 	// Room for two memtable records of this size, not three.
 	blob := string(bytes.Repeat([]byte("x"), 100))
-	perRec := (&memRec{rec: recOf(blob)}).bytes()
+	perRec := durableRate.Charge(recOf(blob))
 	tight := enclave.NewPlatform(enclave.Config{PlatformSeed: seed, EPCBytes: 2*perRec + perRec/2})
 	e := openTest(t, testConfig(t, tight, dir))
 	var msg []storeengine.Item

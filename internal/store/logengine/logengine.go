@@ -1,10 +1,17 @@
-// Package logengine is the persistent, log-structured storage engine
-// behind store.Store: an append-only WAL of sealed records feeding an
-// in-enclave memtable, flushed as immutable sorted segments, with a
-// size-tiered background compactor, a per-segment key filter and
-// sparse index, and a bounded hot-entry cache. The working set can
-// exceed RAM: only the memtable, the cache, and the per-segment
-// filters and sparse indexes stay resident.
+// Package logengine is the storage engine behind store.Store. With a
+// directory it is persistent and log-structured: an append-only WAL of
+// sealed records feeding an in-enclave memtable, flushed as immutable
+// sorted segments, with a size-tiered background compactor, a
+// per-segment key filter and sparse index, and a bounded hot-entry
+// cache. The working set can exceed RAM: only the memtable, the cache,
+// and the per-segment filters and sparse indexes stay resident.
+//
+// Without a directory it is the volatile store: no WAL, segments,
+// manifest or background loops. Its memtable holds every record and
+// never flushes, a Remove deletes the entry instead of leaving a
+// tombstone, Oldest is the memtable's LRU tail, and each entry is
+// charged to the enclave for its metadata only — the ciphertext stays
+// outside (Section IV-B).
 //
 // Trust model: the directory lives on untrusted media. Every record is
 // sealed (enclave AEAD, bound to platform and measurement) before it
@@ -36,12 +43,11 @@ package logengine
 
 import (
 	"bytes"
-	"container/list"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -97,17 +103,24 @@ const (
 	DefaultCacheBytes      = 4 << 20
 	DefaultFsyncInterval   = 100 * time.Millisecond
 	DefaultCompactInterval = 30 * time.Second
-	// memRecOverhead approximates per-entry memtable bookkeeping
-	// beyond the variable-length fields, charged against the enclave.
-	memRecOverhead = 128
-	// cacheRecOverhead is the same for hot-cache entries.
-	cacheRecOverhead = 128
+)
+
+// What the in-enclave tables charge the enclave per entry. With a
+// directory the memtable and the hot cache hold whole records, so the
+// ciphertext counts and the memtable budget bounds what a flush writes.
+// Without one the memtable is Section IV-B's dictionary: the entry is
+// tag, challenge, wrapped key and a pointer to ciphertext kept outside.
+var (
+	durableRate  = storeengine.Rate{Overhead: 32 + 128, Blob: true}
+	volatileRate = storeengine.Rate{Overhead: 96}
 )
 
 // Config configures an Engine.
 type Config struct {
-	// Dir is the engine's directory on (untrusted) storage. Created if
-	// missing. Required.
+	// Dir is the engine's directory on (untrusted) storage, created if
+	// missing. Empty runs the engine as a volatile store (see the
+	// package doc), and the remaining durability and budget fields are
+	// ignored.
 	Dir string
 	// Enclave hosts the memtable, cache and indexes, and seals
 	// everything that leaves them. Required.
@@ -140,31 +153,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// memRec is one memtable entry: the newest state of a tag that has not
-// yet reached a segment.
-type memRec struct {
-	dead bool
-	rec  storeengine.Record // owned copies; Blob inline
-}
-
-func (r *memRec) bytes() int64 {
-	if r.dead {
-		return 32 + memRecOverhead
-	}
-	return 32 + memRecOverhead + int64(len(r.rec.Challenge)+len(r.rec.WrappedKey)+len(r.rec.Blob))
-}
-
-// cacheRec is one hot-cache entry fronting the segments.
-type cacheRec struct {
-	tag  mle.Tag
-	rec  storeengine.Record
-	elem *list.Element
-}
-
-func (r *cacheRec) bytes() int64 {
-	return 32 + cacheRecOverhead + int64(len(r.rec.Challenge)+len(r.rec.WrappedKey)+len(r.rec.Blob))
-}
-
 // touchRec is one touch-overlay entry: the authoritative popularity for
 // a segment-resident record.
 type touchRec struct {
@@ -176,25 +164,21 @@ type touchRec struct {
 // fields + bookkeeping).
 const touchRecBytes = 96
 
-// Engine is the log-structured engine. It implements
-// store/engine.Engine. A single mutex serializes mutations and
+// Engine is the storage engine. A single mutex serializes mutations and
 // metadata reads; segment file reads happen under it too (v1 keeps the
 // locking simple — the key filters keep most lookups off the files and
-// the bounded sparse-index scan keeps the rest short).
+// the bounded sparse-index scan keeps the rest short). All methods are
+// safe for concurrent use.
 type Engine struct {
 	cfg Config
 
 	mu        sync.Mutex
 	closed    bool
-	wal       *wal
-	memtable  map[mle.Tag]*memRec
-	memBytes  int64      // enclave-charged memtable footprint
-	segments  []*segment // oldest first
+	wal       *wal               // nil without a directory
+	mem       *storeengine.Table // the newest state of every tag not yet in a segment
+	cache     *storeengine.Table // hot segment records
+	segments  []*segment         // oldest first
 	nextSegID uint64
-
-	cache      map[mle.Tag]*cacheRec
-	cacheLRU   *list.List // front = most recent
-	cacheBytes int64
 
 	// touched overlays popularity (hits, last touch) onto records whose
 	// newest durable copy lives in a segment: cache hits and segment
@@ -221,18 +205,14 @@ type Engine struct {
 	bgDone sync.WaitGroup
 }
 
-var _ storeengine.Engine = (*Engine)(nil)
-
-// Open loads (or initialises) the engine at cfg.Dir, recovering state:
-// manifest-listed segments are opened and CRC-verified, orphan segment
-// files are deleted, and the WAL is replayed into the memtable with
-// any torn tail truncated.
+// Open starts an engine. With cfg.Dir it loads (or initialises) the
+// directory, recovering state: manifest-listed segments are opened and
+// CRC-verified, orphan segment files are deleted, and the WAL is
+// replayed into the memtable with any torn tail truncated. Without it
+// the engine starts empty and volatile.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Enclave == nil {
 		return nil, errors.New("logengine: Config.Enclave is required")
-	}
-	if cfg.Dir == "" {
-		return nil, errors.New("logengine: Config.Dir is required")
 	}
 	if cfg.MemtableBytes <= 0 {
 		cfg.MemtableBytes = DefaultMemtableBytes
@@ -252,20 +232,27 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o700); err != nil {
-		return nil, err
+	rate := durableRate
+	if cfg.Dir == "" {
+		rate = volatileRate
 	}
 	e := &Engine{
 		cfg:        cfg,
-		memtable:   make(map[mle.Tag]*memRec),
-		cache:      make(map[mle.Tag]*cacheRec),
-		cacheLRU:   list.New(),
+		mem:        storeengine.NewTable(cfg.Enclave, rate, cfg.Oblivious, cfg.TTL, cfg.Now),
+		cache:      storeengine.NewTable(cfg.Enclave, durableRate, cfg.Oblivious, cfg.TTL, cfg.Now),
 		touched:    make(map[mle.Tag]*touchRec),
 		touchDirty: make(map[mle.Tag]bool),
 		stopBg:     make(chan struct{}),
 	}
+	if cfg.Dir == "" {
+		return e, nil
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o700); err != nil {
+		return nil, err
+	}
 	if err := e.recover(); err != nil {
 		e.closeFiles()
+		e.releaseMemoryLocked()
 		return nil, err
 	}
 	e.startBackground()
@@ -322,34 +309,26 @@ func (e *Engine) recover() error {
 		return err
 	}
 	e.wal = w
+	var allocErr error
 	replayed, torn, err := w.replay(e.cfg.Enclave, func(op walOp) {
 		if op.op == walOpTouch {
 			// Popularity for a segment-resident record. If the tag has a
 			// newer WAL state it wins: a live memtable record carries its
 			// own counters and a tombstone makes the touch moot.
-			if mr, had := e.memtable[op.tag]; had {
-				if !mr.dead {
-					mr.rec.Hits = op.rec.Hits
-					mr.rec.LastTouch = op.rec.LastTouch
+			if ent := e.mem.Entry(op.tag); ent != nil {
+				if !ent.Dead {
+					ent.Rec.Hits = op.rec.Hits
+					ent.Rec.LastTouch = op.rec.LastTouch
 				}
 				return
 			}
 			e.noteTouch(op.tag, op.rec.Hits, op.rec.LastTouch)
 			return
 		}
-		prev, had := e.memtable[op.tag]
-		var nr *memRec
-		if op.op == walOpDelete {
-			nr = &memRec{dead: true}
-		} else {
-			nr = &memRec{rec: op.rec}
-		}
 		e.dropTouch(op.tag)
-		if had {
-			e.memBytes -= prev.bytes()
+		if _, err := e.mem.Set(op.tag, op.rec, op.op == walOpDelete); err != nil && allocErr == nil {
+			allocErr = err
 		}
-		e.memtable[op.tag] = nr
-		e.memBytes += nr.bytes()
 	})
 	if err != nil {
 		return err
@@ -359,25 +338,24 @@ func (e *Engine) recover() error {
 		e.st.TornTails++
 		e.cfg.Logf("logengine: truncated torn wal tail after %d intact records", replayed)
 	}
-	if err := e.cfg.Enclave.Alloc(e.memBytes); err != nil {
-		return fmt.Errorf("logengine: memtable allocation during recovery: %w", err)
+	if allocErr != nil {
+		return fmt.Errorf("logengine: memtable allocation during recovery: %w", allocErr)
 	}
 
 	// Compute live occupancy from the merged view: newest state wins
 	// (memtable over segments, later segments over earlier). The
 	// per-segment key lists are transient — header-only, no payloads —
 	// and dropped when this returns.
-	seen := make(map[mle.Tag]bool, len(e.memtable))
-	for tag, mr := range e.memtable {
-		seen[tag] = true
-		if !mr.dead {
+	for _, ent := range e.mem.Sorted() {
+		if !ent.Dead {
 			e.entries++
-			e.valueBytes += int64(len(mr.rec.Blob))
+			e.valueBytes += ent.Rec.BlobSize
 		}
 	}
+	seen := make(map[mle.Tag]bool)
 	for i := len(segKeys) - 1; i >= 0; i-- { // newest segment first
 		for _, k := range segKeys[i] {
-			if seen[k.tag] {
+			if seen[k.tag] || e.mem.Entry(k.tag) != nil {
 				continue
 			}
 			seen[k.tag] = true
@@ -479,111 +457,63 @@ func (e *Engine) startBackground() {
 	}
 }
 
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "log" }
+// place is where the newest version of one tag of a GET message lives.
+type place struct {
+	ent    *storeengine.Entry // its memtable or hot-cache entry
+	tab    *storeengine.Table // the table holding ent
+	disk   bool               // only the segments can tell
+	sealed []byte             // the payload of its segment record, once read
+}
 
-// Get implements engine.Engine: memtable, then hot cache, then
-// segments newest-first through their sparse indexes. One enclave entry
-// locates the message's tags in the in-enclave tiers and, if those
-// decide them all, answers; otherwise the segment payloads of the rest
-// are read outside and a second entry unseals them and answers. The
-// reads stop with the record that takes them past budget (a sealed
-// payload is no smaller than what it answers), so a message costs at
-// most budget plus one record of disk reads and heap.
+// Get serves one GET message — a single is a message of one — looking
+// the tags up in order in the memtable, then the hot cache, then the
+// segments newest-first through their sparse indexes, and answers a
+// prefix of them positionally. The prefix ends before the first hit
+// whose sealed size (challenge + wrapped key + blob) would take the
+// answers past budget bytes — that record is neither counted nor
+// touched — but always holds one answer. On StatusHit the Record's byte
+// slices are the caller's. An oblivious engine looks every tag up with
+// the tables' uniform scans and maintains no recency.
+//
+// One enclave entry locates the message's tags in the in-enclave tiers
+// and, if those decide them all, answers; otherwise the segment
+// payloads of the rest are read outside and a second entry unseals
+// them and answers. The reads stop with the record that takes them past
+// budget (a sealed payload is no smaller than what it answers), so a
+// message costs at most budget plus one record of disk reads and heap.
 func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, storeengine.ErrClosed
 	}
-	// place is where a tag's newest version lives, if anywhere.
-	type place struct {
-		rec    *storeengine.Record // in the memtable or the hot cache
-		cr     *cacheRec           // its hot-cache entry
-		dead   bool                // a memtable tombstone
-		sealed []byte              // the payload of a segment record
-	}
 	var (
-		at               = make([]place, len(tags))
-		out              = make([]storeengine.Lookup, 0, len(tags))
+		one              [1]place // a single's place, off the heap
+		at               = one[:min(len(tags), 1)]
+		out              []storeengine.Lookup
 		resident, absent int
 	)
-	// answer walks the tags in order, inside the enclave, counting and
-	// touching each hit before the one that would overflow the budget.
-	// Segment records enter the hot cache once the walk is over, so an
-	// insert cannot evict an entry the walk has yet to reach.
-	answer := func() error {
-		defer func() {
-			for i := range out {
-				if at[i].sealed != nil && out[i].Status == storeengine.StatusHit && !e.cfg.Oblivious {
-					e.cacheInsert(tags[i], out[i].Record)
-				}
-			}
-		}()
-		for i, tag := range tags[:len(at)] {
-			var l storeengine.Lookup
-			p, rec := &at[i], at[i].rec
-			if p.sealed != nil {
-				srec, err := unsealRecord(e.cfg.Enclave, p.sealed)
-				if err != nil {
-					// Authenticated storage failed us: the policy layer
-					// drops a dangling entry and the caller recomputes.
-					e.cfg.Logf("logengine: record %x failed authentication: %v", tag[:8], err)
-					out = append(out, storeengine.Lookup{Status: storeengine.StatusDangling})
-					continue
-				}
-				e.applyTouch(tag, &srec)
-				rec = &srec
-			}
-			switch {
-			case rec == nil: // deleted, or in no segment either
-			case e.expired(rec.LastTouch):
-				l.Status = storeengine.StatusExpired
-			default:
-				size := len(rec.Challenge) + len(rec.WrappedKey) + len(rec.Blob)
-				if len(out) > 0 && size > budget {
-					return nil
-				}
-				budget -= size
-				if !e.cfg.Oblivious {
-					rec.Hits++
-					rec.LastTouch = e.cfg.Now()
-					if p.cr != nil {
-						e.cacheLRU.MoveToFront(p.cr.elem)
-					}
-					if p.cr != nil || p.sealed != nil {
-						e.noteTouch(tag, rec.Hits, rec.LastTouch)
-					}
-				}
-				// A segment record's slices alias Unseal's fresh buffer.
-				l = storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec}
-				if p.sealed == nil {
-					l.Record = copyRecord(*rec)
-					e.st.CacheHits++
-				}
-			}
-			out = append(out, l)
-		}
-		return nil
+	if len(tags) > 1 {
+		at = make([]place, len(tags))
 	}
 	err := e.cfg.Enclave.ECall(func() error {
 		for i, tag := range tags {
 			p := &at[i]
-			if mr, ok := lookup(e, e.memtable, tag); ok && mr.dead {
-				p.dead = true
-			} else if ok {
-				p.rec = &mr.rec
-			} else if cr, ok := lookup(e, e.cache, tag); ok {
-				p.rec, p.cr = &cr.rec, cr
+			if p.ent = e.mem.Lookup(tag); p.ent != nil {
+				p.tab = e.mem
+			} else if p.ent = e.cache.Lookup(tag); p.ent != nil {
+				p.tab = e.cache
 			}
-			if p.rec != nil {
+			switch {
+			case p.ent != nil && !p.ent.Dead:
 				resident++
-			} else if !p.dead {
+			case p.ent == nil && len(e.segments) > 0:
+				p.disk = true
 				absent++
 			}
 		}
 		if absent == 0 {
-			return answer()
+			out = e.answerLocked(tags, at, budget)
 		}
 		return nil
 	})
@@ -599,7 +529,7 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 			at = at[:i] // the answers end here at the latest
 			break
 		}
-		if p := &at[i]; p.rec == nil && !p.dead {
+		if p := &at[i]; p.disk {
 			e.st.CacheMisses++
 			sealed, found, dead, err := e.findLocked(tags[i], true)
 			if err != nil {
@@ -612,10 +542,85 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 		}
 	}
 	if !onDisk && resident == 0 {
-		return out[:len(at)], nil // every tag is a miss
+		return make([]storeengine.Lookup, len(at)), nil // every tag is a miss
 	}
-	return out, e.cfg.Enclave.ECall(answer)
+	err = e.cfg.Enclave.ECall(func() error {
+		out = e.answerLocked(tags, at, budget)
+		return nil
+	})
+	return out, err
 }
+
+// answerLocked answers tags in order from the versions at located,
+// counting and touching each hit, and ends before the hit that would
+// overflow budget (see Get). Segment records that hit enter the hot
+// cache once the walk is over, so an insert cannot evict an entry the
+// walk has yet to reach. Caller holds mu, inside the enclave.
+func (e *Engine) answerLocked(tags []mle.Tag, at []place, budget int) []storeengine.Lookup {
+	out := make([]storeengine.Lookup, 0, len(at))
+walk:
+	for i, p := range at {
+		tag := tags[i]
+		var rec *storeengine.Record
+		switch {
+		case p.sealed != nil:
+			srec, err := unsealRecord(e.cfg.Enclave, p.sealed)
+			if err != nil {
+				// Authenticated storage failed us: the policy layer
+				// drops a dangling entry and the caller recomputes.
+				e.cfg.Logf("logengine: record %s failed authentication: %v", shortTag(tag), err)
+				out = append(out, storeengine.Lookup{Status: storeengine.StatusDangling})
+				continue
+			}
+			e.applyTouch(tag, &srec)
+			rec = &srec
+		case p.ent != nil && !p.ent.Dead:
+			rec = &p.ent.Rec
+		}
+		var l storeengine.Lookup
+		switch {
+		case rec == nil: // deleted, or in no tier at all
+		case e.mem.Expired(rec.LastTouch):
+			l.Status = storeengine.StatusExpired
+		default:
+			size := len(rec.Challenge) + len(rec.WrappedKey) + len(rec.Blob)
+			if len(out) > 0 && size > budget {
+				break walk
+			}
+			budget -= size
+			if !e.cfg.Oblivious {
+				rec.Hits++
+				rec.LastTouch = e.cfg.Now()
+				if p.ent != nil {
+					p.tab.Touch(p.ent)
+				}
+				if p.tab != e.mem {
+					e.noteTouch(tag, rec.Hits, rec.LastTouch)
+				}
+			}
+			// A segment record's slices alias Unseal's fresh buffer; a
+			// table's are the table's.
+			l = storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec}
+			if p.sealed == nil {
+				l.Record = storeengine.CopyRecord(*rec)
+				e.st.CacheHits++
+			}
+		}
+		out = append(out, l)
+	}
+	if !e.cfg.Oblivious {
+		for i, l := range out {
+			if at[i].sealed != nil && l.Status == storeengine.StatusHit {
+				e.cacheInsert(tags[i], l.Record)
+			}
+		}
+	}
+	return out
+}
+
+// shortTag names a tag in a log line by its first bytes. Formatting a
+// copy keeps the caller's tag off the heap.
+func shortTag(tag mle.Tag) string { return hex.EncodeToString(tag[:8]) }
 
 // findLocked looks tag up in the segments, newest first, returning the
 // newest version's state (and its sealed payload when wantSealed is
@@ -639,56 +644,17 @@ func (e *Engine) findLocked(tag mle.Tag, wantSealed bool) (sealed []byte, found,
 	return nil, false, false, nil
 }
 
-// lookup finds tag in the memtable or the hot cache; under Oblivious it
-// scans every entry with uniform work.
-func lookup[V any](e *Engine, in map[mle.Tag]*V, tag mle.Tag) (*V, bool) {
-	if !e.cfg.Oblivious {
-		v, ok := in[tag]
-		return v, ok
-	}
-	var found *V
-	for k, v := range in {
-		if constantTimeTagEq(k, tag) {
-			found = v
-		}
-	}
-	return found, found != nil
-}
-
-func (e *Engine) expired(touch time.Time) bool {
-	return e.cfg.TTL > 0 && e.cfg.Now().Sub(touch) > e.cfg.TTL
-}
-
-// cacheInsert places a record in the hot cache, evicting from the LRU
-// tail to stay within budget. Caller holds mu (inside the enclave or
-// right after a segment read).
+// cacheInsert places a segment record in the hot cache, evicting from
+// the LRU tail to stay within budget. Caller holds mu.
 func (e *Engine) cacheInsert(tag mle.Tag, rec storeengine.Record) {
-	if old, ok := e.cache[tag]; ok {
-		e.cacheBytes -= old.bytes()
-		e.cfg.Enclave.Free(old.bytes())
-		e.cacheLRU.Remove(old.elem)
-		delete(e.cache, tag)
-	}
-	cr := &cacheRec{tag: tag, rec: copyRecord(rec)}
-	if cr.bytes() > e.cfg.CacheBytes {
+	if e.cache.Charge(rec) > e.cfg.CacheBytes {
 		return // larger than the whole budget; don't thrash
 	}
-	if err := e.cfg.Enclave.Alloc(cr.bytes()); err != nil {
+	if _, err := e.cache.Set(tag, rec, false); err != nil {
 		return // enclave memory pressure: serving without caching is fine
 	}
-	cr.elem = e.cacheLRU.PushFront(cr)
-	e.cache[tag] = cr
-	e.cacheBytes += cr.bytes()
-	for e.cacheBytes > e.cfg.CacheBytes {
-		back := e.cacheLRU.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*cacheRec)
-		e.cacheLRU.Remove(back)
-		delete(e.cache, victim.tag)
-		e.cacheBytes -= victim.bytes()
-		e.cfg.Enclave.Free(victim.bytes())
+	for e.cache.Bytes() > e.cfg.CacheBytes {
+		e.cache.Delete(e.cache.Oldest().Tag)
 	}
 }
 
@@ -740,12 +706,7 @@ func (e *Engine) applyTouch(tag mle.Tag, rec *storeengine.Record) {
 // applies the fsync policy.
 func (e *Engine) appendTouchesLocked(all bool) error {
 	emit := func(tag mle.Tag, tr *touchRec) error {
-		err := e.wal.append(e.cfg.Enclave, walOpTouch, tag, storeengine.Record{Hits: tr.hits, LastTouch: tr.last})
-		if err != nil {
-			return err
-		}
-		e.st.WALRecords++
-		return nil
+		return e.logLocked(walOpTouch, tag, storeengine.Record{Hits: tr.hits, LastTouch: tr.last})
 	}
 	if all {
 		for tag, tr := range e.touched {
@@ -768,21 +729,44 @@ func (e *Engine) appendTouchesLocked(all bool) error {
 	return nil
 }
 
-// cacheDelete drops a tag from the hot cache.
-func (e *Engine) cacheDelete(tag mle.Tag) {
-	if cr, ok := e.cache[tag]; ok {
-		e.cacheLRU.Remove(cr.elem)
-		delete(e.cache, tag)
-		e.cacheBytes -= cr.bytes()
-		e.cfg.Enclave.Free(cr.bytes())
+// logLocked appends one operation to the WAL; without a directory there
+// is none. It does not sync. Caller holds mu.
+func (e *Engine) logLocked(op byte, tag mle.Tag, rec storeengine.Record) error {
+	if e.wal == nil {
+		return nil
 	}
+	if err := e.wal.append(e.cfg.Enclave, op, tag, rec); err != nil {
+		return err
+	}
+	e.st.WALRecords++
+	return nil
 }
 
-// Insert implements engine.Engine: every fresh item's WAL record is
-// appended, one fsync (per policy) covers the message, one enclave
-// entry applies it to the memtable. First version wins, within the
-// message too. A message is cut after a record that fills the memtable,
-// which so flushes exactly as with the items arriving one by one.
+// commitLocked syncs the WAL when the policy is FsyncCommit. Caller
+// holds mu.
+func (e *Engine) commitLocked() error {
+	if e.wal == nil || e.cfg.Fsync != FsyncCommit {
+		return nil
+	}
+	return e.wal.sync()
+}
+
+// fullLocked reports whether a memtable charged mem bytes has to flush;
+// without a directory it never does. Caller holds mu.
+func (e *Engine) fullLocked(mem int64) bool {
+	return e.wal != nil && mem >= e.cfg.MemtableBytes
+}
+
+// Insert serves one PUT message: it stores, in order, each item whose
+// tag has no live record — in the store or earlier in the message
+// (first version wins, Section IV-B Remark) — and reports positionally
+// which it installed, also beside an error. The engine copies what it
+// keeps. Every fresh item's WAL record is appended, one fsync (per
+// policy) covers the message, and one enclave entry applies it to the
+// memtable, so nothing is acknowledged before the whole message is as
+// durable as the policy promises. A message is cut after a record that
+// fills the memtable, which so flushes exactly as with the items
+// arriving one by one.
 func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -803,46 +787,38 @@ func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 // that was. Caller holds mu.
 func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n int, failed error) {
 	var (
-		fresh   = make([]int, 0, len(items)) // the items in the WAL
+		fresh   = make([]int, 0, len(items)) // the items to install
 		claimed = make(map[mle.Tag]bool)     // their tags
-		mem     = e.memBytes                 // at most this with them applied
+		mem     = e.mem.Bytes()              // at most this with them applied
 	)
-	for n < len(items) && failed == nil && (n == 0 || mem < e.cfg.MemtableBytes) {
+	for n < len(items) && failed == nil && (n == 0 || !e.fullLocked(mem)) {
 		tag, rec := items[n].Tag, items[n].Record
 		exists, err := e.existsLocked(tag)
 		if err == nil && !exists && !claimed[tag] {
-			if err = e.wal.append(e.cfg.Enclave, walOpPut, tag, rec); err == nil {
-				e.st.WALRecords++
+			if err = e.logLocked(walOpPut, tag, rec); err == nil {
 				claimed[tag] = true
 				fresh = append(fresh, n)
-				mem += (&memRec{rec: rec}).bytes()
+				mem += e.mem.Charge(rec)
 			}
 		}
 		failed = err // what the WAL already carries is still applied
 		n++
 	}
 	// Nothing is applied, so nothing acknowledged, before the one sync.
-	if len(fresh) > 0 && e.cfg.Fsync == FsyncCommit {
-		if err := e.wal.sync(); err != nil {
+	if len(fresh) > 0 {
+		if err := e.commitLocked(); err != nil {
 			return n, fmt.Errorf("logengine: wal fsync: %w", err)
 		}
 	}
 	err := e.cfg.Enclave.ECall(func() error {
 		for _, i := range fresh {
-			tag, mr := items[i].Tag, &memRec{rec: copyRecord(items[i].Record)}
-			if prev, had := e.memtable[tag]; had {
-				// Overwriting a tombstone left by an earlier Remove.
-				e.memBytes -= prev.bytes()
-				e.cfg.Enclave.Free(prev.bytes())
-			}
-			if err := e.cfg.Enclave.Alloc(mr.bytes()); err != nil {
+			ent, err := e.mem.Set(items[i].Tag, items[i].Record, false)
+			if err != nil {
 				return fmt.Errorf("metadata allocation: %w", err)
 			}
-			e.memtable[tag] = mr
-			e.memBytes += mr.bytes()
 			e.entries++
-			e.valueBytes += mr.rec.BlobSize
-			e.dropTouch(tag) // a fresh record starts its popularity over
+			e.valueBytes += ent.Rec.BlobSize
+			e.dropTouch(ent.Tag) // a fresh record starts its popularity over
 			installed[i] = true
 		}
 		return nil
@@ -852,16 +828,14 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 		// resurrect them. Append compensating deletes so the log and the
 		// memory state agree.
 		for _, i := range fresh {
-			if !installed[i] && e.wal.append(e.cfg.Enclave, walOpDelete, items[i].Tag, storeengine.Record{}) != nil {
+			if !installed[i] && e.logLocked(walOpDelete, items[i].Tag, storeengine.Record{}) != nil {
 				break
 			}
 		}
-		if e.cfg.Fsync == FsyncCommit {
-			_ = e.wal.sync() // best effort: the insert already failed
-		}
+		_ = e.commitLocked() // best effort: the insert already failed
 		return n, err
 	}
-	if failed == nil && e.memBytes >= e.cfg.MemtableBytes {
+	if failed == nil && e.fullLocked(e.mem.Bytes()) {
 		if err := e.flushLocked(); err != nil {
 			failed = fmt.Errorf("logengine: flush: %w", err)
 		}
@@ -869,12 +843,14 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 	return n, failed
 }
 
-// Contains implements engine.Engine: existence probes over the memtable
-// (one enclave entry for the message) and the segments' filters and
-// indexes, with no hit counting, cache promotion or recency updates.
-// Like existsLocked it ignores TTL — the engine's index has no cheap
-// TTL view — so a stale record reports present; callers treat the
-// answers as hints and tolerate a later Get missing.
+// Contains serves one HAS message: whether a live record exists for
+// each tag, positionally, with no hit counting, cache promotion or
+// recency update — existence probes (chunked dedup's missing-chunk
+// transfer) that leave popularity untouched. The memtable answers in
+// one enclave entry for the message, a record past its TTL reporting
+// absent; the segments' filters and indexes answer the rest without a
+// TTL check, since the key index has no cheap view of it. The answers
+// are hints: callers tolerate a later Get missing.
 func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -882,12 +858,12 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 		return nil, storeengine.ErrClosed
 	}
 	present := make([]bool, len(tags))
-	probe := make([]int, 0, len(tags)) // the tags the memtable does not decide
+	var probe []int // the tags only the segments can decide
 	if err := e.cfg.Enclave.ECall(func() error {
 		for i, tag := range tags {
-			if mr, ok := lookup(e, e.memtable, tag); ok {
-				present[i] = !mr.dead
-			} else {
+			if ent := e.mem.Lookup(tag); ent != nil {
+				present[i] = !ent.Dead && !e.mem.Expired(ent.Rec.LastTouch)
+			} else if len(e.segments) > 0 {
 				probe = append(probe, i)
 			}
 		}
@@ -907,18 +883,20 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 
 // existsLocked reports whether a live record for tag exists anywhere
 // (memtable, segments), ignoring TTL — duplicate suppression is by
-// presence, as in the memory engine.
+// presence.
 func (e *Engine) existsLocked(tag mle.Tag) (bool, error) {
-	if mr, ok := e.memtable[tag]; ok {
-		return !mr.dead, nil
+	if ent := e.mem.Entry(tag); ent != nil {
+		return !ent.Dead, nil
 	}
 	_, found, dead, err := e.findLocked(tag, false)
 	return found && !dead, err
 }
 
-// Remove implements engine.Engine: locate the live record (its owner
-// and size settle quota accounting), append a delete to the WAL, and
-// tombstone the memtable.
+// Remove deletes the tag's record, returning it (Blob may be nil;
+// BlobSize and Owner are always set) so the caller can settle quota
+// accounting. With a directory it appends a delete to the WAL and
+// tombstones the memtable, so the versions in the segments stay
+// shadowed; without one the entry just goes.
 func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -926,11 +904,11 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		return storeengine.Record{}, false, storeengine.ErrClosed
 	}
 	var meta storeengine.Record
-	if mr, ok := e.memtable[tag]; ok {
-		if mr.dead {
+	if ent := e.mem.Entry(tag); ent != nil {
+		if ent.Dead {
 			return storeengine.Record{}, false, nil
 		}
-		meta = mr.rec
+		meta = ent.Rec
 	} else {
 		sealed, found, dead, err := e.findLocked(tag, true)
 		if err != nil || !found || dead {
@@ -944,27 +922,23 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		e.applyTouch(tag, &meta)
 	}
 	meta.Challenge, meta.WrappedKey, meta.Blob = nil, nil, nil
-	if err := e.wal.append(e.cfg.Enclave, walOpDelete, tag, storeengine.Record{}); err != nil {
-		return storeengine.Record{}, false, err
-	}
-	if e.cfg.Fsync == FsyncCommit {
-		if err := e.wal.sync(); err != nil {
+	if e.wal == nil {
+		e.mem.Delete(tag)
+	} else {
+		if err := e.logLocked(walOpDelete, tag, storeengine.Record{}); err != nil {
 			return storeengine.Record{}, false, err
 		}
-	}
-	e.st.WALRecords++
-	nr := &memRec{dead: true}
-	_ = e.cfg.Enclave.ECall(func() error {
-		if prev, had := e.memtable[tag]; had {
-			e.memBytes -= prev.bytes()
-			e.cfg.Enclave.Free(prev.bytes())
+		if err := e.commitLocked(); err != nil {
+			return storeengine.Record{}, false, err
 		}
-		_ = e.cfg.Enclave.Alloc(nr.bytes()) // the tombstone is recorded regardless
-		e.memtable[tag] = nr
-		e.memBytes += nr.bytes()
-		return nil
-	})
-	e.cacheDelete(tag)
+		// A tombstone is installed even when the enclave cannot be
+		// charged for it.
+		_ = e.cfg.Enclave.ECall(func() error {
+			_, err := e.mem.Set(tag, storeengine.Record{}, true)
+			return err
+		})
+	}
+	e.cache.Delete(tag)
 	e.dropTouch(tag)
 	e.entries--
 	e.valueBytes -= meta.BlobSize
@@ -981,21 +955,20 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 // intact WAL; a crash after it leaves the segment live and a stale WAL
 // whose replay re-applies the same records idempotently.
 func (e *Engine) flushLocked() error {
-	if len(e.memtable) == 0 {
+	if e.mem.Len() == 0 {
 		return nil
 	}
-	records := make([]segRecord, 0, len(e.memtable))
-	var sealErr error
+	entries := e.mem.Sorted()
+	records := make([]segRecord, 0, len(entries))
 	err := e.cfg.Enclave.ECall(func() error {
-		for tag, mr := range e.memtable {
-			sr := segRecord{tag: tag, dead: mr.dead}
-			if !mr.dead {
-				sealed, err := sealRecord(e.cfg.Enclave, mr.rec)
+		for _, ent := range entries {
+			sr := segRecord{tag: ent.Tag, dead: ent.Dead}
+			if !ent.Dead {
+				sealed, err := sealRecord(e.cfg.Enclave, ent.Rec)
 				if err != nil {
-					sealErr = err
 					return err
 				}
-				sr.blob = mr.rec.BlobSize
+				sr.blob = ent.Rec.BlobSize
 				sr.sealed = sealed
 			}
 			records = append(records, sr)
@@ -1003,14 +976,8 @@ func (e *Engine) flushLocked() error {
 		return nil
 	})
 	if err != nil {
-		if sealErr != nil {
-			return sealErr
-		}
 		return err
 	}
-	sort.Slice(records, func(i, j int) bool {
-		return bytes.Compare(records[i].tag[:], records[j].tag[:]) < 0
-	})
 
 	id := e.nextSegID
 	name := segmentName(id)
@@ -1046,9 +1013,7 @@ func (e *Engine) flushLocked() error {
 	if err := e.wal.reset(); err != nil {
 		return err
 	}
-	e.cfg.Enclave.Free(e.memBytes)
-	e.memtable = make(map[mle.Tag]*memRec)
-	e.memBytes = 0
+	e.mem.Clear()
 	e.st.Flushes++
 	// The truncate discarded any persisted touch frames; re-emit the
 	// whole overlay so segment-resident popularity still survives a
@@ -1057,52 +1022,32 @@ func (e *Engine) flushLocked() error {
 		if err := e.appendTouchesLocked(true); err != nil {
 			return err
 		}
-		if e.cfg.Fsync == FsyncCommit {
-			return e.wal.sync()
-		}
+		return e.commitLocked()
 	}
 	return nil
 }
 
-// copyRecord deep-copies a record so callers own what they receive and
-// the engine owns what it keeps.
-func copyRecord(rec storeengine.Record) storeengine.Record {
-	out := rec
-	out.Challenge = append([]byte(nil), rec.Challenge...)
-	out.WrappedKey = append([]byte(nil), rec.WrappedKey...)
-	out.Blob = append([]byte(nil), rec.Blob...)
-	out.BlobSize = int64(len(rec.Blob))
-	return out
-}
-
-// constantTimeTagEq compares tags with uniform work.
-func constantTimeTagEq(a, b mle.Tag) bool {
-	var diff byte
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
-}
-
-// Len implements engine.Engine.
+// Len reports the number of live records.
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return int(e.entries)
 }
 
-// ValueBytes implements engine.Engine.
+// ValueBytes reports the total ciphertext bytes of live records.
 func (e *Engine) ValueBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.valueBytes
 }
 
-// Iterate implements engine.Engine: a k-way merge over the memtable
-// (sorted transiently) and every segment cursor, newest state winning,
-// tombstones skipped. Memory stays bounded by the memtable keys plus
-// one record per open cursor; segment payloads stream from disk one
-// record at a time, so iteration works on stores larger than RAM.
+// Iterate streams every live record to fn until fn returns false,
+// records past their TTL included (the caller decides about them), in
+// unspecified order. It is a k-way merge over the memtable (sorted
+// transiently) and every segment cursor, newest state winning,
+// tombstones skipped. Memory stays bounded by the memtable's entry list
+// plus one record per open cursor; segment payloads stream from disk
+// one record at a time, so iteration works on stores larger than RAM.
 //
 // The engine lock is held for the whole walk (mutations would
 // invalidate the cursors), so fn must not call back into the engine.
@@ -1113,25 +1058,19 @@ func (e *Engine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) erro
 }
 
 func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool) error {
-	memKeys := make([]mle.Tag, 0, len(e.memtable))
-	for tag := range e.memtable {
-		memKeys = append(memKeys, tag)
-	}
-	sort.Slice(memKeys, func(i, j int) bool {
-		return bytes.Compare(memKeys[i][:], memKeys[j][:]) < 0
-	})
-	// Two sorted streams: the memtable's keys and the segments' merged
+	mem := e.mem.Sorted()
+	// Two sorted streams: the memtable's entries and the segments' merged
 	// view (newest segment wins a tag). The smaller head goes next; on a
 	// tie the memtable, the newest tier of all, wins and the segments'
 	// version is skipped.
 	it := newMergeIter(e.segments)
 	seg, err := it.next()
-	for err == nil && (len(memKeys) > 0 || seg != nil) {
+	for err == nil && (len(mem) > 0 || seg != nil) {
 		cmp := -1
-		if len(memKeys) == 0 {
+		if len(mem) == 0 {
 			cmp = 1
 		} else if seg != nil {
-			cmp = bytes.Compare(memKeys[0][:], seg.tag[:])
+			cmp = bytes.Compare(mem[0].Tag[:], seg.tag[:])
 		}
 		var (
 			tag  mle.Tag
@@ -1139,16 +1078,17 @@ func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool
 			live bool
 		)
 		if cmp <= 0 {
-			tag, memKeys = memKeys[0], memKeys[1:]
-			if mr := e.memtable[tag]; !mr.dead {
-				rec, live = copyRecord(mr.rec), true
+			ent := mem[0]
+			mem = mem[1:]
+			if tag = ent.Tag; !ent.Dead {
+				rec, live = storeengine.CopyRecord(ent.Rec), true
 			}
 		} else if tag = seg.tag; !seg.dead {
 			var uerr error
 			if rec, uerr = unsealRecord(e.cfg.Enclave, seg.sealed); uerr != nil {
 				// Skip unreadable records rather than abort a whole
 				// export; Get on this tag will surface dangling.
-				e.cfg.Logf("logengine: iterate: record %x failed authentication: %v", tag[:8], uerr)
+				e.cfg.Logf("logengine: iterate: record %s failed authentication: %v", shortTag(tag), uerr)
 			} else {
 				e.applyTouch(tag, &rec)
 				live = true
@@ -1157,20 +1097,28 @@ func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool
 		if cmp >= 0 {
 			seg, err = it.next()
 		}
-		if live && !e.expired(rec.LastTouch) && !fn(tag, rec) {
+		if live && !fn(tag, rec) {
 			return nil
 		}
 	}
 	return err
 }
 
-// Oldest implements engine.Engine by scanning the merged view for the
-// least recently touched record. O(n) over record headers and seals —
-// LRU eviction against a disk-backed store is discouraged (size caps
-// belong to the memory engine), but the semantics hold.
+// Oldest reports the least recently touched live tag, the victim the
+// Store's LRU eviction removes under MaxEntries / MaxBlobBytes
+// pressure. Without a directory it is the memtable's LRU tail. With one
+// it scans the merged view, O(n) over record headers and seals — the
+// segments keep no recency order, so LRU caps on a disk-backed store
+// are expensive, but the semantics hold.
 func (e *Engine) Oldest() (mle.Tag, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.wal == nil {
+		if ent := e.mem.Oldest(); ent != nil {
+			return ent.Tag, true
+		}
+		return mle.Tag{}, false
+	}
 	var (
 		best  mle.Tag
 		bestT time.Time
@@ -1185,15 +1133,17 @@ func (e *Engine) Oldest() (mle.Tag, bool) {
 	return best, found
 }
 
-// Stats implements engine.Engine.
+// Stats snapshots engine occupancy and activity counters.
 func (e *Engine) Stats() storeengine.Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.st
 	st.Entries = int(e.entries)
 	st.ValueBytes = e.valueBytes
-	st.WALBytes = e.wal.size
-	st.WALSyncs = e.wal.syncs
+	if e.wal != nil {
+		st.WALBytes = e.wal.size
+		st.WALSyncs = e.wal.syncs
+	}
 	st.Segments = len(e.segments)
 	st.SegmentBytes = 0
 	for _, s := range e.segments {
@@ -1209,17 +1159,25 @@ func (e *Engine) Stats() storeengine.Stats {
 	return st
 }
 
-// Checkpoint implements engine.Engine: flush the memtable (which
-// truncates the WAL) and fsync, so every acknowledged operation is in
-// a durable segment regardless of fsync policy. Popularity goes with
-// it: memtable hit counts are baked into the flushed segment and any
-// still-dirty touch-overlay entries are appended as walOpTouch frames
-// before the sync, so hit counts survive a restart.
+// Checkpoint makes every acknowledged operation durable: it flushes the
+// memtable (which truncates the WAL) and fsyncs, so it is in a durable
+// segment regardless of fsync policy. Popularity goes with it: memtable
+// hit counts are baked into the flushed segment and any still-dirty
+// touch-overlay entries are appended as walOpTouch frames before the
+// sync, so hit counts survive a restart. Without a directory there is
+// nothing to make durable.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return storeengine.ErrClosed
+	}
+	return e.checkpointLocked()
+}
+
+func (e *Engine) checkpointLocked() error {
+	if e.wal == nil {
+		return nil
 	}
 	if err := e.flushLocked(); err != nil {
 		return err
@@ -1243,22 +1201,16 @@ func (e *Engine) Compact() error {
 	return e.compactLocked()
 }
 
-// Close implements engine.Engine: stop background work, flush, and
-// release the files. A clean close leaves an empty WAL, so the next
-// Open replays nothing.
+// Close stops background work, checkpoints and releases the files and
+// enclave memory; operations after it return ErrClosed. A clean close
+// leaves an empty WAL, so the next Open replays nothing.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil
 	}
-	flushErr := e.flushLocked()
-	if flushErr == nil {
-		flushErr = e.appendTouchesLocked(false)
-	}
-	if flushErr == nil {
-		flushErr = e.wal.sync()
-	}
+	flushErr := e.checkpointLocked()
 	e.closed = true
 	e.mu.Unlock()
 	close(e.stopBg)
@@ -1289,7 +1241,7 @@ func (e *Engine) closeFiles() error {
 // Crash simulates kill -9 for tests and benchmarks: file handles are
 // abandoned without flushing the memtable, syncing the WAL, or
 // committing anything. State on disk is exactly what the kernel had
-// been told so far.
+// been told so far. Without a directory it is Close.
 func (e *Engine) Crash() {
 	e.mu.Lock()
 	if e.closed {
@@ -1306,16 +1258,11 @@ func (e *Engine) Crash() {
 	e.releaseMemoryLocked()
 }
 
-// releaseMemoryLocked returns the memtable's and cache's enclave
+// releaseMemoryLocked returns the tables' and the overlay's enclave
 // allocations. Caller holds mu with closed already set.
 func (e *Engine) releaseMemoryLocked() {
-	e.cfg.Enclave.Free(e.memBytes)
-	e.memBytes = 0
-	e.memtable = make(map[mle.Tag]*memRec)
-	e.cfg.Enclave.Free(e.cacheBytes)
-	e.cacheBytes = 0
-	e.cache = make(map[mle.Tag]*cacheRec)
-	e.cacheLRU = list.New()
+	e.mem.Clear()
+	e.cache.Clear()
 	e.cfg.Enclave.Free(int64(len(e.touched)) * touchRecBytes)
 	e.touched = make(map[mle.Tag]*touchRec)
 	e.touchDirty = make(map[mle.Tag]bool)

@@ -5,10 +5,13 @@ import (
 	"speed/internal/telemetry"
 )
 
-// RegisterTelemetry adds the log engine's activity and occupancy
-// series, all labeled engine="log" so dashboards distinguish them from
-// the memory engine's shard gauges.
+// RegisterTelemetry adds the engine's WAL, segment, compaction and
+// cache series, all labeled engine="log". A volatile engine has none of
+// those tiers and registers nothing.
 func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
+	if e.wal == nil {
+		return
+	}
 	lbl := telemetry.L("engine", "log")
 	counter := func(name, help string, field func(storeengine.Stats) int64, extra ...telemetry.Label) {
 		reg.NewCounterFunc(name, help, func() int64 { return field(e.Stats()) }, append([]telemetry.Label{lbl}, extra...)...)

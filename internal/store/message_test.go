@@ -14,14 +14,15 @@ import (
 	"speed/internal/wire"
 )
 
-// messageEngines builds the same store on each engine; the log engine's
-// memtable and cache are small enough that a few messages reach the
-// segments.
-var messageEngines = []struct {
+// storeConfigs builds the same store in each of its two configurations:
+// "memory", without a data directory (the volatile store), and "log",
+// with one, its memtable and cache small enough that a few messages
+// reach the segments.
+var storeConfigs = []struct {
 	name string
 	cfg  func(t *testing.T, cfg Config) Config
 }{
-	{EngineMemory, func(t *testing.T, cfg Config) Config { return cfg }},
+	{"memory", func(t *testing.T, cfg Config) Config { return cfg }},
 	{EngineLog, func(t *testing.T, cfg Config) Config {
 		cfg.Enclave = persistEnclave(t)
 		cfg.DataDir = t.TempDir()
@@ -44,11 +45,11 @@ var messageEngines = []struct {
 // what was installed before it.
 func TestMessagesMatchOneByOne(t *testing.T) {
 	owners := []enclave.Measurement{ownerOf("reads and writes"), ownerOf("reads only"), ownerOf("no access")}
-	for _, eng := range messageEngines {
+	for _, eng := range storeConfigs {
 		for seed := int64(1); seed <= 4; seed++ {
 			capped, messages := seed == 4, 300
-			if capped {
-				messages = 150 // finding the log engine's LRU victim is a scan
+			if capped && eng.name == EngineLog {
+				messages = 150 // with a directory, finding the LRU victim is a scan
 			}
 			t.Run(fmt.Sprintf("%s/seed%d", eng.name, seed), func(t *testing.T) {
 				clock := &ttlClock{now: time.Unix(1000, 0)}
@@ -178,8 +179,8 @@ func mustMatch[T any](t *testing.T, what string, got []T, err error, want []T) {
 
 // TestStoreEnclaveEntriesPerMessage pins the crossing rule of the engine
 // seam: the store enters its enclave once per GET, HAS and PUT message
-// whatever the item count; the log engine once more for a GET that has
-// to unseal segment-resident records. A message none of whose items
+// whatever the item count; with a directory once more for a GET that
+// has to unseal segment-resident records. A message none of whose items
 // reaches the engine does not enter at all.
 func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 	owner, stranger := ownerOf("app"), ownerOf("stranger")
@@ -197,7 +198,7 @@ func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 		}
 		return items
 	}
-	for _, eng := range messageEngines {
+	for _, eng := range storeConfigs {
 		t.Run(eng.name, func(t *testing.T) {
 			acl := NewACL(PermAll)
 			acl.Grant(stranger, 0)
@@ -209,8 +210,8 @@ func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 			if _, err := s.WirePut(owner, itemsOf(old)); err != nil {
 				t.Fatalf("WirePut: %v", err)
 			}
-			// On the log engine "old" now lives in a segment, "young" (put
-			// below) in the memtable; on the memory engine there is one tier.
+			// With a directory "old" now lives in a segment, "young" (put
+			// below) in the memtable; without one there is one tier.
 			if err := s.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
@@ -245,7 +246,7 @@ func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 				{"HAS of 1", 1, func() error { _, err := s.WireHas(owner, young[:1]); return err }},
 			} {
 				if log && c.want == 2 && c.name[0] == 'P' {
-					continue // the log engine's Remove enters the enclave too
+					continue // with a directory, Remove enters the enclave too
 				}
 				before := s.Enclave().Metrics().ECalls
 				if err := c.do(); err != nil {
@@ -263,7 +264,7 @@ func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 // same tags, in opposite orders: every tag is installed by exactly one
 // of them (run under -race).
 func TestOverlappingPutMessagesInstallOnce(t *testing.T) {
-	for _, eng := range messageEngines {
+	for _, eng := range storeConfigs {
 		t.Run(eng.name, func(t *testing.T) {
 			s := testStore(t, eng.cfg(t, Config{}))
 			defer s.Close()
@@ -307,14 +308,14 @@ func TestOverlappingPutMessagesInstallOnce(t *testing.T) {
 }
 
 // TestObliviousMessages runs multi-tag messages through an oblivious
-// store on both engines: every tag of a message takes the all-entry
-// scan, so entries in any shard or tier are found, absent tags are not,
-// and no lookup of the message refreshes recency.
+// store in both configurations: every tag of a message takes the
+// all-entry scan, so entries in any tier are found, absent tags are
+// not, and no lookup of the message refreshes recency.
 func TestObliviousMessages(t *testing.T) {
-	for _, eng := range messageEngines {
+	for _, eng := range storeConfigs {
 		t.Run(eng.name, func(t *testing.T) {
 			clock := &ttlClock{now: time.Unix(1000, 0)}
-			s := testStore(t, eng.cfg(t, Config{Shards: 8, Oblivious: true, TTL: time.Minute, Now: clock.Now}))
+			s := testStore(t, eng.cfg(t, Config{Oblivious: true, TTL: time.Minute, Now: clock.Now}))
 			defer s.Close()
 			owner := ownerOf("app")
 			const n = 24
@@ -325,7 +326,7 @@ func TestObliviousMessages(t *testing.T) {
 					t.Fatalf("Put: %v", err)
 				}
 				if i == n/2 {
-					if err := s.Checkpoint(); err != nil { // log engine: half in a segment
+					if err := s.Checkpoint(); err != nil { // with a directory: half in a segment
 						t.Fatalf("Checkpoint: %v", err)
 					}
 				}

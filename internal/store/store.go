@@ -4,9 +4,10 @@
 // a pointer), with the bulk result ciphertexts kept outside the enclave
 // for EPC efficiency. The package also provides per-application quotas
 // (the paper's DoS rate-limiting strategy), LRU eviction, and a TCP
-// server speaking the wire protocol. The dictionary lives in one of two
-// engines: a volatile in-memory cache, or the log engine
-// (internal/store/logengine) — the one way a store survives a restart.
+// server speaking the wire protocol. The dictionary lives in the storage
+// engine (internal/store/logengine): without a data directory a volatile
+// store whose entries are charged to the enclave for metadata only, with
+// one a sealed WAL and segments that survive a restart.
 package store
 
 import (
@@ -27,21 +28,6 @@ import (
 	"speed/internal/wire"
 )
 
-// entryOverhead approximates the in-enclave footprint of one dictionary
-// entry beyond its variable-length fields: tag key, blob pointer,
-// counters and map bucket overhead. It is charged against the store
-// enclave's EPC so that large dictionaries produce realistic paging
-// pressure.
-const entryOverhead = 96
-
-// defaultShards is the dictionary shard count when Config.Shards is
-// zero. Power of two, so shard selection is a mask over the tag bytes.
-const defaultShards = 8
-
-// maxShards bounds Config.Shards; beyond this the per-shard fixed
-// overhead outweighs any contention win.
-const maxShards = 256
-
 var (
 	// ErrQuota is returned when a PUT is rejected by the quota
 	// mechanism.
@@ -50,52 +36,38 @@ var (
 	ErrClosed = storeengine.ErrClosed
 )
 
-// Engine names accepted by Config.Engine.
-const (
-	// EngineMemory is the default volatile engine: the lock-striped
-	// sharded dictionary with global LRU.
-	EngineMemory = "memory"
-	// EngineLog is the persistent log-structured engine
-	// (internal/store/logengine): sealed WAL + sorted segments, crash
-	// recovery by segment load and WAL replay.
-	EngineLog = "log"
-)
+// EngineLog is the one value Config.Engine accepts besides "": it asks
+// for the persistent configuration, sealed WAL + sorted segments with
+// crash recovery by segment load and WAL replay, and so requires
+// DataDir.
+const EngineLog = "log"
 
 // Config configures a Store.
 type Config struct {
 	// Enclave hosts the metadata dictionary. Required.
 	Enclave *enclave.Enclave
-	// Engine selects the storage backend behind the store: "" or
-	// "memory" for the in-RAM sharded dictionary (the default, a
-	// volatile cache), or "log" for the persistent log-structured
-	// engine rooted at DataDir.
+	// Engine is "" or EngineLog; EngineLog only insists on DataDir.
 	Engine string
-	// DataDir is the log engine's on-disk directory. Required when
-	// Engine is "log"; setting it with Engine unset selects "log".
+	// DataDir is the storage engine's on-disk directory, which makes
+	// the store persistent; empty makes it a volatile cache. Required
+	// when Engine is EngineLog.
 	DataDir string
-	// MemtableBytes bounds the log engine's in-memory write buffer
+	// MemtableBytes bounds a persistent store's in-memory write buffer
 	// before it flushes a sorted segment; 0 selects the default.
 	MemtableBytes int64
-	// CacheBytes bounds the log engine's hot-entry read cache; 0
+	// CacheBytes bounds a persistent store's hot-entry read cache; 0
 	// selects the default.
 	CacheBytes int64
-	// Fsync selects the log engine's WAL durability policy: "commit"
-	// (fsync before acknowledging every PUT, the default), "interval"
-	// (background fsync), or "none" (leave it to the OS).
+	// Fsync selects a persistent store's WAL durability policy:
+	// "commit" (fsync before acknowledging every PUT, the default),
+	// "interval" (background fsync), or "none" (leave it to the OS).
 	Fsync string
-	// CompactInterval is how often the log engine's background
+	// CompactInterval is how often a persistent store's background
 	// compactor considers merging segments; 0 selects the default.
 	CompactInterval time.Duration
-	// Shards is the number of lock-striped dictionary shards of the
-	// memory engine; rounded up to a power of two, defaulting to 8.
-	// Tags are uniformly distributed hashes, so striping spreads
-	// GET/PUT lock contention evenly and lets concurrent requests
-	// proceed on different cores.
-	Shards int
 	// MaxEntries caps the dictionary size; 0 means unlimited. When
-	// exceeded, least-recently-used entries are evicted. The cap is
-	// global: the eviction victim is the least recently used entry
-	// across the whole engine, not a per-shard quota.
+	// exceeded, least-recently-used entries are evicted: the victim is
+	// the least recently used entry of the whole store.
 	MaxEntries int
 	// MaxBlobBytes caps total ciphertext bytes; 0 means unlimited.
 	MaxBlobBytes int64
@@ -108,11 +80,11 @@ type Config struct {
 	// GET touches every in-enclave entry with constant-time tag
 	// comparison and performs no LRU bookkeeping, so an adversary
 	// observing enclave memory accesses cannot tell which entry (if
-	// any) matched — or which shard held it. This trades throughput for
-	// side-channel resistance (the security/performance balance the
-	// paper defers to future work, Section III-D). With the log engine
-	// the guarantee covers the in-enclave structures (memtable, cache,
-	// segment index); see DESIGN.md "Storage engines".
+	// any) matched. This trades throughput for side-channel resistance
+	// (the security/performance balance the paper defers to future
+	// work, Section III-D). The guarantee covers the in-enclave
+	// structures (memtable, cache); a persistent store's segment reads
+	// stay observable, see DESIGN.md "Storage engine".
 	Oblivious bool
 	// TTL expires entries that have not been stored or hit within the
 	// given duration; 0 disables expiry. Expired entries are collected
@@ -120,10 +92,9 @@ type Config struct {
 	TTL time.Duration
 	// Telemetry, when non-nil, registers the store's counters (gets,
 	// hits, puts, denials, evictions — backed by the Stats snapshot),
-	// occupancy gauges (total and, for the memory engine, per shard;
-	// for the log engine, WAL/segment/cache gauges), and per-operation
-	// service-latency histograms speed_store_op_seconds{op="get"|"put"}.
-	// Nil disables.
+	// occupancy gauges (and, for a persistent store, WAL/segment/cache
+	// series), and per-operation service-latency histograms
+	// speed_store_op_seconds{op="get"|"put"}. Nil disables.
 	Telemetry *telemetry.Registry
 	// Now is the clock used by the quota, TTL and LRU mechanisms; nil
 	// means time.Now. Injectable for tests.
@@ -149,12 +120,12 @@ type Stats struct {
 	BlobBytes    int64
 }
 
-// Store is the encrypted ResultStore: engine-neutral policy
-// (authorization, quotas, TTL, limits, telemetry) over a pluggable
-// storage Engine. All methods are safe for concurrent use.
+// Store is the encrypted ResultStore: policy (authorization, quotas,
+// TTL, limits, telemetry) over the storage engine. All methods are safe
+// for concurrent use.
 type Store struct {
 	cfg Config
-	eng storeengine.Engine
+	eng *logengine.Engine
 
 	quota  *quotas
 	closed atomic.Bool
@@ -168,7 +139,8 @@ type Store struct {
 	putSeconds *telemetry.Histogram
 }
 
-// New constructs a Store over the configured engine.
+// New constructs a Store over the storage engine, opening (and
+// recovering) DataDir when one is set.
 func New(cfg Config) (*Store, error) {
 	if cfg.Enclave == nil {
 		return nil, errors.New("store: Config.Enclave is required")
@@ -179,70 +151,47 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	engineName := cfg.Engine
-	if engineName == "" {
-		if cfg.DataDir != "" {
-			engineName = EngineLog
-		} else {
-			engineName = EngineMemory
-		}
-	}
-	s := &Store{cfg: cfg, quota: newQuotas(cfg.Quota, cfg.Now)}
-	switch engineName {
-	case EngineMemory:
-		s.eng = newMemEngine(cfg.Enclave, cfg.Shards, cfg.Oblivious, cfg.TTL, cfg.Now)
-	case EngineLog:
-		if cfg.DataDir == "" {
-			return nil, errors.New("store: Engine \"log\" requires Config.DataDir")
-		}
-		fsync, err := logengine.ParseFsync(cfg.Fsync)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := logengine.Open(logengine.Config{
-			Dir:             cfg.DataDir,
-			Enclave:         cfg.Enclave,
-			MemtableBytes:   cfg.MemtableBytes,
-			CacheBytes:      cfg.CacheBytes,
-			Fsync:           fsync,
-			CompactInterval: cfg.CompactInterval,
-			Oblivious:       cfg.Oblivious,
-			TTL:             cfg.TTL,
-			Now:             cfg.Now,
-			Logf:            cfg.Logf,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: open log engine: %w", err)
-		}
-		s.eng = eng
-	default:
+	switch {
+	case cfg.Engine != "" && cfg.Engine != EngineLog:
 		return nil, fmt.Errorf("store: unknown engine %q", cfg.Engine)
+	case cfg.Engine == EngineLog && cfg.DataDir == "":
+		return nil, errors.New("store: Engine \"log\" requires Config.DataDir")
 	}
+	fsync, err := logengine.ParseFsync(cfg.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := logengine.Open(logengine.Config{
+		Dir:             cfg.DataDir,
+		Enclave:         cfg.Enclave,
+		MemtableBytes:   cfg.MemtableBytes,
+		CacheBytes:      cfg.CacheBytes,
+		Fsync:           fsync,
+		CompactInterval: cfg.CompactInterval,
+		Oblivious:       cfg.Oblivious,
+		TTL:             cfg.TTL,
+		Now:             cfg.Now,
+		Logf:            cfg.Logf,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: open log engine: %w", err)
+	}
+	s := &Store{cfg: cfg, eng: eng, quota: newQuotas(cfg.Quota, cfg.Now)}
 	s.registerTelemetry(cfg.Telemetry)
 	return s, nil
 }
 
-// EngineName reports the active storage engine ("memory" or "log").
-func (s *Store) EngineName() string { return s.eng.Name() }
-
-// Checkpoint makes every acknowledged PUT durable (log engine: flush
-// the memtable and fsync the WAL). A no-op on the memory engine.
+// Checkpoint makes every acknowledged PUT durable: a persistent store
+// flushes its memtable and fsyncs its WAL; a volatile one has nothing
+// to do.
 func (s *Store) Checkpoint() error { return s.eng.Checkpoint() }
-
-// memShards exposes the memory engine's stripes to in-package tests.
-func (s *Store) memShards() []*shard {
-	if m, ok := s.eng.(*memEngine); ok {
-		return m.shards
-	}
-	return nil
-}
 
 // registerTelemetry wires the store into reg: latency histograms are
 // real metrics observed inline, while the counters and gauges read the
 // Stats snapshot on demand so there is a single source of truth (and
 // several stores sharing one registry sum, see telemetry.CounterFunc).
-// Engine-specific series (per-shard occupancy, WAL/segment/cache
-// activity) are registered by the engine itself, labeled by engine.
+// The engine registers its own WAL/segment/cache series, when it has
+// those tiers.
 func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -548,8 +497,8 @@ func (s *Store) overLimits(n int, size int64) bool {
 
 // enforceLimits evicts least-recently-used entries until the global
 // MaxEntries/MaxBlobBytes caps are respected. The victim is the
-// engine's globally least-recent entry regardless of where it lives
-// (eviction fairness across shards and tiers).
+// engine's least-recent entry regardless of where it lives (eviction
+// fairness across tiers).
 func (s *Store) enforceLimits() {
 	if s.cfg.MaxEntries <= 0 && s.cfg.MaxBlobBytes <= 0 {
 		return
@@ -626,8 +575,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// EngineStats returns the active engine's occupancy and activity
-// snapshot (WAL/segment/cache counters are zero on the memory engine).
+// EngineStats returns the engine's occupancy and activity snapshot
+// (WAL/segment counters stay zero on a volatile store).
 func (s *Store) EngineStats() storeengine.Stats {
 	return s.eng.Stats()
 }
@@ -644,21 +593,21 @@ func (s *Store) AppBytes(owner enclave.Measurement) int64 {
 }
 
 // Close marks the store closed. Subsequent Get/Put return ErrClosed.
-// With the log engine, Close flushes and releases the on-disk state.
+// A persistent store flushes and releases its on-disk state.
 func (s *Store) Close() {
 	s.closed.Store(true)
 	_ = s.eng.Close()
 }
 
-// Compact runs the log engine's size-tiered merge policy to its fixed
-// point (it merges eligible runs, not everything); a no-op on
-// the memory engine.
+// Compact runs a persistent store's size-tiered merge policy to its
+// fixed point (it merges eligible runs, not everything); a no-op on a
+// volatile store.
 func (s *Store) Compact() error { return s.eng.Compact() }
 
 // Crash abandons the store without flushing or syncing — the on-disk
 // state a kill -9 would leave behind. The benchmark and crash tests
-// use it to measure recovery of acknowledged PUTs; on the memory
-// engine it is Close.
+// use it to measure recovery of acknowledged PUTs; on a volatile store
+// it is Close.
 func (s *Store) Crash() {
 	s.closed.Store(true)
 	s.eng.Crash()
@@ -698,7 +647,7 @@ func (h *exportHeap) Pop() any          { old := *h; n := len(old); e := old[n-1
 // here means unlimited.
 //
 // The walk streams through the engine's bounded iterator holding at
-// most max candidate entries, so it works on log-engine stores whose
+// most max candidate entries, so it works on persistent stores whose
 // keyspace does not fit in memory.
 func (s *Store) ExportHotAs(app enclave.Measurement, minHits int64, max int) ([]ExportEntry, error) {
 	var (

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,14 +202,16 @@ func TestCiphertextStoredOutsideEnclave(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 	// The 1 MB ciphertext must not live in the enclave heap: a PUT
-	// charges the metadata entry and nothing else.
-	if used, want := e.HeapUsed(), int64(entryOverhead+len("r")+len("k")); used != want {
+	// charges the metadata entry — 96 bytes of tag key, pointer,
+	// counters and map bucket, plus challenge and wrapped key — and
+	// nothing else.
+	if used, want := e.HeapUsed(), int64(96+len("r")+len("k")); used != want {
 		t.Errorf("enclave heap = %d bytes after storing 1MB blob, want %d (metadata only)", used, want)
 	}
 }
 
-// The memory engine holds each ciphertext by reference: it must own
-// its copy, so neither the caller's buffer after Put nor a buffer
+// The volatile store keeps each ciphertext outside the enclave: it must
+// own its copy, so neither the caller's buffer after Put nor a buffer
 // returned by Get aliases the stored bytes.
 func TestCiphertextIsolatedFromCallerBuffers(t *testing.T) {
 	s := testStore(t, Config{})
@@ -274,35 +277,55 @@ func TestQuotaRateLimit(t *testing.T) {
 	}
 }
 
+// TestEvictionByMaxEntries: MaxEntries is a bound on the whole store,
+// and each PUT past it evicts the least recently used entry of the whole
+// store — with a directory wherever that entry lives.
 func TestEvictionByMaxEntries(t *testing.T) {
-	s := testStore(t, Config{MaxEntries: 3})
-	owner := ownerOf("app")
-	for i := 0; i < 3; i++ {
-		if _, err := s.Put(owner, tagOf(fmt.Sprintf("t%d", i)), sealedOf("blob")); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
+	onEachConfig(t, Config{MaxEntries: 8}, func(t *testing.T, s *Store, clock *ttlClock) {
+		owner := ownerOf("app")
+		// Each step takes a second: with a directory the victim is found
+		// by comparing touch times, which must not tie.
+		put := func(i int) {
+			t.Helper()
+			clock.now = clock.now.Add(time.Second)
+			if _, err := s.Put(owner, tagOf(fmt.Sprintf("k%d", i)), sealedOf("blob")); err != nil {
+				t.Fatalf("Put k%d: %v", i, err)
+			}
 		}
-	}
-	// Touch t0 so that t1 becomes the LRU victim.
-	if _, found, _ := s.Get(tagOf("t0")); !found {
-		t.Fatal("t0 missing before eviction")
-	}
-	if _, err := s.Put(owner, tagOf("t3"), sealedOf("blob")); err != nil {
-		t.Fatalf("Put t3: %v", err)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if _, found, _ := s.Get(tagOf("t1")); found {
-		t.Error("LRU entry t1 survived eviction")
-	}
-	for _, k := range []string{"t0", "t2", "t3"} {
-		if _, found, _ := s.Get(tagOf(k)); !found {
-			t.Errorf("entry %s was wrongly evicted", k)
+		// Fill to capacity, half of it in a segment when there is a
+		// directory, then touch the first half so the second half is the
+		// cold end of the LRU order.
+		for i := 0; i < 8; i++ {
+			put(i)
+			if i == 3 {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+			}
 		}
-	}
-	if got := s.Stats().Evictions; got != 1 {
-		t.Errorf("Evictions = %d, want 1", got)
-	}
+		clock.now = clock.now.Add(time.Second)
+		for i := 0; i < 4; i++ {
+			if _, found, _ := s.Get(tagOf(fmt.Sprintf("k%d", i))); !found {
+				t.Fatalf("warm Get k%d missed", i)
+			}
+		}
+		// Each PUT now evicts exactly one entry, from the cold half.
+		for i := 8; i < 12; i++ {
+			put(i)
+		}
+		if got := s.Len(); got != 8 {
+			t.Fatalf("Len = %d, want 8", got)
+		}
+		for i := 0; i < 12; i++ {
+			_, found, _ := s.Get(tagOf(fmt.Sprintf("k%d", i)))
+			if cold := i >= 4 && i < 8; found == cold {
+				t.Errorf("k%d: found=%v, want the cold k4..k7 evicted and nothing else", i, found)
+			}
+		}
+		if got := s.Stats().Evictions; got != 4 {
+			t.Errorf("Evictions = %d, want 4", got)
+		}
+	})
 }
 
 func TestEvictionByMaxBlobBytes(t *testing.T) {
@@ -352,38 +375,111 @@ func TestClose(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutGet hammers one store from many goroutines, in each
+// configuration (run under -race by make check): applications racing to
+// store the same results keep one version each, mixed GET, PUT, Stats
+// and Len calls never take the store past its entry cap, and racing PUTs
+// never past an application's byte quota.
 func TestConcurrentPutGet(t *testing.T) {
-	s := testStore(t, Config{})
-	var wg sync.WaitGroup
 	const workers = 8
-	const perWorker = 50
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			owner := ownerOf(fmt.Sprintf("app%d", w))
-			for i := 0; i < perWorker; i++ {
-				tag := tagOf(fmt.Sprintf("shared-%d", i))
-				if _, err := s.Put(owner, tag, sealedOf(fmt.Sprintf("blob-%d", i))); err != nil {
-					t.Errorf("Put: %v", err)
-					return
-				}
-				got, found, err := s.Get(tag)
-				if err != nil || !found {
-					t.Errorf("Get: found=%v err=%v", found, err)
-					return
-				}
-				if want := fmt.Sprintf("blob-%d", i); string(got.Blob) != want {
-					t.Errorf("Get blob = %q, want %q", got.Blob, want)
-					return
-				}
+	t.Run("shared tags", func(t *testing.T) {
+		const perWorker = 50
+		onEachConfig(t, Config{}, func(t *testing.T, s *Store, _ *ttlClock) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					owner := ownerOf(fmt.Sprintf("app%d", w))
+					for i := 0; i < perWorker; i++ {
+						tag := tagOf(fmt.Sprintf("shared-%d", i))
+						if _, err := s.Put(owner, tag, sealedOf(fmt.Sprintf("blob-%d", i))); err != nil {
+							t.Errorf("Put: %v", err)
+							return
+						}
+						got, found, err := s.Get(tag)
+						if err != nil || !found {
+							t.Errorf("Get: found=%v err=%v", found, err)
+							return
+						}
+						if want := fmt.Sprintf("blob-%d", i); string(got.Blob) != want {
+							t.Errorf("Get blob = %q, want %q", got.Blob, want)
+							return
+						}
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if got := s.Len(); got != perWorker {
-		t.Errorf("Len = %d, want %d (duplicates deduplicated)", got, perWorker)
-	}
+			wg.Wait()
+			if got := s.Len(); got != perWorker {
+				t.Errorf("Len = %d, want %d (duplicates deduplicated)", got, perWorker)
+			}
+		})
+	})
+	t.Run("mixed ops under a cap", func(t *testing.T) {
+		const maxEntries = 64
+		onEachConfig(t, Config{MaxEntries: maxEntries}, func(t *testing.T, s *Store, _ *ttlClock) {
+			owner := ownerOf("app")
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						key := fmt.Sprintf("k%d", (w*13+i)%96)
+						switch i % 3 {
+						case 0:
+							if _, err := s.Put(owner, tagOf(key), sealedOf(key)); err != nil {
+								t.Errorf("Put: %v", err)
+							}
+						case 1:
+							if _, _, err := s.Get(tagOf(key)); err != nil {
+								t.Errorf("Get: %v", err)
+							}
+						default:
+							_ = s.Stats()
+							_ = s.Len()
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if st := s.Stats(); st.Entries > maxEntries || st.Entries != s.Len() || st.Evictions == 0 {
+				t.Errorf("Stats = %+v, Len = %d; want equal at rest, at most %d and some evictions", st, s.Len(), maxEntries)
+			}
+		})
+	})
+	t.Run("racing PUTs under a quota", func(t *testing.T) {
+		const quota = 2000
+		onEachConfig(t, Config{Quota: QuotaConfig{MaxBytesPerApp: quota}}, func(t *testing.T, s *Store, _ *ttlClock) {
+			owner := ownerOf("app")
+			var (
+				wg       sync.WaitGroup
+				accepted atomic.Int64
+			)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						_, err := s.Put(owner, tagOf(fmt.Sprintf("w%d-k%d", w, i)), sealedOf("0123456789abcdef0123456789abcdef"))
+						if err == nil {
+							accepted.Add(1)
+						} else if !errors.Is(err, ErrQuota) {
+							t.Errorf("Put: %v", err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			st := s.Stats()
+			if st.BlobBytes > quota || s.AppBytes(owner) != st.BlobBytes {
+				t.Errorf("BlobBytes = %d, AppBytes = %d; want equal and within the %d-byte quota", st.BlobBytes, s.AppBytes(owner), quota)
+			}
+			if st.Puts != accepted.Load() || st.Puts == 0 || st.PutDenied == 0 {
+				t.Errorf("Stats puts = %d denied = %d, %d accepted; want puts = accepted and both non-zero", st.Puts, st.PutDenied, accepted.Load())
+			}
+		})
+	})
 }
 
 func TestExportFiltersByHits(t *testing.T) {

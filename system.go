@@ -57,10 +57,6 @@ type SystemConfig struct {
 	// LRU eviction; 0 means unlimited.
 	StoreMaxEntries   int
 	StoreMaxBlobBytes int64
-	// StoreShards sets the ResultStore's dictionary shard count (rounded
-	// up to a power of two); 0 selects the default. More shards reduce
-	// lock contention under concurrent GET/PUT load.
-	StoreShards int
 	// StoreTTL expires entries not stored or hit within the duration;
 	// 0 disables expiry.
 	StoreTTL time.Duration
@@ -148,7 +144,6 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 	tel := telemetry.NewRegistry()
 	st, err := store.New(store.Config{
 		Enclave:         storeEnc,
-		Shards:          cfg.StoreShards,
 		MaxEntries:      cfg.StoreMaxEntries,
 		MaxBlobBytes:    cfg.StoreMaxBlobBytes,
 		TTL:             cfg.StoreTTL,
