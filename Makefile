@@ -63,10 +63,11 @@ bench-overhead:
 # (Channel round trip, marshal, frame read, mle seal/open), the
 # storage engine's memtable-hit read, its filter-answered miss + insert
 # (which must read no segment file) and one streaming merge, the store
-# server's one-tag GET hit, and the FastCDC chunker scan.
+# server's one-tag GET hit, the FastCDC chunker scan, and a chunked
+# hit that reassembles half its chunks from the cache.
 # -count 6 gives the regression gate a run-to-run spread for its
 # significance test.
-BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store ./internal/store/logengine ./internal/chunk
+BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store ./internal/store/logengine ./internal/chunk ./internal/dedup
 BENCH_HOT_PATTERN := 'BenchmarkHot|BenchmarkChannelRoundTrip'
 BENCH_HOT_COUNT ?= 6
 
@@ -89,9 +90,9 @@ bench-regress:
 	$(GO) run ./cmd/benchgate -baseline bench/baseline.txt -new /tmp/speed-bench-new.txt
 
 # Short fuzz pass over the wire codecs, the storage-engine WAL
-# framing, the chunk manifest codec and the FastCDC chunker
-# invariants. Go runs one fuzz target per invocation, so each target
-# gets its own run.
+# framing, the chunk manifest codec, the FastCDC chunker invariants
+# and chunked reassembly against a store that lies about one chunk. Go
+# runs one fuzz target per invocation, so each target gets its own run.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
@@ -100,3 +101,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzRecord$$' -fuzztime $(FUZZTIME) ./internal/store/logengine/
 	$(GO) test -run xxx -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/chunk/
 	$(GO) test -run xxx -fuzz '^FuzzChunker$$' -fuzztime $(FUZZTIME) ./internal/chunk/
+	$(GO) test -run xxx -fuzz '^FuzzChunkedReassembly$$' -fuzztime $(FUZZTIME) ./internal/dedup/

@@ -204,8 +204,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if m.Total != uint64(len(data)) {
 		t.Fatalf("Total = %d, want %d", m.Total, len(data))
 	}
-	if m.Digest != DigestOf(data) {
-		t.Fatal("manifest digest disagrees with DigestOf over the assembled result")
+	if m.Digest != sha256.Sum256(append(append([]byte(nil), digestDomain...), data...)) {
+		t.Fatal("manifest digest disagrees with the domain-separated SHA-256 of the assembled result")
 	}
 	enc := m.Encode()
 	dec, err := DecodeManifest(enc)

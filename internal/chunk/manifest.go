@@ -25,12 +25,19 @@ import (
 //	digest  [32]byte SHA-256 of the whole result (domain-separated)
 //	refs    count × (hash [32]byte | length uint32)
 //
-// Trust model: the manifest itself is authenticated (it travels inside
-// an AEAD-sealed triple), but the chunks it references are fetched from
-// the untrusted store; each decrypted chunk is verified against its
-// manifest hash and the reassembled result against the whole-result
-// digest, so a store that swaps, truncates or corrupts chunks produces
-// a loud verification failure, never a wrong result.
+// Trust model: the manifest is authenticated (it travels inside an
+// AEAD-sealed triple whose key only a holder of the call's function and
+// input can derive), so the store cannot change its refs, their order,
+// their lengths or Total. The chunks it references come from the
+// untrusted store. A reader fills each slot of the result either from
+// its in-enclave cache, which holds only bytes the enclave split or
+// verified itself, keyed by chunk tag and length-checked, or from a
+// fetched chunk whose plaintext has the ref's length and hash. Under
+// SHA-256 collision resistance that output is the unique concatenation
+// the manifest names: a store that swaps, truncates or corrupts chunks
+// causes a loud verification failure, never a wrong result. Readers
+// skip Digest: only a collision could fail it, and whoever can forge it
+// can seal manifests anyway. Writers fill it for older readers (v1).
 
 // ManifestVersion is the current manifest format version.
 const ManifestVersion = 1
@@ -92,17 +99,6 @@ func BuildManifest(chunks [][]byte) (Manifest, error) {
 // digestDomain separates the whole-result digest from plain SHA-256 of
 // the same bytes (and from the per-chunk hash domain).
 var digestDomain = []byte("speed/chunk/digest/v1\x00")
-
-// DigestOf computes the whole-result digest over an already-assembled
-// result, for verification after reassembly.
-func DigestOf(result []byte) [32]byte {
-	d := sha256.New()
-	d.Write(digestDomain)
-	d.Write(result)
-	var out [32]byte
-	d.Sum(out[:0])
-	return out
-}
 
 // Encode serialises the manifest.
 func (m Manifest) Encode() []byte {

@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -96,8 +97,8 @@ func (c *chunkLRU) contains(tag mle.Tag) bool {
 	return ok
 }
 
-// add caches a private copy of data under tag, evicting from the LRU
-// tail to stay within budget.
+// add caches data under tag, taking ownership of it (the caller must
+// not modify it again), and evicts from the LRU tail to stay in budget.
 func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 	n := int64(len(data))
 	if n > c.max {
@@ -112,7 +113,7 @@ func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 	if err := c.enc.Alloc(n); err != nil {
 		return // enclave memory pressure: caching is optional
 	}
-	e := &chunkEntry{tag: tag, data: append([]byte(nil), data...)}
+	e := &chunkEntry{tag: tag, data: data}
 	c.m[tag] = c.lru.PushFront(e)
 	c.bytes += n
 	for c.bytes > c.max {
@@ -251,7 +252,10 @@ func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
 	}
 
 	for i := range chunks {
-		rt.chunkCache.add(ctags[i], chunks[i])
+		// The chunks alias the caller's result: the cache gets clones.
+		if _, ok := rt.chunkCache.get(ctags[i]); !ok {
+			rt.chunkCache.add(ctags[i], bytes.Clone(chunks[i]))
+		}
 	}
 	rt.mu.Lock()
 	rt.stats.ChunkedPuts++
@@ -261,12 +265,13 @@ func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
 }
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed
-// manifest: decrypt the manifest under the derived identity, fetch
-// only the chunks the local cache misses with one BatchGet, decrypt
-// and verify each against its manifest hash, reassemble, and verify
-// the whole-result digest. Any failure past manifest decryption means
-// the stored data is unusable and the caller recomputes loudly;
-// errNoManifest alone means the entry was never a manifest.
+// manifest: decrypt it under the derived identity, copy cached chunks
+// into their slots of one pre-sized output, fetch the rest with one
+// BatchGet and verify each against its ref before copying it in. There
+// is no whole-result pass (chunk/manifest.go's trust model says why).
+// Any failure past manifest decryption means the stored data is
+// unusable and the caller recomputes loudly; errNoManifest alone means
+// the entry was never a manifest.
 func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceContext, sealed mle.Sealed, span *execSpan) ([]byte, error) {
 	enc, err := rt.cfg.Scheme.Decrypt(chunk.ManifestFuncID(id), input, sealed)
 	if err != nil {
@@ -280,60 +285,59 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		return nil, fmt.Errorf("decode manifest: %w", err)
 	}
 
+	// DecodeManifest checked that the lengths sum to Total: slots tile out.
 	cid := chunk.ContentFuncID(id)
-	parts := make([][]byte, len(man.Refs))
+	out := make([]byte, man.Total)
 	var missingTags []mle.Tag
-	var missingIdx []int
-	cacheHits := 0
+	var missingIdx, missingOff []int
+	cacheHits, off := 0, 0
 	for i, ref := range man.Refs {
 		t := chunk.Tag(cid, ref.Hash)
 		if data, ok := rt.chunkCache.get(t); ok && len(data) == int(ref.Length) {
-			parts[i] = data
+			copy(out[off:], data)
 			cacheHits++
-			continue
+		} else {
+			missingTags = append(missingTags, t)
+			missingIdx = append(missingIdx, i)
+			missingOff = append(missingOff, off)
 		}
-		missingTags = append(missingTags, t)
-		missingIdx = append(missingIdx, i)
+		off += int(ref.Length)
 	}
 
+	var got []wire.GetResult
 	if len(missingTags) > 0 {
 		// The fetch is store time, not verification time: it accrues to
 		// store_get, and verify_decrypt resumes once it returns.
 		span.end(phaseVerifyDecrypt)
-		got, gerr := rt.clientGet(tc, missingTags, span)
+		got, err = rt.clientGet(tc, missingTags, span)
 		span.begin(phaseVerifyDecrypt)
-		if gerr != nil {
-			return nil, fmt.Errorf("%w: %w", errFetchChunks, gerr)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", errFetchChunks, err)
 		}
 		rt.noteStoreSuccess()
-		for j, r := range got {
-			i := missingIdx[j]
-			ref := man.Refs[i]
-			if !r.Found {
-				return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(man.Refs))
-			}
-			data, derr := rt.cfg.Scheme.Decrypt(cid, ref.Hash[:], r.Sealed)
-			if derr != nil {
-				return nil, fmt.Errorf("decrypt chunk %d/%d: %w", i+1, len(man.Refs), derr)
-			}
-			if len(data) != int(ref.Length) || chunk.Hash(data) != ref.Hash {
-				return nil, fmt.Errorf("chunk %d/%d failed content verification", i+1, len(man.Refs))
-			}
-			parts[i] = data
-			rt.chunkCache.add(chunk.Tag(cid, ref.Hash), data)
-		}
 	}
-
-	out := make([]byte, 0, man.Total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	if uint64(len(out)) != man.Total || chunk.DigestOf(out) != man.Digest {
-		return nil, errors.New("reassembled result failed digest verification")
-	}
+	// Booked before verification: a store serving bad chunks shows them.
 	rt.mu.Lock()
 	rt.stats.ChunksFetched += int64(len(missingTags))
 	rt.stats.ChunkCacheHits += int64(cacheHits)
 	rt.mu.Unlock()
+	for j, r := range got {
+		i := missingIdx[j]
+		ref := man.Refs[i]
+		if !r.Found {
+			return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(man.Refs))
+		}
+		data, derr := rt.cfg.Scheme.Decrypt(cid, ref.Hash[:], r.Sealed)
+		if derr != nil {
+			return nil, fmt.Errorf("decrypt chunk %d/%d: %w", i+1, len(man.Refs), derr)
+		}
+		// Length first: a wrong-length chunk must never reach a slot.
+		if len(data) != int(ref.Length) || chunk.Hash(data) != ref.Hash {
+			return nil, fmt.Errorf("chunk %d/%d failed content verification", i+1, len(man.Refs))
+		}
+		copy(out[missingOff[j]:], data)
+		// The cache adopts data; out holds a copy, so never aliases it.
+		rt.chunkCache.add(missingTags[j], data)
+	}
 	return out, nil
 }

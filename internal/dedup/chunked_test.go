@@ -20,7 +20,7 @@ const chunkTestThreshold = 32 << 10
 
 // newChunkStore builds a platform and a shared store for multi-runtime
 // chunking tests.
-func newChunkStore(t *testing.T) (*enclave.Platform, *store.Store) {
+func newChunkStore(t testing.TB) (*enclave.Platform, *store.Store) {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	storeEnc, err := p.Create("store", []byte("store code"))
@@ -37,18 +37,26 @@ func newChunkStore(t *testing.T) (*enclave.Platform, *store.Store) {
 // newChunkRuntime attaches a fresh runtime (own enclave, own chunk
 // cache) to the shared store. threshold 0 builds a pre-chunking
 // runtime.
-func newChunkRuntime(t *testing.T, p *enclave.Platform, st *store.Store, name string, threshold int) *Runtime {
+func newChunkRuntime(t testing.TB, p *enclave.Platform, st *store.Store, name string, threshold int) *Runtime {
+	t.Helper()
+	return newChunkRuntimeWith(t, p, st, name, Config{ChunkThreshold: threshold}, nil)
+}
+
+// newChunkRuntimeWith is newChunkRuntime with the chunking fields of
+// cfg set by the caller, and with the store client passed through wrap
+// (a fault injector) when wrap is non-nil.
+func newChunkRuntimeWith(t testing.TB, p *enclave.Platform, st *store.Store, name string, cfg Config, wrap func(StoreClient) StoreClient) *Runtime {
 	t.Helper()
 	appEnc, err := p.Create(name, []byte("app code"))
 	if err != nil {
 		t.Fatalf("create %s enclave: %v", name, err)
 	}
-	rt, err := NewRuntime(Config{
-		Enclave:        appEnc,
-		Client:         NewLocalClient(st, appEnc.Measurement()),
-		ChunkThreshold: threshold,
-		Logf:           t.Logf,
-	})
+	cfg.Enclave, cfg.Logf = appEnc, t.Logf
+	cfg.Client = NewLocalClient(st, appEnc.Measurement())
+	if wrap != nil {
+		cfg.Client = wrap(cfg.Client)
+	}
+	rt, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatalf("NewRuntime(%s): %v", name, err)
 	}
@@ -57,7 +65,7 @@ func newChunkRuntime(t *testing.T, p *enclave.Platform, st *store.Store, name st
 	return rt
 }
 
-func chunkFuncID(t *testing.T, rt *Runtime) mle.FuncID {
+func chunkFuncID(t testing.TB, rt *Runtime) mle.FuncID {
 	t.Helper()
 	id, err := rt.Resolve(deflateDesc)
 	if err != nil {
@@ -199,69 +207,258 @@ func TestChunkThresholdKeepsSmallResultsWhole(t *testing.T) {
 	}
 }
 
-// TestTamperedChunkRecoversLoudly: corrupting one sealed chunk in the
-// store must fail reassembly (digest/AEAD verification), force a loud
-// recompute-and-replace, and heal the store for later readers.
-func TestTamperedChunkRecoversLoudly(t *testing.T) {
+// reassemblyScene is a chunked result A stored, and the handles a test
+// needs to attack it: one chunk in the middle (the victim) and the
+// manifest at the call's primary tag.
+type reassemblyScene struct {
+	t       *testing.T
+	writer  StoreClient // writes straight to the shared store
+	cid     mle.FuncID
+	victim  []byte // the victim chunk's plaintext
+	hash    [32]byte
+	tag     mle.Tag // the victim chunk's tag
+	primary mle.Tag
+	// wrap, when a row sets it, is the fault injector the next reader's
+	// store client goes through.
+	wrap func(StoreClient) StoreClient
+}
+
+func (s *reassemblyScene) replace(tag mle.Tag, sealed mle.Sealed) {
+	s.t.Helper()
+	if err := putOne(s.writer, tag, sealed, true); err != nil {
+		s.t.Fatalf("tamper with a replacing PUT: %v", err)
+	}
+}
+
+// plant replaces the victim with an authentic seal of content under the
+// victim's own identity: a chunk that decrypts, but is not the one the
+// manifest names unless content is the victim's plaintext.
+func (s *reassemblyScene) plant(content []byte) {
+	s.t.Helper()
+	sealed, err := (&mle.RCE{}).Encrypt(s.cid, s.hash[:], content)
+	if err != nil {
+		s.t.Fatalf("seal planted chunk: %v", err)
+	}
+	s.replace(s.tag, sealed)
+}
+
+// chunkSwapClient answers every Get of tag with reply in place of what
+// the store holds: a store that hides or substitutes one entry.
+type chunkSwapClient struct {
+	StoreClient
+	tag   mle.Tag
+	reply wire.GetResult
+}
+
+func (c *chunkSwapClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+	res, err := c.StoreClient.Get(tc, tags)
+	for i := range res {
+		if tags[i] == c.tag {
+			res[i] = c.reply
+		}
+	}
+	return res, err
+}
+
+// TestChunkedReassemblyRejects: every way a store can serve a chunked
+// entry that is not the result its manifest names must fail reassembly
+// loudly, recompute the right bytes, and replace what was bad, so a
+// fresh runtime then reuses the healed entry. The chunks a failed
+// reassembly fetched still show in Stats.ChunksFetched.
+func TestChunkedReassemblyRejects(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		// fetched: reassembly got as far as fetching every chunk (the
+		// reader's cache starts empty); false only when the manifest
+		// itself is rejected.
+		fetched bool
+		tamper  func(s *reassemblyScene)
+	}{
+		{"garbage_sealed_chunk", true, func(s *reassemblyScene) {
+			s.replace(s.tag, mle.Sealed{
+				Challenge:  []byte("rrrrrrrrrrrrrrrr"),
+				WrappedKey: []byte("kkkkkkkkkkkkkkkk"),
+				Blob:       []byte("garbage ciphertext"),
+			})
+		}},
+		{"authentic_wrong_content", true, func(s *reassemblyScene) {
+			wrong := bytes.Clone(s.victim)
+			wrong[len(wrong)/2] ^= 1
+			s.plant(wrong)
+		}},
+		{"authentic_shorter", true, func(s *reassemblyScene) { s.plant(s.victim[:len(s.victim)-1]) }},
+		{"authentic_longer", true, func(s *reassemblyScene) { s.plant(append(bytes.Clone(s.victim), 0)) }},
+		{"chunk_not_found", true, func(s *reassemblyScene) {
+			s.wrap = func(c StoreClient) StoreClient { return &chunkSwapClient{StoreClient: c, tag: s.tag} }
+		}},
+		{"manifest_byte_flipped", false, func(s *reassemblyScene) {
+			sealed, found, err := getOne(s.writer, s.primary)
+			if err != nil || !found {
+				s.t.Fatalf("read the manifest: found %v, err %v", found, err)
+			}
+			sealed.Blob = bytes.Clone(sealed.Blob)
+			sealed.Blob[len(sealed.Blob)/2] ^= 1
+			s.replace(s.primary, sealed)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p, st := newChunkStore(t)
+			a := newChunkRuntime(t, p, st, "appA", chunkTestThreshold)
+			id := chunkFuncID(t, a)
+			input := []byte("tamper target")
+			want := chunkResult(5, 150<<10)
+			if _, _, err := a.Execute(id, input, func([]byte) ([]byte, error) {
+				return bytes.Clone(want), nil
+			}); err != nil {
+				t.Fatalf("A Execute: %v", err)
+			}
+			chunks := a.chunker.Split(want)
+			if len(chunks) < 2 {
+				t.Fatalf("result split into %d chunks; test needs several", len(chunks))
+			}
+			s := &reassemblyScene{
+				t:       t,
+				writer:  NewLocalClient(st, a.Enclave().Measurement()),
+				cid:     chunk.ContentFuncID(id),
+				victim:  chunks[len(chunks)/2],
+				primary: mle.ComputeTag(id, input),
+			}
+			s.hash = chunk.Hash(s.victim)
+			s.tag = chunk.Tag(s.cid, s.hash)
+			row.tamper(s)
+
+			// A fresh runtime (empty chunk cache) must detect the damage,
+			// recompute, and replace the damaged entries.
+			b := newChunkRuntimeWith(t, p, st, "appB", Config{ChunkThreshold: chunkTestThreshold}, s.wrap)
+			bCalls := 0
+			got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
+				bCalls++
+				return bytes.Clone(want), nil
+			})
+			if err != nil {
+				t.Fatalf("B Execute: %v", err)
+			}
+			if outcome != OutcomeRecomputed || bCalls != 1 || !bytes.Equal(got, want) {
+				t.Fatalf("B: outcome %v, calls %d, result equal %v", outcome, bCalls, bytes.Equal(got, want))
+			}
+			wantFetched := int64(0)
+			if row.fetched {
+				wantFetched = int64(len(chunks))
+			}
+			if bs := b.Stats(); bs.VerifyFailures != 1 || bs.ChunksFetched != wantFetched {
+				t.Fatalf("B VerifyFailures = %d, ChunksFetched = %d; want 1, %d", bs.VerifyFailures, bs.ChunksFetched, wantFetched)
+			}
+
+			// The replace healed the store: a third fresh runtime reuses.
+			c := newChunkRuntime(t, p, st, "appC", chunkTestThreshold)
+			got, outcome, err = c.Execute(id, input, func([]byte) ([]byte, error) {
+				t.Error("C recomputed after the store was healed")
+				return bytes.Clone(want), nil
+			})
+			if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
+				t.Fatalf("C: outcome %v err %v", outcome, err)
+			}
+		})
+	}
+}
+
+// TestChunkedHitResultNotAliased: the chunk cache adopts the buffers
+// reassembly decrypts into, so a caller writing over a hit's result
+// must not reach the cache — neither after a hit that fetched its
+// chunks nor after one served wholly from the cache.
+func TestChunkedHitResultNotAliased(t *testing.T) {
 	p, st := newChunkStore(t)
 	a := newChunkRuntime(t, p, st, "appA", chunkTestThreshold)
+	b := newChunkRuntime(t, p, st, "appB", chunkTestThreshold)
 	id := chunkFuncID(t, a)
-
-	input := []byte("tamper target")
-	want := chunkResult(5, 150<<10)
-	if _, _, err := a.Execute(id, input, func([]byte) ([]byte, error) {
-		return append([]byte(nil), want...), nil
-	}); err != nil {
+	input := []byte("shared document")
+	want := chunkResult(41, 150<<10)
+	if _, _, err := a.Execute(id, input, func([]byte) ([]byte, error) { return bytes.Clone(want), nil }); err != nil {
 		t.Fatalf("A Execute: %v", err)
 	}
+	for _, hit := range []struct {
+		name      string
+		fromStore bool
+	}{
+		{"hit fetching every chunk", true},
+		{"hit served from the cache", false},
+		{"second hit served from the cache", false},
+	} {
+		before := b.Stats()
+		got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
+			t.Errorf("%s: recomputed", hit.name)
+			return bytes.Clone(want), nil
+		})
+		if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
+			t.Fatalf("%s: outcome %v, err %v, result equal %v", hit.name, outcome, err, bytes.Equal(got, want))
+		}
+		after := b.Stats()
+		if fetched := after.ChunksFetched - before.ChunksFetched; (fetched > 0) != hit.fromStore {
+			t.Fatalf("%s fetched %d chunks", hit.name, fetched)
+		}
+		for i := range got {
+			got[i] ^= 0xFF
+		}
+	}
+}
 
-	// Recompute the chunk tags the same way the runtime does and
-	// overwrite one chunk's sealed entry with garbage.
-	ck, err := chunk.NewChunker(chunk.Config{})
-	if err != nil {
-		t.Fatalf("NewChunker: %v", err)
+// FuzzChunkedReassembly answers a fresh runtime's fetch of one chunk
+// with bytes the fuzzer chose: a raw sealed triple, or (seal true) an
+// authentic seal of fuzzer content under the chunk's own identity.
+// Whatever the reply, Execute must return the right result, and reuse
+// it exactly when the reply was the genuine chunk.
+func FuzzChunkedReassembly(f *testing.F) {
+	p, st := newChunkStore(f)
+	seeder := newChunkRuntime(f, p, st, "seeder", chunkTestThreshold)
+	id := chunkFuncID(f, seeder)
+	input := []byte("fuzz target")
+	want := chunkResult(51, 64<<10)
+	compute := func([]byte) ([]byte, error) { return bytes.Clone(want), nil }
+	if _, _, err := seeder.Execute(id, input, compute); err != nil {
+		f.Fatalf("seed Execute: %v", err)
 	}
-	chunks := ck.Split(want)
-	if len(chunks) < 2 {
-		t.Fatalf("result split into %d chunks; test needs several", len(chunks))
-	}
-	cid := chunk.ContentFuncID(id)
-	victim := chunk.Tag(cid, chunk.Hash(chunks[len(chunks)/2]))
-	if err := putOne(NewLocalClient(st, a.Enclave().Measurement()), victim, mle.Sealed{
-		Challenge:  []byte("rrrrrrrrrrrrrrrr"),
-		WrappedKey: []byte("kkkkkkkkkkkkkkkk"),
-		Blob:       []byte("garbage ciphertext"),
-	}, true); err != nil {
-		t.Fatalf("tamper with a replacing PUT: %v", err)
+	chunks := seeder.chunker.Split(want)
+	victim := chunks[len(chunks)/2]
+	cid, hash := chunk.ContentFuncID(id), chunk.Hash(victim)
+	tag := chunk.Tag(cid, hash)
+	genuine, found, err := getOne(NewLocalClient(st, seeder.Enclave().Measurement()), tag)
+	if err != nil || !found {
+		f.Fatalf("read the victim chunk: found %v, err %v", found, err)
 	}
 
-	// A fresh runtime (empty chunk cache) must detect the tamper,
-	// recompute, and replace the damaged entries.
-	b := newChunkRuntime(t, p, st, "appB", chunkTestThreshold)
-	bCalls := 0
-	got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
-		bCalls++
-		return append([]byte(nil), want...), nil
+	wrong := bytes.Clone(victim)
+	wrong[0] ^= 1
+	f.Add(false, genuine.Challenge, genuine.WrappedKey, genuine.Blob)
+	f.Add(false, []byte("rrrrrrrrrrrrrrrr"), []byte("kkkkkkkkkkkkkkkk"), []byte("garbage ciphertext"))
+	f.Add(true, []byte(nil), []byte(nil), victim)
+	f.Add(true, []byte(nil), []byte(nil), wrong)
+	f.Add(true, []byte(nil), []byte(nil), victim[1:])
+	f.Fuzz(func(t *testing.T, seal bool, challenge, wrappedKey, blob []byte) {
+		reply := mle.Sealed{Challenge: challenge, WrappedKey: wrappedKey, Blob: blob}
+		if seal {
+			var err error
+			if reply, err = (&mle.RCE{}).Encrypt(cid, hash[:], blob); err != nil {
+				t.Fatalf("seal fuzzer content: %v", err)
+			}
+		}
+		// Genuine means the reply opens to the victim's plaintext. A raw
+		// triple is not compared byte for byte: a fuzz worker's setup
+		// seals the victim under its own random challenge, and the
+		// coordinator's seal is just as genuine.
+		plain, openErr := (&mle.RCE{}).Decrypt(cid, hash[:], reply)
+		isGenuine := openErr == nil && bytes.Equal(plain, victim)
+		rt := newChunkRuntimeWith(t, p, st, "reader", Config{ChunkThreshold: chunkTestThreshold}, func(c StoreClient) StoreClient {
+			return &chunkSwapClient{StoreClient: c, tag: tag, reply: wire.GetResult{Found: true, Sealed: reply}}
+		})
+		t.Cleanup(rt.Enclave().Destroy) // frees the name and the EPC for the next input
+		got, outcome, err := rt.Execute(id, input, compute)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Execute = (%d bytes, %v, %v), want the %d-byte result", len(got), outcome, err, len(want))
+		}
+		if (outcome == OutcomeReused) != isGenuine {
+			t.Fatalf("outcome %v for a reply that is genuine=%v", outcome, isGenuine)
+		}
 	})
-	if err != nil {
-		t.Fatalf("B Execute: %v", err)
-	}
-	if outcome != OutcomeRecomputed || bCalls != 1 || !bytes.Equal(got, want) {
-		t.Fatalf("B: outcome %v, calls %d", outcome, bCalls)
-	}
-	if s := b.Stats(); s.VerifyFailures != 1 {
-		t.Fatalf("B VerifyFailures = %d, want 1", s.VerifyFailures)
-	}
-
-	// The replace healed the chunk: a third fresh runtime reuses.
-	c := newChunkRuntime(t, p, st, "appC", chunkTestThreshold)
-	got, outcome, err = c.Execute(id, input, func([]byte) ([]byte, error) {
-		t.Fatal("C recomputed after the store was healed")
-		return nil, nil
-	})
-	if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
-		t.Fatalf("C: outcome %v err %v", outcome, err)
-	}
 }
 
 // TestLegacyRuntimeHealsManifestEntry: a pre-chunking runtime hitting a

@@ -327,8 +327,8 @@ func (c *call) verifyHit(it *item, sealed mle.Sealed) {
 			return
 		case !errors.Is(err, errNoManifest):
 			// The manifest was authentic but its chunks were not
-			// servable (missing, tampered, digest mismatch): say so
-			// loudly, then recompute and replace.
+			// servable (missing, undecryptable, wrong length or
+			// hash): say so loudly, then recompute and replace.
 			rt.cfg.Logf("speed: chunked reassembly for tag %x... failed: %v; recomputing", it.tag[:4], err)
 		}
 	}

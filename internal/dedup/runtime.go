@@ -158,7 +158,7 @@ type Stats struct {
 	// manifest (a subset of Reused).
 	ManifestReuses int64
 	// ChunksFetched counts sealed chunks fetched from the store during
-	// manifest reassembly.
+	// manifest reassembly, whether or not they then verified.
 	ChunksFetched int64
 	// ChunkCacheHits counts manifest chunks served from the local chunk
 	// cache without touching the store.
