@@ -1,8 +1,9 @@
 // Cluster: demonstrates the multi-node ResultStore tier — three store
 // servers behind a consistent-hash ring, an application Runtime routing
-// GET/PUT traffic through the cluster client with replication, a member
-// killed mid-run with zero failed calls, and the wire-level syncer
-// placing popular results on their ring owners.
+// GET/PUT traffic through the cluster client with replication, and a
+// member killed mid-run with zero failed calls. The cluster converges
+// by write-time replication plus read-repair: a hit found away from its
+// primary is copied back there, counted as read_repairs.
 //
 // Everything runs in one process for the demo, but each member is a
 // real resultstore server behind a real TCP listener — the same
@@ -146,15 +147,5 @@ func run() error {
 		return err
 	}
 	fmt.Printf("failovers=%d read_repairs=%d\n", client.Failovers(), client.ReadRepairs())
-
-	// The syncer pulls popular results over the wire and re-places them
-	// on their ring owners — the Section IV-B master-store sync,
-	// generalized to the partitioned tier.
-	syncer := cluster.NewSyncer(client, cluster.SyncConfig{MinHits: 2})
-	copied, err := syncer.SyncOnce()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("syncer: placed %d popular results on their ring owners\n", copied)
 	return nil
 }

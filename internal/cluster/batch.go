@@ -188,33 +188,13 @@ func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]
 	})
 }
 
-// runHas issues one existence probe per group. A member failure is
-// noted against its health; then, and on a short answer, gr.has is nil
-// and the caller treats the group's tags as absent.
-func (c *Client) runHas(tc wire.TraceContext, tags []mle.Tag, groups map[int][]int) []groupResult {
-	out := fanOut(groups, func(gr *groupResult) {
-		gr.has, gr.err = c.nodes[gr.ni].client.Has(tc, pick(tags, gr.idxs))
-	})
-	for i := range out {
-		gr, n := &out[i], c.nodes[out[i].ni]
-		if gr.err != nil {
-			c.noteFailure(n, gr.err)
-			continue
-		}
-		c.noteSuccess(n)
-		if len(gr.has) != len(gr.idxs) {
-			gr.has = nil
-		}
-	}
-	return out
-}
-
 // Has implements dedup.StoreClient: each tag's primary member (the node
 // a routed GET would consult first) is asked whether it holds the tag,
 // in parallel per-member HAS round trips. Answers are hints in both
-// directions — a member failure reports its tags as absent rather than
-// failing the probe, so callers just transfer bytes they might have
-// skipped. No hit counting or recency happens anywhere on this path.
+// directions — a member failure (noted against its health) or a short
+// answer reports its tags as absent rather than failing the probe, so
+// callers just transfer bytes they might have skipped. No hit counting
+// or recency happens anywhere on this path.
 func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
@@ -226,45 +206,24 @@ func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 			groups[ni] = append(groups[ni], i)
 		}
 	}
-	for _, gr := range c.runHas(tc, tags, groups) {
+	grs := fanOut(groups, func(gr *groupResult) {
+		gr.has, gr.err = c.nodes[gr.ni].client.Has(tc, pick(tags, gr.idxs))
+	})
+	for _, gr := range grs {
+		n := c.nodes[gr.ni]
+		if gr.err != nil {
+			c.noteFailure(n, gr.err)
+			continue
+		}
+		c.noteSuccess(n)
+		if len(gr.has) != len(gr.idxs) {
+			continue
+		}
 		for k, idx := range gr.idxs {
-			present[idx] = gr.has != nil && gr.has[k]
+			present[idx] = gr.has[k]
 		}
 	}
 	return present, nil
-}
-
-// hasAtWriteTargets reports, for each tag, whether every one of its
-// current write targets (the members Put would replicate to) already
-// holds it. The syncer uses this to skip shipping entries that are
-// fully placed. Like Has it is a hint: a probe failure or a short
-// answer reports false, costing one redundant transfer, never
-// correctness.
-func (c *Client) hasAtWriteTargets(tags []mle.Tag) []bool {
-	present := make([]bool, len(tags))
-	if c.closed.Load() {
-		return present
-	}
-	groups := make(map[int][]int)
-	targets := make([]int, len(tags))
-	for i, tag := range tags {
-		for _, ni := range c.writeTargets(tag) {
-			groups[ni] = append(groups[ni], i)
-			targets[i]++
-		}
-	}
-	confirmed := make([]int, len(tags))
-	for _, gr := range c.runHas(wire.TraceContext{}, tags, groups) {
-		for k, idx := range gr.idxs {
-			if gr.has != nil && gr.has[k] {
-				confirmed[idx]++
-			}
-		}
-	}
-	for i := range tags {
-		present[i] = targets[i] > 0 && confirmed[i] == targets[i]
-	}
-	return present
 }
 
 // Put implements dedup.StoreClient: every item fans out to its write
@@ -316,8 +275,10 @@ func (c *Client) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResu
 	merge(c.runPuts(tc, items, groups))
 
 	// Failover rounds: items with zero responses chase the next
-	// reachable member, one target per round — availability now,
-	// re-replication later via read-repair and the syncer.
+	// reachable member, one target per round — availability now. Nothing
+	// re-places such an item proactively: once its primary is back, the
+	// primary's authoritative miss costs one recomputation, whose PUT
+	// lands on the owners again.
 	for round := 1; round < len(c.nodes); round++ {
 		groups = make(map[int][]int)
 		for i := range items {

@@ -25,9 +25,6 @@ type Config struct {
 	// plus R-1 ring successors). Zero selects min(2, len(Nodes));
 	// values above len(Nodes) are clamped.
 	Replicas int
-	// VNodes is the virtual-node count per member on the ring; zero
-	// selects the default (64).
-	VNodes int
 	// App is the application enclave the per-node attested channels are
 	// established from. Required.
 	App *enclave.Enclave
@@ -96,7 +93,11 @@ type Client struct {
 	probeD chan struct{}
 
 	// repairWG tracks asynchronous read-repair uploads so Close never
-	// leaks a goroutine mid-PUT.
+	// leaks a goroutine mid-PUT. repairMu makes repairAsync's closed
+	// check and its repairWG.Add one step against Close setting closed:
+	// every Add happens before Close's Wait, or sees closed and never
+	// happens.
+	repairMu sync.Mutex
 	repairWG sync.WaitGroup
 
 	failovers   atomic.Int64
@@ -138,7 +139,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:      cfg,
-		ring:     newRing(cfg.Nodes, cfg.VNodes),
+		ring:     newRing(cfg.Nodes),
 		replicas: cfg.Replicas,
 		logf:     cfg.Logf,
 		stop:     make(chan struct{}),
@@ -337,7 +338,10 @@ func (c *Client) Ping() error {
 // Close implements dedup.StoreClient: it stops the health prober,
 // drains in-flight read repairs, and closes every member channel.
 func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
+	c.repairMu.Lock()
+	wasClosed := c.closed.Swap(true)
+	c.repairMu.Unlock()
+	if wasClosed {
 		return nil
 	}
 	close(c.stop)
@@ -360,7 +364,12 @@ func (c *Client) Close() error {
 // failover read triggered.
 func (c *Client) repairAsync(primary int, tc wire.TraceContext, items []wire.PutItem) {
 	n := c.nodes[primary]
-	if !n.up.Load() || c.closed.Load() {
+	if !n.up.Load() {
+		return
+	}
+	c.repairMu.Lock()
+	defer c.repairMu.Unlock()
+	if c.closed.Load() {
 		return
 	}
 	c.repairWG.Add(1)

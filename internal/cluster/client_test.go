@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -304,6 +305,169 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 	if env.client.ReadRepairs() == 0 {
 		t.Error("read repair not counted")
+	}
+}
+
+// TestCloseDrainsReadRepairs: Close runs while failover reads are still
+// handing hits to repairAsync, as Get does after a failover. Every
+// repair either finishes inside Close or never starts, so once Close
+// returns no member sees another PUT. The interleaving this pins: a
+// read that passed repairAsync's closed check must not reach
+// repairWG.Add after Close's Wait has returned, or its PUT would run on
+// a member client Close has already closed. Close runs on a goroutine
+// that shares nothing with the callers, so only Close's own
+// synchronization orders their Adds before its Wait, and -race reports
+// an Add that it does not order.
+func TestCloseDrainsReadRepairs(t *testing.T) {
+	app, storeMeas, nodes := startTestNodes(t, 1, store.Config{})
+	primary := nodes[0]
+	primary.kill(t) // repairs retry against it until it is back
+	c, err := New(Config{
+		Nodes:            []string{primary.addr},
+		App:              app,
+		StoreMeasurement: storeMeas,
+		FailThreshold:    1000, // the dead primary stays nominally up, so repairs target it
+		ProbeInterval:    time.Hour,
+		Remote: dedup.RemoteConfig{
+			DialTimeout:     300 * time.Millisecond,
+			RequestTimeout:  time.Second,
+			MaxRetries:      50,
+			RetryBackoff:    2 * time.Millisecond,
+			RetryMaxBackoff: 4 * time.Millisecond,
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var reads sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		reads.Add(1)
+		go func() {
+			defer reads.Done()
+			time.Sleep(time.Duration(i) * 150 * time.Microsecond)
+			item := wire.PutItem{Tag: ctag(fmt.Sprintf("close-repair-%d", i)), Sealed: csealed("close-repair")}
+			c.repairAsync(0, wire.TraceContext{}, []wire.PutItem{item})
+		}()
+	}
+	closed := make(chan error, 1)
+	go func() {
+		// Spin rather than sleep: a sleeping goroutine is woken from the
+		// runtime's timer code, through which the race detector can carry
+		// other goroutines' history — enough, in most runs, to order the
+		// very Adds this test needs left unordered.
+		for start := time.Now(); time.Since(start) < 5*time.Millisecond; {
+			runtime.Gosched()
+		}
+		closed <- c.Close()
+	}()
+	// Bring the primary back while Close drains, so the repairs it waits
+	// for land.
+	time.Sleep(15 * time.Millisecond)
+	primary.restart(t)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	puts, repairs := primary.st.Stats().Puts, c.ReadRepairs()
+	if repairs == 0 {
+		t.Error("no read-repair landed while Close drained them")
+	}
+	reads.Wait()
+	time.Sleep(50 * time.Millisecond)
+	if got := primary.st.Stats().Puts; got != puts {
+		t.Errorf("the primary saw %d PUTs after Close returned", got-puts)
+	}
+	if got := c.ReadRepairs(); got != repairs {
+		t.Errorf("%d read-repairs completed after Close returned", got-repairs)
+	}
+}
+
+// TestPrimaryMissReplacesEntryAfterOutage pins how the cluster converges
+// after an outage, with no background sync: a result written while its
+// primary was down lives only on the successor; once the primary is
+// back, its miss is authoritative, so the next call recomputes once and
+// the PUT places the result on its owners; the call after that is
+// reused from the primary.
+func TestPrimaryMissReplacesEntryAfterOutage(t *testing.T) {
+	env := newTestCluster(t, 2, Config{
+		Replicas:      2,
+		FailThreshold: 1,
+		ProbeInterval: 10 * time.Millisecond,
+	})
+	rt, err := dedup.NewRuntime(dedup.Config{Enclave: env.app, Client: env.client, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	defer rt.Close()
+	rt.Registry().RegisterLibrary("outagelib", "1.0", []byte("outage lib"))
+	id, err := rt.Resolve(dedup.FuncDesc{Library: "outagelib", Version: "1.0", Signature: "f(x)"})
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	input := []byte("written during the outage")
+	tag := mle.ComputeTag(id, input)
+	primary := env.client.ring.owners(tag, 1)[0]
+	computes := 0
+	compute := func(in []byte) ([]byte, error) {
+		computes++
+		return append([]byte("result:"), in...), nil
+	}
+	waitUp := func(want bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); env.client.NodeUp(primary) != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("primary never marked up=%v", want)
+			}
+		}
+	}
+	call := func(want dedup.Outcome) {
+		t.Helper()
+		res, outcome, err := rt.Execute(id, input, compute)
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if outcome != want || string(res) != "result:"+string(input) {
+			t.Fatalf("Execute = (%q, %v), want the result, %v", res, outcome, want)
+		}
+	}
+
+	env.nodes[primary].kill(t)
+	waitUp(false)
+	call(dedup.OutcomeComputed)
+	if env.hasTag(primary, tag) || !env.hasTag(1-primary, tag) {
+		t.Fatal("the outage PUT did not land on the successor alone")
+	}
+
+	env.nodes[primary].restart(t)
+	waitUp(true)
+	call(dedup.OutcomeComputed) // the primary's miss is authoritative
+	if !env.hasTag(primary, tag) {
+		t.Fatal("the recomputed PUT did not place the result on its primary")
+	}
+	hits := env.nodes[primary].st.Stats().Hits
+	call(dedup.OutcomeReused)
+	if got := env.nodes[primary].st.Stats().Hits; got != hits+1 {
+		t.Errorf("primary hits %d → %d, want the reuse served by the primary", hits, got)
+	}
+	if computes != 2 {
+		t.Errorf("computed %d times, want 2 (the outage call and one recomputation)", computes)
+	}
+}
+
+// TestClientHasBatch: Has routes existence probes to each tag's primary.
+func TestClientHasBatch(t *testing.T) {
+	env := newTestCluster(t, 3, Config{Replicas: 1, ProbeInterval: time.Hour})
+	have := ctag("present-tag")
+	primary := env.client.ring.owners(have, 1)[0]
+	if _, err := env.nodes[primary].st.Put(env.app.Measurement(), have, csealed("v")); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	present, err := env.client.Has(wire.TraceContext{}, []mle.Tag{have, ctag("absent-tag")})
+	if err != nil {
+		t.Fatalf("Has: %v", err)
+	}
+	if len(present) != 2 || !present[0] || present[1] {
+		t.Fatalf("Has = %v, want [true false]", present)
 	}
 }
 

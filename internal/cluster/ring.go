@@ -1,12 +1,16 @@
 // Package cluster scales the encrypted ResultStore beyond one server:
 // a consistent-hash ring partitions the tag space over N independent
-// resultstore servers, a Client routes GET/PUT traffic to each tag's
-// replica owners with failover and read-repair, and a Syncer pulls
-// popular results from the members over the wire protocol and re-places
-// them on the ring — the multi-machine deployment Section IV-B sketches
-// ("deploy a master ResultStore on a dedicated server, which
-// periodically synchronizes the popular results from different
-// machines"), generalized from one master to a partitioned store tier.
+// resultstore servers, and a Client routes GET/PUT traffic to each
+// tag's replica owners with failover and read-repair — the
+// multi-machine deployment Section IV-B sketches ("deploy a master
+// ResultStore on a dedicated server, which periodically synchronizes
+// the popular results from different machines"), generalized from one
+// master to a partitioned store tier. The cluster converges one way:
+// every PUT is written to its tag's live owners, and a hit found away
+// from its primary is copied back there (read-repair). There is no
+// periodic synchronization: an entry written while its primary was
+// down costs one recomputation on its first read after the primary
+// returns, and then lives on its owners again.
 //
 // Trust model: each member is an ordinary attested resultstore. The
 // Client pins one store measurement for every node, so a node that does
@@ -26,15 +30,15 @@ import (
 	"speed/internal/mle"
 )
 
-// defaultVNodes is the virtual-node count per member when
-// Config.VNodes is zero. 64 points per node keeps the expected load
-// imbalance across members within a few percent while the ring stays
-// small enough to rebuild on any membership change.
-const defaultVNodes = 64
+// vnodes is the virtual-node count per member. 64 points per node
+// keeps the expected load imbalance across members within a few
+// percent while the ring stays small enough to rebuild on any
+// membership change.
+const vnodes = 64
 
 // ring is an immutable consistent-hash ring: every member contributes
-// VNodes points, and a tag is owned by the first points clockwise from
-// its hash. Placement is deterministic in (nodes, vnodes) alone, so
+// vnodes points, and a tag is owned by the first points clockwise from
+// its hash. Placement is deterministic in the member list alone, so
 // every client routes identically, and adding or removing one member
 // remaps only ~1/N of the tag space (the vnode points of the changed
 // member), never reshuffling the rest.
@@ -51,10 +55,7 @@ type ringPoint struct {
 // newRing builds the ring for the given member addresses. Ring points
 // are derived from the member address, not its index, so reordering the
 // configured node list does not move data.
-func newRing(nodes []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func newRing(nodes []string) *ring {
 	r := &ring{
 		points: make([]ringPoint, 0, len(nodes)*vnodes),
 		nodes:  len(nodes),

@@ -25,8 +25,8 @@ func ringNodes(n int) []string {
 }
 
 func TestRingDeterministicAndOrderIndependent(t *testing.T) {
-	a := newRing([]string{"n1:1", "n2:1", "n3:1"}, 0)
-	b := newRing([]string{"n1:1", "n2:1", "n3:1"}, 0)
+	a := newRing([]string{"n1:1", "n2:1", "n3:1"})
+	b := newRing([]string{"n1:1", "n2:1", "n3:1"})
 	for i := 0; i < 200; i++ {
 		tag := ringTag(i)
 		if got, want := a.owners(tag, 2), b.owners(tag, 2); got[0] != want[0] || got[1] != want[1] {
@@ -35,7 +35,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 	}
 	// Reordering the node list must not move data: placement follows
 	// the address, not the list position.
-	shuffled := newRing([]string{"n3:1", "n1:1", "n2:1"}, 0)
+	shuffled := newRing([]string{"n3:1", "n1:1", "n2:1"})
 	nameOf := map[int]string{0: "n1:1", 1: "n2:1", 2: "n3:1"}
 	shuffledName := map[int]string{0: "n3:1", 1: "n1:1", 2: "n2:1"}
 	for i := 0; i < 200; i++ {
@@ -47,7 +47,7 @@ func TestRingDeterministicAndOrderIndependent(t *testing.T) {
 }
 
 func TestRingOwnersDistinct(t *testing.T) {
-	r := newRing(ringNodes(5), 0)
+	r := newRing(ringNodes(5))
 	for i := 0; i < 500; i++ {
 		owners := r.owners(ringTag(i), 3)
 		if len(owners) != 3 {
@@ -74,9 +74,9 @@ func TestRingStability(t *testing.T) {
 	const samples = 10000
 	for _, n := range []int{3, 5, 8} {
 		nodes := ringNodes(n)
-		before := newRing(nodes, 0)
-		grown := newRing(append(append([]string(nil), nodes...), "10.0.1.99:7800"), 0)
-		shrunk := newRing(nodes[:n-1], 0)
+		before := newRing(nodes)
+		grown := newRing(append(append([]string(nil), nodes...), "10.0.1.99:7800"))
+		shrunk := newRing(nodes[:n-1])
 
 		remapGrow, remapShrink := 0, 0
 		for i := 0; i < samples; i++ {
@@ -119,7 +119,7 @@ func TestRingStability(t *testing.T) {
 // member no member should own a wildly disproportionate share.
 func TestRingBalance(t *testing.T) {
 	const samples = 10000
-	r := newRing(ringNodes(4), 0)
+	r := newRing(ringNodes(4))
 	counts := make([]int, 4)
 	for i := 0; i < samples; i++ {
 		counts[r.owners(ringTag(i), 1)[0]]++
@@ -134,7 +134,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingCoordinateUsesTagPrefix(t *testing.T) {
 	// The ring coordinate is the tag's leading 8 bytes; two tags that
 	// share them land on the same member.
-	r := newRing(ringNodes(7), 0)
+	r := newRing(ringNodes(7))
 	var a, b mle.Tag
 	binary.BigEndian.PutUint64(a[:8], 0xDEADBEEF12345678)
 	binary.BigEndian.PutUint64(b[:8], 0xDEADBEEF12345678)

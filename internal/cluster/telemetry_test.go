@@ -10,8 +10,8 @@ import (
 )
 
 // TestClusterTelemetry exercises the per-node series end to end: node
-// gauges, routed-op counters, failovers, read repairs and sync copies
-// all land in the Prometheus rendering with node labels.
+// gauges, routed-op counters, failovers and read repairs all land in
+// the Prometheus rendering with node labels.
 func TestClusterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	env := newTestCluster(t, 3, Config{
@@ -20,7 +20,6 @@ func TestClusterTelemetry(t *testing.T) {
 		ProbeInterval: time.Hour,
 		Telemetry:     reg,
 	})
-	s := NewSyncer(env.client, SyncConfig{MinHits: 2, Telemetry: reg, Logf: t.Logf})
 
 	tag := ctag("telemetry")
 	if err := putOne(env.client, tag, csealed("telemetry"), false); err != nil {
@@ -28,27 +27,6 @@ func TestClusterTelemetry(t *testing.T) {
 	}
 	if _, _, err := getOne(env.client, tag); err != nil {
 		t.Fatalf("Get: %v", err)
-	}
-	// Heat an entry on a donor and sync it so sync_copies moves.
-	donor := -1
-	var hotTag = tag
-	for i := 0; donor < 0; i++ {
-		hotTag = ctag(fmt.Sprintf("telemetry-hot-%d", i))
-		owners := env.client.ring.owners(hotTag, 2)
-		for ni := range env.nodes {
-			if ni != owners[0] && ni != owners[1] {
-				donor = ni
-			}
-		}
-	}
-	if _, err := env.nodes[donor].st.Put(env.app.Measurement(), hotTag, csealed("hot")); err != nil {
-		t.Fatalf("donor put: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		env.nodes[donor].st.Get(hotTag)
-	}
-	if _, err := s.SyncOnce(); err != nil {
-		t.Fatalf("SyncOnce: %v", err)
 	}
 	// Kill the tag's primary and fail over once so failover and
 	// read-repair series move and the node gauge drops.
@@ -71,7 +49,6 @@ func TestClusterTelemetry(t *testing.T) {
 		`op="put"`,
 		fmt.Sprintf(`speed_cluster_failovers_total{node=%q}`, downAddr),
 		`speed_cluster_read_repairs_total`,
-		`speed_cluster_sync_copies_total 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)

@@ -577,27 +577,6 @@ func (c *RemoteClient) Ping() error {
 	return nil
 }
 
-// SyncPull fetches up to max of the store's entries with at least
-// minHits hits, most frequently hit first (the wire-level half of
-// cluster.Syncer). max values outside (0, wire.MaxBatchItems] are
-// clamped to wire.MaxBatchItems by the store, which also stops at the
-// entry whose bytes would overflow the reply frame.
-func (c *RemoteClient) SyncPull(minHits int64, max int) ([]wire.SyncEntry, error) {
-	req := wire.SyncPullRequest{MinHits: minHits}
-	if max > 0 {
-		req.Max = uint32(max)
-	}
-	msg, err := c.roundTrip(req, wire.TraceContext{})
-	if err != nil {
-		return nil, fmt.Errorf("dedup: sync pull: %w", err)
-	}
-	resp, ok := msg.(wire.SyncPullResponse)
-	if !ok {
-		return nil, fmt.Errorf("dedup: sync pull: unexpected reply %v", msg.Kind())
-	}
-	return resp.Entries, nil
-}
-
 // Close implements StoreClient. It is idempotent and safe to call
 // concurrently with in-flight requests: waiters on the mux are
 // unblocked with errClientClosed, and any request racing the teardown

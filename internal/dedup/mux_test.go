@@ -151,11 +151,12 @@ func rawHello(t *testing.T, enc *enclave.Enclave, target enclave.Measurement, ve
 
 // TestProtocolVersionRefused is the whole version rule: a peer whose
 // attested hello presents any byte but wire.ProtocolVersion — a peer
-// predating the byte (0), the previous protocol (2), a future one (4) —
-// is refused inside the handshake by the server and by the client,
-// before any dispatch; the client's error is not transient, so the
-// retry schedule never spins on it; and rewriting the byte in flight
-// breaks the attestation it is covered by.
+// predating the byte (0), an older protocol (2), the previous one (3,
+// which still served sync pulls), a future one (5) — is refused inside
+// the handshake by the server and by the client, before any dispatch;
+// the client's error is not transient, so the retry schedule never
+// spins on it; and rewriting the byte in flight breaks the attestation
+// it is covered by.
 func TestProtocolVersionRefused(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	appEnc, _ := p.Create("app", []byte("app code"))
@@ -169,8 +170,9 @@ func TestProtocolVersionRefused(t *testing.T) {
 	}{
 		{"v0", 0, 0, wire.ErrPeerRejected, "protocol version 0"},
 		{"v2", 2, 0, wire.ErrPeerRejected, "protocol version 2"},
-		{"v4", 4, 0, wire.ErrPeerRejected, "protocol version 4"},
-		{"downgraded in flight", wire.ProtocolVersion, 2, enclave.ErrAttestation, "attestation"},
+		{"v3", 3, 0, wire.ErrPeerRejected, "protocol version 3"},
+		{"v5", 5, 0, wire.ErrPeerRejected, "protocol version 5"},
+		{"downgraded in flight", wire.ProtocolVersion, 3, enclave.ErrAttestation, "attestation"},
 	} {
 		t.Run(row.name+"/server refuses", func(t *testing.T) {
 			st, err := store.New(store.Config{Enclave: storeEnc})

@@ -231,9 +231,10 @@ func TestRestartRecoveryFromDataDir(t *testing.T) {
 }
 
 // TestReplicationAcrossMachines: two edge deployments compute
-// independently; the master periodically syncs popular results; a
-// consumer attached to the master reuses results it never computed —
-// across machines, with no shared key, via the RCE scheme.
+// independently; their results are copied to a master store by tag,
+// the first version of each tag winning; a consumer attached to the
+// master reuses results it never computed — across machines, with no
+// shared key, via the RCE scheme.
 func TestReplicationAcrossMachines(t *testing.T) {
 	edge1 := newStack(t, store.Config{}, enclave.Config{})
 	edge2 := newStack(t, store.Config{}, enclave.Config{})
@@ -250,8 +251,7 @@ func TestReplicationAcrossMachines(t *testing.T) {
 	compute := func(in []byte) ([]byte, error) {
 		return append([]byte("R:"), in...), nil
 	}
-	// Each edge computes some inputs, with overlap; popular inputs
-	// get multiple hits.
+	// Each edge computes some inputs; in-4 and in-5 on both.
 	for i := 0; i < 6; i++ {
 		input := []byte(fmt.Sprintf("in-%d", i))
 		if _, _, err := rtA.Execute(idA, input, compute); err != nil {
@@ -264,31 +264,46 @@ func TestReplicationAcrossMachines(t *testing.T) {
 			t.Fatalf("B Execute: %v", err)
 		}
 	}
-	// Drive popularity: hit each store once more per entry.
-	for i := 0; i < 6; i++ {
-		rtA.Execute(idA, []byte(fmt.Sprintf("in-%d", i)), compute)
-	}
-	for i := 4; i < 10; i++ {
-		rtB.Execute(idB, []byte(fmt.Sprintf("in-%d", i)), compute)
-	}
 
-	// Sync popular results edge → master the way cluster.Syncer does:
-	// export entries with at least one hit and install them, first
-	// version winning.
-	for _, edge := range []*store.Store{edge1.store, edge2.store} {
-		entries, err := edge.Export(1)
-		if err != nil {
-			t.Fatalf("Export: %v", err)
-		}
-		for _, e := range entries {
-			if _, err := master.store.Put(e.Owner, e.Tag, e.Sealed); err != nil {
-				t.Fatalf("sync Put: %v", err)
+	// Copy the ten known tags edge → master, edge 1 first: a copy is a
+	// GET on one store and a PUT on the other, as read-repair does.
+	firstCopy := make(map[mle.Tag]mle.Sealed)
+	installed := 0
+	for _, edge := range []struct {
+		st  *store.Store
+		app enclave.Measurement
+	}{{edge1.store, rtA.Enclave().Measurement()}, {edge2.store, rtB.Enclave().Measurement()}} {
+		for i := 0; i < 10; i++ {
+			tag := mle.ComputeTag(idA, []byte(fmt.Sprintf("in-%d", i)))
+			sealed, found, err := edge.st.GetAs(edge.app, tag)
+			if err != nil {
+				t.Fatalf("edge GetAs: %v", err)
+			}
+			if !found {
+				continue
+			}
+			created, err := master.store.Put(edge.app, tag, sealed)
+			if err != nil {
+				t.Fatalf("master Put: %v", err)
+			}
+			if created {
+				installed++
+				firstCopy[tag] = sealed
+			} else if bytes.Equal(sealed.Blob, firstCopy[tag].Blob) {
+				t.Errorf("edges sealed %v identically, so first-version-wins goes unchecked", tag)
 			}
 		}
 	}
-	// 10 distinct inputs total; overlapping tags stored once.
-	if got := master.store.Len(); got != 10 {
-		t.Errorf("master entries = %d, want 10", got)
+	// 12 copies of 10 distinct tags: the two overlapping tags are stored
+	// once, as edge 1's version.
+	if got := master.store.Len(); installed != 10 || got != 10 {
+		t.Errorf("master installed %d entries and holds %d, want 10", installed, got)
+	}
+	for tag, want := range firstCopy {
+		got, found, err := master.store.Get(tag)
+		if err != nil || !found || !bytes.Equal(got.Blob, want.Blob) {
+			t.Errorf("master entry %v is not the first version copied (found=%v, err=%v)", tag, found, err)
+		}
 	}
 
 	rtC := master.newApp("consumer-C")

@@ -33,8 +33,9 @@ var ErrClosed = errors.New("store: closed")
 // Record is the unit the engine stores per tag: the small dictionary
 // metadata (challenge r and wrapped key [k], Section IV-B) together
 // with the result ciphertext and the bookkeeping the Store's policy
-// layers need (owner for quota attribution, hits for popularity
-// export, last touch for LRU and TTL).
+// layers need (owner for quota attribution, last touch for LRU and
+// TTL). Hits is kept because it is part of the on-disk record format;
+// nothing reads it since the popular-result export was deleted.
 type Record struct {
 	// Challenge and WrappedKey are the in-enclave dictionary fields.
 	Challenge  []byte

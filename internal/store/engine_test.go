@@ -107,40 +107,6 @@ func TestLogEnginePersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLogEngineExport pins that the bounded iterator keeps the
-// replication surface working on the log engine: Export and the
-// hot-entry variant.
-func TestLogEngineExport(t *testing.T) {
-	dir := t.TempDir()
-	s := testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir})
-	defer s.Close()
-	for _, k := range []string{"a", "b", "c", "d"} {
-		if _, err := s.Put(ownerOf("app"), tagOf(k), sealedOf("v-"+k)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	// Make "a" hot.
-	for i := 0; i < 3; i++ {
-		if _, found, err := s.Get(tagOf("a")); err != nil || !found {
-			t.Fatalf("Get: found=%v err=%v", found, err)
-		}
-	}
-	// Force the records down into segments so the export streams from
-	// disk, not just the memtable.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-
-	all, err := s.Export(0)
-	if err != nil || len(all) != 4 {
-		t.Errorf("Export(0) = %d entries, %v; want 4", len(all), err)
-	}
-	hot, err := s.ExportHotAs(ownerOf("app"), 0, 1)
-	if err != nil || len(hot) != 1 || hot[0].Tag != tagOf("a") {
-		t.Errorf("ExportHotAs = %d entries, %v; want just the hot tag", len(hot), err)
-	}
-}
-
 // TestCrashRecoveryThroughStore is the API-level kill -9 test: every
 // acknowledged Put must be served, byte for byte, after Crash + reopen.
 // The working set is six times the in-memory budget (memtable +

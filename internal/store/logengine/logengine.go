@@ -38,7 +38,9 @@
 // touches since the last flush/checkpoint are lost on a crash (they
 // are popularity metadata, never payload), and under enclave memory
 // pressure a touch may be skipped, reverting a record's count to its
-// last durably baked value.
+// last durably baked value. Last-touch times order eviction; hit counts
+// are kept only because they are part of the on-disk format — nothing
+// reads them any more.
 package logengine
 
 import (
@@ -1087,7 +1089,7 @@ func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool
 			var uerr error
 			if rec, uerr = unsealRecord(e.cfg.Enclave, seg.sealed); uerr != nil {
 				// Skip unreadable records rather than abort a whole
-				// export; Get on this tag will surface dangling.
+				// walk; Get on this tag will surface dangling.
 				e.cfg.Logf("logengine: iterate: record %s failed authentication: %v", shortTag(tag), uerr)
 			} else {
 				e.applyTouch(tag, &rec)

@@ -119,9 +119,9 @@ func TestHitCountsBakedByCompaction(t *testing.T) {
 	}
 }
 
-// TestIterateSeesOverlayPopularity: exports (ExportHot ranks by Hits)
-// must see overlay-applied counts for segment-resident records without
-// waiting for a flush or compaction.
+// TestIterateSeesOverlayPopularity: Iterate must see overlay-applied
+// counts for segment-resident records without waiting for a flush or
+// compaction.
 func TestIterateSeesOverlayPopularity(t *testing.T) {
 	p := testPlatform()
 	e := openTest(t, testConfig(t, p, t.TempDir()))

@@ -79,11 +79,9 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	}
 	reqSeconds := make(map[wire.Kind]*telemetry.Histogram)
 	for kind, op := range requestOps {
-		if op.label != "" {
-			reqSeconds[kind] = reg.NewHistogram("speed_server_request_seconds",
-				"request service latency from dispatch to reply written",
-				telemetry.L("op", op.label))
-		}
+		reqSeconds[kind] = reg.NewHistogram("speed_server_request_seconds",
+			"request service latency from dispatch to reply written",
+			telemetry.L("op", op.label))
 	}
 	return &serverMetrics{
 		reg: reg,
@@ -443,13 +441,12 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 
 // requestOps is the one table of the requests the server serves: the
 // span and slow-request name of each — one per operation, whatever its
-// item count — and, for the timed ones, the op label of its
-// speed_server_request_seconds series.
+// item count — and the op label of its speed_server_request_seconds
+// series.
 var requestOps = map[wire.Kind]struct{ span, label string }{
-	wire.KindGetRequest:      {"store_get", "get"},
-	wire.KindPutRequest:      {"store_put", "put"},
-	wire.KindHasRequest:      {"store_has", "has"},
-	wire.KindSyncPullRequest: {"store_sync_pull", ""},
+	wire.KindGetRequest: {"store_get", "get"},
+	wire.KindPutRequest: {"store_put", "put"},
+	wire.KindHasRequest: {"store_has", "has"},
 }
 
 // opName labels a request message for spans and slow-request lines.
@@ -531,8 +528,8 @@ func (s *Server) maybeSlowLog(op string, peer net.Addr, tc wire.TraceContext, to
 		op, peer, took, s.slowThreshold, trace)
 }
 
-// replyBudget is the sealed payload one reply may carry: a GET (or sync
-// pull) whose full answer would pass it is answered as a prefix — always
+// replyBudget is the sealed payload one reply may carry: a GET whose
+// full answer would pass it is answered as a prefix — always
 // at least one item — and the client asks again for the rest. Half a
 // frame, so per-item framing can never tip a reply over
 // wire.MaxFrameSize and a legal request can never kill its session.
@@ -561,24 +558,6 @@ func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 		observe(len(m.Tags))
 		present, err := s.store.WireHas(owner, m.Tags)
 		return wire.HasResponse{Present: present}, err
-	case wire.SyncPullRequest:
-		max := int(m.Max)
-		if max <= 0 || max > wire.MaxBatchItems {
-			max = wire.MaxBatchItems
-		}
-		entries, err := s.store.ExportHotAs(owner, m.MinHits, max)
-		if err != nil {
-			return nil, fmt.Errorf("sync pull: %w", err)
-		}
-		resp := wire.SyncPullResponse{Entries: make([]wire.SyncEntry, 0, len(entries))}
-		budget := replyBudget
-		for _, e := range entries {
-			if budget -= e.Sealed.Size(); budget < 0 && len(resp.Entries) > 0 {
-				break
-			}
-			resp.Entries = append(resp.Entries, wire.SyncEntry{Tag: e.Tag, Hits: e.Hits, Sealed: e.Sealed})
-		}
-		return resp, nil
 	default:
 		return nil, fmt.Errorf("store: unexpected message %v", msg.Kind())
 	}

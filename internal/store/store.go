@@ -11,11 +11,9 @@
 package store
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -616,109 +614,4 @@ func (s *Store) Crash() {
 // Closed reports whether Close has been called.
 func (s *Store) Closed() bool {
 	return s.closed.Load()
-}
-
-// ExportEntry is a replication record: everything needed to install the
-// result at another store.
-type ExportEntry struct {
-	Tag    mle.Tag
-	Sealed mle.Sealed
-	Hits   int64
-	Owner  enclave.Measurement
-}
-
-// exportHeap is a min-heap by hits, keeping the top-max hottest
-// entries with bounded memory while the engine streams records.
-type exportHeap []ExportEntry
-
-func (h exportHeap) Len() int           { return len(h) }
-func (h exportHeap) Less(i, j int) bool { return h[i].Hits < h[j].Hits }
-func (h exportHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *exportHeap) Push(x any)        { *h = append(*h, x.(ExportEntry)) }
-func (h *exportHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// ExportHotAs returns up to max entries with at least minHits hits,
-// most frequently hit first, on behalf of the attested application app.
-// It backs the wire-level SYNC_PULL request (cluster.Syncer): a remote
-// puller gets the store's popular results without walking the whole
-// dictionary, and — when controlled deduplication is configured — only
-// the entries it is authorized to read. max values outside (0,
-// wire.MaxBatchItems] are clamped by the server; a non-positive max
-// here means unlimited.
-//
-// The walk streams through the engine's bounded iterator holding at
-// most max candidate entries, so it works on persistent stores whose
-// keyspace does not fit in memory.
-func (s *Store) ExportHotAs(app enclave.Measurement, minHits int64, max int) ([]ExportEntry, error) {
-	var (
-		top exportHeap
-		all []ExportEntry
-	)
-	err := s.eng.Iterate(func(tag mle.Tag, rec storeengine.Record) bool {
-		if rec.Hits < minHits {
-			return true
-		}
-		if s.authorize(app, tag, PermGet) != nil {
-			return true // deny without information, as for GET
-		}
-		e := ExportEntry{
-			Tag: tag,
-			Sealed: mle.Sealed{
-				Challenge:  rec.Challenge,
-				WrappedKey: rec.WrappedKey,
-				Blob:       rec.Blob,
-			},
-			Hits:  rec.Hits,
-			Owner: rec.Owner,
-		}
-		if max > 0 {
-			if len(top) < max {
-				heap.Push(&top, e)
-			} else if e.Hits > top[0].Hits {
-				top[0] = e
-				heap.Fix(&top, 0)
-			}
-		} else {
-			all = append(all, e)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	entries := all
-	if max > 0 {
-		entries = []ExportEntry(top)
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].Hits > entries[j].Hits
-	})
-	return entries, nil
-}
-
-// Export returns entries with at least minHits hits, used by the
-// master-store synchronization of Section IV-B ("periodically
-// synchronizes the popular (i.e., frequently appeared) results").
-func (s *Store) Export(minHits int64) ([]ExportEntry, error) {
-	var out []ExportEntry
-	err := s.eng.Iterate(func(tag mle.Tag, rec storeengine.Record) bool {
-		if rec.Hits < minHits {
-			return true
-		}
-		out = append(out, ExportEntry{
-			Tag: tag,
-			Sealed: mle.Sealed{
-				Challenge:  rec.Challenge,
-				WrappedKey: rec.WrappedKey,
-				Blob:       rec.Blob,
-			},
-			Hits:  rec.Hits,
-			Owner: rec.Owner,
-		})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -481,29 +481,3 @@ func TestConcurrentPutGet(t *testing.T) {
 		})
 	})
 }
-
-func TestExportFiltersByHits(t *testing.T) {
-	s := testStore(t, Config{})
-	owner := ownerOf("app")
-	if _, err := s.Put(owner, tagOf("cold"), sealedOf("c")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := s.Put(owner, tagOf("hot"), sealedOf("h")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, found, _ := s.Get(tagOf("hot")); !found {
-			t.Fatal("hot entry missing")
-		}
-	}
-	entries, err := s.Export(2)
-	if err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	if len(entries) != 1 || entries[0].Tag != tagOf("hot") {
-		t.Errorf("Export = %d entries, want only the hot tag", len(entries))
-	}
-	if string(entries[0].Sealed.Blob) != "h" {
-		t.Errorf("Export blob = %q, want %q", entries[0].Sealed.Blob, "h")
-	}
-}

@@ -64,7 +64,6 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 		PutResponse{Results: []PutResult{{OK: true}}},
 		HasRequest{Tags: []mle.Tag{mustTag(3)}},
 		HasResponse{Present: []bool{true}},
-		SyncPullResponse{Entries: []SyncEntry{{Tag: mustTag(4), Hits: 1, Sealed: blob}}},
 	}
 	for _, m := range oneItem {
 		if _, err := Unmarshal(repeatItem(m, MaxBatchItems)); err != nil {

@@ -33,8 +33,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(Marshal(PutResponse{Results: []PutResult{{OK: true}, {OK: false, Err: "quota"}}}))
 	f.Add(Marshal(HasRequest{Tags: []mle.Tag{{7}}}))
 	f.Add(Marshal(HasResponse{Present: []bool{true, false}}))
-	f.Add(Marshal(SyncPullRequest{MinHits: 2, Max: 10}))
-	f.Add(Marshal(SyncPullResponse{Entries: []SyncEntry{{Tag: mle.Tag{5}, Hits: 3, Sealed: blob}}}))
+	f.Add(retiredSyncPullRequest)
+	f.Add(retiredSyncPullResponse)
 	f.Add(append(Marshal(GetResponse{Results: []GetResult{{}}}), 0xFF))
 	f.Add(repeatItem(HasResponse{Present: []bool{true}}, MaxBatchItems+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -66,8 +66,6 @@ func itemCount(m Message) int {
 		return len(v.Tags)
 	case HasResponse:
 		return len(v.Present)
-	case SyncPullResponse:
-		return len(v.Entries)
 	}
 	return 0
 }

@@ -236,7 +236,6 @@ func TestOwnMessageDetaches(t *testing.T) {
 	msgs := []Message{
 		GetResponse{Results: []GetResult{{Found: true, Sealed: sealed}, {Found: true, Sealed: sealed}}},
 		PutRequest{Items: []PutItem{{Tag: mle.Tag{4}, Sealed: sealed}, {Tag: mle.Tag{5}, Sealed: sealed}}},
-		SyncPullResponse{Entries: []SyncEntry{{Tag: mle.Tag{6}, Hits: 7, Sealed: sealed}}},
 	}
 	for _, m := range msgs {
 		buf := Marshal(m)

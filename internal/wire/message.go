@@ -18,10 +18,8 @@ type Kind uint8
 
 // Message kinds. GET checks for and fetches stored results by tag; PUT
 // uploads freshly computed, encrypted results; HAS probes tag existence
-// without fetching (chunked dedup's missing-chunk transfer); SYNC_PULL
-// lets a cluster syncer pull a store's popular entries for re-placement
-// on other stores (Section IV-B master synchronization). Every GET, PUT
-// and HAS carries a sequence of items — the paper's single request is a
+// without fetching (chunked dedup's missing-chunk transfer). Every
+// message carries a sequence of items — the paper's single request is a
 // sequence of one.
 const (
 	KindGetRequest Kind = iota + 1
@@ -30,19 +28,15 @@ const (
 	KindPutResponse
 	KindHasRequest
 	KindHasResponse
-	KindSyncPullRequest
-	KindSyncPullResponse
 )
 
 var kindNames = [...]string{
-	KindGetRequest:       "GET_REQUEST",
-	KindGetResponse:      "GET_RESPONSE",
-	KindPutRequest:       "PUT_REQUEST",
-	KindPutResponse:      "PUT_RESPONSE",
-	KindHasRequest:       "HAS_REQUEST",
-	KindHasResponse:      "HAS_RESPONSE",
-	KindSyncPullRequest:  "SYNC_PULL_REQUEST",
-	KindSyncPullResponse: "SYNC_PULL_RESPONSE",
+	KindGetRequest:  "GET_REQUEST",
+	KindGetResponse: "GET_RESPONSE",
+	KindPutRequest:  "PUT_REQUEST",
+	KindPutResponse: "PUT_RESPONSE",
+	KindHasRequest:  "HAS_REQUEST",
+	KindHasResponse: "HAS_RESPONSE",
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -124,8 +118,8 @@ type PutResponse struct {
 
 // HasRequest asks which of the given tags the store currently holds,
 // without fetching payloads or counting as hits — the question a
-// chunked PUT and the cluster syncer ask before transferring sealed
-// chunks, so that only missing chunks cross the wire. The answer is a
+// chunked PUT asks before transferring sealed chunks, so that only
+// missing chunks cross the wire. The answer is a
 // hint, not a promise: an entry can expire or be evicted between the
 // probe and a later GET, and callers must treat a stale "present" as a
 // miss discovered at reassembly time.
@@ -189,10 +183,6 @@ func Unmarshal(b []byte) (Message, error) {
 		return decodeHasRequest(body)
 	case KindHasResponse:
 		return decodeHasResponse(body)
-	case KindSyncPullRequest:
-		return decodeSyncPullRequest(body)
-	case KindSyncPullResponse:
-		return decodeSyncPullResponse(body)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, kind)
 	}
@@ -359,7 +349,7 @@ func decodeHasResponse(b []byte) (HasResponse, error) {
 
 // OwnMessage makes a decoded message own all of its memory. Unmarshal
 // is zero-copy: decoded byte fields (the Sealed triples of GET
-// responses, PUT requests and sync entries) alias the input buffer,
+// responses and PUT requests) alias the input buffer,
 // which for Channel.Recv is the channel's receive scratch and only
 // valid until the next Recv. OwnMessage copies those fields, in place
 // in the item slice the decoder allocated, so the message can be
@@ -376,10 +366,6 @@ func OwnMessage(m Message) Message {
 	case PutRequest:
 		for i := range v.Items {
 			v.Items[i].Sealed = v.Items[i].Sealed.Clone()
-		}
-	case SyncPullResponse:
-		for i := range v.Entries {
-			v.Entries[i].Sealed = v.Entries[i].Sealed.Clone()
 		}
 	}
 	return m

@@ -47,6 +47,14 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// The sync pull pair of protocol version 3, as that version encoded
+// them: kind 7 asking for at most 10 entries with at least 2 hits, and
+// an empty kind-8 reply. Both decoded then; both are unknown kinds now.
+var (
+	retiredSyncPullRequest  = []byte{7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 10}
+	retiredSyncPullResponse = []byte{8}
+)
+
 func TestUnmarshalRejectsMalformed(t *testing.T) {
 	tests := []struct {
 		name string
@@ -54,6 +62,8 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"unknown kind", []byte{0xEE, 1, 2, 3}},
+		{"retired kind 7", retiredSyncPullRequest},
+		{"retired kind 8", retiredSyncPullResponse},
 		{"short get request", []byte{byte(KindGetRequest), 1, 2}},
 		{"get response missing sealed", []byte{byte(KindGetResponse), 1}},
 		{"get response bad bool", []byte{byte(KindGetResponse), 7}},
