@@ -35,17 +35,6 @@ type AppConfig struct {
 	// remote store on a DIFFERENT machine. Without it, the remote
 	// store must live on this application's own platform.
 	TrustedStorePlatforms [][]byte
-	// Adaptive enables the automatic deduplication strategy of the
-	// paper's future-work section: the runtime profiles each marked
-	// function (compute cost, dedup overhead, hit rate) and bypasses
-	// the store for functions where deduplication does not pay.
-	Adaptive bool
-	// AdaptiveMinSamples, AdaptiveBenefitThreshold and
-	// AdaptiveProbation tune the adaptive policy; zero values take the
-	// defaults.
-	AdaptiveMinSamples       int
-	AdaptiveBenefitThreshold float64
-	AdaptiveProbation        int
 	// MetricsAddr, when non-empty (e.g. "127.0.0.1:0"), serves the
 	// deployment's telemetry registry over HTTP for the lifetime of the
 	// App: /metrics (Prometheus text format), /debug/trace (sampled
@@ -68,7 +57,6 @@ type AppConfig struct {
 type App struct {
 	enclave *enclave.Enclave
 	runtime *dedup.Runtime
-	advisor *dedup.Advisor // non-nil when adaptive
 	tel     *telemetry.Registry
 	metrics *telemetry.MetricsServer // non-nil when MetricsAddr was set
 }
@@ -137,13 +125,6 @@ func (s *System) NewAppWithConfig(name string, code []byte, cfg AppConfig) (*App
 		if s.tel.Node() == "" {
 			s.tel.SetNode(ms.Addr().String())
 		}
-	}
-	if cfg.Adaptive {
-		app.advisor = dedup.NewAdvisor(dedup.AdaptivePolicy{
-			MinSamples:       cfg.AdaptiveMinSamples,
-			BenefitThreshold: cfg.AdaptiveBenefitThreshold,
-			Probation:        cfg.AdaptiveProbation,
-		})
 	}
 	return app, nil
 }

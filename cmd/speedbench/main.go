@@ -322,17 +322,6 @@ func runAblations(quick bool, trials int) error {
 		return err
 	}
 	fmt.Print(bench.RenderAblationOblivious(obl))
-	fmt.Println()
-
-	calls := 300
-	if quick {
-		calls = 80
-	}
-	adaptive, err := bench.AblationAdaptive(calls, trials)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderAblationAdaptive(adaptive, calls))
 	return nil
 }
 

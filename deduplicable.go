@@ -62,37 +62,6 @@ func NewDeduplicable[I, O any](app *App, desc FuncDesc, fn func(I) (O, error), o
 	return d, nil
 }
 
-// AdaptiveReport is a snapshot of the adaptive profiler's view of one
-// deduplicable function.
-type AdaptiveReport struct {
-	// ComputeMS and OverheadMS are moving-average estimates of the
-	// function's compute cost and the dedup-path overhead.
-	ComputeMS, OverheadMS float64
-	// HitRate is the observed store hit rate.
-	HitRate float64
-	// Samples counts observed deduplicated calls.
-	Samples int
-	// Bypassed reports whether deduplication is currently bypassed
-	// for this function.
-	Bypassed bool
-}
-
-// AdaptiveReport returns the adaptive profile of this function. ok is
-// false when the application was not created with AppConfig.Adaptive.
-func (d *Deduplicable[I, O]) AdaptiveReport() (AdaptiveReport, bool) {
-	if d.app.advisor == nil {
-		return AdaptiveReport{}, false
-	}
-	r := d.app.advisor.Report(d.id)
-	return AdaptiveReport{
-		ComputeMS:  r.ComputeMS,
-		OverheadMS: r.OverheadMS,
-		HitRate:    r.HitRate,
-		Samples:    r.Samples,
-		Bypassed:   r.Bypassed,
-	}, true
-}
-
 // Call invokes the wrapped function with deduplication and returns its
 // result.
 func (d *Deduplicable[I, O]) Call(in I) (O, error) {
@@ -114,9 +83,7 @@ type BatchCallResult[O any] struct {
 // batched GET/PUT exchange, and computes misses in parallel, so small
 // computations pay the enclave-transition and store round-trip costs
 // once per batch rather than once per call. Duplicate inputs within
-// the batch are computed once and shared. Unlike Call, the batch path
-// does not consult the adaptive bypass advisor: the caller opting into
-// batching has already declared the calls dedup-worthy.
+// the batch are computed once and shared.
 func (d *Deduplicable[I, O]) CallBatch(ins []I) ([]BatchCallResult[O], error) {
 	if len(ins) == 0 {
 		return nil, nil
@@ -129,17 +96,7 @@ func (d *Deduplicable[I, O]) CallBatch(ins []I) ([]BatchCallResult[O], error) {
 		}
 		inBytes[i] = b
 	}
-	raws, err := d.app.runtime.ExecuteBatch(d.id, inBytes, func(raw []byte) ([]byte, error) {
-		v, derr := d.in.Decode(raw)
-		if derr != nil {
-			return nil, fmt.Errorf("speed: decode input: %w", derr)
-		}
-		out, ferr := d.fn(v)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return d.out.Encode(out)
-	})
+	raws, err := d.app.runtime.ExecuteBatch(d.id, inBytes, d.compute)
 	if err != nil {
 		return nil, err
 	}
@@ -167,20 +124,7 @@ func (d *Deduplicable[I, O]) CallOutcome(in I) (O, Outcome, error) {
 	if err != nil {
 		return zero, 0, fmt.Errorf("speed: encode input: %w", err)
 	}
-	resBytes, outcome, err := d.app.runtime.ExecuteAdaptive(d.app.advisor, d.id, inBytes, func(raw []byte) ([]byte, error) {
-		// raw == inBytes by construction; decode back so the wrapped
-		// function sees its native type even when the runtime replays
-		// the computation.
-		v, derr := d.in.Decode(raw)
-		if derr != nil {
-			return nil, fmt.Errorf("speed: decode input: %w", derr)
-		}
-		out, ferr := d.fn(v)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return d.out.Encode(out)
-	})
+	resBytes, outcome, err := d.app.runtime.Execute(d.id, inBytes, d.compute)
 	if err != nil {
 		return zero, 0, err
 	}
@@ -189,4 +133,20 @@ func (d *Deduplicable[I, O]) CallOutcome(in I) (O, Outcome, error) {
 		return zero, 0, fmt.Errorf("speed: decode result: %w", err)
 	}
 	return out, outcome, nil
+}
+
+// compute is the marked computation as the runtime sees it: encoded
+// input in, encoded result out, for Call and CallBatch alike. raw is
+// the encoding the caller made; decoding it again lets the wrapped
+// function see its native type.
+func (d *Deduplicable[I, O]) compute(raw []byte) ([]byte, error) {
+	v, err := d.in.Decode(raw)
+	if err != nil {
+		return nil, fmt.Errorf("speed: decode input: %w", err)
+	}
+	out, err := d.fn(v)
+	if err != nil {
+		return nil, err
+	}
+	return d.out.Encode(out)
 }

@@ -1,9 +1,7 @@
-// Persistentcache: demonstrates the extension features — controlled
-// deduplication (deny-by-default authorization), a store data
-// directory that survives a process "restart" on the same machine, and
-// adaptive
-// deduplication that learns to bypass the store for functions where
-// deduplication does not pay.
+// Persistentcache: demonstrates controlled deduplication
+// (deny-by-default authorization) and a store data directory that
+// survives a process "restart" on the same machine. It exits non-zero
+// unless the second lifetime reuses every document without computing.
 package main
 
 import (
@@ -35,13 +33,10 @@ func newSystem(dataDir string) (*speed.System, error) {
 	})
 }
 
-func newApp(sys *speed.System) (*speed.App, *speed.Deduplicable[[]byte, []byte], *speed.Deduplicable[string, string], error) {
-	app, err := sys.NewAppWithConfig("compress-service", []byte("compress service v5"), speed.AppConfig{
-		Adaptive:           true,
-		AdaptiveMinSamples: 5,
-	})
+func newApp(sys *speed.System) (*speed.App, *speed.Deduplicable[[]byte, []byte], error) {
+	app, err := sys.NewApp("compress-service", []byte("compress service v5"))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// Grant this (attested) application access to the store.
 	sys.Authorize(app.Measurement(), true, true)
@@ -54,20 +49,9 @@ func newApp(sys *speed.System) (*speed.App, *speed.Deduplicable[[]byte, []byte],
 		speed.WithOutputCodec[[]byte, []byte](speed.BytesCodec{}),
 	)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	// A trivially cheap function the adaptive advisor should learn to
-	// bypass.
-	upper, err := speed.NewDeduplicable(app,
-		speed.FuncDesc{Library: "zlib", Version: "1.2.11", Signature: "toupper(string)"},
-		func(s string) (string, error) { return strings.ToUpper(s), nil },
-		speed.WithInputCodec[string, string](speed.StringCodec{}),
-		speed.WithOutputCodec[string, string](speed.StringCodec{}),
-	)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return app, deflate, upper, nil
+	return app, deflate, nil
 }
 
 func run() error {
@@ -82,7 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	app1, deflate1, upper1, err := newApp(sys1)
+	app1, deflate1, err := newApp(sys1)
 	if err != nil {
 		return err
 	}
@@ -96,18 +80,6 @@ func run() error {
 		} else {
 			fmt.Printf("  doc %d: %v\n", i, outcome)
 		}
-	}
-
-	// The cheap function, called on distinct inputs: the advisor
-	// learns to bypass it.
-	for i := 0; i < 30; i++ {
-		if _, err := upper1.Call(fmt.Sprintf("request-%d", i)); err != nil {
-			return err
-		}
-	}
-	if report, ok := upper1.AdaptiveReport(); ok {
-		fmt.Printf("adaptive: toupper bypassed=%v (compute %.3fms vs overhead %.3fms, hit rate %.0f%%)\n",
-			report.Bypassed, report.ComputeMS, report.OverheadMS, report.HitRate*100)
 	}
 
 	if err := app1.Close(); err != nil {
@@ -124,7 +96,7 @@ func run() error {
 	defer sys2.Close()
 	fmt.Printf("lifetime 2: reopened the store with %d entries\n", sys2.StoreStats().Entries)
 
-	app2, deflate2, _, err := newApp(sys2)
+	app2, deflate2, err := newApp(sys2)
 	if err != nil {
 		return err
 	}
@@ -133,13 +105,20 @@ func run() error {
 	fmt.Println("lifetime 2: compressing the same 3 documents")
 	for i := 0; i < 3; i++ {
 		input := append([]byte(fmt.Sprintf("doc-%d:", i)), doc...)
-		if _, outcome, err := deflate2.CallOutcome(input); err != nil {
+		_, outcome, err := deflate2.CallOutcome(input)
+		if err != nil {
 			return err
-		} else {
-			fmt.Printf("  doc %d: %v\n", i, outcome)
+		}
+		fmt.Printf("  doc %d: %v\n", i, outcome)
+		if outcome != speed.OutcomeReused {
+			return fmt.Errorf("lifetime 2 served doc %d %v, want reused", i, outcome)
 		}
 	}
-	fmt.Printf("\nlifetime 2 stats: %+v\n", app2.Stats())
+	st := app2.Stats()
+	fmt.Printf("\nlifetime 2 stats: %+v\n", st)
 	fmt.Printf("store: %+v\n", sys2.StoreStats())
+	if st.Computed != 0 {
+		return fmt.Errorf("lifetime 2 computed %d results, want 0", st.Computed)
+	}
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 
 // Tests for the extension features: controlled deduplication,
 // oblivious lookups, a store data directory that survives restarts,
-// and adaptive deduplication.
+// and a store on another machine.
 
 func TestControlledDeduplication(t *testing.T) {
 	sys, err := NewSystemWithConfig(SystemConfig{
@@ -201,119 +201,6 @@ func TestStoreDataDirWrongSeedRejected(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestAdaptiveAppBypassesCheapFunction(t *testing.T) {
-	sys := newTestSystem(t)
-	app, err := sys.NewAppWithConfig("adaptive", []byte("adaptive code"), AppConfig{
-		Adaptive:           true,
-		AdaptiveMinSamples: 4,
-		AdaptiveProbation:  1 << 20,
-	})
-	if err != nil {
-		t.Fatalf("NewAppWithConfig: %v", err)
-	}
-	defer app.Close()
-	app.RegisterLibrary("mathlib", "1.0", []byte("mathlib code"))
-
-	identity, err := NewDeduplicable(app,
-		FuncDesc{Library: "mathlib", Version: "1.0", Signature: "int id(int)"},
-		func(x int) (int, error) { return x, nil })
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-
-	// Cheap function, all-distinct inputs: zero hit rate, compute far
-	// below dedup overhead. Must get bypassed.
-	for i := 0; i < 40; i++ {
-		if got, err := identity.Call(i); err != nil || got != i {
-			t.Fatalf("Call(%d) = (%d, %v)", i, got, err)
-		}
-	}
-	report, ok := identity.AdaptiveReport()
-	if !ok {
-		t.Fatal("AdaptiveReport not available on adaptive app")
-	}
-	if !report.Bypassed {
-		t.Errorf("cheap function not bypassed: %+v", report)
-	}
-	// Store traffic stopped growing after the bypass.
-	gets := sys.StoreStats().Gets
-	for i := 100; i < 110; i++ {
-		if _, err := identity.Call(i); err != nil {
-			t.Fatalf("Call: %v", err)
-		}
-	}
-	if after := sys.StoreStats().Gets; after != gets {
-		t.Errorf("bypassed calls still hit the store (%d -> %d)", gets, after)
-	}
-}
-
-func TestAdaptiveReportUnavailableWithoutAdaptive(t *testing.T) {
-	sys := newTestSystem(t)
-	app := newTestApp(t, sys, "plain")
-	f, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) { return x, nil })
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-	if _, ok := f.AdaptiveReport(); ok {
-		t.Error("AdaptiveReport available on non-adaptive app")
-	}
-}
-
-// Ensure duplicate deduplicables on one app share profiles cleanly.
-func TestAdaptiveTwoFunctionsIndependent(t *testing.T) {
-	sys := newTestSystem(t)
-	app, err := sys.NewAppWithConfig("adaptive2", []byte("adaptive2 code"), AppConfig{
-		Adaptive:           true,
-		AdaptiveMinSamples: 4,
-		AdaptiveProbation:  1 << 20,
-	})
-	if err != nil {
-		t.Fatalf("NewAppWithConfig: %v", err)
-	}
-	defer app.Close()
-	app.RegisterLibrary("mathlib", "1.0", []byte("mathlib code"))
-
-	cheap, err := NewDeduplicable(app,
-		FuncDesc{Library: "mathlib", Version: "1.0", Signature: "cheap"},
-		func(x int) (int, error) { return x, nil })
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-	hot, err := NewDeduplicable(app,
-		FuncDesc{Library: "mathlib", Version: "1.0", Signature: "hot"},
-		func(x int) (int, error) {
-			// Simulate meaningful work.
-			total := 0
-			for i := 0; i < 2_000_000; i++ {
-				total += i % (x + 2)
-			}
-			return total, nil
-		})
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-
-	for i := 0; i < 30; i++ {
-		if _, err := cheap.Call(i); err != nil { // all distinct
-			t.Fatalf("cheap Call: %v", err)
-		}
-		if _, err := hot.Call(0); err != nil { // always the same input
-			t.Fatalf("hot Call: %v", err)
-		}
-	}
-	cheapReport, _ := cheap.AdaptiveReport()
-	hotReport, _ := hot.AdaptiveReport()
-	if !cheapReport.Bypassed {
-		t.Errorf("cheap function not bypassed: %+v", cheapReport)
-	}
-	if hotReport.Bypassed {
-		t.Errorf("hot function wrongly bypassed: %+v", hotReport)
-	}
-	if hotReport.HitRate < 0.9 {
-		t.Errorf("hot HitRate = %v, want ~1", hotReport.HitRate)
-	}
 }
 
 // TestCrossMachineRemoteStore: the store runs on machine A; the

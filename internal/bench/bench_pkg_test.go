@@ -199,42 +199,6 @@ func TestAblationOblivious(t *testing.T) {
 	}
 }
 
-func TestAblationAdaptive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows, err := AblationAdaptive(120, 1)
-	if err != nil {
-		t.Fatalf("AblationAdaptive: %v", err)
-	}
-	byName := map[string]AdaptiveRow{}
-	for _, r := range rows {
-		byName[r.Strategy] = r
-	}
-	always, never, adaptive := byName["always-dedup"], byName["never-dedup"], byName["adaptive"]
-	if always.TotalMS <= 0 || never.TotalMS <= 0 || adaptive.TotalMS <= 0 {
-		t.Fatalf("non-positive timings: %+v", rows)
-	}
-	// Never-dedup pays the 1ms hot function on every call: slowest.
-	if never.TotalMS < always.TotalMS {
-		t.Errorf("never-dedup (%.1fms) beat always-dedup (%.1fms) on a reuse-heavy half",
-			never.TotalMS, always.TotalMS)
-	}
-	// Adaptive must not be slower than never-dedup, and should stay in
-	// the neighbourhood of always-dedup (it keeps deduping the hot
-	// function while cutting cheap-function overhead).
-	if adaptive.TotalMS > never.TotalMS {
-		t.Errorf("adaptive (%.1fms) slower than never-dedup (%.1fms)",
-			adaptive.TotalMS, never.TotalMS)
-	}
-	if adaptive.Reused == 0 {
-		t.Error("adaptive never reused the hot function")
-	}
-	if out := RenderAblationAdaptive(rows, 120); !strings.Contains(out, "adaptive") {
-		t.Errorf("render malformed:\n%s", out)
-	}
-}
-
 func TestAblationBlobPlacement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -14,9 +14,9 @@ import (
 // This file is the paper's one algorithm — tag → GET → verify/open or
 // compute → seal → PUT (Algorithms 1/2 + Fig. 3) — as one staged
 // pipeline over a list of items. Execute runs it over one item,
-// ExecuteBatch over n, ExecuteAdaptive's bypass in storeless mode; the
-// async PUT worker re-enters only its last stage (upload). See
-// DESIGN.md "The execute pipeline".
+// ExecuteBatch over n; the async PUT worker re-enters only its last
+// stage (upload). The store is skipped for one reason only: the runtime
+// is degraded. See DESIGN.md "The execute pipeline".
 
 // BatchResult is one item's outcome from ExecuteBatch. Err is per-item:
 // one failed lookup or computation does not poison its batch siblings.
@@ -32,14 +32,8 @@ type BatchResult struct {
 // identifies. Concurrent identical calls in this process share one
 // computation (OutcomeCoalesced) before the store is even consulted.
 func (rt *Runtime) Execute(id mle.FuncID, input []byte, compute func([]byte) ([]byte, error)) ([]byte, Outcome, error) {
-	return rt.executeOne(id, input, compute, false)
-}
-
-// executeOne runs the pipeline over a single item. storeless is
-// ExecuteAdaptive's bypass.
-func (rt *Runtime) executeOne(id mle.FuncID, input []byte, compute func([]byte) ([]byte, error), storeless bool) ([]byte, Outcome, error) {
 	items := []item{{input: input}}
-	if err := rt.run(false, id, items, compute, storeless); err != nil {
+	if err := rt.run(false, id, items, compute); err != nil {
 		return nil, 0, err
 	}
 	if err := items[0].Err; err != nil {
@@ -69,7 +63,7 @@ func (rt *Runtime) ExecuteBatch(id mle.FuncID, inputs [][]byte, compute func([]b
 	for i := range items {
 		items[i].input = inputs[i]
 	}
-	if err := rt.run(true, id, items, compute, false); err != nil {
+	if err := rt.run(true, id, items, compute); err != nil {
 		return nil, err
 	}
 	results := make([]BatchResult, len(items))
@@ -117,9 +111,6 @@ type call struct {
 	tc      wire.TraceContext
 	span    execSpan
 	items   []item
-	// storeless runs compute-only without it being a degradation: the
-	// adaptive bypass.
-	storeless bool
 }
 
 // run is the one entry to the pipeline: the closed check, the call
@@ -127,7 +118,7 @@ type call struct {
 // the telemetry epilogue. batch selects how the call is reported: a
 // single call lands in speed_execute_seconds{outcome}, a batch in
 // speed_runtime_batch_items; both record their phases.
-func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]byte) ([]byte, error), storeless bool) error {
+func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]byte) ([]byte, error)) error {
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
@@ -136,7 +127,7 @@ func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]b
 	rt.stats.Calls += int64(len(items))
 	rt.mu.Unlock()
 
-	c := call{rt: rt, id: id, compute: compute, items: items, storeless: storeless}
+	c := call{rt: rt, id: id, compute: compute, items: items}
 	// The sampling decision happens before any work, so a sampled call's
 	// trace context can ride to every store node it touches.
 	var rootSpan uint64
@@ -246,16 +237,16 @@ func (c *call) publish(it *item) {
 
 // lookup settles every leader the store can settle: one batched GET
 // OCALL for all of them (Algorithm 1/2 line 2), then the Fig. 3
-// verification of each hit. Storeless calls — the adaptive bypass, an
-// open breaker, a failed GET with degradation on — skip straight to
-// computing everything: deduplication is an accelerator, not a
-// correctness dependency.
+// verification of each hit. A degraded call — an open breaker, a
+// failed GET with degradation on — skips straight to computing
+// everything: deduplication is an accelerator, not a correctness
+// dependency.
 func (c *call) lookup() {
 	rt := c.rt
 	down := rt.Degraded()
 	var found []wire.GetResult
 	var fail error
-	if !c.storeless && !down {
+	if !down {
 		tags := make([]mle.Tag, 0, len(c.items))
 		for i := range c.items {
 			if c.items[i].leads() {
@@ -406,9 +397,8 @@ func (c *call) computeMisses() {
 
 // uploadComputed books every computed item and hands the fresh results
 // to the upload stage — inline, or queued for the async PUT worker
-// (Section V-B) — then publishes the leaders' flights. Degraded and
-// bypassed items are not uploaded; a failed computation is neither
-// booked nor stored.
+// (Section V-B) — then publishes the leaders' flights. Degraded items
+// are not uploaded; a failed computation is neither booked nor stored.
 func (c *call) uploadComputed() {
 	rt := c.rt
 	var jobs []putJob
@@ -427,15 +417,14 @@ func (c *call) uploadComputed() {
 			it.Outcome = OutcomeRecomputed
 		}
 		computed++
-		switch {
-		case it.degraded:
+		if it.degraded {
 			degraded++
-		case !c.storeless:
-			if jobs == nil {
-				jobs = make([]putJob, 0, len(c.items)-i) // at most every remaining item
-			}
-			jobs = append(jobs, putJob{id: c.id, tc: c.tc, input: it.input, result: it.Result, tag: it.tag, replace: it.replace})
+			continue
 		}
+		if jobs == nil {
+			jobs = make([]putJob, 0, len(c.items)-i) // at most every remaining item
+		}
+		jobs = append(jobs, putJob{id: c.id, tc: c.tc, input: it.input, result: it.Result, tag: it.tag, replace: it.replace})
 	}
 	if computed > 0 {
 		rt.mu.Lock()

@@ -19,10 +19,10 @@ import (
 
 // Entry-point conformance: every way into the execute pipeline —
 // Execute, ExecuteBatch of one, ExecuteBatch of three with the scenario
-// item in the middle, ExecuteAdaptive with no advisor — must serve each
-// scenario with the same result bytes, outcome, Stats delta, store
-// request counts and enclave crossings. Single and batch calls are one
-// pipeline; this table is what keeps them one.
+// item in the middle — must serve each scenario with the same result
+// bytes, outcome, Stats delta, store request counts and enclave
+// crossings. Single and batch calls are one pipeline; this table is
+// what keeps them one.
 
 // countingClient counts the runtime's store requests and injects
 // faults into them. The hooks see the 1-based index of the request
@@ -464,9 +464,6 @@ var pipeEntries = []pipeEntry{
 		}
 		return res[1], []BatchResult{res[0], res[2]}, nil
 	}},
-	{name: "ExecuteAdaptive_nil", call: func(rt *Runtime, id mle.FuncID, compute func([]byte) ([]byte, error)) (BatchResult, []BatchResult, error) {
-		return single(rt.ExecuteAdaptive(nil, id, pipeInput, compute))
-	}},
 }
 
 func TestPipelineConformance(t *testing.T) {
@@ -590,58 +587,6 @@ func subStats(a, b Stats) Stats {
 		Retries: a.Retries - b.Retries, ChunkedPuts: a.ChunkedPuts - b.ChunkedPuts,
 		ManifestReuses: a.ManifestReuses - b.ManifestReuses, ChunksFetched: a.ChunksFetched - b.ChunksFetched,
 		ChunkCacheHits: a.ChunkCacheHits - b.ChunkCacheHits, ChunksSkipped: a.ChunksSkipped - b.ChunksSkipped,
-	}
-}
-
-// TestAdaptiveBypassIsThePipeline pins what the bypass gained by
-// running the pipeline storeless instead of a hand-rolled ECALL: it is
-// refused on a closed runtime, and it is measured like any other call.
-func TestAdaptiveBypassIsThePipeline(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	env := newTestEnv(t, func(c *Config) { c.Telemetry = reg })
-	id := env.funcID(t)
-	advisor := NewAdvisor(AdaptivePolicy{MinSamples: 1, Probation: 1 << 30})
-	// One all-miss sample of a free function convinces the advisor.
-	advisor.ObserveDedup(id, false, time.Nanosecond, time.Second)
-	if !advisor.Report(id).Bypassed {
-		t.Fatal("advisor did not bypass")
-	}
-
-	computed := func() int64 {
-		for _, h := range reg.Snapshot().HistogramsByFamily("speed_execute_seconds") {
-			if strings.Contains(h.Name, `outcome="computed"`) {
-				return h.Count
-			}
-		}
-		return -1
-	}
-	gets := env.store.Stats().Gets
-	res, out, err := env.runtime.ExecuteAdaptive(advisor, id, []byte("in"), pipeCompute)
-	if err != nil || out != OutcomeComputed || string(res) != "result of in" {
-		t.Fatalf("bypassed call = (%q, %v, %v)", res, out, err)
-	}
-	if got := env.store.Stats().Gets; got != gets {
-		t.Errorf("bypassed call queried the store (%d -> %d GETs)", gets, got)
-	}
-	if st := env.runtime.Stats(); st.Calls != 1 || st.Computed != 1 || st.Degraded != 0 {
-		t.Errorf("Stats = %+v, want 1 call, 1 computed, not degraded", st)
-	}
-	if got := computed(); got != 1 {
-		t.Errorf(`speed_execute_seconds{outcome="computed"} count = %d, want 1`, got)
-	}
-
-	if err := env.runtime.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_, _, err = env.runtime.ExecuteAdaptive(advisor, id, []byte("in"), func([]byte) ([]byte, error) {
-		t.Error("computed on a closed runtime")
-		return nil, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "dedup: runtime closed") {
-		t.Errorf("bypassed call after Close = %v, want runtime closed", err)
-	}
-	if st := env.runtime.Stats(); st.Calls != 1 {
-		t.Errorf("Calls = %d after a refused call, want 1", st.Calls)
 	}
 }
 

@@ -1,9 +1,7 @@
 package dedup
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -107,57 +105,4 @@ func mkAppRCE(t *testing.T, p *enclave.Platform, st *store.Store, name string) *
 	t.Cleanup(func() { _ = rt.Close() })
 	rt.Registry().RegisterLibrary("lib", "1", []byte("lib code"))
 	return rt
-}
-
-// The advisor must be safe under concurrent observation and queries.
-func TestAdvisorConcurrent(t *testing.T) {
-	a := NewAdvisor(AdaptivePolicy{MinSamples: 10, Probation: 5})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			id := testID(byte(w % 3))
-			for i := 0; i < 200; i++ {
-				if a.ShouldDedup(id) {
-					a.ObserveDedup(id, i%2 == 0, time.Millisecond, 100*time.Microsecond)
-				} else {
-					a.ObserveBypass(id, time.Millisecond)
-				}
-				_ = a.Report(id)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Adaptive execution under concurrency must remain correct even while
-// the advisor flips between dedup and bypass.
-func TestExecuteAdaptiveConcurrent(t *testing.T) {
-	env := newTestEnv(t, nil)
-	id := env.funcID(t)
-	advisor := NewAdvisor(AdaptivePolicy{MinSamples: 5, Probation: 10})
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				input := []byte{byte(i % 10)}
-				res, _, err := env.runtime.ExecuteAdaptive(advisor, id, input, func(in []byte) ([]byte, error) {
-					return []byte{in[0] * 2}, nil
-				})
-				if err != nil {
-					t.Errorf("ExecuteAdaptive: %v", err)
-					return
-				}
-				if len(res) != 1 || res[0] != input[0]*2 {
-					t.Errorf("wrong result %v for input %v", res, input)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

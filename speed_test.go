@@ -113,6 +113,65 @@ func TestDeduplicableErrorPropagates(t *testing.T) {
 	}
 }
 
+func TestDeduplicableCallBatch(t *testing.T) {
+	sys := newTestSystem(t)
+	app := newTestApp(t, sys, "app")
+	const failing = 7
+	wantErr := errors.New("domain failure")
+	var calls atomic.Int64
+	square, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) {
+		calls.Add(1)
+		if x == failing {
+			return 0, wantErr
+		}
+		return x * x, nil
+	})
+	if err != nil {
+		t.Fatalf("NewDeduplicable: %v", err)
+	}
+
+	// The last input repeats the first: computed once, shared in-batch.
+	res, err := square.CallBatch([]int{2, 3, failing, 2})
+	if err != nil {
+		t.Fatalf("CallBatch: %v", err)
+	}
+	want := []BatchCallResult[int]{
+		{Out: 4, Outcome: OutcomeComputed},
+		{Out: 9, Outcome: OutcomeComputed},
+		{Err: wantErr},
+		{Out: 4, Outcome: OutcomeCoalesced},
+	}
+	if len(res) != len(want) {
+		t.Fatalf("CallBatch returned %d results for %d inputs", len(res), len(want))
+	}
+	for i, r := range res {
+		if !errors.Is(r.Err, want[i].Err) || r.Out != want[i].Out || r.Outcome != want[i].Outcome {
+			t.Errorf("result %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("function ran %d times, want 3 (the duplicate shares its leader's run)", n)
+	}
+
+	ins := []int{2, 3}
+	again, err := square.CallBatch(ins)
+	if err != nil {
+		t.Fatalf("repeated CallBatch: %v", err)
+	}
+	for i, r := range again {
+		single, err := square.Call(ins[i])
+		if err != nil {
+			t.Fatalf("Call(%d): %v", ins[i], err)
+		}
+		if r.Err != nil || r.Outcome != OutcomeReused || r.Out != single {
+			t.Errorf("repeated result %d = %+v, want reused %d", i, r, single)
+		}
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("function ran %d times after the repeated batch, want 3", n)
+	}
+}
+
 func TestDeduplicableBytesCodec(t *testing.T) {
 	sys := newTestSystem(t)
 	app := newTestApp(t, sys, "app")
