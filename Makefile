@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt vet loc lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
+.PHONY: check build fmt vet loc knobs lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
 
 check: vet lint race
 
@@ -27,6 +27,29 @@ vet:
 # ROADMAP aim 2 wants trending down. CI prints it for every PR.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+
+# The configuration surface ROADMAP C1 wants down by a third, per
+# source and in total: the exported fields of the option structs, the
+# store server's With* options and the flags resultstore defines. CI
+# prints it beside loc.
+KNOB_STRUCTS := system.go:SystemConfig app.go:AppConfig \
+	internal/store/store.go:Config internal/store/quota.go:QuotaConfig \
+	internal/dedup/runtime.go:Config internal/dedup/client.go:RemoteConfig \
+	internal/cluster/client.go:Config internal/store/logengine/logengine.go:Config
+
+knobs:
+	@total=0; \
+	row() { printf '%-48s %3d\n' "$$1" "$$2"; total=$$((total + $$2)); }; \
+	for src in $(KNOB_STRUCTS); do \
+		row "$$src" $$(awk -v t="$${src##*:}" ' \
+			$$0 ~ "^type " t " struct" { inside = 1; next } \
+			inside && /^}/ { exit } \
+			inside && /^\t[A-Z]/ { k = 1; for (i = 1; i < NF && $$i ~ /,$$/; i++) k++; n += k } \
+			END { print n + 0 }' $${src%%:*}); \
+	done; \
+	row "internal/store With* server options" $$(find internal/store -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c '^func With[A-Z]'); \
+	row "cmd/resultstore flags" $$(grep -c 'fs\.[A-Z][A-Za-z0-9]*("' cmd/resultstore/main.go); \
+	printf '%-48s %3d\n' total $$total
 
 # SPEED-specific invariants: trust boundary, key hygiene, atomic/plain
 # mixing, unbounded network waits, wire kind/codec symmetry, sealed-data

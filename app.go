@@ -2,7 +2,6 @@ package speed
 
 import (
 	"fmt"
-	"time"
 
 	"speed/internal/dedup"
 	"speed/internal/enclave"
@@ -45,11 +44,6 @@ type AppConfig struct {
 	// registry's trace ring. 0 uses the default (64); negative disables
 	// tracing.
 	TraceSampleRate int
-	// SlowRequestThreshold logs a structured line (rate-limited to one
-	// per second) for any Execute call slower than this, carrying the
-	// call's trace ID when it was sampled so the line links straight to
-	// /debug/trace?id=. 0 disables slow-request logging.
-	SlowRequestThreshold time.Duration
 }
 
 // App is one SGX-enabled application: its enclave plus the secure
@@ -97,13 +91,12 @@ func (s *System) NewAppWithConfig(name string, code []byte, cfg AppConfig) (*App
 	}
 
 	rt, err := dedup.NewRuntime(dedup.Config{
-		Enclave:              enc,
-		Client:               client,
-		Scheme:               scheme,
-		AsyncPut:             cfg.AsyncPut,
-		Telemetry:            s.tel,
-		TraceSampleRate:      cfg.TraceSampleRate,
-		SlowRequestThreshold: cfg.SlowRequestThreshold,
+		Enclave:         enc,
+		Client:          client,
+		Scheme:          scheme,
+		AsyncPut:        cfg.AsyncPut,
+		Telemetry:       s.tel,
+		TraceSampleRate: cfg.TraceSampleRate,
 	})
 	if err != nil {
 		enc.Destroy()

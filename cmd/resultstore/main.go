@@ -49,15 +49,10 @@ func run(args []string) error {
 	compactInterval := fs.Duration("compact-interval", 0, "log engine background compaction period (0 = default, negative = disabled)")
 	maxEntries := fs.Int("max-entries", 0, "max dictionary entries before LRU eviction (0 = unlimited)")
 	maxBlobBytes := fs.Int64("max-blob-bytes", 0, "max total ciphertext bytes (0 = unlimited)")
-	maxInflight := fs.Int("max-inflight", 0, "per-connection pipelined request cap (0 = default)")
 	quotaBytes := fs.Int64("quota-bytes", 0, "per-application ciphertext byte quota (0 = unlimited)")
 	quotaRate := fs.Float64("quota-put-rate", 0, "per-application PUT rate limit per second (0 = unlimited)")
 	noSGX := fs.Bool("no-sgx", false, "disable simulated SGX transition costs")
 	machineSeed := fs.String("machine-seed", "", "deterministic machine identity (required with -data-dir: sealed records reopen only under the same seed)")
-	ttl := fs.Duration("ttl", 0, "entry time-to-live (0 = never expire)")
-	handshakeTimeout := fs.Duration("handshake-timeout", 10*time.Second, "attested handshake deadline for new connections (0 = unbounded)")
-	idleTimeout := fs.Duration("idle-timeout", 5*time.Minute, "close connections idle longer than this (0 = unbounded)")
-	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "per-response write deadline (0 = unbounded)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/trace and /debug/vars on this address (empty = disabled)")
 	statsInterval := fs.Duration("stats-interval", 0, "print a stats summary line at this interval (0 = off)")
 	slowRequest := fs.Duration("slow-request", 0, "log requests slower than this, rate-limited, with their trace ID (0 = off)")
@@ -84,7 +79,6 @@ func run(args []string) error {
 		Enclave:         storeEnc,
 		MaxEntries:      *maxEntries,
 		MaxBlobBytes:    *maxBlobBytes,
-		TTL:             *ttl,
 		Telemetry:       reg,
 		DataDir:         *dataDir,
 		MemtableBytes:   *memtableBytes,
@@ -119,15 +113,7 @@ func run(args []string) error {
 	// Spans this node records carry its wire address, so traces
 	// assembled across the fleet stay attributable.
 	reg.SetNode(ln.Addr().String())
-	srvOpts := []store.ServerOption{
-		store.WithHandshakeTimeout(*handshakeTimeout),
-		store.WithIdleTimeout(*idleTimeout),
-		store.WithWriteTimeout(*writeTimeout),
-		store.WithTelemetry(reg),
-	}
-	if *maxInflight > 0 {
-		srvOpts = append(srvOpts, store.WithMaxInflight(*maxInflight))
-	}
+	srvOpts := []store.ServerOption{store.WithTelemetry(reg)}
 	if *slowRequest > 0 {
 		srvOpts = append(srvOpts, store.WithSlowRequestLog(*slowRequest))
 	}
@@ -153,10 +139,10 @@ func run(args []string) error {
 		if s.Gets > 0 {
 			hitPct = 100 * float64(s.Hits) / float64(s.Gets)
 		}
-		fmt.Printf("resultstore: %s gets=%d hits=%d (%.1f%%) puts=%d dupes=%d denied=%d unauthorized=%d auth_fails=%d auth_fail_bytes=%d evictions=%d expired=%d entries=%d blob_bytes=%d epc_used=%d\n",
+		fmt.Printf("resultstore: %s gets=%d hits=%d (%.1f%%) puts=%d dupes=%d denied=%d unauthorized=%d auth_fails=%d auth_fail_bytes=%d evictions=%d entries=%d blob_bytes=%d epc_used=%d\n",
 			prefix, s.Gets, s.Hits, hitPct, s.Puts, s.PutDupes, s.PutDenied,
 			s.Unauthorized, srv.AuthFailures(), srv.AuthFailBytes(),
-			s.Evictions, s.Expired, s.Entries, s.BlobBytes,
+			s.Evictions, s.Entries, s.BlobBytes,
 			platform.EPCUsed())
 	}
 	if *statsInterval > 0 {

@@ -41,7 +41,7 @@ type StoreClient interface {
 	Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error)
 	// Has reports, positionally, which tags are present, without
 	// fetching payloads, counting hits or refreshing recency. Answers
-	// are hints: a probed-present entry can expire before a later GET,
+	// are hints: a probed-present entry can be evicted before a later GET,
 	// which surfaces as a loud reassembly failure and a recompute,
 	// never a wrong result.
 	Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)

@@ -132,32 +132,27 @@ func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]b
 	// trace context can ride to every store node it touches.
 	var rootSpan uint64
 	c.tc, rootSpan = rt.startTrace()
-	if rt.tel != nil || rt.cfg.SlowRequestThreshold > 0 {
+	if rt.tel != nil {
 		c.span = startSpan()
 	}
 	err := rt.cfg.Enclave.ECall(func() error {
 		c.execute()
 		return nil
 	})
-	if c.span.on {
+	if rt.tel != nil {
 		op, outcome, cerr := "execute_batch", Outcome(0), err
-		if !batch {
+		total := time.Since(c.span.start)
+		if batch {
+			rt.tel.observePhases(&c.span)
+			rt.tel.batchItems.Observe(time.Duration(len(items)))
+		} else {
 			op = "execute"
 			if err == nil {
 				outcome, cerr = items[0].Outcome, items[0].Err
 			}
+			rt.tel.record(&c.span, total, outcome, cerr, c.tc)
 		}
-		total := time.Since(c.span.start)
-		if rt.tel != nil {
-			if batch {
-				rt.tel.observePhases(&c.span)
-				rt.tel.batchItems.Observe(time.Duration(len(items)))
-			} else {
-				rt.tel.record(&c.span, total, outcome, cerr, c.tc)
-			}
-			rt.recordTrace(op, id, c.tc, rootSpan, &c.span, outcome, total, cerr)
-		}
-		rt.maybeSlowLog(op, id, c.tc, total, outcome, cerr)
+		rt.recordTrace(op, id, c.tc, rootSpan, &c.span, outcome, total, cerr)
 	}
 	return err
 }

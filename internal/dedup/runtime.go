@@ -113,12 +113,6 @@ type Config struct {
 	// it), so the per-node span rings assemble into one distributed
 	// trace.
 	TraceSampleRate int
-	// SlowRequestThreshold, when positive, logs one structured line via
-	// Logf for any Execute/ExecuteBatch call slower than the threshold,
-	// rate-limited to one line per second so a latency storm cannot
-	// flood the log. The line carries the trace ID when the call was
-	// sampled, linking the log to /debug/trace?id=. Zero disables.
-	SlowRequestThreshold time.Duration
 	// Logf is the diagnostic logger; defaults to log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -207,10 +201,6 @@ type Runtime struct {
 	// pointer test.
 	tel    *rtMetrics
 	traceN atomic.Uint64
-
-	// slowLogLast is the UnixNano of the last slow-request line, the
-	// rate limiter for Config.SlowRequestThreshold.
-	slowLogLast atomic.Int64
 
 	// chunker and chunkCache are non-nil iff Config.ChunkThreshold > 0;
 	// every chunked-dedup site is guarded on chunker, so a runtime

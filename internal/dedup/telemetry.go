@@ -234,34 +234,3 @@ func (rt *Runtime) recordTrace(name string, id mle.FuncID, tc wire.TraceContext,
 	}
 	m.reg.Trace().Add(ev)
 }
-
-// slowLogMinGap rate-limits slow-request logging to one line per gap
-// per runtime, so a latency storm cannot flood the log.
-const slowLogMinGap = time.Second
-
-// maybeSlowLog emits the structured slow-request line when the call
-// exceeded Config.SlowRequestThreshold and the rate limiter allows it.
-func (rt *Runtime) maybeSlowLog(op string, id mle.FuncID, tc wire.TraceContext, total time.Duration, outcome Outcome, err error) {
-	th := rt.cfg.SlowRequestThreshold
-	if th <= 0 || total < th {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := rt.slowLogLast.Load()
-	if now-last < int64(slowLogMinGap) || !rt.slowLogLast.CompareAndSwap(last, now) {
-		return
-	}
-	status := "ok"
-	switch {
-	case err != nil:
-		status = "error"
-	case outcome != 0:
-		status = outcome.String()
-	}
-	trace := "-"
-	if tc.Valid() {
-		trace = tc.TraceIDHex()
-	}
-	rt.cfg.Logf("speed: slow request op=%s app=%s func=%s total=%s threshold=%s status=%s trace=%s",
-		op, rt.cfg.Enclave.Name(), hex.EncodeToString(id[:4]), total, th, status, trace)
-}

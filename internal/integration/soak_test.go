@@ -12,8 +12,8 @@ import (
 
 // TestSoakSustainedTraffic drives a bounded store with sustained mixed
 // traffic from several concurrent applications: tens of thousands of
-// operations with Zipf-repeated inputs, LRU pressure, TTL expiry
-// sweeps and coalesced bursts. Invariants checked at the end: no
+// operations with Zipf-repeated inputs, LRU pressure and coalesced
+// bursts. Invariants checked at the end: no
 // wrong results (verified per call), entry count within bounds, EPC
 // fully accounted.
 func TestSoakSustainedTraffic(t *testing.T) {

@@ -3,9 +3,9 @@
 // a lookup, the engine's Stats, and Table, the in-enclave dictionary
 // tier the engine builds its memtable and hot cache from.
 //
-// The Store is policy — authorization, quotas, TTL policy, limits and
-// telemetry — and the engine owns the data: where records live, how
-// they are found, and what survives a crash. There is one engine in two
+// The Store is policy — authorization, quotas, limits and telemetry —
+// and the engine owns the data: where records live, how they are
+// found, and what survives a crash. There is one engine in two
 // configurations. With a directory it keeps a sealed WAL and sorted
 // segments and survives a restart; without one it is a volatile store
 // whose memtable holds everything and never flushes.
@@ -33,9 +33,9 @@ var ErrClosed = errors.New("store: closed")
 // Record is the unit the engine stores per tag: the small dictionary
 // metadata (challenge r and wrapped key [k], Section IV-B) together
 // with the result ciphertext and the bookkeeping the Store's policy
-// layers need (owner for quota attribution, last touch for LRU and
-// TTL). Hits is kept because it is part of the on-disk record format;
-// nothing reads it since the popular-result export was deleted.
+// layers need (owner for quota attribution, last touch for LRU). Hits
+// is kept because it is part of the on-disk record format; nothing
+// reads it since the popular-result export was deleted.
 type Record struct {
 	// Challenge and WrappedKey are the in-enclave dictionary fields.
 	Challenge  []byte
@@ -54,7 +54,7 @@ type Record struct {
 	// hit counts lazily (see the logengine package doc).
 	Hits int64
 	// LastTouch is the store time of the last Put or non-oblivious hit,
-	// driving LRU eviction and TTL expiry.
+	// driving LRU eviction.
 	LastTouch time.Time
 }
 
@@ -66,10 +66,6 @@ const (
 	StatusMiss GetStatus = iota
 	// StatusHit: the record was found and is returned.
 	StatusHit
-	// StatusExpired: a record exists but is past its TTL. The engine
-	// does not remove it; the caller decides (store.Store removes it
-	// and counts an expiry).
-	StatusExpired
 	// StatusDangling: dictionary metadata exists but the value is lost
 	// or failed authentication (untrusted storage misbehaving). The
 	// caller should remove the entry and treat the lookup as a miss.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/subtle"
 	"sort"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -22,8 +21,6 @@ type Table struct {
 	enc       *enclave.Enclave
 	rate      Rate
 	oblivious bool
-	ttl       time.Duration
-	now       func() time.Time
 
 	entries map[mle.Tag]*Entry
 	lru     Entry // sentinel: lru.next is the most recently touched entry, lru.prev the least
@@ -59,10 +56,9 @@ type Entry struct {
 }
 
 // NewTable returns an empty table charging enc at rate. Its lookups are
-// oblivious when oblivious is set, and Expired applies ttl (0 = never)
-// against now.
-func NewTable(enc *enclave.Enclave, rate Rate, oblivious bool, ttl time.Duration, now func() time.Time) *Table {
-	t := &Table{enc: enc, rate: rate, oblivious: oblivious, ttl: ttl, now: now, entries: make(map[mle.Tag]*Entry)}
+// oblivious when oblivious is set.
+func NewTable(enc *enclave.Enclave, rate Rate, oblivious bool) *Table {
+	t := &Table{enc: enc, rate: rate, oblivious: oblivious, entries: make(map[mle.Tag]*Entry)}
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
 	return t
 }
@@ -94,12 +90,6 @@ func (t *Table) Lookup(tag mle.Tag) *Entry {
 		}
 	}
 	return found
-}
-
-// Expired reports whether a record last touched at touch is past the
-// table's TTL.
-func (t *Table) Expired(touch time.Time) bool {
-	return t.ttl > 0 && t.now().Sub(touch) > t.ttl
 }
 
 // Set makes a copy of rec (a tombstone when dead) tag's entry at the

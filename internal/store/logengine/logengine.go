@@ -23,8 +23,8 @@
 //
 // Durability: under FsyncCommit (the default) an Insert or Remove is
 // acknowledged only after the WAL frame is fsynced, so acknowledged
-// operations survive kill -9 and power loss. FsyncInterval bounds loss
-// to the sync interval; FsyncNone leaves it to the OS page cache.
+// operations survive kill -9 and power loss. FsyncEvery bounds loss
+// to fsyncInterval; FsyncNone leaves it to the OS page cache.
 // Recovery loads the manifest's segments (CRC-verified), refuses a
 // directory none of whose segments this enclave can unseal, deletes
 // orphan segment files from interrupted flushes or compactions, then
@@ -65,7 +65,7 @@ type Fsync int
 const (
 	// FsyncCommit syncs the WAL before acknowledging every mutation.
 	FsyncCommit Fsync = iota
-	// FsyncEvery syncs on a background interval.
+	// FsyncEvery syncs every fsyncInterval in the background.
 	FsyncEvery
 	// FsyncNone never syncs explicitly.
 	FsyncNone
@@ -103,9 +103,11 @@ func (f Fsync) String() string {
 const (
 	DefaultMemtableBytes   = 4 << 20
 	DefaultCacheBytes      = 4 << 20
-	DefaultFsyncInterval   = 100 * time.Millisecond
 	DefaultCompactInterval = 30 * time.Second
 )
+
+// fsyncInterval is the background sync period under FsyncEvery.
+const fsyncInterval = 100 * time.Millisecond
 
 // What the in-enclave tables charge the enclave per entry. With a
 // directory the memtable and the hot cache hold whole records, so the
@@ -135,9 +137,6 @@ type Config struct {
 	CacheBytes int64
 	// Fsync is the WAL durability policy.
 	Fsync Fsync
-	// FsyncInterval is the background sync period under FsyncEvery;
-	// 0 means 100ms.
-	FsyncInterval time.Duration
 	// CompactInterval is how often the background compactor runs the
 	// tiering policy; 0 means 30s, negative disables the background
 	// loop (Compact still works).
@@ -147,8 +146,6 @@ type Config struct {
 	// and popularity maintenance. Segment reads go to untrusted disk,
 	// whose access pattern is observable regardless; see DESIGN.md.
 	Oblivious bool
-	// TTL expires records not touched within the duration; 0 disables.
-	TTL time.Duration
 	// Now is the clock; nil means time.Now.
 	Now func() time.Time
 	// Logf receives recovery and compaction diagnostics; nil discards.
@@ -222,9 +219,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
-	if cfg.FsyncInterval <= 0 {
-		cfg.FsyncInterval = DefaultFsyncInterval
-	}
 	if cfg.CompactInterval == 0 {
 		cfg.CompactInterval = DefaultCompactInterval
 	}
@@ -240,8 +234,8 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		mem:        storeengine.NewTable(cfg.Enclave, rate, cfg.Oblivious, cfg.TTL, cfg.Now),
-		cache:      storeengine.NewTable(cfg.Enclave, durableRate, cfg.Oblivious, cfg.TTL, cfg.Now),
+		mem:        storeengine.NewTable(cfg.Enclave, rate, cfg.Oblivious),
+		cache:      storeengine.NewTable(cfg.Enclave, durableRate, cfg.Oblivious),
 		touched:    make(map[mle.Tag]*touchRec),
 		touchDirty: make(map[mle.Tag]bool),
 		stopBg:     make(chan struct{}),
@@ -421,7 +415,7 @@ func (e *Engine) startBackground() {
 		e.bgDone.Add(1)
 		go func() {
 			defer e.bgDone.Done()
-			t := time.NewTicker(e.cfg.FsyncInterval)
+			t := time.NewTicker(fsyncInterval)
 			defer t.Stop()
 			for {
 				select {
@@ -579,34 +573,31 @@ walk:
 		case p.ent != nil && !p.ent.Dead:
 			rec = &p.ent.Rec
 		}
-		var l storeengine.Lookup
-		switch {
-		case rec == nil: // deleted, or in no tier at all
-		case e.mem.Expired(rec.LastTouch):
-			l.Status = storeengine.StatusExpired
-		default:
-			size := len(rec.Challenge) + len(rec.WrappedKey) + len(rec.Blob)
-			if len(out) > 0 && size > budget {
-				break walk
+		if rec == nil { // deleted, or in no tier at all
+			out = append(out, storeengine.Lookup{})
+			continue
+		}
+		size := len(rec.Challenge) + len(rec.WrappedKey) + len(rec.Blob)
+		if len(out) > 0 && size > budget {
+			break walk
+		}
+		budget -= size
+		if !e.cfg.Oblivious {
+			rec.Hits++
+			rec.LastTouch = e.cfg.Now()
+			if p.ent != nil {
+				p.tab.Touch(p.ent)
 			}
-			budget -= size
-			if !e.cfg.Oblivious {
-				rec.Hits++
-				rec.LastTouch = e.cfg.Now()
-				if p.ent != nil {
-					p.tab.Touch(p.ent)
-				}
-				if p.tab != e.mem {
-					e.noteTouch(tag, rec.Hits, rec.LastTouch)
-				}
+			if p.tab != e.mem {
+				e.noteTouch(tag, rec.Hits, rec.LastTouch)
 			}
-			// A segment record's slices alias Unseal's fresh buffer; a
-			// table's are the table's.
-			l = storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec}
-			if p.sealed == nil {
-				l.Record = storeengine.CopyRecord(*rec)
-				e.st.CacheHits++
-			}
+		}
+		// A segment record's slices alias Unseal's fresh buffer; a
+		// table's are the table's.
+		l := storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec}
+		if p.sealed == nil {
+			l.Record = storeengine.CopyRecord(*rec)
+			e.st.CacheHits++
 		}
 		out = append(out, l)
 	}
@@ -849,10 +840,9 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 // each tag, positionally, with no hit counting, cache promotion or
 // recency update — existence probes (chunked dedup's missing-chunk
 // transfer) that leave popularity untouched. The memtable answers in
-// one enclave entry for the message, a record past its TTL reporting
-// absent; the segments' filters and indexes answer the rest without a
-// TTL check, since the key index has no cheap view of it. The answers
-// are hints: callers tolerate a later Get missing.
+// one enclave entry for the message; the segments' filters and indexes
+// answer the rest. The answers are hints: callers tolerate a later Get
+// missing.
 func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -864,7 +854,7 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	if err := e.cfg.Enclave.ECall(func() error {
 		for i, tag := range tags {
 			if ent := e.mem.Lookup(tag); ent != nil {
-				present[i] = !ent.Dead && !e.mem.Expired(ent.Rec.LastTouch)
+				present[i] = !ent.Dead
 			} else if len(e.segments) > 0 {
 				probe = append(probe, i)
 			}
@@ -884,8 +874,7 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 }
 
 // existsLocked reports whether a live record for tag exists anywhere
-// (memtable, segments), ignoring TTL — duplicate suppression is by
-// presence.
+// (memtable, segments) — duplicate suppression is by presence.
 func (e *Engine) existsLocked(tag mle.Tag) (bool, error) {
 	if ent := e.mem.Entry(tag); ent != nil {
 		return !ent.Dead, nil
@@ -1043,22 +1032,14 @@ func (e *Engine) ValueBytes() int64 {
 	return e.valueBytes
 }
 
-// Iterate streams every live record to fn until fn returns false,
-// records past their TTL included (the caller decides about them), in
-// unspecified order. It is a k-way merge over the memtable (sorted
-// transiently) and every segment cursor, newest state winning,
-// tombstones skipped. Memory stays bounded by the memtable's entry list
-// plus one record per open cursor; segment payloads stream from disk
-// one record at a time, so iteration works on stores larger than RAM.
-//
-// The engine lock is held for the whole walk (mutations would
-// invalidate the cursors), so fn must not call back into the engine.
-func (e *Engine) Iterate(fn func(tag mle.Tag, rec storeengine.Record) bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.iterateLocked(fn)
-}
-
+// iterateLocked streams every live record to fn until fn returns false,
+// in tag order. It is a merge of the memtable (sorted transiently) and
+// every segment cursor, newest state winning, tombstones skipped.
+// Memory stays bounded by the memtable's entry list plus one record per
+// open cursor; segment payloads stream from disk one record at a time,
+// so a walk works on stores larger than RAM. Caller holds mu for the
+// whole walk (mutations would invalidate the cursors), so fn must not
+// call back into the engine.
 func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool) error {
 	mem := e.mem.Sorted()
 	// Two sorted streams: the memtable's entries and the segments' merged

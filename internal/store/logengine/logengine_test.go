@@ -411,6 +411,14 @@ func TestWorkingSetBeyondBudgets(t *testing.T) {
 	}
 }
 
+// iterate walks the engine's merged view under its lock, as Oldest
+// does.
+func iterate(e *Engine, fn func(mle.Tag, storeengine.Record) bool) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.iterateLocked(fn)
+}
+
 func TestIterateMergedView(t *testing.T) {
 	p := testPlatform()
 	e := openTest(t, testConfig(t, p, t.TempDir()))
@@ -428,7 +436,7 @@ func TestIterateMergedView(t *testing.T) {
 	mustInsert(t, e, "k7", "v7")
 
 	got := map[string]string{}
-	err := e.Iterate(func(tag mle.Tag, rec storeengine.Record) bool {
+	err := iterate(e, func(tag mle.Tag, rec storeengine.Record) bool {
 		got[string(rec.Blob)] = string(rec.Blob)
 		return true
 	})
@@ -453,33 +461,12 @@ func TestIterateEarlyStop(t *testing.T) {
 		mustInsert(t, e, fmt.Sprintf("k%d", i), "v")
 	}
 	seen := 0
-	_ = e.Iterate(func(mle.Tag, storeengine.Record) bool {
+	_ = iterate(e, func(mle.Tag, storeengine.Record) bool {
 		seen++
 		return seen < 3
 	})
 	if seen != 3 {
 		t.Errorf("early-stop Iterate visited %d, want 3", seen)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	p := testPlatform()
-	now := time.Unix(1000, 0)
-	cfg := testConfig(t, p, t.TempDir())
-	cfg.TTL = time.Minute
-	cfg.Now = func() time.Time { return now }
-	e := openTest(t, cfg)
-	rec := recOf("v")
-	rec.LastTouch = now
-	if ok, err := insert1(e, tagOf("x"), rec); err != nil || !ok {
-		t.Fatalf("Insert: %v %v", ok, err)
-	}
-	if _, status, _ := get1(e, tagOf("x")); status != storeengine.StatusHit {
-		t.Fatalf("fresh Get = %v, want hit", status)
-	}
-	now = now.Add(2 * time.Minute)
-	if _, status, _ := get1(e, tagOf("x")); status != storeengine.StatusExpired {
-		t.Errorf("stale Get = %v, want expired", status)
 	}
 }
 

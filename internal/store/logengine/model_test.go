@@ -152,7 +152,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 			check(steps, key)
 		}
 		seen := make(map[mle.Tag]string)
-		err := e.Iterate(func(tag mle.Tag, rec storeengine.Record) bool {
+		err := iterate(e, func(tag mle.Tag, rec storeengine.Record) bool {
 			seen[tag] = string(rec.Blob)
 			return true
 		})

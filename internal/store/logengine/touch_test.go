@@ -134,7 +134,7 @@ func TestIterateSeesOverlayPopularity(t *testing.T) {
 		mustGet(t, e, "hot", "v1")
 	}
 	hits := make(map[string]int64)
-	err := e.Iterate(func(tag mle.Tag, rec storeengine.Record) bool {
+	err := iterate(e, func(tag mle.Tag, rec storeengine.Record) bool {
 		switch tag {
 		case tagOf("hot"):
 			hits["hot"] = rec.Hits

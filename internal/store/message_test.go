@@ -33,11 +33,33 @@ var storeConfigs = []struct {
 	}},
 }
 
+// testClock is a manually advanced clock.
+type testClock struct {
+	now time.Time
+}
+
+func (c *testClock) Now() time.Time { return c.now }
+
+// onEachConfig runs fn on a store built from cfg in each of the store's
+// configurations (storeConfigs), on a clock the test advances by hand.
+func onEachConfig(t *testing.T, cfg Config, fn func(t *testing.T, s *Store, clock *testClock)) {
+	for _, c := range storeConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			clock := &testClock{now: time.Unix(1000, 0)}
+			cfg := cfg
+			cfg.Now = clock.Now
+			s := testStore(t, c.cfg(t, cfg))
+			defer s.Close()
+			fn(t, s, clock)
+		})
+	}
+}
+
 // TestMessagesMatchOneByOne is the model for the batch-first seam: a
 // seeded stream of GET, HAS and PUT messages of 1–64 items — fresh and
 // stored tags, duplicates within a message, Replace, applications that
 // may not read or may not write, an application over its space and rate
-// quota, entries past their TTL — answered by one store a message at a
+// quota — answered by one store a message at a
 // time and by its twin one item at a time. Every item gets the same
 // answer from both, and after every message both hold the same Stats
 // and charge every application the same bytes. The last seed runs under
@@ -52,14 +74,13 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 				messages = 150 // with a directory, finding the LRU victim is a scan
 			}
 			t.Run(fmt.Sprintf("%s/seed%d", eng.name, seed), func(t *testing.T) {
-				clock := &ttlClock{now: time.Unix(1000, 0)}
+				clock := &testClock{now: time.Unix(1000, 0)}
 				acl := NewACL(0)
 				acl.Grant(owners[0], PermAll)
 				acl.Grant(owners[1], PermGet)
 				open := func() *Store {
 					cfg := Config{
 						Auth:  acl,
-						TTL:   20 * time.Second,
 						Now:   clock.Now,
 						Quota: QuotaConfig{MaxBytesPerApp: 6 << 10, PutRatePerSec: 15, PutBurst: 60},
 					}
@@ -154,7 +175,7 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 					}
 				}
 				st := batch.Stats()
-				if st.Hits == 0 || st.PutDupes == 0 || st.PutDenied == 0 || st.Unauthorized == 0 || st.Expired == 0 || (st.Evictions > 0) != capped {
+				if st.Hits == 0 || st.PutDupes == 0 || st.PutDenied == 0 || st.Unauthorized == 0 || (st.Evictions > 0) != capped {
 					t.Errorf("the stream never reached some policy: %+v", st)
 				}
 			})
@@ -310,61 +331,69 @@ func TestOverlappingPutMessagesInstallOnce(t *testing.T) {
 // TestObliviousMessages runs multi-tag messages through an oblivious
 // store in both configurations: every tag of a message takes the
 // all-entry scan, so entries in any tier are found, absent tags are
-// not, and no lookup of the message refreshes recency.
+// not, and no lookup refreshes recency — the entry oblivious GETs
+// touched last is still the first LRU victim.
 func TestObliviousMessages(t *testing.T) {
-	for _, eng := range storeConfigs {
-		t.Run(eng.name, func(t *testing.T) {
-			clock := &ttlClock{now: time.Unix(1000, 0)}
-			s := testStore(t, eng.cfg(t, Config{Oblivious: true, TTL: time.Minute, Now: clock.Now}))
-			defer s.Close()
-			owner := ownerOf("app")
-			const n = 24
-			tags := make([]mle.Tag, n+1)
-			for i := 0; i < n; i++ {
-				tags[i] = tagOf(fmt.Sprintf("k%d", i))
-				if _, err := s.Put(owner, tags[i], sealedOf(fmt.Sprintf("v%d", i))); err != nil {
-					t.Fatalf("Put: %v", err)
-				}
-				if i == n/2 {
-					if err := s.Checkpoint(); err != nil { // with a directory: half in a segment
-						t.Fatalf("Checkpoint: %v", err)
-					}
+	const n = 24
+	onEachConfig(t, Config{Oblivious: true, MaxEntries: n}, func(t *testing.T, s *Store, clock *testClock) {
+		owner := ownerOf("app")
+		tags := make([]mle.Tag, n+1)
+		for i := 0; i < n; i++ {
+			// Each Put takes a second: with a directory the victim is found
+			// by comparing touch times, which must not tie.
+			clock.now = clock.now.Add(time.Second)
+			tags[i] = tagOf(fmt.Sprintf("k%d", i))
+			if _, err := s.Put(owner, tags[i], sealedOf(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if i == n/2 {
+				if err := s.Checkpoint(); err != nil { // with a directory: half in a segment
+					t.Fatalf("Checkpoint: %v", err)
 				}
 			}
-			tags[n] = tagOf("absent")
+		}
+		tags[n] = tagOf("absent")
 
-			clock.now = clock.now.Add(40 * time.Second)
-			got, err := s.WireGet(owner, tags, math.MaxInt)
-			if err != nil || len(got) != n+1 {
-				t.Fatalf("WireGet = %d results, %v", len(got), err)
+		clock.now = clock.now.Add(time.Second)
+		got, err := s.WireGet(owner, tags, math.MaxInt)
+		if err != nil || len(got) != n+1 {
+			t.Fatalf("WireGet = %d results, %v", len(got), err)
+		}
+		present, err := s.WireHas(owner, tags)
+		if err != nil || len(present) != n+1 {
+			t.Fatalf("WireHas = %d answers, %v", len(present), err)
+		}
+		for i := 0; i < n; i++ {
+			if !got[i].Found || string(got[i].Sealed.Blob) != fmt.Sprintf("v%d", i) || !present[i] {
+				t.Errorf("k%d: found=%v blob=%q present=%v", i, got[i].Found, got[i].Sealed.Blob, present[i])
 			}
-			present, err := s.WireHas(owner, tags)
-			if err != nil || len(present) != n+1 {
-				t.Fatalf("WireHas = %d answers, %v", len(present), err)
-			}
-			for i := 0; i < n; i++ {
-				if !got[i].Found || string(got[i].Sealed.Blob) != fmt.Sprintf("v%d", i) || !present[i] {
-					t.Errorf("k%d: found=%v blob=%q present=%v", i, got[i].Found, got[i].Sealed.Blob, present[i])
-				}
-			}
-			if got[n].Found || present[n] {
-				t.Errorf("absent tag: found=%v present=%v", got[n].Found, present[n])
-			}
-			if st := s.Stats(); st.Gets != n+1 || st.Hits != n {
-				t.Errorf("Stats = gets %d hits %d, want %d/%d", st.Gets, st.Hits, n+1, n)
-			}
-			// The message's hits refreshed nothing: 40 s later every entry
-			// is a minute past its Put.
-			clock.now = clock.now.Add(40 * time.Second)
-			again, err := s.WireGet(owner, tags[:n], math.MaxInt)
-			if err != nil {
-				t.Fatalf("WireGet: %v", err)
-			}
-			for i, r := range again {
-				if r.Found {
-					t.Errorf("k%d outlived its TTL: an oblivious lookup refreshed it", i)
-				}
-			}
-		})
-	}
+		}
+		if got[n].Found || present[n] {
+			t.Errorf("absent tag: found=%v present=%v", got[n].Found, present[n])
+		}
+		if st := s.Stats(); st.Gets != n+1 || st.Hits != n {
+			t.Errorf("Stats = gets %d hits %d, want %d/%d", st.Gets, st.Hits, n+1, n)
+		}
+		// k0, the oldest Put, is now the most recently looked up, alone.
+		clock.now = clock.now.Add(time.Second)
+		if _, found, _ := s.Get(tags[0]); !found {
+			t.Fatal("k0 missed")
+		}
+		// One more entry takes the store past MaxEntries: the victim is
+		// k0, as if no lookup had touched anything.
+		if _, err := s.Put(owner, tagOf("new"), sealedOf("new")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if st := s.Stats(); st.Evictions != 1 || st.Entries != n {
+			t.Fatalf("Stats = %+v, want 1 eviction and %d entries", st, n)
+		}
+		after, err := s.WireGet(owner, append(tags[:2:2], tagOf("new")), math.MaxInt)
+		if err != nil {
+			t.Fatalf("WireGet: %v", err)
+		}
+		if after[0].Found || !after[1].Found || !after[2].Found {
+			t.Errorf("k0 found=%v, k1 found=%v, new found=%v; want k0 evicted: an oblivious lookup refreshed it",
+				after[0].Found, after[1].Found, after[2].Found)
+		}
+	})
 }

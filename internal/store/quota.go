@@ -18,8 +18,8 @@ type QuotaConfig struct {
 	// PutRatePerSec is the sustained PUT rate allowed per application
 	// via a token bucket. Zero means unlimited.
 	PutRatePerSec float64
-	// PutBurst is the token-bucket burst capacity; defaults to
-	// PutRatePerSec when zero.
+	// PutBurst is the token-bucket burst capacity; zero defaults to
+	// PutRatePerSec, but never below the one token a PUT takes.
 	PutBurst float64
 }
 
@@ -44,7 +44,7 @@ func newQuotas(cfg QuotaConfig, now func() time.Time) *quotas {
 		now = time.Now
 	}
 	if cfg.PutBurst == 0 {
-		cfg.PutBurst = cfg.PutRatePerSec
+		cfg.PutBurst = max(cfg.PutRatePerSec, 1)
 	}
 	return &quotas{cfg: cfg, now: now, apps: make(map[enclave.Measurement]*appQuota)}
 }

@@ -3,7 +3,10 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +19,9 @@ import (
 // server must shed garbage, oversized frames and half-open connections
 // without crashing or wedging, and keep serving honest clients.
 
-func startRobustServer(t *testing.T) (*Server, *enclave.Platform, *enclave.Enclave) {
+// startRobustServer runs a server over a volatile store; it logs
+// nothing unless opts set a logger.
+func startRobustServer(t *testing.T, opts ...ServerOption) (*Server, *enclave.Platform, *enclave.Enclave) {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	storeEnc, err := p.Create("store", []byte("store code"))
@@ -31,7 +36,7 @@ func startRobustServer(t *testing.T) (*Server, *enclave.Platform, *enclave.Encla
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	srv := NewServer(st, ln, WithLogf(func(string, ...any) {}))
+	srv := NewServer(st, ln, append([]ServerOption{WithLogf(func(string, ...any) {})}, opts...)...)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -92,6 +97,36 @@ func TestServerShedsGarbageConnections(t *testing.T) {
 	}
 	if !pr.OK {
 		t.Fatalf("honest reply = %#v", pr)
+	}
+}
+
+// TestServerHandshakeDeadline: a peer that connects and never says hello
+// is disconnected once the handshake deadline passes, and the server
+// keeps serving the next client.
+func TestServerHandshakeDeadline(t *testing.T) {
+	var log logLines
+	srv, p, storeEnc := startRobustServer(t, WithLogf(log.logf), func(s *Server) { s.handshakeTimeout = 50 * time.Millisecond })
+
+	silent, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer silent.Close()
+	_ = silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer's Read = %v, want EOF: the server should hang up at its handshake deadline", err)
+	}
+	if lines := log.with("i/o timeout"); len(lines) != 1 || !strings.Contains(lines[0], "store: handshake from") {
+		t.Errorf("log lines naming the timeout = %q, want one handshake line", lines)
+	}
+
+	appEnc, err := p.Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
+	if pr, err := putOver(ch, tagOf("after"), sealedOf("v")); err != nil || !pr.OK {
+		t.Fatalf("PUT after the silent peer = %+v, %v", pr, err)
 	}
 }
 

@@ -28,14 +28,12 @@ type Server struct {
 	logf   func(format string, args ...any)
 
 	// Connection deadlines, so a stalled or half-open peer can never
-	// wedge a handler goroutine (see the WithXxxTimeout options).
+	// wedge a handler goroutine, and the per-session request cap; set
+	// from the constants below (fields only so a test can shorten them).
 	handshakeTimeout time.Duration
 	idleTimeout      time.Duration
 	writeTimeout     time.Duration
-
-	// maxInflight caps concurrently-executing requests per session (and
-	// sizes that session's worker pool).
-	maxInflight int
+	maxInflight      int
 
 	// slowThreshold, when positive, logs one structured line for any
 	// request whose dispatch exceeds it (see WithSlowRequestLog);
@@ -127,42 +125,6 @@ func WithTrust(trust *wire.Trust) ServerOption {
 	return func(s *Server) { s.trust = trust }
 }
 
-// WithHandshakeTimeout bounds the attested handshake of a new
-// connection, shedding half-open peers. Defaults to 10s; zero or
-// negative disables the bound.
-func WithHandshakeTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.handshakeTimeout = d }
-}
-
-// WithIdleTimeout closes a connection when no request arrives within
-// d. Clients reconnect transparently (RemoteClient re-dials), so this
-// only sheds abandoned sessions. Defaults to 5m; zero or negative
-// disables the bound.
-func WithIdleTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.idleTimeout = d }
-}
-
-// WithWriteTimeout bounds each response write, so a peer that stops
-// reading cannot wedge a handler. Defaults to 30s; zero or negative
-// disables the bound.
-func WithWriteTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.writeTimeout = d }
-}
-
-// WithMaxInflight caps the number of requests a single session may
-// have executing concurrently (its worker-pool size). A client that
-// pipelines more requests than the cap is simply not read from until a
-// slot frees, providing natural backpressure. Defaults to 32; values
-// below 1 are clamped to 1.
-func WithMaxInflight(n int) ServerOption {
-	return func(s *Server) {
-		if n < 1 {
-			n = 1
-		}
-		s.maxInflight = n
-	}
-}
-
 // WithTelemetry registers the server's connection, wire-byte,
 // auth-failure and request-latency metrics with reg, and records
 // server-side spans of sampled requests (queue wait plus handler
@@ -181,6 +143,23 @@ func WithSlowRequestLog(threshold time.Duration) ServerOption {
 	return func(s *Server) { s.slowThreshold = threshold }
 }
 
+const (
+	// handshakeTimeout bounds the attested handshake of a new
+	// connection, shedding half-open peers.
+	handshakeTimeout = 10 * time.Second
+	// idleTimeout closes a connection when no request arrives within it.
+	// Clients reconnect transparently (RemoteClient re-dials), so this
+	// only sheds abandoned sessions.
+	idleTimeout = 5 * time.Minute
+	// writeTimeout bounds each response write, so a peer that stops
+	// reading cannot wedge a handler.
+	writeTimeout = 30 * time.Second
+	// maxInflight caps the requests one session may have executing
+	// concurrently (its worker-pool size). A client that pipelines more
+	// is simply not read from until a slot frees: backpressure.
+	maxInflight = 32
+)
+
 // NewServer wraps store with a protocol server listening on ln.
 // Call Serve to start accepting and Close to shut down.
 func NewServer(st *Store, ln net.Listener, opts ...ServerOption) *Server {
@@ -189,10 +168,10 @@ func NewServer(st *Store, ln net.Listener, opts ...ServerOption) *Server {
 		ln:               ln,
 		logf:             log.Printf,
 		conns:            make(map[net.Conn]struct{}),
-		handshakeTimeout: 10 * time.Second,
-		idleTimeout:      5 * time.Minute,
-		writeTimeout:     30 * time.Second,
-		maxInflight:      32,
+		handshakeTimeout: handshakeTimeout,
+		idleTimeout:      idleTimeout,
+		writeTimeout:     writeTimeout,
+		maxInflight:      maxInflight,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -279,9 +258,7 @@ func (s *Server) Close() error {
 
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	if s.handshakeTimeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(s.handshakeTimeout))
-	}
+	_ = conn.SetDeadline(time.Now().Add(s.handshakeTimeout))
 	ch, err := wire.ServerHandshakeTrust(conn, s.store.Enclave(), s.accept, s.trust)
 	if err != nil {
 		s.logf("store: handshake from %v: %v", conn.RemoteAddr(), err)
@@ -353,18 +330,14 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 			if broken {
 				continue
 			}
-			if s.writeTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			}
+			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 			if err := ch.SendEnvelope(r.id, r.msg); err != nil {
 				s.logf("store: send to %v: %v", conn.RemoteAddr(), err)
 				conn.Close()
 				broken = true
 				continue
 			}
-			if s.writeTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Time{})
-			}
+			_ = conn.SetWriteDeadline(time.Time{})
 			if s.tel != nil {
 				flushBytes()
 			}
@@ -405,9 +378,7 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 	// closing work drains the workers, then closing replies drains the
 	// writer.
 	for {
-		if s.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
+		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		payload, err := ch.Recv()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {

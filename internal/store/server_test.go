@@ -3,8 +3,10 @@ package store
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -94,6 +96,67 @@ func putOver(ch *wire.Channel, tag mle.Tag, sealed mle.Sealed) (wire.PutResult, 
 		return wire.PutResult{}, fmt.Errorf("reply = %#v, want a PutResponse of one result", msg)
 	}
 	return pr.Results[0], nil
+}
+
+// logLines captures a server's log lines.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// with returns the lines containing substr.
+func (l *logLines) with(substr string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestServerSlowRequestLine: a request slower than the WithSlowRequestLog
+// threshold logs one line naming its op and its sampled trace ID, and
+// a second slow request within slowLogGap logs nothing.
+func TestServerSlowRequestLine(t *testing.T) {
+	var log logLines
+	srv, p, storeEnc := startRobustServer(t, WithLogf(log.logf), WithSlowRequestLog(time.Nanosecond))
+	appEnc, err := p.Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
+
+	tc := wire.TraceContext{ID: wire.NewTraceID(), Parent: wire.NewSpanID(), Sampled: true}
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if err := ch.SendEnvelopeTrace(uint64(i), tc, wire.GetRequest{Tags: []mle.Tag{tagOf("t")}}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if _, err := ch.Recv(); err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		if i == 1 && time.Since(start) >= slowLogGap {
+			t.Skip("the second request took longer than slowLogGap")
+		}
+	}
+	lines := log.with("slow request")
+	if len(lines) != 1 {
+		t.Fatalf("slow-request lines = %q, want exactly one", lines)
+	}
+	for _, want := range []string{"op=store_get", "trace=" + tc.TraceIDHex()} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("slow-request line %q lacks %q", lines[0], want)
+		}
+	}
 }
 
 func TestServerGetPutOverTCP(t *testing.T) {

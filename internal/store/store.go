@@ -84,17 +84,13 @@ type Config struct {
 	// structures (memtable, cache); a persistent store's segment reads
 	// stay observable, see DESIGN.md "Storage engine".
 	Oblivious bool
-	// TTL expires entries that have not been stored or hit within the
-	// given duration; 0 disables expiry. Expired entries are collected
-	// lazily on access and by ExpireNow.
-	TTL time.Duration
 	// Telemetry, when non-nil, registers the store's counters (gets,
 	// hits, puts, denials, evictions — backed by the Stats snapshot),
 	// occupancy gauges (and, for a persistent store, WAL/segment/cache
 	// series), and per-operation service-latency histograms
 	// speed_store_op_seconds{op="get"|"put"}. Nil disables.
 	Telemetry *telemetry.Registry
-	// Now is the clock used by the quota, TTL and LRU mechanisms; nil
+	// Now is the clock used by the quota and LRU mechanisms; nil
 	// means time.Now. Injectable for tests.
 	Now func() time.Time
 	// Logf receives engine diagnostics (recovery, compaction); nil
@@ -113,13 +109,12 @@ type Stats struct {
 	PutDenied    int64
 	Unauthorized int64
 	Evictions    int64
-	Expired      int64
 	Entries      int
 	BlobBytes    int64
 }
 
 // Store is the encrypted ResultStore: policy (authorization, quotas,
-// TTL, limits, telemetry) over the storage engine. All methods are safe
+// limits, telemetry) over the storage engine. All methods are safe
 // for concurrent use.
 type Store struct {
 	cfg Config
@@ -154,6 +149,8 @@ func New(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: unknown engine %q", cfg.Engine)
 	case cfg.Engine == EngineLog && cfg.DataDir == "":
 		return nil, errors.New("store: Engine \"log\" requires Config.DataDir")
+	case cfg.Quota.PutBurst > 0 && cfg.Quota.PutBurst < 1:
+		return nil, fmt.Errorf("store: Quota.PutBurst %v admits no PUT (a PUT takes a whole token)", cfg.Quota.PutBurst)
 	}
 	fsync, err := logengine.ParseFsync(cfg.Fsync)
 	if err != nil {
@@ -167,7 +164,6 @@ func New(cfg Config) (*Store, error) {
 		Fsync:           fsync,
 		CompactInterval: cfg.CompactInterval,
 		Oblivious:       cfg.Oblivious,
-		TTL:             cfg.TTL,
 		Now:             cfg.Now,
 		Logf:            cfg.Logf,
 	})
@@ -209,7 +205,6 @@ func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 		{"speed_store_put_denied_total", "uploads rejected by quota", func(st Stats) int64 { return st.PutDenied }},
 		{"speed_store_unauthorized_total", "operations denied by controlled deduplication", func(st Stats) int64 { return st.Unauthorized }},
 		{"speed_store_evictions_total", "entries evicted by LRU pressure", func(st Stats) int64 { return st.Evictions }},
-		{"speed_store_expired_total", "entries collected by TTL expiry", func(st Stats) int64 { return st.Expired }},
 	} {
 		field := c.field
 		reg.NewCounterFunc(c.name, c.help, func() int64 { return field(s.Stats()) })
@@ -315,7 +310,7 @@ func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, budget int) (
 // the existence probe behind chunked dedup's missing-chunk transfer.
 // A caller without PermGet on an entry is told it is absent (deny
 // without information). The answers are hints: a probed-present entry
-// can still expire or be evicted before a later Get.
+// can still be evicted before a later Get.
 func (s *Store) WireHas(owner enclave.Measurement, tags []mle.Tag) (present []bool, err error) {
 	allowed, pos := s.readable(owner, tags)
 	if len(allowed) > 0 {
@@ -330,7 +325,7 @@ func (s *Store) WireHas(owner enclave.Measurement, tags []mle.Tag) (present []bo
 }
 
 // get looks one message's tags up, answering a prefix (see WireGet),
-// collects the expired entries it met and counts the message.
+// drops the dangling entries it met and counts the message.
 func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 	if len(tags) == 0 {
 		return nil, nil // a ping, or nothing the caller may read
@@ -347,8 +342,6 @@ func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 	var hits int64
 	for i := range found {
 		switch rec := &found[i].Record; found[i].Status {
-		case storeengine.StatusExpired:
-			s.remove(tags[i], reasonExpire)
 		case storeengine.StatusDangling:
 			// The entry was found (a hit, for accounting) but its value is
 			// gone; drop it and report a miss so the application
@@ -511,35 +504,12 @@ func (s *Store) enforceLimits() {
 	}
 }
 
-// ExpireNow sweeps the dictionary, removing every entry past its TTL,
-// and reports how many were removed. A no-op without a configured TTL.
-func (s *Store) ExpireNow() int {
-	if s.cfg.TTL <= 0 {
-		return 0
-	}
-	var stale []mle.Tag
-	_ = s.eng.Iterate(func(tag mle.Tag, rec storeengine.Record) bool {
-		if s.cfg.Now().Sub(rec.LastTouch) > s.cfg.TTL {
-			stale = append(stale, tag)
-		}
-		return true
-	})
-	removed := 0
-	for _, tag := range stale {
-		if s.remove(tag, reasonExpire) {
-			removed++
-		}
-	}
-	return removed
-}
-
 // deleteReason distinguishes why an entry is removed, for accurate
 // statistics.
 type deleteReason int
 
 const (
 	reasonEvict deleteReason = iota + 1
-	reasonExpire
 	reasonDangling
 	reasonReplace
 )
@@ -551,11 +521,8 @@ func (s *Store) remove(tag mle.Tag, reason deleteReason) bool {
 	if !ok {
 		return false
 	}
-	switch reason {
-	case reasonEvict:
+	if reason == reasonEvict {
 		s.count(func(ops *Stats) { ops.Evictions++ })
-	case reasonExpire:
-		s.count(func(ops *Stats) { ops.Expired++ })
 	}
 	s.quota.creditBytes(rec.Owner, rec.BlobSize)
 	return true

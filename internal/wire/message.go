@@ -120,7 +120,7 @@ type PutResponse struct {
 // without fetching payloads or counting as hits — the question a
 // chunked PUT asks before transferring sealed chunks, so that only
 // missing chunks cross the wire. The answer is a
-// hint, not a promise: an entry can expire or be evicted between the
+// hint, not a promise: an entry can be evicted between the
 // probe and a later GET, and callers must treat a stale "present" as a
 // miss discovered at reassembly time.
 type HasRequest struct {

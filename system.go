@@ -3,7 +3,6 @@ package speed
 import (
 	"fmt"
 	"net"
-	"time"
 
 	"speed/internal/dedup"
 	"speed/internal/enclave"
@@ -46,43 +45,20 @@ type SystemConfig struct {
 	// DisableSGXCosts turns off the simulated ECALL/OCALL and paging
 	// costs — the "without SGX" mode of Fig. 6.
 	DisableSGXCosts bool
-	// TransitionCost overrides the simulated one-way enclave boundary
-	// crossing cost (default 4µs).
-	TransitionCost time.Duration
-	// EPCBytes and EPCUsableBytes override the protected memory
-	// geometry.
-	EPCBytes       int64
-	EPCUsableBytes int64
-	// StoreMaxEntries and StoreMaxBlobBytes bound the ResultStore with
-	// LRU eviction; 0 means unlimited.
-	StoreMaxEntries   int
-	StoreMaxBlobBytes int64
-	// StoreTTL expires entries not stored or hit within the duration;
-	// 0 disables expiry.
-	StoreTTL time.Duration
-	// QuotaMaxBytesPerApp, QuotaPutRatePerSec and QuotaPutBurst enable
-	// the per-application quota mechanism (DoS mitigation).
+	// StoreMaxEntries bounds the ResultStore's entry count with LRU
+	// eviction; 0 means unlimited.
+	StoreMaxEntries int
+	// QuotaMaxBytesPerApp caps each application's resident ciphertext
+	// bytes, the per-application quota mechanism (DoS mitigation); 0
+	// means unlimited.
 	QuotaMaxBytesPerApp int64
-	QuotaPutRatePerSec  float64
-	QuotaPutBurst       float64
 	// StoreDataDir, when set, runs the ResultStore on the persistent
 	// log-structured engine rooted at this directory (sealed WAL +
-	// segments), so the store survives a restart; it needs a
-	// PlatformSeed, or the next process cannot unseal what this one
-	// wrote. Empty means a volatile in-memory store.
+	// segments, the engine's default budgets, fsync on every commit), so
+	// the store survives a restart; it needs a PlatformSeed, or the next
+	// process cannot unseal what this one wrote. Empty means a volatile
+	// in-memory store.
 	StoreDataDir string
-	// StoreMemtableBytes and StoreCacheBytes bound the log engine's
-	// in-memory write buffer and hot-entry read cache; 0 selects the
-	// defaults.
-	StoreMemtableBytes int64
-	StoreCacheBytes    int64
-	// StoreFsync selects the log engine's WAL durability policy:
-	// "commit" (default, fsync before acknowledging each write),
-	// "interval" (background fsync) or "none".
-	StoreFsync string
-	// StoreCompactInterval is the log engine's background compaction
-	// period; 0 selects the default, negative disables it.
-	StoreCompactInterval time.Duration
 	// DenyByDefault enables controlled deduplication: applications
 	// must be explicitly authorized with System.Authorize before the
 	// store serves them. Without it any attested application is
@@ -125,11 +101,8 @@ func NewSystem() (*System, error) {
 // NewSystemWithConfig creates a deployment with explicit configuration.
 func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 	platform := enclave.NewPlatform(enclave.Config{
-		EPCBytes:       cfg.EPCBytes,
-		EPCUsableBytes: cfg.EPCUsableBytes,
-		TransitionCost: cfg.TransitionCost,
-		SimulateCosts:  !cfg.DisableSGXCosts,
-		PlatformSeed:   cfg.PlatformSeed,
+		SimulateCosts: !cfg.DisableSGXCosts,
+		PlatformSeed:  cfg.PlatformSeed,
 	})
 	storeEnc, err := platform.Create("speed-resultstore", []byte("speed resultstore enclave v1"))
 	if err != nil {
@@ -143,23 +116,13 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 	}
 	tel := telemetry.NewRegistry()
 	st, err := store.New(store.Config{
-		Enclave:         storeEnc,
-		MaxEntries:      cfg.StoreMaxEntries,
-		MaxBlobBytes:    cfg.StoreMaxBlobBytes,
-		TTL:             cfg.StoreTTL,
-		Auth:            auth,
-		Oblivious:       cfg.ObliviousLookups,
-		Telemetry:       tel,
-		DataDir:         cfg.StoreDataDir,
-		MemtableBytes:   cfg.StoreMemtableBytes,
-		CacheBytes:      cfg.StoreCacheBytes,
-		Fsync:           cfg.StoreFsync,
-		CompactInterval: cfg.StoreCompactInterval,
-		Quota: store.QuotaConfig{
-			MaxBytesPerApp: cfg.QuotaMaxBytesPerApp,
-			PutRatePerSec:  cfg.QuotaPutRatePerSec,
-			PutBurst:       cfg.QuotaPutBurst,
-		},
+		Enclave:    storeEnc,
+		MaxEntries: cfg.StoreMaxEntries,
+		Auth:       auth,
+		Oblivious:  cfg.ObliviousLookups,
+		Telemetry:  tel,
+		DataDir:    cfg.StoreDataDir,
+		Quota:      store.QuotaConfig{MaxBytesPerApp: cfg.QuotaMaxBytesPerApp},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("speed: create store: %w", err)
@@ -246,11 +209,6 @@ func (s *System) StoreStats() StoreStats {
 
 // EPCUsed reports the platform's current protected-memory consumption.
 func (s *System) EPCUsed() int64 { return s.platform.EPCUsed() }
-
-// ExpireNow sweeps the ResultStore, removing every entry past the
-// configured StoreTTL, and reports how many were removed. A no-op
-// without a TTL.
-func (s *System) ExpireNow() int { return s.store.ExpireNow() }
 
 // Serve exposes the ResultStore on the listener using the attested wire
 // protocol. Applications on the same machine always connect; remote
