@@ -86,8 +86,9 @@ bench-overhead:
 # (Channel round trip, marshal, frame read, mle seal/open), the
 # storage engine's memtable-hit read, its filter-answered miss + insert
 # (which must read no segment file) and one streaming merge, the store
-# server's one-tag GET hit, the FastCDC chunker scan, and a chunked
-# hit that reassembles half its chunks from the cache.
+# server's one-tag GET hit, one client's GET hit through the mux over
+# loopback TCP, the FastCDC chunker scan, and a chunked hit that
+# reassembles half its chunks from the cache.
 # -count 6 gives the regression gate a run-to-run spread for its
 # significance test.
 BENCH_HOT_PKGS := ./internal/wire ./internal/mle ./internal/store ./internal/store/logengine ./internal/chunk ./internal/dedup

@@ -272,7 +272,7 @@ func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
 
 // dial establishes one attested channel, bounding connect plus
-// handshake with DialTimeout, and spawns its demultiplexer.
+// handshake with DialTimeout, and wraps it in a mux.
 func (c *RemoteClient) dial() (*chanMux, error) {
 	timeout := c.cfg.DialTimeout
 	if timeout < 0 {

@@ -8,48 +8,65 @@ import (
 	"speed/internal/mle"
 )
 
-// TestMuxRoundTripAllocBound holds the full mux GET-hit path — append
-// marshal, envelope send, server dispatch, owned decode, cross-
-// goroutine handoff — to a small allocation budget. The wire layer
-// underneath is allocation-free (see internal/wire hot tests); what
-// remains here is the per-request bookkeeping the mux design requires
-// (waiter channel, pending-map entry, interface boxing, and the
-// OwnMessage copy that detaches the response from the channel's
-// receive scratch). The bound is deliberately loose — its job is to
-// catch a regression that reintroduces per-frame buffer allocations,
-// not to freeze the exact count.
-func TestMuxRoundTripAllocBound(t *testing.T) {
-	env := newMuxEnv(t, nil, RemoteConfig{})
-
-	tag := tagFromString("alloc-bound-tag")
+// newMuxHit stores one 4 KiB result behind a RemoteClient on loopback
+// TCP to a store.Server, with transition costs off, and returns a GET
+// hit of it, warmed on both endpoints.
+func newMuxHit(tb testing.TB) func() {
+	env := newMuxEnv(tb, nil, RemoteConfig{})
+	tag := tagFromString("mux-hit-tag")
 	sealed := mle.Sealed{
 		Challenge:  bytes.Repeat([]byte{0xC1}, mle.ChallengeSize),
 		WrappedKey: bytes.Repeat([]byte{0xD2}, mle.KeySize),
 		Blob:       bytes.Repeat([]byte{0xAB}, 4096),
 	}
 	if err := putOne(env.client, tag, sealed, false); err != nil {
-		t.Fatalf("Put: %v", err)
+		tb.Fatalf("Put: %v", err)
 	}
-
 	get := func() {
 		got, found, err := getOne(env.client, tag)
 		if err != nil || !found {
-			t.Fatalf("Get = (found=%v, err=%v)", found, err)
+			tb.Fatalf("Get = (found=%v, err=%v)", found, err)
 		}
 		if len(got.Blob) != len(sealed.Blob) {
-			t.Fatalf("blob length %d, want %d", len(got.Blob), len(sealed.Blob))
+			tb.Fatalf("blob length %d, want %d", len(got.Blob), len(sealed.Blob))
 		}
 	}
-	// Warm every scratch buffer on both endpoints.
 	for i := 0; i < 5; i++ {
 		get()
 	}
-	// The server and mux reader run on other goroutines;
-	// AllocsPerRun counts their allocations too, which is exactly what
-	// we want: the budget covers the whole round trip.
-	const budget = 100
+	return get
+}
+
+// TestMuxRoundTripAllocBound holds the full mux GET-hit path — append
+// marshal, envelope send, server dispatch on the session reader, owned
+// decode by the caller holding the read token — to a small allocation
+// budget. The wire layer underneath is allocation-free (see
+// internal/wire hot tests); what remains is the per-request bookkeeping
+// the mux design requires (waiter channel, pending-map entry, timeout
+// timer, interface boxing, and the OwnMessage copy that detaches the
+// response from the channel's receive scratch) plus the store's lookup.
+// The path measures 17; the bound leaves room for runtime noise, not
+// for a per-frame buffer or a goroutine hand-off coming back.
+func TestMuxRoundTripAllocBound(t *testing.T) {
+	get := newMuxHit(t)
+	// The server runs on other goroutines; AllocsPerRun counts their
+	// allocations too, so the budget covers the whole round trip.
+	const budget = 24
 	if n := testing.AllocsPerRun(200, get); n > budget {
 		t.Errorf("mux GET hit allocates %v times per op, want <= %d", n, budget)
+	}
+}
+
+// BenchmarkHotMuxGetHit is one client's GET hit over real TCP —
+// RemoteClient, mux, loopback, store.Server, dispatch and back — the
+// remote hop of a hit_small hit, which `make bench-regress` pins
+// against bench/baseline.txt.
+func BenchmarkHotMuxGetHit(b *testing.B) {
+	get := newMuxHit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
 	}
 }
 

@@ -11,12 +11,13 @@ import (
 	"speed/internal/wire"
 )
 
-// chanMux multiplexes one secure channel among concurrent callers:
-// requests are enveloped with a fresh request ID and written directly
-// (wire.Channel.Send is internally serialised), while a single
-// reader goroutine correlates responses — which may arrive in any
-// order — back to their waiting callers. N goroutines share one
-// attested channel and their round trips overlap on the wire.
+// chanMux multiplexes one secure channel among concurrent callers and
+// starts no goroutine: requests are enveloped with a fresh request ID
+// and written directly (wire.Channel.Send is internally serialised),
+// and the caller holding the one-slot read token is the channel's only
+// reader, routing replies — which may arrive in any order — to their
+// callers until its own arrives. A lone caller thus sends and receives
+// on its own goroutine, while N goroutines share one attested channel.
 //
 // Errors poison the channel: any transport error, malformed envelope or
 // request timeout is terminal for the whole mux (the channel's cipher
@@ -26,12 +27,11 @@ import (
 type chanMux struct {
 	ch     *wire.Channel
 	nextID atomic.Uint64
+	token  chan struct{} // full while no caller is reading
 
 	mu      sync.Mutex
 	pending map[uint64]chan muxResult
 	err     error // terminal error; nil while healthy
-
-	readerDone chan struct{}
 }
 
 type muxResult struct {
@@ -41,23 +41,22 @@ type muxResult struct {
 
 func newChanMux(ch *wire.Channel) *chanMux {
 	m := &chanMux{
-		ch:         ch,
-		pending:    make(map[uint64]chan muxResult),
-		readerDone: make(chan struct{}),
+		ch:      ch,
+		token:   make(chan struct{}, 1),
+		pending: make(map[uint64]chan muxResult),
 	}
-	go m.readLoop()
+	m.token <- struct{}{}
 	return m
 }
 
-// readLoop is the demultiplexer: it owns Recv on the channel and routes
-// each response envelope to the caller that registered its request ID.
-// Responses for unknown IDs are dropped — a peer must not originate
-// requests, and with the kill-on-timeout discipline there are no
-// abandoned in-flight IDs to collide with.
-func (m *chanMux) readLoop() {
-	defer close(m.readerDone)
-	for {
-		//speedlint:ignore deadline kill-on-timeout: roundTrip owns the clock and fails the mux, which closes the channel and unblocks this Recv
+// readUntil is the token holder's demultiplexer: it routes each reply to
+// the caller that registered its request ID until w, its own, is
+// answered (or failed). Replies for unknown IDs are dropped — a peer
+// must not originate requests, and with the kill-on-timeout discipline
+// there are no abandoned in-flight IDs to collide with.
+func (m *chanMux) readUntil(w chan muxResult) {
+	for len(w) == 0 {
+		//speedlint:ignore deadline kill-on-timeout: roundTrip's timer fails the mux, which closes the channel and unblocks this Recv
 		payload, err := m.ch.Recv()
 		if err != nil {
 			m.fail(err)
@@ -69,24 +68,23 @@ func (m *chanMux) readLoop() {
 			return
 		}
 		// The decoded message aliases the channel's receive scratch,
-		// which the next Recv reuses — copy before it crosses to the
-		// waiting goroutine.
+		// which the next Recv reuses — copy before it reaches a caller.
 		msg = wire.OwnMessage(msg)
 		m.mu.Lock()
-		w, ok := m.pending[id]
+		c, ok := m.pending[id]
 		if ok {
 			delete(m.pending, id)
 		}
 		m.mu.Unlock()
 		if ok {
-			w <- muxResult{msg: msg} // buffered: never blocks
+			c <- muxResult{msg: msg} // buffered: never blocks
 		}
 	}
 }
 
 // fail marks the mux broken (first error wins), closes the channel so
-// the reader unwinds, and delivers the terminal error to every
-// in-flight waiter. Idempotent.
+// a caller blocked in Recv unwinds, and delivers the terminal error to
+// every in-flight waiter. Idempotent.
 func (m *chanMux) fail(err error) {
 	m.mu.Lock()
 	if m.err == nil {
@@ -111,12 +109,13 @@ func (m *chanMux) dead() bool {
 	return m.err != nil
 }
 
-// roundTrip issues one request and waits for its correlated response.
-// tc, when sampled, rides in the envelope header so the store can link
-// its spans to the caller's trace. timeout > 0 bounds the wait; expiry
-// kills the mux so the owning client re-dials. A request too large for
-// a frame is refused before a byte is written or the channel's sequence
-// number moves, so it fails alone and the mux lives on.
+// roundTrip issues one request and waits for its reply, delivered by the
+// token holder or read here once this caller takes the token. tc, when
+// sampled, rides in the envelope header so the store can link its spans
+// to the caller's trace. timeout > 0 bounds the wait; expiry kills the
+// mux so the owning client re-dials. A request too large for a frame is
+// refused before a byte is written or the channel's sequence number
+// moves, so it fails alone and the mux lives on.
 func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time.Duration) (wire.Message, error) {
 	id := m.nextID.Add(1)
 	w := make(chan muxResult, 1)
@@ -140,18 +139,21 @@ func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time
 		return nil, err
 	}
 
-	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
+		timer := time.AfterFunc(timeout, func() {
+			if len(w) == 0 { // unanswered: fail the mux, unblocking the token holder's Recv
+				m.fail(fmt.Errorf("dedup: request %d: %w", id, os.ErrDeadlineExceeded))
+			}
+		})
 		defer timer.Stop()
-		timeoutC = timer.C
 	}
 	select {
 	case r := <-w:
 		return r.msg, r.err
-	case <-timeoutC:
-		err := fmt.Errorf("dedup: request %d: %w", id, os.ErrDeadlineExceeded)
-		m.fail(err)
-		return nil, err
+	case <-m.token:
 	}
+	m.readUntil(w)
+	m.token <- struct{}{}
+	r := <-w
+	return r.msg, r.err
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ import (
 
 // newMuxEnv is newRemoteEnv with explicit server options and client
 // configuration, for exercising specific protocol-version pairings.
-func newMuxEnv(t *testing.T, serverOpts []store.ServerOption, cfg RemoteConfig) *remoteEnv {
+func newMuxEnv(t testing.TB, serverOpts []store.ServerOption, cfg RemoteConfig) *remoteEnv {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	appEnc, err := p.Create("app", []byte("app code"))
@@ -562,5 +563,155 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 	}
 	if !found || string(sealed.Blob) != "third" {
 		t.Errorf("third Get = (found=%v, %q), want the real reply despite unknown/duplicate IDs", found, sealed.Blob)
+	}
+}
+
+// tokenPeer is a raw store peer for the read-token tests. It answers a
+// one-tag GET at once with a blob holding the tag's first byte, with two
+// exceptions: a request for tag 'A' is held and answered right after the
+// next request is, and a request for tag 'H' is never answered.
+func tokenPeer(t *testing.T, storeEnc *enclave.Enclave) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	serve := func(ch *wire.Channel) error {
+		reply := func(id uint64, b byte) error {
+			return ch.SendEnvelope(id, wire.GetResponse{Results: []wire.GetResult{{Found: true, Sealed: mle.Sealed{
+				Challenge:  []byte("challenge"),
+				WrappedKey: []byte("wrapped"),
+				Blob:       []byte{b},
+			}}}})
+		}
+		var held []uint64
+		for {
+			frame, err := ch.Recv()
+			if err != nil {
+				return err
+			}
+			id, _, msg, err := ch.ParseEnvelope(frame)
+			if err != nil {
+				return err
+			}
+			gr, ok := msg.(wire.GetRequest)
+			if !ok || len(gr.Tags) != 1 {
+				return fmt.Errorf("unexpected %v", msg.Kind())
+			}
+			switch b := gr.Tags[0][0]; b {
+			case 'A':
+				held = append(held, id)
+			case 'H':
+			default:
+				if err := reply(id, b); err != nil {
+					return err
+				}
+				for _, h := range held {
+					if err := reply(h, 'A'); err != nil {
+						return err
+					}
+				}
+				held = nil
+			}
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if ch, err := wire.ServerHandshake(conn, storeEnc, nil); err == nil {
+					_ = serve(ch)
+				}
+			}()
+		}
+	}()
+	return ln
+}
+
+// TestMuxReadTokenHandOver pins the mux's one reader at a time: the
+// caller holding the read token delivers other callers' replies, hands
+// the token on when its own arrives, and a timeout elsewhere unblocks
+// it.
+func TestMuxReadTokenHandOver(t *testing.T) {
+	p := enclave.NewPlatform(enclave.Config{})
+	appEnc, _ := p.Create("app", []byte("app code"))
+	storeEnc, _ := p.Create("store", []byte("store code"))
+	ln := tokenPeer(t, storeEnc)
+	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{
+		RequestTimeout: 5 * time.Second,
+		MaxRetries:     1,
+		RetryBackoff:   time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("DialConfig: %v", err)
+	}
+	defer client.Close()
+	client.mu.Lock()
+	mux := client.mux
+	client.mu.Unlock()
+	tokenHeld := func() bool { return len(mux.token) == 0 }
+
+	get := func(b byte) error {
+		sealed, found, err := getOne(client, testTag(b))
+		if err != nil {
+			return fmt.Errorf("Get %c: %w", b, err)
+		}
+		if !found || !bytes.Equal(sealed.Blob, []byte{b}) {
+			return fmt.Errorf("Get %c = (found=%v, %q), want its own reply", b, found, sealed.Blob)
+		}
+		return nil
+	}
+
+	// A takes the token and reads; the peer answers B first, so B's reply
+	// reaches B through A's read loop, and A's own follows.
+	errs := make(chan error, 2)
+	go func() { errs <- get('A') }()
+	waitFor(t, "A to hold the read token", func() bool { return client.Inflight() == 1 && tokenHeld() })
+	go func() { errs <- get('B') }()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+
+	// A gave the token back: a later caller reads its own reply.
+	if tokenHeld() {
+		t.Error("read token still held with no request in flight")
+	}
+	if err := get('C'); err != nil {
+		t.Error(err)
+	}
+
+	// A holder waiting forever in Recv is unblocked by another caller's
+	// timeout, and both fail with the deadline.
+	holder := make(chan error, 1)
+	go func() {
+		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag('H')}}, wire.TraceContext{}, 0)
+		holder <- err
+	}()
+	waitFor(t, "a caller to hold the read token", tokenHeld)
+	if _, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag('H')}}, wire.TraceContext{}, 20*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("timed-out request = %v, want os.ErrDeadlineExceeded", err)
+	}
+	select {
+	case err := <-holder:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("token holder = %v, want os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timeout did not unblock the token holder")
+	}
+
+	// The next request re-dials and is served.
+	if err := get('D'); err != nil {
+		t.Error(err)
+	}
+	if r := client.Reconnects(); r != 1 {
+		t.Errorf("Reconnects = %d, want 1", r)
 	}
 }

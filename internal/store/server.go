@@ -28,7 +28,7 @@ type Server struct {
 	logf   func(format string, args ...any)
 
 	// Connection deadlines, so a stalled or half-open peer can never
-	// wedge a handler goroutine, and the per-session request cap; set
+	// wedge a handler goroutine, and the per-session PUT cap; set
 	// from the constants below (fields only so a test can shorten them).
 	handshakeTimeout time.Duration
 	idleTimeout      time.Duration
@@ -154,7 +154,7 @@ const (
 	// writeTimeout bounds each response write, so a peer that stops
 	// reading cannot wedge a handler.
 	writeTimeout = 30 * time.Second
-	// maxInflight caps the requests one session may have executing
+	// maxInflight caps the PUTs one session may have executing
 	// concurrently (its worker-pool size). A client that pipelines more
 	// is simply not read from until a slot frees: backpressure.
 	maxInflight = 32
@@ -305,78 +305,72 @@ type envelopeJob struct {
 	readAt time.Time
 }
 
-// handleMux services a session as a three-stage pipeline: this
-// goroutine reads and decodes envelopes, a bounded worker pool executes
-// them against the store (so slow PUTs don't block cheap GETs), and a
-// single writer goroutine serialises replies back onto the channel —
-// possibly out of request order; the request ID lets the client
-// correlate. The reader blocks when all workers are busy, so one
-// session can never have more than maxInflight requests executing.
+// handleMux services a session. This goroutine reads and decodes
+// envelopes and runs each GET and HAS itself; PUTs, which may wait on a
+// WAL fsync, go to a bounded worker pool so they never hold up the
+// cheap lookups behind them. Whichever goroutine produced a reply
+// writes it, under the session's write lock, so replies may leave out
+// of request order; the request ID lets the client correlate. The
+// reader blocks when all workers are busy, so one session can never
+// have more than maxInflight PUTs executing.
 func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, flushBytes func()) {
-	work := make(chan envelopeJob)
-	replies := make(chan envelopeJob, s.maxInflight)
-
-	// Writer: drains replies until the channel closes. On a send
-	// failure it kills the connection but keeps draining so workers are
-	// never wedged on a full replies buffer.
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		broken := false
-		for r := range replies {
+	// writeMu serialises reply writes — deadline, send, broken, byte
+	// accounting — between the reader and the workers; once a send has
+	// failed, broken drops every later reply instead of blocking on it.
+	var writeMu sync.Mutex
+	broken := false
+	serve := func(job envelopeJob) {
+		start := time.Now()
+		reply, err := s.Dispatch(owner, job.msg)
+		if err != nil {
+			// Internal failure (store closed, I/O): kill the session; the
+			// reader notices the closed conn and unwinds.
+			s.logf("store: dispatch: %v", err)
+			conn.Close()
 			if s.tel != nil {
 				s.tel.inflight.Add(-1)
 			}
-			if broken {
-				continue
-			}
+			return
+		}
+		took := time.Since(start)
+		s.recordSpan(job, reply, start)
+		s.maybeSlowLog(opName(job.msg), conn.RemoteAddr(), job.tc, took)
+
+		writeMu.Lock()
+		if !broken {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			if err := ch.SendEnvelope(r.id, r.msg); err != nil {
+			if err := ch.SendEnvelope(job.id, reply); err != nil {
 				s.logf("store: send to %v: %v", conn.RemoteAddr(), err)
 				conn.Close()
 				broken = true
-				continue
-			}
-			_ = conn.SetWriteDeadline(time.Time{})
-			if s.tel != nil {
-				flushBytes()
+			} else {
+				_ = conn.SetWriteDeadline(time.Time{})
+				if s.tel != nil {
+					flushBytes()
+				}
 			}
 		}
-	}()
+		writeMu.Unlock()
+		if s.tel != nil {
+			s.tel.reqSeconds[job.msg.Kind()].Observe(time.Since(start))
+			s.tel.inflight.Add(-1)
+		}
+	}
 
+	work := make(chan envelopeJob)
 	var wg sync.WaitGroup
 	wg.Add(s.maxInflight)
 	for i := 0; i < s.maxInflight; i++ {
 		go func() {
 			defer wg.Done()
 			for job := range work {
-				start := time.Now()
-				reply, err := s.Dispatch(owner, job.msg)
-				if err != nil {
-					// Internal failure (store closed, I/O): the session
-					// cannot make progress; kill it. The reader notices
-					// the closed conn and unwinds the pipeline.
-					s.logf("store: dispatch: %v", err)
-					conn.Close()
-					if s.tel != nil {
-						s.tel.inflight.Add(-1)
-					}
-					continue
-				}
-				took := time.Since(start)
-				if s.tel != nil {
-					s.tel.reqSeconds[job.msg.Kind()].Observe(took)
-				}
-				s.recordSpan(job, reply, start)
-				s.maybeSlowLog(opName(job.msg), conn.RemoteAddr(), job.tc, took)
-				replies <- envelopeJob{id: job.id, msg: reply}
+				serve(job)
 			}
 		}()
 	}
 
-	// Reader (this goroutine). Exiting the loop unwinds the pipeline:
-	// closing work drains the workers, then closing replies drains the
-	// writer.
+	// Reader (this goroutine). Exiting the loop closes work, and the
+	// workers finish what they hold before handleMux returns.
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		payload, err := ch.Recv()
@@ -391,23 +385,25 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 			s.logf("store: bad envelope from %v: %v", conn.RemoteAddr(), err)
 			break
 		}
-		// The decoded message aliases the channel's receive scratch; it
-		// crosses to a worker (and a PUT's Sealed is retained by the
-		// store), so copy before the next Recv reuses the buffer.
-		msg = wire.OwnMessage(msg)
-		var readAt time.Time
+		job := envelopeJob{id: id, msg: msg, tc: tc}
 		if tc.Valid() {
-			readAt = time.Now()
+			job.readAt = time.Now()
 		}
 		if s.tel != nil {
 			s.tel.inflight.Add(1)
 		}
-		work <- envelopeJob{id: id, msg: msg, tc: tc, readAt: readAt}
+		if _, ok := msg.(wire.PutRequest); !ok {
+			serve(job)
+			continue
+		}
+		// A PUT's Sealed aliases the channel's receive scratch; it
+		// crosses to a worker and the store retains it, so copy before
+		// the next Recv reuses the buffer.
+		job.msg = wire.OwnMessage(msg)
+		work <- job
 	}
 	close(work)
 	wg.Wait()
-	close(replies)
-	<-writerDone
 }
 
 // requestOps is the one table of the requests the server serves: the
@@ -449,8 +445,8 @@ func outcome(req, reply wire.Message) string {
 }
 
 // recordSpan records one sampled request's server-side span into the
-// registry's trace ring: queue_wait covers envelope decode to worker
-// dispatch, handle covers the store operation. The span links to the
+// registry's trace ring: queue_wait covers envelope decode to dispatch
+// (for a PUT, its wait for a worker), handle covers the store operation. The span links to the
 // caller's span through ParentID, so /debug/trace?id= on this node
 // contributes its part of the assembled cross-node trace.
 func (s *Server) recordSpan(job envelopeJob, reply wire.Message, start time.Time) {
