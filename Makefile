@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt vet loc knobs lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
+.PHONY: check build fmt vet loc knobs doccheck lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
 
 check: vet lint race
 
@@ -51,6 +51,25 @@ knobs:
 	row "cmd/resultstore flags" $$(grep -c 'fs\.[A-Z][A-Za-z0-9]*("' cmd/resultstore/main.go); \
 	printf '%-48s %3d\n' total $$total
 
+# Test-name citations: every Test…, Benchmark… or Fuzz… name that
+# DESIGN.md or README.md cites must match a func in some _test.go file,
+# or its file:line is printed and the target fails. A trailing * means
+# "prefix"; a name given to -bench or -run is the regexp it is there and
+# matches any func containing it. ROADMAP.md is left out: it names tests
+# still to be written.
+DOCCHECK_DOCS := DESIGN.md README.md
+
+doccheck:
+	@{ grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' . | sed 's/^func /F /'; \
+	   grep -noE "(-(bench|run)[ =]'?)?(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*[*]?" $(DOCCHECK_DOCS) | sed 's/^/C /'; } | \
+	awk '$$1 == "F" { fn[$$2] = 1; next } \
+		{ split(substr($$0, 3), f, ":"); name = f[3]; ok = 0; \
+		  if (sub(/^-(bench|run)[ =]\047?/, "", name)) { for (k in fn) if (index(k, name)) { ok = 1; break } } \
+		  else if (sub(/[*]$$/, "", name)) { for (k in fn) if (index(k, name) == 1) { ok = 1; break } } \
+		  else ok = (name in fn); \
+		  if (!ok) { print f[1] ":" f[2] ": no test named " f[3]; bad = 1 } } \
+		END { exit bad }'
+
 # SPEED-specific invariants: trust boundary, key hygiene, atomic/plain
 # mixing, unbounded network waits, wire kind/codec symmetry, sealed-data
 # taint, durability ordering, goroutine shutdown edges.
@@ -86,8 +105,8 @@ bench-overhead:
 # (Channel round trip, marshal, frame read, mle seal/open), the
 # storage engine's memtable-hit read, its filter-answered miss + insert
 # (which must read no segment file) and one streaming merge, the store
-# server's one-tag GET hit, one client's GET hit through the mux over
-# loopback TCP, the FastCDC chunker scan, and a chunked hit that
+# server's one-tag GET hit, one client's GET hit and PUT through the mux
+# over loopback TCP, the FastCDC chunker scan, and a chunked hit that
 # reassembles half its chunks from the cache.
 # -count 6 gives the regression gate a run-to-run spread for its
 # significance test.

@@ -2,17 +2,19 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"speed/internal/mle"
+	"speed/internal/store"
 )
 
 // newMuxHit stores one 4 KiB result behind a RemoteClient on loopback
 // TCP to a store.Server, with transition costs off, and returns a GET
 // hit of it, warmed on both endpoints.
 func newMuxHit(tb testing.TB) func() {
-	env := newMuxEnv(tb, nil, RemoteConfig{})
+	env := newMuxEnv(tb, store.Config{}, nil, RemoteConfig{})
 	tag := tagFromString("mux-hit-tag")
 	sealed := mle.Sealed{
 		Challenge:  bytes.Repeat([]byte{0xC1}, mle.ChallengeSize),
@@ -38,7 +40,7 @@ func newMuxHit(tb testing.TB) func() {
 }
 
 // TestMuxRoundTripAllocBound holds the full mux GET-hit path — append
-// marshal, envelope send, server dispatch on the session reader, owned
+// marshal, envelope send, server dispatch on the session goroutine, owned
 // decode by the caller holding the read token — to a small allocation
 // budget. The wire layer underneath is allocation-free (see
 // internal/wire hot tests); what remains is the per-request bookkeeping
@@ -67,6 +69,66 @@ func BenchmarkHotMuxGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		get()
+	}
+}
+
+// muxPutEntries caps the store behind newMuxPut, so that in the steady
+// state every PUT evicts one entry and memory stays flat however many
+// operations a benchmark runs.
+const muxPutEntries = 1024
+
+// newMuxPut returns a PUT of one 4 KiB result under a fresh tag per
+// call, from a RemoteClient on loopback TCP to a store.Server over a
+// volatile store, with transition costs off. The store is already full
+// when it returns.
+func newMuxPut(tb testing.TB) func() {
+	env := newMuxEnv(tb, store.Config{MaxEntries: muxPutEntries}, nil, RemoteConfig{})
+	sealed := mle.Sealed{
+		Challenge:  bytes.Repeat([]byte{0xC1}, mle.ChallengeSize),
+		WrappedKey: bytes.Repeat([]byte{0xD2}, mle.KeySize),
+		Blob:       bytes.Repeat([]byte{0xAB}, 4096),
+	}
+	var n uint64
+	put := func() {
+		n++
+		var tag mle.Tag
+		binary.BigEndian.PutUint64(tag[:], n)
+		if err := putOne(env.client, tag, sealed, false); err != nil {
+			tb.Fatalf("Put %d: %v", n, err)
+		}
+	}
+	for i := 0; i <= muxPutEntries; i++ {
+		put()
+	}
+	return put
+}
+
+// TestMuxPutAllocBound holds the mux PUT path — a fresh 4 KiB item
+// marshalled and sent, dispatched on the session goroutine straight
+// from its receive scratch, copied once into the store, which evicts
+// one entry, and the reply decoded by the caller — to a small
+// allocation budget. The path measures 20; the bound leaves room for
+// runtime noise, not for a server-side copy of the request.
+func TestMuxPutAllocBound(t *testing.T) {
+	put := newMuxPut(t)
+	// The server runs on other goroutines; AllocsPerRun counts their
+	// allocations too, so the budget covers the whole round trip.
+	const budget = 22
+	if n := testing.AllocsPerRun(200, put); n > budget {
+		t.Errorf("mux PUT allocates %v times per op, want <= %d", n, budget)
+	}
+}
+
+// BenchmarkHotMuxPut is one client's PUT of a fresh 4 KiB result over
+// real TCP — RemoteClient, mux, loopback, store.Server, dispatch and
+// back — the remote hop of a miss_durable miss without the WAL, which
+// `make bench-regress` pins against bench/baseline.txt.
+func BenchmarkHotMuxPut(b *testing.B) {
+	put := newMuxPut(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put()
 	}
 }
 

@@ -87,18 +87,35 @@ func (m *chanMux) readUntil(w chan muxResult) {
 // every in-flight waiter. Idempotent.
 func (m *chanMux) fail(err error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.failLocked(err)
+}
+
+// expire is request id's deadline. While the request is unanswered —
+// its pending entry, which readUntil deletes before delivering, is
+// still there — it fails the mux, which unblocks the token holder's
+// Recv. Once the reply was routed, the caller has it even if its timer
+// has not been stopped yet, and the mux stays healthy.
+func (m *chanMux) expire(id uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, unanswered := m.pending[id]; unanswered {
+		m.failLocked(fmt.Errorf("dedup: request %d: %w", id, os.ErrDeadlineExceeded))
+	}
+}
+
+// failLocked is fail with m.mu held.
+func (m *chanMux) failLocked(err error) {
 	if m.err == nil {
 		m.err = err
 		m.ch.Close()
 	} else {
 		err = m.err
 	}
-	pending := m.pending
-	m.pending = make(map[uint64]chan muxResult)
-	m.mu.Unlock()
-	for _, w := range pending {
-		w <- muxResult{err: err} // buffered: never blocks
+	for _, w := range m.pending {
+		w <- muxResult{err: err} // buffered, and nothing else sends to a pending waiter: never blocks
 	}
+	m.pending = make(map[uint64]chan muxResult)
 }
 
 // dead reports whether the mux has failed; the owning client then drops
@@ -140,11 +157,7 @@ func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time
 	}
 
 	if timeout > 0 {
-		timer := time.AfterFunc(timeout, func() {
-			if len(w) == 0 { // unanswered: fail the mux, unblocking the token holder's Recv
-				m.fail(fmt.Errorf("dedup: request %d: %w", id, os.ErrDeadlineExceeded))
-			}
-		})
+		timer := time.AfterFunc(timeout, func() { m.expire(id) })
 		defer timer.Stop()
 	}
 	select {

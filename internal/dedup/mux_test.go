@@ -20,9 +20,9 @@ import (
 	"speed/internal/wire"
 )
 
-// newMuxEnv is newRemoteEnv with explicit server options and client
-// configuration, for exercising specific protocol-version pairings.
-func newMuxEnv(t testing.TB, serverOpts []store.ServerOption, cfg RemoteConfig) *remoteEnv {
+// newMuxEnv is newRemoteEnv with an explicit store configuration (its
+// enclave filled in here), server options and client configuration.
+func newMuxEnv(t testing.TB, storeCfg store.Config, serverOpts []store.ServerOption, cfg RemoteConfig) *remoteEnv {
 	t.Helper()
 	p := enclave.NewPlatform(enclave.Config{})
 	appEnc, err := p.Create("app", []byte("app code"))
@@ -33,7 +33,8 @@ func newMuxEnv(t testing.TB, serverOpts []store.ServerOption, cfg RemoteConfig) 
 	if err != nil {
 		t.Fatalf("create store: %v", err)
 	}
-	st, err := store.New(store.Config{Enclave: storeEnc})
+	storeCfg.Enclave = storeEnc
+	st, err := store.New(storeCfg)
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}
@@ -63,7 +64,7 @@ func newMuxEnv(t testing.TB, serverOpts []store.ServerOption, cfg RemoteConfig) 
 }
 
 func TestMuxConcurrentCallersOneConnection(t *testing.T) {
-	env := newMuxEnv(t, nil, RemoteConfig{})
+	env := newMuxEnv(t, store.Config{}, nil, RemoteConfig{})
 	const workers = 16
 	const perWorker = 15
 	var wg sync.WaitGroup
@@ -275,7 +276,7 @@ func TestOversizedRequestFailsAlone(t *testing.T) {
 	// A request timeout far beyond the test: marshalling 64 MiB under the
 	// race detector can stall the process long enough for a default
 	// deadline to fire on a reply that is already there.
-	env := newMuxEnv(t, nil, RemoteConfig{RequestTimeout: 5 * time.Minute})
+	env := newMuxEnv(t, store.Config{}, nil, RemoteConfig{RequestTimeout: 5 * time.Minute})
 	if err := putOne(env.client, testTag(1), mle.Sealed{Blob: []byte("small")}, false); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -713,5 +714,65 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 	}
 	if r := client.Reconnects(); r != 1 {
 		t.Errorf("Reconnects = %d, want 1", r)
+	}
+}
+
+// TestMuxDeadlineAfterReply: a deadline that fires after its request's
+// reply was routed — the caller has the reply, its timer is not stopped
+// yet — leaves the mux and every other in-flight request alone; the
+// deadline of a request still unanswered fails the mux.
+func TestMuxDeadlineAfterReply(t *testing.T) {
+	p := enclave.NewPlatform(enclave.Config{})
+	appEnc, _ := p.Create("app", []byte("app code"))
+	storeEnc, _ := p.Create("store", []byte("store code"))
+	ln := tokenPeer(t, storeEnc)
+	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{MaxRetries: -1})
+	if err != nil {
+		t.Fatalf("DialConfig: %v", err)
+	}
+	defer client.Close()
+	client.mu.Lock()
+	mux := client.mux
+	client.mu.Unlock()
+	get := func(b byte) error {
+		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag(b)}}, wire.TraceContext{}, 0)
+		return err
+	}
+	pending := func() int {
+		mux.mu.Lock()
+		defer mux.mu.Unlock()
+		return len(mux.pending)
+	}
+
+	// H is never answered and holds the read token; B's reply reaches B
+	// through H's read loop.
+	held := make(chan error, 1)
+	go func() { held <- get('H') }()
+	waitFor(t, "H to be in flight", func() bool { return pending() == 1 })
+	hID := mux.nextID.Load()
+	if err := get('B'); err != nil {
+		t.Fatalf("Get B: %v", err)
+	}
+	mux.expire(mux.nextID.Load())
+	if mux.dead() {
+		t.Fatal("the deadline of an answered request failed the mux")
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("the deadline of an answered request failed the in-flight H: %v", err)
+	default:
+	}
+
+	mux.expire(hID)
+	select {
+	case err := <-held:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("unanswered H = %v, want os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the deadline of an unanswered request did not fail it")
+	}
+	if !mux.dead() {
+		t.Error("the deadline of an unanswered request left the mux healthy")
 	}
 }

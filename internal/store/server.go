@@ -20,6 +20,8 @@ import (
 // server runs outside the enclave (Section IV-B: "the main body of
 // encrypted ResultStore runs outside the enclave"); each request is
 // parsed outside and delegated into the store enclave via an ECALL.
+// Each session is one goroutine, which reads, serves and answers its
+// requests in turn (handleMux); sessions run concurrently.
 type Server struct {
 	store  *Store
 	ln     net.Listener
@@ -28,12 +30,11 @@ type Server struct {
 	logf   func(format string, args ...any)
 
 	// Connection deadlines, so a stalled or half-open peer can never
-	// wedge a handler goroutine, and the per-session PUT cap; set
-	// from the constants below (fields only so a test can shorten them).
+	// wedge a session goroutine; set from the constants below (fields
+	// only so a test can shorten them).
 	handshakeTimeout time.Duration
 	idleTimeout      time.Duration
 	writeTimeout     time.Duration
-	maxInflight      int
 
 	// slowThreshold, when positive, logs one structured line for any
 	// request whose dispatch exceeds it (see WithSlowRequestLog);
@@ -152,12 +153,8 @@ const (
 	// only sheds abandoned sessions.
 	idleTimeout = 5 * time.Minute
 	// writeTimeout bounds each response write, so a peer that stops
-	// reading cannot wedge a handler.
+	// reading cannot wedge its session.
 	writeTimeout = 30 * time.Second
-	// maxInflight caps the PUTs one session may have executing
-	// concurrently (its worker-pool size). A client that pipelines more
-	// is simply not read from until a slot frees: backpressure.
-	maxInflight = 32
 )
 
 // NewServer wraps store with a protocol server listening on ln.
@@ -171,7 +168,6 @@ func NewServer(st *Store, ln net.Listener, opts ...ServerOption) *Server {
 		handshakeTimeout: handshakeTimeout,
 		idleTimeout:      idleTimeout,
 		writeTimeout:     writeTimeout,
-		maxInflight:      maxInflight,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -293,9 +289,8 @@ func (s *Server) handle(conn net.Conn) {
 	s.handleMux(conn, ch, owner, flushBytes)
 }
 
-// envelopeJob is one decoded request travelling through the session
-// pipeline.
-type envelopeJob struct {
+// request is one decoded envelope on its way through the session.
+type request struct {
 	id  uint64
 	msg wire.Message
 	// tc is the caller's trace context (zero when unsampled); readAt is
@@ -305,72 +300,17 @@ type envelopeJob struct {
 	readAt time.Time
 }
 
-// handleMux services a session. This goroutine reads and decodes
-// envelopes and runs each GET and HAS itself; PUTs, which may wait on a
-// WAL fsync, go to a bounded worker pool so they never hold up the
-// cheap lookups behind them. Whichever goroutine produced a reply
-// writes it, under the session's write lock, so replies may leave out
-// of request order; the request ID lets the client correlate. The
-// reader blocks when all workers are busy, so one session can never
-// have more than maxInflight PUTs executing.
+// handleMux services a session on this one goroutine: it reads and
+// decodes an envelope, dispatches it and writes the reply before it
+// reads the next, the same way for GET, HAS and PUT, so replies leave in
+// request order. A client that pipelines is simply not read from while a
+// request runs — backpressure without a protocol-level window. A PUT
+// waiting on its WAL fsync holds up only what the engine lock it holds
+// would hold up anyway (DESIGN.md "One engine lock"). The decoded
+// message aliases the channel's receive scratch, which is safe because
+// the store copies what it keeps and nothing reads the message after
+// the reply is written.
 func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, flushBytes func()) {
-	// writeMu serialises reply writes — deadline, send, broken, byte
-	// accounting — between the reader and the workers; once a send has
-	// failed, broken drops every later reply instead of blocking on it.
-	var writeMu sync.Mutex
-	broken := false
-	serve := func(job envelopeJob) {
-		start := time.Now()
-		reply, err := s.Dispatch(owner, job.msg)
-		if err != nil {
-			// Internal failure (store closed, I/O): kill the session; the
-			// reader notices the closed conn and unwinds.
-			s.logf("store: dispatch: %v", err)
-			conn.Close()
-			if s.tel != nil {
-				s.tel.inflight.Add(-1)
-			}
-			return
-		}
-		took := time.Since(start)
-		s.recordSpan(job, reply, start)
-		s.maybeSlowLog(opName(job.msg), conn.RemoteAddr(), job.tc, took)
-
-		writeMu.Lock()
-		if !broken {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			if err := ch.SendEnvelope(job.id, reply); err != nil {
-				s.logf("store: send to %v: %v", conn.RemoteAddr(), err)
-				conn.Close()
-				broken = true
-			} else {
-				_ = conn.SetWriteDeadline(time.Time{})
-				if s.tel != nil {
-					flushBytes()
-				}
-			}
-		}
-		writeMu.Unlock()
-		if s.tel != nil {
-			s.tel.reqSeconds[job.msg.Kind()].Observe(time.Since(start))
-			s.tel.inflight.Add(-1)
-		}
-	}
-
-	work := make(chan envelopeJob)
-	var wg sync.WaitGroup
-	wg.Add(s.maxInflight)
-	for i := 0; i < s.maxInflight; i++ {
-		go func() {
-			defer wg.Done()
-			for job := range work {
-				serve(job)
-			}
-		}()
-	}
-
-	// Reader (this goroutine). Exiting the loop closes work, and the
-	// workers finish what they hold before handleMux returns.
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		payload, err := ch.Recv()
@@ -378,32 +318,55 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				s.logf("store: recv from %v: %v", conn.RemoteAddr(), err)
 			}
-			break
+			return
 		}
 		id, tc, msg, err := ch.ParseEnvelope(payload)
 		if err != nil {
 			s.logf("store: bad envelope from %v: %v", conn.RemoteAddr(), err)
-			break
+			return
 		}
-		job := envelopeJob{id: id, msg: msg, tc: tc}
+		req := request{id: id, msg: msg, tc: tc}
 		if tc.Valid() {
-			job.readAt = time.Now()
+			req.readAt = time.Now()
 		}
-		if s.tel != nil {
-			s.tel.inflight.Add(1)
+		if err := s.serve(conn, ch, owner, req, flushBytes); err != nil {
+			// Internal failure (store closed, I/O) or a failed write:
+			// returning closes the connection and ends the session.
+			s.logf("store: %v", err)
+			return
 		}
-		if _, ok := msg.(wire.PutRequest); !ok {
-			serve(job)
-			continue
-		}
-		// A PUT's Sealed aliases the channel's receive scratch; it
-		// crosses to a worker and the store retains it, so copy before
-		// the next Recv reuses the buffer.
-		job.msg = wire.OwnMessage(msg)
-		work <- job
 	}
-	close(work)
-	wg.Wait()
+}
+
+// serve dispatches one request and writes its reply, observing it in
+// speed_server_request_seconds once it was dispatched, whether or not
+// the write succeeds.
+func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, req request, flushBytes func()) error {
+	if s.tel != nil {
+		s.tel.inflight.Add(1)
+		defer s.tel.inflight.Add(-1)
+	}
+	start := time.Now()
+	reply, err := s.Dispatch(owner, req.msg)
+	if err != nil {
+		return fmt.Errorf("dispatch: %w", err)
+	}
+	s.recordSpan(req, reply, start)
+	s.maybeSlowLog(opName(req.msg), conn.RemoteAddr(), req.tc, time.Since(start))
+
+	_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+	err = ch.SendEnvelope(req.id, reply)
+	if s.tel != nil {
+		s.tel.reqSeconds[req.msg.Kind()].Observe(time.Since(start))
+	}
+	if err != nil {
+		return fmt.Errorf("send to %v: %w", conn.RemoteAddr(), err)
+	}
+	_ = conn.SetWriteDeadline(time.Time{})
+	if s.tel != nil {
+		flushBytes()
+	}
+	return nil
 }
 
 // requestOps is the one table of the requests the server serves: the
@@ -446,24 +409,26 @@ func outcome(req, reply wire.Message) string {
 
 // recordSpan records one sampled request's server-side span into the
 // registry's trace ring: queue_wait covers envelope decode to dispatch
-// (for a PUT, its wait for a worker), handle covers the store operation. The span links to the
-// caller's span through ParentID, so /debug/trace?id= on this node
-// contributes its part of the assembled cross-node trace.
-func (s *Server) recordSpan(job envelopeJob, reply wire.Message, start time.Time) {
-	if s.tel == nil || !job.tc.Valid() {
+// (the session reads a request only once the one before it is answered,
+// so no request waits there behind another), handle covers the store
+// operation. The span links to the caller's span through ParentID, so
+// /debug/trace?id= on this node contributes its part of the assembled
+// cross-node trace.
+func (s *Server) recordSpan(req request, reply wire.Message, start time.Time) {
+	if s.tel == nil || !req.tc.Valid() {
 		return
 	}
 	now := time.Now()
-	queue := start.Sub(job.readAt)
+	queue := start.Sub(req.readAt)
 	handle := now.Sub(start)
 	s.tel.reg.Trace().Add(telemetry.TraceEvent{
 		Time:     now,
-		Name:     opName(job.msg),
-		Outcome:  outcome(job.msg, reply),
-		TotalNS:  now.Sub(job.readAt).Nanoseconds(),
-		TraceID:  job.tc.TraceIDHex(),
+		Name:     opName(req.msg),
+		Outcome:  outcome(req.msg, reply),
+		TotalNS:  now.Sub(req.readAt).Nanoseconds(),
+		TraceID:  req.tc.TraceIDHex(),
 		SpanID:   wire.SpanIDHex(wire.NewSpanID()),
-		ParentID: wire.SpanIDHex(job.tc.Parent),
+		ParentID: wire.SpanIDHex(req.tc.Parent),
 		Node:     s.tel.reg.Node(),
 		Phases: []telemetry.PhaseSpan{
 			{Name: "queue_wait", StartNS: 0, DurNS: queue.Nanoseconds()},

@@ -1,30 +1,45 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/telemetry"
 	"speed/internal/wire"
 )
 
-// One session's pipeline: GETs and HASes run on the session reader,
-// PUTs in the worker pool, and each reply is written by the goroutine
-// that produced it.
+// One session is one goroutine: it reads a request, dispatches it and
+// writes the reply before it reads the next, for GET, HAS and PUT alike.
 
-// startSession runs a telemetry-instrumented server with opts and opens
-// one raw session to it, with a deadline so a wedged pipeline fails the
-// test instead of hanging it.
+// startSession runs a telemetry-instrumented server over a volatile
+// store with opts and opens one raw session to it.
 func startSession(t *testing.T, opts ...ServerOption) (*Server, *wire.Channel) {
 	t.Helper()
-	opts = append([]ServerOption{WithTelemetry(telemetry.NewRegistry())}, opts...)
-	srv, p, storeEnc := startRobustServer(t, opts...)
+	return startSessionOn(t, Config{}, opts...)
+}
+
+// startSessionOn is startSession over a store built from cfg, its
+// enclave supplied. The session has a deadline, so a wedged pipeline
+// fails the test instead of hanging it.
+func startSessionOn(t *testing.T, cfg Config, opts ...ServerOption) (*Server, *wire.Channel) {
+	t.Helper()
+	p := enclave.NewPlatform(enclave.Config{})
+	storeEnc, err := p.Create("store", []byte("store code"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
 	appEnc, err := p.Create("app", []byte("app code"))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	cfg.Enclave = storeEnc
+	st := testStore(t, cfg)
+	srv := startServer(t, st, append([]ServerOption{WithTelemetry(telemetry.NewRegistry())}, opts...)...)
 	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
 	if !ch.SetDeadline(time.Now().Add(10 * time.Second)) {
 		t.Fatal("the session refused a deadline")
@@ -61,55 +76,110 @@ func sendPipeline(t *testing.T, ch *wire.Channel, n int) (map[uint64]wire.Kind, 
 
 // TestSessionPipeline pipelines 64 mixed requests on one session and
 // then reads 64 replies: every request ID is answered exactly once,
-// with its request's reply kind, whether the worker pool has the
-// default 32 slots or one. Once the server is closed,
+// with its request's reply kind. Once the server is closed,
 // speed_server_request_seconds holds one observation per request under
-// its op label — the inline GET/HAS path and the pooled PUT path alike
-// — and no request is left counted in flight.
+// its op label and no request is left counted in flight.
 func TestSessionPipeline(t *testing.T) {
-	for _, inflight := range []int{maxInflight, 1} {
-		t.Run(fmt.Sprint("pool=", inflight), func(t *testing.T) {
-			srv, ch := startSession(t, func(s *Server) { s.maxInflight = inflight })
+	srv, ch := startSession(t)
+	const n = 64
+	want, sent := sendPipeline(t, ch, n)
+	for i := 0; i < n; i++ {
+		payload, err := ch.Recv()
+		if err != nil {
+			t.Fatalf("reply %d of %d: %v", i+1, n, err)
+		}
+		id, _, msg, err := ch.ParseEnvelope(payload)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i+1, err)
+		}
+		kind, ok := want[id]
+		if !ok {
+			t.Fatalf("reply for ID %d, which is unknown or already answered", id)
+		}
+		if msg.Kind() != kind {
+			t.Errorf("ID %d answered with %v, want %v", id, msg.Kind(), kind)
+		}
+		delete(want, id)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for kind, op := range requestOps {
+		if got := srv.tel.reqSeconds[kind].Snapshot().Count; got != int64(sent[kind]) {
+			t.Errorf("speed_server_request_seconds{op=%q} count = %d, want %d", op.label, got, sent[kind])
+		}
+	}
+	if v := srv.tel.inflight.Value(); v != 0 {
+		t.Errorf("speed_server_inflight_requests = %d after Close, want 0", v)
+	}
+}
+
+// TestSessionPipelinedPutPayloads pins what lets the session hand a PUT
+// to the store straight from the channel's receive scratch, which the
+// next Recv overwrites: the store copies what it keeps. 64 PUTs of
+// distinct 4 KiB payloads are pipelined on one session without reading
+// a reply, and every tag then reads back byte for byte — on a volatile
+// store and on a log-engine store with a data directory, whose memtable
+// holds them all.
+func TestSessionPipelinedPutPayloads(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"memory", func(*testing.T) Config { return Config{} }},
+		{EngineLog, func(t *testing.T) Config { return Config{DataDir: t.TempDir()} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ch := startSessionOn(t, c.cfg(t))
 			const n = 64
-			want, sent := sendPipeline(t, ch, n)
-			for i := 0; i < n; i++ {
+			tag := func(i int) mle.Tag { return tagOf(fmt.Sprint("payload-", i)) }
+			sealed := func(i int) mle.Sealed {
+				rng := rand.New(rand.NewSource(int64(i)))
+				s := mle.Sealed{Challenge: make([]byte, 16), WrappedKey: make([]byte, 16), Blob: make([]byte, 4<<10)}
+				rng.Read(s.Challenge)
+				rng.Read(s.WrappedKey)
+				rng.Read(s.Blob)
+				return s
+			}
+			for i := 1; i <= n; i++ {
+				req := wire.PutRequest{Items: []wire.PutItem{{Tag: tag(i), Sealed: sealed(i)}}}
+				if err := ch.SendEnvelope(uint64(i), req); err != nil {
+					t.Fatalf("send PUT %d: %v", i, err)
+				}
+			}
+			for i := 1; i <= n; i++ {
 				payload, err := ch.Recv()
 				if err != nil {
-					t.Fatalf("reply %d of %d: %v", i+1, n, err)
+					t.Fatalf("reply %d of %d: %v", i, n, err)
 				}
-				id, _, msg, err := ch.ParseEnvelope(payload)
+				_, _, msg, err := ch.ParseEnvelope(payload)
 				if err != nil {
-					t.Fatalf("reply %d: %v", i+1, err)
+					t.Fatalf("reply %d: %v", i, err)
 				}
-				kind, ok := want[id]
-				if !ok {
-					t.Fatalf("reply for ID %d, which is unknown or already answered", id)
-				}
-				if msg.Kind() != kind {
-					t.Errorf("ID %d answered with %v, want %v", id, msg.Kind(), kind)
-				}
-				delete(want, id)
-			}
-
-			if err := srv.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			for kind, op := range requestOps {
-				if got := srv.tel.reqSeconds[kind].Snapshot().Count; got != int64(sent[kind]) {
-					t.Errorf("speed_server_request_seconds{op=%q} count = %d, want %d", op.label, got, sent[kind])
+				if pr, ok := msg.(wire.PutResponse); !ok || len(pr.Results) != 1 || !pr.Results[0].OK {
+					t.Fatalf("reply %d = %#v, want one accepted PUT", i, msg)
 				}
 			}
-			if v := srv.tel.inflight.Value(); v != 0 {
-				t.Errorf("speed_server_inflight_requests = %d after Close, want 0", v)
+			for i := 1; i <= n; i++ {
+				got, err := getOver(ch, tag(i))
+				if err != nil {
+					t.Fatalf("GET %d: %v", i, err)
+				}
+				want := sealed(i)
+				if !got.Found || !bytes.Equal(got.Sealed.Blob, want.Blob) ||
+					!bytes.Equal(got.Sealed.Challenge, want.Challenge) || !bytes.Equal(got.Sealed.WrappedKey, want.WrappedKey) {
+					t.Fatalf("GET %d (found=%v) does not return the bytes its PUT sent", i, got.Found)
+				}
 			}
 		})
 	}
 }
 
-// TestSessionReplyWriteFails: when writing a reply fails, the request is
-// still observed exactly once and leaves the in-flight gauge, on the
-// inline path (GET) and the pooled path (PUT); the server closes the
-// session rather than wedging the goroutine that tried to write.
+// TestSessionReplyWriteFails: when writing a reply fails, the request —
+// a GET or a PUT — is still observed exactly once and leaves the
+// in-flight gauge; the server closes the session rather than wedging on
+// the write.
 func TestSessionReplyWriteFails(t *testing.T) {
 	for _, req := range []wire.Message{
 		wire.GetRequest{Tags: []mle.Tag{tagOf("k")}},
@@ -144,25 +214,21 @@ func TestSessionReplyWriteFails(t *testing.T) {
 }
 
 // TestSessionDropMidPipeline: a client that hangs up with requests
-// still in the pipeline — PUTs in the pool, replies unwritten — costs
-// the server nothing it cannot unwind: Close returns promptly.
+// still in the pipeline — unread or unanswered — costs the server
+// nothing it cannot unwind: Close returns promptly.
 func TestSessionDropMidPipeline(t *testing.T) {
-	for _, inflight := range []int{maxInflight, 1} {
-		t.Run(fmt.Sprint("pool=", inflight), func(t *testing.T) {
-			srv, ch := startSession(t, func(s *Server) { s.maxInflight = inflight })
-			sendPipeline(t, ch, 64)
-			ch.Close()
+	srv, ch := startSession(t)
+	sendPipeline(t, ch, 64)
+	ch.Close()
 
-			closed := make(chan error, 1)
-			go func() { closed <- srv.Close() }()
-			select {
-			case err := <-closed:
-				if err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("Server.Close did not return after the client dropped mid-pipeline")
-			}
-		})
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close did not return after the client dropped mid-pipeline")
 	}
 }
