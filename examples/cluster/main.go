@@ -75,13 +75,8 @@ func run() error {
 		Replicas:         2,
 		App:              appEnc,
 		StoreMeasurement: storeMeas,
-		FailThreshold:    2,
-		ProbeInterval:    25 * time.Millisecond,
 		Logf:             func(format string, args ...any) { fmt.Printf("  [cluster] "+format+"\n", args...) },
-		Remote: dedup.RemoteConfig{
-			RequestTimeout: time.Second,
-			MaxRetries:     -1, // fail fast; the router's failover is the retry
-		},
+		Remote:           dedup.RemoteConfig{RequestTimeout: time.Second},
 	})
 	if err != nil {
 		return err
@@ -135,7 +130,8 @@ func run() error {
 	}
 
 	// Kill one member. Every tag keeps a live replica, so every call
-	// keeps succeeding; the router fails over and marks the member down.
+	// keeps succeeding: the member's transport marks it down on its first
+	// failed request, and the router fails over.
 	fmt.Printf("\nkilling member %s\n", addrs[0])
 	if err := servers[0].Close(); err != nil {
 		return err

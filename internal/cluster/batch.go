@@ -25,7 +25,7 @@ func (c *Client) pickRead(tag mle.Tag, excluded map[int]bool) (int, bool) {
 func (c *Client) pickWrite(tag mle.Tag, excluded map[int]bool) (int, bool) {
 	all := c.ring.owners(tag, len(c.nodes))
 	for _, ni := range all {
-		if !excluded[ni] && c.nodes[ni].up.Load() {
+		if !excluded[ni] && c.nodes[ni].client.Healthy() {
 			return ni, true
 		}
 	}
@@ -133,14 +133,12 @@ func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, er
 		for _, gr := range c.runGets(tc, tags, groups) {
 			n := c.nodes[gr.ni]
 			if gr.err != nil {
-				c.noteFailure(n, gr.err)
-				c.noteFailover(n, len(gr.idxs))
+				c.noteFailover(n, len(gr.idxs), gr.err)
 				exclude(excluded, gr.idxs, gr.ni)
 				pending = append(pending, gr.idxs...)
 				lastErr = gr.err
 				continue
 			}
-			c.noteSuccess(n)
 			n.routedGet.Add(int64(len(gr.idxs)))
 			for k, idx := range gr.idxs {
 				results[idx] = gr.gets[k]
@@ -191,8 +189,8 @@ func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]
 // Has implements dedup.StoreClient: each tag's primary member (the node
 // a routed GET would consult first) is asked whether it holds the tag,
 // in parallel per-member HAS round trips. Answers are hints in both
-// directions — a member failure (noted against its health) or a short
-// answer reports its tags as absent rather than failing the probe, so
+// directions — a member failure (which its transport notes against its
+// health) or a short answer reports its tags as absent rather than failing the probe, so
 // callers just transfer bytes they might have skipped. No hit counting
 // or recency happens anywhere on this path.
 func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
@@ -210,13 +208,7 @@ func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 		gr.has, gr.err = c.nodes[gr.ni].client.Has(tc, pick(tags, gr.idxs))
 	})
 	for _, gr := range grs {
-		n := c.nodes[gr.ni]
-		if gr.err != nil {
-			c.noteFailure(n, gr.err)
-			continue
-		}
-		c.noteSuccess(n)
-		if len(gr.has) != len(gr.idxs) {
+		if gr.err != nil || len(gr.has) != len(gr.idxs) {
 			continue
 		}
 		for k, idx := range gr.idxs {
@@ -247,13 +239,11 @@ func (c *Client) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResu
 		for _, gr := range grs {
 			n := c.nodes[gr.ni]
 			if gr.err != nil {
-				c.noteFailure(n, gr.err)
-				c.noteFailover(n, len(gr.idxs))
+				c.noteFailover(n, len(gr.idxs), gr.err)
 				exclude(excluded, gr.idxs, gr.ni)
 				lastErr = gr.err
 				continue
 			}
-			c.noteSuccess(n)
 			n.routedPut.Add(int64(len(gr.idxs)))
 			for k, idx := range gr.idxs {
 				// The first answer stands unless a later replica accepted.

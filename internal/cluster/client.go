@@ -33,18 +33,10 @@ type Config struct {
 	// code, so one pinned measurement covers the whole ring.
 	StoreMeasurement enclave.Measurement
 	// Remote configures each member's underlying RemoteClient
-	// (deadlines, retry schedule, trust set). Lazy is
-	// forced on: the cluster client must construct even while some
-	// members are down, and the health prober finds them later.
+	// (deadlines, probe cadence, trust set), which is also the member's
+	// failure detector. Lazy is forced on: the cluster client must
+	// construct even while some members are down.
 	Remote dedup.RemoteConfig
-	// FailThreshold is the number of consecutive transport failures
-	// after which a member is marked down and skipped by the router
-	// until a health probe succeeds. Zero selects the default (3).
-	FailThreshold int
-	// ProbeInterval is the background health-probe cadence; each probe
-	// is a Ping (a full round trip with zero store operations). Zero
-	// selects the default (500ms).
-	ProbeInterval time.Duration
 	// Telemetry, when non-nil, registers the per-node cluster series:
 	// speed_cluster_node_up, speed_cluster_routed_total,
 	// speed_cluster_failovers_total and speed_cluster_read_repairs_total.
@@ -56,16 +48,11 @@ type Config struct {
 // errClientClosed is returned from requests after Close.
 var errClientClosed = errors.New("cluster: client closed")
 
-// node is one ring member: its transport plus the up/down health state
-// machine the router consults.
+// node is one ring member. Its transport keeps the member's health,
+// which the router reads through client.Healthy.
 type node struct {
 	addr   string
 	client *dedup.RemoteClient
-
-	// up flips down after FailThreshold consecutive transport failures
-	// and back up on any successful exchange (request or probe).
-	up    atomic.Bool
-	fails atomic.Int64
 
 	// Nil-safe telemetry mirrors.
 	routedGet  *telemetry.Counter
@@ -78,9 +65,8 @@ type node struct {
 // errors, with read-repair back to the primary), every PUT is
 // replicated to the tag's R owners, and batches are split by owner and
 // run as parallel per-node round trips. It drops into
-// dedup.Config.Client unchanged; when every member is unreachable its
-// errors feed the Runtime's circuit breaker exactly as a single store's
-// would, so degradation accounting keeps working.
+// dedup.Config.Client unchanged; it is healthy while any member is, so
+// the Runtime degrades exactly when a single store's would.
 type Client struct {
 	cfg      Config
 	ring     *ring
@@ -89,8 +75,6 @@ type Client struct {
 	logf     func(format string, args ...any)
 
 	closed atomic.Bool
-	stop   chan struct{}
-	probeD chan struct{}
 
 	// repairWG tracks asynchronous read-repair uploads so Close never
 	// leaks a goroutine mid-PUT. repairMu makes repairAsync's closed
@@ -112,9 +96,9 @@ type Client struct {
 
 var _ dedup.StoreClient = (*Client)(nil)
 
-// New builds the cluster client and dials its members lazily: members
-// that are down at construction are simply marked down by the first
-// probe and picked up when they appear.
+// New builds the cluster client and dials its members lazily: a member
+// that is down at construction is marked down by its first failed
+// request, and its prober picks it up when it appears.
 func New(cfg Config) (*Client, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: Config.Nodes is required")
@@ -128,12 +112,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Replicas > len(cfg.Nodes) {
 		cfg.Replicas = len(cfg.Nodes)
 	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -142,8 +120,6 @@ func New(cfg Config) (*Client, error) {
 		ring:     newRing(cfg.Nodes),
 		replicas: cfg.Replicas,
 		logf:     cfg.Logf,
-		stop:     make(chan struct{}),
-		probeD:   make(chan struct{}),
 	}
 	for _, addr := range cfg.Nodes {
 		rcfg := cfg.Remote
@@ -152,12 +128,9 @@ func New(cfg Config) (*Client, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: member %s: %w", addr, err)
 		}
-		n := &node{addr: addr, client: nc}
-		n.up.Store(true) // optimistic; the first probe corrects
-		c.nodes = append(c.nodes, n)
+		c.nodes = append(c.nodes, &node{addr: addr, client: nc})
 	}
 	c.registerTelemetry(cfg.Telemetry)
-	go c.probeLoop()
 	return c, nil
 }
 
@@ -172,9 +145,9 @@ func (c *Client) registerTelemetry(reg *telemetry.Registry) {
 		n := n
 		nodeLabel := telemetry.L("node", n.addr)
 		reg.NewGaugeFunc("speed_cluster_node_up",
-			"1 while the member is routable, 0 while marked down",
+			"1 while the member's transport reports it healthy, 0 while down",
 			func() float64 {
-				if n.up.Load() {
+				if n.client.Healthy() {
 					return 1
 				}
 				return 0
@@ -202,7 +175,30 @@ func (c *Client) Failovers() int64 { return c.failovers.Load() }
 // primary after a failover read found them on a successor.
 func (c *Client) ReadRepairs() int64 { return c.readRepairs.Load() }
 
-// Retries aggregates the members' request-retry counters, surfacing
+// noteFailover counts requests re-routed away from the member after it
+// failed them.
+func (c *Client) noteFailover(n *node, requests int, err error) {
+	c.failovers.Add(int64(requests))
+	n.failoversC.Add(int64(requests))
+	c.logf("cluster: member %s failed %d requests, failing over: %v", n.addr, requests, err)
+}
+
+// NodesUp reports how many members are currently routable.
+func (c *Client) NodesUp() int {
+	up := 0
+	for _, n := range c.nodes {
+		if n.client.Healthy() {
+			up++
+		}
+	}
+	return up
+}
+
+// NodeUp reports whether the member at the given index of Config.Nodes
+// is currently routable.
+func (c *Client) NodeUp(i int) bool { return c.nodes[i].client.Healthy() }
+
+// Retries aggregates the members' request-resend counters, surfacing
 // them through dedup.Stats.Retries exactly as a single RemoteClient
 // would.
 func (c *Client) Retries() int64 {
@@ -221,17 +217,17 @@ func (c *Client) readOrder(tag mle.Tag) []int {
 	all := c.ring.owners(tag, len(c.nodes))
 	order := make([]int, 0, len(all))
 	for _, ni := range all[:c.replicas] {
-		if c.nodes[ni].up.Load() {
+		if c.nodes[ni].client.Healthy() {
 			order = append(order, ni)
 		}
 	}
 	for _, ni := range all[c.replicas:] {
-		if c.nodes[ni].up.Load() {
+		if c.nodes[ni].client.Healthy() {
 			order = append(order, ni)
 		}
 	}
 	for _, ni := range all[:c.replicas] {
-		if !c.nodes[ni].up.Load() {
+		if !c.nodes[ni].client.Healthy() {
 			order = append(order, ni)
 		}
 	}
@@ -250,7 +246,7 @@ func (c *Client) writeTargets(tag mle.Tag) []int {
 		if len(targets) == c.replicas {
 			break
 		}
-		if c.nodes[ni].up.Load() {
+		if c.nodes[ni].client.Healthy() {
 			targets = append(targets, ni)
 		}
 	}
@@ -311,32 +307,22 @@ func legClock(tc wire.TraceContext) time.Time {
 	return time.Now()
 }
 
-// Ping implements dedup.StoreClient: the cluster is alive while any
-// member answers a probe. Live members are tried first.
-func (c *Client) Ping() error {
+// Healthy implements dedup.StoreClient: the cluster is reachable while
+// any member's transport reports its store healthy.
+func (c *Client) Healthy() bool {
 	if c.closed.Load() {
-		return errClientClosed
+		return false
 	}
-	var lastErr error
-	for _, pass := range []bool{true, false} {
-		for _, n := range c.nodes {
-			if n.up.Load() != pass {
-				continue
-			}
-			if err := n.client.Ping(); err != nil {
-				c.noteFailure(n, err)
-				lastErr = err
-				continue
-			}
-			c.noteSuccess(n)
-			return nil
+	for _, n := range c.nodes {
+		if n.client.Healthy() {
+			return true
 		}
 	}
-	return fmt.Errorf("cluster: ping: no member reachable: %w", lastErr)
+	return false
 }
 
-// Close implements dedup.StoreClient: it stops the health prober,
-// drains in-flight read repairs, and closes every member channel.
+// Close implements dedup.StoreClient: it drains in-flight read repairs
+// and closes every member channel, which stops the members' probers.
 func (c *Client) Close() error {
 	c.repairMu.Lock()
 	wasClosed := c.closed.Swap(true)
@@ -344,8 +330,6 @@ func (c *Client) Close() error {
 	if wasClosed {
 		return nil
 	}
-	close(c.stop)
-	<-c.probeD
 	c.repairWG.Wait()
 	var firstErr error
 	for _, n := range c.nodes {
@@ -358,13 +342,13 @@ func (c *Client) Close() error {
 
 // repairAsync uploads items found on a replica back to their primary,
 // best-effort and off the caller's path. Repairs only run while the
-// primary is routable; a failed repair is dropped (the next failover
-// read will try again). A sampled read's repair leg is recorded as a
-// child span of the same trace, so the console shows the write-back a
-// failover read triggered.
+// primary's transport reports it healthy; a failed repair is dropped
+// (the next failover read will try again). A sampled read's repair leg
+// is recorded as a child span of the same trace, so the console shows
+// the write-back a failover read triggered.
 func (c *Client) repairAsync(primary int, tc wire.TraceContext, items []wire.PutItem) {
 	n := c.nodes[primary]
-	if !n.up.Load() {
+	if !n.client.Healthy() {
 		return
 	}
 	c.repairMu.Lock()
@@ -380,10 +364,8 @@ func (c *Client) repairAsync(primary int, tc wire.TraceContext, items []wire.Put
 		_, err := n.client.Put(fwd, items)
 		c.recordLeg(tc, leg, "read_repair", n.addr, start, "repaired", err)
 		if err != nil {
-			c.noteFailure(n, err)
 			return
 		}
-		c.noteSuccess(n)
 		c.readRepairs.Add(int64(len(items)))
 		c.readRepairsC.Add(int64(len(items)))
 	}()

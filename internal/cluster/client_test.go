@@ -160,9 +160,30 @@ func startTestNodes(t *testing.T, n int, storeCfg store.Config) (*enclave.Enclav
 	return app, storeMeas, nodes
 }
 
+// testRemote is the member transport configuration of the cluster
+// tests: fast-failure timeouts, and a prober quick to find a restarted
+// member.
+func testRemote() dedup.RemoteConfig {
+	return dedup.RemoteConfig{
+		DialTimeout:    300 * time.Millisecond,
+		RequestTimeout: time.Second,
+		ProbeInterval:  10 * time.Millisecond,
+	}
+}
+
+// waitNodeUp waits for member i's transport to report the given health.
+func waitNodeUp(t *testing.T, c *Client, i int, want bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.NodeUp(i) != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("member %d never reported up=%v", i, want)
+		}
+	}
+}
+
 // newTestCluster starts n store servers and a cluster client over
 // them. cfg.Nodes/App/StoreMeasurement are filled in; a zero cfg.Remote
-// gets fast-failure test timeouts.
+// gets testRemote.
 func newTestCluster(t *testing.T, n int, cfg Config) *testClusterEnv {
 	t.Helper()
 	return newTestClusterOver(t, n, cfg, store.Config{})
@@ -181,11 +202,7 @@ func newTestClusterOver(t *testing.T, n int, cfg Config, storeCfg store.Config) 
 		cfg.Nodes = append(cfg.Nodes, node.addr)
 	}
 	if cfg.Remote == (dedup.RemoteConfig{}) {
-		cfg.Remote = dedup.RemoteConfig{
-			DialTimeout:    300 * time.Millisecond,
-			RequestTimeout: time.Second,
-			MaxRetries:     -1,
-		}
+		cfg.Remote = testRemote()
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
@@ -235,11 +252,7 @@ func TestClusterGetPutReplicates(t *testing.T) {
 }
 
 func TestClusterFailoverGet(t *testing.T) {
-	env := newTestCluster(t, 3, Config{
-		Replicas:      2,
-		FailThreshold: 1,
-		ProbeInterval: time.Hour, // keep probes out of the way
-	})
+	env := newTestCluster(t, 3, Config{Replicas: 2})
 	tag, sealed := ctag("failover"), csealed("failover")
 	if err := putOne(env.client, tag, sealed, false); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -258,7 +271,7 @@ func TestClusterFailoverGet(t *testing.T) {
 		t.Error("failover not counted")
 	}
 	if env.client.NodeUp(primary) {
-		t.Error("dead primary still marked up after FailThreshold failures")
+		t.Error("dead primary still healthy after its first failed request")
 	}
 	// With the primary marked down, further reads route straight to the
 	// replica.
@@ -267,19 +280,13 @@ func TestClusterFailoverGet(t *testing.T) {
 	}
 }
 
+// TestClusterReadRepair: a result found away from its primary is copied
+// back only while the primary's transport reports it healthy. The
+// failover read that finds a dead primary has just marked it down with
+// its own failure, so it queues no repair; once the prober has marked
+// the restarted primary up, a repair lands there and is counted.
 func TestClusterReadRepair(t *testing.T) {
-	env := newTestCluster(t, 2, Config{
-		Replicas:      1,
-		FailThreshold: 1000, // primary stays nominally up through the outage
-		ProbeInterval: time.Hour,
-		Remote: dedup.RemoteConfig{
-			DialTimeout:     300 * time.Millisecond,
-			RequestTimeout:  time.Second,
-			MaxRetries:      20,
-			RetryBackoff:    10 * time.Millisecond,
-			RetryMaxBackoff: 50 * time.Millisecond,
-		},
-	})
+	env := newTestCluster(t, 2, Config{Replicas: 1})
 	tag, sealed := ctag("repairme"), csealed("repairme")
 	primary := env.client.ring.owners(tag, 1)[0]
 	other := 1 - primary
@@ -295,23 +302,31 @@ func TestClusterReadRepair(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("Get = (found=%v, %v), want failover hit", found, err)
 	}
+	if env.client.Failovers() != 1 || env.client.NodeUp(primary) {
+		t.Fatalf("failovers=%d primary up=%v, want one failover away from a primary now down",
+			env.client.Failovers(), env.client.NodeUp(primary))
+	}
+	env.client.repairWG.Wait()
+	if env.client.ReadRepairs() != 0 {
+		t.Error("a read repair was sent to a primary that is down")
+	}
 
-	// The repair is queued (the primary is still nominally up) and its
-	// Put retries with backoff; bring the primary back so it lands.
 	env.nodes[primary].restart(t)
+	waitNodeUp(t, env.client, primary, true)
+	env.client.repairAsync(primary, wire.TraceContext{}, []wire.PutItem{{Tag: tag, Sealed: sealed}})
 	env.client.repairWG.Wait()
 	if !env.hasTag(primary, tag) {
-		t.Error("read repair did not copy the result back to the primary")
+		t.Error("read repair did not copy the result back to the healthy primary")
 	}
-	if env.client.ReadRepairs() == 0 {
-		t.Error("read repair not counted")
+	if env.client.ReadRepairs() != 1 {
+		t.Errorf("ReadRepairs = %d, want 1", env.client.ReadRepairs())
 	}
 }
 
 // TestCloseDrainsReadRepairs: Close runs while failover reads are still
-// handing hits to repairAsync, as Get does after a failover. Every
-// repair either finishes inside Close or never starts, so once Close
-// returns no member sees another PUT. The interleaving this pins: a
+// handing hits to repairAsync, as Get does after a failover, to a
+// healthy primary. Every repair either finishes inside Close or never
+// starts, so once Close returns no member sees another PUT. The interleaving this pins: a
 // read that passed repairAsync's closed check must not reach
 // repairWG.Add after Close's Wait has returned, or its PUT would run on
 // a member client Close has already closed. Close runs on a goroutine
@@ -321,21 +336,12 @@ func TestClusterReadRepair(t *testing.T) {
 func TestCloseDrainsReadRepairs(t *testing.T) {
 	app, storeMeas, nodes := startTestNodes(t, 1, store.Config{})
 	primary := nodes[0]
-	primary.kill(t) // repairs retry against it until it is back
 	c, err := New(Config{
 		Nodes:            []string{primary.addr},
 		App:              app,
 		StoreMeasurement: storeMeas,
-		FailThreshold:    1000, // the dead primary stays nominally up, so repairs target it
-		ProbeInterval:    time.Hour,
-		Remote: dedup.RemoteConfig{
-			DialTimeout:     300 * time.Millisecond,
-			RequestTimeout:  time.Second,
-			MaxRetries:      50,
-			RetryBackoff:    2 * time.Millisecond,
-			RetryMaxBackoff: 4 * time.Millisecond,
-		},
-		Logf: t.Logf,
+		Remote:           testRemote(),
+		Logf:             t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -361,10 +367,6 @@ func TestCloseDrainsReadRepairs(t *testing.T) {
 		}
 		closed <- c.Close()
 	}()
-	// Bring the primary back while Close drains, so the repairs it waits
-	// for land.
-	time.Sleep(15 * time.Millisecond)
-	primary.restart(t)
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -389,11 +391,7 @@ func TestCloseDrainsReadRepairs(t *testing.T) {
 // the PUT places the result on its owners; the call after that is
 // reused from the primary.
 func TestPrimaryMissReplacesEntryAfterOutage(t *testing.T) {
-	env := newTestCluster(t, 2, Config{
-		Replicas:      2,
-		FailThreshold: 1,
-		ProbeInterval: 10 * time.Millisecond,
-	})
+	env := newTestCluster(t, 2, Config{Replicas: 2})
 	rt, err := dedup.NewRuntime(dedup.Config{Enclave: env.app, Client: env.client, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
@@ -412,14 +410,6 @@ func TestPrimaryMissReplacesEntryAfterOutage(t *testing.T) {
 		computes++
 		return append([]byte("result:"), in...), nil
 	}
-	waitUp := func(want bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); env.client.NodeUp(primary) != want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("primary never marked up=%v", want)
-			}
-		}
-	}
 	call := func(want dedup.Outcome) {
 		t.Helper()
 		res, outcome, err := rt.Execute(id, input, compute)
@@ -431,15 +421,19 @@ func TestPrimaryMissReplacesEntryAfterOutage(t *testing.T) {
 		}
 	}
 
+	// The call's GET fails on the dead primary, which marks it down, so
+	// its PUT targets the successor alone.
 	env.nodes[primary].kill(t)
-	waitUp(false)
 	call(dedup.OutcomeComputed)
+	if env.client.NodeUp(primary) {
+		t.Fatal("the dead primary is still healthy after failing a request")
+	}
 	if env.hasTag(primary, tag) || !env.hasTag(1-primary, tag) {
 		t.Fatal("the outage PUT did not land on the successor alone")
 	}
 
 	env.nodes[primary].restart(t)
-	waitUp(true)
+	waitNodeUp(t, env.client, primary, true)
 	call(dedup.OutcomeComputed) // the primary's miss is authoritative
 	if !env.hasTag(primary, tag) {
 		t.Fatal("the recomputed PUT did not place the result on its primary")
@@ -456,7 +450,7 @@ func TestPrimaryMissReplacesEntryAfterOutage(t *testing.T) {
 
 // TestClientHasBatch: Has routes existence probes to each tag's primary.
 func TestClientHasBatch(t *testing.T) {
-	env := newTestCluster(t, 3, Config{Replicas: 1, ProbeInterval: time.Hour})
+	env := newTestCluster(t, 3, Config{Replicas: 1})
 	have := ctag("present-tag")
 	primary := env.client.ring.owners(have, 1)[0]
 	if _, err := env.nodes[primary].st.Put(env.app.Measurement(), have, csealed("v")); err != nil {
@@ -471,28 +465,40 @@ func TestClientHasBatch(t *testing.T) {
 	}
 }
 
-func TestClusterPing(t *testing.T) {
-	env := newTestCluster(t, 3, Config{ProbeInterval: time.Hour})
-	if err := env.client.Ping(); err != nil {
-		t.Fatalf("Ping: %v", err)
-	}
+// TestClusterHealthy: the cluster is healthy while any member's
+// transport is. Nothing pings a healthy member, so a member goes down
+// only when a request to it fails, and its own prober brings it back.
+func TestClusterHealthy(t *testing.T) {
+	env := newTestCluster(t, 3, Config{})
 	for _, n := range env.nodes {
 		n.kill(t)
 	}
-	if err := env.client.Ping(); err == nil {
-		t.Fatal("Ping succeeded with every member dead")
+	if !env.client.Healthy() || env.client.NodesUp() != 3 {
+		t.Fatalf("healthy=%v with %d members up before any request failed, want true and 3",
+			env.client.Healthy(), env.client.NodesUp())
+	}
+	if _, _, err := getOne(env.client, ctag("nowhere")); err == nil {
+		t.Fatal("Get succeeded with every member dead")
+	}
+	if env.client.Healthy() || env.client.NodesUp() != 0 {
+		t.Fatalf("healthy=%v with %d members up after a read failed on every member, want false and 0",
+			env.client.Healthy(), env.client.NodesUp())
+	}
+	env.nodes[1].restart(t)
+	waitNodeUp(t, env.client, 1, true)
+	if !env.client.Healthy() || env.client.NodesUp() != 1 {
+		t.Errorf("healthy=%v with %d members up after one came back, want true and 1",
+			env.client.Healthy(), env.client.NodesUp())
 	}
 }
 
 // TestClusterSinglePutFailsOver: a one-item Put whose every write
-// target is dead — but not yet marked down — chases the next reachable
-// member in failover rounds, exactly as a larger batch does.
+// target is dead — but still healthy, since no request has failed on
+// them yet — chases the next reachable member in failover rounds,
+// exactly as a larger batch does. Each target's failure within this one
+// request is what marks it down.
 func TestClusterSinglePutFailsOver(t *testing.T) {
-	env := newTestCluster(t, 3, Config{
-		Replicas:      2,
-		FailThreshold: 1000, // the dead targets stay nominally up
-		ProbeInterval: time.Hour,
-	})
+	env := newTestCluster(t, 3, Config{Replicas: 2})
 	tag, sealed := ctag("orphan"), csealed("orphan")
 	targets := env.client.writeTargets(tag)
 	for _, ni := range targets {
@@ -518,11 +524,7 @@ func TestClusterSinglePutFailsOver(t *testing.T) {
 // covers the whole batch but lists it in the order the failures came
 // back, not in batch order.
 func TestClusterBatchGetFailoverPositional(t *testing.T) {
-	env := newTestCluster(t, 3, Config{
-		Replicas:      2,
-		FailThreshold: 1000, // the dead primaries stay nominally up
-		ProbeInterval: time.Hour,
-	})
+	env := newTestCluster(t, 3, Config{Replicas: 2})
 	const survivor = 2
 	// Alternate the two dead primaries through the batch, every tag with
 	// the survivor as its second replica, so whichever dead member's
@@ -560,11 +562,7 @@ func TestClusterBatchGetFailoverPositional(t *testing.T) {
 // zero failed calls — while one member is killed mid-run, and the hit
 // rate recovers once the router fails over to the replicas.
 func TestClusterRuntimeFaultInjection(t *testing.T) {
-	env := newTestCluster(t, 3, Config{
-		Replicas:      2,
-		FailThreshold: 2,
-		ProbeInterval: 25 * time.Millisecond,
-	})
+	env := newTestCluster(t, 3, Config{Replicas: 2})
 	rt, err := dedup.NewRuntime(dedup.Config{
 		Enclave: env.app,
 		Client:  env.client,

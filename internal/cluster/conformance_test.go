@@ -18,10 +18,15 @@ import (
 // deployment — the in-process client, the networked client, and the
 // ring router over one member and over three members with two replicas.
 
-// deployment is one client under test plus the stores behind it.
+// deployment is one client under test plus the stores behind it. ping
+// sends the liveness probes the client's transports send while down
+// (nil for the in-process client, which has none), and kill takes every
+// store away.
 type deployment struct {
 	client dedup.StoreClient
 	stores []*store.Store
+	ping   func() error
+	kill   func()
 }
 
 // counts sums the dictionary statistics over the deployment's stores.
@@ -41,13 +46,33 @@ func storesOf(nodes []*testNode) []*store.Store {
 	return stores
 }
 
+func killAll(t *testing.T, nodes []*testNode) func() {
+	return func() {
+		for _, n := range nodes {
+			n.kill(t)
+		}
+	}
+}
+
+// clusterDeployment pings through every member's transport.
+func clusterDeployment(t *testing.T, env *testClusterEnv) deployment {
+	return deployment{env.client, storesOf(env.nodes), func() error {
+		for _, n := range env.client.nodes {
+			if err := n.client.Ping(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, killAll(t, env.nodes)}
+}
+
 var deployments = []struct {
 	name string
 	open func(t *testing.T, storeCfg store.Config) deployment
 }{
 	{"local", func(t *testing.T, storeCfg store.Config) deployment {
 		app, _, nodes := startTestNodes(t, 1, storeCfg)
-		return deployment{dedup.NewLocalClient(nodes[0].st, app.Measurement()), storesOf(nodes)}
+		return deployment{dedup.NewLocalClient(nodes[0].st, app.Measurement()), storesOf(nodes), nil, func() { nodes[0].st.Close() }}
 	}},
 	{"remote", func(t *testing.T, storeCfg store.Config) deployment {
 		app, storeMeas, nodes := startTestNodes(t, 1, storeCfg)
@@ -56,15 +81,13 @@ var deployments = []struct {
 			t.Fatalf("Dial: %v", err)
 		}
 		t.Cleanup(func() { _ = client.Close() })
-		return deployment{client, storesOf(nodes)}
+		return deployment{client, storesOf(nodes), client.Ping, killAll(t, nodes)}
 	}},
 	{"cluster1", func(t *testing.T, storeCfg store.Config) deployment {
-		env := newTestClusterOver(t, 1, Config{ProbeInterval: time.Hour}, storeCfg)
-		return deployment{env.client, storesOf(env.nodes)}
+		return clusterDeployment(t, newTestClusterOver(t, 1, Config{}, storeCfg))
 	}},
 	{"cluster3r2", func(t *testing.T, storeCfg store.Config) deployment {
-		env := newTestClusterOver(t, 3, Config{Replicas: 2, ProbeInterval: time.Hour}, storeCfg)
-		return deployment{env.client, storesOf(env.nodes)}
+		return clusterDeployment(t, newTestClusterOver(t, 3, Config{Replicas: 2}, storeCfg))
 	}},
 }
 
@@ -213,12 +236,32 @@ var conformanceChecks = []struct {
 	}},
 	{"ping pollutes no statistics", store.Config{}, func(t *testing.T, d deployment) {
 		for i := 0; i < 3; i++ {
-			if err := d.client.Ping(); err != nil {
-				t.Fatalf("Ping #%d: %v", i, err)
+			if d.ping != nil {
+				if err := d.ping(); err != nil {
+					t.Fatalf("Ping #%d: %v", i, err)
+				}
+			}
+			if !d.client.Healthy() {
+				t.Fatalf("Healthy = false after probe #%d", i)
 			}
 		}
 		if gets, hits, puts := d.counts(); gets != 0 || hits != 0 || puts != 0 {
 			t.Errorf("pings reached the dictionary: gets=%d hits=%d puts=%d", gets, hits, puts)
+		}
+	}},
+	{"healthy", store.Config{}, func(t *testing.T, d deployment) {
+		if !d.client.Healthy() {
+			t.Fatal("Healthy = false on a fresh client")
+		}
+		if _, _, err := getOne(d.client, ctag("before")); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		d.kill()
+		// The first request that fails tells the client; the in-process
+		// client knows its store closed without one.
+		_, _, _ = getOne(d.client, ctag("after"))
+		if d.client.Healthy() {
+			t.Error("Healthy = true once every store is gone and a request failed")
 		}
 	}},
 	{"every method errors after Close", store.Config{}, func(t *testing.T, d deployment) {
@@ -244,8 +287,8 @@ var conformanceChecks = []struct {
 		if _, err := d.client.Has(wire.TraceContext{}, nil); err == nil {
 			t.Error("empty Has succeeded after Close")
 		}
-		if err := d.client.Ping(); err == nil {
-			t.Error("Ping succeeded after Close")
+		if d.client.Healthy() {
+			t.Error("Healthy = true after Close")
 		}
 		if err := d.client.Close(); err != nil {
 			t.Errorf("second Close = %v, want nil", err)
@@ -279,7 +322,7 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 	if results*size <= wire.MaxFrameSize {
 		t.Fatalf("%d results of %d bytes fit one frame; the test needs more", results, size)
 	}
-	remoteCfg := dedup.RemoteConfig{DialTimeout: 5 * time.Second, RequestTimeout: time.Minute, MaxRetries: 2}
+	remoteCfg := dedup.RemoteConfig{DialTimeout: 5 * time.Second, RequestTimeout: time.Minute}
 
 	// open also says which member a tag's GET goes to, so the test can
 	// aim all nine at one store.
@@ -303,7 +346,7 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 			return opened{client, []*dedup.RemoteClient{client}, nodes, func(mle.Tag) int { return 0 }}
 		}},
 		{"cluster3r2", func(t *testing.T) opened {
-			env := newTestClusterOver(t, 3, Config{Replicas: 2, ProbeInterval: time.Hour, Remote: remoteCfg}, store.Config{})
+			env := newTestClusterOver(t, 3, Config{Replicas: 2, Remote: remoteCfg}, store.Config{})
 			var conns []*dedup.RemoteClient
 			for _, n := range env.client.nodes {
 				conns = append(conns, n.client)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"speed/internal/telemetry"
 )
@@ -14,12 +13,7 @@ import (
 // the Prometheus rendering with node labels.
 func TestClusterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	env := newTestCluster(t, 3, Config{
-		Replicas:      2,
-		FailThreshold: 1,
-		ProbeInterval: time.Hour,
-		Telemetry:     reg,
-	})
+	env := newTestCluster(t, 3, Config{Replicas: 2, Telemetry: reg})
 
 	tag := ctag("telemetry")
 	if err := putOne(env.client, tag, csealed("telemetry"), false); err != nil {

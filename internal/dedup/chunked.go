@@ -314,7 +314,6 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", errFetchChunks, err)
 		}
-		rt.noteStoreSuccess()
 	}
 	// Booked before verification: a store serving bad chunks shows them.
 	rt.mu.Lock()

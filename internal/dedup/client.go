@@ -3,14 +3,10 @@ package dedup
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"speed/internal/enclave"
@@ -45,11 +41,12 @@ type StoreClient interface {
 	// which surfaces as a loud reassembly failure and a recompute,
 	// never a wrong result.
 	Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)
-	// Ping checks that the store is reachable and serving, without
-	// performing (or fabricating) any dictionary operation: health
-	// probes must not pollute the store's GET/hit statistics. A nil
-	// return means a full request round trip succeeded.
-	Ping() error
+	// Healthy reports whether the store is believed reachable. It is
+	// one cheap read of the client's health state, which the client
+	// keeps itself: a transport failure marks it down, any success
+	// marks it up again. While it reports false the runtime serves
+	// every call compute-only without consulting the store.
+	Healthy() bool
 	// Close releases the client's resources; every later request
 	// errors.
 	Close() error
@@ -110,16 +107,10 @@ func (c *LocalClient) Has(_ wire.TraceContext, tags []mle.Tag) ([]bool, error) {
 	return c.store.WireHas(c.owner, tags)
 }
 
-// Ping implements StoreClient: the in-process store is "reachable"
-// exactly while it is open. No dictionary operation is performed.
-func (c *LocalClient) Ping() error {
-	if c.closed.Load() {
-		return errClientClosed
-	}
-	if c.store.Closed() {
-		return store.ErrClosed
-	}
-	return nil
+// Healthy implements StoreClient: the in-process store is reachable
+// exactly while both it and the client are open.
+func (c *LocalClient) Healthy() bool {
+	return !c.closed.Load() && !c.store.Closed()
 }
 
 // Close implements StoreClient. The local client does not own the
@@ -129,8 +120,10 @@ func (c *LocalClient) Close() error {
 	return nil
 }
 
-// RemoteConfig tunes the robustness behaviour of a RemoteClient. The
-// zero value selects the defaults noted on each field.
+// RemoteConfig tunes the failure handling of a RemoteClient. The zero
+// value selects the defaults noted on each field. DESIGN.md "Store
+// failure handling" derives the worst-case times to degrade and to
+// recover from DialTimeout, RequestTimeout and ProbeInterval.
 type RemoteConfig struct {
 	// DialTimeout bounds the TCP connect plus the attested handshake of
 	// each (re)connection attempt. Defaults to 5s; negative disables.
@@ -139,15 +132,11 @@ type RemoteConfig struct {
 	// stalled store can never wedge a caller. Defaults to 5s; negative
 	// disables.
 	RequestTimeout time.Duration
-	// MaxRetries is the number of additional attempts after a transient
-	// failure (connection reset, timeout, rate-limit rejection) before
-	// the error is surfaced. Defaults to 2; negative disables retries.
-	MaxRetries int
-	// RetryBackoff is the first retry delay; each further retry doubles
-	// it, with ±50% jitter, up to RetryMaxBackoff. Defaults to
-	// 50ms / 2s.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
+	// ProbeInterval is the cadence of the one prober that runs while
+	// the client is down: it pings the store every ProbeInterval and
+	// stops at the first success, which marks the client up again.
+	// Defaults to 500ms.
+	ProbeInterval time.Duration
 	// Trust optionally accepts a store on a remote machine whose
 	// platform attestation key is listed (remote attestation).
 	Trust *wire.Trust
@@ -156,7 +145,7 @@ type RemoteConfig struct {
 	// with the runtime's degradation mode the application starts
 	// compute-only and picks up deduplication when the store appears.
 	Lazy bool
-	// Telemetry, when non-nil, registers the client's retry and
+	// Telemetry, when non-nil, registers the client's resend and
 	// reconnect counters and its in-flight-request gauge so the
 	// registry sees them directly rather than through the runtime's
 	// Stats probe.
@@ -170,14 +159,8 @@ func (cfg *RemoteConfig) fillDefaults() {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.RetryMaxBackoff <= 0 {
-		cfg.RetryMaxBackoff = 2 * time.Second
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 500 * time.Millisecond
 	}
 }
 
@@ -186,10 +169,14 @@ func (cfg *RemoteConfig) fillDefaults() {
 // concurrently and their round trips overlap on the single connection,
 // with responses correlated by request ID. A peer speaking any protocol
 // version but wire.ProtocolVersion is refused in the handshake
-// (wire.ErrPeerRejected, never retried). Requests carry per-request
-// deadlines and transient failures are retried with jittered
-// exponential backoff, transparently re-dialing and re-handshaking the
-// attested channel when the previous one broke.
+// (wire.ErrPeerRejected).
+//
+// The client is also the deployment's one failure detector. Every
+// request makes one attempt; when it fails on a connection set up before
+// the request, the client re-dials once and resends it. A transport
+// failure that the re-dial does not cure marks the client down, and any
+// later success marks it up. While down, one prober goroutine pings the
+// store every ProbeInterval until a ping succeeds.
 type RemoteClient struct {
 	cfg RemoteConfig
 
@@ -208,12 +195,23 @@ type RemoteClient struct {
 	reconnectsC *telemetry.Counter
 	inflightG   *telemetry.Gauge
 
-	// mu guards the connection state below. It is held only to
+	// down is the health state Healthy reads. It is set under mu, so
+	// it can never be cleared after Close; the fast path of marking up
+	// is one load of it.
+	down atomic.Bool
+
+	// mu guards the connection and the prober below. It is held only to
 	// install, read or tear down the connection — never across a round
-	// trip — so concurrent callers on the mux proceed in parallel.
-	mu     sync.Mutex
-	mux    *chanMux // the connection; nil while disconnected
-	closed bool
+	// trip — so concurrent callers on the mux proceed in parallel. The
+	// prober starts under mu only while the client is open, and Close
+	// sets closed under mu before it waits, so every probeWG.Add happens
+	// before Close's Wait or never.
+	mu      sync.Mutex
+	mux     *chanMux // the connection; nil while disconnected
+	closed  bool
+	probing bool          // the prober is running
+	stop    chan struct{} // closed by Close
+	probeWG sync.WaitGroup
 }
 
 var _ StoreClient = (*RemoteClient)(nil)
@@ -233,7 +231,7 @@ func DialTrust(addr string, app *enclave.Enclave, storeMeasurement enclave.Measu
 	return DialConfig(addr, app, storeMeasurement, RemoteConfig{Trust: trust})
 }
 
-// DialConfig is Dial with explicit robustness configuration.
+// DialConfig is Dial with explicit failure-handling configuration.
 func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Measurement, cfg RemoteConfig) (*RemoteClient, error) {
 	cfg.fillDefaults()
 	c := &RemoteClient{
@@ -241,11 +239,12 @@ func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Meas
 		addr:      addr,
 		app:       app,
 		storeMeas: storeMeasurement,
+		stop:      make(chan struct{}),
 	}
 	if cfg.Telemetry != nil {
 		appLabel := telemetry.L("app", app.Name())
 		c.retriesC = cfg.Telemetry.NewCounter("speed_client_retries_total",
-			"store request retries after transient failures", appLabel)
+			"store requests resent once on a fresh connection after the old one failed", appLabel)
 		c.reconnectsC = cfg.Telemetry.NewCounter("speed_client_reconnects_total",
 			"successful re-dials of the attested store channel", appLabel)
 		c.inflightG = cfg.Telemetry.NewGauge("speed_client_inflight_requests",
@@ -261,7 +260,7 @@ func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Meas
 	return c, nil
 }
 
-// Retries reports the number of request retries performed.
+// Retries reports the number of requests resent after a re-dial.
 func (c *RemoteClient) Retries() int64 { return c.retries.Load() }
 
 // Reconnects reports the number of successful re-dials (not counting
@@ -270,6 +269,11 @@ func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 
 // Inflight reports the number of requests currently awaiting a reply.
 func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
+
+// Healthy implements StoreClient: false from the first transport
+// failure the re-dial did not cure until the next success, and for
+// good after Close.
+func (c *RemoteClient) Healthy() bool { return !c.down.Load() }
 
 // dial establishes one attested channel, bounding connect plus
 // handshake with DialTimeout, and wraps it in a mux.
@@ -295,24 +299,26 @@ func (c *RemoteClient) dial() (*chanMux, error) {
 }
 
 // connect returns the current connection, dialing one first when
-// disconnected. Concurrent callers racing to reconnect serialise here
-// and share the single fresh channel.
-func (c *RemoteClient) connect() (*chanMux, error) {
+// disconnected; fresh reports that this call dialed it. Concurrent
+// callers racing to reconnect serialise here and share the single
+// fresh channel.
+func (c *RemoteClient) connect() (mux *chanMux, fresh bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, errClientClosed
+		return nil, false, errClientClosed
 	}
 	if c.mux == nil {
 		mux, err := c.dial()
 		if err != nil {
-			return nil, err
+			return nil, true, err
 		}
 		c.mux = mux
 		c.reconnects.Add(1)
 		c.reconnectsC.Inc()
+		return mux, true, nil
 	}
-	return c.mux, nil
+	return c.mux, false, nil
 }
 
 // dropConn tears down the given connection if it is still the current
@@ -328,57 +334,43 @@ func (c *RemoteClient) dropConn(mux *chanMux) {
 	c.mux = nil
 }
 
-// roundTrip sends one request and waits for its reply, applying the
-// per-request deadline, retry policy and transparent reconnect. A
-// sampled tc rides in the envelope.
+// roundTrip sends one request and waits for its reply, and is where the
+// client's health changes. An attempt that broke a connection set up
+// before the request is resent once on a fresh one: the store may have
+// restarted since, and GET, HAS and PUT are all safe to resend (the
+// first version of an entry wins). A transport failure left after that
+// marks the client down; any reply marks it up. A sampled tc rides in
+// the envelope.
 func (c *RemoteClient) roundTrip(req wire.Message, tc wire.TraceContext) (wire.Message, error) {
-	attempts := 1 + c.cfg.MaxRetries
-	if attempts < 1 {
-		attempts = 1
+	msg, fresh, broken, err := c.attempt(req, tc)
+	if broken && !fresh {
+		c.retries.Add(1)
+		c.retriesC.Inc()
+		msg, _, broken, err = c.attempt(req, tc)
 	}
-	backoff := c.cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.retries.Add(1)
-			c.retriesC.Inc()
-			sleepJittered(backoff)
-			backoff *= 2
-			if backoff > c.cfg.RetryMaxBackoff {
-				backoff = c.cfg.RetryMaxBackoff
-			}
-		}
-		msg, err := c.tryOnce(req, tc)
-		if err != nil {
-			lastErr = err
-			if !isTransient(err) {
-				return nil, err
-			}
-			continue
-		}
-		// A rate-limited PUT is the store asking us to slow down
-		// (Section III-D quota); honour it by backing off and retrying
-		// unless this was the final attempt.
-		if pr, ok := msg.(wire.PutResponse); ok && len(pr.Results) == 1 && !pr.Results[0].OK && isRateLimited(pr.Results[0].Err) && attempt < attempts-1 {
-			lastErr = fmt.Errorf("%w: %s", ErrPutRejected, pr.Results[0].Err)
-			continue
-		}
-		return msg, nil
+	switch {
+	case broken:
+		c.markDown()
+	case err == nil:
+		c.markUp()
 	}
-	return nil, lastErr
+	return msg, err
 }
 
-// tryOnce performs a single request attempt on the current connection,
-// (re)connecting first if necessary. The request travels through the
-// mux and overlaps with other callers'. Any transport error poisons the
-// channel (its cipher counters can no longer match the peer's), so the
-// connection is dropped and the next attempt re-handshakes. A request
-// that was refused before a byte of it was written (too large for a
-// frame) fails alone, on a connection that stays up.
-func (c *RemoteClient) tryOnce(req wire.Message, tc wire.TraceContext) (wire.Message, error) {
-	mux, err := c.connect()
+// attempt performs one request attempt on the current connection,
+// (re)connecting first if necessary; fresh reports that it dialed. The
+// request travels through the mux and overlaps with other callers'.
+// broken reports a transport failure: no connection could be set up, or
+// the one used died — any transport error poisons the channel (its
+// cipher counters can no longer match the peer's), so it is dropped and
+// the next attempt re-handshakes. A request that was refused before a
+// byte of it was written (too large for a frame) fails alone, on a
+// connection that stays up.
+func (c *RemoteClient) attempt(req wire.Message, tc wire.TraceContext) (msg wire.Message, fresh, broken bool, err error) {
+	mux, fresh, err := c.connect()
 	if err != nil {
-		return nil, err
+		// A failed dial is a transport failure; a closed client is not.
+		return nil, fresh, fresh, err
 	}
 	c.inflight.Add(1)
 	c.inflightG.Add(1)
@@ -387,20 +379,21 @@ func (c *RemoteClient) tryOnce(req wire.Message, tc wire.TraceContext) (wire.Mes
 		c.inflightG.Add(-1)
 	}()
 
-	msg, err := mux.roundTrip(req, tc, c.cfg.RequestTimeout)
+	msg, err = mux.roundTrip(req, tc, c.cfg.RequestTimeout)
 	if err != nil {
-		if mux.dead() {
-			c.dropConn(mux)
-		}
 		if c.isClosed() {
 			// Close raced with the request; surface the deterministic
 			// terminal error rather than whatever the dying transport
 			// produced.
-			return nil, errClientClosed
+			return nil, fresh, false, errClientClosed
 		}
-		return nil, err
+		if mux.dead() {
+			c.dropConn(mux)
+			broken = true
+		}
+		return nil, fresh, broken, err
 	}
-	return msg, nil
+	return msg, fresh, false, nil
 }
 
 func (c *RemoteClient) isClosed() bool {
@@ -409,40 +402,61 @@ func (c *RemoteClient) isClosed() bool {
 	return c.closed
 }
 
-// isTransient reports whether a request error is worth retrying on a
-// fresh connection: timeouts, connection resets/refusals and peer
-// closes. Attestation failures and protocol violations are not.
-func isTransient(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	switch {
-	case errors.Is(err, io.EOF),
-		errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, net.ErrClosed),
-		errors.Is(err, syscall.ECONNRESET),
-		errors.Is(err, syscall.ECONNREFUSED),
-		errors.Is(err, syscall.EPIPE):
-		return true
-	}
-	return false
-}
-
-// isRateLimited recognises the store's rate-limit rejection reason in a
-// PutResponse (the byte-space quota, by contrast, is not transient).
-func isRateLimited(reason string) bool {
-	return strings.Contains(reason, "rate limit")
-}
-
-// sleepJittered sleeps for d ±50%, decorrelating the retry schedules
-// of concurrent clients hammering a recovering store.
-func sleepJittered(d time.Duration) {
-	if d <= 0 {
+// markUp records a successful exchange. While the client is up it is
+// one atomic load.
+func (c *RemoteClient) markUp() {
+	if !c.down.Load() {
 		return
 	}
-	half := int64(d / 2)
-	time.Sleep(time.Duration(half + rand.Int63n(half+1)))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.down.Store(false)
+	}
+}
+
+// markDown records a transport failure and starts the prober unless it
+// is already running or the client is closed.
+func (c *RemoteClient) markDown() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	c.down.Store(true)
+	if !c.probing {
+		c.probing = true
+		c.probeWG.Add(1)
+		go c.probe()
+	}
+}
+
+// probe pings the store every ProbeInterval until the client is up
+// again, whether its own ping or a request brought it up, or until
+// Close. It re-checks the state under mu, so a failure recorded after
+// its successful ping keeps it running rather than leaving the client
+// down with no prober.
+func (c *RemoteClient) probe() {
+	defer c.probeWG.Done()
+	ticker := time.NewTicker(c.cfg.ProbeInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-c.stop:
+			return
+		case <-ticker.C:
+		}
+		_ = c.Ping()
+		c.mu.Lock()
+		done := c.closed || !c.down.Load()
+		if done {
+			c.probing = false
+		}
+		c.mu.Unlock()
+		if done {
+			return
+		}
+	}
 }
 
 // windowBytes closes a PUT window: the items of one request carry at
@@ -517,11 +531,11 @@ func (c *RemoteClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResu
 	return results, nil
 }
 
-// Put implements StoreClient. A rate-limited PUT of one item is retried
-// by roundTrip; rate-limited items of a larger window are reported in
-// their PutResult instead — retrying a subset of a batch would reorder
-// it against concurrent batches for no benefit, and the runtime already
-// treats rejected puts as advisory.
+// Put implements StoreClient. An item the store refused — over quota,
+// rate-limited, unauthorized — is reported in its PutResult and never
+// retried: the runtime treats rejected puts as advisory, and sleeping
+// on one would stall the caller's PUT OCALL only to learn again what
+// the store already said.
 func (c *RemoteClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	var results []wire.PutResult
 	err := c.windowed("put", tc, len(items), func(i int) int {
@@ -555,15 +569,14 @@ func (c *RemoteClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)
 	return present, nil
 }
 
-// Ping implements StoreClient: one liveness round trip — a GET of no
+// Ping is the prober's probe: one liveness round trip — a GET of no
 // tags through the mux — that performs no dictionary operation. The
 // full path — (re)dial, attested handshake, framing, store dispatch —
 // is exercised, but the store executes zero GETs, so health probes
-// never fabricate traffic or skew hit-rate statistics. Ping is a single
-// attempt without the retry schedule: a probe should report the store's
-// state now, and probers repeat on their own cadence.
+// never fabricate traffic or skew hit-rate statistics. Like any request
+// it moves the client's health.
 func (c *RemoteClient) Ping() error {
-	msg, err := c.tryOnce(wire.GetRequest{}, wire.TraceContext{})
+	msg, err := c.roundTrip(wire.GetRequest{}, wire.TraceContext{})
 	if err != nil {
 		return fmt.Errorf("dedup: ping: %w", err)
 	}
@@ -580,7 +593,8 @@ func (c *RemoteClient) Ping() error {
 // Close implements StoreClient. It is idempotent and safe to call
 // concurrently with in-flight requests: waiters on the mux are
 // unblocked with errClientClosed, and any request racing the teardown
-// surfaces errClientClosed rather than a transport error.
+// surfaces errClientClosed rather than a transport error. It returns
+// once the prober, if one ran, has exited; no probe is sent after.
 func (c *RemoteClient) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -588,6 +602,8 @@ func (c *RemoteClient) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.down.Store(true)
+	close(c.stop)
 	mux := c.mux
 	c.mux = nil
 	c.mu.Unlock()
@@ -596,5 +612,6 @@ func (c *RemoteClient) Close() error {
 		// error (and closes the underlying channel).
 		mux.fail(errClientClosed)
 	}
+	c.probeWG.Wait()
 	return nil
 }

@@ -2,9 +2,13 @@ package dedup
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,9 +18,10 @@ import (
 	"speed/internal/wire"
 )
 
-// Fault-injection tests for the robustness layer: a stalled store, a
+// Fault-injection tests for store failure handling: a stalled store, a
 // store that dies mid-run, and a store that is down at startup must
-// all leave Execute returning correct results with no errors, and
+// all leave Execute returning correct results with no errors, within
+// the bounds DESIGN.md "Store failure handling" states, and
 // deduplication must resume once the store is healthy again.
 
 // faultEnv is a remote deployment whose server can be killed and
@@ -101,19 +106,30 @@ func fastRemoteConfig() RemoteConfig {
 	return RemoteConfig{
 		DialTimeout:    250 * time.Millisecond,
 		RequestTimeout: 250 * time.Millisecond,
-		MaxRetries:     1,
-		RetryBackoff:   5 * time.Millisecond,
+		ProbeInterval:  25 * time.Millisecond,
 	}
+}
+
+// degradeBound is the longest one call waits on a store that died or
+// stalled under an established connection: its attempt, one re-dial and
+// the resend. Later calls skip the store.
+func degradeBound(cfg RemoteConfig) time.Duration {
+	return 2*cfg.RequestTimeout + cfg.DialTimeout
+}
+
+// recoverBound is the longest the client stays down once the store
+// answers again: a probe already in flight may fail, the next tick
+// follows within ProbeInterval, and its ping succeeds.
+func recoverBound(cfg RemoteConfig) time.Duration {
+	return cfg.ProbeInterval + 2*(cfg.DialTimeout+cfg.RequestTimeout)
 }
 
 func newFaultRuntime(t *testing.T, env *faultEnv, client StoreClient) *Runtime {
 	t.Helper()
 	rt, err := NewRuntime(Config{
-		Enclave:          env.appEnc,
-		Client:           client,
-		DegradeThreshold: 2,
-		ProbeInterval:    25 * time.Millisecond,
-		Logf:             func(string, ...any) {},
+		Enclave: env.appEnc,
+		Client:  client,
+		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
@@ -181,11 +197,19 @@ func TestExecuteSurvivesStoreOutageAndRecovers(t *testing.T) {
 		t.Errorf("Stats.Degraded = 0 after outage, want > 0 (stats: %+v)", s)
 	}
 
-	// Restart the store on the same address: the background probe must
-	// close the breaker and dedup hits must resume (the seed entry
-	// survived in the store).
+	if !rt.Degraded() || client.Healthy() {
+		t.Fatal("the failed calls left the client healthy")
+	}
+
+	// Restart the store on the same address: the client's prober must
+	// mark it up within the stated bound, and dedup hits must resume
+	// (the seed entry survived in the store).
 	env.restartServer(t)
-	waitFor(t, "breaker to close after store restart", func() bool { return !rt.Degraded() })
+	restarted := time.Now()
+	waitFor(t, "the prober to mark the store up after its restart", func() bool { return !rt.Degraded() })
+	if took, bound := time.Since(restarted), recoverBound(fastRemoteConfig()); took > bound {
+		t.Errorf("recovered %v after the restart, want within ProbeInterval + 2(DialTimeout + RequestTimeout) = %v", took, bound)
+	}
 	res, out, err := rt.Execute(id, seed, func([]byte) ([]byte, error) {
 		return nil, fmt.Errorf("recomputed despite stored result")
 	})
@@ -204,8 +228,10 @@ func TestExecuteSurvivesStoreOutageAndRecovers(t *testing.T) {
 }
 
 // TestExecuteDegradesWhenStoreStalls runs against a store that
-// handshakes correctly but never answers requests: the per-request
-// deadline must bound the call and degrade it to compute-only.
+// handshakes correctly but never answers requests: the first call is
+// served compute-only within 2·RequestTimeout + DialTimeout (its
+// attempt, one re-dial, the resend), which marks the client down, and
+// the next call skips the store without waiting at all.
 func TestExecuteDegradesWhenStoreStalls(t *testing.T) {
 	env := newFaultEnv(t)
 	env.stopServer()
@@ -262,17 +288,27 @@ func TestExecuteDegradesWhenStoreStalls(t *testing.T) {
 	if want := append([]byte("out:"), in...); !bytes.Equal(res, want) {
 		t.Errorf("result = %q, want %q", res, want)
 	}
-	// One attempt + one retry at 250ms each plus backoff: well under 5s,
-	// and crucially not forever (the pre-deadline behaviour).
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Execute took %v against a stalled store", elapsed)
+	if took, bound := time.Since(start), degradeBound(fastRemoteConfig()); took > bound {
+		t.Errorf("Execute took %v against a stalled store, want within 2·RequestTimeout + DialTimeout = %v", took, bound)
+	}
+	if !rt.Degraded() {
+		t.Fatal("a call that timed out twice left the runtime undegraded")
+	}
+	start = time.Now()
+	if _, out, err := rt.Execute(id, []byte("stall input 2"), func(in []byte) ([]byte, error) {
+		return append([]byte("out:"), in...), nil
+	}); err != nil || out != OutcomeComputed {
+		t.Fatalf("degraded Execute = (%v, %v), want computed", out, err)
+	}
+	if took := time.Since(start); took >= fastRemoteConfig().RequestTimeout {
+		t.Errorf("a degraded call took %v: it waited on the store", took)
 	}
 	s := rt.Stats()
-	if s.Degraded == 0 {
-		t.Errorf("Stats.Degraded = 0, want > 0")
+	if s.Degraded != 2 || s.StoreFailures != 1 {
+		t.Errorf("Stats.Degraded = %d, StoreFailures = %d; want 2 and 1: only the first call asked the store", s.Degraded, s.StoreFailures)
 	}
-	if s.Retries == 0 {
-		t.Errorf("Stats.Retries = 0, want > 0 (timeout should have been retried)")
+	if s.Retries != 1 {
+		t.Errorf("Stats.Retries = %d, want 1: the timed-out request is resent once, after the re-dial", s.Retries)
 	}
 }
 
@@ -305,7 +341,7 @@ func TestLazyDialStoreDownAtStartup(t *testing.T) {
 	}
 
 	env.restartServer(t)
-	waitFor(t, "breaker to close after store came up", func() bool { return !rt.Degraded() })
+	waitFor(t, "the prober to mark the store up", func() bool { return !rt.Degraded() })
 
 	// First call after recovery misses and uploads; the second reuses.
 	if _, out, err := rt.Execute(id, in, compute); err != nil || out != OutcomeComputed {
@@ -316,48 +352,134 @@ func TestLazyDialStoreDownAtStartup(t *testing.T) {
 	}
 }
 
-// TestRemoteClientRetriesRateLimitedPut drives the store's token
-// bucket dry and checks the client transparently backs off and
-// retries the rejected PUT.
-func TestRemoteClientRetriesRateLimitedPut(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{})
-	appEnc, _ := p.Create("app", []byte("app code"))
-	storeEnc, _ := p.Create("store", []byte("store code"))
-	st, err := store.New(store.Config{
-		Enclave: storeEnc,
-		Quota:   store.QuotaConfig{PutRatePerSec: 20, PutBurst: 1},
-	})
+// TestRemoteClientRateLimitedPutNotRetried drives the store's token
+// bucket dry: the rate-limited PUT is a rejected item, answered at once
+// and counted in PutErrors. It is never slept on or resent, so the
+// caller's PUT OCALL is not stalled learning what the store already
+// said.
+func TestRemoteClientRateLimitedPutNotRetried(t *testing.T) {
+	env := newMuxEnv(t, store.Config{Quota: store.QuotaConfig{PutRatePerSec: 1, PutBurst: 1}}, nil, RemoteConfig{})
+	rt, err := NewRuntime(Config{Enclave: env.appEnc, Client: env.client, Logf: func(string, ...any) {}})
 	if err != nil {
-		t.Fatalf("store.New: %v", err)
+		t.Fatalf("NewRuntime: %v", err)
 	}
+	t.Cleanup(func() { _ = rt.Close() })
+	rt.Registry().RegisterLibrary("zlib", "1.2.11", []byte("zlib code"))
+	id, err := rt.Resolve(deflateDesc)
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	compute := func(in []byte) ([]byte, error) { return append([]byte("out:"), in...), nil }
+
+	if _, out, err := rt.Execute(id, []byte("first"), compute); err != nil || out != OutcomeComputed {
+		t.Fatalf("first Execute = (%v, %v), want computed", out, err)
+	}
+	if s := rt.Stats(); s.PutErrors != 0 {
+		t.Fatalf("the burst token did not admit the first PUT (PutErrors = %d)", s.PutErrors)
+	}
+	// The bucket is empty for the next second: this PUT is refused.
+	start := time.Now()
+	if _, out, err := rt.Execute(id, []byte("second"), compute); err != nil || out != OutcomeComputed {
+		t.Fatalf("rate-limited Execute = (%v, %v), want computed", out, err)
+	}
+	if took := time.Since(start); took >= 25*time.Millisecond {
+		t.Errorf("the rate-limited call took %v, want well under 25ms: nothing sleeps on a rejection", took)
+	}
+	if s := rt.Stats(); s.PutErrors != 1 || s.Retries != 0 || s.StoreFailures != 0 {
+		t.Errorf("PutErrors = %d, Retries = %d, StoreFailures = %d; want 1, 0, 0", s.PutErrors, s.Retries, s.StoreFailures)
+	}
+	if !env.client.Healthy() {
+		t.Error("a rejection marked the client down; the store answered")
+	}
+	err = putOne(env.client, testTag(9), mle.Sealed{Blob: []byte("c")}, false)
+	if !errors.Is(err, ErrPutRejected) || !strings.Contains(err.Error(), "rate limit") {
+		t.Errorf("direct Put = %v, want the store's rate-limit rejection", err)
+	}
+}
+
+// TestCloseStopsProber: Close runs while the store is down, the prober
+// is running and calls keep failing on other goroutines. Failed calls
+// start the prober under the mutex that guards closed, so none can
+// start one after Close has begun waiting for it (-race reports a
+// WaitGroup.Add that Close's Wait does not order). Once Close returns
+// no prober goroutine is left and no probe or call reaches the store.
+func TestCloseStopsProber(t *testing.T) {
+	// The store is down: a listener that accepts, counts and hangs up,
+	// so every dial fails its handshake.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	srv := store.NewServer(st, ln, store.WithLogf(func(string, ...any) {}))
-	go func() { _ = srv.Serve() }()
-	t.Cleanup(func() { _ = srv.Close() })
-
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			conn.Close()
+		}
+	}()
+	p := enclave.NewPlatform(enclave.Config{})
+	appEnc, _ := p.Create("app", []byte("app code"))
+	storeEnc, _ := p.Create("store", []byte("store code"))
 	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{
-		MaxRetries:      5,
-		RetryBackoff:    30 * time.Millisecond,
-		RetryMaxBackoff: 200 * time.Millisecond,
+		Lazy:          true,
+		DialTimeout:   time.Second,
+		ProbeInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
 	}
-	t.Cleanup(func() { _ = client.Close() })
 
-	if err := putOne(client, testTag(1), mle.Sealed{Blob: []byte("a")}, false); err != nil {
-		t.Fatalf("Put 1: %v", err)
+	stop := make(chan struct{})
+	var callers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := getOne(client, testTag(byte(i))); err == nil {
+					t.Error("a Get succeeded against a store that is down")
+					return
+				}
+			}
+		}()
 	}
-	// The burst token is spent; this PUT is rejected by the rate
-	// limiter until the bucket refills (~50ms at 20/s) — the retry
-	// schedule covers that comfortably.
-	if err := putOne(client, testTag(2), mle.Sealed{Blob: []byte("b")}, false); err != nil {
-		t.Fatalf("Put 2 (rate limited) not retried to success: %v", err)
+	waitFor(t, "the prober to start", func() bool {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		return client.probing
+	})
+	waitFor(t, "a probe to be sent", func() bool { return dials.Load() > 8 })
+	if err := client.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	if client.Retries() == 0 {
-		t.Error("client.Retries() = 0, want > 0 for the rate-limited PUT")
+	after := dials.Load()
+	if n := goroutinesIn(fmt.Sprintf("(*RemoteClient).probe(%p", client)); n != 0 {
+		t.Errorf("%d prober goroutines still running after Close", n)
 	}
+	time.Sleep(20 * time.Millisecond) // twenty probe intervals
+	close(stop)
+	callers.Wait()
+	if got := dials.Load(); got != after {
+		t.Errorf("%d dials reached the store after Close returned", got-after)
+	}
+	if client.Healthy() {
+		t.Error("Healthy after Close")
+	}
+}
+
+// goroutinesIn counts the live goroutines whose stack holds frame.
+func goroutinesIn(frame string) int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), frame)
 }

@@ -262,7 +262,7 @@ func TestProtocolVersionRefused(t *testing.T) {
 				t.Fatalf("Get = %v, want %v", err, row.wantErr)
 			}
 			if r := client.Retries(); r != 0 {
-				t.Errorf("Retries = %d, want 0: the refusal is not transient", r)
+				t.Errorf("Retries = %d, want 0: a request's own dial is never resent", r)
 			}
 		})
 	}
@@ -270,7 +270,7 @@ func TestProtocolVersionRefused(t *testing.T) {
 
 // TestOversizedRequestFailsAlone: a PUT whose one item cannot fit a
 // frame is refused before a byte of it is written, so it is that
-// request's error — not retried, not the connection's — and a caller
+// request's error — not resent, not the connection's — and a caller
 // sharing the mux never notices.
 func TestOversizedRequestFailsAlone(t *testing.T) {
 	// A request timeout far beyond the test: marshalling 64 MiB under the
@@ -356,7 +356,6 @@ func TestCloseUnblocksInflightWaiters(t *testing.T) {
 
 	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{
 		RequestTimeout: 30 * time.Second, // far beyond the test deadline
-		MaxRetries:     -1,
 	})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
@@ -394,43 +393,56 @@ func TestCloseUnblocksInflightWaiters(t *testing.T) {
 	}
 }
 
+// TestRetryAccountingDeterministic pins the one re-dial: a request
+// that breaks a connection set up before it re-dials once and resends,
+// counted in Retries; a request that dialed its own connection is
+// never resent; and only a failure the re-dial does not cure marks the
+// client down.
 func TestRetryAccountingDeterministic(t *testing.T) {
-	// Against an address nobody listens on, a lazy client's request
-	// makes exactly 1+MaxRetries dial attempts; the counters must agree
-	// and no redial may be recorded as successful.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	p := enclave.NewPlatform(enclave.Config{})
-	appEnc, _ := p.Create("app", []byte("app code"))
-	storeEnc, _ := p.Create("store", []byte("store code"))
-	client, err := DialConfig(addr, appEnc, storeEnc.Measurement(), RemoteConfig{
-		Lazy:         true,
-		DialTimeout:  100 * time.Millisecond,
-		MaxRetries:   2,
-		RetryBackoff: time.Millisecond,
-	})
+	env := newFaultEnv(t)
+	cfg := fastRemoteConfig()
+	cfg.ProbeInterval = time.Hour // keep the prober's dials out of the counts
+	client, err := DialConfig(env.addr, env.appEnc, env.storeEnc.Measurement(), cfg)
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
 	}
 	defer client.Close()
+	want := func(step string, retries, reconnects int64, healthy bool) {
+		t.Helper()
+		if r, rc, h := client.Retries(), client.Reconnects(), client.Healthy(); r != retries || rc != reconnects || h != healthy {
+			t.Errorf("%s: retries=%d reconnects=%d healthy=%v, want %d, %d, %v", step, r, rc, h, retries, reconnects, healthy)
+		}
+		if n := client.Inflight(); n != 0 {
+			t.Errorf("%s: Inflight = %d, want 0", step, n)
+		}
+	}
+	get := func(step string, ok bool) {
+		t.Helper()
+		if _, _, err := getOne(client, testTag(1)); (err == nil) != ok {
+			t.Fatalf("%s: Get = %v, want success %v", step, err, ok)
+		}
+	}
 
-	if _, _, err := getOne(client, testTag(1)); err == nil {
-		t.Fatal("Get against dead address succeeded")
-	}
-	if r := client.Retries(); r != 2 {
-		t.Errorf("Retries = %d, want 2", r)
-	}
-	if r := client.Reconnects(); r != 0 {
-		t.Errorf("Reconnects = %d, want 0 (no dial succeeded)", r)
-	}
-	if n := client.Inflight(); n != 0 {
-		t.Errorf("Inflight = %d, want 0", n)
-	}
+	// The store restarts under the connection: the re-dial cures it.
+	env.stopServer()
+	env.restartServer(t)
+	get("store restarted", true)
+	want("store restarted", 1, 1, true)
+
+	// The store dies: the re-dial is refused, so the client goes down.
+	env.stopServer()
+	get("store dead", false)
+	want("store dead", 2, 1, false)
+
+	// No connection is left, so the next request dials its own and is
+	// not resent when that dial fails.
+	get("store still dead", false)
+	want("store still dead", 2, 1, false)
+
+	// A request's own dial succeeding brings the client back up.
+	env.restartServer(t)
+	get("store back", true)
+	want("store back", 2, 2, true)
 }
 
 // reorderServer is a raw v2 peer that collects two requests and answers
@@ -526,7 +538,6 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 
 	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{
 		RequestTimeout: 5 * time.Second,
-		MaxRetries:     -1,
 	})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
@@ -645,8 +656,6 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 	ln := tokenPeer(t, storeEnc)
 	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{
 		RequestTimeout: 5 * time.Second,
-		MaxRetries:     1,
-		RetryBackoff:   time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
@@ -708,12 +717,13 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 		t.Fatal("the timeout did not unblock the token holder")
 	}
 
-	// The next request re-dials and is served.
+	// The next request finds the connection dead, re-dials once and is
+	// served.
 	if err := get('D'); err != nil {
 		t.Error(err)
 	}
-	if r := client.Reconnects(); r != 1 {
-		t.Errorf("Reconnects = %d, want 1", r)
+	if r, rc := client.Retries(), client.Reconnects(); r != 1 || rc != 1 {
+		t.Errorf("Retries = %d, Reconnects = %d, want 1 and 1", r, rc)
 	}
 }
 
@@ -726,7 +736,7 @@ func TestMuxDeadlineAfterReply(t *testing.T) {
 	appEnc, _ := p.Create("app", []byte("app code"))
 	storeEnc, _ := p.Create("store", []byte("store code"))
 	ln := tokenPeer(t, storeEnc)
-	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{MaxRetries: -1})
+	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
 	}

@@ -1,7 +1,6 @@
 package dedup
 
 import (
-	"errors"
 	"net"
 	"testing"
 	"time"
@@ -42,7 +41,6 @@ func TestPingFailsWhenStoreDown(t *testing.T) {
 	client, err := DialConfig(addr, appEnc, storeEnc.Measurement(), RemoteConfig{
 		Lazy:        true,
 		DialTimeout: 200 * time.Millisecond,
-		MaxRetries:  -1,
 	})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
@@ -51,9 +49,12 @@ func TestPingFailsWhenStoreDown(t *testing.T) {
 	if err := client.Ping(); err == nil {
 		t.Fatal("Ping succeeded against a dead address")
 	}
+	if client.Healthy() {
+		t.Error("a failed Ping left the client healthy")
+	}
 }
 
-func TestLocalClientPing(t *testing.T) {
+func TestLocalClientHealthy(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	storeEnc, _ := p.Create("store", []byte("store code"))
 	st, err := store.New(store.Config{Enclave: storeEnc})
@@ -61,11 +62,11 @@ func TestLocalClientPing(t *testing.T) {
 		t.Fatalf("store.New: %v", err)
 	}
 	client := NewLocalClient(st, enclave.Measurement{})
-	if err := client.Ping(); err != nil {
-		t.Fatalf("Ping on open store: %v", err)
+	if !client.Healthy() {
+		t.Fatal("Healthy = false on an open store")
 	}
 	st.Close()
-	if err := client.Ping(); !errors.Is(err, store.ErrClosed) {
-		t.Errorf("Ping on closed store = %v, want ErrClosed", err)
+	if client.Healthy() {
+		t.Error("Healthy = true on a closed store")
 	}
 }

@@ -95,8 +95,9 @@ type item struct {
 	// result overwrites it — a poisoned entry cannot permanently
 	// disable reuse for its tag.
 	replace bool
-	// degraded: served compute-only because the store failed or the
-	// breaker is open; counted in Stats.Degraded and never uploaded.
+	// degraded: served compute-only because its GET failed or the
+	// store client reports the store unhealthy; counted in
+	// Stats.Degraded and never uploaded.
 	degraded bool
 }
 
@@ -232,15 +233,14 @@ func (c *call) publish(it *item) {
 
 // lookup settles every leader the store can settle: one batched GET
 // OCALL for all of them (Algorithm 1/2 line 2), then the Fig. 3
-// verification of each hit. A degraded call — an open breaker, a
-// failed GET with degradation on — skips straight to computing
-// everything: deduplication is an accelerator, not a correctness
-// dependency.
+// verification of each hit. A degraded call — the store client reports
+// the store unhealthy, or this call's GET failed — skips straight to
+// computing everything: deduplication is an accelerator, not a
+// correctness dependency.
 func (c *call) lookup() {
 	rt := c.rt
 	down := rt.Degraded()
 	var found []wire.GetResult
-	var fail error
 	if !down {
 		tags := make([]mle.Tag, 0, len(c.items))
 		for i := range c.items {
@@ -251,10 +251,9 @@ func (c *call) lookup() {
 		if len(tags) == 0 {
 			return
 		}
-		var gerr error
-		if found, gerr = rt.clientGet(c.tc, tags, &c.span); gerr == nil {
-			rt.noteStoreSuccess()
-		} else if fail = rt.storeGetFailed(gerr); fail == nil {
+		var err error
+		if found, err = rt.clientGet(c.tc, tags, &c.span); err != nil {
+			rt.storeGetFailed(err)
 			down = true
 		}
 	}
@@ -264,10 +263,6 @@ func (c *call) lookup() {
 		switch {
 		case !it.leads():
 			continue
-		case fail != nil:
-			// Degradation disabled: the failure surfaces on every
-			// leader, and through their flights.
-			it.Err = fail
 		case found == nil:
 			it.need, it.degraded = true, down
 		case found[j].Found:
@@ -307,9 +302,8 @@ func (c *call) verifyHit(it *item, sealed mle.Sealed) {
 		case err == nil:
 			manifests = 1
 		case errors.Is(err, errFetchChunks):
-			if it.Err = rt.storeGetFailed(err); it.Err == nil {
-				it.need, it.degraded = true, true
-			}
+			rt.storeGetFailed(err)
+			it.need, it.degraded = true, true
 			return
 		case !errors.Is(err, errNoManifest):
 			// The manifest was authentic but its chunks were not

@@ -34,7 +34,7 @@ type countingClient struct {
 	getMutate        func(call int64, res []wire.GetResult)
 	rejectPuts       bool          // every PUT item is refused, as by a quota
 	delay            time.Duration // added to every Get
-	down             atomic.Bool   // Ping fails: the breaker stays open
+	down             atomic.Bool   // the client reports the store unhealthy
 }
 
 func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
@@ -69,11 +69,8 @@ func (c *countingClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, erro
 	return c.StoreClient.Has(tc, tags)
 }
 
-func (c *countingClient) Ping() error {
-	if c.down.Load() {
-		return errStoreDown
-	}
-	return c.StoreClient.Ping()
+func (c *countingClient) Healthy() bool {
+	return !c.down.Load() && c.StoreClient.Healthy()
 }
 
 var errStoreDown = errors.New("injected: store down")
@@ -191,17 +188,13 @@ func (env *pipeEnv) lookup(input []byte) ([]byte, bool) {
 	return res, err == nil && out == OutcomeReused
 }
 
-// tripBreaker fails one call so the breaker (DegradeThreshold 1) opens,
-// then holds it open against the background probe.
-func (env *pipeEnv) tripBreaker() {
+// storeDown has the client report the store unhealthy, as its
+// transport does after a failure its re-dial did not cure.
+func (env *pipeEnv) storeDown() {
 	env.t.Helper()
 	env.client.down.Store(true)
-	env.client.getErr = func(int64) error { return errStoreDown }
-	if _, _, err := env.rt.Execute(env.id, []byte("trip"), pipeCompute); err != nil {
-		env.t.Fatalf("tripping call: %v", err)
-	}
 	if !env.rt.Degraded() {
-		env.t.Fatal("breaker did not open")
+		env.t.Fatal("an unhealthy client left the runtime undegraded")
 	}
 }
 
@@ -233,8 +226,7 @@ type pipeScenario struct {
 	stored  bool
 
 	outcome Outcome
-	errIs   error  // the call fails with this...
-	errText string // ...or with an error containing this
+	errIs   error // the call fails with this
 	stats   Stats
 	filler  Stats // per filler; zero means a plain hit
 	// fetches means the call fetched every chunk of its result from the
@@ -248,11 +240,9 @@ type pipeScenario struct {
 	verify func(env *pipeEnv, want []byte)
 }
 
-func withChunking(cfg *Config)   { cfg.ChunkThreshold = chunkTestThreshold }
-func withoutDegrade(cfg *Config) { cfg.DegradeThreshold = -1 }
-func withBreakerAt1(cfg *Config) { cfg.DegradeThreshold = 1 }
-func degradedFiller() Stats      { return Stats{Computed: 1, Degraded: 1} }
-func failAllGets(env *pipeEnv)   { env.client.getErr = func(int64) error { return errStoreDown } }
+func withChunking(cfg *Config) { cfg.ChunkThreshold = chunkTestThreshold }
+func degradedFiller() Stats    { return Stats{Computed: 1, Degraded: 1} }
+func failAllGets(env *pipeEnv) { env.client.getErr = func(int64) error { return errStoreDown } }
 func stored(env *pipeEnv, want []byte) {
 	env.t.Helper()
 	if got, ok := env.lookup(pipeInput); !ok || !bytes.Equal(got, want) {
@@ -300,18 +290,9 @@ var pipeScenarios = []pipeScenario{
 		verify: notStored,
 	},
 	{
-		name:    "get_error_surfaces_without_degradation",
-		cfg:     withoutDegrade,
-		arrange: failAllGets,
-		errIs:   errStoreDown,
-		errText: "query store",
-		filler:  Stats{Calls: 1},
-		gets:    1, ocalls: 1,
-	},
-	{
+		// The client reports the store down: no call consults it.
 		name:    "breaker_open",
-		cfg:     withBreakerAt1,
-		arrange: (*pipeEnv).tripBreaker,
+		arrange: (*pipeEnv).storeDown,
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1, Degraded: 1},
 		filler:  degradedFiller(),
@@ -414,23 +395,6 @@ var pipeScenarios = []pipeScenario{
 		stats:   Stats{Computed: 1, Degraded: 1, StoreFailures: 1},
 		gets:    2, ocalls: 2,
 	},
-	{
-		name: "chunk_fetch_outage_surfaces_without_degradation",
-		cfg:  func(cfg *Config) { withChunking(cfg); withoutDegrade(cfg) },
-		arrange: func(env *pipeEnv) {
-			env.seed(pipeInput, pipeBig)
-			env.client.getErr = func(call int64) error {
-				if call == 2 {
-					return errStoreDown
-				}
-				return nil
-			}
-		},
-		compute: pipeBig,
-		errIs:   errStoreDown,
-		errText: "query store",
-		gets:    2, ocalls: 2,
-	},
 }
 
 // pipeEntry is one way into the pipeline. call runs the scenario input
@@ -510,8 +474,8 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	// The scenario item.
 	switch {
 	case sc.errIs != nil:
-		if !errors.Is(got.Err, sc.errIs) || !strings.Contains(got.Err.Error(), sc.errText) {
-			t.Errorf("err = %v, want %v containing %q", got.Err, sc.errIs, sc.errText)
+		if !errors.Is(got.Err, sc.errIs) {
+			t.Errorf("err = %v, want %v", got.Err, sc.errIs)
 		}
 		if got.Result != nil || got.Outcome != 0 {
 			t.Errorf("failed item carries result %q outcome %v", got.Result, got.Outcome)
@@ -529,13 +493,7 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 		filler = Stats{Reused: 1, BytesReused: int64(len("result of " + string(pipeFillers[0])))}
 	}
 	for i, f := range fillers {
-		wantRes, _ := pipeCompute(pipeFillers[i])
-		switch {
-		case filler.Calls == 1:
-			if f.Err == nil {
-				t.Errorf("filler %d succeeded, want the store error on every item", i)
-			}
-		case f.Err != nil || !bytes.Equal(f.Result, wantRes):
+		if wantRes, _ := pipeCompute(pipeFillers[i]); f.Err != nil || !bytes.Equal(f.Result, wantRes) {
 			t.Errorf("filler %d = (%q, %v), want %q", i, f.Result, f.Err, wantRes)
 		}
 	}

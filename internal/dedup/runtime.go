@@ -6,7 +6,6 @@ import (
 	"log"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"speed/internal/chunk"
 	"speed/internal/enclave"
@@ -86,18 +85,6 @@ type Config struct {
 	// misses, and a chunked upload skips chunks known store-resident.
 	// Defaults to 16 MiB when chunking is enabled; ignored otherwise.
 	ChunkCacheBytes int64
-	// DegradeThreshold is the number of consecutive store transport
-	// failures after which the runtime opens its circuit breaker: it
-	// stops consulting the store entirely (compute-only mode) and
-	// probes it in the background until it recovers. Regardless of the
-	// threshold, an individual failed GET degrades only its own call —
-	// the caller gets a freshly computed result instead of an error.
-	// Zero selects the default (5); negative disables degradation, so
-	// store failures surface as Execute errors as before.
-	DegradeThreshold int
-	// ProbeInterval is how often a degraded runtime probes the store in
-	// the background to detect recovery; defaults to 500ms.
-	ProbeInterval time.Duration
 	// Telemetry, when non-nil, registers the runtime's metrics —
 	// outcome counters, the end-to-end Execute latency histogram per
 	// outcome, and per-phase latency histograms (tag derivation, store
@@ -135,15 +122,15 @@ type Stats struct {
 	// BytesReused totals the plaintext result bytes served from the
 	// store.
 	BytesReused int64
-	// Degraded counts calls served compute-only because the store was
-	// unreachable or the circuit breaker was open.
+	// Degraded counts calls served compute-only because their GET
+	// failed or the store client reported the store unhealthy.
 	Degraded int64
-	// StoreFailures counts store transport failures observed by the
-	// runtime (GET/PUT errors other than explicit rejections).
+	// StoreFailures counts failed store requests observed by the
+	// runtime: GET and PUT errors, not per-item rejections.
 	StoreFailures int64
-	// Retries counts request retries performed by the store client
-	// (populated when the client exposes a retry counter, e.g.
-	// RemoteClient).
+	// Retries counts requests the store client resent on a fresh
+	// connection after the old one failed (populated when the client
+	// exposes the counter, e.g. RemoteClient and cluster.Client).
 	Retries int64
 	// ChunkedPuts counts results uploaded chunk-wise (manifest plus
 	// content chunks) rather than as one sealed blob.
@@ -162,9 +149,9 @@ type Stats struct {
 	ChunksSkipped int64
 }
 
-// retryCounter is implemented by store clients that retry transient
-// failures internally (RemoteClient); the runtime surfaces the count
-// through Stats.Retries.
+// retryCounter is implemented by store clients that resend requests
+// after a re-dial (RemoteClient, cluster.Client); the runtime surfaces
+// the count through Stats.Retries.
 type retryCounter interface {
 	Retries() int64
 }
@@ -179,17 +166,6 @@ type Runtime struct {
 
 	flightMu sync.Mutex
 	inflight map[mle.Tag]*flight
-
-	// Circuit breaker over the store path (Section III-D rate limiting
-	// and the networked deployment of Section IV-B assume the store can
-	// fail): after DegradeThreshold consecutive transport failures the
-	// breaker opens and Execute serves compute-only until a background
-	// probe sees the store healthy again.
-	breakerMu   sync.Mutex
-	consecFails int
-	brkOpen     bool
-	probing     bool
-	probeWG     sync.WaitGroup
 
 	putCh  chan putJob
 	stop   chan struct{}
@@ -251,12 +227,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry()
 	}
-	if cfg.DegradeThreshold == 0 {
-		cfg.DegradeThreshold = 5
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -309,75 +279,14 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// Degraded reports whether the circuit breaker is currently open, i.e.
-// the runtime is serving compute-only and probing the store in the
-// background.
-func (rt *Runtime) Degraded() bool {
-	rt.breakerMu.Lock()
-	defer rt.breakerMu.Unlock()
-	return rt.brkOpen
-}
+// Degraded reports whether the runtime is serving compute-only because
+// its store client reports the store unhealthy. The client keeps the
+// only health state (DESIGN.md "Store failure handling"); this is one
+// read of it.
+func (rt *Runtime) Degraded() bool { return !rt.cfg.Client.Healthy() }
 
-// degradeEnabled reports whether store failures fall back to
-// compute-only instead of failing the call.
-func (rt *Runtime) degradeEnabled() bool { return rt.cfg.DegradeThreshold > 0 }
-
-// noteStoreFailure records one store transport failure and opens the
-// breaker when the threshold is reached.
-func (rt *Runtime) noteStoreFailure(err error) {
-	rt.mu.Lock()
-	rt.stats.StoreFailures++
-	rt.mu.Unlock()
-	rt.breakerMu.Lock()
-	rt.consecFails++
-	if !rt.brkOpen && rt.consecFails >= rt.cfg.DegradeThreshold {
-		rt.brkOpen = true
-		if !rt.probing {
-			rt.probing = true
-			rt.probeWG.Add(1)
-			go rt.probeLoop()
-		}
-		rt.cfg.Logf("speed: %d consecutive store failures (last: %v); degrading to compute-only", rt.consecFails, err)
-	}
-	rt.breakerMu.Unlock()
-}
-
-// noteStoreSuccess resets the consecutive-failure counter after any
-// successful store exchange.
-func (rt *Runtime) noteStoreSuccess() {
-	rt.breakerMu.Lock()
-	rt.consecFails = 0
-	rt.breakerMu.Unlock()
-}
-
-// probeLoop periodically pings the store until it answers again, then
-// closes the breaker so deduplication resumes. Ping performs a full
-// request round trip without any dictionary operation, so a degraded
-// runtime probing every ProbeInterval never fabricates GET traffic.
-func (rt *Runtime) probeLoop() {
-	defer rt.probeWG.Done()
-	ticker := time.NewTicker(rt.cfg.ProbeInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case <-ticker.C:
-			if err := rt.cfg.Client.Ping(); err == nil {
-				rt.breakerMu.Lock()
-				rt.brkOpen = false
-				rt.consecFails = 0
-				rt.probing = false
-				rt.breakerMu.Unlock()
-				rt.cfg.Logf("speed: store recovered; deduplication re-enabled")
-				return
-			}
-		}
-	}
-}
-
-// Close drains the async PUT worker (if any), stops the recovery
-// prober, and closes the store client. The runtime must not be used
+// Close drains the async PUT worker (if any) and closes the store
+// client, which stops its prober. The runtime must not be used
 // afterwards.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
@@ -388,7 +297,6 @@ func (rt *Runtime) Close() error {
 	rt.closed = true
 	rt.mu.Unlock()
 	close(rt.stop)
-	rt.probeWG.Wait()
 	<-rt.done
 	return rt.cfg.Client.Close()
 }
@@ -399,18 +307,20 @@ func (rt *Runtime) Resolve(desc FuncDesc) (mle.FuncID, error) {
 	return rt.cfg.Registry.Resolve(desc)
 }
 
-// storeGetFailed books a transport failure on the GET side — the
-// lookup, or a chunk fetch mid-reassembly. Nil means the items it hit
-// degrade to a plain computation with no upload, and the failure feeds
-// the circuit breaker; with degradation disabled the returned error
-// surfaces on them instead.
-func (rt *Runtime) storeGetFailed(err error) error {
-	if !rt.degradeEnabled() {
-		return fmt.Errorf("query store: %w", err)
-	}
-	rt.noteStoreFailure(err)
+// storeGetFailed books a failure on the GET side — the lookup, or a
+// chunk fetch mid-reassembly. The items it hit degrade to a plain
+// computation with no upload: deduplication is an accelerator, not a
+// correctness dependency.
+func (rt *Runtime) storeGetFailed(err error) {
+	rt.noteStoreFailure()
 	rt.cfg.Logf("speed: store get failed, serving compute-only: %v", err)
-	return nil
+}
+
+// noteStoreFailure counts one failed store request.
+func (rt *Runtime) noteStoreFailure() {
+	rt.mu.Lock()
+	rt.stats.StoreFailures++
+	rt.mu.Unlock()
 }
 
 // upload is the pipeline's one PUT stage (Algorithm 1 lines 5-10),
@@ -497,6 +407,7 @@ func (rt *Runtime) putOCall(span *execSpan, put func() error) error {
 func (rt *Runtime) clientPut(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	res, err := rt.cfg.Client.Put(tc, items)
 	if err != nil {
+		rt.noteStoreFailure()
 		return nil, err
 	}
 	if len(res) != len(items) {
@@ -558,15 +469,5 @@ func (rt *Runtime) notePutError(err error) {
 	rt.mu.Lock()
 	rt.stats.PutErrors++
 	rt.mu.Unlock()
-	// PUT outcomes feed the breaker too: an explicit rejection proves
-	// the store is alive, while a transport failure counts against it.
-	if rt.degradeEnabled() {
-		switch {
-		case errors.Is(err, ErrPutRejected):
-			rt.noteStoreSuccess()
-		case isTransient(err):
-			rt.noteStoreFailure(err)
-		}
-	}
 	rt.cfg.Logf("speed: put failed: %v", err)
 }

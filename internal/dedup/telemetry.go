@@ -141,14 +141,14 @@ func newRTMetrics(reg *telemetry.Registry, rt *Runtime, sampleRate int) *rtMetri
 		{"speed_runtime_verify_failures_total", "stored entries rejected by verification", func(s Stats) int64 { return s.VerifyFailures }},
 		{"speed_runtime_put_errors_total", "failed or rejected uploads", func(s Stats) int64 { return s.PutErrors }},
 		{"speed_runtime_bytes_reused_total", "plaintext bytes served from the store", func(s Stats) int64 { return s.BytesReused }},
-		{"speed_runtime_degraded_calls_total", "calls served compute-only while the store was down", func(s Stats) int64 { return s.Degraded }},
-		{"speed_runtime_store_failures_total", "store transport failures", func(s Stats) int64 { return s.StoreFailures }},
-		{"speed_runtime_retries_total", "store request retries", func(s Stats) int64 { return s.Retries }},
+		{"speed_runtime_degraded_calls_total", "calls served compute-only because their GET failed or the store was down", func(s Stats) int64 { return s.Degraded }},
+		{"speed_runtime_store_failures_total", "failed store GET and PUT requests", func(s Stats) int64 { return s.StoreFailures }},
+		{"speed_runtime_retries_total", "store requests resent after a re-dial", func(s Stats) int64 { return s.Retries }},
 	} {
 		field := c.field
 		reg.NewCounterFunc(c.name, c.help, func() int64 { return field(rt.Stats()) }, appLabel)
 	}
-	reg.NewGaugeFunc("speed_runtime_degraded", "1 while the circuit breaker is open", func() float64 {
+	reg.NewGaugeFunc("speed_runtime_degraded", "1 while the store client reports the store unhealthy and calls are served compute-only", func() float64 {
 		if rt.Degraded() {
 			return 1
 		}
