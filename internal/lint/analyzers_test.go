@@ -139,10 +139,6 @@ func TestSealFlow(t *testing.T) {
 	runFixtureTest(t, lint.SealFlowAnalyzer, "sealflow", []string{"engine", "mle", "app"})
 }
 
-func TestFsyncOrder(t *testing.T) {
-	runFixtureTest(t, lint.FsyncOrderAnalyzer, "fsyncorder", []string{"logengine"})
-}
-
 func TestGoroExit(t *testing.T) {
 	runFixtureTest(t, lint.GoroExitAnalyzer, "goroexit", []string{"dedup"})
 }

@@ -3,15 +3,13 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // This file builds the one-level call-graph summary layer: for every
 // function declared in the package under analysis, a funcSummary of
 // the facts the dataflow analyzers need about its callees — "returns
 // tainted data", "propagates argument taint to its results", "sinks a
-// tainted argument to the network/disk/log", "fsyncs a file",
-// "fsyncs the directory", "renames (commits)", "never returns".
+// tainted argument to the network/disk/log", "never returns".
 //
 // Summaries are computed callee-first (DFS postorder over the
 // package-local call graph, cycles broken arbitrarily), so by the time
@@ -65,18 +63,6 @@ type funcSummary struct {
 	// ciphertext). Such calls act as sanitizers at call sites.
 	seals bool
 
-	// writesFile: the body writes file content (os.File/bufio writes,
-	// os.WriteFile) on some path.
-	writesFile bool
-	// syncs: the body fsyncs a file (f.Sync or a callee that does).
-	syncs bool
-	// syncsDir: the body fsyncs a directory (a syncDir-shaped helper
-	// or a callee that does).
-	syncsDir bool
-	// renames: the body calls os.Rename (a commit point) directly or
-	// through a callee.
-	renames bool
-
 	// neverReturns: the exit block is unreachable — the function can
 	// only leave by blocking forever or panicking.
 	neverReturns bool
@@ -106,8 +92,8 @@ type callGraph struct {
 
 // buildCallGraph collects the package's function declarations and
 // computes their summaries callee-first. The summarise callback runs
-// the taint engine for the taint-related fields; the structural fields
-// (fsync/rename/never-returns) are computed here.
+// the taint engine for the taint-related fields; never-returns is
+// computed here.
 func buildCallGraph(pkg *Package) *callGraph {
 	g := &callGraph{
 		pkg:    pkg,
@@ -154,7 +140,9 @@ func buildCallGraph(pkg *Package) *callGraph {
 	}
 
 	for _, n := range g.order {
-		g.summariseStructure(n)
+		n.summary.cfg = buildCFG(n.decl.Body)
+		reach := n.summary.cfg.reachableFrom(n.summary.cfg.entry)
+		n.summary.neverReturns = !reach.has(n.summary.cfg.exit.index)
 	}
 	return g
 }
@@ -165,10 +153,12 @@ func buildCallGraph(pkg *Package) *callGraph {
 func (g *callGraph) resolve(call *ast.CallExpr) *funcNode {
 	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		if obj, ok := g.pkg.Info.Uses[fn].(*types.Func); ok {
+		if obj := g.pkg.Info.Uses[fn]; obj != nil {
 			// Type info resolved the callee: trust it. A non-local
-			// object must not fall back to a same-named local function.
-			return g.byObj[obj]
+			// object — a builtin such as append, a func-typed variable —
+			// must not fall back to a same-named local method.
+			f, _ := obj.(*types.Func)
+			return g.byObj[f]
 		}
 		return g.byName[fn.Name]
 	case *ast.SelectorExpr:
@@ -185,84 +175,25 @@ func (g *callGraph) resolve(call *ast.CallExpr) *funcNode {
 	return nil
 }
 
-// summariseStructure fills the CFG-derived summary fields: file
-// writes, fsyncs, directory fsyncs, renames and never-returns. Taint
-// fields are filled separately by summariseTaint (dataflow.go), which
-// needs the full engine.
-func (g *callGraph) summariseStructure(n *funcNode) {
-	n.summary.cfg = buildCFG(n.decl.Body)
-	reach := n.summary.cfg.reachableFrom(n.summary.cfg.entry)
-	n.summary.neverReturns = !reach.has(n.summary.cfg.exit.index)
-
-	isDirSyncName := dirSyncShaped(n.decl.Name.Name)
-	ast.Inspect(n.decl.Body, func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false // closures are separate analysis units
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case isFileWriteCall(g.pkg, call):
-			n.summary.writesFile = true
-		case isFileSyncCall(g.pkg, call):
-			if isDirSyncName {
-				n.summary.syncsDir = true
-			} else {
-				n.summary.syncs = true
-			}
-		case isRenameCall(g.pkg, call):
-			n.summary.renames = true
-		}
-		if callee := g.resolve(call); callee != nil {
-			cs := callee.summary
-			n.summary.writesFile = n.summary.writesFile || cs.writesFile
-			n.summary.syncs = n.summary.syncs || cs.syncs
-			n.summary.syncsDir = n.summary.syncsDir || cs.syncsDir
-			n.summary.renames = n.summary.renames || cs.renames
-		}
-		return true
-	})
-}
-
-// dirSyncShaped reports whether a function name announces a directory
-// fsync helper (syncDir, fsyncDir, dirSync...).
-func dirSyncShaped(name string) bool {
-	l := strings.ToLower(name)
-	return strings.Contains(l, "syncdir") || strings.Contains(l, "dirsync") ||
-		strings.Contains(l, "fsyncdir")
-}
-
-// fileWriterTypeNames are receiver type names whose Write-family
-// methods move bytes toward a file descriptor. bytes.Buffer and
-// strings.Builder are deliberately absent: they are memory.
-var fileWriterTypeNames = map[string]bool{
-	"File": true, "Writer": true, // os.File, bufio.Writer
-}
-
-// isFileWriterRecv reports whether e is a file-backed writer (os.File
-// or bufio.Writer, by package-qualified type name).
+// isFileWriterRecv reports whether e is a file-backed writer: a
+// bufio.Writer, or anything that can be fsynced — *os.File, and a file
+// reached through a file-system interface such as the storage engine's.
+// bytes.Buffer and strings.Builder are memory, and have no Sync.
 func isFileWriterRecv(pkg *Package, e ast.Expr) bool {
 	n := namedTypeOf(pkg, e)
-	if n == nil || n.Obj() == nil {
+	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
 		return false
 	}
-	p := n.Obj().Pkg()
-	if p == nil {
-		return false
-	}
-	switch {
-	case p.Name() == "os" && n.Obj().Name() == "File":
-		return true
-	case p.Name() == "bufio" && n.Obj().Name() == "Writer":
+	if n.Obj().Pkg().Name() == "bufio" && n.Obj().Name() == "Writer" {
 		return true
 	}
-	return false
+	sync, _, _ := types.LookupFieldOrMethod(n, true, n.Obj().Pkg(), "Sync")
+	_, ok := sync.(*types.Func)
+	return ok
 }
 
 // isFileWriteCall recognises base file-write events: Write-family
-// methods on *os.File / *bufio.Writer, and os.WriteFile.
+// methods on a file-backed writer (isFileWriterRecv), and os.WriteFile.
 func isFileWriteCall(pkg *Package, call *ast.CallExpr) bool {
 	if isPkgFunc(pkg, call, "os", "WriteFile") {
 		return true
@@ -277,23 +208,4 @@ func isFileWriteCall(pkg *Package, call *ast.CallExpr) bool {
 		return false
 	}
 	return isFileWriterRecv(pkg, sel.X)
-}
-
-// isFileSyncCall recognises base fsync events: Sync on an *os.File.
-func isFileSyncCall(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Sync" {
-		return false
-	}
-	if isFileWriterRecv(pkg, sel.X) {
-		return true
-	}
-	// Fixture fallback: a Sync() method call with no resolvable type
-	// still counts — fixture packages type-check with holes.
-	return namedTypeOf(pkg, sel.X) == nil
-}
-
-// isRenameCall recognises os.Rename.
-func isRenameCall(pkg *Package, call *ast.CallExpr) bool {
-	return isPkgFunc(pkg, call, "os", "Rename")
 }

@@ -6,13 +6,12 @@ import (
 )
 
 // This file is the control-flow layer under the dataflow analyzers
-// (sealflow, fsyncorder, goroexit): a per-function CFG of basic blocks
-// built from the AST, with dominators and reachability on top. It
-// stays deliberately simple — statement-level blocks, no SSA, no
-// critical-edge splitting — because the analyzers built on it reason
-// about event ordering ("a Sync dominates this Rename", "an exit is
-// reachable from this loop"), not about values at the instruction
-// level; value tracking lives in dataflow.go.
+// (sealflow, goroexit): a per-function CFG of basic blocks built from
+// the AST, with reachability on top. It stays deliberately simple —
+// statement-level blocks, no SSA, no critical-edge splitting — because
+// the analyzers built on it reason about paths ("an exit is reachable
+// from this loop"), not about values at the instruction level; value
+// tracking lives in dataflow.go.
 //
 // Coverage notes:
 //
@@ -29,7 +28,6 @@ import (
 //   - panic(...) and calls that never return (os.Exit, log.Fatal*,
 //     runtime.Goexit, t.Fatal*) terminate the block WITHOUT an edge to
 //     exit: the function does not return normally through them. This
-//     matters for fsyncorder's "on all non-error returns" rules and
 //     keeps goroexit honest (a goroutine whose only way out is panic
 //     has no shutdown edge).
 //   - defer bodies are not spliced into the exit path; deferred calls
@@ -55,18 +53,6 @@ type funcCFG struct {
 	// exit is the synthetic single exit: every return statement and
 	// the fall-off-the-end path feed it.
 	exit *cfgBlock
-	// returns lists every return statement together with its block.
-	returns []cfgReturn
-
-	// dom[i] is the bitset of blocks dominating block i (computed
-	// lazily by dominators()).
-	dom []bitset
-}
-
-// cfgReturn is one return site.
-type cfgReturn struct {
-	stmt  *ast.ReturnStmt
-	block *cfgBlock
 }
 
 // bitset is a fixed-width bit vector over block indexes.
@@ -76,26 +62,6 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
-// intersect ands o into b, reporting whether b changed.
-func (b bitset) intersect(o bitset) bool {
-	changed := false
-	for i := range b {
-		if n := b[i] & o[i]; n != b[i] {
-			b[i] = n
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (b bitset) copyFrom(o bitset) { copy(b, o) }
-
-func (b bitset) fill() {
-	for i := range b {
-		b[i] = ^uint64(0)
-	}
-}
 
 // buildCFG constructs the CFG of a function or closure body.
 func buildCFG(body *ast.BlockStmt) *funcCFG {
@@ -312,7 +278,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 	case *ast.ReturnStmt:
 		b.cur.nodes = append(b.cur.nodes, s)
-		b.g.returns = append(b.g.returns, cfgReturn{stmt: s, block: b.cur})
 		b.link(b.cur, b.g.exit)
 		b.terminate()
 	default:
@@ -453,58 +418,6 @@ func isNoReturnStmt(s ast.Stmt) bool {
 	return noReturnCallNames[name]
 }
 
-// dominators computes the dominator sets with the classic iterative
-// bitset algorithm. Unreachable blocks end up dominated by everything
-// (the all-ones convention), which downstream queries treat as "not
-// reachable, claim holds vacuously".
-func (g *funcCFG) dominators() {
-	if g.dom != nil {
-		return
-	}
-	n := len(g.blocks)
-	g.dom = make([]bitset, n)
-	for i := range g.dom {
-		g.dom[i] = newBitset(n)
-		if i == g.entry.index {
-			g.dom[i].set(i)
-		} else {
-			g.dom[i].fill()
-		}
-	}
-	changed := true
-	tmp := newBitset(n)
-	for changed {
-		changed = false
-		for _, blk := range g.blocks {
-			if blk == g.entry {
-				continue
-			}
-			if len(blk.preds) == 0 {
-				continue // unreachable: stays all-ones
-			}
-			tmp.fill()
-			for _, p := range blk.preds {
-				tmp.intersect(g.dom[p.index])
-			}
-			tmp.set(blk.index)
-			// Dominator sets only shrink across iterations, so the old
-			// set is always a superset of the recomputed one and
-			// intersecting is equivalent to assigning.
-			if g.dom[blk.index].intersect(tmp) {
-				changed = true
-			}
-		}
-	}
-}
-
-// dominates reports whether block a dominates block b (every path from
-// entry to b passes through a). An unreachable b is dominated by
-// everything.
-func (g *funcCFG) dominates(a, b *cfgBlock) bool {
-	g.dominators()
-	return g.dom[b.index].has(a.index)
-}
-
 // reachableFrom returns the set of blocks reachable from start
 // (inclusive).
 func (g *funcCFG) reachableFrom(start *cfgBlock) bitset {
@@ -522,15 +435,4 @@ func (g *funcCFG) reachableFrom(start *cfgBlock) bitset {
 		}
 	}
 	return seen
-}
-
-// nodeIndex returns the position of node n within block blk's node
-// list, or -1.
-func (blk *cfgBlock) nodeIndex(n ast.Node) int {
-	for i, x := range blk.nodes {
-		if x == n {
-			return i
-		}
-	}
-	return -1
 }

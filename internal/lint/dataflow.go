@@ -202,12 +202,16 @@ func (r *taintRun) transfer(st taintState, n ast.Node) {
 				if !ok {
 					continue
 				}
+				var result func(int) taintMask
+				if len(vs.Values) == 1 && len(vs.Names) > 1 {
+					result = r.resultMasks(st, vs.Values[0])
+				}
 				for i, name := range vs.Names {
 					var mask taintMask
 					if len(vs.Values) == len(vs.Names) {
 						mask = r.eval(st, vs.Values[i])
-					} else if len(vs.Values) == 1 {
-						mask = r.callResultMask(st, vs.Values[0], i)
+					} else if result != nil {
+						mask = result(i)
 					}
 					r.setIdent(st, name, mask)
 				}
@@ -266,9 +270,11 @@ func (r *taintRun) transfer(st taintState, n ast.Node) {
 // assign handles =, :=, +=-style statements.
 func (r *taintRun) assign(st taintState, a *ast.AssignStmt) {
 	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
-		// Tuple assignment from one call.
+		// Tuple assignment from one call, evaluated (and its sinks
+		// reported) once.
+		result := r.resultMasks(st, a.Rhs[0])
 		for i, lhs := range a.Lhs {
-			r.store(st, lhs, r.callResultMask(st, a.Rhs[0], i))
+			r.store(st, lhs, result(i))
 		}
 		return
 	}
@@ -284,21 +290,24 @@ func (r *taintRun) assign(st taintState, a *ast.AssignStmt) {
 	}
 }
 
-// callResultMask evaluates result index i of a (possibly multi-result)
-// RHS expression.
-func (r *taintRun) callResultMask(st taintState, rhs ast.Expr, i int) taintMask {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok {
-		return r.eval(st, rhs)
+// resultMasks evaluates a (possibly multi-result) RHS expression once
+// and returns the taint of its result i.
+func (r *taintRun) resultMasks(st taintState, rhs ast.Expr) func(i int) taintMask {
+	var masks []taintMask
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
+		masks = r.callMasks(st, call)
+	} else {
+		masks = []taintMask{r.eval(st, rhs)}
 	}
-	masks := r.callMasks(st, call)
-	if i < len(masks) {
-		return masks[i]
+	return func(i int) taintMask {
+		if i < len(masks) {
+			return masks[i]
+		}
+		if len(masks) > 0 {
+			return masks[0]
+		}
+		return 0
 	}
-	if len(masks) > 0 {
-		return masks[0]
-	}
-	return 0
 }
 
 // store writes a mask to an lvalue: strong update for plain
@@ -453,18 +462,27 @@ func (r *taintRun) callMasks(st taintState, call *ast.CallExpr) []taintMask {
 
 	// Closure callees and callback arguments are inlined at the call
 	// site: their bodies run against (and mutate) the caller's state,
-	// so captured variables carry taint in and out.
+	// so captured variables carry taint in and out. As an argument, a
+	// callback carries what it returns: that is what the callee gets
+	// when it calls it.
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		for _, a := range call.Args {
 			r.eval(st, a)
 		}
 		return r.inlineFuncLit(st, lit)
 	}
+	var returned map[ast.Expr]taintMask
 	for _, a := range call.Args {
 		if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
-			r.inlineFuncLit(st, lit)
+			for _, m := range r.inlineFuncLit(st, lit) {
+				if returned == nil {
+					returned = make(map[ast.Expr]taintMask)
+				}
+				returned[a] |= m
+			}
 		}
 	}
+	arg := func(a ast.Expr) taintMask { return r.eval(st, a) | returned[a] }
 
 	// Type conversion: taint flows through ([]byte(x), string(x)).
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
@@ -545,7 +563,7 @@ func (r *taintRun) callMasks(st taintState, call *ast.CallExpr) []taintMask {
 	// Package-local callee: use its summary.
 	var argMask taintMask
 	for _, a := range call.Args {
-		argMask |= r.eval(st, a)
+		argMask |= arg(a)
 	}
 	if recv := callReceiver(call); recv != nil {
 		argMask |= r.eval(st, recv)
@@ -557,7 +575,7 @@ func (r *taintRun) callMasks(st taintState, call *ast.CallExpr) []taintMask {
 				// Report on the first offending argument for a stable
 				// position.
 				for _, a := range call.Args {
-					if m := r.eval(st, a); m&(sum.sinkAccepts|taintParam) != 0 {
+					if m := arg(a); m&(sum.sinkAccepts|taintParam) != 0 {
 						r.reportSink(a, m, sum.sinkAccepts, sum.sinkDesc)
 						break
 					}
@@ -594,6 +612,13 @@ func (r *taintRun) callMasks(st taintState, call *ast.CallExpr) []taintMask {
 				// secret.
 				return nil
 			}
+			return []taintMask{m}
+		}
+	}
+	// Calling a function value hands back what the value carries: a
+	// callback parameter's results are its caller's data.
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if m := r.eval(st, id); m != 0 {
 			return []taintMask{m}
 		}
 	}

@@ -5,8 +5,12 @@
 // buffers must be zeroized and never logged (keyzero), fields accessed
 // atomically must be accessed atomically everywhere (atomicmix), every
 // network operation on the Runtime-ResultStore path must carry a
-// deadline and every retry loop a bounded backoff (deadline), and the
-// wire protocol's marshal and unmarshal sides must agree (wiresym).
+// deadline and every retry loop a bounded backoff (deadline), the
+// wire protocol's marshal and unmarshal sides must agree (wiresym), key
+// material and plaintext reach disk, wire and logs only sealed
+// (sealflow), and every service goroutine can shut down (goroexit).
+// Durability ordering is not a lint rule: the log engine's crash model
+// checks it (TestCrashModel).
 //
 // The driver is deliberately dependency-free — stdlib go/parser and
 // go/types only, no golang.org/x/tools — so offline builds keep
@@ -237,7 +241,6 @@ func Analyzers() []*Analyzer {
 		DeadlineAnalyzer,
 		WireSymAnalyzer,
 		SealFlowAnalyzer,
-		FsyncOrderAnalyzer,
 		GoroExitAnalyzer,
 	}
 }

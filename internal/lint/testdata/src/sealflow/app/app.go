@@ -130,3 +130,55 @@ func closureLeak(c Conn) error {
 	})
 	return c.Send(buf) // want `key material reaches the wire`
 }
+
+// wal has a method named like the builtin append. A call to the
+// builtin must not resolve to it: encodeAll would then be summarised
+// before encode and lose its taint.
+type wal struct{ f *os.File }
+
+func (w *wal) append(rec engine.Record) error {
+	_, err := w.f.Write(encodeAll(rec)) // want `enclave plaintext reaches the untrusted disk`
+	return err
+}
+
+func encodeAll(rec engine.Record) []byte {
+	return append(encode(rec), rec.Blob...)
+}
+
+// writeAll is a summarised disk sink fed by a callback: what next
+// returns reaches the file.
+func writeAll(f *os.File, next func() ([]byte, bool)) error {
+	for {
+		b, ok := next()
+		if !ok {
+			return nil
+		}
+		if _, err := f.Write(b); err != nil {
+			return err
+		}
+	}
+}
+
+// streamUnsealed hands writeAll plaintext through the callback.
+func streamUnsealed(f *os.File, recs []engine.Record) error {
+	return writeAll(f, func() ([]byte, bool) { // want `enclave plaintext reaches the untrusted disk`
+		if len(recs) == 0 {
+			return nil, false
+		}
+		b := encode(recs[0])
+		recs = recs[1:]
+		return b, true
+	})
+}
+
+// streamSealed seals inside the callback: clean.
+func streamSealed(f *os.File, recs []engine.Record) error {
+	return writeAll(f, func() ([]byte, bool) {
+		if len(recs) == 0 {
+			return nil, false
+		}
+		b := Seal(encode(recs[0]))
+		recs = recs[1:]
+		return b, true
+	})
+}

@@ -2,7 +2,6 @@ package logengine
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"time"
@@ -156,28 +155,23 @@ func (e *Engine) mergeRun(lo, hi int) error {
 	id := e.nextSegID
 	name := segmentName(id)
 	path := filepath.Join(e.cfg.Dir, name)
-	if err := writeSegment(path, next); err != nil {
+	if err := writeSegment(e.fsys, path, next); err != nil {
 		return err
 	}
-	if err := syncDir(e.cfg.Dir); err != nil {
+	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
 		return err
 	}
-
-	if e.compactHook != nil {
-		e.compactHook()
-	}
-
-	seg, err := openSegment(path, id, nil)
+	seg, err := openSegment(e.fsys, path, id, nil)
 	if err != nil {
-		os.Remove(path)
+		e.fsys.Remove(path)
 		return err
 	}
 	merged := slices.Concat(e.segments[:lo], []*segment{seg}, newer)
-	if err := writeManifest(e.cfg.Dir, segmentNames(merged)); err != nil {
+	if err := writeManifest(e.fsys, e.cfg.Dir, segmentNames(merged)); err != nil {
 		if cerr := seg.close(); cerr != nil {
 			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
 		}
-		os.Remove(path)
+		e.fsys.Remove(path)
 		return fmt.Errorf("logengine: commit compaction: %w", err)
 	}
 	e.segments = merged
@@ -195,7 +189,7 @@ func (e *Engine) mergeRun(lo, hi int) error {
 		if cerr := s.close(); cerr != nil {
 			e.cfg.Logf("logengine: close compacted segment %s: %v", filepath.Base(s.path), cerr)
 		}
-		if err := os.Remove(s.path); err != nil {
+		if err := e.fsys.Remove(s.path); err != nil {
 			// Recovery will treat it as an orphan; just note it.
 			e.cfg.Logf("logengine: remove compacted segment %s: %v", filepath.Base(s.path), err)
 		}

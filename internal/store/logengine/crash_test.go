@@ -229,14 +229,15 @@ func TestInsertAllocFailureMidMessage(t *testing.T) {
 	check(openTest(t, testConfig(t, enclave.NewPlatform(enclave.Config{PlatformSeed: seed}), dir)), "after crash and replay")
 }
 
-// TestCrashDuringCompaction snapshots the directory at the most
-// delicate compaction point — output segment written and fsynced, old
-// manifest still live — and recovers from it: the orphan output is
-// deleted and every record is served from the old segments.
+// TestCrashDuringCompaction crashes a merge at its most delicate point
+// — output segment written and fsynced, directory synced, old manifest
+// still live — and recovers from that image: the orphan output is
+// deleted and every record is served from the old segments. The image
+// of the completed merge recovers too.
 func TestCrashDuringCompaction(t *testing.T) {
 	p := testPlatform()
-	srcDir := t.TempDir()
-	e := openTest(t, testConfig(t, p, srcDir))
+	fsys := newMemFS(crashDir)
+	e := openOn(t, testConfig(t, p, crashDir), fsys)
 	const n = 8
 	for i := 0; i < n; i++ {
 		mustInsert(t, e, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
@@ -247,20 +248,16 @@ func TestCrashDuringCompaction(t *testing.T) {
 	if e.Stats().Segments != n {
 		t.Fatalf("want %d segments, got %d", n, e.Stats().Segments)
 	}
-
-	crashDir := t.TempDir()
-	e.compactHook = func() {
-		// The merged segment exists on disk; the manifest does not
-		// mention it yet. This is the crash image.
-		copyDir(t, srcDir, crashDir)
-	}
+	start := fsys.ops()
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	e.Close()
 
-	// Recover from the mid-compaction image.
-	eng := openTest(t, testConfig(t, p, crashDir))
+	// The crash point: just after the directory fsync that follows the
+	// merged segment's write.
+	crash := fsys.image(fsys.find(t, start, opDirSync, "") + 1)
+	eng := openOn(t, testConfig(t, p, crashDir), crash)
 	if got := eng.Stats().Segments; got != n {
 		t.Errorf("recovered with %d segments, want the %d pre-compaction ones", got, n)
 	}
@@ -270,19 +267,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mustGet(t, eng, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
-	// The orphan compaction output must be gone.
-	des, err := os.ReadDir(crashDir)
-	if err != nil {
-		t.Fatalf("ReadDir: %v", err)
-	}
-	segs := 0
-	for _, de := range des {
-		if _, ok := parseSegmentName(de.Name()); ok {
-			segs++
-		}
-	}
-	if segs != n {
-		t.Errorf("recovered dir holds %d segment files, want %d (orphan not deleted)", segs, n)
+	if segs := crash.segmentFiles(); len(segs) != n {
+		t.Errorf("recovered dir holds %d segment files, want %d (orphan not deleted)", len(segs), n)
 	}
 	// And compaction still works after the recovery.
 	if err := eng.Compact(); err != nil {
@@ -296,9 +282,8 @@ func TestCrashDuringCompaction(t *testing.T) {
 		mustGet(t, eng, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 
-	// Also recover from the post-commit image: the completed
-	// compaction in srcDir (old segments deleted, one merged segment).
-	eng2 := openTest(t, testConfig(t, p, srcDir))
+	// The completed compaction: old segments deleted, one merged segment.
+	eng2 := openOn(t, testConfig(t, p, crashDir), fsys.clone())
 	if eng2.Len() != n {
 		t.Errorf("post-commit reopen Len = %d, want %d", eng2.Len(), n)
 	}
@@ -312,9 +297,9 @@ func TestCrashDuringCompaction(t *testing.T) {
 // output, holding old0..old3), then four class-0 segments — the
 // tombstone of old1, then new0..new2 — which the policy merges as
 // segments[1:5]. It returns the engine and the big record value.
-func midListRun(t *testing.T, cfg Config) (*Engine, string) {
+func midListRun(t *testing.T, cfg Config, fsys fileSystem) (*Engine, string) {
 	t.Helper()
-	e := openTest(t, cfg)
+	e := openOn(t, cfg, fsys)
 	// One record per segment, each segment a little smaller than the
 	// memtable budget: class 0, and four of them merged class 1.
 	blob := string(make([]byte, cfg.MemtableBytes*6/10))
@@ -361,59 +346,36 @@ func mustServeMidListRun(t *testing.T, e *Engine, blob string) {
 	}
 }
 
-func segmentFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-	if err != nil {
-		t.Fatalf("Glob: %v", err)
-	}
-	for i := range segs {
-		segs[i] = filepath.Base(segs[i])
-	}
-	return segs
-}
-
 // TestCrashAroundMidListManifestSwap crashes a merge of segments[1:5]
-// on both sides of its manifest swap. Before the swap the inputs are
-// intact and the orphan output is deleted; after it the output is live
-// — in the middle of the age order, although its id is the highest —
-// and the inputs are deleted as orphans. Either way the tombstone in
-// the run keeps shadowing the version in the oldest segment.
+// on both sides of its manifest swap, the rename of MANIFEST.tmp.
+// Before the swap the inputs are intact and the orphan output is
+// deleted; after it the output is live — in the middle of the age
+// order, although its id is the highest — and the inputs are deleted
+// as orphans. Either way the tombstone in the run keeps shadowing the
+// version in the oldest segment.
 func TestCrashAroundMidListManifestSwap(t *testing.T) {
 	p := testPlatform()
-	srcDir := t.TempDir()
-	cfg := tieredConfig(t, p, srcDir)
-	e, blob := midListRun(t, cfg)
+	fsys := newMemFS(crashDir)
+	e, blob := midListRun(t, tieredConfig(t, p, crashDir), fsys)
 	oldest := filepath.Base(e.segments[0].path)
-
-	before := t.TempDir() // output written and fsynced, old manifest live
-	e.compactHook = func() { copyDir(t, srcDir, before) }
+	start := fsys.ops()
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	mustBeAtFixedPoint(t, e)
 	output := filepath.Base(e.segments[1].path)
 	e.Crash()
-	// The image right after the swap is the one before it with the new
-	// manifest in place: inputs not yet deleted.
-	after := t.TempDir()
-	copyDir(t, before, after)
-	newManifest, err := os.ReadFile(filepath.Join(srcDir, manifestName))
-	if err != nil {
-		t.Fatalf("read manifest: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(after, manifestName), newManifest, 0o600); err != nil {
-		t.Fatalf("write manifest: %v", err)
-	}
-	if got := len(segmentFiles(t, before)); got != 6 {
+
+	swap := fsys.find(t, start, opRename, manifestName+".tmp")
+	before := fsys.image(swap) // output written and fsynced, old manifest live
+	if got := len(before.segmentFiles()); got != 6 {
 		t.Fatalf("crash image holds %d segment files, want 5 inputs + 1 output", got)
 	}
-
-	pre := openTest(t, tieredConfig(t, p, before))
+	pre := openOn(t, tieredConfig(t, p, crashDir), before)
 	if got := pre.Stats().Segments; got != 5 {
 		t.Errorf("before the swap: recovered %d segments, want the 5 inputs", got)
 	}
-	if files := segmentFiles(t, before); len(files) != 5 || slices.Contains(files, output) {
+	if files := before.segmentFiles(); len(files) != 5 || slices.Contains(files, output) {
 		t.Errorf("before the swap: orphan output not deleted: %v", files)
 	}
 	mustServeMidListRun(t, pre, blob)
@@ -422,12 +384,13 @@ func TestCrashAroundMidListManifestSwap(t *testing.T) {
 	}
 	mustServeMidListRun(t, pre, blob)
 
-	for name, dir := range map[string]string{"after the swap": after, "completed": srcDir} {
-		post := openTest(t, tieredConfig(t, p, dir))
+	// Right after the swap the inputs are not yet deleted.
+	for name, img := range map[string]*memFS{"after the swap": fsys.image(swap + 1), "completed": fsys.clone()} {
+		post := openOn(t, tieredConfig(t, p, crashDir), img)
 		if got := segmentNames(post.segments); len(got) != 2 || got[0] != oldest || got[1] != output {
 			t.Errorf("%s: recovered segments %v, want [%s %s]", name, got, oldest, output)
 		}
-		if files := segmentFiles(t, dir); len(files) != 2 {
+		if files := img.segmentFiles(); len(files) != 2 {
 			t.Errorf("%s: orphan inputs not deleted: %v", name, files)
 		}
 		mustServeMidListRun(t, post, blob)
@@ -437,72 +400,53 @@ func TestCrashAroundMidListManifestSwap(t *testing.T) {
 // TestMidListMergeTornAtEveryOffset cuts both files a mid-list merge
 // writes — its output segment, an orphan until the swap, and the
 // manifest's temporary file, which the rename commits — at every byte
-// offset. Neither is reachable before the rename, so whatever the cut,
-// recovery serves the pre-merge state and leaves a directory the merge
-// can run in again.
+// offset, in the image just before that rename. Neither is reachable
+// before the rename, so whatever the cut, recovery serves the pre-merge
+// state and leaves a directory the merge can run in again.
 func TestMidListMergeTornAtEveryOffset(t *testing.T) {
 	p := testPlatform()
-	srcDir := t.TempDir()
 	// Small records keep the files, and with them the number of cuts,
 	// small.
-	smallConfig := func(dir string) Config {
-		cfg := tieredConfig(t, p, dir)
+	smallConfig := func() Config {
+		cfg := tieredConfig(t, p, crashDir)
 		cfg.MemtableBytes = 320
 		cfg.Logf = nil
 		return cfg
 	}
-	e, blob := midListRun(t, smallConfig(srcDir))
-	image := t.TempDir()
-	e.compactHook = func() { copyDir(t, srcDir, image) }
+	fsys := newMemFS(crashDir)
+	e, blob := midListRun(t, smallConfig(), fsys)
+	start := fsys.ops()
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	output := filepath.Base(e.segments[1].path)
 	e.Crash()
-	outputBytes, err := os.ReadFile(filepath.Join(image, output))
-	if err != nil {
-		t.Fatalf("read output: %v", err)
-	}
-	manifestBytes, err := os.ReadFile(filepath.Join(srcDir, manifestName))
-	if err != nil {
-		t.Fatalf("read manifest: %v", err)
-	}
+	image := fsys.image(fsys.find(t, start, opRename, manifestName+".tmp"))
 
-	// Recovery deletes the orphan output and never reads the temporary
-	// manifest, so one working copy of the image serves every cut; only
-	// the occasional redo of the merge gets a copy of its own.
-	work := t.TempDir()
-	copyDir(t, image, work)
 	try := func(file string, content []byte, cut int) {
-		dir := work
-		if redo := cut%97 == 0; redo {
-			dir = t.TempDir()
-			copyDir(t, image, dir)
-		}
-		if err := os.WriteFile(filepath.Join(dir, file), content[:cut], 0o600); err != nil {
-			t.Fatalf("truncate copy: %v", err)
-		}
-		eng, err := Open(smallConfig(dir))
+		dir := image.clone()
+		dir.put(file, content[:cut])
+		eng, err := open(smallConfig(), dir)
 		if err != nil {
 			t.Fatalf("%s cut at %d: Open: %v", file, cut, err)
 		}
-		defer eng.Crash() // Close would grow the shared WAL with touch frames
+		defer eng.Crash()
 		if got := eng.Stats().Segments; got != 5 {
 			t.Fatalf("%s cut at %d: %d segments, want the 5 inputs", file, cut, got)
 		}
 		mustServeMidListRun(t, eng, blob)
-		if dir != work {
+		if cut%97 == 0 { // now and then, the merge again
 			if err := eng.Compact(); err != nil {
 				t.Fatalf("%s cut at %d: Compact: %v", file, cut, err)
 			}
 			mustServeMidListRun(t, eng, blob)
 		}
 	}
-	for cut := 0; cut <= len(outputBytes); cut++ {
-		try(output, outputBytes, cut)
-	}
-	for cut := 0; cut <= len(manifestBytes); cut++ {
-		try(manifestName+".tmp", manifestBytes, cut)
+	for _, file := range []string{output, manifestName + ".tmp"} {
+		content := image.file(file)
+		for cut := 0; cut <= len(content); cut++ {
+			try(file, content, cut)
+		}
 	}
 }
 

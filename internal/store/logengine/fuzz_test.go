@@ -30,7 +30,7 @@ func sealedWAL(tb testing.TB, n int) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
 	path := filepath.Join(dir, "seed.wal")
-	w, err := openWAL(path)
+	w, err := openWAL(osFS{}, path)
 	if err != nil {
 		tb.Fatalf("openWAL: %v", err)
 	}
@@ -98,7 +98,7 @@ func FuzzRecord(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		w, err := openWAL(path)
+		w, err := openWAL(osFS{}, path)
 		if err != nil {
 			t.Skip("open failed, nothing to replay")
 		}

@@ -144,7 +144,7 @@ func BenchmarkHotLogMergeRun(b *testing.B) {
 			if err := os.Link(filepath.Join(tmpl, name), path); err != nil {
 				b.Fatalf("Link: %v", err)
 			}
-			seg, err := openSegment(path, 0, nil)
+			seg, err := openSegment(osFS{}, path, 0, nil)
 			if err != nil {
 				b.Fatalf("openSegment: %v", err)
 			}

@@ -48,7 +48,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -169,7 +168,8 @@ const touchRecBytes = 96
 // the bounded sparse-index scan keeps the rest short). All methods are
 // safe for concurrent use.
 type Engine struct {
-	cfg Config
+	cfg  Config
+	fsys fileSystem // the directory's file system
 
 	mu        sync.Mutex
 	closed    bool
@@ -192,10 +192,6 @@ type Engine struct {
 	valueBytes int64
 	st         storeengine.Stats // activity counters (occupancy filled on snapshot)
 
-	// compactHook, when set, runs between writing a merged segment and
-	// committing the manifest; tests use it to simulate a crash at the
-	// most delicate point.
-	compactHook func()
 	// compactSeconds times each merge; nil (a no-op) until
 	// RegisterTelemetry.
 	compactSeconds *telemetry.Histogram
@@ -209,7 +205,10 @@ type Engine struct {
 // CRC-verified, orphan segment files are deleted, and the WAL is
 // replayed into the memtable with any torn tail truncated. Without it
 // the engine starts empty and volatile.
-func Open(cfg Config) (*Engine, error) {
+func Open(cfg Config) (*Engine, error) { return open(cfg, osFS{}) }
+
+// open is Open on the file system fsys.
+func open(cfg Config, fsys fileSystem) (*Engine, error) {
 	if cfg.Enclave == nil {
 		return nil, errors.New("logengine: Config.Enclave is required")
 	}
@@ -234,6 +233,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
+		fsys:       fsys,
 		mem:        storeengine.NewTable(cfg.Enclave, rate, cfg.Oblivious),
 		cache:      storeengine.NewTable(cfg.Enclave, durableRate, cfg.Oblivious),
 		touched:    make(map[mle.Tag]*touchRec),
@@ -243,7 +243,7 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Dir == "" {
 		return e, nil
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o700); err != nil {
+	if err := fsys.MkdirAll(cfg.Dir, 0o700); err != nil {
 		return nil, err
 	}
 	if err := e.recover(); err != nil {
@@ -257,7 +257,7 @@ func Open(cfg Config) (*Engine, error) {
 
 // recover rebuilds in-memory state from the directory.
 func (e *Engine) recover() error {
-	names, err := readManifest(e.cfg.Dir)
+	names, err := readManifest(e.fsys, e.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -266,7 +266,7 @@ func (e *Engine) recover() error {
 	for i, name := range names {
 		listed[name] = true
 		id, _ := parseSegmentName(name)
-		seg, err := openSegment(filepath.Join(e.cfg.Dir, name), id, func(k keyHdr) {
+		seg, err := openSegment(e.fsys, filepath.Join(e.cfg.Dir, name), id, func(k keyHdr) {
 			segKeys[i] = append(segKeys[i], k)
 		})
 		if err != nil {
@@ -282,29 +282,34 @@ func (e *Engine) recover() error {
 	}
 	// Remove orphan segment files: a flush or compaction that died
 	// after creating its output but before committing the manifest.
-	entriesDir, err := os.ReadDir(e.cfg.Dir)
+	files, err := e.fsys.ReadDir(e.cfg.Dir)
 	if err != nil {
 		return err
 	}
-	for _, de := range entriesDir {
-		id, ok := parseSegmentName(de.Name())
-		if !ok || listed[de.Name()] {
+	for _, name := range files {
+		id, ok := parseSegmentName(name)
+		if !ok || listed[name] {
 			continue
 		}
 		if id >= e.nextSegID {
 			e.nextSegID = id + 1 // never reuse an orphan's id
 		}
-		e.cfg.Logf("logengine: removing orphan segment %s (interrupted flush/compaction)", de.Name())
-		if err := os.Remove(filepath.Join(e.cfg.Dir, de.Name())); err != nil {
+		e.cfg.Logf("logengine: removing orphan segment %s (interrupted flush/compaction)", name)
+		if err := e.fsys.Remove(filepath.Join(e.cfg.Dir, name)); err != nil {
 			return err
 		}
 	}
 
-	w, err := openWAL(filepath.Join(e.cfg.Dir, walName))
+	w, err := openWAL(e.fsys, filepath.Join(e.cfg.Dir, walName))
 	if err != nil {
 		return err
 	}
 	e.wal = w
+	// The log's directory entry may be new, or left unsynced by a run
+	// that crashed: make it durable before an append is acknowledged.
+	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
+		return err
+	}
 	var allocErr error
 	replayed, torn, err := w.replay(e.cfg.Enclave, func(op walOp) {
 		if op.op == walOpTouch {
@@ -973,7 +978,7 @@ func (e *Engine) flushLocked() error {
 	id := e.nextSegID
 	name := segmentName(id)
 	path := filepath.Join(e.cfg.Dir, name)
-	err = writeSegment(path, func() (segRecord, bool, error) {
+	err = writeSegment(e.fsys, path, func() (segRecord, bool, error) {
 		if len(records) == 0 {
 			return segRecord{}, false, nil
 		}
@@ -984,19 +989,19 @@ func (e *Engine) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(e.cfg.Dir); err != nil {
+	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
 		return err
 	}
-	seg, err := openSegment(path, id, nil)
+	seg, err := openSegment(e.fsys, path, id, nil)
 	if err != nil {
-		os.Remove(path)
+		e.fsys.Remove(path)
 		return err
 	}
-	if err := writeManifest(e.cfg.Dir, append(segmentNames(e.segments), name)); err != nil {
+	if err := writeManifest(e.fsys, e.cfg.Dir, append(segmentNames(e.segments), name)); err != nil {
 		if cerr := seg.close(); cerr != nil {
 			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
 		}
-		os.Remove(path)
+		e.fsys.Remove(path)
 		return err
 	}
 	e.segments = append(e.segments, seg)

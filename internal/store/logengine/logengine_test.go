@@ -603,7 +603,7 @@ func TestOrphanSegmentRemovedAtOpen(t *testing.T) {
 
 	// Simulate a flush that died before its manifest commit.
 	orphan := filepath.Join(dir, segmentName(99))
-	if err := writeSegment(orphan, func() (segRecord, bool, error) { return segRecord{}, false, nil }); err != nil {
+	if err := writeSegment(osFS{}, orphan, func() (segRecord, bool, error) { return segRecord{}, false, nil }); err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -122,13 +123,16 @@ type keyHdr struct {
 type segment struct {
 	path   string
 	id     uint64
-	f      *os.File
+	f      file
 	count  int
 	size   int64 // file size
 	sparse []indexEntry
 	filter keyFilter
 	minTag mle.Tag
 	maxTag mle.Tag
+	// hdr is find's read buffer: a stack array passed to f.ReadAt would
+	// escape to the heap on every lookup. Lookups hold the engine lock.
+	hdr [segRecHeader]byte
 }
 
 func segmentName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
@@ -159,8 +163,8 @@ type segRecord struct {
 // syncs the directory and commits the manifest; until then the file is
 // an orphan that recovery deletes. A failed write removes its partial
 // file, so the segment id stays usable.
-func writeSegment(path string, next func() (rec segRecord, ok bool, err error)) (err error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+func writeSegment(fsys fileSystem, path string, next func() (rec segRecord, ok bool, err error)) (err error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
 	if err != nil {
 		return err
 	}
@@ -171,7 +175,7 @@ func writeSegment(path string, next func() (rec segRecord, ok bool, err error)) 
 			err = cerr
 		}
 		if err != nil {
-			os.Remove(path)
+			fsys.Remove(path)
 		}
 	}()
 	w := bufio.NewWriterSize(f, segWriteBuffer)
@@ -229,9 +233,9 @@ func writeSegment(path string, next func() (rec segRecord, ok bool, err error)) 
 // key filter and the fence from the keys it passes — the file is never
 // held in memory. visit, when non-nil, sees every record header in
 // order (recovery computes live occupancy from them).
-func openSegment(path string, id uint64, visit func(keyHdr)) (seg *segment, err error) {
+func openSegment(fsys fileSystem, path string, id uint64, visit func(keyHdr)) (seg *segment, err error) {
 	base := filepath.Base(path)
-	f, err := os.Open(path)
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -240,28 +244,28 @@ func openSegment(path string, id uint64, visit func(keyHdr)) (seg *segment, err 
 			_ = f.Close() // the verification error wins
 		}
 	}()
-	st, err := f.Stat()
+	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
 	}
-	r := bufio.NewReaderSize(f, segReadBuffer)
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), segReadBuffer)
 	var head [segHeaderLen]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil || st.Size() < int64(segHeaderLen+4) || string(head[:len(segMagic)]) != segMagic {
+	if _, err := io.ReadFull(r, head[:]); err != nil || size < int64(segHeaderLen+4) || string(head[:len(segMagic)]) != segMagic {
 		return nil, fmt.Errorf("logengine: segment %s: bad header", base)
 	}
 	count := int(binary.BigEndian.Uint32(head[len(segMagic):]))
-	left := st.Size() - int64(segHeaderLen) - 4 // body bytes not yet consumed
+	left := size - int64(segHeaderLen) - 4 // body bytes not yet consumed
 	if int64(count) > left/segRecHeader {
 		return nil, fmt.Errorf("logengine: segment %s: truncated (header claims %d records)", base, count)
 	}
-	seg = &segment{path: path, id: id, f: f, count: count, size: st.Size(), filter: newKeyFilter(count)}
+	seg = &segment{path: path, id: id, f: f, count: count, size: size, filter: newKeyFilter(count)}
 	var (
 		crc  uint32
 		hdr  [segRecHeader]byte
 		prev mle.Tag
 	)
 	for i := 0; i < count; i++ {
-		off := st.Size() - 4 - left
+		off := size - 4 - left
 		if left < segRecHeader {
 			return nil, fmt.Errorf("logengine: segment %s: truncated record %d", base, i)
 		}
@@ -338,12 +342,12 @@ func (s *segment) find(tag mle.Tag, wantSealed bool) (sealed []byte, found, dead
 		return nil, false, false, nil
 	}
 	off := s.sparse[i].off
-	var hdr [segRecHeader]byte
+	hdr := s.hdr[:]
 	for step := 0; step < indexInterval; step++ {
 		if off >= s.size-4 {
 			return nil, false, false, nil
 		}
-		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
+		if _, err := s.f.ReadAt(hdr, off); err != nil {
 			return nil, false, false, fmt.Errorf("logengine: read %s: %w", filepath.Base(s.path), err)
 		}
 		cmp := bytes.Compare(hdr[:32], tag[:])
@@ -486,7 +490,7 @@ func (s *segment) close() error {
 
 // writeManifest atomically replaces the manifest with names (oldest
 // first) and fsyncs the directory.
-func writeManifest(dir string, names []string) error {
+func writeManifest(fsys fileSystem, dir string, names []string) error {
 	var b strings.Builder
 	b.WriteString(manifestHeader)
 	b.WriteByte('\n')
@@ -495,34 +499,39 @@ func writeManifest(dir string, names []string) error {
 		b.WriteByte('\n')
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o600); err != nil {
-		return err
-	}
-	f, err := os.Open(tmp)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	_, err = f.Write([]byte(b.String()))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, manifestName))
+	}
+	if err != nil {
+		fsys.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return syncDir(fsys, dir)
 }
 
 // readManifest returns the listed segment names, oldest first. A
 // missing manifest is an empty store.
-func readManifest(dir string) ([]string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
+func readManifest(fsys fileSystem, dir string) ([]string, error) {
+	f, err := fsys.OpenFile(filepath.Join(dir, manifestName), os.O_RDONLY, 0)
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(f)
+	f.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -541,15 +550,4 @@ func readManifest(dir string) ([]string, error) {
 		names = append(names, l)
 	}
 	return names, nil
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

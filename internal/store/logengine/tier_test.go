@@ -31,7 +31,7 @@ func writeTagSegment(t testing.TB, path string, tags []mle.Tag) *segment {
 	t.Helper()
 	sorted := append([]mle.Tag(nil), tags...)
 	sort.Slice(sorted, func(i, j int) bool { return string(sorted[i][:]) < string(sorted[j][:]) })
-	err := writeSegment(path, func() (segRecord, bool, error) {
+	err := writeSegment(osFS{}, path, func() (segRecord, bool, error) {
 		if len(sorted) == 0 {
 			return segRecord{}, false, nil
 		}
@@ -42,7 +42,7 @@ func writeTagSegment(t testing.TB, path string, tags []mle.Tag) *segment {
 	if err != nil {
 		t.Fatalf("writeSegment: %v", err)
 	}
-	seg, err := openSegment(path, 0, nil)
+	seg, err := openSegment(osFS{}, path, 0, nil)
 	if err != nil {
 		t.Fatalf("openSegment: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestKeyFilterProperties(t *testing.T) {
 			}
 			path := filepath.Join(t.TempDir(), segmentName(0))
 			written := writeTagSegment(t, path, tags)
-			reopened, err := openSegment(path, 0, nil)
+			reopened, err := openSegment(osFS{}, path, 0, nil)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -250,7 +250,7 @@ func TestMergeKeepsTombstonesAboveOlderSegments(t *testing.T) {
 	dir := t.TempDir()
 	// An oldest class-1 segment holding old0..old3, then four class-0
 	// segments: the tombstone of old1, then new0..new2.
-	e, blob := midListRun(t, tieredConfig(t, p, dir))
+	e, blob := midListRun(t, tieredConfig(t, p, dir), osFS{})
 	oldest := e.segments[0]
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)

@@ -63,23 +63,23 @@ type walOp struct {
 // wal is the append-only log file. Appends are serialized by the
 // engine's mutex.
 type wal struct {
-	f     *os.File
+	f     file
 	size  int64
 	dirty bool  // appended since last sync
 	syncs int64 // fsyncs of appended data (Stats.WALSyncs)
 }
 
-func openWAL(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
+func openWAL(fsys fileSystem, path string) (*wal, error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o600)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		_ = f.Close() // stat error wins
+		_ = f.Close() // seek error wins
 		return nil, err
 	}
-	return &wal{f: f, size: st.Size()}, nil
+	return &wal{f: f, size: size}, nil
 }
 
 // encodeWALPayload builds the plaintext of one operation. A touch
@@ -154,7 +154,6 @@ func (w *wal) append(enc *enclave.Enclave, op byte, tag mle.Tag, rec storeengine
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
-	//speedlint:ignore fsyncorder append defers durability to the engine's configured fsync policy (FsyncCommit syncs once per insert message, the checkpoint path once per checkpoint)
 	return nil
 }
 
