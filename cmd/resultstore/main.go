@@ -43,7 +43,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("resultstore", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7800", "listen address")
 	dataDir := fs.String("data-dir", "", "run on the persistent log engine rooted at this directory (sealed WAL + segments); empty = volatile in-memory store")
-	fsync := fs.String("fsync", "", "log engine WAL durability: commit (default), interval or none")
+	fsync := fs.String("fsync", "commit", "log engine WAL durability: commit or none")
 	memtableBytes := fs.Int64("memtable-bytes", 0, "log engine memtable budget before flushing a segment (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "log engine hot-entry cache budget (0 = default)")
 	compactInterval := fs.Duration("compact-interval", 0, "log engine background compaction period (0 = default, negative = disabled)")
@@ -98,12 +98,8 @@ func run(args []string) error {
 	}
 	if *dataDir != "" {
 		es := st.EngineStats()
-		fsyncName := *fsync
-		if fsyncName == "" {
-			fsyncName = "commit"
-		}
 		fmt.Printf("resultstore: log engine on %s (fsync %s): %d entries recovered (%d replayed from WAL, %d segments)\n",
-			*dataDir, fsyncName, st.Stats().Entries, es.Replayed, es.Segments)
+			*dataDir, *fsync, st.Stats().Entries, es.Replayed, es.Segments)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -144,9 +144,12 @@ func (rt *Runtime) clientHas(tc wire.TraceContext, tags []mle.Tag) ([]bool, erro
 	return present, err
 }
 
-// clientPutAll uploads items and reports the first one the store
-// rejected as ErrPutRejected.
+// clientPutAll uploads items, if any, and reports the first one the
+// store rejected as ErrPutRejected.
 func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.PutItem) error {
+	if len(items) == 0 {
+		return nil
+	}
 	prs, err := rt.clientPut(tc, items)
 	if err != nil {
 		return err
@@ -159,23 +162,27 @@ func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.
 	return nil
 }
 
-// chunkedPut uploads a large result chunk-wise: split, probe for what
-// the store already holds, upload only the missing sealed chunks, and
-// seal the manifest at the call's primary tag. Runs inside the
-// application enclave; every client exchange happens in an OCALL.
+// sealChunked seals a large result chunk-wise: split, probe for what
+// the store already holds, seal only the missing chunks, and seal the
+// manifest for the call's primary tag. It runs inside the application
+// enclave, where the HAS probe is an OCALL, and returns the send that
+// uploads the chunks and then the manifest from outside. The chunks
+// enter the local cache here, so a send that then fails leaves chunks
+// cached as store-resident that the store lacks: a wrongly skipped
+// upload like any other, never a wrong result.
 //
 // With replace true (the entry at the primary tag failed verification,
 // so a chunk may be tampered too) the probe and cache are bypassed and
 // every chunk is re-uploaded with Replace, healing whatever was bad.
-func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
+func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 	id, tc, replace := job.id, job.tc, job.replace
 	chunks := rt.chunker.Split(job.result)
 	if len(chunks) > chunk.MaxManifestChunks {
-		return errTooManyChunks
+		return nil, errTooManyChunks
 	}
 	man, err := chunk.BuildManifest(chunks)
 	if err != nil {
-		return errTooManyChunks
+		return nil, errTooManyChunks
 	}
 	cid := chunk.ContentFuncID(id)
 	ctags := make([]mle.Tag, len(chunks))
@@ -225,7 +232,7 @@ func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
 		sealed, eerr := rt.cfg.Scheme.Encrypt(cid, man.Refs[i].Hash[:], chunks[i])
 		if eerr != nil {
 			span.end(phaseEncrypt)
-			return fmt.Errorf("encrypt chunk %d: %w", i, eerr)
+			return nil, fmt.Errorf("encrypt chunk %d: %w", i, eerr)
 		}
 		items = append(items, wire.PutItem{Tag: ctags[i], Sealed: sealed, Replace: replace})
 	}
@@ -233,22 +240,7 @@ func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
 	manSealed, err := rt.cfg.Scheme.Encrypt(mid, job.input, man.Encode())
 	span.end(phaseEncrypt)
 	if err != nil {
-		return fmt.Errorf("encrypt manifest: %w", err)
-	}
-
-	err = rt.putOCall(span, func() error {
-		// A rejected chunk would leave the manifest referencing a hole;
-		// don't install it. The caller already has its result — only
-		// future reuse is lost.
-		if len(items) > 0 {
-			if perr := rt.clientPutAll(tc, "chunk", items); perr != nil {
-				return perr
-			}
-		}
-		return rt.clientPutAll(tc, "manifest", []wire.PutItem{{Tag: job.tag, Sealed: manSealed, Replace: replace}})
-	})
-	if err != nil {
-		return err
+		return nil, fmt.Errorf("encrypt manifest: %w", err)
 	}
 
 	for i := range chunks {
@@ -257,11 +249,23 @@ func (rt *Runtime) chunkedPut(job putJob, span *execSpan) error {
 			rt.chunkCache.add(ctags[i], bytes.Clone(chunks[i]))
 		}
 	}
-	rt.mu.Lock()
-	rt.stats.ChunkedPuts++
-	rt.stats.ChunksSkipped += int64(skipped)
-	rt.mu.Unlock()
-	return nil
+	return func() {
+		// A rejected chunk would leave the manifest referencing a hole;
+		// don't install it. The caller already has its result — only
+		// future reuse is lost.
+		err := rt.clientPutAll(tc, "chunk", items)
+		if err == nil {
+			err = rt.clientPutAll(tc, "manifest", []wire.PutItem{{Tag: job.tag, Sealed: manSealed, Replace: replace}})
+		}
+		if err != nil {
+			rt.notePutError(err)
+			return
+		}
+		rt.mu.Lock()
+		rt.stats.ChunkedPuts++
+		rt.stats.ChunksSkipped += int64(skipped)
+		rt.mu.Unlock()
+	}, nil
 }
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed

@@ -545,10 +545,11 @@ func TestChunkedBatchReuse(t *testing.T) {
 // chunked call over a real store server: the store enters its enclave
 // once per request message, so the crossings of a call do not depend on
 // how many chunks its result has. A miss that uploads chunks is one
-// application ECALL, three OCALLs (GET, HAS, the PUTs) and four store
-// ECALLs (GET, HAS, chunk PUT, manifest PUT); a hit that fetches chunks
-// its cache lacks is one ECALL, two OCALLs (manifest GET, chunk GET)
-// and two store ECALLs.
+// application ECALL, two OCALLs (GET, HAS) and two store ECALLs (chunk
+// PUT, manifest PUT): its PUTs leave after the ECALL, and the store
+// answers the GET of an absent tag and the HAS outside its enclave. A
+// hit that fetches chunks its cache lacks is one ECALL, two OCALLs
+// (manifest GET, chunk GET) and two store ECALLs.
 func TestChunkedCallCrossesPerMessage(t *testing.T) {
 	env := newRemoteEnv(t)
 	runtime := func(name string) *Runtime {
@@ -585,8 +586,8 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 		outcome Outcome
 		want    cost
 	}{
-		{"miss uploading every chunk", producer, "small", small, OutcomeComputed, cost{1, 3, 4}},
-		{"miss uploading some chunks", editor, "large", large, OutcomeComputed, cost{1, 3, 4}},
+		{"miss uploading every chunk", producer, "small", small, OutcomeComputed, cost{1, 2, 2}},
+		{"miss uploading some chunks", editor, "large", large, OutcomeComputed, cost{1, 2, 2}},
 		{"hit fetching every chunk", consumer, "small", small, OutcomeReused, cost{1, 2, 2}},
 		{"hit fetching some chunks", consumer, "large", large, OutcomeReused, cost{1, 2, 2}},
 	} {
@@ -717,5 +718,55 @@ func TestChunkedSavingsAtHalfOverlap(t *testing.T) {
 	}
 	if movedSaved < 0.30 {
 		t.Errorf("chunked dedup saved %.1f%% of transferred bytes, want >= 30%%", 100*movedSaved)
+	}
+}
+
+// TestFailedChunkedSendCostsOneRecompute covers the window a send after
+// the ECALL opens: a chunked upload's chunks enter the producer's cache
+// as store-resident inside the ECALL, then the send fails. The
+// producer's next, overlapping upload trusts the cache, skips those
+// chunks and installs a manifest naming chunks the store lacks. Its
+// consumers still get correct bytes, for at most one loud recompute,
+// which heals the entry for everyone after it.
+func TestFailedChunkedSendCostsOneRecompute(t *testing.T) {
+	p, st := newChunkStore(t)
+	cfg := Config{ChunkThreshold: chunkTestThreshold}
+	client := &countingClient{}
+	producer := newChunkRuntimeWith(t, p, st, "producer", cfg, func(c StoreClient) StoreClient {
+		client.StoreClient = c
+		return client
+	})
+	consumers := []*Runtime{newChunkRuntime(t, p, st, "consumer1", chunkTestThreshold), newChunkRuntime(t, p, st, "consumer2", chunkTestThreshold)}
+	id := chunkFuncID(t, producer)
+	first := chunkResult(41, 160<<10)
+	second := append(append([]byte(nil), first[:128<<10]...), chunkResult(42, 64<<10)...)
+	run := func(rt *Runtime, input string, want []byte, outcome Outcome) {
+		t.Helper()
+		got, out, err := rt.Execute(id, []byte(input), func([]byte) ([]byte, error) { return append([]byte(nil), want...), nil })
+		if err != nil || out != outcome || !bytes.Equal(got, want) {
+			t.Fatalf("%s: outcome %v (want %v), err %v, result equal %v", input, out, outcome, err, bytes.Equal(got, want))
+		}
+	}
+
+	client.rejectPuts = true
+	run(producer, "first", first, OutcomeComputed)
+	if s := producer.Stats(); s.PutErrors != 1 || s.ChunkedPuts != 0 {
+		t.Fatalf("failed send booked PutErrors %d, ChunkedPuts %d; want 1, 0", s.PutErrors, s.ChunkedPuts)
+	}
+	client.rejectPuts = false
+	run(producer, "second", second, OutcomeComputed)
+	if s := producer.Stats(); s.ChunkedPuts != 1 || s.ChunksSkipped == 0 {
+		t.Fatalf("ChunkedPuts %d, ChunksSkipped %d; the test wants the second upload to skip chunks the failed send left cached", s.ChunkedPuts, s.ChunksSkipped)
+	}
+
+	run(consumers[0], "second", second, OutcomeRecomputed)
+	run(consumers[1], "second", second, OutcomeReused)
+	run(producer, "second", second, OutcomeReused)
+	var loud int64
+	for _, c := range consumers {
+		loud += c.Stats().VerifyFailures
+	}
+	if loud != 1 {
+		t.Errorf("%d loud recomputes, want 1", loud)
 	}
 }

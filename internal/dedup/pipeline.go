@@ -15,8 +15,10 @@ import (
 // compute → seal → PUT (Algorithms 1/2 + Fig. 3) — as one staged
 // pipeline over a list of items. Execute runs it over one item,
 // ExecuteBatch over n; the async PUT worker re-enters only its last
-// stage (upload). The store is skipped for one reason only: the runtime
-// is degraded. See DESIGN.md "The execute pipeline".
+// stages (seal, send). Everything up to sealing runs in the call's one
+// ECALL; the PUT messages leave after it returns. The store is skipped
+// for one reason only: the runtime is degraded. See DESIGN.md "The
+// execute pipeline".
 
 // BatchResult is one item's outcome from ExecuteBatch. Err is per-item:
 // one failed lookup or computation does not poison its batch siblings.
@@ -112,13 +114,15 @@ type call struct {
 	tc      wire.TraceContext
 	span    execSpan
 	items   []item
+	sends   []func() // what the ECALL sealed, for send
 }
 
 // run is the one entry to the pipeline: the closed check, the call
-// count, the sampling decision, the single ECALL every call costs, and
-// the telemetry epilogue. batch selects how the call is reported: a
-// single call lands in speed_execute_seconds{outcome}, a batch in
-// speed_runtime_batch_items; both record their phases.
+// count, the sampling decision, the single ECALL every call costs, the
+// untrusted tail after it, and the telemetry epilogue. batch selects
+// how the call is reported: a single call lands in
+// speed_execute_seconds{outcome}, a batch in speed_runtime_batch_items;
+// both record their phases.
 func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]byte) ([]byte, error)) error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -136,10 +140,31 @@ func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]b
 	if rt.tel != nil {
 		c.span = startSpan()
 	}
+	// However the pipeline exits, no registered flight may be left open
+	// or every later identical call would block forever. A compute panic
+	// still propagates to the caller; its waiters get an error.
+	defer func() {
+		for i := range items {
+			if it := &items[i]; it.flight != nil {
+				it.Err = fmt.Errorf("dedup: in-flight computation for tag %x... panicked", it.tag[:4])
+				c.publish(it)
+			}
+		}
+	}()
 	err := rt.cfg.Enclave.ECall(func() error {
 		c.execute()
 		return nil
 	})
+	if err == nil {
+		// Outside the enclave: send the sealed PUTs, then publish the
+		// leaders' flights — only now, so a joiner never races its
+		// leader's PUT to the store — and give the joiners their results.
+		send(c.sends, &c.span)
+		for i := range items {
+			c.publish(&items[i])
+		}
+		c.share()
+	}
 	if rt.tel != nil {
 		op, outcome, cerr := "execute_batch", Outcome(0), err
 		total := time.Since(c.span.start)
@@ -159,7 +184,7 @@ func (rt *Runtime) run(batch bool, id mle.FuncID, items []item, compute func([]b
 }
 
 // execute is the pipeline body, running inside the application
-// enclave's ECALL.
+// enclave's ECALL: it ends once the fresh results are sealed.
 func (c *call) execute() {
 	// Algorithm 1/2 line 1: derive the tags inside the enclave.
 	c.span.begin(phaseTag)
@@ -169,21 +194,9 @@ func (c *call) execute() {
 	c.span.end(phaseTag)
 
 	c.partition()
-	// However the stages below exit, no registered flight may be left
-	// open or every later identical call would block forever. A compute
-	// panic still propagates to the caller; its waiters get an error.
-	defer func() {
-		for i := range c.items {
-			if it := &c.items[i]; it.flight != nil {
-				it.Err = fmt.Errorf("dedup: in-flight computation for tag %x... panicked", it.tag[:4])
-				c.publish(it)
-			}
-		}
-	}()
 	c.lookup()
 	c.computeMisses()
-	c.uploadComputed()
-	c.share()
+	c.sealComputed()
 }
 
 // partition splits the call into leaders and joiners against the
@@ -384,11 +397,11 @@ func (c *call) computeMisses() {
 	}
 }
 
-// uploadComputed books every computed item and hands the fresh results
-// to the upload stage — inline, or queued for the async PUT worker
-// (Section V-B) — then publishes the leaders' flights. Degraded items
-// are not uploaded; a failed computation is neither booked nor stored.
-func (c *call) uploadComputed() {
+// sealComputed books every computed item and hands the fresh results
+// to the PUT stage — sealed here for run to send, or queued for the
+// async PUT worker (Section V-B). Degraded items are not uploaded; a
+// failed computation is neither booked nor stored.
+func (c *call) sealComputed() {
 	rt := c.rt
 	var jobs []putJob
 	var computed, degraded int64
@@ -428,10 +441,7 @@ func (c *call) uploadComputed() {
 			rt.enqueuePut(job)
 		}
 	default:
-		rt.upload(jobs, &c.span)
-	}
-	for i := range c.items {
-		c.publish(&c.items[i])
+		c.sends = rt.seal(jobs, &c.span)
 	}
 }
 

@@ -179,6 +179,21 @@ func (env *pipeEnv) poison(input []byte) {
 	}
 }
 
+// inFlight registers, for each input, a finished flight carrying its
+// pipeCompute result, as a concurrent leader's flight looks to a call
+// that joins it just before it publishes: the call shares the result
+// without consulting the store.
+func (env *pipeEnv) inFlight(inputs ...[]byte) {
+	env.rt.flightMu.Lock()
+	defer env.rt.flightMu.Unlock()
+	for _, in := range inputs {
+		res, _ := pipeCompute(in)
+		f := &flight{done: make(chan struct{}), result: res}
+		close(f.done)
+		env.rt.inflight[mle.ComputeTag(env.id, in)] = f
+	}
+}
+
 // lookup returns what a clean application reuses for input, if the
 // store holds a valid entry for it.
 func (env *pipeEnv) lookup(input []byte) ([]byte, bool) {
@@ -236,6 +251,13 @@ type pipeScenario struct {
 	// Store requests and enclave OCALLs the whole call makes, however
 	// many items it carries; asyncECalls are the async PUT worker's.
 	gets, puts, hass, ocalls, asyncECalls int64
+	// transitions is what the benchmark's transitions_per_call counts
+	// for the call alone: its application ECALLs and OCALLs plus the
+	// store enclave's entries. absentGet marks a lookup the store
+	// answers without entering its enclave; ExecuteBatch_3's filler
+	// hits ride in that GET message and make it enter once more.
+	transitions int64
+	absentGet   bool
 	// verify checks the aftermath (store healed, flights released, ...).
 	verify func(env *pipeEnv, want []byte)
 }
@@ -258,27 +280,45 @@ func notStored(env *pipeEnv, _ []byte) {
 
 var pipeScenarios = []pipeScenario{
 	{
+		// ECALL, GET OCALL, the store's PUT entry: the PUT leaves after
+		// the ECALL, and the store rules the absent tag out unentered.
 		name:    "miss",
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1},
-		gets:    1, puts: 1, ocalls: 2,
+		gets:    1, puts: 1, ocalls: 1,
+		transitions: 3, absentGet: true,
 		verify: stored,
 	},
 	{
+		// ECALL, GET OCALL, the store's GET entry.
 		name:    "hit",
 		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeCompute) },
 		stored:  true,
 		outcome: OutcomeReused,
 		stats:   Stats{Reused: 1},
 		gets:    1, ocalls: 1,
+		transitions: 3,
+	},
+	{
+		// Joining a concurrent leader's flight crosses nothing but the
+		// ECALL, whichever entry point joins it.
+		name:        "coalesced",
+		arrange:     func(env *pipeEnv) { env.inFlight(pipeInput, pipeFillers[0], pipeFillers[1]) },
+		stored:      true,
+		outcome:     OutcomeCoalesced,
+		stats:       Stats{Coalesced: 1},
+		filler:      Stats{Coalesced: 1, BytesReused: int64(len("result of " + string(pipeFillers[0])))},
+		transitions: 1,
+		verify:      notStored,
 	},
 	{
 		name:    "poisoned_entry_recomputed_and_replaced",
 		arrange: func(env *pipeEnv) { env.poison(pipeInput) },
 		outcome: OutcomeRecomputed,
 		stats:   Stats{Computed: 1, VerifyFailures: 1},
-		gets:    1, puts: 1, ocalls: 2,
-		verify: stored,
+		gets:    1, puts: 1, ocalls: 1,
+		transitions: 4,
+		verify:      stored,
 	},
 	{
 		name:    "get_error_degrades",
@@ -287,21 +327,24 @@ var pipeScenarios = []pipeScenario{
 		stats:   Stats{Computed: 1, Degraded: 1, StoreFailures: 1},
 		filler:  degradedFiller(),
 		gets:    1, ocalls: 1,
-		verify: notStored,
+		transitions: 2,
+		verify:      notStored,
 	},
 	{
 		// The client reports the store down: no call consults it.
-		name:    "breaker_open",
-		arrange: (*pipeEnv).storeDown,
-		outcome: OutcomeComputed,
-		stats:   Stats{Computed: 1, Degraded: 1},
-		filler:  degradedFiller(),
+		name:        "breaker_open",
+		arrange:     (*pipeEnv).storeDown,
+		outcome:     OutcomeComputed,
+		stats:       Stats{Computed: 1, Degraded: 1},
+		filler:      degradedFiller(),
+		transitions: 1,
 	},
 	{
 		name:    "compute_error",
 		compute: func([]byte) ([]byte, error) { return nil, errCompute },
 		errIs:   errCompute,
 		gets:    1, ocalls: 1,
+		transitions: 2, absentGet: true,
 		verify: func(env *pipeEnv, _ []byte) {
 			if n := env.rt.inflightCount(); n != 0 {
 				env.t.Errorf("%d flights left registered after a failed computation", n)
@@ -314,7 +357,8 @@ var pipeScenarios = []pipeScenario{
 		arrange: func(env *pipeEnv) { env.client.rejectPuts = true },
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1, PutErrors: 1},
-		gets:    1, puts: 1, ocalls: 2,
+		gets:    1, puts: 1, ocalls: 1,
+		transitions: 2, absentGet: true,
 		verify: notStored,
 	},
 	{
@@ -322,13 +366,10 @@ var pipeScenarios = []pipeScenario{
 		cfg:     func(cfg *Config) { cfg.AsyncPut = true },
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1},
-		gets:    1, puts: 1, ocalls: 2, asyncECalls: 1,
-		verify: func(env *pipeEnv, want []byte) {
-			if err := env.rt.Close(); err != nil {
-				env.t.Fatalf("Close: %v", err)
-			}
-			stored(env, want)
-		},
+		// The worker's ECALL seals; its PUT leaves after it.
+		gets: 1, puts: 1, ocalls: 1, asyncECalls: 1,
+		transitions: 4, absentGet: true,
+		verify: stored,
 	},
 	{
 		name:    "chunked_miss",
@@ -336,8 +377,10 @@ var pipeScenarios = []pipeScenario{
 		compute: pipeBig,
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1, ChunkedPuts: 1},
-		// HAS probe, then chunks + manifest in one PUT crossing.
-		gets: 1, hass: 1, puts: 2, ocalls: 3,
+		// GET and HAS OCALLs, neither entering the store; chunks, then
+		// manifest, sent after the ECALL, one store entry each.
+		gets: 1, hass: 1, puts: 2, ocalls: 2,
+		transitions: 5, absentGet: true,
 		verify: stored,
 	},
 	{
@@ -351,6 +394,7 @@ var pipeScenarios = []pipeScenario{
 		fetches: true,
 		// The lookup, then one fetch of the manifest's chunks.
 		gets: 2, ocalls: 2,
+		transitions: 5,
 	},
 	{
 		name: "chunk_missing_recomputes_loudly",
@@ -367,8 +411,11 @@ var pipeScenarios = []pipeScenario{
 		outcome: OutcomeRecomputed,
 		stats:   Stats{Computed: 1, VerifyFailures: 1, ChunkedPuts: 1},
 		fetches: true,
-		// Replace skips the HAS probe and re-uploads every chunk.
-		gets: 2, puts: 2, ocalls: 3,
+		// Replace skips the HAS probe and re-uploads every chunk. The
+		// store settles each Replace item alone, so the chunk PUT
+		// message enters it once per chunk: 11 here.
+		gets: 2, puts: 2, ocalls: 2,
+		transitions: 17,
 		verify: func(env *pipeEnv, want []byte) {
 			if !env.logs.contains("chunked reassembly") {
 				env.t.Error("the reassembly failure was not logged")
@@ -394,6 +441,7 @@ var pipeScenarios = []pipeScenario{
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1, Degraded: 1, StoreFailures: 1},
 		gets:    2, ocalls: 2,
+		transitions: 4,
 	},
 }
 
@@ -461,14 +509,17 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	}
 	want, _ := scCompute(pipeInput)
 
-	statsBefore, encBefore := env.rt.Stats(), env.appEnc.Metrics()
+	statsBefore, encBefore, storeBefore := env.rt.Stats(), env.appEnc.Metrics(), env.store.Enclave().Metrics()
 	getsBefore, putsBefore, hassBefore := env.client.gets.Load(), env.client.puts.Load(), env.client.hass.Load()
 	got, fillers, err := entry.call(env.rt, env.id, compute)
 	if err != nil {
 		t.Fatalf("top-level error: %v", err)
 	}
-	if sc.verify != nil {
-		sc.verify(env, want) // first: async_put's Close settles the counts
+	if sc.cfg != nil && env.rt.cfg.AsyncPut {
+		// Close drains the async PUT worker, whose work counts too.
+		if err := env.rt.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 
 	// The scenario item.
@@ -501,7 +552,7 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	// Stats: the scenario item's delta plus each filler's.
 	wantStats := sc.stats
 	wantStats.Calls = 1
-	if sc.outcome == OutcomeReused {
+	if sc.outcome == OutcomeReused || sc.outcome == OutcomeCoalesced {
 		wantStats.BytesReused = int64(len(want))
 	}
 	n := int64(entry.fillers)
@@ -520,17 +571,31 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 		t.Errorf("store requests GET/PUT/HAS = %d/%d/%d, want %d/%d/%d", g, p, h, sc.gets, sc.puts, sc.hass)
 	}
 	enc := env.appEnc.Metrics()
-	if e, o := enc.ECalls-encBefore.ECalls, enc.OCalls-encBefore.OCalls; e != 1+sc.asyncECalls || o != sc.ocalls {
+	e, o := enc.ECalls-encBefore.ECalls, enc.OCalls-encBefore.OCalls
+	if e != 1+sc.asyncECalls || o != sc.ocalls {
 		t.Errorf("ECALLs/OCALLs = %d/%d, want %d/%d", e, o, 1+sc.asyncECalls, sc.ocalls)
+	}
+	wantTransitions := sc.transitions
+	if sc.absentGet && entry.fillers > 0 {
+		wantTransitions++
+	}
+	if got := e + o + env.store.Enclave().Metrics().ECalls - storeBefore.ECalls; got != wantTransitions {
+		t.Errorf("transitions = %d, want %d", got, wantTransitions)
+	}
+
+	if sc.verify != nil {
+		sc.verify(env, want) // last: its own lookups cross too
 	}
 }
 
 // addStats adds n fillers' worth of b to a; a filler is a hit, a
-// degraded computation or a failed call, so only those fields move.
+// coalesced call, a degraded computation or a failed call, so only
+// those fields move.
 func addStats(a, b Stats, n int64) Stats {
 	a.Calls += n * b.Calls
 	a.Reused += n * b.Reused
 	a.Computed += n * b.Computed
+	a.Coalesced += n * b.Coalesced
 	a.BytesReused += n * b.BytesReused
 	a.Degraded += n * b.Degraded
 	return a

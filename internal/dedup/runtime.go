@@ -323,20 +323,22 @@ func (rt *Runtime) noteStoreFailure() {
 	rt.mu.Unlock()
 }
 
-// upload is the pipeline's one PUT stage (Algorithm 1 lines 5-10),
-// run inside the enclave by the calling pipeline or the async PUT
-// worker on the jobs of one call. Results at or above the chunk
-// threshold go chunk-wise (one that would overflow a manifest falls
-// back to whole); the rest are sealed whole (RCE: random key,
-// challenge, wrap) and leave in one batched PUT OCALL. A failed upload
-// only loses future reuse — the caller already has its result — so
-// failures are booked, not returned.
-func (rt *Runtime) upload(jobs []putJob, span *execSpan) {
-	items := make([]wire.PutItem, 0, len(jobs))
+// seal is the enclave half of the PUT stage (Algorithm 1 lines 5-9),
+// run inside the ECALL of the calling pipeline or the async PUT worker
+// on the jobs of one call. Results at or above the chunk threshold are
+// sealed chunk-wise (one that would overflow a manifest falls back to
+// whole); the rest are sealed whole (RCE: random key, challenge, wrap)
+// for one batched PUT. It returns the sends, which carry ciphertext
+// only, for send to run after the ECALL. A failed upload only loses
+// future reuse — the caller already has its result — so failures are
+// booked, not returned.
+func (rt *Runtime) seal(jobs []putJob, span *execSpan) (sends []func()) {
+	var whole []wire.PutItem
 	for _, job := range jobs {
 		if rt.chunker != nil && len(job.result) >= rt.cfg.ChunkThreshold {
-			err := rt.chunkedPut(job, span)
+			put, err := rt.sealChunked(job, span)
 			if err == nil {
+				sends = append(sends, put)
 				continue
 			}
 			if !errors.Is(err, errTooManyChunks) {
@@ -351,25 +353,37 @@ func (rt *Runtime) upload(jobs []putJob, span *execSpan) {
 			rt.notePutError(fmt.Errorf("encrypt result: %w", err))
 			continue
 		}
-		items = append(items, wire.PutItem{Tag: job.tag, Sealed: sealed, Replace: job.replace})
+		whole = append(whole, wire.PutItem{Tag: job.tag, Sealed: sealed, Replace: job.replace})
 	}
-	if len(items) == 0 {
+	if len(whole) > 0 {
+		sends = append(sends, func() {
+			prs, err := rt.clientPut(jobs[0].tc, whole)
+			if err != nil {
+				rt.notePutError(err)
+				return
+			}
+			for _, pr := range prs {
+				if !pr.OK {
+					rt.notePutError(fmt.Errorf("%w: %s", ErrPutRejected, pr.Err))
+				}
+			}
+		})
+	}
+	return sends
+}
+
+// send is the untrusted half of the PUT stage (Algorithm 1 line 10): it
+// runs the sends seal returned, in order, with no enclave crossing,
+// timed as store_put.
+func send(sends []func(), span *execSpan) {
+	if len(sends) == 0 {
 		return
 	}
-	var prs []wire.PutResult
-	err := rt.putOCall(span, func() (oerr error) {
-		prs, oerr = rt.clientPut(jobs[0].tc, items)
-		return oerr
-	})
-	if err != nil {
-		rt.notePutError(err)
-		return
+	span.begin(phaseStorePut)
+	for _, put := range sends {
+		put()
 	}
-	for _, pr := range prs {
-		if !pr.OK {
-			rt.notePutError(fmt.Errorf("%w: %s", ErrPutRejected, pr.Err))
-		}
-	}
+	span.end(phaseStorePut)
 }
 
 // clientGet and clientPut are the runtime's only GET and PUT calls on
@@ -377,7 +391,8 @@ func (rt *Runtime) upload(jobs []putJob, span *execSpan) {
 // tc reaches every store node that serves the request, which records
 // its spans under the caller's trace ID. clientGet is also the GET
 // crossing — one OCALL timed as store_get — for the pipeline's lookup
-// and a manifest's chunk fetch alike.
+// and a manifest's chunk fetch alike; clientPut runs outside the
+// enclave, from send.
 func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, span *execSpan) ([]wire.GetResult, error) {
 	var res []wire.GetResult
 	span.begin(phaseStoreGet)
@@ -393,15 +408,6 @@ func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, span *execSpa
 		return nil, fmt.Errorf("dedup: get returned %d results for %d tags", len(res), len(tags))
 	}
 	return res, nil
-}
-
-// putOCall is the PUT crossing: put runs outside the enclave in one
-// OCALL, timed as store_put. The whole-result upload makes one
-// clientPut in it; a chunked upload makes two (chunks, then manifest).
-func (rt *Runtime) putOCall(span *execSpan, put func() error) error {
-	span.begin(phaseStorePut)
-	defer span.end(phaseStorePut)
-	return rt.cfg.Enclave.OCall(put)
 }
 
 func (rt *Runtime) clientPut(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
@@ -445,6 +451,8 @@ func (rt *Runtime) putWorker() {
 	}
 }
 
+// runPutJob is the async PUT pipeline for one job: one ECALL seals it,
+// then the send leaves from outside, as on the caller's path.
 func (rt *Runtime) runPutJob(job putJob) {
 	// The async PUT pipeline gets its own span so the encrypt and
 	// store_put phases are still measured (they just no longer sit on
@@ -453,15 +461,17 @@ func (rt *Runtime) runPutJob(job putJob) {
 	if rt.tel != nil {
 		span = startSpan()
 	}
+	var sends []func()
 	err := rt.cfg.Enclave.ECall(func() error {
-		rt.upload([]putJob{job}, &span)
+		sends = rt.seal([]putJob{job}, &span)
 		return nil
 	})
-	if span.on {
-		rt.tel.observePhases(&span)
-	}
 	if err != nil {
 		rt.notePutError(err)
+	}
+	send(sends, &span)
+	if span.on {
+		rt.tel.observePhases(&span)
 	}
 }
 

@@ -23,8 +23,8 @@
 //
 // Durability: under FsyncCommit (the default) an Insert or Remove is
 // acknowledged only after the WAL frame is fsynced, so acknowledged
-// operations survive kill -9 and power loss. FsyncEvery bounds loss
-// to fsyncInterval; FsyncNone leaves it to the OS page cache.
+// operations survive kill -9 and power loss; FsyncNone leaves it to the
+// OS page cache.
 // Recovery loads the manifest's segments (CRC-verified), refuses a
 // directory none of whose segments this enclave can unseal, deletes
 // orphan segment files from interrupted flushes or compactions, then
@@ -64,37 +64,20 @@ type Fsync int
 const (
 	// FsyncCommit syncs the WAL before acknowledging every mutation.
 	FsyncCommit Fsync = iota
-	// FsyncEvery syncs every fsyncInterval in the background.
-	FsyncEvery
 	// FsyncNone never syncs explicitly.
 	FsyncNone
 )
 
-// ParseFsync maps the operator-facing policy names ("commit",
-// "interval", "none"; "" defaults to commit) to a policy.
+// ParseFsync maps the operator-facing policy names ("commit", "none";
+// "" defaults to commit) to a policy.
 func ParseFsync(s string) (Fsync, error) {
 	switch s {
 	case "", "commit":
 		return FsyncCommit, nil
-	case "interval":
-		return FsyncEvery, nil
 	case "none":
 		return FsyncNone, nil
 	default:
-		return 0, fmt.Errorf("logengine: unknown fsync policy %q (want commit, interval or none)", s)
-	}
-}
-
-func (f Fsync) String() string {
-	switch f {
-	case FsyncCommit:
-		return "commit"
-	case FsyncEvery:
-		return "interval"
-	case FsyncNone:
-		return "none"
-	default:
-		return "unknown"
+		return 0, fmt.Errorf("logengine: unknown fsync policy %q (want commit or none)", s)
 	}
 }
 
@@ -104,9 +87,6 @@ const (
 	DefaultCacheBytes      = 4 << 20
 	DefaultCompactInterval = 30 * time.Second
 )
-
-// fsyncInterval is the background sync period under FsyncEvery.
-const fsyncInterval = 100 * time.Millisecond
 
 // What the in-enclave tables charge the enclave per entry. With a
 // directory the memtable and the hot cache hold whole records, so the
@@ -179,6 +159,11 @@ type Engine struct {
 	segments  []*segment         // oldest first
 	nextSegID uint64
 
+	// keys mirrors the memtable's key set (tag → live, false for a
+	// tombstone) in untrusted memory beside the segment filters, and is
+	// a hint like them: see ruledOutLocked. Unread under Oblivious.
+	keys map[mle.Tag]bool
+
 	// touched overlays popularity (hits, last touch) onto records whose
 	// newest durable copy lives in a segment: cache hits and segment
 	// reads update it instead of rewriting the record. Flush and
@@ -236,6 +221,7 @@ func open(cfg Config, fsys fileSystem) (*Engine, error) {
 		fsys:       fsys,
 		mem:        storeengine.NewTable(cfg.Enclave, rate, cfg.Oblivious),
 		cache:      storeengine.NewTable(cfg.Enclave, durableRate, cfg.Oblivious),
+		keys:       make(map[mle.Tag]bool),
 		touched:    make(map[mle.Tag]*touchRec),
 		touchDirty: make(map[mle.Tag]bool),
 		stopBg:     make(chan struct{}),
@@ -330,6 +316,7 @@ func (e *Engine) recover() error {
 		if _, err := e.mem.Set(op.tag, op.rec, op.op == walOpDelete); err != nil && allocErr == nil {
 			allocErr = err
 		}
+		e.keys[op.tag] = op.op != walOpDelete
 	})
 	if err != nil {
 		return err
@@ -414,30 +401,8 @@ func (e *Engine) checkSealIdentity() error {
 	return nil
 }
 
-// startBackground launches the interval-fsync and compaction loops.
+// startBackground launches the compaction loop.
 func (e *Engine) startBackground() {
-	if e.cfg.Fsync == FsyncEvery {
-		e.bgDone.Add(1)
-		go func() {
-			defer e.bgDone.Done()
-			t := time.NewTicker(fsyncInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-e.stopBg:
-					return
-				case <-t.C:
-					e.mu.Lock()
-					if !e.closed {
-						if err := e.wal.sync(); err != nil {
-							e.cfg.Logf("logengine: interval fsync: %v", err)
-						}
-					}
-					e.mu.Unlock()
-				}
-			}
-		}()
-	}
 	if e.cfg.CompactInterval > 0 {
 		e.bgDone.Add(1)
 		go func() {
@@ -476,17 +441,22 @@ type place struct {
 // slices are the caller's. An oblivious engine looks every tag up with
 // the tables' uniform scans and maintains no recency.
 //
-// One enclave entry locates the message's tags in the in-enclave tiers
-// and, if those decide them all, answers; otherwise the segment
-// payloads of the rest are read outside and a second entry unseals
-// them and answers. The reads stop with the record that takes them past
-// budget (a sealed payload is no smaller than what it answers), so a
-// message costs at most budget plus one record of disk reads and heap.
+// Tags the untrusted hints rule out all miss with no enclave entry (see
+// ruledOutLocked). Otherwise one entry locates the message's tags in the
+// in-enclave tiers and, if those decide them all, answers; else the
+// segment payloads of the rest are read outside and a second entry
+// unseals them and answers. The reads stop with the record that takes
+// them past budget (a sealed payload is no smaller than what it
+// answers), so a message costs at most budget plus one record of disk
+// reads and heap.
 func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, storeengine.ErrClosed
+	}
+	if e.ruledOutLocked(tags) {
+		return make([]storeengine.Lookup, len(tags)), nil
 	}
 	var (
 		one              [1]place // a single's place, off the heap
@@ -550,6 +520,37 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 		return nil
 	})
 	return out, err
+}
+
+// ruledOutLocked reports whether the untrusted hints show that no tag
+// has a live record: the memtable's key set holds a tombstone for it,
+// or lacks it and every segment filter excludes it. A false "absent"
+// costs the caller a recompute, a false "present" an enclave entry; a
+// hit comes only from the enclave. It counts what the in-enclave walk
+// would have. Caller holds mu.
+func (e *Engine) ruledOutLocked(tags []mle.Tag) bool {
+	if e.cfg.Oblivious {
+		return false // every lookup takes the uniform scan
+	}
+	var misses int64 // tags the memtable lacks
+	for _, tag := range tags {
+		switch live, ok := e.keys[tag]; {
+		case live:
+			return false
+		case !ok:
+			for _, s := range e.segments {
+				if s.mayContain(tag) {
+					return false
+				}
+			}
+			misses++
+		}
+	}
+	if len(e.segments) > 0 {
+		e.st.CacheMisses += misses
+		e.st.FilterSkips += misses * int64(len(e.segments))
+	}
+	return true
 }
 
 // answerLocked answers tags in order from the versions at located,
@@ -817,6 +818,7 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 			e.entries++
 			e.valueBytes += ent.Rec.BlobSize
 			e.dropTouch(ent.Tag) // a fresh record starts its popularity over
+			e.keys[ent.Tag] = true
 			installed[i] = true
 		}
 		return nil
@@ -844,10 +846,11 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 // Contains serves one HAS message: whether a live record exists for
 // each tag, positionally, with no hit counting, cache promotion or
 // recency update — existence probes (chunked dedup's missing-chunk
-// transfer) that leave popularity untouched. The memtable answers in
-// one enclave entry for the message; the segments' filters and indexes
-// answer the rest. The answers are hints: callers tolerate a later Get
-// missing.
+// transfer) that leave popularity untouched. The memtable's key set
+// answers outside the enclave for what the memtable holds (an oblivious
+// engine scans the memtable instead, in one enclave entry); the
+// segments' filters and indexes answer the rest. The answers are hints:
+// callers tolerate a later Get missing.
 func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -856,16 +859,26 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	}
 	present := make([]bool, len(tags))
 	var probe []int // the tags only the segments can decide
-	if err := e.cfg.Enclave.ECall(func() error {
+	decide := func() error {
 		for i, tag := range tags {
-			if ent := e.mem.Lookup(tag); ent != nil {
-				present[i] = !ent.Dead
+			var live, ok bool
+			if e.cfg.Oblivious {
+				ent := e.mem.Lookup(tag)
+				live, ok = ent != nil && !ent.Dead, ent != nil
+			} else {
+				live, ok = e.keys[tag]
+			}
+			if ok {
+				present[i] = live
 			} else if len(e.segments) > 0 {
 				probe = append(probe, i)
 			}
 		}
 		return nil
-	}); err != nil {
+	}
+	if !e.cfg.Oblivious {
+		_ = decide()
+	} else if err := e.cfg.Enclave.ECall(decide); err != nil {
 		return nil, err
 	}
 	for _, i := range probe {
@@ -920,6 +933,7 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 	meta.Challenge, meta.WrappedKey, meta.Blob = nil, nil, nil
 	if e.wal == nil {
 		e.mem.Delete(tag)
+		delete(e.keys, tag)
 	} else {
 		if err := e.logLocked(walOpDelete, tag, storeengine.Record{}); err != nil {
 			return storeengine.Record{}, false, err
@@ -933,6 +947,7 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 			_, err := e.mem.Set(tag, storeengine.Record{}, true)
 			return err
 		})
+		e.keys[tag] = false
 	}
 	e.cache.Delete(tag)
 	e.dropTouch(tag)
@@ -1010,6 +1025,7 @@ func (e *Engine) flushLocked() error {
 		return err
 	}
 	e.mem.Clear()
+	clear(e.keys)
 	e.st.Flushes++
 	// The truncate discarded any persisted touch frames; re-emit the
 	// whole overlay so segment-resident popularity still survives a
@@ -1250,6 +1266,7 @@ func (e *Engine) Crash() {
 // allocations. Caller holds mu with closed already set.
 func (e *Engine) releaseMemoryLocked() {
 	e.mem.Clear()
+	clear(e.keys)
 	e.cache.Clear()
 	e.cfg.Enclave.Free(int64(len(e.touched)) * touchRecBytes)
 	e.touched = make(map[mle.Tag]*touchRec)

@@ -56,9 +56,8 @@ type Config struct {
 	// CacheBytes bounds a persistent store's hot-entry read cache; 0
 	// selects the default.
 	CacheBytes int64
-	// Fsync selects a persistent store's WAL durability policy:
-	// "commit" (fsync before acknowledging every PUT, the default),
-	// "interval" (background fsync), or "none" (leave it to the OS).
+	// Fsync selects a persistent store's WAL durability policy: "commit"
+	// (fsync before acknowledging every PUT, the default) or "none".
 	Fsync string
 	// CompactInterval is how often a persistent store's background
 	// compactor considers merging segments; 0 selects the default.
