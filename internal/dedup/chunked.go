@@ -58,25 +58,42 @@ const defaultChunkCacheBytes = 16 << 20
 // it. Cached bytes are charged to the application enclave (they are
 // plaintext and must stay inside the trust boundary); under EPC
 // pressure caching is skipped rather than failing the call.
+//
+// The policy is a segmented LRU, so the chunks many results share
+// outlive the ones a single result brings in. A new chunk enters
+// probation; a chunk referenced again moves to the protected segment,
+// which holds at most protectedShare of the budget and demotes its
+// overflow to probation's head; eviction takes probation's tail. Both
+// segments live in one list split by a marker element: protected
+// entries before it, probation entries after it.
 type chunkLRU struct {
-	mu    sync.Mutex
-	max   int64
-	bytes int64
-	enc   *enclave.Enclave
-	lru   *list.List // front = most recent; values are *chunkEntry
-	m     map[mle.Tag]*list.Element
+	mu        sync.Mutex
+	max       int64
+	bytes     int64
+	protected int64 // bytes of the entries before mid
+	enc       *enclave.Enclave
+	lru       *list.List                // protected, mid, probation; each most recent first
+	mid       *list.Element             // the segment marker; its value is nil
+	m         map[mle.Tag]*list.Element // nil once closed
 }
 
 type chunkEntry struct {
-	tag  mle.Tag
-	data []byte
+	tag       mle.Tag
+	data      []byte
+	protected bool
 }
+
+// protectedShare is the fraction of the byte budget the protected
+// segment may hold.
+const protectedShare = 4.0 / 5
 
 func newChunkLRU(enc *enclave.Enclave, max int64) *chunkLRU {
-	return &chunkLRU{max: max, enc: enc, lru: list.New(), m: make(map[mle.Tag]*list.Element)}
+	c := &chunkLRU{max: max, enc: enc, lru: list.New(), m: make(map[mle.Tag]*list.Element)}
+	c.mid = c.lru.PushFront(nil)
+	return c
 }
 
-// get returns the cached plaintext for tag, refreshing its recency.
+// get returns the cached plaintext for tag, counting a reference.
 // The returned slice is shared and must be treated as read-only.
 func (c *chunkLRU) get(tag mle.Tag) ([]byte, bool) {
 	c.mu.Lock()
@@ -85,11 +102,11 @@ func (c *chunkLRU) get(tag mle.Tag) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
+	c.touch(el)
 	return el.Value.(*chunkEntry).data, true
 }
 
-// contains is get without the recency refresh, for pure skip checks.
+// contains is get without counting a reference, for pure skip checks.
 func (c *chunkLRU) contains(tag mle.Tag) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -97,8 +114,28 @@ func (c *chunkLRU) contains(tag mle.Tag) bool {
 	return ok
 }
 
-// add caches data under tag, taking ownership of it (the caller must
-// not modify it again), and evicts from the LRU tail to stay in budget.
+// touch records a reference to el: it moves to the protected head, and
+// the protected tail is demoted past the marker until the segment fits
+// its share again.
+func (c *chunkLRU) touch(el *list.Element) {
+	if e := el.Value.(*chunkEntry); !e.protected {
+		e.protected = true
+		c.protected += int64(len(e.data))
+	}
+	c.lru.MoveToFront(el)
+	for c.protected > int64(protectedShare*float64(c.max)) {
+		tail := c.mid.Prev()
+		e := tail.Value.(*chunkEntry)
+		e.protected = false
+		c.protected -= int64(len(e.data))
+		c.lru.MoveBefore(c.mid, tail)
+	}
+}
+
+// add caches data under tag in probation, taking ownership of it (the
+// caller must not modify it again), and evicts from probation's tail to
+// stay in budget. Adding a cached tag counts a reference instead; after
+// close, add does nothing.
 func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 	n := int64(len(data))
 	if n > c.max {
@@ -106,27 +143,36 @@ func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.m == nil {
+		return
+	}
 	if el, ok := c.m[tag]; ok {
-		c.lru.MoveToFront(el)
+		c.touch(el)
 		return // same tag, same content (collision-resistant hash)
 	}
 	if err := c.enc.Alloc(n); err != nil {
 		return // enclave memory pressure: caching is optional
 	}
-	e := &chunkEntry{tag: tag, data: data}
-	c.m[tag] = c.lru.PushFront(e)
+	c.m[tag] = c.lru.InsertAfter(&chunkEntry{tag: tag, data: data}, c.mid)
 	c.bytes += n
 	for c.bytes > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*chunkEntry)
-		c.lru.Remove(back)
+		// Probation's tail: probation is never empty here, since the
+		// protected segment holds at most protectedShare of max.
+		victim := c.lru.Remove(c.lru.Back()).(*chunkEntry)
 		delete(c.m, victim.tag)
 		c.bytes -= int64(len(victim.data))
 		c.enc.Free(int64(len(victim.data)))
 	}
+}
+
+// close empties the cache and frees its whole enclave charge; the
+// cache stays empty afterwards.
+func (c *chunkLRU) close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.enc.Free(c.bytes)
+	c.lru.Init()
+	c.m, c.bytes = nil, 0
 }
 
 // clientHas probes the store for the given tags inside an OCALL

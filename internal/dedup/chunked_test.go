@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -768,5 +769,99 @@ func TestFailedChunkedSendCostsOneRecompute(t *testing.T) {
 	}
 	if loud != 1 {
 		t.Errorf("%d loud recomputes, want 1", loud)
+	}
+}
+
+// TestChunkCacheKeepsSharedChunks pins the cache's segmented policy: a
+// set of chunks referenced twice survives a single pass of unique
+// chunks larger than the whole budget, which a plain LRU would flush.
+// At every step the cache holds no more than its budget and its
+// enclave charge equals the bytes it holds; a chunk larger than the
+// budget is refused.
+func TestChunkCacheKeepsSharedChunks(t *testing.T) {
+	const budget, size, shared = 64 << 10, 1 << 10, 16
+	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := enc.HeapUsed()
+	c := newChunkLRU(enc, budget)
+	tag := func(i int) mle.Tag {
+		var tg mle.Tag
+		binary.LittleEndian.PutUint64(tg[:], uint64(i))
+		return tg
+	}
+	check := func(step string, i int) {
+		t.Helper()
+		if c.bytes > budget {
+			t.Fatalf("%s %d: cache holds %d bytes, budget %d", step, i, c.bytes, budget)
+		}
+		if charge := enc.HeapUsed() - base; charge != c.bytes {
+			t.Fatalf("%s %d: enclave charge %d, cache holds %d", step, i, charge, c.bytes)
+		}
+	}
+
+	for i := 0; i < shared; i++ {
+		c.add(tag(i), make([]byte, size))
+		check("add shared", i)
+	}
+	for i := 0; i < shared; i++ {
+		if _, ok := c.get(tag(i)); !ok {
+			t.Fatalf("shared chunk %d missing before the scan", i)
+		}
+		check("get shared", i)
+	}
+	for i := shared; i < shared+2*budget/size; i++ {
+		c.add(tag(i), make([]byte, size))
+		check("scan", i)
+	}
+	for i := 0; i < shared; i++ {
+		if !c.contains(tag(i)) {
+			t.Errorf("shared chunk %d evicted by a single pass of unique chunks", i)
+		}
+	}
+
+	c.add(tag(-1), make([]byte, budget+1))
+	if c.contains(tag(-1)) {
+		t.Error("a chunk larger than the budget was cached")
+	}
+	check("oversized add", 0)
+}
+
+// TestCloseReleasesChunkCacheCharge: closing a runtime gives back the
+// enclave charge of every chunk still cached, so a runtime closed on an
+// enclave that lives on leaks no EPC, and a late add charges nothing.
+func TestCloseReleasesChunkCacheCharge(t *testing.T) {
+	p, st := newChunkStore(t)
+	enc, err := p.Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := enc.HeapUsed()
+	rt, err := NewRuntime(Config{Enclave: enc, Client: NewLocalClient(st, enc.Measurement()),
+		ChunkThreshold: chunkTestThreshold, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Registry().RegisterLibrary("zlib", "1.2.11", []byte("zlib code"))
+	id := chunkFuncID(t, rt)
+	for _, seed := range []int64{1, 2, 1} {
+		want := chunkResult(seed, 96<<10)
+		if _, _, err := rt.Execute(id, []byte{byte(seed)}, func([]byte) ([]byte, error) { return want, nil }); err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+	}
+	if enc.HeapUsed() == before {
+		t.Fatal("the chunk cache holds nothing; the test wants a charge to release")
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := enc.HeapUsed(); got != before {
+		t.Fatalf("HeapUsed after Close = %d, want %d as before NewRuntime", got, before)
+	}
+	rt.chunkCache.add(mle.Tag{1}, make([]byte, 1<<10))
+	if got := enc.HeapUsed(); got != before {
+		t.Fatalf("an add after Close charged the enclave: HeapUsed %d, want %d", got, before)
 	}
 }

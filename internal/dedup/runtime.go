@@ -285,9 +285,9 @@ func (rt *Runtime) Stats() Stats {
 // read of it.
 func (rt *Runtime) Degraded() bool { return !rt.cfg.Client.Healthy() }
 
-// Close drains the async PUT worker (if any) and closes the store
-// client, which stops its prober. The runtime must not be used
-// afterwards.
+// Close drains the async PUT worker (if any), releases the chunk
+// cache's enclave charge and closes the store client, which stops its
+// prober. The runtime must not be used afterwards.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -298,6 +298,9 @@ func (rt *Runtime) Close() error {
 	rt.mu.Unlock()
 	close(rt.stop)
 	<-rt.done
+	if rt.chunkCache != nil {
+		rt.chunkCache.close()
+	}
 	return rt.cfg.Client.Close()
 }
 

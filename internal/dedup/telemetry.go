@@ -144,6 +144,8 @@ func newRTMetrics(reg *telemetry.Registry, rt *Runtime, sampleRate int) *rtMetri
 		{"speed_runtime_degraded_calls_total", "calls served compute-only because their GET failed or the store was down", func(s Stats) int64 { return s.Degraded }},
 		{"speed_runtime_store_failures_total", "failed store GET and PUT requests", func(s Stats) int64 { return s.StoreFailures }},
 		{"speed_runtime_retries_total", "store requests resent after a re-dial", func(s Stats) int64 { return s.Retries }},
+		{"speed_runtime_chunks_fetched_total", "manifest chunks fetched from the store", func(s Stats) int64 { return s.ChunksFetched }},
+		{"speed_runtime_chunk_cache_hits_total", "manifest chunks served from the in-enclave chunk cache", func(s Stats) int64 { return s.ChunkCacheHits }},
 	} {
 		field := c.field
 		reg.NewCounterFunc(c.name, c.help, func() int64 { return field(rt.Stats()) }, appLabel)

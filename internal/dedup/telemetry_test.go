@@ -112,6 +112,34 @@ func TestTelemetryConcurrentExecute(t *testing.T) {
 	}
 }
 
+// TestTelemetryChunkCacheCounters: the chunk-cache counters reach the
+// registry from the same Stats snapshot, so /metrics gives the cache's
+// hit ratio. A consumer's first reassembly fetches every chunk; its
+// second is served from its cache.
+func TestTelemetryChunkCacheCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p, st := newChunkStore(t)
+	producer := newChunkRuntime(t, p, st, "producer", chunkTestThreshold)
+	consumer := newChunkRuntimeWith(t, p, st, "consumer", Config{ChunkThreshold: chunkTestThreshold, Telemetry: reg}, nil)
+	id := chunkFuncID(t, producer)
+	want := chunkResult(7, 128<<10)
+	for _, rt := range []*Runtime{producer, consumer, consumer} {
+		if _, _, err := rt.Execute(id, []byte("doc"), func([]byte) ([]byte, error) { return want, nil }); err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+	}
+	s, snap := consumer.Stats(), reg.Snapshot()
+	if s.ChunksFetched == 0 || s.ChunkCacheHits != s.ChunksFetched {
+		t.Fatalf("consumer fetched %d chunks with %d cache hits; want every chunk fetched once, then hit once", s.ChunksFetched, s.ChunkCacheHits)
+	}
+	if got := snap.Counter(`speed_runtime_chunks_fetched_total{app="consumer"}`); got != s.ChunksFetched {
+		t.Errorf("speed_runtime_chunks_fetched_total = %d, want %d", got, s.ChunksFetched)
+	}
+	if got := snap.Counter(`speed_runtime_chunk_cache_hits_total{app="consumer"}`); got != s.ChunkCacheHits {
+		t.Errorf("speed_runtime_chunk_cache_hits_total = %d, want %d", got, s.ChunkCacheHits)
+	}
+}
+
 // TestTelemetryDisabledIsInert pins the contract that a runtime built
 // without a registry records nothing and allocates no telemetry state.
 func TestTelemetryDisabledIsInert(t *testing.T) {
