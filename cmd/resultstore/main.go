@@ -44,8 +44,8 @@ func run(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7800", "listen address")
 	dataDir := fs.String("data-dir", "", "run on the persistent log engine rooted at this directory (sealed WAL + segments); empty = volatile in-memory store")
 	fsync := fs.String("fsync", "commit", "log engine WAL durability: commit or none")
-	memtableBytes := fs.Int64("memtable-bytes", 0, "log engine memtable budget before flushing a segment (0 = default)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "log engine hot-entry cache budget (0 = default)")
+	memtableBytes := fs.Int64("memtable-bytes", 0, "log engine write buffer, in whole-record bytes of host memory, before flushing a segment (0 = default)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "log engine hot-entry cache, in whole-record bytes of host memory (0 = default)")
 	compactInterval := fs.Duration("compact-interval", 0, "log engine background compaction period (0 = default, negative = disabled)")
 	maxEntries := fs.Int("max-entries", 0, "max dictionary entries before LRU eviction (0 = unlimited)")
 	maxBlobBytes := fs.Int64("max-blob-bytes", 0, "max total ciphertext bytes (0 = unlimited)")

@@ -1,8 +1,8 @@
 // Package chunk implements SPEED's sub-result deduplication layer:
 // FastCDC-style content-defined chunking, per-chunk tag/key derivation
 // over the mle machinery, and the sealed manifest that replaces a large
-// result's stored value (ordered chunk references plus a whole-result
-// digest).
+// result's stored value (ordered chunk references plus the
+// whole-result length).
 //
 // Whole-result dedup shares bytes only between byte-identical results.
 // Two near-identical computations — the same image at two crops, the

@@ -3,6 +3,7 @@ package chunk
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -204,15 +205,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	if m.Total != uint64(len(data)) {
 		t.Fatalf("Total = %d, want %d", m.Total, len(data))
 	}
-	if m.Digest != sha256.Sum256(append(append([]byte(nil), digestDomain...), data...)) {
-		t.Fatal("manifest digest disagrees with the domain-separated SHA-256 of the assembled result")
-	}
 	enc := m.Encode()
 	dec, err := DecodeManifest(enc)
 	if err != nil {
 		t.Fatalf("DecodeManifest: %v", err)
 	}
-	if dec.Total != m.Total || dec.Digest != m.Digest || len(dec.Refs) != len(m.Refs) {
+	if dec.Total != m.Total || len(dec.Refs) != len(m.Refs) {
 		t.Fatal("decoded manifest differs")
 	}
 	for i := range dec.Refs {
@@ -254,6 +252,13 @@ func TestManifestDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeManifest(nil); err == nil {
 		t.Error("empty manifest accepted")
+	}
+	// A version 1 manifest: the same fields plus a 32-byte whole-result
+	// digest after Total.
+	v1 := append(append([]byte(nil), enc[:manifestHeaderSize]...), make([]byte, 32)...)
+	v1[4] = 1
+	if _, err := DecodeManifest(append(v1, enc[manifestHeaderSize:]...)); !errors.Is(err, ErrManifest) {
+		t.Errorf("v1 manifest: err = %v, want ErrManifest", err)
 	}
 }
 

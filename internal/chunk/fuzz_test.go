@@ -15,8 +15,8 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SPCM"))
 	// A header announcing an absurd count with no body.
-	big := append([]byte("SPCM\x01"), 0xFF, 0xFF, 0xFF, 0xFF)
-	f.Add(append(big, make([]byte, 40)...))
+	big := append([]byte("SPCM\x02"), 0xFF, 0xFF, 0xFF, 0xFF)
+	f.Add(append(big, make([]byte, 8)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeManifest(data)

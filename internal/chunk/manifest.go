@@ -1,7 +1,6 @@
 package chunk
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +8,7 @@ import (
 
 // The manifest is what a chunked call stores under its primary tag
 // instead of the result itself: the ordered list of chunk references
-// (content hash + length) plus a digest of the whole result. It is
+// (content hash + length) and the whole-result length. It is
 // sealed with the call's own RCE keys under a manifest-specific derived
 // function identity (see crypto.go), so only an application that owns
 // the function code and input can read it — and a runtime that predates
@@ -19,10 +18,9 @@ import (
 // Byte layout (all integers big-endian):
 //
 //	magic   [4]byte  "SPCM"
-//	version byte     1
+//	version byte     2
 //	count   uint32   number of chunk references (≤ MaxManifestChunks)
 //	total   uint64   whole-result length; must equal the sum of lengths
-//	digest  [32]byte SHA-256 of the whole result (domain-separated)
 //	refs    count × (hash [32]byte | length uint32)
 //
 // Trust model: the manifest is authenticated (it travels inside an
@@ -35,12 +33,13 @@ import (
 // fetched chunk whose plaintext has the ref's length and hash. Under
 // SHA-256 collision resistance that output is the unique concatenation
 // the manifest names: a store that swaps, truncates or corrupts chunks
-// causes a loud verification failure, never a wrong result. Readers
-// skip Digest: only a collision could fail it, and whoever can forge it
-// can seal manifests anyway. Writers fill it for older readers (v1).
+// causes a loud verification failure, never a wrong result. So there is
+// no whole-result digest: only a collision could fail one. Version 1
+// carried it after Total; a v1 manifest fails DecodeManifest, and its
+// reader recomputes the result and replaces the entry.
 
 // ManifestVersion is the current manifest format version.
-const ManifestVersion = 1
+const ManifestVersion = 2
 
 // MaxManifestChunks bounds one manifest's chunk count so its chunk
 // fetch always fits a single batch GET (it equals wire.MaxBatchItems;
@@ -52,7 +51,7 @@ const MaxManifestChunks = 4096
 const refSize = 32 + 4
 
 // manifestHeaderSize is the encoded size up to the first reference.
-const manifestHeaderSize = 4 + 1 + 4 + 8 + 32
+const manifestHeaderSize = 4 + 1 + 4 + 8
 
 var manifestMagic = [4]byte{'S', 'P', 'C', 'M'}
 
@@ -68,8 +67,6 @@ type Ref struct {
 
 // Manifest describes one chunked result.
 type Manifest struct {
-	// Digest is the domain-separated SHA-256 of the whole result.
-	Digest [32]byte
 	// Total is the whole-result length in bytes.
 	Total uint64
 	// Refs lists the chunks in result order.
@@ -85,20 +82,12 @@ func BuildManifest(chunks [][]byte) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("chunk: %d chunks exceed %d per manifest", len(chunks), MaxManifestChunks)
 	}
 	m := Manifest{Refs: make([]Ref, len(chunks))}
-	d := sha256.New()
-	d.Write(digestDomain)
 	for i, c := range chunks {
 		m.Refs[i] = Ref{Hash: Hash(c), Length: uint32(len(c))}
 		m.Total += uint64(len(c))
-		d.Write(c)
 	}
-	d.Sum(m.Digest[:0])
 	return m, nil
 }
-
-// digestDomain separates the whole-result digest from plain SHA-256 of
-// the same bytes (and from the per-chunk hash domain).
-var digestDomain = []byte("speed/chunk/digest/v1\x00")
 
 // Encode serialises the manifest.
 func (m Manifest) Encode() []byte {
@@ -112,7 +101,6 @@ func (m Manifest) AppendEncode(buf []byte) []byte {
 	buf = append(buf, ManifestVersion)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Refs)))
 	buf = binary.BigEndian.AppendUint64(buf, m.Total)
-	buf = append(buf, m.Digest[:]...)
 	for _, r := range m.Refs {
 		buf = append(buf, r.Hash[:]...)
 		buf = binary.BigEndian.AppendUint32(buf, r.Length)
@@ -141,7 +129,6 @@ func DecodeManifest(b []byte) (Manifest, error) {
 		return m, fmt.Errorf("%w: %d chunks exceed %d", ErrManifest, count, MaxManifestChunks)
 	}
 	m.Total = binary.BigEndian.Uint64(b[9:17])
-	copy(m.Digest[:], b[17:49])
 	b = b[manifestHeaderSize:]
 	if len(b) != int(count)*refSize {
 		return Manifest{}, fmt.Errorf("%w: body %d bytes for %d refs", ErrManifest, len(b), count)

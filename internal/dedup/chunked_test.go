@@ -214,6 +214,8 @@ func TestChunkThresholdKeepsSmallResultsWhole(t *testing.T) {
 type reassemblyScene struct {
 	t       *testing.T
 	writer  StoreClient // writes straight to the shared store
+	id      mle.FuncID
+	input   []byte
 	cid     mle.FuncID
 	victim  []byte // the victim chunk's plaintext
 	hash    [32]byte
@@ -301,6 +303,26 @@ func TestChunkedReassemblyRejects(t *testing.T) {
 			sealed.Blob[len(sealed.Blob)/2] ^= 1
 			s.replace(s.primary, sealed)
 		}},
+		// An authentic manifest in the version 1 layout, which carried a
+		// 32-byte whole-result digest after Total.
+		{"manifest_v1", false, func(s *reassemblyScene) {
+			sealed, found, err := getOne(s.writer, s.primary)
+			if err != nil || !found {
+				s.t.Fatalf("read the manifest: found %v, err %v", found, err)
+			}
+			mid := chunk.ManifestFuncID(s.id)
+			enc, err := (&mle.RCE{}).Decrypt(mid, s.input, sealed)
+			if err != nil {
+				s.t.Fatalf("open the manifest: %v", err)
+			}
+			const header = 4 + 1 + 4 + 8
+			v1 := append(append(bytes.Clone(enc[:header]), make([]byte, 32)...), enc[header:]...)
+			v1[4] = 1
+			if sealed, err = (&mle.RCE{}).Encrypt(mid, s.input, v1); err != nil {
+				s.t.Fatalf("seal the v1 manifest: %v", err)
+			}
+			s.replace(s.primary, sealed)
+		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			p, st := newChunkStore(t)
@@ -320,6 +342,8 @@ func TestChunkedReassemblyRejects(t *testing.T) {
 			s := &reassemblyScene{
 				t:       t,
 				writer:  NewLocalClient(st, a.Enclave().Measurement()),
+				id:      id,
+				input:   input,
 				cid:     chunk.ContentFuncID(id),
 				victim:  chunks[len(chunks)/2],
 				primary: mle.ComputeTag(id, input),

@@ -10,38 +10,39 @@ import (
 )
 
 // Table is the in-enclave dictionary tier of Section IV-B: a map from
-// tag to record whose entries are charged to the store enclave's EPC.
-// It keeps its entries in LRU order, front = most recently touched, and
-// answers read-path lookups either by direct index or, when oblivious,
-// by comparing the tag with every entry in constant time. The log
-// engine's memtable and hot cache are Tables. A Table is not safe for
-// concurrent use: its owner serialises access and enters the enclave
-// around it.
+// tag to record whose entries are charged to the store enclave's EPC
+// for their dictionary slot only (see Charge). It keeps its entries in
+// LRU order, front = most recently touched, and answers read-path
+// lookups either by direct index or, when oblivious, by comparing the
+// tag with every entry in constant time. The log engine's memtable and
+// hot cache are Tables. A Table is not safe for concurrent use: its
+// owner serialises access and enters the enclave around it.
 type Table struct {
 	enc       *enclave.Enclave
-	rate      Rate
 	oblivious bool
 
 	entries map[mle.Tag]*Entry
 	lru     Entry // sentinel: lru.next is the most recently touched entry, lru.prev the least
 	bytes   int64 // the entries' enclave charge
+	size    int64 // the entries' whole-record bytes
 }
 
-// Rate is what a Table charges the enclave for one entry: Overhead
-// bytes of bookkeeping (tag key, map bucket, links, counters) plus the
-// challenge and wrapped key, plus the ciphertext when Blob is set.
-type Rate struct {
-	Overhead int64
-	Blob     bool
+// Charge is what the enclave pays for an entry holding rec: Section
+// IV-B's dictionary slot tag → (r, [k], pointer), that is 96 bytes of
+// bookkeeping (tag key, map bucket, links, counters, the pointer) plus
+// the challenge and wrapped key. The ciphertext, which RCE
+// authenticates end to end, lives outside the enclave and is never
+// charged.
+func Charge(rec Record) int64 {
+	return 96 + int64(len(rec.Challenge)+len(rec.WrappedKey))
 }
 
-// Charge is the enclave bytes an entry holding rec costs at this rate.
-func (r Rate) Charge(rec Record) int64 {
-	n := r.Overhead + int64(len(rec.Challenge)+len(rec.WrappedKey))
-	if r.Blob {
-		n += int64(len(rec.Blob))
-	}
-	return n
+// Size is rec's whole-record bytes, ciphertext included, with 32 + 128
+// bytes for its tag and header: what a table's owner budgets in host
+// memory and writes out (a memtable's flush point, a cache's capacity),
+// apart from what the enclave is charged.
+func Size(rec Record) int64 {
+	return 32 + 128 + int64(len(rec.Challenge)+len(rec.WrappedKey)+len(rec.Blob))
 }
 
 // Entry is one tag's slot in a Table: its record or, when Dead, a
@@ -55,10 +56,10 @@ type Entry struct {
 	prev, next *Entry
 }
 
-// NewTable returns an empty table charging enc at rate. Its lookups are
+// NewTable returns an empty table charging enc. Its lookups are
 // oblivious when oblivious is set.
-func NewTable(enc *enclave.Enclave, rate Rate, oblivious bool) *Table {
-	t := &Table{enc: enc, rate: rate, oblivious: oblivious, entries: make(map[mle.Tag]*Entry)}
+func NewTable(enc *enclave.Enclave, oblivious bool) *Table {
+	t := &Table{enc: enc, oblivious: oblivious, entries: make(map[mle.Tag]*Entry)}
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
 	return t
 }
@@ -66,11 +67,9 @@ func NewTable(enc *enclave.Enclave, rate Rate, oblivious bool) *Table {
 // Len reports the number of entries, tombstones included.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Bytes reports what the entries are charged to the enclave.
-func (t *Table) Bytes() int64 { return t.bytes }
-
-// Charge is what an entry holding rec costs this table's enclave.
-func (t *Table) Charge(rec Record) int64 { return t.rate.Charge(rec) }
+// Size reports the entries' whole-record bytes (see Size), tombstones
+// included.
+func (t *Table) Size() int64 { return t.size }
 
 // Entry returns tag's entry, or nil, by direct index: for the write
 // paths, whose access pattern the oblivious mode does not cover.
@@ -99,7 +98,7 @@ func (t *Table) Lookup(tag mle.Tag) *Entry {
 // shadow what it deletes.
 func (t *Table) Set(tag mle.Tag, rec Record, dead bool) (*Entry, error) {
 	e := &Entry{Tag: tag, Rec: CopyRecord(rec), Dead: dead}
-	e.charge = t.rate.Charge(e.Rec)
+	e.charge = Charge(e.Rec)
 	if err := t.enc.Alloc(e.charge); err != nil {
 		if !dead {
 			return nil, err
@@ -109,6 +108,7 @@ func (t *Table) Set(tag mle.Tag, rec Record, dead bool) (*Entry, error) {
 	t.Delete(tag)
 	t.entries[tag] = e
 	t.bytes += e.charge
+	t.size += Size(e.Rec)
 	t.link(e)
 	return e, nil
 }
@@ -122,6 +122,7 @@ func (t *Table) Delete(tag mle.Tag) {
 	delete(t.entries, tag)
 	e.prev.next, e.next.prev = e.next, e.prev
 	t.bytes -= e.charge
+	t.size -= Size(e.Rec)
 	t.enc.Free(e.charge)
 }
 
@@ -158,7 +159,7 @@ func (t *Table) Sorted() []*Entry {
 // Clear drops every entry and returns their charge.
 func (t *Table) Clear() {
 	t.enc.Free(t.bytes)
-	t.bytes = 0
+	t.bytes, t.size = 0, 0
 	clear(t.entries)
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
 }

@@ -200,9 +200,10 @@ func TestInsertMessageCommitsOnce(t *testing.T) {
 func TestInsertAllocFailureMidMessage(t *testing.T) {
 	seed := []byte("logengine-test-seed")
 	dir := t.TempDir()
-	// Room for two memtable records of this size, not three.
+	// Room for two memtable entries, not three. An entry is charged its
+	// dictionary slot, not its ciphertext.
 	blob := string(bytes.Repeat([]byte("x"), 100))
-	perRec := durableRate.Charge(recOf(blob))
+	perRec := storeengine.Charge(recOf(blob))
 	tight := enclave.NewPlatform(enclave.Config{PlatformSeed: seed, EPCBytes: 2*perRec + perRec/2})
 	e := openTest(t, testConfig(t, tight, dir))
 	var msg []storeengine.Item

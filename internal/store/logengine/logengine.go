@@ -1,17 +1,21 @@
 // Package logengine is the storage engine behind store.Store. With a
 // directory it is persistent and log-structured: an append-only WAL of
-// sealed records feeding an in-enclave memtable, flushed as immutable
-// sorted segments, with a size-tiered background compactor, a
-// per-segment key filter and sparse index, and a bounded hot-entry
-// cache. The working set can exceed RAM: only the memtable, the cache,
-// and the per-segment filters and sparse indexes stay resident.
+// sealed records feeding a memtable, flushed as immutable sorted
+// segments, with a size-tiered background compactor, a per-segment key
+// filter and sparse index, and a bounded hot-entry cache. The working
+// set can exceed RAM: only the memtable, the cache, and the per-segment
+// filters and sparse indexes stay resident.
 //
 // Without a directory it is the volatile store: no WAL, segments,
 // manifest or background loops. Its memtable holds every record and
 // never flushes, a Remove deletes the entry instead of leaving a
-// tombstone, Oldest is the memtable's LRU tail, and each entry is
-// charged to the enclave for its metadata only — the ciphertext stays
-// outside (Section IV-B).
+// tombstone, and Oldest is the memtable's LRU tail.
+//
+// In both, the enclave holds Section IV-B's dictionary, not the
+// ciphertext: a memtable or cache entry is charged for its tag,
+// challenge, wrapped key and bookkeeping only (storeengine.Charge).
+// MemtableBytes and CacheBytes count whole records (storeengine.Size),
+// so they bound host memory and flush size, not enclave memory.
 //
 // Trust model: the directory lives on untrusted media. Every record is
 // sealed (enclave AEAD, bound to platform and measurement) before it
@@ -88,16 +92,6 @@ const (
 	DefaultCompactInterval = 30 * time.Second
 )
 
-// What the in-enclave tables charge the enclave per entry. With a
-// directory the memtable and the hot cache hold whole records, so the
-// ciphertext counts and the memtable budget bounds what a flush writes.
-// Without one the memtable is Section IV-B's dictionary: the entry is
-// tag, challenge, wrapped key and a pointer to ciphertext kept outside.
-var (
-	durableRate  = storeengine.Rate{Overhead: 32 + 128, Blob: true}
-	volatileRate = storeengine.Rate{Overhead: 96}
-)
-
 // Config configures an Engine.
 type Config struct {
 	// Dir is the engine's directory on (untrusted) storage, created if
@@ -105,14 +99,17 @@ type Config struct {
 	// package doc), and the remaining durability and budget fields are
 	// ignored.
 	Dir string
-	// Enclave hosts the memtable, cache and indexes, and seals
-	// everything that leaves them. Required.
+	// Enclave is charged for the memtable's and cache's dictionary
+	// entries and seals every record the engine writes. Required.
 	Enclave *enclave.Enclave
-	// MemtableBytes bounds the in-enclave write buffer; reaching it
-	// triggers a flush to a sorted segment. 0 means 4 MiB.
+	// MemtableBytes bounds the write buffer's whole records,
+	// ciphertext included: reaching it triggers a flush to a sorted
+	// segment, so it bounds host memory and segment size. The enclave
+	// holds only the buffer's dictionary entries. 0 means 4 MiB.
 	MemtableBytes int64
-	// CacheBytes bounds the in-enclave hot-entry read cache in front
-	// of the segments. 0 means 4 MiB.
+	// CacheBytes bounds the hot-entry read cache in front of the
+	// segments the same way: whole records in host memory, dictionary
+	// entries in the enclave. 0 means 4 MiB.
 	CacheBytes int64
 	// Fsync is the WAL durability policy.
 	Fsync Fsync
@@ -212,15 +209,11 @@ func open(cfg Config, fsys fileSystem) (*Engine, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	rate := durableRate
-	if cfg.Dir == "" {
-		rate = volatileRate
-	}
 	e := &Engine{
 		cfg:        cfg,
 		fsys:       fsys,
-		mem:        storeengine.NewTable(cfg.Enclave, rate, cfg.Oblivious),
-		cache:      storeengine.NewTable(cfg.Enclave, durableRate, cfg.Oblivious),
+		mem:        storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
+		cache:      storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
 		keys:       make(map[mle.Tag]bool),
 		touched:    make(map[mle.Tag]*touchRec),
 		touchDirty: make(map[mle.Tag]bool),
@@ -644,15 +637,16 @@ func (e *Engine) findLocked(tag mle.Tag, wantSealed bool) (sealed []byte, found,
 }
 
 // cacheInsert places a segment record in the hot cache, evicting from
-// the LRU tail to stay within budget. Caller holds mu.
+// the LRU tail to keep its whole-record bytes within budget. Caller
+// holds mu.
 func (e *Engine) cacheInsert(tag mle.Tag, rec storeengine.Record) {
-	if e.cache.Charge(rec) > e.cfg.CacheBytes {
+	if storeengine.Size(rec) > e.cfg.CacheBytes {
 		return // larger than the whole budget; don't thrash
 	}
 	if _, err := e.cache.Set(tag, rec, false); err != nil {
 		return // enclave memory pressure: serving without caching is fine
 	}
-	for e.cache.Bytes() > e.cfg.CacheBytes {
+	for e.cache.Size() > e.cfg.CacheBytes {
 		e.cache.Delete(e.cache.Oldest().Tag)
 	}
 }
@@ -750,8 +744,9 @@ func (e *Engine) commitLocked() error {
 	return e.wal.sync()
 }
 
-// fullLocked reports whether a memtable charged mem bytes has to flush;
-// without a directory it never does. Caller holds mu.
+// fullLocked reports whether a memtable of mem whole-record bytes
+// (storeengine.Size) has to flush; without a directory it never does.
+// Caller holds mu.
 func (e *Engine) fullLocked(mem int64) bool {
 	return e.wal != nil && mem >= e.cfg.MemtableBytes
 }
@@ -788,7 +783,7 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 	var (
 		fresh   = make([]int, 0, len(items)) // the items to install
 		claimed = make(map[mle.Tag]bool)     // their tags
-		mem     = e.mem.Bytes()              // at most this with them applied
+		mem     = e.mem.Size()               // at most this with them applied
 	)
 	for n < len(items) && failed == nil && (n == 0 || !e.fullLocked(mem)) {
 		tag, rec := items[n].Tag, items[n].Record
@@ -797,7 +792,7 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 			if err = e.logLocked(walOpPut, tag, rec); err == nil {
 				claimed[tag] = true
 				fresh = append(fresh, n)
-				mem += e.mem.Charge(rec)
+				mem += storeengine.Size(rec)
 			}
 		}
 		failed = err // what the WAL already carries is still applied
@@ -835,7 +830,7 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 		_ = e.commitLocked() // best effort: the insert already failed
 		return n, err
 	}
-	if failed == nil && e.fullLocked(e.mem.Bytes()) {
+	if failed == nil && e.fullLocked(e.mem.Size()) {
 		if err := e.flushLocked(); err != nil {
 			failed = fmt.Errorf("logengine: flush: %w", err)
 		}

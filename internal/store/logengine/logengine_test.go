@@ -233,6 +233,43 @@ func TestInsertMessageFlushesLikeOneByOne(t *testing.T) {
 	}
 }
 
+// TestMemtableBeyondUsableEPC: the enclave holds the memtable's
+// dictionary, not its ciphertext, so a memtable budget larger than the
+// usable EPC fills and flushes with no paging and no out-of-memory
+// error. The budget still counts whole records — tag, header,
+// challenge, wrapped key and ciphertext — so the flush lands on the
+// record that brings the memtable to MemtableBytes.
+func TestMemtableBeyondUsableEPC(t *testing.T) {
+	rec := recOf(string(make([]byte, 64<<10)))
+	whole := int64(32 + 128 + len(rec.Challenge) + len(rec.WrappedKey) + len(rec.Blob))
+	const flushAt = 24 // ~1.5 MiB of whole records
+	// Record flushAt reaches both budgets. Counted a byte larger, a
+	// record would reach the second one record early; a byte smaller,
+	// the first one record late.
+	for _, budget := range []int64{flushAt * whole, (flushAt-1)*whole + 1} {
+		p := enclave.NewPlatform(enclave.Config{PlatformSeed: []byte("logengine-test-seed"), EPCBytes: 2 << 20, EPCUsableBytes: 1 << 20})
+		cfg := testConfig(t, p, t.TempDir())
+		cfg.MemtableBytes = budget
+		cfg.Fsync = FsyncNone
+		e := openTest(t, cfg)
+		for i := 1; i <= flushAt; i++ {
+			if ok, err := insert1(e, tagOf(fmt.Sprintf("k%d", i)), rec); err != nil || !ok {
+				t.Fatalf("budget %d: Insert %d: %v, %v", budget, i, ok, err)
+			}
+			want := int64(0)
+			if i == flushAt {
+				want = 1
+			}
+			if got := e.Stats().Flushes; got != want {
+				t.Fatalf("budget %d: %d flushes after record %d, want %d (the memtable fills at record %d)", budget, got, i, want, flushAt)
+			}
+		}
+		if pf := cfg.Enclave.Metrics().PageFaults; pf != 0 {
+			t.Errorf("budget %d: filling the memtable on %d bytes of usable EPC paged %d times, want 0", budget, 1<<20, pf)
+		}
+	}
+}
+
 func TestCleanCloseReopen(t *testing.T) {
 	p := testPlatform()
 	dir := t.TempDir()

@@ -50,11 +50,12 @@ type Config struct {
 	// the store persistent; empty makes it a volatile cache. Required
 	// when Engine is EngineLog.
 	DataDir string
-	// MemtableBytes bounds a persistent store's in-memory write buffer
-	// before it flushes a sorted segment; 0 selects the default.
+	// MemtableBytes bounds a persistent store's write buffer, in
+	// whole-record bytes of host memory, before it flushes a sorted
+	// segment; 0 selects the default.
 	MemtableBytes int64
-	// CacheBytes bounds a persistent store's hot-entry read cache; 0
-	// selects the default.
+	// CacheBytes bounds a persistent store's hot-entry read cache, in
+	// whole-record bytes of host memory; 0 selects the default.
 	CacheBytes int64
 	// Fsync selects a persistent store's WAL durability policy: "commit"
 	// (fsync before acknowledging every PUT, the default) or "none".

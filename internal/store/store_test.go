@@ -226,23 +226,57 @@ func TestTTLObliviousModeNoRefresh(t *testing.T) {
 	})
 }
 
+// TestCiphertextStoredOutsideEnclave: in both of the store's
+// configurations the enclave holds Section IV-B's dictionary, not the
+// ciphertext. A PUT of a 1 MiB ciphertext charges one metadata entry —
+// 96 bytes of tag key, pointer, counters and map bucket, plus challenge
+// and wrapped key — and nothing else. With a data directory the record
+// fills the memtable and is flushed to a segment; a GET that promotes
+// it into the hot cache charges the same entry again, plus the 96-byte
+// popularity overlay slot every segment-resident record read gets.
 func TestCiphertextStoredOutsideEnclave(t *testing.T) {
-	e := testEnclave(t)
-	s := testStore(t, Config{Enclave: e})
-	blob := make([]byte, 1<<20)
-	if _, err := s.Put(ownerOf("a"), tagOf("t"), mle.Sealed{
-		Challenge:  []byte("r"),
-		WrappedKey: []byte("k"),
-		Blob:       blob,
-	}); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	// The 1 MB ciphertext must not live in the enclave heap: a PUT
-	// charges the metadata entry — 96 bytes of tag key, pointer,
-	// counters and map bucket, plus challenge and wrapped key — and
-	// nothing else.
-	if used, want := e.HeapUsed(), int64(96+len("r")+len("k")); used != want {
-		t.Errorf("enclave heap = %d bytes after storing 1MB blob, want %d (metadata only)", used, want)
+	meta := int64(96 + len("r") + len("k"))
+	for _, c := range storeConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg(t, Config{Enclave: testEnclave(t)})
+			cfg.CacheBytes = 2 << 20 // room to cache the whole record
+			e := cfg.Enclave
+			s := testStore(t, cfg)
+			defer s.Close()
+			allocated := func() int64 { return e.Metrics().AllocBytes }
+			before := allocated()
+			if _, err := s.Put(ownerOf("a"), tagOf("t"), mle.Sealed{
+				Challenge:  []byte("r"),
+				WrappedKey: []byte("k"),
+				Blob:       make([]byte, 1<<20),
+			}); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if got := allocated() - before; got != meta {
+				t.Errorf("a 1 MiB PUT allocated %d enclave bytes, want %d (metadata only)", got, meta)
+			}
+			if cfg.DataDir == "" {
+				if used := e.HeapUsed(); used != meta {
+					t.Errorf("enclave heap = %d bytes after storing 1 MiB, want %d", used, meta)
+				}
+				return
+			}
+			if st := s.EngineStats(); st.Flushes != 1 || st.Segments != 1 {
+				t.Fatalf("%d flushes, %d segments; want the record flushed to one segment", st.Flushes, st.Segments)
+			}
+			before = allocated()
+			for i := 0; i < 2; i++ { // a segment read that promotes, then a cache hit
+				if got, found, err := s.Get(tagOf("t")); err != nil || !found || len(got.Blob) != 1<<20 {
+					t.Fatalf("Get %d: %d bytes, found %v, %v", i, len(got.Blob), found, err)
+				}
+			}
+			if st := s.EngineStats(); st.CacheHits != 1 {
+				t.Fatalf("CacheHits = %d, want 1: the record was not promoted", st.CacheHits)
+			}
+			if got, want := allocated()-before, meta+96; got != want {
+				t.Errorf("promoting the 1 MiB record allocated %d enclave bytes, want %d (metadata only)", got, want)
+			}
+		})
 	}
 }
 
