@@ -47,7 +47,7 @@ func run(args []string) error {
 	memtableBytes := fs.Int64("memtable-bytes", 0, "log engine write buffer, in whole-record bytes of host memory, before flushing a segment (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "log engine hot-entry cache, in whole-record bytes of host memory (0 = default)")
 	compactInterval := fs.Duration("compact-interval", 0, "log engine background compaction period (0 = default, negative = disabled)")
-	maxEntries := fs.Int("max-entries", 0, "max dictionary entries before LRU eviction (0 = unlimited)")
+	maxEntries := fs.Int("max-entries", 0, "max dictionary entries; past it the least recently used entry is evicted, or with -data-dir the oldest segment's first (0 = unlimited)")
 	maxBlobBytes := fs.Int64("max-blob-bytes", 0, "max total ciphertext bytes (0 = unlimited)")
 	quotaBytes := fs.Int64("quota-bytes", 0, "per-application ciphertext byte quota (0 = unlimited)")
 	quotaRate := fs.Float64("quota-put-rate", 0, "per-application PUT rate limit per second (0 = unlimited)")

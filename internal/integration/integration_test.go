@@ -140,21 +140,13 @@ func TestAllWorkloadsEndToEnd(t *testing.T) {
 		t.Errorf("reused compressed blob does not round-trip: %v", err)
 	}
 
-	// Case 3: pattern matching via parsed Snort-like rules.
-	var rulesText bytes.Buffer
-	for _, r := range gen.SnortRules(300) {
-		rulesText.WriteString(pattern.FormatRule(r))
-		rulesText.WriteByte('\n')
-	}
-	parsed, err := pattern.ParseRules(&rulesText)
-	if err != nil {
-		t.Fatalf("ParseRules: %v", err)
-	}
-	rs, err := pattern.CompileRules(parsed)
+	// Case 3: pattern matching with Snort-like rules.
+	rules := gen.SnortRules(300)
+	rs, err := pattern.CompileRules(rules)
 	if err != nil {
 		t.Fatalf("CompileRules: %v", err)
 	}
-	pkt := gen.Packet(32<<10, parsed, 0.5)
+	pkt := gen.Packet(32<<10, rules, 0.5)
 	pID := appFuncID(t, rt, "scan")
 	pCompute := func(in []byte) ([]byte, error) {
 		return pattern.EncodeScanResult(rs.Scan(in)), nil

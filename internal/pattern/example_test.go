@@ -2,21 +2,17 @@ package pattern_test
 
 import (
 	"fmt"
-	"strings"
 
 	"speed/internal/pattern"
 )
 
-// ExampleRuleSet_Scan compiles rules from Snort-like text and scans a
+// ExampleRuleSet_Scan compiles two Snort-like rules and scans a
 // payload.
 func ExampleRuleSet_Scan() {
-	rules, err := pattern.ParseRules(strings.NewReader(`
-alert tcp any any -> any 80 (msg:"admin probe"; content:"GET"; nocase; pcre:"/admin[a-z]*\.php/i"; sid:1001;)
-alert tcp any any -> any any (msg:"passwd read"; content:"/etc/passwd"; sid:1002;)
-`))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
+	rules := []pattern.Rule{
+		{ID: 1001, Name: "admin probe", Contents: [][]byte{[]byte("GET")}, NoCase: true,
+			PCRE: `admin[a-z]*\.php`, PCRENoCase: true},
+		{ID: 1002, Name: "passwd read", Contents: [][]byte{[]byte("/etc/passwd")}},
 	}
 	rs, err := pattern.CompileRules(rules)
 	if err != nil {

@@ -20,24 +20,6 @@ func FuzzCompileRegex(f *testing.F) {
 	})
 }
 
-// FuzzParseRule: arbitrary rule text must never panic the parser, and
-// successfully parsed rules must compile.
-func FuzzParseRule(f *testing.F) {
-	f.Add(`alert tcp any any -> any 80 (msg:"x"; content:"abc"; sid:1;)`)
-	f.Add(`alert ip any any -> any any (content:"|41 42|"; pcre:"/a+/i"; sid:2;)`)
-	f.Add("garbage")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, line string) {
-		rule, err := ParseRuleString(line)
-		if err != nil {
-			return
-		}
-		if _, err := CompileRules([]Rule{rule}); err != nil {
-			t.Fatalf("parsed rule does not compile: %v (%+v)", err, rule)
-		}
-	})
-}
-
 // FuzzScanResultCodec: decoding arbitrary bytes must never panic, and
 // decodable payloads must re-encode consistently.
 func FuzzScanResultCodec(f *testing.F) {

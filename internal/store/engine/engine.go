@@ -19,7 +19,6 @@ package engine
 
 import (
 	"errors"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -32,10 +31,9 @@ var ErrClosed = errors.New("store: closed")
 
 // Record is the unit the engine stores per tag: the small dictionary
 // metadata (challenge r and wrapped key [k], Section IV-B) together
-// with the result ciphertext and the bookkeeping the Store's policy
-// layers need (owner for quota attribution, last touch for LRU). Hits
-// is kept because it is part of the on-disk record format; nothing
-// reads it since the popular-result export was deleted.
+// with the result ciphertext and the owner the Store's quotas charge.
+// It carries no popularity: the eviction order is the engine's (a
+// Table's LRU order in memory, segment age on disk), not the record's.
 type Record struct {
 	// Challenge and WrappedKey are the in-enclave dictionary fields.
 	Challenge  []byte
@@ -50,12 +48,6 @@ type Record struct {
 	// Owner is the attested measurement of the application that stored
 	// the record, charged for its quota bytes.
 	Owner enclave.Measurement
-	// Hits counts positive lookups. A store with a directory persists
-	// hit counts lazily (see the logengine package doc).
-	Hits int64
-	// LastTouch is the store time of the last Put or non-oblivious hit,
-	// driving LRU eviction.
-	LastTouch time.Time
 }
 
 // GetStatus reports how a lookup resolved.

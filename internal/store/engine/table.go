@@ -95,7 +95,8 @@ func (t *Table) Lookup(tag mle.Tag) *Entry {
 // front of the LRU order, replacing any entry the tag had. A record the
 // enclave cannot be charged for is not installed and the tag keeps its
 // old entry; a tombstone is installed uncharged instead, because it must
-// shadow what it deletes.
+// shadow what it deletes. A tombstone stays out of the LRU order: it is
+// never read, so never touched, and never an eviction victim.
 func (t *Table) Set(tag mle.Tag, rec Record, dead bool) (*Entry, error) {
 	e := &Entry{Tag: tag, Rec: CopyRecord(rec), Dead: dead}
 	e.charge = Charge(e.Rec)
@@ -109,7 +110,11 @@ func (t *Table) Set(tag mle.Tag, rec Record, dead bool) (*Entry, error) {
 	t.entries[tag] = e
 	t.bytes += e.charge
 	t.size += Size(e.Rec)
-	t.link(e)
+	if dead {
+		e.prev, e.next = e, e // unlinking it is a no-op
+	} else {
+		t.link(e)
+	}
 	return e, nil
 }
 
@@ -138,7 +143,7 @@ func (t *Table) link(e *Entry) {
 	t.lru.next = e
 }
 
-// Oldest returns the least recently touched entry, or nil.
+// Oldest returns the least recently touched live entry, or nil.
 func (t *Table) Oldest() *Entry {
 	if t.lru.prev == &t.lru {
 		return nil

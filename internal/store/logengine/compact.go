@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"speed/internal/mle"
 	storeengine "speed/internal/store/engine"
 )
 
@@ -116,20 +115,17 @@ func (e *Engine) compactLocked() error {
 // holding the newest version of every tag in them. Records stream from
 // buffered cursors straight into the segment writer, so memory is one
 // record and one read buffer per input plus the write buffer, whatever
-// the run's size. Records move as ciphertext; only those with pending
-// touch-overlay popularity are unsealed, to bake it in. Caller holds
-// mu.
+// the run's size. Records move as ciphertext: a merge unseals nothing.
+// Caller holds mu.
 func (e *Engine) mergeRun(lo, hi int) error {
 	start := time.Now()
 	run := e.segments[lo:hi]
-	newer := e.segments[hi:]
 	// Nothing older than segment 0 can hold a version for a tombstone
 	// to shadow, so a run that starts there sheds its tombstones.
 	dropDead := lo == 0
 	var (
-		it    = newMergeIter(run)
-		baked []mle.Tag
-		live  int
+		it   = newMergeIter(run)
+		live int
 	)
 	next := func() (segRecord, bool, error) {
 		for {
@@ -140,15 +136,10 @@ func (e *Engine) mergeRun(lo, hi int) error {
 			if c.dead && dropDead {
 				continue
 			}
-			rec := segRecord{tag: c.tag, dead: c.dead, blob: c.blob, sealed: c.sealed}
 			if !c.dead {
 				live++
-				if sealed, ok := e.bakeTouch(c, newer); ok {
-					rec.sealed = sealed
-					baked = append(baked, c.tag)
-				}
 			}
-			return rec, true, nil
+			return segRecord{tag: c.tag, dead: c.dead, blob: c.blob, sealed: c.sealed}, true, nil
 		}
 	}
 
@@ -166,7 +157,7 @@ func (e *Engine) mergeRun(lo, hi int) error {
 		e.fsys.Remove(path)
 		return err
 	}
-	merged := slices.Concat(e.segments[:lo], []*segment{seg}, newer)
+	merged := slices.Concat(e.segments[:lo], []*segment{seg}, e.segments[hi:])
 	if err := writeManifest(e.fsys, e.cfg.Dir, segmentNames(merged)); err != nil {
 		if cerr := seg.close(); cerr != nil {
 			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
@@ -178,12 +169,6 @@ func (e *Engine) mergeRun(lo, hi int) error {
 	e.nextSegID = id + 1
 	e.st.Compactions++
 	e.st.CompactionBytesWritten += seg.size
-	// The baked popularity is durable in the new segment; the overlay
-	// entries (and any WAL touch frames, which replay idempotently under
-	// the overlay's max semantics) are no longer needed.
-	for _, tag := range baked {
-		e.dropTouch(tag)
-	}
 	for _, s := range run {
 		e.st.CompactionBytesRead += s.size
 		if cerr := s.close(); cerr != nil {
@@ -197,31 +182,6 @@ func (e *Engine) mergeRun(lo, hi int) error {
 	e.compactSeconds.Observe(time.Since(start))
 	e.cfg.Logf("logengine: merged %d segments into %s (%d live records)", len(run), name, live)
 	return nil
-}
-
-// bakeTouch folds pending touch-overlay popularity into the record
-// under c as a merge rewrites it, so hit counts accumulated since the
-// record last reached disk become part of its durable copy. The
-// overlay describes the newest version of a tag; when a segment newer
-// than the run may hold the tag too, the version under c could be a
-// shadowed one, and the overlay is left for the merge that reaches the
-// newest. ok is false when there is nothing to bake.
-func (e *Engine) bakeTouch(c *cursor, newer []*segment) (sealed []byte, ok bool) {
-	if _, touched := e.touched[c.tag]; !touched {
-		return nil, false
-	}
-	for _, s := range newer {
-		if s.mayContain(c.tag) {
-			return nil, false
-		}
-	}
-	rec, err := unsealRecord(e.cfg.Enclave, c.sealed)
-	if err != nil {
-		return nil, false // moves as it is; Get will report it dangling
-	}
-	e.applyTouch(c.tag, &rec)
-	sealed, err = sealRecord(e.cfg.Enclave, rec)
-	return sealed, err == nil
 }
 
 // segmentNames lists the segments' file names in order, as the

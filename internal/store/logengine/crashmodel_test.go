@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,8 +59,8 @@ func (a *ack) leaves(key, val string) bool {
 // TestCrashModel checks the log engine against what POSIX allows a
 // power cut to leave on disk. Seeded TestEngineMatchesMapModel-style
 // streams — inserts (single and in messages), duplicates, removes,
-// replaces, gets, checkpoints, merges, process crashes and clean
-// restarts — run under fsync=commit on a memFS that logs every
+// replaces, gets, evictions, checkpoints, merges, process crashes and
+// clean restarts — run under fsync=commit on a memFS that logs every
 // file-system operation. After each logged operation a seeded legal
 // post-crash disk is built (see crashWalker) and reopened. Reopen must
 // succeed; every key must then be served bit-identical at its last
@@ -102,6 +103,7 @@ func runCrashModel(t *testing.T, seed int64, steps int) {
 		acks    []ack
 		version int
 		merges  int
+		evicted int
 	)
 	newValue := func(key string) string {
 		version++
@@ -175,10 +177,24 @@ func runCrashModel(t *testing.T, seed int64, steps int) {
 			key := anyKey()
 			remove(step, key)
 			insert(step, key)
-		case r < 72: // touches popularity, which checkpoints persist
+		case r < 66: // a read persists nothing, so issues no file operation
 			if _, err := e.Get([]mle.Tag{tagOf(anyKey()), tagOf(anyKey())}, math.MaxInt); err != nil {
 				t.Fatalf("step %d: Get: %v", step, err)
 			}
+		case r < 72: // an eviction: the victim must be live
+			tag, ok := e.Oldest()
+			if !ok {
+				if len(model) > 0 {
+					t.Fatalf("step %d: Oldest found no victim, model holds %d keys", step, len(model))
+				}
+				break
+			}
+			key := slices.IndexFunc(keys, func(k string) bool { return tagOf(k) == tag })
+			if key < 0 || model[keys[key]] == "" {
+				t.Fatalf("step %d: Oldest named %x, which the model does not hold live", step, tag[:4])
+			}
+			remove(step, keys[key])
+			evicted++
 		case r < 84:
 			if err := e.Checkpoint(); err != nil {
 				t.Fatalf("step %d: Checkpoint: %v", step, err)
@@ -199,8 +215,8 @@ func runCrashModel(t *testing.T, seed int64, steps int) {
 			e = openOn(t, cfg, fsys)
 		}
 	}
-	if merges == 0 {
-		t.Fatal("stream too tame: no merge ran")
+	if merges == 0 || evicted == 0 {
+		t.Fatalf("stream too tame: %d merges, %d evictions", merges, evicted)
 	}
 
 	// Walk the log once, checking a crash after every operation against
@@ -280,7 +296,7 @@ func checkCrashState(cfg Config, state *memFS, keys []string, acked map[string]s
 	return nil
 }
 
-// sameRecord compares what a PUT stored, popularity aside.
+// sameRecord compares what a PUT stored.
 func sameRecord(a, b storeengine.Record) bool {
 	return bytes.Equal(a.Challenge, b.Challenge) && bytes.Equal(a.WrappedKey, b.WrappedKey) &&
 		bytes.Equal(a.Blob, b.Blob) && a.BlobSize == b.BlobSize && a.Owner == b.Owner

@@ -30,29 +30,25 @@
 // operations survive kill -9 and power loss; FsyncNone leaves it to the
 // OS page cache.
 // Recovery loads the manifest's segments (CRC-verified), refuses a
-// directory none of whose segments this enclave can unseal, deletes
-// orphan segment files from interrupted flushes or compactions, then
-// replays the WAL — a torn tail is truncated, never applied.
+// directory none of whose segments this enclave can unseal or one in
+// on-disk format version 1, replays the WAL — a torn tail is truncated,
+// never applied — then deletes orphan segment files from interrupted
+// flushes or compactions.
 //
-// Popularity durability: hit counts and last-touch times for
-// segment-resident records accumulate in an in-enclave touch overlay,
-// persisted as compact walOpTouch WAL frames on flush, checkpoint and
-// close, and baked into rewritten records by compaction — so hit
-// counts survive a clean restart and WAL replay. Known approximation:
-// touches since the last flush/checkpoint are lost on a crash (they
-// are popularity metadata, never payload), and under enclave memory
-// pressure a touch may be skipped, reverting a record's count to its
-// last durably baked value. Last-touch times order eviction; hit counts
-// are kept only because they are part of the on-disk format — nothing
-// reads them any more.
+// Eviction: a persistent store's Oldest takes segments oldest first,
+// then the memtable's LRU tail, so a read writes nothing to disk and a
+// record carries no popularity. Recency is a hint there: a stored
+// result never goes stale and an evicted one costs one recompute, never
+// a wrong answer, so the caps need only a space bound, and the oblivious
+// mode's no-refresh rule holds on disk by construction.
 package logengine
 
 import (
-	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -118,26 +114,13 @@ type Config struct {
 	// loop (Compact still works).
 	CompactInterval time.Duration
 	// Oblivious makes lookups over the in-enclave structures
-	// (memtable, cache) access-pattern uniform and disables recency
-	// and popularity maintenance. Segment reads go to untrusted disk,
+	// (memtable, cache) access-pattern uniform and disables their
+	// recency maintenance. Segment reads go to untrusted disk,
 	// whose access pattern is observable regardless; see DESIGN.md.
 	Oblivious bool
-	// Now is the clock; nil means time.Now.
-	Now func() time.Time
 	// Logf receives recovery and compaction diagnostics; nil discards.
 	Logf func(format string, args ...any)
 }
-
-// touchRec is one touch-overlay entry: the authoritative popularity for
-// a segment-resident record.
-type touchRec struct {
-	hits int64
-	last time.Time
-}
-
-// touchRecBytes is the enclave charge for one overlay entry (map key +
-// fields + bookkeeping).
-const touchRecBytes = 96
 
 // Engine is the storage engine. A single mutex serializes mutations and
 // metadata reads; segment file reads happen under it too (v1 keeps the
@@ -161,14 +144,13 @@ type Engine struct {
 	// a hint like them: see ruledOutLocked. Unread under Oblivious.
 	keys map[mle.Tag]bool
 
-	// touched overlays popularity (hits, last touch) onto records whose
-	// newest durable copy lives in a segment: cache hits and segment
-	// reads update it instead of rewriting the record. Flush and
-	// checkpoint persist it as walOpTouch frames; compaction bakes it
-	// into the rewritten records. touchDirty marks entries changed since
-	// they last reached the WAL.
-	touched    map[mle.Tag]*touchRec
-	touchDirty map[mle.Tag]bool
+	// hand is the eviction cursor over the segments (see Oldest): the
+	// segment it walks and the offset of the record it stands on. Every
+	// segment record behind it is a tombstone or shadowed.
+	hand struct {
+		seg *segment
+		off int64
+	}
 
 	entries    int64
 	valueBytes int64
@@ -203,21 +185,16 @@ func open(cfg Config, fsys fileSystem) (*Engine, error) {
 	if cfg.CompactInterval == 0 {
 		cfg.CompactInterval = DefaultCompactInterval
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	e := &Engine{
-		cfg:        cfg,
-		fsys:       fsys,
-		mem:        storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
-		cache:      storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
-		keys:       make(map[mle.Tag]bool),
-		touched:    make(map[mle.Tag]*touchRec),
-		touchDirty: make(map[mle.Tag]bool),
-		stopBg:     make(chan struct{}),
+		cfg:    cfg,
+		fsys:   fsys,
+		mem:    storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
+		cache:  storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
+		keys:   make(map[mle.Tag]bool),
+		stopBg: make(chan struct{}),
 	}
 	if cfg.Dir == "" {
 		return e, nil
@@ -259,8 +236,39 @@ func (e *Engine) recover() error {
 	if err := e.checkSealIdentity(); err != nil {
 		return err
 	}
+	w, err := openWAL(e.fsys, filepath.Join(e.cfg.Dir, walName))
+	if err != nil {
+		return err
+	}
+	e.wal = w
+	// The log's directory entry may be new, or left unsynced by a run
+	// that crashed: make it durable before an append is acknowledged.
+	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
+		return err
+	}
+	var allocErr error
+	replayed, torn, err := w.replay(e.cfg.Enclave, func(op walOp) {
+		if _, err := e.mem.Set(op.tag, op.rec, op.op == walOpDelete); err != nil && allocErr == nil {
+			allocErr = err
+		}
+		e.keys[op.tag] = op.op != walOpDelete
+	})
+	if err != nil {
+		return err
+	}
+	e.st.Replayed = replayed
+	if torn {
+		e.st.TornTails++
+		e.cfg.Logf("logengine: truncated torn wal tail after %d intact records", replayed)
+	}
+	if allocErr != nil {
+		return fmt.Errorf("logengine: memtable allocation during recovery: %w", allocErr)
+	}
+
 	// Remove orphan segment files: a flush or compaction that died
-	// after creating its output but before committing the manifest.
+	// after creating its output but before committing the manifest. It
+	// follows the replay so that a log in an older format is refused
+	// before anything is deleted.
 	files, err := e.fsys.ReadDir(e.cfg.Dir)
 	if err != nil {
 		return err
@@ -277,50 +285,6 @@ func (e *Engine) recover() error {
 		if err := e.fsys.Remove(filepath.Join(e.cfg.Dir, name)); err != nil {
 			return err
 		}
-	}
-
-	w, err := openWAL(e.fsys, filepath.Join(e.cfg.Dir, walName))
-	if err != nil {
-		return err
-	}
-	e.wal = w
-	// The log's directory entry may be new, or left unsynced by a run
-	// that crashed: make it durable before an append is acknowledged.
-	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
-		return err
-	}
-	var allocErr error
-	replayed, torn, err := w.replay(e.cfg.Enclave, func(op walOp) {
-		if op.op == walOpTouch {
-			// Popularity for a segment-resident record. If the tag has a
-			// newer WAL state it wins: a live memtable record carries its
-			// own counters and a tombstone makes the touch moot.
-			if ent := e.mem.Entry(op.tag); ent != nil {
-				if !ent.Dead {
-					ent.Rec.Hits = op.rec.Hits
-					ent.Rec.LastTouch = op.rec.LastTouch
-				}
-				return
-			}
-			e.noteTouch(op.tag, op.rec.Hits, op.rec.LastTouch)
-			return
-		}
-		e.dropTouch(op.tag)
-		if _, err := e.mem.Set(op.tag, op.rec, op.op == walOpDelete); err != nil && allocErr == nil {
-			allocErr = err
-		}
-		e.keys[op.tag] = op.op != walOpDelete
-	})
-	if err != nil {
-		return err
-	}
-	e.st.Replayed = replayed
-	if torn {
-		e.st.TornTails++
-		e.cfg.Logf("logengine: truncated torn wal tail after %d intact records", replayed)
-	}
-	if allocErr != nil {
-		return fmt.Errorf("logengine: memtable allocation during recovery: %w", allocErr)
 	}
 
 	// Compute live occupancy from the merged view: newest state wins
@@ -547,10 +511,11 @@ func (e *Engine) ruledOutLocked(tags []mle.Tag) bool {
 }
 
 // answerLocked answers tags in order from the versions at located,
-// counting and touching each hit, and ends before the hit that would
-// overflow budget (see Get). Segment records that hit enter the hot
-// cache once the walk is over, so an insert cannot evict an entry the
-// walk has yet to reach. Caller holds mu, inside the enclave.
+// moving each table hit to the front of its table's LRU order, and
+// ends before the hit that would overflow budget (see Get). Segment
+// records that hit enter the hot cache once the walk is over, so an
+// insert cannot evict an entry the walk has yet to reach. Caller holds
+// mu, inside the enclave.
 func (e *Engine) answerLocked(tags []mle.Tag, at []place, budget int) []storeengine.Lookup {
 	out := make([]storeengine.Lookup, 0, len(at))
 walk:
@@ -567,7 +532,6 @@ walk:
 				out = append(out, storeengine.Lookup{Status: storeengine.StatusDangling})
 				continue
 			}
-			e.applyTouch(tag, &srec)
 			rec = &srec
 		case p.ent != nil && !p.ent.Dead:
 			rec = &p.ent.Rec
@@ -581,15 +545,8 @@ walk:
 			break walk
 		}
 		budget -= size
-		if !e.cfg.Oblivious {
-			rec.Hits++
-			rec.LastTouch = e.cfg.Now()
-			if p.ent != nil {
-				p.tab.Touch(p.ent)
-			}
-			if p.tab != e.mem {
-				e.noteTouch(tag, rec.Hits, rec.LastTouch)
-			}
+		if !e.cfg.Oblivious && p.ent != nil {
+			p.tab.Touch(p.ent)
 		}
 		// A segment record's slices alias Unseal's fresh buffer; a
 		// table's are the table's.
@@ -649,77 +606,6 @@ func (e *Engine) cacheInsert(tag mle.Tag, rec storeengine.Record) {
 	for e.cache.Size() > e.cfg.CacheBytes {
 		e.cache.Delete(e.cache.Oldest().Tag)
 	}
-}
-
-// noteTouch records the authoritative popularity for a segment-resident
-// record. Under enclave memory pressure a new entry is skipped — the
-// overlay is metadata, and losing a touch only reverts hits to the last
-// durably baked value. Caller holds mu; never called under Oblivious
-// (no popularity maintenance there).
-func (e *Engine) noteTouch(tag mle.Tag, hits int64, last time.Time) {
-	tr, ok := e.touched[tag]
-	if !ok {
-		if err := e.cfg.Enclave.Alloc(touchRecBytes); err != nil {
-			return
-		}
-		tr = &touchRec{}
-		e.touched[tag] = tr
-	}
-	tr.hits, tr.last = hits, last
-	e.touchDirty[tag] = true
-}
-
-// dropTouch removes a tag's overlay entry (record deleted or rewritten
-// with popularity baked in). Caller holds mu.
-func (e *Engine) dropTouch(tag mle.Tag) {
-	if _, ok := e.touched[tag]; ok {
-		delete(e.touched, tag)
-		e.cfg.Enclave.Free(touchRecBytes)
-	}
-	delete(e.touchDirty, tag)
-}
-
-// applyTouch overlays recorded popularity onto a record read from a
-// segment. Max semantics keep it monotone no matter how overlay and
-// baked copies interleave across flushes and compactions.
-func (e *Engine) applyTouch(tag mle.Tag, rec *storeengine.Record) {
-	if tr, ok := e.touched[tag]; ok {
-		if tr.hits > rec.Hits {
-			rec.Hits = tr.hits
-		}
-		if tr.last.After(rec.LastTouch) {
-			rec.LastTouch = tr.last
-		}
-	}
-}
-
-// appendTouchesLocked writes walOpTouch frames for overlay entries —
-// every entry when all is set (the WAL was just truncated), otherwise
-// only those dirty since they last reached the log. Caller holds mu and
-// applies the fsync policy.
-func (e *Engine) appendTouchesLocked(all bool) error {
-	emit := func(tag mle.Tag, tr *touchRec) error {
-		return e.logLocked(walOpTouch, tag, storeengine.Record{Hits: tr.hits, LastTouch: tr.last})
-	}
-	if all {
-		for tag, tr := range e.touched {
-			if err := emit(tag, tr); err != nil {
-				return err
-			}
-		}
-	} else {
-		for tag := range e.touchDirty {
-			tr, ok := e.touched[tag]
-			if !ok {
-				continue
-			}
-			if err := emit(tag, tr); err != nil {
-				return err
-			}
-		}
-	}
-	e.touchDirty = make(map[mle.Tag]bool)
-	return nil
 }
 
 // logLocked appends one operation to the WAL; without a directory there
@@ -812,7 +698,6 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 			}
 			e.entries++
 			e.valueBytes += ent.Rec.BlobSize
-			e.dropTouch(ent.Tag) // a fresh record starts its popularity over
 			e.keys[ent.Tag] = true
 			installed[i] = true
 		}
@@ -839,12 +724,12 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 }
 
 // Contains serves one HAS message: whether a live record exists for
-// each tag, positionally, with no hit counting, cache promotion or
-// recency update — existence probes (chunked dedup's missing-chunk
-// transfer) that leave popularity untouched. The memtable's key set
-// answers outside the enclave for what the memtable holds (an oblivious
-// engine scans the memtable instead, in one enclave entry); the
-// segments' filters and indexes answer the rest. The answers are hints:
+// each tag, positionally, with no cache promotion or recency update —
+// existence probes (chunked dedup's missing-chunk transfer) that leave
+// the eviction order alone. The memtable's key set answers outside the
+// enclave for what the memtable holds (an oblivious engine scans the
+// memtable instead, in one enclave entry); the segments' filters and
+// indexes answer the rest. The answers are hints:
 // callers tolerate a later Get missing.
 func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	e.mu.Lock()
@@ -923,7 +808,6 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 			// report unknown metadata.
 			meta = storeengine.Record{}
 		}
-		e.applyTouch(tag, &meta)
 	}
 	meta.Challenge, meta.WrappedKey, meta.Blob = nil, nil, nil
 	if e.wal == nil {
@@ -945,7 +829,6 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		e.keys[tag] = false
 	}
 	e.cache.Delete(tag)
-	e.dropTouch(tag)
 	e.entries--
 	e.valueBytes -= meta.BlobSize
 	return meta, true, nil
@@ -1022,15 +905,6 @@ func (e *Engine) flushLocked() error {
 	e.mem.Clear()
 	clear(e.keys)
 	e.st.Flushes++
-	// The truncate discarded any persisted touch frames; re-emit the
-	// whole overlay so segment-resident popularity still survives a
-	// restart. (Memtable popularity was just baked into the segment.)
-	if len(e.touched) > 0 {
-		if err := e.appendTouchesLocked(true); err != nil {
-			return err
-		}
-		return e.commitLocked()
-	}
 	return nil
 }
 
@@ -1048,88 +922,84 @@ func (e *Engine) ValueBytes() int64 {
 	return e.valueBytes
 }
 
-// iterateLocked streams every live record to fn until fn returns false,
-// in tag order. It is a merge of the memtable (sorted transiently) and
-// every segment cursor, newest state winning, tombstones skipped.
-// Memory stays bounded by the memtable's entry list plus one record per
-// open cursor; segment payloads stream from disk one record at a time,
-// so a walk works on stores larger than RAM. Caller holds mu for the
-// whole walk (mutations would invalidate the cursors), so fn must not
-// call back into the engine.
-func (e *Engine) iterateLocked(fn func(tag mle.Tag, rec storeengine.Record) bool) error {
-	mem := e.mem.Sorted()
-	// Two sorted streams: the memtable's entries and the segments' merged
-	// view (newest segment wins a tag). The smaller head goes next; on a
-	// tie the memtable, the newest tier of all, wins and the segments'
-	// version is skipped.
-	it := newMergeIter(e.segments)
-	seg, err := it.next()
-	for err == nil && (len(mem) > 0 || seg != nil) {
-		cmp := -1
-		if len(mem) == 0 {
-			cmp = 1
-		} else if seg != nil {
-			cmp = bytes.Compare(mem[0].Tag[:], seg.tag[:])
-		}
-		var (
-			tag  mle.Tag
-			rec  storeengine.Record
-			live bool
-		)
-		if cmp <= 0 {
-			ent := mem[0]
-			mem = mem[1:]
-			if tag = ent.Tag; !ent.Dead {
-				rec, live = storeengine.CopyRecord(ent.Rec), true
-			}
-		} else if tag = seg.tag; !seg.dead {
-			var uerr error
-			if rec, uerr = unsealRecord(e.cfg.Enclave, seg.sealed); uerr != nil {
-				// Skip unreadable records rather than abort a whole
-				// walk; Get on this tag will surface dangling.
-				e.cfg.Logf("logengine: iterate: record %s failed authentication: %v", shortTag(tag), uerr)
-			} else {
-				e.applyTouch(tag, &rec)
-				live = true
-			}
-		}
-		if cmp >= 0 {
-			seg, err = it.next()
-		}
-		if live && !fn(tag, rec) {
-			return nil
-		}
-	}
-	return err
-}
-
-// Oldest reports the least recently touched live tag, the victim the
-// Store's LRU eviction removes under MaxEntries / MaxBlobBytes
-// pressure. Without a directory it is the memtable's LRU tail. With one
-// it scans the merged view, O(n) over record headers and seals — the
-// segments keep no recency order, so LRU caps on a disk-backed store
-// are expensive, but the semantics hold.
+// Oldest reports the victim the Store evicts under MaxEntries /
+// MaxBlobBytes pressure. Without a directory it is the memtable's least
+// recently used entry. With one it is the first live record, in tag
+// order, of the oldest segment that holds one, and the memtable's LRU
+// tail only once no segment does: first in, first out by segment, so a
+// read writes nothing to disk. A forward hand finds it. The hand stands
+// on its record until a tombstone or a newer version shadows it, so the
+// records it evicted stay behind it and an eviction costs amortised
+// O(1) record headers; a merge that takes its segment sends it back to
+// the oldest segment's first record. The hand reads untrusted headers,
+// which is fine for a victim: a lie costs a recompute, and Remove
+// authenticates what it settles.
 func (e *Engine) Oldest() (mle.Tag, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.wal == nil {
-		if ent := e.mem.Oldest(); ent != nil {
-			return ent.Tag, true
-		}
-		return mle.Tag{}, false
+	tag, ok, err := e.handLocked()
+	if err != nil {
+		e.cfg.Logf("logengine: eviction hand: %v", err)
 	}
-	var (
-		best  mle.Tag
-		bestT time.Time
-		found bool
-	)
-	_ = e.iterateLocked(func(tag mle.Tag, rec storeengine.Record) bool {
-		if !found || rec.LastTouch.Before(bestT) {
-			best, bestT, found = tag, rec.LastTouch, true
+	if ok {
+		return tag, true
+	}
+	if ent := e.mem.Oldest(); ent != nil {
+		return ent.Tag, true
+	}
+	return mle.Tag{}, false
+}
+
+// handLocked moves the eviction hand forward to the first segment
+// record that is live in the merged view and returns its tag; ok is
+// false when no segment holds one. Caller holds mu.
+func (e *Engine) handLocked() (tag mle.Tag, ok bool, err error) {
+	i := slices.Index(e.segments, e.hand.seg)
+	if i < 0 { // a fresh engine, or a merge took the hand's segment
+		if len(e.segments) == 0 {
+			return tag, false, nil
 		}
-		return true
-	})
-	return best, found
+		i, e.hand.seg, e.hand.off = 0, e.segments[0], int64(segHeaderLen)
+	}
+	for {
+		s := e.hand.seg
+		if e.hand.off >= s.size-4 { // past its last record
+			if i++; i == len(e.segments) {
+				return tag, false, nil
+			}
+			e.hand.seg, e.hand.off = e.segments[i], int64(segHeaderLen)
+			continue
+		}
+		tag, dead, next, err := s.header(e.hand.off)
+		if err != nil {
+			return tag, false, err
+		}
+		if !dead {
+			shadowed, err := e.shadowedLocked(tag, e.segments[i+1:])
+			if err != nil || !shadowed {
+				return tag, err == nil, err
+			}
+		}
+		e.hand.off = next
+	}
+}
+
+// shadowedLocked reports whether the memtable or one of the newer
+// segments holds a version of tag, live or a tombstone. Caller holds
+// mu.
+func (e *Engine) shadowedLocked(tag mle.Tag, newer []*segment) (bool, error) {
+	if e.mem.Entry(tag) != nil {
+		return true, nil
+	}
+	for _, s := range newer {
+		if !s.mayContain(tag) {
+			continue
+		}
+		if _, found, _, err := s.find(tag, false); err != nil || found {
+			return found, err
+		}
+	}
+	return false, nil
 }
 
 // Stats snapshots engine occupancy and activity counters.
@@ -1160,10 +1030,7 @@ func (e *Engine) Stats() storeengine.Stats {
 
 // Checkpoint makes every acknowledged operation durable: it flushes the
 // memtable (which truncates the WAL) and fsyncs, so it is in a durable
-// segment regardless of fsync policy. Popularity goes with it: memtable
-// hit counts are baked into the flushed segment and any still-dirty
-// touch-overlay entries are appended as walOpTouch frames before the
-// sync, so hit counts survive a restart. Without a directory there is
+// segment regardless of fsync policy. Without a directory there is
 // nothing to make durable.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
@@ -1179,9 +1046,6 @@ func (e *Engine) checkpointLocked() error {
 		return nil
 	}
 	if err := e.flushLocked(); err != nil {
-		return err
-	}
-	if err := e.appendTouchesLocked(false); err != nil {
 		return err
 	}
 	return e.wal.sync()
@@ -1257,13 +1121,10 @@ func (e *Engine) Crash() {
 	e.releaseMemoryLocked()
 }
 
-// releaseMemoryLocked returns the tables' and the overlay's enclave
-// allocations. Caller holds mu with closed already set.
+// releaseMemoryLocked returns the tables' enclave allocations. Caller
+// holds mu with closed already set.
 func (e *Engine) releaseMemoryLocked() {
 	e.mem.Clear()
 	clear(e.keys)
 	e.cache.Clear()
-	e.cfg.Enclave.Free(int64(len(e.touched)) * touchRecBytes)
-	e.touched = make(map[mle.Tag]*touchRec)
-	e.touchDirty = make(map[mle.Tag]bool)
 }

@@ -3,13 +3,18 @@ package logengine
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -66,7 +71,6 @@ func recOf(s string) storeengine.Record {
 		Blob:       []byte(s),
 		BlobSize:   int64(len(s)),
 		Owner:      enclave.Measurement(sha256.Sum256([]byte("owner"))),
-		LastTouch:  time.Unix(1000, 0),
 	}
 }
 
@@ -448,65 +452,6 @@ func TestWorkingSetBeyondBudgets(t *testing.T) {
 	}
 }
 
-// iterate walks the engine's merged view under its lock, as Oldest
-// does.
-func iterate(e *Engine, fn func(mle.Tag, storeengine.Record) bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.iterateLocked(fn)
-}
-
-func TestIterateMergedView(t *testing.T) {
-	p := testPlatform()
-	e := openTest(t, testConfig(t, p, t.TempDir()))
-	for i := 0; i < 6; i++ {
-		mustInsert(t, e, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
-	}
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	// Some state newer than the segment: one delete, two fresh inserts.
-	if _, found, _ := e.Remove(tagOf("k0")); !found {
-		t.Fatal("Remove k0")
-	}
-	mustInsert(t, e, "k6", "v6")
-	mustInsert(t, e, "k7", "v7")
-
-	got := map[string]string{}
-	err := iterate(e, func(tag mle.Tag, rec storeengine.Record) bool {
-		got[string(rec.Blob)] = string(rec.Blob)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Iterate: %v", err)
-	}
-	want := []string{"v1", "v2", "v3", "v4", "v5", "v6", "v7"}
-	if len(got) != len(want) {
-		t.Fatalf("Iterate yielded %d records, want %d (%v)", len(got), len(want), got)
-	}
-	for _, w := range want {
-		if _, ok := got[w]; !ok {
-			t.Errorf("Iterate missed %s", w)
-		}
-	}
-}
-
-func TestIterateEarlyStop(t *testing.T) {
-	p := testPlatform()
-	e := openTest(t, testConfig(t, p, t.TempDir()))
-	for i := 0; i < 10; i++ {
-		mustInsert(t, e, fmt.Sprintf("k%d", i), "v")
-	}
-	seen := 0
-	_ = iterate(e, func(mle.Tag, storeengine.Record) bool {
-		seen++
-		return seen < 3
-	})
-	if seen != 3 {
-		t.Errorf("early-stop Iterate visited %d, want 3", seen)
-	}
-}
-
 // TestGetReadsSegmentsWithinBudget pins the reply budget as a bound on
 // what one GET message reads: of many segment-resident records it reads
 // the prefix it answers and at most one more, whatever the tag count.
@@ -581,29 +526,137 @@ func TestObliviousGet(t *testing.T) {
 			t.Errorf("tag %d: status %v blob %q present %v, want %q", i, found[i].Status, found[i].Record.Blob, present[i], want)
 		}
 	}
-	// Oblivious lookups must not mutate popularity state.
-	for _, key := range []string{"a", "c"} {
-		rec, status, _ := get1(e, tagOf(key))
-		if status != storeengine.StatusHit || rec.Hits != 0 {
-			t.Errorf("oblivious Get mutated hits of %s: %d", key, rec.Hits)
-		}
+	// Oblivious lookups must not move the memtable's LRU order: "c" and
+	// "d" were inserted in that order, so "c" stays the tail however
+	// often "c" is read and "d" is not.
+	mustInsert(t, e, "d", "vd")
+	for i := 0; i < 3; i++ {
+		mustGet(t, e, "c", "vc")
+	}
+	if tail := e.mem.Oldest(); tail == nil || tail.Tag != tagOf("c") {
+		t.Error("oblivious Gets moved the memtable's LRU order")
 	}
 }
 
+// TestOldest pins a persistent engine's eviction order: the oldest
+// segment's live records first, in tag order, then the newer segment's,
+// then the memtable's least recently used entry. Records a tombstone or
+// a newer version shadows are skipped, and a read changes the order
+// only inside the memtable.
 func TestOldest(t *testing.T) {
 	p := testPlatform()
-	cfg := testConfig(t, p, t.TempDir())
-	e := openTest(t, cfg)
-	for i, key := range []string{"old", "mid", "new"} {
-		rec := recOf("v")
-		rec.LastTouch = time.Unix(int64(1000+i), 0)
-		if ok, err := insert1(e, tagOf(key), rec); err != nil || !ok {
-			t.Fatalf("Insert: %v %v", ok, err)
+	e := openTest(t, testConfig(t, p, t.TempDir()))
+	checkpoint := func() {
+		t.Helper()
+		if err := e.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
 		}
 	}
-	tag, ok := e.Oldest()
-	if !ok || tag != tagOf("old") {
-		t.Errorf("Oldest = %x ok=%v, want tag of 'old'", tag[:4], ok)
+	var older, newer []string
+	for i := 0; i < 6; i++ {
+		older = append(older, fmt.Sprint("old", i))
+		mustInsert(t, e, older[i], "v")
+	}
+	checkpoint()
+	for i := 0; i < 3; i++ {
+		newer = append(newer, fmt.Sprint("new", i))
+		mustInsert(t, e, newer[i], "v")
+	}
+	checkpoint()
+	for _, key := range []string{"mem0", "mem1", "mem2"} {
+		mustInsert(t, e, key, "v")
+	}
+	// Shadow two old records: one removed, one replaced by a memtable
+	// version. A read of an old record does not save it; a read of
+	// mem0 moves it to the memtable's front.
+	if _, found, err := e.Remove(tagOf(older[1])); err != nil || !found {
+		t.Fatalf("Remove: %v %v", found, err)
+	}
+	if _, found, err := e.Remove(tagOf(older[2])); err != nil || !found {
+		t.Fatalf("Remove: %v %v", found, err)
+	}
+	mustInsert(t, e, older[2], "v2")
+	mustGet(t, e, older[0], "v")
+	mustGet(t, e, "mem0", "v")
+
+	byTag := func(keys []string) []string {
+		keys = slices.Clone(keys)
+		slices.SortFunc(keys, func(a, b string) int {
+			ta, tb := tagOf(a), tagOf(b)
+			return bytes.Compare(ta[:], tb[:])
+		})
+		return keys
+	}
+	var want []string
+	for _, key := range byTag(older) {
+		if key != older[1] && key != older[2] {
+			want = append(want, key)
+		}
+	}
+	want = append(want, byTag(newer)...)
+	want = append(want, "mem1", "mem2", older[2], "mem0")
+	for i, key := range want {
+		tag, ok := e.Oldest()
+		if !ok || tag != tagOf(key) {
+			t.Fatalf("victim %d = %x (ok=%v), want %s", i, tag[:4], ok, key)
+		}
+		if again, _ := e.Oldest(); again != tag {
+			t.Fatalf("victim %d changed without a Remove", i)
+		}
+		if _, found, err := e.Remove(tag); err != nil || !found {
+			t.Fatalf("Remove victim %d: %v %v", i, found, err)
+		}
+	}
+	if tag, ok := e.Oldest(); ok {
+		t.Errorf("an empty engine named victim %x", tag[:4])
+	}
+}
+
+// TestIterateMergedView pins that draining the engine through Oldest
+// and Remove walks the merged view of segment and memtable: every live
+// record once, and nothing a tombstone shadows.
+func TestIterateMergedView(t *testing.T) {
+	p := testPlatform()
+	e := openTest(t, testConfig(t, p, t.TempDir()))
+	for i := 0; i < 6; i++ {
+		mustInsert(t, e, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	// Some state newer than the segment: one delete, two fresh inserts.
+	if _, found, _ := e.Remove(tagOf("k0")); !found {
+		t.Fatal("Remove k0")
+	}
+	mustInsert(t, e, "k6", "v6")
+	mustInsert(t, e, "k7", "v7")
+
+	got := map[string]bool{}
+	for {
+		tag, ok := e.Oldest()
+		if !ok {
+			break
+		}
+		rec, status, err := get1(e, tag)
+		if err != nil || status != storeengine.StatusHit {
+			t.Fatalf("Get(victim %x) = %v, %v", tag[:4], status, err)
+		}
+		if got[string(rec.Blob)] {
+			t.Fatalf("drain yielded %s twice", rec.Blob)
+		}
+		got[string(rec.Blob)] = true
+		if _, found, err := e.Remove(tag); err != nil || !found {
+			t.Fatalf("Remove victim %x: %v %v", tag[:4], found, err)
+		}
+	}
+	want := []string{"v1", "v2", "v3", "v4", "v5", "v6", "v7"}
+	if len(got) != len(want) {
+		t.Fatalf("drain yielded %d records, want %d (%v)", len(got), len(want), got)
+	}
+	for _, w := range want {
+		if !got[w] {
+			t.Errorf("drain missed %s", w)
+		}
 	}
 }
 
@@ -673,4 +726,101 @@ func TestCrossEnclaveSealRejected(t *testing.T) {
 		eng.Close()
 		t.Fatal("foreign enclave opened a sealed WAL without error")
 	}
+}
+
+// TestFormatV1Refused: a directory in on-disk format version 1, whose
+// records carried popularity, is refused at open with an error naming
+// the format version, and no file is modified: not the orphan segment
+// recovery would delete, not the torn WAL tail it would truncate. Each
+// case starts from a version-2 directory and turns one file into its
+// version-1 form.
+func TestFormatV1Refused(t *testing.T) {
+	p := testPlatform()
+	for _, c := range []struct {
+		name string
+		v1   func(t *testing.T, dir string, enc *enclave.Enclave)
+	}{
+		{"manifest", func(t *testing.T, dir string, _ *enclave.Enclave) {
+			rewrite(t, filepath.Join(dir, manifestName), func(b []byte) []byte {
+				return bytes.Replace(b, []byte(manifestHeader), []byte(manifestHeaderV1), 1)
+			})
+		}},
+		{"segment", func(t *testing.T, dir string, _ *enclave.Enclave) {
+			rewrite(t, filepath.Join(dir, segmentName(0)), func(b []byte) []byte {
+				return append([]byte(segMagicV1), b[len(segMagicV1):]...)
+			})
+		}},
+		{"wal touch frame", func(t *testing.T, dir string, enc *enclave.Enclave) {
+			// Version 1's touch: op 3 | tag | hits uint64 | touch int64.
+			tag := tagOf("a")
+			touch := append(append([]byte{3}, tag[:]...), make([]byte, 16)...)
+			sealed, err := enc.Seal(touch)
+			if err != nil {
+				t.Fatalf("Seal: %v", err)
+			}
+			frame := binary.BigEndian.AppendUint32(nil, uint32(len(sealed)))
+			frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(sealed, crcTable))
+			frame = append(frame, sealed...)
+			rewrite(t, filepath.Join(dir, walName), func(b []byte) []byte {
+				return append(append(b, frame...), "torn"...)
+			})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := openTest(t, testConfig(t, p, dir))
+			mustInsert(t, e, "a", "v")
+			if err := e.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			mustInsert(t, e, "b", "v") // a put frame in the WAL
+			e.Crash()
+			if err := writeSegment(osFS{}, filepath.Join(dir, segmentName(99)), func() (segRecord, bool, error) {
+				return segRecord{}, false, nil
+			}); err != nil {
+				t.Fatalf("writeSegment: %v", err)
+			}
+			cfg := testConfig(t, p, dir)
+			c.v1(t, dir, cfg.Enclave)
+			before := dirFiles(t, dir)
+
+			eng, err := Open(cfg)
+			if err == nil {
+				eng.Close()
+				t.Fatal("a version-1 directory opened")
+			}
+			if !errors.Is(err, errFormatV1) || !strings.Contains(err.Error(), "format version 1") {
+				t.Errorf("Open = %v, want an error naming format version 1", err)
+			}
+			if after := dirFiles(t, dir); !maps.Equal(before, after) {
+				t.Errorf("refusing the directory modified it: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
+// rewrite replaces the file at path with edit's result.
+func rewrite(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(data), 0o600); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirFiles maps each file in dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, ent := range entries {
+		files[ent.Name()] = string(mustRead(t, filepath.Join(dir, ent.Name())))
+	}
+	return files
 }

@@ -17,7 +17,8 @@ import (
 // size classes — and against a plain map. Every answer must be equal,
 // Len and ValueBytes must be equal after every step, and a removed tag
 // must stay removed, in particular across merges whose run stops short
-// of the oldest segment (the stream must produce some).
+// of the oldest segment (the stream must produce some). At the end the
+// eviction order drains the store (see Oldest).
 func TestEngineMatchesMapModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runModel(t, seed, 3000) })
@@ -145,30 +146,16 @@ func runModel(t *testing.T, seed int64, steps int) {
 	}
 
 	// Final sweep, then the same again after one more merge and a clean
-	// reopen: every key ever used answers as the model does, and the
-	// merged view iterates exactly the live set.
-	sweep := func(when string) {
+	// reopen: every key ever used answers as the model does. Then the
+	// eviction order drains the store: Oldest names each live key once
+	// (Remove takes it) and then reports the store empty, so the merged
+	// view it walks is exactly the live set.
+	sweep := func() {
 		for _, key := range keys {
 			check(steps, key)
 		}
-		seen := make(map[mle.Tag]string)
-		err := iterate(e, func(tag mle.Tag, rec storeengine.Record) bool {
-			seen[tag] = string(rec.Blob)
-			return true
-		})
-		if err != nil {
-			t.Fatalf("%s: Iterate: %v", when, err)
-		}
-		if len(seen) != len(model) {
-			t.Fatalf("%s: Iterate yielded %d records, model has %d", when, len(seen), len(model))
-		}
-		for key, want := range model {
-			if seen[tagOf(key)] != want {
-				t.Fatalf("%s: Iterate has %q for %s, model %q", when, seen[tagOf(key)], key, want)
-			}
-		}
 	}
-	sweep("end of stream")
+	sweep()
 	if err := e.Compact(); err != nil {
 		t.Fatalf("final Compact: %v", err)
 	}
@@ -176,5 +163,27 @@ func runModel(t *testing.T, seed int64, steps int) {
 		t.Fatalf("Close: %v", err)
 	}
 	e = open()
-	sweep("after reopen")
+	sweep()
+	byTag := make(map[mle.Tag]string, len(model))
+	for key := range model {
+		byTag[tagOf(key)] = key
+	}
+	for n := len(model); n >= 0; n-- {
+		tag, ok := e.Oldest()
+		if !ok {
+			break
+		}
+		key, live := byTag[tag]
+		if !live {
+			t.Fatalf("drain: Oldest named %x, which the model does not hold live (or named it twice)", tag[:4])
+		}
+		rec, found, err := e.Remove(tag)
+		if err != nil || !found || rec.BlobSize != int64(len(model[key])) {
+			t.Fatalf("drain: Remove(%s) = found %v size %d, %v; model size %d", key, found, rec.BlobSize, err, len(model[key]))
+		}
+		delete(byTag, tag)
+	}
+	if len(byTag) != 0 || e.Len() != 0 || e.ValueBytes() != 0 {
+		t.Fatalf("drain: Oldest reported the store empty with %d model keys left, Len %d, ValueBytes %d", len(byTag), e.Len(), e.ValueBytes())
+	}
 }

@@ -3,7 +3,6 @@ package logengine
 import (
 	"encoding/binary"
 	"errors"
-	"time"
 
 	"speed/internal/enclave"
 	storeengine "speed/internal/store/engine"
@@ -19,8 +18,6 @@ var errBadRecord = errors.New("logengine: malformed record payload")
 // gets sealed before touching disk:
 //
 //	owner      [32]byte
-//	hits       uint64 (big endian)
-//	lastTouch  int64  (big endian, unix nanoseconds)
 //	challenge  uint32 length + bytes
 //	wrappedKey uint32 length + bytes
 //	blob       uint32 length + bytes
@@ -29,11 +26,9 @@ var errBadRecord = errors.New("logengine: malformed record payload")
 // plaintext only inside enclave memory, and only the sealed form of
 // this encoding is ever written out.
 func encodeRecord(rec storeengine.Record) []byte {
-	n := 32 + 8 + 8 + 4 + len(rec.Challenge) + 4 + len(rec.WrappedKey) + 4 + len(rec.Blob)
+	n := 32 + 4 + len(rec.Challenge) + 4 + len(rec.WrappedKey) + 4 + len(rec.Blob)
 	out := make([]byte, 0, n)
 	out = append(out, rec.Owner[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(rec.Hits))
-	out = binary.BigEndian.AppendUint64(out, uint64(rec.LastTouch.UnixNano()))
 	for _, field := range [][]byte{rec.Challenge, rec.WrappedKey, rec.Blob} {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(field)))
 		out = append(out, field...)
@@ -46,15 +41,11 @@ func encodeRecord(rec storeengine.Record) []byte {
 // Unseal in practice, so engine accessors hand them out directly).
 func decodeRecord(raw []byte) (storeengine.Record, error) {
 	var rec storeengine.Record
-	if len(raw) < 32+8+8 {
+	if len(raw) < 32 {
 		return rec, errBadRecord
 	}
 	copy(rec.Owner[:], raw[:32])
 	raw = raw[32:]
-	rec.Hits = int64(binary.BigEndian.Uint64(raw))
-	raw = raw[8:]
-	rec.LastTouch = time.Unix(0, int64(binary.BigEndian.Uint64(raw)))
-	raw = raw[8:]
 	fields := make([][]byte, 3)
 	for i := range fields {
 		if len(raw) < 4 {

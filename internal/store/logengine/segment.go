@@ -20,7 +20,7 @@ import (
 // file is written once (by a memtable flush or a merge), fsynced, then
 // only ever read:
 //
-//	file   := magic [8]byte ("SPSEG1\r\n") | count uint32 | body | crc uint32
+//	file   := magic [8]byte ("SPSEG2\r\n") | count uint32 | body | crc uint32
 //	body   := record*                       (sorted ascending by tag)
 //	record := tag [32]byte | flag byte | blobSize uint32 | sealedLen uint32 | sealed
 //
@@ -41,14 +41,18 @@ import (
 // never evidence: a hit still ends in unsealRecord.
 
 const (
-	segMagic       = "SPSEG1\r\n"
+	segMagic       = "SPSEG2\r\n"
 	segHeaderLen   = len(segMagic) + 4
 	segRecHeader   = 32 + 1 + 4 + 4
 	indexInterval  = 16
 	segFlagLive    = 0
 	segFlagDead    = 1
 	manifestName   = "MANIFEST"
-	manifestHeader = "speedlog v1"
+	manifestHeader = "speedlog v2"
+	// segMagicV1 and manifestHeaderV1 mark on-disk format version 1,
+	// recognised only to be refused (errFormatV1).
+	segMagicV1       = "SPSEG1\r\n"
+	manifestHeaderV1 = "speedlog v1"
 	// segWriteBuffer and segReadBuffer size the sequential writer's and
 	// the sequential readers' (open-time verification, cursors)
 	// buffers. Together with one record per cursor they are all the
@@ -56,6 +60,13 @@ const (
 	segWriteBuffer = 1 << 20
 	segReadBuffer  = 64 << 10
 )
+
+// errFormatV1 refuses a directory in on-disk format version 1, whose
+// records carried per-record popularity and whose WAL carried touch
+// frames. Open meets it before recovery deletes or truncates anything.
+// There is no migration: the store is a cache, and an empty one costs
+// recomputes, never wrong answers.
+var errFormatV1 = errors.New("written in on-disk format version 1, which this build (version 2) does not read; move the directory aside to start an empty store (nothing was modified)")
 
 // keyFilter is a blocked Bloom filter over a segment's tags: each tag
 // owns one 512-bit block (a cache line) and sets filterProbes bits in
@@ -251,6 +262,9 @@ func openSegment(fsys fileSystem, path string, id uint64, visit func(keyHdr)) (s
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), segReadBuffer)
 	var head [segHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil || size < int64(segHeaderLen+4) || string(head[:len(segMagic)]) != segMagic {
+		if string(head[:len(segMagicV1)]) == segMagicV1 {
+			return nil, fmt.Errorf("logengine: segment %s: %w", base, errFormatV1)
+		}
 		return nil, fmt.Errorf("logengine: segment %s: bad header", base)
 	}
 	count := int(binary.BigEndian.Uint32(head[len(segMagic):]))
@@ -342,39 +356,43 @@ func (s *segment) find(tag mle.Tag, wantSealed bool) (sealed []byte, found, dead
 		return nil, false, false, nil
 	}
 	off := s.sparse[i].off
-	hdr := s.hdr[:]
-	for step := 0; step < indexInterval; step++ {
-		if off >= s.size-4 {
-			return nil, false, false, nil
+	for step := 0; step < indexInterval && off < s.size-4; step++ {
+		at, dead, next, err := s.header(off)
+		if err != nil {
+			return nil, false, false, err
 		}
-		if _, err := s.f.ReadAt(hdr, off); err != nil {
+		switch cmp := bytes.Compare(at[:], tag[:]); {
+		case cmp > 0:
+			return nil, false, false, nil // sorted: passed the slot
+		case cmp < 0:
+			off = next
+			continue
+		}
+		if dead || !wantSealed {
+			return nil, true, dead, nil
+		}
+		sealed = make([]byte, next-off-segRecHeader)
+		if _, err := s.f.ReadAt(sealed, off+segRecHeader); err != nil {
 			return nil, false, false, fmt.Errorf("logengine: read %s: %w", filepath.Base(s.path), err)
 		}
-		cmp := bytes.Compare(hdr[:32], tag[:])
-		sealedLen := int64(binary.BigEndian.Uint32(hdr[37:41]))
-		if cmp > 0 {
-			return nil, false, false, nil // sorted: passed the slot
-		}
-		if cmp == 0 {
-			if hdr[32] == segFlagDead {
-				return nil, true, true, nil
-			}
-			if !wantSealed {
-				return nil, true, false, nil
-			}
-			sealed = make([]byte, sealedLen)
-			if _, err := s.f.ReadAt(sealed, off+segRecHeader); err != nil {
-				return nil, false, false, fmt.Errorf("logengine: read %s: %w", filepath.Base(s.path), err)
-			}
-			return sealed, true, false, nil
-		}
-		off += segRecHeader + sealedLen
+		return sealed, true, false, nil
 	}
 	return nil, false, false, nil
 }
 
-// cursor streams a segment's records in tag order for merges and
-// iteration through one buffered sequential reader. sealed is reused:
+// header reads the header of the record at off: its tag, whether it is
+// a tombstone, and the offset of the record after it.
+func (s *segment) header(off int64) (tag mle.Tag, dead bool, next int64, err error) {
+	hdr := s.hdr[:]
+	if _, err := s.f.ReadAt(hdr, off); err != nil {
+		return tag, false, 0, fmt.Errorf("logengine: read %s: %w", filepath.Base(s.path), err)
+	}
+	copy(tag[:], hdr[:32])
+	return tag, hdr[32] == segFlagDead, off + segRecHeader + int64(binary.BigEndian.Uint32(hdr[37:41])), nil
+}
+
+// cursor streams a segment's records in tag order for merges and the
+// open-time seal check through one buffered sequential reader. sealed is reused:
 // it holds the current record only until the next call to next.
 type cursor struct {
 	seg  *segment
@@ -536,7 +554,10 @@ func readManifest(fsys fileSystem, dir string) ([]string, error) {
 		return nil, err
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) == 0 || lines[0] != manifestHeader {
+	if lines[0] == manifestHeaderV1 {
+		return nil, fmt.Errorf("logengine: manifest: %w", errFormatV1)
+	}
+	if lines[0] != manifestHeader {
 		return nil, fmt.Errorf("logengine: bad manifest header")
 	}
 	var names []string

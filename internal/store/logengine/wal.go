@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -22,10 +21,9 @@ import (
 // where crc is CRC-32C (Castagnoli) over the payload and payload is a
 // sealed (enclave-AEAD) operation:
 //
-//	op    byte    (1 = put, 2 = delete, 3 = touch)
+//	op    byte    (4 = put, 5 = delete)
 //	tag   [32]byte
-//	rec   encodeRecord(...)            (put only)
-//	hits  uint64 | touch int64 nanos   (touch only)
+//	rec   encodeRecord(...)   (put only)
 //
 // The CRC detects torn writes (a crash mid-append); the seal detects
 // tampering. Recovery trusts neither: a frame whose length or CRC does
@@ -38,14 +36,11 @@ import (
 const (
 	walName        = "wal.log"
 	walFrameHeader = 8 // length + crc
-	walOpPut       = 1
-	walOpDelete    = 2
-	// walOpTouch persists popularity only: the current hit count and
-	// last-touch time of a record whose payload already lives in a
-	// segment. Flush and checkpoint emit these for the touch overlay so
-	// segment-resident popularity survives a restart without rewriting
-	// the records themselves.
-	walOpTouch = 3
+	// Op codes are not reused across on-disk formats: 1-3 were format
+	// version 1's put, delete and popularity touch, so a version-1 log
+	// is recognised and refused at its first frame.
+	walOpPut    = 4
+	walOpDelete = 5
 	// maxWALPayload bounds a frame's declared length so a corrupt
 	// header cannot drive a huge allocation during replay.
 	maxWALPayload = 1 << 30
@@ -82,21 +77,13 @@ func openWAL(fsys fileSystem, path string) (*wal, error) {
 	return &wal{f: f, size: size}, nil
 }
 
-// encodeWALPayload builds the plaintext of one operation. A touch
-// carries only popularity (rec.Hits, rec.LastTouch); a put carries the
-// whole record.
+// encodeWALPayload builds the plaintext of one operation: a put carries
+// the whole record, a delete only the tag.
 func encodeWALPayload(op byte, tag mle.Tag, rec storeengine.Record) []byte {
 	if op == walOpDelete {
 		out := make([]byte, 0, 1+32)
 		out = append(out, op)
 		return append(out, tag[:]...)
-	}
-	if op == walOpTouch {
-		out := make([]byte, 0, 1+32+16)
-		out = append(out, op)
-		out = append(out, tag[:]...)
-		out = binary.BigEndian.AppendUint64(out, uint64(rec.Hits))
-		return binary.BigEndian.AppendUint64(out, uint64(rec.LastTouch.UnixNano()))
 	}
 	body := encodeRecord(rec)
 	out := make([]byte, 0, 1+32+len(body))
@@ -119,13 +106,6 @@ func decodeWALPayload(raw []byte) (walOp, error) {
 			return o, errBadRecord
 		}
 		return o, nil
-	case walOpTouch:
-		if len(raw) != 1+32+16 {
-			return o, errBadRecord
-		}
-		o.rec.Hits = int64(binary.BigEndian.Uint64(raw[33:41]))
-		o.rec.LastTouch = time.Unix(0, int64(binary.BigEndian.Uint64(raw[41:49])))
-		return o, nil
 	case walOpPut:
 		rec, err := decodeRecord(raw[33:])
 		if err != nil {
@@ -133,6 +113,8 @@ func decodeWALPayload(raw []byte) (walOp, error) {
 		}
 		o.rec = rec
 		return o, nil
+	case 1, 2, 3:
+		return o, errFormatV1
 	default:
 		return o, errBadRecord
 	}
@@ -229,7 +211,7 @@ func (w *wal) replay(enc *enclave.Enclave, apply func(walOp)) (replayed int64, t
 		}
 		op, err := decodeWALPayload(raw)
 		if err != nil {
-			return replayed, false, fmt.Errorf("logengine: wal replay: %w", err)
+			return replayed, false, fmt.Errorf("logengine: wal replay: frame %d: %w", replayed, err)
 		}
 		apply(op)
 		replayed++

@@ -3,7 +3,7 @@
 // tag, whose entries are deliberately small (challenge, wrapped key and
 // a pointer), with the bulk result ciphertexts kept outside the enclave
 // for EPC efficiency. The package also provides per-application quotas
-// (the paper's DoS rate-limiting strategy), LRU eviction, and a TCP
+// (the paper's DoS rate-limiting strategy), capacity eviction, and a TCP
 // server speaking the wire protocol. The dictionary lives in the storage
 // engine (internal/store/logengine): without a data directory a volatile
 // store whose entries are charged to the enclave for metadata only, with
@@ -63,11 +63,15 @@ type Config struct {
 	// CompactInterval is how often a persistent store's background
 	// compactor considers merging segments; 0 selects the default.
 	CompactInterval time.Duration
-	// MaxEntries caps the dictionary size; 0 means unlimited. When
-	// exceeded, least-recently-used entries are evicted: the victim is
-	// the least recently used entry of the whole store.
+	// MaxEntries caps the dictionary size; 0 means unlimited. When a
+	// PUT (or opening a DataDir that holds more) exceeds it, entries are
+	// evicted until it holds: in a volatile store the least recently
+	// used, in a persistent one the oldest segment's first, in tag order,
+	// and the memtable's least recently used only once no segment holds
+	// a live record. A read refreshes recency in memory only.
 	MaxEntries int
-	// MaxBlobBytes caps total ciphertext bytes; 0 means unlimited.
+	// MaxBlobBytes caps total ciphertext bytes the same way; 0 means
+	// unlimited.
 	MaxBlobBytes int64
 	// Quota bounds per-application usage.
 	Quota QuotaConfig
@@ -90,8 +94,8 @@ type Config struct {
 	// series), and per-operation service-latency histograms
 	// speed_store_op_seconds{op="get"|"put"}. Nil disables.
 	Telemetry *telemetry.Registry
-	// Now is the clock used by the quota and LRU mechanisms; nil
-	// means time.Now. Injectable for tests.
+	// Now is the clock of the PUT-rate token bucket; nil means
+	// time.Now. Injectable for tests.
 	Now func() time.Time
 	// Logf receives engine diagnostics (recovery, compaction); nil
 	// discards.
@@ -164,7 +168,6 @@ func New(cfg Config) (*Store, error) {
 		Fsync:           fsync,
 		CompactInterval: cfg.CompactInterval,
 		Oblivious:       cfg.Oblivious,
-		Now:             cfg.Now,
 		Logf:            cfg.Logf,
 	})
 	if err != nil {
@@ -172,6 +175,7 @@ func New(cfg Config) (*Store, error) {
 	}
 	s := &Store{cfg: cfg, eng: eng, quota: newQuotas(cfg.Quota, cfg.Now)}
 	s.registerTelemetry(cfg.Telemetry)
+	s.enforceLimits() // a reopened directory may hold more than the caps
 	return s, nil
 }
 
@@ -204,7 +208,7 @@ func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 		{"speed_store_put_dupes_total", "uploads for already-stored tags", func(st Stats) int64 { return st.PutDupes }},
 		{"speed_store_put_denied_total", "uploads rejected by quota", func(st Stats) int64 { return st.PutDenied }},
 		{"speed_store_unauthorized_total", "operations denied by controlled deduplication", func(st Stats) int64 { return st.Unauthorized }},
-		{"speed_store_evictions_total", "entries evicted by LRU pressure", func(st Stats) int64 { return st.Evictions }},
+		{"speed_store_evictions_total", "entries evicted by the MaxEntries/MaxBlobBytes caps", func(st Stats) int64 { return st.Evictions }},
 	} {
 		field := c.field
 		reg.NewCounterFunc(c.name, c.help, func() int64 { return field(s.Stats()) })
@@ -418,7 +422,6 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 		run     = make([]storeengine.Item, 0, len(items)) // admitted, not yet inserted
 		at      = make([]int, 0, len(items))              // their positions in the message
 		pending int64                                     // their blob bytes
-		now     = s.cfg.Now()
 		stats   Stats
 	)
 	installed, rejected = make([]bool, len(items)), make([]error, len(items))
@@ -469,7 +472,7 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 		}
 		run = append(run, storeengine.Item{Tag: it.Tag, Record: storeengine.Record{
 			Challenge: it.Sealed.Challenge, WrappedKey: it.Sealed.WrappedKey, Blob: it.Sealed.Blob,
-			BlobSize: blobLen, Owner: owner, LastTouch: now}})
+			BlobSize: blobLen, Owner: owner}})
 		at = append(at, i)
 		pending += blobLen
 	}
@@ -486,10 +489,9 @@ func (s *Store) overLimits(n int, size int64) bool {
 		s.cfg.MaxBlobBytes > 0 && s.eng.ValueBytes()+size > s.cfg.MaxBlobBytes
 }
 
-// enforceLimits evicts least-recently-used entries until the global
-// MaxEntries/MaxBlobBytes caps are respected. The victim is the
-// engine's least-recent entry regardless of where it lives (eviction
-// fairness across tiers).
+// enforceLimits evicts entries until the global MaxEntries/MaxBlobBytes
+// caps are respected. The victim is the engine's (logengine's Oldest),
+// wherever it lives.
 func (s *Store) enforceLimits() {
 	if s.cfg.MaxEntries <= 0 && s.cfg.MaxBlobBytes <= 0 {
 		return

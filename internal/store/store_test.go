@@ -195,25 +195,21 @@ func TestEntriesNeverExpire(t *testing.T) {
 // TestTTLObliviousModeNoRefresh: in oblivious mode a GET must not refresh
 // the entry's recency (the update would leak which entry was read). The
 // rule once showed through expiry; it now shows through LRU order: the
-// older of two entries, read again and again, is still the victim.
+// older of two memtable entries, read again and again, is still the
+// victim. (Segment records are never refreshed by any read.)
 func TestTTLObliviousModeNoRefresh(t *testing.T) {
-	onEachConfig(t, Config{Oblivious: true, MaxEntries: 2}, func(t *testing.T, s *Store, clock *testClock) {
+	onEachConfig(t, Config{Oblivious: true, MaxEntries: 2}, func(t *testing.T, s *Store, _ *testClock) {
 		owner := ownerOf("app")
 		for _, k := range []string{"old", "young"} {
-			// Puts a second apart: with a directory the victim is found by
-			// comparing touch times, which must not tie.
-			clock.now = clock.now.Add(time.Second)
 			if _, err := s.Put(owner, tagOf(k), sealedOf(k)); err != nil {
 				t.Fatalf("Put %s: %v", k, err)
 			}
 		}
 		for i := 0; i < 3; i++ {
-			clock.now = clock.now.Add(time.Second)
 			if _, found, _ := s.Get(tagOf("old")); !found {
-				t.Fatalf("old missed at touch %d", i)
+				t.Fatalf("old missed at read %d", i)
 			}
 		}
-		clock.now = clock.now.Add(time.Second)
 		if _, err := s.Put(owner, tagOf("new"), sealedOf("new")); err != nil {
 			t.Fatalf("Put new: %v", err)
 		}
@@ -232,8 +228,8 @@ func TestTTLObliviousModeNoRefresh(t *testing.T) {
 // 96 bytes of tag key, pointer, counters and map bucket, plus challenge
 // and wrapped key — and nothing else. With a data directory the record
 // fills the memtable and is flushed to a segment; a GET that promotes
-// it into the hot cache charges the same entry again, plus the 96-byte
-// popularity overlay slot every segment-resident record read gets.
+// it into the hot cache charges the same entry again, and nothing else:
+// a segment read leaves no popularity behind.
 func TestCiphertextStoredOutsideEnclave(t *testing.T) {
 	meta := int64(96 + len("r") + len("k"))
 	for _, c := range storeConfigs {
@@ -273,7 +269,7 @@ func TestCiphertextStoredOutsideEnclave(t *testing.T) {
 			if st := s.EngineStats(); st.CacheHits != 1 {
 				t.Fatalf("CacheHits = %d, want 1: the record was not promoted", st.CacheHits)
 			}
-			if got, want := allocated()-before, meta+96; got != want {
+			if got, want := allocated()-before, meta; got != want {
 				t.Errorf("promoting the 1 MiB record allocated %d enclave bytes, want %d (metadata only)", got, want)
 			}
 		})
@@ -386,22 +382,21 @@ func TestQuotaRejectsFractionalBurst(t *testing.T) {
 }
 
 // TestEvictionByMaxEntries: MaxEntries is a bound on the whole store,
-// and each PUT past it evicts the least recently used entry of the whole
-// store — with a directory wherever that entry lives.
+// and each PUT past it evicts one entry. Without a directory the victim
+// is the least recently used entry; with one it is the oldest segment's
+// first live record, however recently it was read, and a memtable
+// entry only once the segments hold none.
 func TestEvictionByMaxEntries(t *testing.T) {
-	onEachConfig(t, Config{MaxEntries: 8}, func(t *testing.T, s *Store, clock *testClock) {
+	onEachConfig(t, Config{MaxEntries: 8}, func(t *testing.T, s *Store, _ *testClock) {
 		owner := ownerOf("app")
-		// Each step takes a second: with a directory the victim is found
-		// by comparing touch times, which must not tie.
 		put := func(i int) {
 			t.Helper()
-			clock.now = clock.now.Add(time.Second)
 			if _, err := s.Put(owner, tagOf(fmt.Sprintf("k%d", i)), sealedOf("blob")); err != nil {
 				t.Fatalf("Put k%d: %v", i, err)
 			}
 		}
 		// Fill to capacity, half of it in a segment when there is a
-		// directory, then touch the first half so the second half is the
+		// directory, then read the first half so the second half is the
 		// cold end of the LRU order.
 		for i := 0; i < 8; i++ {
 			put(i)
@@ -411,23 +406,27 @@ func TestEvictionByMaxEntries(t *testing.T) {
 				}
 			}
 		}
-		clock.now = clock.now.Add(time.Second)
 		for i := 0; i < 4; i++ {
 			if _, found, _ := s.Get(tagOf(fmt.Sprintf("k%d", i))); !found {
 				t.Fatalf("warm Get k%d missed", i)
 			}
 		}
-		// Each PUT now evicts exactly one entry, from the cold half.
+		// Each PUT now evicts exactly one entry: from the cold half, or
+		// with a directory from the segment, the read k0..k3.
 		for i := 8; i < 12; i++ {
 			put(i)
 		}
 		if got := s.Len(); got != 8 {
 			t.Fatalf("Len = %d, want 8", got)
 		}
+		victims, which := 4, "the cold k4..k7"
+		if s.cfg.DataDir != "" {
+			victims, which = 0, "the checkpointed k0..k3"
+		}
 		for i := 0; i < 12; i++ {
 			_, found, _ := s.Get(tagOf(fmt.Sprintf("k%d", i)))
-			if cold := i >= 4 && i < 8; found == cold {
-				t.Errorf("k%d: found=%v, want the cold k4..k7 evicted and nothing else", i, found)
+			if victim := i >= victims && i < victims+4; found == victim {
+				t.Errorf("k%d: found=%v, want %s evicted and nothing else", i, found, which)
 			}
 		}
 		if got := s.Stats().Evictions; got != 4 {
@@ -453,6 +452,69 @@ func TestEvictionByMaxBlobBytes(t *testing.T) {
 	}
 	if got := s.Stats().BlobBytes; got > 250 {
 		t.Errorf("blob bytes = %d, want <= 250", got)
+	}
+}
+
+// TestCappedLogStoreTakesManyInserts: a persistent store capped by
+// MaxBlobBytes finds each eviction victim without reading the whole
+// store, so thousands of inserts past the cap take seconds. The cap
+// holds after every insert, and each insert past what fits evicts
+// exactly one entry.
+func TestCappedLogStoreTakesManyInserts(t *testing.T) {
+	const (
+		inserts = 30000
+		blob    = 64
+		fits    = 1000
+	)
+	s := testStore(t, Config{
+		Enclave:         persistEnclave(t),
+		DataDir:         t.TempDir(),
+		MemtableBytes:   16 << 10,
+		Fsync:           "none",
+		CompactInterval: -1,
+		MaxBlobBytes:    fits * blob,
+	})
+	defer s.Close()
+	owner := ownerOf("app")
+	start := time.Now()
+	for i := 0; i < inserts; i++ {
+		if _, err := s.Put(owner, tagOf(fmt.Sprint("k", i)), sealedOf(string(make([]byte, blob)))); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		if st := s.Stats(); st.BlobBytes > fits*blob {
+			t.Fatalf("after insert %d the store holds %d blob bytes, over the %d-byte cap", i, st.BlobBytes, fits*blob)
+		}
+		if i%1000 == 999 {
+			if err := s.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+		}
+	}
+	if st := s.Stats(); st.Evictions != inserts-fits || st.Entries != fits {
+		t.Errorf("Evictions = %d, Entries = %d; want %d and %d", st.Evictions, st.Entries, inserts-fits, fits)
+	}
+	t.Logf("%d inserts in %v", inserts, time.Since(start))
+}
+
+// TestCapsHoldAtReopen: a persistent store reopened under a lower cap
+// evicts down to it at once, oldest segment first, rather than at its
+// next PUT: a store serving only hits would never get there.
+func TestCapsHoldAtReopen(t *testing.T) {
+	dir := t.TempDir()
+	open := func(maxEntries int) *Store {
+		return testStore(t, Config{Enclave: persistEnclave(t), DataDir: dir, Fsync: "none", MaxEntries: maxEntries})
+	}
+	s := open(0)
+	for i := 0; i < 4; i++ {
+		if _, err := s.Put(ownerOf("app"), tagOf(fmt.Sprint("k", i)), sealedOf("v")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	s.Close()
+	s = open(2)
+	defer s.Close()
+	if st := s.Stats(); st.Entries != 2 || st.Evictions != 2 {
+		t.Errorf("reopened under MaxEntries 2: %d entries, %d evictions; want 2 and 2", st.Entries, st.Evictions)
 	}
 }
 

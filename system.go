@@ -45,8 +45,10 @@ type SystemConfig struct {
 	// DisableSGXCosts turns off the simulated ECALL/OCALL and paging
 	// costs — the "without SGX" mode of Fig. 6.
 	DisableSGXCosts bool
-	// StoreMaxEntries bounds the ResultStore's entry count with LRU
-	// eviction; 0 means unlimited.
+	// StoreMaxEntries bounds the ResultStore's entry count; 0 means
+	// unlimited. In memory the least recently used entry is evicted;
+	// with StoreDataDir the oldest segment's records go first, then the
+	// least recently used of those not yet flushed.
 	StoreMaxEntries int
 	// QuotaMaxBytesPerApp caps each application's resident ciphertext
 	// bytes, the per-application quota mechanism (DoS mitigation); 0
@@ -187,7 +189,7 @@ type StoreStats struct {
 	// Unauthorized counts operations denied by controlled
 	// deduplication.
 	Unauthorized int64
-	// Evictions counts entries removed by LRU pressure.
+	// Evictions counts entries removed by the StoreMaxEntries cap.
 	Evictions int64
 	// Entries is the current dictionary size; BlobBytes the total
 	// ciphertext bytes outside the enclave.
