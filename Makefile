@@ -27,7 +27,7 @@ vet:
 # ROADMAP aim 2 wants trending down. CI prints it for every PR and
 # fails when it exceeds LOC_MAX, a ratchet: lower it with the change
 # that removes lines.
-LOC_MAX := 22880
+LOC_MAX := 21166
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
@@ -81,16 +81,17 @@ doccheck:
 		END { exit bad }'
 
 # SPEED-specific invariants: trust boundary, key hygiene, atomic/plain
-# mixing, unbounded network waits, wire kind/codec symmetry, sealed-data
-# taint, goroutine shutdown edges. Durability ordering is the log
-# engine's crash model (TestCrashModel), not a lint rule.
+# mixing, unbounded network waits, wire kind/codec symmetry. Durability
+# ordering is the log engine's crash model (TestCrashModel) and
+# confidentiality at the process's sinks is TestNoPlaintextAtSinks,
+# not lint rules.
 lint:
 	$(GO) run ./cmd/speedlint ./...
 
 # Just the analyzer-semantics fixture suites (the `// want` harness
 # over internal/lint/testdata/src), without the rest of the tests.
 lint-fixtures:
-	$(GO) test ./internal/lint/ -run 'TestKeyZero|TestAtomicMix|TestDeadline|TestWireSym|TestEnclaveBoundary|TestSealFlow|TestGoroExit|TestIgnoreDirective'
+	$(GO) test ./internal/lint/ -run 'TestKeyZero|TestAtomicMix|TestDeadline|TestWireSym|TestEnclaveBoundary|TestIgnoreDirective'
 
 test:
 	$(GO) test ./...

@@ -135,14 +135,6 @@ func TestEnclaveBoundary(t *testing.T) {
 		[]string{"tcb", "enclave", "outside", "wire"})
 }
 
-func TestSealFlow(t *testing.T) {
-	runFixtureTest(t, lint.SealFlowAnalyzer, "sealflow", []string{"engine", "mle", "app"})
-}
-
-func TestGoroExit(t *testing.T) {
-	runFixtureTest(t, lint.GoroExitAnalyzer, "goroexit", []string{"dedup"})
-}
-
 // TestFullSuiteOnFixtures runs every analyzer together over every
 // fixture tree (each filtered to its own analyzer via want comments is
 // not possible here, so this only asserts the suite does not panic and

@@ -22,12 +22,10 @@ import (
 //     failure, otherwise a transient accept error spins the acceptor at
 //     100% CPU. A delegating single Accept is a wrapper and is not
 //     flagged.
-//   - Retry-shaped functions (dial/connect/roundTrip/retry/attempt)
-//     that loop must consult a bounded backoff.
 //   - Bare net.Dial is rejected in favour of net.DialTimeout.
 var DeadlineAnalyzer = &Analyzer{
 	Name: "deadline",
-	Doc:  "network I/O must carry a deadline and retry loops a bounded backoff",
+	Doc:  "network I/O must carry a deadline and accept loops a backoff",
 	Run:  runDeadline,
 }
 
@@ -181,39 +179,29 @@ func checkDeadlineFunc(pass *Pass, fd *ast.FuncDecl) {
 		return false
 	}
 
-	lower := strings.ToLower(fd.Name.Name)
-	retryish := strings.Contains(lower, "retry") || strings.Contains(lower, "roundtrip") ||
-		strings.Contains(lower, "dial") || strings.Contains(lower, "connect") ||
-		strings.Contains(lower, "attempt")
-	retryReported := false
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isPkgFunc(pkg, n, "net", "Dial") {
-				pass.Reportf(n.Pos(), "net.Dial has no connect timeout; use net.DialTimeout or a net.Dialer with Timeout")
-				return true
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if isPkgFunc(pkg, call, "net", "Dial") {
+			pass.Reportf(call.Pos(), "net.Dial has no connect timeout; use net.DialTimeout or a net.Dialer with Timeout")
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		name := sel.Sel.Name
+		if name == "Accept" && isConnLike(pkg, sel.X, listenerNames) {
+			if inLoop(call.Pos()) && !referencesBackoffRelief(pkg, fd) {
+				pass.Reportf(call.Pos(), "accept loop has no backoff; a transient accept error spins this goroutine at full speed")
 			}
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			name := sel.Sel.Name
-			if name == "Accept" && isConnLike(pkg, sel.X, listenerNames) {
-				if inLoop(n.Pos()) && !referencesBackoffRelief(pkg, fd) {
-					pass.Reportf(n.Pos(), "accept loop has no backoff; a transient accept error spins this goroutine at full speed")
-				}
-				return true
-			}
-			if deadlineIOMethods[name] && isConnLike(pkg, sel.X, deadlineTargetNames) && !guarded(n.Pos()) {
-				pass.Reportf(n.Pos(), "%s.%s has no preceding SetDeadline and no timer bound; a stalled peer blocks this path forever",
-					exprText(sel.X), name)
-			}
-		case *ast.ForStmt:
-			if retryish && !retryReported && !referencesBackoffRelief(pkg, fd) {
-				retryReported = true
-				pass.Reportf(n.Pos(), "retry loop in %s does not consult a bounded backoff", fd.Name.Name)
-			}
+			return true
+		}
+		if deadlineIOMethods[name] && isConnLike(pkg, sel.X, deadlineTargetNames) && !guarded(call.Pos()) {
+			pass.Reportf(call.Pos(), "%s.%s has no preceding SetDeadline and no timer bound; a stalled peer blocks this path forever",
+				exprText(sel.X), name)
 		}
 		return true
 	})

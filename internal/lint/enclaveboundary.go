@@ -24,11 +24,6 @@ import (
 //     and its storage engines, e.g. logengine) — the places the design
 //     documents as the boundary's legitimate crossings.
 //
-// The old wire-send rule — no secret-named buffer as a raw send
-// argument — is gone: the sealflow dataflow analyzer now proves the
-// stronger property (no unsealed source-to-sink path at all) instead
-// of pattern-matching names at one call shape.
-//
 // Rules match package and type NAMES (not full import paths) so the
 // same checks run against the production tree and the test fixtures.
 var EnclaveBoundaryAnalyzer = &Analyzer{
@@ -43,13 +38,6 @@ var attestationFuncs = map[string]bool{
 	"VerifyQuote": true, "VerifyReport": true,
 	"UnmarshalQuote": true, "UnmarshalReport": true,
 	"Quote": true, "Report": true,
-}
-
-// sendMethods are the wire-send entry points treated as conn sinks by
-// the sealflow analyzer.
-var sendMethods = map[string]bool{
-	"Send": true, "SendEnvelope": true, "SendEnvelopeTrace": true,
-	"Write": true, "WriteFrame": true,
 }
 
 func runEnclaveBoundary(pass *Pass) {

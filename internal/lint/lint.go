@@ -5,12 +5,14 @@
 // buffers must be zeroized and never logged (keyzero), fields accessed
 // atomically must be accessed atomically everywhere (atomicmix), every
 // network operation on the Runtime-ResultStore path must carry a
-// deadline and every retry loop a bounded backoff (deadline), the
-// wire protocol's marshal and unmarshal sides must agree (wiresym), key
-// material and plaintext reach disk, wire and logs only sealed
-// (sealflow), and every service goroutine can shut down (goroexit).
-// Durability ordering is not a lint rule: the log engine's crash model
-// checks it (TestCrashModel).
+// deadline and every accept loop a backoff (deadline), and the wire
+// protocol's marshal and unmarshal sides must agree (wiresym).
+// Properties of the bytes a process emits are tests, not lint rules:
+// the log engine's crash model checks durability ordering
+// (TestCrashModel), plaintext canaries over disk, socket and log check
+// that nothing leaves unsealed (TestNoPlaintextAtSinks), and each
+// service package's TestMain checks that no goroutine outlives its
+// tests.
 //
 // The driver is deliberately dependency-free — stdlib go/parser and
 // go/types only, no golang.org/x/tools — so offline builds keep
@@ -240,8 +242,6 @@ func Analyzers() []*Analyzer {
 		AtomicMixAnalyzer,
 		DeadlineAnalyzer,
 		WireSymAnalyzer,
-		SealFlowAnalyzer,
-		GoroExitAnalyzer,
 	}
 }
 

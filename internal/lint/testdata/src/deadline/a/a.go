@@ -1,5 +1,5 @@
 // Package a exercises the deadline analyzer: unguarded conn I/O,
-// accept loops, retry loops and bare net.Dial.
+// accept loops and bare net.Dial.
 package a
 
 import (
@@ -54,20 +54,6 @@ func goodAcceptLoop(l Listener) {
 // acceptOnce delegates a single Accept: a wrapper, not a loop.
 func acceptOnce(l Listener) (Conn, error) {
 	return l.Accept()
-}
-
-func dialRetry(c Conn) {
-	for i := 0; i < 3; i++ { // want `retry loop in dialRetry does not consult a bounded backoff`
-		_ = i
-	}
-}
-
-func connectWithBackoff() {
-	backoff := time.Millisecond
-	for i := 0; i < 3; i++ {
-		time.Sleep(backoff)
-		backoff *= 2
-	}
 }
 
 func badDial() {

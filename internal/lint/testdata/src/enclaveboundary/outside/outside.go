@@ -18,8 +18,7 @@ func seal(e enclave.Enclave, data []byte) ([]byte, error) {
 	return e.Seal(data) // want `sealing primitive Enclave.Seal called from package outside`
 }
 
-// sendCipher ships ciphertext, which is fine. (Raw-secret sends are
-// now the sealflow analyzer's fixture territory.)
+// sendCipher ships ciphertext, which is fine.
 func sendCipher(ch Channel, wrappedKey []byte) error {
 	return ch.Send(wrappedKey)
 }

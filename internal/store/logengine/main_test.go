@@ -1,0 +1,9 @@
+package logengine
+
+import (
+	"testing"
+
+	"speed/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

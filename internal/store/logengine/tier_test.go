@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -448,4 +449,22 @@ func TestChurnKeepsSegmentsBounded(t *testing.T) {
 		t.Fatalf("after %d churn steps: up to %d segments and %d bytes for a live set of %d bytes", churn, worstSegs, worstBytes, liveBytes)
 	}
 	t.Logf("up to %d segments, %.1fx the live set's bytes", worstSegs, float64(worstBytes)/float64(liveBytes))
+}
+
+// TestBackgroundCompactorMerges runs the compaction loop a positive
+// CompactInterval starts: flushes alone pile up enough same-class
+// segments, the loop merges them without a Compact call, and Close
+// stops it (the package's TestMain fails on a goroutine left behind).
+func TestBackgroundCompactorMerges(t *testing.T) {
+	cfg := tieredConfig(t, testPlatform(), t.TempDir())
+	cfg.CompactInterval = time.Millisecond
+	e := openTest(t, cfg)
+	for i := 0; e.Stats().Flushes < 2*mergeMinRun; i++ {
+		mustInsert(t, e, fmt.Sprint("k", i), strings.Repeat("v", 200))
+	}
+	for deadline := time.Now().Add(5 * time.Second); e.Stats().Compactions == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no background merge within 5s: %+v", e.Stats())
+		}
+	}
 }

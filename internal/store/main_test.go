@@ -1,0 +1,9 @@
+package store
+
+import (
+	"testing"
+
+	"speed/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

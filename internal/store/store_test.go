@@ -34,6 +34,7 @@ func testStore(t *testing.T, cfg Config) *Store {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
