@@ -1,12 +1,12 @@
 # Development targets. `make check` is the gate every change must pass:
-# vet, the speedlint invariant suite, and the full test suite under the
+# vet, the keyzero key-hygiene check, and the full test suite under the
 # race detector, which keeps the coalescing-path fixes (panic cleanup,
 # flight-result aliasing) fixed.
 
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build fmt vet loc knobs doccheck lint lint-fixtures test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
+.PHONY: check build fmt vet loc knobs doccheck lint test race bench bench-quick bench-overhead bench-hot bench-baseline bench-regress fuzz
 
 check: vet lint race
 
@@ -27,7 +27,7 @@ vet:
 # ROADMAP aim 2 wants trending down. CI prints it for every PR and
 # fails when it exceeds LOC_MAX, a ratchet: lower it with the change
 # that removes lines.
-LOC_MAX := 21166
+LOC_MAX := 19673
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
@@ -39,10 +39,10 @@ loc:
 # store server's With* options and the flags resultstore defines. CI
 # prints it beside loc and fails when the total exceeds KNOBS_MAX, so
 # no knob is added without deleting one.
-KNOBS_MAX := 84
+KNOBS_MAX := 79
 
 KNOB_STRUCTS := system.go:SystemConfig app.go:AppConfig \
-	internal/store/store.go:Config internal/store/quota.go:QuotaConfig \
+	internal/store/store.go:Config \
 	internal/dedup/runtime.go:Config internal/dedup/client.go:RemoteConfig \
 	internal/cluster/client.go:Config internal/store/logengine/logengine.go:Config
 
@@ -80,18 +80,14 @@ doccheck:
 		  if (!ok) { print f[1] ":" f[2] ": no test named " f[3]; bad = 1 } } \
 		END { exit bad }'
 
-# SPEED-specific invariants: trust boundary, key hygiene, atomic/plain
-# mixing, unbounded network waits, wire kind/codec symmetry. Durability
-# ordering is the log engine's crash model (TestCrashModel) and
-# confidentiality at the process's sinks is TestNoPlaintextAtSinks,
-# not lint rules.
+# Key hygiene, the one invariant no test can observe: keyzero over its
+# fixture (TestKeyZero) and over every package of the module
+# (TestModuleKeyZero), plus the TCB import check (TestTCBImports).
+# `go test ./...` runs the same tests; this target runs them alone.
+# DESIGN.md "Static analysis" lists the tests that pin what the
+# retired analyzers checked.
 lint:
-	$(GO) run ./cmd/speedlint ./...
-
-# Just the analyzer-semantics fixture suites (the `// want` harness
-# over internal/lint/testdata/src), without the rest of the tests.
-lint-fixtures:
-	$(GO) test ./internal/lint/ -run 'TestKeyZero|TestAtomicMix|TestDeadline|TestWireSym|TestEnclaveBoundary|TestIgnoreDirective'
+	$(GO) test ./internal/lint
 
 test:
 	$(GO) test ./...

@@ -50,7 +50,6 @@ func run(args []string) error {
 	maxEntries := fs.Int("max-entries", 0, "max dictionary entries; past it the least recently used entry is evicted, or with -data-dir the oldest segment's first (0 = unlimited)")
 	maxBlobBytes := fs.Int64("max-blob-bytes", 0, "max total ciphertext bytes (0 = unlimited)")
 	quotaBytes := fs.Int64("quota-bytes", 0, "per-application ciphertext byte quota (0 = unlimited)")
-	quotaRate := fs.Float64("quota-put-rate", 0, "per-application PUT rate limit per second (0 = unlimited)")
 	noSGX := fs.Bool("no-sgx", false, "disable simulated SGX transition costs")
 	machineSeed := fs.String("machine-seed", "", "deterministic machine identity (required with -data-dir: sealed records reopen only under the same seed)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/trace and /debug/vars on this address (empty = disabled)")
@@ -79,6 +78,7 @@ func run(args []string) error {
 		Enclave:         storeEnc,
 		MaxEntries:      *maxEntries,
 		MaxBlobBytes:    *maxBlobBytes,
+		MaxBytesPerApp:  *quotaBytes,
 		Telemetry:       reg,
 		DataDir:         *dataDir,
 		MemtableBytes:   *memtableBytes,
@@ -87,10 +87,6 @@ func run(args []string) error {
 		CompactInterval: *compactInterval,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("resultstore: "+format+"\n", args...)
-		},
-		Quota: store.QuotaConfig{
-			MaxBytesPerApp: *quotaBytes,
-			PutRatePerSec:  *quotaRate,
 		},
 	})
 	if err != nil {

@@ -136,7 +136,7 @@ var conformanceChecks = []struct {
 			t.Errorf("Get = (%q, %v), want the replacement", got.Blob, err)
 		}
 	}},
-	{"a rejected put stays in its item", store.Config{Quota: store.QuotaConfig{MaxBytesPerApp: 512}}, func(t *testing.T, d deployment) {
+	{"a rejected put stays in its item", store.Config{MaxBytesPerApp: 512}, func(t *testing.T, d deployment) {
 		items := []wire.PutItem{
 			{Tag: ctag("small-a"), Sealed: csealed("a")},
 			{Tag: ctag("huge"), Sealed: mle.Sealed{Blob: bytes.Repeat([]byte{0xEE}, 4096)}},

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -98,8 +100,8 @@ func TestRemoteClientPutRejected(t *testing.T) {
 	appEnc, _ := p.Create("app", []byte("app code"))
 	storeEnc, _ := p.Create("store", []byte("store code"))
 	st, err := store.New(store.Config{
-		Enclave: storeEnc,
-		Quota:   store.QuotaConfig{MaxBytesPerApp: 1},
+		Enclave:        storeEnc,
+		MaxBytesPerApp: 1,
 	})
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
@@ -129,6 +131,51 @@ func TestRemoteClientPutRejected(t *testing.T) {
 	err = putOne(client, testTag(1), mle.Sealed{Blob: []byte("too big for quota")}, false)
 	if !errors.Is(err, ErrPutRejected) {
 		t.Errorf("Put = %v, want ErrPutRejected", err)
+	}
+}
+
+// TestDialDeadline: a store that accepts the connection and never says
+// hello costs DialConfig its DialTimeout, then an error, never a wedged
+// caller. The client-side twin of TestServerHandshakeDeadline.
+func TestDialDeadline(t *testing.T) {
+	p := enclave.NewPlatform(enclave.Config{})
+	appEnc, _ := p.Create("app", []byte("app code"))
+	storeEnc, _ := p.Create("store", []byte("store code"))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+
+	const timeout = 50 * time.Millisecond
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		c, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{DialTimeout: timeout})
+		if err == nil {
+			c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("DialConfig against a silent store = %v, want a deadline error", err)
+		}
+		if took := time.Since(start); took > timeout+time.Second {
+			t.Errorf("DialConfig took %v, want within DialTimeout %v plus 1s", took, timeout)
+		}
+		(<-accepted).Close()
+	case <-time.After(5 * time.Second):
+		(<-accepted).Close() // unblocks the handshake's read
+		<-done
+		t.Fatalf("DialConfig still waiting 5s into a %v DialTimeout: the handshake has no deadline", timeout)
 	}
 }
 

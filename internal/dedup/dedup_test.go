@@ -445,8 +445,8 @@ func TestExecuteToleratesPutRejection(t *testing.T) {
 	env := newTestEnv(t, nil)
 	// Swap in a store with a tiny quota so PUTs are rejected.
 	smallStore, err := store.New(store.Config{
-		Enclave: env.storeEnc,
-		Quota:   store.QuotaConfig{MaxBytesPerApp: 1},
+		Enclave:        env.storeEnc,
+		MaxBytesPerApp: 1,
 	})
 	if err != nil {
 		t.Fatalf("store.New: %v", err)

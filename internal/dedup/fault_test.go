@@ -276,9 +276,25 @@ func TestExecuteDegradesWhenStoreStalls(t *testing.T) {
 
 	start := time.Now()
 	in := []byte("stall input")
-	res, out, err := rt.Execute(id, in, func(in []byte) ([]byte, error) {
-		return append([]byte("out:"), in...), nil
-	})
+	var (
+		res  []byte
+		out  Outcome
+		done = make(chan error, 1)
+	)
+	go func() {
+		var err error
+		res, out, err = rt.Execute(id, in, func(in []byte) ([]byte, error) {
+			return append([]byte("out:"), in...), nil
+		})
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(10 * degradeBound(fastRemoteConfig())):
+		client.Close() // fails the mux, which unblocks the wedged call
+		<-done
+		t.Fatal("Execute still waiting on a stalled store at 10× its bound: no request timer fired")
+	}
 	if err != nil {
 		t.Fatalf("Execute against stalled store: %v", err)
 	}
@@ -352,13 +368,14 @@ func TestLazyDialStoreDownAtStartup(t *testing.T) {
 	}
 }
 
-// TestRemoteClientRateLimitedPutNotRetried drives the store's token
-// bucket dry: the rate-limited PUT is a rejected item, answered at once
-// and counted in PutErrors. It is never slept on or resent, so the
-// caller's PUT OCALL is not stalled learning what the store already
-// said.
+// TestRemoteClientRateLimitedPutNotRetried runs an application past
+// its space quota, the paper's rate-limiting strategy against PUT
+// flooding (Section III-D): the refused PUT is a rejected item,
+// answered at once and counted in PutErrors. It is never slept on or
+// resent, so the caller's PUT OCALL is not stalled learning what the
+// store already said.
 func TestRemoteClientRateLimitedPutNotRetried(t *testing.T) {
-	env := newMuxEnv(t, store.Config{Quota: store.QuotaConfig{PutRatePerSec: 1, PutBurst: 1}}, nil, RemoteConfig{})
+	env := newMuxEnv(t, store.Config{MaxBytesPerApp: 64}, nil, RemoteConfig{})
 	rt, err := NewRuntime(Config{Enclave: env.appEnc, Client: env.client, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
@@ -375,15 +392,15 @@ func TestRemoteClientRateLimitedPutNotRetried(t *testing.T) {
 		t.Fatalf("first Execute = (%v, %v), want computed", out, err)
 	}
 	if s := rt.Stats(); s.PutErrors != 0 {
-		t.Fatalf("the burst token did not admit the first PUT (PutErrors = %d)", s.PutErrors)
+		t.Fatalf("the quota did not admit the first PUT (PutErrors = %d)", s.PutErrors)
 	}
-	// The bucket is empty for the next second: this PUT is refused.
+	// This result alone is past the 64-byte quota: its PUT is refused.
 	start := time.Now()
-	if _, out, err := rt.Execute(id, []byte("second"), compute); err != nil || out != OutcomeComputed {
-		t.Fatalf("rate-limited Execute = (%v, %v), want computed", out, err)
+	if _, out, err := rt.Execute(id, bytes.Repeat([]byte("second"), 16), compute); err != nil || out != OutcomeComputed {
+		t.Fatalf("over-quota Execute = (%v, %v), want computed", out, err)
 	}
 	if took := time.Since(start); took >= 25*time.Millisecond {
-		t.Errorf("the rate-limited call took %v, want well under 25ms: nothing sleeps on a rejection", took)
+		t.Errorf("the over-quota call took %v, want well under 25ms: nothing sleeps on a rejection", took)
 	}
 	if s := rt.Stats(); s.PutErrors != 1 || s.Retries != 0 || s.StoreFailures != 0 {
 		t.Errorf("PutErrors = %d, Retries = %d, StoreFailures = %d; want 1, 0, 0", s.PutErrors, s.Retries, s.StoreFailures)
@@ -391,9 +408,9 @@ func TestRemoteClientRateLimitedPutNotRetried(t *testing.T) {
 	if !env.client.Healthy() {
 		t.Error("a rejection marked the client down; the store answered")
 	}
-	err = putOne(env.client, testTag(9), mle.Sealed{Blob: []byte("c")}, false)
-	if !errors.Is(err, ErrPutRejected) || !strings.Contains(err.Error(), "rate limit") {
-		t.Errorf("direct Put = %v, want the store's rate-limit rejection", err)
+	err = putOne(env.client, testTag(9), mle.Sealed{Blob: make([]byte, 64)}, false)
+	if !errors.Is(err, ErrPutRejected) || !strings.Contains(err.Error(), "cache space quota") {
+		t.Errorf("direct Put = %v, want the store's space-quota rejection", err)
 	}
 }
 

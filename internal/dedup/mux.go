@@ -56,7 +56,8 @@ func newChanMux(ch *wire.Channel) *chanMux {
 // there are no abandoned in-flight IDs to collide with.
 func (m *chanMux) readUntil(w chan muxResult) {
 	for len(w) == 0 {
-		//speedlint:ignore deadline kill-on-timeout: roundTrip's timer fails the mux, which closes the channel and unblocks this Recv
+		// No read deadline: roundTrip's timer fails the mux on
+		// timeout, which closes the channel and unblocks this Recv.
 		payload, err := m.ch.Recv()
 		if err != nil {
 			m.fail(err)

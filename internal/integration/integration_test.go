@@ -385,7 +385,7 @@ func TestFlakyUntrustedStorage(t *testing.T) {
 // quota; a well-behaved application is unaffected.
 func TestQuotaIsolationEndToEnd(t *testing.T) {
 	s := newStack(t, store.Config{
-		Quota: store.QuotaConfig{MaxBytesPerApp: 2 << 10},
+		MaxBytesPerApp: 2 << 10,
 	}, enclave.Config{})
 	flooder := s.newApp("flooder")
 	good := s.newApp("good")

@@ -1,12 +1,14 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// KeyZeroAnalyzer enforces the key-hygiene half of SPEED's security
+// KeyZero enforces the key-hygiene half of SPEED's security
 // argument: derived key material must not outlive the operation that
 // needed it, and must never reach a formatting or logging sink.
 //
@@ -30,10 +32,29 @@ import (
 // Trace-style telemetry sinks; a hex-dumped key in an error string
 // survives in logs far longer than the enclave's memory encryption
 // protects it.
-var KeyZeroAnalyzer = &Analyzer{
-	Name: "keyzero",
-	Doc:  "derived key buffers must be zeroized on all return paths and never logged",
-	Run:  runKeyZero,
+//
+// Findings come back in source order, function by function.
+func KeyZero(pkg *Package) []Diagnostic {
+	kz := &keyZero{pkg: pkg}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				kz.checkZeroize(fd)
+				kz.checkSinks(fd)
+			}
+		}
+	}
+	return kz.diags
+}
+
+// keyZero collects one package's findings.
+type keyZero struct {
+	pkg   *Package
+	diags []Diagnostic
+}
+
+func (kz *keyZero) reportf(pos token.Pos, format string, args ...any) {
+	kz.diags = append(kz.diags, Diagnostic{Pos: kz.pkg.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // keyProducers are the callee names whose byte-buffer results are key
@@ -52,14 +73,6 @@ var sinkMethods = map[string]bool{
 	"Debugf": true, "Warnf": true,
 }
 
-func runKeyZero(pass *Pass) {
-	pkg := pass.Pkg
-	forEachFunc(pkg, func(_ *ast.File, fd *ast.FuncDecl) {
-		checkKeyZeroize(pass, fd)
-		checkKeySinks(pass, fd)
-	})
-}
-
 // trackedKey is one key buffer produced inside the function.
 type trackedKey struct {
 	ident *ast.Ident
@@ -67,9 +80,9 @@ type trackedKey struct {
 	from  string // producing callee name, for the diagnostic
 }
 
-// checkKeyZeroize applies rule 1 to one function.
-func checkKeyZeroize(pass *Pass, fd *ast.FuncDecl) {
-	pkg := pass.Pkg
+// checkZeroize applies rule 1 to one function.
+func (kz *keyZero) checkZeroize(fd *ast.FuncDecl) {
+	pkg := kz.pkg
 
 	// Step 1: key buffers assigned from producing calls.
 	var tracked []trackedKey
@@ -86,14 +99,14 @@ func checkKeyZeroize(pass *Pass, fd *ast.FuncDecl) {
 			// derived block live in the unreachable backing array.
 			if sl, ok := ast.Unparen(assign.Rhs[0]).(*ast.SliceExpr); ok {
 				if call, ok := ast.Unparen(sl.X).(*ast.CallExpr); ok {
-					if _, callee := calleeParts(call); keyProducers[callee] {
-						pass.Reportf(sl.Pos(), "truncated slice of key material from %s: Zeroize on the short slice cannot clear the remaining derived bytes; derive into a full-size buffer and zeroize all of it", callee)
+					if callee := calleeName(call); keyProducers[callee] {
+						kz.reportf(sl.Pos(), "truncated slice of key material from %s: Zeroize on the short slice cannot clear the remaining derived bytes; derive into a full-size buffer and zeroize all of it", callee)
 					}
 				}
 			}
 			return true
 		}
-		_, callee := calleeParts(call)
+		callee := calleeName(call)
 		if !keyProducers[callee] {
 			return true
 		}
@@ -128,7 +141,7 @@ func checkKeyZeroize(pass *Pass, fd *ast.FuncDecl) {
 		if keyZeroized(pkg, fd, tk.obj) {
 			continue
 		}
-		pass.Reportf(tk.ident.Pos(), "%s holds key material from %s but is not zeroized on all return paths; add `defer Zeroize(%s)` right after the assignment",
+		kz.reportf(tk.ident.Pos(), "%s holds key material from %s but is not zeroized on all return paths; add `defer Zeroize(%s)` right after the assignment",
 			tk.ident.Name, tk.from, zeroizeArgFor(tk))
 	}
 }
@@ -180,7 +193,7 @@ func keyEscapes(pkg *Package, fd *ast.FuncDecl, tk trackedKey) bool {
 				// The producing assignment itself defines the buffer;
 				// any other assignment whose RHS aliases it re-homes it.
 				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
-					if _, callee := calleeParts(call); keyProducers[callee] {
+					if callee := calleeName(call); keyProducers[callee] {
 						continue
 					}
 				}
@@ -243,7 +256,7 @@ func keyZeroized(pkg *Package, fd *ast.FuncDecl, obj types.Object) bool {
 		if !ok {
 			return true
 		}
-		_, callee := calleeParts(call)
+		callee := calleeName(call)
 		if !strings.Contains(strings.ToLower(callee), "zeroize") {
 			return true
 		}
@@ -257,10 +270,10 @@ func keyZeroized(pkg *Package, fd *ast.FuncDecl, obj types.Object) bool {
 	return found
 }
 
-// checkKeySinks applies rule 2 to one function: secret byte buffers
-// must not reach formatting or telemetry sinks.
-func checkKeySinks(pass *Pass, fd *ast.FuncDecl) {
-	pkg := pass.Pkg
+// checkSinks applies rule 2 to one function: secret byte buffers must
+// not reach formatting or telemetry sinks.
+func (kz *keyZero) checkSinks(fd *ast.FuncDecl) {
+	pkg := kz.pkg
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -271,8 +284,8 @@ func checkKeySinks(pass *Pass, fd *ast.FuncDecl) {
 		}
 		for _, a := range call.Args {
 			if name, ok := isSecretExpr(pkg, a); ok {
-				_, callee := calleeParts(call)
-				pass.Reportf(a.Pos(), "key material %s is passed to %s; keys must never reach logs or error strings", name, callee)
+				callee := calleeName(call)
+				kz.reportf(a.Pos(), "key material %s is passed to %s; keys must never reach logs or error strings", name, callee)
 			}
 		}
 		return true
@@ -289,9 +302,124 @@ func isLoggingSink(pkg *Package, call *ast.CallExpr) bool {
 	if path := pkgPathOf(pkg, sel.X); path == "fmt" || path == "log" || path == "log/slog" {
 		return true
 	}
-	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && (id.Name == "fmt" || id.Name == "log") {
-		// Syntactic fallback when type info is incomplete.
-		return true
-	}
 	return sinkMethods[sel.Sel.Name]
+}
+
+// calleeName is a call's final callee name: fmt.Errorf -> "Errorf",
+// Errorf -> "Errorf", a.b.C() -> "C".
+func calleeName(call *ast.CallExpr) string {
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
+}
+
+// pkgPathOf resolves the import path of a package qualifier identifier
+// (e.g. the "fmt" in fmt.Errorf), or "" when the identifier is not a
+// package name.
+func pkgPathOf(pkg *Package, e ast.Expr) string {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if obj, ok := pkg.Info.Uses[id]; ok {
+		if pn, ok := obj.(*types.PkgName); ok {
+			return pn.Imported().Path()
+		}
+	}
+	return ""
+}
+
+// isByteBuffer reports whether t is []byte, [N]byte, or a pointer to
+// either — the shapes key material lives in.
+func isByteBuffer(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return isByte(u.Elem())
+	case *types.Array:
+		return isByte(u.Elem())
+	case *types.Pointer:
+		return isByteBuffer(u.Elem())
+	}
+	return false
+}
+
+func isByte(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
+}
+
+// identRootsOf collects the base identifiers referenced by an argument
+// expression, looking through slicing, indexing, address-of and
+// selector chains: key, key[:16], &key, s.key all root at an
+// identifier. Calls are deliberately not traversed: len(key) does not
+// leak key.
+func identRootsOf(e ast.Expr, out *[]*ast.Ident) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		*out = append(*out, e)
+	case *ast.SelectorExpr:
+		// For s.key the interesting name is the field; record the
+		// selector identifier itself.
+		*out = append(*out, e.Sel)
+	case *ast.SliceExpr:
+		identRootsOf(e.X, out)
+	case *ast.IndexExpr:
+		identRootsOf(e.X, out)
+	case *ast.UnaryExpr:
+		identRootsOf(e.X, out)
+	case *ast.StarExpr:
+		identRootsOf(e.X, out)
+	}
+}
+
+// secretAllow are name fragments that defuse the secret heuristic:
+// wrapped keys are ciphertext, public keys and sizes are not secrets.
+var secretAllow = []string{"wrapped", "public", "pub", "size", "len", "id", "name", "kind", "hash", "tag"}
+
+// secretFragments mark a name as key material.
+var secretFragments = []string{"key", "plaintext", "secret", "seed", "passphrase", "password", "shared"}
+
+// isSecretName applies SPEED's naming convention for key material.
+func isSecretName(name string) bool {
+	if allowlistedName(name) {
+		return false
+	}
+	l := strings.ToLower(name)
+	for _, s := range secretFragments {
+		if strings.Contains(l, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// isSecretExpr reports whether e roots at an identifier that names key
+// material AND has a byte-buffer type (the type gate kills map-key /
+// label-string false positives).
+func isSecretExpr(pkg *Package, e ast.Expr) (string, bool) {
+	var roots []*ast.Ident
+	identRootsOf(e, &roots)
+	for _, id := range roots {
+		if !isSecretName(id.Name) {
+			continue
+		}
+		obj := pkg.Info.Uses[id]
+		if obj == nil {
+			obj = pkg.Info.Defs[id]
+		}
+		if obj != nil && obj.Type() != nil {
+			if !isByteBuffer(obj.Type()) {
+				continue
+			}
+		}
+		return id.Name, true
+	}
+	return "", false
 }

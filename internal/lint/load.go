@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -16,9 +17,7 @@ import (
 // Loader parses and type-checks the packages of one module without
 // shelling out to the go tool or importing golang.org/x/tools. Local
 // packages are type-checked from source in dependency order; standard
-// library imports go through the stdlib source importer; anything that
-// cannot be resolved degrades to an empty stub package so analysis
-// continues with partial type information rather than failing the run.
+// library imports go through the stdlib source importer.
 type Loader struct {
 	// Fset is shared by every parsed file and the stdlib importer.
 	Fset *token.FileSet
@@ -26,16 +25,9 @@ type Loader struct {
 	ModuleRoot string
 	// ModulePath is the module's import path (the go.mod module line).
 	ModulePath string
-	// ExtraRoots maps additional import-path prefixes to directories,
-	// used by tests to resolve fixture-tree imports.
-	ExtraRoots map[string]string
-	// IncludeTests also parses _test.go files. Off by default: the
-	// suite targets production code.
-	IncludeTests bool
 
 	std     types.Importer
 	pkgs    map[string]*Package // by import path
-	stubs   map[string]*types.Package
 	loading map[string]bool
 }
 
@@ -57,7 +49,6 @@ func NewLoader(dir string) (*Loader, error) {
 		ModulePath: path,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
-		stubs:      make(map[string]*types.Package),
 		loading:    make(map[string]bool),
 	}, nil
 }
@@ -113,9 +104,7 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if hasGoFiles(path) {
-			dirs = append(dirs, path)
-		}
+		dirs = append(dirs, path)
 		return nil
 	})
 	if err != nil {
@@ -143,22 +132,6 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// hasGoFiles reports whether dir directly contains at least one
-// non-test .go file.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
 // LoadDir parses and type-checks the single package in dir under the
 // given import path, returning a cached result on repeated calls. A dir
 // without loadable files returns (nil, nil).
@@ -172,30 +145,22 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	entries, err := os.ReadDir(dir)
+	// go/build picks the non-test files this platform's build would
+	// compile, applying file-name suffixes and //go:build constraints.
+	bp, err := build.ImportDir(dir, 0)
+	if _, none := err.(*build.NoGoError); none {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if ignoredByBuildTag(f) {
-			continue
-		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
 	}
 
 	pkg := &Package{
@@ -204,74 +169,43 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 		Fset:  l.Fset,
 		Files: files,
 		Info: &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
+			Defs: make(map[*ast.Ident]types.Object),
+			Uses: make(map[*ast.Ident]types.Object),
 		},
 	}
-	conf := types.Config{
-		Importer:         l,
-		FakeImportC:      true,
-		IgnoreFuncBodies: false,
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		},
+	// A type error fails the load: keyzero tracks only buffers whose
+	// type it sees, so a hole in the type information would hide
+	// findings rather than report them.
+	conf := types.Config{Importer: l}
+	if pkg.Types, err = conf.Check(path, l.Fset, files, pkg.Info); err != nil {
+		return nil, err
 	}
-	// Type-check tolerantly: errors are collected, not fatal, so a
-	// package with unresolved imports still yields partial type info.
-	tpkg, _ := conf.Check(path, l.Fset, files, pkg.Info)
-	if tpkg == nil {
-		tpkg = types.NewPackage(path, files[0].Name.Name)
-	}
-	pkg.Types = tpkg
-	pkg.scanDirectives()
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
 
-// ignoredByBuildTag reports whether a file opts out of the build via a
-// `//go:build ignore`-style constraint. Full constraint evaluation is
-// out of scope; only the common ignore marker is honoured.
-func ignoredByBuildTag(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.End() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if text == "go:build ignore" || strings.HasPrefix(text, "+build ignore") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Import implements types.Importer, resolving module-local and
-// fixture-tree paths through the loader itself and everything else
-// through the stdlib source importer, degrading to an empty stub
-// package when resolution fails.
+// Import implements types.Importer, resolving module-local paths
+// through the loader itself and everything else through the stdlib
+// source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if dir, ok := l.resolveLocal(path); ok {
-		pkg, err := l.LoadDir(dir, path)
-		if err == nil && pkg != nil && pkg.Types != nil {
-			return pkg.Types, nil
-		}
-		return l.stub(path), nil
+	dir, ok := l.resolveLocal(path)
+	if !ok {
+		return l.std.Import(path)
 	}
-	if tpkg, err := l.std.Import(path); err == nil {
-		return tpkg, nil
+	pkg, err := l.LoadDir(dir, path)
+	if err != nil {
+		return nil, err
 	}
-	return l.stub(path), nil
+	if pkg == nil {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	return pkg.Types, nil
 }
 
-// resolveLocal maps an import path inside the module (or an extra
-// fixture root) to its directory.
+// resolveLocal maps an import path inside the module to its directory.
 func (l *Loader) resolveLocal(path string) (string, bool) {
 	if path == l.ModulePath {
 		return l.ModuleRoot, true
@@ -279,29 +213,5 @@ func (l *Loader) resolveLocal(path string) (string, bool) {
 	if rest, ok := strings.CutPrefix(path, l.ModulePath+"/"); ok {
 		return filepath.Join(l.ModuleRoot, filepath.FromSlash(rest)), true
 	}
-	for prefix, dir := range l.ExtraRoots {
-		if path == prefix {
-			return dir, true
-		}
-		if rest, ok := strings.CutPrefix(path, prefix+"/"); ok {
-			return filepath.Join(dir, filepath.FromSlash(rest)), true
-		}
-	}
 	return "", false
-}
-
-// stub returns (and caches) an empty placeholder for an unresolvable
-// import, letting type-checking proceed with holes instead of failing.
-func (l *Loader) stub(path string) *types.Package {
-	if p, ok := l.stubs[path]; ok {
-		return p
-	}
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	l.stubs[path] = p
-	return p
 }

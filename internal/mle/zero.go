@@ -12,7 +12,7 @@ package mle
 //
 // so every return path (including panics) is covered; Zeroize(nil) is a
 // no-op, so the defer is safe to place before the error check. The
-// speedlint keyzero analyzer enforces this idiom.
+// keyzero check (internal/lint, TestModuleKeyZero) enforces this idiom.
 func Zeroize(b []byte) {
 	for i := range b {
 		b[i] = 0

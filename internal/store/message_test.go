@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -34,24 +33,14 @@ var storeConfigs = []struct {
 	}},
 }
 
-// testClock is a manually advanced clock.
-type testClock struct {
-	now time.Time
-}
-
-func (c *testClock) Now() time.Time { return c.now }
-
 // onEachConfig runs fn on a store built from cfg in each of the store's
-// configurations (storeConfigs), on a clock the test advances by hand.
-func onEachConfig(t *testing.T, cfg Config, fn func(t *testing.T, s *Store, clock *testClock)) {
+// configurations (storeConfigs).
+func onEachConfig(t *testing.T, cfg Config, fn func(t *testing.T, s *Store)) {
 	for _, c := range storeConfigs {
 		t.Run(c.name, func(t *testing.T) {
-			clock := &testClock{now: time.Unix(1000, 0)}
-			cfg := cfg
-			cfg.Now = clock.Now
 			s := testStore(t, c.cfg(t, cfg))
 			defer s.Close()
-			fn(t, s, clock)
+			fn(t, s)
 		})
 	}
 }
@@ -59,9 +48,9 @@ func onEachConfig(t *testing.T, cfg Config, fn func(t *testing.T, s *Store, cloc
 // TestMessagesMatchOneByOne is the model for the batch-first seam: a
 // seeded stream of GET, HAS and PUT messages of 1–64 items — fresh and
 // stored tags, duplicates within a message, Replace, applications that
-// may not read or may not write, an application over its space and rate
-// quota — answered by one store a message at a
-// time and by its twin one item at a time. Every item gets the same
+// may not read or may not write, an application over its space quota —
+// answered by one store a message at a time and by its twin one item at
+// a time. Every item gets the same
 // answer from both, and after every message both hold the same Stats
 // and charge every application the same bytes. The last seed runs under
 // global caps that bind mid-message, where the LRU victim depends on
@@ -72,18 +61,15 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			capped, messages := seed == 4, 300
 			t.Run(fmt.Sprintf("%s/seed%d", eng.name, seed), func(t *testing.T) {
-				clock := &testClock{now: time.Unix(1000, 0)}
 				acl := NewACL(0)
 				acl.Grant(owners[0], PermAll)
 				acl.Grant(owners[1], PermGet)
 				open := func() *Store {
-					cfg := Config{
-						Auth:  acl,
-						Now:   clock.Now,
-						Quota: QuotaConfig{MaxBytesPerApp: 6 << 10, PutRatePerSec: 15, PutBurst: 60},
-					}
+					cfg := Config{Auth: acl, MaxBytesPerApp: 6 << 10}
 					if capped {
-						cfg.MaxEntries, cfg.MaxBlobBytes = 85, 6000
+						// One application writes, so its quota binds only
+						// within a PUT's size of what the caps leave it.
+						cfg.MaxEntries, cfg.MaxBlobBytes, cfg.MaxBytesPerApp = 85, 6000, 6050
 					}
 					s := testStore(t, eng.cfg(t, cfg))
 					t.Cleanup(s.Close)
@@ -106,7 +92,6 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 					}
 				}
 				for m := 0; m < messages; m++ {
-					clock.now = clock.now.Add(time.Duration(rng.Intn(1500)) * time.Millisecond)
 					owner := owners[0]
 					if r := rng.Intn(10); r >= 7 {
 						owner = owners[r%3]
@@ -335,7 +320,7 @@ func TestOverlappingPutMessagesInstallOnce(t *testing.T) {
 // touched last is still the first victim.
 func TestObliviousMessages(t *testing.T) {
 	const n = 24
-	onEachConfig(t, Config{Oblivious: true, MaxEntries: n}, func(t *testing.T, s *Store, _ *testClock) {
+	onEachConfig(t, Config{Oblivious: true, MaxEntries: n}, func(t *testing.T, s *Store) {
 		owner := ownerOf("app")
 		tags := make([]mle.Tag, n+1)
 		for i := 0; i < n; i++ {

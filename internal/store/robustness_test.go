@@ -130,6 +130,34 @@ func TestServerHandshakeDeadline(t *testing.T) {
 	}
 }
 
+// TestServerIdleDeadline: a client that completes the handshake and
+// then sends nothing is hung up once the idle deadline passes, quietly,
+// and the server keeps serving the next client.
+func TestServerIdleDeadline(t *testing.T) {
+	var log logLines
+	srv, p, storeEnc := startRobustServer(t, WithLogf(log.logf), func(s *Server) { s.idleTimeout = 50 * time.Millisecond })
+	appEnc, err := p.Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+
+	silent := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
+	if !silent.SetDeadline(time.Now().Add(5 * time.Second)) {
+		t.Fatal("SetDeadline failed")
+	}
+	if _, err := silent.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent client's Recv = %v, want EOF: the server should hang up at its idle deadline", err)
+	}
+	if lines := log.with("recv from"); len(lines) != 0 {
+		t.Errorf("idle hang-up logged %q, want nothing", lines)
+	}
+
+	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
+	if pr, err := putOver(ch, tagOf("after"), sealedOf("v")); err != nil || !pr.OK {
+		t.Fatalf("PUT after the idle client = %+v, %v", pr, err)
+	}
+}
+
 func TestServerRejectsPostHandshakeGarbage(t *testing.T) {
 	srv, p, storeEnc := startRobustServer(t)
 	appEnc, err := p.Create("app", []byte("app code"))

@@ -210,7 +210,7 @@ func TestServerQuotaRejectionOverTCP(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	storeEnc, _ := p.Create("store", []byte("store code"))
 	appEnc, _ := p.Create("app", []byte("app code"))
-	s, err := New(Config{Enclave: storeEnc, Quota: QuotaConfig{MaxBytesPerApp: 4}})
+	s, err := New(Config{Enclave: storeEnc, MaxBytesPerApp: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -73,8 +73,10 @@ type Config struct {
 	// MaxBlobBytes caps total ciphertext bytes the same way; 0 means
 	// unlimited.
 	MaxBlobBytes int64
-	// Quota bounds per-application usage.
-	Quota QuotaConfig
+	// MaxBytesPerApp caps the ciphertext bytes one application may have
+	// resident, the paper's per-application quota; a PUT past it is
+	// rejected with ErrQuota. 0 means unlimited.
+	MaxBytesPerApp int64
 	// Auth, when non-nil, gates every operation by the caller's
 	// attested measurement (controlled deduplication, Section III-D).
 	Auth Authorizer
@@ -94,9 +96,6 @@ type Config struct {
 	// series), and per-operation service-latency histograms
 	// speed_store_op_seconds{op="get"|"put"}. Nil disables.
 	Telemetry *telemetry.Registry
-	// Now is the clock of the PUT-rate token bucket; nil means
-	// time.Now. Injectable for tests.
-	Now func() time.Time
 	// Logf receives engine diagnostics (recovery, compaction); nil
 	// discards.
 	Logf func(format string, args ...any)
@@ -142,9 +141,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Enclave == nil {
 		return nil, errors.New("store: Config.Enclave is required")
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -153,8 +149,6 @@ func New(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: unknown engine %q", cfg.Engine)
 	case cfg.Engine == EngineLog && cfg.DataDir == "":
 		return nil, errors.New("store: Engine \"log\" requires Config.DataDir")
-	case cfg.Quota.PutBurst > 0 && cfg.Quota.PutBurst < 1:
-		return nil, fmt.Errorf("store: Quota.PutBurst %v admits no PUT (a PUT takes a whole token)", cfg.Quota.PutBurst)
 	}
 	fsync, err := logengine.ParseFsync(cfg.Fsync)
 	if err != nil {
@@ -173,7 +167,7 @@ func New(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log engine: %w", err)
 	}
-	s := &Store{cfg: cfg, eng: eng, quota: newQuotas(cfg.Quota, cfg.Now)}
+	s := &Store{cfg: cfg, eng: eng, quota: newQuotas(cfg.MaxBytesPerApp)}
 	s.registerTelemetry(cfg.Telemetry)
 	s.enforceLimits() // a reopened directory may hold more than the caps
 	return s, nil
@@ -403,8 +397,8 @@ func (s *Store) WirePut(owner enclave.Measurement, items []wire.PutItem) ([]wire
 // overwrites any existing entry: an application recomputed the result
 // after the stored version failed verification, and without
 // replacement the bad entry would cost every future caller a
-// recomputation; it is still subject to authorization and quotas, so
-// an adversary cannot thrash the cache faster than its PUT rate allows,
+// recomputation; it is still subject to authorization and its quota,
+// so an adversary cannot hold more of the cache than its quota allows,
 // and a concurrent Put that wins the race after the removal just makes
 // the item a duplicate of another fresh version. The answers are those
 // the items would get arriving one by one: what precedes an item is
@@ -462,9 +456,9 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 				return nil, nil, err
 			}
 		}
-		if ok, reason := s.quota.allowPut(owner, blobLen); !ok {
+		if !s.quota.allowPut(owner, blobLen) {
 			stats.PutDenied++
-			rejected[i] = fmt.Errorf("%w: %s", ErrQuota, reason)
+			rejected[i] = fmt.Errorf("%w: cache space quota exceeded", ErrQuota)
 			continue
 		}
 		if it.Replace {

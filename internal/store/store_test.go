@@ -177,13 +177,13 @@ func TestPutReplaceOnMissingTagBehavesLikePut(t *testing.T) {
 
 // TestEntriesNeverExpire: a tag names its function (library version
 // included) and input, so a stored result never goes stale and only the
-// LRU caps remove it, however long it goes untouched.
+// LRU caps remove it, however long it goes untouched. The store has no
+// clock that could age it.
 func TestEntriesNeverExpire(t *testing.T) {
-	onEachConfig(t, Config{}, func(t *testing.T, s *Store, clock *testClock) {
+	onEachConfig(t, Config{}, func(t *testing.T, s *Store) {
 		if _, err := s.Put(ownerOf("app"), tagOf("t"), sealedOf("v")); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		clock.now = clock.now.Add(1000 * time.Hour)
 		if _, found, _ := s.Get(tagOf("t")); !found {
 			t.Error("an untouched entry went missing")
 		}
@@ -199,7 +199,7 @@ func TestEntriesNeverExpire(t *testing.T) {
 // older of two memtable entries, read again and again, is still the
 // victim. (Segment records are never refreshed by any read.)
 func TestTTLObliviousModeNoRefresh(t *testing.T) {
-	onEachConfig(t, Config{Oblivious: true, MaxEntries: 2}, func(t *testing.T, s *Store, _ *testClock) {
+	onEachConfig(t, Config{Oblivious: true, MaxEntries: 2}, func(t *testing.T, s *Store) {
 		owner := ownerOf("app")
 		for _, k := range []string{"old", "young"} {
 			if _, err := s.Put(owner, tagOf(k), sealedOf(k)); err != nil {
@@ -298,7 +298,7 @@ func TestCiphertextIsolatedFromCallerBuffers(t *testing.T) {
 }
 
 func TestQuotaBytesRejected(t *testing.T) {
-	s := testStore(t, Config{Quota: QuotaConfig{MaxBytesPerApp: 100}})
+	s := testStore(t, Config{MaxBytesPerApp: 100})
 	owner := ownerOf("app")
 	if _, err := s.Put(owner, tagOf("a"), sealedOf(string(make([]byte, 80)))); err != nil {
 		t.Fatalf("Put within quota: %v", err)
@@ -316,79 +316,13 @@ func TestQuotaBytesRejected(t *testing.T) {
 	}
 }
 
-func TestQuotaRateLimit(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	s := testStore(t, Config{
-		Quota: QuotaConfig{PutRatePerSec: 1, PutBurst: 2},
-		Now:   clock,
-	})
-	owner := ownerOf("flooder")
-	put := func(i int) error {
-		_, err := s.Put(owner, tagOf(fmt.Sprintf("t%d", i)), sealedOf("x"))
-		return err
-	}
-	if err := put(0); err != nil {
-		t.Fatalf("Put 0: %v", err)
-	}
-	if err := put(1); err != nil {
-		t.Fatalf("Put 1 (burst): %v", err)
-	}
-	if err := put(2); !errors.Is(err, ErrQuota) {
-		t.Errorf("Put 2 = %v, want ErrQuota (bucket empty)", err)
-	}
-	// After one second a token refills.
-	now = now.Add(time.Second)
-	if err := put(3); err != nil {
-		t.Errorf("Put 3 after refill: %v", err)
-	}
-}
-
-// TestQuotaRateBelowOnePerSecond: a PUT rate under one a second still
-// admits PUTs. The default burst is the one token a PUT takes, not the
-// fractional rate, which would cap the bucket below a whole token.
-func TestQuotaRateBelowOnePerSecond(t *testing.T) {
-	now := time.Unix(0, 0)
-	s := testStore(t, Config{
-		Quota: QuotaConfig{PutRatePerSec: 0.5},
-		Now:   func() time.Time { return now },
-	})
-	owner := ownerOf("slow")
-	admitted := 0
-	for i := 0; i < 10; i++ {
-		if _, err := s.Put(owner, tagOf(fmt.Sprintf("t%d", i)), sealedOf("x")); err == nil {
-			admitted++
-		} else if !errors.Is(err, ErrQuota) {
-			t.Fatalf("Put %d: %v", i, err)
-		}
-		now = now.Add(10 * time.Second)
-	}
-	if admitted != 10 {
-		t.Errorf("%d of 10 PUTs spaced 10s apart admitted at 0.5/s, want 10", admitted)
-	}
-	// The rate still binds: a second PUT within the same two seconds is
-	// refused.
-	if _, err := s.Put(owner, tagOf("a"), sealedOf("x")); err != nil {
-		t.Fatalf("Put a: %v", err)
-	}
-	if _, err := s.Put(owner, tagOf("b"), sealedOf("x")); !errors.Is(err, ErrQuota) {
-		t.Errorf("second PUT in one token period = %v, want ErrQuota", err)
-	}
-}
-
-func TestQuotaRejectsFractionalBurst(t *testing.T) {
-	if _, err := New(Config{Enclave: testEnclave(t), Quota: QuotaConfig{PutRatePerSec: 1, PutBurst: 0.5}}); err == nil {
-		t.Error("New accepted a PutBurst that admits no PUT")
-	}
-}
-
 // TestEvictionByMaxEntries: MaxEntries is a bound on the whole store,
 // and each PUT past it evicts one entry. Without a directory the victim
 // is the least recently used entry; with one it is the oldest segment's
 // first live record, however recently it was read, and a memtable
 // entry only once the segments hold none.
 func TestEvictionByMaxEntries(t *testing.T) {
-	onEachConfig(t, Config{MaxEntries: 8}, func(t *testing.T, s *Store, _ *testClock) {
+	onEachConfig(t, Config{MaxEntries: 8}, func(t *testing.T, s *Store) {
 		owner := ownerOf("app")
 		put := func(i int) {
 			t.Helper()
@@ -555,7 +489,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	const workers = 8
 	t.Run("shared tags", func(t *testing.T) {
 		const perWorker = 50
-		onEachConfig(t, Config{}, func(t *testing.T, s *Store, _ *testClock) {
+		onEachConfig(t, Config{}, func(t *testing.T, s *Store) {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -588,7 +522,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	})
 	t.Run("mixed ops under a cap", func(t *testing.T) {
 		const maxEntries = 64
-		onEachConfig(t, Config{MaxEntries: maxEntries}, func(t *testing.T, s *Store, _ *testClock) {
+		onEachConfig(t, Config{MaxEntries: maxEntries}, func(t *testing.T, s *Store) {
 			owner := ownerOf("app")
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -621,7 +555,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	})
 	t.Run("racing PUTs under a quota", func(t *testing.T) {
 		const quota = 2000
-		onEachConfig(t, Config{Quota: QuotaConfig{MaxBytesPerApp: quota}}, func(t *testing.T, s *Store, _ *testClock) {
+		onEachConfig(t, Config{MaxBytesPerApp: quota}, func(t *testing.T, s *Store) {
 			owner := ownerOf("app")
 			var (
 				wg       sync.WaitGroup

@@ -3,6 +3,9 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
 	"testing"
 
@@ -55,6 +58,11 @@ func repeatItem(m Message, n int) []byte {
 	return append(b[:1:1], bytes.Repeat(b[1:], n)...)
 }
 
+// TestBatchUnmarshalRejectsMalformed sends every kind at MaxBatchItems
+// and at MaxBatchItems+1 items, so a kind Unmarshal does not dispatch,
+// or whose decoder does not bound its items, fails here. It fails too
+// when a Kind constant has no name in kindNames or a named kind has no
+// sample in oneItem, so a new kind cannot skip those two checks.
 func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 	blob := mle.Sealed{Blob: []byte("b")}
 	oneItem := []Message{
@@ -64,6 +72,18 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 		PutResponse{Results: []PutResult{{OK: true}}},
 		HasRequest{Tags: []mle.Tag{mustTag(3)}},
 		HasResponse{Present: []bool{true}},
+	}
+	if n := declaredKinds(t); n != len(kindNames)-1 {
+		t.Errorf("message.go declares %d Kind constants but kindNames names %d", n, len(kindNames)-1)
+	}
+	sampled := make(map[Kind]bool)
+	for _, m := range oneItem {
+		sampled[m.Kind()] = true
+	}
+	for k := Kind(1); int(k) < len(kindNames); k++ {
+		if kindNames[k] == "" || !sampled[k] {
+			t.Errorf("%v has no name or no sample in oneItem", k)
+		}
 	}
 	for _, m := range oneItem {
 		if _, err := Unmarshal(repeatItem(m, MaxBatchItems)); err != nil {
@@ -89,6 +109,34 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: Unmarshal = %v, want ErrMalformed", tt.name, err)
 		}
 	}
+}
+
+// declaredKinds counts the constants of type Kind that message.go
+// declares, implicit repetitions in an iota block included.
+func declaredKinds(t *testing.T) int {
+	f, err := parser.ParseFile(token.NewFileSet(), "message.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		kind := false
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if vs.Type != nil || len(vs.Values) > 0 {
+				id, ok := vs.Type.(*ast.Ident)
+				kind = ok && id.Name == "Kind"
+			}
+			if kind {
+				n += len(vs.Names)
+			}
+		}
+	}
+	return n
 }
 
 // TestBatchTrailingBytesRejected: with no count prefix, bytes after the

@@ -536,7 +536,7 @@ func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas encl
 // and is zeroized before returning: truncating the block in the caller
 // (key := hkdf(...)[:16]) would leave bytes 16–31 of derived key
 // material alive behind a Zeroize of the shorter slice, which is
-// exactly the pattern the speedlint keyzero analyzer rejects.
+// exactly the pattern the keyzero check rejects.
 func hkdfKey(secret []byte, info string) []byte {
 	extract := hmac.New(sha256.New, make([]byte, 32))
 	extract.Write(secret)

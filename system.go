@@ -118,13 +118,13 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 	}
 	tel := telemetry.NewRegistry()
 	st, err := store.New(store.Config{
-		Enclave:    storeEnc,
-		MaxEntries: cfg.StoreMaxEntries,
-		Auth:       auth,
-		Oblivious:  cfg.ObliviousLookups,
-		Telemetry:  tel,
-		DataDir:    cfg.StoreDataDir,
-		Quota:      store.QuotaConfig{MaxBytesPerApp: cfg.QuotaMaxBytesPerApp},
+		Enclave:        storeEnc,
+		MaxEntries:     cfg.StoreMaxEntries,
+		Auth:           auth,
+		Oblivious:      cfg.ObliviousLookups,
+		Telemetry:      tel,
+		DataDir:        cfg.StoreDataDir,
+		MaxBytesPerApp: cfg.QuotaMaxBytesPerApp,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("speed: create store: %w", err)
