@@ -2,10 +2,11 @@ package dedup
 
 import (
 	"bytes"
-	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"speed/internal/chunk"
 	"speed/internal/enclave"
@@ -48,95 +49,115 @@ var errFetchChunks = errors.New("fetch chunks")
 // the whole-result path.
 var errTooManyChunks = errors.New("dedup: result splits into too many chunks")
 
-// defaultChunkCacheBytes bounds the in-enclave chunk plaintext cache
-// when Config.ChunkCacheBytes is left zero.
+// defaultChunkCacheBytes bounds the in-enclave chunk plaintext cache.
 const defaultChunkCacheBytes = 16 << 20
 
-// chunkLRU is a byte-bounded tag -> chunk-plaintext cache. An entry
+// sketchRows is the depth of the chunk cache's count-min sketch. Row r
+// indexes by the tag's r-th 8-byte word: a chunk tag is a SHA-256
+// output, so its words are already independent hashes.
+const sketchRows = 4
+
+// chunkCache is a byte-bounded tag -> chunk-plaintext cache. An entry
 // means "this chunk was store-resident when we last touched it", so a
 // producer can skip re-uploading it and a consumer can skip fetching
 // it. Cached bytes are charged to the application enclave (they are
 // plaintext and must stay inside the trust boundary); under EPC
 // pressure caching is skipped rather than failing the call.
 //
-// The policy is a segmented LRU, so the chunks many results share
-// outlive the ones a single result brings in. A new chunk enters
-// probation; a chunk referenced again moves to the protected segment,
-// which holds at most protectedShare of the budget and demotes its
-// overflow to probation's head; eviction takes probation's tail. Both
-// segments live in one list split by a marker element: protected
-// entries before it, probation entries after it.
-type chunkLRU struct {
-	mu        sync.Mutex
-	max       int64
-	bytes     int64
-	protected int64 // bytes of the entries before mid
-	enc       *enclave.Enclave
-	lru       *list.List                // protected, mid, probation; each most recent first
-	mid       *list.Element             // the segment marker; its value is nil
-	m         map[mle.Tag]*list.Element // nil once closed
+// The policy is CLOCK behind TinyLFU admission (Einziger, Friedman and
+// Manes, ACM TOS 2017), so the chunks many results share outlive the
+// ones a single result brings in: a full cache evicts the first entry
+// its hand finds unreferenced only for a candidate the sketch counts
+// strictly more often, and otherwise drops the candidate.
+type chunkCache struct {
+	mu      sync.Mutex
+	max     int64
+	bytes   int64
+	enc     *enclave.Enclave
+	ring    []chunkEntry
+	hand    int
+	m       map[mle.Tag]int // tag -> ring index; nil once closed
+	sketch  []uint8         // sketchRows rows of width counters, each at most 15
+	width   int             // a power of two
+	counted int64           // increments since the counters last halved
+	rejects atomic.Int64    // candidates add dropped
 }
 
 type chunkEntry struct {
-	tag       mle.Tag
-	data      []byte
-	protected bool
+	tag  mle.Tag
+	data []byte
+	ref  bool
 }
 
-// protectedShare is the fraction of the byte budget the protected
-// segment may hold.
-const protectedShare = 4.0 / 5
-
-func newChunkLRU(enc *enclave.Enclave, max int64) *chunkLRU {
-	c := &chunkLRU{max: max, enc: enc, lru: list.New(), m: make(map[mle.Tag]*list.Element)}
-	c.mid = c.lru.PushFront(nil)
+func newChunkCache(enc *enclave.Enclave, max int64) *chunkCache {
+	c := &chunkCache{max: max, enc: enc, width: 1}
+	for int64(c.width) < 4*max/chunk.DefaultAvg {
+		c.width <<= 1
+	}
+	if enc.Alloc(sketchRows*int64(c.width)) == nil { // else it starts closed
+		c.sketch = make([]uint8, sketchRows*c.width)
+		c.m = make(map[mle.Tag]int)
+	}
 	return c
 }
 
-// get returns the cached plaintext for tag, counting a reference.
-// The returned slice is shared and must be treated as read-only.
-func (c *chunkLRU) get(tag mle.Tag) ([]byte, bool) {
+// get counts a reference to tag, sets its reference bit if cached and
+// returns its plaintext. The slice is shared and must stay read-only.
+func (c *chunkCache) get(tag mle.Tag) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[tag]
+	if c.m == nil {
+		return nil, false
+	}
+	if est := c.estimate(tag); est < 15 {
+		// Conservative update: raise only the counters at the minimum.
+		for r := 0; r < sketchRows; r++ {
+			if i := c.counter(tag, r); c.sketch[i] == est {
+				c.sketch[i]++
+			}
+		}
+		if c.counted++; c.counted >= 10*c.max/chunk.DefaultAvg {
+			c.counted = 0
+			for i := range c.sketch {
+				c.sketch[i] >>= 1
+			}
+		}
+	}
+	i, ok := c.m[tag]
 	if !ok {
 		return nil, false
 	}
-	c.touch(el)
-	return el.Value.(*chunkEntry).data, true
+	c.ring[i].ref = true
+	return c.ring[i].data, true
 }
 
 // contains is get without counting a reference, for pure skip checks.
-func (c *chunkLRU) contains(tag mle.Tag) bool {
+func (c *chunkCache) contains(tag mle.Tag) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.m[tag]
 	return ok
 }
 
-// touch records a reference to el: it moves to the protected head, and
-// the protected tail is demoted past the marker until the segment fits
-// its share again.
-func (c *chunkLRU) touch(el *list.Element) {
-	if e := el.Value.(*chunkEntry); !e.protected {
-		e.protected = true
-		c.protected += int64(len(e.data))
-	}
-	c.lru.MoveToFront(el)
-	for c.protected > int64(protectedShare*float64(c.max)) {
-		tail := c.mid.Prev()
-		e := tail.Value.(*chunkEntry)
-		e.protected = false
-		c.protected -= int64(len(e.data))
-		c.lru.MoveBefore(c.mid, tail)
-	}
+// counter is the index of tag's counter in sketch row r.
+func (c *chunkCache) counter(tag mle.Tag, r int) int {
+	return r*c.width + int(binary.LittleEndian.Uint64(tag[8*r:])&uint64(c.width-1))
 }
 
-// add caches data under tag in probation, taking ownership of it (the
-// caller must not modify it again), and evicts from probation's tail to
-// stay in budget. Adding a cached tag counts a reference instead; after
-// close, add does nothing.
-func (c *chunkLRU) add(tag mle.Tag, data []byte) {
+// estimate is the sketch's count of references to tag.
+func (c *chunkCache) estimate(tag mle.Tag) uint8 {
+	est := uint8(15)
+	for r := 0; r < sketchRows; r++ {
+		est = min(est, c.sketch[c.counter(tag, r)])
+	}
+	return est
+}
+
+// add caches data under tag, taking ownership of it (the caller must
+// not modify it again), if it fits or wins admission over each victim
+// it must evict; a rejected candidate leaves the hand on its victim.
+// Adding a cached tag, or after close, does nothing.
+func (c *chunkCache) add(tag mle.Tag, data []byte) {
 	n := int64(len(data))
 	if n > c.max {
 		return
@@ -146,48 +167,50 @@ func (c *chunkLRU) add(tag mle.Tag, data []byte) {
 	if c.m == nil {
 		return
 	}
-	if el, ok := c.m[tag]; ok {
-		c.touch(el)
+	if _, ok := c.m[tag]; ok {
 		return // same tag, same content (collision-resistant hash)
+	}
+	for c.bytes+n > c.max {
+		// The ring is not empty: bytes > max-n >= 0.
+		switch v := &c.ring[c.hand]; {
+		case v.ref:
+			v.ref = false
+		case c.estimate(tag) <= c.estimate(v.tag):
+			c.rejects.Add(1)
+			return
+		default:
+			// Swap-remove: the last entry, most often the newest, takes
+			// the victim's slot, and the hand passes it by.
+			last := len(c.ring) - 1
+			delete(c.m, v.tag)
+			c.bytes -= int64(len(v.data))
+			c.enc.Free(int64(len(v.data)))
+			if c.hand != last {
+				*v = c.ring[last]
+				c.m[v.tag] = c.hand
+			}
+			c.ring[last] = chunkEntry{}
+			c.ring = c.ring[:last]
+		}
+		if c.hand++; c.hand >= len(c.ring) {
+			c.hand = 0
+		}
 	}
 	if err := c.enc.Alloc(n); err != nil {
 		return // enclave memory pressure: caching is optional
 	}
-	c.m[tag] = c.lru.InsertAfter(&chunkEntry{tag: tag, data: data}, c.mid)
+	c.m[tag] = len(c.ring)
+	c.ring = append(c.ring, chunkEntry{tag: tag, data: data})
 	c.bytes += n
-	for c.bytes > c.max {
-		// Probation's tail: probation is never empty here, since the
-		// protected segment holds at most protectedShare of max.
-		victim := c.lru.Remove(c.lru.Back()).(*chunkEntry)
-		delete(c.m, victim.tag)
-		c.bytes -= int64(len(victim.data))
-		c.enc.Free(int64(len(victim.data)))
-	}
 }
 
-// close empties the cache and frees its whole enclave charge; the
-// cache stays empty afterwards.
-func (c *chunkLRU) close() {
+// close empties the cache and frees its whole enclave charge, sketch
+// included; the cache stays empty afterwards.
+func (c *chunkCache) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.enc.Free(c.bytes)
-	c.lru.Init()
-	c.m, c.bytes = nil, 0
-}
-
-// clientHas probes the store for the given tags inside an OCALL
-// (callers hold the enclave).
-func (rt *Runtime) clientHas(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	var present []bool
-	err := rt.cfg.Enclave.OCall(func() error {
-		var oerr error
-		present, oerr = rt.cfg.Client.Has(tc, tags)
-		return oerr
-	})
-	if err == nil && len(present) != len(tags) {
-		return nil, fmt.Errorf("dedup: has returned %d answers for %d tags", len(present), len(tags))
-	}
-	return present, err
+	c.enc.Free(c.bytes + int64(len(c.sketch)))
+	c.ring, c.m, c.sketch, c.bytes = nil, nil, nil, 0
 }
 
 // clientPutAll uploads items, if any, and reports the first one the
@@ -219,13 +242,11 @@ func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.
 //
 // With replace true (the entry at the primary tag failed verification,
 // so a chunk may be tampered too) the probe and cache are bypassed and
-// every chunk is re-uploaded with Replace, healing whatever was bad.
+// every distinct chunk is re-uploaded with Replace, healing whatever
+// was bad.
 func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 	id, tc, replace := job.id, job.tc, job.replace
 	chunks := rt.chunker.Split(job.result)
-	if len(chunks) > chunk.MaxManifestChunks {
-		return nil, errTooManyChunks
-	}
 	man, err := chunk.BuildManifest(chunks)
 	if err != nil {
 		return nil, errTooManyChunks
@@ -236,45 +257,42 @@ func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 		ctags[i] = chunk.Tag(cid, man.Refs[i].Hash)
 	}
 
-	// Decide which chunks must travel. The local cache records chunks
-	// known store-resident; the HAS probe covers the rest. Both
+	// Decide which chunks must travel: each distinct tag once (a run of
+	// identical content splits into identical chunks), and only if
+	// neither the local cache, which records chunks known
+	// store-resident, nor the HAS probe places it in the store. Both
 	// are hints — a wrongly skipped upload surfaces later as a loud
 	// reassembly failure and a recompute, never a wrong result.
-	need := make([]bool, len(chunks))
-	if replace {
-		for i := range need {
-			need[i] = true
+	seen := make(map[mle.Tag]bool, len(chunks))
+	var send []int // the chunks to upload
+	var unknown []mle.Tag
+	for i, t := range ctags {
+		if !seen[t] && (replace || !rt.chunkCache.contains(t)) {
+			send = append(send, i)
+			unknown = append(unknown, t)
 		}
-	} else {
-		var unknownTags []mle.Tag
-		var unknownIdx []int
-		for i, t := range ctags {
-			if rt.chunkCache.contains(t) {
-				continue
-			}
-			need[i] = true
-			unknownTags = append(unknownTags, t)
-			unknownIdx = append(unknownIdx, i)
-		}
-		if len(unknownTags) > 0 {
-			if present, perr := rt.clientHas(tc, unknownTags); perr == nil {
-				for j, p := range present {
-					if p {
-						need[unknownIdx[j]] = false
-					}
+		seen[t] = true
+	}
+	if !replace && len(send) > 0 {
+		var present []bool // the HAS probe is an OCALL: this runs in the enclave
+		err := rt.cfg.Enclave.OCall(func() (oerr error) {
+			present, oerr = rt.cfg.Client.Has(tc, unknown)
+			return oerr
+		})
+		if err == nil && len(present) == len(send) {
+			kept := send[:0]
+			for j, i := range send {
+				if !present[j] {
+					kept = append(kept, i)
 				}
 			}
+			send = kept
 		}
 	}
 
 	span.begin(phaseEncrypt)
-	var items []wire.PutItem
-	skipped := 0
-	for i := range chunks {
-		if !need[i] {
-			skipped++
-			continue
-		}
+	items := make([]wire.PutItem, 0, len(send))
+	for _, i := range send {
 		sealed, eerr := rt.cfg.Scheme.Encrypt(cid, man.Refs[i].Hash[:], chunks[i])
 		if eerr != nil {
 			span.end(phaseEncrypt)
@@ -282,6 +300,7 @@ func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 		}
 		items = append(items, wire.PutItem{Tag: ctags[i], Sealed: sealed, Replace: replace})
 	}
+	skipped := len(chunks) - len(send)
 	mid := chunk.ManifestFuncID(id)
 	manSealed, err := rt.cfg.Scheme.Encrypt(mid, job.input, man.Encode())
 	span.end(phaseEncrypt)
@@ -335,18 +354,25 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		return nil, fmt.Errorf("decode manifest: %w", err)
 	}
 
-	// DecodeManifest checked that the lengths sum to Total: slots tile out.
+	// DecodeManifest checked that the lengths sum to Total: slots tile
+	// out. A tag the cache misses is fetched, opened and verified once;
+	// its repeats are copied from its first slot.
 	cid := chunk.ContentFuncID(id)
 	out := make([]byte, man.Total)
 	var missingTags []mle.Tag
 	var missingIdx, missingOff []int
+	first := make(map[mle.Tag]int) // missing tag -> its index in missingTags
+	var repeats [][3]int           // a repeat's offset, its first slot's offset, its length
 	cacheHits, off := 0, 0
 	for i, ref := range man.Refs {
 		t := chunk.Tag(cid, ref.Hash)
 		if data, ok := rt.chunkCache.get(t); ok && len(data) == int(ref.Length) {
 			copy(out[off:], data)
 			cacheHits++
+		} else if j, ok := first[t]; ok && man.Refs[missingIdx[j]].Length == ref.Length {
+			repeats = append(repeats, [3]int{off, missingOff[j], int(ref.Length)})
 		} else {
+			first[t] = len(missingTags)
 			missingTags = append(missingTags, t)
 			missingIdx = append(missingIdx, i)
 			missingOff = append(missingOff, off)
@@ -387,6 +413,9 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		copy(out[missingOff[j]:], data)
 		// The cache adopts data; out holds a copy, so never aliases it.
 		rt.chunkCache.add(missingTags[j], data)
+	}
+	for _, r := range repeats {
+		copy(out[r[0]:], out[r[1]:r[1]+r[2]])
 	}
 	return out, nil
 }

@@ -2,9 +2,12 @@ package dedup
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -796,12 +799,12 @@ func TestFailedChunkedSendCostsOneRecompute(t *testing.T) {
 	}
 }
 
-// TestChunkCacheKeepsSharedChunks pins the cache's segmented policy: a
-// set of chunks referenced twice survives a single pass of unique
-// chunks larger than the whole budget, which a plain LRU would flush.
-// At every step the cache holds no more than its budget and its
-// enclave charge equals the bytes it holds; a chunk larger than the
-// budget is refused.
+// TestChunkCacheKeepsSharedChunks pins the cache's admission: a set of
+// chunks referenced twice survives a single pass of unique chunks
+// larger than the whole budget, which a plain LRU would flush. At every
+// step the cache holds no more than its budget and its enclave charge
+// equals the bytes it holds plus the sketch's fixed charge; a chunk
+// larger than the budget is refused.
 func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 	const budget, size, shared = 64 << 10, 1 << 10, 16
 	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
@@ -809,7 +812,7 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := enc.HeapUsed()
-	c := newChunkLRU(enc, budget)
+	c := newChunkCache(enc, budget)
 	tag := func(i int) mle.Tag {
 		var tg mle.Tag
 		binary.LittleEndian.PutUint64(tg[:], uint64(i))
@@ -820,8 +823,8 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		if c.bytes > budget {
 			t.Fatalf("%s %d: cache holds %d bytes, budget %d", step, i, c.bytes, budget)
 		}
-		if charge := enc.HeapUsed() - base; charge != c.bytes {
-			t.Fatalf("%s %d: enclave charge %d, cache holds %d", step, i, charge, c.bytes)
+		if charge := enc.HeapUsed() - base; charge != c.bytes+int64(len(c.sketch)) {
+			t.Fatalf("%s %d: enclave charge %d, cache holds %d bytes and a %d-byte sketch", step, i, charge, c.bytes, len(c.sketch))
 		}
 	}
 
@@ -850,6 +853,268 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		t.Error("a chunk larger than the budget was cached")
 	}
 	check("oversized add", 0)
+}
+
+// hashTag is a chunk-cache tag derived like a real one, by SHA-256, so
+// that every sketch row sees an independent hash.
+func hashTag(i int) mle.Tag {
+	return mle.Tag(sha256.Sum256(binary.LittleEndian.AppendUint64(nil, uint64(i))))
+}
+
+// TestChunkCacheAdmitsByFrequency pins the TinyLFU admission and the
+// CLOCK hand rule: below budget every chunk is admitted; a stream of
+// once-referenced chunks twice the budget never displaces a chunk
+// referenced three times; a rejected candidate evicts nothing and
+// leaves the hand on its victim; a candidate referenced more often than
+// the victim evicts exactly that victim; and close frees the bytes and
+// the sketch.
+func TestChunkCacheAdmitsByFrequency(t *testing.T) {
+	// Sized so that the whole test stays inside one sketch sample: no
+	// halving ages the hot chunks' counts.
+	const budget, size, hot = 256 << 10, 4 << 10, 8
+	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := enc.HeapUsed()
+	c := newChunkCache(enc, budget)
+	next := 0
+	fill := func() mle.Tag { // a chunk referenced once, then offered
+		next++
+		tg := hashTag(next)
+		c.get(tg)
+		c.add(tg, make([]byte, size))
+		return tg
+	}
+
+	var hotTags []mle.Tag
+	for i := 0; i < budget/size; i++ {
+		tg := fill()
+		if i < hot {
+			hotTags = append(hotTags, tg)
+		}
+	}
+	if c.bytes != budget || c.rejects.Load() != 0 {
+		t.Fatalf("below budget: cache holds %d of %d bytes after %d rejects; want every chunk admitted", c.bytes, budget, c.rejects.Load())
+	}
+	for _, tg := range hotTags {
+		c.get(tg)
+		c.get(tg)
+	}
+	for i := 0; i < 2*budget/size; i++ {
+		fill()
+	}
+	for i, tg := range hotTags {
+		if !c.contains(tg) {
+			t.Errorf("hot chunk %d displaced by chunks referenced once", i)
+		}
+	}
+	if c.rejects.Load() == 0 {
+		t.Error("no candidate was rejected; the test wants admission to have decided")
+	}
+
+	tags := func() map[mle.Tag]bool {
+		m := make(map[mle.Tag]bool)
+		for _, e := range c.ring {
+			m[e.tag] = true
+		}
+		return m
+	}
+	before, hand := tags(), c.hand
+	victim := c.ring[hand].tag
+	if c.ring[hand].ref {
+		t.Fatal("the hand rests on a referenced entry")
+	}
+	rejects := c.rejects.Load()
+	cold := hashTag(-1) // never referenced: estimate 0
+	c.add(cold, make([]byte, size))
+	if c.contains(cold) || c.rejects.Load() != rejects+1 {
+		t.Fatalf("a never-referenced candidate was admitted (rejects %d -> %d)", rejects, c.rejects.Load())
+	}
+	if after := tags(); len(after) != len(before) || c.hand != hand || c.bytes != budget {
+		t.Fatalf("rejected candidate: %d -> %d entries, hand %d -> %d, %d bytes; want nothing moved", len(before), len(after), hand, c.hand, c.bytes)
+	}
+
+	warm := hashTag(-2)
+	for c.estimate(warm) <= c.estimate(victim) {
+		c.get(warm)
+	}
+	c.add(warm, make([]byte, size))
+	if !c.contains(warm) || c.contains(victim) || c.bytes != budget {
+		t.Fatalf("a candidate counted above the victim: admitted %v, victim kept %v, %d bytes", c.contains(warm), c.contains(victim), c.bytes)
+	}
+
+	c.close()
+	if got := enc.HeapUsed(); got != base {
+		t.Fatalf("HeapUsed after close = %d, want %d as before the cache", got, base)
+	}
+}
+
+// TestChunkCacheConcurrent drives get, add and contains from several
+// goroutines over a shared, overflowing tag set (run it under -race);
+// afterwards the cache is within budget and its enclave charge matches.
+func TestChunkCacheConcurrent(t *testing.T) {
+	const budget, workers, ops = 32 << 10, 4, 2000
+	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := enc.HeapUsed()
+	c := newChunkCache(enc, budget)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < ops; i++ {
+				tg := hashTag(rng.Intn(64))
+				switch rng.Intn(3) {
+				case 0:
+					if data, ok := c.get(tg); ok && len(data) != 1<<10 {
+						t.Errorf("cached chunk of %d bytes, want %d", len(data), 1<<10)
+					}
+				case 1:
+					c.add(tg, make([]byte, 1<<10))
+				default:
+					c.contains(tg)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if c.bytes > budget || enc.HeapUsed()-base != c.bytes+int64(len(c.sketch)) {
+		t.Fatalf("cache holds %d bytes (budget %d); enclave charge %d", c.bytes, budget, enc.HeapUsed()-base)
+	}
+	c.close()
+	if enc.HeapUsed() != base {
+		t.Fatalf("HeapUsed after close = %d, want %d", enc.HeapUsed(), base)
+	}
+}
+
+// BenchmarkChunkCacheFamilies replays a seeded read stream shaped like
+// the overlap_chunked workload through get and add on a cache of the
+// default size: 64 families × 32 variants of 32 chunks of 8 KiB, each
+// variant its family's chunks with 4 of them replaced, read in Zipf
+// order (s = 1) by a consumer that fetches what the cache misses. It
+// reports the MiB fetched and the fetch rounds (reads that missed any
+// chunk) per stream of 20,000 reads; it times nothing worth gating.
+func BenchmarkChunkCacheFamilies(b *testing.B) {
+	const families, variants, chunks, edits, size, reads = 64, 32, 32, 4, 8 << 10, 20000
+	base := func(f, k int) mle.Tag { return hashTag(2 * (f*chunks + k)) }
+	edit := func(f, v, k int) mle.Tag { return hashTag(2*((f*variants+v)*chunks+k) + 1) }
+	rng := rand.New(rand.NewSource(1))
+	results := make([][]mle.Tag, families*variants)
+	for id := range results {
+		f, v := id/variants, id%variants
+		r := make([]mle.Tag, chunks)
+		for k := range r {
+			r[k] = base(f, k)
+		}
+		for e := 0; e < edits; e++ {
+			k := rng.Intn(chunks)
+			r[k] = edit(f, v, k)
+		}
+		results[id] = r
+	}
+	cum := make([]float64, len(results))
+	for i := range cum {
+		cum[i] = 1 / float64(i+1)
+		if i > 0 {
+			cum[i] += cum[i-1]
+		}
+	}
+	perm := rng.Perm(len(results))
+	stream := make([]int, reads)
+	for i := range stream {
+		stream[i] = perm[sort.SearchFloat64s(cum, rng.Float64()*cum[len(cum)-1])]
+	}
+	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, size)
+	var fetched, rounds int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := newChunkCache(enc, defaultChunkCacheBytes)
+		fetched, rounds = 0, 0
+		for _, id := range stream {
+			var missed []mle.Tag
+			for _, tg := range results[id] {
+				if _, ok := c.get(tg); !ok {
+					missed = append(missed, tg)
+				}
+			}
+			if len(missed) > 0 {
+				rounds++
+			}
+			for _, tg := range missed {
+				fetched += size
+				c.add(tg, data)
+			}
+		}
+		c.close()
+	}
+	b.ReportMetric(float64(fetched)/(1<<20), "MiB-fetched")
+	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// putTagRecorder records the tag of every item PUT through it.
+type putTagRecorder struct {
+	StoreClient
+	tags []mle.Tag
+}
+
+func (c *putTagRecorder) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
+	for _, it := range items {
+		c.tags = append(c.tags, it.Tag)
+	}
+	return c.StoreClient.Put(tc, items)
+}
+
+// TestRepeatedChunksTravelOnce: a run of identical content splits into
+// identical chunks at the forced cut, and each distinct chunk is sealed
+// and uploaded once, and fetched, opened and verified once, however
+// many slots of the result it fills.
+func TestRepeatedChunksTravelOnce(t *testing.T) {
+	p, st := newChunkStore(t)
+	rec := &putTagRecorder{}
+	producer := newChunkRuntimeWith(t, p, st, "producer", Config{ChunkThreshold: chunkTestThreshold}, func(c StoreClient) StoreClient {
+		rec.StoreClient = c
+		return rec
+	})
+	consumer := newChunkRuntime(t, p, st, "consumer", chunkTestThreshold)
+	id := chunkFuncID(t, producer)
+	want := append(make([]byte, 512<<10), chunkResult(9, 64<<10)...)
+	distinct := make(map[[32]byte]bool)
+	chunks := producer.chunker.Split(want)
+	for _, ch := range chunks {
+		distinct[chunk.Hash(ch)] = true
+	}
+	if len(distinct) >= len(chunks) {
+		t.Fatalf("%d chunks, %d distinct; the test wants repeats", len(chunks), len(distinct))
+	}
+
+	for _, rt := range []*Runtime{producer, consumer} {
+		got, _, err := rt.Execute(id, []byte("zeros"), func([]byte) ([]byte, error) { return bytes.Clone(want), nil })
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Execute: err %v, result equal %v", err, bytes.Equal(got, want))
+		}
+	}
+	uploaded := make(map[mle.Tag]int)
+	for _, tg := range rec.tags {
+		uploaded[tg]++
+	}
+	if len(rec.tags) != len(distinct)+1 || len(uploaded) != len(rec.tags) {
+		t.Errorf("producer PUT %d items (%d distinct tags); want each of %d distinct chunks once, plus the manifest", len(rec.tags), len(uploaded), len(distinct))
+	}
+	if d := st.Stats().PutDupes; d != 0 {
+		t.Errorf("store saw %d duplicate PUTs, want 0", d)
+	}
+	if s := consumer.Stats(); s.ManifestReuses != 1 || s.ChunksFetched != int64(len(distinct)) {
+		t.Errorf("consumer: %d manifest reuses, %d chunks fetched; want 1, %d", s.ManifestReuses, s.ChunksFetched, len(distinct))
+	}
 }
 
 // TestCloseReleasesChunkCacheCharge: closing a runtime gives back the

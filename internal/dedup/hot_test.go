@@ -135,10 +135,10 @@ func BenchmarkHotMuxPut(b *testing.B) {
 // BenchmarkHotChunkedHit is a chunked hit through a LocalClient on a
 // 256 KiB result with about half its chunks cached: two results that
 // share their first 128 KiB are read alternately by a runtime whose
-// chunk cache holds one result and no more. Each read refreshes the
-// shared chunks and then fetches its own unique half, which evicts the
-// other result's, so in the steady state every hit copies the shared
-// half from the cache and fetches, opens and verifies the rest.
+// chunk cache holds exactly the chunks of the shared half. Each read
+// counts the shared chunks again, so no unique chunk ever wins
+// admission: in the steady state every hit copies the shared half from
+// the cache and fetches, opens and verifies its own unique half.
 func BenchmarkHotChunkedHit(b *testing.B) {
 	const half = 128 << 10
 	p, st := newChunkStore(b)
@@ -146,13 +146,23 @@ func BenchmarkHotChunkedHit(b *testing.B) {
 	id := chunkFuncID(b, seeder)
 	shared := chunkResult(61, half)
 	inputs := [][]byte{[]byte("left"), []byte("right")}
+	var result []byte
 	for i, in := range inputs {
-		result := append(bytes.Clone(shared), chunkResult(int64(62+i), half)...)
+		result = append(bytes.Clone(shared), chunkResult(int64(62+i), half)...)
 		if _, _, err := seeder.Execute(id, in, func([]byte) ([]byte, error) { return result, nil }); err != nil {
 			b.Fatalf("seed %q: %v", in, err)
 		}
 	}
-	rt := newChunkRuntimeWith(b, p, st, "reader", Config{ChunkThreshold: chunkTestThreshold, ChunkCacheBytes: 2*half + 1<<10}, nil)
+	var sharedChunks int64
+	for _, c := range seeder.chunker.Split(result) {
+		if sharedChunks+int64(len(c)) > half {
+			break
+		}
+		sharedChunks += int64(len(c))
+	}
+	rt := newChunkRuntime(b, p, st, "reader", chunkTestThreshold)
+	rt.chunkCache.close()
+	rt.chunkCache = newChunkCache(rt.Enclave(), sharedChunks)
 	hit := func(i int) {
 		got, outcome, err := rt.Execute(id, inputs[i%2], func([]byte) ([]byte, error) {
 			return nil, errors.New("recomputed a stored result")

@@ -79,12 +79,6 @@ type Config struct {
 	// threshold take the whole-result path unchanged. Zero (the
 	// default) disables chunking entirely.
 	ChunkThreshold int
-	// ChunkCacheBytes bounds the runtime's in-enclave cache of chunk
-	// plaintexts, which turns overlapping results into partial
-	// transfers: a manifest hit fetches only the chunks the cache
-	// misses, and a chunked upload skips chunks known store-resident.
-	// Defaults to 16 MiB when chunking is enabled; ignored otherwise.
-	ChunkCacheBytes int64
 	// Telemetry, when non-nil, registers the runtime's metrics —
 	// outcome counters, the end-to-end Execute latency histogram per
 	// outcome, and per-phase latency histograms (tag derivation, store
@@ -144,8 +138,12 @@ type Stats struct {
 	// ChunkCacheHits counts manifest chunks served from the local chunk
 	// cache without touching the store.
 	ChunkCacheHits int64
-	// ChunksSkipped counts chunk uploads skipped because the chunk was
-	// already store-resident (local-cache knowledge or HAS probe).
+	// ChunkCacheRejects counts fetched or produced chunks the chunk
+	// cache declined to admit because they were referenced no more
+	// often than the entry they would evict.
+	ChunkCacheRejects int64
+	// ChunksSkipped counts chunk uploads skipped: the chunk was known
+	// store-resident (local cache or HAS probe) or repeats one sent.
 	ChunksSkipped int64
 }
 
@@ -182,7 +180,7 @@ type Runtime struct {
 	// every chunked-dedup site is guarded on chunker, so a runtime
 	// without chunking pays one nil test.
 	chunker    *chunk.Chunker
-	chunkCache *chunkLRU
+	chunkCache *chunkCache
 }
 
 // flight is one in-progress computation that concurrent identical
@@ -230,9 +228,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.ChunkThreshold > 0 && cfg.ChunkCacheBytes <= 0 {
-		cfg.ChunkCacheBytes = defaultChunkCacheBytes
-	}
 	rt := &Runtime{
 		cfg:      cfg,
 		inflight: make(map[mle.Tag]*flight),
@@ -245,7 +240,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("dedup: chunker: %w", err)
 		}
 		rt.chunker = ck
-		rt.chunkCache = newChunkLRU(cfg.Enclave, cfg.ChunkCacheBytes)
+		rt.chunkCache = newChunkCache(cfg.Enclave, defaultChunkCacheBytes)
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
 	if cfg.AsyncPut {
@@ -274,6 +269,9 @@ func (rt *Runtime) Stats() Stats {
 	s := rt.stats
 	if rc, ok := rt.cfg.Client.(retryCounter); ok {
 		s.Retries = rc.Retries()
+	}
+	if rt.chunkCache != nil {
+		s.ChunkCacheRejects = rt.chunkCache.rejects.Load()
 	}
 	rt.mu.Unlock()
 	return s

@@ -146,6 +146,7 @@ func newRTMetrics(reg *telemetry.Registry, rt *Runtime, sampleRate int) *rtMetri
 		{"speed_runtime_retries_total", "store requests resent after a re-dial", func(s Stats) int64 { return s.Retries }},
 		{"speed_runtime_chunks_fetched_total", "manifest chunks fetched from the store", func(s Stats) int64 { return s.ChunksFetched }},
 		{"speed_runtime_chunk_cache_hits_total", "manifest chunks served from the in-enclave chunk cache", func(s Stats) int64 { return s.ChunkCacheHits }},
+		{"speed_runtime_chunk_cache_rejects_total", "chunks the in-enclave chunk cache declined to admit", func(s Stats) int64 { return s.ChunkCacheRejects }},
 	} {
 		field := c.field
 		reg.NewCounterFunc(c.name, c.help, func() int64 { return field(rt.Stats()) }, appLabel)

@@ -114,16 +114,21 @@ func TestTelemetryConcurrentExecute(t *testing.T) {
 
 // TestTelemetryChunkCacheCounters: the chunk-cache counters reach the
 // registry from the same Stats snapshot, so /metrics gives the cache's
-// hit ratio. A consumer's first reassembly fetches every chunk; its
-// second is served from its cache.
+// hit ratio and shows a cache too small for its working set. A
+// consumer's first reassembly fetches every chunk; its second is served
+// from its cache. A reader whose cache holds a quarter of the result
+// declines the chunks that arrive once it is full.
 func TestTelemetryChunkCacheCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p, st := newChunkStore(t)
 	producer := newChunkRuntime(t, p, st, "producer", chunkTestThreshold)
 	consumer := newChunkRuntimeWith(t, p, st, "consumer", Config{ChunkThreshold: chunkTestThreshold, Telemetry: reg}, nil)
+	small := newChunkRuntimeWith(t, p, st, "small", Config{ChunkThreshold: chunkTestThreshold, Telemetry: reg}, nil)
+	small.chunkCache.close()
+	small.chunkCache = newChunkCache(small.Enclave(), 32<<10)
 	id := chunkFuncID(t, producer)
 	want := chunkResult(7, 128<<10)
-	for _, rt := range []*Runtime{producer, consumer, consumer} {
+	for _, rt := range []*Runtime{producer, consumer, consumer, small} {
 		if _, _, err := rt.Execute(id, []byte("doc"), func([]byte) ([]byte, error) { return want, nil }); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
@@ -137,6 +142,15 @@ func TestTelemetryChunkCacheCounters(t *testing.T) {
 	}
 	if got := snap.Counter(`speed_runtime_chunk_cache_hits_total{app="consumer"}`); got != s.ChunkCacheHits {
 		t.Errorf("speed_runtime_chunk_cache_hits_total = %d, want %d", got, s.ChunkCacheHits)
+	}
+	if s := small.Stats(); s.ChunkCacheRejects == 0 {
+		t.Error("a cache a quarter the result's size declined no chunk")
+	}
+	for _, rt := range []*Runtime{consumer, small} {
+		name := fmt.Sprintf(`speed_runtime_chunk_cache_rejects_total{app=%q}`, rt.Enclave().Name())
+		if got, want := snap.Counter(name), rt.Stats().ChunkCacheRejects; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

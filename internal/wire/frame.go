@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 )
 
 // MaxFrameSize bounds a single frame to protect against resource
@@ -23,57 +21,26 @@ const maxHelloSize = 64 << 10
 // frameHeaderLen is the length-prefix overhead of every frame.
 const frameHeaderLen = 4
 
-// maxScratchRetain caps how much scratch capacity a channel or the
-// frame pool retains between messages. A single oversized frame (a
-// multi-megabyte PUT) may still grow a transient buffer, but steady
-// state keeps at most this much per channel direction.
+// maxScratchRetain caps how much scratch capacity a channel retains
+// between messages. A single oversized frame (a multi-megabyte PUT) may
+// still grow a transient buffer, but steady state keeps at most this
+// much per channel direction.
 const maxScratchRetain = 1 << 20
 
 // ErrFrameTooLarge is returned when a peer announces a frame beyond
 // the applicable size limit.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 
-// framePool recycles combined header+payload scratch buffers for
-// WriteFrame on writers that cannot take a vectored write. Buffers are
-// owned by WriteFrame only for the duration of one call.
-var framePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// WriteFrame writes a length-prefixed frame with a single write per
-// frame: a vectored write (net.Buffers) when w is a net.Conn — the
-// kernel sees one writev — and otherwise one combined write from a
-// pooled scratch buffer, so a non-conn writer still never observes the
-// header and payload as separate writes.
-//
-// Channel.Send does not use WriteFrame: it seals the ciphertext
-// directly after a reserved header in its own scratch, which is already
-// one contiguous write with no extra copy.
+// WriteFrame writes a length-prefixed frame in one Write, so a writer
+// never observes the header and payload apart. Only the handshake
+// hellos use it: Channel.Send seals the ciphertext directly after a
+// reserved header in its own scratch.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if c, ok := w.(net.Conn); ok {
-		bufs := net.Buffers{hdr[:], payload}
-		if _, err := bufs.WriteTo(c); err != nil {
-			return fmt.Errorf("write frame: %w", err)
-		}
-		return nil
-	}
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], hdr[:]...)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	if cap(buf) <= maxScratchRetain {
-		*bp = buf[:0]
-		framePool.Put(bp)
-	}
-	if err != nil {
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, frameHeaderLen+len(payload)), uint32(len(payload)))
+	if _, err := w.Write(append(buf, payload...)); err != nil {
 		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
