@@ -334,10 +334,10 @@ func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 }
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed
-// manifest: decrypt it under the derived identity, copy cached chunks
-// into their slots of one pre-sized output, fetch the rest with one
-// BatchGet and verify each against its ref before copying it in. There
-// is no whole-result pass (chunk/manifest.go's trust model says why).
+// manifest: decrypt it under the derived identity, fill each chunk's
+// slot from the cache or, verified against its ref, from one BatchGet,
+// and join the slots. There is no whole-result pass (chunk/manifest.go's
+// trust model says why).
 // Any failure past manifest decryption means the stored data is
 // unusable and the caller recomputes loudly; errNoManifest alone means
 // the entry was never a manifest.
@@ -354,30 +354,28 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		return nil, fmt.Errorf("decode manifest: %w", err)
 	}
 
-	// DecodeManifest checked that the lengths sum to Total: slots tile
-	// out. A tag the cache misses is fetched, opened and verified once;
-	// its repeats are copied from its first slot.
+	// Every slot is checked to hold its ref's length, and DecodeManifest
+	// that the lengths sum to Total. A tag the cache misses is fetched,
+	// opened and verified once; its repeats share its slot.
 	cid := chunk.ContentFuncID(id)
-	out := make([]byte, man.Total)
+	slots := make([][]byte, len(man.Refs))
 	var missingTags []mle.Tag
-	var missingIdx, missingOff []int
+	var missingIdx []int
 	first := make(map[mle.Tag]int) // missing tag -> its index in missingTags
-	var repeats [][3]int           // a repeat's offset, its first slot's offset, its length
-	cacheHits, off := 0, 0
+	var repeats [][2]int           // a repeat's slot, its first slot
+	cacheHits := 0
 	for i, ref := range man.Refs {
 		t := chunk.Tag(cid, ref.Hash)
 		if data, ok := rt.chunkCache.get(t); ok && len(data) == int(ref.Length) {
-			copy(out[off:], data)
+			slots[i] = data
 			cacheHits++
 		} else if j, ok := first[t]; ok && man.Refs[missingIdx[j]].Length == ref.Length {
-			repeats = append(repeats, [3]int{off, missingOff[j], int(ref.Length)})
+			repeats = append(repeats, [2]int{i, missingIdx[j]})
 		} else {
 			first[t] = len(missingTags)
 			missingTags = append(missingTags, t)
 			missingIdx = append(missingIdx, i)
-			missingOff = append(missingOff, off)
 		}
-		off += int(ref.Length)
 	}
 
 	var got []wire.GetResult
@@ -398,7 +396,7 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 	rt.mu.Unlock()
 	for j, r := range got {
 		i := missingIdx[j]
-		ref := man.Refs[i]
+		ref := &man.Refs[i] // a copy would escape with ref.Hash[:]
 		if !r.Found {
 			return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(man.Refs))
 		}
@@ -410,12 +408,12 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		if len(data) != int(ref.Length) || chunk.Hash(data) != ref.Hash {
 			return nil, fmt.Errorf("chunk %d/%d failed content verification", i+1, len(man.Refs))
 		}
-		copy(out[missingOff[j]:], data)
-		// The cache adopts data; out holds a copy, so never aliases it.
+		slots[i] = data
 		rt.chunkCache.add(missingTags[j], data)
 	}
 	for _, r := range repeats {
-		copy(out[r[0]:], out[r[1]:r[1]+r[2]])
+		slots[r[0]] = slots[r[1]]
 	}
-	return out, nil
+	// Join copies (the cache adopted data) into memory it does not zero.
+	return bytes.Join(slots, nil), nil
 }

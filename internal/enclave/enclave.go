@@ -21,6 +21,8 @@
 package enclave
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/ecdsa"
 	"crypto/hmac"
 	"crypto/rand"
@@ -29,6 +31,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"speed/internal/mle"
 )
 
 // Default memory geometry, matching the experimental setup in the paper
@@ -172,7 +176,15 @@ func (p *Platform) Create(name string, code []byte) (*Enclave, error) {
 		name:        name,
 		measurement: sha256.Sum256(code),
 	}
-	e.sealKey = p.deriveKey("seal", e.measurement)
+	key := p.deriveKey("seal", e.measurement)
+	defer mle.Zeroize(key[:])
+	block, err := aes.NewCipher(key[:16])
+	if err == nil {
+		e.seal, err = cipher.NewGCM(block)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("enclave: seal cipher: %w", err)
+	}
 	p.enclaves[name] = e
 	return e, nil
 }
@@ -200,7 +212,7 @@ func (p *Platform) reserve(n int64) (overPages int64, err error) {
 	before := p.epcUsed
 	p.epcUsed += n
 	if p.epcUsed > p.cfg.EPCUsableBytes {
-		overStart := max64(before, p.cfg.EPCUsableBytes)
+		overStart := max(before, p.cfg.EPCUsableBytes)
 		overPages = (p.epcUsed - overStart + pageSize - 1) / pageSize
 	}
 	return overPages, nil
@@ -215,20 +227,13 @@ func (p *Platform) release(n int64) {
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Enclave is a simulated enclave instance. All methods are safe for
 // concurrent use.
 type Enclave struct {
 	platform    *Platform
 	name        string
 	measurement Measurement
-	sealKey     [32]byte
+	seal        cipher.AEAD
 
 	mu        sync.Mutex
 	heapUsed  int64
@@ -310,29 +315,21 @@ func (e *Enclave) Free(n int64) {
 
 // ECall runs fn "inside" the enclave, charging one boundary crossing on
 // entry and one on exit, exactly like an SGX ECALL.
-func (e *Enclave) ECall(fn func() error) error {
-	e.mu.Lock()
-	if e.destroyed {
-		e.mu.Unlock()
-		return ErrDestroyed
-	}
-	e.metrics.ECalls++
-	e.mu.Unlock()
-	e.spend(e.platform.cfg.TransitionCost)
-	err := fn()
-	e.spend(e.platform.cfg.TransitionCost)
-	return err
-}
+func (e *Enclave) ECall(fn func() error) error { return e.cross(&e.metrics.ECalls, fn) }
 
 // OCall runs fn "outside" the enclave on behalf of in-enclave code,
 // charging the same two boundary crossings as an SGX OCALL.
-func (e *Enclave) OCall(fn func() error) error {
+func (e *Enclave) OCall(fn func() error) error { return e.cross(&e.metrics.OCalls, fn) }
+
+// cross runs fn between two boundary crossings, counting the call in
+// *calls.
+func (e *Enclave) cross(calls *int64, fn func() error) error {
 	e.mu.Lock()
 	if e.destroyed {
 		e.mu.Unlock()
 		return ErrDestroyed
 	}
-	e.metrics.OCalls++
+	*calls++
 	e.mu.Unlock()
 	e.spend(e.platform.cfg.TransitionCost)
 	err := fn()

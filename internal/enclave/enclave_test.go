@@ -213,7 +213,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	p := newTestPlatform(t, Config{})
 	e, _ := p.Create("app", []byte("code"))
 	secret := []byte("sensitive state blob")
-	sealed, err := e.Seal(secret)
+	sealed, err := e.Seal(nil, secret)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -229,11 +229,63 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSealAppendsInPlace seals data that sits after a nonce slot at
+// the end of dst: the output must extend dst in its own array, keep
+// dst's prefix, leave no plaintext behind and unseal to the data.
+func TestSealAppendsInPlace(t *testing.T) {
+	p := newTestPlatform(t, Config{})
+	e, _ := p.Create("app", []byte("code"))
+	prefix, secret := []byte("hdr"), []byte("sensitive state blob")
+	buf := make([]byte, 0, len(prefix)+SealOverhead+len(secret))
+	buf = append(append(append(buf, prefix...), make([]byte, SealNonceSize)...), secret...)
+	out, err := e.Seal(buf[:len(prefix)], buf[len(prefix)+SealNonceSize:])
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if &out[0] != &buf[0] || len(out) != cap(buf) {
+		t.Fatal("Seal did not seal in place")
+	}
+	if !bytes.Equal(out[:len(prefix)], prefix) || bytes.Contains(out, secret) {
+		t.Fatal("in-place Seal lost the prefix or left plaintext")
+	}
+	if got, err := e.Unseal(out[len(prefix):]); err != nil || !bytes.Equal(got, secret) {
+		t.Fatalf("Unseal = %q, %v; want %q", got, err, secret)
+	}
+}
+
+// TestSealConcurrent seals and unseals on one enclave from several
+// goroutines at once: they all share the enclave's one AEAD, which must
+// therefore hold no per-call state. Run it under -race.
+func TestSealConcurrent(t *testing.T) {
+	p := newTestPlatform(t, Config{})
+	e, _ := p.Create("app", []byte("code"))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g byte) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				secret := bytes.Repeat([]byte{g, byte(i)}, 64)
+				sealed, err := e.Seal(nil, secret)
+				if err != nil {
+					t.Errorf("Seal: %v", err)
+					return
+				}
+				if got, err := e.Unseal(sealed); err != nil || !bytes.Equal(got, secret) {
+					t.Errorf("Unseal = %v; want the sealed bytes back", err)
+					return
+				}
+			}
+		}(byte(g))
+	}
+	wg.Wait()
+}
+
 func TestSealBoundToMeasurement(t *testing.T) {
 	p := newTestPlatform(t, Config{})
 	e1, _ := p.Create("a", []byte("code v1"))
 	e2, _ := p.Create("b", []byte("code v2"))
-	sealed, err := e1.Seal([]byte("secret"))
+	sealed, err := e1.Seal(nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -248,7 +300,7 @@ func TestSealBoundToPlatform(t *testing.T) {
 	p2 := newTestPlatform(t, Config{})
 	e1, _ := p1.Create("a", code)
 	e2, _ := p2.Create("a", code)
-	sealed, err := e1.Seal([]byte("secret"))
+	sealed, err := e1.Seal(nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -260,7 +312,7 @@ func TestSealBoundToPlatform(t *testing.T) {
 func TestSealTamperDetected(t *testing.T) {
 	p := newTestPlatform(t, Config{})
 	e, _ := p.Create("app", []byte("code"))
-	sealed, err := e.Seal([]byte("secret"))
+	sealed, err := e.Seal(nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}

@@ -134,7 +134,7 @@ func TestSeededPlatformSealingStable(t *testing.T) {
 		return e
 	}
 	e1, e2 := mk(), mk()
-	sealed, err := e1.Seal([]byte("secret"))
+	sealed, err := e1.Seal(nil, []byte("secret"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}

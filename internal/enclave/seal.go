@@ -1,11 +1,10 @@
 package enclave
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrUnsealFailed is returned when sealed data fails authentication,
@@ -13,44 +12,38 @@ import (
 // identity or platform.
 var ErrUnsealFailed = errors.New("enclave: unseal authentication failed")
 
+// SealNonceSize is the nonce slot ahead of Seal's ciphertext, and
+// SealOverhead all that Seal adds to its data: nonce and GCM tag.
+const (
+	SealNonceSize = 12
+	SealOverhead  = SealNonceSize + 16
+)
+
 // Seal encrypts data under the enclave's measurement-bound sealing key
 // (AES-128-GCM), so that only the same enclave identity on the same
-// platform can recover it. This mirrors SGX's sgx_seal_data with
-// MRENCLAVE key policy.
-func (e *Enclave) Seal(data []byte) ([]byte, error) {
-	aead, err := e.sealAEAD()
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
+// platform can recover it, and appends nonce‖ciphertext to dst. This
+// mirrors SGX's sgx_seal_data with MRENCLAVE key policy. Data that sits
+// directly after a nonce slot at the end of dst, with room for the tag
+// in dst's capacity, is encrypted in place; any other data must not
+// overlap dst's spare capacity.
+func (e *Enclave) Seal(dst, data []byte) ([]byte, error) {
+	head := len(dst)
+	dst = slices.Grow(dst, SealOverhead+len(data))[:head+SealNonceSize]
+	if _, err := rand.Read(dst[head:]); err != nil {
 		return nil, fmt.Errorf("seal nonce: %w", err)
 	}
-	return aead.Seal(nonce, nonce, data, e.measurement[:]), nil
+	return e.seal.Seal(dst, dst[head:], data, e.measurement[:]), nil
 }
 
 // Unseal decrypts and authenticates data produced by Seal on the same
 // enclave identity and platform.
 func (e *Enclave) Unseal(sealed []byte) ([]byte, error) {
-	aead, err := e.sealAEAD()
-	if err != nil {
-		return nil, err
-	}
-	if len(sealed) < aead.NonceSize() {
+	if len(sealed) < SealNonceSize {
 		return nil, ErrUnsealFailed
 	}
-	nonce, ct := sealed[:aead.NonceSize()], sealed[aead.NonceSize():]
-	pt, err := aead.Open(nil, nonce, ct, e.measurement[:])
+	pt, err := e.seal.Open(nil, sealed[:SealNonceSize], sealed[SealNonceSize:], e.measurement[:])
 	if err != nil {
 		return nil, ErrUnsealFailed
 	}
 	return pt, nil
-}
-
-func (e *Enclave) sealAEAD() (cipher.AEAD, error) {
-	block, err := aes.NewCipher(e.sealKey[:16])
-	if err != nil {
-		return nil, fmt.Errorf("seal cipher: %w", err)
-	}
-	return cipher.NewGCM(block)
 }

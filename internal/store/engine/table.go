@@ -174,8 +174,8 @@ func (t *Table) Clear() {
 // keep.
 func CopyRecord(rec Record) Record {
 	nc, nk := len(rec.Challenge), len(rec.WrappedKey)
-	buf := make([]byte, 0, nc+nk+len(rec.Blob))
-	buf = append(append(append(buf, rec.Challenge...), rec.WrappedKey...), rec.Blob...)
+	// Join allocates without zeroing bytes it overwrites at once.
+	buf := bytes.Join([][]byte{rec.Challenge, rec.WrappedKey, rec.Blob}, nil)
 	rec.Challenge = buf[:nc:nc]
 	rec.WrappedKey = buf[nc : nc+nk : nc+nk]
 	rec.Blob = buf[nc+nk:]

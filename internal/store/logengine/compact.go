@@ -1,7 +1,6 @@
 package logengine
 
 import (
-	"fmt"
 	"path/filepath"
 	"slices"
 	"time"
@@ -143,30 +142,12 @@ func (e *Engine) mergeRun(lo, hi int) error {
 		}
 	}
 
-	id := e.nextSegID
-	name := segmentName(id)
-	path := filepath.Join(e.cfg.Dir, name)
-	if err := writeSegment(e.fsys, path, next); err != nil {
-		return err
-	}
-	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
-		return err
-	}
-	seg, err := openSegment(e.fsys, path, id, nil)
+	seg, err := e.commitSegmentLocked(next, func(seg *segment) []*segment {
+		return slices.Concat(e.segments[:lo], []*segment{seg}, e.segments[hi:])
+	})
 	if err != nil {
-		e.fsys.Remove(path)
 		return err
 	}
-	merged := slices.Concat(e.segments[:lo], []*segment{seg}, e.segments[hi:])
-	if err := writeManifest(e.fsys, e.cfg.Dir, segmentNames(merged)); err != nil {
-		if cerr := seg.close(); cerr != nil {
-			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
-		}
-		e.fsys.Remove(path)
-		return fmt.Errorf("logengine: commit compaction: %w", err)
-	}
-	e.segments = merged
-	e.nextSegID = id + 1
 	e.st.Compactions++
 	e.st.CompactionBytesWritten += seg.size
 	for _, s := range run {
@@ -180,7 +161,7 @@ func (e *Engine) mergeRun(lo, hi int) error {
 		}
 	}
 	e.compactSeconds.Observe(time.Since(start))
-	e.cfg.Logf("logengine: merged %d segments into %s (%d live records)", len(run), name, live)
+	e.cfg.Logf("logengine: merged %d segments into %s (%d live records)", len(run), filepath.Base(seg.path), live)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	"speed/internal/enclave"
@@ -484,6 +485,99 @@ func TestRecoveryRejectsTamperedWAL(t *testing.T) {
 		eng.Close()
 		t.Fatal("recovery accepted a tampered WAL record")
 	}
+}
+
+// fullDiskFS is osFS whose WAL writes fail on demand: with short set,
+// the next one writes half its bytes and reports ENOSPC, as a full disk
+// does; with stuck set, truncating the WAL fails too.
+type fullDiskFS struct {
+	osFS
+	short, stuck bool
+}
+
+func (fs *fullDiskFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	f, err := fs.osFS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != walName {
+		return f, err
+	}
+	return &fullDiskFile{file: f, fs: fs}, nil
+}
+
+type fullDiskFile struct {
+	file
+	fs *fullDiskFS
+}
+
+func (f *fullDiskFile) Write(p []byte) (int, error) {
+	if !f.fs.short {
+		return f.file.Write(p)
+	}
+	f.fs.short = false
+	n, err := f.file.Write(p[:len(p)/2])
+	if err == nil {
+		err = syscall.ENOSPC
+	}
+	return n, err
+}
+
+func (f *fullDiskFile) Truncate(size int64) error {
+	if f.fs.stuck {
+		return syscall.EIO
+	}
+	return f.file.Truncate(size)
+}
+
+// TestFailedWALAppendKeepsLaterPuts cuts one WAL append short, as a
+// full disk does, between two acknowledged, fsynced PUTs. The failed
+// PUT must report its error, and the half frame it left must not sit
+// in front of the next one: replay stops at a torn frame and truncates
+// everything behind it, so the later PUT would be lost at reopen.
+func TestFailedWALAppendKeepsLaterPuts(t *testing.T) {
+	p := testPlatform()
+	dir := t.TempDir()
+	fsys := &fullDiskFS{}
+	e, err := open(testConfig(t, p, dir), fsys) // fsync=commit
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
+	mustInsert(t, e, "a", "va")
+	fsys.short = true
+	if ok, err := insert1(e, tagOf("b"), recOf("vb")); err == nil || ok {
+		t.Fatalf("Insert(b) on a full disk = %v, %v; want an error", ok, err)
+	}
+	mustInsert(t, e, "c", "vc")
+	e.Crash()
+
+	e = openTest(t, testConfig(t, p, dir))
+	mustGet(t, e, "a", "va")
+	mustGet(t, e, "c", "vc")
+	if _, status, err := get1(e, tagOf("b")); err != nil || status != storeengine.StatusMiss {
+		t.Fatalf("Get(b) = %v, %v; want a miss", status, err)
+	}
+}
+
+// TestStuckWALRefusesInserts is the same short append with the
+// rollback failing too: the log cannot be brought back to a frame
+// boundary, so the engine must refuse every later insert rather than
+// acknowledge one that replay would drop.
+func TestStuckWALRefusesInserts(t *testing.T) {
+	fsys := &fullDiskFS{}
+	e, err := open(testConfig(t, testPlatform(), t.TempDir()), fsys)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
+	mustInsert(t, e, "a", "va")
+	fsys.short, fsys.stuck = true, true
+	if _, err := insert1(e, tagOf("b"), recOf("vb")); err == nil {
+		t.Fatal("Insert(b) on a full disk succeeded")
+	}
+	fsys.stuck = false
+	if ok, err := insert1(e, tagOf("c"), recOf("vc")); err == nil || ok {
+		t.Fatalf("Insert(c) behind an unrolled torn frame = %v, %v; want an error", ok, err)
+	}
+	mustGet(t, e, "a", "va")
 }
 
 func crc32Of(b []byte) uint32 {

@@ -141,7 +141,7 @@ func FuzzRecord(f *testing.F) {
 		}
 		for i := range firstOps {
 			a, b := firstOps[i], secondOps[i]
-			if a.op != b.op || a.tag != b.tag || !bytes.Equal(encodeRecord(a.rec), encodeRecord(b.rec)) {
+			if a.op != b.op || a.tag != b.tag || !bytes.Equal(appendRecord(nil, a.rec), appendRecord(nil, b.rec)) {
 				t.Fatalf("op %d differs between replays", i)
 			}
 		}

@@ -1,9 +1,11 @@
 package logengine
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"speed/internal/enclave"
@@ -40,7 +42,7 @@ func BenchmarkHotLogMemtableGet(b *testing.B) {
 
 // benchEngine opens a log engine for a hot-path benchmark: no fsync, no
 // timer, and an EPC budget no memtable size runs into.
-func benchEngine(b *testing.B, dir string, memtableBytes int64) *Engine {
+func benchEngine(b testing.TB, dir string, memtableBytes int64) *Engine {
 	b.Helper()
 	p := enclave.NewPlatform(enclave.Config{EPCBytes: 1 << 40, EPCUsableBytes: 1 << 40})
 	enc, err := p.Create("bench-store", []byte("store code"))
@@ -162,5 +164,73 @@ func BenchmarkHotLogMergeRun(b *testing.B) {
 		out.close()
 		os.Remove(out.path)
 		b.StartTimer()
+	}
+}
+
+// newLogInsert returns an insert of a fresh 4 KiB record through
+// Engine.Insert with a 2 MiB memtable and no fsync: the log engine's
+// share of a miss_durable PUT, WAL append and memtable apply, with a
+// flush to a sorted segment every ~490 inserts amortized in. Every 16
+// segments it starts over on an empty directory, so neither the disk
+// nor the first-version-wins filter checks grow with b.N.
+func newLogInsert(tb testing.TB) func() {
+	const memtable, blob, maxSegments = 2 << 20, 4 << 10, 16
+	rec := recOf(string(bytes.Repeat([]byte{0xAB}, blob)))
+	dir := tb.TempDir()
+	e := benchEngine(tb, dir, memtable)
+	items := make([]storeengine.Item, 1)
+	i := 0
+	return func() {
+		if len(e.segments) == maxSegments {
+			if err := e.Close(); err != nil {
+				tb.Fatalf("Close: %v", err)
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				tb.Fatalf("RemoveAll: %v", err)
+			}
+			e = benchEngine(tb, dir, memtable)
+		}
+		items[0] = storeengine.Item{Tag: seededTag(44, i), Record: rec}
+		i++
+		if installed, err := e.Insert(items); err != nil || !installed[0] {
+			tb.Fatalf("Insert = %v, %v", installed, err)
+		}
+	}
+}
+
+// BenchmarkHotLogInsert is newLogInsert's insert, the write path `make
+// bench-regress` pins against bench/baseline.txt.
+func BenchmarkHotLogInsert(b *testing.B) {
+	insert := newLogInsert(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert()
+	}
+}
+
+// TestLogInsertAllocBound holds the log engine's write path to what it
+// must allocate: the memtable's copy of the record, its entry, and a
+// flush's share of the one arena its records are sealed into and of
+// the new segment's index. The WAL frame is encoded and sealed in a
+// reused scratch, and a flush seals each record once, in its arena
+// slot. The path measures 4 allocations and ~11.7 KiB per insert; a
+// per-record copy coming back costs another 4 KiB.
+func TestLogInsertAllocBound(t *testing.T) {
+	const n, maxAllocs, maxBytes = 2048, 5, 12 << 10
+	insert := newLogInsert(t)
+	for i := 0; i < 16; i++ {
+		insert() // warm the frame scratch and the memtable's map
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		insert()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	size := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if allocs > maxAllocs || size > maxBytes {
+		t.Errorf("a 4 KiB insert allocates %.1f times and %.0f B, want <= %d and <= %d", allocs, size, maxAllocs, maxBytes)
 	}
 }

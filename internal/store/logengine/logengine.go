@@ -614,11 +614,7 @@ func (e *Engine) logLocked(op byte, tag mle.Tag, rec storeengine.Record) error {
 	if e.wal == nil {
 		return nil
 	}
-	if err := e.wal.append(e.cfg.Enclave, op, tag, rec); err != nil {
-		return err
-	}
-	e.st.WALRecords++
-	return nil
+	return e.wal.append(e.cfg.Enclave, op, tag, rec)
 }
 
 // commitLocked syncs the WAL when the policy is FsyncCommit. Caller
@@ -848,19 +844,26 @@ func (e *Engine) flushLocked() error {
 		return nil
 	}
 	entries := e.mem.Sorted()
-	records := make([]segRecord, 0, len(entries))
+	records := make([]segRecord, len(entries))
 	err := e.cfg.Enclave.ECall(func() error {
+		// Live records are sealed into one exact-size arena.
+		size := 0
 		for _, ent := range entries {
-			sr := segRecord{tag: ent.Tag, dead: ent.Dead}
 			if !ent.Dead {
-				sealed, err := sealRecord(e.cfg.Enclave, ent.Rec)
-				if err != nil {
-					return err
-				}
-				sr.blob = ent.Rec.BlobSize
-				sr.sealed = sealed
+				size += enclave.SealOverhead + recordLen(ent.Rec)
 			}
-			records = append(records, sr)
+		}
+		arena := make([]byte, 0, size)
+		for i, ent := range entries {
+			records[i] = segRecord{tag: ent.Tag, dead: ent.Dead, blob: ent.Rec.BlobSize} // 0 for a tombstone
+			if ent.Dead {
+				continue
+			}
+			sealed, err := sealRecord(e.cfg.Enclave, arena, nil, &ent.Rec)
+			if err != nil {
+				return err
+			}
+			records[i].sealed, arena = sealed[len(arena):], sealed
 		}
 		return nil
 	})
@@ -868,37 +871,17 @@ func (e *Engine) flushLocked() error {
 		return err
 	}
 
-	id := e.nextSegID
-	name := segmentName(id)
-	path := filepath.Join(e.cfg.Dir, name)
-	err = writeSegment(e.fsys, path, func() (segRecord, bool, error) {
+	_, err = e.commitSegmentLocked(func() (segRecord, bool, error) {
 		if len(records) == 0 {
 			return segRecord{}, false, nil
 		}
 		r := records[0]
 		records = records[1:]
 		return r, true, nil
-	})
+	}, func(seg *segment) []*segment { return append(e.segments, seg) })
 	if err != nil {
 		return err
 	}
-	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
-		return err
-	}
-	seg, err := openSegment(e.fsys, path, id, nil)
-	if err != nil {
-		e.fsys.Remove(path)
-		return err
-	}
-	if err := writeManifest(e.fsys, e.cfg.Dir, append(segmentNames(e.segments), name)); err != nil {
-		if cerr := seg.close(); cerr != nil {
-			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
-		}
-		e.fsys.Remove(path)
-		return err
-	}
-	e.segments = append(e.segments, seg)
-	e.nextSegID = id + 1
 	if err := e.wal.reset(); err != nil {
 		return err
 	}
@@ -906,6 +889,34 @@ func (e *Engine) flushLocked() error {
 	clear(e.keys)
 	e.st.Flushes++
 	return nil
+}
+
+// commitSegmentLocked writes the records next yields as a new segment
+// and commits, through the manifest, the segment list splice builds
+// around it; a failure before the commit removes or orphans only the
+// new file. Caller holds mu.
+func (e *Engine) commitSegmentLocked(next func() (segRecord, bool, error), splice func(*segment) []*segment) (*segment, error) {
+	id := e.nextSegID
+	path := filepath.Join(e.cfg.Dir, segmentName(id))
+	if err := writeSegment(e.fsys, path, next); err != nil {
+		return nil, err
+	}
+	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
+		return nil, err
+	}
+	seg, err := openSegment(e.fsys, path, id, nil)
+	if err == nil {
+		segments := splice(seg)
+		if err = writeManifest(e.fsys, e.cfg.Dir, segmentNames(segments)); err == nil {
+			e.segments, e.nextSegID = segments, id+1
+			return seg, nil
+		}
+		if cerr := seg.close(); cerr != nil {
+			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
+		}
+	}
+	e.fsys.Remove(path)
+	return nil, err
 }
 
 // Len reports the number of live records.
@@ -1010,8 +1021,7 @@ func (e *Engine) Stats() storeengine.Stats {
 	st.Entries = int(e.entries)
 	st.ValueBytes = e.valueBytes
 	if e.wal != nil {
-		st.WALBytes = e.wal.size
-		st.WALSyncs = e.wal.syncs
+		st.WALBytes, st.WALRecords, st.WALSyncs = e.wal.size, e.wal.records, e.wal.syncs
 	}
 	st.Segments = len(e.segments)
 	st.SegmentBytes = 0

@@ -754,7 +754,7 @@ func TestFormatV1Refused(t *testing.T) {
 			// Version 1's touch: op 3 | tag | hits uint64 | touch int64.
 			tag := tagOf("a")
 			touch := append(append([]byte{3}, tag[:]...), make([]byte, 16)...)
-			sealed, err := enc.Seal(touch)
+			sealed, err := enc.Seal(nil, touch)
 			if err != nil {
 				t.Fatalf("Seal: %v", err)
 			}

@@ -3,6 +3,7 @@ package logengine
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"speed/internal/enclave"
 	storeengine "speed/internal/store/engine"
@@ -14,8 +15,8 @@ import (
 // never silent acceptance.
 var errBadRecord = errors.New("logengine: malformed record payload")
 
-// encodeRecord serialises a record's fields into the plaintext that
-// gets sealed before touching disk:
+// appendRecord appends a record's fields, encoded as the plaintext
+// that gets sealed before touching disk, to dst:
 //
 //	owner      [32]byte
 //	challenge  uint32 length + bytes
@@ -23,20 +24,23 @@ var errBadRecord = errors.New("logengine: malformed record payload")
 //	blob       uint32 length + bytes
 //
 // The challenge and wrapped key are key material: they exist in
-// plaintext only inside enclave memory, and only the sealed form of
-// this encoding is ever written out.
-func encodeRecord(rec storeengine.Record) []byte {
-	n := 32 + 4 + len(rec.Challenge) + 4 + len(rec.WrappedKey) + 4 + len(rec.Blob)
-	out := make([]byte, 0, n)
-	out = append(out, rec.Owner[:]...)
+// plaintext only inside enclave memory: sealRecord encodes them into
+// the buffer it seals in place, so only the sealed form is written out.
+func appendRecord(dst []byte, rec storeengine.Record) []byte {
+	dst = append(dst, rec.Owner[:]...)
 	for _, field := range [][]byte{rec.Challenge, rec.WrappedKey, rec.Blob} {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(field)))
-		out = append(out, field...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(field)))
+		dst = append(dst, field...)
 	}
-	return out
+	return dst
 }
 
-// decodeRecord parses encodeRecord's output. The returned slices alias
+// recordLen is the length of appendRecord's encoding of rec.
+func recordLen(rec storeengine.Record) int {
+	return 32 + 4 + len(rec.Challenge) + 4 + len(rec.WrappedKey) + 4 + len(rec.Blob)
+}
+
+// decodeRecord parses appendRecord's output. The returned slices alias
 // raw; callers that retain them must copy (raw is freshly allocated by
 // Unseal in practice, so engine accessors hand them out directly).
 func decodeRecord(raw []byte) (storeengine.Record, error) {
@@ -46,8 +50,7 @@ func decodeRecord(raw []byte) (storeengine.Record, error) {
 	}
 	copy(rec.Owner[:], raw[:32])
 	raw = raw[32:]
-	fields := make([][]byte, 3)
-	for i := range fields {
+	for _, field := range []*[]byte{&rec.Challenge, &rec.WrappedKey, &rec.Blob} {
 		if len(raw) < 4 {
 			return rec, errBadRecord
 		}
@@ -56,20 +59,28 @@ func decodeRecord(raw []byte) (storeengine.Record, error) {
 		if uint64(l) > uint64(len(raw)) {
 			return rec, errBadRecord
 		}
-		fields[i] = raw[:l:l]
-		raw = raw[l:]
+		*field, raw = raw[:l:l], raw[l:]
 	}
 	if len(raw) != 0 {
 		return rec, errBadRecord
 	}
-	rec.Challenge, rec.WrappedKey, rec.Blob = fields[0], fields[1], fields[2]
 	rec.BlobSize = int64(len(rec.Blob))
 	return rec, nil
 }
 
-// sealRecord seals a record's encoding to the store enclave identity.
-func sealRecord(enc *enclave.Enclave, rec storeengine.Record) ([]byte, error) {
-	return enc.Seal(encodeRecord(rec))
+// sealRecord appends to dst, sealed to the store enclave identity, the
+// plaintext head‖appendRecord(rec) (head alone when rec is nil). The
+// plaintext is encoded after the nonce slot and sealed there in place.
+func sealRecord(enc *enclave.Enclave, dst, head []byte, rec *storeengine.Record) ([]byte, error) {
+	n, at := len(head), len(dst)
+	if rec != nil {
+		n += recordLen(*rec)
+	}
+	dst = append(slices.Grow(dst, enclave.SealOverhead+n)[:at+enclave.SealNonceSize], head...)
+	if rec != nil {
+		dst = appendRecord(dst, *rec)
+	}
+	return enc.Seal(dst[:at], dst[at+enclave.SealNonceSize:])
 }
 
 // unsealRecord authenticates and parses a sealed record read back from

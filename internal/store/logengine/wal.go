@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -23,7 +24,7 @@ import (
 //
 //	op    byte    (4 = put, 5 = delete)
 //	tag   [32]byte
-//	rec   encodeRecord(...)   (put only)
+//	rec   appendRecord(...)   (put only)
 //
 // The CRC detects torn writes (a crash mid-append); the seal detects
 // tampering. Recovery trusts neither: a frame whose length or CRC does
@@ -44,6 +45,8 @@ const (
 	// maxWALPayload bounds a frame's declared length so a corrupt
 	// header cannot drive a huge allocation during replay.
 	maxWALPayload = 1 << 30
+	// maxScratchRetain caps the frame scratch kept between appends.
+	maxScratchRetain = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -58,10 +61,13 @@ type walOp struct {
 // wal is the append-only log file. Appends are serialized by the
 // engine's mutex.
 type wal struct {
-	f     file
-	size  int64
-	dirty bool  // appended since last sync
-	syncs int64 // fsyncs of appended data (Stats.WALSyncs)
+	f       file
+	size    int64
+	dirty   bool   // appended since last sync
+	records int64  // appends (Stats.WALRecords)
+	syncs   int64  // fsyncs of appended data (Stats.WALSyncs)
+	scratch []byte // frame assembly buffer, reused across appends
+	failed  error  // set when a failed append could not be rolled back
 }
 
 func openWAL(fsys fileSystem, path string) (*wal, error) {
@@ -75,21 +81,6 @@ func openWAL(fsys fileSystem, path string) (*wal, error) {
 		return nil, err
 	}
 	return &wal{f: f, size: size}, nil
-}
-
-// encodeWALPayload builds the plaintext of one operation: a put carries
-// the whole record, a delete only the tag.
-func encodeWALPayload(op byte, tag mle.Tag, rec storeengine.Record) []byte {
-	if op == walOpDelete {
-		out := make([]byte, 0, 1+32)
-		out = append(out, op)
-		return append(out, tag[:]...)
-	}
-	body := encodeRecord(rec)
-	out := make([]byte, 0, 1+32+len(body))
-	out = append(out, op)
-	out = append(out, tag[:]...)
-	return append(out, body...)
 }
 
 // decodeWALPayload parses an unsealed operation.
@@ -120,22 +111,39 @@ func decodeWALPayload(raw []byte) (walOp, error) {
 	}
 }
 
-// append seals and writes one operation. It does not sync; the caller
-// applies the fsync policy.
+// append seals the operation into the reused frame scratch after the
+// header and writes the frame with one Write, unsynced: the caller
+// applies the fsync policy. A failed write is rolled back to the last
+// whole frame, lest a later append land behind a torn one that replay
+// stops at; if that fails too, every later append is refused.
 func (w *wal) append(enc *enclave.Enclave, op byte, tag mle.Tag, rec storeengine.Record) error {
-	sealed, err := enc.Seal(encodeWALPayload(op, tag, rec))
+	if w.failed != nil {
+		return w.failed
+	}
+	head, body := [1 + len(tag)]byte{op}, &rec
+	copy(head[1:], tag[:])
+	if op == walOpDelete {
+		body = nil
+	}
+	frame, err := sealRecord(enc, slices.Grow(w.scratch[:0], walFrameHeader)[:walFrameHeader], head[:], body)
 	if err != nil {
 		return fmt.Errorf("logengine: seal wal record: %w", err)
 	}
-	frame := make([]byte, walFrameHeader+len(sealed))
+	sealed := frame[walFrameHeader:]
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(sealed)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(sealed, crcTable))
-	copy(frame[walFrameHeader:], sealed)
+	if w.scratch = frame; cap(frame) > maxScratchRetain {
+		w.scratch = nil
+	}
 	if _, err := w.f.Write(frame); err != nil {
+		if cerr := w.cut(w.size); cerr != nil {
+			w.failed = fmt.Errorf("logengine: wal unusable: a failed append (%v) could not be rolled back: %w", err, cerr)
+		}
 		return fmt.Errorf("logengine: append wal: %w", err)
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
+	w.records++
 	return nil
 }
 
@@ -154,18 +162,24 @@ func (w *wal) sync() error {
 // reset truncates the log to empty after its contents reached a
 // durable segment.
 func (w *wal) reset() error {
-	if err := w.f.Truncate(0); err != nil {
+	if err := w.cut(0); err != nil {
 		return err
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.size = 0
-	w.dirty = false
+	w.dirty, w.failed = false, nil // an empty log holds no torn frame
 	return nil
+}
+
+// cut truncates the log to its first size bytes, syncs it and moves the
+// file offset to its new end.
+func (w *wal) cut(size int64) error {
+	if err := w.f.Truncate(size); err != nil {
+		return err
+	}
+	if _, err := w.f.Seek(size, io.SeekStart); err != nil {
+		return err
+	}
+	w.size = size
+	return w.f.Sync()
 }
 
 func (w *wal) close() error { return w.f.Close() }
@@ -222,16 +236,9 @@ func (w *wal) replay(enc *enclave.Enclave, apply func(walOp)) (replayed int64, t
 		// boundary. The lost suffix was never acknowledged as durable
 		// under fsync-on-commit (the crash hit before the sync
 		// returned), so truncation loses nothing that was promised.
-		if err := w.f.Truncate(good); err != nil {
+		if err := w.cut(good); err != nil {
 			return replayed, torn, err
 		}
-		if err := w.f.Sync(); err != nil {
-			return replayed, torn, err
-		}
-		w.size = good
-	}
-	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
-		return replayed, torn, err
 	}
 	return replayed, torn, nil
 }

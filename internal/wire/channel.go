@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -82,8 +83,10 @@ type Channel struct {
 	sendNonce [12]byte
 
 	// recvBuf is the frame read + in-place decrypt scratch, guarded by
-	// recvMu. Payloads returned by Recv alias it.
+	// recvMu. Payloads returned by Recv alias it. rd, made at the first
+	// Recv (the handshake reads its hellos from conn), buffers conn.
 	recvMu    sync.Mutex
+	rd        *bufio.Reader
 	recv      cipher.AEAD
 	recvKey   []byte
 	recvSeq   uint64
@@ -228,6 +231,10 @@ func (c *Channel) sendLocked(payload []byte) error {
 // gcmOverhead is the AES-GCM tag overhead added by sendLocked.
 const gcmOverhead = 16
 
+// recvReadBuffer sizes rd: one read brings a 4 KiB result's frame,
+// header and all, or about four of them back to back.
+const recvReadBuffer = 16 << 10
+
 // Recv reads and decrypts one message frame, mirroring the sender's
 // key ratchet. The returned payload aliases the channel's receive
 // scratch: it is valid only until the next Recv, and callers that
@@ -237,7 +244,10 @@ const gcmOverhead = 16
 func (c *Channel) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	frame, err := ReadFrameInto(c.conn, c.recvBuf[:0])
+	if c.rd == nil {
+		c.rd = bufio.NewReaderSize(c.conn, recvReadBuffer)
+	}
+	frame, err := ReadFrameInto(c.rd, c.recvBuf[:0])
 	if err != nil {
 		return nil, err
 	}

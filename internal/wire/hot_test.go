@@ -111,6 +111,46 @@ func TestChannelSendRecvZeroAlloc(t *testing.T) {
 	}
 }
 
+// readCountConn counts the reads a channel makes of its transport.
+type readCountConn struct {
+	io.ReadWriteCloser
+	reads int
+}
+
+func (c *readCountConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.ReadWriteCloser.Read(p)
+}
+
+// TestRecvOneReadPerFrame holds Recv to one transport read per 4 KiB
+// frame, header and payload together, and to a read per four frames
+// when they arrive back to back: one read syscall per frame, not two.
+func TestRecvOneReadPerFrame(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xAB}, 4096)
+	for _, n := range []int{1, 64} {
+		client, server := hotChannelPair(t)
+		conn := &readCountConn{ReadWriteCloser: server.conn}
+		server.conn = conn
+		for i := 0; i < n; i++ {
+			if err := client.Send(payload); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if got, err := server.Recv(); err != nil || len(got) != len(payload) {
+				t.Fatalf("recv %d: %d bytes, %v", i, len(got), err)
+			}
+		}
+		most := (n+3)/4 + 1
+		if n == 1 {
+			most = 1
+		}
+		if conn.reads > most {
+			t.Errorf("%d frames took %d reads, want at most %d", n, conn.reads, most)
+		}
+	}
+}
+
 func TestChannelMessageSendZeroAlloc(t *testing.T) {
 	client, server := hotChannelPair(t)
 	// Box the messages once: passing a concrete struct to SendEnvelope in

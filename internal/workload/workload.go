@@ -44,7 +44,7 @@ func (s *Source) Image(w, h int) *sift.Gray {
 		blobs[i] = blob{
 			cx:    s.rng.Float64() * float64(w),
 			cy:    s.rng.Float64() * float64(h),
-			sigma: 2 + s.rng.Float64()*float64(minInt(w, h))/8,
+			sigma: 2 + s.rng.Float64()*float64(min(w, h))/8,
 			amp:   0.3 + s.rng.Float64()*0.7,
 		}
 	}
@@ -222,11 +222,4 @@ func DupStream[T any](s *Source, n, pool int, gen func(i int) T) []T {
 		out[i] = distinct[j]
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
