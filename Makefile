@@ -27,7 +27,7 @@ vet:
 # ROADMAP aim 2 wants trending down. CI prints it for every PR and
 # fails when it exceeds LOC_MAX, a ratchet: lower it with the change
 # that removes lines.
-LOC_MAX := 19668
+LOC_MAX := 18892
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \

@@ -33,18 +33,6 @@ func BenchmarkSubstrateSIFTDetect(b *testing.B) {
 	}
 }
 
-func BenchmarkSubstrateSIFTMatch(b *testing.B) {
-	img := workload.New(2).Image(192, 192)
-	kps := sift.Detect(img, sift.DefaultParams())
-	if len(kps) == 0 {
-		b.Skip("no keypoints")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sift.MatchDescriptors(kps, kps, 0)
-	}
-}
-
 func BenchmarkSubstrateCompress(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20} {
 		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
@@ -121,20 +109,6 @@ func BenchmarkSubstrateBoW(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mapreduce.BagOfWords(docs, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSubstrateTFIDF(b *testing.B) {
-	src := workload.New(9)
-	docs := make([]string, 200)
-	for i := range docs {
-		docs[i] = src.WebPage(150)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mapreduce.TFIDF(docs, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

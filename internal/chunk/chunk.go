@@ -21,7 +21,6 @@
 package chunk
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -113,9 +112,6 @@ func NewChunker(cfg Config) (*Chunker, error) {
 	return c, nil
 }
 
-// MaxSize reports the chunker's forced-cut bound.
-func (c *Chunker) MaxSize() int { return c.max }
-
 // topBits builds a mask of the n highest bits of a uint64.
 func topBits(n int) uint64 {
 	if n <= 0 {
@@ -145,8 +141,7 @@ func fillGear(t *[256]uint64, seed uint64) {
 
 // cut returns the length of the first chunk of data: the first
 // content-defined boundary in (min, max], or len(data) when data is
-// shorter than max and contains no boundary (the caller decides whether
-// that is a final remainder or needs more data — see Stream). The
+// shorter than max and contains no boundary (the final remainder). The
 // decision depends only on the prefix it returns, so a boundary found
 // here is final no matter how much data follows.
 func (c *Chunker) cut(data []byte) int {
@@ -197,92 +192,4 @@ func (c *Chunker) Split(data []byte) [][]byte {
 		return nil
 	}
 	return c.AppendSplit(make([][]byte, 0, len(data)/c.avg+1), data)
-}
-
-// errStreamClosed guards against writes after Close.
-var errStreamClosed = errors.New("chunk: write to closed Stream")
-
-// Stream chunks a byte stream incrementally: bytes written to it are
-// cut at exactly the boundaries Split would choose on the concatenated
-// input, and each completed chunk is handed to the emit callback as
-// soon as its boundary is known. Memory is bounded by one maximum-size
-// chunk regardless of the total stream length, which is what lets the
-// compute substrates (compress, mapreduce) emit huge results without
-// ever buffering them whole.
-//
-// The chunk slice passed to emit is borrowed: it aliases the stream's
-// internal buffer (or the caller's input) and is valid only for the
-// duration of the call. Close flushes the final remainder chunk (which
-// may be shorter than Min).
-type Stream struct {
-	c      *Chunker
-	emit   func(chunk []byte) error
-	buf    []byte
-	closed bool
-}
-
-// NewStream builds an incremental chunking stream over the chunker.
-func (c *Chunker) NewStream(emit func(chunk []byte) error) *Stream {
-	return &Stream{c: c, emit: emit, buf: make([]byte, 0, c.max)}
-}
-
-// Write implements io.Writer, emitting every chunk whose boundary
-// became definitive.
-func (s *Stream) Write(p []byte) (int, error) {
-	if s.closed {
-		return 0, errStreamClosed
-	}
-	total := len(p)
-	// Fast path: while the pending buffer is empty, whole chunks can be
-	// emitted straight out of p with no copy at all.
-	for len(s.buf) == 0 && len(p) > 0 {
-		n := s.c.cut(p)
-		if n == len(p) && n < s.c.max {
-			break // boundary not definitive yet; buffer the tail
-		}
-		if err := s.emit(p[:n:n]); err != nil {
-			return total - len(p), err
-		}
-		p = p[n:]
-	}
-	for len(p) > 0 {
-		room := s.c.max - len(s.buf)
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		s.buf = append(s.buf, p[:n]...)
-		p = p[n:]
-		if err := s.drain(false); err != nil {
-			return total - len(p), err
-		}
-	}
-	return total, nil
-}
-
-// drain emits definitive chunks from the pending buffer. With final
-// true the buffer is flushed entirely (stream end: the remainder is a
-// chunk even without a boundary).
-func (s *Stream) drain(final bool) error {
-	for len(s.buf) > 0 {
-		n := s.c.cut(s.buf)
-		if n == len(s.buf) && len(s.buf) < s.c.max && !final {
-			return nil // need more data for a definitive boundary
-		}
-		if err := s.emit(s.buf[:n:n]); err != nil {
-			return err
-		}
-		s.buf = append(s.buf[:0], s.buf[n:]...)
-	}
-	return nil
-}
-
-// Close flushes the final chunk. It does not invalidate previously
-// emitted chunks (they were only ever borrowed during emit).
-func (s *Stream) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	return s.drain(true)
 }

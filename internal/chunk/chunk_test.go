@@ -140,60 +140,6 @@ func TestNewChunkerRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesSplit feeds the same bytes through the incremental
-// Stream in awkward write sizes and requires byte-identical chunks.
-func TestStreamMatchesSplit(t *testing.T) {
-	c := testChunker(t)
-	data := testData(3, 300<<10)
-	want := c.Split(data)
-
-	for _, writeSize := range []int{1, 7, 1000, DefaultMin, DefaultMax, len(data)} {
-		var got [][]byte
-		s := c.NewStream(func(ch []byte) error {
-			got = append(got, append([]byte(nil), ch...))
-			return nil
-		})
-		for off := 0; off < len(data); off += writeSize {
-			end := off + writeSize
-			if end > len(data) {
-				end = len(data)
-			}
-			n, err := s.Write(data[off:end])
-			if err != nil || n != end-off {
-				t.Fatalf("writeSize=%d: Write = (%d, %v)", writeSize, n, err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("writeSize=%d: Close: %v", writeSize, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("writeSize=%d: %d chunks, Split made %d", writeSize, len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("writeSize=%d: chunk %d differs from Split", writeSize, i)
-			}
-		}
-	}
-}
-
-func TestStreamCloseIdempotentAndWriteAfterClose(t *testing.T) {
-	c := testChunker(t)
-	s := c.NewStream(func([]byte) error { return nil })
-	if _, err := s.Write([]byte("x")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := s.Write([]byte("y")); err == nil {
-		t.Fatal("Write after Close succeeded")
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	c := testChunker(t)
 	data := testData(5, 200<<10)

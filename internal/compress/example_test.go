@@ -3,7 +3,6 @@ package compress_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 
 	"speed/internal/compress"
@@ -21,28 +20,6 @@ func ExampleCompress() {
 	fmt.Println(bytes.Equal(out, src), len(comp) < len(src))
 	// Output:
 	// true true
-}
-
-// ExampleNewWriter shows the streaming API over an in-memory pipe.
-func ExampleNewWriter() {
-	var stream bytes.Buffer
-	w := compress.NewWriter(&stream)
-	if _, err := io.Copy(w, strings.NewReader(strings.Repeat("streaming data ", 1000))); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	if err := w.Close(); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	out, err := io.ReadAll(compress.NewReader(&stream))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(len(out))
-	// Output:
-	// 15000
 }
 
 // ExampleCompressLevel compares effort levels.

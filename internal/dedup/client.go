@@ -223,14 +223,6 @@ func Dial(addr string, app *enclave.Enclave, storeMeasurement enclave.Measuremen
 	return DialConfig(addr, app, storeMeasurement, RemoteConfig{})
 }
 
-// DialTrust is Dial that additionally accepts a store on a remote
-// machine whose platform attestation key is in trust (remote
-// attestation) — the cross-machine "master ResultStore" deployment of
-// Section IV-B.
-func DialTrust(addr string, app *enclave.Enclave, storeMeasurement enclave.Measurement, trust *wire.Trust) (*RemoteClient, error) {
-	return DialConfig(addr, app, storeMeasurement, RemoteConfig{Trust: trust})
-}
-
 // DialConfig is Dial with explicit failure-handling configuration.
 func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Measurement, cfg RemoteConfig) (*RemoteClient, error) {
 	cfg.fillDefaults()

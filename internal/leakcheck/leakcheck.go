@@ -4,6 +4,7 @@
 package leakcheck
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -20,17 +21,27 @@ const settle = 2 * time.Second
 // every goroutine's stack and exits non-zero, also when the tests
 // passed.
 func Main(m *testing.M) {
-	before := runtime.NumGoroutine()
+	before := running()
 	code := m.Run()
 	deadline := time.Now().Add(settle)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+	for running() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > before {
+	if n := running(); n > before {
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
 		fmt.Fprintf(os.Stderr, "leakcheck: %d goroutines outlived the tests, %d ran before them:\n\n%s\n", n, before, buf)
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// running is runtime.NumGoroutine less os/signal's watcher, which
+// `go test -fuzz` starts (signal.NotifyContext) and never stops.
+func running() int {
+	buf := make([]byte, 1<<20)
+	if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("\nos/signal.loop()")) {
+		return runtime.NumGoroutine() - 1
+	}
+	return runtime.NumGoroutine()
 }

@@ -1,14 +1,10 @@
 package mapreduce
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"sort"
 	"strings"
-
-	"speed/internal/chunk"
 )
 
 // The bag-of-words computation of Case 4: tokenize documents and count
@@ -67,55 +63,25 @@ func BagOfWords(docs []string, workers int) (map[string]int, error) {
 var ErrMalformedCounts = errors.New("mapreduce: malformed counts encoding")
 
 // EncodeCounts serialises a word-count map deterministically (words
-// sorted ascending), the deduplicable result representation.
+// sorted ascending), the deduplicable result representation: a
+// big-endian uint32 word count, then per word a uint32 length, the
+// word's bytes and its uint64 count.
 func EncodeCounts(counts map[string]int) []byte {
-	var buf bytes.Buffer
-	buf.Grow(4 + 16*len(counts))
-	_ = EncodeCountsTo(&buf, counts) // a Buffer write cannot fail
-	return buf.Bytes()
-}
-
-// EncodeCountsTo streams EncodeCounts' exact byte form to w — one
-// bounded write per word instead of one materialized buffer, so a large
-// vocabulary can be piped straight into a chunk.Stream or a
-// compress.ChunkingWriter and chunked incrementally.
-func EncodeCountsTo(w io.Writer, counts map[string]int) error {
 	words := make([]string, 0, len(counts))
+	size := 4
 	for word := range counts {
 		words = append(words, word)
+		size += 4 + len(word) + 8
 	}
 	sort.Strings(words)
-	var scratch [12]byte
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(words)))
-	if _, err := w.Write(scratch[:4]); err != nil {
-		return err
-	}
+	out := make([]byte, 0, size)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(words)))
 	for _, word := range words {
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(word)))
-		if _, err := w.Write(scratch[:4]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, word); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint64(scratch[4:12], uint64(counts[word]))
-		if _, err := w.Write(scratch[4:12]); err != nil {
-			return err
-		}
+		out = binary.BigEndian.AppendUint32(out, uint32(len(word)))
+		out = append(out, word...)
+		out = binary.BigEndian.AppendUint64(out, uint64(counts[word]))
 	}
-	return nil
-}
-
-// ChunkCounts streams the deterministic encoding through a
-// content-defined chunker, invoking emit per chunk as boundaries are
-// found. The chunks concatenate to exactly EncodeCounts(counts), so two
-// runtimes encoding the same counts derive identical chunk tags.
-func ChunkCounts(c *chunk.Chunker, counts map[string]int, emit func(chunk []byte) error) error {
-	cs := c.NewStream(emit)
-	if err := EncodeCountsTo(cs, counts); err != nil {
-		return err
-	}
-	return cs.Close()
+	return out
 }
 
 // DecodeCounts parses the form produced by EncodeCounts.

@@ -61,18 +61,3 @@ func ExampleRun() {
 	// ada 400
 	// bob 99
 }
-
-// ExampleTFIDF extracts each document's most distinctive terms.
-func ExampleTFIDF() {
-	scores, err := mapreduce.TFIDF([]string{
-		"go is a compiled language",
-		"python is an interpreted language",
-	}, 2)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(mapreduce.TopTerms(scores, 0, 2))
-	// Output:
-	// [a compiled]
-}

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -235,6 +236,23 @@ func TestCountsCodecDeterministic(t *testing.T) {
 	b := EncodeCounts(map[string]int{"z": 3, "y": 2, "x": 1})
 	if !reflect.DeepEqual(a, b) {
 		t.Error("EncodeCounts is not canonical")
+	}
+}
+
+// TestCountsCodecGolden pins EncodeCounts' exact bytes: the encoding is
+// the deduplicable result, so a changed byte changes every BoW tag.
+func TestCountsCodecGolden(t *testing.T) {
+	got := EncodeCounts(map[string]int{"bc": 2, "a": 1})
+	want := []byte{
+		0, 0, 0, 2, // word count
+		0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 1,
+		0, 0, 0, 2, 'b', 'c', 0, 0, 0, 0, 0, 0, 0, 2,
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("EncodeCounts = %x, want %x", got, want)
+	}
+	if got := EncodeCounts(nil); !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+		t.Errorf("EncodeCounts(nil) = %x, want 00000000", got)
 	}
 }
 

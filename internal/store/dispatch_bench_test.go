@@ -34,9 +34,9 @@ func BenchmarkHotDispatchGetOne(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reply, err := srv.Dispatch(owner, req)
+		reply, err := srv.dispatch(owner, req)
 		if err != nil || !reply.(wire.GetResponse).Results[0].Found {
-			b.Fatalf("Dispatch = %v, %v", reply, err)
+			b.Fatalf("dispatch = %v, %v", reply, err)
 		}
 	}
 }

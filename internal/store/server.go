@@ -347,7 +347,7 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 		defer s.tel.inflight.Add(-1)
 	}
 	start := time.Now()
-	reply, err := s.Dispatch(owner, req.msg)
+	reply, err := s.dispatch(owner, req.msg)
 	if err != nil {
 		return fmt.Errorf("dispatch: %w", err)
 	}
@@ -467,11 +467,11 @@ func (s *Server) maybeSlowLog(op string, peer net.Addr, tc wire.TraceContext, to
 // wire.MaxFrameSize and a legal request can never kill its session.
 const replyBudget = wire.MaxFrameSize / 2
 
-// Dispatch handles one protocol message on behalf of the attested
-// application owner and produces the reply. It is exported so that the
-// in-process loopback client can reuse the exact request path without a
-// socket.
-func (s *Server) Dispatch(owner enclave.Measurement, msg wire.Message) (wire.Message, error) {
+// dispatch handles one protocol message on behalf of the attested
+// application owner and produces the reply. The in-process loopback
+// client (dedup.LocalClient) does not come through here: it calls
+// WireGet, WirePut and WireHas, the same item handlers dispatch uses.
+func (s *Server) dispatch(owner enclave.Measurement, msg wire.Message) (wire.Message, error) {
 	observe := func(items int) {
 		if s.tel != nil {
 			s.tel.batchSize.Observe(time.Duration(items))

@@ -285,8 +285,8 @@ func TestServerMultipleClients(t *testing.T) {
 func TestDispatchRejectsUnexpectedMessage(t *testing.T) {
 	s := testStore(t, Config{})
 	srv := NewServer(s, nil, WithLogf(func(string, ...any) {}))
-	if _, err := srv.Dispatch(ownerOf("a"), wire.GetResponse{}); err == nil {
-		t.Error("Dispatch accepted a response message as a request")
+	if _, err := srv.dispatch(ownerOf("a"), wire.GetResponse{}); err == nil {
+		t.Error("dispatch accepted a response message as a request")
 	}
 }
 

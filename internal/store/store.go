@@ -286,10 +286,10 @@ func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 // sealed payload past budget bytes (left untouched for the caller's
 // next request) but never empty. It, WirePut and WireHas are the single
 // copy of the store-error → wire-result mapping, called once per
-// message by Dispatch and the in-process client, so local and remote
-// deployments answer identically. An unauthorized application is denied
-// without information: it sees a miss and learns nothing about which
-// tags exist.
+// message by the server's dispatch and the in-process client, so local
+// and remote deployments answer identically. An unauthorized
+// application is denied without information: it sees a miss and learns
+// nothing about which tags exist.
 func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 	allowed, pos := s.readable(owner, tags)
 	found, err := s.get(allowed, budget)

@@ -99,14 +99,6 @@ type BucketCount struct {
 	Exemplar string  `json:"exemplar,omitempty"`
 }
 
-// Mean returns the mean observation in seconds (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.SumSeconds / float64(s.Count)
-}
-
 // Snapshot captures the histogram's buckets, count, sum and estimated
 // p50/p95/p99.
 func (h *Histogram) Snapshot() HistogramSnapshot {

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one metric dimension, rendered into the Prometheus label
@@ -44,8 +43,6 @@ type metricMeta struct {
 	full string // name{k="v",...} — the registry key
 	lbls []Label
 }
-
-func (m *metricMeta) FullName() string { return m.full }
 
 // renderFull builds the canonical full name with sorted labels.
 func renderFull(name string, labels []Label) string {
@@ -321,7 +318,3 @@ func (r *Registry) sorted() []any {
 	r.mu.Unlock()
 	return out
 }
-
-// secondsOf converts a duration to the float seconds used throughout
-// the exposition layer.
-func secondsOf(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e9 }
