@@ -5,7 +5,6 @@ import (
 
 	"speed/internal/dedup"
 	"speed/internal/enclave"
-	"speed/internal/mle"
 	"speed/internal/telemetry"
 	"speed/internal/wire"
 )
@@ -18,11 +17,6 @@ type AppConfig struct {
 	// default, matching the measured "Init. Comp." cost which includes
 	// secure result storing.
 	AsyncPut bool
-	// SingleKey switches the result encryption to the basic design of
-	// Section III-B: one system-wide key shared by all applications.
-	// Provided for comparison; the default cross-application RCE
-	// scheme needs no shared key.
-	SingleKey *[16]byte
 	// RemoteStoreAddr, when set, connects the application to a
 	// networked ResultStore (created with System.Serve on another
 	// System) instead of this System's local store.
@@ -85,15 +79,9 @@ func (s *System) NewAppWithConfig(name string, code []byte, cfg AppConfig) (*App
 		client = dedup.NewLocalClient(s.store, enc.Measurement())
 	}
 
-	var scheme mle.Scheme
-	if cfg.SingleKey != nil {
-		scheme = mle.NewSingleKey(*cfg.SingleKey, nil)
-	}
-
 	rt, err := dedup.NewRuntime(dedup.Config{
 		Enclave:         enc,
 		Client:          client,
-		Scheme:          scheme,
 		AsyncPut:        cfg.AsyncPut,
 		Telemetry:       s.tel,
 		TraceSampleRate: cfg.TraceSampleRate,

@@ -371,47 +371,6 @@ func BenchmarkFig6WithoutSGX(b *testing.B) { benchFig6(b, false) }
 
 // ---- Ablations ----
 
-func BenchmarkAblationSchemeRCE(b *testing.B) {
-	benchScheme(b, &mle.RCE{})
-}
-
-func BenchmarkAblationSchemeSingleKey(b *testing.B) {
-	var key [mle.KeySize]byte
-	copy(key[:], "bench-single-key")
-	benchScheme(b, mle.NewSingleKey(key, nil))
-}
-
-func benchScheme(b *testing.B, scheme mle.Scheme) {
-	id := benchFuncID()
-	for _, size := range table1Sizes {
-		b.Run(size.name, func(b *testing.B) {
-			input := randomBytes(b, size.n)
-			result := randomBytes(b, size.n)
-			b.Run("Encrypt", func(b *testing.B) {
-				b.SetBytes(int64(size.n))
-				for i := 0; i < b.N; i++ {
-					if _, err := scheme.Encrypt(id, input, result); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("Decrypt", func(b *testing.B) {
-				sealed, err := scheme.Encrypt(id, input, result)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(size.n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := scheme.Decrypt(id, input, sealed); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
 func BenchmarkAblationAsyncPut(b *testing.B) {
 	for _, mode := range []struct {
 		name  string

@@ -293,7 +293,7 @@ func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 	span.begin(phaseEncrypt)
 	items := make([]wire.PutItem, 0, len(send))
 	for _, i := range send {
-		sealed, eerr := rt.cfg.Scheme.Encrypt(cid, man.Refs[i].Hash[:], chunks[i])
+		sealed, eerr := rce.Encrypt(cid, man.Refs[i].Hash[:], chunks[i])
 		if eerr != nil {
 			span.end(phaseEncrypt)
 			return nil, fmt.Errorf("encrypt chunk %d: %w", i, eerr)
@@ -302,7 +302,7 @@ func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 	}
 	skipped := len(chunks) - len(send)
 	mid := chunk.ManifestFuncID(id)
-	manSealed, err := rt.cfg.Scheme.Encrypt(mid, job.input, man.Encode())
+	manSealed, err := rce.Encrypt(mid, job.input, man.Encode())
 	span.end(phaseEncrypt)
 	if err != nil {
 		return nil, fmt.Errorf("encrypt manifest: %w", err)
@@ -342,7 +342,7 @@ func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
 // unusable and the caller recomputes loudly; errNoManifest alone means
 // the entry was never a manifest.
 func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceContext, sealed mle.Sealed, span *execSpan) ([]byte, error) {
-	enc, err := rt.cfg.Scheme.Decrypt(chunk.ManifestFuncID(id), input, sealed)
+	enc, err := rce.Decrypt(chunk.ManifestFuncID(id), input, sealed)
 	if err != nil {
 		if errors.Is(err, mle.ErrAuthFailed) {
 			return nil, errNoManifest
@@ -400,7 +400,7 @@ func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceConte
 		if !r.Found {
 			return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(man.Refs))
 		}
-		data, derr := rt.cfg.Scheme.Decrypt(cid, ref.Hash[:], r.Sealed)
+		data, derr := rce.Decrypt(cid, ref.Hash[:], r.Sealed)
 		if derr != nil {
 			return nil, fmt.Errorf("decrypt chunk %d/%d: %w", i+1, len(man.Refs), derr)
 		}

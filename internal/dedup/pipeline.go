@@ -303,7 +303,7 @@ func (c *call) verifyHit(it *item, sealed mle.Sealed) {
 	rt := c.rt
 	c.span.begin(phaseVerifyDecrypt)
 	defer c.span.end(phaseVerifyDecrypt)
-	res, err := rt.cfg.Scheme.Decrypt(c.id, it.input, sealed)
+	res, err := rce.Decrypt(c.id, it.input, sealed)
 	if err != nil && !errors.Is(err, mle.ErrAuthFailed) {
 		it.Err = fmt.Errorf("decrypt result: %w", err)
 		return

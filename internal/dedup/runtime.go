@@ -58,12 +58,6 @@ type Config struct {
 	Enclave *enclave.Enclave
 	// Client reaches the encrypted ResultStore. Required.
 	Client StoreClient
-	// Scheme is the result-encryption scheme; nil means the paper's
-	// cross-application RCE design.
-	Scheme mle.Scheme
-	// Registry records the application's trusted libraries; nil means
-	// a fresh empty registry.
-	Registry *Registry
 	// AsyncPut processes the PUT pipeline (key generation, result
 	// encryption, store update) in a separate worker, the optimization
 	// suggested in Section V-B. When false (the default, matching the
@@ -157,7 +151,8 @@ type retryCounter interface {
 // Runtime is the secure deduplication runtime. It is safe for
 // concurrent use by multiple goroutines of the same application.
 type Runtime struct {
-	cfg Config
+	cfg      Config
+	registry *Registry
 
 	mu    sync.Mutex
 	stats Stats
@@ -207,6 +202,10 @@ type putJob struct {
 	replace bool
 }
 
+// rce is the runtime's one result-encryption scheme, the paper's
+// cross-application RCE (Section III-C). It holds no state.
+var rce mle.RCE
+
 // putQueueDepth bounds the async PUT queue; when it is full an upload
 // is dropped (Stats.PutErrors) rather than stalling its caller.
 const putQueueDepth = 64
@@ -219,17 +218,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Client == nil {
 		return nil, errors.New("dedup: Config.Client is required")
 	}
-	if cfg.Scheme == nil {
-		cfg.Scheme = &mle.RCE{}
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = NewRegistry()
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
 	rt := &Runtime{
 		cfg:      cfg,
+		registry: NewRegistry(),
 		inflight: make(map[mle.Tag]*flight),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -253,7 +247,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 }
 
 // Registry returns the runtime's trusted-library registry.
-func (rt *Runtime) Registry() *Registry { return rt.cfg.Registry }
+func (rt *Runtime) Registry() *Registry { return rt.registry }
 
 // Enclave returns the application enclave.
 func (rt *Runtime) Enclave() *enclave.Enclave { return rt.cfg.Enclave }
@@ -305,7 +299,7 @@ func (rt *Runtime) Close() error {
 // Resolve derives the FuncID for a described function via the
 // registry.
 func (rt *Runtime) Resolve(desc FuncDesc) (mle.FuncID, error) {
-	return rt.cfg.Registry.Resolve(desc)
+	return rt.registry.Resolve(desc)
 }
 
 // storeGetFailed books a failure on the GET side — the lookup, or a
@@ -348,7 +342,7 @@ func (rt *Runtime) seal(jobs []putJob, span *execSpan) (sends []func()) {
 			}
 		}
 		span.begin(phaseEncrypt)
-		sealed, err := rt.cfg.Scheme.Encrypt(job.id, job.input, job.result)
+		sealed, err := rce.Encrypt(job.id, job.input, job.result)
 		span.end(phaseEncrypt)
 		if err != nil {
 			rt.notePutError(fmt.Errorf("encrypt result: %w", err))

@@ -135,51 +135,21 @@ func (s Sealed) Clone() Sealed {
 	}
 }
 
-// Scheme encrypts and decrypts computation results. Implementations are
-// the cross-application RCE scheme (Section III-C) and the single-key
-// basic design (Section III-B) used as an ablation baseline.
-type Scheme interface {
-	// Encrypt protects result for the computation identified by
-	// (id, input).
-	Encrypt(id FuncID, input, result []byte) (Sealed, error)
-	// Decrypt recovers the result, returning ErrAuthFailed if the
-	// sealed triple is inauthentic or the caller's (id, input) do not
-	// match the computation that produced it.
-	Decrypt(id FuncID, input []byte, s Sealed) ([]byte, error)
-	// Name identifies the scheme in metrics and benchmarks.
-	Name() string
-}
-
-// RCE is the paper's main design: a keyless, cross-application result
-// encryption scheme. The zero value uses crypto/rand; tests may inject
-// a deterministic reader.
-type RCE struct {
-	// Rand is the randomness source; nil means crypto/rand.Reader.
-	Rand io.Reader
-}
-
-var _ Scheme = (*RCE)(nil)
-
-// Name implements Scheme.
-func (*RCE) Name() string { return "rce" }
-
-func (r *RCE) rand() io.Reader {
-	if r.Rand != nil {
-		return r.Rand
-	}
-	return rand.Reader
-}
+// RCE is the paper's main design (Section III-C): a keyless,
+// cross-application result encryption scheme drawing its randomness
+// from crypto/rand.
+type RCE struct{}
 
 // Encrypt implements Algorithm 1 lines 5-9: pick challenge r, derive
 // h = Hash(func, m, r), generate random k, encrypt the result under k,
 // and wrap k as [k] = k XOR h.
-func (r *RCE) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
-	challenge, wrapped, key, err := KeyGen(id, input, r.rand())
+func (*RCE) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
+	challenge, wrapped, key, err := KeyGen(id, input, nil)
 	defer Zeroize(key)
 	if err != nil {
 		return Sealed{}, err
 	}
-	blob, err := EncryptResult(key, result, r.rand())
+	blob, err := EncryptResult(key, result, nil)
 	if err != nil {
 		return Sealed{}, err
 	}
@@ -190,7 +160,7 @@ func (r *RCE) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
 // recover k = [k] XOR Hash(func, m, r) and attempt authenticated
 // decryption; any mismatch in code, input, challenge, wrapped key, or
 // ciphertext yields ErrAuthFailed (⊥).
-func (r *RCE) Decrypt(id FuncID, input []byte, s Sealed) ([]byte, error) {
+func (*RCE) Decrypt(id FuncID, input []byte, s Sealed) ([]byte, error) {
 	key, err := KeyRec(id, input, s.Challenge, s.WrappedKey)
 	defer Zeroize(key)
 	if err != nil {
@@ -200,15 +170,14 @@ func (r *RCE) Decrypt(id FuncID, input []byte, s Sealed) ([]byte, error) {
 }
 
 // SingleKey is the basic design of Section III-B: all results are
-// protected under one system-wide secret key. It is retained as a
-// baseline; the paper rejects it because a single compromised
-// application exposes every stored result.
+// protected under one system-wide secret key. The runtime never uses
+// it; it is kept only as the cost baseline of the scheme ablation
+// (internal/bench.AblationScheme). The paper rejects it because a
+// single compromised application exposes every stored result.
 type SingleKey struct {
 	key  [KeySize]byte
 	rand io.Reader
 }
-
-var _ Scheme = (*SingleKey)(nil)
 
 // NewSingleKey constructs the basic scheme with the given system-wide
 // key. rnd may be nil to use crypto/rand.
@@ -219,12 +188,9 @@ func NewSingleKey(key [KeySize]byte, rnd io.Reader) *SingleKey {
 	return &SingleKey{key: key, rand: rnd}
 }
 
-// Name implements Scheme.
-func (*SingleKey) Name() string { return "single-key" }
-
-// Encrypt implements Scheme. The tag-bound associated data prevents an
-// adversary from splicing a ciphertext onto a different computation's
-// dictionary entry.
+// Encrypt seals result under the system-wide key. The tag-bound
+// associated data prevents an adversary from splicing a ciphertext onto
+// a different computation's dictionary entry.
 func (s *SingleKey) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
 	tag := ComputeTag(id, input)
 	blob, err := sealAESGCMWithAD(s.key[:], result, tag[:], s.rand)
@@ -234,7 +200,8 @@ func (s *SingleKey) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
 	return Sealed{Blob: blob}, nil
 }
 
-// Decrypt implements Scheme.
+// Decrypt opens a triple sealed by Encrypt, returning ErrAuthFailed
+// when it is inauthentic or was sealed for another computation.
 func (s *SingleKey) Decrypt(id FuncID, input []byte, sl Sealed) ([]byte, error) {
 	tag := ComputeTag(id, input)
 	return openAESGCMWithAD(s.key[:], sl.Blob, tag[:])

@@ -5,15 +5,14 @@ import (
 	"sync"
 
 	"speed/internal/enclave"
-	"speed/internal/mle"
 )
 
 // Controlled deduplication (Section III-D): the keyless RCE scheme
 // means any application that owns a computation can decrypt its stored
 // result, but it does not restrict who may talk to the ResultStore at
 // all. This file adds the "additional authorization mechanism" the
-// paper calls for: per-application permissions checked on every
-// operation, keyed by the attested enclave measurement.
+// paper calls for: per-application permissions checked once per
+// message, keyed by the attested enclave measurement.
 
 // Permission is a bit set of store operations an application may
 // perform.
@@ -31,26 +30,16 @@ const (
 const PermAll = PermGet | PermPut
 
 // ErrUnauthorized is returned when an operation is denied by the
-// store's authorizer.
+// store's ACL.
 var ErrUnauthorized = errors.New("store: unauthorized")
 
-// Authorizer decides whether an attested application may perform an
-// operation. Implementations must be safe for concurrent use.
-type Authorizer interface {
-	// Authorize reports whether app may perform the operations in
-	// perm on the computation identified by tag.
-	Authorize(app enclave.Measurement, tag mle.Tag, perm Permission) error
-}
-
-// ACL is an Authorizer with per-application permission grants and a
-// configurable default.
+// ACL holds per-application permission grants and a configurable
+// default. It is safe for concurrent use.
 type ACL struct {
 	mu      sync.RWMutex
 	grants  map[enclave.Measurement]Permission
 	defPerm Permission
 }
-
-var _ Authorizer = (*ACL)(nil)
 
 // NewACL creates an ACL whose unlisted applications receive def.
 // NewACL(store.PermAll) is open; NewACL(0) is deny-by-default.
@@ -77,8 +66,13 @@ func (a *ACL) Revoke(app enclave.Measurement) {
 	delete(a.grants, app)
 }
 
-// Authorize implements Authorizer.
-func (a *ACL) Authorize(app enclave.Measurement, _ mle.Tag, perm Permission) error {
+// Authorize reports whether app may perform the operations in perm,
+// returning ErrUnauthorized when it may not. A nil ACL allows
+// everything.
+func (a *ACL) Authorize(app enclave.Measurement, perm Permission) error {
+	if a == nil {
+		return nil
+	}
 	a.mu.RLock()
 	granted, ok := a.grants[app]
 	a.mu.RUnlock()

@@ -2,16 +2,21 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+
+	"speed/internal/mle"
+	"speed/internal/wire"
 )
 
 func TestACLDefaults(t *testing.T) {
 	open := NewACL(PermAll)
-	if err := open.Authorize(ownerOf("any"), tagOf("t"), PermGet|PermPut); err != nil {
+	if err := open.Authorize(ownerOf("any"), PermGet|PermPut); err != nil {
 		t.Errorf("open ACL denied: %v", err)
 	}
 	closed := NewACL(0)
-	if err := closed.Authorize(ownerOf("any"), tagOf("t"), PermGet); !errors.Is(err, ErrUnauthorized) {
+	if err := closed.Authorize(ownerOf("any"), PermGet); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("closed ACL allowed: %v", err)
 	}
 }
@@ -20,21 +25,21 @@ func TestACLGrantRevoke(t *testing.T) {
 	acl := NewACL(0)
 	app := ownerOf("app")
 	acl.Grant(app, PermGet)
-	if err := acl.Authorize(app, tagOf("t"), PermGet); err != nil {
+	if err := acl.Authorize(app, PermGet); err != nil {
 		t.Errorf("granted get denied: %v", err)
 	}
-	if err := acl.Authorize(app, tagOf("t"), PermPut); !errors.Is(err, ErrUnauthorized) {
+	if err := acl.Authorize(app, PermPut); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("ungranted put allowed: %v", err)
 	}
-	if err := acl.Authorize(app, tagOf("t"), PermGet|PermPut); !errors.Is(err, ErrUnauthorized) {
+	if err := acl.Authorize(app, PermGet|PermPut); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("partial grant satisfied combined permission: %v", err)
 	}
 	acl.Grant(app, PermAll)
-	if err := acl.Authorize(app, tagOf("t"), PermGet|PermPut); err != nil {
+	if err := acl.Authorize(app, PermGet|PermPut); err != nil {
 		t.Errorf("full grant denied: %v", err)
 	}
 	acl.Revoke(app)
-	if err := acl.Authorize(app, tagOf("t"), PermGet); !errors.Is(err, ErrUnauthorized) {
+	if err := acl.Authorize(app, PermGet); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("revoked app allowed: %v", err)
 	}
 }
@@ -64,6 +69,73 @@ func TestStoreAuthorizationGet(t *testing.T) {
 	}
 	if got := s.Stats().Unauthorized; got != 2 {
 		t.Errorf("Unauthorized = %d, want 2", got)
+	}
+}
+
+// TestStoreDeniesWholeMessage pins the shape of a denial, which the
+// store decides once per message: a 64-tag GET or HAS from an
+// application without PermGet answers 64 zero answers, even for the
+// tags that are stored, and a 64-item PUT from one without PermPut
+// answers 64 ErrUnauthorized rejections and stores nothing. Each
+// message counts 64 denials.
+func TestStoreDeniesWholeMessage(t *testing.T) {
+	acl := NewACL(0)
+	writer, reader, stranger := ownerOf("writer"), ownerOf("reader"), ownerOf("stranger")
+	acl.Grant(writer, PermAll)
+	acl.Grant(reader, PermGet)
+	s := testStore(t, Config{Auth: acl})
+
+	tags := make([]mle.Tag, 64)
+	items := make([]wire.PutItem, len(tags))
+	for i := range tags {
+		tags[i] = tagOf(fmt.Sprintf("t%d", i))
+		items[i] = wire.PutItem{Tag: tags[i], Sealed: sealedOf("blob")}
+	}
+	if _, err := s.WirePut(writer, items[:32]); err != nil {
+		t.Fatalf("writer PUT: %v", err)
+	}
+	var want int64
+	denied := func(what string) {
+		t.Helper()
+		if want += 64; s.Stats().Unauthorized != want {
+			t.Errorf("after %s: Unauthorized = %d, want %d", what, s.Stats().Unauthorized, want)
+		}
+	}
+
+	got, err := s.WireGet(stranger, tags, math.MaxInt)
+	if err != nil || len(got) != len(tags) {
+		t.Fatalf("stranger GET = %d answers, %v; want %d", len(got), err, len(tags))
+	}
+	for i, r := range got {
+		if r.Found || r.Sealed.Size() != 0 {
+			t.Errorf("stranger GET answer %d = %+v, want a miss", i, r)
+		}
+	}
+	denied("GET")
+
+	present, err := s.WireHas(stranger, tags)
+	if err != nil || len(present) != len(tags) {
+		t.Fatalf("stranger HAS = %d answers, %v; want %d", len(present), err, len(tags))
+	}
+	for i, p := range present {
+		if p {
+			t.Errorf("stranger HAS answer %d = present, want absent", i)
+		}
+	}
+	denied("HAS")
+
+	prs, err := s.WirePut(reader, items)
+	if err != nil || len(prs) != len(items) {
+		t.Fatalf("reader PUT = %d answers, %v; want %d", len(prs), err, len(items))
+	}
+	for i, pr := range prs {
+		if pr.OK || pr.Err != ErrUnauthorized.Error() {
+			t.Errorf("reader PUT answer %d = %+v, want %q", i, pr, ErrUnauthorized)
+		}
+	}
+	denied("PUT")
+	if n := s.Len(); n != 32 {
+		t.Errorf("store holds %d entries after the denied PUT, want 32", n)
 	}
 }
 

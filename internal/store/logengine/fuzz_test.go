@@ -94,11 +94,13 @@ func FuzzRecord(f *testing.F) {
 		}
 		_, _ = decodeRecord(data)
 
-		path := filepath.Join(t.TempDir(), "fuzz.wal")
-		if err := os.WriteFile(path, data, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		w, err := openWAL(osFS{}, path)
+		// The crash model's in-memory directory: a torn tail's
+		// truncate-and-fsync costs nothing, so the fuzzer runs at
+		// memory speed.
+		const root = "/fuzz"
+		fsys := newMemFS(root)
+		fsys.put("fuzz.wal", data)
+		w, err := openWAL(fsys, filepath.Join(root, "fuzz.wal"))
 		if err != nil {
 			t.Skip("open failed, nothing to replay")
 		}
@@ -115,14 +117,11 @@ func FuzzRecord(f *testing.F) {
 			t.Fatalf("replayed=%d but apply ran %d times", replayed, len(firstOps))
 		}
 		if torn {
-			st, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
+			cut := fsys.file("fuzz.wal")
+			if len(cut) > len(data) {
+				t.Fatalf("truncating replay grew the file: %d -> %d", len(data), len(cut))
 			}
-			if st.Size() > int64(len(data)) {
-				t.Fatalf("truncating replay grew the file: %d -> %d", len(data), st.Size())
-			}
-			if !bytes.Equal(mustRead(t, path), data[:st.Size()]) {
+			if !bytes.Equal(cut, data[:len(cut)]) {
 				t.Fatalf("truncated wal is not a byte prefix of the original")
 			}
 		}
@@ -147,7 +146,7 @@ func FuzzRecord(f *testing.F) {
 		}
 		// CRC sanity: every surviving frame's checksum must match its
 		// payload (replay only advances past verified frames).
-		rest := mustRead(t, path)
+		rest := fsys.file("fuzz.wal")
 		for off := 0; off+walFrameHeader <= len(rest); {
 			length := binary.BigEndian.Uint32(rest[off : off+4])
 			sum := binary.BigEndian.Uint32(rest[off+4 : off+8])

@@ -77,9 +77,9 @@ type Config struct {
 	// resident, the paper's per-application quota; a PUT past it is
 	// rejected with ErrQuota. 0 means unlimited.
 	MaxBytesPerApp int64
-	// Auth, when non-nil, gates every operation by the caller's
-	// attested measurement (controlled deduplication, Section III-D).
-	Auth Authorizer
+	// Auth, when non-nil, gates every message by the caller's attested
+	// measurement (controlled deduplication, Section III-D); nil is open.
+	Auth *ACL
 	// Oblivious makes dictionary lookups access-pattern oblivious: a
 	// GET touches every in-enclave entry with constant-time tag
 	// comparison and performs no LRU bookkeeping, so an adversary
@@ -217,14 +217,6 @@ func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 // Enclave returns the enclave hosting the metadata dictionary.
 func (s *Store) Enclave() *enclave.Enclave { return s.cfg.Enclave }
 
-// authorize consults the configured Authorizer, if any.
-func (s *Store) authorize(app enclave.Measurement, tag mle.Tag, perm Permission) error {
-	if s.cfg.Auth == nil {
-		return nil
-	}
-	return s.cfg.Auth.Authorize(app, tag, perm)
-}
-
 // count folds one message's outcomes into the op counters under one
 // lock acquisition, keeping Stats snapshots consistent (Hits <= Gets).
 func (s *Store) count(fold func(ops *Stats)) {
@@ -233,38 +225,18 @@ func (s *Store) count(fold func(ops *Stats)) {
 	s.statsMu.Unlock()
 }
 
-// readable returns the tags of a message that app may read and, when an
-// Authorizer is configured, each one's position in the message.
-func (s *Store) readable(app enclave.Measurement, tags []mle.Tag) (allowed []mle.Tag, pos []int) {
-	if s.cfg.Auth == nil {
-		return tags, nil
-	}
-	pos = make([]int, 0, len(tags))
-	for i, tag := range tags {
-		if s.authorize(app, tag, PermGet) == nil {
-			allowed = append(allowed, tag)
-			pos = append(pos, i)
-		}
-	}
-	return allowed, pos
+// deny answers a message of n tags from an application without
+// PermGet: each tag reads as the zero answer (a miss, or absent), so the
+// caller learns nothing about which tags exist, and each is counted.
+func deny[T any](s *Store, n int) []T {
+	s.count(func(ops *Stats) { ops.Unauthorized += int64(n) })
+	return make([]T, n)
 }
 
-// scatter puts the answers for a message's readable tags back at their
-// positions among its first n tags, the denied ones reading as the zero
-// answer, and counts those denials.
-func scatter[T any](s *Store, answers []T, pos []int, n int) []T {
-	s.count(func(ops *Stats) { ops.Unauthorized += int64(n - len(answers)) })
-	out := make([]T, n)
-	for j, a := range answers {
-		out[pos[j]] = a
-	}
-	return out
-}
-
-// GetAs is Get with the caller's attested identity, consulted by the
-// store's Authorizer when one is configured.
+// GetAs is Get with the caller's attested identity, checked against
+// the store's ACL when one is configured.
 func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, error) {
-	if err := s.authorize(app, tag, PermGet); err != nil {
+	if err := s.cfg.Auth.Authorize(app, PermGet); err != nil {
 		s.count(func(ops *Stats) { ops.Unauthorized++ })
 		return mle.Sealed{}, false, err
 	}
@@ -291,42 +263,33 @@ func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 // application is denied without information: it sees a miss and learns
 // nothing about which tags exist.
 func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, budget int) ([]wire.GetResult, error) {
-	allowed, pos := s.readable(owner, tags)
-	found, err := s.get(allowed, budget)
-	if err != nil || pos == nil {
-		return found, err
+	if s.cfg.Auth.Authorize(owner, PermGet) != nil {
+		return deny[wire.GetResult](s, len(tags)), nil
 	}
-	n := len(tags)
-	if len(found) < len(allowed) {
-		n = pos[len(found)] // a prefix ends before its first unanswered tag
-	}
-	return scatter(s, found, pos, n), nil
+	return s.get(tags, budget)
 }
 
 // WireHas answers one HAS message: whether each tag is present, without
 // fetching the sealed value, counting a hit, or refreshing recency —
 // the existence probe behind chunked dedup's missing-chunk transfer.
-// A caller without PermGet on an entry is told it is absent (deny
-// without information). The answers are hints: a probed-present entry
+// A caller without PermGet is told every tag is absent (deny without
+// information). The answers are hints: a probed-present entry
 // can still be evicted before a later Get.
-func (s *Store) WireHas(owner enclave.Measurement, tags []mle.Tag) (present []bool, err error) {
-	allowed, pos := s.readable(owner, tags)
-	if len(allowed) > 0 {
-		if present, err = s.eng.Contains(allowed); err != nil {
-			return nil, err
-		}
+func (s *Store) WireHas(owner enclave.Measurement, tags []mle.Tag) ([]bool, error) {
+	if s.cfg.Auth.Authorize(owner, PermGet) != nil {
+		return deny[bool](s, len(tags)), nil
 	}
-	if pos == nil {
-		return present, nil
+	if len(tags) == 0 {
+		return nil, nil
 	}
-	return scatter(s, present, pos, len(tags)), nil
+	return s.eng.Contains(tags)
 }
 
 // get looks one message's tags up, answering a prefix (see WireGet),
 // drops the dangling entries it met and counts the message.
 func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 	if len(tags) == 0 {
-		return nil, nil // a ping, or nothing the caller may read
+		return nil, nil // a ping
 	}
 	if s.getSeconds != nil {
 		start := time.Now()
@@ -390,7 +353,8 @@ func (s *Store) WirePut(owner enclave.Measurement, items []wire.PutItem) ([]wire
 	return results, nil
 }
 
-// put is the PUT policy of one message: each item is authorized and
+// put is the PUT policy of one message: the message is authorized once
+// (an owner without PermPut has every item rejected), each item is
 // charged to its owner's quota in order, the admitted items reach the
 // engine together (one enclave entry), and duplicates — the first
 // stored version wins — are credited back. An item with Replace set
@@ -412,18 +376,24 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 		start := time.Now()
 		defer func() { s.putSeconds.Observe(time.Since(start)) }()
 	}
+	installed, rejected = make([]bool, len(items)), make([]error, len(items))
+	if err := s.cfg.Auth.Authorize(owner, PermPut); err != nil {
+		for i := range rejected {
+			rejected[i] = err
+		}
+		s.count(func(ops *Stats) { ops.Unauthorized += int64(len(items)) })
+		return installed, rejected, nil
+	}
 	var (
 		run     = make([]storeengine.Item, 0, len(items)) // admitted, not yet inserted
 		at      = make([]int, 0, len(items))              // their positions in the message
 		pending int64                                     // their blob bytes
 		stats   Stats
 	)
-	installed, rejected = make([]bool, len(items)), make([]error, len(items))
 	defer s.count(func(ops *Stats) {
 		ops.Puts += stats.Puts
 		ops.PutDupes += stats.PutDupes
 		ops.PutDenied += stats.PutDenied
-		ops.Unauthorized += stats.Unauthorized
 	})
 	// flush inserts the run and settles it: the quota charge of a
 	// duplicate (or, on error, of an item never applied) is returned.
@@ -445,11 +415,6 @@ func (s *Store) put(owner enclave.Measurement, items []wire.PutItem) (installed 
 		return err
 	}
 	for i, it := range items {
-		if err := s.authorize(owner, it.Tag, PermPut); err != nil {
-			stats.Unauthorized++
-			rejected[i] = err
-			continue
-		}
 		blobLen := int64(len(it.Sealed.Blob))
 		if len(run) > 0 && (it.Replace || !s.quota.fits(owner, blobLen) || s.overLimits(len(run)+1, pending+blobLen)) {
 			if err := flush(); err != nil {

@@ -268,30 +268,6 @@ func TestCrossApplicationDeduplication(t *testing.T) {
 	}
 }
 
-// An app using the single-key basic design interoperates with itself
-// but demonstrates the scheme choice is honoured.
-func TestSingleKeySchemeApp(t *testing.T) {
-	sys := newTestSystem(t)
-	key := [16]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	app, err := sys.NewAppWithConfig("sk", []byte("sk code"), AppConfig{SingleKey: &key})
-	if err != nil {
-		t.Fatalf("NewAppWithConfig: %v", err)
-	}
-	defer app.Close()
-	app.RegisterLibrary("mathlib", "1.0", []byte("mathlib code"))
-
-	f, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) { return x * x, nil })
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-	if got, err := f.Call(9); err != nil || got != 81 {
-		t.Fatalf("Call = (%d, %v), want 81", got, err)
-	}
-	if _, outcome, err := f.CallOutcome(9); err != nil || outcome != OutcomeReused {
-		t.Errorf("reuse = (%v, %v), want reused", outcome, err)
-	}
-}
-
 func TestRemoteStoreApp(t *testing.T) {
 	// The store lives in one deployment and serves over TCP; the app
 	// is created against the remote address.

@@ -111,16 +111,14 @@ func NewSystemWithConfig(cfg SystemConfig) (*System, error) {
 		return nil, fmt.Errorf("speed: create store enclave: %w", err)
 	}
 	var acl *store.ACL
-	var auth store.Authorizer
 	if cfg.DenyByDefault {
 		acl = store.NewACL(0)
-		auth = acl
 	}
 	tel := telemetry.NewRegistry()
 	st, err := store.New(store.Config{
 		Enclave:        storeEnc,
 		MaxEntries:     cfg.StoreMaxEntries,
-		Auth:           auth,
+		Auth:           acl,
 		Oblivious:      cfg.ObliviousLookups,
 		Telemetry:      tel,
 		DataDir:        cfg.StoreDataDir,
