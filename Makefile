@@ -27,7 +27,7 @@ vet:
 # ROADMAP aim 2 wants trending down. CI prints it for every PR and
 # fails when it exceeds LOC_MAX, a ratchet: lower it with the change
 # that removes lines.
-LOC_MAX := 18798
+LOC_MAX := 18608
 
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
@@ -39,7 +39,7 @@ loc:
 # store server's With* options and the flags resultstore defines. CI
 # prints it beside loc and fails when the total exceeds KNOBS_MAX, so
 # no knob is added without deleting one.
-KNOBS_MAX := 75
+KNOBS_MAX := 73
 
 KNOB_STRUCTS := system.go:SystemConfig app.go:AppConfig \
 	internal/store/store.go:Config \

@@ -11,12 +11,6 @@ import (
 
 // AppConfig tunes one SGX-enabled application.
 type AppConfig struct {
-	// AsyncPut moves the PUT pipeline (key generation, result
-	// encryption, store update) to a background worker, the
-	// optimization suggested in Section V-B of the paper. Off by
-	// default, matching the measured "Init. Comp." cost which includes
-	// secure result storing.
-	AsyncPut bool
 	// RemoteStoreAddr, when set, connects the application to a
 	// networked ResultStore (created with System.Serve on another
 	// System) instead of this System's local store.
@@ -82,7 +76,6 @@ func (s *System) NewAppWithConfig(name string, code []byte, cfg AppConfig) (*App
 	rt, err := dedup.NewRuntime(dedup.Config{
 		Enclave:         enc,
 		Client:          client,
-		AsyncPut:        cfg.AsyncPut,
 		Telemetry:       s.tel,
 		TraceSampleRate: cfg.TraceSampleRate,
 	})
@@ -134,8 +127,8 @@ type AppStats struct {
 	// or from coalesced computations.
 	BytesReused int64
 	// Degraded counts calls served compute-only because the store was
-	// unreachable; StoreFailures store transport failures; Retries
-	// request retries performed by the store client.
+	// unreachable; StoreFailures failed store GET and PUT requests;
+	// Retries request retries performed by the store client.
 	Degraded, StoreFailures, Retries int64
 	// ECalls and OCalls count the application enclave's world switches;
 	// PageFaults its EPC paging events; AllocBytes its cumulative
@@ -172,9 +165,9 @@ func (a *App) MetricsAddr() string {
 	return a.metrics.Addr().String()
 }
 
-// Close drains pending uploads, disconnects from the store, stops the
-// metrics endpoint if one was started, and destroys the application
-// enclave.
+// Close disconnects from the store, stops the metrics endpoint if one
+// was started, and destroys the application enclave. Every call sent
+// its PUTs before it returned, so there are no pending uploads.
 func (a *App) Close() error {
 	err := a.runtime.Close()
 	if a.metrics != nil {

@@ -4,7 +4,6 @@
 //	BenchmarkTableI*    — Table I, per cryptographic operation and size
 //	BenchmarkFig5*      — Fig. 5(a)-(d), baseline / initial / subsequent
 //	BenchmarkFig6*      — Fig. 6, ResultStore GET/PUT with and w/o SGX
-//	BenchmarkAblation*  — the DESIGN.md ablations
 //
 // Run with: go test -bench=. -benchmem
 // The cmd/speedbench tool prints the same experiments as formatted
@@ -368,94 +367,3 @@ func benchFig6(b *testing.B, withSGX bool) {
 
 func BenchmarkFig6WithSGX(b *testing.B)    { benchFig6(b, true) }
 func BenchmarkFig6WithoutSGX(b *testing.B) { benchFig6(b, false) }
-
-// ---- Ablations ----
-
-func BenchmarkAblationAsyncPut(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		async bool
-	}{{"Sync", false}, {"Async", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			platform := enclave.NewPlatform(enclave.Config{SimulateCosts: true})
-			appEnc, err := platform.Create("app", []byte("app"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			storeEnc, err := platform.Create("store", []byte("store"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := store.New(store.Config{Enclave: storeEnc})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt, err := dedup.NewRuntime(dedup.Config{
-				Enclave:  appEnc,
-				Client:   dedup.NewLocalClient(st, appEnc.Measurement()),
-				AsyncPut: mode.async,
-				Logf:     func(string, ...any) {},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() {
-				_ = rt.Close()
-				st.Close()
-			})
-			result := randomBytes(b, 256<<10)
-			compute := func([]byte) ([]byte, error) { return result, nil }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var id mle.FuncID
-				id[0], id[1], id[2], id[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				if _, _, err := rt.Execute(id, []byte("input"), compute); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBlobPlacement measures Put cost when ciphertexts
-// additionally occupy (and page) the enclave, versus the paper's
-// metadata-only design.
-func BenchmarkAblationBlobPlacement(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		inside bool
-	}{{"BlobsOutside", false}, {"BlobsInside", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			platform := enclave.NewPlatform(enclave.Config{
-				SimulateCosts:  true,
-				EPCBytes:       1 << 40, // unbounded total; paging begins past usable
-				EPCUsableBytes: 16 << 20,
-			})
-			storeEnc, err := platform.Create("store", []byte("store"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := store.New(store.Config{Enclave: storeEnc})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(st.Close)
-			var owner enclave.Measurement
-			blob := randomBytes(b, 8<<10)
-			sealed := mle.Sealed{Challenge: blob[:16], WrappedKey: blob[:16], Blob: blob}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var tag mle.Tag
-				tag[0], tag[1], tag[2], tag[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				if _, err := st.Put(owner, tag, sealed); err != nil {
-					b.Fatal(err)
-				}
-				if mode.inside {
-					if err := storeEnc.Alloc(int64(len(blob))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}

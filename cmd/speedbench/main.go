@@ -295,13 +295,6 @@ func runAblations(quick bool, trials int) error {
 	fmt.Print(bench.RenderAblationScheme(scheme))
 	fmt.Println()
 
-	asyncRows, err := bench.AblationAsyncPut(sizes, trials*4)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.RenderAblationAsyncPut(asyncRows))
-	fmt.Println()
-
 	counts := []int{1000, 5000, 20000}
 	if quick {
 		counts = []int{500, 4800}

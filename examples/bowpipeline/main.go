@@ -2,8 +2,7 @@
 // corpora on the MapReduce substrate, in an incremental-processing
 // pipeline. A nightly job recomputes BoW per corpus shard; shards that
 // did not change since the last run are answered from the store.
-// Demonstrates the JSON codec for a map-valued result and asynchronous
-// PUT (the Section V-B optimization).
+// Demonstrates the JSON codec for a map-valued result.
 package main
 
 import (
@@ -31,8 +30,7 @@ func run() error {
 	}
 	defer sys.Close()
 
-	app, err := sys.NewAppWithConfig("bow-pipeline", []byte("bow pipeline v2"),
-		speed.AppConfig{AsyncPut: true})
+	app, err := sys.NewApp("bow-pipeline", []byte("bow pipeline v2"))
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"speed/internal/dedup"
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
@@ -92,93 +91,6 @@ func RenderAblationScheme(rows []SchemeRow) string {
 	for _, r := range rows {
 		s += fmt.Sprintf("%-10d %12.3f %12.3f %12.3f %12.3f\n",
 			r.SizeBytes/1024, r.RCEEncMS, r.SingleEncMS, r.RCEDecMS, r.SingleDecMS)
-	}
-	return s
-}
-
-// AsyncPutRow compares initial-computation latency with the PUT
-// pipeline on the caller path vs in the background worker (the
-// Section V-B optimization).
-type AsyncPutRow struct {
-	SizeBytes       int
-	SyncMS, AsyncMS float64
-}
-
-// AblationAsyncPut measures the caller-visible initial-computation
-// latency for a trivially fast function whose result has the given
-// size, isolating the PUT-path cost.
-func AblationAsyncPut(sizes []int, trials int) ([]AsyncPutRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultTable1Sizes
-	}
-	measure := func(async bool, size int) (float64, error) {
-		platform := enclave.NewPlatform(enclave.Config{SimulateCosts: true})
-		appEnc, err := platform.Create("app", []byte("app"))
-		if err != nil {
-			return 0, err
-		}
-		storeEnc, err := platform.Create("store", []byte("store"))
-		if err != nil {
-			return 0, err
-		}
-		st, err := store.New(store.Config{Enclave: storeEnc})
-		if err != nil {
-			return 0, err
-		}
-		rt, err := dedup.NewRuntime(dedup.Config{
-			Enclave:  appEnc,
-			Client:   dedup.NewLocalClient(st, appEnc.Measurement()),
-			AsyncPut: async,
-			Logf:     func(string, ...any) {},
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer func() {
-			_ = rt.Close()
-			st.Close()
-		}()
-		result := randBytes(size)
-		compute := func([]byte) ([]byte, error) { return result, nil }
-
-		n := 0
-		t, err := timeIt(trials, func() error {
-			n++
-			var trialID mle.FuncID
-			trialID[0] = byte(n)
-			trialID[1] = byte(size)
-			trialID[2] = byte(size >> 8)
-			trialID[3] = byte(size >> 16)
-			_, _, xerr := rt.Execute(trialID, []byte("input"), compute)
-			return xerr
-		})
-		if err != nil {
-			return 0, err
-		}
-		return ms(t), nil
-	}
-
-	rows := make([]AsyncPutRow, 0, len(sizes))
-	for _, size := range sizes {
-		syncMS, err := measure(false, size)
-		if err != nil {
-			return nil, err
-		}
-		asyncMS, err := measure(true, size)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AsyncPutRow{SizeBytes: size, SyncMS: syncMS, AsyncMS: asyncMS})
-	}
-	return rows, nil
-}
-
-// RenderAblationAsyncPut formats the async-PUT comparison.
-func RenderAblationAsyncPut(rows []AsyncPutRow) string {
-	s := "Ablation: initial computation latency, synchronous vs async PUT\n"
-	s += fmt.Sprintf("%-10s %14s %14s\n", "Size(KB)", "sync(ms)", "async(ms)")
-	for _, r := range rows {
-		s += fmt.Sprintf("%-10d %14.3f %14.3f\n", r.SizeBytes/1024, r.SyncMS, r.AsyncMS)
 	}
 	return s
 }

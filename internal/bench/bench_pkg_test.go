@@ -159,27 +159,6 @@ func TestAblationScheme(t *testing.T) {
 	}
 }
 
-func TestAblationAsyncPut(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows, err := AblationAsyncPut([]int{256 << 10}, 3)
-	if err != nil {
-		t.Fatalf("AblationAsyncPut: %v", err)
-	}
-	r := rows[0]
-	if r.SyncMS <= 0 || r.AsyncMS <= 0 {
-		t.Fatalf("non-positive timings: %+v", r)
-	}
-	// AsyncMS < SyncMS is not asserted: it is a timing inequality that
-	// flakes on small boxes. That the caller returns before the upload
-	// and Close drains it is pinned by dedup's TestExecuteAsyncPut and
-	// TestCloseDrainsAsyncPuts.
-	if out := RenderAblationAsyncPut(rows); !strings.Contains(out, "sync(ms)") {
-		t.Errorf("render malformed:\n%s", out)
-	}
-}
-
 func TestAblationOblivious(t *testing.T) {
 	rows, err := AblationOblivious([]int{50, 2000}, 3)
 	if err != nil {

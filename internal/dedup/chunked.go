@@ -244,8 +244,8 @@ func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.
 // so a chunk may be tampered too) the probe and cache are bypassed and
 // every distinct chunk is re-uploaded with Replace, healing whatever
 // was bad.
-func (rt *Runtime) sealChunked(job putJob, span *execSpan) (func(), error) {
-	id, tc, replace := job.id, job.tc, job.replace
+func (c *call) sealChunked(job putJob) (func(), error) {
+	rt, id, tc, span, replace := c.rt, c.id, c.tc, &c.span, job.replace
 	chunks := rt.chunker.Split(job.result)
 	man, err := chunk.BuildManifest(chunks)
 	if err != nil {

@@ -381,46 +381,11 @@ func TestExecuteRecoversFromPoisonedEntry(t *testing.T) {
 	}
 }
 
-func TestExecuteAsyncPut(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.AsyncPut = true })
-	id := env.funcID(t)
-	input := []byte("async input")
-
-	_, out, err := env.runtime.Execute(id, input, func([]byte) ([]byte, error) {
-		return []byte("result"), nil
-	})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if out != OutcomeComputed {
-		t.Fatalf("outcome = %v, want computed", out)
-	}
-
-	// The upload happens in the background; wait for it.
-	deadline := time.After(2 * time.Second)
-	for env.store.Len() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("async put never reached the store")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	_, out, err = env.runtime.Execute(id, input, func([]byte) ([]byte, error) {
-		t.Error("recomputed despite stored result")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatalf("Execute 2: %v", err)
-	}
-	if out != OutcomeReused {
-		t.Errorf("outcome 2 = %v, want reused", out)
-	}
-}
-
-func TestCloseDrainsAsyncPuts(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.AsyncPut = true })
+// TestCloseRefusesLaterCalls: each call sends its PUT before it
+// returns, so the store holds all n results when Close runs, and
+// neither entry point runs on a closed runtime.
+func TestCloseRefusesLaterCalls(t *testing.T) {
+	env := newTestEnv(t, nil)
 	id := env.funcID(t)
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -434,10 +399,13 @@ func TestCloseDrainsAsyncPuts(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	if got := env.store.Len(); got != n {
-		t.Errorf("store has %d entries after Close, want %d (drained)", got, n)
+		t.Errorf("store has %d entries after Close, want %d", got, n)
 	}
 	if _, _, err := env.runtime.Execute(id, []byte("x"), nil); err == nil {
 		t.Error("Execute after Close succeeded")
+	}
+	if _, err := env.runtime.ExecuteBatch(id, [][]byte{[]byte("x")}, nil); err == nil {
+		t.Error("ExecuteBatch after Close succeeded")
 	}
 }
 

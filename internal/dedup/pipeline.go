@@ -14,11 +14,10 @@ import (
 // This file is the paper's one algorithm — tag → GET → verify/open or
 // compute → seal → PUT (Algorithms 1/2 + Fig. 3) — as one staged
 // pipeline over a list of items. Execute runs it over one item,
-// ExecuteBatch over n; the async PUT worker re-enters only its last
-// stages (seal, send). Everything up to sealing runs in the call's one
-// ECALL; the PUT messages leave after it returns. The store is skipped
-// for one reason only: the runtime is degraded. See DESIGN.md "The
-// execute pipeline".
+// ExecuteBatch over n. Everything up to sealing runs in the call's one
+// ECALL; the PUT messages leave after it returns and before the call
+// does. The store is skipped for one reason only: the runtime is
+// degraded. See DESIGN.md "The execute pipeline".
 
 // BatchResult is one item's outcome from ExecuteBatch. Err is per-item:
 // one failed lookup or computation does not poison its batch siblings.
@@ -397,10 +396,9 @@ func (c *call) computeMisses() {
 	}
 }
 
-// sealComputed books every computed item and hands the fresh results
-// to the PUT stage — sealed here for run to send, or queued for the
-// async PUT worker (Section V-B). Degraded items are not uploaded; a
-// failed computation is neither booked nor stored.
+// sealComputed books every computed item and seals the fresh results
+// for run to send. Degraded items are not uploaded; a failed
+// computation is neither booked nor stored.
 func (c *call) sealComputed() {
 	rt := c.rt
 	var jobs []putJob
@@ -426,7 +424,7 @@ func (c *call) sealComputed() {
 		if jobs == nil {
 			jobs = make([]putJob, 0, len(c.items)-i) // at most every remaining item
 		}
-		jobs = append(jobs, putJob{id: c.id, tc: c.tc, input: it.input, result: it.Result, tag: it.tag, replace: it.replace})
+		jobs = append(jobs, putJob{input: it.input, result: it.Result, tag: it.tag, replace: it.replace})
 	}
 	if computed > 0 {
 		rt.mu.Lock()
@@ -434,15 +432,7 @@ func (c *call) sealComputed() {
 		rt.stats.Degraded += degraded
 		rt.mu.Unlock()
 	}
-	switch {
-	case len(jobs) == 0:
-	case rt.cfg.AsyncPut:
-		for _, job := range jobs {
-			rt.enqueuePut(job)
-		}
-	default:
-		c.sends = rt.seal(jobs, &c.span)
-	}
+	c.seal(jobs)
 }
 
 // share gives every joiner a private copy of the result of the flight

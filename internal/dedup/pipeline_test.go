@@ -33,6 +33,8 @@ type countingClient struct {
 	getErr           func(call int64) error
 	getMutate        func(call int64, res []wire.GetResult)
 	rejectPuts       bool          // every PUT item is refused, as by a quota
+	putErr           error         // every PUT fails with this
+	shortPuts        bool          // every PUT is answered with no results
 	delay            time.Duration // added to every Get
 	down             atomic.Bool   // the client reports the store unhealthy
 }
@@ -54,7 +56,12 @@ func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetRe
 
 func (c *countingClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	c.puts.Add(1)
-	if c.rejectPuts {
+	switch {
+	case c.putErr != nil:
+		return nil, c.putErr
+	case c.shortPuts:
+		return nil, nil
+	case c.rejectPuts:
 		res := make([]wire.PutResult, len(items))
 		for i := range res {
 			res[i].Err = "injected: quota exceeded"
@@ -131,9 +138,6 @@ func newPipeEnv(t *testing.T, mutate func(*Config)) *pipeEnv {
 		cfg := Config{Enclave: enc, Client: client, Logf: env.logs.logf}
 		if mutate != nil {
 			mutate(&cfg)
-		}
-		if enc != env.appEnc {
-			cfg.AsyncPut = false // seeded state must be in the store on return
 		}
 		rt, err := NewRuntime(cfg)
 		if err != nil {
@@ -249,8 +253,8 @@ type pipeScenario struct {
 	// chunk cache starts empty.
 	fetches bool
 	// Store requests and enclave OCALLs the whole call makes, however
-	// many items it carries; asyncECalls are the async PUT worker's.
-	gets, puts, hass, ocalls, asyncECalls int64
+	// many items it carries.
+	gets, puts, hass, ocalls int64
 	// transitions is what the benchmark's transitions_per_call counts
 	// for the call alone: its application ECALLs and OCALLs plus the
 	// store enclave's entries. absentGet marks a lookup the store
@@ -362,14 +366,26 @@ var pipeScenarios = []pipeScenario{
 		verify: notStored,
 	},
 	{
-		name:    "async_put_drained_by_close",
-		cfg:     func(cfg *Config) { cfg.AsyncPut = true },
+		// A PUT that fails in transport is a store failure too.
+		name:    "put_error",
+		arrange: func(env *pipeEnv) { env.client.putErr = errStoreDown },
 		outcome: OutcomeComputed,
-		stats:   Stats{Computed: 1},
-		// The worker's ECALL seals; its PUT leaves after it.
-		gets: 1, puts: 1, ocalls: 1, asyncECalls: 1,
-		transitions: 4, absentGet: true,
-		verify: stored,
+		stats:   Stats{Computed: 1, PutErrors: 1, StoreFailures: 1},
+		gets:    1, puts: 1, ocalls: 1,
+		transitions: 2, absentGet: true,
+		verify: notStored,
+	},
+	{
+		// A PUT answered with the wrong number of results breaks the
+		// client's positional contract: a store failure, as on the GET
+		// side.
+		name:    "put_short_answer",
+		arrange: func(env *pipeEnv) { env.client.shortPuts = true },
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, PutErrors: 1, StoreFailures: 1},
+		gets:    1, puts: 1, ocalls: 1,
+		transitions: 2, absentGet: true,
+		verify: notStored,
 	},
 	{
 		name:    "chunked_miss",
@@ -382,6 +398,19 @@ var pipeScenarios = []pipeScenario{
 		gets: 1, hass: 1, puts: 2, ocalls: 2,
 		transitions: 5, absentGet: true,
 		verify: stored,
+	},
+	{
+		// The chunk PUT's short answer stops the upload before the
+		// manifest: counted like a whole result's.
+		name:    "chunked_put_short_answer",
+		cfg:     withChunking,
+		arrange: func(env *pipeEnv) { env.client.shortPuts = true },
+		compute: pipeBig,
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, PutErrors: 1, StoreFailures: 1},
+		gets:    1, hass: 1, puts: 1, ocalls: 2,
+		transitions: 3, absentGet: true,
+		verify: notStored,
 	},
 	{
 		name:    "chunked_hit",
@@ -515,12 +544,6 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	if err != nil {
 		t.Fatalf("top-level error: %v", err)
 	}
-	if sc.cfg != nil && env.rt.cfg.AsyncPut {
-		// Close drains the async PUT worker, whose work counts too.
-		if err := env.rt.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	}
 
 	// The scenario item.
 	switch {
@@ -572,8 +595,8 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	}
 	enc := env.appEnc.Metrics()
 	e, o := enc.ECalls-encBefore.ECalls, enc.OCalls-encBefore.OCalls
-	if e != 1+sc.asyncECalls || o != sc.ocalls {
-		t.Errorf("ECALLs/OCALLs = %d/%d, want %d/%d", e, o, 1+sc.asyncECalls, sc.ocalls)
+	if e != 1 || o != sc.ocalls {
+		t.Errorf("ECALLs/OCALLs = %d/%d, want 1/%d", e, o, sc.ocalls)
 	}
 	wantTransitions := sc.transitions
 	if sc.absentGet && entry.fillers > 0 {

@@ -58,12 +58,6 @@ type Config struct {
 	Enclave *enclave.Enclave
 	// Client reaches the encrypted ResultStore. Required.
 	Client StoreClient
-	// AsyncPut processes the PUT pipeline (key generation, result
-	// encryption, store update) in a separate worker, the optimization
-	// suggested in Section V-B. When false (the default, matching the
-	// measured "Init. Comp." which includes "the time for secure
-	// storing result"), the PUT happens on the caller's path.
-	AsyncPut bool
 	// ChunkThreshold enables content-defined chunked deduplication:
 	// results of at least this many bytes are split with a FastCDC
 	// chunker, each chunk independently RCE-encrypted and stored under
@@ -160,9 +154,6 @@ type Runtime struct {
 	flightMu sync.Mutex
 	inflight map[mle.Tag]*flight
 
-	putCh  chan putJob
-	stop   chan struct{}
-	done   chan struct{}
 	closed bool
 
 	// tel is nil when Config.Telemetry was nil; every instrumentation
@@ -189,13 +180,9 @@ type flight struct {
 	joiners int
 }
 
-// putJob is one freshly computed result awaiting the upload stage. It
-// carries its call's function identity and trace context so it can
-// also wait in the async PUT queue, and a sampled call's PUT leg still
-// lands in the same distributed trace.
+// putJob is one freshly computed result awaiting the upload stage; the
+// function identity and trace context are its call's.
 type putJob struct {
-	id      mle.FuncID
-	tc      wire.TraceContext
 	input   []byte
 	result  []byte
 	tag     mle.Tag
@@ -205,10 +192,6 @@ type putJob struct {
 // rce is the runtime's one result-encryption scheme, the paper's
 // cross-application RCE (Section III-C). It holds no state.
 var rce mle.RCE
-
-// putQueueDepth bounds the async PUT queue; when it is full an upload
-// is dropped (Stats.PutErrors) rather than stalling its caller.
-const putQueueDepth = 64
 
 // NewRuntime constructs a Runtime.
 func NewRuntime(cfg Config) (*Runtime, error) {
@@ -225,8 +208,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		cfg:      cfg,
 		registry: NewRegistry(),
 		inflight: make(map[mle.Tag]*flight),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	if cfg.ChunkThreshold > 0 {
 		ck, err := chunk.NewChunker(chunk.Config{})
@@ -237,12 +218,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.chunkCache = newChunkCache(cfg.Enclave, defaultChunkCacheBytes)
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
-	if cfg.AsyncPut {
-		rt.putCh = make(chan putJob, putQueueDepth)
-		go rt.putWorker()
-	} else {
-		close(rt.done)
-	}
 	return rt, nil
 }
 
@@ -277,9 +252,10 @@ func (rt *Runtime) Stats() Stats {
 // read of it.
 func (rt *Runtime) Degraded() bool { return !rt.cfg.Client.Healthy() }
 
-// Close drains the async PUT worker (if any), releases the chunk
-// cache's enclave charge and closes the store client, which stops its
-// prober. The runtime must not be used afterwards.
+// Close marks the runtime closed, so later calls fail, releases the
+// chunk cache's enclave charge and closes the store client, which stops
+// its prober. Every call sent its PUTs before it returned, so Close has
+// no upload to wait for.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -288,8 +264,6 @@ func (rt *Runtime) Close() error {
 	}
 	rt.closed = true
 	rt.mu.Unlock()
-	close(rt.stop)
-	<-rt.done
 	if rt.chunkCache != nil {
 		rt.chunkCache.close()
 	}
@@ -319,21 +293,22 @@ func (rt *Runtime) noteStoreFailure() {
 }
 
 // seal is the enclave half of the PUT stage (Algorithm 1 lines 5-9),
-// run inside the ECALL of the calling pipeline or the async PUT worker
-// on the jobs of one call. Results at or above the chunk threshold are
-// sealed chunk-wise (one that would overflow a manifest falls back to
-// whole); the rest are sealed whole (RCE: random key, challenge, wrap)
-// for one batched PUT. It returns the sends, which carry ciphertext
-// only, for send to run after the ECALL. A failed upload only loses
+// run inside the call's one ECALL on its fresh results. Results at or
+// above the chunk threshold are sealed chunk-wise (one that would
+// overflow a manifest falls back to whole); the rest are sealed whole
+// (RCE: random key, challenge, wrap) for one batched PUT. It leaves the
+// sends, which carry ciphertext only, in c.sends for send to run after
+// the ECALL and before the call returns. A failed upload only loses
 // future reuse — the caller already has its result — so failures are
 // booked, not returned.
-func (rt *Runtime) seal(jobs []putJob, span *execSpan) (sends []func()) {
+func (c *call) seal(jobs []putJob) {
+	rt := c.rt
 	var whole []wire.PutItem
 	for _, job := range jobs {
 		if rt.chunker != nil && len(job.result) >= rt.cfg.ChunkThreshold {
-			put, err := rt.sealChunked(job, span)
+			put, err := c.sealChunked(job)
 			if err == nil {
-				sends = append(sends, put)
+				c.sends = append(c.sends, put)
 				continue
 			}
 			if !errors.Is(err, errTooManyChunks) {
@@ -341,9 +316,9 @@ func (rt *Runtime) seal(jobs []putJob, span *execSpan) (sends []func()) {
 				continue
 			}
 		}
-		span.begin(phaseEncrypt)
-		sealed, err := rce.Encrypt(job.id, job.input, job.result)
-		span.end(phaseEncrypt)
+		c.span.begin(phaseEncrypt)
+		sealed, err := rce.Encrypt(c.id, job.input, job.result)
+		c.span.end(phaseEncrypt)
 		if err != nil {
 			rt.notePutError(fmt.Errorf("encrypt result: %w", err))
 			continue
@@ -351,8 +326,9 @@ func (rt *Runtime) seal(jobs []putJob, span *execSpan) (sends []func()) {
 		whole = append(whole, wire.PutItem{Tag: job.tag, Sealed: sealed, Replace: job.replace})
 	}
 	if len(whole) > 0 {
-		sends = append(sends, func() {
-			prs, err := rt.clientPut(jobs[0].tc, whole)
+		tc := c.tc
+		c.sends = append(c.sends, func() {
+			prs, err := rt.clientPut(tc, whole)
 			if err != nil {
 				rt.notePutError(err)
 				return
@@ -364,7 +340,6 @@ func (rt *Runtime) seal(jobs []putJob, span *execSpan) (sends []func()) {
 			}
 		})
 	}
-	return sends
 }
 
 // send is the untrusted half of the PUT stage (Algorithm 1 line 10): it
@@ -382,12 +357,14 @@ func send(sends []func(), span *execSpan) {
 }
 
 // clientGet and clientPut are the runtime's only GET and PUT calls on
-// the store client; they hold it to its positional contract. A sampled
-// tc reaches every store node that serves the request, which records
-// its spans under the caller's trace ID. clientGet is also the GET
-// crossing — one OCALL timed as store_get — for the pipeline's lookup
-// and a manifest's chunk fetch alike; clientPut runs outside the
-// enclave, from send.
+// the store client; they hold it to its positional contract. A request
+// that fails or is answered with the wrong number of results is a
+// store failure: clientPut counts it, clientGet's callers count it
+// through storeGetFailed. A sampled tc reaches every store node that
+// serves the request, which records its spans under the caller's trace
+// ID. clientGet is also the GET crossing — one OCALL timed as store_get
+// — for the pipeline's lookup and a manifest's chunk fetch alike;
+// clientPut runs outside the enclave, from send.
 func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, span *execSpan) ([]wire.GetResult, error) {
 	var res []wire.GetResult
 	span.begin(phaseStoreGet)
@@ -407,67 +384,14 @@ func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, span *execSpa
 
 func (rt *Runtime) clientPut(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
 	res, err := rt.cfg.Client.Put(tc, items)
+	if err == nil && len(res) != len(items) {
+		err = fmt.Errorf("dedup: put returned %d results for %d items", len(res), len(items))
+	}
 	if err != nil {
 		rt.noteStoreFailure()
 		return nil, err
 	}
-	if len(res) != len(items) {
-		return nil, fmt.Errorf("dedup: put returned %d results for %d items", len(res), len(items))
-	}
 	return res, nil
-}
-
-func (rt *Runtime) enqueuePut(job putJob) {
-	select {
-	case rt.putCh <- job:
-	default:
-		// Queue full: drop the upload rather than stall the caller.
-		rt.notePutError(errors.New("dedup: put queue full"))
-	}
-}
-
-func (rt *Runtime) putWorker() {
-	defer close(rt.done)
-	for {
-		select {
-		case job := <-rt.putCh:
-			rt.runPutJob(job)
-		case <-rt.stop:
-			// Drain what is already queued, then exit.
-			for {
-				select {
-				case job := <-rt.putCh:
-					rt.runPutJob(job)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// runPutJob is the async PUT pipeline for one job: one ECALL seals it,
-// then the send leaves from outside, as on the caller's path.
-func (rt *Runtime) runPutJob(job putJob) {
-	// The async PUT pipeline gets its own span so the encrypt and
-	// store_put phases are still measured (they just no longer sit on
-	// the caller's path, which is the point of AsyncPut).
-	var span execSpan
-	if rt.tel != nil {
-		span = startSpan()
-	}
-	var sends []func()
-	err := rt.cfg.Enclave.ECall(func() error {
-		sends = rt.seal([]putJob{job}, &span)
-		return nil
-	})
-	if err != nil {
-		rt.notePutError(err)
-	}
-	send(sends, &span)
-	if span.on {
-		rt.tel.observePhases(&span)
-	}
 }
 
 func (rt *Runtime) notePutError(err error) {

@@ -126,7 +126,8 @@ func TestDistributedTraceAcrossCluster(t *testing.T) {
 			t.Fatalf("execute %d: %v", i, err)
 		}
 	}
-	// AsyncPut is off, so both calls' spans are recorded by now.
+	// Each call sends its PUT before it returns, so both calls' spans
+	// are recorded by now.
 	traces := fleet.Assemble(env.statuses())
 	if len(traces) != 2 {
 		t.Fatalf("assembled %d traces, want 2", len(traces))

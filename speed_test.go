@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func newTestSystem(t *testing.T) *System {
@@ -301,33 +300,6 @@ func TestRemoteStoreApp(t *testing.T) {
 	}
 	if got := storeSys.StoreStats().Entries; got != 1 {
 		t.Errorf("store entries = %d, want 1", got)
-	}
-}
-
-func TestAsyncPutApp(t *testing.T) {
-	sys := newTestSystem(t)
-	app, err := sys.NewAppWithConfig("async", []byte("async code"), AppConfig{AsyncPut: true})
-	if err != nil {
-		t.Fatalf("NewAppWithConfig: %v", err)
-	}
-	defer app.Close()
-	app.RegisterLibrary("mathlib", "1.0", []byte("mathlib code"))
-
-	f, err := NewDeduplicable(app, squareDesc, func(x int) (int, error) { return x * x, nil })
-	if err != nil {
-		t.Fatalf("NewDeduplicable: %v", err)
-	}
-	if got, err := f.Call(3); err != nil || got != 9 {
-		t.Fatalf("Call = (%d, %v), want 9", got, err)
-	}
-	deadline := time.After(2 * time.Second)
-	for sys.StoreStats().Entries == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("async put never landed")
-		default:
-			time.Sleep(time.Millisecond)
-		}
 	}
 }
 
