@@ -19,6 +19,10 @@
 //     override) that is also statistically significant (Welch-style
 //     2-sigma on the run-to-run spread, which needs -count >= 2) fails
 //     the gate.
+//   - one ratio row needs no baseline, since both sides run on the same
+//     machine in the same output: the mean BenchmarkHotMuxGetHit must
+//     stay within 2.0x the mean BenchmarkHotTCPFloor, the bare loopback
+//     ping-pong of the same sizes.
 package main
 
 import (
@@ -246,6 +250,15 @@ func compare(baseline, fresh map[string]*sample, timeThreshold float64) (report 
 		if _, ok := baseline[name]; !ok {
 			fmt.Fprintf(&b, "%-40s %14s %14s %9s  %s\n", name, "-", "-", "-", "new benchmark (not in baseline)")
 		}
+	}
+	// The ratio row: the mux GET hit against the socket floor of the
+	// same run (floor in the old column, hit in the new).
+	if hit, floor := fresh["BenchmarkHotMuxGetHit"], fresh["BenchmarkHotTCPFloor"]; hit != nil && floor != nil {
+		ratio, status := mean(hit.nsPerOp)/mean(floor.nsPerOp), "ok"
+		if ratio > 2.0 {
+			status, failed = "REGRESSION: more than 2.0x the socket floor", true
+		}
+		fmt.Fprintf(&b, "%-40s %14.1f %14.1f %8.2fx  %s\n", "BenchmarkHotMuxGetHit/floor", mean(floor.nsPerOp), mean(hit.nsPerOp), ratio, status)
 	}
 	return b.String(), failed
 }

@@ -158,3 +158,23 @@ BenchmarkBrandNew-8  100000  10 ns/op  0 B/op  0 allocs/op
 		t.Errorf("report does not flag missing/new benchmarks:\n%s", report)
 	}
 }
+
+// TestCompareFloorRatio: the mux GET hit fails the gate above twice the
+// socket floor of the same run, whatever the baseline says, and passes
+// at or below it.
+func TestCompareFloorRatio(t *testing.T) {
+	baseline, _ := parseFile(writeTemp(t, baselineFixture))
+	run := func(hitNs string) map[string]*sample {
+		fresh, _ := parseFile(writeTemp(t, baselineFixture+
+			"BenchmarkHotTCPFloor-8   \t  100000\t     10000 ns/op\t       0 B/op\t       0 allocs/op\n"+
+			"BenchmarkHotMuxGetHit-8  \t  100000\t     "+hitNs+" ns/op\t    5456 B/op\t      12 allocs/op\n"))
+		return fresh
+	}
+	if report, failed := compare(baseline, run("20000"), 0.30); failed || !strings.Contains(report, "2.00x") {
+		t.Errorf("a hit at 2.0x the floor failed the gate or was not reported:\n%s", report)
+	}
+	report, failed := compare(baseline, run("20100"), 0.30)
+	if !failed || !strings.Contains(report, "socket floor") {
+		t.Errorf("a hit at 2.01x the floor passed the gate:\n%s", report)
+	}
+}

@@ -83,11 +83,17 @@ func NewLocalClient(st *store.Store, owner enclave.Measurement) *LocalClient {
 // Get implements StoreClient with the server's own mapping, so
 // authorization denials present as misses exactly as over the wire;
 // with no reply frame to overflow, no budget cuts the answer short.
+// Each hit is copied out of the store's record view, as a remote hit
+// arrives in a frame of its own.
 func (c *LocalClient) Get(_ wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	return c.store.WireGet(c.owner, tags, math.MaxInt)
+	results, err := c.store.WireGet(c.owner, tags, math.MaxInt)
+	for i := range results {
+		results[i].Sealed = results[i].Sealed.Clone()
+	}
+	return results, err
 }
 
 // Put implements StoreClient with the server's own mapping.
@@ -259,9 +265,6 @@ func (c *RemoteClient) Retries() int64 { return c.retries.Load() }
 // the initial connection).
 func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 
-// Inflight reports the number of requests currently awaiting a reply.
-func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
-
 // Healthy implements StoreClient: false from the first transport
 // failure the re-dial did not cure until the next success, and for
 // good after Close.
@@ -270,10 +273,7 @@ func (c *RemoteClient) Healthy() bool { return !c.down.Load() }
 // dial establishes one attested channel, bounding connect plus
 // handshake with DialTimeout, and wraps it in a mux.
 func (c *RemoteClient) dial() (*chanMux, error) {
-	timeout := c.cfg.DialTimeout
-	if timeout < 0 {
-		timeout = 0
-	}
+	timeout := max(c.cfg.DialTimeout, 0)
 	conn, err := net.DialTimeout("tcp", c.addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("dedup: dial store: %w", err)
@@ -287,7 +287,7 @@ func (c *RemoteClient) dial() (*chanMux, error) {
 		return nil, fmt.Errorf("dedup: handshake: %w", err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return newChanMux(ch), nil
+	return newChanMux(ch, max(c.cfg.RequestTimeout, 0)), nil
 }
 
 // connect returns the current connection, dialing one first when
@@ -371,7 +371,7 @@ func (c *RemoteClient) attempt(req wire.Message, tc wire.TraceContext) (msg wire
 		c.inflightG.Add(-1)
 	}()
 
-	msg, err = mux.roundTrip(req, tc, c.cfg.RequestTimeout)
+	msg, err = mux.roundTrip(req, tc)
 	if err != nil {
 		if c.isClosed() {
 			// Close raced with the request; surface the deterministic

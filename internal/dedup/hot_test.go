@@ -1,9 +1,13 @@
 package dedup
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net"
+	"runtime"
 	"testing"
 
 	"speed/internal/mle"
@@ -39,23 +43,40 @@ func newMuxHit(tb testing.TB) func() {
 	return get
 }
 
-// TestMuxRoundTripAllocBound holds the full mux GET-hit path — append
-// marshal, envelope send, server dispatch on the session goroutine, owned
-// decode by the caller holding the read token — to a small allocation
-// budget. The wire layer underneath is allocation-free (see
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes:
+// the mallocs and heap bytes of one call of f, averaged over runs after
+// a warm-up call, with GOMAXPROCS at 1. It counts every goroutine's
+// allocations, so a round trip's server side counts too.
+func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestMuxRoundTripAllocBound holds the full mux GET-hit path — envelope
+// marshalled into the frame and sealed in place, server dispatch on the
+// session goroutine, the reply sealed straight from the engine's record
+// view, decoded by the caller holding the read token — to a small
+// allocation budget. The wire layer underneath is allocation-free (see
 // internal/wire hot tests); what remains is the per-request bookkeeping
-// the mux design requires (waiter channel, pending-map entry, timeout
-// timer, interface boxing, and the OwnMessage copy that detaches the
-// response from the channel's receive scratch) plus the store's lookup.
-// The path measures 17; the bound leaves room for runtime noise, not
-// for a per-frame buffer or a goroutine hand-off coming back.
+// the mux design requires (waiter channel, pending-map entry, interface
+// boxing), the store's lookup and answer slices, and one buffer of the
+// reply frame's size: the client keeps the frame the hit arrived in
+// (wire.Channel.Detach) and reads the next into a fresh one. The path
+// measures 12 allocations and 5,456 B; the bounds leave room for runtime
+// noise, not for a per-request timer, a copy of the record or of the
+// reply, or a goroutine hand-off coming back.
 func TestMuxRoundTripAllocBound(t *testing.T) {
 	get := newMuxHit(t)
-	// The server runs on other goroutines; AllocsPerRun counts their
-	// allocations too, so the budget covers the whole round trip.
-	const budget = 24
-	if n := testing.AllocsPerRun(200, get); n > budget {
-		t.Errorf("mux GET hit allocates %v times per op, want <= %d", n, budget)
+	const budget, bytesBudget = 14, 6000
+	if n, b := allocsPerRun(200, get); n > budget || b > bytesBudget {
+		t.Errorf("mux GET hit allocates %d times and %d B per op, want <= %d and <= %d B", n, b, budget, bytesBudget)
 	}
 }
 
@@ -69,6 +90,68 @@ func BenchmarkHotMuxGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		get()
+	}
+}
+
+// BenchmarkHotTCPFloor is the socket floor under BenchmarkHotMuxGetHit:
+// a bare loopback TCP ping-pong of the same sizes, 64 B out and 4,200 B
+// back, read through a 16 KiB bufio.Reader like wire.Channel's, with no
+// crypto, framing, mux or store. cmd/benchgate fails when the mux hit
+// costs more than twice this in the same run.
+func BenchmarkHotTCPFloor(b *testing.B) {
+	const reqSize, replySize = 64, 4200
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		rd := bufio.NewReaderSize(conn, 16<<10)
+		req, reply := make([]byte, reqSize), make([]byte, replySize)
+		for {
+			if _, err := io.ReadFull(rd, req); err != nil {
+				served <- nil // the client hung up
+				return
+			}
+			if _, err := conn.Write(reply); err != nil {
+				served <- err
+				return
+			}
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatalf("Dial: %v", err)
+	}
+	rd := bufio.NewReaderSize(conn, 16<<10)
+	req, reply := make([]byte, reqSize), make([]byte, replySize)
+	pingPong := func() {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatalf("Write: %v", err)
+		}
+		if _, err := io.ReadFull(rd, reply); err != nil {
+			b.Fatalf("Read: %v", err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		pingPong()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pingPong()
+	}
+	b.StopTimer()
+	conn.Close()
+	if err := <-served; err != nil {
+		b.Fatalf("server: %v", err)
 	}
 }
 
@@ -104,18 +187,17 @@ func newMuxPut(tb testing.TB) func() {
 }
 
 // TestMuxPutAllocBound holds the mux PUT path — a fresh 4 KiB item
-// marshalled and sent, dispatched on the session goroutine straight
-// from its receive scratch, copied once into the store, which evicts
-// one entry, and the reply decoded by the caller — to a small
-// allocation budget. The path measures 20; the bound leaves room for
-// runtime noise, not for a server-side copy of the request.
+// marshalled into the frame and sealed in place, dispatched on the
+// session goroutine straight from its receive scratch, copied once into
+// the store, which evicts one entry, and the reply decoded by the
+// caller — to a small allocation budget. The path measures 18
+// allocations and 5,753 B; the bounds leave room for runtime noise, not
+// for a per-request timer or a server-side copy of the request.
 func TestMuxPutAllocBound(t *testing.T) {
 	put := newMuxPut(t)
-	// The server runs on other goroutines; AllocsPerRun counts their
-	// allocations too, so the budget covers the whole round trip.
-	const budget = 22
-	if n := testing.AllocsPerRun(200, put); n > budget {
-		t.Errorf("mux PUT allocates %v times per op, want <= %d", n, budget)
+	const budget, bytesBudget = 20, 6400
+	if n, b := allocsPerRun(200, put); n > budget || b > bytesBudget {
+		t.Errorf("mux PUT allocates %d times and %d B per op, want <= %d and <= %d B", n, b, budget, bytesBudget)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,15 +24,23 @@ import (
 // request timeout is terminal for the whole mux (the channel's cipher
 // counters cannot be trusted afterwards). Every in-flight waiter is
 // failed with the same error and the owning RemoteClient re-dials on
-// the next attempt.
+// the next attempt. Request timeouts are one wire.Watchdog per mux.
 type chanMux struct {
-	ch     *wire.Channel
-	nextID atomic.Uint64
-	token  chan struct{} // full while no caller is reading
+	ch      *wire.Channel
+	nextID  atomic.Uint64
+	token   chan struct{} // full while no caller is reading
+	timeout time.Duration
+	dog     *wire.Watchdog // nil when timeout is 0
 
 	mu      sync.Mutex
-	pending map[uint64]chan muxResult
+	pending map[uint64]waiter
 	err     error // terminal error; nil while healthy
+}
+
+// waiter is a request in flight: its reply's way and its send tick.
+type waiter struct {
+	c    chan muxResult
+	sent uint64
 }
 
 type muxResult struct {
@@ -39,14 +48,36 @@ type muxResult struct {
 	err error
 }
 
-func newChanMux(ch *wire.Channel) *chanMux {
+// newChanMux wraps ch; timeout > 0 bounds every request's wait for its
+// reply, late by at most one watchdog period.
+func newChanMux(ch *wire.Channel, timeout time.Duration) *chanMux {
 	m := &chanMux{
 		ch:      ch,
 		token:   make(chan struct{}, 1),
-		pending: make(map[uint64]chan muxResult),
+		timeout: timeout,
+		pending: make(map[uint64]waiter),
 	}
 	m.token <- struct{}{}
+	if timeout > 0 {
+		m.dog = wire.NewWatchdog(timeout)
+		m.dog.Start(m.watch)
+	}
 	return m
+}
+
+// watch is the watchdog's check: it fails the mux, unblocking the token
+// holder's Recv, once a request has waited the timeout; a routed reply
+// has left pending. It stops the watchdog once the mux is dead.
+func (m *chanMux) watch(tick uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, w := range m.pending {
+		if m.dog.Overdue(w.sent, tick, m.timeout) {
+			m.failLocked(fmt.Errorf("dedup: request %d: %w", id, os.ErrDeadlineExceeded))
+			break
+		}
+	}
+	return m.err == nil
 }
 
 // readUntil is the token holder's demultiplexer: it routes each reply to
@@ -56,29 +87,32 @@ func newChanMux(ch *wire.Channel) *chanMux {
 // there are no abandoned in-flight IDs to collide with.
 func (m *chanMux) readUntil(w chan muxResult) {
 	for len(w) == 0 {
-		// No read deadline: roundTrip's timer fails the mux on
-		// timeout, which closes the channel and unblocks this Recv.
+		// No read deadline: the watchdog fails the mux on timeout,
+		// which closes the channel and unblocks this Recv.
 		payload, err := m.ch.Recv()
 		if err != nil {
 			m.fail(err)
 			return
 		}
-		id, _, msg, err := m.ch.ParseEnvelope(payload)
+		id, _, msg, err := wire.UnmarshalEnvelope(payload)
 		if err != nil {
 			m.fail(fmt.Errorf("dedup: mux: %w", err))
 			return
 		}
 		// The decoded message aliases the channel's receive scratch,
-		// which the next Recv reuses — copy before it reaches a caller.
-		msg = wire.OwnMessage(msg)
+		// which the next Recv reuses: a GET reply with a hit, whose
+		// sealed bytes the caller keeps, takes its frame along.
+		if r, ok := msg.(wire.GetResponse); ok && slices.ContainsFunc(r.Results, func(g wire.GetResult) bool { return g.Found }) {
+			m.ch.Detach()
+		}
 		m.mu.Lock()
-		c, ok := m.pending[id]
+		p, ok := m.pending[id]
 		if ok {
 			delete(m.pending, id)
 		}
 		m.mu.Unlock()
 		if ok {
-			c <- muxResult{msg: msg} // buffered: never blocks
+			p.c <- muxResult{msg: msg} // buffered: never blocks
 		}
 	}
 }
@@ -92,19 +126,6 @@ func (m *chanMux) fail(err error) {
 	m.failLocked(err)
 }
 
-// expire is request id's deadline. While the request is unanswered —
-// its pending entry, which readUntil deletes before delivering, is
-// still there — it fails the mux, which unblocks the token holder's
-// Recv. Once the reply was routed, the caller has it even if its timer
-// has not been stopped yet, and the mux stays healthy.
-func (m *chanMux) expire(id uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, unanswered := m.pending[id]; unanswered {
-		m.failLocked(fmt.Errorf("dedup: request %d: %w", id, os.ErrDeadlineExceeded))
-	}
-}
-
 // failLocked is fail with m.mu held.
 func (m *chanMux) failLocked(err error) {
 	if m.err == nil {
@@ -114,9 +135,9 @@ func (m *chanMux) failLocked(err error) {
 		err = m.err
 	}
 	for _, w := range m.pending {
-		w <- muxResult{err: err} // buffered, and nothing else sends to a pending waiter: never blocks
+		w.c <- muxResult{err: err} // buffered, and nothing else sends to a pending waiter: never blocks
 	}
-	m.pending = make(map[uint64]chan muxResult)
+	m.pending = make(map[uint64]waiter)
 }
 
 // dead reports whether the mux has failed; the owning client then drops
@@ -130,20 +151,24 @@ func (m *chanMux) dead() bool {
 // roundTrip issues one request and waits for its reply, delivered by the
 // token holder or read here once this caller takes the token. tc, when
 // sampled, rides in the envelope header so the store can link its spans
-// to the caller's trace. timeout > 0 bounds the wait; expiry kills the
+// to the caller's trace. The watchdog bounds the wait; expiry kills the
 // mux so the owning client re-dials. A request too large for a frame is
 // refused before a byte is written or the channel's sequence number
 // moves, so it fails alone and the mux lives on.
-func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time.Duration) (wire.Message, error) {
+func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext) (wire.Message, error) {
 	id := m.nextID.Add(1)
 	w := make(chan muxResult, 1)
+	var sent uint64
+	if m.dog != nil {
+		sent = m.dog.Tick()
+	}
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
 		return nil, err
 	}
-	m.pending[id] = w
+	m.pending[id] = waiter{c: w, sent: sent}
 	m.mu.Unlock()
 
 	if err := m.ch.SendEnvelopeTrace(id, tc, req); err != nil {
@@ -157,10 +182,6 @@ func (m *chanMux) roundTrip(req wire.Message, tc wire.TraceContext, timeout time
 		return nil, err
 	}
 
-	if timeout > 0 {
-		timer := time.AfterFunc(timeout, func() { m.expire(id) })
-		defer timer.Stop()
-	}
 	select {
 	case r := <-w:
 		return r.msg, r.err

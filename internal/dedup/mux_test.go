@@ -101,7 +101,7 @@ func TestMuxConcurrentCallersOneConnection(t *testing.T) {
 	if r := env.client.Reconnects(); r != 0 {
 		t.Errorf("Reconnects = %d, want 0", r)
 	}
-	if n := env.client.Inflight(); n != 0 {
+	if n := env.client.inflight.Load(); n != 0 {
 		t.Errorf("Inflight = %d after all calls returned, want 0", n)
 	}
 }
@@ -207,7 +207,7 @@ func TestProtocolVersionRefused(t *testing.T) {
 			if err := wire.WriteFrame(conn, rawHello(t, appEnc, storeEnc.Measurement(), row.version, row.flipTo)); err != nil {
 				t.Fatalf("send hello: %v", err)
 			}
-			if frame, err := wire.ReadFrame(conn); err == nil {
+			if frame, err := wire.ReadFrameInto(conn, nil); err == nil {
 				t.Fatalf("server answered the hello with %d bytes; want it to hang up", len(frame))
 			}
 
@@ -239,11 +239,11 @@ func TestProtocolVersionRefused(t *testing.T) {
 					go func() {
 						defer conn.Close()
 						_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-						if _, err := wire.ReadFrame(conn); err != nil {
+						if _, err := wire.ReadFrameInto(conn, nil); err != nil {
 							return
 						}
 						_ = wire.WriteFrame(conn, hello)
-						_, _ = wire.ReadFrame(conn) // hold the session until the client hangs up
+						_, _ = wire.ReadFrameInto(conn, nil) // hold the session until the client hangs up
 					}()
 				}
 			}()
@@ -368,7 +368,7 @@ func TestCloseUnblocksInflightWaiters(t *testing.T) {
 			errs <- err
 		}(byte(i))
 	}
-	waitFor(t, "requests to be in flight", func() bool { return client.Inflight() == 4 })
+	waitFor(t, "requests to be in flight", func() bool { return client.inflight.Load() == 4 })
 
 	if err := client.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -412,7 +412,7 @@ func TestRetryAccountingDeterministic(t *testing.T) {
 		if r, rc, h := client.Retries(), client.Reconnects(), client.Healthy(); r != retries || rc != reconnects || h != healthy {
 			t.Errorf("%s: retries=%d reconnects=%d healthy=%v, want %d, %d, %v", step, r, rc, h, retries, reconnects, healthy)
 		}
-		if n := client.Inflight(); n != 0 {
+		if n := client.inflight.Load(); n != 0 {
 			t.Errorf("%s: Inflight = %d, want 0", step, n)
 		}
 	}
@@ -481,7 +481,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				id, _, msg, err := ch.ParseEnvelope(frame)
+				id, _, msg, err := wire.UnmarshalEnvelope(frame)
 				if err != nil {
 					return err
 				}
@@ -511,7 +511,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			id, _, _, err := ch.ParseEnvelope(frame)
+			id, _, _, err := wire.UnmarshalEnvelope(frame)
 			if err != nil {
 				return err
 			}
@@ -556,7 +556,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 		results <- result{tag, sealed, found, err}
 	}
 	go launch(testTag(0x0A))
-	waitFor(t, "first request in flight", func() bool { return client.Inflight() == 1 })
+	waitFor(t, "first request in flight", func() bool { return client.inflight.Load() == 1 })
 	go launch(testTag(0x0B))
 
 	for i := 0; i < 2; i++ {
@@ -603,7 +603,7 @@ func tokenPeer(t *testing.T, storeEnc *enclave.Enclave) net.Listener {
 			if err != nil {
 				return err
 			}
-			id, _, msg, err := ch.ParseEnvelope(frame)
+			id, _, msg, err := wire.UnmarshalEnvelope(frame)
 			if err != nil {
 				return err
 			}
@@ -647,15 +647,14 @@ func tokenPeer(t *testing.T, storeEnc *enclave.Enclave) net.Listener {
 
 // TestMuxReadTokenHandOver pins the mux's one reader at a time: the
 // caller holding the read token delivers other callers' replies, hands
-// the token on when its own arrives, and a timeout elsewhere unblocks
-// it.
+// the token on when its own arrives, and a timeout unblocks it.
 func TestMuxReadTokenHandOver(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	appEnc, _ := p.Create("app", []byte("app code"))
 	storeEnc, _ := p.Create("store", []byte("store code"))
 	ln := tokenPeer(t, storeEnc)
 	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{
-		RequestTimeout: 5 * time.Second,
+		RequestTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
@@ -681,7 +680,7 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 	// reaches B through A's read loop, and A's own follows.
 	errs := make(chan error, 2)
 	go func() { errs <- get('A') }()
-	waitFor(t, "A to hold the read token", func() bool { return client.Inflight() == 1 && tokenHeld() })
+	waitFor(t, "A to hold the read token", func() bool { return client.inflight.Load() == 1 && tokenHeld() })
 	go func() { errs <- get('B') }()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
@@ -697,15 +696,16 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 		t.Error(err)
 	}
 
-	// A holder waiting forever in Recv is unblocked by another caller's
-	// timeout, and both fail with the deadline.
+	// A holder waiting in Recv for a reply that never comes is unblocked
+	// by the watchdog, and so is the caller waiting behind it: both fail
+	// with the deadline.
 	holder := make(chan error, 1)
 	go func() {
-		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag('H')}}, wire.TraceContext{}, 0)
+		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag('H')}}, wire.TraceContext{})
 		holder <- err
 	}()
 	waitFor(t, "a caller to hold the read token", tokenHeld)
-	if _, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag('H')}}, wire.TraceContext{}, 20*time.Millisecond); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if _, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag('H')}}, wire.TraceContext{}); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Errorf("timed-out request = %v, want os.ErrDeadlineExceeded", err)
 	}
 	select {
@@ -727,16 +727,18 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 	}
 }
 
-// TestMuxDeadlineAfterReply: a deadline that fires after its request's
-// reply was routed — the caller has the reply, its timer is not stopped
-// yet — leaves the mux and every other in-flight request alone; the
-// deadline of a request still unanswered fails the mux.
+// TestMuxDeadlineAfterReply: the mux's watchdog fails a request left
+// unanswered past RequestTimeout no earlier than the timeout and within
+// one watchdog period of it, while a request answered on the same mux
+// in the meantime is unaffected: its reply reaches it, and it leaves
+// nothing behind for a later firing to fail.
 func TestMuxDeadlineAfterReply(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	appEnc, _ := p.Create("app", []byte("app code"))
 	storeEnc, _ := p.Create("store", []byte("store code"))
 	ln := tokenPeer(t, storeEnc)
-	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{})
+	const timeout = 800 * time.Millisecond
+	client, err := DialConfig(ln.Addr().String(), appEnc, storeEnc.Measurement(), RemoteConfig{RequestTimeout: timeout})
 	if err != nil {
 		t.Fatalf("DialConfig: %v", err)
 	}
@@ -744,8 +746,9 @@ func TestMuxDeadlineAfterReply(t *testing.T) {
 	client.mu.Lock()
 	mux := client.mux
 	client.mu.Unlock()
+	period := timeout / 4 // a watchdog fires every quarter of its shortest timeout
 	get := func(b byte) error {
-		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag(b)}}, wire.TraceContext{}, 0)
+		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag(b)}}, wire.TraceContext{})
 		return err
 	}
 	pending := func() int {
@@ -757,32 +760,33 @@ func TestMuxDeadlineAfterReply(t *testing.T) {
 	// H is never answered and holds the read token; B's reply reaches B
 	// through H's read loop.
 	held := make(chan error, 1)
+	sent := time.Now()
 	go func() { held <- get('H') }()
 	waitFor(t, "H to be in flight", func() bool { return pending() == 1 })
-	hID := mux.nextID.Load()
 	if err := get('B'); err != nil {
 		t.Fatalf("Get B: %v", err)
 	}
-	mux.expire(mux.nextID.Load())
-	if mux.dead() {
-		t.Fatal("the deadline of an answered request failed the mux")
-	}
-	select {
-	case err := <-held:
-		t.Fatalf("the deadline of an answered request failed the in-flight H: %v", err)
-	default:
+	if mux.dead() || pending() != 1 {
+		t.Fatalf("after B's reply: dead=%v, %d pending; want a healthy mux with H alone pending", mux.dead(), pending())
 	}
 
-	mux.expire(hID)
 	select {
 	case err := <-held:
+		took := time.Since(sent)
 		if !errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("unanswered H = %v, want os.ErrDeadlineExceeded", err)
 		}
+		if took < timeout {
+			t.Errorf("H failed after %v, before its %v timeout", took, timeout)
+		}
+		// One period late at most, plus scheduling slack.
+		if limit := timeout + period + 100*time.Millisecond; took > limit {
+			t.Errorf("H failed after %v, want within %v (timeout %v + one %v period + 100ms)", took, limit, timeout, period)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("the deadline of an unanswered request did not fail it")
+		t.Fatal("the watchdog did not fail an unanswered request")
 	}
 	if !mux.dead() {
-		t.Error("the deadline of an unanswered request left the mux healthy")
+		t.Error("an unanswered request's timeout left the mux healthy")
 	}
 }

@@ -122,17 +122,17 @@ func (s Sealed) Size() int {
 	return len(s.Challenge) + len(s.WrappedKey) + len(s.Blob)
 }
 
-// Clone returns a deep copy of the triple. Wire decoding is zero-copy
-// (a decoded Sealed aliases the receive buffer), so anything that
-// retains a Sealed past the buffer's validity window — the store
-// keeping a PUT, the client mux handing a GET response to a waiter —
-// clones it first.
+// Clone returns a deep copy of the triple in one allocation (none for
+// the zero triple): what a store table keeps, and what an in-process
+// reader keeps of the read-only view the store answers with.
 func (s Sealed) Clone() Sealed {
-	return Sealed{
-		Challenge:  bytes.Clone(s.Challenge),
-		WrappedKey: bytes.Clone(s.WrappedKey),
-		Blob:       bytes.Clone(s.Blob),
+	if s.Size() == 0 {
+		return Sealed{}
 	}
+	nc, nk := len(s.Challenge), len(s.WrappedKey)
+	// Join allocates without zeroing bytes it overwrites at once.
+	buf := bytes.Join([][]byte{s.Challenge, s.WrappedKey, s.Blob}, nil)
+	return Sealed{Challenge: buf[:nc:nc], WrappedKey: buf[nc : nc+nk : nc+nk], Blob: buf[nc+nk:]}
 }
 
 // RCE is the paper's main design (Section III-C): a keyless,

@@ -65,7 +65,8 @@ const (
 )
 
 // Lookup is one tag's answer from the engine's Get; Record is set on a
-// hit.
+// hit. Its byte slices are read-only views: the engine never writes a
+// record's bytes once stored, and neither may the caller.
 type Lookup struct {
 	Status GetStatus
 	Record Record

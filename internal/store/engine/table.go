@@ -92,13 +92,18 @@ func (t *Table) Lookup(tag mle.Tag) *Entry {
 }
 
 // Set makes a copy of rec (a tombstone when dead) tag's entry at the
-// front of the LRU order, replacing any entry the tag had. A record the
+// front of the LRU order, replacing any entry the tag had. Nothing
+// writes the copy's bytes afterward, so readers may hold views of them
+// past the table's lock, removal and eviction included. A record the
 // enclave cannot be charged for is not installed and the tag keeps its
 // old entry; a tombstone is installed uncharged instead, because it must
 // shadow what it deletes. A tombstone stays out of the LRU order: it is
 // never read, so never touched, and never an eviction victim.
 func (t *Table) Set(tag mle.Tag, rec Record, dead bool) (*Entry, error) {
-	e := &Entry{Tag: tag, Rec: CopyRecord(rec), Dead: dead}
+	// One allocation holds the copy, which is the table's.
+	s := mle.Sealed{Challenge: rec.Challenge, WrappedKey: rec.WrappedKey, Blob: rec.Blob}.Clone()
+	rec.Challenge, rec.WrappedKey, rec.Blob, rec.BlobSize = s.Challenge, s.WrappedKey, s.Blob, int64(len(s.Blob))
+	e := &Entry{Tag: tag, Rec: rec, Dead: dead}
 	e.charge = Charge(e.Rec)
 	if err := t.enc.Alloc(e.charge); err != nil {
 		if !dead {
@@ -167,18 +172,4 @@ func (t *Table) Clear() {
 	t.bytes, t.size = 0, 0
 	clear(t.entries)
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
-}
-
-// CopyRecord returns rec with its byte fields copied into one
-// allocation, so callers own what they receive and tables own what they
-// keep.
-func CopyRecord(rec Record) Record {
-	nc, nk := len(rec.Challenge), len(rec.WrappedKey)
-	// Join allocates without zeroing bytes it overwrites at once.
-	buf := bytes.Join([][]byte{rec.Challenge, rec.WrappedKey, rec.Blob}, nil)
-	rec.Challenge = buf[:nc:nc]
-	rec.WrappedKey = buf[nc : nc+nk : nc+nk]
-	rec.Blob = buf[nc+nk:]
-	rec.BlobSize = int64(len(rec.Blob))
-	return rec
 }

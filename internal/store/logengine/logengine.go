@@ -395,7 +395,9 @@ type place struct {
 // whose sealed size (challenge + wrapped key + blob) would take the
 // answers past budget bytes — that record is neither counted nor
 // touched — but always holds one answer. On StatusHit the Record's byte
-// slices are the caller's. An oblivious engine looks every tag up with
+// slices are views, a table's immutable record or a segment record's
+// fresh unsealed buffer, which the caller must not write. An oblivious
+// engine looks every tag up with
 // the tables' uniform scans and maintains no recency.
 //
 // Tags the untrusted hints rule out all miss with no enclave entry (see
@@ -549,13 +551,11 @@ walk:
 			p.tab.Touch(p.ent)
 		}
 		// A segment record's slices alias Unseal's fresh buffer; a
-		// table's are the table's.
-		l := storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec}
+		// table's are views of the table's immutable record.
 		if p.sealed == nil {
-			l.Record = storeengine.CopyRecord(*rec)
 			e.st.CacheHits++
 		}
-		out = append(out, l)
+		out = append(out, storeengine.Lookup{Status: storeengine.StatusHit, Record: *rec})
 	}
 	if !e.cfg.Oblivious {
 		for i, l := range out {

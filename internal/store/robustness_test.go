@@ -141,10 +141,7 @@ func TestServerIdleDeadline(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 
-	silent := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
-	if !silent.SetDeadline(time.Now().Add(5 * time.Second)) {
-		t.Fatal("SetDeadline failed")
-	}
+	silent := dialStoreWithin(t, srv.Addr().String(), appEnc, storeEnc.Measurement(), 5*time.Second)
 	if _, err := silent.Recv(); !errors.Is(err, io.EOF) {
 		t.Fatalf("silent client's Recv = %v, want EOF: the server should hang up at its idle deadline", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +28,7 @@ type Server struct {
 	trust  *wire.Trust
 	logf   func(format string, args ...any)
 
-	// Connection deadlines, so a stalled or half-open peer can never
+	// Connection timeouts, so a stalled or half-open peer can never
 	// wedge a session goroutine; set from the constants below (fields
 	// only so a test can shorten them).
 	handshakeTimeout time.Duration
@@ -155,6 +154,14 @@ const (
 	// writeTimeout bounds each response write, so a peer that stops
 	// reading cannot wedge its session.
 	writeTimeout = 30 * time.Second
+)
+
+// Session phases, stamped for the session's watchdog in the low two
+// bits of its state, under the watchdog tick of the stamp.
+const (
+	phaseRead  = iota // reading a request or serving it: idleTimeout runs
+	phaseWrite        // writing the reply: writeTimeout runs
+	phaseDone         // the session ended: the watchdog stops
 )
 
 // NewServer wraps store with a protocol server listening on ln.
@@ -309,18 +316,39 @@ type request struct {
 // would hold up anyway (DESIGN.md "One engine lock"). The decoded
 // message aliases the channel's receive scratch, which is safe because
 // the store copies what it keeps and nothing reads the message after
-// the reply is written.
+// the reply is written; a GET's reply is sealed straight from the
+// engine's record views, which nothing writes. The session's timeouts
+// are one watchdog, not a deadline per request: it closes the
+// connection once the stamped phase has waited idleTimeout for a
+// request or writeTimeout on a reply.
 func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, flushBytes func()) {
+	var state atomic.Uint64
+	dog := wire.NewWatchdog(min(s.idleTimeout, s.writeTimeout))
+	stamp := func(phase uint64) { state.Store(dog.Tick()<<2 | phase) }
+	dog.Start(func(tick uint64) bool {
+		switch st := state.Load(); {
+		case st&3 == phaseDone:
+			return false
+		case st&3 == phaseRead && dog.Overdue(st>>2, tick, s.idleTimeout):
+		case st&3 == phaseWrite && dog.Overdue(st>>2, tick, s.writeTimeout):
+			s.logf("store: reply to %v not written within %v", conn.RemoteAddr(), s.writeTimeout)
+		default:
+			return true
+		}
+		conn.Close()
+		return false
+	})
+	defer stamp(phaseDone)
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+		stamp(phaseRead)
 		payload, err := ch.Recv()
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("store: recv from %v: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		id, tc, msg, err := ch.ParseEnvelope(payload)
+		id, tc, msg, err := wire.UnmarshalEnvelope(payload)
 		if err != nil {
 			s.logf("store: bad envelope from %v: %v", conn.RemoteAddr(), err)
 			return
@@ -329,7 +357,7 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 		if tc.Valid() {
 			req.readAt = time.Now()
 		}
-		if err := s.serve(conn, ch, owner, req, flushBytes); err != nil {
+		if err := s.serve(conn, ch, owner, req, flushBytes, func() { stamp(phaseWrite) }); err != nil {
 			// Internal failure (store closed, I/O) or a failed write:
 			// returning closes the connection and ends the session.
 			s.logf("store: %v", err)
@@ -338,10 +366,10 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 	}
 }
 
-// serve dispatches one request and writes its reply, observing it in
-// speed_server_request_seconds once it was dispatched, whether or not
-// the write succeeds.
-func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, req request, flushBytes func()) error {
+// serve dispatches one request and writes its reply, calling writing
+// as the write starts, and observes it in speed_server_request_seconds
+// once it was dispatched, whether or not the write succeeds.
+func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, req request, flushBytes, writing func()) error {
 	if s.tel != nil {
 		s.tel.inflight.Add(1)
 		defer s.tel.inflight.Add(-1)
@@ -354,7 +382,7 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 	s.recordSpan(req, reply, start)
 	s.maybeSlowLog(opName(req.msg), conn.RemoteAddr(), req.tc, time.Since(start))
 
-	_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+	writing()
 	err = ch.SendEnvelope(req.id, reply)
 	if s.tel != nil {
 		s.tel.reqSeconds[req.msg.Kind()].Observe(time.Since(start))
@@ -362,7 +390,6 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 	if err != nil {
 		return fmt.Errorf("send to %v: %w", conn.RemoteAddr(), err)
 	}
-	_ = conn.SetWriteDeadline(time.Time{})
 	if s.tel != nil {
 		flushBytes()
 	}

@@ -38,9 +38,20 @@ func startServer(t *testing.T, s *Store, opts ...ServerOption) *Server {
 
 func dialStore(t *testing.T, addr string, app *enclave.Enclave, storeMeas enclave.Measurement) *wire.Channel {
 	t.Helper()
+	return dialStoreWithin(t, addr, app, storeMeas, 0)
+}
+
+// dialStoreWithin is dialStore with every read and write on the
+// connection bounded by a deadline d from now, when d > 0, so a wedged
+// server fails the test instead of hanging it.
+func dialStoreWithin(t *testing.T, addr string, app *enclave.Enclave, storeMeas enclave.Measurement, d time.Duration) *wire.Channel {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
+	}
+	if d > 0 {
+		_ = conn.SetDeadline(time.Now().Add(d))
 	}
 	ch, err := wire.ClientHandshake(conn, app, storeMeas)
 	if err != nil {
@@ -62,14 +73,15 @@ func call(ch *wire.Channel, req wire.Message) (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	gotID, _, msg, err := ch.ParseEnvelope(payload)
+	gotID, _, msg, err := wire.UnmarshalEnvelope(payload)
 	if err != nil {
 		return nil, err
 	}
 	if gotID != id {
 		return nil, fmt.Errorf("reply carries request ID %d, want %d", gotID, id)
 	}
-	return wire.OwnMessage(msg), nil
+	ch.Detach()
+	return msg, nil
 }
 
 // getOver is a GET of one tag on a raw channel; putOver a PUT of one

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -40,11 +41,7 @@ func startSessionOn(t *testing.T, cfg Config, opts ...ServerOption) (*Server, *w
 	cfg.Enclave = storeEnc
 	st := testStore(t, cfg)
 	srv := startServer(t, st, append([]ServerOption{WithTelemetry(telemetry.NewRegistry())}, opts...)...)
-	ch := dialStore(t, srv.Addr().String(), appEnc, storeEnc.Measurement())
-	if !ch.SetDeadline(time.Now().Add(10 * time.Second)) {
-		t.Fatal("the session refused a deadline")
-	}
-	return srv, ch
+	return srv, dialStoreWithin(t, srv.Addr().String(), appEnc, storeEnc.Measurement(), 10*time.Second)
 }
 
 // sendPipeline writes n envelopes with IDs 1..n without reading a reply,
@@ -88,7 +85,7 @@ func TestSessionPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reply %d of %d: %v", i+1, n, err)
 		}
-		id, _, msg, err := ch.ParseEnvelope(payload)
+		id, _, msg, err := wire.UnmarshalEnvelope(payload)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i+1, err)
 		}
@@ -153,7 +150,7 @@ func TestSessionPipelinedPutPayloads(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reply %d of %d: %v", i, n, err)
 				}
-				_, _, msg, err := ch.ParseEnvelope(payload)
+				_, _, msg, err := wire.UnmarshalEnvelope(payload)
 				if err != nil {
 					t.Fatalf("reply %d: %v", i, err)
 				}
@@ -176,41 +173,72 @@ func TestSessionPipelinedPutPayloads(t *testing.T) {
 	}
 }
 
-// TestSessionReplyWriteFails: when writing a reply fails, the request —
-// a GET or a PUT — is still observed exactly once and leaves the
-// in-flight gauge; the server closes the session rather than wedging on
-// the write.
+// TestSessionReplyWriteFails: a client that stops reading loses its
+// session once the reply it does not read has waited the write timeout
+// on the socket, and no later than one watchdog period after; the
+// request is still observed exactly once and leaves the in-flight
+// gauge. A GET is the request whose reply can be made large enough to
+// fill the socket buffers: 8 MiB against a 4 KiB client receive buffer
+// and the kernel's 4 MiB send buffer cap.
 func TestSessionReplyWriteFails(t *testing.T) {
-	for _, req := range []wire.Message{
-		wire.GetRequest{Tags: []mle.Tag{tagOf("k")}},
-		wire.PutRequest{Items: []wire.PutItem{{Tag: tagOf("k"), Sealed: sealedOf("v")}}},
-	} {
-		t.Run(requestOps[req.Kind()].label, func(t *testing.T) {
-			// A write deadline already past fails every reply write.
-			srv, ch := startSession(t, func(s *Server) { s.writeTimeout = -time.Second })
-			if err := ch.SendEnvelope(1, req); err != nil {
-				t.Fatalf("send: %v", err)
+	t.Run("get", func(t *testing.T) {
+		const writeTimeout = 400 * time.Millisecond
+		p := enclave.NewPlatform(enclave.Config{})
+		storeEnc, _ := p.Create("store", []byte("store code"))
+		appEnc, _ := p.Create("app", []byte("app code"))
+		srv := startServer(t, testStore(t, Config{Enclave: storeEnc}), WithTelemetry(telemetry.NewRegistry()),
+			func(s *Server) { s.writeTimeout = writeTimeout })
+		period := writeTimeout / 4 // a watchdog fires every quarter of its shortest timeout
+
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer conn.Close()
+		_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		ch, err := wire.ClientHandshake(conn, appEnc, storeEnc.Measurement())
+		if err != nil {
+			t.Fatalf("ClientHandshake: %v", err)
+		}
+		big := sealedOf("v")
+		big.Blob = bytes.Repeat([]byte{0xB1}, 8<<20)
+		if pr, err := putOver(ch, tagOf("big"), big); err != nil || !pr.OK {
+			t.Fatalf("PUT = %+v, %v", pr, err)
+		}
+
+		start := time.Now()
+		if err := ch.SendEnvelope(1, wire.GetRequest{Tags: []mle.Tag{tagOf("big")}}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		for srv.tel.active.Value() != 0 {
+			if time.Since(start) > 5*time.Second {
+				t.Fatal("the session outlived a reply its client never read by 5s")
 			}
-			if _, err := ch.Recv(); err == nil {
-				t.Fatal("received a reply the server could not have written")
+			time.Sleep(time.Millisecond)
+		}
+		took := time.Since(start)
+		if took < writeTimeout {
+			t.Errorf("session closed after %v, before the %v write timeout", took, writeTimeout)
+		}
+		// One period late at most, plus scheduling slack.
+		if limit := writeTimeout + period + 100*time.Millisecond; took > limit {
+			t.Errorf("session closed after %v, want within %v (write timeout %v + one %v period + 100ms)", took, limit, writeTimeout, period)
+		}
+
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		for kind, op := range requestOps {
+			want := map[wire.Kind]int64{wire.KindGetRequest: 1, wire.KindPutRequest: 1}[kind]
+			if got := srv.tel.reqSeconds[kind].Snapshot().Count; got != want {
+				t.Errorf("speed_server_request_seconds{op=%q} count = %d, want %d", op.label, got, want)
 			}
-			if err := srv.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			for kind, op := range requestOps {
-				want := int64(0)
-				if kind == req.Kind() {
-					want = 1
-				}
-				if got := srv.tel.reqSeconds[kind].Snapshot().Count; got != want {
-					t.Errorf("speed_server_request_seconds{op=%q} count = %d, want %d", op.label, got, want)
-				}
-			}
-			if v := srv.tel.inflight.Value(); v != 0 {
-				t.Errorf("speed_server_inflight_requests = %d after Close, want 0", v)
-			}
-		})
-	}
+		}
+		if v := srv.tel.inflight.Value(); v != 0 {
+			t.Errorf("speed_server_inflight_requests = %d after Close, want 0", v)
+		}
+	})
 }
 
 // TestSessionDropMidPipeline: a client that hangs up with requests

@@ -243,20 +243,23 @@ func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, e
 	return s.Get(tag)
 }
 
-// Get looks up one computation tag, returning the (r, [k], [res])
-// triple when found.
+// Get looks up one computation tag, returning a copy of the (r, [k],
+// [res]) triple, the caller's to keep and write, when found.
 func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 	results, err := s.get([]mle.Tag{tag}, math.MaxInt)
 	if err != nil {
 		return mle.Sealed{}, false, err
 	}
-	return results[0].Sealed, results[0].Found, nil
+	return results[0].Sealed.Clone(), results[0].Found, nil
 }
 
 // WireGet answers one GET message on behalf of owner in wire terms: a
 // prefix of tags, ending before the first hit that would take the
 // sealed payload past budget bytes (left untouched for the caller's
-// next request) but never empty. It, WirePut and WireHas are the single
+// next request) but never empty. A hit's Sealed is a read-only view of
+// the engine's record, for the server to seal its reply from; an
+// in-process caller that keeps or writes it copies it. It, WirePut and
+// WireHas are the single
 // copy of the store-error → wire-result mapping, called once per
 // message by the server's dispatch and the in-process client, so local
 // and remote deployments answer identically. An unauthorized
@@ -510,12 +513,6 @@ func (s *Store) EngineStats() storeengine.Stats {
 // Len reports the number of dictionary entries.
 func (s *Store) Len() int {
 	return s.eng.Len()
-}
-
-// AppBytes reports the resident ciphertext bytes attributed to an
-// application for quota purposes.
-func (s *Store) AppBytes(owner enclave.Measurement) int64 {
-	return s.quota.bytesOf(owner)
 }
 
 // Close marks the store closed. Subsequent Get/Put return ErrClosed.

@@ -14,7 +14,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -29,12 +28,16 @@ import (
 // and every frame is protected with AES-128-GCM under a per-direction
 // counter nonce.
 //
-// Hot-path memory discipline (see DESIGN.md): each direction owns a
-// scratch buffer that frames are sealed into / read into, so the
-// steady-state Send/Recv pair performs zero heap allocations. The
-// payload returned by Recv aliases the receive scratch and is valid
-// only until the next Recv on the channel; receivers copy the retained
-// byte fields (OwnMessage) before a decoded message outlives it.
+// Hot-path memory discipline (see DESIGN.md): each direction owns one
+// scratch buffer per frame. SendEnvelope marshals the envelope straight
+// into the send scratch behind the frame header and seals it there in
+// place; Recv reads a frame into the receive scratch and opens it in
+// place. So the steady-state Send/Recv pair makes zero heap allocations
+// and touches each frame's bytes once per side. The payload returned by
+// Recv aliases the receive scratch and is valid only until the next
+// Recv, unless the reader calls Detach: then the frame is the reader's
+// and the next Recv reads into a fresh scratch. The channel sets no
+// deadline; a connection's timeouts are its owner's Watchdog.
 
 // ErrChannelAuth is returned when a channel frame fails authentication
 // or arrives out of sequence. The error is terminal for the channel:
@@ -69,28 +72,30 @@ type Channel struct {
 	rekeyEvery uint64
 
 	// sendBuf is the frame assembly scratch (4-byte header + sealed
-	// ciphertext, one contiguous write); msgBuf is the marshal scratch
-	// for SendEnvelope; sendNonce is the counter nonce scratch (a stack
-	// array would escape through the cipher.AEAD interface and cost an
-	// allocation per frame). All are guarded by sendMu and never escape
-	// the channel.
+	// ciphertext, one contiguous write); sendNonce is the counter nonce
+	// scratch (a stack array would escape through the cipher.AEAD
+	// interface and cost an allocation per frame). Both are guarded by
+	// sendMu and never escape the channel.
 	sendMu    sync.Mutex
 	send      cipher.AEAD
 	sendKey   []byte
 	sendSeq   uint64
 	sendBuf   []byte
-	msgBuf    []byte
 	sendNonce [12]byte
 
 	// recvBuf is the frame read + in-place decrypt scratch, guarded by
-	// recvMu. Payloads returned by Recv alias it. rd, made at the first
-	// Recv (the handshake reads its hellos from conn), buffers conn.
+	// recvMu. Payloads returned by Recv alias it until Detach gives it
+	// away and points it at recvHdr, room for the next length prefix
+	// only, so the next frame gets a buffer of exactly its size. rd,
+	// made at the first Recv (the handshake reads its hellos from conn),
+	// buffers conn.
 	recvMu    sync.Mutex
 	rd        *bufio.Reader
 	recv      cipher.AEAD
 	recvKey   []byte
 	recvSeq   uint64
 	recvBuf   []byte
+	recvHdr   [frameHeaderLen]byte
 	recvNonce [12]byte
 
 	// Wire-level byte accounting (frame payloads plus the 4-byte
@@ -128,54 +133,19 @@ func (c *Channel) AuthFailBytes() int64 { return c.bytesAuthFail.Load() }
 // Close closes the underlying transport.
 func (c *Channel) Close() error { return c.conn.Close() }
 
-// deadliner is the deadline-control subset of net.Conn. TCP
-// connections and net.Pipe both implement it; in-process loopback
-// transports typically do not.
-type deadliner interface {
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
-// SetDeadline bounds all subsequent Send and Recv calls on the channel,
-// reporting whether both directions accepted the deadline. A zero time
-// clears the deadline. An expired deadline surfaces as a timeout error
-// (os.ErrDeadlineExceeded) from Send/Recv; the channel's cipher state
-// is then indeterminate mid-frame, so callers should Close and
-// re-handshake rather than continue.
-//
-// The two directions are installed atomically from the caller's point
-// of view: if the write side rejects the deadline after the read side
-// accepted it, the read deadline is cleared again before returning
-// false, so a false return never leaves an asymmetric deadline armed.
-func (c *Channel) SetDeadline(t time.Time) bool {
-	d, ok := c.conn.(deadliner)
-	if !ok {
-		return false
-	}
-	if d.SetReadDeadline(t) != nil {
-		return false
-	}
-	if d.SetWriteDeadline(t) != nil {
-		// Unwind the half that stuck rather than leaving reads bounded
-		// and writes unbounded behind a false return.
-		_ = d.SetReadDeadline(time.Time{})
-		return false
-	}
-	return true
-}
-
 // Send encrypts and writes one message frame, ratcheting the send key
 // every rekeyInterval frames. The payload is borrowed only for the
 // duration of the call.
 func (c *Channel) Send(payload []byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	return c.sendLocked(payload)
+	return c.sendLocked(append(c.sendBuf[:0], 0, 0, 0, 0), payload)
 }
 
 // SendEnvelope marshals and sends an envelope (request ID + message)
-// in one sealed frame, reusing the channel's marshal scratch so the
-// steady state allocates nothing.
+// in one sealed frame, marshalled into the frame scratch and sealed in
+// place, so the steady state allocates nothing and copies the message's
+// bytes once.
 func (c *Channel) SendEnvelope(id uint64, m Message) error {
 	return c.SendEnvelopeTrace(id, TraceContext{}, m)
 }
@@ -188,26 +158,20 @@ func (c *Channel) SendEnvelope(id uint64, m Message) error {
 func (c *Channel) SendEnvelopeTrace(id uint64, tc TraceContext, m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	c.msgBuf = AppendEnvelope(c.msgBuf[:0], id, tc, m)
-	err := c.sendLocked(c.msgBuf)
-	c.msgBuf = trimScratch(c.msgBuf)
-	return err
+	buf := AppendEnvelope(append(c.sendBuf[:0], 0, 0, 0, 0), id, tc, m)
+	return c.sendLocked(buf[:frameHeaderLen], buf[frameHeaderLen:])
 }
 
-// ParseEnvelope decodes an envelope payload received on this channel.
-// The returned message aliases the payload exactly like Unmarshal.
-func (c *Channel) ParseEnvelope(payload []byte) (uint64, TraceContext, Message, error) {
-	return UnmarshalEnvelope(payload)
-}
-
-// sendLocked seals payload into the channel's frame scratch — length
-// header first, ciphertext appended directly after it — and writes the
-// frame with a single conn.Write. Sealing into the combined buffer
-// costs no extra copy (the AEAD must write its output somewhere) and
-// beats a vectored write: the transport sees one contiguous buffer.
-// Caller holds sendMu.
-func (c *Channel) sendLocked(payload []byte) error {
+// sendLocked seals payload behind head, the frame's length header at
+// the front of the channel's frame scratch, and writes the frame with a
+// single conn.Write. A payload marshalled right after head (an
+// envelope) is sealed in place; any other is sealed from where it lies.
+// Either way the AEAD's output is the frame, so no byte is copied twice,
+// and the transport sees one contiguous buffer. A payload too large for
+// a frame fails before the sequence number moves. Caller holds sendMu.
+func (c *Channel) sendLocked(head, payload []byte) error {
 	if len(payload)+gcmOverhead > MaxFrameSize {
+		c.sendBuf = trimScratch(head)
 		return ErrFrameTooLarge
 	}
 	if c.sendSeq > 0 && c.sendSeq%c.rekeyEvery == 0 {
@@ -217,8 +181,7 @@ func (c *Channel) sendLocked(payload []byte) error {
 	}
 	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
 	c.sendSeq++
-	buf := append(c.sendBuf[:0], 0, 0, 0, 0)
-	buf = c.send.Seal(buf, c.sendNonce[:], payload, nil)
+	buf := c.send.Seal(head, c.sendNonce[:], payload, nil)
 	binary.BigEndian.PutUint32(buf[:frameHeaderLen], uint32(len(buf)-frameHeaderLen))
 	c.sendBuf = trimScratch(buf)
 	if _, err := c.conn.Write(buf); err != nil {
@@ -237,10 +200,9 @@ const recvReadBuffer = 16 << 10
 
 // Recv reads and decrypts one message frame, mirroring the sender's
 // key ratchet. The returned payload aliases the channel's receive
-// scratch: it is valid only until the next Recv, and callers that
-// retain it (or slices of it) past that window must copy first. The
-// frame is decrypted in place, so the steady state reads, authenticates
-// and decrypts with zero heap allocations.
+// scratch: it is valid only until the next Recv, unless the caller
+// keeps it with Detach. The frame is decrypted in place, so the steady
+// state reads, authenticates and decrypts with zero heap allocations.
 func (c *Channel) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
@@ -270,6 +232,18 @@ func (c *Channel) Recv() ([]byte, error) {
 	}
 	c.bytesIn.Add(int64(len(frame)) + frameHeaderLen)
 	return payload, nil
+}
+
+// Detach hands the payload of the last Recv, and every message decoded
+// from it, to the caller for good: the channel forgets its receive
+// scratch, so the next Recv reads into a fresh buffer of that frame's
+// size. A reader that keeps a reply's sealed bytes past its next Recv
+// detaches instead of copying them. Only the channel's one reader may
+// call it, between its Recv calls.
+func (c *Channel) Detach() {
+	c.recvMu.Lock()
+	c.recvBuf = c.recvHdr[:0]
+	c.recvMu.Unlock()
 }
 
 // trimScratch retains a grown scratch buffer for reuse, dropping it
@@ -315,49 +289,26 @@ type hello struct {
 }
 
 func makeHello(e *enclave.Enclave, target enclave.Measurement, data []byte) (hello, error) {
-	h := hello{report: e.Report(target, data)}
 	q, err := e.Quote(data)
-	if err != nil {
-		return hello{}, err
-	}
-	h.quote = q
-	return h, nil
+	return hello{report: e.Report(target, data), quote: q}, err
 }
 
 func (h hello) marshal() []byte {
-	report := h.report.Marshal()
-	quote := h.quote.Marshal()
-	buf := make([]byte, 0, 8+len(report)+len(quote))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(report)))
-	buf = append(buf, report...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(quote)))
-	buf = append(buf, quote...)
-	return buf
+	return appendBytes(appendBytes(nil, h.report.Marshal()), h.quote.Marshal())
 }
 
+// parseHello decodes a hello: the report and the quote, each a u32
+// length and its bytes, and nothing after them.
 func parseHello(b []byte) (hello, error) {
 	var h hello
-	readBytes := func() ([]byte, error) {
-		if len(b) < 4 {
-			return nil, ErrMalformed
-		}
-		n := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if uint64(n) > uint64(len(b)) {
-			return nil, ErrMalformed
-		}
-		v := b[:n:n]
-		b = b[n:]
-		return v, nil
-	}
-	reportB, err := readBytes()
+	reportB, b, err := readBytes(b)
 	if err != nil {
 		return h, err
 	}
 	if h.report, err = enclave.UnmarshalReport(reportB); err != nil {
 		return h, err
 	}
-	quoteB, err := readBytes()
+	quoteB, b, err := readBytes(b)
 	if err != nil {
 		return h, err
 	}
@@ -370,11 +321,19 @@ func parseHello(b []byte) (hello, error) {
 	return h, nil
 }
 
-// verifyHello authenticates a peer hello: local attestation first
-// (same platform), falling back to a remote attestation quote when a
-// trust set is configured. It returns the attested measurement and the
-// peer's key-exchange data.
-func verifyHello(e *enclave.Enclave, h hello, trust *Trust) (enclave.Measurement, [64]byte, error) {
+// recvHello reads the hello of the peer named from and authenticates
+// it: local attestation first (same platform), falling back to a remote
+// attestation quote when a trust set is configured. It returns the
+// attested measurement and the peer's key-exchange data.
+func recvHello(conn io.Reader, e *enclave.Enclave, trust *Trust, from string) (enclave.Measurement, [64]byte, error) {
+	frame, err := readHelloFrame(conn)
+	if err != nil {
+		return enclave.Measurement{}, [64]byte{}, fmt.Errorf("wire: read %s hello: %w", from, err)
+	}
+	h, err := parseHello(frame)
+	if err != nil {
+		return enclave.Measurement{}, [64]byte{}, fmt.Errorf("wire: parse %s hello: %w", from, err)
+	}
 	if err := e.VerifyReport(h.report); err == nil {
 		return h.report.Measurement, h.report.Data, nil
 	}
@@ -416,15 +375,7 @@ func ClientHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasu
 		return nil, fmt.Errorf("wire: send client hello: %w", err)
 	}
 
-	frame, err := readHelloFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: read server hello: %w", err)
-	}
-	serverHello, err := parseHello(frame)
-	if err != nil {
-		return nil, fmt.Errorf("wire: parse server hello: %w", err)
-	}
-	peerMeas, peerData, err := verifyHello(e, serverHello, trust)
+	peerMeas, peerData, err := recvHello(conn, e, trust, "server")
 	if err != nil {
 		return nil, err
 	}
@@ -447,15 +398,7 @@ func ServerHandshake(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(en
 // ServerHandshakeTrust is ServerHandshake that additionally accepts
 // remote clients on platforms in the trust set (remote attestation).
 func ServerHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(enclave.Measurement) bool, trust *Trust) (*Channel, error) {
-	frame, err := readHelloFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: read client hello: %w", err)
-	}
-	clientHello, err := parseHello(frame)
-	if err != nil {
-		return nil, fmt.Errorf("wire: parse client hello: %w", err)
-	}
-	clientMeas, clientData, err := verifyHello(e, clientHello, trust)
+	clientMeas, clientData, err := recvHello(conn, e, trust, "client")
 	if err != nil {
 		return nil, err
 	}
@@ -517,14 +460,9 @@ func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas encl
 	defer mle.Zeroize(shared)
 	c2sKey := hkdfKey(shared, "speed/c2s")
 	s2cKey := hkdfKey(shared, "speed/s2c")
-	c2s, err := newAEAD(c2sKey)
-	if err != nil {
-		mle.Zeroize(c2sKey)
-		mle.Zeroize(s2cKey)
-		return nil, err
-	}
-	s2c, err := newAEAD(s2cKey)
-	if err != nil {
+	c2s, err1 := newAEAD(c2sKey)
+	s2c, err2 := newAEAD(s2cKey)
+	if err := errors.Join(err1, err2); err != nil {
 		mle.Zeroize(c2sKey)
 		mle.Zeroize(s2cKey)
 		return nil, err

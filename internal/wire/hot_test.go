@@ -219,8 +219,8 @@ func TestReadFrameIntoZeroAlloc(t *testing.T) {
 }
 
 // TestRecvPayloadValidUntilNextRecv pins the ownership contract: the
-// slice returned by Recv is reused by the next Recv, and RecvMessage
-// (via OwnMessage) detaches decoded messages from that window.
+// slice returned by Recv is reused by the next Recv, and Detach (which
+// recvEnvelope calls) takes decoded messages out of that window.
 func TestRecvPayloadValidUntilNextRecv(t *testing.T) {
 	client, server := hotChannelPair(t)
 
@@ -244,7 +244,7 @@ func TestRecvPayloadValidUntilNextRecv(t *testing.T) {
 		t.Error("Recv payload survived a subsequent Recv; expected scratch reuse")
 	}
 
-	// A decoded message detached with OwnMessage, by contrast, survives.
+	// A decoded message whose frame was detached, by contrast, survives.
 	put := PutRequest{Items: []PutItem{{Tag: mle.Tag{9}, Sealed: getHitSealed()}}}
 	if err := client.SendEnvelope(1, put); err != nil {
 		t.Fatal(err)
@@ -261,36 +261,48 @@ func TestRecvPayloadValidUntilNextRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got1.(PutRequest).Items[0].Sealed.Blob, blob) {
-		t.Error("owned message mutated by a subsequent receive; OwnMessage failed to detach it")
+		t.Error("detached message mutated by a subsequent receive")
 	}
 }
 
-// TestOwnMessageDetaches verifies OwnMessage copies every retained byte
-// field out of the decode buffer for each aliasing message kind.
+// TestOwnMessageDetaches: a GET reply whose frame the reader detached
+// owns its sealed bytes. It survives the next Recv, a frame of the same
+// size that would land in the old scratch, and the Recv after that,
+// into the fresh scratch; a reply that was not detached is overwritten.
 func TestOwnMessageDetaches(t *testing.T) {
-	sealed := mle.Sealed{
-		Challenge:  []byte{1, 1},
-		WrappedKey: []byte{2, 2},
-		Blob:       []byte{3, 3, 3},
+	client, server := hotChannelPair(t)
+	reply := func(fill byte) GetResponse {
+		s := getHitSealed()
+		s.Blob = bytes.Repeat([]byte{fill}, len(s.Blob))
+		return GetResponse{Results: []GetResult{{Found: true, Sealed: s}, {Found: false}}}
 	}
-	msgs := []Message{
-		GetResponse{Results: []GetResult{{Found: true, Sealed: sealed}, {Found: true, Sealed: sealed}}},
-		PutRequest{Items: []PutItem{{Tag: mle.Tag{4}, Sealed: sealed}, {Tag: mle.Tag{5}, Sealed: sealed}}},
-	}
-	for _, m := range msgs {
-		buf := Marshal(m)
-		decoded, err := Unmarshal(buf)
+	recvGet := func() GetResponse {
+		t.Helper()
+		payload, err := client.Recv()
 		if err != nil {
-			t.Fatalf("%v: %v", m.Kind(), err)
+			t.Fatal(err)
 		}
-		owned := OwnMessage(decoded)
-		for i := range buf {
-			buf[i] = 0xEE // clobber the decode buffer
+		_, _, msg, err := UnmarshalEnvelope(payload)
+		if err != nil {
+			t.Fatal(err)
 		}
-		reEncoded := Marshal(owned)
-		if !bytes.Equal(reEncoded, Marshal(m)) {
-			t.Errorf("%v: owned message changed when decode buffer was clobbered", m.Kind())
+		return msg.(GetResponse)
+	}
+	for i, fill := range []byte{0x11, 0x22, 0x33} {
+		if err := server.SendEnvelope(uint64(i), reply(fill)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	kept := recvGet()
+	client.Detach()
+	scratch := recvGet() // into a fresh scratch, which it keeps
+	recvGet()            // overwrites scratch, not kept
+	want := Marshal(reply(0x11))
+	if got := Marshal(kept); !bytes.Equal(got, want) {
+		t.Error("detached GET reply changed after two more Recvs")
+	}
+	if bytes.Equal(scratch.Results[0].Sealed.Blob, bytes.Repeat([]byte{0x22}, len(scratch.Results[0].Sealed.Blob))) {
+		t.Error("a reply that was not detached survived the next Recv; expected scratch reuse")
 	}
 }
 

@@ -347,30 +347,6 @@ func decodeHasResponse(b []byte) (HasResponse, error) {
 	return m, nil
 }
 
-// OwnMessage makes a decoded message own all of its memory. Unmarshal
-// is zero-copy: decoded byte fields (the Sealed triples of GET
-// responses and PUT requests) alias the input buffer,
-// which for Channel.Recv is the channel's receive scratch and only
-// valid until the next Recv. OwnMessage copies those fields, in place
-// in the item slice the decoder allocated, so the message can be
-// retained indefinitely — it must be called before a decoded message
-// is stored or handed to another goroutine. Messages whose decoders
-// already copy everything (requests with fixed-size tags, responses
-// with string fields) pass through unchanged.
-func OwnMessage(m Message) Message {
-	switch v := m.(type) {
-	case GetResponse:
-		for i := range v.Results {
-			v.Results[i].Sealed = v.Results[i].Sealed.Clone()
-		}
-	case PutRequest:
-		for i := range v.Items {
-			v.Items[i].Sealed = v.Items[i].Sealed.Clone()
-		}
-	}
-	return m
-}
-
 func appendSealed(buf []byte, s mle.Sealed) []byte {
 	buf = appendBytes(buf, s.Challenge)
 	buf = appendBytes(buf, s.WrappedKey)

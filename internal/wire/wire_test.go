@@ -5,9 +5,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -131,7 +133,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrameInto(&buf, nil)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -149,7 +151,7 @@ func TestFrameTooLarge(t *testing.T) {
 	raw := hdr.Bytes()
 	// Forge a header announcing an oversized frame.
 	raw[0], raw[1], raw[2], raw[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrameInto(bytes.NewReader(raw), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("ReadFrame = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -160,7 +162,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := buf.Bytes()[:50]
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadFrameInto(bytes.NewReader(raw), nil); err == nil {
 		t.Error("ReadFrame accepted truncated payload")
 	}
 }
@@ -190,6 +192,44 @@ func handshakePair(t *testing.T, p *enclave.Platform, app, store *enclave.Enclav
 	return client, sr.ch
 }
 
+// TestChannelSetDeadline: the channel sets no deadline of its own, and
+// one set on its connection bounds it. An expired deadline surfaces as
+// a timeout from Recv instead of blocking forever, and clearing it
+// restores the channel for a frame the peer sends afterwards: no byte of
+// a frame was consumed before the timeout.
+func TestChannelSetDeadline(t *testing.T) {
+	p := enclave.NewPlatform(enclave.Config{})
+	app, _ := p.Create("app", []byte("app code"))
+	st, _ := p.Create("store", []byte("store code"))
+	client, server := handshakePair(t, p, app, st, nil)
+	defer client.Close()
+	defer server.Close()
+	conn := client.conn.(net.Conn)
+
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+		t.Fatalf("SetDeadline: %v", err)
+	}
+	start := time.Now()
+	if _, err := client.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("Recv past the deadline = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("Recv blocked %v despite the deadline", elapsed)
+	}
+
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		t.Fatalf("clearing the deadline: %v", err)
+	}
+	go func() { _ = server.Send([]byte("after deadline")) }()
+	payload, err := client.Recv()
+	if err != nil {
+		t.Fatalf("Recv after clearing the deadline: %v", err)
+	}
+	if !bytes.Equal(payload, []byte("after deadline")) {
+		t.Errorf("payload = %q", payload)
+	}
+}
+
 // recvEnvelope receives one envelope and returns its request ID and
 // its message, detached from the channel's receive scratch.
 func recvEnvelope(c *Channel) (uint64, Message, error) {
@@ -197,11 +237,12 @@ func recvEnvelope(c *Channel) (uint64, Message, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	id, _, msg, err := c.ParseEnvelope(payload)
+	id, _, msg, err := UnmarshalEnvelope(payload)
 	if err != nil {
 		return 0, nil, err
 	}
-	return id, OwnMessage(msg), nil
+	c.Detach()
+	return id, msg, nil
 }
 
 func TestSecureChannelRoundTrip(t *testing.T) {
