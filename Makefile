@@ -115,7 +115,8 @@ bench-overhead:
 # (which must read no segment file) and one streaming merge, the store
 # server's one-tag GET hit, one client's GET hit and PUT through the mux
 # over loopback TCP beside a bare loopback ping-pong of the hit's sizes
-# (BenchmarkHotTCPFloor, which benchgate holds the hit to 2.0x of), the
+# (BenchmarkHotTCPFloor; BenchmarkHotMuxGetHitOverFloor times the two in
+# turn, and benchgate holds their ratio within 2.0x), the
 # FastCDC chunker scan, and a chunked hit that reassembles half its
 # chunks from the cache.
 # -count 6 gives the regression gate a run-to-run spread for its

@@ -31,25 +31,28 @@ func writeTemp(t *testing.T, content string) string {
 }
 
 func TestParseLine(t *testing.T) {
-	name, ns, b, allocs, ok := parseLine("BenchmarkChannelRoundTrip-16   \t  100000\t      5000 ns/op\t 900.00 MB/s\t    4096 B/op\t       2 allocs/op")
+	name, ns, b, allocs, xFloor, ok := parseLine("BenchmarkChannelRoundTrip-16   \t  100000\t      5000 ns/op\t 900.00 MB/s\t    4096 B/op\t       2 allocs/op")
 	if !ok {
 		t.Fatal("parseLine rejected a valid line")
 	}
 	if name != "BenchmarkChannelRoundTrip" {
 		t.Errorf("name = %q (GOMAXPROCS suffix must be stripped)", name)
 	}
-	if ns != 5000 || b != 4096 || allocs != 2 {
-		t.Errorf("parsed (%v, %v, %v), want (5000, 4096, 2)", ns, b, allocs)
+	if ns != 5000 || b != 4096 || allocs != 2 || !math.IsNaN(xFloor) {
+		t.Errorf("parsed (%v, %v, %v, %v), want (5000, 4096, 2, NaN)", ns, b, allocs, xFloor)
+	}
+	if _, _, _, _, xFloor, _ = parseLine("BenchmarkHotMuxGetHitOverFloor-2  50000  37000 ns/op  1.62 x-floor  5456 B/op  12 allocs/op"); xFloor != 1.62 {
+		t.Errorf("x-floor parsed as %v, want 1.62", xFloor)
 	}
 
 	// Without -benchmem, B/op and allocs/op are absent.
-	_, ns, b, allocs, ok = parseLine("BenchmarkFoo-4   100  12.5 ns/op")
+	_, ns, b, allocs, _, ok = parseLine("BenchmarkFoo-4   100  12.5 ns/op")
 	if !ok || ns != 12.5 || !math.IsNaN(b) || !math.IsNaN(allocs) {
 		t.Errorf("bare line parsed as (%v, %v, %v, %v)", ns, b, allocs, ok)
 	}
 
 	for _, junk := range []string{"PASS", "ok  \tspeed/internal/wire\t3.0s", "goos: linux", ""} {
-		if _, _, _, _, ok := parseLine(junk); ok {
+		if _, _, _, _, _, ok := parseLine(junk); ok {
 			t.Errorf("parseLine accepted %q", junk)
 		}
 	}
@@ -159,22 +162,27 @@ BenchmarkBrandNew-8  100000  10 ns/op  0 B/op  0 allocs/op
 	}
 }
 
-// TestCompareFloorRatio: the mux GET hit fails the gate above twice the
-// socket floor of the same run, whatever the baseline says, and passes
-// at or below it.
+// TestCompareFloorRatio: the gate fails when the median x-floor of
+// BenchmarkHotMuxGetHitOverFloor is above 2.0, whatever the baseline
+// says, and passes at or below it; one high repetition moves no median.
 func TestCompareFloorRatio(t *testing.T) {
 	baseline, _ := parseFile(writeTemp(t, baselineFixture))
-	run := func(hitNs string) map[string]*sample {
-		fresh, _ := parseFile(writeTemp(t, baselineFixture+
-			"BenchmarkHotTCPFloor-8   \t  100000\t     10000 ns/op\t       0 B/op\t       0 allocs/op\n"+
-			"BenchmarkHotMuxGetHit-8  \t  100000\t     "+hitNs+" ns/op\t    5456 B/op\t      12 allocs/op\n"))
+	run := func(ratios ...string) map[string]*sample {
+		out := baselineFixture
+		for _, r := range ratios {
+			out += "BenchmarkHotMuxGetHitOverFloor-8  \t  50000\t     37000 ns/op\t  " + r + " x-floor\t    5456 B/op\t      12 allocs/op\n"
+		}
+		fresh, _ := parseFile(writeTemp(t, out))
 		return fresh
 	}
-	if report, failed := compare(baseline, run("20000"), 0.30); failed || !strings.Contains(report, "2.00x") {
-		t.Errorf("a hit at 2.0x the floor failed the gate or was not reported:\n%s", report)
+	if report, failed := compare(baseline, run("1.9", "2.0", "2.1"), 0.30); failed || !strings.Contains(report, "2.00x") {
+		t.Errorf("a median ratio of 2.0 failed the gate or was not reported:\n%s", report)
 	}
-	report, failed := compare(baseline, run("20100"), 0.30)
+	if report, failed := compare(baseline, run("1.6", "1.7", "3.5"), 0.30); failed {
+		t.Errorf("one high repetition failed the gate:\n%s", report)
+	}
+	report, failed := compare(baseline, run("1.9", "2.01", "2.1"), 0.30)
 	if !failed || !strings.Contains(report, "socket floor") {
-		t.Errorf("a hit at 2.01x the floor passed the gate:\n%s", report)
+		t.Errorf("a median ratio of 2.01 passed the gate:\n%s", report)
 	}
 }

@@ -265,6 +265,9 @@ func (c *RemoteClient) Retries() int64 { return c.retries.Load() }
 // the initial connection).
 func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 
+// Inflight reports the number of requests currently awaiting a reply.
+func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
+
 // Healthy implements StoreClient: false from the first transport
 // failure the re-dial did not cure until the next success, and for
 // good after Close.
@@ -273,7 +276,10 @@ func (c *RemoteClient) Healthy() bool { return !c.down.Load() }
 // dial establishes one attested channel, bounding connect plus
 // handshake with DialTimeout, and wraps it in a mux.
 func (c *RemoteClient) dial() (*chanMux, error) {
-	timeout := max(c.cfg.DialTimeout, 0)
+	timeout := c.cfg.DialTimeout
+	if timeout < 0 {
+		timeout = 0
+	}
 	conn, err := net.DialTimeout("tcp", c.addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("dedup: dial store: %w", err)

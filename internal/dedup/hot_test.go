@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"speed/internal/mle"
 	"speed/internal/store"
@@ -94,17 +95,53 @@ func BenchmarkHotMuxGetHit(b *testing.B) {
 }
 
 // BenchmarkHotTCPFloor is the socket floor under BenchmarkHotMuxGetHit:
-// a bare loopback TCP ping-pong of the same sizes, 64 B out and 4,200 B
-// back, read through a 16 KiB bufio.Reader like wire.Channel's, with no
-// crypto, framing, mux or store. cmd/benchgate fails when the mux hit
-// costs more than twice this in the same run.
+// a bare loopback TCP ping-pong of the same sizes (newTCPFloor).
 func BenchmarkHotTCPFloor(b *testing.B) {
+	pingPong := newTCPFloor(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pingPong()
+	}
+}
+
+// BenchmarkHotMuxGetHitOverFloor times BenchmarkHotMuxGetHit's hits and
+// BenchmarkHotTCPFloor's ping-pongs in turn, four of each at a time,
+// and reports the hits' time over the ping-pongs' as x-floor, which
+// cmd/benchgate holds within 2.0. Taking them in turn puts both under
+// the same load: run one after the other, seconds apart, their ratio
+// moves with the machine's load. Runs of four keep each side warm.
+func BenchmarkHotMuxGetHitOverFloor(b *testing.B) {
+	get, pingPong := newMuxHit(b), newTCPFloor(b)
+	var hit, floor time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 4 {
+		n := min(4, b.N-i)
+		t0 := time.Now()
+		for j := 0; j < n; j++ {
+			get()
+		}
+		t1 := time.Now()
+		for j := 0; j < n; j++ {
+			pingPong()
+		}
+		hit, floor = hit+t1.Sub(t0), floor+time.Since(t1)
+	}
+	b.ReportMetric(float64(hit)/float64(floor), "x-floor")
+}
+
+// newTCPFloor returns a bare loopback TCP ping-pong of a mux GET hit's
+// sizes, 64 B out and 4,200 B back, read through a 16 KiB bufio.Reader
+// like wire.Channel's, with no crypto, framing, mux or store: the
+// socket floor of the remote leg. The connection is closed, and its
+// server checked, at cleanup.
+func newTCPFloor(tb testing.TB) func() {
 	const reqSize, replySize = 64, 4200
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatalf("Listen: %v", err)
+		tb.Fatalf("Listen: %v", err)
 	}
-	defer ln.Close()
 	served := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
@@ -128,31 +165,30 @@ func BenchmarkHotTCPFloor(b *testing.B) {
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
-		b.Fatalf("Dial: %v", err)
+		ln.Close()
+		tb.Fatalf("Dial: %v", err)
 	}
+	tb.Cleanup(func() {
+		conn.Close()
+		ln.Close()
+		if err := <-served; err != nil {
+			tb.Errorf("floor server: %v", err)
+		}
+	})
 	rd := bufio.NewReaderSize(conn, 16<<10)
 	req, reply := make([]byte, reqSize), make([]byte, replySize)
 	pingPong := func() {
 		if _, err := conn.Write(req); err != nil {
-			b.Fatalf("Write: %v", err)
+			tb.Fatalf("Write: %v", err)
 		}
 		if _, err := io.ReadFull(rd, reply); err != nil {
-			b.Fatalf("Read: %v", err)
+			tb.Fatalf("Read: %v", err)
 		}
 	}
 	for i := 0; i < 5; i++ {
 		pingPong()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pingPong()
-	}
-	b.StopTimer()
-	conn.Close()
-	if err := <-served; err != nil {
-		b.Fatalf("server: %v", err)
-	}
+	return pingPong
 }
 
 // muxPutEntries caps the store behind newMuxPut, so that in the steady

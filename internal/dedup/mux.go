@@ -49,7 +49,7 @@ type muxResult struct {
 }
 
 // newChanMux wraps ch; timeout > 0 bounds every request's wait for its
-// reply, late by at most one watchdog period.
+// reply, late by at most one watchdog period, an eighth of it.
 func newChanMux(ch *wire.Channel, timeout time.Duration) *chanMux {
 	m := &chanMux{
 		ch:      ch,
@@ -59,7 +59,7 @@ func newChanMux(ch *wire.Channel, timeout time.Duration) *chanMux {
 	}
 	m.token <- struct{}{}
 	if timeout > 0 {
-		m.dog = wire.NewWatchdog(timeout)
+		m.dog = wire.NewWatchdog(timeout, 8)
 		m.dog.Start(m.watch)
 	}
 	return m
@@ -94,7 +94,7 @@ func (m *chanMux) readUntil(w chan muxResult) {
 			m.fail(err)
 			return
 		}
-		id, _, msg, err := wire.UnmarshalEnvelope(payload)
+		id, _, msg, err := m.ch.ParseEnvelope(payload)
 		if err != nil {
 			m.fail(fmt.Errorf("dedup: mux: %w", err))
 			return

@@ -101,7 +101,7 @@ func TestMuxConcurrentCallersOneConnection(t *testing.T) {
 	if r := env.client.Reconnects(); r != 0 {
 		t.Errorf("Reconnects = %d, want 0", r)
 	}
-	if n := env.client.inflight.Load(); n != 0 {
+	if n := env.client.Inflight(); n != 0 {
 		t.Errorf("Inflight = %d after all calls returned, want 0", n)
 	}
 }
@@ -207,7 +207,7 @@ func TestProtocolVersionRefused(t *testing.T) {
 			if err := wire.WriteFrame(conn, rawHello(t, appEnc, storeEnc.Measurement(), row.version, row.flipTo)); err != nil {
 				t.Fatalf("send hello: %v", err)
 			}
-			if frame, err := wire.ReadFrameInto(conn, nil); err == nil {
+			if frame, err := wire.ReadFrame(conn); err == nil {
 				t.Fatalf("server answered the hello with %d bytes; want it to hang up", len(frame))
 			}
 
@@ -239,11 +239,11 @@ func TestProtocolVersionRefused(t *testing.T) {
 					go func() {
 						defer conn.Close()
 						_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-						if _, err := wire.ReadFrameInto(conn, nil); err != nil {
+						if _, err := wire.ReadFrame(conn); err != nil {
 							return
 						}
 						_ = wire.WriteFrame(conn, hello)
-						_, _ = wire.ReadFrameInto(conn, nil) // hold the session until the client hangs up
+						_, _ = wire.ReadFrame(conn) // hold the session until the client hangs up
 					}()
 				}
 			}()
@@ -368,7 +368,7 @@ func TestCloseUnblocksInflightWaiters(t *testing.T) {
 			errs <- err
 		}(byte(i))
 	}
-	waitFor(t, "requests to be in flight", func() bool { return client.inflight.Load() == 4 })
+	waitFor(t, "requests to be in flight", func() bool { return client.Inflight() == 4 })
 
 	if err := client.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -412,7 +412,7 @@ func TestRetryAccountingDeterministic(t *testing.T) {
 		if r, rc, h := client.Retries(), client.Reconnects(), client.Healthy(); r != retries || rc != reconnects || h != healthy {
 			t.Errorf("%s: retries=%d reconnects=%d healthy=%v, want %d, %d, %v", step, r, rc, h, retries, reconnects, healthy)
 		}
-		if n := client.inflight.Load(); n != 0 {
+		if n := client.Inflight(); n != 0 {
 			t.Errorf("%s: Inflight = %d, want 0", step, n)
 		}
 	}
@@ -481,7 +481,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				id, _, msg, err := wire.UnmarshalEnvelope(frame)
+				id, _, msg, err := ch.ParseEnvelope(frame)
 				if err != nil {
 					return err
 				}
@@ -511,7 +511,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			id, _, _, err := wire.UnmarshalEnvelope(frame)
+			id, _, _, err := ch.ParseEnvelope(frame)
 			if err != nil {
 				return err
 			}
@@ -556,7 +556,7 @@ func TestMuxCorrelatesOutOfOrderResponses(t *testing.T) {
 		results <- result{tag, sealed, found, err}
 	}
 	go launch(testTag(0x0A))
-	waitFor(t, "first request in flight", func() bool { return client.inflight.Load() == 1 })
+	waitFor(t, "first request in flight", func() bool { return client.Inflight() == 1 })
 	go launch(testTag(0x0B))
 
 	for i := 0; i < 2; i++ {
@@ -603,7 +603,7 @@ func tokenPeer(t *testing.T, storeEnc *enclave.Enclave) net.Listener {
 			if err != nil {
 				return err
 			}
-			id, _, msg, err := wire.UnmarshalEnvelope(frame)
+			id, _, msg, err := ch.ParseEnvelope(frame)
 			if err != nil {
 				return err
 			}
@@ -680,7 +680,7 @@ func TestMuxReadTokenHandOver(t *testing.T) {
 	// reaches B through A's read loop, and A's own follows.
 	errs := make(chan error, 2)
 	go func() { errs <- get('A') }()
-	waitFor(t, "A to hold the read token", func() bool { return client.inflight.Load() == 1 && tokenHeld() })
+	waitFor(t, "A to hold the read token", func() bool { return client.Inflight() == 1 && tokenHeld() })
 	go func() { errs <- get('B') }()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
@@ -746,7 +746,7 @@ func TestMuxDeadlineAfterReply(t *testing.T) {
 	client.mu.Lock()
 	mux := client.mux
 	client.mu.Unlock()
-	period := timeout / 4 // a watchdog fires every quarter of its shortest timeout
+	period := timeout / 8 // the mux's watchdog fires every eighth of its timeout
 	get := func(b byte) error {
 		_, err := mux.roundTrip(wire.GetRequest{Tags: []mle.Tag{testTag(b)}}, wire.TraceContext{})
 		return err

@@ -152,8 +152,8 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 						t.Fatalf("%s: Stats diverged:\n message at a time %+v\n item at a time    %+v", what, b, w)
 					}
 					for _, o := range owners {
-						if b, w := batch.quota.bytesOf(o), twin.quota.bytesOf(o); b != w {
-							t.Fatalf("%s: bytes of %v = %d a message at a time, %d an item at a time", what, o, b, w)
+						if b, w := batch.AppBytes(o), twin.AppBytes(o); b != w {
+							t.Fatalf("%s: AppBytes(%v) = %d a message at a time, %d an item at a time", what, o, b, w)
 						}
 					}
 				}
@@ -306,8 +306,8 @@ func TestOverlappingPutMessagesInstallOnce(t *testing.T) {
 			if st := s.Stats(); st.Puts != n || st.PutDupes != n || st.Entries != n {
 				t.Errorf("Stats = %+v, want %d puts, %d dupes, %d entries", st, n, n, n)
 			}
-			if got, want := s.quota.bytesOf(owner), int64(n*len("first")); got != want {
-				t.Errorf("bytes charged = %d, want %d (one version per tag)", got, want)
+			if got, want := s.AppBytes(owner), int64(n*len("first")); got != want {
+				t.Errorf("AppBytes = %d, want %d (one version per tag)", got, want)
 			}
 		})
 	}

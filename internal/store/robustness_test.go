@@ -155,6 +155,32 @@ func TestServerIdleDeadline(t *testing.T) {
 	}
 }
 
+// TestServerIdleLimitSparesServing: the idle limit bounds only the wait
+// for a request. A request served for longer than the limit (its
+// slow-request log line blocks here) still gets its reply on the same
+// connection, which stays open for the next request.
+func TestServerIdleLimitSparesServing(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	logf := func(format string, _ ...any) {
+		if strings.HasPrefix(format, "store: slow request") {
+			time.Sleep(4 * idle)
+		}
+	}
+	srv, p, storeEnc := startRobustServer(t, WithLogf(logf), WithSlowRequestLog(time.Nanosecond),
+		func(s *Server) { s.idleTimeout = idle })
+	appEnc, err := p.Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	ch := dialStoreWithin(t, srv.Addr().String(), appEnc, storeEnc.Measurement(), 5*time.Second)
+	if pr, err := putOver(ch, tagOf("slow"), sealedOf("v")); err != nil || !pr.OK {
+		t.Fatalf("PUT served past the idle limit = %+v, %v; want its reply", pr, err)
+	}
+	if gr, err := getOver(ch, tagOf("slow")); err != nil || !gr.Found {
+		t.Fatalf("GET after it = %+v, %v; want the PUT's version", gr, err)
+	}
+}
+
 func TestServerRejectsPostHandshakeGarbage(t *testing.T) {
 	srv, p, storeEnc := startRobustServer(t)
 	appEnc, err := p.Create("app", []byte("app code"))

@@ -159,7 +159,8 @@ const (
 // Session phases, stamped for the session's watchdog in the low two
 // bits of its state, under the watchdog tick of the stamp.
 const (
-	phaseRead  = iota // reading a request or serving it: idleTimeout runs
+	phaseRead  = iota // waiting for a request: idleTimeout runs
+	phaseServe        // serving a request that arrived: no timeout runs
 	phaseWrite        // writing the reply: writeTimeout runs
 	phaseDone         // the session ended: the watchdog stops
 )
@@ -320,10 +321,11 @@ type request struct {
 // engine's record views, which nothing writes. The session's timeouts
 // are one watchdog, not a deadline per request: it closes the
 // connection once the stamped phase has waited idleTimeout for a
-// request or writeTimeout on a reply.
+// request or writeTimeout on a reply. Serving is a phase of its own, so
+// a request that arrived in time always gets its reply.
 func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measurement, flushBytes func()) {
 	var state atomic.Uint64
-	dog := wire.NewWatchdog(min(s.idleTimeout, s.writeTimeout))
+	dog := wire.NewWatchdog(min(s.idleTimeout, s.writeTimeout), 4)
 	stamp := func(phase uint64) { state.Store(dog.Tick()<<2 | phase) }
 	dog.Start(func(tick uint64) bool {
 		switch st := state.Load(); {
@@ -348,7 +350,8 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 			}
 			return
 		}
-		id, tc, msg, err := wire.UnmarshalEnvelope(payload)
+		stamp(phaseServe)
+		id, tc, msg, err := ch.ParseEnvelope(payload)
 		if err != nil {
 			s.logf("store: bad envelope from %v: %v", conn.RemoteAddr(), err)
 			return

@@ -73,7 +73,7 @@ func call(ch *wire.Channel, req wire.Message) (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	gotID, _, msg, err := wire.UnmarshalEnvelope(payload)
+	gotID, _, msg, err := ch.ParseEnvelope(payload)
 	if err != nil {
 		return nil, err
 	}

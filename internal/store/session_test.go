@@ -85,7 +85,7 @@ func TestSessionPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reply %d of %d: %v", i+1, n, err)
 		}
-		id, _, msg, err := wire.UnmarshalEnvelope(payload)
+		id, _, msg, err := ch.ParseEnvelope(payload)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i+1, err)
 		}
@@ -150,7 +150,7 @@ func TestSessionPipelinedPutPayloads(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reply %d of %d: %v", i, n, err)
 				}
-				_, _, msg, err := wire.UnmarshalEnvelope(payload)
+				_, _, msg, err := ch.ParseEnvelope(payload)
 				if err != nil {
 					t.Fatalf("reply %d: %v", i, err)
 				}
@@ -188,7 +188,7 @@ func TestSessionReplyWriteFails(t *testing.T) {
 		appEnc, _ := p.Create("app", []byte("app code"))
 		srv := startServer(t, testStore(t, Config{Enclave: storeEnc}), WithTelemetry(telemetry.NewRegistry()),
 			func(s *Server) { s.writeTimeout = writeTimeout })
-		period := writeTimeout / 4 // a watchdog fires every quarter of its shortest timeout
+		period := writeTimeout / 4 // the session's watchdog fires every quarter of its shortest timeout
 
 		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {

@@ -162,6 +162,12 @@ func (c *Channel) SendEnvelopeTrace(id uint64, tc TraceContext, m Message) error
 	return c.sendLocked(buf[:frameHeaderLen], buf[frameHeaderLen:])
 }
 
+// ParseEnvelope decodes an envelope payload received on this channel.
+// The returned message aliases the payload exactly like Unmarshal.
+func (c *Channel) ParseEnvelope(payload []byte) (uint64, TraceContext, Message, error) {
+	return UnmarshalEnvelope(payload)
+}
+
 // sendLocked seals payload behind head, the frame's length header at
 // the front of the channel's frame scratch, and writes the frame with a
 // single conn.Write. A payload marshalled right after head (an
@@ -289,26 +295,49 @@ type hello struct {
 }
 
 func makeHello(e *enclave.Enclave, target enclave.Measurement, data []byte) (hello, error) {
+	h := hello{report: e.Report(target, data)}
 	q, err := e.Quote(data)
-	return hello{report: e.Report(target, data), quote: q}, err
+	if err != nil {
+		return hello{}, err
+	}
+	h.quote = q
+	return h, nil
 }
 
 func (h hello) marshal() []byte {
-	return appendBytes(appendBytes(nil, h.report.Marshal()), h.quote.Marshal())
+	report := h.report.Marshal()
+	quote := h.quote.Marshal()
+	buf := make([]byte, 0, 8+len(report)+len(quote))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(report)))
+	buf = append(buf, report...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(quote)))
+	buf = append(buf, quote...)
+	return buf
 }
 
-// parseHello decodes a hello: the report and the quote, each a u32
-// length and its bytes, and nothing after them.
 func parseHello(b []byte) (hello, error) {
 	var h hello
-	reportB, b, err := readBytes(b)
+	readBytes := func() ([]byte, error) {
+		if len(b) < 4 {
+			return nil, ErrMalformed
+		}
+		n := binary.BigEndian.Uint32(b)
+		b = b[4:]
+		if uint64(n) > uint64(len(b)) {
+			return nil, ErrMalformed
+		}
+		v := b[:n:n]
+		b = b[n:]
+		return v, nil
+	}
+	reportB, err := readBytes()
 	if err != nil {
 		return h, err
 	}
 	if h.report, err = enclave.UnmarshalReport(reportB); err != nil {
 		return h, err
 	}
-	quoteB, b, err := readBytes(b)
+	quoteB, err := readBytes()
 	if err != nil {
 		return h, err
 	}
@@ -321,19 +350,11 @@ func parseHello(b []byte) (hello, error) {
 	return h, nil
 }
 
-// recvHello reads the hello of the peer named from and authenticates
-// it: local attestation first (same platform), falling back to a remote
-// attestation quote when a trust set is configured. It returns the
-// attested measurement and the peer's key-exchange data.
-func recvHello(conn io.Reader, e *enclave.Enclave, trust *Trust, from string) (enclave.Measurement, [64]byte, error) {
-	frame, err := readHelloFrame(conn)
-	if err != nil {
-		return enclave.Measurement{}, [64]byte{}, fmt.Errorf("wire: read %s hello: %w", from, err)
-	}
-	h, err := parseHello(frame)
-	if err != nil {
-		return enclave.Measurement{}, [64]byte{}, fmt.Errorf("wire: parse %s hello: %w", from, err)
-	}
+// verifyHello authenticates a peer hello: local attestation first
+// (same platform), falling back to a remote attestation quote when a
+// trust set is configured. It returns the attested measurement and the
+// peer's key-exchange data.
+func verifyHello(e *enclave.Enclave, h hello, trust *Trust) (enclave.Measurement, [64]byte, error) {
 	if err := e.VerifyReport(h.report); err == nil {
 		return h.report.Measurement, h.report.Data, nil
 	}
@@ -375,7 +396,15 @@ func ClientHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasu
 		return nil, fmt.Errorf("wire: send client hello: %w", err)
 	}
 
-	peerMeas, peerData, err := recvHello(conn, e, trust, "server")
+	frame, err := readHelloFrame(conn)
+	if err != nil {
+		return nil, fmt.Errorf("wire: read server hello: %w", err)
+	}
+	serverHello, err := parseHello(frame)
+	if err != nil {
+		return nil, fmt.Errorf("wire: parse server hello: %w", err)
+	}
+	peerMeas, peerData, err := verifyHello(e, serverHello, trust)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +427,15 @@ func ServerHandshake(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(en
 // ServerHandshakeTrust is ServerHandshake that additionally accepts
 // remote clients on platforms in the trust set (remote attestation).
 func ServerHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(enclave.Measurement) bool, trust *Trust) (*Channel, error) {
-	clientMeas, clientData, err := recvHello(conn, e, trust, "client")
+	frame, err := readHelloFrame(conn)
+	if err != nil {
+		return nil, fmt.Errorf("wire: read client hello: %w", err)
+	}
+	clientHello, err := parseHello(frame)
+	if err != nil {
+		return nil, fmt.Errorf("wire: parse client hello: %w", err)
+	}
+	clientMeas, clientData, err := verifyHello(e, clientHello, trust)
 	if err != nil {
 		return nil, err
 	}
@@ -460,9 +497,14 @@ func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas encl
 	defer mle.Zeroize(shared)
 	c2sKey := hkdfKey(shared, "speed/c2s")
 	s2cKey := hkdfKey(shared, "speed/s2c")
-	c2s, err1 := newAEAD(c2sKey)
-	s2c, err2 := newAEAD(s2cKey)
-	if err := errors.Join(err1, err2); err != nil {
+	c2s, err := newAEAD(c2sKey)
+	if err != nil {
+		mle.Zeroize(c2sKey)
+		mle.Zeroize(s2cKey)
+		return nil, err
+	}
+	s2c, err := newAEAD(s2cKey)
+	if err != nil {
 		mle.Zeroize(c2sKey)
 		mle.Zeroize(s2cKey)
 		return nil, err

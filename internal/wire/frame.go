@@ -39,10 +39,17 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	if _, err := w.Write(appendBytes(make([]byte, 0, frameHeaderLen+len(payload)), payload)); err != nil {
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, frameHeaderLen+len(payload)), uint32(len(payload)))
+	if _, err := w.Write(append(buf, payload...)); err != nil {
 		return fmt.Errorf("write frame: %w", err)
 	}
 	return nil
+}
+
+// ReadFrame reads one length-prefixed frame into a fresh buffer that
+// the caller owns.
+func ReadFrame(r io.Reader) ([]byte, error) {
+	return readFrameLimit(r, MaxFrameSize, nil)
 }
 
 // ReadFrameInto reads one length-prefixed frame, reusing buf's backing

@@ -5,19 +5,19 @@ import (
 	"time"
 )
 
-// Watchdog is a connection's one timer: it fires every period, a
-// quarter of the shortest timeout it enforces, and is re-armed only when
-// it fires. The hot path stamps Tick into state the watchdog's check
-// reads, so a request costs no timer operation.
+// Watchdog is a connection's one timer. It fires n times per the
+// shortest timeout it enforces and is re-armed only when it fires; the
+// hot path stamps Tick into state its check reads, so a request costs
+// no timer operation.
 type Watchdog struct {
 	period time.Duration
 	ticks  atomic.Uint64
 }
 
-// NewWatchdog returns an unarmed watchdog for timeouts of at least
-// shortest.
-func NewWatchdog(shortest time.Duration) *Watchdog {
-	return &Watchdog{period: max((shortest+3)/4, time.Millisecond)}
+// NewWatchdog returns an unarmed watchdog that fires n times per
+// shortest, and at most once a millisecond.
+func NewWatchdog(shortest time.Duration, n int) *Watchdog {
+	return &Watchdog{period: max((shortest+time.Duration(n-1))/time.Duration(n), time.Millisecond)}
 }
 
 // Start arms the watchdog: each firing runs check on the timer's

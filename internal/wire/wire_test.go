@@ -133,7 +133,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, p := range payloads {
-		got, err := ReadFrameInto(&buf, nil)
+		got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -151,7 +151,7 @@ func TestFrameTooLarge(t *testing.T) {
 	raw := hdr.Bytes()
 	// Forge a header announcing an oversized frame.
 	raw[0], raw[1], raw[2], raw[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ReadFrameInto(bytes.NewReader(raw), nil); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("ReadFrame = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := buf.Bytes()[:50]
-	if _, err := ReadFrameInto(bytes.NewReader(raw), nil); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Error("ReadFrame accepted truncated payload")
 	}
 }
@@ -237,7 +237,7 @@ func recvEnvelope(c *Channel) (uint64, Message, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	id, _, msg, err := UnmarshalEnvelope(payload)
+	id, _, msg, err := c.ParseEnvelope(payload)
 	if err != nil {
 		return 0, nil, err
 	}
