@@ -265,9 +265,6 @@ func (c *RemoteClient) Retries() int64 { return c.retries.Load() }
 // the initial connection).
 func (c *RemoteClient) Reconnects() int64 { return c.reconnects.Load() }
 
-// Inflight reports the number of requests currently awaiting a reply.
-func (c *RemoteClient) Inflight() int64 { return c.inflight.Load() }
-
 // Healthy implements StoreClient: false from the first transport
 // failure the re-dial did not cure until the next success, and for
 // good after Close.

@@ -94,7 +94,7 @@ func (m *chanMux) readUntil(w chan muxResult) {
 			m.fail(err)
 			return
 		}
-		id, _, msg, err := m.ch.ParseEnvelope(payload)
+		id, _, msg, err := wire.UnmarshalEnvelope(payload)
 		if err != nil {
 			m.fail(fmt.Errorf("dedup: mux: %w", err))
 			return

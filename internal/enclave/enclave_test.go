@@ -213,19 +213,30 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	p := newTestPlatform(t, Config{})
 	e, _ := p.Create("app", []byte("code"))
 	secret := []byte("sensitive state blob")
-	sealed, err := e.Seal(nil, secret)
+	sealed, err := e.Seal(nil, secret, nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
 	if bytes.Contains(sealed, secret) {
 		t.Error("sealed blob contains plaintext")
 	}
-	got, err := e.Unseal(sealed)
+	got, err := e.Unseal(sealed, nil)
 	if err != nil {
 		t.Fatalf("Unseal: %v", err)
 	}
 	if !bytes.Equal(got, secret) {
 		t.Errorf("Unseal = %q, want %q", got, secret)
+	}
+	// The associated data is bound: unsealing under other data fails.
+	bound, err := e.Seal(nil, secret, []byte("tag A"))
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if _, err := e.Unseal(bound, []byte("tag B")); !errors.Is(err, ErrUnsealFailed) {
+		t.Errorf("Unseal under other associated data = %v, want ErrUnsealFailed", err)
+	}
+	if got, err := e.Unseal(bound, []byte("tag A")); err != nil || !bytes.Equal(got, secret) {
+		t.Errorf("Unseal = %q, %v; want %q", got, err, secret)
 	}
 }
 
@@ -238,7 +249,7 @@ func TestSealAppendsInPlace(t *testing.T) {
 	prefix, secret := []byte("hdr"), []byte("sensitive state blob")
 	buf := make([]byte, 0, len(prefix)+SealOverhead+len(secret))
 	buf = append(append(append(buf, prefix...), make([]byte, SealNonceSize)...), secret...)
-	out, err := e.Seal(buf[:len(prefix)], buf[len(prefix)+SealNonceSize:])
+	out, err := e.Seal(buf[:len(prefix)], buf[len(prefix)+SealNonceSize:], nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
@@ -248,7 +259,7 @@ func TestSealAppendsInPlace(t *testing.T) {
 	if !bytes.Equal(out[:len(prefix)], prefix) || bytes.Contains(out, secret) {
 		t.Fatal("in-place Seal lost the prefix or left plaintext")
 	}
-	if got, err := e.Unseal(out[len(prefix):]); err != nil || !bytes.Equal(got, secret) {
+	if got, err := e.Unseal(out[len(prefix):], nil); err != nil || !bytes.Equal(got, secret) {
 		t.Fatalf("Unseal = %q, %v; want %q", got, err, secret)
 	}
 }
@@ -266,12 +277,12 @@ func TestSealConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				secret := bytes.Repeat([]byte{g, byte(i)}, 64)
-				sealed, err := e.Seal(nil, secret)
+				sealed, err := e.Seal(nil, secret, nil)
 				if err != nil {
 					t.Errorf("Seal: %v", err)
 					return
 				}
-				if got, err := e.Unseal(sealed); err != nil || !bytes.Equal(got, secret) {
+				if got, err := e.Unseal(sealed, nil); err != nil || !bytes.Equal(got, secret) {
 					t.Errorf("Unseal = %v; want the sealed bytes back", err)
 					return
 				}
@@ -285,11 +296,11 @@ func TestSealBoundToMeasurement(t *testing.T) {
 	p := newTestPlatform(t, Config{})
 	e1, _ := p.Create("a", []byte("code v1"))
 	e2, _ := p.Create("b", []byte("code v2"))
-	sealed, err := e1.Seal(nil, []byte("secret"))
+	sealed, err := e1.Seal(nil, []byte("secret"), nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := e2.Unseal(sealed); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e2.Unseal(sealed, nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("cross-enclave Unseal = %v, want ErrUnsealFailed", err)
 	}
 }
@@ -300,11 +311,11 @@ func TestSealBoundToPlatform(t *testing.T) {
 	p2 := newTestPlatform(t, Config{})
 	e1, _ := p1.Create("a", code)
 	e2, _ := p2.Create("a", code)
-	sealed, err := e1.Seal(nil, []byte("secret"))
+	sealed, err := e1.Seal(nil, []byte("secret"), nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := e2.Unseal(sealed); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e2.Unseal(sealed, nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("cross-platform Unseal = %v, want ErrUnsealFailed", err)
 	}
 }
@@ -312,15 +323,15 @@ func TestSealBoundToPlatform(t *testing.T) {
 func TestSealTamperDetected(t *testing.T) {
 	p := newTestPlatform(t, Config{})
 	e, _ := p.Create("app", []byte("code"))
-	sealed, err := e.Seal(nil, []byte("secret"))
+	sealed, err := e.Seal(nil, []byte("secret"), nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
 	sealed[len(sealed)-1] ^= 0x01
-	if _, err := e.Unseal(sealed); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e.Unseal(sealed, nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("tampered Unseal = %v, want ErrUnsealFailed", err)
 	}
-	if _, err := e.Unseal(sealed[:4]); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e.Unseal(sealed[:4], nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("truncated Unseal = %v, want ErrUnsealFailed", err)
 	}
 }

@@ -134,11 +134,11 @@ func TestSeededPlatformSealingStable(t *testing.T) {
 		return e
 	}
 	e1, e2 := mk(), mk()
-	sealed, err := e1.Seal(nil, []byte("secret"))
+	sealed, err := e1.Seal(nil, []byte("secret"), nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	got, err := e2.Unseal(sealed)
+	got, err := e2.Unseal(sealed, nil)
 	if err != nil {
 		t.Fatalf("Unseal across instances: %v", err)
 	}

@@ -21,27 +21,28 @@ const (
 
 // Seal encrypts data under the enclave's measurement-bound sealing key
 // (AES-128-GCM), so that only the same enclave identity on the same
-// platform can recover it, and appends nonce‖ciphertext to dst. This
-// mirrors SGX's sgx_seal_data with MRENCLAVE key policy. Data that sits
-// directly after a nonce slot at the end of dst, with room for the tag
-// in dst's capacity, is encrypted in place; any other data must not
-// overlap dst's spare capacity.
-func (e *Enclave) Seal(dst, data []byte) ([]byte, error) {
+// platform can recover it, authenticates ad (which is not stored) with
+// it, and appends nonce‖ciphertext to dst. This mirrors SGX's
+// sgx_seal_data with MRENCLAVE key policy and additional MAC text. Data
+// that sits directly after a nonce slot at the end of dst, with room
+// for the tag in dst's capacity, is encrypted in place; any other data
+// must not overlap dst's spare capacity, and ad must not overlap dst.
+func (e *Enclave) Seal(dst, data, ad []byte) ([]byte, error) {
 	head := len(dst)
 	dst = slices.Grow(dst, SealOverhead+len(data))[:head+SealNonceSize]
 	if _, err := rand.Read(dst[head:]); err != nil {
 		return nil, fmt.Errorf("seal nonce: %w", err)
 	}
-	return e.seal.Seal(dst, dst[head:], data, e.measurement[:]), nil
+	return e.seal.Seal(dst, dst[head:], data, ad), nil
 }
 
-// Unseal decrypts and authenticates data produced by Seal on the same
-// enclave identity and platform.
-func (e *Enclave) Unseal(sealed []byte) ([]byte, error) {
+// Unseal decrypts and authenticates data produced by Seal, with the
+// same ad, on the same enclave identity and platform.
+func (e *Enclave) Unseal(sealed, ad []byte) ([]byte, error) {
 	if len(sealed) < SealNonceSize {
 		return nil, ErrUnsealFailed
 	}
-	pt, err := e.seal.Open(nil, sealed[:SealNonceSize], sealed[SealNonceSize:], e.measurement[:])
+	pt, err := e.seal.Open(nil, sealed[:SealNonceSize], sealed[SealNonceSize:], ad)
 	if err != nil {
 		return nil, ErrUnsealFailed
 	}

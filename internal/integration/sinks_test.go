@@ -5,8 +5,10 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/bits"
 	"math/rand"
 	"net"
@@ -348,6 +350,9 @@ func (s *sinks) checkDisk(node, dir, phase string) {
 			return err
 		}
 		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // a frozen WAL the background writer retired mid-walk
+		}
 		if err != nil {
 			return err
 		}

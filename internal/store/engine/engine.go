@@ -94,8 +94,9 @@ type Stats struct {
 	// WALSyncs counts fsyncs of appended WAL data since open; under
 	// fsync=commit that is one per PUT message (group commit).
 	WALSyncs int64
-	// Flushes counts memtable-to-segment flushes.
-	Flushes int64
+	// Flushes counts memtable flushes, from the freeze that starts each;
+	// FlushWaits the PUTs that waited for the frozen one's segment.
+	Flushes, FlushWaits int64
 	// Compactions counts completed segment merges.
 	Compactions int64
 	// CompactionBytesRead / CompactionBytesWritten total the segment
@@ -106,9 +107,9 @@ type Stats struct {
 	// CompactionDebtBytes is the size of the run of segments a Compact
 	// would merge first (0 at the tiering policy's fixed point).
 	CompactionDebtBytes int64
-	// Segments is the current immutable segment count.
-	Segments int
-	// SegmentBytes is the total on-disk segment size.
+	// Segments and SegmentBytes count the segments and their bytes, a
+	// frozen memtable as the segment it becomes.
+	Segments     int
 	SegmentBytes int64
 	// CacheHits / CacheMisses count lookups served from the in-memory
 	// tier (memtable or hot cache) vs lookups that had to touch disk.

@@ -51,6 +51,10 @@ type Entry struct {
 	Tag  mle.Tag
 	Rec  Record
 	Dead bool
+	// Sealed is the record's sealed form in host memory, when the
+	// table's owner keeps one (the log engine's memtable points at the
+	// record's WAL frame: Section IV-B's pointer), else nil.
+	Sealed []byte
 
 	charge     int64
 	prev, next *Entry

@@ -1,6 +1,7 @@
 package logengine
 
 import (
+	"bufio"
 	"path/filepath"
 	"slices"
 	"time"
@@ -113,9 +114,9 @@ func (e *Engine) compactLocked() error {
 // mergeRun replaces the age-adjacent segments[lo:hi] with one segment
 // holding the newest version of every tag in them. Records stream from
 // buffered cursors straight into the segment writer, so memory is one
-// record and one read buffer per input plus the write buffer, whatever
-// the run's size. Records move as ciphertext: a merge unseals nothing.
-// Caller holds mu.
+// record and one read buffer per input plus the write buffer and the
+// output's index, whatever the run's size. Records move as ciphertext:
+// a merge unseals nothing. Caller holds mu.
 func (e *Engine) mergeRun(lo, hi int) error {
 	start := time.Now()
 	run := e.segments[lo:hi]
@@ -123,9 +124,12 @@ func (e *Engine) mergeRun(lo, hi int) error {
 	// to shadow, so a run that starts there sheds its tombstones.
 	dropDead := lo == 0
 	var (
-		it   = newMergeIter(run)
-		live int
+		it         = newMergeIter(run)
+		live, keys int
 	)
+	for _, s := range run {
+		keys += s.count
+	}
 	next := func() (segRecord, bool, error) {
 		for {
 			c, err := it.next()
@@ -142,9 +146,10 @@ func (e *Engine) mergeRun(lo, hi int) error {
 		}
 	}
 
-	seg, err := e.commitSegmentLocked(next, func(seg *segment) []*segment {
-		return slices.Concat(e.segments[:lo], []*segment{seg}, e.segments[hi:])
-	})
+	seg, err := writeSegment(e.fsys, e.cfg.Dir, e.takeSegIDLocked(), keys, bufio.NewWriterSize(nil, segWriteBuffer), next)
+	if err == nil {
+		err = e.commitSegmentLocked(seg, slices.Concat(e.segments[:lo], []*segment{seg}, e.segments[hi:]))
+	}
 	if err != nil {
 		return err
 	}

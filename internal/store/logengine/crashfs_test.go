@@ -22,6 +22,10 @@ type memFS struct {
 	root  string
 	files map[string]*inode // by base name
 	log   []fsOp
+	// hold, set before the engine opens, runs ahead of each create
+	// (any open with O_CREATE) and file sync, by base name, and may
+	// block the caller there (see gate).
+	hold func(kind opKind, name string)
 }
 
 // inode is one file's bytes; a rename moves the inode, not the bytes.
@@ -145,6 +149,9 @@ func (m *memFS) base(name string) (string, error) {
 }
 
 func (m *memFS) OpenFile(name string, flag int, _ os.FileMode) (file, error) {
+	if m.hold != nil && flag&os.O_CREATE != 0 {
+		m.hold(opCreate, filepath.Base(name))
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if name == m.root {
@@ -168,7 +175,7 @@ func (m *memFS) OpenFile(name string, flag int, _ os.FileMode) (file, error) {
 		ino.data = ino.data[:0]
 		m.log = append(m.log, fsOp{kind: opTruncate, ino: ino})
 	}
-	return &memFile{fs: m, ino: ino}, nil
+	return &memFile{fs: m, ino: ino, name: base}, nil
 }
 
 func (m *memFS) Rename(oldpath, newpath string) error {
@@ -220,9 +227,10 @@ func (m *memFS) MkdirAll(string, os.FileMode) error { return nil }
 // memFile is an open handle on an inode, or on the directory when ino
 // is nil.
 type memFile struct {
-	fs  *memFS
-	ino *inode
-	off int64
+	fs   *memFS
+	ino  *inode
+	name string
+	off  int64
 }
 
 func (f *memFile) Read(p []byte) (int, error) {
@@ -295,6 +303,9 @@ func truncate(data []byte, size int64) []byte {
 }
 
 func (f *memFile) Sync() error {
+	if f.fs.hold != nil && f.ino != nil {
+		f.fs.hold(opSync, f.name)
+	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if f.ino == nil {

@@ -38,6 +38,19 @@ func openOn(t *testing.T, cfg Config, fsys fileSystem) *Engine {
 	return e
 }
 
+// settle waits until the background writer has committed any frozen
+// run. A stream that settles after each PUT issues its file-system
+// operations in one order on every run, so a crash point's name
+// selects the same point in a rerun.
+func settle(t *testing.T, e *Engine) {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.awaitFrozenLocked(); err != nil {
+		t.Fatalf("background flush: %v", err)
+	}
+}
+
 // ack is one acknowledged mutation of a crash-model stream: the span of
 // file-system operations it issued, [start, end), and the value it left
 // each key it touched at ("" for removed).
@@ -135,6 +148,9 @@ func runCrashModel(t *testing.T, seed int64, steps int) {
 		if err != nil {
 			t.Fatalf("step %d: Insert: %v", step, err)
 		}
+		// The flush a PUT starts counts as part of it: the PUT is in
+		// flight until its run is committed.
+		settle(t, e)
 		a := ack{start: start, end: fsys.ops()}
 		for i, key := range msgKeys {
 			if _, live := model[key]; installed[i] == live {
@@ -219,12 +235,16 @@ func runCrashModel(t *testing.T, seed int64, steps int) {
 		t.Fatalf("stream too tame: %d merges, %d evictions", merges, evicted)
 	}
 
-	// Walk the log once, checking a crash after every operation against
-	// the mutations acknowledged by then. Only a failing crash point
-	// becomes a subtest, so the test's names do not depend on how many
-	// operations the engine issues; -run selects which failures report.
+	walkCrashes(t, fmt.Sprintf("^TestCrashModel$/^seed=%d$", seed), seed, crashConfig(t, p), fsys, keys, acks)
+}
+
+// walkCrashes walks fsys's log once, checking a crash after every
+// operation against the mutations acks acknowledged by then (see
+// TestCrashModel). Only a failing crash point becomes a subtest, so the
+// test's names do not depend on how many operations the engine issues;
+// its reproduce line is -run run plus the subtest's name.
+func walkCrashes(t *testing.T, run string, seed int64, check Config, fsys *memFS, keys []string, acks []ack) {
 	const reportAtMost = 5
-	check := crashConfig(t, p)
 	failures := 0
 	w := &crashWalker{fs: fsys}
 	acked := make(map[string]string)
@@ -247,7 +267,7 @@ func runCrashModel(t *testing.T, seed int64, steps int) {
 		}
 		name := fmt.Sprintf("op=%d", n)
 		if !t.Run(name, func(t *testing.T) {
-			t.Fatalf("reproduce: go test ./internal/store/logengine -run '^TestCrashModel$/^seed=%d$/^%s$'\n%v", seed, name, err)
+			t.Fatalf("reproduce: go test ./internal/store/logengine -run '%s/^%s$'\n%v", run, name, err)
 		}) {
 			if failures++; failures == reportAtMost {
 				t.Fatalf("stopped after %d failing crash points", failures)
@@ -359,6 +379,7 @@ func TestRolledBackFileImages(t *testing.T) {
 				t.Fatalf("Compact: %v", err)
 			}
 		}
+		settle(t, e)
 		points = append(points, fsys.ops())
 	}
 	e.Crash()

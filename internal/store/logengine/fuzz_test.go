@@ -37,11 +37,11 @@ func sealedWAL(tb testing.TB, n int) []byte {
 	enc := fuzzEnclave(tb)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("seed-%d", i)
-		if err := w.append(enc, walOpPut, tagOf(key), recOf(key)); err != nil {
+		if _, err := w.append(enc, walOpPut, tagOf(key), recOf(key)); err != nil {
 			tb.Fatalf("append: %v", err)
 		}
 	}
-	if err := w.append(enc, walOpDelete, tagOf("seed-0"), recOf("")); err != nil {
+	if _, err := w.append(enc, walOpDelete, tagOf("seed-0"), recOf("")); err != nil {
 		tb.Fatalf("append delete: %v", err)
 	}
 	if err := w.close(); err != nil {
@@ -85,9 +85,11 @@ func FuzzRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The decoders under the framing must hold up to raw bytes on
-		// their own (they see post-unseal plaintext in production, but
-		// a version skew could feed them anything).
-		if op, err := decodeWALPayload(data); err == nil {
+		// their own (a CRC-fixed frame feeds the payload decoder
+		// anything, and a version skew could feed the record decoder
+		// anything).
+		var ad [adLen]byte
+		if op, err := decodeWALPayload(enc, &ad, data); err == nil {
 			if op.op != walOpPut && op.op != walOpDelete {
 				t.Fatalf("decodeWALPayload accepted unknown op %d", op.op)
 			}
@@ -107,7 +109,7 @@ func FuzzRecord(f *testing.F) {
 		defer w.close()
 
 		var firstOps []walOp
-		replayed, torn, err := w.replay(enc, func(op walOp) { firstOps = append(firstOps, op) })
+		replayed, good, err := w.replay(enc, func(op walOp) { firstOps = append(firstOps, op) })
 		if err != nil {
 			// Authenticated-then-rejected input is a loud error, not a
 			// crash artifact; nothing further to check.
@@ -116,7 +118,10 @@ func FuzzRecord(f *testing.F) {
 		if replayed != int64(len(firstOps)) {
 			t.Fatalf("replayed=%d but apply ran %d times", replayed, len(firstOps))
 		}
-		if torn {
+		if good < w.size { // recovery cuts a torn tail
+			if err := w.cut(good); err != nil {
+				t.Fatalf("cut: %v", err)
+			}
 			cut := fsys.file("fuzz.wal")
 			if len(cut) > len(data) {
 				t.Fatalf("truncating replay grew the file: %d -> %d", len(data), len(cut))
@@ -128,11 +133,11 @@ func FuzzRecord(f *testing.F) {
 		// A replay after crash recovery must be clean and apply the
 		// identical operation sequence.
 		var secondOps []walOp
-		replayed2, torn2, err := w.replay(enc, func(op walOp) { secondOps = append(secondOps, op) })
+		replayed2, good2, err := w.replay(enc, func(op walOp) { secondOps = append(secondOps, op) })
 		if err != nil {
 			t.Fatalf("second replay errored after clean first replay: %v", err)
 		}
-		if torn2 {
+		if good2 < w.size {
 			t.Fatal("second replay still torn after truncation")
 		}
 		if replayed2 != replayed {

@@ -111,8 +111,9 @@ func BenchmarkHotLogSegmentMiss(b *testing.B) {
 }
 
 // BenchmarkHotLogMergeRun times one streaming merge of four 4 MiB
-// segments (4 KiB records), manifest swap and read-back verification
-// included: the unit of work size-tiered compaction repeats.
+// segments (4 KiB records), manifest swap included: the unit of work
+// size-tiered compaction repeats. The output's index, filter and fence
+// are built as it is written, so nothing reads it back.
 func BenchmarkHotLogMergeRun(b *testing.B) {
 	const fanIn, perSegment, blobSize = 4, 1024, 4 << 10
 	// Build the inputs once; every iteration hard-links them into a
@@ -170,9 +171,11 @@ func BenchmarkHotLogMergeRun(b *testing.B) {
 // newLogInsert returns an insert of a fresh 4 KiB record through
 // Engine.Insert with a 2 MiB memtable and no fsync: the log engine's
 // share of a miss_durable PUT, WAL append and memtable apply, with a
-// flush to a sorted segment every ~490 inserts amortized in. Every 16
-// segments it starts over on an empty directory, so neither the disk
-// nor the first-version-wins filter checks grow with b.N.
+// freeze every ~490 inserts amortized in. The background writer makes
+// each segment beside the inserts; its time counts only where an
+// insert waits for it, its allocations always. Every 16 segments it
+// starts over on an empty directory, so neither the disk nor the
+// first-version-wins filter checks grow with b.N.
 func newLogInsert(tb testing.TB) func() {
 	const memtable, blob, maxSegments = 2 << 20, 4 << 10, 16
 	rec := recOf(string(bytes.Repeat([]byte{0xAB}, blob)))
@@ -180,8 +183,13 @@ func newLogInsert(tb testing.TB) func() {
 	e := benchEngine(tb, dir, memtable)
 	items := make([]storeengine.Item, 1)
 	i := 0
+	segments := func() int { // the background writer splices them in
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.segments)
+	}
 	return func() {
-		if len(e.segments) == maxSegments {
+		if segments() == maxSegments {
 			if err := e.Close(); err != nil {
 				tb.Fatalf("Close: %v", err)
 			}
@@ -210,12 +218,11 @@ func BenchmarkHotLogInsert(b *testing.B) {
 }
 
 // TestLogInsertAllocBound holds the log engine's write path to what it
-// must allocate: the memtable's copy of the record, its entry, and a
-// flush's share of the one arena its records are sealed into and of
-// the new segment's index. The WAL frame is encoded and sealed in a
-// reused scratch, and a flush seals each record once, in its arena
-// slot. The path measures 4 allocations and ~11.7 KiB per insert; a
-// per-record copy coming back costs another 4 KiB.
+// must allocate: the memtable's copy of the record, its entry, its WAL
+// frame — whose sealed record the segment reuses, so a flush seals
+// nothing — the result slice, and a flush's share of the frozen run's
+// and the new segment's indexes. The path measures 4 allocations and
+// ~10 KiB per insert; a per-record copy coming back costs another 4 KiB.
 func TestLogInsertAllocBound(t *testing.T) {
 	const n, maxAllocs, maxBytes = 2048, 5, 12 << 10
 	insert := newLogInsert(t)

@@ -1,49 +1,32 @@
 // Package logengine is the storage engine behind store.Store. With a
-// directory it is persistent and log-structured: an append-only WAL of
-// sealed records feeding a memtable, flushed as immutable sorted
-// segments, with a size-tiered background compactor, a per-segment key
-// filter and sparse index, and a bounded hot-entry cache. The working
-// set can exceed RAM: only the memtable, the cache, and the per-segment
-// filters and sparse indexes stay resident.
+// directory it is persistent and log-structured: a WAL of sealed
+// records feeds a memtable; a full memtable freezes, and a background
+// writer makes it an immutable sorted segment; a size-tiered compactor
+// merges segments, each with a key filter and sparse index, behind a
+// bounded hot cache. Only the memtable, the frozen run, the cache and
+// the filters and indexes stay resident. Without a directory it is the
+// volatile store: its memtable holds every record and never freezes, a
+// Remove deletes instead of leaving a tombstone, and Oldest is the
+// memtable's LRU tail.
 //
-// Without a directory it is the volatile store: no WAL, segments,
-// manifest or background loops. Its memtable holds every record and
-// never flushes, a Remove deletes the entry instead of leaving a
-// tombstone, and Oldest is the memtable's LRU tail.
+// The enclave holds Section IV-B's dictionary, not the ciphertext: a
+// memtable or cache entry is charged for its tag, challenge, wrapped
+// key and bookkeeping only (storeengine.Charge); MemtableBytes and
+// CacheBytes bound whole records (storeengine.Size) in host memory.
 //
-// In both, the enclave holds Section IV-B's dictionary, not the
-// ciphertext: a memtable or cache entry is charged for its tag,
-// challenge, wrapped key and bookkeeping only (storeengine.Charge).
-// MemtableBytes and CacheBytes count whole records (storeengine.Size),
-// so they bound host memory and flush size, not enclave memory.
-//
-// Trust model: the directory lives on untrusted media. Every record is
-// sealed (enclave AEAD, bound to platform and measurement) before it
-// is written, so the disk sees ciphertext and integrity-protected
-// metadata only; anything read back is authenticated before use. CRCs
-// on WAL frames and segment bodies distinguish crash damage (expected,
-// recovered) from tampering (rejected loudly). Plaintext challenges
-// and wrapped keys exist only inside enclave memory.
-//
-// Durability: under FsyncCommit (the default) an Insert or Remove is
-// acknowledged only after the WAL frame is fsynced, so acknowledged
-// operations survive kill -9 and power loss; FsyncNone leaves it to the
-// OS page cache.
-// Recovery loads the manifest's segments (CRC-verified), refuses a
-// directory none of whose segments this enclave can unseal or one in
-// on-disk format version 1, replays the WAL — a torn tail is truncated,
-// never applied — then deletes orphan segment files from interrupted
-// flushes or compactions.
-//
-// Eviction: a persistent store's Oldest takes segments oldest first,
-// then the memtable's LRU tail, so a read writes nothing to disk and a
-// record carries no popularity. Recency is a hint there: a stored
-// result never goes stale and an evicted one costs one recompute, never
-// a wrong answer, so the caps need only a space bound, and the oblivious
-// mode's no-refresh rule holds on disk by construction.
+// The directory lives on untrusted media. A record is sealed once,
+// bound to platform, measurement, op and tag, into its WAL frame, and
+// its segment stores the same bytes; CRCs tell crash damage (recovered)
+// from tampering (refused loudly). Under FsyncCommit (the default) a
+// mutation is acknowledged only after its WAL frame is fsynced, so it
+// survives kill -9 and power loss; FsyncNone leaves that to the page
+// cache. DESIGN.md "Storage engine" has the write, read, flush,
+// compaction, recovery and eviction rules.
 package logengine
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -99,9 +82,10 @@ type Config struct {
 	// entries and seals every record the engine writes. Required.
 	Enclave *enclave.Enclave
 	// MemtableBytes bounds the write buffer's whole records,
-	// ciphertext included: reaching it triggers a flush to a sorted
-	// segment, so it bounds host memory and segment size. The enclave
-	// holds only the buffer's dictionary entries. 0 means 4 MiB.
+	// ciphertext included: reaching it freezes the buffer for the
+	// writer to flush, so it bounds host memory (twice, with the frozen
+	// buffer) and segment size. The enclave holds only the dictionary
+	// entries. 0 means 4 MiB.
 	MemtableBytes int64
 	// CacheBytes bounds the hot-entry read cache in front of the
 	// segments the same way: whole records in host memory, dictionary
@@ -122,11 +106,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Engine is the storage engine. A single mutex serializes mutations and
-// metadata reads; segment file reads happen under it too (v1 keeps the
-// locking simple — the key filters keep most lookups off the files and
-// the bounded sparse-index scan keeps the rest short). All methods are
-// safe for concurrent use.
+// Engine is the storage engine. One mutex serializes mutations, metadata
+// reads, segment reads and merges; only the background writer works
+// off it, taking it just to commit a segment. All methods are safe for
+// concurrent use.
 type Engine struct {
 	cfg  Config
 	fsys fileSystem // the directory's file system
@@ -134,10 +117,24 @@ type Engine struct {
 	mu        sync.Mutex
 	closed    bool
 	wal       *wal               // nil without a directory
-	mem       *storeengine.Table // the newest state of every tag not yet in a segment
+	mem       *storeengine.Table // the newest state of every tag not yet frozen or in a segment
 	cache     *storeengine.Table // hot segment records
 	segments  []*segment         // oldest first
 	nextSegID uint64
+
+	// frozen is the memtable a full PUT froze, until the writer
+	// commits its segment; walOld names the frozen WALs recovery
+	// replayed into the memtable, and walSeq numbers the next one.
+	// flushed is broadcast on mu when the writer is done with a run,
+	// tries counts its attempts, flushErr is the failure of attempt
+	// failedTry, and kick wakes it.
+	frozen           *frozenRun
+	walOld           []string
+	walSeq           uint64
+	flushed          sync.Cond
+	tries, failedTry uint64
+	flushErr         error
+	kick             chan struct{}
 
 	// keys mirrors the memtable's key set (tag → live, false for a
 	// tombstone) in untrusted memory beside the segment filters, and is
@@ -156,19 +153,19 @@ type Engine struct {
 	valueBytes int64
 	st         storeengine.Stats // activity counters (occupancy filled on snapshot)
 
-	// compactSeconds times each merge; nil (a no-op) until
-	// RegisterTelemetry.
-	compactSeconds *telemetry.Histogram
+	// compactSeconds times each merge and flushSeconds each background
+	// flush; nil (a no-op) until RegisterTelemetry.
+	compactSeconds, flushSeconds *telemetry.Histogram
 
 	stopBg chan struct{}
 	bgDone sync.WaitGroup
 }
 
 // Open starts an engine. With cfg.Dir it loads (or initialises) the
-// directory, recovering state: manifest-listed segments are opened and
-// CRC-verified, orphan segment files are deleted, and the WAL is
-// replayed into the memtable with any torn tail truncated. Without it
-// the engine starts empty and volatile.
+// directory: manifest-listed segments are opened and CRC-verified, the
+// frozen WALs and then the active one are replayed into the memtable,
+// a torn tail truncated, and orphan segment files are deleted. Without
+// it the engine starts empty and volatile.
 func Open(cfg Config) (*Engine, error) { return open(cfg, osFS{}) }
 
 // open is Open on the file system fsys.
@@ -194,8 +191,10 @@ func open(cfg Config, fsys fileSystem) (*Engine, error) {
 		mem:    storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
 		cache:  storeengine.NewTable(cfg.Enclave, cfg.Oblivious),
 		keys:   make(map[mle.Tag]bool),
+		kick:   make(chan struct{}, 1),
 		stopBg: make(chan struct{}),
 	}
+	e.flushed.L = &e.mu
 	if cfg.Dir == "" {
 		return e, nil
 	}
@@ -218,11 +217,11 @@ func (e *Engine) recover() error {
 		return err
 	}
 	listed := make(map[string]bool, len(names))
-	segKeys := make([][]keyHdr, len(names))
+	segKeys := make([][]segRecord, len(names))
 	for i, name := range names {
 		listed[name] = true
 		id, _ := parseSegmentName(name)
-		seg, err := openSegment(e.fsys, filepath.Join(e.cfg.Dir, name), id, func(k keyHdr) {
+		seg, err := openSegment(e.fsys, filepath.Join(e.cfg.Dir, name), id, func(k segRecord) {
 			segKeys[i] = append(segKeys[i], k)
 		})
 		if err != nil {
@@ -236,43 +235,75 @@ func (e *Engine) recover() error {
 	if err := e.checkSealIdentity(); err != nil {
 		return err
 	}
-	w, err := openWAL(e.fsys, filepath.Join(e.cfg.Dir, walName))
+	files, err := e.fsys.ReadDir(e.cfg.Dir) // sorted: frozen logs oldest first
 	if err != nil {
 		return err
 	}
-	e.wal = w
+	var (
+		logs     []string
+		good     int64
+		allocErr error
+	)
+	for _, name := range files {
+		if name == walNameV2 {
+			return fmt.Errorf("logengine: %s: %w", name, errOldFormat)
+		}
+		if n, ok := parseFrozenWALName(name); ok {
+			logs, e.walSeq = append(logs, name), n+1
+		}
+	}
+	// Every log replays into the memtable, the frozen ones first; they go
+	// with its next freeze. Nothing is cut before every frame checks out.
+	for _, name := range append(logs, walName) {
+		w, err := openWAL(e.fsys, filepath.Join(e.cfg.Dir, name))
+		if err != nil {
+			return err
+		}
+		if name == walName {
+			e.wal = w
+		} else {
+			defer w.close() // read only
+		}
+		var replayed int64
+		replayed, good, err = w.replay(e.cfg.Enclave, func(op walOp) {
+			dead := op.op == walOpDelete
+			if ent, err := e.mem.Set(op.tag, op.rec, dead); ent != nil {
+				ent.Sealed = op.sealed
+			} else if allocErr == nil {
+				allocErr = err
+			}
+			e.keys[op.tag] = !dead
+		})
+		if err != nil {
+			return err
+		}
+		if e.st.Replayed += replayed; good < w.size {
+			e.st.TornTails++
+			e.cfg.Logf("logengine: %s: torn tail after %d intact records", name, replayed)
+		}
+	}
+	e.walOld = logs
 	// The log's directory entry may be new, or left unsynced by a run
 	// that crashed: make it durable before an append is acknowledged.
 	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
 		return err
 	}
-	var allocErr error
-	replayed, torn, err := w.replay(e.cfg.Enclave, func(op walOp) {
-		if _, err := e.mem.Set(op.tag, op.rec, op.op == walOpDelete); err != nil && allocErr == nil {
-			allocErr = err
-		}
-		e.keys[op.tag] = op.op != walOpDelete
-	})
-	if err != nil {
-		return err
-	}
-	e.st.Replayed = replayed
-	if torn {
-		e.st.TornTails++
-		e.cfg.Logf("logengine: truncated torn wal tail after %d intact records", replayed)
-	}
 	if allocErr != nil {
 		return fmt.Errorf("logengine: memtable allocation during recovery: %w", allocErr)
 	}
-
-	// Remove orphan segment files: a flush or compaction that died
-	// after creating its output but before committing the manifest. It
-	// follows the replay so that a log in an older format is refused
-	// before anything is deleted.
-	files, err := e.fsys.ReadDir(e.cfg.Dir)
-	if err != nil {
-		return err
+	// Drop the active log's torn tail so the next append starts at a
+	// frame boundary. The lost suffix was never acknowledged as durable
+	// under fsync-on-commit (the crash hit before the sync returned), so
+	// truncation loses nothing that was promised.
+	if good < e.wal.size {
+		if err := e.wal.cut(good); err != nil {
+			return err
+		}
 	}
+
+	// Remove orphan segment files, from a flush or compaction that died
+	// before its manifest commit; after the replay, so that an older
+	// format is refused before anything is deleted.
 	for _, name := range files {
 		id, ok := parseSegmentName(name)
 		if !ok || listed[name] {
@@ -287,10 +318,8 @@ func (e *Engine) recover() error {
 		}
 	}
 
-	// Compute live occupancy from the merged view: newest state wins
-	// (memtable over segments, later segments over earlier). The
-	// per-segment key lists are transient — header-only, no payloads —
-	// and dropped when this returns.
+	// Live occupancy from the merged view, newest state winning: the
+	// memtable, then the segments' header-only key lists, newest first.
 	for _, ent := range e.mem.Sorted() {
 		if !ent.Dead {
 			e.entries++
@@ -306,34 +335,28 @@ func (e *Engine) recover() error {
 			seen[k.tag] = true
 			if !k.dead {
 				e.entries++
-				e.valueBytes += k.blobSize
+				e.valueBytes += k.blob
 			}
 		}
 	}
-	if replayed > 0 || len(e.segments) > 0 {
+	if e.st.Replayed > 0 || len(e.segments) > 0 {
 		e.cfg.Logf("logengine: recovered %d entries (%d segments, %d wal records replayed)",
-			e.entries, len(e.segments), replayed)
+			e.entries, len(e.segments), e.st.Replayed)
 	}
 	return nil
 }
 
 // identityProbes is how many live records checkSealIdentity tries per
-// segment, and how many failures (with no success) it takes as proof
-// of a foreign directory.
+// segment, and how many failures, with no success, refuse a directory.
 const identityProbes = 4
 
-// checkSealIdentity authenticates a few live records from each segment
-// until one unseals. Seals are bound to the platform seed and the store
-// enclave's measurement, so under the wrong identity every record
-// fails — and without this check the store would open "fine", answer
-// every lookup dangling and empty itself one recompute at a time. One
-// record that unseals proves the identity; failures beside it are
-// per-record damage, which Get reports as it meets them. Fewer than
-// identityProbes failures prove nothing either way (a store holding one
-// record the disk tampered with must still open, so that the record is
-// recomputed), so the directory is refused only on identityProbes or
-// more failures and no success. It runs before recovery deletes or
-// truncates anything.
+// checkSealIdentity authenticates live records from each segment until
+// one unseals, before recovery deletes or truncates anything. Under a
+// foreign platform seed or measurement every record fails, and the
+// store would otherwise open "fine" and dangle every lookup. One record
+// that unseals proves the identity; fewer than identityProbes failures
+// prove nothing (a store with one tampered record must open, so that
+// the record is recomputed).
 func (e *Engine) checkSealIdentity() error {
 	failed := 0
 	for _, s := range e.segments {
@@ -342,7 +365,7 @@ func (e *Engine) checkSealIdentity() error {
 			if c.dead {
 				continue
 			}
-			if _, err := unsealRecord(e.cfg.Enclave, c.sealed); err == nil {
+			if _, err := unsealRecord(e.cfg.Enclave, c.tag, c.sealed); err == nil {
 				return nil
 			}
 			n++
@@ -358,8 +381,10 @@ func (e *Engine) checkSealIdentity() error {
 	return nil
 }
 
-// startBackground launches the compaction loop.
+// startBackground launches the writer and the compaction loop.
 func (e *Engine) startBackground() {
+	e.bgDone.Add(1)
+	go e.writeFrozen()
 	if e.cfg.CompactInterval > 0 {
 		e.bgDone.Add(1)
 		go func() {
@@ -385,29 +410,25 @@ type place struct {
 	ent    *storeengine.Entry // its memtable or hot-cache entry
 	tab    *storeengine.Table // the table holding ent
 	disk   bool               // only the segments can tell
-	sealed []byte             // the payload of its segment record, once read
+	sealed []byte             // its sealed record in the frozen run or a segment, once read
 }
 
 // Get serves one GET message — a single is a message of one — looking
-// the tags up in order in the memtable, then the hot cache, then the
-// segments newest-first through their sparse indexes, and answers a
-// prefix of them positionally. The prefix ends before the first hit
-// whose sealed size (challenge + wrapped key + blob) would take the
-// answers past budget bytes — that record is neither counted nor
-// touched — but always holds one answer. On StatusHit the Record's byte
-// slices are views, a table's immutable record or a segment record's
-// fresh unsealed buffer, which the caller must not write. An oblivious
-// engine looks every tag up with
-// the tables' uniform scans and maintains no recency.
+// each tag up in the memtable, the hot cache, the frozen run, then the
+// segments newest first, and answers a prefix positionally. (The cache
+// only holds a tag's newest version — a newer one enters the memtable
+// after a Remove that drops the cached one — so consulting it before
+// the frozen run changes no answer and spares a hit the unseal.) The
+// prefix ends before the first hit whose sealed size would take the
+// answers past budget bytes, but holds at least one answer. A hit's
+// byte slices are views the caller must not write. An oblivious engine
+// scans the tables uniformly and maintains no recency.
 //
-// Tags the untrusted hints rule out all miss with no enclave entry (see
-// ruledOutLocked). Otherwise one entry locates the message's tags in the
-// in-enclave tiers and, if those decide them all, answers; else the
-// segment payloads of the rest are read outside and a second entry
-// unseals them and answers. The reads stop with the record that takes
-// them past budget (a sealed payload is no smaller than what it
-// answers), so a message costs at most budget plus one record of disk
-// reads and heap.
+// Tags the untrusted hints rule out miss with no enclave entry
+// (ruledOutLocked). Otherwise one entry decides what the tables and the
+// frozen run can and, if that is all, answers; else the rest's segment
+// payloads are read outside, up to the one that passes budget, and a
+// second entry unseals and answers.
 func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -434,10 +455,17 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 			} else if p.ent = e.cache.Lookup(tag); p.ent != nil {
 				p.tab = e.cache
 			}
+			var r *segRecord
+			if p.ent == nil {
+				r = e.frozen.find(tag)
+			}
 			switch {
 			case p.ent != nil && !p.ent.Dead:
 				resident++
-			case p.ent == nil && len(e.segments) > 0:
+			case r != nil && !r.dead:
+				p.sealed = r.sealed
+				resident++
+			case p.ent == nil && r == nil && len(e.segments) > 0:
 				p.disk = true
 				absent++
 			}
@@ -482,18 +510,22 @@ func (e *Engine) Get(tags []mle.Tag, budget int) ([]storeengine.Lookup, error) {
 }
 
 // ruledOutLocked reports whether the untrusted hints show that no tag
-// has a live record: the memtable's key set holds a tombstone for it,
-// or lacks it and every segment filter excludes it. A false "absent"
-// costs the caller a recompute, a false "present" an enclave entry; a
-// hit comes only from the enclave. It counts what the in-enclave walk
-// would have. Caller holds mu.
+// has a live record: the memtable's key set, or else the frozen run,
+// holds a tombstone for it, or neither holds it and every segment filter
+// excludes it. A false "absent" costs a recompute, a false "present" an
+// enclave entry. It counts what the in-enclave walk would have. Caller
+// holds mu.
 func (e *Engine) ruledOutLocked(tags []mle.Tag) bool {
 	if e.cfg.Oblivious {
 		return false // every lookup takes the uniform scan
 	}
 	var misses int64 // tags the memtable lacks
 	for _, tag := range tags {
-		switch live, ok := e.keys[tag]; {
+		live, ok := e.keys[tag]
+		if r := e.frozen.find(tag); !ok && r != nil {
+			live, ok = !r.dead, true
+		}
+		switch {
 		case live:
 			return false
 		case !ok:
@@ -513,11 +545,10 @@ func (e *Engine) ruledOutLocked(tags []mle.Tag) bool {
 }
 
 // answerLocked answers tags in order from the versions at located,
-// moving each table hit to the front of its table's LRU order, and
-// ends before the hit that would overflow budget (see Get). Segment
-// records that hit enter the hot cache once the walk is over, so an
-// insert cannot evict an entry the walk has yet to reach. Caller holds
-// mu, inside the enclave.
+// touching table hits, and ends before the hit that would overflow
+// budget (see Get). Sealed records that hit enter the hot cache after
+// the walk, lest one evict an entry the walk has yet to reach. Caller
+// holds mu, inside the enclave.
 func (e *Engine) answerLocked(tags []mle.Tag, at []place, budget int) []storeengine.Lookup {
 	out := make([]storeengine.Lookup, 0, len(at))
 walk:
@@ -526,7 +557,7 @@ walk:
 		var rec *storeengine.Record
 		switch {
 		case p.sealed != nil:
-			srec, err := unsealRecord(e.cfg.Enclave, p.sealed)
+			srec, err := unsealRecord(e.cfg.Enclave, tag, p.sealed)
 			if err != nil {
 				// Authenticated storage failed us: the policy layer
 				// drops a dangling entry and the caller recomputes.
@@ -550,7 +581,7 @@ walk:
 		if !e.cfg.Oblivious && p.ent != nil {
 			p.tab.Touch(p.ent)
 		}
-		// A segment record's slices alias Unseal's fresh buffer; a
+		// A sealed record's slices alias Unseal's fresh buffer; a
 		// table's are views of the table's immutable record.
 		if p.sealed == nil {
 			e.st.CacheHits++
@@ -571,13 +602,14 @@ walk:
 // copy keeps the caller's tag off the heap.
 func shortTag(tag mle.Tag) string { return hex.EncodeToString(tag[:8]) }
 
-// findLocked looks tag up in the segments, newest first, returning the
-// newest version's state (and its sealed payload when wantSealed is
-// set). A segment whose fence or key filter excludes the tag costs no
-// file read, so a tag no segment holds — every GET that misses, every
-// PUT's first-version-wins check — usually costs none at all. Caller
-// holds mu.
+// findLocked looks tag up below the memtable — the frozen run, then the
+// segments newest first — returning the newest version's state (and its
+// sealed record when wantSealed is set). A segment whose fence or key
+// filter excludes the tag costs no file read. Caller holds mu.
 func (e *Engine) findLocked(tag mle.Tag, wantSealed bool) (sealed []byte, found, dead bool, err error) {
+	if r := e.frozen.find(tag); r != nil {
+		return r.sealed, true, r.dead, nil
+	}
 	for i := len(e.segments) - 1; i >= 0; i-- {
 		s := e.segments[i]
 		if !s.mayContain(tag) {
@@ -593,8 +625,8 @@ func (e *Engine) findLocked(tag mle.Tag, wantSealed bool) (sealed []byte, found,
 	return nil, false, false, nil
 }
 
-// cacheInsert places a segment record in the hot cache, evicting from
-// the LRU tail to keep its whole-record bytes within budget. Caller
+// cacheInsert caches a sealed record that hit, evicting from the LRU
+// tail to keep the cache's whole-record bytes within budget. Caller
 // holds mu.
 func (e *Engine) cacheInsert(tag mle.Tag, rec storeengine.Record) {
 	if storeengine.Size(rec) > e.cfg.CacheBytes {
@@ -608,17 +640,16 @@ func (e *Engine) cacheInsert(tag mle.Tag, rec storeengine.Record) {
 	}
 }
 
-// logLocked appends one operation to the WAL; without a directory there
-// is none. It does not sync. Caller holds mu.
-func (e *Engine) logLocked(op byte, tag mle.Tag, rec storeengine.Record) error {
+// logLocked appends one operation to the WAL, if any, unsynced, and
+// returns its sealed record. Caller holds mu.
+func (e *Engine) logLocked(op byte, tag mle.Tag, rec storeengine.Record) ([]byte, error) {
 	if e.wal == nil {
-		return nil
+		return nil, nil
 	}
 	return e.wal.append(e.cfg.Enclave, op, tag, rec)
 }
 
-// commitLocked syncs the WAL when the policy is FsyncCommit. Caller
-// holds mu.
+// commitLocked syncs the WAL under FsyncCommit. Caller holds mu.
 func (e *Engine) commitLocked() error {
 	if e.wal == nil || e.cfg.Fsync != FsyncCommit {
 		return nil
@@ -626,9 +657,8 @@ func (e *Engine) commitLocked() error {
 	return e.wal.sync()
 }
 
-// fullLocked reports whether a memtable of mem whole-record bytes
-// (storeengine.Size) has to flush; without a directory it never does.
-// Caller holds mu.
+// fullLocked reports whether a memtable of mem whole-record bytes has to
+// freeze; without a directory it never does. Caller holds mu.
 func (e *Engine) fullLocked(mem int64) bool {
 	return e.wal != nil && mem >= e.cfg.MemtableBytes
 }
@@ -637,16 +667,15 @@ func (e *Engine) fullLocked(mem int64) bool {
 // tag has no live record — in the store or earlier in the message
 // (first version wins, Section IV-B Remark) — and reports positionally
 // which it installed, also beside an error. The engine copies what it
-// keeps. Every fresh item's WAL record is appended, one fsync (per
-// policy) covers the message, and one enclave entry applies it to the
-// memtable, so nothing is acknowledged before the whole message is as
-// durable as the policy promises. A message is cut after a record that
-// fills the memtable, which so flushes exactly as with the items
-// arriving one by one.
+// keeps. The fresh items' WAL records are appended, one fsync (per
+// policy) covers them, and one enclave entry applies them, so nothing
+// is acknowledged before it is as durable as promised. A message is cut
+// after a record that fills the memtable, which so freezes as with the
+// items arriving one by one; the writer starts once the message is done.
 func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
+		e.mu.Unlock()
 		return nil, storeengine.ErrClosed
 	}
 	installed := make([]bool, len(items))
@@ -654,26 +683,52 @@ func (e *Engine) Insert(items []storeengine.Item) ([]bool, error) {
 	for n, done := 0, 0; done < len(items) && err == nil; done += n {
 		n, err = e.insertRunLocked(items[done:], installed[done:])
 	}
+	frozen := e.frozen != nil
+	e.mu.Unlock()
+	if frozen {
+		e.kickWriter()
+	}
 	return installed, err
 }
 
+// freshItem is a run's item whose WAL record was appended.
+type freshItem struct {
+	i      int
+	sealed []byte // the record's sealed bytes in its WAL frame
+}
+
 // insertRunLocked inserts the items up to and including the one that
-// fills the memtable — the flush that follows truncates the WAL, so
-// what it covers is synced and applied first — and reports how many
-// that was. Caller holds mu.
+// fills the memtable — the freeze that follows, in the enclave entry
+// that applies them, rotates the WAL, so what it covers is synced and
+// applied first — and reports how many that was. A run that could fill
+// the memtable while a run is frozen first waits for the writer: only
+// one is ever frozen (Stats.FlushWaits). Caller holds mu.
 func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n int, failed error) {
+	if grown := e.mem.Size(); e.frozen != nil {
+		for _, it := range items {
+			grown += storeengine.Size(it.Record)
+		}
+		if e.fullLocked(grown) {
+			e.st.FlushWaits++
+			if err := e.awaitFrozenLocked(); err != nil {
+				return 0, err
+			}
+		}
+	}
 	var (
-		fresh   = make([]int, 0, len(items)) // the items to install
-		claimed = make(map[mle.Tag]bool)     // their tags
-		mem     = e.mem.Size()               // at most this with them applied
+		buf     [4]freshItem
+		fresh   = buf[:0]                // the items to install
+		claimed = make(map[mle.Tag]bool) // their tags
+		mem     = e.mem.Size()           // at most this with them applied
 	)
 	for n < len(items) && failed == nil && (n == 0 || !e.fullLocked(mem)) {
 		tag, rec := items[n].Tag, items[n].Record
 		exists, err := e.existsLocked(tag)
 		if err == nil && !exists && !claimed[tag] {
-			if err = e.logLocked(walOpPut, tag, rec); err == nil {
+			var sealed []byte
+			if sealed, err = e.logLocked(walOpPut, tag, rec); err == nil {
 				claimed[tag] = true
-				fresh = append(fresh, n)
+				fresh = append(fresh, freshItem{n, sealed})
 				mem += storeengine.Size(rec)
 			}
 		}
@@ -686,16 +741,21 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 			return n, fmt.Errorf("logengine: wal fsync: %w", err)
 		}
 	}
+	froze := false
 	err := e.cfg.Enclave.ECall(func() error {
-		for _, i := range fresh {
-			ent, err := e.mem.Set(items[i].Tag, items[i].Record, false)
+		for _, f := range fresh {
+			ent, err := e.mem.Set(items[f.i].Tag, items[f.i].Record, false)
 			if err != nil {
 				return fmt.Errorf("metadata allocation: %w", err)
 			}
+			ent.Sealed = f.sealed
 			e.entries++
 			e.valueBytes += ent.Rec.BlobSize
 			e.keys[ent.Tag] = true
-			installed[i] = true
+			installed[f.i] = true
+		}
+		if froze = failed == nil && e.fullLocked(e.mem.Size()); froze {
+			e.freezeLocked()
 		}
 		return nil
 	})
@@ -703,17 +763,19 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 		// The WAL already carries the unapplied records; a replay would
 		// resurrect them. Append compensating deletes so the log and the
 		// memory state agree.
-		for _, i := range fresh {
-			if !installed[i] && e.logLocked(walOpDelete, items[i].Tag, storeengine.Record{}) != nil {
-				break
+		for _, f := range fresh {
+			if !installed[f.i] {
+				if _, err := e.logLocked(walOpDelete, items[f.i].Tag, storeengine.Record{}); err != nil {
+					break
+				}
 			}
 		}
 		_ = e.commitLocked() // best effort: the insert already failed
 		return n, err
 	}
-	if failed == nil && e.fullLocked(e.mem.Size()) {
-		if err := e.flushLocked(); err != nil {
-			failed = fmt.Errorf("logengine: flush: %w", err)
+	if froze {
+		if err := e.rotateWALLocked(); err != nil {
+			failed = fmt.Errorf("logengine: wal rotation: %w", err)
 		}
 	}
 	return n, failed
@@ -724,8 +786,8 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 // existence probes (chunked dedup's missing-chunk transfer) that leave
 // the eviction order alone. The memtable's key set answers outside the
 // enclave for what the memtable holds (an oblivious engine scans the
-// memtable instead, in one enclave entry); the segments' filters and
-// indexes answer the rest. The answers are hints:
+// memtable instead, in one enclave entry); the frozen run and the
+// segments' filters and indexes answer the rest. The answers are hints:
 // callers tolerate a later Get missing.
 func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	e.mu.Lock()
@@ -734,7 +796,7 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 		return nil, storeengine.ErrClosed
 	}
 	present := make([]bool, len(tags))
-	var probe []int // the tags only the segments can decide
+	var probe []int // the tags only the frozen run or the segments can decide
 	decide := func() error {
 		for i, tag := range tags {
 			var live, ok bool
@@ -746,7 +808,7 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 			}
 			if ok {
 				present[i] = live
-			} else if len(e.segments) > 0 {
+			} else if e.frozen != nil || len(e.segments) > 0 {
 				probe = append(probe, i)
 			}
 		}
@@ -767,8 +829,8 @@ func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
 	return present, nil
 }
 
-// existsLocked reports whether a live record for tag exists anywhere
-// (memtable, segments) — duplicate suppression is by presence.
+// existsLocked reports whether tag has a live record anywhere:
+// duplicate suppression is by presence.
 func (e *Engine) existsLocked(tag mle.Tag) (bool, error) {
 	if ent := e.mem.Entry(tag); ent != nil {
 		return !ent.Dead, nil
@@ -780,8 +842,8 @@ func (e *Engine) existsLocked(tag mle.Tag) (bool, error) {
 // Remove deletes the tag's record, returning it (Blob may be nil;
 // BlobSize and Owner are always set) so the caller can settle quota
 // accounting. With a directory it appends a delete to the WAL and
-// tombstones the memtable, so the versions in the segments stay
-// shadowed; without one the entry just goes.
+// tombstones the memtable, so the versions in the frozen run and the
+// segments stay shadowed; without one the entry just goes.
 func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -799,7 +861,7 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		if err != nil || !found || dead {
 			return storeengine.Record{}, false, err
 		}
-		if meta, err = unsealRecord(e.cfg.Enclave, sealed); err != nil {
+		if meta, err = unsealRecord(e.cfg.Enclave, tag, sealed); err != nil {
 			// Unreadable: still tombstone it so it stops shadowing, but
 			// report unknown metadata.
 			meta = storeengine.Record{}
@@ -810,7 +872,7 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 		e.mem.Delete(tag)
 		delete(e.keys, tag)
 	} else {
-		if err := e.logLocked(walOpDelete, tag, storeengine.Record{}); err != nil {
+		if _, err := e.logLocked(walOpDelete, tag, storeengine.Record{}); err != nil {
 			return storeengine.Record{}, false, err
 		}
 		if err := e.commitLocked(); err != nil {
@@ -830,93 +892,179 @@ func (e *Engine) Remove(tag mle.Tag) (storeengine.Record, bool, error) {
 	return meta, true, nil
 }
 
-// flushLocked writes the memtable (live records and tombstones, sorted
-// by tag) as a new immutable segment, commits it via the manifest, and
-// truncates the WAL. Caller holds mu.
-//
-// Crash ordering: segment write + fsync → directory fsync → manifest
-// swap (tmp + rename + dir fsync) → WAL truncate. A crash before the
-// manifest swap leaves an orphan segment (deleted at recovery) and an
-// intact WAL; a crash after it leaves the segment live and a stale WAL
-// whose replay re-applies the same records idempotently.
-func (e *Engine) flushLocked() error {
-	if e.mem.Len() == 0 {
-		return nil
-	}
-	entries := e.mem.Sorted()
-	records := make([]segRecord, len(entries))
-	err := e.cfg.Enclave.ECall(func() error {
-		// Live records are sealed into one exact-size arena.
-		size := 0
-		for _, ent := range entries {
-			if !ent.Dead {
-				size += enclave.SealOverhead + recordLen(ent.Rec)
-			}
-		}
-		arena := make([]byte, 0, size)
-		for i, ent := range entries {
-			records[i] = segRecord{tag: ent.Tag, dead: ent.Dead, blob: ent.Rec.BlobSize} // 0 for a tombstone
-			if ent.Dead {
-				continue
-			}
-			sealed, err := sealRecord(e.cfg.Enclave, arena, nil, &ent.Rec)
-			if err != nil {
-				return err
-			}
-			records[i].sealed, arena = sealed[len(arena):], sealed
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+// frozenRun is a frozen memtable: its tags' newest records, sorted by
+// tag, each with its WAL frame's sealed bytes (none for a tombstone).
+type frozenRun struct {
+	recs []segRecord
+	size int64    // the file size of the segment it becomes
+	wals []string // the WAL files holding it, deleted once it is committed
+}
 
-	_, err = e.commitSegmentLocked(func() (segRecord, bool, error) {
-		if len(records) == 0 {
-			return segRecord{}, false, nil
-		}
-		r := records[0]
-		records = records[1:]
-		return r, true, nil
-	}, func(seg *segment) []*segment { return append(e.segments, seg) })
-	if err != nil {
-		return err
+// find returns tag's record in the run, nil when the (possibly nil) run
+// has none.
+func (r *frozenRun) find(tag mle.Tag) *segRecord {
+	if r == nil {
+		return nil
 	}
-	if err := e.wal.reset(); err != nil {
-		return err
+	i, ok := slices.BinarySearchFunc(r.recs, tag, func(s segRecord, t mle.Tag) int { return bytes.Compare(s.tag[:], t[:]) })
+	if !ok {
+		return nil
 	}
+	return &r.recs[i]
+}
+
+// freezeLocked makes the memtable, whose entries point at their WAL
+// records' sealed bytes, the frozen run, and empties it, releasing its
+// dictionary charge. The caller rotates the WAL (rotateWALLocked); the
+// writer does the rest (see DESIGN.md "Flush and crash ordering").
+// Caller holds mu, with no run frozen.
+func (e *Engine) freezeLocked() {
+	run := &frozenRun{recs: make([]segRecord, 0, e.mem.Len()), size: int64(segHeaderLen + 4)}
+	for _, ent := range e.mem.Sorted() {
+		run.recs = append(run.recs, segRecord{tag: ent.Tag, dead: ent.Dead, blob: ent.Rec.BlobSize, sealed: ent.Sealed})
+		run.size += int64(segRecHeader + len(ent.Sealed))
+	}
+	e.frozen = run
 	e.mem.Clear()
 	clear(e.keys)
 	e.st.Flushes++
-	return nil
 }
 
-// commitSegmentLocked writes the records next yields as a new segment
-// and commits, through the manifest, the segment list splice builds
-// around it; a failure before the commit removes or orphans only the
-// new file. Caller holds mu.
-func (e *Engine) commitSegmentLocked(next func() (segRecord, bool, error), splice func(*segment) []*segment) (*segment, error) {
-	id := e.nextSegID
-	path := filepath.Join(e.cfg.Dir, segmentName(id))
-	if err := writeSegment(e.fsys, path, next); err != nil {
-		return nil, err
-	}
-	if err := syncDir(e.fsys, e.cfg.Dir); err != nil {
-		return nil, err
-	}
-	seg, err := openSegment(e.fsys, path, id, nil)
+// rotateWALLocked renames the log to the next frozen WAL name, handing
+// it (with the frozen WALs recovery replayed) to the frozen run, and
+// starts an empty log. Under FsyncCommit the directory is synced after
+// the rename, lest a power cut keep the new log but not the rename, and
+// after the create, lest it drop the new log with acknowledged records
+// in it. On failure the log in use refuses further appends. Caller
+// holds mu.
+func (e *Engine) rotateWALLocked() error {
+	name, commit := frozenWALName(e.walSeq), e.cfg.Fsync == FsyncCommit
+	err := e.fsys.Rename(filepath.Join(e.cfg.Dir, walName), filepath.Join(e.cfg.Dir, name))
 	if err == nil {
-		segments := splice(seg)
-		if err = writeManifest(e.fsys, e.cfg.Dir, segmentNames(segments)); err == nil {
-			e.segments, e.nextSegID = segments, id+1
-			return seg, nil
-		}
-		if cerr := seg.close(); cerr != nil {
-			e.cfg.Logf("logengine: close orphan segment: %v", cerr)
+		e.walSeq++
+		e.frozen.wals, e.walOld = append(e.walOld, name), nil
+		if commit {
+			err = syncDir(e.fsys, e.cfg.Dir)
 		}
 	}
-	e.fsys.Remove(path)
-	return nil, err
+	var w *wal
+	if err == nil {
+		w, err = openWAL(e.fsys, filepath.Join(e.cfg.Dir, walName))
+	}
+	if err == nil {
+		w.records, w.syncs = e.wal.records, e.wal.syncs
+		_ = e.wal.close() // its appends are all written
+		if e.wal = w; commit {
+			err = syncDir(e.fsys, e.cfg.Dir)
+		}
+	}
+	if err != nil {
+		e.wal.failed = fmt.Errorf("logengine: wal unusable: rotation failed: %w", err)
+	}
+	return err
+}
+
+// kickWriter wakes the writer, or leaves it a wake-up.
+func (e *Engine) kickWriter() {
+	select {
+	case e.kick <- struct{}{}:
+	default:
+	}
+}
+
+// awaitFrozenLocked waits, waking the writer, until no run is frozen.
+// It returns the failure of a write attempted meanwhile (the next
+// waiter retries) and ErrClosed once the engine closed. Caller holds
+// mu, which the wait releases.
+func (e *Engine) awaitFrozenLocked() error {
+	for from := e.tries; ; e.flushed.Wait() {
+		switch {
+		case e.closed:
+			return storeengine.ErrClosed
+		case e.frozen == nil:
+			return nil
+		case e.failedTry > from:
+			return fmt.Errorf("logengine: flush: %w", e.flushErr)
+		}
+		e.kickWriter()
+	}
+}
+
+// writeFrozen is the background writer. Woken, it writes the frozen
+// run's segment off the lock, with no enclave entry — its records are
+// sealed already — then takes mu to commit it through the manifest,
+// drop the run and delete its WAL files; a frozen WAL left behind
+// replays to the same state. A failed write leaves the run frozen, and
+// the failure to the waiters. After Crash the file stays an orphan, as
+// after a kill.
+func (e *Engine) writeFrozen() {
+	defer e.bgDone.Done()
+	var buf *bufio.Writer // reused across flushes
+	for {
+		select {
+		case <-e.stopBg:
+			return
+		case <-e.kick:
+		}
+		e.mu.Lock()
+		run := e.frozen
+		if run == nil || e.closed {
+			e.mu.Unlock()
+			continue
+		}
+		id, try := e.takeSegIDLocked(), e.tries+1
+		e.tries = try
+		e.mu.Unlock()
+		if buf == nil {
+			buf = bufio.NewWriterSize(nil, segWriteBuffer)
+		}
+		start, next := time.Now(), 0
+		seg, err := writeSegment(e.fsys, e.cfg.Dir, id, len(run.recs), buf, func() (segRecord, bool, error) {
+			if next++; next > len(run.recs) {
+				return segRecord{}, false, nil
+			}
+			return run.recs[next-1], true, nil
+		})
+		e.mu.Lock()
+		switch {
+		case e.closed:
+			if err == nil {
+				_ = seg.close()
+			}
+		case err == nil:
+			err = e.commitSegmentLocked(seg, append(slices.Clip(e.segments), seg))
+		}
+		if err != nil && !e.closed {
+			e.flushErr, e.failedTry = err, try
+		} else if !e.closed {
+			e.frozen = nil
+			e.flushSeconds.Observe(time.Since(start))
+			for _, name := range run.wals {
+				_ = e.fsys.Remove(filepath.Join(e.cfg.Dir, name))
+			}
+		}
+		e.flushed.Broadcast()
+		e.mu.Unlock()
+	}
+}
+
+// takeSegIDLocked reserves the next segment id. Caller holds mu.
+func (e *Engine) takeSegIDLocked() uint64 {
+	e.nextSegID++
+	return e.nextSegID - 1
+}
+
+// commitSegmentLocked commits seg, written and synced, by making
+// segments, which holds it, the manifest's list; a failure removes
+// seg's file. Caller holds mu.
+func (e *Engine) commitSegmentLocked(seg *segment, segments []*segment) error {
+	if err := writeManifest(e.fsys, e.cfg.Dir, segmentNames(segments)); err != nil {
+		_ = seg.close() // the manifest error wins
+		e.fsys.Remove(seg.path)
+		return err
+	}
+	e.segments = segments
+	return nil
 }
 
 // Len reports the number of live records.
@@ -934,17 +1082,14 @@ func (e *Engine) ValueBytes() int64 {
 }
 
 // Oldest reports the victim the Store evicts under MaxEntries /
-// MaxBlobBytes pressure. Without a directory it is the memtable's least
-// recently used entry. With one it is the first live record, in tag
-// order, of the oldest segment that holds one, and the memtable's LRU
-// tail only once no segment does: first in, first out by segment, so a
-// read writes nothing to disk. A forward hand finds it. The hand stands
-// on its record until a tombstone or a newer version shadows it, so the
-// records it evicted stay behind it and an eviction costs amortised
-// O(1) record headers; a merge that takes its segment sends it back to
-// the oldest segment's first record. The hand reads untrusted headers,
-// which is fine for a victim: a lie costs a recompute, and Remove
-// authenticates what it settles.
+// MaxBlobBytes pressure: the first live record, in tag order, of the
+// oldest segment that holds one, else of the frozen run, else the
+// memtable's LRU tail — first in, first out, so a read writes nothing
+// to disk. A forward hand over the segments finds it, standing on its
+// record until a tombstone or newer version shadows it, so an eviction
+// costs amortised O(1) record headers; a merge that takes its segment
+// sends it back to the start. It reads untrusted headers, which is fine
+// for a victim: a lie costs a recompute, and Remove authenticates.
 func (e *Engine) Oldest() (mle.Tag, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -954,6 +1099,13 @@ func (e *Engine) Oldest() (mle.Tag, bool) {
 	}
 	if ok {
 		return tag, true
+	}
+	if e.frozen != nil {
+		for _, r := range e.frozen.recs {
+			if !r.dead && e.mem.Entry(r.tag) == nil {
+				return r.tag, true
+			}
+		}
 	}
 	if ent := e.mem.Oldest(); ent != nil {
 		return ent.Tag, true
@@ -995,11 +1147,11 @@ func (e *Engine) handLocked() (tag mle.Tag, ok bool, err error) {
 	}
 }
 
-// shadowedLocked reports whether the memtable or one of the newer
-// segments holds a version of tag, live or a tombstone. Caller holds
-// mu.
+// shadowedLocked reports whether the memtable, the frozen run or one of
+// the newer segments holds a version of tag, live or a tombstone.
+// Caller holds mu.
 func (e *Engine) shadowedLocked(tag mle.Tag, newer []*segment) (bool, error) {
-	if e.mem.Entry(tag) != nil {
+	if e.mem.Entry(tag) != nil || e.frozen.find(tag) != nil {
 		return true, nil
 	}
 	for _, s := range newer {
@@ -1028,6 +1180,10 @@ func (e *Engine) Stats() storeengine.Stats {
 	for _, s := range e.segments {
 		st.SegmentBytes += s.size
 	}
+	if e.frozen != nil {
+		st.Segments++
+		st.SegmentBytes += e.frozen.size
+	}
 	if lo, hi, ok := pickRun(e.segments, e.cfg.MemtableBytes); ok {
 		// What Compact would merge first; its output may make more
 		// eligible.
@@ -1038,10 +1194,9 @@ func (e *Engine) Stats() storeengine.Stats {
 	return st
 }
 
-// Checkpoint makes every acknowledged operation durable: it flushes the
-// memtable (which truncates the WAL) and fsyncs, so it is in a durable
-// segment regardless of fsync policy. Without a directory there is
-// nothing to make durable.
+// Checkpoint makes every acknowledged operation durable, whatever the
+// fsync policy: it freezes the memtable and waits for the writer to
+// commit its segment. Without a directory there is nothing to do.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1055,26 +1210,32 @@ func (e *Engine) checkpointLocked() error {
 	if e.wal == nil {
 		return nil
 	}
-	if err := e.flushLocked(); err != nil {
+	if err := e.awaitFrozenLocked(); err != nil {
 		return err
+	}
+	if e.mem.Len() > 0 {
+		e.freezeLocked()
+		if err := e.rotateWALLocked(); err != nil {
+			return err
+		}
+		if err := e.awaitFrozenLocked(); err != nil {
+			return err
+		}
 	}
 	return e.wal.sync()
 }
 
-// Compact runs the size-tiered merge policy to its fixed point: while
-// some run of age-adjacent segments of one size class is long enough
-// it is merged into one (see compact.go), dropping shadowed versions
-// and, when the run reaches the oldest segment, tombstones. It does
-// not merge everything: afterwards no eligible run is left, which may
-// well mean several segments. Merges run under the engine lock (v1
-// trades concurrency for simplicity).
+// Compact runs the size-tiered merge policy (compact.go) to its fixed
+// point, under the engine lock: afterwards no eligible run is left,
+// which may well mean several segments. A run frozen meanwhile joins
+// the segments once the writer commits it.
 func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.compactLocked()
 }
 
-// Close stops background work, checkpoints and releases the files and
+// Close checkpoints, stops background work and releases the files and
 // enclave memory; operations after it return ErrClosed. A clean close
 // leaves an empty WAL, so the next Open replays nothing.
 func (e *Engine) Close() error {
@@ -1085,6 +1246,7 @@ func (e *Engine) Close() error {
 	}
 	flushErr := e.checkpointLocked()
 	e.closed = true
+	e.flushed.Broadcast()
 	e.mu.Unlock()
 	close(e.stopBg)
 	e.bgDone.Wait()
@@ -1111,10 +1273,10 @@ func (e *Engine) closeFiles() error {
 	return closeErr
 }
 
-// Crash simulates kill -9 for tests and benchmarks: file handles are
-// abandoned without flushing the memtable, syncing the WAL, or
-// committing anything. State on disk is exactly what the kernel had
-// been told so far. Without a directory it is Close.
+// Crash simulates kill -9 for tests and benchmarks: file handles, the
+// memtable and a frozen run are abandoned, unsynced and uncommitted, so
+// the disk holds what the kernel had been told. Without a directory it
+// is Close.
 func (e *Engine) Crash() {
 	e.mu.Lock()
 	if e.closed {
@@ -1122,6 +1284,7 @@ func (e *Engine) Crash() {
 		return
 	}
 	e.closed = true
+	e.flushed.Broadcast()
 	e.mu.Unlock()
 	close(e.stopBg)
 	e.bgDone.Wait()
@@ -1131,10 +1294,11 @@ func (e *Engine) Crash() {
 	e.releaseMemoryLocked()
 }
 
-// releaseMemoryLocked returns the tables' enclave allocations. Caller
-// holds mu with closed already set.
+// releaseMemoryLocked returns the tables' enclave allocations and drops
+// the frozen run. Caller holds mu with closed already set.
 func (e *Engine) releaseMemoryLocked() {
 	e.mem.Clear()
 	clear(e.keys)
 	e.cache.Clear()
+	e.frozen = nil
 }

@@ -693,9 +693,7 @@ func TestOrphanSegmentRemovedAtOpen(t *testing.T) {
 
 	// Simulate a flush that died before its manifest commit.
 	orphan := filepath.Join(dir, segmentName(99))
-	if err := writeSegment(osFS{}, orphan, func() (segRecord, bool, error) { return segRecord{}, false, nil }); err != nil {
-		t.Fatalf("writeSegment: %v", err)
-	}
+	writeTestSegment(t, dir, 99, nil)
 
 	e2 := openTest(t, testConfig(t, p, dir))
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
@@ -728,42 +726,57 @@ func TestCrossEnclaveSealRejected(t *testing.T) {
 	}
 }
 
-// TestFormatV1Refused: a directory in on-disk format version 1, whose
-// records carried popularity, is refused at open with an error naming
-// the format version, and no file is modified: not the orphan segment
-// recovery would delete, not the torn WAL tail it would truncate. Each
-// case starts from a version-2 directory and turns one file into its
-// version-1 form.
+// TestFormatV1Refused: a directory in an older on-disk format —
+// version 1, whose records carried popularity, or version 2, whose
+// records sealed their op and tag inside — is refused at open with an
+// error naming the format versions, and no file is modified: not the
+// orphan segment recovery would delete, not the torn WAL tail it would
+// truncate. Each case starts from a version-3 directory and turns one
+// file into its older form; an older log is the one named walNameV2.
 func TestFormatV1Refused(t *testing.T) {
 	p := testPlatform()
+	// oldWAL replaces the log with an older one holding the frame whose
+	// plaintext is op | tag | body, sealed under the measurement alone
+	// as formats 1 and 2 sealed, and a torn tail.
+	oldWAL := func(t *testing.T, dir string, enc *enclave.Enclave, op byte, body []byte) {
+		m := enc.Measurement()
+		tag := tagOf("a")
+		sealed, err := enc.Seal(nil, append(append([]byte{op}, tag[:]...), body...), m[:])
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(sealed)))
+		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(sealed, crcTable))
+		frame = append(append(frame, sealed...), "torn"...)
+		if err := os.Remove(filepath.Join(dir, walName)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walNameV2), frame, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	header := func(name, from, to string) func(*testing.T, string, *enclave.Enclave) {
+		return func(t *testing.T, dir string, _ *enclave.Enclave) {
+			rewrite(t, filepath.Join(dir, name), func(b []byte) []byte {
+				return bytes.Replace(b, []byte(from), []byte(to), 1)
+			})
+		}
+	}
 	for _, c := range []struct {
 		name string
-		v1   func(t *testing.T, dir string, enc *enclave.Enclave)
+		old  func(t *testing.T, dir string, enc *enclave.Enclave)
 	}{
-		{"manifest", func(t *testing.T, dir string, _ *enclave.Enclave) {
-			rewrite(t, filepath.Join(dir, manifestName), func(b []byte) []byte {
-				return bytes.Replace(b, []byte(manifestHeader), []byte(manifestHeaderV1), 1)
-			})
-		}},
-		{"segment", func(t *testing.T, dir string, _ *enclave.Enclave) {
-			rewrite(t, filepath.Join(dir, segmentName(0)), func(b []byte) []byte {
-				return append([]byte(segMagicV1), b[len(segMagicV1):]...)
-			})
-		}},
+		{"manifest", header(manifestName, manifestHeader, manifestHeaderV1)},
+		{"segment", header(segmentName(0), segMagic, segMagicV1)},
 		{"wal touch frame", func(t *testing.T, dir string, enc *enclave.Enclave) {
 			// Version 1's touch: op 3 | tag | hits uint64 | touch int64.
-			tag := tagOf("a")
-			touch := append(append([]byte{3}, tag[:]...), make([]byte, 16)...)
-			sealed, err := enc.Seal(nil, touch)
-			if err != nil {
-				t.Fatalf("Seal: %v", err)
-			}
-			frame := binary.BigEndian.AppendUint32(nil, uint32(len(sealed)))
-			frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(sealed, crcTable))
-			frame = append(frame, sealed...)
-			rewrite(t, filepath.Join(dir, walName), func(b []byte) []byte {
-				return append(append(b, frame...), "torn"...)
-			})
+			oldWAL(t, dir, enc, 3, make([]byte, 16))
+		}},
+		{"manifest v2", header(manifestName, manifestHeader, manifestHeaderV2)},
+		{"segment v2", header(segmentName(0), segMagic, segMagicV2)},
+		{"wal v2", func(t *testing.T, dir string, enc *enclave.Enclave) {
+			// Version 2's put: op 4 | tag | record, all sealed.
+			oldWAL(t, dir, enc, walOpPut, appendRecord(nil, recOf("v")))
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -775,22 +788,18 @@ func TestFormatV1Refused(t *testing.T) {
 			}
 			mustInsert(t, e, "b", "v") // a put frame in the WAL
 			e.Crash()
-			if err := writeSegment(osFS{}, filepath.Join(dir, segmentName(99)), func() (segRecord, bool, error) {
-				return segRecord{}, false, nil
-			}); err != nil {
-				t.Fatalf("writeSegment: %v", err)
-			}
+			writeTestSegment(t, dir, 99, nil)
 			cfg := testConfig(t, p, dir)
-			c.v1(t, dir, cfg.Enclave)
+			c.old(t, dir, cfg.Enclave)
 			before := dirFiles(t, dir)
 
 			eng, err := Open(cfg)
 			if err == nil {
 				eng.Close()
-				t.Fatal("a version-1 directory opened")
+				t.Fatal("a directory in an older format opened")
 			}
-			if !errors.Is(err, errFormatV1) || !strings.Contains(err.Error(), "format version 1") {
-				t.Errorf("Open = %v, want an error naming format version 1", err)
+			if !errors.Is(err, errOldFormat) || !strings.Contains(err.Error(), "format version 1 or 2") {
+				t.Errorf("Open = %v, want an error naming format versions 1 and 2", err)
 			}
 			if after := dirFiles(t, dir); !maps.Equal(before, after) {
 				t.Errorf("refusing the directory modified it: %d files before, %d after", len(before), len(after))

@@ -116,16 +116,22 @@ func runModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: Checkpoint: %v", step, err)
 			}
 		case r < 98:
-			var oldest *segment
-			if len(e.segments) > 0 {
-				oldest = e.segments[0]
+			// The background writer splices segments in: look under mu.
+			oldestSegment := func() *segment {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				if len(e.segments) == 0 {
+					return nil
+				}
+				return e.segments[0]
 			}
+			oldest := oldestSegment()
 			merges := e.Stats().Compactions
 			if err := e.Compact(); err != nil {
 				t.Fatalf("step %d: Compact: %v", step, err)
 			}
 			mustBeAtFixedPoint(t, e)
-			if e.Stats().Compactions > merges && e.segments[0] == oldest {
+			if e.Stats().Compactions > merges && oldestSegment() == oldest {
 				midListMerges++
 			}
 		default:

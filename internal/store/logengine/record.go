@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"speed/internal/enclave"
+	"speed/internal/mle"
 	storeengine "speed/internal/store/engine"
 )
 
@@ -68,25 +69,42 @@ func decodeRecord(raw []byte) (storeengine.Record, error) {
 	return rec, nil
 }
 
-// sealRecord appends to dst, sealed to the store enclave identity, the
-// plaintext head‖appendRecord(rec) (head alone when rec is nil). The
-// plaintext is encoded after the nonce slot and sealed there in place.
-func sealRecord(enc *enclave.Enclave, dst, head []byte, rec *storeengine.Record) ([]byte, error) {
-	n, at := len(head), len(dst)
+// adLen is the length of a record's associated data (recordAD).
+const adLen = len(enclave.Measurement{}) + 1 + len(mle.Tag{})
+
+// recordAD is the associated data a record is sealed under, encoded
+// into buf: the store enclave's measurement, the WAL op and the tag. A
+// WAL frame and a segment record carry the op and tag in plaintext in
+// front of the sealed record, so the sealed bytes move from one to the
+// other unchanged, but a record moved under another tag or op fails to
+// unseal.
+func recordAD(buf *[adLen]byte, m enclave.Measurement, op byte, tag *mle.Tag) []byte {
+	n := copy(buf[:], m[:])
+	buf[n] = op
+	copy(buf[n+1:], tag[:])
+	return buf[:]
+}
+
+// sealRecord appends to dst, sealed to the store enclave identity under
+// ad, appendRecord(rec) (nothing when rec is nil). The plaintext is
+// encoded after the nonce slot and sealed there in place.
+func sealRecord(enc *enclave.Enclave, dst, ad []byte, rec *storeengine.Record) ([]byte, error) {
+	n, at := 0, len(dst)
 	if rec != nil {
-		n += recordLen(*rec)
+		n = recordLen(*rec)
 	}
-	dst = append(slices.Grow(dst, enclave.SealOverhead+n)[:at+enclave.SealNonceSize], head...)
+	dst = slices.Grow(dst, enclave.SealOverhead+n)[:at+enclave.SealNonceSize]
 	if rec != nil {
 		dst = appendRecord(dst, *rec)
 	}
-	return enc.Seal(dst[:at], dst[at+enclave.SealNonceSize:])
+	return enc.Seal(dst[:at], dst[at+enclave.SealNonceSize:], ad)
 }
 
-// unsealRecord authenticates and parses a sealed record read back from
-// untrusted storage.
-func unsealRecord(enc *enclave.Enclave, sealed []byte) (storeengine.Record, error) {
-	raw, err := enc.Unseal(sealed)
+// unsealRecord authenticates and parses a put's sealed record read back
+// from untrusted storage under tag.
+func unsealRecord(enc *enclave.Enclave, tag mle.Tag, sealed []byte) (storeengine.Record, error) {
+	var ad [adLen]byte
+	raw, err := enc.Unseal(sealed, recordAD(&ad, enc.Measurement(), walOpPut, &tag))
 	if err != nil {
 		return storeengine.Record{}, err
 	}

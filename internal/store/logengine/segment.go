@@ -20,16 +20,17 @@ import (
 // file is written once (by a memtable flush or a merge), fsynced, then
 // only ever read:
 //
-//	file   := magic [8]byte ("SPSEG2\r\n") | count uint32 | body | crc uint32
+//	file   := magic [8]byte ("SPSEG3\r\n") | count uint32 | body | crc uint32
 //	body   := record*                       (sorted ascending by tag)
 //	record := tag [32]byte | flag byte | blobSize uint32 | sealedLen uint32 | sealed
 //
 // flag 1 marks a tombstone (sealedLen 0): the tag was deleted after an
-// older segment recorded it. crc is CRC-32C over body; it is verified
-// when the segment is opened, so a file the untrusted disk corrupted
-// is rejected before any record is trusted. Individual records are
-// additionally sealed — the CRC is integrity against accidents, the
-// seal against an adversary.
+// older segment recorded it. crc is CRC-32C over body, verified when the
+// segment is opened, so a file the untrusted disk corrupted is rejected
+// before any record is trusted. sealed is the record's WAL frame's,
+// bound to its tag (recordAD): the CRC guards against accidents, the
+// seal against an adversary altering a record or moving it to another
+// tag.
 //
 // Readers locate a tag through three in-memory structures, cheapest
 // first: the min/max fence, a key filter (≈2 bytes per key, no false
@@ -41,18 +42,21 @@ import (
 // never evidence: a hit still ends in unsealRecord.
 
 const (
-	segMagic       = "SPSEG2\r\n"
+	segMagic       = "SPSEG3\r\n"
 	segHeaderLen   = len(segMagic) + 4
 	segRecHeader   = 32 + 1 + 4 + 4
 	indexInterval  = 16
 	segFlagLive    = 0
 	segFlagDead    = 1
 	manifestName   = "MANIFEST"
-	manifestHeader = "speedlog v2"
+	manifestHeader = "speedlog v3"
 	// segMagicV1 and manifestHeaderV1 mark on-disk format version 1,
-	// recognised only to be refused (errFormatV1).
+	// the V2 forms version 2, recognised only to be refused
+	// (errOldFormat).
 	segMagicV1       = "SPSEG1\r\n"
+	segMagicV2       = "SPSEG2\r\n"
 	manifestHeaderV1 = "speedlog v1"
+	manifestHeaderV2 = "speedlog v2"
 	// segWriteBuffer and segReadBuffer size the sequential writer's and
 	// the sequential readers' (open-time verification, cursors)
 	// buffers. Together with one record per cursor they are all the
@@ -61,12 +65,13 @@ const (
 	segReadBuffer  = 64 << 10
 )
 
-// errFormatV1 refuses a directory in on-disk format version 1, whose
-// records carried per-record popularity and whose WAL carried touch
-// frames. Open meets it before recovery deletes or truncates anything.
-// There is no migration: the store is a cache, and an empty one costs
-// recomputes, never wrong answers.
-var errFormatV1 = errors.New("written in on-disk format version 1, which this build (version 2) does not read; move the directory aside to start an empty store (nothing was modified)")
+// errOldFormat refuses a directory in on-disk format version 1, whose
+// records carried per-record popularity, or version 2, whose records
+// sealed their op and tag inside and so were sealed twice on their way
+// from the WAL to a segment. Open meets it before recovery deletes or
+// truncates anything. There is no migration: the store is a cache, and
+// an empty one costs recomputes, never wrong answers.
+var errOldFormat = errors.New("written in on-disk format version 1 or 2, which this build (version 3) does not read; move the directory aside to start an empty store (nothing was modified)")
 
 // keyFilter is a blocked Bloom filter over a segment's tags: each tag
 // owns one 512-bit block (a cache line) and sets filterProbes bits in
@@ -122,14 +127,6 @@ type indexEntry struct {
 	off int64
 }
 
-// keyHdr is a record header without its payload — what recovery needs
-// to compute live occupancy across segments.
-type keyHdr struct {
-	tag      mle.Tag
-	dead     bool
-	blobSize int64
-}
-
 // segment is an open, immutable, verified segment file.
 type segment struct {
 	path   string
@@ -166,44 +163,43 @@ type segRecord struct {
 }
 
 // writeSegment streams the records next yields (ascending by tag; ok
-// false ends the stream) into a new segment file and fsyncs it. It is
-// the one segment-writing routine: a memtable flush feeds it from a
-// sorted slice, a merge from its cursors, and neither holds more than
-// the record in flight plus the write buffer. A yielded record's
-// sealed bytes are consumed before next is called again. The caller
-// syncs the directory and commits the manifest; until then the file is
-// an orphan that recovery deletes. A failed write removes its partial
-// file, so the segment id stays usable.
-func writeSegment(fsys fileSystem, path string, next func() (rec segRecord, ok bool, err error)) (err error) {
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+// false ends the stream) into a new segment file id in dir through w,
+// fsyncs it and the directory, and returns it open, with the sparse
+// index, key filter (sized for keys records) and fence built on the
+// way, so nothing reads back what it wrote. It is the one
+// segment-writing routine: a flush feeds it from its frozen run, a
+// merge from its cursors, and neither holds more than the record in
+// flight plus the write buffer. A yielded record's sealed bytes are
+// consumed before next is called again. The caller commits the
+// manifest; until then the file is an orphan that recovery deletes. A
+// failed write removes its partial file.
+func writeSegment(fsys fileSystem, dir string, id uint64, keys int, w *bufio.Writer, next func() (rec segRecord, ok bool, err error)) (seg *segment, err error) {
+	path := filepath.Join(dir, segmentName(id))
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() {
-		// A failed close after a clean sync still means the kernel may
-		// not own the data; surface it.
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
 		if err != nil {
+			_ = f.Close() // the write error wins
 			fsys.Remove(path)
 		}
 	}()
-	w := bufio.NewWriterSize(f, segWriteBuffer)
+	seg = &segment{path: path, id: id, f: f, size: int64(segHeaderLen), filter: newKeyFilter(keys)}
+	w.Reset(f)
 	var head [segHeaderLen]byte // count is patched in once it is known
 	copy(head[:], segMagic)
 	if _, err := w.Write(head[:]); err != nil {
-		return err
+		return nil, err
 	}
 	var (
-		crc   uint32
-		count uint32
-		hdr   [segRecHeader]byte
+		crc uint32
+		hdr [segRecHeader]byte
 	)
 	for {
 		r, ok, err := next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			break
@@ -216,35 +212,58 @@ func writeSegment(fsys fileSystem, path string, next func() (rec segRecord, ok b
 		binary.BigEndian.PutUint32(hdr[33:37], uint32(r.blob))
 		binary.BigEndian.PutUint32(hdr[37:41], uint32(len(r.sealed)))
 		if _, err := w.Write(hdr[:]); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := w.Write(r.sealed); err != nil {
-			return err
+			return nil, err
 		}
 		crc = crc32.Update(crc32.Update(crc, crcTable, hdr[:]), crcTable, r.sealed)
-		count++
+		seg.index(r.tag, seg.size)
+		seg.size += int64(segRecHeader + len(r.sealed))
 	}
 	var u32 [4]byte
 	binary.BigEndian.PutUint32(u32[:], crc)
 	if _, err := w.Write(u32[:]); err != nil {
-		return err
+		return nil, err
 	}
 	if err := w.Flush(); err != nil {
-		return err
+		return nil, err
 	}
-	binary.BigEndian.PutUint32(u32[:], count)
+	seg.size += 4
+	binary.BigEndian.PutUint32(u32[:], uint32(seg.count))
 	if _, err := f.WriteAt(u32[:], int64(len(segMagic))); err != nil {
-		return err
+		return nil, err
 	}
-	return f.Sync()
+	if err = f.Sync(); err == nil {
+		err = syncDir(fsys, dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return seg, nil
+}
+
+// index enters the record at off, the next in tag order, into the
+// sparse index, the key filter and the fence.
+func (s *segment) index(tag mle.Tag, off int64) {
+	if s.count%indexInterval == 0 {
+		s.sparse = append(s.sparse, indexEntry{tag: tag, off: off})
+	}
+	if s.count == 0 {
+		s.minTag = tag
+	}
+	s.maxTag = tag
+	s.filter.add(&tag)
+	s.count++
 }
 
 // openSegment streams through a segment file once, verifying its
 // framing, ordering and checksum and building the sparse index, the
 // key filter and the fence from the keys it passes — the file is never
 // held in memory. visit, when non-nil, sees every record header in
-// order (recovery computes live occupancy from them).
-func openSegment(fsys fileSystem, path string, id uint64, visit func(keyHdr)) (seg *segment, err error) {
+// order, without its sealed bytes (recovery computes live occupancy from
+// them).
+func openSegment(fsys fileSystem, path string, id uint64, visit func(segRecord)) (seg *segment, err error) {
 	base := filepath.Base(path)
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -262,8 +281,8 @@ func openSegment(fsys fileSystem, path string, id uint64, visit func(keyHdr)) (s
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), segReadBuffer)
 	var head [segHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil || size < int64(segHeaderLen+4) || string(head[:len(segMagic)]) != segMagic {
-		if string(head[:len(segMagicV1)]) == segMagicV1 {
-			return nil, fmt.Errorf("logengine: segment %s: %w", base, errFormatV1)
+		if m := string(head[:len(segMagic)]); m == segMagicV1 || m == segMagicV2 {
+			return nil, fmt.Errorf("logengine: segment %s: %w", base, errOldFormat)
 		}
 		return nil, fmt.Errorf("logengine: segment %s: bad header", base)
 	}
@@ -272,7 +291,7 @@ func openSegment(fsys fileSystem, path string, id uint64, visit func(keyHdr)) (s
 	if int64(count) > left/segRecHeader {
 		return nil, fmt.Errorf("logengine: segment %s: truncated (header claims %d records)", base, count)
 	}
-	seg = &segment{path: path, id: id, f: f, count: count, size: size, filter: newKeyFilter(count)}
+	seg = &segment{path: path, id: id, f: f, size: size, filter: newKeyFilter(count)}
 	var (
 		crc  uint32
 		hdr  [segRecHeader]byte
@@ -308,16 +327,9 @@ func openSegment(fsys fileSystem, path string, id uint64, visit func(keyHdr)) (s
 			return nil, fmt.Errorf("logengine: segment %s: records out of order", base)
 		}
 		prev = tag
-		if i == 0 {
-			seg.minTag = tag
-		}
-		seg.maxTag = tag
-		if i%indexInterval == 0 {
-			seg.sparse = append(seg.sparse, indexEntry{tag: tag, off: off})
-		}
-		seg.filter.add(&tag)
+		seg.index(tag, off)
 		if visit != nil {
-			visit(keyHdr{tag: tag, dead: dead, blobSize: int64(binary.BigEndian.Uint32(hdr[33:37]))})
+			visit(segRecord{tag: tag, dead: dead, blob: int64(binary.BigEndian.Uint32(hdr[33:37]))})
 		}
 	}
 	if left != 0 {
@@ -554,8 +566,8 @@ func readManifest(fsys fileSystem, dir string) ([]string, error) {
 		return nil, err
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if lines[0] == manifestHeaderV1 {
-		return nil, fmt.Errorf("logengine: manifest: %w", errFormatV1)
+	if lines[0] == manifestHeaderV1 || lines[0] == manifestHeaderV2 {
+		return nil, fmt.Errorf("logengine: manifest: %w", errOldFormat)
 	}
 	if lines[0] != manifestHeader {
 		return nil, fmt.Errorf("logengine: bad manifest header")

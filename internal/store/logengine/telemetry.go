@@ -23,8 +23,10 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 		func(st storeengine.Stats) int64 { return st.WALRecords })
 	counter("speed_store_engine_wal_syncs_total", "fsyncs of appended write-ahead-log data (one per PUT message under fsync=commit)",
 		func(st storeengine.Stats) int64 { return st.WALSyncs })
-	counter("speed_store_engine_flushes_total", "memtable flushes to sorted segments",
+	counter("speed_store_engine_flushes_total", "memtable flushes to sorted segments, counted when the memtable freezes",
 		func(st storeengine.Stats) int64 { return st.Flushes })
+	counter("speed_store_engine_flush_waits_total", "PUTs that waited for the frozen memtable's segment to be written",
+		func(st storeengine.Stats) int64 { return st.FlushWaits })
 	counter("speed_store_engine_compactions_total", "completed segment compactions",
 		func(st storeengine.Stats) int64 { return st.Compactions })
 	counter("speed_store_engine_segment_probes_total", "per-segment lookups that read the segment file",
@@ -35,9 +37,10 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 		func(st storeengine.Stats) int64 { return st.CompactionBytesRead }, telemetry.L("dir", "read"))
 	counter("speed_store_engine_compaction_bytes_total", "segment bytes merges consumed and produced",
 		func(st storeengine.Stats) int64 { return st.CompactionBytesWritten }, telemetry.L("dir", "written"))
-	hist := reg.NewHistogram("speed_store_engine_compaction_seconds", "duration of one segment merge", lbl)
+	compact := reg.NewHistogram("speed_store_engine_compaction_seconds", "duration of one segment merge", lbl)
+	flush := reg.NewHistogram("speed_store_engine_flush_seconds", "duration of one background flush, from the start of its segment write to its manifest commit", lbl)
 	e.mu.Lock()
-	e.compactSeconds = hist
+	e.compactSeconds, e.flushSeconds = compact, flush
 	e.mu.Unlock()
 	counter("speed_store_engine_cache_hits_total", "lookups served by the in-enclave tier",
 		func(st storeengine.Stats) int64 { return st.CacheHits })

@@ -1,12 +1,13 @@
 package logengine
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -26,26 +27,22 @@ func seededTag(seed uint64, i int) mle.Tag {
 	return mle.Tag(sha256.Sum256(b[:]))
 }
 
-// writeTagSegment writes tags as a segment of tombstones (the filter
-// and index see keys, not payloads) and opens it.
-func writeTagSegment(t testing.TB, path string, tags []mle.Tag) *segment {
+// writeTestSegment writes recs, sorted by tag, as segment id in dir
+// and returns it open, with the index writeSegment built as it wrote.
+func writeTestSegment(t testing.TB, dir string, id uint64, recs []segRecord) *segment {
 	t.Helper()
-	sorted := append([]mle.Tag(nil), tags...)
-	sort.Slice(sorted, func(i, j int) bool { return string(sorted[i][:]) < string(sorted[j][:]) })
-	err := writeSegment(osFS{}, path, func() (segRecord, bool, error) {
-		if len(sorted) == 0 {
+	recs = slices.Clone(recs)
+	sort.Slice(recs, func(i, j int) bool { return string(recs[i].tag[:]) < string(recs[j].tag[:]) })
+	seg, err := writeSegment(osFS{}, dir, id, len(recs), bufio.NewWriter(nil), func() (segRecord, bool, error) {
+		if len(recs) == 0 {
 			return segRecord{}, false, nil
 		}
-		r := segRecord{tag: sorted[0], dead: true}
-		sorted = sorted[1:]
+		r := recs[0]
+		recs = recs[1:]
 		return r, true, nil
 	})
 	if err != nil {
 		t.Fatalf("writeSegment: %v", err)
-	}
-	seg, err := openSegment(osFS{}, path, 0, nil)
-	if err != nil {
-		t.Fatalf("openSegment: %v", err)
 	}
 	t.Cleanup(func() { seg.close() })
 	return seg
@@ -63,9 +60,12 @@ func TestKeyFilterProperties(t *testing.T) {
 			for i := range tags {
 				tags[i] = seededTag(seed, i)
 			}
-			path := filepath.Join(t.TempDir(), segmentName(0))
-			written := writeTagSegment(t, path, tags)
-			reopened, err := openSegment(osFS{}, path, 0, nil)
+			recs := make([]segRecord, n) // tombstones: the filter and index see keys, not payloads
+			for i, tag := range tags {
+				recs[i] = segRecord{tag: tag, dead: true}
+			}
+			written := writeTestSegment(t, t.TempDir(), 0, recs)
+			reopened, err := openSegment(osFS{}, written.path, 0, nil)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 
 	"speed/internal/enclave"
 	"speed/internal/mle"
@@ -14,48 +13,60 @@ import (
 )
 
 // The write-ahead log makes every acknowledged insert or delete
-// recoverable before the memtable reaches a sorted segment. Frames are
-// self-delimiting and individually checksummed:
+// recoverable before its memtable reaches a segment. A frame is
 //
-//	frame := length uint32 | crc uint32 | payload [length]byte
+//	frame   := length uint32 | crc uint32 | payload [length]byte
+//	payload := op byte (4 = put, 5 = delete) | tag [32]byte | sealed
 //
-// where crc is CRC-32C (Castagnoli) over the payload and payload is a
-// sealed (enclave-AEAD) operation:
+// with crc the CRC-32C of the payload and sealed the record
+// (appendRecord's encoding; nothing for a delete) sealed under
+// recordAD(op, tag): a put's sealed bytes are its segment record's.
+// The CRC detects torn writes, the seal tampering. A frame whose length
+// or CRC does not check out ends replay, and the file is truncated at
+// the last good frame: a torn tail is expected after a crash and never
+// applied. A frame whose CRC is valid but whose seal fails is hostile
+// (the CRC is attacker-computable, the seal is not) and fails recovery.
 //
-//	op    byte    (4 = put, 5 = delete)
-//	tag   [32]byte
-//	rec   appendRecord(...)   (put only)
-//
-// The CRC detects torn writes (a crash mid-append); the seal detects
-// tampering. Recovery trusts neither: a frame whose length or CRC does
-// not check out ends replay and the file is truncated at the last good
-// frame — a torn tail is expected after a crash and is never applied.
-// A frame whose CRC is valid but whose seal fails authentication is
-// hostile (the CRC is attacker-computable, the seal is not) and fails
-// recovery loudly.
+// The log in use is walName. A freeze renames it frozenWALName(n) and
+// starts a fresh one; the frozen file goes once its segment is
+// committed. Recovery replays the frozen logs, oldest first, then
+// walName.
 
 const (
-	walName        = "wal.log"
-	walFrameHeader = 8 // length + crc
-	// Op codes are not reused across on-disk formats: 1-3 were format
-	// version 1's put, delete and popularity touch, so a version-1 log
-	// is recognised and refused at its first frame.
-	walOpPut    = 4
-	walOpDelete = 5
+	walName = "wal-active.log"
+	// walNameV2 is the log of on-disk formats 1 and 2, recognised only
+	// to be refused (errOldFormat).
+	walNameV2      = "wal.log"
+	frozenWALFmt   = "wal-%08d.log"
+	walFrameHeader = 8      // length + crc
+	walOpHeader    = 1 + 32 // op + tag
+	walOpPut       = 4
+	walOpDelete    = 5
 	// maxWALPayload bounds a frame's declared length so a corrupt
 	// header cannot drive a huge allocation during replay.
 	maxWALPayload = 1 << 30
-	// maxScratchRetain caps the frame scratch kept between appends.
-	maxScratchRetain = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// walOp is one decoded WAL operation.
+func frozenWALName(n uint64) string { return fmt.Sprintf(frozenWALFmt, n) }
+
+// parseFrozenWALName extracts the sequence number of a frozen log.
+func parseFrozenWALName(name string) (uint64, bool) {
+	var n uint64
+	if k, err := fmt.Sscanf(name, frozenWALFmt, &n); k == 1 && err == nil && name == frozenWALName(n) {
+		return n, true
+	}
+	return 0, false
+}
+
+// walOp is one decoded WAL operation; sealed is its frame's sealed
+// record.
 type walOp struct {
-	op  byte
-	tag mle.Tag
-	rec storeengine.Record
+	op     byte
+	tag    mle.Tag
+	rec    storeengine.Record
+	sealed []byte
 }
 
 // wal is the append-only log file. Appends are serialized by the
@@ -63,11 +74,11 @@ type walOp struct {
 type wal struct {
 	f       file
 	size    int64
-	dirty   bool   // appended since last sync
-	records int64  // appends (Stats.WALRecords)
-	syncs   int64  // fsyncs of appended data (Stats.WALSyncs)
-	scratch []byte // frame assembly buffer, reused across appends
-	failed  error  // set when a failed append could not be rolled back
+	dirty   bool        // appended since last sync
+	records int64       // appends (Stats.WALRecords)
+	syncs   int64       // fsyncs of appended data (Stats.WALSyncs)
+	ad      [adLen]byte // associated-data scratch
+	failed  error       // set when a failed append could not be rolled back
 }
 
 func openWAL(fsys fileSystem, path string) (*wal, error) {
@@ -83,68 +94,39 @@ func openWAL(fsys fileSystem, path string) (*wal, error) {
 	return &wal{f: f, size: size}, nil
 }
 
-// decodeWALPayload parses an unsealed operation.
-func decodeWALPayload(raw []byte) (walOp, error) {
-	var o walOp
-	if len(raw) < 1+32 {
-		return o, errBadRecord
-	}
-	o.op = raw[0]
-	copy(o.tag[:], raw[1:33])
-	switch o.op {
-	case walOpDelete:
-		if len(raw) != 1+32 {
-			return o, errBadRecord
-		}
-		return o, nil
-	case walOpPut:
-		rec, err := decodeRecord(raw[33:])
-		if err != nil {
-			return o, err
-		}
-		o.rec = rec
-		return o, nil
-	case 1, 2, 3:
-		return o, errFormatV1
-	default:
-		return o, errBadRecord
-	}
-}
-
-// append seals the operation into the reused frame scratch after the
-// header and writes the frame with one Write, unsynced: the caller
-// applies the fsync policy. A failed write is rolled back to the last
-// whole frame, lest a later append land behind a torn one that replay
-// stops at; if that fails too, every later append is refused.
-func (w *wal) append(enc *enclave.Enclave, op byte, tag mle.Tag, rec storeengine.Record) error {
+// append seals the operation into a new frame after its header and
+// writes it with one Write, unsynced: the caller applies the fsync
+// policy. It returns the frame's sealed record, which the memtable and
+// then its frozen run keep until the segment is written. A failed write is rolled back to the last whole frame, lest a
+// later append land behind a torn one that replay stops at; if that
+// fails too, every later append is refused.
+func (w *wal) append(enc *enclave.Enclave, op byte, tag mle.Tag, rec storeengine.Record) ([]byte, error) {
 	if w.failed != nil {
-		return w.failed
+		return nil, w.failed
 	}
-	head, body := [1 + len(tag)]byte{op}, &rec
-	copy(head[1:], tag[:])
+	body, need := &rec, walFrameHeader+walOpHeader+enclave.SealOverhead+recordLen(rec)
 	if op == walOpDelete {
-		body = nil
+		body, need = nil, walFrameHeader+walOpHeader+enclave.SealOverhead
 	}
-	frame, err := sealRecord(enc, slices.Grow(w.scratch[:0], walFrameHeader)[:walFrameHeader], head[:], body)
+	frame := append(make([]byte, walFrameHeader+1, need), tag[:]...)
+	frame[walFrameHeader] = op
+	frame, err := sealRecord(enc, frame, recordAD(&w.ad, enc.Measurement(), op, &tag), body)
 	if err != nil {
-		return fmt.Errorf("logengine: seal wal record: %w", err)
+		return nil, fmt.Errorf("logengine: seal wal record: %w", err)
 	}
-	sealed := frame[walFrameHeader:]
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(sealed)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(sealed, crcTable))
-	if w.scratch = frame; cap(frame) > maxScratchRetain {
-		w.scratch = nil
-	}
+	payload := frame[walFrameHeader:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := w.f.Write(frame); err != nil {
 		if cerr := w.cut(w.size); cerr != nil {
 			w.failed = fmt.Errorf("logengine: wal unusable: a failed append (%v) could not be rolled back: %w", err, cerr)
 		}
-		return fmt.Errorf("logengine: append wal: %w", err)
+		return nil, fmt.Errorf("logengine: append wal: %w", err)
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
 	w.records++
-	return nil
+	return payload[walOpHeader:], nil
 }
 
 func (w *wal) sync() error {
@@ -156,16 +138,6 @@ func (w *wal) sync() error {
 	}
 	w.dirty = false
 	w.syncs++
-	return nil
-}
-
-// reset truncates the log to empty after its contents reached a
-// durable segment.
-func (w *wal) reset() error {
-	if err := w.cut(0); err != nil {
-		return err
-	}
-	w.dirty, w.failed = false, nil // an empty log holds no torn frame
 	return nil
 }
 
@@ -184,61 +156,62 @@ func (w *wal) cut(size int64) error {
 
 func (w *wal) close() error { return w.f.Close() }
 
-// replay scans the log from the start, yielding each intact operation.
-// It returns the number of operations applied and whether a torn tail
-// was truncated. Corrupt-but-authenticated frames (valid CRC, failed
+// replay scans the log from the start, yielding each intact operation;
+// an op's sealed record is a fresh buffer the caller may keep. It
+// returns the number of operations applied and the length of the
+// intact prefix, below the file's size when a torn tail follows, and
+// changes nothing. Corrupt-but-authenticated frames (valid CRC, failed
 // seal) abort with an error: that is tampering, not a crash artifact.
-func (w *wal) replay(enc *enclave.Enclave, apply func(walOp)) (replayed int64, torn bool, err error) {
+func (w *wal) replay(enc *enclave.Enclave, apply func(walOp)) (replayed, good int64, err error) {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return 0, false, err
+		return 0, 0, err
 	}
-	var (
-		good   int64 // offset just past the last intact frame
-		header [walFrameHeader]byte
-	)
+	var header [walFrameHeader]byte
 	for {
 		if _, err := io.ReadFull(w.f, header[:]); err != nil {
-			if err == io.EOF {
-				break // clean end
-			}
-			torn = true // partial header
-			break
+			return replayed, good, nil // a clean end, or a partial header
 		}
 		length := binary.BigEndian.Uint32(header[0:4])
 		sum := binary.BigEndian.Uint32(header[4:8])
-		if length == 0 || length > maxWALPayload || int64(length) > w.size-good-walFrameHeader {
-			torn = true
-			break
+		if length < walOpHeader || length > maxWALPayload || int64(length) > w.size-good-walFrameHeader {
+			return replayed, good, nil
 		}
 		payload := make([]byte, length)
-		if _, err := io.ReadFull(w.f, payload); err != nil {
-			torn = true
-			break
+		if _, err := io.ReadFull(w.f, payload); err != nil || crc32.Checksum(payload, crcTable) != sum {
+			return replayed, good, nil
 		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			torn = true
-			break
-		}
-		raw, err := enc.Unseal(payload)
+		o, err := decodeWALPayload(enc, &w.ad, payload)
 		if err != nil {
-			return replayed, false, fmt.Errorf("logengine: wal record failed authentication (tampering?): %w", err)
+			return replayed, good, fmt.Errorf("logengine: wal replay: frame %d: %w", replayed, err)
 		}
-		op, err := decodeWALPayload(raw)
-		if err != nil {
-			return replayed, false, fmt.Errorf("logengine: wal replay: frame %d: %w", replayed, err)
-		}
-		apply(op)
+		apply(o)
 		replayed++
 		good += walFrameHeader + int64(length)
 	}
-	if torn {
-		// Drop the torn tail so the next append starts at a frame
-		// boundary. The lost suffix was never acknowledged as durable
-		// under fsync-on-commit (the crash hit before the sync
-		// returned), so truncation loses nothing that was promised.
-		if err := w.cut(good); err != nil {
-			return replayed, torn, err
-		}
+}
+
+// decodeWALPayload authenticates and parses a frame's payload, using ad
+// as scratch. A frame that fails is hostile: replay stops with its
+// error.
+func decodeWALPayload(enc *enclave.Enclave, ad *[adLen]byte, payload []byte) (walOp, error) {
+	if len(payload) < walOpHeader {
+		return walOp{}, errBadRecord
 	}
-	return replayed, torn, nil
+	o := walOp{op: payload[0], tag: mle.Tag(payload[1:walOpHeader]), sealed: payload[walOpHeader:]}
+	if o.op != walOpPut && o.op != walOpDelete {
+		return o, fmt.Errorf("unknown op %d (tampering?)", o.op)
+	}
+	raw, err := enc.Unseal(o.sealed, recordAD(ad, enc.Measurement(), o.op, &o.tag))
+	if err != nil {
+		return o, fmt.Errorf("record failed authentication (tampering?): %w", err)
+	}
+	if o.op == walOpDelete {
+		o.sealed = nil // a tombstone's segment record carries none
+		if len(raw) != 0 {
+			return o, errBadRecord
+		}
+		return o, nil
+	}
+	o.rec, err = decodeRecord(raw)
+	return o, err
 }

@@ -351,7 +351,7 @@ func (s *Server) handleMux(conn net.Conn, ch *wire.Channel, owner enclave.Measur
 			return
 		}
 		stamp(phaseServe)
-		id, tc, msg, err := ch.ParseEnvelope(payload)
+		id, tc, msg, err := wire.UnmarshalEnvelope(payload)
 		if err != nil {
 			s.logf("store: bad envelope from %v: %v", conn.RemoteAddr(), err)
 			return

@@ -85,7 +85,7 @@ func TestSessionPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reply %d of %d: %v", i+1, n, err)
 		}
-		id, _, msg, err := ch.ParseEnvelope(payload)
+		id, _, msg, err := wire.UnmarshalEnvelope(payload)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i+1, err)
 		}
@@ -150,7 +150,7 @@ func TestSessionPipelinedPutPayloads(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reply %d of %d: %v", i, n, err)
 				}
-				_, _, msg, err := ch.ParseEnvelope(payload)
+				_, _, msg, err := wire.UnmarshalEnvelope(payload)
 				if err != nil {
 					t.Fatalf("reply %d: %v", i, err)
 				}

@@ -515,12 +515,6 @@ func (s *Store) Len() int {
 	return s.eng.Len()
 }
 
-// AppBytes reports the resident ciphertext bytes attributed to an
-// application for quota purposes.
-func (s *Store) AppBytes(owner enclave.Measurement) int64 {
-	return s.quota.bytesOf(owner)
-}
-
 // Close marks the store closed. Subsequent Get/Put return ErrClosed.
 // A persistent store flushes and releases its on-disk state.
 func (s *Store) Close() {

@@ -120,8 +120,8 @@ func TestPutDuplicateKeepsFirst(t *testing.T) {
 		t.Errorf("Stats = %+v, want 1 dupe and 1 entry", st)
 	}
 	// The losing application's quota must have been credited back.
-	if got := s.AppBytes(ownerOf("b")); got != 0 {
-		t.Errorf("loser AppBytes = %d, want 0", got)
+	if got := s.quota.bytesOf(ownerOf("b")); got != 0 {
+		t.Errorf("loser bytesOf = %d, want 0", got)
 	}
 }
 
@@ -159,8 +159,8 @@ func TestPutReplaceOverwrites(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s.Len())
 	}
-	if got := s.AppBytes(ownerOf("a")); got != 0 {
-		t.Errorf("old owner AppBytes = %d, want 0", got)
+	if got := s.quota.bytesOf(ownerOf("a")); got != 0 {
+		t.Errorf("old owner bytesOf = %d, want 0", got)
 	}
 	if got := s.Stats().Evictions; got != 0 {
 		t.Errorf("Evictions = %d, want 0 (replacement is not an eviction)", got)
@@ -577,8 +577,8 @@ func TestConcurrentPutGet(t *testing.T) {
 			}
 			wg.Wait()
 			st := s.Stats()
-			if st.BlobBytes > quota || s.AppBytes(owner) != st.BlobBytes {
-				t.Errorf("BlobBytes = %d, AppBytes = %d; want equal and within the %d-byte quota", st.BlobBytes, s.AppBytes(owner), quota)
+			if st.BlobBytes > quota || s.quota.bytesOf(owner) != st.BlobBytes {
+				t.Errorf("BlobBytes = %d, bytesOf = %d; want equal and within the %d-byte quota", st.BlobBytes, s.quota.bytesOf(owner), quota)
 			}
 			if st.Puts != accepted.Load() || st.Puts == 0 || st.PutDenied == 0 {
 				t.Errorf("Stats puts = %d denied = %d, %d accepted; want puts = accepted and both non-zero", st.Puts, st.PutDenied, accepted.Load())

@@ -162,12 +162,6 @@ func (c *Channel) SendEnvelopeTrace(id uint64, tc TraceContext, m Message) error
 	return c.sendLocked(buf[:frameHeaderLen], buf[frameHeaderLen:])
 }
 
-// ParseEnvelope decodes an envelope payload received on this channel.
-// The returned message aliases the payload exactly like Unmarshal.
-func (c *Channel) ParseEnvelope(payload []byte) (uint64, TraceContext, Message, error) {
-	return UnmarshalEnvelope(payload)
-}
-
 // sendLocked seals payload behind head, the frame's length header at
 // the front of the channel's frame scratch, and writes the frame with a
 // single conn.Write. A payload marshalled right after head (an

@@ -46,12 +46,6 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame into a fresh buffer that
-// the caller owns.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	return readFrameLimit(r, MaxFrameSize, nil)
-}
-
 // ReadFrameInto reads one length-prefixed frame, reusing buf's backing
 // array when it is large enough and allocating a bigger one otherwise.
 // The returned slice aliases that backing array: it is valid only until

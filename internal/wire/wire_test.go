@@ -133,12 +133,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrameInto(&buf, nil)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("ReadFrameInto: %v", err)
 		}
 		if !bytes.Equal(got, p) {
-			t.Errorf("ReadFrame = %d bytes, want %d", len(got), len(p))
+			t.Errorf("ReadFrameInto = %d bytes, want %d", len(got), len(p))
 		}
 	}
 }
@@ -151,8 +151,8 @@ func TestFrameTooLarge(t *testing.T) {
 	raw := hdr.Bytes()
 	// Forge a header announcing an oversized frame.
 	raw[0], raw[1], raw[2], raw[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("ReadFrame = %v, want ErrFrameTooLarge", err)
+	if _, err := ReadFrameInto(bytes.NewReader(raw), nil); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("ReadFrameInto = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -162,8 +162,8 @@ func TestFrameTruncatedPayload(t *testing.T) {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	raw := buf.Bytes()[:50]
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Error("ReadFrame accepted truncated payload")
+	if _, err := ReadFrameInto(bytes.NewReader(raw), nil); err == nil {
+		t.Error("ReadFrameInto accepted truncated payload")
 	}
 }
 
@@ -237,7 +237,7 @@ func recvEnvelope(c *Channel) (uint64, Message, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	id, _, msg, err := c.ParseEnvelope(payload)
+	id, _, msg, err := UnmarshalEnvelope(payload)
 	if err != nil {
 		return 0, nil, err
 	}
