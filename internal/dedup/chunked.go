@@ -131,12 +131,17 @@ func (c *chunkCache) get(tag mle.Tag) ([]byte, bool) {
 	return c.ring[i].data, true
 }
 
-// contains is get without counting a reference, for pure skip checks.
-func (c *chunkCache) contains(tag mle.Tag) bool {
+// lacking calls f with the index of each of tags the cache does not
+// hold, under one lock and counting no reference: the skip checks of a
+// whole manifest.
+func (c *chunkCache) lacking(tags []mle.Tag, f func(i int)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.m[tag]
-	return ok
+	for i, t := range tags {
+		if _, ok := c.m[t]; !ok {
+			f(i)
+		}
+	}
 }
 
 // counter is the index of tag's counter in sketch row r.
@@ -213,6 +218,129 @@ func (c *chunkCache) close() {
 	c.ring, c.m, c.sketch, c.bytes = nil, nil, nil, 0
 }
 
+// manifestRecordBytes bounds the manifest record's sealed bytes: some
+// 3,000 manifests of 256 KiB results.
+const manifestRecordBytes = 4 << 20
+
+// manifestRecord is host memory, never charged to the enclave: primary
+// tag -> the sealed manifest triple the runtime last saw stored under
+// it. It holds only ciphertext that crossed the wire, and is a hint:
+// predict opens a triple under its call's own identity before using
+// it. Oldest written goes first, a generation at a time: once cur would
+// pass half the budget it becomes old, and old is dropped.
+type manifestRecord struct {
+	mu       sync.Mutex
+	cur, old map[mle.Tag]mle.Sealed
+	bytes    int // in cur
+}
+
+// put records a copy of sealed for tag; the zero triple forgets it.
+func (r *manifestRecord) put(tag mle.Tag, sealed mle.Sealed) {
+	sealed = sealed.Clone()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cur == nil || r.bytes+sealed.Size() > manifestRecordBytes/2 {
+		r.old, r.cur, r.bytes = r.cur, make(map[mle.Tag]mle.Sealed), 0
+	}
+	delete(r.old, tag)
+	r.bytes += sealed.Size() - r.cur[tag].Size()
+	r.cur[tag] = sealed
+}
+
+// get copies the triple recorded for tag into the enclave, where the
+// host can no longer change it.
+func (r *manifestRecord) get(tag mle.Tag) (mle.Sealed, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.cur[tag]
+	if !ok {
+		s, ok = r.old[tag]
+	}
+	return s.Clone(), ok && s.Size() > 0
+}
+
+// openedManifest is a sealed manifest opened in the enclave under its
+// call's identity: the triple, its decoded manifest and chunk tags.
+type openedManifest struct {
+	sealed mle.Sealed
+	man    chunk.Manifest
+	tags   []mle.Tag
+}
+
+// openManifest opens sealed as the manifest of (id, input);
+// errNoManifest means it is none.
+func openManifest(id mle.FuncID, input []byte, sealed mle.Sealed) (*openedManifest, error) {
+	enc, err := rce.Decrypt(chunk.ManifestFuncID(id), input, sealed)
+	if err != nil {
+		if errors.Is(err, mle.ErrAuthFailed) {
+			return nil, errNoManifest
+		}
+		return nil, fmt.Errorf("decrypt manifest: %w", err)
+	}
+	man, err := chunk.DecodeManifest(enc)
+	if err != nil {
+		return nil, fmt.Errorf("decode manifest: %w", err)
+	}
+	cid := chunk.ContentFuncID(id)
+	m := &openedManifest{sealed: sealed, man: man, tags: make([]mle.Tag, len(man.Refs))}
+	for i := range man.Refs {
+		m.tags[i] = chunk.Tag(cid, man.Refs[i].Hash)
+	}
+	return m, nil
+}
+
+// is reports whether sealed is byte for byte the triple m was opened
+// from; a nil m is no triple.
+func (m *openedManifest) is(sealed mle.Sealed) bool {
+	return m != nil && bytes.Equal(m.sealed.Challenge, sealed.Challenge) &&
+		bytes.Equal(m.sealed.WrappedKey, sealed.WrappedKey) && bytes.Equal(m.sealed.Blob, sealed.Blob)
+}
+
+// predict appends to the lookup's tags, each once, the chunks that the
+// recorded manifests of the call's leaders name and the chunk cache
+// lacks, so they ride the one GET. A record that does not open under
+// its leader's own identity, a swapped or tampered one, is ignored.
+func (c *call) predict(tags []mle.Tag) []mle.Tag {
+	n := len(tags)
+	for i := range c.items {
+		it := &c.items[i]
+		if !it.leads() {
+			continue
+		}
+		sealed, ok := c.rt.record.get(it.tag)
+		if !ok {
+			continue
+		}
+		if m, _ := openManifest(c.id, it.input, sealed); m != nil {
+			if c.preds == nil {
+				c.preds = make([]*openedManifest, len(c.items))
+			}
+			c.preds[i] = m
+			c.rt.chunkCache.lacking(m.tags, func(k int) { tags = append(tags, m.tags[k]) })
+		}
+	}
+	return tags[:n+len(c.unfetched(tags[n:]))]
+}
+
+// unfetched keeps, in place, each of tags the call has neither fetched
+// nor kept before, and indexes it as the next of c.fetched.
+func (c *call) unfetched(tags []mle.Tag) []mle.Tag {
+	if len(tags) == 0 {
+		return tags
+	}
+	if c.fetchedAt == nil {
+		c.fetchedAt = make(map[mle.Tag]int, len(tags))
+	}
+	kept := tags[:0]
+	for _, t := range tags {
+		if _, ok := c.fetchedAt[t]; !ok {
+			c.fetchedAt[t] = len(c.fetched) + len(kept)
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}
+
 // clientPutAll uploads items, if any, and reports the first one the
 // store rejected as ErrPutRejected.
 func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.PutItem) error {
@@ -266,12 +394,18 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 	seen := make(map[mle.Tag]bool, len(chunks))
 	var send []int // the chunks to upload
 	var unknown []mle.Tag
-	for i, t := range ctags {
-		if !seen[t] && (replace || !rt.chunkCache.contains(t)) {
-			send = append(send, i)
-			unknown = append(unknown, t)
+	pick := func(i int) {
+		if t := ctags[i]; !seen[t] {
+			seen[t] = true
+			send, unknown = append(send, i), append(unknown, t)
 		}
-		seen[t] = true
+	}
+	if replace {
+		for i := range ctags {
+			pick(i)
+		}
+	} else {
+		rt.chunkCache.lacking(ctags, pick)
 	}
 	if !replace && len(send) > 0 {
 		var present []bool // the HAS probe is an OCALL: this runs in the enclave
@@ -326,6 +460,7 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 			rt.notePutError(err)
 			return
 		}
+		rt.record.put(job.tag, manSealed)
 		rt.mu.Lock()
 		rt.stats.ChunkedPuts++
 		rt.stats.ChunksSkipped += int64(skipped)
@@ -334,85 +469,84 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 }
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed
-// manifest: decrypt it under the derived identity, fill each chunk's
-// slot from the cache or, verified against its ref, from one BatchGet,
-// and join the slots. There is no whole-result pass (chunk/manifest.go's
-// trust model says why).
+// manifest: open it, unless it is the one predict opened, fill each
+// chunk's slot from the cache, the prefetched chunks or, verified
+// against its ref, one more BatchGet, and join the slots. There is no
+// whole-result pass (chunk/manifest.go's trust model says why).
 // Any failure past manifest decryption means the stored data is
 // unusable and the caller recomputes loudly; errNoManifest alone means
 // the entry was never a manifest.
-func (rt *Runtime) manifestReuse(id mle.FuncID, input []byte, tc wire.TraceContext, sealed mle.Sealed, span *execSpan) ([]byte, error) {
-	enc, err := rce.Decrypt(chunk.ManifestFuncID(id), input, sealed)
-	if err != nil {
-		if errors.Is(err, mle.ErrAuthFailed) {
-			return nil, errNoManifest
+func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) ([]byte, error) {
+	rt, span, m := c.rt, &c.span, pred
+	if !pred.is(sealed) {
+		var err error
+		if m, err = openManifest(c.id, it.input, sealed); err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("decrypt manifest: %w", err)
-	}
-	man, err := chunk.DecodeManifest(enc)
-	if err != nil {
-		return nil, fmt.Errorf("decode manifest: %w", err)
+		rt.record.put(it.tag, sealed)
 	}
 
 	// Every slot is checked to hold its ref's length, and DecodeManifest
 	// that the lengths sum to Total. A tag the cache misses is fetched,
-	// opened and verified once; its repeats share its slot.
-	cid := chunk.ContentFuncID(id)
-	slots := make([][]byte, len(man.Refs))
-	var missingTags []mle.Tag
-	var missingIdx []int
-	first := make(map[mle.Tag]int) // missing tag -> its index in missingTags
-	var repeats [][2]int           // a repeat's slot, its first slot
-	cacheHits := 0
-	for i, ref := range man.Refs {
-		t := chunk.Tag(cid, ref.Hash)
+	// unless the call has it already, opened and verified once; its
+	// repeats share its plaintext.
+	cid, refs := chunk.ContentFuncID(c.id), m.man.Refs
+	slots := make([][]byte, len(refs))
+	var missing []int // the slots the cache does not fill
+	var fetch []mle.Tag
+	for i, ref := range refs {
+		t := m.tags[i]
 		if data, ok := rt.chunkCache.get(t); ok && len(data) == int(ref.Length) {
 			slots[i] = data
-			cacheHits++
-		} else if j, ok := first[t]; ok && man.Refs[missingIdx[j]].Length == ref.Length {
-			repeats = append(repeats, [2]int{i, missingIdx[j]})
+		} else if _, ok := c.fetchedAt[t]; ok {
+			missing = append(missing, i)
 		} else {
-			first[t] = len(missingTags)
-			missingTags = append(missingTags, t)
-			missingIdx = append(missingIdx, i)
+			missing, fetch = append(missing, i), append(fetch, t)
 		}
 	}
-
-	var got []wire.GetResult
-	if len(missingTags) > 0 {
-		// The fetch is store time, not verification time: it accrues to
-		// store_get, and verify_decrypt resumes once it returns.
+	if fetch = c.unfetched(fetch); len(fetch) > 0 {
+		// Store time, not verification time: it accrues to store_get.
 		span.end(phaseVerifyDecrypt)
-		got, err = rt.clientGet(tc, missingTags, span)
+		got, err := rt.clientGet(c.tc, fetch, span)
 		span.begin(phaseVerifyDecrypt)
 		if err != nil {
+			for _, t := range fetch {
+				delete(c.fetchedAt, t) // a later leader fetches it again
+			}
 			return nil, fmt.Errorf("%w: %w", errFetchChunks, err)
 		}
+		c.fetched = append(c.fetched, got...)
+		c.opened = append(c.opened, make([][]byte, len(got))...)
 	}
 	// Booked before verification: a store serving bad chunks shows them.
 	rt.mu.Lock()
-	rt.stats.ChunksFetched += int64(len(missingTags))
-	rt.stats.ChunkCacheHits += int64(cacheHits)
+	rt.stats.ChunksFetched += int64(len(fetch))
+	rt.stats.ChunkCacheHits += int64(len(refs) - len(missing))
+	if len(fetch) > 0 {
+		rt.stats.PrefetchMisses++
+	}
 	rt.mu.Unlock()
-	for j, r := range got {
-		i := missingIdx[j]
-		ref := &man.Refs[i] // a copy would escape with ref.Hash[:]
+	for _, i := range missing {
+		t, ref := m.tags[i], &refs[i] // a copy would escape with ref.Hash[:]
+		k := c.fetchedAt[t]
+		if data := c.opened[k]; data != nil && len(data) == int(ref.Length) {
+			slots[i] = data
+			continue
+		}
+		r := c.fetched[k]
 		if !r.Found {
-			return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(man.Refs))
+			return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(refs))
 		}
 		data, derr := rce.Decrypt(cid, ref.Hash[:], r.Sealed)
 		if derr != nil {
-			return nil, fmt.Errorf("decrypt chunk %d/%d: %w", i+1, len(man.Refs), derr)
+			return nil, fmt.Errorf("decrypt chunk %d/%d: %w", i+1, len(refs), derr)
 		}
 		// Length first: a wrong-length chunk must never reach a slot.
 		if len(data) != int(ref.Length) || chunk.Hash(data) != ref.Hash {
-			return nil, fmt.Errorf("chunk %d/%d failed content verification", i+1, len(man.Refs))
+			return nil, fmt.Errorf("chunk %d/%d failed content verification", i+1, len(refs))
 		}
-		slots[i] = data
-		rt.chunkCache.add(missingTags[j], data)
-	}
-	for _, r := range repeats {
-		slots[r[0]] = slots[r[1]]
+		slots[i], c.opened[k] = data, data
+		rt.chunkCache.add(t, data)
 	}
 	// Join copies (the cache adopted data) into memory it does not zero.
 	return bytes.Join(slots, nil), nil

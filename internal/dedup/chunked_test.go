@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -270,7 +271,11 @@ func (c *chunkSwapClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetR
 // entry that is not the result its manifest names must fail reassembly
 // loudly, recompute the right bytes, and replace what was bad, so a
 // fresh runtime then reuses the healed entry. The chunks a failed
-// reassembly fetched still show in Stats.ChunksFetched.
+// reassembly fetched still show in Stats.ChunksFetched. Each row runs
+// twice: the reader fetches the chunks after opening the manifest, or
+// (_by_prefetch) its host record holds the manifest as it was before
+// the damage, so every chunk rides the lookup's GET, the bad one too,
+// and must fail just as a fetched one does.
 func TestChunkedReassemblyRejects(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -327,66 +332,89 @@ func TestChunkedReassemblyRejects(t *testing.T) {
 			s.replace(s.primary, sealed)
 		}},
 	} {
-		t.Run(row.name, func(t *testing.T) {
-			p, st := newChunkStore(t)
-			a := newChunkRuntime(t, p, st, "appA", chunkTestThreshold)
-			id := chunkFuncID(t, a)
-			input := []byte("tamper target")
-			want := chunkResult(5, 150<<10)
-			if _, _, err := a.Execute(id, input, func([]byte) ([]byte, error) {
-				return bytes.Clone(want), nil
-			}); err != nil {
-				t.Fatalf("A Execute: %v", err)
+		for _, prefetch := range []bool{false, true} {
+			name := row.name
+			if prefetch {
+				name += "_by_prefetch"
 			}
-			chunks := a.chunker.Split(want)
-			if len(chunks) < 2 {
-				t.Fatalf("result split into %d chunks; test needs several", len(chunks))
-			}
-			s := &reassemblyScene{
-				t:       t,
-				writer:  NewLocalClient(st, a.Enclave().Measurement()),
-				id:      id,
-				input:   input,
-				cid:     chunk.ContentFuncID(id),
-				victim:  chunks[len(chunks)/2],
-				primary: mle.ComputeTag(id, input),
-			}
-			s.hash = chunk.Hash(s.victim)
-			s.tag = chunk.Tag(s.cid, s.hash)
-			row.tamper(s)
+			t.Run(name, func(t *testing.T) { reassemblyRejects(t, row.fetched, prefetch, row.tamper) })
+		}
+	}
+}
 
-			// A fresh runtime (empty chunk cache) must detect the damage,
-			// recompute, and replace the damaged entries.
-			b := newChunkRuntimeWith(t, p, st, "appB", Config{ChunkThreshold: chunkTestThreshold}, s.wrap)
-			bCalls := 0
-			got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
-				bCalls++
-				return bytes.Clone(want), nil
-			})
-			if err != nil {
-				t.Fatalf("B Execute: %v", err)
-			}
-			if outcome != OutcomeRecomputed || bCalls != 1 || !bytes.Equal(got, want) {
-				t.Fatalf("B: outcome %v, calls %d, result equal %v", outcome, bCalls, bytes.Equal(got, want))
-			}
-			wantFetched := int64(0)
-			if row.fetched {
-				wantFetched = int64(len(chunks))
-			}
-			if bs := b.Stats(); bs.VerifyFailures != 1 || bs.ChunksFetched != wantFetched {
-				t.Fatalf("B VerifyFailures = %d, ChunksFetched = %d; want 1, %d", bs.VerifyFailures, bs.ChunksFetched, wantFetched)
-			}
+func reassemblyRejects(t *testing.T, fetched, prefetch bool, tamper func(s *reassemblyScene)) {
+	p, st := newChunkStore(t)
+	a := newChunkRuntime(t, p, st, "appA", chunkTestThreshold)
+	id := chunkFuncID(t, a)
+	input := []byte("tamper target")
+	want := chunkResult(5, 150<<10)
+	if _, _, err := a.Execute(id, input, func([]byte) ([]byte, error) {
+		return bytes.Clone(want), nil
+	}); err != nil {
+		t.Fatalf("A Execute: %v", err)
+	}
+	chunks := a.chunker.Split(want)
+	if len(chunks) < 2 {
+		t.Fatalf("result split into %d chunks; test needs several", len(chunks))
+	}
+	s := &reassemblyScene{
+		t:       t,
+		writer:  NewLocalClient(st, a.Enclave().Measurement()),
+		id:      id,
+		input:   input,
+		cid:     chunk.ContentFuncID(id),
+		victim:  chunks[len(chunks)/2],
+		primary: mle.ComputeTag(id, input),
+	}
+	s.hash = chunk.Hash(s.victim)
+	s.tag = chunk.Tag(s.cid, s.hash)
+	before, _, err := getOne(s.writer, s.primary)
+	if err != nil {
+		t.Fatalf("read the manifest: %v", err)
+	}
+	tamper(s)
 
-			// The replace healed the store: a third fresh runtime reuses.
-			c := newChunkRuntime(t, p, st, "appC", chunkTestThreshold)
-			got, outcome, err = c.Execute(id, input, func([]byte) ([]byte, error) {
-				t.Error("C recomputed after the store was healed")
-				return bytes.Clone(want), nil
-			})
-			if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
-				t.Fatalf("C: outcome %v err %v", outcome, err)
-			}
-		})
+	// A fresh runtime (empty chunk cache) must detect the damage,
+	// recompute, and replace the damaged entries.
+	b := newChunkRuntimeWith(t, p, st, "appB", Config{ChunkThreshold: chunkTestThreshold}, s.wrap)
+	if prefetch {
+		b.record.put(s.primary, before)
+	}
+	bCalls := 0
+	got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
+		bCalls++
+		return bytes.Clone(want), nil
+	})
+	if err != nil {
+		t.Fatalf("B Execute: %v", err)
+	}
+	if outcome != OutcomeRecomputed || bCalls != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("B: outcome %v, calls %d, result equal %v", outcome, bCalls, bytes.Equal(got, want))
+	}
+	wantFetched, wantPrefetched := int64(0), int64(0)
+	if fetched || prefetch {
+		wantFetched = int64(len(chunks))
+	}
+	if prefetch {
+		wantPrefetched = wantFetched
+	}
+	wantMisses := int64(0) // hits that needed a second chunk GET
+	if fetched && !prefetch {
+		wantMisses = 1
+	}
+	if bs := b.Stats(); bs.VerifyFailures != 1 || bs.ChunksFetched != wantFetched || bs.ChunksPrefetched != wantPrefetched || bs.PrefetchMisses != wantMisses {
+		t.Fatalf("B VerifyFailures = %d, ChunksFetched = %d, ChunksPrefetched = %d, PrefetchMisses = %d; want 1, %d, %d, %d",
+			bs.VerifyFailures, bs.ChunksFetched, bs.ChunksPrefetched, bs.PrefetchMisses, wantFetched, wantPrefetched, wantMisses)
+	}
+
+	// The replace healed the store: a third fresh runtime reuses.
+	c := newChunkRuntime(t, p, st, "appC", chunkTestThreshold)
+	got, outcome, err = c.Execute(id, input, func([]byte) ([]byte, error) {
+		t.Error("C recomputed after the store was healed")
+		return bytes.Clone(want), nil
+	})
+	if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
+		t.Fatalf("C: outcome %v err %v", outcome, err)
 	}
 }
 
@@ -576,8 +604,10 @@ func TestChunkedBatchReuse(t *testing.T) {
 // application ECALL, two OCALLs (GET, HAS) and two store ECALLs (chunk
 // PUT, manifest PUT): its PUTs leave after the ECALL, and the store
 // answers the GET of an absent tag and the HAS outside its enclave. A
-// hit that fetches chunks its cache lacks is one ECALL, two OCALLs
-// (manifest GET, chunk GET) and two store ECALLs.
+// first hit that fetches chunks its cache lacks is one ECALL, two
+// OCALLs (manifest GET, chunk GET) and two store ECALLs. A repeat hit,
+// single or batched, whose runtime recorded the manifest is one of
+// each: the chunks it lacks ride the manifest GET.
 func TestChunkedCallCrossesPerMessage(t *testing.T) {
 	env := newRemoteEnv(t)
 	runtime := func(name string) *Runtime {
@@ -605,41 +635,244 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 	// its chunks and the consumer's cache holds only some of them.
 	small := chunkResult(31, 100<<10)
 	large := append(append([]byte(nil), small...), chunkResult(32, 700<<10)...)
+	results := map[string][]byte{"small": small, "large": large}
+	// forget empties the consumer's chunk cache and has it reuse small
+	// again, so the cache holds the shared chunks and lacks large's own.
+	forget := func() {
+		forgetChunks(consumer)
+		if _, outcome, err := consumer.Execute(id, []byte("small"), nil); err != nil || outcome != OutcomeReused {
+			t.Fatalf("reuse small: %v, %v", outcome, err)
+		}
+	}
 	type cost struct{ appECalls, appOCalls, storeECalls int64 }
 	for _, c := range []struct {
 		name    string
 		rt      *Runtime
-		input   string
-		result  []byte
+		before  func()
+		inputs  []string // a batch when more than one
 		outcome Outcome
 		want    cost
 	}{
-		{"miss uploading every chunk", producer, "small", small, OutcomeComputed, cost{1, 2, 2}},
-		{"miss uploading some chunks", editor, "large", large, OutcomeComputed, cost{1, 2, 2}},
-		{"hit fetching every chunk", consumer, "small", small, OutcomeReused, cost{1, 2, 2}},
-		{"hit fetching some chunks", consumer, "large", large, OutcomeReused, cost{1, 2, 2}},
+		{"miss uploading every chunk", producer, nil, []string{"small"}, OutcomeComputed, cost{1, 2, 2}},
+		{"miss uploading some chunks", editor, nil, []string{"large"}, OutcomeComputed, cost{1, 2, 2}},
+		{"hit fetching every chunk", consumer, nil, []string{"small"}, OutcomeReused, cost{1, 2, 2}},
+		{"hit fetching some chunks", consumer, nil, []string{"large"}, OutcomeReused, cost{1, 2, 2}},
+		{"repeat hit fetching some chunks", consumer, forget, []string{"large"}, OutcomeReused, cost{1, 1, 1}},
+		{"batch of repeat hits fetching some chunks", consumer, forget, []string{"large", "small"}, OutcomeReused, cost{1, 1, 1}},
+		// The producer recorded the manifest it uploaded.
+		{"hit after its own upload fetching every chunk", producer, func() { forgetChunks(producer) }, []string{"small"}, OutcomeReused, cost{1, 1, 1}},
 	} {
+		if c.before != nil {
+			c.before()
+		}
 		app, st := c.rt.cfg.Enclave.Metrics(), env.storeEnc.Metrics()
 		stats := c.rt.Stats()
-		got, outcome, err := c.rt.Execute(id, []byte(c.input), func([]byte) ([]byte, error) {
-			return append([]byte(nil), c.result...), nil
-		})
-		if err != nil || outcome != c.outcome || !bytes.Equal(got, c.result) {
-			t.Fatalf("%s: outcome %v (want %v), err %v, result equal %v", c.name, outcome, c.outcome, err, bytes.Equal(got, c.result))
+		inputs := make([][]byte, len(c.inputs))
+		for i, in := range c.inputs {
+			inputs[i] = []byte(in)
+		}
+		compute := func(in []byte) ([]byte, error) { return bytes.Clone(results[string(in)]), nil }
+		var res []BatchResult
+		if len(inputs) == 1 {
+			got, outcome, err := c.rt.Execute(id, inputs[0], compute)
+			res = []BatchResult{{Result: got, Outcome: outcome, Err: err}}
+		} else {
+			var err error
+			if res, err = c.rt.ExecuteBatch(id, inputs, compute); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		for i, r := range res {
+			if want := results[c.inputs[i]]; r.Err != nil || r.Outcome != c.outcome || !bytes.Equal(r.Result, want) {
+				t.Fatalf("%s: %s: outcome %v (want %v), err %v, result equal %v", c.name, c.inputs[i], r.Outcome, c.outcome, r.Err, bytes.Equal(r.Result, want))
+			}
 		}
 		app2, st2 := c.rt.cfg.Enclave.Metrics(), env.storeEnc.Metrics()
 		if spent := (cost{app2.ECalls - app.ECalls, app2.OCalls - app.OCalls, st2.ECalls - st.ECalls}); spent != c.want {
 			t.Errorf("%s cost %+v, want %+v", c.name, spent, c.want)
 		}
 		after := c.rt.Stats()
-		t.Logf("%s: %d chunks skipped, %d fetched, %d from the chunk cache", c.name,
-			after.ChunksSkipped-stats.ChunksSkipped, after.ChunksFetched-stats.ChunksFetched, after.ChunkCacheHits-stats.ChunkCacheHits)
+		prefetched := after.ChunksPrefetched - stats.ChunksPrefetched
+		if c.before != nil && (prefetched == 0 || after.PrefetchMisses != stats.PrefetchMisses) {
+			t.Errorf("%s prefetched %d chunks and missed %d predictions", c.name, prefetched, after.PrefetchMisses-stats.PrefetchMisses)
+		}
+		t.Logf("%s: %d chunks skipped, %d fetched (%d prefetched), %d from the chunk cache", c.name, after.ChunksSkipped-stats.ChunksSkipped,
+			after.ChunksFetched-stats.ChunksFetched, prefetched, after.ChunkCacheHits-stats.ChunkCacheHits)
 	}
 	if s := editor.Stats(); s.ChunksSkipped == 0 {
 		t.Error("the editor uploaded every chunk; the test wants a partial upload")
 	}
 	if s := consumer.Stats(); s.ChunkCacheHits == 0 || s.ChunksFetched < 10 {
 		t.Errorf("the consumer fetched %d chunks with %d cache hits; the test wants a partial, many-chunk fetch", s.ChunksFetched, s.ChunkCacheHits)
+	}
+}
+
+// forgetChunks empties rt's chunk cache, so a hit must fetch every
+// chunk again.
+func forgetChunks(rt *Runtime) {
+	rt.chunkCache.close()
+	rt.chunkCache = newChunkCache(rt.Enclave(), defaultChunkCacheBytes)
+}
+
+// TestTamperedManifestRecord: the host keeps the manifest record, so it
+// may change it at will. A flipped byte, the records of two tags
+// swapped, and a stale record (an authentic older manifest the store's
+// entry has since been replaced over) each cost a prediction miss, a
+// second chunk GET, and never a wrong result. The hit rewrites the
+// record from the store's entry, so the next repeat hit prefetches
+// again.
+func TestTamperedManifestRecord(t *testing.T) {
+	resultOf := map[string][]byte{"x": chunkResult(71, 120<<10), "y": chunkResult(72, 120<<10)}
+	for _, tc := range []struct {
+		name   string
+		tamper func(t *testing.T, p *enclave.Platform, st *store.Store, rt *Runtime, id mle.FuncID, tags map[string]mle.Tag)
+	}{
+		{"byte_flipped", func(_ *testing.T, _ *enclave.Platform, _ *store.Store, rt *Runtime, _ mle.FuncID, tags map[string]mle.Tag) {
+			s := rt.record.cur[tags["x"]].Clone()
+			s.Blob[len(s.Blob)/2] ^= 1
+			rt.record.cur[tags["x"]] = s
+		}},
+		{"swapped_between_tags", func(_ *testing.T, _ *enclave.Platform, _ *store.Store, rt *Runtime, _ mle.FuncID, tags map[string]mle.Tag) {
+			r := rt.record.cur
+			r[tags["x"]], r[tags["y"]] = r[tags["y"]], r[tags["x"]]
+		}},
+		{"stale_after_replace", func(t *testing.T, p *enclave.Platform, st *store.Store, rt *Runtime, id mle.FuncID, tags map[string]mle.Tag) {
+			// x's result changes, and a runtime that recomputes it over a
+			// poisoned entry replaces the manifest and its chunks; rt's
+			// record still holds the authentic manifest of the old result.
+			resultOf["x"] = chunkResult(73, 130<<10)
+			poison := mle.Sealed{Challenge: []byte("c"), WrappedKey: []byte("k"), Blob: []byte("poison")}
+			if err := putOne(NewLocalClient(st, rt.Enclave().Measurement()), tags["x"], poison, true); err != nil {
+				t.Fatalf("poison: %v", err)
+			}
+			healer := newChunkRuntime(t, p, st, "healer", chunkTestThreshold)
+			if _, outcome, err := healer.Execute(id, []byte("x"), func([]byte) ([]byte, error) { return bytes.Clone(resultOf["x"]), nil }); err != nil || outcome != OutcomeRecomputed {
+				t.Fatalf("healer: %v, %v", outcome, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resultOf["x"] = chunkResult(71, 120<<10)
+			p, st := newChunkStore(t)
+			writer := newChunkRuntime(t, p, st, "writer", chunkTestThreshold)
+			rt := newChunkRuntime(t, p, st, "reader", chunkTestThreshold)
+			id := chunkFuncID(t, writer)
+			compute := func(in []byte) ([]byte, error) { return bytes.Clone(resultOf[string(in)]), nil }
+			tags := map[string]mle.Tag{}
+			for _, in := range []string{"x", "y"} {
+				tags[in] = mle.ComputeTag(id, []byte(in))
+				if _, _, err := writer.Execute(id, []byte(in), compute); err != nil {
+					t.Fatalf("writer %s: %v", in, err)
+				}
+				if _, outcome, err := rt.Execute(id, []byte(in), compute); err != nil || outcome != OutcomeReused {
+					t.Fatalf("reader %s: %v, %v", in, outcome, err)
+				}
+			}
+			tc.tamper(t, p, st, rt, id, tags)
+
+			for _, round := range []string{"after tampering", "after the record healed"} {
+				forgetChunks(rt)
+				before := rt.Stats()
+				got, outcome, err := rt.Execute(id, []byte("x"), func(in []byte) ([]byte, error) {
+					t.Errorf("%s: recomputed a stored result", round)
+					return compute(in)
+				})
+				if err != nil || outcome != OutcomeReused || !bytes.Equal(got, resultOf["x"]) {
+					t.Fatalf("%s: outcome %v, err %v, result equal %v", round, outcome, err, bytes.Equal(got, resultOf["x"]))
+				}
+				after := rt.Stats()
+				misses, prefetched := after.PrefetchMisses-before.PrefetchMisses, after.ChunksPrefetched-before.ChunksPrefetched
+				if round == "after tampering" && misses != 1 {
+					t.Errorf("%s: %d prediction misses, want 1", round, misses)
+				}
+				if round != "after tampering" && (misses != 0 || prefetched == 0) {
+					t.Errorf("%s: %d prediction misses, %d chunks prefetched; want 0 and some", round, misses, prefetched)
+				}
+			}
+		})
+	}
+}
+
+// TestChunkedRepeatHitsConcurrent: goroutines sharing one runtime, its
+// manifest record and its chunk cache read and recompute overlapping
+// chunked results at once, while a small cache keeps every hit
+// predicting and fetching; every call returns the right bytes. Run it
+// under -race.
+func TestChunkedRepeatHitsConcurrent(t *testing.T) {
+	p, st := newChunkStore(t)
+	rt := newChunkRuntime(t, p, st, "app", chunkTestThreshold)
+	rt.chunkCache.close()
+	rt.chunkCache = newChunkCache(rt.Enclave(), 64<<10)
+	id := chunkFuncID(t, rt)
+	base := chunkResult(81, 96<<10)
+	compute := func(in []byte) ([]byte, error) {
+		return append(bytes.Clone(base), chunkResult(int64(in[0]), 32<<10)...), nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				in := []byte{byte((g + i) % 6)}
+				want, _ := compute(in)
+				if got, _, err := rt.Execute(id, in, compute); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("input %d: err %v, result equal %v", in[0], err, bytes.Equal(got, want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := rt.Stats(); s.ChunksPrefetched == 0 {
+		t.Error("no hit prefetched a chunk")
+	}
+}
+
+// TestManifestRecordBound: the record keeps under its byte budget,
+// holding sealed triples and nothing else, however many manifests pass
+// through it; a lookup gets a copy the host can no longer change.
+func TestManifestRecordBound(t *testing.T) {
+	var r manifestRecord
+	sealedOf := func(i int) mle.Sealed {
+		return mle.Sealed{Challenge: bytes.Repeat([]byte{byte(i)}, 16), WrappedKey: make([]byte, 16), Blob: make([]byte, 1200+i%500)}
+	}
+	put := map[mle.Tag]int{}
+	for i := 0; i < 20000; i++ {
+		r.put(hashTag(i), sealedOf(i))
+		put[hashTag(i)] = i
+		if i%250 != 0 {
+			continue
+		}
+		held := 0
+		for _, gen := range []map[mle.Tag]mle.Sealed{r.cur, r.old} {
+			for tag, s := range gen {
+				held += s.Size()
+				if j, ok := put[tag]; !ok || !reflect.DeepEqual(s, sealedOf(j)) {
+					t.Fatalf("the record holds %x..., which is not a triple put under it", tag[:4])
+				}
+			}
+		}
+		if held > manifestRecordBytes {
+			t.Fatalf("after %d puts the record holds %d bytes, over %d", i+1, held, manifestRecordBytes)
+		}
+	}
+	// The newest manifests are held, the oldest gone.
+	if _, ok := r.get(hashTag(0)); ok {
+		t.Error("the oldest manifest survived 20,000 newer ones")
+	}
+	s, ok := r.get(hashTag(19999))
+	if !ok || !bytes.Equal(s.Challenge, sealedOf(19999).Challenge) {
+		t.Fatal("the newest manifest is not held")
+	}
+	s.Blob[0] ^= 1
+	if again, _ := r.get(hashTag(19999)); again.Blob[0] != 0 {
+		t.Error("a lookup's copy aliases the record")
+	}
+	// A forgotten tag reads as absent.
+	r.put(hashTag(19999), mle.Sealed{})
+	if _, ok := r.get(hashTag(19999)); ok {
+		t.Error("a forgotten manifest is still held")
 	}
 }
 
@@ -1153,4 +1386,11 @@ func TestCloseReleasesChunkCacheCharge(t *testing.T) {
 	if got := enc.HeapUsed(); got != before {
 		t.Fatalf("an add after Close charged the enclave: HeapUsed %d, want %d", got, before)
 	}
+}
+
+// contains reports whether the cache holds tag, counting no reference.
+func (c *chunkCache) contains(tag mle.Tag) bool {
+	held := true
+	c.lacking([]mle.Tag{tag}, func(int) { held = false })
+	return held
 }

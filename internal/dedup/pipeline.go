@@ -114,6 +114,15 @@ type call struct {
 	span    execSpan
 	items   []item
 	sends   []func() // what the ECALL sealed, for send
+	// preds holds, by item, the manifest predict opened from the host
+	// record; nil when it opened none.
+	preds []*openedManifest
+	// fetched holds the chunks fetched for the call, those predict had
+	// ride the lookup's GET first; fetchedAt indexes them by tag, and
+	// opened holds each one's plaintext once verified.
+	fetched   []wire.GetResult
+	fetchedAt map[mle.Tag]int
+	opened    [][]byte
 }
 
 // run is the one entry to the pipeline: the closed check, the call
@@ -244,7 +253,8 @@ func (c *call) publish(it *item) {
 }
 
 // lookup settles every leader the store can settle: one batched GET
-// OCALL for all of them (Algorithm 1/2 line 2), then the Fig. 3
+// OCALL for all of them (Algorithm 1/2 line 2), carrying the chunks
+// predict expects their manifests to need, then the Fig. 3
 // verification of each hit. A degraded call — the store client reports
 // the store unhealthy, or this call's GET failed — skips straight to
 // computing everything: deduplication is an accelerator, not a
@@ -263,10 +273,22 @@ func (c *call) lookup() {
 		if len(tags) == 0 {
 			return
 		}
+		n := len(tags)
+		if rt.chunker != nil {
+			c.span.begin(phaseStoreGet)
+			tags = c.predict(tags)
+			c.span.end(phaseStoreGet)
+		}
 		var err error
 		if found, err = rt.clientGet(c.tc, tags, &c.span); err != nil {
 			rt.storeGetFailed(err)
 			down = true
+		} else if len(tags) > n {
+			c.fetched, c.opened = found[n:], make([][]byte, len(tags)-n)
+			rt.mu.Lock()
+			rt.stats.ChunksPrefetched += int64(len(tags) - n)
+			rt.stats.ChunksFetched += int64(len(tags) - n)
+			rt.mu.Unlock()
 		}
 	}
 	j := 0
@@ -278,7 +300,11 @@ func (c *call) lookup() {
 		case found == nil:
 			it.need, it.degraded = true, down
 		case found[j].Found:
-			c.verifyHit(it, found[j].Sealed)
+			var pred *openedManifest
+			if c.preds != nil {
+				pred = c.preds[i]
+			}
+			c.verifyHit(it, pred, found[j].Sealed)
 		default:
 			it.need = true
 		}
@@ -298,18 +324,25 @@ func (c *call) lookup() {
 // is recomputed and replaces it. The store failing mid-reassembly is
 // neither: it says nothing about the stored data, so it is booked like
 // the primary GET failing.
-func (c *call) verifyHit(it *item, sealed mle.Sealed) {
+func (c *call) verifyHit(it *item, pred *openedManifest, sealed mle.Sealed) {
 	rt := c.rt
 	c.span.begin(phaseVerifyDecrypt)
 	defer c.span.end(phaseVerifyDecrypt)
-	res, err := rce.Decrypt(c.id, it.input, sealed)
+	// The manifest predict opened is no whole result.
+	var res []byte
+	err := mle.ErrAuthFailed
+	if !pred.is(sealed) {
+		res, err = rce.Decrypt(c.id, it.input, sealed)
+	}
 	if err != nil && !errors.Is(err, mle.ErrAuthFailed) {
 		it.Err = fmt.Errorf("decrypt result: %w", err)
 		return
 	}
 	var manifests int64
-	if err != nil && rt.chunker != nil {
-		res, err = rt.manifestReuse(c.id, it.input, c.tc, sealed, &c.span)
+	if err == nil && pred != nil {
+		rt.record.put(it.tag, mle.Sealed{}) // the tag holds a whole result now
+	} else if err != nil && rt.chunker != nil {
+		res, err = c.manifestReuse(it, pred, sealed)
 		switch {
 		case err == nil:
 			manifests = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,6 +208,34 @@ func (env *pipeEnv) lookup(input []byte) ([]byte, bool) {
 	return res, err == nil && out == OutcomeReused
 }
 
+// recordManifest puts the store's entry for pipeInput, changed by
+// mutate when it is non-nil, in the host record of the runtime under
+// test, as if that runtime had last seen it so.
+func (env *pipeEnv) recordManifest(mutate func(*mle.Sealed)) {
+	env.t.Helper()
+	tag := mle.ComputeTag(env.id, pipeInput)
+	sealed, found, err := getOne(NewLocalClient(env.store, env.appEnc.Measurement()), tag)
+	if err != nil || !found {
+		env.t.Fatalf("read the manifest: found %v, err %v", found, err)
+	}
+	sealed = sealed.Clone()
+	if mutate != nil {
+		mutate(&sealed)
+	}
+	env.rt.record.put(tag, sealed)
+}
+
+// recordHealed checks that the runtime under test recorded the store's
+// entry for pipeInput, as it now is.
+func recordHealed(env *pipeEnv, _ []byte) {
+	env.t.Helper()
+	tag := mle.ComputeTag(env.id, pipeInput)
+	stored, _, err := getOne(NewLocalClient(env.store, env.appEnc.Measurement()), tag)
+	if got, ok := env.rt.record.get(tag); err != nil || !ok || !reflect.DeepEqual(got, stored.Clone()) {
+		env.t.Error("the record does not hold the store's entry after the hit")
+	}
+}
+
 // storeDown has the client report the store unhealthy, as its
 // transport does after a failure its re-dial did not cure.
 func (env *pipeEnv) storeDown() {
@@ -250,8 +279,9 @@ type pipeScenario struct {
 	filler  Stats // per filler; zero means a plain hit
 	// fetches means the call fetched every chunk of its result from the
 	// store, whether or not reassembly then succeeded: the runtime's
-	// chunk cache starts empty.
-	fetches bool
+	// chunk cache starts empty. prefetched means they rode the lookup's
+	// GET; otherwise they took a second GET, a prediction miss.
+	fetches, prefetched bool
 	// Store requests and enclave OCALLs the whole call makes, however
 	// many items it carries.
 	gets, puts, hass, ocalls int64
@@ -426,6 +456,39 @@ var pipeScenarios = []pipeScenario{
 		transitions: 5,
 	},
 	{
+		// The runtime recorded the manifest when it last saw it, and its
+		// chunk cache is empty: every chunk rides the lookup's GET.
+		name:    "chunked_repeat_hit",
+		cfg:     withChunking,
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig); env.recordManifest(nil) },
+		compute: pipeBig,
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1, ManifestReuses: 1},
+		fetches: true, prefetched: true,
+		gets: 1, ocalls: 1,
+		transitions: 3,
+	},
+	{
+		// A record that does not open is ignored: the hit fetches its
+		// chunks after the manifest, as a first hit does, and records the
+		// store's entry afresh.
+		name: "chunked_prediction_miss",
+		cfg:  withChunking,
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeBig)
+			env.recordManifest(func(s *mle.Sealed) { s.Blob[len(s.Blob)/2] ^= 1 })
+		},
+		compute: pipeBig,
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1, ManifestReuses: 1},
+		fetches: true,
+		gets:    2, ocalls: 2,
+		transitions: 5,
+		verify:      recordHealed,
+	},
+	{
 		name: "chunk_missing_recomputes_loudly",
 		cfg:  withChunking,
 		arrange: func(env *pipeEnv) {
@@ -582,7 +645,13 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	filler.Calls = 1
 	wantStats = addStats(wantStats, filler, n)
 	if sc.fetches {
-		wantStats.ChunksFetched = int64(len(env.rt.chunker.Split(want)))
+		n := int64(len(env.rt.chunker.Split(want)))
+		wantStats.ChunksFetched = n
+		if sc.prefetched {
+			wantStats.ChunksPrefetched = n
+		} else {
+			wantStats.PrefetchMisses = 1
+		}
 	}
 	if delta := subStats(env.rt.Stats(), statsBefore); delta != wantStats {
 		t.Errorf("Stats delta = %+v\nwant          %+v", delta, wantStats)
@@ -633,6 +702,7 @@ func subStats(a, b Stats) Stats {
 		Retries: a.Retries - b.Retries, ChunkedPuts: a.ChunkedPuts - b.ChunkedPuts,
 		ManifestReuses: a.ManifestReuses - b.ManifestReuses, ChunksFetched: a.ChunksFetched - b.ChunksFetched,
 		ChunkCacheHits: a.ChunkCacheHits - b.ChunkCacheHits, ChunksSkipped: a.ChunksSkipped - b.ChunksSkipped,
+		ChunksPrefetched: a.ChunksPrefetched - b.ChunksPrefetched, PrefetchMisses: a.PrefetchMisses - b.PrefetchMisses,
 	}
 }
 

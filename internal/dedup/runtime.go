@@ -120,9 +120,15 @@ type Stats struct {
 	// ManifestReuses counts hits served by reassembling a chunk
 	// manifest (a subset of Reused).
 	ManifestReuses int64
-	// ChunksFetched counts sealed chunks fetched from the store during
+	// ChunksFetched counts sealed chunks fetched from the store for
 	// manifest reassembly, whether or not they then verified.
 	ChunksFetched int64
+	// ChunksPrefetched counts the fetched chunks that rode the lookup's
+	// GET, predicted from the manifest the runtime last saw.
+	ChunksPrefetched int64
+	// PrefetchMisses counts manifest hits that still needed a second
+	// chunk GET.
+	PrefetchMisses int64
 	// ChunkCacheHits counts manifest chunks served from the local chunk
 	// cache without touching the store.
 	ChunkCacheHits int64
@@ -162,11 +168,12 @@ type Runtime struct {
 	tel    *rtMetrics
 	traceN atomic.Uint64
 
-	// chunker and chunkCache are non-nil iff Config.ChunkThreshold > 0;
-	// every chunked-dedup site is guarded on chunker, so a runtime
-	// without chunking pays one nil test.
+	// chunker, chunkCache and record are non-nil iff
+	// Config.ChunkThreshold > 0; every chunked-dedup site is guarded on
+	// chunker, so a runtime without chunking pays one nil test.
 	chunker    *chunk.Chunker
 	chunkCache *chunkCache
+	record     *manifestRecord
 }
 
 // flight is one in-progress computation that concurrent identical
@@ -216,6 +223,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		rt.chunker = ck
 		rt.chunkCache = newChunkCache(cfg.Enclave, defaultChunkCacheBytes)
+		rt.record = &manifestRecord{}
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
 	return rt, nil

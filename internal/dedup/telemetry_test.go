@@ -154,6 +154,39 @@ func TestTelemetryChunkCacheCounters(t *testing.T) {
 	}
 }
 
+// TestTelemetryPrefetchCounters: the prediction counters reach the
+// registry from the Stats snapshot. A consumer's first hit has no
+// record and needs a second chunk GET (a prediction miss); after its
+// chunk cache is emptied, its repeat hit prefetches every chunk.
+func TestTelemetryPrefetchCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p, st := newChunkStore(t)
+	producer := newChunkRuntime(t, p, st, "producer", chunkTestThreshold)
+	consumer := newChunkRuntimeWith(t, p, st, "consumer", Config{ChunkThreshold: chunkTestThreshold, Telemetry: reg}, nil)
+	id := chunkFuncID(t, producer)
+	want := chunkResult(8, 128<<10)
+	for i, rt := range []*Runtime{producer, consumer, consumer} {
+		if i == 2 {
+			forgetChunks(consumer)
+		}
+		if _, _, err := rt.Execute(id, []byte("doc"), func([]byte) ([]byte, error) { return want, nil }); err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+	}
+	s, snap := consumer.Stats(), reg.Snapshot()
+	if s.PrefetchMisses != 1 || s.ChunksPrefetched == 0 || s.ChunksFetched != 2*s.ChunksPrefetched {
+		t.Fatalf("consumer: %d prediction misses, %d of %d fetched chunks prefetched; want 1 and half", s.PrefetchMisses, s.ChunksPrefetched, s.ChunksFetched)
+	}
+	for name, want := range map[string]int64{
+		`speed_runtime_chunks_prefetched_total{app="consumer"}`: s.ChunksPrefetched,
+		`speed_runtime_prefetch_misses_total{app="consumer"}`:   s.PrefetchMisses,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestTelemetryDisabledIsInert pins the contract that a runtime built
 // without a registry records nothing and allocates no telemetry state.
 func TestTelemetryDisabledIsInert(t *testing.T) {

@@ -95,12 +95,13 @@ func pickRun(segments []*segment, base int64) (lo, hi int, ok bool) {
 
 // compactLocked runs the tiering policy to its fixed point: it merges
 // eligible runs until none is left. Each merge shrinks the segment
-// list, so this terminates. Caller holds mu.
+// list, so this terminates. Caller holds manifestMu and mu, which each
+// commit releases for its manifest write.
 func (e *Engine) compactLocked() error {
-	if e.closed {
-		return storeengine.ErrClosed
-	}
 	for {
+		if e.closed {
+			return storeengine.ErrClosed
+		}
 		lo, hi, ok := pickRun(e.segments, e.cfg.MemtableBytes)
 		if !ok {
 			return nil
@@ -116,7 +117,7 @@ func (e *Engine) compactLocked() error {
 // buffered cursors straight into the segment writer, so memory is one
 // record and one read buffer per input plus the write buffer and the
 // output's index, whatever the run's size. Records move as ciphertext:
-// a merge unseals nothing. Caller holds mu.
+// a merge unseals nothing. Caller holds manifestMu and mu.
 func (e *Engine) mergeRun(lo, hi int) error {
 	start := time.Now()
 	run := e.segments[lo:hi]

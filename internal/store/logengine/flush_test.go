@@ -34,21 +34,26 @@ type gate struct {
 
 type stop struct {
 	kind             opKind
+	file             string // the file held; empty for any segment file
 	arrived, release chan struct{}
 }
 
 // arm holds the next create or sync (kind) of a segment file.
-func (g *gate) arm(kind opKind) *stop {
+func (g *gate) arm(kind opKind) *stop { return g.armFile(kind, "") }
+
+// armFile holds the next create or sync (kind) of the file named file.
+func (g *gate) armFile(kind opKind, file string) *stop {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.cur = &stop{kind: kind, arrived: make(chan struct{}), release: make(chan struct{})}
+	g.cur = &stop{kind: kind, file: file, arrived: make(chan struct{}), release: make(chan struct{})}
 	return g.cur
 }
 
 func (g *gate) hold(kind opKind, name string) {
 	g.mu.Lock()
 	s := g.cur
-	if _, seg := parseSegmentName(name); s == nil || s.kind != kind || !seg {
+	_, seg := parseSegmentName(name)
+	if s == nil || s.kind != kind || (s.file == "" && !seg) || (s.file != "" && s.file != name) {
 		g.mu.Unlock()
 		return
 	}
@@ -196,6 +201,49 @@ func TestFlushDoesNotStallPuts(t *testing.T) {
 			}
 			continue
 		}
+		mustGet(t, e, key, "v-"+key)
+	}
+}
+
+// TestManifestCommitOffTheLock holds the background writer at the
+// fsync of the manifest that commits its segment and shows a GET, a PUT
+// and a Contains complete meanwhile: the manifest is written off the
+// engine lock, and only the segment list is installed under it. Once
+// the writer is let go, everything reads back as written.
+func TestManifestCommitOffTheLock(t *testing.T) {
+	fsys, g := newMemFS(crashDir), &gate{}
+	fsys.hold = g.hold
+	cfg := tieredConfig(t, testPlatform(), crashDir)
+	cfg.MemtableBytes = 4 << 10
+	e := openOn(t, cfg, fsys)
+	held := g.armFile(opSync, manifestName+".tmp")
+	release := sync.OnceFunc(func() { close(held.release) })
+	t.Cleanup(release) // before the engine's Close, should a check fail
+	frozen := fillUntilFreeze(t, e, "frozen")
+	<-held.arrived
+	within(t, "GET of a frozen tag", func() error {
+		if rec, status, err := get1(e, tagOf(frozen[0])); err != nil || status != storeengine.StatusHit || !sameRecord(rec, recOf("v-"+frozen[0])) {
+			return fmt.Errorf("status %v, err %v", status, err)
+		}
+		return nil
+	})
+	within(t, "PUT", func() error { _, err := insert1(e, tagOf("during"), recOf("v-during")); return err })
+	within(t, "Contains", func() error {
+		present, err := e.Contains([]mle.Tag{tagOf(frozen[1]), tagOf("during"), tagOf("absent")})
+		if err == nil && !slices.Equal(present, []bool{true, true, false}) {
+			err = fmt.Errorf("Contains = %v, want [true true false]", present)
+		}
+		return err
+	})
+	e.mu.Lock()
+	installed := len(e.segments)
+	e.mu.Unlock()
+	if installed != 0 {
+		t.Fatalf("%d segments installed before the manifest committed", installed)
+	}
+	release()
+	settle(t, e)
+	for _, key := range append(frozen, "during") {
 		mustGet(t, e, key, "v-"+key)
 	}
 }

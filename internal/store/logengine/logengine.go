@@ -108,11 +108,17 @@ type Config struct {
 
 // Engine is the storage engine. One mutex serializes mutations, metadata
 // reads, segment reads and merges; only the background writer works
-// off it, taking it just to commit a segment. All methods are safe for
+// off it, taking it just to install a segment, and a manifest write,
+// a flush's or a merge's, runs off it. All methods are safe for
 // concurrent use.
 type Engine struct {
 	cfg  Config
 	fsys fileSystem // the directory's file system
+
+	// manifestMu serializes the manifest's writers, the writer and
+	// Compact, which take it before mu: its holder, the only one to
+	// change segments, writes the manifest off mu.
+	manifestMu sync.Mutex
 
 	mu        sync.Mutex
 	closed    bool
@@ -992,11 +998,11 @@ func (e *Engine) awaitFrozenLocked() error {
 
 // writeFrozen is the background writer. Woken, it writes the frozen
 // run's segment off the lock, with no enclave entry — its records are
-// sealed already — then takes mu to commit it through the manifest,
-// drop the run and delete its WAL files; a frozen WAL left behind
-// replays to the same state. A failed write leaves the run frozen, and
-// the failure to the waiters. After Crash the file stays an orphan, as
-// after a kill.
+// sealed already — then commits it through the manifest, which it
+// writes off mu too, and takes mu to install the segment, drop the run
+// and delete its WAL files; a frozen WAL left behind replays to the
+// same state. A failed write leaves the run frozen, and the failure to
+// the waiters. After Crash the file stays an orphan, as after a kill.
 func (e *Engine) writeFrozen() {
 	defer e.bgDone.Done()
 	var buf *bufio.Writer // reused across flushes
@@ -1025,6 +1031,7 @@ func (e *Engine) writeFrozen() {
 			}
 			return run.recs[next-1], true, nil
 		})
+		e.manifestMu.Lock()
 		e.mu.Lock()
 		switch {
 		case e.closed:
@@ -1045,6 +1052,7 @@ func (e *Engine) writeFrozen() {
 		}
 		e.flushed.Broadcast()
 		e.mu.Unlock()
+		e.manifestMu.Unlock()
 	}
 }
 
@@ -1055,13 +1063,21 @@ func (e *Engine) takeSegIDLocked() uint64 {
 }
 
 // commitSegmentLocked commits seg, written and synced, by making
-// segments, which holds it, the manifest's list; a failure removes
-// seg's file. Caller holds mu.
+// segments, which holds it, the manifest's list, written off mu, and
+// then installing it; a failed write removes seg's file, a Close
+// meanwhile only closes it. Caller holds manifestMu and mu.
 func (e *Engine) commitSegmentLocked(seg *segment, segments []*segment) error {
-	if err := writeManifest(e.fsys, e.cfg.Dir, segmentNames(segments)); err != nil {
+	e.mu.Unlock()
+	err := writeManifest(e.fsys, e.cfg.Dir, segmentNames(segments))
+	e.mu.Lock()
+	switch {
+	case err != nil:
 		_ = seg.close() // the manifest error wins
 		e.fsys.Remove(seg.path)
 		return err
+	case e.closed:
+		_ = seg.close()
+		return storeengine.ErrClosed
 	}
 	e.segments = segments
 	return nil
@@ -1230,6 +1246,8 @@ func (e *Engine) checkpointLocked() error {
 // which may well mean several segments. A run frozen meanwhile joins
 // the segments once the writer commits it.
 func (e *Engine) Compact() error {
+	e.manifestMu.Lock()
+	defer e.manifestMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.compactLocked()
