@@ -49,20 +49,22 @@ var errFetchChunks = errors.New("fetch chunks")
 // the whole-result path.
 var errTooManyChunks = errors.New("dedup: result splits into too many chunks")
 
-// defaultChunkCacheBytes bounds the in-enclave chunk plaintext cache.
-const defaultChunkCacheBytes = 16 << 20
+// Bytes in the chunk cache's tiers: enclave plaintext, 4× that sealed in host memory.
+const defaultChunkCacheBytes, hostChunkCacheBytes = 16 << 20, 64 << 20
 
 // sketchRows is the depth of the chunk cache's count-min sketch. Row r
 // indexes by the tag's r-th 8-byte word: a chunk tag is a SHA-256
 // output, so its words are already independent hashes.
 const sketchRows = 4
 
-// chunkCache is a byte-bounded tag -> chunk-plaintext cache. An entry
-// means "this chunk was store-resident when we last touched it", so a
-// producer can skip re-uploading it and a consumer can skip fetching
-// it. Cached bytes are charged to the application enclave (they are
-// plaintext and must stay inside the trust boundary); under EPC
-// pressure caching is skipped rather than failing the call.
+// chunkCache is a byte-bounded tag -> chunk cache, in two tiers of this
+// type. An entry means "this chunk was store-resident when we last
+// touched it", so a producer can skip re-uploading it and a consumer
+// can skip fetching it. The enclave tier holds plaintext charged to
+// the application enclave (under EPC pressure caching is skipped
+// rather than failing the call). The host tier behind it, in untrusted
+// memory and charged to nothing, holds what the enclave tier evicts or
+// refuses, sealed under the enclave's key and bound to its tag.
 //
 // The policy is CLOCK behind TinyLFU admission (Einziger, Friedman and
 // Manes, ACM TOS 2017), so the chunks many results share outlive the
@@ -73,14 +75,16 @@ type chunkCache struct {
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
-	enc     *enclave.Enclave
+	enc     *enclave.Enclave // charged for the tier; nil for the host tier, charged nothing
 	ring    []chunkEntry
 	hand    int
 	m       map[mle.Tag]int // tag -> ring index; nil once closed
 	sketch  []uint8         // sketchRows rows of width counters, each at most 15
 	width   int             // a power of two
 	counted int64           // increments since the counters last halved
-	rejects atomic.Int64    // candidates add dropped
+	host    *chunkCache     // the sealed tier behind this one, if any
+
+	rejects, spillHits, spillFailures atomic.Int64 // add's dropped candidates; fill's host entries used, dropped
 }
 
 type chunkEntry struct {
@@ -89,20 +93,25 @@ type chunkEntry struct {
 	ref  bool
 }
 
-func newChunkCache(enc *enclave.Enclave, max int64) *chunkCache {
+// newChunkCache makes a tier of max bytes charged to enc and, for an
+// enclave tier, a host tier of hostMax bytes behind it.
+func newChunkCache(enc *enclave.Enclave, max, hostMax int64) *chunkCache {
 	c := &chunkCache{max: max, enc: enc, width: 1}
 	for int64(c.width) < 4*max/chunk.DefaultAvg {
 		c.width <<= 1
 	}
-	if enc.Alloc(sketchRows*int64(c.width)) == nil { // else it starts closed
+	if enc == nil || enc.Alloc(sketchRows*int64(c.width)) == nil { // else it starts closed
 		c.sketch = make([]uint8, sketchRows*c.width)
 		c.m = make(map[mle.Tag]int)
+	}
+	if enc != nil {
+		c.host = newChunkCache(nil, hostMax, 0)
 	}
 	return c
 }
 
 // get counts a reference to tag, sets its reference bit if cached and
-// returns its plaintext. The slice is shared and must stay read-only.
+// returns its data. The slice is shared and must stay read-only.
 func (c *chunkCache) get(tag mle.Tag) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -131,14 +140,18 @@ func (c *chunkCache) get(tag mle.Tag) ([]byte, bool) {
 	return c.ring[i].data, true
 }
 
-// lacking calls f with the index of each of tags the cache does not
-// hold, under one lock and counting no reference: the skip checks of a
-// whole manifest.
-func (c *chunkCache) lacking(tags []mle.Tag, f func(i int)) {
+// holds reports whether the tier holds tag, counting no reference.
+func (c *chunkCache) holds(tag mle.Tag) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	_, ok := c.m[tag]
+	return ok
+}
+
+// lacking calls f with the index of each of tags neither tier holds.
+func (c *chunkCache) lacking(tags []mle.Tag, f func(i int)) {
 	for i, t := range tags {
-		if _, ok := c.m[t]; !ok {
+		if !c.holds(t) && !c.host.holds(t) {
 			f(i)
 		}
 	}
@@ -161,19 +174,17 @@ func (c *chunkCache) estimate(tag mle.Tag) uint8 {
 // add caches data under tag, taking ownership of it (the caller must
 // not modify it again), if it fits or wins admission over each victim
 // it must evict; a rejected candidate leaves the hand on its victim.
-// Adding a cached tag, or after close, does nothing.
-func (c *chunkCache) add(tag mle.Tag, data []byte) {
-	n := int64(len(data))
-	if n > c.max {
-		return
-	}
+// It appends to out what it displaced: each victim, and the candidate
+// if refused. Adding a cached tag, or after close, does nothing.
+func (c *chunkCache) add(tag mle.Tag, data []byte, out []chunkEntry) []chunkEntry {
+	n, cand := int64(len(data)), chunkEntry{tag: tag, data: data}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m == nil {
-		return
+	if _, ok := c.m[tag]; ok || c.m == nil {
+		return out // same tag, same content (collision-resistant hash)
 	}
-	if _, ok := c.m[tag]; ok {
-		return // same tag, same content (collision-resistant hash)
+	if n > c.max {
+		return append(out, cand)
 	}
 	for c.bytes+n > c.max {
 		// The ring is not empty: bytes > max-n >= 0.
@@ -182,36 +193,92 @@ func (c *chunkCache) add(tag mle.Tag, data []byte) {
 			v.ref = false
 		case c.estimate(tag) <= c.estimate(v.tag):
 			c.rejects.Add(1)
-			return
+			return append(out, cand)
 		default:
-			// Swap-remove: the last entry, most often the newest, takes
-			// the victim's slot, and the hand passes it by.
-			last := len(c.ring) - 1
-			delete(c.m, v.tag)
-			c.bytes -= int64(len(v.data))
-			c.enc.Free(int64(len(v.data)))
-			if c.hand != last {
-				*v = c.ring[last]
-				c.m[v.tag] = c.hand
-			}
-			c.ring[last] = chunkEntry{}
-			c.ring = c.ring[:last]
+			out = append(out, *v) // the hand passes the entry taking its slot
+			c.remove(c.hand)
 		}
 		if c.hand++; c.hand >= len(c.ring) {
 			c.hand = 0
 		}
 	}
-	if err := c.enc.Alloc(n); err != nil {
-		return // enclave memory pressure: caching is optional
+	if c.enc != nil && c.enc.Alloc(n) != nil {
+		return append(out, cand) // enclave memory pressure: caching is optional
 	}
 	c.m[tag] = len(c.ring)
-	c.ring = append(c.ring, chunkEntry{tag: tag, data: data})
+	c.ring = append(c.ring, cand)
 	c.bytes += n
+	return out
 }
 
-// close empties the cache and frees its whole enclave charge, sketch
-// included; the cache stays empty afterwards.
+// remove swap-removes ring entry i: the last, most often the newest.
+func (c *chunkCache) remove(i int) {
+	v, last := &c.ring[i], len(c.ring)-1
+	delete(c.m, v.tag)
+	c.bytes -= int64(len(v.data))
+	c.enc.Free(int64(len(v.data)))
+	if i != last {
+		*v = c.ring[last]
+		c.m[v.tag] = i
+	}
+	c.ring[last] = chunkEntry{}
+	c.ring = c.ring[:last]
+}
+
+// offer adds data under tag to the enclave tier, taking ownership of
+// it, and seals into the host tier what that displaces and it lacks.
+func (c *chunkCache) offer(tag mle.Tag, data []byte) {
+	var buf, evicted [4]chunkEntry
+	for _, e := range c.add(tag, data, buf[:0]) {
+		if c.host.max > 0 && !c.host.holds(e.tag) {
+			if sealed, err := c.enc.Seal(nil, e.data, spillAD(e.tag)); err == nil {
+				c.host.add(e.tag, sealed, evicted[:0])
+			}
+		}
+	}
+}
+
+// spillAD is the associated data a host-tier entry is sealed under: a
+// domain string, then its chunk's tag.
+func spillAD(tag mle.Tag) []byte { return append([]byte("speed/dedup chunk spill v1\x00"), tag[:]...) }
+
+// fill copies tag's chunk into dst, of its length, from the enclave
+// tier or else unsealed from the host tier (spilled); a host entry that
+// does not unseal to len(dst) bytes is dropped and reads as not held.
+func (c *chunkCache) fill(tag mle.Tag, dst []byte) (held, spilled bool) {
+	if data, ok := c.get(tag); ok && len(data) == len(dst) {
+		copy(dst, data)
+		return true, false
+	}
+	sealed, ok := c.host.get(tag)
+	if !ok {
+		return false, false
+	}
+	pt, err := c.enc.Unseal(dst[:0:len(dst)], sealed, spillAD(tag))
+	if err != nil || len(pt) != len(dst) {
+		c.host.drop(tag)
+		c.spillFailures.Add(1)
+		return false, false
+	}
+	c.spillHits.Add(1)
+	return true, true
+}
+
+// drop removes tag's entry, if the tier holds one.
+func (c *chunkCache) drop(tag mle.Tag) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i, ok := c.m[tag]; ok {
+		c.remove(i)
+		c.hand %= max(len(c.ring), 1) // past the end only if it was on the last
+	}
+}
+
+// close empties both tiers for good, freeing the enclave charge.
 func (c *chunkCache) close() {
+	if c.host != nil {
+		c.host.close()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Free(c.bytes + int64(len(c.sketch)))
@@ -445,7 +512,7 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 	for i := range chunks {
 		// The chunks alias the caller's result: the cache gets clones.
 		if _, ok := rt.chunkCache.get(ctags[i]); !ok {
-			rt.chunkCache.add(ctags[i], bytes.Clone(chunks[i]))
+			rt.chunkCache.offer(ctags[i], bytes.Clone(chunks[i]))
 		}
 	}
 	return func() {
@@ -470,8 +537,8 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed
 // manifest: open it, unless it is the one predict opened, fill each
-// chunk's slot from the cache, the prefetched chunks or, verified
-// against its ref, one more BatchGet, and join the slots. There is no
+// chunk's bytes of one output from the chunk cache, the prefetched
+// chunks or, verified against its ref, one more BatchGet. There is no
 // whole-result pass (chunk/manifest.go's trust model says why).
 // Any failure past manifest decryption means the stored data is
 // unusable and the caller recomputes loudly; errNoManifest alone means
@@ -486,23 +553,24 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 		rt.record.put(it.tag, sealed)
 	}
 
-	// Every slot is checked to hold its ref's length, and DecodeManifest
-	// that the lengths sum to Total. A tag the cache misses is fetched,
-	// unless the call has it already, opened and verified once; its
-	// repeats share its plaintext.
+	// Each chunk fills exactly its ref's length at its offset, and
+	// DecodeManifest checked that the lengths sum to Total. A tag neither
+	// tier holds is fetched, unless the call has it already, opened and
+	// verified once; its repeats share its plaintext.
 	cid, refs := chunk.ContentFuncID(c.id), m.man.Refs
-	slots := make([][]byte, len(refs))
-	var missing []int // the slots the cache does not fill
+	out := make([]byte, m.man.Total)
+	type hole struct{ i, at int } // a chunk the enclave tier lacked, offered to it in order
+	var missing []hole
 	var fetch []mle.Tag
-	for i, ref := range refs {
-		t := m.tags[i]
-		if data, ok := rt.chunkCache.get(t); ok && len(data) == int(ref.Length) {
-			slots[i] = data
-		} else if _, ok := c.fetchedAt[t]; ok {
-			missing = append(missing, i)
-		} else {
-			missing, fetch = append(missing, i), append(fetch, t)
+	for i, at := 0, 0; i < len(refs); i++ {
+		t, n := m.tags[i], int(refs[i].Length)
+		if held, spilled := rt.chunkCache.fill(t, out[at:at+n]); spilled || !held {
+			missing = append(missing, hole{i, at})
+			if _, ok := c.fetchedAt[t]; !held && !ok {
+				fetch = append(fetch, t)
+			}
 		}
+		at += n
 	}
 	if fetch = c.unfetched(fetch); len(fetch) > 0 {
 		// Store time, not verification time: it accrues to store_get.
@@ -526,28 +594,32 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 		rt.stats.PrefetchMisses++
 	}
 	rt.mu.Unlock()
-	for _, i := range missing {
-		t, ref := m.tags[i], &refs[i] // a copy would escape with ref.Hash[:]
-		k := c.fetchedAt[t]
+	for _, h := range missing {
+		t, ref := m.tags[h.i], &refs[h.i] // a copy would escape with ref.Hash[:]
+		k, fetched := c.fetchedAt[t]
+		if !fetched { // unsealed from the host tier
+			rt.chunkCache.offer(t, bytes.Clone(out[h.at:][:ref.Length]))
+			continue
+		}
 		if data := c.opened[k]; data != nil && len(data) == int(ref.Length) {
-			slots[i] = data
+			copy(out[h.at:], data)
 			continue
 		}
 		r := c.fetched[k]
 		if !r.Found {
-			return nil, fmt.Errorf("chunk %d/%d missing from store", i+1, len(refs))
+			return nil, fmt.Errorf("chunk %d/%d missing from store", h.i+1, len(refs))
 		}
 		data, derr := rce.Decrypt(cid, ref.Hash[:], r.Sealed)
 		if derr != nil {
-			return nil, fmt.Errorf("decrypt chunk %d/%d: %w", i+1, len(refs), derr)
+			return nil, fmt.Errorf("decrypt chunk %d/%d: %w", h.i+1, len(refs), derr)
 		}
-		// Length first: a wrong-length chunk must never reach a slot.
+		// Length first: a wrong-length chunk must never reach the output.
 		if len(data) != int(ref.Length) || chunk.Hash(data) != ref.Hash {
-			return nil, fmt.Errorf("chunk %d/%d failed content verification", i+1, len(refs))
+			return nil, fmt.Errorf("chunk %d/%d failed content verification", h.i+1, len(refs))
 		}
-		slots[i], c.opened[k] = data, data
-		rt.chunkCache.add(t, data)
+		copy(out[h.at:], data)
+		c.opened[k] = data
+		rt.chunkCache.offer(t, data)
 	}
-	// Join copies (the cache adopted data) into memory it does not zero.
-	return bytes.Join(slots, nil), nil
+	return out, nil
 }

@@ -707,11 +707,11 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 	}
 }
 
-// forgetChunks empties rt's chunk cache, so a hit must fetch every
-// chunk again.
+// forgetChunks empties both tiers of rt's chunk cache, so a hit must
+// fetch every chunk again.
 func forgetChunks(rt *Runtime) {
 	rt.chunkCache.close()
-	rt.chunkCache = newChunkCache(rt.Enclave(), defaultChunkCacheBytes)
+	rt.chunkCache = newChunkCache(rt.Enclave(), defaultChunkCacheBytes, hostChunkCacheBytes)
 }
 
 // TestTamperedManifestRecord: the host keeps the manifest record, so it
@@ -794,15 +794,15 @@ func TestTamperedManifestRecord(t *testing.T) {
 }
 
 // TestChunkedRepeatHitsConcurrent: goroutines sharing one runtime, its
-// manifest record and its chunk cache read and recompute overlapping
-// chunked results at once, while a small cache keeps every hit
-// predicting and fetching; every call returns the right bytes. Run it
-// under -race.
+// manifest record and both tiers of its chunk cache read and recompute
+// overlapping chunked results at once, while small tiers keep hits
+// predicting, fetching and unsealing host entries; every call returns
+// the right bytes. Run it under -race.
 func TestChunkedRepeatHitsConcurrent(t *testing.T) {
 	p, st := newChunkStore(t)
 	rt := newChunkRuntime(t, p, st, "app", chunkTestThreshold)
 	rt.chunkCache.close()
-	rt.chunkCache = newChunkCache(rt.Enclave(), 64<<10)
+	rt.chunkCache = newChunkCache(rt.Enclave(), 64<<10, 64<<10)
 	id := chunkFuncID(t, rt)
 	base := chunkResult(81, 96<<10)
 	compute := func(in []byte) ([]byte, error) {
@@ -824,8 +824,166 @@ func TestChunkedRepeatHitsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := rt.Stats(); s.ChunksPrefetched == 0 {
-		t.Error("no hit prefetched a chunk")
+	if s := rt.Stats(); s.ChunksPrefetched == 0 || s.ChunkSpillHits == 0 {
+		t.Errorf("hits prefetched %d chunks and unsealed %d from the host tier; want some of each", s.ChunksPrefetched, s.ChunkSpillHits)
+	}
+}
+
+// spillOnly gives rt a chunk cache whose enclave tier admits nothing,
+// so every chunk it reads or produces goes sealed to the host tier.
+func spillOnly(rt *Runtime) {
+	rt.chunkCache.close()
+	rt.chunkCache = newChunkCache(rt.Enclave(), 0, hostChunkCacheBytes)
+}
+
+// hostEntry is the host tier's entry for tag, which the test may change
+// as the host can.
+func hostEntry(t *testing.T, rt *Runtime, tag mle.Tag) *chunkEntry {
+	t.Helper()
+	h := rt.chunkCache.host
+	i, ok := h.m[tag]
+	if !ok {
+		t.Fatalf("the host tier holds no entry for %x...", tag[:4])
+	}
+	return &h.ring[i]
+}
+
+// TestTamperedChunkSpill: the host tier lives in untrusted memory, so
+// the host may change its entries at will. A flipped byte, the entries
+// of two equal-length chunks swapped between their tags, a ciphertext
+// cut short, and an entry sealed under the right tag for a chunk one
+// byte short each fail to fill their chunk: the hit fetches each such
+// chunk in one more GET, counts the failure, drops the entry and
+// returns the right bytes. The fetched chunk is sealed afresh, so the
+// next hit fails nothing and fetches nothing.
+func TestTamperedChunkSpill(t *testing.T) {
+	p, st := newChunkStore(t)
+	writer := newChunkRuntime(t, p, st, "writer", chunkTestThreshold)
+	id := chunkFuncID(t, writer)
+	// y is x with one byte changed inside a middle chunk, far from its
+	// cuts: the cut points stay, so that chunk and its edit have equal
+	// lengths and different tags.
+	x := chunkResult(91, 120<<10)
+	xc := writer.chunker.Split(x)
+	k, at := len(xc)/2, 0
+	for _, c := range xc[:k] {
+		at += len(c)
+	}
+	y := bytes.Clone(x)
+	y[at+len(xc[k])/2] ^= 0xff
+	yc := writer.chunker.Split(y)
+	if len(yc) != len(xc) || len(yc[k]) != len(xc[k]) || bytes.Equal(yc[k], xc[k]) {
+		t.Fatalf("editing chunk %d moved its cuts; the test wants equal lengths", k)
+	}
+	resultOf := map[string][]byte{"x": x, "y": y}
+	compute := func(in []byte) ([]byte, error) { return bytes.Clone(resultOf[string(in)]), nil }
+	for _, in := range []string{"x", "y"} {
+		if _, _, err := writer.Execute(id, []byte(in), compute); err != nil {
+			t.Fatalf("writer %s: %v", in, err)
+		}
+	}
+	cid := chunk.ContentFuncID(id)
+	xt, yt := chunk.Tag(cid, chunk.Hash(xc[k])), chunk.Tag(cid, chunk.Hash(yc[k]))
+
+	for _, tc := range []struct {
+		name   string
+		reads  []string // each fails one entry
+		tamper func(t *testing.T, rt *Runtime)
+	}{
+		{"byte_flipped", []string{"x"}, func(t *testing.T, rt *Runtime) {
+			e := hostEntry(t, rt, xt)
+			e.data = bytes.Clone(e.data)
+			e.data[len(e.data)/2] ^= 1
+		}},
+		{"swapped_between_tags", []string{"x", "y"}, func(t *testing.T, rt *Runtime) {
+			ex, ey := hostEntry(t, rt, xt), hostEntry(t, rt, yt)
+			ex.data, ey.data = ey.data, ex.data
+		}},
+		{"cut_short", []string{"x"}, func(t *testing.T, rt *Runtime) {
+			e := hostEntry(t, rt, xt)
+			e.data = e.data[:len(e.data)-1]
+		}},
+		{"sealed_short", []string{"x"}, func(t *testing.T, rt *Runtime) {
+			sealed, err := rt.Enclave().Seal(nil, xc[k][:len(xc[k])-1], spillAD(xt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hostEntry(t, rt, xt).data = sealed
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newChunkRuntime(t, p, st, "reader-"+tc.name, chunkTestThreshold)
+			spillOnly(rt)
+			for _, in := range []string{"x", "y"} {
+				if _, outcome, err := rt.Execute(id, []byte(in), compute); err != nil || outcome != OutcomeReused {
+					t.Fatalf("reader %s: %v, %v", in, outcome, err)
+				}
+			}
+			tc.tamper(t, rt)
+			for _, round := range []string{"after tampering", "after the entries were dropped"} {
+				for _, in := range tc.reads {
+					before := rt.Stats()
+					got, outcome, err := rt.Execute(id, []byte(in), func([]byte) ([]byte, error) {
+						t.Errorf("%s: recomputed a stored result", round)
+						return compute([]byte(in))
+					})
+					if err != nil || outcome != OutcomeReused || !bytes.Equal(got, resultOf[in]) {
+						t.Fatalf("%s: %s = (%v, %v), result equal %v", round, in, outcome, err, bytes.Equal(got, resultOf[in]))
+					}
+					s := subStats(rt.Stats(), before)
+					want := int64(1)
+					if round != "after tampering" {
+						want = 0
+					}
+					if s.ChunkSpillFailures != want || s.ChunksFetched != want || s.PrefetchMisses != want || s.ChunkSpillHits != int64(len(xc))-want {
+						t.Errorf("%s: %s failed %d host entries, fetched %d chunks in %d more GETs and unsealed %d of %d; want %d, %d, %d and the rest",
+							round, in, s.ChunkSpillFailures, s.ChunksFetched, s.PrefetchMisses, s.ChunkSpillHits, len(xc), want, want, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestChunkSpillHoldsNoPlaintext scans every host-tier entry, after
+// producing and reading chunked results, for any 16-byte window of
+// those results, the rule TestNoPlaintextAtSinks applies at the
+// process's sinks: the host tier is host memory, and must hold sealed
+// bytes only.
+func TestChunkSpillHoldsNoPlaintext(t *testing.T) {
+	const window = 16
+	p, st := newChunkStore(t)
+	producer := newChunkRuntime(t, p, st, "producer", chunkTestThreshold)
+	consumer := newChunkRuntime(t, p, st, "consumer", chunkTestThreshold)
+	id := chunkFuncID(t, producer)
+	for _, rt := range []*Runtime{producer, consumer} {
+		rt.chunkCache.close()
+		rt.chunkCache = newChunkCache(rt.Enclave(), 64<<10, hostChunkCacheBytes)
+	}
+	canaries := make(map[string]bool)
+	for i := int64(0); i < 3; i++ {
+		res := chunkResult(100+i, 160<<10)
+		for off := 0; off+window <= len(res); off++ {
+			canaries[string(res[off:off+window])] = true
+		}
+		for _, rt := range []*Runtime{producer, consumer} {
+			if _, _, err := rt.Execute(id, []byte{byte(i)}, func([]byte) ([]byte, error) { return res, nil }); err != nil {
+				t.Fatalf("Execute: %v", err)
+			}
+		}
+	}
+	for _, rt := range []*Runtime{producer, consumer} {
+		h := rt.chunkCache.host
+		if len(h.ring) == 0 {
+			t.Fatalf("%s spilled nothing; the test wants host entries to scan", rt.Enclave().Name())
+		}
+		for _, e := range h.ring {
+			for off := 0; off+window <= len(e.data); off++ {
+				if canaries[string(e.data[off:off+window])] {
+					t.Fatalf("%s: host entry %x... holds result bytes at offset %d", rt.Enclave().Name(), e.tag[:4], off)
+				}
+			}
+		}
 	}
 }
 
@@ -1035,9 +1193,10 @@ func TestFailedChunkedSendCostsOneRecompute(t *testing.T) {
 // TestChunkCacheKeepsSharedChunks pins the cache's admission: a set of
 // chunks referenced twice survives a single pass of unique chunks
 // larger than the whole budget, which a plain LRU would flush. At every
-// step the cache holds no more than its budget and its enclave charge
-// equals the bytes it holds plus the sketch's fixed charge; a chunk
-// larger than the budget is refused.
+// step each tier holds no more than its budget, and the enclave charge
+// equals the bytes the enclave tier holds plus its sketch's fixed
+// charge: the host tier, which takes what the enclave tier displaces,
+// is charged nothing. A chunk larger than the budget is refused.
 func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 	const budget, size, shared = 64 << 10, 1 << 10, 16
 	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
@@ -1045,7 +1204,7 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := enc.HeapUsed()
-	c := newChunkCache(enc, budget)
+	c := newChunkCache(enc, budget, budget)
 	tag := func(i int) mle.Tag {
 		var tg mle.Tag
 		binary.LittleEndian.PutUint64(tg[:], uint64(i))
@@ -1053,8 +1212,8 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 	}
 	check := func(step string, i int) {
 		t.Helper()
-		if c.bytes > budget {
-			t.Fatalf("%s %d: cache holds %d bytes, budget %d", step, i, c.bytes, budget)
+		if c.bytes > budget || c.host.bytes > budget {
+			t.Fatalf("%s %d: tiers hold %d and %d bytes, budget %d each", step, i, c.bytes, c.host.bytes, budget)
 		}
 		if charge := enc.HeapUsed() - base; charge != c.bytes+int64(len(c.sketch)) {
 			t.Fatalf("%s %d: enclave charge %d, cache holds %d bytes and a %d-byte sketch", step, i, charge, c.bytes, len(c.sketch))
@@ -1062,7 +1221,7 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 	}
 
 	for i := 0; i < shared; i++ {
-		c.add(tag(i), make([]byte, size))
+		c.offer(tag(i), make([]byte, size))
 		check("add shared", i)
 	}
 	for i := 0; i < shared; i++ {
@@ -1072,17 +1231,20 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		check("get shared", i)
 	}
 	for i := shared; i < shared+2*budget/size; i++ {
-		c.add(tag(i), make([]byte, size))
+		c.offer(tag(i), make([]byte, size))
 		check("scan", i)
 	}
+	if c.host.bytes < budget-size-enclave.SealOverhead {
+		t.Errorf("the host tier holds %d bytes after the scan; the test wants it full", c.host.bytes)
+	}
 	for i := 0; i < shared; i++ {
-		if !c.contains(tag(i)) {
+		if !c.holds(tag(i)) {
 			t.Errorf("shared chunk %d evicted by a single pass of unique chunks", i)
 		}
 	}
 
-	c.add(tag(-1), make([]byte, budget+1))
-	if c.contains(tag(-1)) {
+	c.offer(tag(-1), make([]byte, budget+1))
+	if c.holds(tag(-1)) || c.host.holds(tag(-1)) {
 		t.Error("a chunk larger than the budget was cached")
 	}
 	check("oversized add", 0)
@@ -1110,13 +1272,13 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := enc.HeapUsed()
-	c := newChunkCache(enc, budget)
+	c := newChunkCache(enc, budget, 0)
 	next := 0
 	fill := func() mle.Tag { // a chunk referenced once, then offered
 		next++
 		tg := hashTag(next)
 		c.get(tg)
-		c.add(tg, make([]byte, size))
+		c.add(tg, make([]byte, size), nil)
 		return tg
 	}
 
@@ -1138,7 +1300,7 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 		fill()
 	}
 	for i, tg := range hotTags {
-		if !c.contains(tg) {
+		if !c.holds(tg) {
 			t.Errorf("hot chunk %d displaced by chunks referenced once", i)
 		}
 	}
@@ -1160,8 +1322,8 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 	}
 	rejects := c.rejects.Load()
 	cold := hashTag(-1) // never referenced: estimate 0
-	c.add(cold, make([]byte, size))
-	if c.contains(cold) || c.rejects.Load() != rejects+1 {
+	c.add(cold, make([]byte, size), nil)
+	if c.holds(cold) || c.rejects.Load() != rejects+1 {
 		t.Fatalf("a never-referenced candidate was admitted (rejects %d -> %d)", rejects, c.rejects.Load())
 	}
 	if after := tags(); len(after) != len(before) || c.hand != hand || c.bytes != budget {
@@ -1172,9 +1334,9 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 	for c.estimate(warm) <= c.estimate(victim) {
 		c.get(warm)
 	}
-	c.add(warm, make([]byte, size))
-	if !c.contains(warm) || c.contains(victim) || c.bytes != budget {
-		t.Fatalf("a candidate counted above the victim: admitted %v, victim kept %v, %d bytes", c.contains(warm), c.contains(victim), c.bytes)
+	c.add(warm, make([]byte, size), nil)
+	if !c.holds(warm) || c.holds(victim) || c.bytes != budget {
+		t.Fatalf("a candidate counted above the victim: admitted %v, victim kept %v, %d bytes", c.holds(warm), c.holds(victim), c.bytes)
 	}
 
 	c.close()
@@ -1183,41 +1345,52 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 	}
 }
 
-// TestChunkCacheConcurrent drives get, add and contains from several
-// goroutines over a shared, overflowing tag set (run it under -race);
-// afterwards the cache is within budget and its enclave charge matches.
+// TestChunkCacheConcurrent drives get, offer, fill and contains from
+// several goroutines over a shared tag set that overflows both tiers
+// (run it under -race): every chunk filled from either tier is its
+// own, and afterwards each tier is within budget and the enclave
+// charge matches the enclave tier.
 func TestChunkCacheConcurrent(t *testing.T) {
-	const budget, workers, ops = 32 << 10, 4, 2000
+	const budget, workers, ops, size = 32 << 10, 4, 2000, 1 << 10
 	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := enc.HeapUsed()
-	c := newChunkCache(enc, budget)
+	c := newChunkCache(enc, budget, budget)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			dst := make([]byte, size)
 			for i := 0; i < ops; i++ {
-				tg := hashTag(rng.Intn(64))
-				switch rng.Intn(3) {
+				k := rng.Intn(96)
+				tg := hashTag(k)
+				switch rng.Intn(4) {
 				case 0:
-					if data, ok := c.get(tg); ok && len(data) != 1<<10 {
-						t.Errorf("cached chunk of %d bytes, want %d", len(data), 1<<10)
+					if data, ok := c.get(tg); ok && len(data) != size {
+						t.Errorf("cached chunk of %d bytes, want %d", len(data), size)
 					}
 				case 1:
-					c.add(tg, make([]byte, 1<<10))
+					c.offer(tg, bytes.Repeat([]byte{byte(k)}, size))
+				case 2:
+					if held, _ := c.fill(tg, dst); held && !bytes.Equal(dst, bytes.Repeat([]byte{byte(k)}, size)) {
+						t.Errorf("chunk %d filled with another's bytes", k)
+					}
 				default:
-					c.contains(tg)
+					c.holds(tg)
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if c.bytes > budget || enc.HeapUsed()-base != c.bytes+int64(len(c.sketch)) {
-		t.Fatalf("cache holds %d bytes (budget %d); enclave charge %d", c.bytes, budget, enc.HeapUsed()-base)
+	if c.bytes > budget || c.host.bytes > budget || enc.HeapUsed()-base != c.bytes+int64(len(c.sketch)) {
+		t.Fatalf("tiers hold %d and %d bytes (budget %d each); enclave charge %d", c.bytes, c.host.bytes, budget, enc.HeapUsed()-base)
+	}
+	if c.spillFailures.Load() != 0 {
+		t.Errorf("%d host entries failed to unseal", c.spillFailures.Load())
 	}
 	c.close()
 	if enc.HeapUsed() != base {
@@ -1226,12 +1399,14 @@ func TestChunkCacheConcurrent(t *testing.T) {
 }
 
 // BenchmarkChunkCacheFamilies replays a seeded read stream shaped like
-// the overlap_chunked workload through get and add on a cache of the
-// default size: 64 families × 32 variants of 32 chunks of 8 KiB, each
-// variant its family's chunks with 4 of them replaced, read in Zipf
-// order (s = 1) by a consumer that fetches what the cache misses. It
-// reports the MiB fetched and the fetch rounds (reads that missed any
-// chunk) per stream of 20,000 reads; it times nothing worth gating.
+// the overlap_chunked workload through a chunk cache of the default
+// size, once with its enclave tier alone and once with the sealed host
+// tier behind it: 64 families × 32 variants of 32 chunks of 8 KiB,
+// each variant its family's chunks with 4 of them replaced, read in
+// Zipf order (s = 1) by a consumer that fetches what the cache misses.
+// It reports the MiB fetched and the fetch rounds (reads that missed
+// any chunk) per stream of 20,000 reads, each without and with the
+// host tier; it times nothing worth gating.
 func BenchmarkChunkCacheFamilies(b *testing.B) {
 	const families, variants, chunks, edits, size, reads = 64, 32, 32, 4, 8 << 10, 20000
 	base := func(f, k int) mle.Tag { return hashTag(2 * (f*chunks + k)) }
@@ -1266,31 +1441,41 @@ func BenchmarkChunkCacheFamilies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := make([]byte, size)
-	var fetched, rounds int64
+	data, dst := make([]byte, size), make([]byte, size)
+	var fetched, rounds [2]int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := newChunkCache(enc, defaultChunkCacheBytes)
-		fetched, rounds = 0, 0
-		for _, id := range stream {
-			var missed []mle.Tag
-			for _, tg := range results[id] {
-				if _, ok := c.get(tg); !ok {
-					missed = append(missed, tg)
+		for tiers, hostMax := range []int64{0, hostChunkCacheBytes} {
+			c := newChunkCache(enc, defaultChunkCacheBytes, hostMax)
+			fetched[tiers], rounds[tiers] = 0, 0
+			for _, id := range stream {
+				// As manifestReuse does: what the enclave tier lacked is
+				// offered to it in order, unsealed or fetched.
+				var offers []mle.Tag
+				missed := int64(0)
+				for _, tg := range results[id] {
+					if held, fromHost := c.fill(tg, dst); fromHost || !held {
+						offers = append(offers, tg)
+						if !held {
+							missed++
+						}
+					}
+				}
+				if missed > 0 {
+					rounds[tiers]++
+				}
+				fetched[tiers] += missed * size
+				for _, tg := range offers {
+					c.offer(tg, data)
 				}
 			}
-			if len(missed) > 0 {
-				rounds++
-			}
-			for _, tg := range missed {
-				fetched += size
-				c.add(tg, data)
-			}
+			c.close()
 		}
-		c.close()
 	}
-	b.ReportMetric(float64(fetched)/(1<<20), "MiB-fetched")
-	b.ReportMetric(float64(rounds), "rounds")
+	b.ReportMetric(float64(fetched[0])/(1<<20), "MiB-fetched")
+	b.ReportMetric(float64(rounds[0]), "rounds")
+	b.ReportMetric(float64(fetched[1])/(1<<20), "MiB-fetched-tiered")
+	b.ReportMetric(float64(rounds[1]), "rounds-tiered")
 }
 
 // putTagRecorder records the tag of every item PUT through it.
@@ -1382,15 +1567,11 @@ func TestCloseReleasesChunkCacheCharge(t *testing.T) {
 	if got := enc.HeapUsed(); got != before {
 		t.Fatalf("HeapUsed after Close = %d, want %d as before NewRuntime", got, before)
 	}
-	rt.chunkCache.add(mle.Tag{1}, make([]byte, 1<<10))
+	rt.chunkCache.offer(mle.Tag{1}, make([]byte, 1<<10))
 	if got := enc.HeapUsed(); got != before {
 		t.Fatalf("an add after Close charged the enclave: HeapUsed %d, want %d", got, before)
 	}
-}
-
-// contains reports whether the cache holds tag, counting no reference.
-func (c *chunkCache) contains(tag mle.Tag) bool {
-	held := true
-	c.lacking([]mle.Tag{tag}, func(int) { held = false })
-	return held
+	if h := rt.chunkCache.host; h.bytes != 0 || h.holds(mle.Tag{1}) {
+		t.Fatalf("the host tier holds %d bytes after Close", h.bytes)
+	}
 }

@@ -253,7 +253,8 @@ func BenchmarkHotMuxPut(b *testing.B) {
 // BenchmarkHotChunkedHit is a chunked hit through a LocalClient on a
 // 256 KiB result with about half its chunks cached: two results that
 // share their first 128 KiB are read alternately by a runtime whose
-// chunk cache holds exactly the chunks of the shared half. Each read
+// chunk cache holds exactly the chunks of the shared half, and has no
+// host tier to keep the rest in. Each read
 // counts the shared chunks again, so no unique chunk ever wins
 // admission: in the steady state every hit copies the shared half from
 // the cache and fetches, opens and verifies its own unique half. The
@@ -283,7 +284,7 @@ func BenchmarkHotChunkedHit(b *testing.B) {
 	}
 	rt := newChunkRuntime(b, p, st, "reader", chunkTestThreshold)
 	rt.chunkCache.close()
-	rt.chunkCache = newChunkCache(rt.Enclave(), sharedChunks)
+	rt.chunkCache = newChunkCache(rt.Enclave(), sharedChunks, 0)
 	hit := func(i int) {
 		got, outcome, err := rt.Execute(id, inputs[i%2], func([]byte) ([]byte, error) {
 			return nil, errors.New("recomputed a stored result")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"speed/internal/chunk"
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
@@ -225,6 +226,22 @@ func (env *pipeEnv) recordManifest(mutate func(*mle.Sealed)) {
 	env.rt.record.put(tag, sealed)
 }
 
+// spillChunks seals every chunk of pipeInput's pipeBig result into the
+// host tier of the runtime under test, as its enclave tier does with
+// the chunks it evicts.
+func (env *pipeEnv) spillChunks() {
+	want, _ := pipeBig(pipeInput)
+	cid := chunk.ContentFuncID(env.id)
+	for _, ch := range env.rt.chunker.Split(want) {
+		tag := chunk.Tag(cid, chunk.Hash(ch))
+		sealed, err := env.appEnc.Seal(nil, ch, spillAD(tag))
+		if err != nil {
+			env.t.Fatal(err)
+		}
+		env.rt.chunkCache.host.add(tag, sealed, nil)
+	}
+}
+
 // recordHealed checks that the runtime under test recorded the store's
 // entry for pipeInput, as it now is.
 func recordHealed(env *pipeEnv, _ []byte) {
@@ -280,8 +297,9 @@ type pipeScenario struct {
 	// fetches means the call fetched every chunk of its result from the
 	// store, whether or not reassembly then succeeded: the runtime's
 	// chunk cache starts empty. prefetched means they rode the lookup's
-	// GET; otherwise they took a second GET, a prediction miss.
-	fetches, prefetched bool
+	// GET; otherwise they took a second GET, a prediction miss. spilled
+	// means the host tier served every chunk instead.
+	fetches, prefetched, spilled bool
 	// Store requests and enclave OCALLs the whole call makes, however
 	// many items it carries.
 	gets, puts, hass, ocalls int64
@@ -470,6 +488,21 @@ var pipeScenarios = []pipeScenario{
 		transitions: 3,
 	},
 	{
+		// Every chunk sits sealed in the host tier: the record names
+		// them all as held, so the lookup's GET carries the manifest
+		// alone and nothing is fetched.
+		name:    "chunked_hit_from_host_tier",
+		cfg:     withChunking,
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig); env.recordManifest(nil); env.spillChunks() },
+		compute: pipeBig,
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1, ManifestReuses: 1},
+		spilled: true,
+		gets:    1, ocalls: 1,
+		transitions: 3,
+	},
+	{
 		// A record that does not open is ignored: the hit fetches its
 		// chunks after the manifest, as a first hit does, and records the
 		// store's entry afresh.
@@ -644,6 +677,9 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	n := int64(entry.fillers)
 	filler.Calls = 1
 	wantStats = addStats(wantStats, filler, n)
+	if sc.spilled {
+		wantStats.ChunkSpillHits = int64(len(env.rt.chunker.Split(want)))
+	}
 	if sc.fetches {
 		n := int64(len(env.rt.chunker.Split(want)))
 		wantStats.ChunksFetched = n
@@ -703,6 +739,7 @@ func subStats(a, b Stats) Stats {
 		ManifestReuses: a.ManifestReuses - b.ManifestReuses, ChunksFetched: a.ChunksFetched - b.ChunksFetched,
 		ChunkCacheHits: a.ChunkCacheHits - b.ChunkCacheHits, ChunksSkipped: a.ChunksSkipped - b.ChunksSkipped,
 		ChunksPrefetched: a.ChunksPrefetched - b.ChunksPrefetched, PrefetchMisses: a.PrefetchMisses - b.PrefetchMisses,
+		ChunkSpillHits: a.ChunkSpillHits - b.ChunkSpillHits, ChunkSpillFailures: a.ChunkSpillFailures - b.ChunkSpillFailures,
 	}
 }
 

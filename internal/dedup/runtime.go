@@ -132,6 +132,9 @@ type Stats struct {
 	// ChunkCacheHits counts manifest chunks served from the local chunk
 	// cache without touching the store.
 	ChunkCacheHits int64
+	// ChunkSpillHits counts manifest chunks its sealed host tier served,
+	// ChunkSpillFailures its entries dropped for not unsealing to theirs.
+	ChunkSpillHits, ChunkSpillFailures int64
 	// ChunkCacheRejects counts fetched or produced chunks the chunk
 	// cache declined to admit because they were referenced no more
 	// often than the entry they would evict.
@@ -222,7 +225,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("dedup: chunker: %w", err)
 		}
 		rt.chunker = ck
-		rt.chunkCache = newChunkCache(cfg.Enclave, defaultChunkCacheBytes)
+		rt.chunkCache = newChunkCache(cfg.Enclave, defaultChunkCacheBytes, hostChunkCacheBytes)
 		rt.record = &manifestRecord{}
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
@@ -249,6 +252,8 @@ func (rt *Runtime) Stats() Stats {
 	}
 	if rt.chunkCache != nil {
 		s.ChunkCacheRejects = rt.chunkCache.rejects.Load()
+		s.ChunkSpillHits = rt.chunkCache.spillHits.Load()
+		s.ChunkSpillFailures = rt.chunkCache.spillFailures.Load()
 	}
 	rt.mu.Unlock()
 	return s

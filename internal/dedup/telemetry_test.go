@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -116,8 +117,10 @@ func TestTelemetryConcurrentExecute(t *testing.T) {
 // registry from the same Stats snapshot, so /metrics gives the cache's
 // hit ratio and shows a cache too small for its working set. A
 // consumer's first reassembly fetches every chunk; its second is served
-// from its cache. A reader whose cache holds a quarter of the result
-// declines the chunks that arrive once it is full.
+// from its cache. A reader whose enclave tier holds a quarter of the
+// result declines the chunks that arrive once it is full, and its host
+// tier serves them on the next read, all but one whose entry the host
+// changed: that one fails to unseal and is fetched.
 func TestTelemetryChunkCacheCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p, st := newChunkStore(t)
@@ -125,10 +128,15 @@ func TestTelemetryChunkCacheCounters(t *testing.T) {
 	consumer := newChunkRuntimeWith(t, p, st, "consumer", Config{ChunkThreshold: chunkTestThreshold, Telemetry: reg}, nil)
 	small := newChunkRuntimeWith(t, p, st, "small", Config{ChunkThreshold: chunkTestThreshold, Telemetry: reg}, nil)
 	small.chunkCache.close()
-	small.chunkCache = newChunkCache(small.Enclave(), 32<<10)
+	small.chunkCache = newChunkCache(small.Enclave(), 32<<10, hostChunkCacheBytes)
 	id := chunkFuncID(t, producer)
 	want := chunkResult(7, 128<<10)
-	for _, rt := range []*Runtime{producer, consumer, consumer, small} {
+	for i, rt := range []*Runtime{producer, consumer, consumer, small, small} {
+		if i == 4 {
+			h := small.chunkCache.host
+			h.ring[0].data = bytes.Clone(h.ring[0].data)
+			h.ring[0].data[enclave.SealNonceSize] ^= 1
+		}
 		if _, _, err := rt.Execute(id, []byte("doc"), func([]byte) ([]byte, error) { return want, nil }); err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
@@ -143,13 +151,21 @@ func TestTelemetryChunkCacheCounters(t *testing.T) {
 	if got := snap.Counter(`speed_runtime_chunk_cache_hits_total{app="consumer"}`); got != s.ChunkCacheHits {
 		t.Errorf("speed_runtime_chunk_cache_hits_total = %d, want %d", got, s.ChunkCacheHits)
 	}
-	if s := small.Stats(); s.ChunkCacheRejects == 0 {
-		t.Error("a cache a quarter the result's size declined no chunk")
+	if s := small.Stats(); s.ChunkCacheRejects == 0 || s.ChunkSpillHits == 0 || s.ChunkSpillFailures != 1 {
+		t.Errorf("an enclave tier a quarter the result's size declined %d chunks, its host tier served %d and failed %d; want some, some and 1",
+			s.ChunkCacheRejects, s.ChunkSpillHits, s.ChunkSpillFailures)
 	}
 	for _, rt := range []*Runtime{consumer, small} {
-		name := fmt.Sprintf(`speed_runtime_chunk_cache_rejects_total{app=%q}`, rt.Enclave().Name())
-		if got, want := snap.Counter(name), rt.Stats().ChunkCacheRejects; got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+		s := rt.Stats()
+		for metric, want := range map[string]int64{
+			"speed_runtime_chunk_cache_rejects_total":  s.ChunkCacheRejects,
+			"speed_runtime_chunk_spill_hits_total":     s.ChunkSpillHits,
+			"speed_runtime_chunk_spill_failures_total": s.ChunkSpillFailures,
+		} {
+			name := fmt.Sprintf(`%s{app=%q}`, metric, rt.Enclave().Name())
+			if got := snap.Counter(name); got != want {
+				t.Errorf("%s = %d, want %d", name, got, want)
+			}
 		}
 	}
 }

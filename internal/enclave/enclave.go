@@ -299,9 +299,9 @@ func (e *Enclave) Alloc(n int64) error {
 	return nil
 }
 
-// Free returns n bytes to the platform EPC.
+// Free returns n bytes to the platform EPC; a nil enclave frees nothing.
 func (e *Enclave) Free(n int64) {
-	if n < 0 {
+	if e == nil || n < 0 {
 		return
 	}
 	e.mu.Lock()

@@ -220,7 +220,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	if bytes.Contains(sealed, secret) {
 		t.Error("sealed blob contains plaintext")
 	}
-	got, err := e.Unseal(sealed, nil)
+	got, err := e.Unseal(nil, sealed, nil)
 	if err != nil {
 		t.Fatalf("Unseal: %v", err)
 	}
@@ -232,10 +232,10 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := e.Unseal(bound, []byte("tag B")); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e.Unseal(nil, bound, []byte("tag B")); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("Unseal under other associated data = %v, want ErrUnsealFailed", err)
 	}
-	if got, err := e.Unseal(bound, []byte("tag A")); err != nil || !bytes.Equal(got, secret) {
+	if got, err := e.Unseal(nil, bound, []byte("tag A")); err != nil || !bytes.Equal(got, secret) {
 		t.Errorf("Unseal = %q, %v; want %q", got, err, secret)
 	}
 }
@@ -259,7 +259,7 @@ func TestSealAppendsInPlace(t *testing.T) {
 	if !bytes.Equal(out[:len(prefix)], prefix) || bytes.Contains(out, secret) {
 		t.Fatal("in-place Seal lost the prefix or left plaintext")
 	}
-	if got, err := e.Unseal(out[len(prefix):], nil); err != nil || !bytes.Equal(got, secret) {
+	if got, err := e.Unseal(nil, out[len(prefix):], nil); err != nil || !bytes.Equal(got, secret) {
 		t.Fatalf("Unseal = %q, %v; want %q", got, err, secret)
 	}
 }
@@ -282,7 +282,7 @@ func TestSealConcurrent(t *testing.T) {
 					t.Errorf("Seal: %v", err)
 					return
 				}
-				if got, err := e.Unseal(sealed, nil); err != nil || !bytes.Equal(got, secret) {
+				if got, err := e.Unseal(nil, sealed, nil); err != nil || !bytes.Equal(got, secret) {
 					t.Errorf("Unseal = %v; want the sealed bytes back", err)
 					return
 				}
@@ -300,7 +300,7 @@ func TestSealBoundToMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := e2.Unseal(sealed, nil); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e2.Unseal(nil, sealed, nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("cross-enclave Unseal = %v, want ErrUnsealFailed", err)
 	}
 }
@@ -315,7 +315,7 @@ func TestSealBoundToPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := e2.Unseal(sealed, nil); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e2.Unseal(nil, sealed, nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("cross-platform Unseal = %v, want ErrUnsealFailed", err)
 	}
 }
@@ -328,10 +328,10 @@ func TestSealTamperDetected(t *testing.T) {
 		t.Fatalf("Seal: %v", err)
 	}
 	sealed[len(sealed)-1] ^= 0x01
-	if _, err := e.Unseal(sealed, nil); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e.Unseal(nil, sealed, nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("tampered Unseal = %v, want ErrUnsealFailed", err)
 	}
-	if _, err := e.Unseal(sealed[:4], nil); !errors.Is(err, ErrUnsealFailed) {
+	if _, err := e.Unseal(nil, sealed[:4], nil); !errors.Is(err, ErrUnsealFailed) {
 		t.Errorf("truncated Unseal = %v, want ErrUnsealFailed", err)
 	}
 }

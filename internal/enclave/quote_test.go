@@ -138,7 +138,7 @@ func TestSeededPlatformSealingStable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	got, err := e2.Unseal(sealed, nil)
+	got, err := e2.Unseal(nil, sealed, nil)
 	if err != nil {
 		t.Fatalf("Unseal across instances: %v", err)
 	}

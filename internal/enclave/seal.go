@@ -37,12 +37,13 @@ func (e *Enclave) Seal(dst, data, ad []byte) ([]byte, error) {
 }
 
 // Unseal decrypts and authenticates data produced by Seal, with the
-// same ad, on the same enclave identity and platform.
-func (e *Enclave) Unseal(sealed, ad []byte) ([]byte, error) {
+// same ad, on the same enclave identity and platform, and appends the
+// plaintext to dst, whose spare capacity must not overlap sealed.
+func (e *Enclave) Unseal(dst, sealed, ad []byte) ([]byte, error) {
 	if len(sealed) < SealNonceSize {
 		return nil, ErrUnsealFailed
 	}
-	pt, err := e.seal.Open(nil, sealed[:SealNonceSize], sealed[SealNonceSize:], ad)
+	pt, err := e.seal.Open(dst, sealed[:SealNonceSize], sealed[SealNonceSize:], ad)
 	if err != nil {
 		return nil, ErrUnsealFailed
 	}

@@ -104,7 +104,7 @@ func sealRecord(enc *enclave.Enclave, dst, ad []byte, rec *storeengine.Record) (
 // from untrusted storage under tag.
 func unsealRecord(enc *enclave.Enclave, tag mle.Tag, sealed []byte) (storeengine.Record, error) {
 	var ad [adLen]byte
-	raw, err := enc.Unseal(sealed, recordAD(&ad, enc.Measurement(), walOpPut, &tag))
+	raw, err := enc.Unseal(nil, sealed, recordAD(&ad, enc.Measurement(), walOpPut, &tag))
 	if err != nil {
 		return storeengine.Record{}, err
 	}

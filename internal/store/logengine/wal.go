@@ -201,7 +201,7 @@ func decodeWALPayload(enc *enclave.Enclave, ad *[adLen]byte, payload []byte) (wa
 	if o.op != walOpPut && o.op != walOpDelete {
 		return o, fmt.Errorf("unknown op %d (tampering?)", o.op)
 	}
-	raw, err := enc.Unseal(o.sealed, recordAD(ad, enc.Measurement(), o.op, &o.tag))
+	raw, err := enc.Unseal(nil, o.sealed, recordAD(ad, enc.Measurement(), o.op, &o.tag))
 	if err != nil {
 		return o, fmt.Errorf("record failed authentication (tampering?): %w", err)
 	}
