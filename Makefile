@@ -143,14 +143,16 @@ bench-regress:
 	$(GO) test -run '^$$' -bench $(BENCH_HOT_PATTERN) -benchmem -count $(BENCH_HOT_COUNT) $(BENCH_HOT_PKGS) | tee /tmp/speed-bench-new.txt
 	$(GO) run ./cmd/benchgate -baseline bench/baseline.txt -new /tmp/speed-bench-new.txt
 
-# Short fuzz pass over the wire codecs, the storage-engine WAL
-# framing, the chunk manifest codec, the FastCDC chunker invariants
-# and chunked reassembly against a store that lies about one chunk. Go
-# runs one fuzz target per invocation, so each target gets its own run.
+# Short fuzz pass over the wire codecs, the server side of the attested
+# handshake, the storage-engine WAL framing, the chunk manifest codec,
+# the FastCDC chunker invariants and chunked reassembly against a store
+# that lies about one chunk. Go runs one fuzz target per invocation, so
+# each target gets its own run.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzParseHello$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run xxx -fuzz '^FuzzServerHandshake$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzUnmarshalEnvelope$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz '^FuzzRecord$$' -fuzztime $(FUZZTIME) ./internal/store/logengine/
 	$(GO) test -run xxx -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/chunk/

@@ -171,12 +171,13 @@ func (c *chunkCache) estimate(tag mle.Tag) uint8 {
 	return est
 }
 
-// add caches data under tag, taking ownership of it (the caller must
-// not modify it again), if it fits or wins admission over each victim
-// it must evict; a rejected candidate leaves the hand on its victim.
-// It appends to out what it displaced: each victim, and the candidate
-// if refused. Adding a cached tag, or after close, does nothing.
-func (c *chunkCache) add(tag mle.Tag, data []byte, out []chunkEntry) []chunkEntry {
+// add caches data under tag if it fits or wins admission over each
+// victim it must evict; a rejected candidate leaves the hand on its
+// victim. Borrowed data is copied once admitted; other data becomes
+// the cache's (the caller must not modify it again). It appends to out
+// what it displaced: each victim, and the candidate, as given, if
+// refused. Adding a cached tag, or after close, does nothing.
+func (c *chunkCache) add(tag mle.Tag, data []byte, borrowed bool, out []chunkEntry) []chunkEntry {
 	n, cand := int64(len(data)), chunkEntry{tag: tag, data: data}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -205,6 +206,9 @@ func (c *chunkCache) add(tag mle.Tag, data []byte, out []chunkEntry) []chunkEntr
 	if c.enc != nil && c.enc.Alloc(n) != nil {
 		return append(out, cand) // enclave memory pressure: caching is optional
 	}
+	if borrowed {
+		cand.data = bytes.Clone(data)
+	}
 	c.m[tag] = len(c.ring)
 	c.ring = append(c.ring, cand)
 	c.bytes += n
@@ -225,14 +229,14 @@ func (c *chunkCache) remove(i int) {
 	c.ring = c.ring[:last]
 }
 
-// offer adds data under tag to the enclave tier, taking ownership of
-// it, and seals into the host tier what that displaces and it lacks.
-func (c *chunkCache) offer(tag mle.Tag, data []byte) {
+// offer adds data under tag to the enclave tier, as add does, and
+// seals into the host tier what that displaces and it lacks.
+func (c *chunkCache) offer(tag mle.Tag, data []byte, borrowed bool) {
 	var buf, evicted [4]chunkEntry
-	for _, e := range c.add(tag, data, buf[:0]) {
+	for _, e := range c.add(tag, data, borrowed, buf[:0]) {
 		if c.host.max > 0 && !c.host.holds(e.tag) {
 			if sealed, err := c.enc.Seal(nil, e.data, spillAD(e.tag)); err == nil {
-				c.host.add(e.tag, sealed, evicted[:0])
+				c.host.add(e.tag, sealed, false, evicted[:0])
 			}
 		}
 	}
@@ -510,9 +514,9 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 	}
 
 	for i := range chunks {
-		// The chunks alias the caller's result: the cache gets clones.
+		// The chunks alias the caller's result: the cache borrows them.
 		if _, ok := rt.chunkCache.get(ctags[i]); !ok {
-			rt.chunkCache.offer(ctags[i], bytes.Clone(chunks[i]))
+			rt.chunkCache.offer(ctags[i], chunks[i], true)
 		}
 	}
 	return func() {
@@ -597,8 +601,8 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 	for _, h := range missing {
 		t, ref := m.tags[h.i], &refs[h.i] // a copy would escape with ref.Hash[:]
 		k, fetched := c.fetchedAt[t]
-		if !fetched { // unsealed from the host tier
-			rt.chunkCache.offer(t, bytes.Clone(out[h.at:][:ref.Length]))
+		if !fetched { // unsealed from the host tier into out, borrowed
+			rt.chunkCache.offer(t, out[h.at:][:ref.Length], true)
 			continue
 		}
 		if data := c.opened[k]; data != nil && len(data) == int(ref.Length) {
@@ -619,7 +623,7 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 		}
 		copy(out[h.at:], data)
 		c.opened[k] = data
-		rt.chunkCache.offer(t, data)
+		rt.chunkCache.offer(t, data, false)
 	}
 	return out, nil
 }

@@ -1221,7 +1221,7 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 	}
 
 	for i := 0; i < shared; i++ {
-		c.offer(tag(i), make([]byte, size))
+		c.offer(tag(i), make([]byte, size), false)
 		check("add shared", i)
 	}
 	for i := 0; i < shared; i++ {
@@ -1231,7 +1231,7 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		check("get shared", i)
 	}
 	for i := shared; i < shared+2*budget/size; i++ {
-		c.offer(tag(i), make([]byte, size))
+		c.offer(tag(i), make([]byte, size), false)
 		check("scan", i)
 	}
 	if c.host.bytes < budget-size-enclave.SealOverhead {
@@ -1243,7 +1243,7 @@ func TestChunkCacheKeepsSharedChunks(t *testing.T) {
 		}
 	}
 
-	c.offer(tag(-1), make([]byte, budget+1))
+	c.offer(tag(-1), make([]byte, budget+1), false)
 	if c.holds(tag(-1)) || c.host.holds(tag(-1)) {
 		t.Error("a chunk larger than the budget was cached")
 	}
@@ -1260,9 +1260,9 @@ func hashTag(i int) mle.Tag {
 // CLOCK hand rule: below budget every chunk is admitted; a stream of
 // once-referenced chunks twice the budget never displaces a chunk
 // referenced three times; a rejected candidate evicts nothing and
-// leaves the hand on its victim; a candidate referenced more often than
-// the victim evicts exactly that victim; and close frees the bytes and
-// the sketch.
+// leaves the hand on its victim, and is not copied if lent; a candidate
+// referenced more often than the victim evicts exactly that victim, and
+// a lent one is copied; and close frees the bytes and the sketch.
 func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 	// Sized so that the whole test stays inside one sketch sample: no
 	// halving ages the hot chunks' counts.
@@ -1278,7 +1278,7 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 		next++
 		tg := hashTag(next)
 		c.get(tg)
-		c.add(tg, make([]byte, size), nil)
+		c.add(tg, make([]byte, size), false, nil)
 		return tg
 	}
 
@@ -1322,21 +1322,28 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 	}
 	rejects := c.rejects.Load()
 	cold := hashTag(-1) // never referenced: estimate 0
-	c.add(cold, make([]byte, size), nil)
+	c.add(cold, make([]byte, size), false, nil)
 	if c.holds(cold) || c.rejects.Load() != rejects+1 {
 		t.Fatalf("a never-referenced candidate was admitted (rejects %d -> %d)", rejects, c.rejects.Load())
 	}
 	if after := tags(); len(after) != len(before) || c.hand != hand || c.bytes != budget {
 		t.Fatalf("rejected candidate: %d -> %d entries, hand %d -> %d, %d bytes; want nothing moved", len(before), len(after), hand, c.hand, c.bytes)
 	}
+	lent, displaced := make([]byte, size), make([]chunkEntry, 0, 4)
+	if n := testing.AllocsPerRun(10, func() { c.add(cold, lent, true, displaced) }); n != 0 {
+		t.Errorf("refusing a lent chunk made %.0f allocations; it is copied only once admitted", n)
+	}
 
 	warm := hashTag(-2)
 	for c.estimate(warm) <= c.estimate(victim) {
 		c.get(warm)
 	}
-	c.add(warm, make([]byte, size), nil)
+	c.add(warm, lent, true, nil)
 	if !c.holds(warm) || c.holds(victim) || c.bytes != budget {
 		t.Fatalf("a candidate counted above the victim: admitted %v, victim kept %v, %d bytes", c.holds(warm), c.holds(victim), c.bytes)
+	}
+	if lent[0] = 1; c.ring[c.m[warm]].data[0] != 0 {
+		t.Error("an admitted lent chunk aliases the lender's buffer")
 	}
 
 	c.close()
@@ -1374,7 +1381,7 @@ func TestChunkCacheConcurrent(t *testing.T) {
 						t.Errorf("cached chunk of %d bytes, want %d", len(data), size)
 					}
 				case 1:
-					c.offer(tg, bytes.Repeat([]byte{byte(k)}, size))
+					c.offer(tg, bytes.Repeat([]byte{byte(k)}, size), false)
 				case 2:
 					if held, _ := c.fill(tg, dst); held && !bytes.Equal(dst, bytes.Repeat([]byte{byte(k)}, size)) {
 						t.Errorf("chunk %d filled with another's bytes", k)
@@ -1466,7 +1473,7 @@ func BenchmarkChunkCacheFamilies(b *testing.B) {
 				}
 				fetched[tiers] += missed * size
 				for _, tg := range offers {
-					c.offer(tg, data)
+					c.offer(tg, data, false)
 				}
 			}
 			c.close()
@@ -1567,7 +1574,7 @@ func TestCloseReleasesChunkCacheCharge(t *testing.T) {
 	if got := enc.HeapUsed(); got != before {
 		t.Fatalf("HeapUsed after Close = %d, want %d as before NewRuntime", got, before)
 	}
-	rt.chunkCache.offer(mle.Tag{1}, make([]byte, 1<<10))
+	rt.chunkCache.offer(mle.Tag{1}, make([]byte, 1<<10), false)
 	if got := enc.HeapUsed(); got != before {
 		t.Fatalf("an add after Close charged the enclave: HeapUsed %d, want %d", got, before)
 	}

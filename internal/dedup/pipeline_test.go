@@ -238,7 +238,7 @@ func (env *pipeEnv) spillChunks() {
 		if err != nil {
 			env.t.Fatal(err)
 		}
-		env.rt.chunkCache.host.add(tag, sealed, nil)
+		env.rt.chunkCache.host.add(tag, sealed, false, nil)
 	}
 }
 

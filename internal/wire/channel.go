@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -280,92 +281,87 @@ type Trust struct {
 	PlatformKeys [][]byte
 }
 
-// hello is the handshake message: a local attestation report, always,
-// plus a remote attestation quote over the same key-exchange data so
-// cross-platform peers can verify.
-type hello struct {
-	report enclave.Report
-	quote  enclave.Quote
+// The handshake is one hello each way. A hello is a local attestation
+// report, always, plus a remote attestation quote over the same
+// key-exchange data so cross-platform peers can verify. The client
+// sends first; the server answers only a hello it accepts.
+
+// appendHello appends a hello's bytes to buf: the report, then the
+// quote, each length-prefixed as the message codec's byte strings are.
+func appendHello(buf []byte, r enclave.Report, q enclave.Quote) []byte {
+	return appendBytes(appendBytes(buf, r.Marshal()), q.Marshal())
 }
 
-func makeHello(e *enclave.Enclave, target enclave.Measurement, data []byte) (hello, error) {
-	h := hello{report: e.Report(target, data)}
-	q, err := e.Quote(data)
+// parseHello decodes what appendHello encoded, and nothing more.
+func parseHello(b []byte) (r enclave.Report, q enclave.Quote, err error) {
+	reportB, b, err := readBytes(b)
 	if err != nil {
-		return hello{}, err
+		return r, q, err
 	}
-	h.quote = q
-	return h, nil
-}
-
-func (h hello) marshal() []byte {
-	report := h.report.Marshal()
-	quote := h.quote.Marshal()
-	buf := make([]byte, 0, 8+len(report)+len(quote))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(report)))
-	buf = append(buf, report...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(quote)))
-	buf = append(buf, quote...)
-	return buf
-}
-
-func parseHello(b []byte) (hello, error) {
-	var h hello
-	readBytes := func() ([]byte, error) {
-		if len(b) < 4 {
-			return nil, ErrMalformed
-		}
-		n := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if uint64(n) > uint64(len(b)) {
-			return nil, ErrMalformed
-		}
-		v := b[:n:n]
-		b = b[n:]
-		return v, nil
-	}
-	reportB, err := readBytes()
+	quoteB, b, err := readBytes(b)
 	if err != nil {
-		return h, err
-	}
-	if h.report, err = enclave.UnmarshalReport(reportB); err != nil {
-		return h, err
-	}
-	quoteB, err := readBytes()
-	if err != nil {
-		return h, err
-	}
-	if h.quote, err = enclave.UnmarshalQuote(quoteB); err != nil {
-		return h, err
+		return r, q, err
 	}
 	if len(b) != 0 {
-		return h, ErrMalformed
+		return r, q, fmt.Errorf("%w: %d bytes after the hello", ErrMalformed, len(b))
 	}
-	return h, nil
+	if r, err = enclave.UnmarshalReport(reportB); err != nil {
+		return r, q, err
+	}
+	q, err = enclave.UnmarshalQuote(quoteB)
+	return r, q, err
 }
 
-// verifyHello authenticates a peer hello: local attestation first
-// (same platform), falling back to a remote attestation quote when a
-// trust set is configured. It returns the attested measurement and the
-// peer's key-exchange data.
-func verifyHello(e *enclave.Enclave, h hello, trust *Trust) (enclave.Measurement, [64]byte, error) {
-	if err := e.VerifyReport(h.report); err == nil {
-		return h.report.Measurement, h.report.Data, nil
+// sendHello makes a fresh X25519 key and writes the hello binding its
+// public half and ProtocolVersion to e: a report for target's enclave
+// and a quote for remote verifiers.
+func sendHello(conn io.Writer, e *enclave.Enclave, target enclave.Measurement) (*ecdh.PrivateKey, error) {
+	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("wire: keygen: %w", err)
 	}
-	if trust != nil {
-		if err := enclave.VerifyQuote(h.quote, trust.PlatformKeys); err == nil {
-			return h.quote.Measurement, h.quote.Data, nil
-		}
+	data := helloData(priv)
+	q, err := e.Quote(data)
+	if err != nil {
+		return nil, err
 	}
-	return enclave.Measurement{}, [64]byte{}, fmt.Errorf("wire: peer attestation: %w", enclave.ErrAttestation)
+	if err := WriteFrame(conn, appendHello(nil, e.Report(target, data), q)); err != nil {
+		return nil, fmt.Errorf("wire: send hello: %w", err)
+	}
+	return priv, nil
 }
 
-// readHelloFrame reads one handshake frame under the pre-attestation
-// size cap: the peer has not proved anything yet, so a length prefix
-// beyond maxHelloSize is rejected before a single byte of payload is
-// read or buffered.
-func readHelloFrame(conn io.Reader) ([]byte, error) {
-	return readFrameLimit(conn, maxHelloSize, nil)
+// recvHello reads the peer's hello and returns the attested measurement
+// and key-exchange data. The peer has proved nothing yet, so a length
+// prefix beyond maxHelloSize is refused before any payload is read. The
+// report is verified first (same platform), then the quote, only under
+// a trust set. A peer accept refuses, or one that speaks any protocol
+// version but ours (a zero byte predates the version byte), is
+// rejected: the refusal is deterministic, so it wraps ErrPeerRejected,
+// which no caller retries.
+func recvHello(conn io.Reader, e *enclave.Enclave, trust *Trust, accept func(enclave.Measurement) bool) (peer enclave.Measurement, data [64]byte, err error) {
+	frame, err := readFrameLimit(conn, maxHelloSize, nil)
+	if err != nil {
+		return peer, data, fmt.Errorf("wire: read hello: %w", err)
+	}
+	r, q, err := parseHello(frame)
+	switch {
+	case err != nil:
+		return peer, data, fmt.Errorf("wire: parse hello: %w", err)
+	case e.VerifyReport(r) == nil:
+		peer, data = r.Measurement, r.Data
+	case trust != nil && enclave.VerifyQuote(q, trust.PlatformKeys) == nil:
+		peer, data = q.Measurement, q.Data
+	default:
+		return peer, data, fmt.Errorf("wire: peer attestation: %w", enclave.ErrAttestation)
+	}
+	if accept != nil && !accept(peer) {
+		return peer, data, ErrPeerRejected
+	}
+	if v := data[helloVersionByte]; v != ProtocolVersion {
+		return peer, data, fmt.Errorf("%w: peer speaks protocol version %d, this build speaks only %d", ErrPeerRejected, v, ProtocolVersion)
+	}
+	return peer, data, nil
 }
 
 // ClientHandshake establishes a channel from the enclave e to a peer
@@ -378,37 +374,15 @@ func ClientHandshake(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasuremen
 // ClientHandshakeTrust is ClientHandshake that additionally accepts a
 // remote server on a platform in the trust set (remote attestation).
 func ClientHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, peerMeasurement enclave.Measurement, trust *Trust) (*Channel, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("wire: keygen: %w", err)
-	}
-	clientHello, err := makeHello(e, peerMeasurement, helloData(priv))
+	priv, err := sendHello(conn, e, peerMeasurement)
 	if err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(conn, clientHello.marshal()); err != nil {
-		return nil, fmt.Errorf("wire: send client hello: %w", err)
-	}
-
-	frame, err := readHelloFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: read server hello: %w", err)
-	}
-	serverHello, err := parseHello(frame)
-	if err != nil {
-		return nil, fmt.Errorf("wire: parse server hello: %w", err)
-	}
-	peerMeas, peerData, err := verifyHello(e, serverHello, trust)
+	peer, data, err := recvHello(conn, e, trust, func(m enclave.Measurement) bool { return m == peerMeasurement })
 	if err != nil {
 		return nil, err
 	}
-	if peerMeas != peerMeasurement {
-		return nil, ErrPeerRejected
-	}
-	if err := checkVersion(peerData); err != nil {
-		return nil, err
-	}
-	return deriveChannel(conn, priv, peerMeas, peerData, true)
+	return deriveChannel(conn, priv, peer, data, true)
 }
 
 // ServerHandshake accepts a channel at the enclave e from a client on
@@ -421,37 +395,15 @@ func ServerHandshake(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(en
 // ServerHandshakeTrust is ServerHandshake that additionally accepts
 // remote clients on platforms in the trust set (remote attestation).
 func ServerHandshakeTrust(conn io.ReadWriteCloser, e *enclave.Enclave, accept func(enclave.Measurement) bool, trust *Trust) (*Channel, error) {
-	frame, err := readHelloFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("wire: read client hello: %w", err)
-	}
-	clientHello, err := parseHello(frame)
-	if err != nil {
-		return nil, fmt.Errorf("wire: parse client hello: %w", err)
-	}
-	clientMeas, clientData, err := verifyHello(e, clientHello, trust)
+	peer, data, err := recvHello(conn, e, trust, accept)
 	if err != nil {
 		return nil, err
 	}
-	if accept != nil && !accept(clientMeas) {
-		return nil, ErrPeerRejected
-	}
-	if err := checkVersion(clientData); err != nil {
-		return nil, err
-	}
-
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("wire: keygen: %w", err)
-	}
-	serverHello, err := makeHello(e, clientMeas, helloData(priv))
+	priv, err := sendHello(conn, e, peer)
 	if err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(conn, serverHello.marshal()); err != nil {
-		return nil, fmt.Errorf("wire: send server hello: %w", err)
-	}
-	return deriveChannel(conn, priv, clientMeas, clientData, false)
+	return deriveChannel(conn, priv, peer, data, false)
 }
 
 // helloVersionByte is where the hello's key-exchange data carries the
@@ -468,17 +420,6 @@ func helloData(priv *ecdh.PrivateKey) []byte {
 	return data
 }
 
-// checkVersion refuses an attested peer that speaks any protocol
-// version but ours (a zero byte is a peer predating the version byte).
-// The refusal is deterministic — re-dialing the same peer meets the
-// same byte — so it wraps ErrPeerRejected, which no caller retries.
-func checkVersion(peerData [64]byte) error {
-	if v := peerData[helloVersionByte]; v != ProtocolVersion {
-		return fmt.Errorf("%w: peer speaks protocol version %d, this build speaks only %d", ErrPeerRejected, v, ProtocolVersion)
-	}
-	return nil
-}
-
 func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas enclave.Measurement, peerData [64]byte, isClient bool) (*Channel, error) {
 	peerPub, err := ecdh.X25519().NewPublicKey(peerData[:32])
 	if err != nil {
@@ -492,13 +433,8 @@ func deriveChannel(conn io.ReadWriteCloser, priv *ecdh.PrivateKey, peerMeas encl
 	c2sKey := hkdfKey(shared, "speed/c2s")
 	s2cKey := hkdfKey(shared, "speed/s2c")
 	c2s, err := newAEAD(c2sKey)
-	if err != nil {
-		mle.Zeroize(c2sKey)
-		mle.Zeroize(s2cKey)
-		return nil, err
-	}
-	s2c, err := newAEAD(s2cKey)
-	if err != nil {
+	s2c, err2 := newAEAD(s2cKey)
+	if err = cmp.Or(err, err2); err != nil {
 		mle.Zeroize(c2sKey)
 		mle.Zeroize(s2cKey)
 		return nil, err

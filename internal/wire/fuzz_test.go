@@ -70,7 +70,8 @@ func itemCount(m Message) int {
 	return 0
 }
 
-// FuzzParseHello: arbitrary handshake frames must never panic.
+// FuzzParseHello: arbitrary handshake frames must never panic, and
+// the hello is canonical: an accepted frame re-encodes to its bytes.
 func FuzzParseHello(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
@@ -79,13 +80,66 @@ func FuzzParseHello(f *testing.F) {
 	p := enclave.NewPlatform(enclave.Config{})
 	if e, err := p.Create("fuzz", []byte("code")); err == nil {
 		if priv, err := ecdh.X25519().GenerateKey(rand.Reader); err == nil {
-			if h, err := makeHello(e, enclave.Measurement{}, helloData(priv)); err == nil {
-				f.Add(h.marshal())
+			if q, err := e.Quote(helloData(priv)); err == nil {
+				f.Add(appendHello(nil, e.Report(enclave.Measurement{}, helloData(priv)), q))
 			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = parseHello(data)
+		r, q, err := parseHello(data)
+		if err != nil {
+			return
+		}
+		if again := appendHello(nil, r, q); !bytes.Equal(again, data) {
+			t.Fatalf("accepted hello is not canonical:\n in  %x\n out %x", data, again)
+		}
+	})
+}
+
+// FuzzServerHandshake: whatever a client sends as its hello,
+// ServerHandshakeTrust, with and without a trust set, never panics and
+// returns a channel only for a hello whose report the enclave here
+// made for the server or, under the trust set, whose quote it made.
+// Byte mutations cannot forge a MAC or a signature, so any other
+// accepted hello is a broken check.
+func FuzzServerHandshake(f *testing.F) {
+	p := enclave.NewPlatform(enclave.Config{})
+	app, err := p.Create("app", []byte("app code"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := p.Create("store", []byte("store code"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	reports, quotes := map[enclave.Report]bool{}, map[string]bool{}
+	for _, target := range []enclave.Measurement{st.Measurement(), {}} { // the report verifies, or only the quote
+		c, s := bufPipe()
+		if _, err := sendHello(c, app, target); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(s.r.Bytes()))
+		frame, _ := readFrameLimit(s.r, maxHelloSize, nil)
+		r, q, _ := parseHello(frame)
+		reports[r] = target == st.Measurement()
+		quotes[string(q.Marshal())] = true
+	}
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00}) // 16 MiB announced
+	trusted := &Trust{PlatformKeys: [][]byte{p.AttestationPublicKey()}}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, trust := range []*Trust{nil, trusted} {
+			c, s := bufPipe()
+			c.w.Write(in)
+			ch, err := ServerHandshakeTrust(s, st, nil, trust)
+			if err != nil {
+				continue
+			}
+			frame, _ := readFrameLimit(bytes.NewReader(in), maxHelloSize, nil)
+			r, q, _ := parseHello(frame)
+			if ch.Peer() != app.Measurement() || !reports[r] && !(trust != nil && quotes[string(q.Marshal())]) {
+				t.Fatalf("trust %v: channel to %x for a hello the app enclave never made: %x", trust != nil, ch.Peer(), in)
+			}
+		}
 	})
 }
 

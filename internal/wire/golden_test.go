@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"speed/internal/enclave"
 	"speed/internal/mle"
 )
 
@@ -104,5 +105,31 @@ func TestGoldenEncodings(t *testing.T) {
 		if got := AppendEnvelope(nil, 7, tc.tc, req); hex.EncodeToString(got) != tc.want {
 			t.Errorf("%s envelope:\n got  %x\n want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestGoldenHello pins the handshake hello's bytes: the report, then
+// the quote, each behind a 4-byte big-endian length. A hello made by an
+// enclave cannot be a golden vector (its quote's ECDSA signature draws
+// a fresh nonce), so this one is built from a fixed report and quote.
+func TestGoldenHello(t *testing.T) {
+	var data [64]byte
+	share := goldenTag(0x40)
+	copy(data[:], share[:])
+	data[32] = 4 // protocol version
+	r := enclave.Report{Measurement: enclave.Measurement(goldenTag(0)), Target: enclave.Measurement(goldenTag(0x20)),
+		Data: data, MAC: [32]byte(goldenTag(0x80))}
+	q := enclave.Quote{Measurement: r.Measurement, Data: data, PlatformKey: []byte("pkix"), Sig: []byte("sig")}
+	const (
+		measurement = "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+		target      = "202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
+		attested    = "404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f" +
+			"0400000000000000000000000000000000000000000000000000000000000000"
+		mac = "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f"
+	)
+	want := "000000a0" + measurement + target + attested + mac +
+		"0000006f" + measurement + attested + "00000004" + "706b6978" + "00000003" + "736967"
+	if got := hex.EncodeToString(appendHello(nil, r, q)); got != want {
+		t.Errorf("hello:\n got  %s\n want %s", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"crypto/cipher"
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -351,39 +352,59 @@ func TestRecvAuthFailAccounting(t *testing.T) {
 	}
 }
 
+// helloCap is the hello size cap the handshakes are meant to enforce,
+// written out rather than taken from maxHelloSize so that raising the
+// cap fails the tests below.
+const helloCap = 64 << 10
+
+// oversizedHello announces a hello of the given length, with no payload
+// behind it, to ServerHandshake as a client's hello and to
+// ClientHandshake as the server's reply, and returns the errors each
+// handshake gave.
+func oversizedHello(app, st *enclave.Enclave, announced uint32) (serverErr, clientErr error) {
+	prefix := binary.BigEndian.AppendUint32(nil, announced)
+	attacker, server := bufPipe()
+	attacker.Write(prefix)
+	_, serverErr = ServerHandshake(server, st, nil)
+	client, attacker := bufPipe()
+	attacker.Write(prefix)
+	_, clientErr = ClientHandshake(client, app, st.Measurement())
+	return serverErr, clientErr
+}
+
 // TestOversizedHelloRejected is the pre-attestation resource-exhaustion
-// fix: a handshake frame announcing more than maxHelloSize is rejected
-// on the length prefix alone — before the announced payload is
-// allocated or read.
+// fix: a hello announcing more than maxHelloSize is rejected by both
+// handshakes on the length prefix alone — before the announced payload
+// is allocated or read.
 func TestOversizedHelloRejected(t *testing.T) {
+	p := enclave.NewPlatform(enclave.Config{})
+	app, _ := p.Create("app", []byte("app code"))
+	st, _ := p.Create("store", []byte("store code"))
 	// A length prefix of 1 MiB is a legal frame (< MaxFrameSize) but an
 	// illegal hello (> maxHelloSize).
-	oversized := make([]byte, frameHeaderLen)
 	const announced = 1 << 20
-	oversized[1] = announced >> 16 // big-endian 0x00100000
-
-	r := bytes.NewReader(oversized)
-	if _, err := readHelloFrame(r); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("readHelloFrame = %v, want ErrFrameTooLarge", err)
+	if serverErr, clientErr := oversizedHello(app, st, announced); !errors.Is(serverErr, ErrFrameTooLarge) || !errors.Is(clientErr, ErrFrameTooLarge) {
+		t.Fatalf("ServerHandshake = %v, ClientHandshake = %v; want ErrFrameTooLarge from both", serverErr, clientErr)
 	}
 	// Rejection must be cheap: no buffer anywhere near the announced
-	// size may have been allocated. Error construction allocates a few
-	// small objects, so bound bytes, not allocation counts.
+	// size may have been allocated. Error construction and the client's
+	// own hello allocate a few small objects (about 10 KiB a round), so
+	// bound bytes, not allocation counts.
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 10; i++ {
-		r.Reset(oversized)
-		if _, err := readHelloFrame(r); !errors.Is(err, ErrFrameTooLarge) {
-			t.Fatalf("readHelloFrame = %v, want ErrFrameTooLarge", err)
+		if serverErr, clientErr := oversizedHello(app, st, announced); !errors.Is(serverErr, ErrFrameTooLarge) || !errors.Is(clientErr, ErrFrameTooLarge) {
+			t.Fatalf("ServerHandshake = %v, ClientHandshake = %v; want ErrFrameTooLarge from both", serverErr, clientErr)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > announced {
-		t.Errorf("rejecting 10 oversized hellos allocated %d bytes; the announced size must not be allocated", grew)
+		t.Errorf("rejecting 20 oversized hellos allocated %d bytes; the announced size must not be allocated", grew)
 	}
 
 	// The same prefix is fine for an established channel's frames...
+	oversized := binary.BigEndian.AppendUint32(nil, announced)
 	if _, err := readFrameLimit(bytes.NewReader(oversized), MaxFrameSize, nil); err != nil && errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("1 MiB frame rejected on an established channel: %v", err)
 	}
@@ -395,16 +416,22 @@ func TestOversizedHelloRejected(t *testing.T) {
 }
 
 // TestHandshakeRejectsOversizedHello drives the cap end to end: a raw
-// client that announces a huge hello is cut off by ServerHandshake.
+// peer that announces a hello one byte over the cap, or a 16 MiB one
+// (within MaxFrameSize, far over the cap), is cut off by
+// ServerHandshake when it is the client and by ClientHandshake when it
+// is the server.
 func TestHandshakeRejectsOversizedHello(t *testing.T) {
-	attacker, victim := bufPipe()
-	// 16 MiB announced hello: within MaxFrameSize, far over maxHelloSize.
-	if _, err := attacker.Write([]byte{0x01, 0x00, 0x00, 0x00}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := readHelloFrame(victim)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("server hello read = %v, want ErrFrameTooLarge", err)
+	p := enclave.NewPlatform(enclave.Config{})
+	app, _ := p.Create("app", []byte("app code"))
+	st, _ := p.Create("store", []byte("store code"))
+	for _, announced := range []uint32{helloCap + 1, 16 << 20} {
+		serverErr, clientErr := oversizedHello(app, st, announced)
+		if !errors.Is(serverErr, ErrFrameTooLarge) {
+			t.Errorf("announced %d: ServerHandshake = %v, want ErrFrameTooLarge", announced, serverErr)
+		}
+		if !errors.Is(clientErr, ErrFrameTooLarge) {
+			t.Errorf("announced %d: ClientHandshake = %v, want ErrFrameTooLarge", announced, clientErr)
+		}
 	}
 }
 

@@ -184,3 +184,33 @@ func TestSeededPlatformAttestationKeyStable(t *testing.T) {
 		t.Error("different seeds produced identical attestation keys")
 	}
 }
+
+// TestClientHandshakeRejectsWrongRemoteServer isolates the client's
+// measurement check: the server, on a platform the client trusts,
+// verifies the client's quote and answers with a valid hello, so only
+// the client's "equals peerMeasurement" predicate can refuse it.
+func TestClientHandshakeRejectsWrongRemoteServer(t *testing.T) {
+	pA, pB := enclave.NewPlatform(enclave.Config{}), enclave.NewPlatform(enclave.Config{})
+	app, _ := pA.Create("app", []byte("app code"))
+	st, _ := pB.Create("store", []byte("store code"))
+	var wrong enclave.Measurement
+	wrong[0] = 0xFF
+
+	cConn, sConn := net.Pipe()
+	defer cConn.Close()
+	serr := make(chan error, 1)
+	go func() {
+		ch, err := ServerHandshakeTrust(sConn, st, nil, &Trust{PlatformKeys: [][]byte{pA.AttestationPublicKey()}})
+		if err == nil {
+			ch.Close()
+		}
+		serr <- err
+	}()
+	_, err := ClientHandshakeTrust(cConn, app, wrong, &Trust{PlatformKeys: [][]byte{pB.AttestationPublicKey()}})
+	if !errors.Is(err, ErrPeerRejected) {
+		t.Errorf("ClientHandshakeTrust to the wrong, attested server = %v, want ErrPeerRejected", err)
+	}
+	if err := <-serr; err != nil {
+		t.Errorf("the server refused the client (%v); the test wants only the client's check to refuse", err)
+	}
+}
