@@ -72,6 +72,7 @@ const sketchRows = 4
 // its hand finds unreferenced only for a candidate the sketch counts
 // strictly more often, and otherwise drops the candidate.
 type chunkCache struct {
+	offerMu sync.Mutex // serializes offer, the one path between the tiers
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
@@ -148,10 +149,21 @@ func (c *chunkCache) holds(tag mle.Tag) bool {
 	return ok
 }
 
-// lacking calls f with the index of each of tags neither tier holds.
+// lacking calls f with the index of each of tags, a manifest's chunks,
+// that neither tier holds, taking each tier's lock once.
 func (c *chunkCache) lacking(tags []mle.Tag, f func(i int)) {
-	for i, t := range tags {
-		if !c.holds(t) && !c.host.holds(t) {
+	var held [chunk.MaxManifestChunks / 64]uint64
+	for _, tier := range [...]*chunkCache{c, c.host} {
+		tier.mu.Lock()
+		for i, t := range tags {
+			if _, ok := tier.m[t]; ok {
+				held[i/64] |= 1 << (i % 64)
+			}
+		}
+		tier.mu.Unlock()
+	}
+	for i := range tags {
+		if held[i/64]>>(i%64)&1 == 0 {
 			f(i)
 		}
 	}
@@ -229,12 +241,18 @@ func (c *chunkCache) remove(i int) {
 	c.ring = c.ring[:last]
 }
 
-// offer adds data under tag to the enclave tier, as add does, and
-// seals into the host tier what that displaces and it lacks.
+// offer adds data under tag to the enclave tier, as add does, unless
+// the host tier holds it, and seals into the host tier what that
+// displaces. Offers run one at a time, so no tag is ever in both tiers.
 func (c *chunkCache) offer(tag mle.Tag, data []byte, borrowed bool) {
 	var buf, evicted [4]chunkEntry
+	c.offerMu.Lock()
+	defer c.offerMu.Unlock()
+	if c.host.holds(tag) {
+		return
+	}
 	for _, e := range c.add(tag, data, borrowed, buf[:0]) {
-		if c.host.max > 0 && !c.host.holds(e.tag) {
+		if c.host.max > 0 {
 			if sealed, err := c.enc.Seal(nil, e.data, spillAD(e.tag)); err == nil {
 				c.host.add(e.tag, sealed, false, evicted[:0])
 			}
@@ -247,25 +265,25 @@ func (c *chunkCache) offer(tag mle.Tag, data []byte, borrowed bool) {
 func spillAD(tag mle.Tag) []byte { return append([]byte("speed/dedup chunk spill v1\x00"), tag[:]...) }
 
 // fill copies tag's chunk into dst, of its length, from the enclave
-// tier or else unsealed from the host tier (spilled); a host entry that
-// does not unseal to len(dst) bytes is dropped and reads as not held.
-func (c *chunkCache) fill(tag mle.Tag, dst []byte) (held, spilled bool) {
+// tier or else unsealed from the host tier, where it stays; a host entry
+// that does not unseal to len(dst) bytes is dropped and reads as not held.
+func (c *chunkCache) fill(tag mle.Tag, dst []byte) bool {
 	if data, ok := c.get(tag); ok && len(data) == len(dst) {
 		copy(dst, data)
-		return true, false
+		return true
 	}
 	sealed, ok := c.host.get(tag)
 	if !ok {
-		return false, false
+		return false
 	}
 	pt, err := c.enc.Unseal(dst[:0:len(dst)], sealed, spillAD(tag))
 	if err != nil || len(pt) != len(dst) {
 		c.host.drop(tag)
 		c.spillFailures.Add(1)
-		return false, false
+		return false
 	}
 	c.spillHits.Add(1)
-	return true, true
+	return true
 }
 
 // drop removes tag's entry, if the tier holds one.
@@ -563,14 +581,14 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 	// verified once; its repeats share its plaintext.
 	cid, refs := chunk.ContentFuncID(c.id), m.man.Refs
 	out := make([]byte, m.man.Total)
-	type hole struct{ i, at int } // a chunk the enclave tier lacked, offered to it in order
+	type hole struct{ i, at int } // a chunk neither tier held, offered to the enclave tier in order
 	var missing []hole
 	var fetch []mle.Tag
 	for i, at := 0, 0; i < len(refs); i++ {
 		t, n := m.tags[i], int(refs[i].Length)
-		if held, spilled := rt.chunkCache.fill(t, out[at:at+n]); spilled || !held {
+		if !rt.chunkCache.fill(t, out[at:at+n]) {
 			missing = append(missing, hole{i, at})
-			if _, ok := c.fetchedAt[t]; !held && !ok {
+			if _, ok := c.fetchedAt[t]; !ok {
 				fetch = append(fetch, t)
 			}
 		}
@@ -600,11 +618,7 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 	rt.mu.Unlock()
 	for _, h := range missing {
 		t, ref := m.tags[h.i], &refs[h.i] // a copy would escape with ref.Hash[:]
-		k, fetched := c.fetchedAt[t]
-		if !fetched { // unsealed from the host tier into out, borrowed
-			rt.chunkCache.offer(t, out[h.at:][:ref.Length], true)
-			continue
-		}
+		k := c.fetchedAt[t]
 		if data := c.opened[k]; data != nil && len(data) == int(ref.Length) {
 			copy(out[h.at:], data)
 			continue

@@ -987,6 +987,90 @@ func TestChunkSpillHoldsNoPlaintext(t *testing.T) {
 	}
 }
 
+// sealInHostTier seals data into rt's host tier under the chunk tag of
+// the call id, as the enclave tier does with a chunk it displaces, and
+// returns that tag.
+func sealInHostTier(t *testing.T, rt *Runtime, id mle.FuncID, data []byte) mle.Tag {
+	t.Helper()
+	tag := chunk.Tag(chunk.ContentFuncID(id), chunk.Hash(data))
+	sealed, err := rt.Enclave().Seal(nil, data, spillAD(tag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.chunkCache.host.add(tag, sealed, false, nil)
+	return tag
+}
+
+// TestHostTierHitStaysSealed: a hit whose chunks all sit sealed in the
+// host tier unseals each straight into its output and leaves it there.
+// No chunk is fetched or promoted: the enclave tier holds the same
+// bytes as before, and every chunk counts as a chunk cache hit.
+func TestHostTierHitStaysSealed(t *testing.T) {
+	p, st := newChunkStore(t)
+	writer := newChunkRuntime(t, p, st, "writer", chunkTestThreshold)
+	reader := newChunkRuntime(t, p, st, "reader", chunkTestThreshold)
+	id := chunkFuncID(t, writer)
+	want := chunkResult(61, 160<<10)
+	if _, _, err := writer.Execute(id, []byte("in"), func([]byte) ([]byte, error) { return bytes.Clone(want), nil }); err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	var tags []mle.Tag
+	for _, ch := range reader.chunker.Split(want) {
+		tags = append(tags, sealInHostTier(t, reader, id, ch))
+	}
+	c := reader.chunkCache
+	enclaveBytes, before := c.bytes, reader.Stats()
+	got, outcome, err := reader.Execute(id, []byte("in"), func([]byte) ([]byte, error) {
+		t.Error("recomputed a stored result")
+		return bytes.Clone(want), nil
+	})
+	if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
+		t.Fatalf("reader: outcome %v, err %v, result equal %v", outcome, err, bytes.Equal(got, want))
+	}
+	n := int64(len(tags))
+	if s := subStats(reader.Stats(), before); s.ChunkSpillHits != n || s.ChunkCacheHits != n || s.ChunksFetched != 0 {
+		t.Errorf("the hit unsealed %d chunks, counted %d cache hits and fetched %d; want %d, %d and 0", s.ChunkSpillHits, s.ChunkCacheHits, s.ChunksFetched, n, n)
+	}
+	if c.bytes != enclaveBytes {
+		t.Errorf("the enclave tier holds %d bytes after the hit, %d before", c.bytes, enclaveBytes)
+	}
+	for i, tg := range tags {
+		if c.holds(tg) || !c.host.holds(tg) {
+			t.Errorf("chunk %d: in the enclave tier %v, in the host tier %v; want only the host tier", i, c.holds(tg), c.host.holds(tg))
+		}
+	}
+}
+
+// TestMissLeavesHostTierChunkThere: a miss whose result has a chunk
+// the host tier holds counts one reference to it, as to every chunk it
+// produces, but does not admit it to the enclave tier: the chunk stays
+// in the host tier alone, and the result's other chunks enter the
+// enclave tier.
+func TestMissLeavesHostTierChunkThere(t *testing.T) {
+	p, st := newChunkStore(t)
+	rt := newChunkRuntime(t, p, st, "producer", chunkTestThreshold)
+	id := chunkFuncID(t, rt)
+	want := chunkResult(62, 160<<10)
+	chunks := rt.chunker.Split(want)
+	held := sealInHostTier(t, rt, id, chunks[1])
+	c := rt.chunkCache
+	refs := c.estimate(held)
+	if _, outcome, err := rt.Execute(id, []byte("in"), func([]byte) ([]byte, error) { return bytes.Clone(want), nil }); err != nil || outcome != OutcomeComputed {
+		t.Fatalf("Execute: outcome %v, err %v", outcome, err)
+	}
+	if c.holds(held) || !c.host.holds(held) {
+		t.Errorf("the host tier's chunk: in the enclave tier %v, in the host tier %v; want only the host tier", c.holds(held), c.host.holds(held))
+	}
+	if got := c.estimate(held); got != refs+1 {
+		t.Errorf("the host tier's chunk counts %d references after the miss, %d before; want one more", got, refs)
+	}
+	for i, ch := range chunks {
+		if tg := chunk.Tag(chunk.ContentFuncID(id), chunk.Hash(ch)); tg != held && !c.holds(tg) {
+			t.Errorf("chunk %d of the miss is not in the enclave tier", i)
+		}
+	}
+}
+
 // TestManifestRecordBound: the record keeps under its byte budget,
 // holding sealed triples and nothing else, however many manifests pass
 // through it; a lookup gets a copy the host can no longer change.
@@ -1352,11 +1436,11 @@ func TestChunkCacheAdmitsByFrequency(t *testing.T) {
 	}
 }
 
-// TestChunkCacheConcurrent drives get, offer, fill and contains from
-// several goroutines over a shared tag set that overflows both tiers
-// (run it under -race): every chunk filled from either tier is its
-// own, and afterwards each tier is within budget and the enclave
-// charge matches the enclave tier.
+// TestChunkCacheConcurrent drives get, offer, fill, holds and lacking
+// from several goroutines over a shared tag set that overflows both
+// tiers (run it under -race): every chunk filled from either tier is
+// its own, and afterwards no tag is in both tiers, each tier is within
+// budget and the enclave charge matches the enclave tier.
 func TestChunkCacheConcurrent(t *testing.T) {
 	const budget, workers, ops, size = 32 << 10, 4, 2000, 1 << 10
 	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
@@ -1375,7 +1459,7 @@ func TestChunkCacheConcurrent(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				k := rng.Intn(96)
 				tg := hashTag(k)
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					if data, ok := c.get(tg); ok && len(data) != size {
 						t.Errorf("cached chunk of %d bytes, want %d", len(data), size)
@@ -1383,9 +1467,11 @@ func TestChunkCacheConcurrent(t *testing.T) {
 				case 1:
 					c.offer(tg, bytes.Repeat([]byte{byte(k)}, size), false)
 				case 2:
-					if held, _ := c.fill(tg, dst); held && !bytes.Equal(dst, bytes.Repeat([]byte{byte(k)}, size)) {
+					if c.fill(tg, dst) && !bytes.Equal(dst, bytes.Repeat([]byte{byte(k)}, size)) {
 						t.Errorf("chunk %d filled with another's bytes", k)
 					}
+				case 3:
+					c.lacking([]mle.Tag{tg, hashTag(k + 1)}, func(int) {})
 				default:
 					c.holds(tg)
 				}
@@ -1393,6 +1479,11 @@ func TestChunkCacheConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
+	for tg := range c.m {
+		if c.host.holds(tg) {
+			t.Errorf("chunk %x... is in both tiers", tg[:4])
+		}
+	}
 	if c.bytes > budget || c.host.bytes > budget || enc.HeapUsed()-base != c.bytes+int64(len(c.sketch)) {
 		t.Fatalf("tiers hold %d and %d bytes (budget %d each); enclave charge %d", c.bytes, c.host.bytes, budget, enc.HeapUsed()-base)
 	}
@@ -1410,7 +1501,8 @@ func TestChunkCacheConcurrent(t *testing.T) {
 // size, once with its enclave tier alone and once with the sealed host
 // tier behind it: 64 families × 32 variants of 32 chunks of 8 KiB,
 // each variant its family's chunks with 4 of them replaced, read in
-// Zipf order (s = 1) by a consumer that fetches what the cache misses.
+// Zipf order (s = 1) by a consumer that fetches what neither tier
+// holds and offers it to the enclave tier.
 // It reports the MiB fetched and the fetch rounds (reads that missed
 // any chunk) per stream of 20,000 reads, each without and with the
 // host tier; it times nothing worth gating.
@@ -1456,22 +1548,18 @@ func BenchmarkChunkCacheFamilies(b *testing.B) {
 			c := newChunkCache(enc, defaultChunkCacheBytes, hostMax)
 			fetched[tiers], rounds[tiers] = 0, 0
 			for _, id := range stream {
-				// As manifestReuse does: what the enclave tier lacked is
-				// offered to it in order, unsealed or fetched.
+				// As manifestReuse does: what neither tier held is fetched,
+				// then offered to the enclave tier in order.
 				var offers []mle.Tag
-				missed := int64(0)
 				for _, tg := range results[id] {
-					if held, fromHost := c.fill(tg, dst); fromHost || !held {
+					if !c.fill(tg, dst) {
 						offers = append(offers, tg)
-						if !held {
-							missed++
-						}
 					}
 				}
-				if missed > 0 {
+				if len(offers) > 0 {
 					rounds[tiers]++
 				}
-				fetched[tiers] += missed * size
+				fetched[tiers] += int64(len(offers)) * size
 				for _, tg := range offers {
 					c.offer(tg, data, false)
 				}

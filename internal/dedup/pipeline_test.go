@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"speed/internal/chunk"
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
@@ -231,14 +230,8 @@ func (env *pipeEnv) recordManifest(mutate func(*mle.Sealed)) {
 // the chunks it evicts.
 func (env *pipeEnv) spillChunks() {
 	want, _ := pipeBig(pipeInput)
-	cid := chunk.ContentFuncID(env.id)
 	for _, ch := range env.rt.chunker.Split(want) {
-		tag := chunk.Tag(cid, chunk.Hash(ch))
-		sealed, err := env.appEnc.Seal(nil, ch, spillAD(tag))
-		if err != nil {
-			env.t.Fatal(err)
-		}
-		env.rt.chunkCache.host.add(tag, sealed, false, nil)
+		sealInHostTier(env.t, env.rt, env.id, ch)
 	}
 }
 
@@ -677,8 +670,9 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	n := int64(entry.fillers)
 	filler.Calls = 1
 	wantStats = addStats(wantStats, filler, n)
-	if sc.spilled {
+	if sc.spilled { // a chunk the host tier serves is a chunk cache hit too
 		wantStats.ChunkSpillHits = int64(len(env.rt.chunker.Split(want)))
+		wantStats.ChunkCacheHits = wantStats.ChunkSpillHits
 	}
 	if sc.fetches {
 		n := int64(len(env.rt.chunker.Split(want)))

@@ -129,10 +129,10 @@ type Stats struct {
 	// PrefetchMisses counts manifest hits that still needed a second
 	// chunk GET.
 	PrefetchMisses int64
-	// ChunkCacheHits counts manifest chunks served from the local chunk
-	// cache without touching the store.
+	// ChunkCacheHits counts manifest chunks either tier of the local
+	// chunk cache served without touching the store.
 	ChunkCacheHits int64
-	// ChunkSpillHits counts manifest chunks its sealed host tier served,
+	// ChunkSpillHits counts those the sealed host tier served,
 	// ChunkSpillFailures its entries dropped for not unsealing to theirs.
 	ChunkSpillHits, ChunkSpillFailures int64
 	// ChunkCacheRejects counts fetched or produced chunks the chunk

@@ -147,8 +147,8 @@ func newRTMetrics(reg *telemetry.Registry, rt *Runtime, sampleRate int) *rtMetri
 		{"speed_runtime_chunks_fetched_total", "manifest chunks fetched from the store", func(s Stats) int64 { return s.ChunksFetched }},
 		{"speed_runtime_chunks_prefetched_total", "manifest chunks fetched in the lookup's GET", func(s Stats) int64 { return s.ChunksPrefetched }},
 		{"speed_runtime_prefetch_misses_total", "manifest hits that needed a second chunk GET", func(s Stats) int64 { return s.PrefetchMisses }},
-		{"speed_runtime_chunk_cache_hits_total", "manifest chunks served from the in-enclave chunk cache", func(s Stats) int64 { return s.ChunkCacheHits }},
-		{"speed_runtime_chunk_spill_hits_total", "manifest chunks served from the sealed host-memory chunk tier", func(s Stats) int64 { return s.ChunkSpillHits }},
+		{"speed_runtime_chunk_cache_hits_total", "manifest chunks served from either tier of the chunk cache", func(s Stats) int64 { return s.ChunkCacheHits }},
+		{"speed_runtime_chunk_spill_hits_total", "manifest chunks served from the sealed host-memory chunk tier (a share of the cache hits)", func(s Stats) int64 { return s.ChunkSpillHits }},
 		{"speed_runtime_chunk_spill_failures_total", "host-memory chunk entries that failed to unseal and were fetched", func(s Stats) int64 { return s.ChunkSpillFailures }},
 		{"speed_runtime_chunk_cache_rejects_total", "chunks the in-enclave chunk cache declined to admit", func(s Stats) int64 { return s.ChunkCacheRejects }},
 	} {

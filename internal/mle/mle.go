@@ -193,7 +193,7 @@ func NewSingleKey(key [KeySize]byte, rnd io.Reader) *SingleKey {
 // a different computation's dictionary entry.
 func (s *SingleKey) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
 	tag := ComputeTag(id, input)
-	blob, err := sealAESGCMWithAD(s.key[:], result, tag[:], s.rand)
+	blob, err := sealAESGCM(s.key[:], result, tag[:], s.rand)
 	if err != nil {
 		return Sealed{}, err
 	}
@@ -204,7 +204,7 @@ func (s *SingleKey) Encrypt(id FuncID, input, result []byte) (Sealed, error) {
 // when it is inauthentic or was sealed for another computation.
 func (s *SingleKey) Decrypt(id FuncID, input []byte, sl Sealed) ([]byte, error) {
 	tag := ComputeTag(id, input)
-	return openAESGCMWithAD(s.key[:], sl.Blob, tag[:])
+	return openAESGCM(s.key[:], sl.Blob, tag[:])
 }
 
 // GenerateKey produces a fresh random AES-128 key, the paper's
@@ -220,11 +220,7 @@ func GenerateKey(rnd io.Reader) ([]byte, error) {
 	return key, nil
 }
 
-func sealAESGCM(key, plaintext []byte, rnd io.Reader) ([]byte, error) {
-	return sealAESGCMWithAD(key, plaintext, nil, rnd)
-}
-
-func sealAESGCMWithAD(key, plaintext, ad []byte, rnd io.Reader) ([]byte, error) {
+func sealAESGCM(key, plaintext, ad []byte, rnd io.Reader) ([]byte, error) {
 	aead, err := newAEAD(key)
 	if err != nil {
 		return nil, err
@@ -238,11 +234,7 @@ func sealAESGCMWithAD(key, plaintext, ad []byte, rnd io.Reader) ([]byte, error) 
 	return aead.Seal(out, out[:nonceSize], plaintext, ad), nil
 }
 
-func openAESGCM(key, blob []byte) ([]byte, error) {
-	return openAESGCMWithAD(key, blob, nil)
-}
-
-func openAESGCMWithAD(key, blob, ad []byte) ([]byte, error) {
+func openAESGCM(key, blob, ad []byte) ([]byte, error) {
 	aead, err := newAEAD(key)
 	if err != nil {
 		return nil, err

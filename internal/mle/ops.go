@@ -63,11 +63,11 @@ func EncryptResult(key, result []byte, rnd io.Reader) ([]byte, error) {
 	if rnd == nil {
 		rnd = rand.Reader
 	}
-	return sealAESGCM(key, result, rnd)
+	return sealAESGCM(key, result, nil, rnd)
 }
 
 // DecryptResult performs the "Result Dec." operation of Table I,
 // returning ErrAuthFailed when the blob fails its authenticity check.
 func DecryptResult(key, blob []byte) ([]byte, error) {
-	return openAESGCM(key, blob)
+	return openAESGCM(key, blob, nil)
 }

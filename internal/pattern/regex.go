@@ -117,11 +117,10 @@ type parser struct {
 	prog []inst
 }
 
+// emit appends in and returns its index, or -1 once the program is
+// full, which the caller reports as "program too large".
 func (p *parser) emit(in inst) int32 {
 	if len(p.prog) >= maxProgramSize {
-		// Surfaced as a parse error by the caller via panic/recover?
-		// Simpler: grow unbounded is unsafe; truncate with error via
-		// sentinel. We return -1 and let patch/parse detect it.
 		return -1
 	}
 	p.prog = append(p.prog, in)
@@ -237,13 +236,11 @@ func (p *parser) star(atom frag) (frag, error) {
 	return frag{start: split, out: []int32{split*2 + 1}}, nil
 }
 
+// plus is star's loop entered at the atom instead of at the split.
 func (p *parser) plus(atom frag) (frag, error) {
-	split := p.emit(inst{op: opSplit, next: atom.start})
-	if split < 0 {
-		return frag{}, errors.New("program too large")
-	}
-	p.patch(atom.out, split)
-	return frag{start: atom.start, out: []int32{split*2 + 1}}, nil
+	f, err := p.star(atom)
+	f.start = atom.start
+	return f, err
 }
 
 func (p *parser) quest(atom frag) (frag, error) {
@@ -399,18 +396,10 @@ func (p *parser) parseAtom() (frag, error) {
 		return f, nil
 	case '^':
 		p.pos++
-		i := p.emit(inst{op: opBOL})
-		if i < 0 {
-			return frag{}, errors.New("program too large")
-		}
-		return frag{start: i, out: []int32{i * 2}}, nil
+		return p.single(inst{op: opBOL})
 	case '$':
 		p.pos++
-		i := p.emit(inst{op: opEOL})
-		if i < 0 {
-			return frag{}, errors.New("program too large")
-		}
-		return frag{start: i, out: []int32{i * 2}}, nil
+		return p.single(inst{op: opEOL})
 	case '[':
 		cls, err := p.parseClass()
 		if err != nil {
@@ -448,7 +437,12 @@ func (p *parser) emitClass(cls charClass) (frag, error) {
 	if p.fold {
 		cls.foldCase()
 	}
-	i := p.emit(inst{op: opChar, class: cls})
+	return p.single(inst{op: opChar, class: cls})
+}
+
+// single emits in as a fragment of its own, its next dangling.
+func (p *parser) single(in inst) (frag, error) {
+	i := p.emit(in)
 	if i < 0 {
 		return frag{}, errors.New("program too large")
 	}

@@ -1256,13 +1256,20 @@ func (e *Engine) Compact() error {
 // Close checkpoints, stops background work and releases the files and
 // enclave memory; operations after it return ErrClosed. A clean close
 // leaves an empty WAL, so the next Open replays nothing.
-func (e *Engine) Close() error {
+func (e *Engine) Close() error { return e.shutdown(true) }
+
+// shutdown, the first time, checkpoints if asked, stops background work
+// and releases the files and enclave memory.
+func (e *Engine) shutdown(checkpoint bool) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil
 	}
-	flushErr := e.checkpointLocked()
+	var flushErr error
+	if checkpoint {
+		flushErr = e.checkpointLocked()
+	}
 	e.closed = true
 	e.flushed.Broadcast()
 	e.mu.Unlock()
@@ -1293,24 +1300,9 @@ func (e *Engine) closeFiles() error {
 
 // Crash simulates kill -9 for tests and benchmarks: file handles, the
 // memtable and a frozen run are abandoned, unsynced and uncommitted, so
-// the disk holds what the kernel had been told. Without a directory it
-// is Close.
-func (e *Engine) Crash() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.flushed.Broadcast()
-	e.mu.Unlock()
-	close(e.stopBg)
-	e.bgDone.Wait()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_ = e.closeFiles() // abandoning handles is the point of a crash
-	e.releaseMemoryLocked()
-}
+// the disk holds what the kernel had been told, and errors closing the
+// handles are dropped. Without a directory it is Close.
+func (e *Engine) Crash() { _ = e.shutdown(false) }
 
 // releaseMemoryLocked returns the tables' enclave allocations and drops
 // the frozen run. Caller holds mu with closed already set.

@@ -380,7 +380,12 @@ func TestServerHandshakeRejectsClient(t *testing.T) {
 	}
 }
 
-func TestClientHandshakeRejectsWrongServer(t *testing.T) {
+// TestServerRejectsHelloForAnotherEnclave: a client that expects a
+// different server measurement targets its report at that enclave, so
+// the real server cannot verify the report and refuses the hello before
+// the client checks anything. TestClientHandshakeRejectsWrongRemoteServer
+// covers the client's own measurement check.
+func TestServerRejectsHelloForAnotherEnclave(t *testing.T) {
 	p := enclave.NewPlatform(enclave.Config{})
 	app, _ := p.Create("app", []byte("app code"))
 	store, _ := p.Create("store", []byte("store code"))
@@ -388,15 +393,17 @@ func TestClientHandshakeRejectsWrongServer(t *testing.T) {
 	wrong[0] = 0xFF
 
 	cConn, sConn := net.Pipe()
+	errCh := make(chan error, 1)
 	go func() {
-		// The real store answers, but the client expected a different
-		// measurement.
-		_, _ = ServerHandshake(sConn, store, nil)
+		_, err := ServerHandshake(sConn, store, nil)
+		errCh <- err
 		sConn.Close()
 	}()
-	_, err := ClientHandshake(cConn, app, wrong)
-	if err == nil {
-		t.Error("ClientHandshake accepted a server with the wrong measurement")
+	if _, err := ClientHandshake(cConn, app, wrong); err == nil {
+		t.Error("ClientHandshake completed with a server that refused it")
+	}
+	if err := <-errCh; !errors.Is(err, enclave.ErrAttestation) {
+		t.Errorf("ServerHandshake = %v, want enclave.ErrAttestation", err)
 	}
 }
 
