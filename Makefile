@@ -139,8 +139,12 @@ bench-baseline:
 # dependencies). allocs/op is held near-exactly; ns/op tolerates +30%
 # by default (SPEED_BENCH_TIME_THRESHOLD to override) so cross-machine
 # baselines don't flake.
+# A benchmark that fails or crashes fails the target with go test's
+# exit status, which the pipe through tee would otherwise drop.
 bench-regress:
-	$(GO) test -run '^$$' -bench $(BENCH_HOT_PATTERN) -benchmem -count $(BENCH_HOT_COUNT) $(BENCH_HOT_PKGS) | tee /tmp/speed-bench-new.txt
+	{ $(GO) test -run '^$$' -bench $(BENCH_HOT_PATTERN) -benchmem -count $(BENCH_HOT_COUNT) $(BENCH_HOT_PKGS); \
+	  echo $$? > /tmp/speed-bench-new.status; } | tee /tmp/speed-bench-new.txt; \
+	exit $$(cat /tmp/speed-bench-new.status)
 	$(GO) run ./cmd/benchgate -baseline bench/baseline.txt -new /tmp/speed-bench-new.txt
 
 # Short fuzz pass over the wire codecs, the server side of the attested

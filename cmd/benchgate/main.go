@@ -234,10 +234,9 @@ type verdict struct {
 }
 
 // compare evaluates every benchmark present in both runs and renders a
-// report. Benchmarks missing from either side are listed but do not
-// fail the gate (a renamed benchmark needs a baseline refresh, not a
-// red build on unrelated changes — the alloc assertions in the test
-// suite still guard the contract).
+// report. A baseline benchmark missing from the new run fails the gate:
+// it crashed, or was renamed or deleted without a baseline refresh. A
+// benchmark new to the run is listed and passes.
 func compare(baseline, fresh map[string]*sample, timeThreshold float64) (report string, failed bool) {
 	var names []string
 	for name := range baseline {
@@ -251,7 +250,8 @@ func compare(baseline, fresh map[string]*sample, timeThreshold float64) (report 
 		old, ok := baseline[name]
 		nw := fresh[name]
 		if !ok || nw == nil {
-			fmt.Fprintf(&b, "%-40s %14s %14s %9s  %s\n", name, "-", "-", "-", "missing from new run (refresh baseline?)")
+			fmt.Fprintf(&b, "%-40s %14s %14s %9s  %s\n", name, "-", "-", "-", "MISSING from new run")
+			failed = true
 			continue
 		}
 		v := judge(name, old, nw, timeThreshold)

@@ -148,17 +148,19 @@ BenchmarkJitter-8  10  11000 ns/op
 	}
 }
 
-func TestCompareMissingBenchmarksDoNotFail(t *testing.T) {
+// TestCompareMissingBenchmarkFails: a baseline benchmark the new run
+// lacks — one that crashed, say — fails the gate; a benchmark new to
+// the run is listed and passes.
+func TestCompareMissingBenchmarkFails(t *testing.T) {
 	baseline, _ := parseFile(writeTemp(t, baselineFixture))
-	onlyOne, _ := parseFile(writeTemp(t, `BenchmarkChannelRoundTrip-8  100000  5000 ns/op  0 B/op  0 allocs/op
-BenchmarkBrandNew-8  100000  10 ns/op  0 B/op  0 allocs/op
-`))
-	report, failed := compare(baseline, onlyOne, 0.30)
-	if failed {
-		t.Errorf("missing/new benchmarks failed the gate:\n%s", report)
+	brandNew := "BenchmarkBrandNew-8  100000  10 ns/op  0 B/op  0 allocs/op\n"
+	onlyOne, _ := parseFile(writeTemp(t, "BenchmarkChannelRoundTrip-8  100000  5000 ns/op  0 B/op  0 allocs/op\n"+brandNew))
+	if report, failed := compare(baseline, onlyOne, 0.30); !failed || !strings.Contains(report, "MISSING from new run") {
+		t.Errorf("a missing baseline benchmark passed the gate:\n%s", report)
 	}
-	if !strings.Contains(report, "missing from new run") || !strings.Contains(report, "new benchmark") {
-		t.Errorf("report does not flag missing/new benchmarks:\n%s", report)
+	all, _ := parseFile(writeTemp(t, baselineFixture+brandNew))
+	if report, failed := compare(baseline, all, 0.30); failed || !strings.Contains(report, "new benchmark") {
+		t.Errorf("a new benchmark failed the gate or went unlisted:\n%s", report)
 	}
 }
 

@@ -43,7 +43,6 @@ type groupResult struct {
 	idxs []int
 	gets []wire.GetResult
 	puts []wire.PutResult
-	has  []bool
 	err  error
 }
 
@@ -184,38 +183,6 @@ func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]
 		}
 		c.recordLeg(tc, leg, "route_get", n.addr, start, outcome, gr.err)
 	})
-}
-
-// Has implements dedup.StoreClient: each tag's primary member (the node
-// a routed GET would consult first) is asked whether it holds the tag,
-// in parallel per-member HAS round trips. Answers are hints in both
-// directions — a member failure (which its transport notes against its
-// health) or a short answer reports its tags as absent rather than failing the probe, so
-// callers just transfer bytes they might have skipped. No hit counting
-// or recency happens anywhere on this path.
-func (c *Client) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	if c.closed.Load() {
-		return nil, errClientClosed
-	}
-	present := make([]bool, len(tags))
-	groups := make(map[int][]int)
-	for i, tag := range tags {
-		if ni, ok := c.pickRead(tag, nil); ok {
-			groups[ni] = append(groups[ni], i)
-		}
-	}
-	grs := fanOut(groups, func(gr *groupResult) {
-		gr.has, gr.err = c.nodes[gr.ni].client.Has(tc, pick(tags, gr.idxs))
-	})
-	for _, gr := range grs {
-		if gr.err != nil || len(gr.has) != len(gr.idxs) {
-			continue
-		}
-		for k, idx := range gr.idxs {
-			present[idx] = gr.has[k]
-		}
-	}
-	return present, nil
 }
 
 // Put implements dedup.StoreClient: every item fans out to its write

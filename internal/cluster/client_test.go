@@ -448,23 +448,6 @@ func TestPrimaryMissReplacesEntryAfterOutage(t *testing.T) {
 	}
 }
 
-// TestClientHasBatch: Has routes existence probes to each tag's primary.
-func TestClientHasBatch(t *testing.T) {
-	env := newTestCluster(t, 3, Config{Replicas: 1})
-	have := ctag("present-tag")
-	primary := env.client.ring.owners(have, 1)[0]
-	if _, err := env.nodes[primary].st.Put(env.app.Measurement(), have, csealed("v")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	present, err := env.client.Has(wire.TraceContext{}, []mle.Tag{have, ctag("absent-tag")})
-	if err != nil {
-		t.Fatalf("Has: %v", err)
-	}
-	if len(present) != 2 || !present[0] || present[1] {
-		t.Fatalf("Has = %v, want [true false]", present)
-	}
-}
-
 // TestClusterHealthy: the cluster is healthy while any member's
 // transport is. Nothing pings a healthy member, so a member goes down
 // only when a request to it fails, and its own prober brings it back.

@@ -203,35 +203,11 @@ var conformanceChecks = []struct {
 		if err != nil || len(got) != len(tags) {
 			t.Fatalf("Get = (%d results, %v), want %d", len(got), err, len(tags))
 		}
-		present, err := d.client.Has(wire.TraceContext{}, tags)
-		if err != nil || len(present) != len(tags) {
-			t.Fatalf("Has = (%d answers, %v), want %d", len(present), err, len(tags))
-		}
 		for i := range tags {
 			blob, found := want(i)
 			if got[i].Found != found || string(got[i].Sealed.Blob) != blob {
 				t.Fatalf("Get[%d] = (found=%v, %q), want (found=%v, %q)", i, got[i].Found, got[i].Sealed.Blob, found, blob)
 			}
-			if present[i] != found {
-				t.Fatalf("Has[%d] = %v, want %v", i, present[i], found)
-			}
-		}
-	}},
-	{"has counts nothing", store.Config{}, func(t *testing.T, d deployment) {
-		tag := ctag("probed")
-		if err := putOne(d.client, tag, csealed("probed"), false); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		gets, hits, _ := d.counts()
-		present, err := d.client.Has(wire.TraceContext{}, []mle.Tag{tag, ctag("never-stored")})
-		if err != nil {
-			t.Fatalf("Has: %v", err)
-		}
-		if len(present) != 2 || !present[0] || present[1] {
-			t.Errorf("Has = %v, want [true false]", present)
-		}
-		if g, h, _ := d.counts(); g != gets || h != hits {
-			t.Errorf("Has moved the statistics: gets %d→%d, hits %d→%d", gets, g, hits, h)
 		}
 	}},
 	{"ping pollutes no statistics", store.Config{}, func(t *testing.T, d deployment) {
@@ -274,18 +250,12 @@ var conformanceChecks = []struct {
 		if _, err := d.client.Put(wire.TraceContext{}, []wire.PutItem{{Tag: ctag("x"), Sealed: csealed("x")}}); err == nil {
 			t.Error("Put succeeded after Close")
 		}
-		if _, err := d.client.Has(wire.TraceContext{}, []mle.Tag{ctag("x")}); err == nil {
-			t.Error("Has succeeded after Close")
-		}
 		// An empty batch makes no round trip, yet must still notice.
 		if _, err := d.client.Get(wire.TraceContext{}, nil); err == nil {
 			t.Error("empty Get succeeded after Close")
 		}
 		if _, err := d.client.Put(wire.TraceContext{}, nil); err == nil {
 			t.Error("empty Put succeeded after Close")
-		}
-		if _, err := d.client.Has(wire.TraceContext{}, nil); err == nil {
-			t.Error("empty Has succeeded after Close")
 		}
 		if d.client.Healthy() {
 			t.Error("Healthy = true after Close")

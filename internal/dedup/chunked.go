@@ -448,19 +448,18 @@ func (rt *Runtime) clientPutAll(tc wire.TraceContext, what string, items []wire.
 	return nil
 }
 
-// sealChunked seals a large result chunk-wise: split, probe for what
-// the store already holds, seal only the missing chunks, and seal the
+// sealChunked seals a large result chunk-wise: split, seal the chunks
+// the local cache does not know to be store-resident, and seal the
 // manifest for the call's primary tag. It runs inside the application
-// enclave, where the HAS probe is an OCALL, and returns the send that
-// uploads the chunks and then the manifest from outside. The chunks
-// enter the local cache here, so a send that then fails leaves chunks
-// cached as store-resident that the store lacks: a wrongly skipped
-// upload like any other, never a wrong result.
+// enclave and returns the send that uploads the chunks and then the
+// manifest from outside. The chunks enter the local cache here, so a
+// send that then fails leaves chunks cached as store-resident that the
+// store lacks: a wrongly skipped upload like any other, never a wrong
+// result.
 //
 // With replace true (the entry at the primary tag failed verification,
-// so a chunk may be tampered too) the probe and cache are bypassed and
-// every distinct chunk is re-uploaded with Replace, healing whatever
-// was bad.
+// so a chunk may be tampered too) the cache is bypassed and every
+// distinct chunk is re-uploaded with Replace, healing whatever was bad.
 func (c *call) sealChunked(job putJob) (func(), error) {
 	rt, id, tc, span, replace := c.rt, c.id, c.tc, &c.span, job.replace
 	chunks := rt.chunker.Split(job.result)
@@ -475,18 +474,18 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 	}
 
 	// Decide which chunks must travel: each distinct tag once (a run of
-	// identical content splits into identical chunks), and only if
-	// neither the local cache, which records chunks known
-	// store-resident, nor the HAS probe places it in the store. Both
-	// are hints — a wrongly skipped upload surfaces later as a loud
-	// reassembly failure and a recompute, never a wrong result.
+	// identical content splits into identical chunks), and only if the
+	// local cache, which records chunks known store-resident, lacks it.
+	// A chunk the store holds already, from another application or
+	// since this cache let it go, travels again and the store keeps one
+	// copy. The cache is a hint: a wrongly skipped upload surfaces later
+	// as a loud reassembly failure and a recompute, never a wrong result.
 	seen := make(map[mle.Tag]bool, len(chunks))
 	var send []int // the chunks to upload
-	var unknown []mle.Tag
 	pick := func(i int) {
 		if t := ctags[i]; !seen[t] {
 			seen[t] = true
-			send, unknown = append(send, i), append(unknown, t)
+			send = append(send, i)
 		}
 	}
 	if replace {
@@ -495,22 +494,6 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 		}
 	} else {
 		rt.chunkCache.lacking(ctags, pick)
-	}
-	if !replace && len(send) > 0 {
-		var present []bool // the HAS probe is an OCALL: this runs in the enclave
-		err := rt.cfg.Enclave.OCall(func() (oerr error) {
-			present, oerr = rt.cfg.Client.Has(tc, unknown)
-			return oerr
-		})
-		if err == nil && len(present) == len(send) {
-			kept := send[:0]
-			for j, i := range send {
-				if !present[j] {
-					kept = append(kept, i)
-				}
-			}
-			send = kept
-		}
 	}
 
 	span.begin(phaseEncrypt)

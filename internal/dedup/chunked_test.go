@@ -143,8 +143,9 @@ func TestChunkedPutThenConvergentReuse(t *testing.T) {
 
 // TestChunkedOverlapSharesChunks: two runtimes computing overlapping
 // results derive identical tags for the shared chunks, so the second
-// upload skips them (probed via HAS_BATCH against the shared store)
-// and the store keeps one sealed copy of the overlap.
+// runtime's upload of them reaches the store as duplicates (its own
+// chunk cache has never seen them) and the store keeps one sealed copy
+// of the overlap.
 func TestChunkedOverlapSharesChunks(t *testing.T) {
 	p, st := newChunkStore(t)
 	a := newChunkRuntime(t, p, st, "appA", chunkTestThreshold)
@@ -160,16 +161,19 @@ func TestChunkedOverlapSharesChunks(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("A Execute: %v", err)
 	}
-	before := st.Stats().BlobBytes
+	before := st.Stats()
 	if _, _, err := b.Execute(id, []byte("doc2"), func([]byte) ([]byte, error) {
 		return append([]byte(nil), res2...), nil
 	}); err != nil {
 		t.Fatalf("B Execute: %v", err)
 	}
-	added := st.Stats().BlobBytes - before
+	after := st.Stats()
+	added := after.BlobBytes - before.BlobBytes
 
-	if s := b.Stats(); s.ChunksSkipped == 0 {
-		t.Fatalf("B skipped no chunk uploads despite %dKiB overlap", len(common)>>10)
+	// Every chunk inside the overlap is shared; the two that straddle
+	// its edges may not be.
+	if dupes, shared := after.PutDupes-before.PutDupes, int64(len(b.chunker.Split(common))-2); dupes < shared {
+		t.Fatalf("B's upload met %d stored chunks, want at least the %d inside the %dKiB overlap", dupes, shared, len(common)>>10)
 	}
 	// The second result is ~192KiB but only ~64KiB of it is new; allow
 	// generous slack for boundary chunks and sealing overhead.
@@ -601,10 +605,9 @@ func TestChunkedBatchReuse(t *testing.T) {
 // chunked call over a real store server: the store enters its enclave
 // once per request message, so the crossings of a call do not depend on
 // how many chunks its result has. A miss that uploads chunks is one
-// application ECALL, two OCALLs (GET, HAS) and two store ECALLs (chunk
-// PUT, manifest PUT): its PUTs leave after the ECALL, and the store
-// answers the GET of an absent tag and the HAS outside its enclave. A
-// first hit that fetches chunks its cache lacks is one ECALL, two
+// application ECALL, one OCALL (GET) and two store ECALLs (chunk PUT,
+// manifest PUT): its PUTs leave after the ECALL, and the store answers
+// the GET of an absent tag outside its enclave. A first hit that fetches chunks its cache lacks is one ECALL, two
 // OCALLs (manifest GET, chunk GET) and two store ECALLs. A repeat hit,
 // single or batched, whose runtime recorded the manifest is one of
 // each: the chunks it lacks ride the manifest GET.
@@ -631,8 +634,9 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 	id := chunkFuncID(t, producer)
 
 	// Two documents of very different chunk counts; the second shares its
-	// first 100 KiB with the first, so its producer uploads only some of
-	// its chunks and the consumer's cache holds only some of them.
+	// first 100 KiB with the first, so the store already holds some of
+	// its chunks when the editor uploads them all, and the consumer's
+	// cache holds only some of them.
 	small := chunkResult(31, 100<<10)
 	large := append(append([]byte(nil), small...), chunkResult(32, 700<<10)...)
 	results := map[string][]byte{"small": small, "large": large}
@@ -653,8 +657,8 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 		outcome Outcome
 		want    cost
 	}{
-		{"miss uploading every chunk", producer, nil, []string{"small"}, OutcomeComputed, cost{1, 2, 2}},
-		{"miss uploading some chunks", editor, nil, []string{"large"}, OutcomeComputed, cost{1, 2, 2}},
+		{"miss uploading every chunk", producer, nil, []string{"small"}, OutcomeComputed, cost{1, 1, 2}},
+		{"miss uploading chunks the store holds in part", editor, nil, []string{"large"}, OutcomeComputed, cost{1, 1, 2}},
 		{"hit fetching every chunk", consumer, nil, []string{"small"}, OutcomeReused, cost{1, 2, 2}},
 		{"hit fetching some chunks", consumer, nil, []string{"large"}, OutcomeReused, cost{1, 2, 2}},
 		{"repeat hit fetching some chunks", consumer, forget, []string{"large"}, OutcomeReused, cost{1, 1, 1}},
@@ -698,9 +702,6 @@ func TestChunkedCallCrossesPerMessage(t *testing.T) {
 		}
 		t.Logf("%s: %d chunks skipped, %d fetched (%d prefetched), %d from the chunk cache", c.name, after.ChunksSkipped-stats.ChunksSkipped,
 			after.ChunksFetched-stats.ChunksFetched, prefetched, after.ChunkCacheHits-stats.ChunkCacheHits)
-	}
-	if s := editor.Stats(); s.ChunksSkipped == 0 {
-		t.Error("the editor uploaded every chunk; the test wants a partial upload")
 	}
 	if s := consumer.Stats(); s.ChunkCacheHits == 0 || s.ChunksFetched < 10 {
 		t.Errorf("the consumer fetched %d chunks with %d cache hits; the test wants a partial, many-chunk fetch", s.ChunksFetched, s.ChunkCacheHits)
@@ -1145,11 +1146,6 @@ func (c *byteCounter) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.Pu
 		c.n.Add(int64(len(it.Tag)) + sealedLen(it.Sealed))
 	}
 	return c.StoreClient.Put(tc, items)
-}
-
-func (c *byteCounter) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	c.n.Add(int64(len(tags) * len(mle.Tag{})))
-	return c.StoreClient.Has(tc, tags)
 }
 
 // chunkDeployment runs a producer and then an independent consumer

@@ -17,10 +17,9 @@ import (
 )
 
 // StoreClient is the runtime's view of the encrypted ResultStore: the
-// paper's two requests, GET and PUT (Algorithms 1-2), plus the
-// existence probe chunked dedup asks before transferring chunks. Every
-// request is a batch — a single call is a batch of one — and carries a
-// trace context, whose zero value means "unsampled". Every deployment
+// paper's two requests, GET and PUT (Algorithms 1-2). Every request
+// is a batch — a single call is a batch of one — and carries a trace
+// context, whose zero value means "unsampled". Every deployment
 // implements it: the two of Section IV-B — a store on the same machine
 // (LocalClient) and a store on a dedicated server reached over the
 // attested secure channel (RemoteClient) — and a ring of such servers
@@ -35,12 +34,6 @@ type StoreClient interface {
 	// Per-item rejections (quota, authorization) land in the results,
 	// not the error.
 	Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error)
-	// Has reports, positionally, which tags are present, without
-	// fetching payloads, counting hits or refreshing recency. Answers
-	// are hints: a probed-present entry can be evicted before a later GET,
-	// which surfaces as a loud reassembly failure and a recompute,
-	// never a wrong result.
-	Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error)
 	// Healthy reports whether the store is believed reachable. It is
 	// one cheap read of the client's health state, which the client
 	// keeps itself: a transport failure marks it down, any success
@@ -102,15 +95,6 @@ func (c *LocalClient) Put(_ wire.TraceContext, items []wire.PutItem) ([]wire.Put
 		return nil, errClientClosed
 	}
 	return c.store.WirePut(c.owner, items)
-}
-
-// Has implements StoreClient. The store maps authorization denials to
-// absent itself (deny without information).
-func (c *LocalClient) Has(_ wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	if c.closed.Load() {
-		return nil, errClientClosed
-	}
-	return c.store.WireHas(c.owner, tags)
 }
 
 // Healthy implements StoreClient: the in-process store is reachable
@@ -332,7 +316,7 @@ func (c *RemoteClient) dropConn(mux *chanMux) {
 // roundTrip sends one request and waits for its reply, and is where the
 // client's health changes. An attempt that broke a connection set up
 // before the request is resent once on a fresh one: the store may have
-// restarted since, and GET, HAS and PUT are all safe to resend (the
+// restarted since, and GET and PUT are both safe to resend (the
 // first version of an entry wins). A transport failure left after that
 // marks the client down; any reply marks it up. A sampled tc rides in
 // the envelope.
@@ -546,22 +530,6 @@ func (c *RemoteClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.P
 		return nil, err
 	}
 	return results, nil
-}
-
-// Has implements StoreClient.
-func (c *RemoteClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	var present []bool
-	err := c.windowed("has", tc, len(tags), nil, func(lo, hi int) wire.Message {
-		return wire.HasRequest{Tags: tags[lo:hi]}
-	}, func(msg wire.Message) (int, bool) {
-		r, ok := msg.(wire.HasResponse)
-		present = join(present, r.Present)
-		return len(r.Present), ok
-	})
-	if err != nil {
-		return nil, err
-	}
-	return present, nil
 }
 
 // Ping is the prober's probe: one liveness round trip — a GET of no

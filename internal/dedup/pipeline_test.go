@@ -30,14 +30,14 @@ import (
 // among those of its kind.
 type countingClient struct {
 	StoreClient
-	gets, puts, hass atomic.Int64
-	getErr           func(call int64) error
-	getMutate        func(call int64, res []wire.GetResult)
-	rejectPuts       bool          // every PUT item is refused, as by a quota
-	putErr           error         // every PUT fails with this
-	shortPuts        bool          // every PUT is answered with no results
-	delay            time.Duration // added to every Get
-	down             atomic.Bool   // the client reports the store unhealthy
+	gets, puts atomic.Int64
+	getErr     func(call int64) error
+	getMutate  func(call int64, res []wire.GetResult)
+	rejectPuts bool          // every PUT item is refused, as by a quota
+	putErr     error         // every PUT fails with this
+	shortPuts  bool          // every PUT is answered with no results
+	delay      time.Duration // added to every Get
+	down       atomic.Bool   // the client reports the store unhealthy
 }
 
 func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
@@ -70,11 +70,6 @@ func (c *countingClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire
 		return res, nil
 	}
 	return c.StoreClient.Put(tc, items)
-}
-
-func (c *countingClient) Has(tc wire.TraceContext, tags []mle.Tag) ([]bool, error) {
-	c.hass.Add(1)
-	return c.StoreClient.Has(tc, tags)
 }
 
 func (c *countingClient) Healthy() bool {
@@ -295,7 +290,7 @@ type pipeScenario struct {
 	fetches, prefetched, spilled bool
 	// Store requests and enclave OCALLs the whole call makes, however
 	// many items it carries.
-	gets, puts, hass, ocalls int64
+	gets, puts, ocalls int64
 	// transitions is what the benchmark's transitions_per_call counts
 	// for the call alone: its application ECALLs and OCALLs plus the
 	// store enclave's entries. absentGet marks a lookup the store
@@ -434,10 +429,10 @@ var pipeScenarios = []pipeScenario{
 		compute: pipeBig,
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1, ChunkedPuts: 1},
-		// GET and HAS OCALLs, neither entering the store; chunks, then
-		// manifest, sent after the ECALL, one store entry each.
-		gets: 1, hass: 1, puts: 2, ocalls: 2,
-		transitions: 5, absentGet: true,
+		// The GET OCALL, not entering the store; chunks, then manifest,
+		// sent after the ECALL, one store entry each.
+		gets: 1, puts: 2, ocalls: 1,
+		transitions: 4, absentGet: true,
 		verify: stored,
 	},
 	{
@@ -449,8 +444,8 @@ var pipeScenarios = []pipeScenario{
 		compute: pipeBig,
 		outcome: OutcomeComputed,
 		stats:   Stats{Computed: 1, PutErrors: 1, StoreFailures: 1},
-		gets:    1, hass: 1, puts: 1, ocalls: 2,
-		transitions: 3, absentGet: true,
+		gets:    1, puts: 1, ocalls: 1,
+		transitions: 2, absentGet: true,
 		verify: notStored,
 	},
 	{
@@ -529,7 +524,7 @@ var pipeScenarios = []pipeScenario{
 		outcome: OutcomeRecomputed,
 		stats:   Stats{Computed: 1, VerifyFailures: 1, ChunkedPuts: 1},
 		fetches: true,
-		// Replace skips the HAS probe and re-uploads every chunk. The
+		// Replace skips the chunk cache and re-uploads every chunk. The
 		// store settles each Replace item alone, so the chunk PUT
 		// message enters it once per chunk: 11 here.
 		gets: 2, puts: 2, ocalls: 2,
@@ -628,7 +623,7 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	want, _ := scCompute(pipeInput)
 
 	statsBefore, encBefore, storeBefore := env.rt.Stats(), env.appEnc.Metrics(), env.store.Enclave().Metrics()
-	getsBefore, putsBefore, hassBefore := env.client.gets.Load(), env.client.puts.Load(), env.client.hass.Load()
+	getsBefore, putsBefore := env.client.gets.Load(), env.client.puts.Load()
 	got, fillers, err := entry.call(env.rt, env.id, compute)
 	if err != nil {
 		t.Fatalf("top-level error: %v", err)
@@ -689,8 +684,8 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 
 	// Store requests and enclave crossings do not depend on the entry
 	// point or on how many items ride in the call.
-	if g, p, h := env.client.gets.Load()-getsBefore, env.client.puts.Load()-putsBefore, env.client.hass.Load()-hassBefore; g != sc.gets || p != sc.puts || h != sc.hass {
-		t.Errorf("store requests GET/PUT/HAS = %d/%d/%d, want %d/%d/%d", g, p, h, sc.gets, sc.puts, sc.hass)
+	if g, p := env.client.gets.Load()-getsBefore, env.client.puts.Load()-putsBefore; g != sc.gets || p != sc.puts {
+		t.Errorf("store requests GET/PUT = %d/%d, want %d/%d", g, p, sc.gets, sc.puts)
 	}
 	enc := env.appEnc.Metrics()
 	e, o := enc.ECalls-encBefore.ECalls, enc.OCalls-encBefore.OCalls

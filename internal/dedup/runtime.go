@@ -139,8 +139,11 @@ type Stats struct {
 	// cache declined to admit because they were referenced no more
 	// often than the entry they would evict.
 	ChunkCacheRejects int64
-	// ChunksSkipped counts chunk uploads skipped: the chunk was known
-	// store-resident (local cache or HAS probe) or repeats one sent.
+	// ChunksSkipped counts chunk uploads skipped: the local chunk cache
+	// knew the chunk store-resident, or it repeats one sent. It counts
+	// only what this runtime's cache knows; it counted the store's
+	// answers to an existence probe too while the protocol had one, so
+	// values from before protocol version 5 do not compare with these.
 	ChunksSkipped int64
 }
 

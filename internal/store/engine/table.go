@@ -79,7 +79,7 @@ func (t *Table) Size() int64 { return t.size }
 // paths, whose access pattern the oblivious mode does not cover.
 func (t *Table) Entry(tag mle.Tag) *Entry { return t.entries[tag] }
 
-// Lookup returns tag's entry, or nil, for a GET or HAS. An oblivious
+// Lookup returns tag's entry, or nil, for a GET. An oblivious
 // table compares tag with every entry in constant time and keeps the
 // match, doing the same work wherever (or whether) the tag is.
 func (t *Table) Lookup(tag mle.Tag) *Entry {

@@ -131,8 +131,9 @@ func waitingPut(t *testing.T, e *Engine, key string) chan error {
 
 // TestFlushDoesNotStallPuts holds the background writer at its
 // segment's fsync and shows the store serving meanwhile: PUTs up to the
-// next full memtable, bit-identical GET hits on the frozen tags,
-// Contains, a Remove of a frozen tag and a merge all complete. Only the
+// next full memtable, bit-identical GET hits on the frozen tags, a GET
+// of a frozen and an absent tag, a Remove of a frozen tag and a merge
+// all complete. Only the
 // PUT that fills the next memtable waits, counted in FlushWaits, until
 // the writer is let go; then everything reads back as written.
 func TestFlushDoesNotStallPuts(t *testing.T) {
@@ -165,10 +166,10 @@ func TestFlushDoesNotStallPuts(t *testing.T) {
 		}
 		return err
 	})
-	within(t, "Contains", func() error {
-		present, err := e.Contains([]mle.Tag{tagOf(frozen[0]), tagOf("absent")})
+	within(t, "GET of a frozen tag and an absent one", func() error {
+		present, err := hitsOf(e, tagOf(frozen[0]), tagOf("absent"))
 		if err == nil && !slices.Equal(present, []bool{true, false}) {
-			err = fmt.Errorf("Contains = %v, want [true false]", present)
+			err = fmt.Errorf("hits = %v, want [true false]", present)
 		}
 		return err
 	})
@@ -206,8 +207,8 @@ func TestFlushDoesNotStallPuts(t *testing.T) {
 }
 
 // TestManifestCommitOffTheLock holds the background writer at the
-// fsync of the manifest that commits its segment and shows a GET, a PUT
-// and a Contains complete meanwhile: the manifest is written off the
+// fsync of the manifest that commits its segment and shows GETs and a
+// PUT complete meanwhile: the manifest is written off the
 // engine lock, and only the segment list is installed under it. Once
 // the writer is let go, everything reads back as written.
 func TestManifestCommitOffTheLock(t *testing.T) {
@@ -228,10 +229,10 @@ func TestManifestCommitOffTheLock(t *testing.T) {
 		return nil
 	})
 	within(t, "PUT", func() error { _, err := insert1(e, tagOf("during"), recOf("v-during")); return err })
-	within(t, "Contains", func() error {
-		present, err := e.Contains([]mle.Tag{tagOf(frozen[1]), tagOf("during"), tagOf("absent")})
+	within(t, "GET of a frozen, a fresh and an absent tag", func() error {
+		present, err := hitsOf(e, tagOf(frozen[1]), tagOf("during"), tagOf("absent"))
 		if err == nil && !slices.Equal(present, []bool{true, true, false}) {
-			err = fmt.Errorf("Contains = %v, want [true true false]", present)
+			err = fmt.Errorf("hits = %v, want [true true false]", present)
 		}
 		return err
 	})
@@ -320,8 +321,8 @@ func TestFreezeCost(t *testing.T) {
 	}
 }
 
-// TestConcurrentOpsAcrossFreezes runs GETs, PUTs, Removes and Contains
-// from several goroutines, each on its own keys and checked against its
+// TestConcurrentOpsAcrossFreezes runs GETs, PUTs and Removes from
+// several goroutines, each on its own keys and checked against its
 // own map model as in TestEngineMatchesMapModel, while another
 // goroutine compacts and checkpoints, across many freezes; then the
 // directory reopens to the union of the models. The -race build is
@@ -379,15 +380,10 @@ func TestConcurrentOpsAcrossFreezes(t *testing.T) {
 						return
 					}
 					delete(model, key)
-				case r < 9:
+				default:
 					rec, status, err := get1(e, tagOf(key))
 					if err != nil || (status == storeengine.StatusHit) != live || live && !sameRecord(rec, recOf(val)) {
 						t.Errorf("Get(%s) = %v %q, %v; model %q live=%v", key, status, rec.Blob, err, val, live)
-						return
-					}
-				default:
-					if ok, err := contains1(e, tagOf(key)); err != nil || ok != live {
-						t.Errorf("Contains(%s) = %v, %v; model live=%v", key, ok, err, live)
 						return
 					}
 				}

@@ -154,7 +154,7 @@ func BenchmarkHotLogMergeRun(b *testing.B) {
 			e.segments = append(e.segments, seg)
 		}
 		b.StartTimer()
-		if err := e.mergeRun(0, fanIn); err != nil {
+		if err := mergeRunLocked(e, 0, fanIn); err != nil {
 			b.Fatalf("mergeRun: %v", err)
 		}
 		b.StopTimer()

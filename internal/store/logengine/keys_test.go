@@ -10,8 +10,8 @@ import (
 
 // TestKeySetIsOnlyAHint desyncs the memtable's key set, which lives in
 // untrusted memory, behind the engine's back: a live tag is dropped
-// from it and a tag the enclave never stored is added. GET, HAS and PUT
-// may then answer a miss (a recompute upstream) or pay an enclave entry
+// from it and a tag the enclave never stored is added. GET and PUT may
+// then answer a miss (a recompute upstream) or pay an enclave entry
 // they could have skipped, but no answer carries another tag's bytes,
 // and a tag the enclave holds keeps its first version.
 func TestKeySetIsOnlyAHint(t *testing.T) {
@@ -69,19 +69,11 @@ func TestKeySetIsOnlyAHint(t *testing.T) {
 			if l := get("GET of the forged tag", []mle.Tag{forged}, 1); l[0].Status != storeengine.StatusMiss {
 				t.Errorf("forged tag: %v, want a miss", l[0].Status)
 			}
-			// Beside a live tag the enclave answers, the dropped tag truly.
+			// Beside a live tag the enclave answers, the dropped tag truly,
+			// and a tag the key set still holds is found.
 			for i, l := range get("GET of every tag", all, -1) {
-				if all[i] == dropped && l.Status != storeengine.StatusHit {
-					t.Errorf("dropped tag beside live ones: %v, want the enclave's hit", l.Status)
-				}
-			}
-			present, err := e.Contains(all)
-			if err != nil {
-				t.Fatalf("Contains: %v", err)
-			}
-			for i, tag := range all {
-				if tag == tagOf("kept") && !present[i] {
-					t.Error("HAS lost a tag the key set still holds")
+				if (all[i] == dropped || all[i] == tagOf("kept")) && l.Status != storeengine.StatusHit {
+					t.Errorf("%x beside live tags: %v, want the enclave's hit", all[i][:4], l.Status)
 				}
 			}
 

@@ -787,54 +787,6 @@ func (e *Engine) insertRunLocked(items []storeengine.Item, installed []bool) (n 
 	return n, failed
 }
 
-// Contains serves one HAS message: whether a live record exists for
-// each tag, positionally, with no cache promotion or recency update —
-// existence probes (chunked dedup's missing-chunk transfer) that leave
-// the eviction order alone. The memtable's key set answers outside the
-// enclave for what the memtable holds (an oblivious engine scans the
-// memtable instead, in one enclave entry); the frozen run and the
-// segments' filters and indexes answer the rest. The answers are hints:
-// callers tolerate a later Get missing.
-func (e *Engine) Contains(tags []mle.Tag) ([]bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, storeengine.ErrClosed
-	}
-	present := make([]bool, len(tags))
-	var probe []int // the tags only the frozen run or the segments can decide
-	decide := func() error {
-		for i, tag := range tags {
-			var live, ok bool
-			if e.cfg.Oblivious {
-				ent := e.mem.Lookup(tag)
-				live, ok = ent != nil && !ent.Dead, ent != nil
-			} else {
-				live, ok = e.keys[tag]
-			}
-			if ok {
-				present[i] = live
-			} else if e.frozen != nil || len(e.segments) > 0 {
-				probe = append(probe, i)
-			}
-		}
-		return nil
-	}
-	if !e.cfg.Oblivious {
-		_ = decide()
-	} else if err := e.cfg.Enclave.ECall(decide); err != nil {
-		return nil, err
-	}
-	for _, i := range probe {
-		_, found, dead, err := e.findLocked(tags[i], false)
-		if err != nil {
-			return nil, err
-		}
-		present[i] = found && !dead
-	}
-	return present, nil
-}
-
 // existsLocked reports whether tag has a live record anywhere:
 // duplicate suppression is by presence.
 func (e *Engine) existsLocked(tag mle.Tag) (bool, error) {

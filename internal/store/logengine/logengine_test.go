@@ -89,9 +89,14 @@ func insert1(e *Engine, tag mle.Tag, rec storeengine.Record) (bool, error) {
 	return len(installed) == 1 && installed[0], err
 }
 
-func contains1(e *Engine, tag mle.Tag) (bool, error) {
-	present, err := e.Contains([]mle.Tag{tag})
-	return len(present) == 1 && present[0], err
+// hitsOf reports, positionally, which of tags one Get message hits.
+func hitsOf(e *Engine, tags ...mle.Tag) ([]bool, error) {
+	got, err := e.Get(tags, math.MaxInt)
+	hit := make([]bool, len(got))
+	for i, l := range got {
+		hit[i] = l.Status == storeengine.StatusHit
+	}
+	return hit, err
 }
 
 func mustInsert(t *testing.T, e *Engine, key, val string) {
@@ -516,14 +521,13 @@ func TestObliviousGet(t *testing.T) {
 	}
 	mustInsert(t, e, "c", "vc")
 	msg := []mle.Tag{tagOf("a"), tagOf("zzz"), tagOf("c"), tagOf("b")}
-	found, err := e.Get(msg, math.MaxInt)
-	present, cerr := e.Contains(msg)
-	if err != nil || cerr != nil || len(found) != 4 || len(present) != 4 {
-		t.Fatalf("Get = %d answers, %v; Contains = %d answers, %v", len(found), err, len(present), cerr)
+	got, err := e.Get(msg, math.MaxInt)
+	if err != nil || len(got) != 4 {
+		t.Fatalf("Get = %d answers, %v", len(got), err)
 	}
 	for i, want := range []string{"va", "", "vc", "vb"} {
-		if hit := found[i].Status == storeengine.StatusHit; hit != (want != "") || string(found[i].Record.Blob) != want || present[i] != hit {
-			t.Errorf("tag %d: status %v blob %q present %v, want %q", i, found[i].Status, found[i].Record.Blob, present[i], want)
+		if hit := got[i].Status == storeengine.StatusHit; hit != (want != "") || string(got[i].Record.Blob) != want {
+			t.Errorf("tag %d: status %v blob %q, want %q", i, got[i].Status, got[i].Record.Blob, want)
 		}
 	}
 	// Oblivious lookups must not move the memtable's LRU order: "c" and

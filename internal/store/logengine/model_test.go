@@ -103,14 +103,8 @@ func runModel(t *testing.T, seed int64, steps int) {
 			key := anyKey()
 			remove(step, key)
 			insert(step, key)
-		case r < 81:
-			check(step, anyKey())
 		case r < 91:
-			key := anyKey()
-			_, live := model[key]
-			if ok, err := contains1(e, tagOf(key)); err != nil || ok != live {
-				t.Fatalf("step %d: Contains(%s) = %v, %v; model live=%v", step, key, ok, err, live)
-			}
+			check(step, anyKey())
 		case r < 95:
 			if err := e.Checkpoint(); err != nil {
 				t.Fatalf("step %d: Checkpoint: %v", step, err)

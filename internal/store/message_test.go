@@ -46,7 +46,7 @@ func onEachConfig(t *testing.T, cfg Config, fn func(t *testing.T, s *Store)) {
 }
 
 // TestMessagesMatchOneByOne is the model for the batch-first seam: a
-// seeded stream of GET, HAS and PUT messages of 1–64 items — fresh and
+// seeded stream of GET and PUT messages of 1–64 items — fresh and
 // stored tags, duplicates within a message, Replace, applications that
 // may not read or may not write, an application over its space quota —
 // answered by one store a message at a time and by its twin one item at
@@ -101,7 +101,7 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 						tags[i] = pick(tags[:i])
 					}
 					what := fmt.Sprintf("message %d", m)
-					switch rng.Intn(3) {
+					switch rng.Intn(2) {
 					case 0:
 						got, err := batch.WireGet(owner, tags, math.MaxInt)
 						var want []wire.GetResult
@@ -113,17 +113,6 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 							want = append(want, r...)
 						}
 						mustMatch(t, what+" GET", got, err, want)
-					case 1:
-						got, err := batch.WireHas(owner, tags)
-						var want []bool
-						for _, tag := range tags {
-							p, werr := twin.WireHas(owner, []mle.Tag{tag})
-							if werr != nil {
-								t.Fatalf("%s: twin HAS: %v", what, werr)
-							}
-							want = append(want, p...)
-						}
-						mustMatch(t, what+" HAS", got, err, want)
 					default:
 						items := make([]wire.PutItem, len(tags))
 						for i, tag := range tags {
@@ -184,9 +173,9 @@ func mustMatch[T any](t *testing.T, what string, got []T, err error, want []T) {
 // TestStoreEnclaveEntriesPerMessage pins the crossing rule of the engine
 // seam: the store enters its enclave once per GET and PUT message
 // whatever the item count; with a directory once more for a GET that
-// has to unseal segment-resident records. A HAS, and a GET whose tags
-// the memtable's key set and the segment filters all rule out, are
-// answered outside the enclave. A message none of whose items reaches
+// has to unseal segment-resident records. A GET whose tags the
+// memtable's key set and the segment filters all rule out is answered
+// outside the enclave. A message none of whose items reaches
 // the engine does not enter at all.
 func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 	owner, stranger := ownerOf("app"), ownerOf("stranger")
@@ -248,8 +237,6 @@ func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 				{"GET of 64 absent tags", 0, func() error { _, err := s.WireGet(owner, tagsOf("absent", 64), math.MaxInt); return err }},
 				{"GET of no tags (a ping)", 0, func() error { _, err := s.WireGet(owner, nil, math.MaxInt); return err }},
 				{"GET by a stranger", 0, func() error { _, err := s.WireGet(stranger, old, math.MaxInt); return err }},
-				{"HAS of 64 stored and 64 absent", 0, func() error { _, err := s.WireHas(owner, append(tagsOf("absent", 64), old...)); return err }},
-				{"HAS of 1", 0, func() error { _, err := s.WireHas(owner, young[:1]); return err }},
 			} {
 				if log && c.want == 2 && c.name[0] == 'P' {
 					continue // with a directory, Remove enters the enclave too
@@ -340,17 +327,13 @@ func TestObliviousMessages(t *testing.T) {
 		if err != nil || len(got) != n+1 {
 			t.Fatalf("WireGet = %d results, %v", len(got), err)
 		}
-		present, err := s.WireHas(owner, tags)
-		if err != nil || len(present) != n+1 {
-			t.Fatalf("WireHas = %d answers, %v", len(present), err)
-		}
 		for i := 0; i < n; i++ {
-			if !got[i].Found || string(got[i].Sealed.Blob) != fmt.Sprintf("v%d", i) || !present[i] {
-				t.Errorf("k%d: found=%v blob=%q present=%v", i, got[i].Found, got[i].Sealed.Blob, present[i])
+			if !got[i].Found || string(got[i].Sealed.Blob) != fmt.Sprintf("v%d", i) {
+				t.Errorf("k%d: found=%v blob=%q", i, got[i].Found, got[i].Sealed.Blob)
 			}
 		}
-		if got[n].Found || present[n] {
-			t.Errorf("absent tag: found=%v present=%v", got[n].Found, present[n])
+		if got[n].Found {
+			t.Errorf("absent tag found")
 		}
 		if st := s.Stats(); st.Gets != n+1 || st.Hits != n {
 			t.Errorf("Stats = gets %d hits %d, want %d/%d", st.Gets, st.Hits, n+1, n)

@@ -99,7 +99,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"bytes (payload plus framing) of frames that failed AEAD authentication"),
 		reqSeconds: reqSeconds,
 		batchSize: reg.NewHistogram("speed_store_batch_size",
-			"items per GET/PUT/HAS request (bucket values are item counts, not seconds)"),
+			"items per GET/PUT request (bucket values are item counts, not seconds)"),
 	}
 }
 
@@ -310,7 +310,7 @@ type request struct {
 
 // handleMux services a session on this one goroutine: it reads and
 // decodes an envelope, dispatches it and writes the reply before it
-// reads the next, the same way for GET, HAS and PUT, so replies leave in
+// reads the next, the same way for GET and PUT, so replies leave in
 // request order. A client that pipelines is simply not read from while a
 // request runs — backpressure without a protocol-level window. A PUT
 // waiting on its WAL fsync holds up only what the engine lock it holds
@@ -406,7 +406,6 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 var requestOps = map[wire.Kind]struct{ span, label string }{
 	wire.KindGetRequest: {"store_get", "get"},
 	wire.KindPutRequest: {"store_put", "put"},
-	wire.KindHasRequest: {"store_has", "has"},
 }
 
 // opName labels a request message for spans and slow-request lines.
@@ -428,8 +427,6 @@ func outcome(req, reply wire.Message) string {
 			}
 			return "miss"
 		}
-		return fmt.Sprintf("%d tags", len(m.Tags))
-	case wire.HasRequest:
 		return fmt.Sprintf("%d tags", len(m.Tags))
 	case wire.PutRequest:
 		return fmt.Sprintf("%d items", len(m.Items))
@@ -500,7 +497,7 @@ const replyBudget = wire.MaxFrameSize / 2
 // dispatch handles one protocol message on behalf of the attested
 // application owner and produces the reply. The in-process loopback
 // client (dedup.LocalClient) does not come through here: it calls
-// WireGet, WirePut and WireHas, the same item handlers dispatch uses.
+// WireGet and WirePut, the same item handlers dispatch uses.
 func (s *Server) dispatch(owner enclave.Measurement, msg wire.Message) (wire.Message, error) {
 	observe := func(items int) {
 		if s.tel != nil {
@@ -516,10 +513,6 @@ func (s *Server) dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 		observe(len(m.Items))
 		results, err := s.store.WirePut(owner, m.Items)
 		return wire.PutResponse{Results: results}, err
-	case wire.HasRequest:
-		observe(len(m.Tags))
-		present, err := s.store.WireHas(owner, m.Tags)
-		return wire.HasResponse{Present: present}, err
 	default:
 		return nil, fmt.Errorf("store: unexpected message %v", msg.Kind())
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // One session is one goroutine: it reads a request, dispatches it and
-// writes the reply before it reads the next, for GET, HAS and PUT alike.
+// writes the reply before it reads the next, for GET and PUT alike.
 
 // startSession runs a telemetry-instrumented server over a volatile
 // store with opts and opens one raw session to it.
@@ -45,7 +45,7 @@ func startSessionOn(t *testing.T, cfg Config, opts ...ServerOption) (*Server, *w
 }
 
 // sendPipeline writes n envelopes with IDs 1..n without reading a reply,
-// cycling GET, HAS and PUT over distinct tags, and returns the reply
+// alternating GET and PUT over distinct tags, and returns the reply
 // kind each ID must be answered with and the number sent per request
 // kind.
 func sendPipeline(t *testing.T, ch *wire.Channel, n int) (map[uint64]wire.Kind, map[wire.Kind]int) {
@@ -55,11 +55,9 @@ func sendPipeline(t *testing.T, ch *wire.Channel, n int) (map[uint64]wire.Kind, 
 	for i := 1; i <= n; i++ {
 		tag := tagOf(fmt.Sprint("pipelined-", i))
 		var req wire.Message
-		switch i % 3 {
+		switch i % 2 {
 		case 0:
 			req, want[uint64(i)] = wire.GetRequest{Tags: []mle.Tag{tag}}, wire.KindGetResponse
-		case 1:
-			req, want[uint64(i)] = wire.HasRequest{Tags: []mle.Tag{tag}}, wire.KindHasResponse
 		default:
 			req, want[uint64(i)] = wire.PutRequest{Items: []wire.PutItem{{Tag: tag, Sealed: sealedOf("v")}}}, wire.KindPutResponse
 		}

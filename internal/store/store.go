@@ -225,14 +225,6 @@ func (s *Store) count(fold func(ops *Stats)) {
 	s.statsMu.Unlock()
 }
 
-// deny answers a message of n tags from an application without
-// PermGet: each tag reads as the zero answer (a miss, or absent), so the
-// caller learns nothing about which tags exist, and each is counted.
-func deny[T any](s *Store, n int) []T {
-	s.count(func(ops *Stats) { ops.Unauthorized += int64(n) })
-	return make([]T, n)
-}
-
 // GetAs is Get with the caller's attested identity, checked against
 // the store's ACL when one is configured.
 func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, error) {
@@ -258,34 +250,18 @@ func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 // sealed payload past budget bytes (left untouched for the caller's
 // next request) but never empty. A hit's Sealed is a read-only view of
 // the engine's record, for the server to seal its reply from; an
-// in-process caller that keeps or writes it copies it. It, WirePut and
-// WireHas are the single
-// copy of the store-error → wire-result mapping, called once per
-// message by the server's dispatch and the in-process client, so local
-// and remote deployments answer identically. An unauthorized
-// application is denied without information: it sees a miss and learns
-// nothing about which tags exist.
+// in-process caller that keeps or writes it copies it. It and WirePut
+// are the single copy of the store-error → wire-result mapping, called
+// once per message by the server's dispatch and the in-process client,
+// so local and remote deployments answer identically. An unauthorized
+// application is denied without information: it sees a miss for every
+// tag, each counted, and learns nothing about which tags exist.
 func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 	if s.cfg.Auth.Authorize(owner, PermGet) != nil {
-		return deny[wire.GetResult](s, len(tags)), nil
+		s.count(func(ops *Stats) { ops.Unauthorized += int64(len(tags)) })
+		return make([]wire.GetResult, len(tags)), nil
 	}
 	return s.get(tags, budget)
-}
-
-// WireHas answers one HAS message: whether each tag is present, without
-// fetching the sealed value, counting a hit, or refreshing recency —
-// the existence probe behind chunked dedup's missing-chunk transfer.
-// A caller without PermGet is told every tag is absent (deny without
-// information). The answers are hints: a probed-present entry
-// can still be evicted before a later Get.
-func (s *Store) WireHas(owner enclave.Measurement, tags []mle.Tag) ([]bool, error) {
-	if s.cfg.Auth.Authorize(owner, PermGet) != nil {
-		return deny[bool](s, len(tags)), nil
-	}
-	if len(tags) == 0 {
-		return nil, nil
-	}
-	return s.eng.Contains(tags)
 }
 
 // get looks one message's tags up, answering a prefix (see WireGet),

@@ -70,8 +70,6 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 		GetResponse{Results: []GetResult{{Found: true, Sealed: blob}}},
 		PutRequest{Items: []PutItem{{Tag: mustTag(2), Sealed: blob}}},
 		PutResponse{Results: []PutResult{{OK: true}}},
-		HasRequest{Tags: []mle.Tag{mustTag(3)}},
-		HasResponse{Present: []bool{true}},
 	}
 	if n := declaredKinds(t); n != len(kindNames)-1 {
 		t.Errorf("message.go declares %d Kind constants but kindNames names %d", n, len(kindNames)-1)

@@ -11,7 +11,7 @@ import (
 // report MAC covers it, and refuses — inside the handshake — a peer
 // presenting anything else. There is no negotiation: the version is
 // equal or the session does not exist.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
 // Envelope layout, the form of every message frame: the 8-byte
 // big-endian request ID, a flags byte, and — when the trace flag is

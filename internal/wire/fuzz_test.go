@@ -31,12 +31,12 @@ func FuzzUnmarshal(f *testing.F) {
 	}}))
 	f.Add(Marshal(PutRequest{Items: []PutItem{{Tag: mle.Tag{9}, Replace: true, Sealed: blob}, {Tag: mle.Tag{3}, Sealed: blob}}}))
 	f.Add(Marshal(PutResponse{Results: []PutResult{{OK: true}, {OK: false, Err: "quota"}}}))
-	f.Add(Marshal(HasRequest{Tags: []mle.Tag{{7}}}))
-	f.Add(Marshal(HasResponse{Present: []bool{true, false}}))
 	f.Add(retiredSyncPullRequest)
 	f.Add(retiredSyncPullResponse)
 	f.Add(append(Marshal(GetResponse{Results: []GetResult{{}}}), 0xFF))
-	f.Add(repeatItem(HasResponse{Present: []bool{true}}, MaxBatchItems+1))
+	f.Add(retiredProbeRequest)
+	f.Add(retiredProbeResponse)
+	f.Add(repeatItem(PutResponse{Results: []PutResult{{OK: true}}}, MaxBatchItems+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)
 		if err != nil {
@@ -62,10 +62,6 @@ func itemCount(m Message) int {
 		return len(v.Items)
 	case PutResponse:
 		return len(v.Results)
-	case HasRequest:
-		return len(v.Tags)
-	case HasResponse:
-		return len(v.Present)
 	}
 	return 0
 }
@@ -152,7 +148,7 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 	f.Add(AppendEnvelope(nil, ^uint64(0), TraceContext{}, GetRequest{Tags: []mle.Tag{{2}, {3}}}))
 	f.Add(AppendEnvelope(nil, 42, TraceContext{ID: [16]byte{2}, Parent: 3, Sampled: true},
 		PutResponse{Results: []PutResult{{OK: true}}}))
-	f.Add(append(AppendEnvelope(nil, 1, TraceContext{}, HasResponse{Present: []bool{true}}), 0xFF))
+	f.Add(append(AppendEnvelope(nil, 1, TraceContext{}, PutResponse{Results: []PutResult{{OK: true}}}), 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id, tc, msg, err := UnmarshalEnvelope(data)
 		if err != nil {

@@ -60,10 +60,6 @@ func TestGoldenEncodings(t *testing.T) {
 			"070000000202030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202100000000046368616c0000000b777261707065642d6b6579000000137365616c656420726573756c74206279746573030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212201000000020102000000010300000003040506", 4},
 		{"BatchPutResponse 3", PutResponse{Results: []PutResult{{OK: true}, {Err: rejection}, {OK: true}}},
 			"08000000030100000000000000000e71756f74612065786365656465640100000000", 4},
-		{"HasBatchRequest 2", HasRequest{Tags: []mle.Tag{goldenTag(1), goldenTag(2)}},
-			"0b000000020102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2002030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021", 4},
-		{"HasBatchResponse 3", HasResponse{Present: []bool{true, false, true}},
-			"0c00000003010001", 4},
 	} {
 		parent, err := hex.DecodeString(tc.parent)
 		if err != nil {

@@ -17,17 +17,13 @@ import (
 type Kind uint8
 
 // Message kinds. GET checks for and fetches stored results by tag; PUT
-// uploads freshly computed, encrypted results; HAS probes tag existence
-// without fetching (chunked dedup's missing-chunk transfer). Every
-// message carries a sequence of items — the paper's single request is a
-// sequence of one.
+// uploads freshly computed, encrypted results. Every message carries a
+// sequence of items — the paper's single request is a sequence of one.
 const (
 	KindGetRequest Kind = iota + 1
 	KindGetResponse
 	KindPutRequest
 	KindPutResponse
-	KindHasRequest
-	KindHasResponse
 )
 
 var kindNames = [...]string{
@@ -35,8 +31,6 @@ var kindNames = [...]string{
 	KindGetResponse: "GET_RESPONSE",
 	KindPutRequest:  "PUT_REQUEST",
 	KindPutResponse: "PUT_RESPONSE",
-	KindHasRequest:  "HAS_REQUEST",
-	KindHasResponse: "HAS_RESPONSE",
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -116,22 +110,6 @@ type PutResponse struct {
 	Results []PutResult
 }
 
-// HasRequest asks which of the given tags the store currently holds,
-// without fetching payloads or counting as hits — the question a
-// chunked PUT asks before transferring sealed chunks, so that only
-// missing chunks cross the wire. The answer is a
-// hint, not a promise: an entry can be evicted between the
-// probe and a later GET, and callers must treat a stale "present" as a
-// miss discovered at reassembly time.
-type HasRequest struct {
-	Tags []mle.Tag
-}
-
-// HasResponse answers a HasRequest; Present[i] answers Tags[i].
-type HasResponse struct {
-	Present []bool
-}
-
 // Kind implements Message.
 func (GetRequest) Kind() Kind { return KindGetRequest }
 
@@ -143,12 +121,6 @@ func (PutRequest) Kind() Kind { return KindPutRequest }
 
 // Kind implements Message.
 func (PutResponse) Kind() Kind { return KindPutResponse }
-
-// Kind implements Message.
-func (HasRequest) Kind() Kind { return KindHasRequest }
-
-// Kind implements Message.
-func (HasResponse) Kind() Kind { return KindHasResponse }
 
 // Marshal serialises a message, prefixing its kind byte.
 func Marshal(m Message) []byte {
@@ -179,10 +151,6 @@ func Unmarshal(b []byte) (Message, error) {
 		return decodePutRequest(body)
 	case KindPutResponse:
 		return decodePutResponse(body)
-	case KindHasRequest:
-		return decodeHasRequest(body)
-	case KindHasResponse:
-		return decodeHasResponse(body)
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrMalformed, kind)
 	}
@@ -193,37 +161,30 @@ func tooMany(kind Kind) error {
 	return fmt.Errorf("%w: %v carries more than %d items", ErrMalformed, kind, MaxBatchItems)
 }
 
-func appendTags(buf []byte, tags []mle.Tag) []byte {
-	for i := range tags {
-		buf = append(buf, tags[i][:]...)
+func (m GetRequest) appendTo(buf []byte) []byte {
+	for i := range m.Tags {
+		buf = append(buf, m.Tags[i][:]...)
 	}
 	return buf
 }
 
-// readTags decodes a body that is nothing but tags.
-func readTags(b []byte, kind Kind) ([]mle.Tag, error) {
+// decodeGetRequest decodes a body that is nothing but tags.
+func decodeGetRequest(b []byte) (GetRequest, error) {
 	if len(b)%mle.TagSize != 0 {
-		return nil, fmt.Errorf("%w: %v body of %d bytes is not whole tags", ErrMalformed, kind, len(b))
+		return GetRequest{}, fmt.Errorf("%w: %v body of %d bytes is not whole tags", ErrMalformed, KindGetRequest, len(b))
 	}
 	n := len(b) / mle.TagSize
 	if n > MaxBatchItems {
-		return nil, tooMany(kind)
+		return GetRequest{}, tooMany(KindGetRequest)
 	}
 	if n == 0 {
-		return nil, nil
+		return GetRequest{}, nil
 	}
 	tags := make([]mle.Tag, n)
 	for i := range tags {
 		copy(tags[i][:], b[i*mle.TagSize:])
 	}
-	return tags, nil
-}
-
-func (m GetRequest) appendTo(buf []byte) []byte { return appendTags(buf, m.Tags) }
-
-func decodeGetRequest(b []byte) (GetRequest, error) {
-	tags, err := readTags(b, KindGetRequest)
-	return GetRequest{Tags: tags}, err
+	return GetRequest{Tags: tags}, nil
 }
 
 func (m GetResponse) appendTo(buf []byte) []byte {
@@ -312,37 +273,6 @@ func decodePutResponse(b []byte) (PutResponse, error) {
 		}
 		r.Err = string(msg)
 		m.Results = append(m.Results, r)
-	}
-	return m, nil
-}
-
-func (m HasRequest) appendTo(buf []byte) []byte { return appendTags(buf, m.Tags) }
-
-func decodeHasRequest(b []byte) (HasRequest, error) {
-	tags, err := readTags(b, KindHasRequest)
-	return HasRequest{Tags: tags}, err
-}
-
-func (m HasResponse) appendTo(buf []byte) []byte {
-	for _, p := range m.Present {
-		buf = appendBool(buf, p)
-	}
-	return buf
-}
-
-func decodeHasResponse(b []byte) (HasResponse, error) {
-	if len(b) > MaxBatchItems {
-		return HasResponse{}, tooMany(KindHasResponse)
-	}
-	var m HasResponse
-	if len(b) > 0 {
-		m.Present = make([]bool, len(b))
-	}
-	for i := range m.Present {
-		var err error
-		if m.Present[i], b, err = readBool(b); err != nil {
-			return HasResponse{}, err
-		}
 	}
 	return m, nil
 }

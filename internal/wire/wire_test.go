@@ -57,6 +57,31 @@ var (
 	retiredSyncPullResponse = []byte{8}
 )
 
+// The existence probe (HAS) of protocol version 4, as that version
+// encoded it: kind 5 asking after one tag, and a kind-6 reply that it
+// is present. Both decoded then; both are unknown kinds now.
+var (
+	retiredProbeRequest  = append([]byte{5}, make([]byte, mle.TagSize)...)
+	retiredProbeResponse = []byte{6, 1}
+)
+
+// TestHasBatchUnmarshalRejectsMalformed: every HAS message version 4
+// could send — a request of one tag, of two, of none, and replies of
+// one and of three answers — is malformed now.
+func TestHasBatchUnmarshalRejectsMalformed(t *testing.T) {
+	for _, b := range [][]byte{
+		retiredProbeRequest,
+		append([]byte{5}, make([]byte, 2*mle.TagSize)...),
+		{5},
+		retiredProbeResponse,
+		{6, 1, 0, 1},
+	} {
+		if _, err := Unmarshal(b); !errors.Is(err, ErrMalformed) {
+			t.Errorf("kind %d, %d bytes: Unmarshal = %v, want ErrMalformed", b[0], len(b), err)
+		}
+	}
+}
+
 func TestUnmarshalRejectsMalformed(t *testing.T) {
 	tests := []struct {
 		name string
