@@ -101,13 +101,14 @@ func exclude(excluded []map[int]bool, idxs []int, ni int) {
 // member and fetched in parallel per-node round trips, merged back
 // positionally. A member failure re-routes only that member's tags to
 // the next replica in further rounds; results found away from their
-// primary are read-repaired in the background. A miss from a reachable
+// primary are read-repaired in the background, unless the answer was
+// "unchanged" and so carries no triple to copy. A miss from a reachable
 // member is authoritative — misses never fail over, so a cold primary
 // costs one recomputation, not a cluster-wide search. The call errors
 // only when some tag runs out of reachable members. Each per-member
 // round trip, failed ones included, becomes a route_get leg span of a
 // sampled call.
-func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
@@ -129,7 +130,7 @@ func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, er
 			groups[ni] = append(groups[ni], idx)
 		}
 		pending = nil
-		for _, gr := range c.runGets(tc, tags, groups) {
+		for _, gr := range c.runGets(tc, tags, tokens, groups) {
 			n := c.nodes[gr.ni]
 			if gr.err != nil {
 				c.noteFailover(n, len(gr.idxs), gr.err)
@@ -141,7 +142,7 @@ func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, er
 			n.routedGet.Add(int64(len(gr.idxs)))
 			for k, idx := range gr.idxs {
 				results[idx] = gr.gets[k]
-				if !gr.gets[k].Found {
+				if gr.gets[k].Sealed.Size() == 0 {
 					continue
 				}
 				if primary := c.ring.owners(tags[idx], 1)[0]; primary != gr.ni {
@@ -161,13 +162,16 @@ func (c *Client) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, er
 
 // runGets issues one GET per group and records its leg span: hit or
 // miss for a single tag, the tag count for a batch.
-func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, groups map[int][]int) []groupResult {
+func (c *Client) runGets(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte, groups map[int][]int) []groupResult {
 	return fanOut(groups, func(gr *groupResult) {
 		n := c.nodes[gr.ni]
-		part := pick(tags, gr.idxs)
+		part, known := pick(tags, gr.idxs), [][]byte(nil)
+		if tokens != nil {
+			known = pick(tokens, gr.idxs)
+		}
 		start := legClock(tc)
 		fwd, leg := forwardLeg(tc)
-		gr.gets, gr.err = n.client.Get(fwd, part)
+		gr.gets, gr.err = n.client.Get(fwd, part, known)
 		if gr.err == nil && len(gr.gets) != len(part) {
 			gr.err = fmt.Errorf("cluster: member %s answered %d results for %d tags", n.addr, len(gr.gets), len(part))
 		}

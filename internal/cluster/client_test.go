@@ -36,7 +36,7 @@ func csealed(s string) mle.Sealed {
 // themselves are batch-only. putOne reports a rejection the way the
 // runtime does, as dedup.ErrPutRejected.
 func getOne(c dedup.StoreClient, tag mle.Tag) (mle.Sealed, bool, error) {
-	res, err := c.Get(wire.TraceContext{}, []mle.Tag{tag})
+	res, err := c.Get(wire.TraceContext{}, []mle.Tag{tag}, nil)
 	if err != nil {
 		return mle.Sealed{}, false, err
 	}
@@ -528,7 +528,7 @@ func TestClusterBatchGetFailoverPositional(t *testing.T) {
 	env.nodes[0].kill(t)
 	env.nodes[1].kill(t)
 
-	res, err := env.client.Get(wire.TraceContext{}, tags)
+	res, err := env.client.Get(wire.TraceContext{}, tags, nil)
 	if err != nil {
 		t.Fatalf("Get with both primaries dead: %v", err)
 	}

@@ -156,7 +156,7 @@ var conformanceChecks = []struct {
 		if res[1].OK || !strings.HasPrefix(res[1].Err, store.ErrQuota.Error()) {
 			t.Errorf("over-quota item = %+v, want a rejection starting %q", res[1], store.ErrQuota)
 		}
-		got, err := d.client.Get(wire.TraceContext{}, []mle.Tag{items[0].Tag, items[1].Tag, items[2].Tag})
+		got, err := d.client.Get(wire.TraceContext{}, []mle.Tag{items[0].Tag, items[1].Tag, items[2].Tag}, nil)
 		if err != nil {
 			t.Fatalf("Get: %v", err)
 		}
@@ -199,7 +199,7 @@ var conformanceChecks = []struct {
 			}
 			return fmt.Sprintf("payload-%d", i), true
 		}
-		got, err := d.client.Get(wire.TraceContext{}, tags)
+		got, err := d.client.Get(wire.TraceContext{}, tags, nil)
 		if err != nil || len(got) != len(tags) {
 			t.Fatalf("Get = (%d results, %v), want %d", len(got), err, len(tags))
 		}
@@ -244,14 +244,14 @@ var conformanceChecks = []struct {
 		if err := d.client.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		if _, err := d.client.Get(wire.TraceContext{}, []mle.Tag{ctag("x")}); err == nil {
+		if _, err := d.client.Get(wire.TraceContext{}, []mle.Tag{ctag("x")}, nil); err == nil {
 			t.Error("Get succeeded after Close")
 		}
 		if _, err := d.client.Put(wire.TraceContext{}, []wire.PutItem{{Tag: ctag("x"), Sealed: csealed("x")}}); err == nil {
 			t.Error("Put succeeded after Close")
 		}
 		// An empty batch makes no round trip, yet must still notice.
-		if _, err := d.client.Get(wire.TraceContext{}, nil); err == nil {
+		if _, err := d.client.Get(wire.TraceContext{}, nil, nil); err == nil {
 			t.Error("empty Get succeeded after Close")
 		}
 		if _, err := d.client.Put(wire.TraceContext{}, nil); err == nil {
@@ -346,7 +346,7 @@ func TestGetLargerThanOneFrame(t *testing.T) {
 			for i, c := range conns {
 				dialed[i] = c.Reconnects()
 			}
-			got, err := client.Get(wire.TraceContext{}, tags)
+			got, err := client.Get(wire.TraceContext{}, tags, nil)
 			if err != nil || len(got) != results {
 				t.Fatalf("Get = (%d results, %v), want %d", len(got), err, results)
 			}

@@ -307,53 +307,84 @@ func (c *chunkCache) close() {
 	c.ring, c.m, c.sketch, c.bytes = nil, nil, nil, 0
 }
 
-// manifestRecordBytes bounds the manifest record's sealed bytes: some
-// 3,000 manifests of 256 KiB results.
-const manifestRecordBytes = 4 << 20
+// recordBytes bounds the record's sealed bytes: some 1,000 whole 4 KiB
+// results, or 3,000 manifests of 256 KiB results.
+const recordBytes = 4 << 20
 
-// manifestRecord is host memory, never charged to the enclave: primary
-// tag -> the sealed manifest triple the runtime last saw stored under
-// it. It holds only ciphertext that crossed the wire, and is a hint:
-// predict opens a triple under its call's own identity before using
-// it. Oldest written goes first, a generation at a time: once cur would
-// pass half the budget it becomes old, and old is dropped.
-type manifestRecord struct {
+// tripleRecord is host memory, never charged to the enclave: primary
+// tag -> the last triple, a whole result's or a manifest's, that the
+// runtime verified or uploaded under it, whose r the lookup's GET
+// names. Entries are sealed under the enclave's key with their tag as
+// associated data: the host can drop or replay one, but not forge one
+// from a known (func, m). Oldest written goes first, a generation at a
+// time: once cur would pass half the budget it becomes old, and old is
+// dropped.
+type tripleRecord struct {
+	enc      *enclave.Enclave
 	mu       sync.Mutex
-	cur, old map[mle.Tag]mle.Sealed
+	cur, old map[mle.Tag][]byte
 	bytes    int // in cur
 }
 
-// put records a copy of sealed for tag; the zero triple forgets it.
-func (r *manifestRecord) put(tag mle.Tag, sealed mle.Sealed) {
-	sealed = sealed.Clone()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cur == nil || r.bytes+sealed.Size() > manifestRecordBytes/2 {
-		r.old, r.cur, r.bytes = r.cur, make(map[mle.Tag]mle.Sealed), 0
-	}
-	delete(r.old, tag)
-	r.bytes += sealed.Size() - r.cur[tag].Size()
-	r.cur[tag] = sealed
+// recorded is a record entry unsealed in the enclave.
+type recorded struct {
+	sealed   mle.Sealed
+	manifest bool
 }
 
-// get copies the triple recorded for tag into the enclave, where the
-// host can no longer change it.
-func (r *manifestRecord) get(tag mle.Tag) (mle.Sealed, bool) {
+// put seals s, a manifest or a whole result, as tag's entry: a flag
+// byte that is 1 for a manifest, then r, [k] and [res]. Only a triple of
+// the scheme's sizes, whose entry fits a generation, is recorded.
+func (r *tripleRecord) put(tag *mle.Tag, manifest bool, s mle.Sealed) {
+	if len(s.Challenge) != mle.ChallengeSize || len(s.WrappedKey) != mle.KeySize ||
+		enclave.SealOverhead+1+s.Size() > recordBytes/2 {
+		return
+	}
+	pt := make([]byte, enclave.SealNonceSize+1, enclave.SealOverhead+1+s.Size())
+	if manifest {
+		pt[enclave.SealNonceSize] = 1
+	}
+	pt = append(append(append(pt, s.Challenge...), s.WrappedKey...), s.Blob...)
+	entry, err := r.enc.Seal(pt[:0], pt[enclave.SealNonceSize:], tag[:])
+	if err != nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.cur[tag]
-	if !ok {
-		s, ok = r.old[tag]
+	if r.cur == nil || r.bytes+len(entry) > recordBytes/2 {
+		r.old, r.cur, r.bytes = r.cur, make(map[mle.Tag][]byte), 0
 	}
-	return s.Clone(), ok && s.Size() > 0
+	delete(r.old, *tag)
+	r.bytes += len(entry) - len(r.cur[*tag])
+	r.cur[*tag] = entry
+}
+
+// get unseals tag's entry into the enclave, where the host can no
+// longer change it; an entry that does not unseal reads as none.
+func (r *tripleRecord) get(tag *mle.Tag) (recorded, bool) {
+	const head = 1 + mle.ChallengeSize + mle.KeySize
+	r.mu.Lock()
+	entry, ok := r.cur[*tag]
+	if !ok {
+		entry = r.old[*tag]
+	}
+	r.mu.Unlock()
+	if len(entry) < enclave.SealOverhead+head {
+		return recorded{}, false
+	}
+	pt, err := r.enc.Unseal(make([]byte, 0, len(entry)-enclave.SealOverhead), entry, tag[:])
+	if err != nil || len(pt) < head {
+		return recorded{}, false
+	}
+	return recorded{manifest: pt[0] == 1, sealed: mle.Sealed{
+		Challenge: pt[1 : 1+mle.ChallengeSize : 1+mle.ChallengeSize], WrappedKey: pt[1+mle.ChallengeSize : head : head], Blob: pt[head:]}}, true
 }
 
 // openedManifest is a sealed manifest opened in the enclave under its
-// call's identity: the triple, its decoded manifest and chunk tags.
+// call's identity: its decoded manifest and chunk tags.
 type openedManifest struct {
-	sealed mle.Sealed
-	man    chunk.Manifest
-	tags   []mle.Tag
+	man  chunk.Manifest
+	tags []mle.Tag
 }
 
 // openManifest opens sealed as the manifest of (id, input);
@@ -371,42 +402,35 @@ func openManifest(id mle.FuncID, input []byte, sealed mle.Sealed) (*openedManife
 		return nil, fmt.Errorf("decode manifest: %w", err)
 	}
 	cid := chunk.ContentFuncID(id)
-	m := &openedManifest{sealed: sealed, man: man, tags: make([]mle.Tag, len(man.Refs))}
+	m := &openedManifest{man: man, tags: make([]mle.Tag, len(man.Refs))}
 	for i := range man.Refs {
 		m.tags[i] = chunk.Tag(cid, man.Refs[i].Hash)
 	}
 	return m, nil
 }
 
-// is reports whether sealed is byte for byte the triple m was opened
-// from; a nil m is no triple.
-func (m *openedManifest) is(sealed mle.Sealed) bool {
-	return m != nil && bytes.Equal(m.sealed.Challenge, sealed.Challenge) &&
-		bytes.Equal(m.sealed.WrappedKey, sealed.WrappedKey) && bytes.Equal(m.sealed.Blob, sealed.Blob)
-}
-
 // predict appends to the lookup's tags, each once, the chunks that the
 // recorded manifests of the call's leaders name and the chunk cache
-// lacks, so they ride the one GET. A record that does not open under
-// its leader's own identity, a swapped or tampered one, is ignored.
+// lacks, so they ride the one GET. A recorded manifest that does not
+// open under its leader's own identity is forgotten for the call, so
+// its GET names no version the call could not serve.
 func (c *call) predict(tags []mle.Tag) []mle.Tag {
 	n := len(tags)
 	for i := range c.items {
 		it := &c.items[i]
-		if !it.leads() {
+		if !it.leads() || !it.known.manifest {
 			continue
 		}
-		sealed, ok := c.rt.record.get(it.tag)
-		if !ok {
+		m, _ := openManifest(c.id, it.input, it.known.sealed)
+		if m == nil {
+			it.known = recorded{}
 			continue
 		}
-		if m, _ := openManifest(c.id, it.input, sealed); m != nil {
-			if c.preds == nil {
-				c.preds = make([]*openedManifest, len(c.items))
-			}
-			c.preds[i] = m
-			c.rt.chunkCache.lacking(m.tags, func(k int) { tags = append(tags, m.tags[k]) })
+		if c.preds == nil {
+			c.preds = make([]*openedManifest, len(c.items))
 		}
+		c.preds[i] = m
+		c.rt.chunkCache.lacking(m.tags, func(k int) { tags = append(tags, m.tags[k]) })
 	}
 	return tags[:n+len(c.unfetched(tags[n:]))]
 }
@@ -532,7 +556,7 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 			rt.notePutError(err)
 			return
 		}
-		rt.record.put(job.tag, manSealed)
+		rt.record.put(&job.tag, true, manSealed)
 		rt.mu.Lock()
 		rt.stats.ChunkedPuts++
 		rt.stats.ChunksSkipped += int64(skipped)
@@ -541,21 +565,21 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 }
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed
-// manifest: open it, unless it is the one predict opened, fill each
+// manifest: open it, unless it is the recorded one predict opened, fill each
 // chunk's bytes of one output from the chunk cache, the prefetched
 // chunks or, verified against its ref, one more BatchGet. There is no
 // whole-result pass (chunk/manifest.go's trust model says why).
 // Any failure past manifest decryption means the stored data is
 // unusable and the caller recomputes loudly; errNoManifest alone means
 // the entry was never a manifest.
-func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) ([]byte, error) {
+func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed, unchanged bool) ([]byte, error) {
 	rt, span, m := c.rt, &c.span, pred
-	if !pred.is(sealed) {
+	if !unchanged || m == nil {
 		var err error
 		if m, err = openManifest(c.id, it.input, sealed); err != nil {
 			return nil, err
 		}
-		rt.record.put(it.tag, sealed)
+		rt.record.put(&it.tag, true, sealed)
 	}
 
 	// Each chunk fills exactly its ref's length at its offset, and
@@ -580,7 +604,7 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 	if fetch = c.unfetched(fetch); len(fetch) > 0 {
 		// Store time, not verification time: it accrues to store_get.
 		span.end(phaseVerifyDecrypt)
-		got, err := rt.clientGet(c.tc, fetch, span)
+		got, err := rt.clientGet(c.tc, fetch, nil, span)
 		span.begin(phaseVerifyDecrypt)
 		if err != nil {
 			for _, t := range fetch {

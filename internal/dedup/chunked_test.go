@@ -261,8 +261,8 @@ type chunkSwapClient struct {
 	reply wire.GetResult
 }
 
-func (c *chunkSwapClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
-	res, err := c.StoreClient.Get(tc, tags)
+func (c *chunkSwapClient) Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
+	res, err := c.StoreClient.Get(tc, tags, tokens)
 	for i := range res {
 		if tags[i] == c.tag {
 			res[i] = c.reply
@@ -279,7 +279,9 @@ func (c *chunkSwapClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetR
 // twice: the reader fetches the chunks after opening the manifest, or
 // (_by_prefetch) its host record holds the manifest as it was before
 // the damage, so every chunk rides the lookup's GET, the bad one too,
-// and must fail just as a fetched one does.
+// and must fail just as a fetched one does. A damaged manifest that kept
+// its r is the version the record names: the store answers unchanged,
+// and the reader reuses its recorded copy instead.
 func TestChunkedReassemblyRejects(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -377,12 +379,16 @@ func reassemblyRejects(t *testing.T, fetched, prefetch bool, tamper func(s *reas
 		t.Fatalf("read the manifest: %v", err)
 	}
 	tamper(s)
+	damaged, _, err := getOne(s.writer, s.primary)
+	if err != nil {
+		t.Fatalf("read the manifest: %v", err)
+	}
 
 	// A fresh runtime (empty chunk cache) must detect the damage,
 	// recompute, and replace the damaged entries.
 	b := newChunkRuntimeWith(t, p, st, "appB", Config{ChunkThreshold: chunkTestThreshold}, s.wrap)
 	if prefetch {
-		b.record.put(s.primary, before)
+		b.record.put(&s.primary, true, before)
 	}
 	bCalls := 0
 	got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
@@ -391,6 +397,16 @@ func reassemblyRejects(t *testing.T, fetched, prefetch bool, tamper func(s *reas
 	})
 	if err != nil {
 		t.Fatalf("B Execute: %v", err)
+	}
+	if prefetch && bytes.Equal(damaged.Challenge, before.Challenge) && !reflect.DeepEqual(damaged, before) {
+		// The damage kept the manifest's r, the version B's record
+		// names: the store answers unchanged, and B serves its own sealed
+		// copy without reading the damaged bytes.
+		if bs := b.Stats(); outcome != OutcomeReused || bCalls != 0 || !bytes.Equal(got, want) || bs.Unchanged != 1 || bs.VerifyFailures != 0 {
+			t.Fatalf("B: outcome %v, calls %d, result equal %v, %d unchanged, %d verify failures; want reused from the record",
+				outcome, bCalls, bytes.Equal(got, want), bs.Unchanged, bs.VerifyFailures)
+		}
+		return
 	}
 	if outcome != OutcomeRecomputed || bCalls != 1 || !bytes.Equal(got, want) {
 		t.Fatalf("B: outcome %v, calls %d, result equal %v", outcome, bCalls, bytes.Equal(got, want))
@@ -715,13 +731,15 @@ func forgetChunks(rt *Runtime) {
 	rt.chunkCache = newChunkCache(rt.Enclave(), defaultChunkCacheBytes, hostChunkCacheBytes)
 }
 
-// TestTamperedManifestRecord: the host keeps the manifest record, so it
-// may change it at will. A flipped byte, the records of two tags
-// swapped, and a stale record (an authentic older manifest the store's
-// entry has since been replaced over) each cost a prediction miss, a
-// second chunk GET, and never a wrong result. The hit rewrites the
-// record from the store's entry, so the next repeat hit prefetches
-// again.
+// TestTamperedManifestRecord: the host keeps the record's sealed
+// entries, so it may change them at will. A flipped byte and the entries
+// of two tags swapped do not unseal, so the GET names no version; a
+// stale entry (an authentic older manifest the store's entry has since
+// been replaced over) names an old one, so the answer is full. Each
+// costs a prediction miss, a second chunk GET, and never a wrong result,
+// a verify failure or a Replace. The hit rewrites the record from the
+// store's entry, so the next repeat hit prefetches again and is answered
+// unchanged.
 func TestTamperedManifestRecord(t *testing.T) {
 	resultOf := map[string][]byte{"x": chunkResult(71, 120<<10), "y": chunkResult(72, 120<<10)}
 	for _, tc := range []struct {
@@ -729,9 +747,9 @@ func TestTamperedManifestRecord(t *testing.T) {
 		tamper func(t *testing.T, p *enclave.Platform, st *store.Store, rt *Runtime, id mle.FuncID, tags map[string]mle.Tag)
 	}{
 		{"byte_flipped", func(_ *testing.T, _ *enclave.Platform, _ *store.Store, rt *Runtime, _ mle.FuncID, tags map[string]mle.Tag) {
-			s := rt.record.cur[tags["x"]].Clone()
-			s.Blob[len(s.Blob)/2] ^= 1
-			rt.record.cur[tags["x"]] = s
+			entry := bytes.Clone(rt.record.cur[tags["x"]])
+			entry[len(entry)/2] ^= 1
+			rt.record.cur[tags["x"]] = entry
 		}},
 		{"swapped_between_tags", func(_ *testing.T, _ *enclave.Platform, _ *store.Store, rt *Runtime, _ mle.FuncID, tags map[string]mle.Tag) {
 			r := rt.record.cur
@@ -783,11 +801,15 @@ func TestTamperedManifestRecord(t *testing.T) {
 				}
 				after := rt.Stats()
 				misses, prefetched := after.PrefetchMisses-before.PrefetchMisses, after.ChunksPrefetched-before.ChunksPrefetched
-				if round == "after tampering" && misses != 1 {
-					t.Errorf("%s: %d prediction misses, want 1", round, misses)
+				unchanged := after.Unchanged - before.Unchanged
+				if round == "after tampering" && (misses != 1 || unchanged != 0) {
+					t.Errorf("%s: %d prediction misses, %d unchanged answers; want 1 and 0", round, misses, unchanged)
 				}
-				if round != "after tampering" && (misses != 0 || prefetched == 0) {
-					t.Errorf("%s: %d prediction misses, %d chunks prefetched; want 0 and some", round, misses, prefetched)
+				if round != "after tampering" && (misses != 0 || prefetched == 0 || unchanged != 1) {
+					t.Errorf("%s: %d prediction misses, %d chunks prefetched, %d unchanged answers; want 0, some and 1", round, misses, prefetched, unchanged)
+				}
+				if after.VerifyFailures != before.VerifyFailures || after.ChunkedPuts != before.ChunkedPuts {
+					t.Errorf("%s: %d verify failures and %d uploads, want none", round, after.VerifyFailures-before.VerifyFailures, after.ChunkedPuts-before.ChunkedPuts)
 				}
 			}
 		})
@@ -1073,49 +1095,61 @@ func TestMissLeavesHostTierChunkThere(t *testing.T) {
 }
 
 // TestManifestRecordBound: the record keeps under its byte budget,
-// holding sealed triples and nothing else, however many manifests pass
+// holding sealed entries that unseal to the triples put under their tags
+// and nothing else, however many whole results and manifests pass
 // through it; a lookup gets a copy the host can no longer change.
 func TestManifestRecordBound(t *testing.T) {
-	var r manifestRecord
+	enc, err := enclave.NewPlatform(enclave.Config{}).Create("app", []byte("app code"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tripleRecord{enc: enc}
 	sealedOf := func(i int) mle.Sealed {
 		return mle.Sealed{Challenge: bytes.Repeat([]byte{byte(i)}, 16), WrappedKey: make([]byte, 16), Blob: make([]byte, 1200+i%500)}
 	}
 	put := map[mle.Tag]int{}
 	for i := 0; i < 20000; i++ {
-		r.put(hashTag(i), sealedOf(i))
-		put[hashTag(i)] = i
-		if i%250 != 0 {
+		tag := hashTag(i)
+		r.put(&tag, i%2 == 0, sealedOf(i))
+		put[tag] = i
+		if i%1000 != 0 {
 			continue
 		}
 		held := 0
-		for _, gen := range []map[mle.Tag]mle.Sealed{r.cur, r.old} {
-			for tag, s := range gen {
-				held += s.Size()
-				if j, ok := put[tag]; !ok || !reflect.DeepEqual(s, sealedOf(j)) {
+		for _, gen := range []map[mle.Tag][]byte{r.cur, r.old} {
+			for tag, entry := range gen {
+				held += len(entry)
+				got, ok := r.get(&tag)
+				j, known := put[tag]
+				if !ok || !known || !reflect.DeepEqual(got.sealed, sealedOf(j)) || got.manifest != (j%2 == 0) {
 					t.Fatalf("the record holds %x..., which is not a triple put under it", tag[:4])
+				}
+				if bytes.Contains(entry, got.sealed.Challenge) {
+					t.Fatalf("the entry for %x... holds its r in the clear", tag[:4])
 				}
 			}
 		}
-		if held > manifestRecordBytes {
-			t.Fatalf("after %d puts the record holds %d bytes, over %d", i+1, held, manifestRecordBytes)
+		if held > recordBytes {
+			t.Fatalf("after %d puts the record holds %d bytes, over %d", i+1, held, recordBytes)
 		}
 	}
-	// The newest manifests are held, the oldest gone.
-	if _, ok := r.get(hashTag(0)); ok {
-		t.Error("the oldest manifest survived 20,000 newer ones")
+	// The newest triples are held, the oldest gone.
+	oldest, newest := hashTag(0), hashTag(19999)
+	if _, ok := r.get(&oldest); ok {
+		t.Error("the oldest triple survived 20,000 newer ones")
 	}
-	s, ok := r.get(hashTag(19999))
-	if !ok || !bytes.Equal(s.Challenge, sealedOf(19999).Challenge) {
-		t.Fatal("the newest manifest is not held")
+	got, ok := r.get(&newest)
+	if !ok || !bytes.Equal(got.sealed.Challenge, sealedOf(19999).Challenge) {
+		t.Fatal("the newest triple is not held")
 	}
-	s.Blob[0] ^= 1
-	if again, _ := r.get(hashTag(19999)); again.Blob[0] != 0 {
+	got.sealed.Blob[0] ^= 1
+	if again, _ := r.get(&newest); again.sealed.Blob[0] != 0 {
 		t.Error("a lookup's copy aliases the record")
 	}
-	// A forgotten tag reads as absent.
-	r.put(hashTag(19999), mle.Sealed{})
-	if _, ok := r.get(hashTag(19999)); ok {
-		t.Error("a forgotten manifest is still held")
+	// A triple too large for a generation is not recorded.
+	r.put(&oldest, false, mle.Sealed{Challenge: make([]byte, 16), WrappedKey: make([]byte, 16), Blob: make([]byte, recordBytes/2)})
+	if _, ok := r.get(&oldest); ok {
+		t.Error("a triple of half the budget was recorded")
 	}
 }
 
@@ -1130,9 +1164,9 @@ func sealedLen(s mle.Sealed) int64 {
 	return int64(len(s.Challenge) + len(s.WrappedKey) + len(s.Blob))
 }
 
-func (c *byteCounter) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+func (c *byteCounter) Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
 	c.n.Add(int64(len(tags) * len(mle.Tag{})))
-	res, err := c.StoreClient.Get(tc, tags)
+	res, err := c.StoreClient.Get(tc, tags, tokens)
 	for _, r := range res {
 		if r.Found {
 			c.n.Add(sealedLen(r.Sealed))

@@ -26,8 +26,11 @@ import (
 // (cluster.Client).
 type StoreClient interface {
 	// Get performs a GET_REQUEST per tag, answering positionally: a nil
-	// error guarantees len(results) == len(tags).
-	Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error)
+	// error guarantees len(results) == len(tags). tokens is nil or
+	// holds one version token per tag, nil for none: the challenge r of
+	// the triple the caller holds for it. A hit on that version is
+	// answered Unchanged, with no triple.
+	Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error)
 	// Put performs a PUT_REQUEST per item, answering positionally. An
 	// item with Replace set overwrites any existing entry (used after
 	// the stored entry failed verification at this application).
@@ -78,11 +81,11 @@ func NewLocalClient(st *store.Store, owner enclave.Measurement) *LocalClient {
 // with no reply frame to overflow, no budget cuts the answer short.
 // Each hit is copied out of the store's record view, as a remote hit
 // arrives in a frame of its own.
-func (c *LocalClient) Get(_ wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+func (c *LocalClient) Get(_ wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	results, err := c.store.WireGet(c.owner, tags, math.MaxInt)
+	results, err := c.store.WireGet(c.owner, tags, tokens, math.MaxInt)
 	for i := range results {
 		results[i].Sealed = results[i].Sealed.Clone()
 	}
@@ -179,12 +182,6 @@ type RemoteClient struct {
 	reconnects atomic.Int64
 	inflight   atomic.Int64
 
-	// Telemetry mirrors; nil-safe no-ops when RemoteConfig.Telemetry
-	// was nil.
-	retriesC    *telemetry.Counter
-	reconnectsC *telemetry.Counter
-	inflightG   *telemetry.Gauge
-
 	// down is the health state Healthy reads. It is set under mu, so
 	// it can never be cleared after Close; the fast path of marking up
 	// is one load of it.
@@ -223,14 +220,14 @@ func DialConfig(addr string, app *enclave.Enclave, storeMeasurement enclave.Meas
 		storeMeas: storeMeasurement,
 		stop:      make(chan struct{}),
 	}
-	if cfg.Telemetry != nil {
+	if reg := cfg.Telemetry; reg != nil {
 		appLabel := telemetry.L("app", app.Name())
-		c.retriesC = cfg.Telemetry.NewCounter("speed_client_retries_total",
-			"store requests resent once on a fresh connection after the old one failed", appLabel)
-		c.reconnectsC = cfg.Telemetry.NewCounter("speed_client_reconnects_total",
-			"successful re-dials of the attested store channel", appLabel)
-		c.inflightG = cfg.Telemetry.NewGauge("speed_client_inflight_requests",
-			"store requests currently awaiting a reply", appLabel)
+		reg.NewCounterFunc("speed_client_retries_total",
+			"store requests resent once on a fresh connection after the old one failed", c.retries.Load, appLabel)
+		reg.NewCounterFunc("speed_client_reconnects_total",
+			"successful re-dials of the attested store channel", c.reconnects.Load, appLabel)
+		reg.NewGaugeFunc("speed_client_inflight_requests",
+			"store requests currently awaiting a reply", func() float64 { return float64(c.inflight.Load()) }, appLabel)
 	}
 	if !cfg.Lazy {
 		mux, err := c.dial()
@@ -294,7 +291,6 @@ func (c *RemoteClient) connect() (mux *chanMux, fresh bool, err error) {
 		}
 		c.mux = mux
 		c.reconnects.Add(1)
-		c.reconnectsC.Inc()
 		return mux, true, nil
 	}
 	return c.mux, false, nil
@@ -324,7 +320,6 @@ func (c *RemoteClient) roundTrip(req wire.Message, tc wire.TraceContext) (wire.M
 	msg, fresh, broken, err := c.attempt(req, tc)
 	if broken && !fresh {
 		c.retries.Add(1)
-		c.retriesC.Inc()
 		msg, _, broken, err = c.attempt(req, tc)
 	}
 	switch {
@@ -352,11 +347,7 @@ func (c *RemoteClient) attempt(req wire.Message, tc wire.TraceContext) (msg wire
 		return nil, fresh, fresh, err
 	}
 	c.inflight.Add(1)
-	c.inflightG.Add(1)
-	defer func() {
-		c.inflight.Add(-1)
-		c.inflightG.Add(-1)
-	}()
+	defer c.inflight.Add(-1)
 
 	msg, err = mux.roundTrip(req, tc)
 	if err != nil {
@@ -495,10 +486,14 @@ func join[T any](all, part []T) []T {
 }
 
 // Get implements StoreClient.
-func (c *RemoteClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+func (c *RemoteClient) Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
 	var results []wire.GetResult
 	err := c.windowed("get", tc, len(tags), nil, func(lo, hi int) wire.Message {
-		return wire.GetRequest{Tags: tags[lo:hi]}
+		req := wire.GetRequest{Tags: tags[lo:hi]}
+		if tokens != nil {
+			req.Tokens = tokens[lo:hi]
+		}
+		return req
 	}, func(msg wire.Message) (int, bool) {
 		r, ok := msg.(wire.GetResponse)
 		results = join(results, r.Results)

@@ -77,7 +77,7 @@ func testTag(b byte) mle.Tag {
 // themselves are batch-only. putOne reports a rejection the way the
 // runtime does, as ErrPutRejected.
 func getOne(c StoreClient, tag mle.Tag) (mle.Sealed, bool, error) {
-	res, err := c.Get(wire.TraceContext{}, []mle.Tag{tag})
+	res, err := c.Get(wire.TraceContext{}, []mle.Tag{tag}, nil)
 	if err != nil {
 		return mle.Sealed{}, false, err
 	}

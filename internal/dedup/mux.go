@@ -100,9 +100,9 @@ func (m *chanMux) readUntil(w chan muxResult) {
 			return
 		}
 		// The decoded message aliases the channel's receive scratch,
-		// which the next Recv reuses: a GET reply with a hit, whose
+		// which the next Recv reuses: a GET reply with a triple, whose
 		// sealed bytes the caller keeps, takes its frame along.
-		if r, ok := msg.(wire.GetResponse); ok && slices.ContainsFunc(r.Results, func(g wire.GetResult) bool { return g.Found }) {
+		if r, ok := msg.(wire.GetResponse); ok && slices.ContainsFunc(r.Results, func(g wire.GetResult) bool { return g.Sealed.Size() > 0 }) {
 			m.ch.Detach()
 		}
 		m.mu.Lock()

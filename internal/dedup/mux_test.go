@@ -154,8 +154,8 @@ func rawHello(t *testing.T, enc *enclave.Enclave, target enclave.Measurement, ve
 // TestProtocolVersionRefused is the whole version rule: a peer whose
 // attested hello presents any byte but wire.ProtocolVersion — a peer
 // predating the byte (0), older protocols (2; 3, which still served
-// sync pulls), the previous one (4, which still served existence
-// probes), a future one (6) — is refused inside
+// sync pulls; 4, which still served existence probes), the previous
+// one (5, whose GET named no version), a future one (7) — is refused inside
 // the handshake by the server and by the client, before any dispatch;
 // the client's error is not transient, so the retry schedule never
 // spins on it; and rewriting the byte in flight breaks the attestation
@@ -175,8 +175,9 @@ func TestProtocolVersionRefused(t *testing.T) {
 		{"v2", 2, 0, wire.ErrPeerRejected, "protocol version 2"},
 		{"v3", 3, 0, wire.ErrPeerRejected, "protocol version 3"},
 		{"v4", 4, 0, wire.ErrPeerRejected, "protocol version 4"},
-		{"v6", 6, 0, wire.ErrPeerRejected, "protocol version 6"},
-		{"downgraded in flight", wire.ProtocolVersion, 4, enclave.ErrAttestation, "attestation"},
+		{"v5", 5, 0, wire.ErrPeerRejected, "protocol version 5"},
+		{"v7", 7, 0, wire.ErrPeerRejected, "protocol version 7"},
+		{"downgraded in flight", wire.ProtocolVersion, 5, enclave.ErrAttestation, "attestation"},
 	} {
 		t.Run(row.name+"/server refuses", func(t *testing.T) {
 			st, err := store.New(store.Config{Enclave: storeEnc})

@@ -100,6 +100,8 @@ type item struct {
 	// store client reports the store unhealthy; counted in
 	// Stats.Degraded and never uploaded.
 	degraded bool
+	// known is a leader's record entry, whose r its GET names.
+	known recorded
 }
 
 func (it *item) leads() bool { return it.joined == nil }
@@ -253,12 +255,12 @@ func (c *call) publish(it *item) {
 }
 
 // lookup settles every leader the store can settle: one batched GET
-// OCALL for all of them (Algorithm 1/2 line 2), carrying the chunks
-// predict expects their manifests to need, then the Fig. 3
-// verification of each hit. A degraded call — the store client reports
-// the store unhealthy, or this call's GET failed — skips straight to
-// computing everything: deduplication is an accelerator, not a
-// correctness dependency.
+// OCALL for all of them (Algorithm 1/2 line 2), naming the version of
+// each that the record holds and carrying the chunks predict expects
+// their manifests to need, then the Fig. 3 verification of each hit. A
+// degraded call — the store client reports the store unhealthy, or this
+// call's GET failed — skips straight to computing everything:
+// deduplication is an accelerator, not a correctness dependency.
 func (c *call) lookup() {
 	rt := c.rt
 	down := rt.Degraded()
@@ -266,8 +268,9 @@ func (c *call) lookup() {
 	if !down {
 		tags := make([]mle.Tag, 0, len(c.items))
 		for i := range c.items {
-			if c.items[i].leads() {
-				tags = append(tags, c.items[i].tag)
+			if it := &c.items[i]; it.leads() {
+				tags = append(tags, it.tag)
+				it.known, _ = rt.record.get(&it.tag)
 			}
 		}
 		if len(tags) == 0 {
@@ -279,8 +282,20 @@ func (c *call) lookup() {
 			tags = c.predict(tags)
 			c.span.end(phaseStoreGet)
 		}
+		var tokens [][]byte
+		for i, j := 0, 0; i < len(c.items); i++ {
+			if it := &c.items[i]; it.leads() {
+				if r := it.known.sealed.Challenge; len(r) > 0 {
+					if tokens == nil {
+						tokens = make([][]byte, len(tags))
+					}
+					tokens[j] = r
+				}
+				j++
+			}
+		}
 		var err error
-		if found, err = rt.clientGet(c.tc, tags, &c.span); err != nil {
+		if found, err = rt.clientGet(c.tc, tags, tokens, &c.span); err != nil {
 			rt.storeGetFailed(err)
 			down = true
 		} else if len(tags) > n {
@@ -304,7 +319,7 @@ func (c *call) lookup() {
 			if c.preds != nil {
 				pred = c.preds[i]
 			}
-			c.verifyHit(it, pred, found[j].Sealed)
+			c.verifyHit(it, pred, found[j])
 		default:
 			it.need = true
 		}
@@ -318,20 +333,26 @@ func (c *call) lookup() {
 // verifyHit settles one leader whose tag the store holds: Algorithm 2
 // lines 4-6 plus the Fig. 3 verification, then — with chunking enabled,
 // where the entry may be a sealed manifest rather than a whole result —
-// reassembly from chunks before condemning it. A verified result is
-// reused. ⊥ (the stored entry is poisoned, corrupted, or belongs to a
+// reassembly from chunks before condemning it. An unchanged answer is
+// served from the leader's record entry, the version its GET named. A
+// verified result is reused, and a whole one that arrived in full is
+// recorded. ⊥ (the stored entry is poisoned, corrupted, or belongs to a
 // computation we cannot perform) counts a verify failure, and the item
 // is recomputed and replaces it. The store failing mid-reassembly is
 // neither: it says nothing about the stored data, so it is booked like
 // the primary GET failing.
-func (c *call) verifyHit(it *item, pred *openedManifest, sealed mle.Sealed) {
+func (c *call) verifyHit(it *item, pred *openedManifest, reply wire.GetResult) {
 	rt := c.rt
 	c.span.begin(phaseVerifyDecrypt)
 	defer c.span.end(phaseVerifyDecrypt)
-	// The manifest predict opened is no whole result.
+	sealed, unchanged := reply.Sealed, reply.Unchanged
+	if unchanged {
+		sealed = it.known.sealed
+	}
+	// A recorded manifest is no whole result.
 	var res []byte
 	err := mle.ErrAuthFailed
-	if !pred.is(sealed) {
+	if !unchanged || !it.known.manifest {
 		res, err = rce.Decrypt(c.id, it.input, sealed)
 	}
 	if err != nil && !errors.Is(err, mle.ErrAuthFailed) {
@@ -339,10 +360,10 @@ func (c *call) verifyHit(it *item, pred *openedManifest, sealed mle.Sealed) {
 		return
 	}
 	var manifests int64
-	if err == nil && pred != nil {
-		rt.record.put(it.tag, mle.Sealed{}) // the tag holds a whole result now
+	if err == nil && !unchanged {
+		rt.record.put(&it.tag, false, sealed)
 	} else if err != nil && rt.chunker != nil {
-		res, err = c.manifestReuse(it, pred, sealed)
+		res, err = c.manifestReuse(it, pred, sealed, unchanged)
 		switch {
 		case err == nil:
 			manifests = 1
@@ -366,6 +387,9 @@ func (c *call) verifyHit(it *item, pred *openedManifest, sealed mle.Sealed) {
 	}
 	it.Result, it.Outcome = res, OutcomeReused
 	rt.stats.Reused++
+	if unchanged {
+		rt.stats.Unchanged++
+	}
 	rt.stats.ManifestReuses += manifests
 	rt.stats.BytesReused += int64(len(res))
 }

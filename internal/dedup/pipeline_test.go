@@ -2,8 +2,10 @@ package dedup
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -31,16 +33,19 @@ import (
 type countingClient struct {
 	StoreClient
 	gets, puts atomic.Int64
-	getErr     func(call int64) error
-	getMutate  func(call int64, res []wire.GetResult)
-	rejectPuts bool          // every PUT item is refused, as by a quota
-	putErr     error         // every PUT fails with this
-	shortPuts  bool          // every PUT is answered with no results
-	delay      time.Duration // added to every Get
-	down       atomic.Bool   // the client reports the store unhealthy
+	// tokens counts the version tokens GETs carry, unchanged the
+	// answers that named their token's version and carried no triple.
+	tokens, unchanged atomic.Int64
+	getErr            func(call int64) error
+	getMutate         func(call int64, res []wire.GetResult)
+	rejectPuts        bool          // every PUT item is refused, as by a quota
+	putErr            error         // every PUT fails with this
+	shortPuts         bool          // every PUT is answered with no results
+	delay             time.Duration // added to every Get
+	down              atomic.Bool   // the client reports the store unhealthy
 }
 
-func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
 	n := c.gets.Add(1)
 	time.Sleep(c.delay)
 	if c.getErr != nil {
@@ -48,7 +53,17 @@ func (c *countingClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetRe
 			return nil, err
 		}
 	}
-	res, err := c.StoreClient.Get(tc, tags)
+	for _, t := range tokens {
+		if len(t) > 0 {
+			c.tokens.Add(1)
+		}
+	}
+	res, err := c.StoreClient.Get(tc, tags, tokens)
+	for _, r := range res {
+		if r.Unchanged && r.Sealed.Size() == 0 {
+			c.unchanged.Add(1)
+		}
+	}
 	if err == nil && c.getMutate != nil {
 		c.getMutate(n, res)
 	}
@@ -107,6 +122,7 @@ func (l *logSink) contains(sub string) bool {
 type pipeEnv struct {
 	t      *testing.T
 	store  *store.Store
+	acl    *store.ACL // open, until a scenario changes a grant
 	seeder *Runtime
 	appEnc *enclave.Enclave
 	client *countingClient
@@ -125,11 +141,12 @@ func newPipeEnv(t *testing.T, mutate func(*Config)) *pipeEnv {
 		}
 		return e
 	}
-	st, err := store.New(store.Config{Enclave: create("store")})
+	acl := store.NewACL(store.PermAll)
+	st, err := store.New(store.Config{Enclave: create("store"), Auth: acl})
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}
-	env := &pipeEnv{t: t, store: st, appEnc: create("app"), logs: &logSink{}}
+	env := &pipeEnv{t: t, store: st, acl: acl, appEnc: create("app"), logs: &logSink{}}
 	build := func(enc *enclave.Enclave, client StoreClient) *Runtime {
 		cfg := Config{Enclave: enc, Client: client, Logf: env.logs.logf}
 		if mutate != nil {
@@ -203,21 +220,48 @@ func (env *pipeEnv) lookup(input []byte) ([]byte, bool) {
 	return res, err == nil && out == OutcomeReused
 }
 
-// recordManifest puts the store's entry for pipeInput, changed by
-// mutate when it is non-nil, in the host record of the runtime under
-// test, as if that runtime had last seen it so.
-func (env *pipeEnv) recordManifest(mutate func(*mle.Sealed)) {
+// recordStored puts the store's entry for pipeInput, a manifest or a
+// whole result and changed by mutate when it is non-nil, in the host
+// record of the runtime under test, as if that runtime had last seen it
+// so.
+func (env *pipeEnv) recordStored(manifest bool, mutate func(*mle.Sealed)) {
 	env.t.Helper()
 	tag := mle.ComputeTag(env.id, pipeInput)
 	sealed, found, err := getOne(NewLocalClient(env.store, env.appEnc.Measurement()), tag)
 	if err != nil || !found {
-		env.t.Fatalf("read the manifest: found %v, err %v", found, err)
+		env.t.Fatalf("read the stored entry: found %v, err %v", found, err)
 	}
 	sealed = sealed.Clone()
 	if mutate != nil {
 		mutate(&sealed)
 	}
-	env.rt.record.put(tag, sealed)
+	env.rt.record.put(&tag, manifest, sealed)
+}
+
+// replaceStored has the seeder replace the store's entry for pipeInput
+// with a newer triple of the same result: a fresh r.
+func (env *pipeEnv) replaceStored() {
+	env.t.Helper()
+	res, _ := pipeCompute(pipeInput)
+	fresh, err := rce.Encrypt(env.id, pipeInput, res)
+	if err != nil {
+		env.t.Fatal(err)
+	}
+	if err := putOne(NewLocalClient(env.store, env.seeder.Enclave().Measurement()), mle.ComputeTag(env.id, pipeInput), fresh, true); err != nil {
+		env.t.Fatalf("replace: %v", err)
+	}
+}
+
+// tamperRecord flips a byte of the sealed record entry for pipeInput in
+// the host memory of the runtime under test.
+func (env *pipeEnv) tamperRecord() {
+	tag := mle.ComputeTag(env.id, pipeInput)
+	r := env.rt.record
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	entry := bytes.Clone(r.cur[tag])
+	entry[len(entry)/2] ^= 1
+	r.cur[tag] = entry
 }
 
 // spillChunks seals every chunk of pipeInput's pipeBig result into the
@@ -236,7 +280,7 @@ func recordHealed(env *pipeEnv, _ []byte) {
 	env.t.Helper()
 	tag := mle.ComputeTag(env.id, pipeInput)
 	stored, _, err := getOne(NewLocalClient(env.store, env.appEnc.Measurement()), tag)
-	if got, ok := env.rt.record.get(tag); err != nil || !ok || !reflect.DeepEqual(got, stored.Clone()) {
+	if got, ok := env.rt.record.get(&tag); err != nil || !ok || !reflect.DeepEqual(got.sealed, stored.Clone()) {
 		env.t.Error("the record does not hold the store's entry after the hit")
 	}
 }
@@ -289,8 +333,8 @@ type pipeScenario struct {
 	// means the host tier served every chunk instead.
 	fetches, prefetched, spilled bool
 	// Store requests and enclave OCALLs the whole call makes, however
-	// many items it carries.
-	gets, puts, ocalls int64
+	// many items it carries, and the version tokens its GETs carry.
+	gets, puts, ocalls, tokens int64
 	// transitions is what the benchmark's transitions_per_call counts
 	// for the call alone: its application ECALLs and OCALLs plus the
 	// store enclave's entries. absentGet marks a lookup the store
@@ -337,6 +381,66 @@ var pipeScenarios = []pipeScenario{
 		outcome: OutcomeReused,
 		stats:   Stats{Reused: 1},
 		gets:    1, ocalls: 1,
+		transitions: 3,
+	},
+	{
+		// (a) The record holds the store's entry: the GET names its r, the
+		// store answers unchanged, and the runtime opens its own copy.
+		name:    "hit_unchanged",
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeCompute); env.recordStored(false, nil) },
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1, Unchanged: 1},
+		gets:    1, ocalls: 1, tokens: 1,
+		transitions: 3,
+	},
+	{
+		// (b) The store holds a newer triple than the record: the GET
+		// names the old r, the answer is full, and the record takes it.
+		name: "stale_record",
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeCompute)
+			env.recordStored(false, nil)
+			env.replaceStored()
+		},
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1},
+		gets:    1, ocalls: 1, tokens: 1,
+		transitions: 3,
+		verify:      recordHealed,
+	},
+	{
+		// (c) The host flipped a byte of the record's entry: it does not
+		// unseal, so the GET names no version and the hit is a plain one,
+		// with no verify failure and no Replace.
+		name: "tampered_record",
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeCompute)
+			env.recordStored(false, nil)
+			env.tamperRecord()
+		},
+		stored:  true,
+		outcome: OutcomeReused,
+		stats:   Stats{Reused: 1},
+		gets:    1, ocalls: 1,
+		transitions: 3,
+		verify:      recordHealed,
+	},
+	{
+		// (d) The app may no longer GET, though its record holds the
+		// result: the store answers every tag as a miss without entering
+		// its enclave, so the call computes, and its PUT is a duplicate.
+		name: "get_revoked_with_record",
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeCompute)
+			env.recordStored(false, nil)
+			env.acl.Grant(env.appEnc.Measurement(), store.PermPut)
+		},
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1},
+		filler:  Stats{Computed: 1},
+		gets:    1, puts: 1, ocalls: 1, tokens: 1,
 		transitions: 3,
 	},
 	{
@@ -463,16 +567,17 @@ var pipeScenarios = []pipeScenario{
 	},
 	{
 		// The runtime recorded the manifest when it last saw it, and its
-		// chunk cache is empty: every chunk rides the lookup's GET.
+		// chunk cache is empty: every chunk rides the lookup's GET, which
+		// names the manifest's version, and the store answers unchanged.
 		name:    "chunked_repeat_hit",
 		cfg:     withChunking,
-		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig); env.recordManifest(nil) },
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig); env.recordStored(true, nil) },
 		compute: pipeBig,
 		stored:  true,
 		outcome: OutcomeReused,
-		stats:   Stats{Reused: 1, ManifestReuses: 1},
+		stats:   Stats{Reused: 1, ManifestReuses: 1, Unchanged: 1},
 		fetches: true, prefetched: true,
-		gets: 1, ocalls: 1,
+		gets: 1, ocalls: 1, tokens: 1,
 		transitions: 3,
 	},
 	{
@@ -481,24 +586,24 @@ var pipeScenarios = []pipeScenario{
 		// alone and nothing is fetched.
 		name:    "chunked_hit_from_host_tier",
 		cfg:     withChunking,
-		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig); env.recordManifest(nil); env.spillChunks() },
+		arrange: func(env *pipeEnv) { env.seed(pipeInput, pipeBig); env.recordStored(true, nil); env.spillChunks() },
 		compute: pipeBig,
 		stored:  true,
 		outcome: OutcomeReused,
-		stats:   Stats{Reused: 1, ManifestReuses: 1},
+		stats:   Stats{Reused: 1, ManifestReuses: 1, Unchanged: 1},
 		spilled: true,
-		gets:    1, ocalls: 1,
+		gets:    1, ocalls: 1, tokens: 1,
 		transitions: 3,
 	},
 	{
-		// A record that does not open is ignored: the hit fetches its
-		// chunks after the manifest, as a first hit does, and records the
-		// store's entry afresh.
+		// A recorded manifest that does not open is ignored and names no
+		// version: the hit fetches its chunks after the manifest, as a
+		// first hit does, and records the store's entry afresh.
 		name: "chunked_prediction_miss",
 		cfg:  withChunking,
 		arrange: func(env *pipeEnv) {
 			env.seed(pipeInput, pipeBig)
-			env.recordManifest(func(s *mle.Sealed) { s.Blob[len(s.Blob)/2] ^= 1 })
+			env.recordStored(true, func(s *mle.Sealed) { s.Blob[len(s.Blob)/2] ^= 1 })
 		},
 		compute: pipeBig,
 		stored:  true,
@@ -556,6 +661,52 @@ var pipeScenarios = []pipeScenario{
 		gets:    2, ocalls: 2,
 		transitions: 4,
 	},
+}
+
+// TestForgedRecordEntryNotServed stands in for an application host that
+// knows (func, m). It builds a valid RCE triple for the call that
+// carries the store's r but a wrong result, and writes it into the
+// record's host memory as the tag's entry. Only the enclave can seal an
+// entry, so this one does not unseal: the GET names no version, and the
+// call returns the store's result. A record that kept its entries in
+// the clear would name the store's r, be answered unchanged, and serve
+// the forgery.
+func TestForgedRecordEntryNotServed(t *testing.T) {
+	env := newPipeEnv(t, nil)
+	env.seed(pipeInput, pipeCompute)
+	tag := mle.ComputeTag(env.id, pipeInput)
+	stored, _, err := getOne(NewLocalClient(env.store, env.appEnc.Measurement()), tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, wrapped, key, err := mle.KeyGen(env.id, pipeInput, io.MultiReader(bytes.NewReader(stored.Challenge), rand.Reader))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := mle.EncryptResult(key, []byte("forged result"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := mle.Sealed{Challenge: r, WrappedKey: wrapped, Blob: blob}
+	if res, err := rce.Decrypt(env.id, pipeInput, forged); err != nil || !bytes.Equal(r, stored.Challenge) {
+		t.Fatalf("the forgery opens to %q, %v; want a triple with the store's r that opens", res, err)
+	}
+	env.rt.record.mu.Lock()
+	// The entry's layout, unsealed: a whole result's flag 0, r, [k], [res].
+	entry := append(append(append([]byte{0}, forged.Challenge...), forged.WrappedKey...), forged.Blob...)
+	env.rt.record.cur = map[mle.Tag][]byte{tag: entry}
+	env.rt.record.mu.Unlock()
+
+	got, outcome, err := env.rt.Execute(env.id, pipeInput, func([]byte) ([]byte, error) {
+		return nil, errors.New("computed a stored result")
+	})
+	want, _ := pipeCompute(pipeInput)
+	if err != nil || outcome != OutcomeReused || !bytes.Equal(got, want) {
+		t.Fatalf("= (%q, %v, %v), want the store's result %q reused", got, outcome, err, want)
+	}
+	if n := env.client.tokens.Load(); n != 0 {
+		t.Errorf("the GET named %d versions; the forged entry must name none", n)
+	}
 }
 
 // pipeEntry is one way into the pipeline. call runs the scenario input
@@ -687,6 +838,10 @@ func runPipeScenario(t *testing.T, sc pipeScenario, entry pipeEntry) {
 	if g, p := env.client.gets.Load()-getsBefore, env.client.puts.Load()-putsBefore; g != sc.gets || p != sc.puts {
 		t.Errorf("store requests GET/PUT = %d/%d, want %d/%d", g, p, sc.gets, sc.puts)
 	}
+	// Each result served from the record was answered with no triple.
+	if tk, u := env.client.tokens.Load(), env.client.unchanged.Load(); tk != sc.tokens || u != sc.stats.Unchanged {
+		t.Errorf("GET tokens/unchanged answers = %d/%d, want %d/%d", tk, u, sc.tokens, sc.stats.Unchanged)
+	}
 	enc := env.appEnc.Metrics()
 	e, o := enc.ECalls-encBefore.ECalls, enc.OCalls-encBefore.OCalls
 	if e != 1 || o != sc.ocalls {
@@ -729,6 +884,7 @@ func subStats(a, b Stats) Stats {
 		ChunkCacheHits: a.ChunkCacheHits - b.ChunkCacheHits, ChunksSkipped: a.ChunksSkipped - b.ChunksSkipped,
 		ChunksPrefetched: a.ChunksPrefetched - b.ChunksPrefetched, PrefetchMisses: a.PrefetchMisses - b.PrefetchMisses,
 		ChunkSpillHits: a.ChunkSpillHits - b.ChunkSpillHits, ChunkSpillFailures: a.ChunkSpillFailures - b.ChunkSpillFailures,
+		Unchanged: a.Unchanged - b.Unchanged,
 	}
 }
 

@@ -101,6 +101,10 @@ type Stats struct {
 	VerifyFailures int64
 	// PutErrors counts failed or rejected uploads.
 	PutErrors int64
+	// Unchanged counts the reused results served from the runtime's
+	// record of sealed triples: the store answered that the version the
+	// GET named is current, and sent no triple (a subset of Reused).
+	Unchanged int64
 	// BytesReused totals the plaintext result bytes served from the
 	// store.
 	BytesReused int64
@@ -174,12 +178,14 @@ type Runtime struct {
 	tel    *rtMetrics
 	traceN atomic.Uint64
 
-	// chunker, chunkCache and record are non-nil iff
-	// Config.ChunkThreshold > 0; every chunked-dedup site is guarded on
-	// chunker, so a runtime without chunking pays one nil test.
+	// record holds the last verified triple of each tag, chunking or not.
+	record *tripleRecord
+
+	// chunker and chunkCache are non-nil iff Config.ChunkThreshold > 0;
+	// every chunked-dedup site is guarded on chunker, so a runtime
+	// without chunking pays one nil test.
 	chunker    *chunk.Chunker
 	chunkCache *chunkCache
-	record     *manifestRecord
 }
 
 // flight is one in-progress computation that concurrent identical
@@ -221,6 +227,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		cfg:      cfg,
 		registry: NewRegistry(),
 		inflight: make(map[mle.Tag]*flight),
+		record:   &tripleRecord{enc: cfg.Enclave},
 	}
 	if cfg.ChunkThreshold > 0 {
 		ck, err := chunk.NewChunker(chunk.Config{})
@@ -229,7 +236,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		rt.chunker = ck
 		rt.chunkCache = newChunkCache(cfg.Enclave, defaultChunkCacheBytes, hostChunkCacheBytes)
-		rt.record = &manifestRecord{}
 	}
 	rt.tel = newRTMetrics(cfg.Telemetry, rt, cfg.TraceSampleRate)
 	return rt, nil
@@ -381,11 +387,11 @@ func send(sends []func(), span *execSpan) {
 // ID. clientGet is also the GET crossing — one OCALL timed as store_get
 // — for the pipeline's lookup and a manifest's chunk fetch alike;
 // clientPut runs outside the enclave, from send.
-func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, span *execSpan) ([]wire.GetResult, error) {
+func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte, span *execSpan) ([]wire.GetResult, error) {
 	var res []wire.GetResult
 	span.begin(phaseStoreGet)
 	err := rt.cfg.Enclave.OCall(func() (oerr error) {
-		res, oerr = rt.cfg.Client.Get(tc, tags)
+		res, oerr = rt.cfg.Client.Get(tc, tags, tokens)
 		return oerr
 	})
 	span.end(phaseStoreGet)

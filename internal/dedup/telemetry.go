@@ -140,6 +140,7 @@ func newRTMetrics(reg *telemetry.Registry, rt *Runtime, sampleRate int) *rtMetri
 		{"speed_runtime_coalesced_total", "calls that shared an in-flight computation", func(s Stats) int64 { return s.Coalesced }},
 		{"speed_runtime_verify_failures_total", "stored entries rejected by verification", func(s Stats) int64 { return s.VerifyFailures }},
 		{"speed_runtime_put_errors_total", "failed or rejected uploads", func(s Stats) int64 { return s.PutErrors }},
+		{"speed_runtime_unchanged_total", "results reused from the runtime's sealed record because the store answered unchanged (a share of reused)", func(s Stats) int64 { return s.Unchanged }},
 		{"speed_runtime_bytes_reused_total", "plaintext bytes served from the store", func(s Stats) int64 { return s.BytesReused }},
 		{"speed_runtime_degraded_calls_total", "calls served compute-only because their GET failed or the store was down", func(s Stats) int64 { return s.Degraded }},
 		{"speed_runtime_store_failures_total", "failed store GET and PUT requests", func(s Stats) int64 { return s.StoreFailures }},

@@ -334,11 +334,11 @@ func (f *flakyClient) tick() bool {
 	return f.count%f.n == 0
 }
 
-func (f *flakyClient) Get(tc wire.TraceContext, tags []mle.Tag) ([]wire.GetResult, error) {
+func (f *flakyClient) Get(tc wire.TraceContext, tags []mle.Tag, tokens [][]byte) ([]wire.GetResult, error) {
 	if f.tick() {
 		return nil, errors.New("injected store get failure")
 	}
-	return f.StoreClient.Get(tc, tags)
+	return f.StoreClient.Get(tc, tags, tokens)
 }
 
 func (f *flakyClient) Put(tc wire.TraceContext, items []wire.PutItem) ([]wire.PutResult, error) {
@@ -530,7 +530,7 @@ func TestChannelCutMidSession(t *testing.T) {
 	_ = srv.Close()
 	wg.Wait()
 
-	if _, err := client.Get(wire.TraceContext{}, []mle.Tag{tag}); err == nil {
+	if _, err := client.Get(wire.TraceContext{}, []mle.Tag{tag}, nil); err == nil {
 		t.Error("Get over a cut channel succeeded")
 	}
 }

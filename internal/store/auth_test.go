@@ -102,7 +102,7 @@ func TestStoreDeniesWholeMessage(t *testing.T) {
 		}
 	}
 
-	got, err := s.WireGet(stranger, tags, math.MaxInt)
+	got, err := s.WireGet(stranger, tags, nil, math.MaxInt)
 	if err != nil || len(got) != len(tags) {
 		t.Fatalf("stranger GET = %d answers, %v; want %d", len(got), err, len(tags))
 	}

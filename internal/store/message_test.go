@@ -103,10 +103,10 @@ func TestMessagesMatchOneByOne(t *testing.T) {
 					what := fmt.Sprintf("message %d", m)
 					switch rng.Intn(2) {
 					case 0:
-						got, err := batch.WireGet(owner, tags, math.MaxInt)
+						got, err := batch.WireGet(owner, tags, nil, math.MaxInt)
 						var want []wire.GetResult
 						for _, tag := range tags {
-							r, werr := twin.WireGet(owner, []mle.Tag{tag}, math.MaxInt)
+							r, werr := twin.WireGet(owner, []mle.Tag{tag}, nil, math.MaxInt)
 							if werr != nil {
 								t.Fatalf("%s: twin GET: %v", what, werr)
 							}
@@ -228,15 +228,15 @@ func TestStoreEnclaveEntriesPerMessage(t *testing.T) {
 				{"PUT with a Replace item in the middle", 2, func() error { _, err := s.WirePut(owner, replace); return err }},
 				{"PUT by a stranger", 0, func() error { _, err := s.WirePut(stranger, itemsOf(tagsOf("denied", 3))); return err }},
 				{"GET of 1", 1, func() error { _, _, err := s.GetAs(owner, young[0]); return err }},
-				{"GET of 3 in the newest tier", 1, func() error { _, err := s.WireGet(owner, young, math.MaxInt); return err }},
-				{"GET of 64 in the oldest tier", segmentGet, func() error { _, err := s.WireGet(owner, old, math.MaxInt); return err }},
+				{"GET of 3 in the newest tier", 1, func() error { _, err := s.WireGet(owner, young, nil, math.MaxInt); return err }},
+				{"GET of 64 in the oldest tier", segmentGet, func() error { _, err := s.WireGet(owner, old, nil, math.MaxInt); return err }},
 				{"GET across the tiers", segmentGet, func() error {
-					_, err := s.WireGet(owner, append(tagsOf("old2", 0), old[0], young[0], tagOf("absent"), old[1]), math.MaxInt)
+					_, err := s.WireGet(owner, append(tagsOf("old2", 0), old[0], young[0], tagOf("absent"), old[1]), nil, math.MaxInt)
 					return err
 				}},
-				{"GET of 64 absent tags", 0, func() error { _, err := s.WireGet(owner, tagsOf("absent", 64), math.MaxInt); return err }},
-				{"GET of no tags (a ping)", 0, func() error { _, err := s.WireGet(owner, nil, math.MaxInt); return err }},
-				{"GET by a stranger", 0, func() error { _, err := s.WireGet(stranger, old, math.MaxInt); return err }},
+				{"GET of 64 absent tags", 0, func() error { _, err := s.WireGet(owner, tagsOf("absent", 64), nil, math.MaxInt); return err }},
+				{"GET of no tags (a ping)", 0, func() error { _, err := s.WireGet(owner, nil, nil, math.MaxInt); return err }},
+				{"GET by a stranger", 0, func() error { _, err := s.WireGet(stranger, old, nil, math.MaxInt); return err }},
 			} {
 				if log && c.want == 2 && c.name[0] == 'P' {
 					continue // with a directory, Remove enters the enclave too
@@ -323,7 +323,7 @@ func TestObliviousMessages(t *testing.T) {
 		}
 		tags[n] = tagOf("absent")
 
-		got, err := s.WireGet(owner, tags, math.MaxInt)
+		got, err := s.WireGet(owner, tags, nil, math.MaxInt)
 		if err != nil || len(got) != n+1 {
 			t.Fatalf("WireGet = %d results, %v", len(got), err)
 		}
@@ -361,7 +361,7 @@ func TestObliviousMessages(t *testing.T) {
 			t.Fatalf("Stats = %+v, want 1 eviction and %d entries", st, n)
 		}
 		tags[n] = tagOf("new")
-		after, err := s.WireGet(owner, tags, math.MaxInt)
+		after, err := s.WireGet(owner, tags, nil, math.MaxInt)
 		if err != nil {
 			t.Fatalf("WireGet: %v", err)
 		}

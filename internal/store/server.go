@@ -388,7 +388,7 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 	writing()
 	err = ch.SendEnvelope(req.id, reply)
 	if s.tel != nil {
-		s.tel.reqSeconds[req.msg.Kind()].Observe(time.Since(start))
+		s.tel.reqSeconds[opKind(req.msg)].Observe(time.Since(start))
 	}
 	if err != nil {
 		return fmt.Errorf("send to %v: %w", conn.RemoteAddr(), err)
@@ -408,9 +408,17 @@ var requestOps = map[wire.Kind]struct{ span, label string }{
 	wire.KindPutRequest: {"store_put", "put"},
 }
 
+// opKind is the kind requestOps lists m under: a GET with tokens is a GET.
+func opKind(m wire.Message) wire.Kind {
+	if k := m.Kind(); k != wire.KindGetTokensRequest {
+		return k
+	}
+	return wire.KindGetRequest
+}
+
 // opName labels a request message for spans and slow-request lines.
 func opName(m wire.Message) string {
-	if op, ok := requestOps[m.Kind()]; ok {
+	if op, ok := requestOps[opKind(m)]; ok {
 		return op.span
 	}
 	return "store_request"
@@ -507,7 +515,7 @@ func (s *Server) dispatch(owner enclave.Measurement, msg wire.Message) (wire.Mes
 	switch m := msg.(type) {
 	case wire.GetRequest:
 		observe(len(m.Tags))
-		results, err := s.store.WireGet(owner, m.Tags, replyBudget)
+		results, err := s.store.WireGet(owner, m.Tags, m.Tokens, replyBudget)
 		return wire.GetResponse{Results: results}, err
 	case wire.PutRequest:
 		observe(len(m.Items))

@@ -11,6 +11,7 @@
 package store
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"math"
@@ -107,6 +108,7 @@ type Config struct {
 type Stats struct {
 	Gets         int64
 	Hits         int64
+	Unchanged    int64 // hits whose GET token named the entry's version, answered without its triple
 	Puts         int64
 	PutDupes     int64
 	PutDenied    int64
@@ -198,6 +200,7 @@ func (s *Store) registerTelemetry(reg *telemetry.Registry) {
 	}{
 		{"speed_store_gets_total", "GET requests", func(st Stats) int64 { return st.Gets }},
 		{"speed_store_hits_total", "GET requests answered positively", func(st Stats) int64 { return st.Hits }},
+		{"speed_store_unchanged_total", "hits answered unchanged, without the triple the caller's token named", func(st Stats) int64 { return st.Unchanged }},
 		{"speed_store_puts_total", "accepted fresh uploads", func(st Stats) int64 { return st.Puts }},
 		{"speed_store_put_dupes_total", "uploads for already-stored tags", func(st Stats) int64 { return st.PutDupes }},
 		{"speed_store_put_denied_total", "uploads rejected by quota", func(st Stats) int64 { return st.PutDenied }},
@@ -238,7 +241,7 @@ func (s *Store) GetAs(app enclave.Measurement, tag mle.Tag) (mle.Sealed, bool, e
 // Get looks up one computation tag, returning a copy of the (r, [k],
 // [res]) triple, the caller's to keep and write, when found.
 func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
-	results, err := s.get([]mle.Tag{tag}, math.MaxInt)
+	results, err := s.get([]mle.Tag{tag}, nil, math.MaxInt)
 	if err != nil {
 		return mle.Sealed{}, false, err
 	}
@@ -248,7 +251,9 @@ func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 // WireGet answers one GET message on behalf of owner in wire terms: a
 // prefix of tags, ending before the first hit that would take the
 // sealed payload past budget bytes (left untouched for the caller's
-// next request) but never empty. A hit's Sealed is a read-only view of
+// next request) but never empty. tokens, nil or one per tag, are the
+// challenges of the versions the caller holds: a hit on the version its
+// token names is answered Unchanged, with no triple. A hit's Sealed is a read-only view of
 // the engine's record, for the server to seal its reply from; an
 // in-process caller that keeps or writes it copies it. It and WirePut
 // are the single copy of the store-error → wire-result mapping, called
@@ -256,17 +261,17 @@ func (s *Store) Get(tag mle.Tag) (mle.Sealed, bool, error) {
 // so local and remote deployments answer identically. An unauthorized
 // application is denied without information: it sees a miss for every
 // tag, each counted, and learns nothing about which tags exist.
-func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, budget int) ([]wire.GetResult, error) {
+func (s *Store) WireGet(owner enclave.Measurement, tags []mle.Tag, tokens [][]byte, budget int) ([]wire.GetResult, error) {
 	if s.cfg.Auth.Authorize(owner, PermGet) != nil {
 		s.count(func(ops *Stats) { ops.Unauthorized += int64(len(tags)) })
 		return make([]wire.GetResult, len(tags)), nil
 	}
-	return s.get(tags, budget)
+	return s.get(tags, tokens, budget)
 }
 
 // get looks one message's tags up, answering a prefix (see WireGet),
 // drops the dangling entries it met and counts the message.
-func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
+func (s *Store) get(tags []mle.Tag, tokens [][]byte, budget int) ([]wire.GetResult, error) {
 	if len(tags) == 0 {
 		return nil, nil // a ping
 	}
@@ -279,7 +284,7 @@ func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 		return nil, err
 	}
 	results := make([]wire.GetResult, len(found))
-	var hits int64
+	var hits, unchanged int64
 	for i := range found {
 		switch rec := &found[i].Record; found[i].Status {
 		case storeengine.StatusDangling:
@@ -291,6 +296,11 @@ func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 			}
 		case storeengine.StatusHit:
 			hits++
+			if tokens != nil && len(tokens[i]) > 0 && subtle.ConstantTimeCompare(tokens[i], rec.Challenge) == 1 {
+				unchanged++
+				results[i] = wire.GetResult{Found: true, Unchanged: true}
+				continue
+			}
 			results[i] = wire.GetResult{Found: true, Sealed: mle.Sealed{
 				Challenge: rec.Challenge, WrappedKey: rec.WrappedKey, Blob: rec.Blob}}
 		}
@@ -298,6 +308,7 @@ func (s *Store) get(tags []mle.Tag, budget int) ([]wire.GetResult, error) {
 	s.count(func(ops *Stats) {
 		ops.Gets += int64(len(found))
 		ops.Hits += hits
+		ops.Unchanged += unchanged
 	})
 	return results, nil
 }

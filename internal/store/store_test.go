@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,6 +166,53 @@ func TestPutReplaceOverwrites(t *testing.T) {
 	}
 	if got := s.Stats().Evictions; got != 0 {
 		t.Errorf("Evictions = %d, want 0 (replacement is not an eviction)", got)
+	}
+}
+
+// TestGetTokens: a GET whose token is the stored entry's r is answered
+// Unchanged, with no triple, and counted; a token that differs (an
+// older version's r, or a guess) and no token both get the full triple,
+// on a volatile store and from a persistent store's segment alike.
+func TestGetTokens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(t *testing.T) Config
+	}{
+		{"volatile", func(*testing.T) Config { return Config{} }},
+		{"segment", func(t *testing.T) Config { return Config{DataDir: t.TempDir()} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testStore(t, tc.cfg(t))
+			owner, tag := ownerOf("app"), tagOf("t")
+			current := sealedOf("current version")
+			if _, err := s.Put(owner, tag, current); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			older := bytes.Clone(current.Challenge)
+			older[0] ^= 1
+			got, err := s.WireGet(owner, []mle.Tag{tag, tag, tag, tagOf("absent")},
+				[][]byte{current.Challenge, older, nil, current.Challenge}, math.MaxInt)
+			if err != nil || len(got) != 4 {
+				t.Fatalf("WireGet = %d results, %v", len(got), err)
+			}
+			if r := got[0]; !r.Found || !r.Unchanged || r.Sealed.Size() != 0 {
+				t.Errorf("current token: %+v, want unchanged with no triple", r)
+			}
+			for i, what := range []string{"older token", "no token"} {
+				if r := got[1+i]; !r.Found || r.Unchanged || !reflect.DeepEqual(r.Sealed, current) {
+					t.Errorf("%s: %+v, want the full triple", what, r)
+				}
+			}
+			if r := got[3]; r.Found || r.Unchanged {
+				t.Errorf("absent tag with a token: %+v, want a miss", r)
+			}
+			if st := s.Stats(); st.Hits != 3 || st.Unchanged != 1 {
+				t.Errorf("Hits = %d, Unchanged = %d; want 3 and 1", st.Hits, st.Unchanged)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(Marshal(GetRequest{}))
 	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1, 2, 3}}}))
 	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1}, {2}}}))
+	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1}, {2}}, Tokens: [][]byte{[]byte("rrrr"), nil}}))
 	f.Add(Marshal(GetResponse{Results: []GetResult{
 		{Found: true, Sealed: mle.Sealed{
 			Challenge:  []byte("rrrr"),
@@ -28,7 +29,9 @@ func FuzzUnmarshal(f *testing.F) {
 			Blob:       []byte("blob"),
 		}},
 		{Found: false},
+		{Found: true, Unchanged: true},
 	}}))
+	f.Add(Marshal(GetResponse{Results: []GetResult{{Found: true, Unchanged: true}}}))
 	f.Add(Marshal(PutRequest{Items: []PutItem{{Tag: mle.Tag{9}, Replace: true, Sealed: blob}, {Tag: mle.Tag{3}, Sealed: blob}}}))
 	f.Add(Marshal(PutResponse{Results: []PutResult{{OK: true}, {OK: false, Err: "quota"}}}))
 	f.Add(retiredSyncPullRequest)

@@ -52,6 +52,17 @@ func TestGoldenEncodings(t *testing.T) {
 			"040100000000", 0},
 		{"PutResponse rejection", PutResponse{Results: []PutResult{{Err: rejection}}},
 			"04000000000e71756f7461206578636565646564", 0},
+		// Protocol version 6: a GET whose tags carry version tokens, and
+		// the one-byte answer that a token named the stored version.
+		{"GetRequest{t} with token", GetRequest{Tags: []mle.Tag{goldenTag(1)}, Tokens: [][]byte{[]byte("chal")}},
+			"050102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2000000004" + "6368616c", 0},
+		{"GetRequest{t, u} one token", GetRequest{Tags: []mle.Tag{goldenTag(1), goldenTag(2)}, Tokens: [][]byte{nil, []byte{9}}},
+			"050102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2000000000" +
+				"02030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20210000000109", 0},
+		{"GetResponse unchanged", GetResponse{Results: []GetResult{{Found: true, Unchanged: true}}},
+			"0202", 0},
+		{"GetResponse unchanged, miss, hit", GetResponse{Results: []GetResult{{Found: true, Unchanged: true}, {}, {Found: true, Sealed: s2}}},
+			"0202" + "00000000000000000000000000" + "01000000020102000000010300000003040506", 0},
 		{"BatchGetRequest 3", GetRequest{Tags: []mle.Tag{goldenTag(1), goldenTag(2), goldenTag(3)}},
 			"05000000030102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2002030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122", 4},
 		{"BatchGetResponse 3", GetResponse{Results: []GetResult{{Found: true, Sealed: s1}, {}, {Found: true, Sealed: s2}}},

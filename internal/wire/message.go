@@ -19,18 +19,22 @@ type Kind uint8
 // Message kinds. GET checks for and fetches stored results by tag; PUT
 // uploads freshly computed, encrypted results. Every message carries a
 // sequence of items — the paper's single request is a sequence of one.
+// A GET whose tags carry version tokens travels as KindGetTokensRequest,
+// so a GET without them is byte for byte what it was before tokens.
 const (
 	KindGetRequest Kind = iota + 1
 	KindGetResponse
 	KindPutRequest
 	KindPutResponse
+	KindGetTokensRequest
 )
 
 var kindNames = [...]string{
-	KindGetRequest:  "GET_REQUEST",
-	KindGetResponse: "GET_RESPONSE",
-	KindPutRequest:  "PUT_REQUEST",
-	KindPutResponse: "PUT_RESPONSE",
+	KindGetRequest:       "GET_REQUEST",
+	KindGetResponse:      "GET_RESPONSE",
+	KindPutRequest:       "PUT_REQUEST",
+	KindPutResponse:      "PUT_RESPONSE",
+	KindGetTokensRequest: "GET_TOKENS_REQUEST",
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -66,17 +70,26 @@ type Message interface {
 // asks again for the rest.
 
 // GetRequest asks whether the computations with the given tags have
-// been done before (Algorithm 1 line 2 / Algorithm 2 line 2).
+// been done before (Algorithm 1 line 2 / Algorithm 2 line 2). Tokens,
+// nil or one per tag, names the version of each entry the requester
+// already holds: the challenge r of its triple, or nothing.
 type GetRequest struct {
-	Tags []mle.Tag
+	Tags   []mle.Tag
+	Tokens [][]byte
 }
 
 // GetResult answers one tag of a GetRequest. When Found is true it
-// carries the (r, [k], [res]) triple of Algorithm 2 line 3.
+// carries the (r, [k], [res]) triple of Algorithm 2 line 3, unless
+// Unchanged says that the entry is the version the tag's token named,
+// whose triple the requester holds: then it carries none.
 type GetResult struct {
-	Found  bool
-	Sealed mle.Sealed
+	Found, Unchanged bool
+	Sealed           mle.Sealed
 }
+
+// getUnchanged is an unchanged answer on the wire: one byte where a
+// miss or a hit is a false or true bool and then a triple.
+const getUnchanged = 2
 
 // GetResponse answers a GetRequest; Results[i] answers Tags[i].
 type GetResponse struct {
@@ -111,7 +124,12 @@ type PutResponse struct {
 }
 
 // Kind implements Message.
-func (GetRequest) Kind() Kind { return KindGetRequest }
+func (m GetRequest) Kind() Kind {
+	if m.Tokens != nil {
+		return KindGetTokensRequest
+	}
+	return KindGetRequest
+}
 
 // Kind implements Message.
 func (GetResponse) Kind() Kind { return KindGetResponse }
@@ -143,8 +161,8 @@ func Unmarshal(b []byte) (Message, error) {
 	}
 	kind, body := Kind(b[0]), b[1:]
 	switch kind {
-	case KindGetRequest:
-		return decodeGetRequest(body)
+	case KindGetRequest, KindGetTokensRequest:
+		return decodeGetRequest(body, kind == KindGetTokensRequest)
 	case KindGetResponse:
 		return decodeGetResponse(body)
 	case KindPutRequest:
@@ -164,33 +182,50 @@ func tooMany(kind Kind) error {
 func (m GetRequest) appendTo(buf []byte) []byte {
 	for i := range m.Tags {
 		buf = append(buf, m.Tags[i][:]...)
+		if m.Tokens != nil {
+			buf = appendBytes(buf, m.Tokens[i])
+		}
 	}
 	return buf
 }
 
-// decodeGetRequest decodes a body that is nothing but tags.
-func decodeGetRequest(b []byte) (GetRequest, error) {
-	if len(b)%mle.TagSize != 0 {
-		return GetRequest{}, fmt.Errorf("%w: %v body of %d bytes is not whole tags", ErrMalformed, KindGetRequest, len(b))
+// decodeGetRequest decodes a body of tags, each followed by its
+// length-prefixed token when tokens is set. A GET with tokens names at
+// least one tag: a ping is a GET of none.
+func decodeGetRequest(b []byte, tokens bool) (GetRequest, error) {
+	var m GetRequest
+	if n := len(b) / mle.TagSize; n > 0 {
+		m.Tags = make([]mle.Tag, 0, min(n, MaxBatchItems))
 	}
-	n := len(b) / mle.TagSize
-	if n > MaxBatchItems {
-		return GetRequest{}, tooMany(KindGetRequest)
+	for len(b) > 0 {
+		if len(m.Tags) == MaxBatchItems {
+			return GetRequest{}, tooMany(KindGetRequest)
+		}
+		if len(b) < mle.TagSize {
+			return GetRequest{}, fmt.Errorf("%w: %v body ends in part of a tag", ErrMalformed, KindGetRequest)
+		}
+		m.Tags, b = append(m.Tags, mle.Tag(b)), b[mle.TagSize:]
+		if tokens {
+			token, rest, err := readBytes(b)
+			if err != nil {
+				return GetRequest{}, err
+			}
+			m.Tokens, b = append(m.Tokens, token), rest
+		}
 	}
-	if n == 0 {
-		return GetRequest{}, nil
+	if tokens && m.Tokens == nil {
+		return GetRequest{}, fmt.Errorf("%w: %v of no tags", ErrMalformed, KindGetTokensRequest)
 	}
-	tags := make([]mle.Tag, n)
-	for i := range tags {
-		copy(tags[i][:], b[i*mle.TagSize:])
-	}
-	return GetRequest{Tags: tags}, nil
+	return m, nil
 }
 
 func (m GetResponse) appendTo(buf []byte) []byte {
 	for i := range m.Results {
-		buf = appendBool(buf, m.Results[i].Found)
-		buf = appendSealed(buf, m.Results[i].Sealed)
+		if r := &m.Results[i]; r.Unchanged {
+			buf = append(buf, getUnchanged)
+		} else {
+			buf = appendSealed(appendBool(buf, r.Found), r.Sealed)
+		}
 	}
 	return buf
 }
@@ -203,10 +238,12 @@ func decodeGetResponse(b []byte) (GetResponse, error) {
 		}
 		var r GetResult
 		var err error
-		if r.Found, b, err = readBool(b); err != nil {
-			return GetResponse{}, err
+		if r.Unchanged = b[0] == getUnchanged; r.Unchanged {
+			r.Found, b = true, b[1:]
+		} else if r.Found, b, err = readBool(b); err == nil {
+			r.Sealed, b, err = readSealed(b)
 		}
-		if r.Sealed, b, err = readSealed(b); err != nil {
+		if err != nil {
 			return GetResponse{}, err
 		}
 		m.Results = append(m.Results, r)

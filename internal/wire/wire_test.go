@@ -65,9 +65,10 @@ var (
 	retiredProbeResponse = []byte{6, 1}
 )
 
-// TestHasBatchUnmarshalRejectsMalformed: every HAS message version 4
-// could send — a request of one tag, of two, of none, and replies of
-// one and of three answers — is malformed now.
+// TestHasBatchUnmarshalRejectsMalformed: these HAS messages of version
+// 4 — a request of one tag, of two, of none, and replies of one and of
+// three answers — are malformed now. Kind 6 is unknown; kind 5 is a GET
+// with tokens since version 6, and wants a token after each tag.
 func TestHasBatchUnmarshalRejectsMalformed(t *testing.T) {
 	for _, b := range [][]byte{
 		retiredProbeRequest,
