@@ -565,16 +565,16 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 }
 
 // manifestReuse serves a hit whose primary-tag entry is a sealed
-// manifest: open it, unless it is the recorded one predict opened, fill each
+// manifest: open and record it, unless pred is it, opened already, fill each
 // chunk's bytes of one output from the chunk cache, the prefetched
 // chunks or, verified against its ref, one more BatchGet. There is no
 // whole-result pass (chunk/manifest.go's trust model says why).
 // Any failure past manifest decryption means the stored data is
 // unusable and the caller recomputes loudly; errNoManifest alone means
 // the entry was never a manifest.
-func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed, unchanged bool) ([]byte, error) {
+func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) ([]byte, error) {
 	rt, span, m := c.rt, &c.span, pred
-	if !unchanged || m == nil {
+	if m == nil {
 		var err error
 		if m, err = openManifest(c.id, it.input, sealed); err != nil {
 			return nil, err

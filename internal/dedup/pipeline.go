@@ -347,7 +347,9 @@ func (c *call) verifyHit(it *item, pred *openedManifest, reply wire.GetResult) {
 	defer c.span.end(phaseVerifyDecrypt)
 	sealed, unchanged := reply.Sealed, reply.Unchanged
 	if unchanged {
-		sealed = it.known.sealed
+		sealed = it.known.sealed // the version pred, if any, was opened from
+	} else {
+		pred = nil // a full answer brings its own manifest
 	}
 	// A recorded manifest is no whole result.
 	var res []byte
@@ -363,7 +365,7 @@ func (c *call) verifyHit(it *item, pred *openedManifest, reply wire.GetResult) {
 	if err == nil && !unchanged {
 		rt.record.put(&it.tag, false, sealed)
 	} else if err != nil && rt.chunker != nil {
-		res, err = c.manifestReuse(it, pred, sealed, unchanged)
+		res, err = c.manifestReuse(it, pred, sealed)
 		switch {
 		case err == nil:
 			manifests = 1
