@@ -90,8 +90,7 @@ type Client struct {
 	// reg is the telemetry registry (nil when unconfigured), used to
 	// record per-leg routing spans of sampled requests into the trace
 	// ring.
-	reg          *telemetry.Registry
-	readRepairsC *telemetry.Counter
+	reg *telemetry.Registry
 }
 
 var _ dedup.StoreClient = (*Client)(nil)
@@ -139,8 +138,8 @@ func (c *Client) registerTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	c.reg = reg
-	c.readRepairsC = reg.NewCounter("speed_cluster_read_repairs_total",
-		"results copied back to their primary after a failover read")
+	reg.NewCounterFunc("speed_cluster_read_repairs_total",
+		"results copied back to their primary after a failover read", c.readRepairs.Load)
 	for _, n := range c.nodes {
 		n := n
 		nodeLabel := telemetry.L("node", n.addr)
@@ -367,6 +366,5 @@ func (c *Client) repairAsync(primary int, tc wire.TraceContext, items []wire.Put
 			return
 		}
 		c.readRepairs.Add(int64(len(items)))
-		c.readRepairsC.Add(int64(len(items)))
 	}()
 }

@@ -316,9 +316,11 @@ const recordBytes = 4 << 20
 // runtime verified or uploaded under it, whose r the lookup's GET
 // names. Entries are sealed under the enclave's key with their tag as
 // associated data: the host can drop or replay one, but not forge one
-// from a known (func, m). Oldest written goes first, a generation at a
-// time: once cur would pass half the budget it becomes old, and old is
-// dropped.
+// from a known (func, m). seal and get hold that key, so they run only
+// in enclave code, inside the call's ECALL; install, which only files
+// sealed bytes, may run outside. Oldest written goes first, a
+// generation at a time: once cur would pass half the budget it becomes
+// old, and old is dropped.
 type tripleRecord struct {
 	enc      *enclave.Enclave
 	mu       sync.Mutex
@@ -326,27 +328,27 @@ type tripleRecord struct {
 	bytes    int // in cur
 }
 
-// recorded is a record entry unsealed in the enclave.
-type recorded struct {
-	sealed   mle.Sealed
-	manifest bool
-}
-
-// put seals s, a manifest or a whole result, as tag's entry: a flag
+// seal seals s, a manifest or a whole result, as tag's entry: a flag
 // byte that is 1 for a manifest, then r, [k] and [res]. Only a triple of
-// the scheme's sizes, whose entry fits a generation, is recorded.
-func (r *tripleRecord) put(tag *mle.Tag, manifest bool, s mle.Sealed) {
+// the scheme's sizes, whose entry fits a generation, is sealed; nil
+// stands for any other.
+func (r *tripleRecord) seal(tag *mle.Tag, manifest bool, s mle.Sealed) []byte {
 	if len(s.Challenge) != mle.ChallengeSize || len(s.WrappedKey) != mle.KeySize ||
 		enclave.SealOverhead+1+s.Size() > recordBytes/2 {
-		return
+		return nil
 	}
 	pt := make([]byte, enclave.SealNonceSize+1, enclave.SealOverhead+1+s.Size())
 	if manifest {
 		pt[enclave.SealNonceSize] = 1
 	}
 	pt = append(append(append(pt, s.Challenge...), s.WrappedKey...), s.Blob...)
-	entry, err := r.enc.Seal(pt[:0], pt[enclave.SealNonceSize:], tag[:])
-	if err != nil {
+	entry, _ := r.enc.Seal(pt[:0], pt[enclave.SealNonceSize:], tag[:])
+	return entry
+}
+
+// install files entry, from seal, as tag's entry; nil files nothing.
+func (r *tripleRecord) install(tag *mle.Tag, entry []byte) {
+	if entry == nil {
 		return
 	}
 	r.mu.Lock()
@@ -360,8 +362,9 @@ func (r *tripleRecord) put(tag *mle.Tag, manifest bool, s mle.Sealed) {
 }
 
 // get unseals tag's entry into the enclave, where the host can no
-// longer change it; an entry that does not unseal reads as none.
-func (r *tripleRecord) get(tag *mle.Tag) (recorded, bool) {
+// longer change it, and says whether it is a manifest; an entry that
+// does not unseal reads as none, the zero triple.
+func (r *tripleRecord) get(tag *mle.Tag) (s mle.Sealed, manifest bool) {
 	const head = 1 + mle.ChallengeSize + mle.KeySize
 	r.mu.Lock()
 	entry, ok := r.cur[*tag]
@@ -370,14 +373,14 @@ func (r *tripleRecord) get(tag *mle.Tag) (recorded, bool) {
 	}
 	r.mu.Unlock()
 	if len(entry) < enclave.SealOverhead+head {
-		return recorded{}, false
+		return s, false
 	}
 	pt, err := r.enc.Unseal(make([]byte, 0, len(entry)-enclave.SealOverhead), entry, tag[:])
 	if err != nil || len(pt) < head {
-		return recorded{}, false
+		return s, false
 	}
-	return recorded{manifest: pt[0] == 1, sealed: mle.Sealed{
-		Challenge: pt[1 : 1+mle.ChallengeSize : 1+mle.ChallengeSize], WrappedKey: pt[1+mle.ChallengeSize : head : head], Blob: pt[head:]}}, true
+	return mle.Sealed{Challenge: pt[1 : 1+mle.ChallengeSize : 1+mle.ChallengeSize],
+		WrappedKey: pt[1+mle.ChallengeSize : head : head], Blob: pt[head:]}, pt[0] == 1
 }
 
 // openedManifest is a sealed manifest opened in the enclave under its
@@ -418,12 +421,12 @@ func (c *call) predict(tags []mle.Tag) []mle.Tag {
 	n := len(tags)
 	for i := range c.items {
 		it := &c.items[i]
-		if !it.leads() || !it.known.manifest {
+		if !it.leads() || !it.knownManifest {
 			continue
 		}
-		m, _ := openManifest(c.id, it.input, it.known.sealed)
+		m, _ := openManifest(c.id, it.input, it.known)
 		if m == nil {
-			it.known = recorded{}
+			it.known = mle.Sealed{}
 			continue
 		}
 		if c.preds == nil {
@@ -537,6 +540,7 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 	if err != nil {
 		return nil, fmt.Errorf("encrypt manifest: %w", err)
 	}
+	entry := rt.record.seal(&job.tag, true, manSealed) // here: the send runs outside the enclave
 
 	for i := range chunks {
 		// The chunks alias the caller's result: the cache borrows them.
@@ -556,7 +560,7 @@ func (c *call) sealChunked(job putJob) (func(), error) {
 			rt.notePutError(err)
 			return
 		}
-		rt.record.put(&job.tag, true, manSealed)
+		rt.record.install(&job.tag, entry)
 		rt.mu.Lock()
 		rt.stats.ChunkedPuts++
 		rt.stats.ChunksSkipped += int64(skipped)
@@ -579,7 +583,7 @@ func (c *call) manifestReuse(it *item, pred *openedManifest, sealed mle.Sealed) 
 		if m, err = openManifest(c.id, it.input, sealed); err != nil {
 			return nil, err
 		}
-		rt.record.put(&it.tag, true, sealed)
+		rt.record.install(&it.tag, rt.record.seal(&it.tag, true, sealed))
 	}
 
 	// Each chunk fills exactly its ref's length at its offset, and

@@ -388,7 +388,7 @@ func reassemblyRejects(t *testing.T, fetched, prefetch bool, tamper func(s *reas
 	// recompute, and replace the damaged entries.
 	b := newChunkRuntimeWith(t, p, st, "appB", Config{ChunkThreshold: chunkTestThreshold}, s.wrap)
 	if prefetch {
-		b.record.put(&s.primary, true, before)
+		b.record.install(&s.primary, b.record.seal(&s.primary, true, before))
 	}
 	bCalls := 0
 	got, outcome, err := b.Execute(id, input, func([]byte) ([]byte, error) {
@@ -1110,21 +1110,21 @@ func TestManifestRecordBound(t *testing.T) {
 	put := map[mle.Tag]int{}
 	for i := 0; i < 20000; i++ {
 		tag := hashTag(i)
-		r.put(&tag, i%2 == 0, sealedOf(i))
+		r.install(&tag, r.seal(&tag, i%2 == 0, sealedOf(i)))
 		put[tag] = i
-		if i%1000 != 0 {
+		if i%250 != 0 {
 			continue
 		}
 		held := 0
 		for _, gen := range []map[mle.Tag][]byte{r.cur, r.old} {
 			for tag, entry := range gen {
 				held += len(entry)
-				got, ok := r.get(&tag)
+				got, manifest := r.get(&tag)
 				j, known := put[tag]
-				if !ok || !known || !reflect.DeepEqual(got.sealed, sealedOf(j)) || got.manifest != (j%2 == 0) {
+				if !known || !reflect.DeepEqual(got, sealedOf(j)) || manifest != (j%2 == 0) {
 					t.Fatalf("the record holds %x..., which is not a triple put under it", tag[:4])
 				}
-				if bytes.Contains(entry, got.sealed.Challenge) {
+				if bytes.Contains(entry, got.Challenge) {
 					t.Fatalf("the entry for %x... holds its r in the clear", tag[:4])
 				}
 			}
@@ -1135,20 +1135,20 @@ func TestManifestRecordBound(t *testing.T) {
 	}
 	// The newest triples are held, the oldest gone.
 	oldest, newest := hashTag(0), hashTag(19999)
-	if _, ok := r.get(&oldest); ok {
+	if got, _ := r.get(&oldest); got.Challenge != nil {
 		t.Error("the oldest triple survived 20,000 newer ones")
 	}
-	got, ok := r.get(&newest)
-	if !ok || !bytes.Equal(got.sealed.Challenge, sealedOf(19999).Challenge) {
+	got, _ := r.get(&newest)
+	if !bytes.Equal(got.Challenge, sealedOf(19999).Challenge) {
 		t.Fatal("the newest triple is not held")
 	}
-	got.sealed.Blob[0] ^= 1
-	if again, _ := r.get(&newest); again.sealed.Blob[0] != 0 {
+	got.Blob[0] ^= 1
+	if again, _ := r.get(&newest); again.Blob[0] != 0 {
 		t.Error("a lookup's copy aliases the record")
 	}
 	// A triple too large for a generation is not recorded.
-	r.put(&oldest, false, mle.Sealed{Challenge: make([]byte, 16), WrappedKey: make([]byte, 16), Blob: make([]byte, recordBytes/2)})
-	if _, ok := r.get(&oldest); ok {
+	r.install(&oldest, r.seal(&oldest, false, mle.Sealed{Challenge: make([]byte, 16), WrappedKey: make([]byte, 16), Blob: make([]byte, recordBytes/2)}))
+	if got, _ := r.get(&oldest); got.Challenge != nil {
 		t.Error("a triple of half the budget was recorded")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"speed/internal/enclave"
 	"speed/internal/mle"
 	"speed/internal/store"
+	"speed/internal/telemetry"
 	"speed/internal/wire"
 )
 
@@ -258,4 +259,26 @@ func TestLocalClientCloseNoOp(t *testing.T) {
 	if _, _, err := st.Get(testTag(1)); err != nil {
 		t.Errorf("store Get after client Close: %v", err)
 	}
+}
+
+// TestClientSeriesSumOverSharedRegistry: clients of one application
+// that share a registry, as a cluster's members do, add up in its
+// speed_client_* series; none of them is counted alone.
+func TestClientSeriesSumOverSharedRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	for i := 0; i < 2; i++ {
+		env := newMuxEnv(t, store.Config{}, nil, RemoteConfig{Telemetry: reg, Lazy: true})
+		if _, err := env.client.Get(wire.TraceContext{}, []mle.Tag{{1}}, nil); err != nil { // dials
+			t.Fatal(err)
+		}
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == `speed_client_reconnects_total{app="app"}` {
+			if c.Value != 2 {
+				t.Errorf("%s = %d after two clients dialed, want 2", c.Name, c.Value)
+			}
+			return
+		}
+	}
+	t.Error("speed_client_reconnects_total{app=\"app\"} is not registered")
 }

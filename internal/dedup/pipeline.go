@@ -100,8 +100,10 @@ type item struct {
 	// store client reports the store unhealthy; counted in
 	// Stats.Degraded and never uploaded.
 	degraded bool
-	// known is a leader's record entry, whose r its GET names.
-	known recorded
+	// known is a leader's record entry, whose r its GET names, and
+	// knownManifest says that it is a manifest.
+	known         mle.Sealed
+	knownManifest bool
 }
 
 func (it *item) leads() bool { return it.joined == nil }
@@ -270,7 +272,7 @@ func (c *call) lookup() {
 		for i := range c.items {
 			if it := &c.items[i]; it.leads() {
 				tags = append(tags, it.tag)
-				it.known, _ = rt.record.get(&it.tag)
+				it.known, it.knownManifest = rt.record.get(&it.tag)
 			}
 		}
 		if len(tags) == 0 {
@@ -285,7 +287,7 @@ func (c *call) lookup() {
 		var tokens [][]byte
 		for i, j := 0, 0; i < len(c.items); i++ {
 			if it := &c.items[i]; it.leads() {
-				if r := it.known.sealed.Challenge; len(r) > 0 {
+				if r := it.known.Challenge; r != nil {
 					if tokens == nil {
 						tokens = make([][]byte, len(tags))
 					}
@@ -347,14 +349,14 @@ func (c *call) verifyHit(it *item, pred *openedManifest, reply wire.GetResult) {
 	defer c.span.end(phaseVerifyDecrypt)
 	sealed, unchanged := reply.Sealed, reply.Unchanged
 	if unchanged {
-		sealed = it.known.sealed // the version pred, if any, was opened from
+		sealed = it.known // the version pred, if any, was opened from
 	} else {
 		pred = nil // a full answer brings its own manifest
 	}
 	// A recorded manifest is no whole result.
 	var res []byte
 	err := mle.ErrAuthFailed
-	if !unchanged || !it.known.manifest {
+	if !unchanged || !it.knownManifest {
 		res, err = rce.Decrypt(c.id, it.input, sealed)
 	}
 	if err != nil && !errors.Is(err, mle.ErrAuthFailed) {
@@ -363,7 +365,7 @@ func (c *call) verifyHit(it *item, pred *openedManifest, reply wire.GetResult) {
 	}
 	var manifests int64
 	if err == nil && !unchanged {
-		rt.record.put(&it.tag, false, sealed)
+		rt.record.install(&it.tag, rt.record.seal(&it.tag, false, sealed))
 	} else if err != nil && rt.chunker != nil {
 		res, err = c.manifestReuse(it, pred, sealed)
 		switch {

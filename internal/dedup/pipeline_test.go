@@ -235,7 +235,7 @@ func (env *pipeEnv) recordStored(manifest bool, mutate func(*mle.Sealed)) {
 	if mutate != nil {
 		mutate(&sealed)
 	}
-	env.rt.record.put(&tag, manifest, sealed)
+	env.rt.record.install(&tag, env.rt.record.seal(&tag, manifest, sealed))
 }
 
 // replaceStored has the seeder replace the store's entry for pipeInput
@@ -280,7 +280,7 @@ func recordHealed(env *pipeEnv, _ []byte) {
 	env.t.Helper()
 	tag := mle.ComputeTag(env.id, pipeInput)
 	stored, _, err := getOne(NewLocalClient(env.store, env.appEnc.Measurement()), tag)
-	if got, ok := env.rt.record.get(&tag); err != nil || !ok || !reflect.DeepEqual(got.sealed, stored.Clone()) {
+	if got, _ := env.rt.record.get(&tag); err != nil || !reflect.DeepEqual(got, stored.Clone()) {
 		env.t.Error("the record does not hold the store's entry after the hit")
 	}
 }
@@ -473,6 +473,29 @@ var pipeScenarios = []pipeScenario{
 		gets:    1, ocalls: 1,
 		transitions: 2,
 		verify:      notStored,
+	},
+	{
+		// The store answers unchanged for tags whose GET named no version:
+		// a broken reply, booked as a failed GET, never as a verify
+		// failure that would replace the stored entry.
+		name: "unchanged_without_token_degrades",
+		arrange: func(env *pipeEnv) {
+			env.seed(pipeInput, pipeCompute)
+			env.client.getMutate = func(_ int64, res []wire.GetResult) {
+				for i := range res {
+					res[i] = wire.GetResult{Found: true, Unchanged: true}
+				}
+			}
+		},
+		outcome: OutcomeComputed,
+		stats:   Stats{Computed: 1, Degraded: 1, StoreFailures: 1},
+		filler:  degradedFiller(),
+		gets:    1, ocalls: 1,
+		transitions: 3,
+		verify: func(env *pipeEnv, want []byte) {
+			env.client.getMutate = nil
+			stored(env, want)
+		},
 	},
 	{
 		// The client reports the store down: no call consults it.

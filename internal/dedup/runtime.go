@@ -401,6 +401,11 @@ func (rt *Runtime) clientGet(tc wire.TraceContext, tags []mle.Tag, tokens [][]by
 	if len(res) != len(tags) {
 		return nil, fmt.Errorf("dedup: get returned %d results for %d tags", len(res), len(tags))
 	}
+	for i := range res {
+		if res[i].Unchanged && (tokens == nil || tokens[i] == nil) {
+			return nil, fmt.Errorf("dedup: get answered tag %d unchanged, whose version it did not name", i)
+		}
+	}
 	return res, nil
 }
 

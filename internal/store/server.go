@@ -59,22 +59,24 @@ type Server struct {
 // serverMetrics is the server's pre-registered metric set (see
 // WithTelemetry).
 type serverMetrics struct {
-	reg           *telemetry.Registry
-	connections   *telemetry.Counter
-	active        *telemetry.Gauge
-	inflight      *telemetry.Gauge
-	bytesIn       *telemetry.Counter
-	bytesOut      *telemetry.Counter
-	authFails     *telemetry.Counter
-	authFailBytes *telemetry.Counter
-	reqSeconds    map[wire.Kind]*telemetry.Histogram
-	batchSize     *telemetry.Histogram
+	reg         *telemetry.Registry
+	connections *telemetry.Counter
+	active      *telemetry.Gauge
+	inflight    *telemetry.Gauge
+	bytesIn     *telemetry.Counter
+	bytesOut    *telemetry.Counter
+	reqSeconds  map[wire.Kind]*telemetry.Histogram
+	batchSize   *telemetry.Histogram
 }
 
-func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
+func newServerMetrics(reg *telemetry.Registry, s *Server) *serverMetrics {
 	if reg == nil {
 		return nil
 	}
+	reg.NewCounterFunc("speed_wire_auth_failures_total",
+		"received frames that failed AEAD authentication", s.authFails.Load)
+	reg.NewCounterFunc("speed_wire_auth_fail_bytes_total",
+		"bytes (payload plus framing) of frames that failed AEAD authentication", s.authFailBytes.Load)
 	reqSeconds := make(map[wire.Kind]*telemetry.Histogram)
 	for kind, op := range requestOps {
 		reqSeconds[kind] = reg.NewHistogram("speed_server_request_seconds",
@@ -93,10 +95,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"wire bytes received from clients, including framing"),
 		bytesOut: reg.NewCounter("speed_server_wire_bytes_out_total",
 			"wire bytes sent to clients, including framing"),
-		authFails: reg.NewCounter("speed_wire_auth_failures_total",
-			"received frames that failed AEAD authentication"),
-		authFailBytes: reg.NewCounter("speed_wire_auth_fail_bytes_total",
-			"bytes (payload plus framing) of frames that failed AEAD authentication"),
 		reqSeconds: reqSeconds,
 		batchSize: reg.NewHistogram("speed_store_batch_size",
 			"items per GET/PUT request (bucket values are item counts, not seconds)"),
@@ -131,7 +129,7 @@ func WithTrust(trust *wire.Trust) ServerOption {
 // execution) into reg's trace ring. A nil registry leaves the server
 // uninstrumented.
 func WithTelemetry(reg *telemetry.Registry) ServerOption {
-	return func(s *Server) { s.tel = newServerMetrics(reg) }
+	return func(s *Server) { s.tel = newServerMetrics(reg, s) }
 }
 
 // WithSlowRequestLog logs one structured line via the server's logger
@@ -283,8 +281,6 @@ func (s *Server) handle(conn net.Conn) {
 		if s.tel != nil {
 			s.tel.bytesIn.Add(in - lastIn)
 			s.tel.bytesOut.Add(out - lastOut)
-			s.tel.authFails.Add(af - lastAF)
-			s.tel.authFailBytes.Add(afb - lastAFB)
 		}
 		lastIn, lastOut, lastAF, lastAFB = in, out, af, afb
 	}
@@ -388,7 +384,7 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 	writing()
 	err = ch.SendEnvelope(req.id, reply)
 	if s.tel != nil {
-		s.tel.reqSeconds[opKind(req.msg)].Observe(time.Since(start))
+		s.tel.reqSeconds[req.msg.Kind()].Observe(time.Since(start))
 	}
 	if err != nil {
 		return fmt.Errorf("send to %v: %w", conn.RemoteAddr(), err)
@@ -402,23 +398,16 @@ func (s *Server) serve(conn net.Conn, ch *wire.Channel, owner enclave.Measuremen
 // requestOps is the one table of the requests the server serves: the
 // span and slow-request name of each — one per operation, whatever its
 // item count — and the op label of its speed_server_request_seconds
-// series.
+// series, which a GET with tokens shares with a GET.
 var requestOps = map[wire.Kind]struct{ span, label string }{
-	wire.KindGetRequest: {"store_get", "get"},
-	wire.KindPutRequest: {"store_put", "put"},
-}
-
-// opKind is the kind requestOps lists m under: a GET with tokens is a GET.
-func opKind(m wire.Message) wire.Kind {
-	if k := m.Kind(); k != wire.KindGetTokensRequest {
-		return k
-	}
-	return wire.KindGetRequest
+	wire.KindGetRequest:       {"store_get", "get"},
+	wire.KindGetTokensRequest: {"store_get", "get"},
+	wire.KindPutRequest:       {"store_put", "put"},
 }
 
 // opName labels a request message for spans and slow-request lines.
 func opName(m wire.Message) string {
-	if op, ok := requestOps[opKind(m)]; ok {
+	if op, ok := requestOps[m.Kind()]; ok {
 		return op.span
 	}
 	return "store_request"

@@ -72,7 +72,7 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 		GetResponse{Results: []GetResult{{Found: true, Sealed: blob}}},
 		PutRequest{Items: []PutItem{{Tag: mustTag(2), Sealed: blob}}},
 		PutResponse{Results: []PutResult{{OK: true}}},
-		GetRequest{Tags: []mle.Tag{mustTag(3)}, Tokens: [][]byte{[]byte("r")}},
+		GetRequest{Tags: []mle.Tag{mustTag(3)}, Tokens: [][]byte{[]byte("rrrrrrrrrrrrrrrr")}},
 	}
 	if n := declaredKinds(t); n != len(kindNames)-1 {
 		t.Errorf("message.go declares %d Kind constants but kindNames names %d", n, len(kindNames)-1)
@@ -104,7 +104,8 @@ func TestBatchUnmarshalRejectsMalformed(t *testing.T) {
 		{"get response bad bool", append(Marshal(oneItem[1]), 7)},
 		{"put request short second item", append(Marshal(oneItem[2]), 1, 2, 3)},
 		{"put response truncated second result", append(Marshal(oneItem[3]), 1, 0, 0, 0)},
-		{"get tokens request short second token", append(Marshal(oneItem[4]), append(make([]byte, mle.TagSize), 0, 0, 0, 2, 1)...)},
+		{"get tokens request short second token", append(Marshal(oneItem[4]), append(make([]byte, mle.TagSize), 1, 2, 3)...)},
+		{"get tokens request bad token presence", append(Marshal(oneItem[4]), append(make([]byte, mle.TagSize), 2)...)},
 		{"get tokens request of no tags", []byte{byte(KindGetTokensRequest)}},
 	}
 	for _, tt := range tests {

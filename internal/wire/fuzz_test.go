@@ -21,7 +21,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(Marshal(GetRequest{}))
 	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1, 2, 3}}}))
 	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1}, {2}}}))
-	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1}, {2}}, Tokens: [][]byte{[]byte("rrrr"), nil}}))
+	f.Add(Marshal(GetRequest{Tags: []mle.Tag{{1}, {2}}, Tokens: [][]byte{[]byte("rrrrrrrrrrrrrrrr"), nil}}))
 	f.Add(Marshal(GetResponse{Results: []GetResult{
 		{Found: true, Sealed: mle.Sealed{
 			Challenge:  []byte("rrrr"),

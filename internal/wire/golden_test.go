@@ -54,11 +54,11 @@ func TestGoldenEncodings(t *testing.T) {
 			"04000000000e71756f7461206578636565646564", 0},
 		// Protocol version 6: a GET whose tags carry version tokens, and
 		// the one-byte answer that a token named the stored version.
-		{"GetRequest{t} with token", GetRequest{Tags: []mle.Tag{goldenTag(1)}, Tokens: [][]byte{[]byte("chal")}},
-			"050102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2000000004" + "6368616c", 0},
-		{"GetRequest{t, u} one token", GetRequest{Tags: []mle.Tag{goldenTag(1), goldenTag(2)}, Tokens: [][]byte{nil, []byte{9}}},
-			"050102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2000000000" +
-				"02030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20210000000109", 0},
+		{"GetRequest{t} with token", GetRequest{Tags: []mle.Tag{goldenTag(1)}, Tokens: [][]byte{[]byte("chalchalchalchal")}},
+			"050102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2001" + "6368616c6368616c6368616c6368616c", 0},
+		{"GetRequest{t, u} one token", GetRequest{Tags: []mle.Tag{goldenTag(1), goldenTag(2)}, Tokens: [][]byte{nil, []byte("chalchalchalchal")}},
+			"050102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2000" +
+				"02030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021016368616c6368616c6368616c6368616c", 0},
 		{"GetResponse unchanged", GetResponse{Results: []GetResult{{Found: true, Unchanged: true}}},
 			"0202", 0},
 		{"GetResponse unchanged, miss, hit", GetResponse{Results: []GetResult{{Found: true, Unchanged: true}, {}, {Found: true, Sealed: s2}}},

@@ -72,7 +72,8 @@ type Message interface {
 // GetRequest asks whether the computations with the given tags have
 // been done before (Algorithm 1 line 2 / Algorithm 2 line 2). Tokens,
 // nil or one per tag, names the version of each entry the requester
-// already holds: the challenge r of its triple, or nothing.
+// already holds: the mle.ChallengeSize-byte challenge r of its triple,
+// or nil.
 type GetRequest struct {
 	Tags   []mle.Tag
 	Tokens [][]byte
@@ -183,15 +184,24 @@ func (m GetRequest) appendTo(buf []byte) []byte {
 	for i := range m.Tags {
 		buf = append(buf, m.Tags[i][:]...)
 		if m.Tokens != nil {
-			buf = appendBytes(buf, m.Tokens[i])
+			buf = appendToken(buf, m.Tokens[i])
 		}
 	}
 	return buf
 }
 
-// decodeGetRequest decodes a body of tags, each followed by its
-// length-prefixed token when tokens is set. A GET with tokens names at
-// least one tag: a ping is a GET of none.
+// appendToken writes a token as a presence bool, then, when present,
+// its mle.ChallengeSize bytes: a token of any other size is none.
+func appendToken(buf, token []byte) []byte {
+	if len(token) != mle.ChallengeSize {
+		return appendBool(buf, false)
+	}
+	return append(appendBool(buf, true), token...)
+}
+
+// decodeGetRequest decodes a body of tags, each followed by its token
+// when tokens is set. A GET with tokens names at least one tag: a ping
+// is a GET of none.
 func decodeGetRequest(b []byte, tokens bool) (GetRequest, error) {
 	var m GetRequest
 	if n := len(b) / mle.TagSize; n > 0 {
@@ -205,13 +215,20 @@ func decodeGetRequest(b []byte, tokens bool) (GetRequest, error) {
 			return GetRequest{}, fmt.Errorf("%w: %v body ends in part of a tag", ErrMalformed, KindGetRequest)
 		}
 		m.Tags, b = append(m.Tags, mle.Tag(b)), b[mle.TagSize:]
-		if tokens {
-			token, rest, err := readBytes(b)
-			if err != nil {
-				return GetRequest{}, err
-			}
-			m.Tokens, b = append(m.Tokens, token), rest
+		if !tokens {
+			continue
 		}
+		has, rest, err := readBool(b)
+		var token []byte
+		if has && len(rest) >= mle.ChallengeSize {
+			token, rest = rest[:mle.ChallengeSize:mle.ChallengeSize], rest[mle.ChallengeSize:]
+		} else if has {
+			err = fmt.Errorf("%w: %v body ends in part of a token", ErrMalformed, KindGetTokensRequest)
+		}
+		if err != nil {
+			return GetRequest{}, err
+		}
+		m.Tokens, b = append(m.Tokens, token), rest
 	}
 	if tokens && m.Tokens == nil {
 		return GetRequest{}, fmt.Errorf("%w: %v of no tags", ErrMalformed, KindGetTokensRequest)
